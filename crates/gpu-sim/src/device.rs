@@ -19,8 +19,10 @@ use tvm_tir::PrimFunc;
 /// reproducible.
 #[derive(Debug, Clone)]
 pub struct SimDevice {
-    /// Hardware description.
-    pub spec: GpuSpec,
+    /// Hardware description. Private and without a setter: the prediction
+    /// memo below is shared by clones, so every holder of one memo must
+    /// model the same hardware.
+    spec: GpuSpec,
     /// Peak-to-peak relative noise amplitude (e.g. `0.04` = ±2 %).
     pub noise: f64,
     /// Noise seed.
@@ -37,6 +39,11 @@ pub struct SimDevice {
     /// which keeps injected faults journal-resume-safe (clones share the
     /// counters).
     fault_attempts: Arc<Mutex<HashMap<String, u64>>>,
+    /// Noise-free predictions by printed function — the key the noise and
+    /// fault draws use. The model is pure in (function, spec), so repeats,
+    /// retries and re-proposals pay a lookup; seed, noise and fault
+    /// settings stay outside it, and clones share it.
+    predictions: Arc<Mutex<HashMap<String, f64>>>,
 }
 
 impl SimDevice {
@@ -49,7 +56,13 @@ impl SimDevice {
             fault_rate: 0.0,
             fault_seed: 0,
             fault_attempts: Arc::new(Mutex::new(HashMap::new())),
+            predictions: Arc::new(Mutex::new(HashMap::new())),
         }
+    }
+
+    /// The hardware this device models.
+    pub fn spec(&self) -> &GpuSpec {
+        &self.spec
     }
 
     /// Builder: noise amplitude (0 disables).
@@ -78,17 +91,31 @@ impl SimDevice {
 
     /// Noise-free model prediction for `func`.
     pub fn predict(&self, func: &PrimFunc) -> f64 {
-        cost_model(func, &self.spec).total()
+        self.predict_printed(func, &func.to_string())
     }
 
-    fn noise_factor(&self, func: &PrimFunc) -> f64 {
+    /// [`SimDevice::predict`] given `func` already printed: the model is
+    /// evaluated once per distinct function.
+    fn predict_printed(&self, func: &PrimFunc, printed: &str) -> f64 {
+        let memo = || self.predictions.lock().expect("prediction memo lock");
+        let known = memo().get(printed).copied();
+        known.unwrap_or_else(|| {
+            // Computed outside the lock: parallel measurement workers of
+            // one evaluator share this device.
+            let t = cost_model(func, &self.spec).total();
+            memo().insert(printed.to_string(), t);
+            t
+        })
+    }
+
+    fn noise_factor(&self, printed: &str) -> f64 {
         if self.noise == 0.0 {
             return 1.0;
         }
         // Key the noise on the printed function (loop extents capture the
         // configuration) and the seed.
         let mut h = DefaultHasher::new();
-        format!("{func}").hash(&mut h);
+        printed.hash(&mut h);
         self.seed.hash(&mut h);
         let u = (h.finish() >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
         1.0 + self.noise * (u - 0.5)
@@ -101,8 +128,9 @@ impl Device for SimDevice {
     }
 
     fn run(&self, func: &PrimFunc, _args: &mut [NDArray]) -> Result<f64, DeviceError> {
+        // Printed once: the fault, noise and memo keys are all this string.
+        let printed = func.to_string();
         if self.fault_rate > 0.0 {
-            let printed = format!("{func}");
             let n = {
                 let mut attempts = self.fault_attempts.lock().expect("fault counter lock");
                 let n = attempts.entry(printed.clone()).or_insert(0);
@@ -122,14 +150,14 @@ impl Device for SimDevice {
                 )));
             }
         }
-        let t = self.predict(func);
+        let t = self.predict_printed(func, &printed);
         if !t.is_finite() {
             return Err(DeviceError::Rejected(format!(
                 "cost model produced non-finite time for `{}`",
                 func.name
             )));
         }
-        Ok(t * self.noise_factor(func))
+        Ok(t * self.noise_factor(&printed))
     }
 
     /// Modeled compilation cost: a base `tvm.build` latency plus a term
@@ -238,6 +266,86 @@ mod tests {
                 .collect()
         };
         assert_eq!(solo, interleaved);
+    }
+
+    #[test]
+    fn memoized_run_equals_a_fresh_devices_first_run() {
+        let f = small_func(96);
+        let mut args = [];
+        let dev = SimDevice::new(GpuSpec::a100()).with_seed(5);
+        let first = dev.run(&f, &mut args).expect("run");
+        let memoized = dev.run(&f, &mut args).expect("run");
+        let fresh = SimDevice::new(GpuSpec::a100())
+            .with_seed(5)
+            .run(&f, &mut args)
+            .expect("run");
+        assert_eq!(first.to_bits(), fresh.to_bits());
+        assert_eq!(memoized.to_bits(), fresh.to_bits());
+        assert_eq!(
+            dev.predict(&f).to_bits(),
+            cost_model(&f, dev.spec()).total().to_bits(),
+            "a memoized prediction is the model's own number"
+        );
+    }
+
+    #[test]
+    fn clones_share_predictions_but_not_noise() {
+        let f = small_func(128);
+        let mut args = [];
+        let dev = SimDevice::new(GpuSpec::a100()).with_seed(1);
+        let t1 = dev.run(&f, &mut args).expect("run");
+        // The clone is served the prediction `dev` memoized, under its own
+        // seed: only the noise draw may differ.
+        let reseeded = dev.clone().with_seed(2);
+        assert_ne!(t1, reseeded.run(&f, &mut args).expect("run"));
+        assert_eq!(dev.predict(&f).to_bits(), reseeded.predict(&f).to_bits());
+        let quiet = dev.clone().with_noise(0.0);
+        assert_eq!(quiet.run(&f, &mut args).expect("run"), dev.predict(&f));
+    }
+
+    #[test]
+    fn predictions_never_cross_hardware() {
+        // A memo belongs to the devices cloned from one `new(spec)`, and
+        // the spec cannot change afterwards: warming one device must not
+        // leak its numbers into a device modeling other hardware.
+        let f = small_func(128);
+        let mut args = [];
+        let a100 = SimDevice::new(GpuSpec::a100());
+        let v100 = SimDevice::new(GpuSpec::v100());
+        let on_a100 = a100.run(&f, &mut args).expect("run");
+        let on_v100 = v100.run(&f, &mut args).expect("run");
+        assert_ne!(on_a100, on_v100);
+        assert_eq!(
+            v100.predict(&f).to_bits(),
+            cost_model(&f, &GpuSpec::v100()).total().to_bits()
+        );
+        assert_eq!(a100.spec().name, GpuSpec::a100().name);
+    }
+
+    #[test]
+    fn fault_attempts_advance_on_memoized_runs() {
+        // The fault roll happens before the memo lookup, on every run: the
+        // n-th run of a function reports attempt n when it faults, whether
+        // or not its prediction was already memoized.
+        let f = small_func(32);
+        let mut args = [];
+        let dev = SimDevice::new(GpuSpec::a100()).with_faults(0.3, 1);
+        let mut faults_after_a_success = 0;
+        let mut succeeded = false;
+        for attempt in 0..40 {
+            match dev.run(&f, &mut args) {
+                Ok(_) => succeeded = true,
+                Err(DeviceError::Rejected(msg)) => {
+                    assert!(
+                        msg.contains(&format!("(attempt {attempt})")),
+                        "run {attempt} reported: {msg}"
+                    );
+                    faults_after_a_success += succeeded as usize;
+                }
+                Err(other) => panic!("unexpected error: {other:?}"),
+            }
+        }
+        assert!(faults_after_a_success > 0, "a memoized run must still roll");
     }
 
     #[test]

@@ -70,12 +70,25 @@ impl StmtFeatures {
 /// Returns `None` on unbound variables or non-integer constructs — callers
 /// treat that as "cannot analyze".
 pub fn eval_int(e: &PrimExpr, env: &HashMap<u64, i64>) -> Option<i64> {
+    eval_int_with(e, &|id| env.get(&id).copied())
+}
+
+/// [`eval_int`] over any variable lookup (`var id -> value`, `None` when
+/// unbound), so hot callers can bind variables without building a map.
+pub fn eval_int_with<F: Fn(u64) -> Option<i64>>(e: &PrimExpr, env: &F) -> Option<i64> {
+    // Leaves are half the nodes of an index expression: operands read
+    // them in place instead of recursing.
+    let operand = |e: &PrimExpr, env: &F| match e {
+        PrimExpr::IntImm(v, _) => Some(*v),
+        PrimExpr::Var(v) => env(v.id),
+        _ => eval_int_with(e, env),
+    };
     match e {
         PrimExpr::IntImm(v, _) => Some(*v),
         PrimExpr::BoolImm(b) => Some(*b as i64),
-        PrimExpr::Var(v) => env.get(&v.id).copied(),
+        PrimExpr::Var(v) => env(v.id),
         PrimExpr::Binary(op, a, b) => {
-            let (a, b) = (eval_int(a, env)?, eval_int(b, env)?);
+            let (a, b) = (operand(a, env)?, operand(b, env)?);
             Some(match op {
                 BinOp::Add => a + b,
                 BinOp::Sub => a - b,
@@ -103,7 +116,7 @@ pub fn eval_int(e: &PrimExpr, env: &HashMap<u64, i64>) -> Option<i64> {
             })
         }
         PrimExpr::Cmp(op, a, b) => {
-            let (a, b) = (eval_int(a, env)?, eval_int(b, env)?);
+            let (a, b) = (operand(a, env)?, operand(b, env)?);
             Some(match op {
                 CmpOp::Eq => a == b,
                 CmpOp::Ne => a != b,
@@ -113,17 +126,17 @@ pub fn eval_int(e: &PrimExpr, env: &HashMap<u64, i64>) -> Option<i64> {
                 CmpOp::Ge => a >= b,
             } as i64)
         }
-        PrimExpr::And(a, b) => Some((eval_int(a, env)? != 0 && eval_int(b, env)? != 0) as i64),
-        PrimExpr::Or(a, b) => Some((eval_int(a, env)? != 0 || eval_int(b, env)? != 0) as i64),
-        PrimExpr::Not(a) => Some((eval_int(a, env)? == 0) as i64),
+        PrimExpr::And(a, b) => Some((operand(a, env)? != 0 && operand(b, env)? != 0) as i64),
+        PrimExpr::Or(a, b) => Some((operand(a, env)? != 0 || operand(b, env)? != 0) as i64),
+        PrimExpr::Not(a) => Some((operand(a, env)? == 0) as i64),
         PrimExpr::Select(c, t, f) => {
-            if eval_int(c, env)? != 0 {
-                eval_int(t, env)
+            if operand(c, env)? != 0 {
+                operand(t, env)
             } else {
-                eval_int(f, env)
+                operand(f, env)
             }
         }
-        PrimExpr::Cast(t, a) if t.is_int() => eval_int(a, env),
+        PrimExpr::Cast(t, a) if t.is_int() => operand(a, env),
         _ => None,
     }
 }
@@ -156,24 +169,32 @@ pub fn count_flops(e: &PrimExpr) -> f64 {
     flops
 }
 
-fn stride_of(
+/// Linear offset difference of an access when `loop_var` moves 0 -> 1,
+/// every other variable bound by `base`.
+fn stride_of<F: Fn(u64) -> Option<i64>>(
     indices: &[PrimExpr],
     strides_elems: &[usize],
     loop_var: u64,
-    base: &HashMap<u64, i64>,
+    base: &F,
 ) -> Option<i64> {
-    // Linear offset difference when the loop var moves 0 -> 1.
-    let mut env0 = base.clone();
-    env0.insert(loop_var, 0);
-    let mut env1 = base.clone();
-    env1.insert(loop_var, 1);
-    let mut off0 = 0i64;
-    let mut off1 = 0i64;
-    for (d, idx) in indices.iter().enumerate() {
-        off0 += eval_int(idx, &env0)? * strides_elems[d] as i64;
-        off1 += eval_int(idx, &env1)? * strides_elems[d] as i64;
-    }
-    Some(off1 - off0)
+    let offset_at = |value: i64| -> Option<i64> {
+        let env = |id| (id == loop_var).then_some(value).or_else(|| base(id));
+        let mut off = 0i64;
+        for (idx, stride) in indices.iter().zip(strides_elems) {
+            off += eval_int_with(idx, &env)? * *stride as i64;
+        }
+        Some(off)
+    };
+    let off0 = offset_at(0)?;
+    Some(offset_at(1)? - off0)
+}
+
+/// The value `values` binds to variable `id`, one slot per enclosing loop.
+/// The innermost loop wins when a variable id repeats, as a map filled
+/// outermost-first would have it.
+fn loop_value(loops: &[LoopInfo], values: &[i64], id: u64) -> Option<i64> {
+    let slot = loops.iter().rposition(|l| l.var_id == id)?;
+    Some(values[slot])
 }
 
 /// Deterministic xorshift for guard-selectivity sampling.
@@ -204,14 +225,20 @@ fn guard_selectivity(guards: &[PrimExpr], loops: &[LoopInfo]) -> f64 {
     }
     let mut rng = XorShift(0x9E3779B97F4A7C15);
     let mut pass = 0usize;
+    let mut values = vec![0i64; loops.len()];
     for _ in 0..SELECTIVITY_SAMPLES {
-        let mut env = HashMap::with_capacity(loops.len());
-        for l in loops {
-            env.insert(l.var_id, l.min + rng.below(l.extent));
+        for (value, l) in values.iter_mut().zip(loops) {
+            *value = l.min + rng.below(l.extent);
         }
+        let env = |id| loop_value(loops, &values, id);
+        // A conjunction of independent predicates, so the order is free:
+        // innermost first, because the outermost guards are split-tail
+        // bounds checks that almost always hold, while the inner ones
+        // (triangular domains) reject most samples early.
         let ok = guards
             .iter()
-            .all(|g| eval_int(g, &env).map(|v| v != 0).unwrap_or(true));
+            .rev()
+            .all(|g| eval_int_with(g, &env).map(|v| v != 0).unwrap_or(true));
         pass += ok as usize;
     }
     (pass as f64 / SELECTIVITY_SAMPLES as f64).max(1.0 / SELECTIVITY_SAMPLES as f64)
@@ -231,7 +258,8 @@ fn access_info(
         elem_strides[d] = elem_strides[d + 1] * shape[d + 1];
     }
     // Base env: all loop vars at their minimum.
-    let base: HashMap<u64, i64> = loops.iter().map(|l| (l.var_id, l.min)).collect();
+    let mins: Vec<i64> = loops.iter().map(|l| l.min).collect();
+    let base = |id| loop_value(loops, &mins, id);
     let strides = loops
         .iter()
         .map(|l| stride_of(indices, &elem_strides, l.var_id, &base).unwrap_or(0))
@@ -396,6 +424,114 @@ mod tests {
         assert_eq!(eval_int(&floordiv(int(-7), int(2)), &env), Some(-4));
         assert_eq!(eval_int(&floormod(int(-7), int(2)), &env), Some(1));
         assert_eq!(eval_int(&(int(3) * 4 + 1), &env), Some(13));
+    }
+
+    /// The map-per-sample sampler and the two-maps-per-stride analysis
+    /// this module used before it evaluated over loop slots, kept as the
+    /// reference the slot versions must match bit for bit.
+    fn guard_selectivity_by_map(guards: &[PrimExpr], loops: &[LoopInfo]) -> f64 {
+        if guards.is_empty() {
+            return 1.0;
+        }
+        let mut rng = XorShift(0x9E3779B97F4A7C15);
+        let mut pass = 0usize;
+        for _ in 0..SELECTIVITY_SAMPLES {
+            let mut env = HashMap::with_capacity(loops.len());
+            for l in loops {
+                env.insert(l.var_id, l.min + rng.below(l.extent));
+            }
+            let ok = guards
+                .iter()
+                .all(|g| eval_int(g, &env).map(|v| v != 0).unwrap_or(true));
+            pass += ok as usize;
+        }
+        (pass as f64 / SELECTIVITY_SAMPLES as f64).max(1.0 / SELECTIVITY_SAMPLES as f64)
+    }
+
+    fn stride_by_map(
+        indices: &[PrimExpr],
+        strides_elems: &[usize],
+        loop_var: u64,
+        loops: &[LoopInfo],
+    ) -> Option<i64> {
+        let base: HashMap<u64, i64> = loops.iter().map(|l| (l.var_id, l.min)).collect();
+        let mut env0 = base.clone();
+        env0.insert(loop_var, 0);
+        let mut env1 = base;
+        env1.insert(loop_var, 1);
+        let (mut off0, mut off1) = (0i64, 0i64);
+        for (d, idx) in indices.iter().enumerate() {
+            off0 += eval_int(idx, &env0)? * strides_elems[d] as i64;
+            off1 += eval_int(idx, &env1)? * strides_elems[d] as i64;
+        }
+        Some(off1 - off0)
+    }
+
+    #[test]
+    fn slot_evaluation_matches_the_map_reference() {
+        use tvm_te::ops::{cmp, floordiv, floormod, int};
+        use tvm_te::Var;
+        let (i, j, k, free) = (
+            Var::index("i"),
+            Var::index("j"),
+            Var::index("k"),
+            Var::index("free"),
+        );
+        let loop_of = |v: &Var, min: i64, extent: i64| LoopInfo {
+            var_id: v.id,
+            name: v.name.clone(),
+            min,
+            extent,
+            kind: ForKind::Serial,
+        };
+        // `i` is bound twice (the inner binding must win), `k` has a
+        // non-zero minimum and a one-trip loop draws nothing.
+        let loops = vec![
+            loop_of(&i, 0, 40),
+            loop_of(&j, 0, 25),
+            loop_of(&k, 3, 17),
+            loop_of(&i, 5, 9),
+            loop_of(&j, 0, 1),
+        ];
+        let guard_sets: Vec<Vec<PrimExpr>> = vec![
+            vec![cmp::lt(j.expr(), i.expr())],
+            vec![
+                cmp::lt(i.expr() * 4 + k.expr(), int(60)),
+                cmp::ge(floormod(k.expr(), int(3)), int(1)),
+            ],
+            // Unbound variable and division by zero: "cannot analyze"
+            // counts as passing.
+            vec![cmp::lt(free.expr(), int(0))],
+            vec![cmp::lt(floordiv(i.expr(), j.expr()), int(2))],
+            // Never true: clamps to the 1/512 floor.
+            vec![cmp::lt(i.expr(), int(0))],
+        ];
+        for guards in &guard_sets {
+            for depth in 0..=loops.len() {
+                let nest = &loops[..depth];
+                assert_eq!(
+                    guard_selectivity(guards, nest).to_bits(),
+                    guard_selectivity_by_map(guards, nest).to_bits(),
+                    "guards {guards:?} under {depth} loops"
+                );
+            }
+        }
+
+        let accesses: Vec<Vec<PrimExpr>> = vec![
+            vec![i.expr(), k.expr()],
+            vec![i.expr() * 8 + j.expr(), floordiv(k.expr(), int(2))],
+            vec![floordiv(i.expr(), j.expr()), k.expr()],
+            vec![free.expr(), i.expr()],
+        ];
+        let elem_strides = [64usize, 1];
+        for indices in &accesses {
+            let info = access_info("A", 4096, DType::F32, indices, &[64, 64], &loops);
+            let want: Vec<i64> = loops
+                .iter()
+                .map(|l| stride_by_map(indices, &elem_strides, l.var_id, &loops).unwrap_or(0))
+                .collect();
+            assert_eq!(info.strides, want, "indices {indices:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use tvm_te::ops::{cmp, int};
 use tvm_te::{BinOp, PrimExpr, Var};
-use tvm_tir::analysis::eval_int;
+use tvm_tir::analysis::{eval_int, eval_int_with};
 use tvm_tir::passes::simplify::simplify_expr;
 
 /// A recipe for building a deterministic expression tree over three
@@ -109,6 +109,29 @@ proptest! {
         if before.is_some() {
             prop_assert_eq!(after, before);
         }
+    }
+
+    /// The map-free evaluator the analysis samples guards with agrees with
+    /// `eval_int` over a `HashMap` filled in slot order — later slots
+    /// shadow earlier ones — on unbound variables and on division by zero
+    /// (both `None`) as much as on values.
+    #[test]
+    fn slot_lookup_evaluates_like_a_map(
+        ops in prop::collection::vec(op_strategy(), 1..40),
+        slots in prop::collection::vec((0u8..3, -50i64..50), 0..6),
+    ) {
+        let vars = [Var::index("a"), Var::index("b"), Var::index("c")];
+        let expr = build(&ops, &vars);
+        let slots: Vec<(u64, i64)> = slots
+            .into_iter()
+            .map(|(v, x)| (vars[v as usize].id, x))
+            .collect();
+        let map: HashMap<u64, i64> = slots.iter().copied().collect();
+        let by_slot = |id| {
+            let (_, x) = slots.iter().rev().find(|(v, _)| *v == id)?;
+            Some(*x)
+        };
+        prop_assert_eq!(eval_int_with(&expr, &by_slot), eval_int(&expr, &map));
     }
 
     #[test]

@@ -148,6 +148,11 @@ pub struct MoldEvaluator {
     rejected: AtomicU64,
     prelint_denied: AtomicU64,
     denied_by_code: Mutex<HashMap<String, u64>>,
+    /// Lowered-but-unbuilt functions by memo key: what the latest
+    /// [`MoldEvaluator::prune`] admitted and no evaluation has taken yet.
+    /// The evaluation that follows builds from here instead of lowering
+    /// (and charging the lowering) a second time.
+    lowered: Mutex<HashMap<u64, PrimFunc>>,
 }
 
 impl MoldEvaluator {
@@ -163,6 +168,7 @@ impl MoldEvaluator {
             rejected: AtomicU64::new(0),
             prelint_denied: AtomicU64::new(0),
             denied_by_code: Mutex::new(HashMap::new()),
+            lowered: Mutex::new(HashMap::new()),
         }
     }
 
@@ -179,6 +185,7 @@ impl MoldEvaluator {
             rejected: AtomicU64::new(0),
             prelint_denied: AtomicU64::new(0),
             denied_by_code: Mutex::new(HashMap::new()),
+            lowered: Mutex::new(HashMap::new()),
         }
     }
 
@@ -352,12 +359,15 @@ impl MoldEvaluator {
 
     /// Cached lowering for `config`: prelint + instantiate + analyze +
     /// build-cost + compile on the first request, a map lookup afterwards.
+    /// A function the preceding `prune` already lowered and admitted is
+    /// taken over as is; building and all counting still happen here.
     fn lower_cached(&self, config: &Configuration) -> (Arc<CacheEntry>, bool) {
         let key = self.cache_key(config);
         if let Some(entry) = self.cache.get(key) {
             return (entry, true);
         }
-        let entry = match self.static_gate(config) {
+        let handed = self.lowered.lock().expect("lowered lock").remove(&key);
+        let entry = match handed.map_or_else(|| self.static_gate(config), Ok) {
             Err(reject) => Arc::new(reject),
             Ok(func) => {
                 self.accepted.fetch_add(1, Ordering::Relaxed);
@@ -379,10 +389,13 @@ impl MoldEvaluator {
     /// measurement: per config, the prelint runs first (denied schedules
     /// are never instantiated), then the full analyzer. Denials are
     /// cached so the later `evaluate` replays the verdict; admitted
-    /// candidates are *not* cached here — the evaluation's cache miss
-    /// still pays (and accounts) the lowering and build.
+    /// candidates are *not* cached here — their lowered functions wait
+    /// for the evaluations of this batch, whose cache miss still pays
+    /// (and accounts) the build. Lowering is thus done, and charged to
+    /// process time by the driver, once: here.
     pub fn prune(&self, batch: &[Configuration]) -> PruneReport {
         let mut report = PruneReport::default();
+        let mut lowered = HashMap::new();
         for config in batch {
             let key = self.cache_key(config);
             if let Some(entry) = self.cache.get(key) {
@@ -392,15 +405,25 @@ impl MoldEvaluator {
                 }
                 continue;
             }
+            if lowered.contains_key(&key) {
+                report.admit();
+                continue;
+            }
             match self.static_gate(config) {
                 Err(reject) => {
                     let r = reject.reject.as_ref().expect("static_gate rejection");
                     report.deny(r.stage, r.diagnostics.clone());
                     self.cache.insert(key, Arc::new(reject));
                 }
-                Ok(_) => report.admit(),
+                Ok(func) => {
+                    lowered.insert(key, func);
+                    report.admit();
+                }
             }
         }
+        // Replacing drops what an earlier batch left unevaluated, so at
+        // most one batch of lowered functions is ever held.
+        *self.lowered.lock().expect("lowered lock") = lowered;
         report
     }
 
@@ -753,6 +776,73 @@ mod tests {
         assert!(Evaluator::evaluate(&c, &ccfg).is_ok());
         assert_eq!(shared.stats().misses, 2, "distinct workload is a miss");
         assert_eq!(shared.len(), 2);
+    }
+
+    #[test]
+    fn devices_sharing_a_cache_keep_their_own_runtimes() {
+        // Analytical devices have no pipeline fingerprint, so an a100 and a
+        // v100 evaluator on one cache share memo entries — the lowered
+        // function, never a modeled time.
+        let shared = Arc::new(MemoCache::new());
+        let on = |spec: GpuSpec| {
+            MoldEvaluator::simulated(
+                mold_for(KernelName::Lu, ProblemSize::Large),
+                SimDevice::new(spec),
+            )
+            .with_cache(Arc::clone(&shared))
+        };
+        let (a100, v100) = (on(GpuSpec::a100()), on(GpuSpec::v100()));
+        let cfg = Evaluator::space(&a100).default_configuration();
+        let alone = |spec: GpuSpec| {
+            let ev = MoldEvaluator::simulated(
+                mold_for(KernelName::Lu, ProblemSize::Large),
+                SimDevice::new(spec),
+            );
+            Evaluator::evaluate(&ev, &cfg).runtime_s
+        };
+
+        let first = Evaluator::evaluate(&a100, &cfg).runtime_s;
+        let second = Evaluator::evaluate(&v100, &cfg).runtime_s;
+        let again = Evaluator::evaluate(&a100, &cfg).runtime_s;
+        assert_eq!((shared.stats().hits, shared.stats().misses), (2, 1));
+        assert_eq!(first, alone(GpuSpec::a100()));
+        assert_eq!(second, alone(GpuSpec::v100()));
+        assert_ne!(first, second, "each device reports its own model");
+        assert_eq!(again, first);
+    }
+
+    #[test]
+    fn prune_hands_its_lowering_to_the_evaluation() {
+        let ev =
+            MoldEvaluator::simulated(Box::new(RacyMold::new()), SimDevice::new(GpuSpec::a100()));
+        let safe = Evaluator::space(&ev).at(0);
+        let racy = Evaluator::space(&ev).at(1);
+        let report = ev.prune(&[safe.clone(), racy.clone(), safe.clone()]);
+        assert_eq!((report.admitted, report.analyzer_denied), (2, 1));
+        // Nothing is built or counted as accepted until evaluation.
+        assert_eq!(ev.cache_stats().misses, 1, "only the denial is cached");
+        assert_eq!(ev.static_check_stats().accepted, 0);
+        assert_eq!(ev.lowered.lock().expect("lowered lock").len(), 1);
+
+        let fresh =
+            MoldEvaluator::simulated(Box::new(RacyMold::new()), SimDevice::new(GpuSpec::a100()));
+        let handed = Evaluator::evaluate(&ev, &safe);
+        let lowered_here = Evaluator::evaluate(&fresh, &safe);
+        assert_eq!(handed.runtime_s, lowered_here.runtime_s);
+        assert!(ev.lowered.lock().expect("lowered lock").is_empty());
+        let stats = ev.static_check_stats();
+        assert_eq!((stats.accepted, stats.rejected), (1, 1));
+        assert_eq!((ev.cache_stats().hits, ev.cache_stats().misses), (0, 2));
+
+        // The next batch replaces what the previous one left behind.
+        let other = MoldEvaluator::simulated(
+            mold_for(KernelName::Lu, ProblemSize::Mini),
+            SimDevice::new(GpuSpec::a100()),
+        );
+        let space = Evaluator::space(&other).clone();
+        other.prune(&[space.at(0), space.at(1)]);
+        other.prune(&[space.at(2)]);
+        assert_eq!(other.lowered.lock().expect("lowered lock").len(), 1);
     }
 
     #[test]
