@@ -1,14 +1,19 @@
-//! The tuning driver: runs a tuner against an evaluator and records the
-//! trial history with process-time accounting.
+//! The tuning driver: the one trial loop. It runs any [`Tuner`] — the four
+//! AutoTVM strategies and the ytopt Bayesian optimizer alike — against an
+//! evaluator and records the trial history with process-time accounting.
 //!
-//! Three entry points share one measure loop: [`tune`] (in-memory only),
-//! [`tune_journaled`] (every completed trial fsync'd to an append-only
-//! JSONL journal) and [`resume_from_journal`] (replay a journal's
-//! completed trials through the tuner — re-feeding `update` without
-//! re-measuring anything — then continue live until the budget is
-//! reached). Every tuner is a deterministic function of (seed, observed
-//! history), so a killed-and-resumed run follows the identical remaining
-//! trajectory as an uninterrupted one.
+//! Four entry points share one round loop (ask → replay the journaled
+//! prefix → prune the live suffix → measure → journal → tell) and differ
+//! only in how a wave of live configurations is measured: [`tune`]
+//! (in-memory only), [`tune_journaled`] (every completed trial fsync'd to
+//! an append-only JSONL journal) and [`resume_from_journal`] (replay a
+//! journal's completed trials through the tuner — re-feeding `update`
+//! without re-measuring anything — then continue live until the budget is
+//! reached) measure one configuration at a time on the caller's thread;
+//! [`tune_parallel`] measures the whole round concurrently. Every tuner is
+//! a deterministic function of (seed, observed history), so a
+//! killed-and-resumed run follows the identical remaining trajectory as
+//! an uninterrupted one.
 
 use crate::measure::{
     CacheStats, Evaluator, JitStats, MeasureResult, ParStats, PruneStats, SimdStats,
@@ -19,6 +24,7 @@ use configspace::Configuration;
 use rayon::prelude::*;
 use std::path::Path;
 use std::time::Instant;
+use ytopt_bo::database::{DbRecord, PerformanceDatabase};
 use ytopt_bo::fault::{panic_message, MeasureError};
 use ytopt_bo::journal::{divergence_error, pipeline_mismatch_error, TrialJournal, TrialRecord};
 
@@ -60,6 +66,19 @@ pub struct Trial {
     /// Cumulative process time (tuner think time + evaluations) when this
     /// trial finished — the x-axis of the paper's Figures 4/6/8/10/12.
     pub elapsed_s: f64,
+}
+
+impl Trial {
+    fn new(index: usize, config: &Configuration, res: &MeasureResult, elapsed_s: f64) -> Trial {
+        Trial {
+            index,
+            config: config.clone(),
+            runtime_s: res.runtime_s,
+            error: res.error.clone(),
+            eval_process_s: res.process_s,
+            elapsed_s,
+        }
+    }
 }
 
 /// Complete history of one tuning run.
@@ -141,6 +160,21 @@ impl TuningResult {
             })
             .collect()
     }
+
+    /// Export into a [`PerformanceDatabase`] (ytopt's `results.csv`).
+    pub fn to_database(&self, problem: &str) -> PerformanceDatabase {
+        let mut db = PerformanceDatabase::new(problem);
+        for t in &self.trials {
+            db.push(DbRecord {
+                index: t.index,
+                config: t.config.clone(),
+                runtime_s: t.runtime_s,
+                error: t.error.clone(),
+                elapsed_s: t.elapsed_s,
+            });
+        }
+        db
+    }
 }
 
 /// Run `tuner` against `evaluator` until the budget is exhausted or the
@@ -152,7 +186,8 @@ impl TuningResult {
 /// CPU time training is charged for it, exactly as in the paper's
 /// "overall autotuning process time".
 pub fn tune(tuner: &mut dyn Tuner, evaluator: &dyn Evaluator, opts: TuneOptions) -> TuningResult {
-    tune_inner(tuner, evaluator, opts, None, Vec::new()).expect("journal-free tuning cannot do I/O")
+    run_rounds(tuner, evaluator, opts, None, 1, &in_place(evaluator))
+        .expect("journal-free tuning cannot do I/O")
 }
 
 /// Like [`tune`], but write every completed trial to a crash-consistent
@@ -164,8 +199,8 @@ pub fn tune_journaled(
     opts: TuneOptions,
     path: impl AsRef<Path>,
 ) -> std::io::Result<TuningResult> {
-    let mut journal = TrialJournal::create(path)?;
-    tune_inner(tuner, evaluator, opts, Some(&mut journal), Vec::new())
+    let fresh = (TrialJournal::create(path)?, Vec::new());
+    run_rounds(tuner, evaluator, opts, Some(fresh), 1, &in_place(evaluator))
 }
 
 /// Resume a (possibly interrupted) journaled run: replay every completed
@@ -183,157 +218,8 @@ pub fn resume_from_journal(
     opts: TuneOptions,
     path: impl AsRef<Path>,
 ) -> std::io::Result<TuningResult> {
-    let (mut journal, replay) = TrialJournal::open_resume(path)?;
-    tune_inner(tuner, evaluator, opts, Some(&mut journal), replay)
-}
-
-fn tune_inner(
-    tuner: &mut dyn Tuner,
-    evaluator: &dyn Evaluator,
-    opts: TuneOptions,
-    mut journal: Option<&mut TrialJournal>,
-    replay: Vec<TrialRecord>,
-) -> std::io::Result<TuningResult> {
-    let pipeline = evaluator.pipeline_fingerprint();
-    let mut trials: Vec<Trial> = Vec::with_capacity(opts.max_evals);
-    let mut elapsed = 0.0f64;
-    let mut think = 0.0f64;
-    let replay_total = replay.len();
-    let mut replay = replay.into_iter();
-    let mut replayed = 0usize;
-
-    while trials.len() < opts.max_evals && tuner.has_next() {
-        // While replaying, `elapsed` is restored from the journal rather
-        // than accumulated live, so the resume process's own think time
-        // does not distort the trajectory — and the cap must not fire at
-        // a different trial than in the uninterrupted run.
-        let replaying = trials.len() < replay_total;
-        if !replaying {
-            if let Some(cap) = opts.max_process_s {
-                if elapsed >= cap {
-                    break;
-                }
-            }
-        }
-        let want = opts.batch.min(opts.max_evals - trials.len());
-        let t0 = Instant::now();
-        let batch = tuner.next_batch(want);
-        let dt = t0.elapsed().as_secs_f64();
-        think += dt;
-        if !replaying {
-            elapsed += dt;
-        }
-        if batch.is_empty() {
-            break;
-        }
-
-        let mut any_live = false;
-        // Static batch filter, run lazily at the first *live* trial of
-        // the round (replayed trials carry journaled verdicts and must
-        // not re-analyze anything). Denied configs become zero-cost
-        // `static_reject` trials without compiling or measuring.
-        let mut pruned: Option<(usize, Vec<Option<String>>)> = None;
-        let mut prune_checked = false;
-        let mut results: Vec<(Configuration, MeasureResult)> = Vec::with_capacity(batch.len());
-        for (i, config) in batch.iter().enumerate() {
-            let (res, live) = match replay.next() {
-                Some(rec) => {
-                    if rec.config.key() != config.key() {
-                        return Err(divergence_error(
-                            trials.len(),
-                            &rec.config.key(),
-                            &config.key(),
-                        ));
-                    }
-                    if rec.pipeline != pipeline {
-                        return Err(pipeline_mismatch_error(
-                            trials.len(),
-                            &rec.pipeline,
-                            &pipeline,
-                        ));
-                    }
-                    replayed += 1;
-                    elapsed = rec.elapsed_s;
-                    (
-                        MeasureResult {
-                            runtime_s: rec.runtime_s,
-                            process_s: rec.eval_process_s,
-                            error: rec.error,
-                        },
-                        false,
-                    )
-                }
-                None => {
-                    if !prune_checked {
-                        prune_checked = true;
-                        let t0 = Instant::now();
-                        pruned = evaluator.prune_batch(&batch[i..]).map(|mask| (i, mask));
-                        // Static filtering is real work the process did.
-                        elapsed += t0.elapsed().as_secs_f64();
-                    }
-                    let verdict = pruned
-                        .as_ref()
-                        .and_then(|(off, mask)| mask.get(i - off).cloned().flatten());
-                    match verdict {
-                        Some(msg) => (
-                            MeasureResult::fail(MeasureError::StaticReject(msg), 0.0),
-                            true,
-                        ),
-                        None => (evaluator.evaluate(config), true),
-                    }
-                }
-            };
-            if live {
-                any_live = true;
-                elapsed += res.process_s;
-            }
-            let trial = Trial {
-                index: trials.len(),
-                config: config.clone(),
-                runtime_s: res.runtime_s,
-                error: res.error.clone(),
-                eval_process_s: res.process_s,
-                elapsed_s: elapsed,
-            };
-            if live {
-                if let Some(journal) = journal.as_deref_mut() {
-                    journal.append(&TrialRecord {
-                        index: trial.index,
-                        config: trial.config.clone(),
-                        runtime_s: trial.runtime_s,
-                        error: trial.error.clone(),
-                        eval_process_s: trial.eval_process_s,
-                        elapsed_s: trial.elapsed_s,
-                        pipeline: pipeline.clone(),
-                    })?;
-                }
-            }
-            trials.push(trial);
-            results.push((config.clone(), res));
-        }
-
-        let t1 = Instant::now();
-        tuner.update(&results);
-        let dt = t1.elapsed().as_secs_f64();
-        think += dt;
-        if any_live {
-            elapsed += dt;
-        }
-    }
-
-    Ok(TuningResult {
-        tuner: tuner.name().to_string(),
-        trials,
-        total_process_s: elapsed,
-        think_s: think,
-        replayed,
-        cache: evaluator.cache_stats(),
-        static_checks: evaluator.static_check_stats(),
-        jit: evaluator.jit_stats(),
-        par: evaluator.par_stats(),
-        simd: evaluator.simd_stats(),
-        prune: evaluator.prune_stats(),
-    })
+    let tape = TrialJournal::open_resume(path)?;
+    run_rounds(tuner, evaluator, opts, Some(tape), 1, &in_place(evaluator))
 }
 
 /// Like [`tune`], but measure each round's batch **concurrently** on the
@@ -353,42 +239,11 @@ pub fn tune_parallel<E: Evaluator + Sync>(
     evaluator: &E,
     opts: TuneOptions,
 ) -> TuningResult {
-    let mut trials: Vec<Trial> = Vec::with_capacity(opts.max_evals);
-    let mut elapsed = 0.0f64;
-    let mut think = 0.0f64;
-
-    while trials.len() < opts.max_evals && tuner.has_next() {
-        if let Some(cap) = opts.max_process_s {
-            if elapsed >= cap {
-                break;
-            }
-        }
-        let want = opts.batch.min(opts.max_evals - trials.len());
-        let t0 = Instant::now();
-        let batch = tuner.next_batch(want);
-        let dt = t0.elapsed().as_secs_f64();
-        think += dt;
-        elapsed += dt;
-        if batch.is_empty() {
-            break;
-        }
-
-        // Static batch filter before any worker dispatch: denied configs
-        // become zero-cost `static_reject` trials and never occupy a
-        // measurement slot.
-        let t0 = Instant::now();
-        let mask = evaluator.prune_batch(&batch);
-        elapsed += t0.elapsed().as_secs_f64();
-
-        // Measure the admitted configs concurrently; each worker catches
-        // its own panic so one crashed measurement cannot kill the batch.
-        let results: Vec<MeasureResult> = batch
-            .par_iter()
-            .enumerate()
-            .map(|(i, cfg)| {
-                if let Some(msg) = mask.as_ref().and_then(|m| m.get(i).cloned().flatten()) {
-                    return MeasureResult::fail(MeasureError::StaticReject(msg), 0.0);
-                }
+    // Each worker catches its own panic so one crashed measurement cannot
+    // kill the batch.
+    let measure = |wave: &[&Configuration]| -> Vec<MeasureResult> {
+        wave.par_iter()
+            .map(|cfg| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluator.evaluate(cfg)))
                     .unwrap_or_else(|payload| {
                         MeasureResult::fail(
@@ -400,45 +255,171 @@ pub fn tune_parallel<E: Evaluator + Sync>(
                         )
                     })
             })
-            .collect();
+            .collect()
+    };
+    run_rounds(tuner, evaluator, opts, None, usize::MAX, &measure)
+        .expect("journal-free tuning cannot do I/O")
+}
 
-        // A batch-wide pool finishes when its slowest member does.
-        let batch_wall = results.iter().map(|r| r.process_s).fold(0.0f64, f64::max);
-        elapsed += batch_wall;
+/// A wave measured on the caller's thread, one configuration after the
+/// other.
+fn in_place(evaluator: &dyn Evaluator) -> impl Fn(&[&Configuration]) -> Vec<MeasureResult> + '_ {
+    move |wave| wave.iter().map(|cfg| evaluator.evaluate(cfg)).collect()
+}
 
-        let feedback: Vec<(Configuration, MeasureResult)> =
-            batch.into_iter().zip(results).collect();
-        for (config, res) in &feedback {
-            trials.push(Trial {
-                index: trials.len(),
-                config: config.clone(),
-                runtime_s: res.runtime_s,
-                error: res.error.clone(),
-                eval_process_s: res.process_s,
-                elapsed_s: elapsed,
-            });
+/// The round loop. Each round asks the tuner for a batch, satisfies its
+/// prefix from the journal's replayed records while any remain,
+/// statically prunes the live suffix, measures it in waves of up to
+/// `width` configurations through `measure`, journals every live trial,
+/// and tells the tuner.
+///
+/// A wave is the unit of charging and of durability: the process is
+/// charged the *slowest* member of a wave (for `width` 1 that is the
+/// trial itself), and every trial of a wave is appended and fsync'd
+/// before the next wave starts measuring.
+fn run_rounds(
+    tuner: &mut dyn Tuner,
+    evaluator: &dyn Evaluator,
+    opts: TuneOptions,
+    journal: Option<(TrialJournal, Vec<TrialRecord>)>,
+    width: usize,
+    measure: &dyn Fn(&[&Configuration]) -> Vec<MeasureResult>,
+) -> std::io::Result<TuningResult> {
+    let (mut journal, replay) = journal.unzip();
+    let replay = replay.unwrap_or_default();
+    let pipeline = evaluator.pipeline_fingerprint();
+    let mut trials: Vec<Trial> = Vec::with_capacity(opts.max_evals);
+    let mut elapsed = 0.0f64;
+    let mut think = 0.0f64;
+    let replay_total = replay.len();
+    let mut replay = replay.into_iter();
+
+    while trials.len() < opts.max_evals && tuner.has_next() {
+        // While replaying, `elapsed` is restored from the journal rather
+        // than accumulated live, so the resume process's own think time
+        // does not distort the trajectory — and the cap must not fire at
+        // a different trial than in the uninterrupted run.
+        let replaying = trials.len() < replay_total;
+        if !replaying && opts.max_process_s.is_some_and(|cap| elapsed >= cap) {
+            break;
+        }
+        let want = opts.batch.min(opts.max_evals - trials.len());
+        let t0 = Instant::now();
+        let batch = tuner.next_batch(want);
+        let dt = t0.elapsed().as_secs_f64();
+        think += dt;
+        if !replaying {
+            elapsed += dt;
+        }
+        if batch.is_empty() {
+            break;
         }
 
+        // Replayed trials carry their journaled verdicts and costs: they
+        // are neither re-analyzed nor re-measured.
+        let mut results: Vec<MeasureResult> = Vec::with_capacity(batch.len());
+        for (config, rec) in batch.iter().zip(replay.by_ref()) {
+            if rec.config.key() != config.key() {
+                return Err(divergence_error(
+                    trials.len(),
+                    &rec.config.key(),
+                    &config.key(),
+                ));
+            }
+            if rec.pipeline != pipeline {
+                return Err(pipeline_mismatch_error(
+                    trials.len(),
+                    &rec.pipeline,
+                    &pipeline,
+                ));
+            }
+            elapsed = rec.elapsed_s;
+            let res = MeasureResult {
+                runtime_s: rec.runtime_s,
+                process_s: rec.eval_process_s,
+                error: rec.error,
+            };
+            trials.push(Trial::new(trials.len(), config, &res, elapsed));
+            results.push(res);
+        }
+
+        let live = &batch[results.len()..];
+        if !live.is_empty() {
+            // Static batch filter before anything is measured: denied
+            // configs become zero-cost `static_reject` trials without
+            // compiling or occupying a measurement slot. Static filtering
+            // is real work the process did.
+            let t0 = Instant::now();
+            let mut verdicts = evaluator.prune_batch(live).unwrap_or_default();
+            elapsed += t0.elapsed().as_secs_f64();
+            verdicts.resize(live.len(), None);
+
+            for (wave, denied) in live.chunks(width).zip(verdicts.chunks(width)) {
+                let admitted: Vec<&Configuration> = wave
+                    .iter()
+                    .zip(denied)
+                    .filter_map(|(config, denied)| denied.is_none().then_some(config))
+                    .collect();
+                let mut measured = measure(&admitted).into_iter();
+                let wave_results: Vec<MeasureResult> = denied
+                    .iter()
+                    .map(|denied| match denied {
+                        Some(msg) => {
+                            MeasureResult::fail(MeasureError::StaticReject(msg.clone()), 0.0)
+                        }
+                        None => measured.next().expect("one result per admitted config"),
+                    })
+                    .collect();
+                // A wave finishes when its slowest member does.
+                elapsed += wave_results
+                    .iter()
+                    .map(|r| r.process_s)
+                    .fold(0.0f64, f64::max);
+
+                for (config, res) in wave.iter().zip(wave_results) {
+                    let trial = Trial::new(trials.len(), config, &res, elapsed);
+                    if let Some(journal) = journal.as_mut() {
+                        journal.append(&TrialRecord {
+                            index: trial.index,
+                            config: trial.config.clone(),
+                            runtime_s: trial.runtime_s,
+                            error: trial.error.clone(),
+                            eval_process_s: trial.eval_process_s,
+                            elapsed_s: trial.elapsed_s,
+                            pipeline: pipeline.clone(),
+                        })?;
+                    }
+                    trials.push(trial);
+                    results.push(res);
+                }
+            }
+        }
+
+        let any_live = !live.is_empty();
+        let feedback: Vec<(Configuration, MeasureResult)> =
+            batch.into_iter().zip(results).collect();
         let t1 = Instant::now();
         tuner.update(&feedback);
         let dt = t1.elapsed().as_secs_f64();
         think += dt;
-        elapsed += dt;
+        if any_live {
+            elapsed += dt;
+        }
     }
 
-    TuningResult {
+    Ok(TuningResult {
         tuner: tuner.name().to_string(),
         trials,
         total_process_s: elapsed,
         think_s: think,
-        replayed: 0,
+        replayed: replay_total - replay.len(),
         cache: evaluator.cache_stats(),
         static_checks: evaluator.static_check_stats(),
         jit: evaluator.jit_stats(),
         par: evaluator.par_stats(),
         simd: evaluator.simd_stats(),
         prune: evaluator.prune_stats(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -447,6 +428,7 @@ mod tests {
     use crate::measure::FnEvaluator;
     use crate::tuner::gridsearch::GridSearchTuner;
     use crate::tuner::random::RandomTuner;
+    use crate::tuner::ytopt::YtoptTuner;
     use configspace::{ConfigSpace, Hyperparameter};
 
     fn space() -> ConfigSpace {
@@ -745,6 +727,68 @@ mod tests {
         )
         .expect_err("must diverge");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_under_changed_pipeline_is_refused() {
+        struct Versioned {
+            space: ConfigSpace,
+            version: &'static str,
+        }
+        impl Evaluator for Versioned {
+            fn space(&self) -> &ConfigSpace {
+                &self.space
+            }
+            fn evaluate(&self, c: &Configuration) -> MeasureResult {
+                MeasureResult::ok(c.int("P0") as f64, 0.1)
+            }
+            fn pipeline_fingerprint(&self) -> Option<String> {
+                Some(self.version.to_string())
+            }
+        }
+        let on = |version| Versioned {
+            space: space(),
+            version,
+        };
+        let path = tmp("driver-pipeline.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let opts = TuneOptions {
+            max_evals: 4,
+            batch: 1,
+            max_process_s: None,
+        };
+        let longer = TuneOptions {
+            max_evals: 8,
+            ..opts
+        };
+        tune_journaled(
+            &mut YtoptTuner::new(space(), 3),
+            &on("tir-opt/v1"),
+            opts,
+            &path,
+        )
+        .expect("journaled run");
+        // Same seed and options, but the engine changed: the stale costs
+        // must not be replayed.
+        let err = resume_from_journal(
+            &mut YtoptTuner::new(space(), 3),
+            &on("tir-opt/v2"),
+            longer,
+            &path,
+        )
+        .expect_err("pipeline change must refuse resume");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("pipeline"), "{err}");
+        // The unchanged pipeline still resumes cleanly.
+        let resumed = resume_from_journal(
+            &mut YtoptTuner::new(space(), 3),
+            &on("tir-opt/v1"),
+            longer,
+            &path,
+        )
+        .expect("same pipeline resumes");
+        assert_eq!((resumed.len(), resumed.replayed), (8, 4));
         let _ = std::fs::remove_file(&path);
     }
 }

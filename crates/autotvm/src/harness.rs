@@ -3,9 +3,8 @@
 //! Real measurement backends fail: builds error out, kernels hang, the
 //! evaluation process panics, infrastructure flakes. TVM's measure
 //! pipeline survives all of these; this module is our equivalent, shared
-//! by the four AutoTVM tuners and the BO framework because
-//! [`HarnessedEvaluator`] implements *both* measurement interfaces
-//! ([`Evaluator`] and [`Problem`]) whenever its inner evaluator does.
+//! by all five tuners because [`HarnessedEvaluator`] is itself an
+//! [`Evaluator`] and the one trial loop takes any evaluator.
 //!
 //! Three layers:
 //!
@@ -40,7 +39,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use ytopt_bo::fault::{panic_message, MeasureError};
-use ytopt_bo::problem::{Evaluation, Problem};
 
 /// Retry policy for [`MeasureError::Transient`] failures.
 #[derive(Debug, Clone, Copy)]
@@ -87,10 +85,8 @@ pub struct HarnessOptions {
     pub sleep_on_backoff: bool,
 }
 
-/// Fault-tolerance wrapper around any evaluator.
-///
-/// Implements [`Evaluator`] when the inner type does, and [`Problem`]
-/// when the inner type does — one harness for all five tuners.
+/// Fault-tolerance wrapper around any evaluator — one harness for all
+/// five tuners.
 pub struct HarnessedEvaluator<E> {
     inner: Arc<E>,
     opts: HarnessOptions,
@@ -135,28 +131,21 @@ impl<E> HarnessedEvaluator<E> {
     }
 }
 
-impl<E: Send + Sync + 'static> HarnessedEvaluator<E> {
+impl<E: Evaluator + Send + Sync + 'static> HarnessedEvaluator<E> {
     /// One guarded attempt: panic isolation always, watchdog timeout when
     /// configured.
-    fn one_attempt(
-        &self,
-        config: &Configuration,
-        run: fn(&E, &Configuration) -> MeasureResult,
-    ) -> MeasureResult {
+    fn one_attempt(&self, config: &Configuration) -> MeasureResult {
         match self.opts.timeout_s {
-            None => {
-                let inner = Arc::clone(&self.inner);
-                match catch_unwind(AssertUnwindSafe(|| run(&inner, config))) {
-                    Ok(res) => res,
-                    Err(payload) => MeasureResult::fail(
-                        MeasureError::RuntimeCrash(format!(
-                            "evaluation panicked: {}",
-                            panic_message(payload.as_ref())
-                        )),
-                        0.0,
-                    ),
-                }
-            }
+            None => match catch_unwind(AssertUnwindSafe(|| self.inner.evaluate(config))) {
+                Ok(res) => res,
+                Err(payload) => MeasureResult::fail(
+                    MeasureError::RuntimeCrash(format!(
+                        "evaluation panicked: {}",
+                        panic_message(payload.as_ref())
+                    )),
+                    0.0,
+                ),
+            },
             Some(limit_s) => {
                 let (tx, rx) = mpsc::channel();
                 let inner = Arc::clone(&self.inner);
@@ -165,7 +154,7 @@ impl<E: Send + Sync + 'static> HarnessedEvaluator<E> {
                 std::thread::Builder::new()
                     .name("harnessed-evaluation".into())
                     .spawn(move || {
-                        let out = catch_unwind(AssertUnwindSafe(|| run(&inner, &config)));
+                        let out = catch_unwind(AssertUnwindSafe(|| inner.evaluate(&config)));
                         // The receiver may have given up on us; ignore.
                         let _ = tx.send(out);
                     })
@@ -193,20 +182,22 @@ impl<E: Send + Sync + 'static> HarnessedEvaluator<E> {
             }
         }
     }
+}
 
-    /// Full harness: attempts + retry/backoff accounting. The returned
-    /// result's `process_s` is the sum over every attempt plus backoffs —
-    /// the wall time a real measurement pipeline would have burned.
-    fn guard(
-        &self,
-        config: &Configuration,
-        run: fn(&E, &Configuration) -> MeasureResult,
-    ) -> MeasureResult {
+impl<E: Evaluator + Send + Sync + 'static> Evaluator for HarnessedEvaluator<E> {
+    fn space(&self) -> &ConfigSpace {
+        self.inner.space()
+    }
+
+    /// Attempts plus retry/backoff accounting: the result's `process_s`
+    /// is the sum over every attempt plus backoffs — the wall time a real
+    /// measurement pipeline would have burned.
+    fn evaluate(&self, config: &Configuration) -> MeasureResult {
         let attempts = self.opts.retry.max_attempts.max(1);
         let mut charged = 0.0f64;
         let mut backoff = self.opts.retry.backoff_s;
         for attempt in 0..attempts {
-            let mut res = self.one_attempt(config, run);
+            let mut res = self.one_attempt(config);
             charged += res.process_s;
             let retryable = res
                 .error
@@ -224,16 +215,6 @@ impl<E: Send + Sync + 'static> HarnessedEvaluator<E> {
             backoff *= self.opts.retry.backoff_mult;
         }
         unreachable!("retry loop always returns")
-    }
-}
-
-impl<E: Evaluator + Send + Sync + 'static> Evaluator for HarnessedEvaluator<E> {
-    fn space(&self) -> &ConfigSpace {
-        self.inner.space()
-    }
-
-    fn evaluate(&self, config: &Configuration) -> MeasureResult {
-        self.guard(config, |e, c| e.evaluate(c))
     }
 
     fn cache_stats(&self) -> Option<ytopt_bo::problem::CacheStats> {
@@ -266,53 +247,6 @@ impl<E: Evaluator + Send + Sync + 'static> Evaluator for HarnessedEvaluator<E> {
 
     fn prune_stats(&self) -> Option<ytopt_bo::problem::PruneStats> {
         Evaluator::prune_stats(&*self.inner)
-    }
-}
-
-impl<E: Problem + Send + Sync + 'static> Problem for HarnessedEvaluator<E> {
-    fn space(&self) -> &ConfigSpace {
-        Problem::space(&*self.inner)
-    }
-
-    fn evaluate(&self, config: &Configuration) -> Evaluation {
-        self.guard(config, |e, c| MeasureResult::from(Problem::evaluate(e, c)))
-            .into()
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn cache_stats(&self) -> Option<ytopt_bo::problem::CacheStats> {
-        Problem::cache_stats(&*self.inner)
-    }
-
-    fn static_check_stats(&self) -> Option<ytopt_bo::problem::StaticCheckStats> {
-        Problem::static_check_stats(&*self.inner)
-    }
-
-    fn pipeline_fingerprint(&self) -> Option<String> {
-        Problem::pipeline_fingerprint(&*self.inner)
-    }
-
-    fn jit_stats(&self) -> Option<ytopt_bo::problem::JitStats> {
-        Problem::jit_stats(&*self.inner)
-    }
-
-    fn par_stats(&self) -> Option<ytopt_bo::problem::ParStats> {
-        Problem::par_stats(&*self.inner)
-    }
-
-    fn simd_stats(&self) -> Option<ytopt_bo::problem::SimdStats> {
-        Problem::simd_stats(&*self.inner)
-    }
-
-    fn prune_batch(&self, batch: &[Configuration]) -> Option<Vec<Option<String>>> {
-        Problem::prune_batch(&*self.inner, batch)
-    }
-
-    fn prune_stats(&self) -> Option<ytopt_bo::problem::PruneStats> {
-        Problem::prune_stats(&*self.inner)
     }
 }
 
@@ -592,59 +526,6 @@ impl<E: Evaluator> Evaluator for FaultInjector<E> {
 
     fn prune_stats(&self) -> Option<ytopt_bo::problem::PruneStats> {
         Evaluator::prune_stats(&self.inner)
-    }
-}
-
-impl<E: Problem> Problem for FaultInjector<E> {
-    fn space(&self) -> &ConfigSpace {
-        Problem::space(&self.inner)
-    }
-
-    fn evaluate(&self, config: &Configuration) -> Evaluation {
-        match self.inject(config) {
-            Err(fault) => self.fault_to_result(fault).into(),
-            Ok(extra) => {
-                let mut eval = Problem::evaluate(&self.inner, config);
-                eval.process_s += extra;
-                eval
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn cache_stats(&self) -> Option<ytopt_bo::problem::CacheStats> {
-        Problem::cache_stats(&self.inner)
-    }
-
-    fn static_check_stats(&self) -> Option<ytopt_bo::problem::StaticCheckStats> {
-        Problem::static_check_stats(&self.inner)
-    }
-
-    fn pipeline_fingerprint(&self) -> Option<String> {
-        Problem::pipeline_fingerprint(&self.inner)
-    }
-
-    fn jit_stats(&self) -> Option<ytopt_bo::problem::JitStats> {
-        Problem::jit_stats(&self.inner)
-    }
-
-    fn par_stats(&self) -> Option<ytopt_bo::problem::ParStats> {
-        Problem::par_stats(&self.inner)
-    }
-
-    fn simd_stats(&self) -> Option<ytopt_bo::problem::SimdStats> {
-        Problem::simd_stats(&self.inner)
-    }
-
-    fn prune_batch(&self, batch: &[Configuration]) -> Option<Vec<Option<String>>> {
-        Problem::prune_batch(&self.inner, batch)
-    }
-
-    fn prune_stats(&self) -> Option<ytopt_bo::problem::PruneStats> {
-        Problem::prune_stats(&self.inner)
     }
 }
 

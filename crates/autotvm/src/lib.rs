@@ -1,10 +1,13 @@
 #![warn(missing_docs)]
-//! # autotvm — the baseline tuning framework (AutoTVM reimplementation)
+//! # autotvm — the tuning framework (AutoTVM reimplementation)
 //!
 //! The paper compares its BO framework against AutoTVM with four tuner
-//! strategies; this crate provides all four over the same
-//! [`configspace::ConfigSpace`] the molds expose:
+//! strategies; this crate provides all five behind one [`Tuner`]
+//! interface, over the same [`configspace::ConfigSpace`] the molds expose:
 //!
+//! * [`tuner::ytopt::YtoptTuner`] — the paper's framework: ytopt's
+//!   Random-Forest + LCB Bayesian optimization (`ytopt_bo`) "replacing the
+//!   autotuning module" of Figure 3,
 //! * [`tuner::random::RandomTuner`] — enumerate the space in random order,
 //! * [`tuner::gridsearch::GridSearchTuner`] — enumerate in grid order,
 //! * [`tuner::ga::GaTuner`] — genetic algorithm over knob indices,
@@ -16,7 +19,7 @@
 //!
 //! [`measure`] defines the evaluation interface and the process-time
 //! accounting (build + transfer + repeated runs), and [`driver::tune`]
-//! runs the measure loop, charging the tuner's *real* think time plus the
+//! runs the one trial loop, charging the tuner's *real* think time plus the
 //! (simulated or real) evaluation cost — the quantity Figures 4–13 of the
 //! paper plot on their time axes. [`record`] persists trials as JSON, the
 //! moral equivalent of AutoTVM's tuning logs.
@@ -42,5 +45,6 @@ pub use driver::{
 pub use harness::{FaultInjector, FaultPlan, HarnessOptions, HarnessedEvaluator, RetryPolicy};
 pub use measure::{CacheStats, Evaluator, JitStats, MeasureError, MeasureResult, ParStats, SimdStats};
 pub use tuner::{
-    ga::GaTuner, gridsearch::GridSearchTuner, random::RandomTuner, xgb::XgbTuner, Tuner,
+    ga::GaTuner, gridsearch::GridSearchTuner, random::RandomTuner, xgb::XgbTuner,
+    ytopt::YtoptTuner, Tuner,
 };

@@ -1,14 +1,12 @@
 //! Evaluation interface and measurement accounting.
 //!
-//! Failures are classified into the structured taxonomy shared with the
-//! BO framework ([`MeasureError`]); [`MeasureResult`] and the BO side's
-//! `ytopt_bo::problem::Evaluation` carry the same information and convert
-//! into each other losslessly, so the fault-tolerance harness
-//! ([`crate::harness`]) wraps either interface without copy-paste.
+//! Failures are classified into the structured taxonomy the journal
+//! persists ([`MeasureError`]); [`Evaluator`] is the one measurement
+//! interface every tuner, the fault-tolerance harness
+//! ([`crate::harness`]) and the trial loop ([`crate::driver`]) share.
 
 use configspace::{ConfigSpace, Configuration};
 pub use ytopt_bo::fault::MeasureError;
-use ytopt_bo::problem::Evaluation;
 pub use ytopt_bo::problem::{CacheStats, JitStats, ParStats, PruneStats, SimdStats, StaticCheckStats};
 
 /// Outcome of measuring one configuration.
@@ -48,26 +46,6 @@ impl MeasureResult {
     /// True when the measurement produced a runtime.
     pub fn is_ok(&self) -> bool {
         self.runtime_s.is_some()
-    }
-}
-
-impl From<Evaluation> for MeasureResult {
-    fn from(e: Evaluation) -> MeasureResult {
-        MeasureResult {
-            runtime_s: e.runtime_s,
-            process_s: e.process_s,
-            error: e.error,
-        }
-    }
-}
-
-impl From<MeasureResult> for Evaluation {
-    fn from(r: MeasureResult) -> Evaluation {
-        Evaluation {
-            runtime_s: r.runtime_s,
-            process_s: r.process_s,
-            error: r.error,
-        }
     }
 }
 
@@ -187,23 +165,6 @@ mod tests {
         assert_eq!(bad.process_s, 0.5);
         let typed = MeasureResult::fail(MeasureError::BuildFailed("no codegen".into()), 0.2);
         assert_eq!(typed.error.as_ref().map(|e| e.kind()), Some("build_failed"));
-    }
-
-    #[test]
-    fn converts_to_and_from_evaluation() {
-        let r = MeasureResult::fail(
-            MeasureError::Timeout {
-                limit_s: 2.0,
-                message: None,
-            },
-            2.0,
-        );
-        let e: Evaluation = r.clone().into();
-        assert_eq!(e.runtime_s, None);
-        assert_eq!(e.process_s, 2.0);
-        assert_eq!(e.error.as_ref().map(|x| x.kind()), Some("timeout"));
-        let back: MeasureResult = e.into();
-        assert_eq!(back, r);
     }
 
     #[test]

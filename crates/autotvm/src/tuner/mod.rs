@@ -5,6 +5,7 @@ pub mod gridsearch;
 pub mod random;
 pub mod sa;
 pub mod xgb;
+pub mod ytopt;
 
 use crate::measure::MeasureResult;
 use configspace::Configuration;

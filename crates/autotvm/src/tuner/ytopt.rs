@@ -1,4 +1,4 @@
-//! ytopt → AutoTVM adapter: the paper's Figure 3, as a type.
+//! `YtoptTuner`: the paper's Figure 3, as a type.
 //!
 //! The proposed framework "basically replaces the autotuning modules
 //! [of Figure 1] with the ytopt module". [`YtoptTuner`] does exactly
@@ -6,8 +6,8 @@
 //! `Tuner` interface, so the same measure loop drives all five
 //! strategies the paper compares.
 
-use autotvm::measure::MeasureResult;
-use autotvm::tuner::Tuner;
+use crate::measure::MeasureResult;
+use crate::tuner::Tuner;
 use configspace::{ConfigSpace, Configuration};
 use ytopt_bo::search::{BayesianOptimizer, SearchConfig};
 
@@ -19,15 +19,11 @@ pub struct YtoptTuner {
 impl YtoptTuner {
     /// New tuner with ytopt defaults (RF surrogate, LCB κ = 1.96).
     pub fn new(space: ConfigSpace, seed: u64) -> YtoptTuner {
-        YtoptTuner {
-            bo: BayesianOptimizer::new(
-                space,
-                SearchConfig {
-                    seed,
-                    ..Default::default()
-                },
-            ),
-        }
+        let cfg = SearchConfig {
+            seed,
+            ..Default::default()
+        };
+        YtoptTuner::with_config(space, cfg)
     }
 
     /// New tuner with explicit search knobs (used by the ablations).
@@ -70,7 +66,8 @@ impl Tuner for YtoptTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autotvm::{tune, TuneOptions};
+    use crate::driver::{tune, TuneOptions};
+    use crate::measure::FnEvaluator;
     use configspace::Hyperparameter;
 
     fn space() -> ConfigSpace {
@@ -88,7 +85,7 @@ mod tests {
 
     #[test]
     fn drives_through_autotvm_interface() {
-        let ev = autotvm::measure::FnEvaluator::new(space(), |c| {
+        let ev = FnEvaluator::new(space(), |c| {
             let r = 1.0
                 + 0.2 * ((c.int("P0") - 11) as f64).powi(2)
                 + 0.2 * ((c.int("P1") - 6) as f64).powi(2);
@@ -109,7 +106,7 @@ mod tests {
         let best = res.best().expect("best").runtime_s.expect("ok");
         assert!(
             best < 1.5,
-            "BO through the adapter should converge, got {best}"
+            "BO through the tuner interface should converge, got {best}"
         );
         let (inc, inc_y) = t.optimizer().incumbent().expect("incumbent");
         assert_eq!(Some(inc_y), res.best().expect("best").runtime_s);
@@ -120,9 +117,7 @@ mod tests {
     fn exhausts_finite_space() {
         let mut cs = ConfigSpace::new();
         cs.add(Hyperparameter::ordinal_ints("P0", &[1, 2, 3]));
-        let ev = autotvm::measure::FnEvaluator::new(cs.clone(), |c| {
-            MeasureResult::ok(c.int("P0") as f64, 0.1)
-        });
+        let ev = FnEvaluator::new(cs.clone(), |c| MeasureResult::ok(c.int("P0") as f64, 0.1));
         let mut t = YtoptTuner::new(cs, 1);
         let res = tune(&mut t, &ev, TuneOptions::default());
         assert_eq!(res.len(), 3);

@@ -4,9 +4,9 @@
 //! schedules turn out invalid, runners hang or crash, outputs fail
 //! verification, and infrastructure hiccups produce spurious one-off
 //! failures. TVM's measure pipeline models these as distinct error
-//! classes; this module is our equivalent, shared by the AutoTVM
-//! measurement pipeline (`autotvm::measure::MeasureResult`) and the BO
-//! framework ([`crate::problem::Evaluation`]).
+//! classes; this module is our equivalent, carried by every measurement
+//! (`autotvm::measure::MeasureResult`) and persisted in every journal
+//! record ([`crate::journal::TrialRecord`]).
 //!
 //! The taxonomy matters operationally: only [`MeasureError::Transient`]
 //! failures are worth retrying, while the deterministic classes

@@ -1,5 +1,5 @@
 //! Crash-consistent trial journal: an append-only JSONL log, fsync'd per
-//! trial, shared by the AutoTVM driver, the BO optimizer, and the tuning
+//! trial, shared by the trial loop (`autotvm::driver`) and the tuning
 //! service.
 //!
 //! Every completed evaluation is serialized as one JSON line and synced
@@ -9,8 +9,8 @@
 //! it; corruption anywhere *before* the tail is a hard error, because it
 //! means the file was edited, not interrupted.
 //!
-//! Resume works by *replaying the tape*: the driver/optimizer runs its
-//! normal propose loop, and as long as journal records remain, each
+//! Resume works by *replaying the tape*: the driver runs its normal
+//! propose loop, and as long as journal records remain, each
 //! proposal is satisfied from the journal instead of being evaluated
 //! (after verifying the proposed configuration matches the recorded
 //! one). Because every tuner is a deterministic function of (seed,

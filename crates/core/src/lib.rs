@@ -9,39 +9,42 @@
 //! exploitation (low predicted runtime) against exploration (high
 //! ensemble variance).
 //!
-//! * [`problem::Problem`] — what to tune: a [`configspace::ConfigSpace`]
-//!   plus an evaluation function (step 2–4 of the paper's framework:
-//!   configure the code mold, compile, execute),
+//! The crate owns the *search*, not a loop: `autotvm::driver` runs every
+//! tuner — this one included, as `autotvm::YtoptTuner` — through one
+//! ask/measure/tell trial loop with journaling, resume and pruning.
+//!
 //! * [`search::BayesianOptimizer`] — ask/tell search (with constant-liar
 //!   batch proposals as an extension),
 //! * [`acquisition::Acquisition`] — LCB (the paper's choice), plus EI and
 //!   PI for the ablation benches,
-//! * [`optimizer::run`] — the budgeted loop (step 1–5), recording every
-//!   trial into a [`database::PerformanceDatabase`],
+//! * [`database::PerformanceDatabase`] — every evaluated configuration
+//!   with its runtime, exportable as JSON/CSV (ytopt's `results.csv`),
 //! * [`fault::MeasureError`] — the structured measurement-failure
 //!   taxonomy shared with the AutoTVM measurement pipeline,
 //! * [`journal::TrialJournal`] — crash-consistent per-trial journaling
-//!   behind [`optimizer::run_journaled`] / [`optimizer::resume_from_journal`].
+//!   behind the driver's `tune_journaled` / `resume_from_journal`,
+//! * [`problem`] — the evaluator-side counters every layer reports.
 //!
 //! ```
 //! use configspace::{ConfigSpace, Hyperparameter};
-//! use ytopt_bo::{optimizer, problem::FnProblem, BoOptions};
+//! use ytopt_bo::search::{BayesianOptimizer, SearchConfig};
 //!
 //! let mut cs = ConfigSpace::new();
 //! cs.add(Hyperparameter::ordinal_ints("P0", &(1..=32).collect::<Vec<_>>()));
-//! let problem = FnProblem::new(cs, |c| {
-//!     let x = c.int("P0") as f64;
-//!     ytopt_bo::problem::Evaluation::ok((x - 20.0).abs() + 1.0, 1.0)
-//! });
-//! let result = optimizer::run(&problem, BoOptions { max_evals: 40, ..Default::default() });
-//! assert!(result.best().expect("ran").runtime_s.expect("ok") < 4.0);
+//! let mut bo = BayesianOptimizer::new(cs, SearchConfig::default());
+//! for _ in 0..32 {
+//!     let config = bo.ask().expect("space not exhausted");
+//!     let runtime = (config.int("P0") as f64 - 20.0).abs() + 1.0;
+//!     bo.tell(&config, Some(runtime));
+//! }
+//! let (best, runtime) = bo.incumbent().expect("ran");
+//! assert_eq!((best.int("P0"), runtime), (20, 1.0));
 //! ```
 
 pub mod acquisition;
 pub mod database;
 pub mod fault;
 pub mod journal;
-pub mod optimizer;
 pub mod problem;
 pub mod search;
 
@@ -49,8 +52,5 @@ pub use acquisition::Acquisition;
 pub use database::PerformanceDatabase;
 pub use fault::MeasureError;
 pub use journal::{TrialJournal, TrialRecord};
-pub use optimizer::{
-    resume_from_journal, run, run_journaled, run_parallel, BoOptions, BoResult, BoTrial,
-};
-pub use problem::{CacheStats, Evaluation, JitStats, Problem, StaticCheckStats};
+pub use problem::{CacheStats, JitStats, ParStats, PruneStats, SimdStats, StaticCheckStats};
 pub use search::BayesianOptimizer;

@@ -1,47 +1,9 @@
-//! Problem definition: what the optimizer tunes.
+//! The shared evaluator-side counters: memo cache, static checks, JIT,
+//! worker pool, packed SIMD and batch pruning. Evaluators snapshot them,
+//! the trial loop copies them into its result, and the tuning service
+//! merges and serializes them for its status endpoint.
 
-use crate::fault::MeasureError;
-use configspace::{ConfigSpace, Configuration};
 use serde::{Deserialize, Serialize};
-
-/// Outcome of evaluating one configuration (step 4–5 of the paper's
-/// iterative phase).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Evaluation {
-    /// The user-defined metric — application runtime in seconds
-    /// (`None` on failure).
-    pub runtime_s: Option<f64>,
-    /// Wall-clock consumed by this evaluation (compile + execute).
-    pub process_s: f64,
-    /// Structured failure, if any.
-    pub error: Option<MeasureError>,
-}
-
-impl Evaluation {
-    /// Successful evaluation.
-    pub fn ok(runtime_s: f64, process_s: f64) -> Evaluation {
-        Evaluation {
-            runtime_s: Some(runtime_s),
-            process_s,
-            error: None,
-        }
-    }
-
-    /// Failed evaluation. Accepts a [`MeasureError`] directly or any
-    /// string-ish message (classified into the taxonomy).
-    pub fn fail(error: impl Into<MeasureError>, process_s: f64) -> Evaluation {
-        Evaluation {
-            runtime_s: None,
-            process_s,
-            error: Some(error.into()),
-        }
-    }
-
-    /// True when the evaluation produced a runtime.
-    pub fn is_ok(&self) -> bool {
-        self.runtime_s.is_some()
-    }
-}
 
 /// Hit/miss counters of an evaluator-side memo cache (lowering /
 /// compilation artifacts reused across repeated proposals).
@@ -318,145 +280,9 @@ impl PruneStats {
     }
 }
 
-/// A tuning problem: the parameter space plus the user-defined evaluation
-/// interface (the paper's "code mold + interface" pair).
-pub trait Problem {
-    /// The tunable parameter space.
-    fn space(&self) -> &ConfigSpace;
-
-    /// Evaluate one configuration end to end.
-    fn evaluate(&self, config: &Configuration) -> Evaluation;
-
-    /// Optional problem name for records.
-    fn name(&self) -> &str {
-        "problem"
-    }
-
-    /// Counters of this problem's lowering/compilation memo cache, if it
-    /// keeps one (`None` for cacheless problems). Snapshotted into
-    /// [`crate::optimizer::BoResult::cache`] at the end of a run.
-    fn cache_stats(&self) -> Option<CacheStats> {
-        None
-    }
-
-    /// Accept/reject counters of this problem's static schedule-safety
-    /// analyzer, if it runs one (`None` for unanalyzed problems).
-    /// Snapshotted into [`crate::optimizer::BoResult::static_checks`] at
-    /// the end of a run.
-    fn static_check_stats(&self) -> Option<StaticCheckStats> {
-        None
-    }
-
-    /// Fingerprint of the compilation/optimization pipeline behind this
-    /// problem's measurements (`None` when measurements do not depend on
-    /// a compiler). Stamped into every journal record so a resumed run
-    /// refuses to replay costs measured under a different pipeline.
-    fn pipeline_fingerprint(&self) -> Option<String> {
-        None
-    }
-
-    /// Native-codegen compile counters of this problem's measurement
-    /// device, if it runs a JIT rung (`None` otherwise). Snapshotted
-    /// alongside [`Problem::cache_stats`] at the end of a run.
-    fn jit_stats(&self) -> Option<JitStats> {
-        None
-    }
-
-    /// Multicore-dispatch counters of this problem's measurement device,
-    /// if it runs parallel loops on a worker pool (`None` otherwise).
-    /// Snapshotted alongside [`Problem::jit_stats`] at the end of a run.
-    fn par_stats(&self) -> Option<ParStats> {
-        None
-    }
-
-    /// Packed-SIMD emission counters of this problem's measurement
-    /// device, if it runs a vectorizing codegen rung (`None`
-    /// otherwise). Snapshotted alongside [`Problem::jit_stats`] at the
-    /// end of a run.
-    fn simd_stats(&self) -> Option<SimdStats> {
-        None
-    }
-
-    /// Statically filter a batch of candidates before evaluation, if
-    /// this problem runs an analyzer pipeline (`None` otherwise). The
-    /// mask has one slot per candidate: `None` admits it to evaluation,
-    /// `Some(message)` is the `static_reject` error the optimizer
-    /// records without evaluating — byte-identical to the message
-    /// `evaluate` would have produced, so journaled trial streams do not
-    /// depend on whether a batch was pre-filtered.
-    fn prune_batch(&self, _batch: &[Configuration]) -> Option<Vec<Option<String>>> {
-        None
-    }
-
-    /// Batch static-pruning counters of this problem's analyzer
-    /// pipeline, if it filters candidate batches before measurement
-    /// (`None` for problems without a pruner). Snapshotted into
-    /// [`crate::optimizer::BoResult::prune`] at the end of a run.
-    fn prune_stats(&self) -> Option<PruneStats> {
-        None
-    }
-}
-
-/// Closure-backed problem, for custom kernels and tests.
-pub struct FnProblem<F: Fn(&Configuration) -> Evaluation> {
-    space: ConfigSpace,
-    name: String,
-    f: F,
-}
-
-impl<F: Fn(&Configuration) -> Evaluation> FnProblem<F> {
-    /// Wrap a closure over a space.
-    pub fn new(space: ConfigSpace, f: F) -> Self {
-        FnProblem {
-            space,
-            name: "fn-problem".into(),
-            f,
-        }
-    }
-
-    /// Builder: set the problem name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-}
-
-impl<F: Fn(&Configuration) -> Evaluation> Problem for FnProblem<F> {
-    fn space(&self) -> &ConfigSpace {
-        &self.space
-    }
-
-    fn evaluate(&self, config: &Configuration) -> Evaluation {
-        (self.f)(config)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use configspace::Hyperparameter;
-
-    #[test]
-    fn evaluation_constructors() {
-        let e = Evaluation::ok(2.0, 3.0);
-        assert_eq!(e.runtime_s, Some(2.0));
-        assert!(e.error.is_none());
-        let f = Evaluation::fail("oom", 1.0);
-        assert!(f.runtime_s.is_none());
-        assert_eq!(f.error.as_ref().map(|e| e.message()), Some("oom"));
-        let t = Evaluation::fail(
-            MeasureError::Timeout {
-                limit_s: 2.0,
-                message: None,
-            },
-            2.0,
-        );
-        assert_eq!(t.error.as_ref().map(|e| e.kind()), Some("timeout"));
-    }
 
     #[test]
     fn jit_stats_rates() {
@@ -547,15 +373,5 @@ mod tests {
                 ("TIR-VEC-OVER".to_string(), 1)
             ]
         );
-    }
-
-    #[test]
-    fn fn_problem() {
-        let mut cs = ConfigSpace::new();
-        cs.add(Hyperparameter::ordinal_ints("P0", &[1, 2]));
-        let p = FnProblem::new(cs, |c| Evaluation::ok(c.int("P0") as f64, 0.0)).with_name("toy");
-        assert_eq!(p.name(), "toy");
-        let c = p.space().at(1);
-        assert_eq!(p.evaluate(&c).runtime_s, Some(2.0));
     }
 }

@@ -21,10 +21,10 @@
 //!
 //! Two guards keep the pool from oversubscribing the machine:
 //!
-//! - **Rayon workers run sequentially.** `ytopt_bo::run_parallel` and
-//!   `autotvm::tune_parallel` measure trials on rayon worker threads;
-//!   a device pool fanning out *inside* each measurement worker would
-//!   multiply thread counts and wreck timing fidelity. The eligibility
+//! - **Rayon workers run sequentially.** `autotvm::tune_parallel`
+//!   measures trials on rayon worker threads; a device pool fanning out
+//!   *inside* each measurement worker would multiply thread counts and
+//!   wreck timing fidelity. The eligibility
 //!   check ([`begin_parallel`]) detects rayon workers via
 //!   `rayon::current_thread_index()` and caps them to sequential
 //!   execution with a counted reason.

@@ -1,10 +1,9 @@
-//! Autotune LU end to end with the BO framework proper (`ytopt_bo::run`),
-//! exporting the performance database exactly like ytopt's `results.csv`.
+//! Autotune LU end to end with the BO framework (`YtoptTuner` through the
+//! one trial loop, one evaluation at a time as ytopt does), exporting the performance database exactly like ytopt's `results.csv`.
 //!
 //! Run: `cargo run --release --example autotune_lu -- [size] [max_evals]`
 //! (size: large | extralarge; default large, 100 evaluations)
 
-use tvm_autotune::bo::{run, BoOptions, Problem};
 use tvm_autotune::prelude::*;
 
 fn main() {
@@ -21,13 +20,15 @@ fn main() {
         mold.space().size().expect("discrete")
     );
     let device = SimDevice::new(GpuSpec::swing_cpu_core());
-    let problem = MoldEvaluator::simulated(mold, device);
+    let evaluator = MoldEvaluator::simulated(mold, device);
 
-    let result = run(
-        &problem,
-        BoOptions {
+    let result = tune(
+        &mut YtoptTuner::new(evaluator.space().clone(), 0),
+        &evaluator,
+        TuneOptions {
             max_evals,
-            ..Default::default()
+            batch: 1,
+            max_process_s: None,
         },
     );
 
@@ -58,7 +59,7 @@ fn main() {
     );
 
     // Persist the performance database (ytopt writes results.csv).
-    let db = result.to_database(&format!("lu-{size}"));
+    let db = result.to_database(&evaluator.workload());
     let dir = std::env::temp_dir().join("tvm-autotune");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let csv = dir.join("results.csv");
@@ -70,5 +71,4 @@ fn main() {
         csv.display(),
         json.display()
     );
-    println!("Problem::name() = {}", Problem::name(&problem));
 }

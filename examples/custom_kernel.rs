@@ -1,5 +1,5 @@
 //! Tune a *user-defined* kernel — the framework is generic over
-//! [`tvm_autotune::bo::Problem`], not tied to the paper's three
+//! [`tvm_autotune::autotvm::Evaluator`], not tied to the paper's three
 //! benchmarks (one of the paper's future-work directions).
 //!
 //! The kernel is a 2-D 5-point Jacobi-style stencil written in the TE
@@ -9,8 +9,7 @@
 //! Run: `cargo run --release --example custom_kernel`
 
 use std::time::Instant;
-use tvm_autotune::bo::problem::{Evaluation, FnProblem};
-use tvm_autotune::bo::{run, BoOptions};
+use tvm_autotune::autotvm::measure::FnEvaluator;
 use tvm_autotune::prelude::*;
 use tvm_autotune::te::ops::cmp;
 use tvm_autotune::te::select;
@@ -65,7 +64,7 @@ fn main() {
 
     let input = NDArray::random(&[N, N], DType::F32, 9, 0.0, 1.0);
     let tuning_input = input.clone();
-    let problem = FnProblem::new(cs, move |cfg: &Configuration| {
+    let evaluator = FnEvaluator::new(cs.clone(), move |cfg: &Configuration| {
         let unroll = cfg
             .get("unroll")
             .and_then(|v| v.as_str().map(|s| s == "yes"));
@@ -77,17 +76,18 @@ fn main() {
         let t0 = Instant::now();
         let mut args = vec![tuning_input.clone(), NDArray::zeros(&[N, N], DType::F32)];
         match module.time(&mut args, 3) {
-            Ok(t) => Evaluation::ok(t, t0.elapsed().as_secs_f64()),
-            Err(e) => Evaluation::fail(e.to_string(), t0.elapsed().as_secs_f64()),
+            Ok(t) => MeasureResult::ok(t, t0.elapsed().as_secs_f64()),
+            Err(e) => MeasureResult::fail(e.to_string(), t0.elapsed().as_secs_f64()),
         }
-    })
-    .with_name("jacobi5");
+    });
 
-    let result = run(
-        &problem,
-        BoOptions {
+    let result = tune(
+        &mut YtoptTuner::new(cs, 0),
+        &evaluator,
+        TuneOptions {
             max_evals: 25,
-            ..Default::default()
+            batch: 1,
+            max_process_s: None,
         },
     );
     let best = result.best().expect("ran");

@@ -13,9 +13,7 @@ use std::time::Instant;
 use tvm_runtime::{CompiledFunc, Device, NDArray};
 use tvm_tir::analyze::{Diagnostic, PruneReport, PruneStage, Severity, Verdict};
 use tvm_tir::PrimFunc;
-use ytopt_bo::problem::{
-    CacheStats, Evaluation, JitStats, ParStats, Problem, PruneStats, SimdStats, StaticCheckStats,
-};
+use ytopt_bo::problem::{CacheStats, JitStats, ParStats, PruneStats, SimdStats, StaticCheckStats};
 
 /// Modeled host↔device transfer bandwidth (PCIe 4.0 ×16), bytes/s.
 const TRANSFER_BW: f64 = 16e9;
@@ -130,12 +128,10 @@ impl MemoCache {
 /// hash: repeated proposals (GridSearch revisits, GA duplicates, repeated
 /// measurement) reuse the cached [`PrimFunc`] and compiled artifact and
 /// skip both re-lowering and the build cost. Hit/miss counters are
-/// surfaced through [`Evaluator::cache_stats`]/[`Problem::cache_stats`]
-/// into tuning results.
+/// surfaced through [`Evaluator::cache_stats`] into tuning results.
 ///
 /// All interior state is behind a `Mutex`/atomics, so one evaluator can
-/// be shared by the parallel measurement drivers (`tune_parallel`,
-/// `run_parallel`).
+/// be shared by the parallel measurement driver (`tune_parallel`).
 pub struct MoldEvaluator {
     mold: Box<dyn CodeMold>,
     device: Box<dyn Device>,
@@ -208,8 +204,8 @@ impl MoldEvaluator {
         self.mold.as_ref()
     }
 
-    /// The tuning space (inherent method so callers need not disambiguate
-    /// between the `Evaluator` and `Problem` trait impls).
+    /// The tuning space (inherent, so callers need not import the
+    /// `Evaluator` trait).
     pub fn space(&self) -> &ConfigSpace {
         self.mold.space()
     }
@@ -233,52 +229,6 @@ impl MoldEvaluator {
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
         }
-    }
-
-    /// Snapshot of the device's native-codegen counters, when the device
-    /// runs a JIT rung (`None` for every other engine). Converted from
-    /// the runtime's counter type into the serializable mirror the
-    /// tuning/service layers report.
-    pub fn jit_stats(&self) -> Option<JitStats> {
-        self.device.jit_stats().map(|s| JitStats {
-            functions_jitted: s.functions_jitted,
-            nests_compiled: s.nests_compiled,
-            bytes_emitted: s.bytes_emitted,
-            fallbacks: s.fallbacks,
-            fallback_reasons: s.fallback_reasons,
-        })
-    }
-
-    /// Snapshot of the device's multicore-dispatch counters, when the
-    /// device runs `Parallel` loops on a worker pool (`None` for the
-    /// interpreter and scalar-VM engines). Converted from the runtime's
-    /// counter type into the serializable mirror the tuning/service
-    /// layers report.
-    pub fn par_stats(&self) -> Option<ParStats> {
-        self.device.par_stats().map(|s| ParStats {
-            loops_proven: s.loops_proven,
-            loops_unproven: s.loops_unproven,
-            dispatches: s.dispatches,
-            fallbacks: s.fallbacks,
-            fallback_reasons: s.fallback_reasons,
-            pool_threads: s.pool_threads,
-            threads_spawned: s.threads_spawned,
-        })
-    }
-
-    /// Snapshot of the device's packed-SIMD emission counters, when the
-    /// device runs a vectorizing codegen rung (`None` for every other
-    /// engine). Converted from the runtime's counter type into the
-    /// serializable mirror the tuning/service layers report.
-    pub fn simd_stats(&self) -> Option<SimdStats> {
-        self.device.simd_stats().map(|s| SimdStats {
-            packed_loops: s.packed_loops,
-            tiled_loops: s.tiled_loops,
-            scalar_loops: s.scalar_loops,
-            f64_lanes: u64::from(s.f64_lanes),
-            f32_lanes: u64::from(s.f32_lanes),
-            scalar_reasons: s.scalar_reasons,
-        })
     }
 
     /// Memo key: hash of (kernel, problem size, configuration, and the
@@ -426,52 +376,14 @@ impl MoldEvaluator {
         *self.lowered.lock().expect("lowered lock") = lowered;
         report
     }
+}
 
-    /// The batch verdicts as the trait-level admission mask: `None` for
-    /// admitted candidates, `Some(message)` for denied ones — the exact
-    /// `StaticReject` message `evaluate` replays, so pre-filtered trial
-    /// streams are byte-identical to evaluated ones.
-    fn prune_mask(&self, batch: &[Configuration]) -> Vec<Option<String>> {
-        self.prune(batch)
-            .verdicts
-            .into_iter()
-            .map(|v| match v {
-                Verdict::Admit => None,
-                Verdict::Deny { diagnostics, .. } => {
-                    let summary = tvm_tir::analyze::AnalysisReport {
-                        function: self.mold.name().to_string(),
-                        diagnostics,
-                    }
-                    .reject_summary();
-                    Some(format!("statically rejected: {summary}"))
-                }
-            })
-            .collect()
+impl Evaluator for MoldEvaluator {
+    fn space(&self) -> &ConfigSpace {
+        self.mold.space()
     }
 
-    /// Snapshot of the lifetime pruning counters: admitted = configs
-    /// that passed the full gate at evaluation time, denials split by
-    /// pipeline stage with per-code counts.
-    pub fn prune_stats(&self) -> PruneStats {
-        let rejected = self.rejected.load(Ordering::Relaxed);
-        let prelint_denied = self.prelint_denied.load(Ordering::Relaxed);
-        let mut denied_by_code: Vec<(String, u64)> = self
-            .denied_by_code
-            .lock()
-            .expect("prune counters lock")
-            .iter()
-            .map(|(c, n)| (c.clone(), *n))
-            .collect();
-        denied_by_code.sort();
-        PruneStats {
-            admitted: self.accepted.load(Ordering::Relaxed),
-            prelint_denied,
-            analyzer_denied: rejected - prelint_denied,
-            denied_by_code,
-        }
-    }
-
-    fn measure(&self, config: &Configuration) -> MeasureResult {
+    fn evaluate(&self, config: &Configuration) -> MeasureResult {
         let t0 = Instant::now();
         if !self.mold.space().validate(config) {
             return MeasureResult::fail(
@@ -532,16 +444,6 @@ impl MoldEvaluator {
         }
         MeasureResult::ok(best, process)
     }
-}
-
-impl Evaluator for MoldEvaluator {
-    fn space(&self) -> &ConfigSpace {
-        self.mold.space()
-    }
-
-    fn evaluate(&self, config: &Configuration) -> MeasureResult {
-        self.measure(config)
-    }
 
     fn cache_stats(&self) -> Option<CacheStats> {
         Some(MoldEvaluator::cache_stats(self))
@@ -555,75 +457,82 @@ impl Evaluator for MoldEvaluator {
         self.device.fingerprint()
     }
 
+    // The three device snapshots below are converted from the runtime's
+    // counter types into the serializable mirrors the tuning/service
+    // layers report; each is `None` on an engine without that rung.
+
     fn jit_stats(&self) -> Option<JitStats> {
-        MoldEvaluator::jit_stats(self)
+        self.device.jit_stats().map(|s| JitStats {
+            functions_jitted: s.functions_jitted,
+            nests_compiled: s.nests_compiled,
+            bytes_emitted: s.bytes_emitted,
+            fallbacks: s.fallbacks,
+            fallback_reasons: s.fallback_reasons,
+        })
     }
 
     fn par_stats(&self) -> Option<ParStats> {
-        MoldEvaluator::par_stats(self)
+        self.device.par_stats().map(|s| ParStats {
+            loops_proven: s.loops_proven,
+            loops_unproven: s.loops_unproven,
+            dispatches: s.dispatches,
+            fallbacks: s.fallbacks,
+            fallback_reasons: s.fallback_reasons,
+            pool_threads: s.pool_threads,
+            threads_spawned: s.threads_spawned,
+        })
     }
 
     fn simd_stats(&self) -> Option<SimdStats> {
-        MoldEvaluator::simd_stats(self)
+        self.device.simd_stats().map(|s| SimdStats {
+            packed_loops: s.packed_loops,
+            tiled_loops: s.tiled_loops,
+            scalar_loops: s.scalar_loops,
+            f64_lanes: u64::from(s.f64_lanes),
+            f32_lanes: u64::from(s.f32_lanes),
+            scalar_reasons: s.scalar_reasons,
+        })
     }
 
+    /// The batch verdicts of [`MoldEvaluator::prune`] as the admission
+    /// mask: `Some(message)` is the exact `StaticReject` message
+    /// `evaluate` replays, so pre-filtered trial streams are
+    /// byte-identical to evaluated ones.
     fn prune_batch(&self, batch: &[Configuration]) -> Option<Vec<Option<String>>> {
-        Some(self.prune_mask(batch))
+        let mask = self.prune(batch).verdicts.into_iter().map(|v| match v {
+            Verdict::Admit => None,
+            Verdict::Deny { diagnostics, .. } => {
+                let summary = tvm_tir::analyze::AnalysisReport {
+                    function: self.mold.name().to_string(),
+                    diagnostics,
+                }
+                .reject_summary();
+                Some(format!("statically rejected: {summary}"))
+            }
+        });
+        Some(mask.collect())
     }
 
+    /// Lifetime pruning counters: admitted = configs that passed the
+    /// full gate at evaluation time, denials split by pipeline stage
+    /// with per-code counts.
     fn prune_stats(&self) -> Option<PruneStats> {
-        Some(MoldEvaluator::prune_stats(self))
-    }
-}
-
-impl Problem for MoldEvaluator {
-    fn space(&self) -> &ConfigSpace {
-        self.mold.space()
-    }
-
-    fn evaluate(&self, config: &Configuration) -> Evaluation {
-        let r = self.measure(config);
-        Evaluation {
-            runtime_s: r.runtime_s,
-            process_s: r.process_s,
-            error: r.error,
-        }
-    }
-
-    fn name(&self) -> &str {
-        self.mold.name()
-    }
-
-    fn cache_stats(&self) -> Option<CacheStats> {
-        Some(MoldEvaluator::cache_stats(self))
-    }
-
-    fn static_check_stats(&self) -> Option<StaticCheckStats> {
-        Some(MoldEvaluator::static_check_stats(self))
-    }
-
-    fn pipeline_fingerprint(&self) -> Option<String> {
-        self.device.fingerprint()
-    }
-
-    fn jit_stats(&self) -> Option<JitStats> {
-        MoldEvaluator::jit_stats(self)
-    }
-
-    fn par_stats(&self) -> Option<ParStats> {
-        MoldEvaluator::par_stats(self)
-    }
-
-    fn simd_stats(&self) -> Option<SimdStats> {
-        MoldEvaluator::simd_stats(self)
-    }
-
-    fn prune_batch(&self, batch: &[Configuration]) -> Option<Vec<Option<String>>> {
-        Some(self.prune_mask(batch))
-    }
-
-    fn prune_stats(&self) -> Option<PruneStats> {
-        Some(MoldEvaluator::prune_stats(self))
+        let rejected = self.rejected.load(Ordering::Relaxed);
+        let prelint_denied = self.prelint_denied.load(Ordering::Relaxed);
+        let mut denied_by_code: Vec<(String, u64)> = self
+            .denied_by_code
+            .lock()
+            .expect("prune counters lock")
+            .iter()
+            .map(|(c, n)| (c.clone(), *n))
+            .collect();
+        denied_by_code.sort();
+        Some(PruneStats {
+            admitted: self.accepted.load(Ordering::Relaxed),
+            prelint_denied,
+            analyzer_denied: rejected - prelint_denied,
+            denied_by_code,
+        })
     }
 }
 
@@ -955,11 +864,10 @@ mod tests {
             good.process_s
         );
 
-        // Counters: one accept, one reject, surfaced via both traits.
+        // Counters: one accept, one reject, surfaced via the trait.
         let stats = MoldEvaluator::static_check_stats(&ev);
         assert_eq!((stats.accepted, stats.rejected), (1, 1));
         assert_eq!(Evaluator::static_check_stats(&ev), Some(stats));
-        assert_eq!(Problem::static_check_stats(&ev), Some(stats));
 
         // Replaying the rejected config hits the cache, replays the same
         // verdict, and does not re-run the analyzer.
@@ -972,22 +880,32 @@ mod tests {
 
     #[test]
     fn static_reject_round_trips_through_the_journal() {
-        use ytopt_bo::{optimizer, BoOptions};
+        use autotvm::{resume_from_journal, tune_journaled, TuneOptions, YtoptTuner};
+        use ytopt_bo::search::SearchConfig;
         let path = std::env::temp_dir().join(format!(
             "tvm-autotune-static-reject-{}.jsonl",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
 
-        let mut opts = BoOptions {
+        let opts = TuneOptions {
             max_evals: 6,
-            ..Default::default()
+            batch: 1,
+            max_process_s: None,
         };
-        opts.search.n_initial = 4;
-        opts.search.seed = 11;
+        let tuner = |ev: &MoldEvaluator| {
+            YtoptTuner::with_config(
+                ev.space().clone(),
+                SearchConfig {
+                    n_initial: 4,
+                    seed: 11,
+                    ..Default::default()
+                },
+            )
+        };
         let ev =
             MoldEvaluator::simulated(Box::new(RacyMold::new()), SimDevice::new(GpuSpec::a100()));
-        let result = optimizer::run_journaled(&ev, opts, &path).expect("journaled run");
+        let result = tune_journaled(&mut tuner(&ev), &ev, opts, &path).expect("journaled run");
         let rejected = result
             .trials
             .iter()
@@ -1010,7 +928,7 @@ mod tests {
         // Resume replays the journaled rejections instead of re-measuring.
         let fresh =
             MoldEvaluator::simulated(Box::new(RacyMold::new()), SimDevice::new(GpuSpec::a100()));
-        let resumed = optimizer::resume_from_journal(&fresh, opts, &path).expect("resume");
+        let resumed = resume_from_journal(&mut tuner(&fresh), &fresh, opts, &path).expect("resume");
         assert_eq!(resumed.trials.len(), result.trials.len());
         for (a, b) in result.trials.iter().zip(&resumed.trials) {
             assert_eq!(a.error, b.error, "replayed verdicts match");

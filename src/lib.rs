@@ -14,19 +14,21 @@
 //! | PolyBench 4.2 kernels (3mm, LU, Cholesky, …) | [`polybench`] |
 //! | ConfigSpace | [`configspace`] |
 //! | scikit-learn RF / XGBoost | [`surrogate`] |
-//! | AutoTVM (Random/GridSearch/GA/XGB tuners) | [`autotvm`] |
+//! | AutoTVM (Random/GridSearch/GA/XGB tuners, the trial loop) | [`autotvm`] |
 //! | ytopt (RF surrogate + LCB Bayesian optimization) | [`bo`] |
 //!
-//! This umbrella crate re-exports everything and adds the two glue types
-//! the experiments are built on:
+//! This umbrella crate re-exports everything and adds the glue type the
+//! experiments are built on:
 //!
 //! * [`MoldEvaluator`] — measures a PolyBench code mold on a device with
 //!   the paper's process-time accounting (instantiate + build +
-//!   transfer + repeated runs); implements both the AutoTVM
-//!   [`autotvm::Evaluator`] and the ytopt [`bo::Problem`] interfaces,
-//! * [`YtoptTuner`] — exposes the BO search through the AutoTVM `Tuner`
-//!   interface, literally "replacing the autotuning module" as Figure 3
-//!   of the paper describes, so one driver runs all five strategies.
+//!   transfer + repeated runs) behind the [`autotvm::Evaluator`]
+//!   interface.
+//!
+//! [`YtoptTuner`] (re-exported from [`autotvm`]) exposes the BO search
+//! through the AutoTVM `Tuner` interface, literally "replacing the
+//! autotuning module" as Figure 3 of the paper describes, so one driver
+//! runs all five strategies.
 //!
 //! ## Quickstart
 //!
@@ -55,21 +57,19 @@ pub use tvm_te as te;
 pub use tvm_tir as tir;
 pub use ytopt_bo as bo;
 
-mod adapter;
 mod evaluator;
 
-pub use adapter::YtoptTuner;
+pub use autotvm::YtoptTuner;
 pub use evaluator::{EvalMode, MemoCache, MoldEvaluator};
 
 /// Convenient glob import for examples and downstream users.
 pub mod prelude {
-    pub use crate::adapter::YtoptTuner;
     pub use crate::evaluator::{EvalMode, MemoCache, MoldEvaluator};
     pub use autotvm::{
         resume_from_journal, tune, tune_journaled, tune_parallel, CacheStats, Evaluator,
         FaultInjector, FaultPlan, GaTuner, GridSearchTuner, HarnessOptions, HarnessedEvaluator,
         MeasureError, MeasureResult, RandomTuner, RetryPolicy, TuneOptions, Tuner, TuningResult,
-        XgbTuner,
+        XgbTuner, YtoptTuner,
     };
     pub use configspace::{ConfigSpace, Configuration, Hyperparameter, ParamValue};
     pub use gpu_sim::{GpuSpec, SimDevice};
@@ -80,5 +80,5 @@ pub mod prelude {
     pub use tvm_runtime::{CpuDevice, Device, Module, NDArray};
     pub use tvm_te::{compute, placeholder, reduce_axis, sum, DType, Schedule};
     pub use tvm_tir::lower::lower;
-    pub use ytopt_bo::{BoOptions, Problem, TrialJournal, TrialRecord};
+    pub use ytopt_bo::{TrialJournal, TrialRecord};
 }

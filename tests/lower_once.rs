@@ -13,7 +13,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tvm_autotune::autotvm::XgbTuner;
-use tvm_autotune::bo::optimizer;
 use tvm_autotune::bo::problem::{CacheStats, PruneStats, StaticCheckStats};
 use tvm_autotune::prelude::*;
 use tvm_autotune::tir::analyze::Diagnostic;
@@ -263,29 +262,4 @@ fn parallel_tune_lowers_each_configuration_once() {
         &result.prune.clone().expect("prune stats"),
     );
     assert_eq!(calls.instantiations(), OPTS.max_evals as u64);
-}
-
-#[test]
-fn bo_run_lowers_each_configuration_once() {
-    let (ev, calls) = counted(SpaceMode::Paper);
-    let mut opts = BoOptions {
-        max_evals: 40,
-        ..Default::default()
-    };
-    opts.search.seed = 9;
-    let result = optimizer::run(&ev, opts);
-    assert_eq!(result.trials.len(), 40);
-    let errors: Vec<Option<&'static str>> = result
-        .trials
-        .iter()
-        .map(|t| t.error.as_ref().map(|e| e.kind()))
-        .collect();
-    assert_lowered_once(
-        "ytopt_bo/run",
-        &errors,
-        &calls,
-        result.cache.expect("cache stats"),
-        result.static_checks.expect("static check stats"),
-        &result.prune.clone().expect("prune stats"),
-    );
 }

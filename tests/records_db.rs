@@ -3,7 +3,7 @@
 //! through real tuning runs.
 
 use tvm_autotune::autotvm::record::{load, pick_best, save, TuningRecord};
-use tvm_autotune::bo::{run, BoOptions, PerformanceDatabase};
+use tvm_autotune::bo::PerformanceDatabase;
 use tvm_autotune::prelude::*;
 
 fn tmpdir() -> std::path::PathBuf {
@@ -51,12 +51,14 @@ fn autotvm_records_roundtrip_real_run() {
 #[test]
 fn performance_database_roundtrip_real_run() {
     let mold = mold_for(KernelName::Lu, ProblemSize::Large);
-    let problem = MoldEvaluator::simulated(mold, SimDevice::new(GpuSpec::swing_cpu_core()));
-    let res = run(
-        &problem,
-        BoOptions {
+    let ev = MoldEvaluator::simulated(mold, SimDevice::new(GpuSpec::swing_cpu_core()));
+    let res = tune(
+        &mut YtoptTuner::new(ev.space().clone(), 0),
+        &ev,
+        TuneOptions {
             max_evals: 10,
-            ..Default::default()
+            batch: 1,
+            max_process_s: None,
         },
     );
     let db = res.to_database("lu-large");

@@ -6,8 +6,7 @@
 use proptest::prelude::*;
 use tvm_autotune::autotvm::measure::FnEvaluator;
 use tvm_autotune::autotvm::XgbTuner;
-use tvm_autotune::bo::problem::FnProblem;
-use tvm_autotune::bo::{self, BoOptions};
+use tvm_autotune::bo::search::SearchConfig;
 use tvm_autotune::prelude::*;
 
 fn space() -> ConfigSpace {
@@ -34,35 +33,36 @@ fn tmp(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
+fn keys(r: &TuningResult) -> Vec<String> {
+    r.trials.iter().map(|t| t.config.key()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// BO: kill after any `k` trials, resume — identical trajectory.
     #[test]
-    fn bo_resume_matches_uninterrupted_run(k in 1usize..25) {
+    fn ytopt_resume_matches_uninterrupted_run(k in 1usize..25) {
         let path = tmp(&format!("bo-resume-{k}.jsonl"));
         let _ = std::fs::remove_file(&path);
-        let problem = FnProblem::new(space(), |c| {
-            bo::Evaluation::ok(objective(c), 0.5)
-        });
-        let opts = BoOptions { max_evals: 30, ..Default::default() };
+        let ev = FnEvaluator::new(space(), |c| MeasureResult::ok(objective(c), 0.5));
+        let opts = TuneOptions { max_evals: 30, batch: 1, max_process_s: None };
 
-        let full = bo::run(&problem, opts);
+        let full = tune(&mut YtoptTuner::new(space(), 0), &ev, opts);
 
-        let partial = bo::run_journaled(
-            &problem,
-            BoOptions { max_evals: k, ..opts },
+        let partial = tune_journaled(
+            &mut YtoptTuner::new(space(), 0),
+            &ev,
+            TuneOptions { max_evals: k, ..opts },
             &path,
         ).expect("journaled run");
         prop_assert_eq!(partial.len(), k);
 
-        let resumed = bo::resume_from_journal(&problem, opts, &path).expect("resume");
+        let resumed = resume_from_journal(&mut YtoptTuner::new(space(), 0), &ev, opts, &path)
+            .expect("resume");
         prop_assert_eq!(resumed.len(), 30);
         prop_assert_eq!(resumed.replayed, k);
 
-        let keys = |r: &bo::BoResult| -> Vec<String> {
-            r.trials.iter().map(|t| t.config.key()).collect()
-        };
         prop_assert_eq!(keys(&full), keys(&resumed));
         prop_assert_eq!(
             full.best().expect("best").config.key(),
@@ -70,6 +70,51 @@ proptest! {
         );
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// A journal the deleted `ytopt_bo::run_journaled` wrote (12 records,
+/// this file's `space()` and `objective`, 0.5 s per evaluation, seed 7)
+/// still resumes through the driver and finishes where an uninterrupted
+/// `tune` does.
+#[test]
+fn legacy_bo_journal_resumes_through_the_driver() {
+    let path = tmp("legacy-bo-journal.jsonl");
+    std::fs::copy(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/bo_legacy_journal.jsonl"
+        ),
+        &path,
+    )
+    .expect("copy fixture");
+    let ev = FnEvaluator::new(space(), |c| MeasureResult::ok(objective(c), 0.5));
+    let tuner = || {
+        YtoptTuner::with_config(
+            space(),
+            SearchConfig {
+                seed: 7,
+                ..Default::default()
+            },
+        )
+    };
+    let opts = TuneOptions {
+        max_evals: 30,
+        batch: 1,
+        max_process_s: None,
+    };
+
+    let resumed = resume_from_journal(&mut tuner(), &ev, opts, &path).expect("legacy resume");
+    assert_eq!(resumed.len(), 30);
+    assert_eq!(resumed.replayed, 12);
+    assert_eq!(TrialJournal::load(&path).expect("load").len(), 30);
+
+    let full = tune(&mut tuner(), &ev, opts);
+    assert_eq!(keys(&full), keys(&resumed));
+    assert_eq!(
+        full.best().expect("best").config.key(),
+        resumed.best().expect("best").config.key()
+    );
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The five strategies, fresh and identically seeded, XGB early stop off.
@@ -152,8 +197,6 @@ fn acceptance_kill_and_resume_matches_for_all_tuners_under_chaos() {
         assert_eq!(resumed.len(), BUDGET, "{}", resumed.tuner);
         assert_eq!(resumed.replayed, KILL_AT, "{}", resumed.tuner);
 
-        let keys =
-            |r: &TuningResult| -> Vec<String> { r.trials.iter().map(|t| t.config.key()).collect() };
         assert_eq!(
             keys(&full),
             keys(&resumed),
@@ -244,8 +287,6 @@ fn torn_tail_is_remeasured_on_resume() {
     // Reference: the same run uninterrupted.
     let mut t3 = RandomTuner::new(space(), 11);
     let full = tune(&mut t3, &chaotic_evaluator(0.0, 11), opts);
-    let keys =
-        |r: &TuningResult| -> Vec<String> { r.trials.iter().map(|t| t.config.key()).collect() };
     assert_eq!(keys(&full), keys(&resumed));
     let _ = std::fs::remove_file(&path);
 }
