@@ -57,15 +57,68 @@ fn bench_fit(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_predict(c: &mut Criterion) {
-    let (x, y) = dataset(100, 6);
-    let mut rf = RandomForest::new(32).with_seed(1);
-    rf.fit(&x, &y);
-    let (cand, _) = dataset(400, 6);
-    c.bench_function("surrogate_predict/rf32_x400_with_std", |b| {
-        b.iter(|| rf.predict_with_std_batch(&cand))
-    });
+/// The two shapes a model-based ask has on the paper's problems: LU and
+/// Cholesky (2 tile ranks, the 400-point grid scored exhaustively) and
+/// 3mm (6 tile ranks, 1 024 samples + 64 incumbent neighbours), with the
+/// 10–100 observations a 100-evaluation session fits on. Features are
+/// integer ranks, so splits meet the ties the encoded configurations have.
+fn ask_shape(n_obs: usize, d: usize, n_cand: usize) -> (Vec<Vec<f64>>, Vec<f64>, Vec<Vec<f64>>) {
+    let ranks = |n: usize, salt: usize| -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                (0..d)
+                    .map(|j| {
+                        // Multiplicative hash: the features of a row are
+                        // unrelated, rows rarely repeat.
+                        let h = ((i * 8 + j + salt) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        ((h >> 40) % 20) as f64
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let x = ranks(n_obs, 0);
+    let y: Vec<f64> = x
+        .iter()
+        .map(|r| {
+            1.0 + r
+                .iter()
+                .enumerate()
+                .map(|(j, v)| (v - 3.0 - j as f64).powi(2))
+                .sum::<f64>()
+        })
+        .collect();
+    (x, y, ranks(n_cand, 7))
 }
 
-criterion_group!(benches, bench_fit, bench_predict);
+fn bench_ask(c: &mut Criterion) {
+    let mut g = c.benchmark_group("surrogate_ask");
+    for &(d, n_cand) in &[(2usize, 400usize), (6, 1088)] {
+        for &n_obs in &[10usize, 55, 100] {
+            let (x, y, cand) = ask_shape(n_obs, d, n_cand);
+            let id = format!("{d}f_x{n_cand}");
+            g.bench_with_input(
+                BenchmarkId::new(format!("fit_rf32/{id}"), n_obs),
+                &n_obs,
+                |b, _| {
+                    b.iter(|| {
+                        let mut rf = RandomForest::new(32).with_seed(1);
+                        rf.fit(&x, &y);
+                        rf
+                    })
+                },
+            );
+            let mut rf = RandomForest::new(32).with_seed(1);
+            rf.fit(&x, &y);
+            g.bench_with_input(
+                BenchmarkId::new(format!("predict_with_std/{id}"), n_obs),
+                &n_obs,
+                |b, _| b.iter(|| rf.predict_with_std_batch(&cand)),
+            );
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_fit, bench_ask);
 criterion_main!(benches);

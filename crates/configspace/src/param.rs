@@ -133,6 +133,18 @@ impl Hyperparameter {
         }
     }
 
+    /// [`Hyperparameter::sample`] in encoded form: the same draws, and the
+    /// result equals `encode(&sample(rng))` for a parameter whose values
+    /// are distinct (which [`crate::ConfigSpace::add`] enforces).
+    pub fn sample_encoded(&self, rng: &mut impl Rng) -> f64 {
+        match self {
+            Hyperparameter::Ordinal { sequence, .. } => rng.gen_range(0..sequence.len()) as f64,
+            Hyperparameter::Categorical { choices, .. } => rng.gen_range(0..choices.len()) as f64,
+            Hyperparameter::UniformInt { lo, hi, .. } => rng.gen_range(*lo..=*hi) as f64,
+            Hyperparameter::UniformFloat { lo, hi, .. } => rng.gen_range(*lo..*hi),
+        }
+    }
+
     /// Default value (first choice / lower bound), used for inactive or
     /// missing parameters.
     pub fn default_value(&self) -> ParamValue {
@@ -157,6 +169,49 @@ impl Hyperparameter {
             }
             Hyperparameter::UniformInt { .. } => value.as_int().unwrap_or(0) as f64,
             Hyperparameter::UniformFloat { .. } => value.as_float().unwrap_or(f64::NAN),
+        }
+    }
+
+    /// Encoded form of the value at a discrete index:
+    /// `encode(&value_at(index))` without building the value.
+    ///
+    /// # Panics
+    /// On continuous parameters.
+    pub fn encoded_at(&self, index: usize) -> f64 {
+        match self {
+            Hyperparameter::Ordinal { .. } | Hyperparameter::Categorical { .. } => index as f64,
+            Hyperparameter::UniformInt { lo, .. } => (lo + index as i64) as f64,
+            Hyperparameter::UniformFloat { name, .. } => {
+                panic!("`{name}` is continuous; no discrete index")
+            }
+        }
+    }
+
+    /// The index an encoded ordinal/categorical value stands for (`None`
+    /// for NaN, fractions, out-of-range values and numeric parameters).
+    pub(crate) fn encoded_index(&self, x: f64) -> Option<usize> {
+        let len = match self {
+            Hyperparameter::Ordinal { sequence, .. } => sequence.len(),
+            Hyperparameter::Categorical { choices, .. } => choices.len(),
+            _ => return None,
+        };
+        (x >= 0.0 && x < len as f64 && x.fract() == 0.0).then_some(x as usize)
+    }
+
+    /// Inverse of [`Hyperparameter::encode`] for values of this parameter.
+    ///
+    /// # Panics
+    /// If `x` does not encode a value of an ordinal/categorical parameter.
+    pub fn decode(&self, x: f64) -> ParamValue {
+        match self {
+            Hyperparameter::Ordinal { name, .. } | Hyperparameter::Categorical { name, .. } => {
+                let index = self
+                    .encoded_index(x)
+                    .unwrap_or_else(|| panic!("{x} does not encode a value of `{name}`"));
+                self.value_at(index)
+            }
+            Hyperparameter::UniformInt { .. } => ParamValue::Int(x as i64),
+            Hyperparameter::UniformFloat { .. } => ParamValue::Float(x),
         }
     }
 }

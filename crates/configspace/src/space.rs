@@ -23,13 +23,31 @@ impl ConfigSpace {
     /// Add one parameter (`cs.add_hyperparameter`).
     ///
     /// # Panics
-    /// On duplicate names.
+    /// On duplicate names, and on an ordinal or categorical parameter
+    /// that lists a value twice (or a NaN): `value_at` and `index_of`
+    /// must be inverses, or `size` over-counts and two encodings name
+    /// one configuration.
     pub fn add(&mut self, p: Hyperparameter) -> &mut Self {
         assert!(
             self.params.iter().all(|q| q.name() != p.name()),
             "duplicate parameter `{}`",
             p.name()
         );
+        if let Hyperparameter::Ordinal {
+            sequence: values, ..
+        }
+        | Hyperparameter::Categorical {
+            choices: values, ..
+        } = &p
+        {
+            for (i, v) in values.iter().enumerate() {
+                assert!(
+                    p.index_of(v) == Some(i),
+                    "duplicate value `{v}` in parameter `{}`",
+                    p.name()
+                );
+            }
+        }
         self.params.push(p);
         self
     }
@@ -77,6 +95,13 @@ impl ConfigSpace {
             self.params.iter().map(|p| p.name().to_string()).collect(),
             self.params.iter().map(|p| p.sample(rng)).collect(),
         )
+    }
+
+    /// [`ConfigSpace::sample`] in encoded form: appends
+    /// `encode(&sample(rng))` to `out` from the same draws in the same
+    /// order, without building a configuration.
+    pub fn sample_encoded(&self, rng: &mut impl Rng, out: &mut Vec<f64>) {
+        out.extend(self.params.iter().map(|p| p.sample_encoded(rng)));
     }
 
     /// `n` independent samples.
@@ -145,6 +170,58 @@ impl ConfigSpace {
             .collect()
     }
 
+    /// Inverse of [`ConfigSpace::encode`] on this space's configurations.
+    ///
+    /// # Panics
+    /// If `row` is not the encoding of a configuration of this space.
+    pub fn decode(&self, row: &[f64]) -> Configuration {
+        assert_eq!(row.len(), self.params.len(), "row width");
+        Configuration::new(
+            self.params.iter().map(|p| p.name().to_string()).collect(),
+            self.params
+                .iter()
+                .zip(row)
+                .map(|(p, &x)| p.decode(x))
+                .collect(),
+        )
+    }
+
+    /// The whole grid in encoded form, row-major in one vector: row `i`
+    /// (`len()` values) is `encode(&at(i))`.
+    ///
+    /// # Panics
+    /// If the space is continuous.
+    pub fn grid_encoded(&self) -> Vec<f64> {
+        let size = self
+            .size()
+            .expect("grid enumeration needs a discrete space");
+        let size = usize::try_from(size).expect("grid too large to materialise");
+        let cards: Vec<usize> = self
+            .params
+            .iter()
+            .map(|p| p.cardinality().expect("discrete") as usize)
+            .collect();
+        let mut digits = vec![0usize; cards.len()];
+        let mut out = Vec::with_capacity(size * cards.len());
+        for _ in 0..size {
+            out.extend(
+                self.params
+                    .iter()
+                    .zip(&digits)
+                    .map(|(p, &i)| p.encoded_at(i)),
+            );
+            // Mixed-radix increment, last parameter fastest.
+            for (digit, &card) in digits.iter_mut().zip(&cards).rev() {
+                *digit += 1;
+                if *digit < card {
+                    break;
+                }
+                *digit = 0;
+            }
+        }
+        out
+    }
+
     /// Random neighbour: pick one parameter, move its ordinal rank by ±1
     /// (or resample a categorical/continuous parameter). The local-move
     /// operator used by GA mutation and simulated-annealing proposals.
@@ -155,22 +232,33 @@ impl ConfigSpace {
         let p = &self.params[d];
         let new_val = match p {
             Hyperparameter::Ordinal { sequence, .. } => {
-                let cur = p
-                    .index_of(&out.values[d])
-                    .unwrap_or_else(|| rng.gen_range(0..sequence.len()));
-                let cand = if cur == 0 {
-                    1.min(sequence.len() - 1)
-                } else if cur == sequence.len() - 1 || rng.gen_bool(0.5) {
-                    cur - 1
-                } else {
-                    cur + 1
-                };
-                sequence[cand].clone()
+                let cur = p.index_of(&out.values[d]);
+                sequence[step_rank(cur, sequence.len(), rng)].clone()
             }
             other => other.sample(rng),
         };
         out.values[d] = new_val;
         out
+    }
+
+    /// [`ConfigSpace::neighbor`] in encoded form: for `row = encode(&c)`,
+    /// appends `encode(&neighbor(&c, rng))` to `out` from the same draws in
+    /// the same order (a NaN in `row` is a value the parameter does not
+    /// have, whose rank `neighbor` draws before moving it).
+    pub fn neighbor_encoded(&self, row: &[f64], rng: &mut impl Rng, out: &mut Vec<f64>) {
+        assert!(!self.params.is_empty(), "empty space has no neighbours");
+        assert_eq!(row.len(), self.params.len(), "row width");
+        let d = rng.gen_range(0..self.params.len());
+        let p = &self.params[d];
+        let moved = match p {
+            Hyperparameter::Ordinal { sequence, .. } => {
+                step_rank(p.encoded_index(row[d]), sequence.len(), rng) as f64
+            }
+            other => other.sample_encoded(rng),
+        };
+        let start = out.len();
+        out.extend_from_slice(row);
+        out[start + d] = moved;
     }
 
     /// The configuration with every parameter at its default.
@@ -196,6 +284,19 @@ impl ConfigSpace {
                     })
                     .unwrap_or(false)
             })
+    }
+}
+
+/// One ±1 move from rank `cur` in a sequence of `len` values: away from
+/// an end, else a fair coin; an unknown rank is drawn first.
+fn step_rank(cur: Option<usize>, len: usize, rng: &mut impl Rng) -> usize {
+    let cur = cur.unwrap_or_else(|| rng.gen_range(0..len));
+    if cur == 0 {
+        1.min(len - 1)
+    } else if cur == len - 1 || rng.gen_bool(0.5) {
+        cur - 1
+    } else {
+        cur + 1
     }
 }
 
@@ -332,5 +433,116 @@ mod tests {
         let mut c = cs.at(0);
         c.values[0] = ParamValue::Int(3); // not in [1,2,4]
         assert!(!cs.validate(&c));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate value `4` in parameter `P2`")]
+    fn duplicate_value_rejected() {
+        // `index_of` finds the first 4, so `at` and `index_of` would stop
+        // being inverses and `size` would count one configuration twice.
+        let mut cs = space();
+        cs.add(Hyperparameter::ordinal_ints("P2", &[1, 4, 2, 4]));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate value `b` in parameter `C`")]
+    fn duplicate_choice_rejected() {
+        let mut cs = space();
+        cs.add(Hyperparameter::categorical_strs("C", &["a", "b", "b"]));
+    }
+
+    /// One parameter of each kind; without the float, a discrete space.
+    fn mixed_space(continuous: bool) -> ConfigSpace {
+        let mut cs = ConfigSpace::new();
+        cs.add(Hyperparameter::ordinal_ints("tile", &[1, 2, 4, 8, 16]));
+        cs.add(Hyperparameter::categorical_strs(
+            "order",
+            &["ijk", "ikj", "kij"],
+        ));
+        cs.add(Hyperparameter::UniformInt {
+            name: "unroll".into(),
+            lo: -2,
+            hi: 5,
+        });
+        cs.add(Hyperparameter::ordinal_ints("one", &[7]));
+        if continuous {
+            cs.add(Hyperparameter::UniformFloat {
+                name: "alpha".into(),
+                lo: 0.5,
+                hi: 2.0,
+            });
+        }
+        cs
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn decode_inverts_encode() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for cs in [mixed_space(true), mixed_space(false), space()] {
+            for _ in 0..200 {
+                let c = cs.sample(&mut rng);
+                assert_eq!(cs.decode(&cs.encode(&c)), c);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not encode a value of `tile`")]
+    fn decode_rejects_rows_from_outside_the_space() {
+        mixed_space(false).decode(&[5.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn encoded_sample_is_the_encoded_sample_from_the_same_draws() {
+        for cs in [mixed_space(true), mixed_space(false), space()] {
+            let mut rng = SmallRng::seed_from_u64(23);
+            for _ in 0..300 {
+                let mut twin = rng.clone();
+                let expected = cs.encode(&cs.sample(&mut twin));
+                let mut row = vec![-1.0];
+                cs.sample_encoded(&mut rng, &mut row);
+                assert_eq!(row[0], -1.0, "appends");
+                assert_eq!(bits(&row[1..]), bits(&expected));
+                assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "same RNG state");
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_neighbor_is_the_encoded_neighbor_from_the_same_draws() {
+        for cs in [mixed_space(true), mixed_space(false), space()] {
+            let mut rng = SmallRng::seed_from_u64(37);
+            for round in 0..400 {
+                let mut c = cs.sample(&mut rng);
+                if round % 4 == 0 {
+                    // A value the parameter does not have: `encode` says
+                    // NaN, and a move of that parameter first draws a rank.
+                    c.values[0] = ParamValue::Int(3);
+                }
+                let mut twin = rng.clone();
+                let expected = cs.encode(&cs.neighbor(&c, &mut twin));
+                let mut row = Vec::new();
+                cs.neighbor_encoded(&cs.encode(&c), &mut rng, &mut row);
+                assert_eq!(bits(&row), bits(&expected), "{c}");
+                assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "same RNG state");
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_grid_rows_are_the_encoded_grid_points() {
+        for cs in [mixed_space(false), space(), ConfigSpace::new()] {
+            let grid = cs.grid_encoded();
+            let size = cs.size().expect("discrete") as usize;
+            assert_eq!(grid.len(), size * cs.len());
+            for i in 0..size {
+                let row = &grid[i * cs.len()..(i + 1) * cs.len()];
+                assert_eq!(bits(row), bits(&cs.encode(&cs.at(i as u128))), "row {i}");
+            }
+        }
     }
 }

@@ -1,10 +1,9 @@
 //! Random-forest regression with ensemble-variance uncertainty.
 
-use crate::tree::RegressionTree;
+use crate::tree::{gather_columns, FitScratch, RegressionTree, LANES};
 use crate::Regressor;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Bagged ensemble of [`RegressionTree`]s — the ytopt surrogate.
 ///
@@ -83,79 +82,107 @@ impl RandomForest {
     pub fn predict_with_std(&self, row: &[f64]) -> (f64, f64) {
         assert!(self.is_fitted(), "predict before fit");
         let preds: Vec<f64> = self.trees.iter().map(|t| t.predict_one(row)).collect();
-        let n = preds.len() as f64;
-        let mean = preds.iter().sum::<f64>() / n;
-        let var = preds.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / n;
-        (mean, var.sqrt())
+        mean_and_std(&preds)
     }
 
-    /// Batch version of [`RandomForest::predict_with_std`]: rows are
-    /// scored in parallel chunks on the rayon pool. Per-row arithmetic is
-    /// untouched, so results are bit-for-bit identical to scoring each
-    /// row with [`RandomForest::predict_with_std`] sequentially.
+    /// Batch version of [`RandomForest::predict_with_std`], bit-for-bit
+    /// identical to scoring each row with it.
     pub fn predict_with_std_batch(&self, rows: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        // Chunked so small batches (and the tail) don't pay per-row task
-        // overhead; order is preserved by `par_chunks`' collect.
-        const CHUNK: usize = 64;
-        if rows.len() <= CHUNK {
-            return rows.iter().map(|r| self.predict_with_std(r)).collect();
-        }
-        rows.par_chunks(CHUNK)
-            .flat_map_iter(|chunk| chunk.iter().map(|r| self.predict_with_std(r)))
-            .collect()
+        let width = rows.first().map_or(0, Vec::len);
+        let flat: Vec<f64> = rows.iter().flat_map(|r| &r[..width]).copied().collect();
+        self.predict_with_std_rows(&flat, rows.len())
     }
 
-    /// Fit one tree of the ensemble: bootstrap draw + tree fit, seeded
-    /// only by `(forest seed, tree index)` so the result is independent
-    /// of whether trees are fitted sequentially or in parallel.
-    fn fit_one_tree(
-        &self,
-        t: usize,
-        x: &[Vec<f64>],
-        y: &[f64],
-        max_features: usize,
-    ) -> RegressionTree {
-        let n = x.len();
-        let tree_seed = self
-            .seed
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(t as u64 + 1);
-        let mut rng = SmallRng::seed_from_u64(tree_seed);
-        let (bx, by): (Vec<Vec<f64>>, Vec<f64>) = if self.bootstrap {
-            (0..n)
-                .map(|_| {
-                    let i = rng.gen_range(0..n);
-                    (x[i].clone(), y[i])
-                })
-                .unzip()
-        } else {
-            (x.to_vec(), y.to_vec())
-        };
-        let mut tree = RegressionTree::new(self.max_depth)
-            .with_min_samples_leaf(self.min_samples_leaf)
-            .with_max_features(max_features)
-            .with_seed(tree_seed ^ 0xABCD);
-        tree.fit(&bx, &by);
-        tree
+    /// [`RandomForest::predict_with_std_batch`] over `n_rows` rows laid
+    /// end to end in one row-major slice.
+    ///
+    /// Rows are scored [`LANES`] at a time (the last block repeats the
+    /// last row to fill up): tree by tree, every row's leaf value goes to
+    /// a `rows × trees` table ([`RegressionTree::predict_lanes`]), and each
+    /// row of the table is then reduced as `predict_with_std` reduces its
+    /// `preds`.
+    pub fn predict_with_std_rows(&self, rows: &[f64], n_rows: usize) -> Vec<(f64, f64)> {
+        assert!(self.is_fitted(), "predict before fit");
+        if n_rows == 0 {
+            return Vec::new();
+        }
+        assert_eq!(rows.len() % n_rows, 0, "ragged rows");
+        let width = rows.len() / n_rows;
+        let blocks = n_rows.div_ceil(LANES);
+        let n_trees = self.trees.len();
+        let mut leaves = vec![0.0; blocks * LANES * n_trees];
+        // Tree-outermost: one tree's nodes stay in cache for all rows.
+        for (t, tree) in self.trees.iter().enumerate() {
+            for block in 0..blocks {
+                let starts =
+                    std::array::from_fn(|lane| (block * LANES + lane).min(n_rows - 1) * width);
+                let block_leaves = tree.predict_lanes(rows, &starts);
+                for (lane, leaf) in block_leaves.into_iter().enumerate() {
+                    leaves[(block * LANES + lane) * n_trees + t] = leaf;
+                }
+            }
+        }
+        leaves
+            .chunks_exact(n_trees)
+            .take(n_rows)
+            .map(mean_and_std)
+            .collect()
     }
 }
 
+/// Mean and (population) standard deviation of one row's per-tree
+/// predictions, summed in tree order.
+fn mean_and_std(preds: &[f64]) -> (f64, f64) {
+    let n = preds.len() as f64;
+    let mean = preds.iter().sum::<f64>() / n;
+    let var = preds.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / n;
+    (mean, var.sqrt())
+}
+
 impl Regressor for RandomForest {
+    /// Trees are fitted one after another: each draws its bootstrap rows
+    /// by index from an RNG seeded by `(forest seed, tree index)` and
+    /// gathers them into one column-major matrix that, like the
+    /// splitter's buffers, the next tree reuses. (A whole fit on the few
+    /// hundred rows a tuner observes takes less than starting threads
+    /// for it.)
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
         assert_eq!(x.len(), y.len());
         assert!(!x.is_empty(), "cannot fit on an empty dataset");
+        let n = x.len();
         let n_feat = x[0].len();
         let max_features = self
             .max_features
             .unwrap_or_else(|| n_feat.div_ceil(3))
             .min(n_feat);
-        // Trees are independent: fit in parallel (rayon), deterministic
-        // via per-tree seeds.
-        let trees: Vec<RegressionTree> = (0..self.n_trees)
-            .into_par_iter()
-            .map(|t| self.fit_one_tree(t, x, y, max_features))
+        let mut scratch = FitScratch::default();
+        let mut rows: Vec<usize> = Vec::with_capacity(n);
+        let mut bx: Vec<f64> = Vec::new();
+        let mut by: Vec<f64> = Vec::with_capacity(n);
+        self.trees = (0..self.n_trees)
+            .map(|t| {
+                let tree_seed = self
+                    .seed
+                    .wrapping_mul(0x9E3779B97F4A7C15)
+                    .wrapping_add(t as u64 + 1);
+                let mut rng = SmallRng::seed_from_u64(tree_seed);
+                rows.clear();
+                if self.bootstrap {
+                    rows.extend((0..n).map(|_| rng.gen_range(0..n)));
+                } else {
+                    rows.extend(0..n);
+                }
+                gather_columns(x, &rows, &mut bx);
+                by.clear();
+                by.extend(rows.iter().map(|&i| y[i]));
+                let mut tree = RegressionTree::new(self.max_depth)
+                    .with_min_samples_leaf(self.min_samples_leaf)
+                    .with_max_features(max_features)
+                    .with_seed(tree_seed ^ 0xABCD);
+                tree.fit_columns(&bx, &by, &mut scratch);
+                tree
+            })
             .collect();
-        self.trees = trees;
     }
 
     fn predict_one(&self, row: &[f64]) -> f64 {
@@ -167,6 +194,7 @@ impl Regressor for RandomForest {
 mod tests {
     use super::*;
     use crate::metrics::rmse;
+    use crate::tree::oracle::{assert_same_nodes, OracleTree};
 
     fn quadratic(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let x: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / n as f64]).collect();
@@ -234,42 +262,103 @@ mod tests {
         let _ = rf.predict_with_std(&[0.0]);
     }
 
-    #[test]
-    fn parallel_fit_is_bit_identical_to_sequential() {
-        // The parallel fit must be indistinguishable from fitting the
-        // trees one by one in index order with the same per-tree seeds.
-        let (x, y) = quadratic(80);
-        let mut rf = RandomForest::new(24).with_seed(9);
-        rf.fit(&x, &y);
-
-        let mut serial = RandomForest::new(24).with_seed(9);
+    /// The forest as it fitted before rows were drawn by index: every
+    /// tree's bootstrap sample cloned row by row and handed to the
+    /// row-vector splitter (`tree::oracle`).
+    fn oracle_trees(rf: &RandomForest, x: &[Vec<f64>], y: &[f64]) -> Vec<OracleTree> {
+        let n = x.len();
         let n_feat = x[0].len();
-        let max_features = serial
+        let max_features = rf
             .max_features
             .unwrap_or_else(|| n_feat.div_ceil(3))
             .min(n_feat);
-        let trees: Vec<RegressionTree> = (0..serial.n_trees)
-            .map(|t| serial.fit_one_tree(t, &x, &y, max_features))
-            .collect();
-        serial.trees = trees;
+        (0..rf.n_trees)
+            .map(|t| {
+                let tree_seed = rf
+                    .seed
+                    .wrapping_mul(0x9E3779B97F4A7C15)
+                    .wrapping_add(t as u64 + 1);
+                let mut rng = SmallRng::seed_from_u64(tree_seed);
+                let (bx, by): (Vec<Vec<f64>>, Vec<f64>) = if rf.bootstrap {
+                    (0..n)
+                        .map(|_| {
+                            let i = rng.gen_range(0..n);
+                            (x[i].clone(), y[i])
+                        })
+                        .unzip()
+                } else {
+                    (x.to_vec(), y.to_vec())
+                };
+                let mut tree = OracleTree::like(
+                    &RegressionTree::new(rf.max_depth)
+                        .with_min_samples_leaf(rf.min_samples_leaf)
+                        .with_max_features(max_features)
+                        .with_seed(tree_seed ^ 0xABCD),
+                );
+                tree.fit(&bx, &by);
+                tree
+            })
+            .collect()
+    }
 
-        for row in &x {
-            assert_eq!(rf.predict_with_std(row), serial.predict_with_std(row));
+    /// Encoded configurations as the optimizer observes them: integer
+    /// ranks, many ties, a target with repeats.
+    fn ranked(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let x: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..d).map(|_| rng.gen_range(0..20) as f64).collect())
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|r| {
+                let s: f64 = r
+                    .iter()
+                    .enumerate()
+                    .map(|(j, v)| (v - 3.0 - j as f64).powi(2))
+                    .sum();
+                (1.0 + s).round()
+            })
+            .collect();
+        (x, y)
+    }
+
+    #[test]
+    fn fits_the_trees_the_row_cloning_forest_fitted() {
+        for (n, d, bootstrap) in [(10, 2, true), (100, 2, true), (60, 6, true), (40, 6, false)] {
+            let (x, y) = ranked(n, d, n as u64);
+            let mut rf = RandomForest::new(32)
+                .with_seed(0x5EED ^ d as u64)
+                .with_bootstrap(bootstrap);
+            rf.fit(&x, &y);
+            let oracle = oracle_trees(&rf, &x, &y);
+            for (t, (tree, old)) in rf.trees.iter().zip(&oracle).enumerate() {
+                assert_same_nodes(tree, old, &format!("n {n}, d {d}, tree {t}"));
+            }
         }
     }
 
     #[test]
     fn batch_predict_is_bit_identical_to_per_row() {
-        let (x, y) = quadratic(70);
-        let mut rf = RandomForest::new(16).with_seed(21);
+        let (x, y) = ranked(100, 6, 21);
+        let mut rf = RandomForest::new(32).with_seed(21);
         rf.fit(&x, &y);
-        // Enough rows to cross the parallel-chunk threshold, with a
-        // ragged tail.
-        let rows: Vec<Vec<f64>> = (0..333).map(|i| vec![i as f64 / 100.0]).collect();
-        let batch = rf.predict_with_std_batch(&rows);
-        let serial: Vec<(f64, f64)> = rows.iter().map(|r| rf.predict_with_std(r)).collect();
-        assert_eq!(batch, serial);
-        // The small-batch (sequential) path agrees too.
-        assert_eq!(rf.predict_with_std_batch(&rows[..5]), serial[..5].to_vec());
+        // Around the lane width of the tree walk, and the candidate count
+        // of one ask on a large space.
+        for n_rows in [0, 1, 7, 8, 9, 1088] {
+            let (rows, _) = ranked(n_rows.max(1), 6, 1000 + n_rows as u64);
+            let rows = &rows[..n_rows];
+            let serial: Vec<(f64, f64)> = rows.iter().map(|r| rf.predict_with_std(r)).collect();
+            let batch = rf.predict_with_std_batch(rows);
+            assert_eq!(batch.len(), n_rows);
+            for (r, (b, s)) in batch.iter().zip(&serial).enumerate() {
+                assert_eq!(
+                    (b.0.to_bits(), b.1.to_bits()),
+                    (s.0.to_bits(), s.1.to_bits()),
+                    "row {r} of {n_rows}"
+                );
+            }
+            let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+            assert_eq!(rf.predict_with_std_rows(&flat, n_rows), batch);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Gradient-boosted regression trees (the XGBoost stand-in behind
 //! AutoTVM's `XGBTuner`).
 
-use crate::tree::RegressionTree;
+use crate::tree::{gather_columns, FitScratch, RegressionTree};
 use crate::Regressor;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -91,19 +91,21 @@ impl Regressor for GradientBoosting {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let m = ((n as f64 * self.subsample).round() as usize).clamp(1, n);
         let mut order: Vec<usize> = (0..n).collect();
+        let mut scratch = FitScratch::default();
+        let mut rx: Vec<f64> = Vec::new();
+        let mut ry: Vec<f64> = Vec::with_capacity(m);
 
         for round in 0..self.n_rounds {
-            let rows: Vec<usize> = if m < n {
+            if m < n {
                 order.shuffle(&mut rng);
-                order[..m].to_vec()
-            } else {
-                order.clone()
-            };
-            let rx: Vec<Vec<f64>> = rows.iter().map(|&i| x[i].clone()).collect();
-            let ry: Vec<f64> = rows.iter().map(|&i| y[i] - pred[i]).collect();
+            }
+            let rows = &order[..m];
+            gather_columns(x, rows, &mut rx);
+            ry.clear();
+            ry.extend(rows.iter().map(|&i| y[i] - pred[i]));
             let mut tree =
                 RegressionTree::new(self.max_depth).with_seed(self.seed.wrapping_add(round as u64));
-            tree.fit(&rx, &ry);
+            tree.fit_columns(&rx, &ry, &mut scratch);
             for i in 0..n {
                 pred[i] += self.learning_rate * tree.predict_one(&x[i]);
             }
@@ -187,6 +189,54 @@ mod tests {
         gbt.fit(&x, &y);
         assert!((gbt.predict_one(&[3.0]) - 7.0).abs() < 1e-9);
         assert_eq!(gbt.n_trees(), 5);
+    }
+
+    /// The fit loop as it was when every round cloned its rows for the
+    /// row-vector splitter (`tree::oracle`): same subsample draws, same
+    /// residuals, so the same predictions to the bit.
+    #[test]
+    fn fits_like_the_row_cloning_booster() {
+        use crate::tree::oracle::OracleTree;
+        let (x, y) = friedmanish(150);
+        for subsample in [1.0, 0.6] {
+            let mut gbt = GradientBoosting::new(12)
+                .with_max_depth(4)
+                .with_subsample(subsample)
+                .with_seed(7);
+            gbt.fit(&x, &y);
+
+            let n = x.len();
+            let base = y.iter().sum::<f64>() / n as f64;
+            let mut pred = vec![base; n];
+            let mut rng = SmallRng::seed_from_u64(gbt.seed);
+            let m = ((n as f64 * subsample).round() as usize).clamp(1, n);
+            let mut order: Vec<usize> = (0..n).collect();
+            let mut trees = Vec::new();
+            for round in 0..gbt.n_rounds {
+                let rows: Vec<usize> = if m < n {
+                    order.shuffle(&mut rng);
+                    order[..m].to_vec()
+                } else {
+                    order.clone()
+                };
+                let rx: Vec<Vec<f64>> = rows.iter().map(|&i| x[i].clone()).collect();
+                let ry: Vec<f64> = rows.iter().map(|&i| y[i] - pred[i]).collect();
+                let mut tree = OracleTree::like(
+                    &RegressionTree::new(gbt.max_depth)
+                        .with_seed(gbt.seed.wrapping_add(round as u64)),
+                );
+                tree.fit(&rx, &ry);
+                for i in 0..n {
+                    pred[i] += gbt.learning_rate * tree.predict_one(&x[i]);
+                }
+                trees.push(tree);
+            }
+            for row in &x {
+                let old = base
+                    + gbt.learning_rate * trees.iter().map(|t| t.predict_one(row)).sum::<f64>();
+                assert_eq!(gbt.predict_one(row).to_bits(), old.to_bits());
+            }
+        }
     }
 
     #[test]
