@@ -5,11 +5,12 @@
 //! Four entry points share one round loop (ask → replay the journaled
 //! prefix → prune the live suffix → measure → journal → tell) and differ
 //! only in how a wave of live configurations is measured: [`tune`]
-//! (in-memory only), [`tune_journaled`] (every completed trial fsync'd to
-//! an append-only JSONL journal) and [`resume_from_journal`] (replay a
-//! journal's completed trials through the tuner — re-feeding `update`
-//! without re-measuring anything — then continue live until the budget is
-//! reached) measure one configuration at a time on the caller's thread;
+//! (in-memory only), [`tune_journaled`] (every completed trial written to
+//! an append-only JSONL journal, durable before the tuner is told) and
+//! [`resume_from_journal`] (replay a journal's completed trials through
+//! the tuner — re-feeding `update` without re-measuring anything — then
+//! continue live until the budget is reached) measure one configuration
+//! at a time on the caller's thread;
 //! [`tune_parallel`] measures the whole round concurrently. Every tuner is
 //! a deterministic function of (seed, observed history), so a
 //! killed-and-resumed run follows the identical remaining trajectory as
@@ -199,7 +200,8 @@ pub fn tune_journaled(
     opts: TuneOptions,
     path: impl AsRef<Path>,
 ) -> std::io::Result<TuningResult> {
-    let fresh = (TrialJournal::create(path)?, Vec::new());
+    let mut journal = TrialJournal::create(path)?;
+    let fresh = (&mut journal, Vec::new());
     run_rounds(tuner, evaluator, opts, Some(fresh), 1, &in_place(evaluator))
 }
 
@@ -218,7 +220,8 @@ pub fn resume_from_journal(
     opts: TuneOptions,
     path: impl AsRef<Path>,
 ) -> std::io::Result<TuningResult> {
-    let tape = TrialJournal::open_resume(path)?;
+    let (mut journal, replay) = TrialJournal::open_resume(path)?;
+    let tape = (&mut journal, replay);
     run_rounds(tuner, evaluator, opts, Some(tape), 1, &in_place(evaluator))
 }
 
@@ -273,15 +276,16 @@ fn in_place(evaluator: &dyn Evaluator) -> impl Fn(&[&Configuration]) -> Vec<Meas
 /// `width` configurations through `measure`, journals every live trial,
 /// and tells the tuner.
 ///
-/// A wave is the unit of charging and of durability: the process is
-/// charged the *slowest* member of a wave (for `width` 1 that is the
-/// trial itself), and every trial of a wave is appended and fsync'd
-/// before the next wave starts measuring.
+/// A wave is the unit of charging: the process is charged the *slowest*
+/// member of a wave (for `width` 1 that is the trial itself). A round is
+/// the unit of durability: the journal is written after each trial and
+/// durable before the tuner is told — one sync per round, immediately
+/// before `update`.
 fn run_rounds(
     tuner: &mut dyn Tuner,
     evaluator: &dyn Evaluator,
     opts: TuneOptions,
-    journal: Option<(TrialJournal, Vec<TrialRecord>)>,
+    journal: Option<(&mut TrialJournal, Vec<TrialRecord>)>,
     width: usize,
     measure: &dyn Fn(&[&Configuration]) -> Vec<MeasureResult>,
 ) -> std::io::Result<TuningResult> {
@@ -379,7 +383,7 @@ fn run_rounds(
                 for (config, res) in wave.iter().zip(wave_results) {
                     let trial = Trial::new(trials.len(), config, &res, elapsed);
                     if let Some(journal) = journal.as_mut() {
-                        journal.append(&TrialRecord {
+                        journal.stage(&TrialRecord {
                             index: trial.index,
                             config: trial.config.clone(),
                             runtime_s: trial.runtime_s,
@@ -396,6 +400,9 @@ fn run_rounds(
         }
 
         let any_live = !live.is_empty();
+        if let Some(journal) = journal.as_mut() {
+            journal.commit()?;
+        }
         let feedback: Vec<(Configuration, MeasureResult)> =
             batch.into_iter().zip(results).collect();
         let t1 = Instant::now();
@@ -700,6 +707,45 @@ mod tests {
             full.best().expect("best").config.key(),
             resumed.best().expect("best").config.key()
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// What [`tune_journaled`] / [`resume_from_journal`] run, over a
+    /// journal the test keeps: `(records written, syncs issued)`.
+    fn journal_counts(
+        journal: (TrialJournal, Vec<TrialRecord>),
+        max_evals: usize,
+        batch: usize,
+    ) -> (usize, usize) {
+        let ev = evaluator();
+        let opts = TuneOptions {
+            max_evals,
+            batch,
+            max_process_s: None,
+        };
+        let (mut journal, replay) = journal;
+        let mut t = RandomTuner::new(space(), 42);
+        let tape = Some((&mut journal, replay));
+        let res = run_rounds(&mut t, &ev, opts, tape, 1, &in_place(&ev)).expect("journaled run");
+        assert_eq!(res.len(), max_evals);
+        (journal.written(), journal.syncs())
+    }
+
+    #[test]
+    fn journal_is_synced_once_per_round_not_per_trial() {
+        let path = tmp("driver-syncs.jsonl");
+        let fresh = || (TrialJournal::create(&path).expect("create"), Vec::new());
+        assert_eq!(journal_counts(fresh(), 40, 4), (40, 10));
+        assert_eq!(journal_counts(fresh(), 40, 1), (40, 40));
+        assert_eq!(journal_counts(fresh(), 10, 4), (10, 3), "4 + 4 + 2");
+
+        // A round that is part replayed, part live stages only its live
+        // suffix: after 6 journaled trials, 2 + 8 x 4 are left to measure.
+        assert_eq!(journal_counts(fresh(), 6, 4), (6, 2));
+        let resumed = TrialJournal::open_resume(&path).expect("resume");
+        assert_eq!(resumed.1.len(), 6);
+        assert_eq!(journal_counts(resumed, 40, 4), (34, 9));
+        assert_eq!(TrialJournal::load(&path).expect("load").len(), 40);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,13 +1,24 @@
-//! Crash-consistent trial journal: an append-only JSONL log, fsync'd per
-//! trial, shared by the trial loop (`autotvm::driver`) and the tuning
-//! service.
+//! Crash-consistent trial journal: an append-only JSONL log shared by the
+//! trial loop (`autotvm::driver`) and the tuning service.
 //!
-//! Every completed evaluation is serialized as one JSON line and synced
-//! to disk before the next proposal is made, so a crash (or `kill -9`)
-//! loses at most the trial in flight. [`TrialJournal::load`] tolerates a
-//! torn final line — the signature of a crash mid-append — by dropping
-//! it; corruption anywhere *before* the tail is a hard error, because it
-//! means the file was edited, not interrupted.
+//! **The durability contract: written after each trial, durable before
+//! the tuner is told.** Every completed evaluation is serialized as one
+//! JSON line and handed to the file the moment it is measured
+//! ([`TrialJournal::stage`]); the file is `fdatasync`'d once per wave —
+//! the proposals between one `next_batch` and the `update` that answers
+//! it — immediately before that `update` ([`TrialJournal::commit`]). A
+//! process crash (`kill -9`, worker panic) therefore loses at most the
+//! trial in flight: the staged lines are in the page cache. A machine
+//! crash loses at most the wave in flight; the tuner has been told
+//! nothing about that wave, so resume proposes the same configurations
+//! and re-measures the lost suffix, exactly as it does for an in-flight
+//! trial. A caller who wants per-trial durability asks for batches of
+//! one, or uses [`TrialJournal::append`] (`stage` + `commit`).
+//!
+//! [`TrialJournal::load`] tolerates a torn final line — the signature of
+//! a crash mid-write — by dropping it; corruption anywhere *before* the
+//! tail is a hard error, because it means the file was edited, not
+//! interrupted.
 //!
 //! Resume works by *replaying the tape*: the driver runs its normal
 //! propose loop, and as long as journal records remain, each
@@ -27,8 +38,8 @@
 //! started. Loading reads the archived segments in order, then the active
 //! file, and replay sees one seamless tape — rotation is invisible to
 //! resume. A torn tail is only ever possible in the active segment
-//! (archives are rotated whole, after their last record was fsync'd); a
-//! malformed line inside an archive is a hard error.
+//! (archives are synced whole before the rename, whatever part of a wave
+//! they hold); a malformed line inside an archive is a hard error.
 //!
 //! When the archive count exceeds [`RotationPolicy::compact_after_segments`]
 //! the archives are *compacted*: merged into the oldest segment via an
@@ -97,9 +108,36 @@ pub struct TrialJournal {
     file: File,
     path: PathBuf,
     written: usize,
+    /// Syncs of the active file issued through this handle.
+    syncs: usize,
+    /// Staged records are waiting for a sync.
+    dirty: bool,
     rotation: Option<RotationPolicy>,
     /// Records currently in the active segment file.
     active_records: usize,
+    /// Serialization buffer, reused across records.
+    line: Vec<u8>,
+}
+
+/// Serialize `record` as one JSON line into `buf` and hand it to `file`
+/// in a single write.
+fn write_line(file: &mut File, buf: &mut Vec<u8>, record: &TrialRecord) -> std::io::Result<()> {
+    buf.clear();
+    serde_json::to_writer(&mut *buf, record)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    buf.push(b'\n');
+    file.write_all(buf)
+}
+
+/// Write `records` to a fresh file at `path` and sync it: the temp-file
+/// half of an atomic replace (the caller renames it into place).
+fn write_file_durable(path: &Path, records: &[TrialRecord]) -> std::io::Result<()> {
+    let mut file = File::create(path)?;
+    let mut buf = Vec::new();
+    for rec in records {
+        write_line(&mut file, &mut buf, rec)?;
+    }
+    file.sync_all()
 }
 
 /// Best-effort fsync of `path`'s parent directory, making renames and
@@ -170,28 +208,40 @@ impl TrialJournal {
         path: &Path,
         rotation: Option<RotationPolicy>,
     ) -> std::io::Result<TrialJournal> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(TrialJournal {
+        let file = File::create(path)?;
+        // The records' own syncs do not cover the directory entry: without
+        // this a machine crash can keep the trials and lose the file.
+        sync_parent_dir(path);
+        Ok(TrialJournal::over(file, path, rotation, 0))
+    }
+
+    /// A handle over an open active file holding `active_records` records.
+    fn over(
+        file: File,
+        path: &Path,
+        rotation: Option<RotationPolicy>,
+        active_records: usize,
+    ) -> TrialJournal {
+        TrialJournal {
             file,
             path: path.to_path_buf(),
             written: 0,
+            syncs: 0,
+            dirty: false,
             rotation,
-            active_records: 0,
-        })
+            active_records,
+            line: Vec::new(),
+        }
     }
 
     /// Open `path` for appending, first loading every intact record
     /// already present (empty when the file does not exist yet).
     ///
     /// An intact journal is opened in append mode untouched. Only when a
-    /// torn tail line (crash mid-append) is detected is the intact prefix
-    /// rewritten — to a temp file that is atomically renamed over the
-    /// original, so already-fsync'd trials can never be lost to a crash
-    /// during the repair itself.
+    /// torn tail (crash mid-write) is detected is the intact prefix
+    /// rewritten — to a temp file that is synced once and atomically
+    /// renamed over the original, so already-durable trials can never be
+    /// lost to a crash during the repair itself.
     pub fn open_resume(
         path: impl AsRef<Path>,
     ) -> std::io::Result<(TrialJournal, Vec<TrialRecord>)> {
@@ -247,12 +297,7 @@ impl TrialJournal {
             let mut tmp_name = path.to_path_buf().into_os_string();
             tmp_name.push(".repair");
             let tmp = PathBuf::from(tmp_name);
-            let mut repaired = TrialJournal::create_inner(&tmp, None)?;
-            for rec in &active {
-                repaired.append(rec)?;
-            }
-            repaired.file.sync_all()?;
-            drop(repaired);
+            write_file_durable(&tmp, &active)?;
             std::fs::rename(&tmp, path)?;
             sync_parent_dir(path);
         }
@@ -260,26 +305,19 @@ impl TrialJournal {
         append_deduped(&mut existing, active);
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok((
-            TrialJournal {
-                file,
-                path: path.to_path_buf(),
-                written: 0,
-                rotation,
-                active_records,
-            },
+            TrialJournal::over(file, path, rotation, active_records),
             existing,
         ))
     }
 
-    /// Append one record: serialize, write, flush, fsync. When this
-    /// returns `Ok`, the trial survives a crash. Rotating journals roll
-    /// the active segment once it reaches the policy's record cap.
-    pub fn append(&mut self, record: &TrialRecord) -> std::io::Result<()> {
-        let line = serde_json::to_string(record)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        writeln!(self.file, "{line}")?;
-        self.file.flush()?;
-        self.file.sync_data()?;
+    /// Write one record to the file without syncing it: when this
+    /// returns `Ok` the trial survives a crash of the process, and the
+    /// next [`TrialJournal::commit`] makes it survive a crash of the
+    /// machine. Rotating journals roll the active segment once it reaches
+    /// the policy's record cap — the archive is synced whole by the roll.
+    pub fn stage(&mut self, record: &TrialRecord) -> std::io::Result<()> {
+        write_line(&mut self.file, &mut self.line, record)?;
+        self.dirty = true;
         self.written += 1;
         self.active_records += 1;
         if let Some(policy) = self.rotation {
@@ -290,20 +328,42 @@ impl TrialJournal {
         Ok(())
     }
 
-    /// Rotate: archive the (fsync'd) active file as the next segment and
+    /// Make every staged record durable: one `fdatasync` if anything was
+    /// staged since the last sync, no syscall otherwise.
+    pub fn commit(&mut self) -> std::io::Result<()> {
+        if self.dirty {
+            self.file.sync_data()?;
+            self.synced();
+        }
+        Ok(())
+    }
+
+    /// Append one record durably: [`TrialJournal::stage`] +
+    /// [`TrialJournal::commit`]. When this returns `Ok`, the trial
+    /// survives a machine crash.
+    pub fn append(&mut self, record: &TrialRecord) -> std::io::Result<()> {
+        self.stage(record)?;
+        self.commit()
+    }
+
+    fn synced(&mut self) {
+        self.syncs += 1;
+        self.dirty = false;
+    }
+
+    /// Rotate: sync the active file, archive it as the next segment and
     /// start a fresh active file, compacting archives when they pile up.
     fn roll(&mut self, policy: RotationPolicy) -> std::io::Result<()> {
         self.file.sync_all()?;
+        self.synced();
         let segments = segment_paths(&self.path)?;
         let next = segments.last().map(|(n, _)| n + 1).unwrap_or(1);
         let seg_path = PathBuf::from(format!("{}.seg{next}", self.path.display()));
         std::fs::rename(&self.path, &seg_path)?;
+        self.file = File::create(&self.path)?;
+        // One directory sync covers the archive's new name and the fresh
+        // active file's entry.
         sync_parent_dir(&self.path);
-        self.file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&self.path)?;
         self.active_records = 0;
         if policy.compact_after_segments > 0 && segments.len() + 1 > policy.compact_after_segments {
             self.compact_archives()?;
@@ -321,27 +381,18 @@ impl TrialJournal {
             return Ok(());
         }
         let tmp = compact_tmp(&self.path);
-        {
-            let mut merged = TrialJournal::create_inner(&tmp, None)?;
-            let mut all: Vec<TrialRecord> = Vec::new();
-            for (_, seg) in &segments {
-                let (records, torn) = TrialJournal::load_file_with_tail(seg)?;
-                if torn {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("archived journal segment {seg:?} has a torn tail"),
-                    ));
-                }
-                append_deduped(&mut all, records);
+        let mut all: Vec<TrialRecord> = Vec::new();
+        for (_, seg) in &segments {
+            let (records, torn) = TrialJournal::load_file_with_tail(seg)?;
+            if torn {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("archived journal segment {seg:?} has a torn tail"),
+                ));
             }
-            for rec in &all {
-                let line = serde_json::to_string(rec).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
-                writeln!(merged.file, "{line}")?;
-            }
-            merged.file.sync_all()?;
+            append_deduped(&mut all, records);
         }
+        write_file_durable(&tmp, &all)?;
         let (oldest, rest) = segments.split_first().expect("len >= 2");
         std::fs::rename(&tmp, &oldest.1)?;
         sync_parent_dir(&self.path);
@@ -352,9 +403,15 @@ impl TrialJournal {
         Ok(())
     }
 
-    /// Records appended through this handle.
+    /// Records written through this handle (staged or appended).
     pub fn written(&self) -> usize {
         self.written
+    }
+
+    /// Syncs of the active file issued through this handle: one per
+    /// [`TrialJournal::commit`] that had something to sync, one per roll.
+    pub fn syncs(&self) -> usize {
+        self.syncs
     }
 
     /// The journal's (active-segment) path.
@@ -391,8 +448,10 @@ impl TrialJournal {
         Ok(out)
     }
 
-    /// Load one journal file, reporting whether a torn final line was
-    /// dropped.
+    /// Load one journal file, reporting whether its tail is torn: a
+    /// malformed final line (dropped), or an intact final record (kept)
+    /// that was cut before its newline and would fuse with the next
+    /// write.
     fn load_file_with_tail(path: impl AsRef<Path>) -> std::io::Result<(Vec<TrialRecord>, bool)> {
         let path = path.as_ref();
         if !path.exists() {
@@ -420,7 +479,16 @@ impl TrialJournal {
                 }
             }
         }
-        Ok((out, false))
+        Ok((out, !text.is_empty() && !text.ends_with('\n')))
+    }
+}
+
+impl Drop for TrialJournal {
+    /// A forgotten `commit` degrades to a late sync, never to silent loss.
+    fn drop(&mut self) {
+        if self.dirty {
+            let _ = self.file.sync_data();
+        }
     }
 }
 
@@ -675,9 +743,12 @@ mod tests {
         cleanup(&path);
     }
 
-    #[test]
-    fn interrupted_compaction_cleanup_is_repaired_on_load_and_resume() {
-        let path = tmp("compact-interrupted.jsonl");
+    /// Six records at two per segment (seg1..seg3, empty active file),
+    /// then `seg1` rewritten to hold `records[..merged]` while the old
+    /// `seg2`/`seg3` linger: what a compaction that crashed between its
+    /// rename and its removals leaves behind.
+    fn interrupted_compaction(name: &str, merged: usize) -> (PathBuf, Vec<TrialRecord>) {
+        let path = tmp(name);
         cleanup(&path);
         let policy = RotationPolicy {
             max_records_per_segment: 2,
@@ -689,29 +760,143 @@ mod tests {
             j.append(r).expect("append");
         }
         drop(j);
-        // Simulate a compaction that crashed after renaming the merged
-        // file over seg1 but before removing seg2/seg3: seg1 now holds
-        // everything the archives held, and the old files linger.
         let seg1 = PathBuf::from(format!("{}.seg1", path.display()));
-        let merged: Vec<TrialRecord> = records[..4].to_vec();
         let mut m = TrialJournal::create(&seg1).expect("rewrite seg1");
-        for r in &merged {
+        for r in &records[..merged] {
             m.append(r).expect("append");
         }
-        drop(m);
-        // seg2 (records 2..4) is now fully duplicated inside seg1.
+        (path, records)
+    }
+
+    /// Load and resume both see `records`; resume leaves `segments_left`
+    /// archives behind.
+    fn assert_compaction_repaired(path: &Path, records: &[TrialRecord], segments_left: usize) {
+        let policy = RotationPolicy {
+            max_records_per_segment: 2,
+            compact_after_segments: 0,
+        };
         assert_eq!(
-            TrialJournal::load(&path).expect("load skips duplicates"),
+            TrialJournal::load(path).expect("load skips duplicates"),
             records
         );
-        let (j2, loaded) =
-            TrialJournal::open_resume_rotating(&path, policy).expect("resume repairs");
-        drop(j2);
+        let (j, loaded) = TrialJournal::open_resume_rotating(path, policy).expect("resume repairs");
+        drop(j);
         assert_eq!(loaded, records);
-        // The redundant segment file was deleted by the resume.
-        let segs = segment_paths(&path).expect("segments");
-        assert_eq!(segs.len(), 1, "redundant archive removed: {segs:?}");
-        cleanup(&path);
+        let segs = segment_paths(path).expect("segments");
+        assert_eq!(segs.len(), segments_left, "redundant archives: {segs:?}");
+        assert_eq!(TrialJournal::load(path).expect("reload"), records);
+        cleanup(path);
+    }
+
+    #[test]
+    fn interrupted_compaction_cleanup_is_repaired_on_load_and_resume() {
+        // `compact_archives` merges *every* archive into the oldest, so
+        // seg1 holds all six records and both seg2 and seg3 are redundant.
+        let (path, records) = interrupted_compaction("compact-interrupted.jsonl", 6);
+        assert_compaction_repaired(&path, &records, 1);
+    }
+
+    #[test]
+    fn partially_merged_archive_keeps_the_segment_it_does_not_cover() {
+        // seg1 = records 0..4 duplicates seg2 (2..4) but not seg3 (4..6):
+        // only seg2 may go.
+        let (path, records) = interrupted_compaction("compact-partial.jsonl", 4);
+        assert_compaction_repaired(&path, &records, 2);
+    }
+
+    /// Every file of the journal at `path` (archives oldest first, then
+    /// the active file) as `(suffix, bytes)`.
+    fn files(path: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<(String, Vec<u8>)> = segment_paths(path)
+            .expect("segments")
+            .into_iter()
+            .map(|(n, seg)| (format!("seg{n}"), std::fs::read(seg).expect("read segment")))
+            .collect();
+        out.push(("active".into(), std::fs::read(path).expect("read active")));
+        out
+    }
+
+    #[test]
+    fn staged_records_are_synced_by_commit_only() {
+        let path = tmp("stage-commit.jsonl");
+        let mut j = TrialJournal::create(&path).expect("create");
+        j.commit().expect("nothing to sync");
+        assert_eq!(j.syncs(), 0);
+        let records: Vec<TrialRecord> = (0..5).map(|i| rec(i, Some(i as f64), None)).collect();
+        for r in &records[..3] {
+            j.stage(r).expect("stage");
+        }
+        assert_eq!((j.written(), j.syncs()), (3, 0));
+        // Written, not yet durable: the bytes are already in the file.
+        assert_eq!(TrialJournal::load(&path).expect("load"), records[..3]);
+        j.commit().expect("commit");
+        j.commit().expect("clean commit is free");
+        assert_eq!(j.syncs(), 1);
+        // `append` alone is durable on return.
+        j.append(&records[3]).expect("append");
+        j.append(&records[4]).expect("append");
+        assert_eq!((j.written(), j.syncs()), (5, 3));
+        drop(j);
+        assert_eq!(TrialJournal::load(&path).expect("load"), records);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn staged_waves_leave_the_files_per_record_appends_leave() {
+        let records: Vec<TrialRecord> = (0..14).map(|i| rec(i, Some(i as f64), None)).collect();
+        // (cap, compact_after, syncs): a roll syncs the archive whole, so
+        // a wave that ends on a roll needs no sync of its own.
+        for (cap, compact_after, syncs) in [(3, 0, 7), (6, 0, 5), (3, 2, 7), (100, 0, 4)] {
+            let policy = RotationPolicy {
+                max_records_per_segment: cap,
+                compact_after_segments: compact_after,
+            };
+            let staged = tmp(&format!("waves-staged-{cap}-{compact_after}.jsonl"));
+            let mut j = TrialJournal::create_rotating(&staged, policy).expect("create");
+            for wave in records.chunks(4) {
+                for r in wave {
+                    j.stage(r).expect("stage");
+                }
+                j.commit().expect("commit");
+            }
+            assert_eq!(j.syncs(), syncs, "cap {cap}");
+            drop(j);
+
+            let appended = tmp(&format!("waves-appended-{cap}-{compact_after}.jsonl"));
+            let mut j = TrialJournal::create_rotating(&appended, policy).expect("create");
+            for r in &records {
+                j.append(r).expect("append");
+            }
+            drop(j);
+
+            assert_eq!(files(&staged), files(&appended), "cap {cap}");
+            assert_eq!(TrialJournal::load(&staged).expect("load"), records);
+            cleanup(&staged);
+            cleanup(&appended);
+        }
+    }
+
+    #[test]
+    fn record_cut_before_its_newline_is_kept_and_reterminated() {
+        let path = tmp("unterminated.jsonl");
+        let records: Vec<TrialRecord> = (0..3).map(|i| rec(i, Some(i as f64), None)).collect();
+        let mut j = TrialJournal::create(&path).expect("create");
+        j.append(&records[0]).expect("append");
+        j.append(&records[1]).expect("append");
+        drop(j);
+        // The crash cut the second record's newline off: the record is
+        // intact, but the next write would fuse with it.
+        let two = std::fs::read(&path).expect("read");
+        std::fs::write(&path, &two[..two.len() - 1]).expect("truncate");
+        assert_eq!(TrialJournal::load(&path).expect("load"), records[..2]);
+        let (mut j, loaded) = TrialJournal::open_resume(&path).expect("resume");
+        assert_eq!(loaded, records[..2]);
+        j.append(&records[2]).expect("append");
+        drop(j);
+        assert_eq!(TrialJournal::load(&path).expect("load"), records);
+        let whole = std::fs::read(&path).expect("read");
+        assert_eq!(whole[..two.len()], two[..], "the newline is back");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -210,8 +210,8 @@ struct Inner {
     /// Graceful: stop admitting, stop popping; running sessions finish.
     shutdown: Arc<AtomicBool>,
     /// Abrupt: sessions stop between trials without finalizing anything —
-    /// the in-process stand-in for `kill -9` (journals are fsync'd per
-    /// trial, so disk state is identical).
+    /// the in-process stand-in for `kill -9` (journals are written after
+    /// each trial, so disk state is identical).
     kill: Arc<AtomicBool>,
     worker_restarts: AtomicU64,
 }
@@ -459,8 +459,9 @@ impl TuningService {
 
     /// Kill the instance abruptly: sessions stop between trials, nothing
     /// is finalized, and in-flight jobs are left for the next `open` to
-    /// adopt. This is the in-process equivalent of `kill -9` — per-trial
-    /// fsync means the journal on disk is identical either way.
+    /// adopt. This is the in-process equivalent of `kill -9` — the journal
+    /// is written after each trial and durable before the tuner is told,
+    /// so the file holds exactly the trials measured either way.
     pub fn kill(&self) {
         self.inner.kill.store(true, Ordering::Relaxed);
         self.inner.queue.wake_all();

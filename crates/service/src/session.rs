@@ -53,7 +53,8 @@ pub struct SessionCtl {
     pub cancel: Arc<AtomicBool>,
     /// Server kill (abrupt: session stops between trials *without*
     /// updating anything in memory — exactly what a `kill -9` leaves
-    /// behind, since journals are fsync'd per trial).
+    /// behind, since the journal is written after each trial and durable
+    /// before the tuner is told).
     pub kill: Arc<AtomicBool>,
     /// This kernel's circuit breaker, if the service runs one.
     pub breaker: Option<Arc<CircuitBreaker>>,
@@ -217,9 +218,12 @@ fn acquire_breaker(
 /// Run (or resume) one session to a terminal state.
 ///
 /// `replay` is the journal's existing tape (empty for fresh sessions);
-/// `journal` receives every *live* trial. On `SessionEnd::Interrupted`
-/// the returned report reflects the work done so far and the journal on
-/// disk is exactly what a restarted server needs to finish the session.
+/// `journal` receives every *live* trial: written after each trial,
+/// durable before the tuner is told — one sync per wave, and one on every
+/// exit that returns a report, so `trials` and the file never disagree.
+/// On `SessionEnd::Interrupted` the returned report reflects the work
+/// done so far and the journal on disk is exactly what a restarted server
+/// needs to finish the session.
 pub fn run_session(
     tuner: &mut dyn Tuner,
     ladder: &mut EngineLadder,
@@ -296,10 +300,10 @@ pub fn run_session(
                         b.record(infra, probe);
                     }
                     elapsed += res.process_s;
-                    // Persist before reacting: the journal line carries
+                    // Write before reacting: the journal line carries
                     // the rung that measured it, then the ladder may
                     // demote for the *next* trial.
-                    journal.append(&TrialRecord {
+                    journal.stage(&TrialRecord {
                         index: trials.len(),
                         config: config.clone(),
                         runtime_s: res.runtime_s,
@@ -339,8 +343,11 @@ pub fn run_session(
             ladder.observe(res.error.as_ref().map(|e| e.kind()));
             results.push((config, res));
         }
+        journal.commit()?;
         tuner.update(&results);
     }
+    // A wave cut short (kill, cancel, deadline) is still in the report.
+    journal.commit()?;
 
     Ok(SessionReport {
         tuner: tuner.name().to_string(),
