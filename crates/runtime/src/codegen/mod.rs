@@ -18,15 +18,19 @@
 //! vectorized strided loops and parallel-pattern mul-add microkernels
 //! run as f64x2/f32x4 bodies (VEX-256 f64x4/f32x8 when AVX is
 //! detected), with register-tiled unroll-and-jam main loops and scalar
-//! epilogues for remainder iterations. Every vector site is accounted
-//! in [`SimdStats`]: packed, or scalar with a counted reason, so
+//! epilogues for remainder iterations. A *trimmed* strided loop (a
+//! guard on the loop's own variable turned into a live range by
+//! [`crate::optimize`]) runs the scalar template with a trip count
+//! computed at loop entry. Every vector site is accounted
+//! in [`SimdStats`]: packed, or scalar with a counted reason
+//! (`dynamic-extent` for trimmed loops), so
 //! `packed + scalar-by-reason = total` always holds. The
 //! `TVM_JIT_SIMD=0` environment toggle forces the fully scalar tier
 //! (outputs are bit-identical either way, so the fingerprint does not
 //! depend on it).
 //!
 //! Fingerprints: a JIT-mode device reports
-//! [`jit_fingerprint`] = `vm/v2+tir-opt/v1+par/v1+jit/v2`, distinct from the
+//! [`jit_fingerprint`] = `vm/v3+tir-opt/v1+par/v1+jit/v3`, distinct from the
 //! optimized VM's [`crate::optimize::engine_fingerprint`] so the
 //! service's engine ladder can attribute trial records to the exact
 //! engine that produced them.
@@ -47,8 +51,9 @@ pub use x86_64::X86Backend;
 /// Version tag of the native codegen rung, appended to the optimized
 /// engine fingerprint. Bump on any change to emitted code semantics.
 /// v2: packed-SIMD tier (proof-gated f64x2/f32x4 strided-loop bodies,
-/// register-tiled mul-add microkernels).
-pub const JIT_VERSION: &str = "jit/v2";
+/// register-tiled mul-add microkernels). v3: the dynamic-trip scalar
+/// strided template for trimmed loops.
+pub const JIT_VERSION: &str = "jit/v3";
 
 /// Fingerprint reported by a JIT-mode device: the optimized engine's
 /// fingerprint plus the codegen version.

@@ -53,7 +53,16 @@
 //!   [`X86Backend::allow_fma`] option (never enabled on the engine
 //!   ladder or the differential path).
 //!
-//! Anything outside the subset — conditionals, bounds checks, checked
+//! - A *trimmed* strided loop ([`crate::optimize`]'s loop trimming: a
+//!   guard on the loop's own variable turned into a live range) runs the
+//!   same scalar strided template with its trip count computed at loop
+//!   entry ([`NestCompiler::emit_trimmed_strided`]): the iterations run
+//!   are the ones whose guard held, in ascending order. It is never
+//!   packed or jammed — those plans split a static extent — and is
+//!   tallied scalar under `dynamic-extent`.
+//!
+//! Anything outside the subset — conditionals, trimmed loops that are
+//! not in strided form, bounds checks, checked
 //! stores, failable integer division, float min/max (NaN semantics
 //!   differ from Rust's), float→int casts (saturation differs), and
 //! integer-typed buffers — rejects the nest; the VM executes those
@@ -61,7 +70,9 @@
 
 use super::exec_mem::ExecBuf;
 use super::{CodegenBackend, JitProgram, SimdReport};
-use crate::compile::{Block, CompileError, CompiledFunc, Instr, Item, LoopKind, Reg, SlotAccess};
+use crate::compile::{
+    Block, Clamp, CompileError, CompiledFunc, Instr, Item, LoopKind, Reg, SlotAccess,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use tvm_te::{BinOp, DType, Intrinsic};
@@ -99,9 +110,12 @@ const X3: X = X(3);
 /// Scratch for packed strided-loop bodies (never mapped to a freg).
 const XSCRATCH: X = X(15);
 
-/// Condition code for `jcc` (low nibble of the `0F 8x` opcode).
-const CC_L: u8 = 0xC;
+/// Condition code for `jcc`/`cmovcc` (low nibble of the `0F 8x`/`0F 4x`
+/// opcode).
 const CC_NZ: u8 = 0x5;
+const CC_L: u8 = 0xC;
+const CC_LE: u8 = 0xE;
+const CC_G: u8 = 0xF;
 
 // ---------------------------------------------------------------- assembler
 
@@ -111,10 +125,8 @@ struct Asm {
     code: Vec<u8>,
 }
 
-/// A forward `jcc`/`jmp` whose 32-bit displacement is patched later.
-/// (Loop templates currently only need backward edges — trip counts are
-/// static and ≥ 1 — but guards over dynamic extents will want this.)
-#[allow(dead_code)]
+/// A forward `jcc` whose 32-bit displacement is patched later (the skip
+/// over a trimmed loop whose live range came out empty).
 struct Fwd(usize);
 
 impl Asm {
@@ -248,6 +260,11 @@ impl Asm {
         self.alu_rr(&[0x3B], a, b);
     }
 
+    /// `cmovcc dst, src`
+    fn cmov_rr(&mut self, cc: u8, dst: R, src: R) {
+        self.alu_rr(&[0x0F, 0x40 + cc], dst, src);
+    }
+
     /// `add r, imm32` (sign-extended).
     fn add_ri(&mut self, r: R, imm: i32) {
         self.rex(true, 0, 0, r.0);
@@ -346,7 +363,6 @@ impl Asm {
     }
 
     /// Forward conditional jump; patch with [`Asm::land`].
-    #[allow(dead_code)]
     fn jcc_fwd(&mut self, cc: u8) -> Fwd {
         self.b(0x0F);
         self.b(0x80 + cc);
@@ -356,7 +372,6 @@ impl Asm {
     }
 
     /// Resolve a forward jump to land here.
-    #[allow(dead_code)]
     fn land(&mut self, f: Fwd) {
         let rel = self.here() as i64 - (f.0 as i64 + 4);
         let bytes = i32::try_from(rel).expect("forward jump in range").to_le_bytes();
@@ -559,18 +574,42 @@ fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
     match item {
         Item::Code(c) => check_code(c, dts),
         Item::Loop {
-            min, extent, body, ..
+            min,
+            extent,
+            clamp,
+            body,
+            ..
         } => {
             if min.checked_add(*extent).is_none() {
                 return reject("loop bound overflow");
             }
+            // Only the strided template has a dynamic-trip form; the
+            // VM runs this loop and the nests inside it still compile.
+            if !clamp.is_none() {
+                return reject("trimmed loop outside strided form");
+            }
             body.items.iter().try_for_each(|it| check_item(it, dts))
         }
         Item::StridedLoop {
-            extent, pre, body, ..
+            min,
+            extent,
+            clamp,
+            pre,
+            body,
+            ..
         } => {
             if *extent < 1 {
                 return reject("empty strided loop");
+            }
+            // The trimmed template caps a bound register at
+            // `min+extent − off` before adding `off`, both as immediates.
+            let end = min.checked_add(*extent);
+            let encodable = |&(_, plus): &(Reg, i64)| {
+                (0..=i64::from(i32::MAX)).contains(&plus)
+                    && end.and_then(|e| e.checked_sub(plus)).is_some()
+            };
+            if ![clamp.lo, clamp.hi].iter().flatten().all(encodable) {
+                return reject("trimmed loop bound out of range");
             }
             check_code(pre, dts)?;
             check_code(body, dts)
@@ -776,12 +815,14 @@ fn rewrite_block(
                                 var,
                                 min,
                                 extent,
+                                clamp,
                                 body,
                                 kind,
                             } => Item::Loop {
                                 var: *var,
                                 min: *min,
                                 extent: *extent,
+                                clamp: *clamp,
                                 body: rewrite_block(
                                     body,
                                     dts,
@@ -931,9 +972,11 @@ impl NestCompiler<'_> {
                 var,
                 min,
                 extent,
+                clamp,
                 body,
                 ..
             } => {
+                debug_assert!(clamp.is_none(), "rejected by check_item");
                 if *extent < 1 {
                     return;
                 }
@@ -949,6 +992,7 @@ impl NestCompiler<'_> {
                             var: *var,
                             min: *min + done,
                             extent: rem,
+                            clamp: Clamp::default(),
                             body: body.clone(),
                             kind: LoopKind::Serial,
                         });
@@ -974,7 +1018,9 @@ impl NestCompiler<'_> {
                 self.asm.jcc_back(CC_L, top);
             }
             Item::StridedLoop {
+                min,
                 extent,
+                clamp,
                 pre,
                 bumps,
                 body,
@@ -982,6 +1028,14 @@ impl NestCompiler<'_> {
                 lanes,
             } => {
                 pre.iter().for_each(|i| self.emit_instr(i));
+                if !clamp.is_none() {
+                    // Packed and jammed plans split a static extent into
+                    // main loop and epilogue; a trimmed loop's trip
+                    // count is only known at loop entry.
+                    self.simd.scalar("dynamic-extent");
+                    self.emit_trimmed_strided(*min, *extent, *clamp, bumps, body);
+                    return;
+                }
                 match self.plan_packed(*extent, bumps, body, kind, *lanes) {
                     Ok(plan) => {
                         self.simd.packed(false);
@@ -1121,11 +1175,80 @@ impl NestCompiler<'_> {
     /// `vec_iters·lanes` iterations in, so this continues bit-for-bit).
     fn emit_scalar_strided(&mut self, extent: i64, bumps: &[(Reg, i64)], body: &[Instr]) {
         self.asm.mov_ri(R11, extent);
+        self.emit_strided_trips(bumps, body);
+    }
+
+    /// The loop of the scalar strided template: `R11` holds the trip
+    /// count (≥ 1), an immediate for a static loop, computed at loop
+    /// entry for a trimmed one.
+    fn emit_strided_trips(&mut self, bumps: &[(Reg, i64)], body: &[Instr]) {
         let top = self.asm.here();
         body.iter().for_each(|i| self.emit_instr(i));
         self.emit_bumps(bumps, 1);
         self.asm.dec_r(R11);
         self.asm.jcc_back(CC_NZ, top);
+    }
+
+    /// The scalar strided template over a trimmed loop's live range:
+    /// [`crate::compile::live_range`] in machine code (`R8` = start,
+    /// `R11` = end, both inside the static `[min, min+extent]` whatever
+    /// the bound registers hold, so the in-bounds proofs behind the
+    /// body's unchecked loads and stores keep covering every iteration
+    /// run), the strided registers advanced from iteration `min` (where
+    /// the prelude left them) to `start`, a forward jump over an empty
+    /// range, then the same loop a static extent gets. `RDX` holds the
+    /// slot table and is never scratch.
+    fn emit_trimmed_strided(
+        &mut self,
+        min: i64,
+        extent: i64,
+        clamp: Clamp,
+        bumps: &[(Reg, i64)],
+        body: &[Instr],
+    ) {
+        let end = min + extent; // cannot overflow: check_item
+        self.asm.mov_ri(R8, min);
+        if let Some(lo) = clamp.lo {
+            self.asm.mov_ri(R9, min);
+            self.emit_clamp_bound(R8, lo, R9, end);
+            // RAX = start − min iterations to skip; every strided
+            // register moves by that many strides, with the wrapping
+            // arithmetic of the per-iteration bump.
+            self.asm.mov_ri(RAX, min.wrapping_neg());
+            self.asm.add_rr(RAX, R8);
+            for &(r, s) in bumps {
+                self.asm.mov_ri(RCX, s);
+                self.asm.imul_rr(RCX, RAX);
+                self.asm.add_mr(RDI, off(r), RCX);
+            }
+        }
+        self.asm.mov_ri(R11, end);
+        if let Some(hi) = clamp.hi {
+            self.emit_clamp_bound(R11, hi, R8, end);
+        }
+        self.asm.sub_rr(R11, R8);
+        let empty = self.asm.jcc_fwd(CC_LE);
+        self.emit_strided_trips(bumps, body);
+        self.asm.land(empty);
+    }
+
+    /// `dst ← clamp(iregs[reg] + plus, floor, end)`, one side of
+    /// [`crate::compile::live_range`]. The register is capped at
+    /// `end − plus` *before* `plus` (≥ 0, checked with `end − plus` in
+    /// `check_item`) is added, so the add cannot wrap: the result equals
+    /// the saturating form for every register value. `floor` holds a
+    /// value in `[min, end]`. Clobbers `RCX`.
+    fn emit_clamp_bound(&mut self, dst: R, (reg, plus): (Reg, i64), floor: R, end: i64) {
+        let a = &mut *self.asm;
+        a.mov_rm(dst, RDI, off(reg));
+        a.mov_ri(RCX, end - plus);
+        a.cmp_rr(dst, RCX);
+        a.cmov_rr(CC_G, dst, RCX);
+        if plus != 0 {
+            a.add_ri(dst, plus as i32);
+        }
+        a.cmp_rr(dst, floor);
+        a.cmov_rr(CC_L, dst, floor);
     }
 
     /// Advance every strided register by `scale` iterations' worth.
@@ -2272,6 +2395,7 @@ mod tests {
             var: 0,
             min: 2,
             extent: 4,
+            clamp: Clamp::default(),
             body: Block {
                 items: vec![Item::Code(vec![
                     Instr::Load(0, 0, 0),
@@ -2288,6 +2412,116 @@ mod tests {
         assert_eq!(&bv[2..6], &av[2..6]);
         assert_eq!(&bv[6..], &[0.0, 0.0]);
         assert_eq!(ir[0], 6, "loop var left at end bound");
+    }
+
+    #[test]
+    fn trimmed_strided_loop_writes_exactly_the_live_elements() {
+        // for i in 2..6, trimmed to its live range { B[i] = A[2·i] }:
+        // ireg 0 = i (stride 1), ireg 1 = 2·i (stride 2, so the advance
+        // to the first live iteration is not a unit step), ireg 2 = 2,
+        // iregs 3/4 = the lower/upper bound registers.
+        let item = |clamp: Clamp| Item::StridedLoop {
+            min: 2,
+            extent: 4,
+            clamp,
+            pre: vec![Instr::IConst(0, 2), Instr::IBin(BinOp::Mul, 1, 0, 2)],
+            bumps: vec![(0, 1), (1, 2)],
+            body: vec![Instr::Load(0, 0, 1), Instr::Store(1, 0, 0)],
+            kind: LoopKind::Serial,
+            lanes: 1,
+        };
+        let dts = [DType::F64, DType::F64];
+        let bounds = [i64::MIN, -3, 0, 2, 3, 4, 5, 6, 7, 100, i64::MAX];
+        let mut ranges_seen = HashSet::new();
+        for lo in [None, Some(0), Some(1)] {
+            for hi in [None, Some(0), Some(1)] {
+                let clamp = Clamp {
+                    lo: lo.map(|plus| (3, plus)),
+                    hi: hi.map(|plus| (4, plus)),
+                };
+                if clamp.is_none() {
+                    continue;
+                }
+                let it = item(clamp);
+                check_item(&it, &dts).expect("trimmed strided loops are in the JIT subset");
+                let mut a = Asm::new();
+                let mut simd = SimdReport::default();
+                let mut nc = NestCompiler {
+                    asm: &mut a,
+                    dts: &dts,
+                    opts: &X86Backend::sse2_only(),
+                    simd: &mut simd,
+                };
+                nc.emit_item(&it);
+                a.ret();
+                assert_eq!(simd.scalar_reasons.get("dynamic-extent"), Some(&1));
+                assert_eq!(simd.sites(), 1);
+                for lo_v in bounds {
+                    for hi_v in bounds {
+                        let mut av: Vec<f64> = (0..16).map(|v| v as f64 + 0.5).collect();
+                        let mut bv: Vec<f64> = vec![-1.0; 8];
+                        let slots = [av.as_mut_ptr().cast::<u8>(), bv.as_mut_ptr().cast::<u8>()];
+                        let mut ir = [0i64, 0, 2, lo_v, hi_v];
+                        let mut fr = [0f64];
+                        let (start, end) = crate::compile::live_range(2, 4, clamp, &ir);
+                        assert!(2 <= start && start <= end && end <= 6);
+                        ranges_seen.insert((start, end));
+                        run_code(&a.code, &mut ir, &mut fr, &slots);
+                        for (i, got) in bv.iter().enumerate() {
+                            let live = start <= i as i64 && (i as i64) < end;
+                            let want = if live { av[2 * i] } else { -1.0 };
+                            assert_eq!(
+                                *got, want,
+                                "B[{i}] under {clamp:?} with lo={lo_v} hi={hi_v}: live {start}..{end}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // Non-vacuity: empty, full, clamped-low, clamped-high and both.
+        for want in [(2, 2), (6, 6), (2, 6), (4, 6), (2, 4), (3, 5)] {
+            assert!(
+                ranges_seen.contains(&want),
+                "live range {want:?} never exercised"
+            );
+        }
+    }
+
+    #[test]
+    fn trimmed_loops_outside_the_template_are_rejected_not_guessed() {
+        let dts = [DType::F64];
+        let clamp = Clamp {
+            hi: Some((1, 0)),
+            ..Clamp::default()
+        };
+        // A trimmed loop that did not reach strided form stays on the VM.
+        let plain = Item::Loop {
+            var: 0,
+            min: 0,
+            extent: 4,
+            clamp,
+            body: Block::default(),
+            kind: LoopKind::Serial,
+        };
+        assert!(check_item(&plain, &dts).is_err());
+        // Offsets the template cannot encode are refused as well.
+        for plus in [-1, i64::from(i32::MAX) + 1] {
+            let strided = Item::StridedLoop {
+                min: 0,
+                extent: 4,
+                clamp: Clamp {
+                    lo: Some((1, plus)),
+                    ..Clamp::default()
+                },
+                pre: vec![Instr::IConst(0, 0)],
+                bumps: vec![(0, 1)],
+                body: vec![],
+                kind: LoopKind::Serial,
+                lanes: 1,
+            };
+            assert!(check_item(&strided, &dts).is_err(), "offset {plus}");
+        }
     }
 
     #[test]

@@ -172,6 +172,55 @@ pub(crate) struct SlotAccess {
     pub(crate) stride: i64,
 }
 
+/// Dynamic live range of a *trimmed* loop ([`crate::optimize`]'s loop
+/// trimming): the loop body used to be guarded by `var ⋄ e`, and instead
+/// of testing the guard on every iteration the loop visits only the
+/// iterations on which it held. Each side names the integer register
+/// holding `e` (never written inside the loop) and the offset that turns
+/// the comparison into a half-open bound: `var ≥ e` / `var > e` give
+/// `lo = (e, 0)` / `(e, 1)`, `var < e` / `var ≤ e` give `hi = (e, 0)` /
+/// `(e, 1)`. The default — no bound on either side — is an ordinary
+/// loop over its static range.
+///
+/// [`live_range`] is the only place the VM reads a clamp register, and
+/// the x86-64 emitter's trimmed-loop template is that function in machine
+/// code; nothing else may interpret a clamp.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Clamp {
+    /// Iterate only where `var >= iregs[reg] + off`.
+    pub(crate) lo: Option<(Reg, i64)>,
+    /// Iterate only where `var < iregs[reg] + off`.
+    pub(crate) hi: Option<(Reg, i64)>,
+}
+
+impl Clamp {
+    /// Does the loop run its full static range?
+    pub(crate) fn is_none(&self) -> bool {
+        self.lo.is_none() && self.hi.is_none()
+    }
+}
+
+/// The iterations `start..end` a loop over the static range
+/// `[min, min+extent)` actually visits under `clamp`, with the clamp
+/// registers read from `iregs` at loop entry.
+///
+/// **Invariant everything below the optimizer rests on:**
+/// `min ≤ start ≤ end ≤ min+extent` for every register value, so the
+/// live range is a subset of the static range. The compiler derived each
+/// in-bounds proof (the reason the VM and the JIT may use unchecked
+/// `Load`/`Store`) from the loop variable's static interval; visiting
+/// fewer of those iterations keeps every proof valid, visiting any other
+/// would not. Adds saturate, so a bound register holding `i64::MAX` or
+/// `i64::MIN` clamps to the static range instead of wrapping into it.
+pub(crate) fn live_range(min: i64, extent: i64, clamp: Clamp, iregs: &[i64]) -> (i64, i64) {
+    let end = min.saturating_add(extent.max(0));
+    let bound = |(reg, off): (Reg, i64), floor: i64| {
+        iregs[reg as usize].saturating_add(off).clamp(floor, end)
+    };
+    let start = clamp.lo.map_or(min, |b| bound(b, min));
+    (start, clamp.hi.map_or(end, |b| bound(b, start)))
+}
+
 /// One node of the structured program: straight-line code, a counted loop,
 /// or a conditional. Loops keep their bodies as nested blocks so the VM
 /// needs no jump resolution.
@@ -179,14 +228,17 @@ pub(crate) struct SlotAccess {
 pub(crate) enum Item {
     /// Straight-line instructions.
     Code(Vec<Instr>),
-    /// `for ireg[var] in min..min+extent { body }`
+    /// `for ireg[var] in live_range(min, extent, clamp) { body }`
     Loop {
         /// Loop variable register.
         var: Reg,
-        /// Inclusive start.
+        /// Inclusive start of the static range.
         min: i64,
-        /// Trip count.
+        /// Static trip count.
         extent: i64,
+        /// Live range within the static one (none as compiled; set by
+        /// the block optimizer's loop trimming).
+        clamp: Clamp,
         /// Loop body.
         body: Block,
         /// Execution flavor (drives the block optimizer's choices).
@@ -204,14 +256,20 @@ pub(crate) enum Item {
     /// An innermost loop rewritten by the block optimizer
     /// ([`crate::optimize`]) into strided-pointer-bump form: `pre` runs
     /// once per loop entry (loop variable set to `min`, affine index
-    /// registers computed for iteration 0), then `extent` iterations of
-    /// `body` each followed by adding `stride` to every register in
-    /// `bumps`. Registers defined inside an innermost loop are never read
+    /// registers computed for iteration `min`), every register in `bumps`
+    /// is advanced to the first live iteration (`(start − min)·stride`,
+    /// nothing for an untrimmed loop), then each live iteration runs
+    /// `body` followed by adding `stride` to every register in `bumps`.
+    /// Registers defined inside an innermost loop are never read
     /// after it (the compiler emits consumers at the definition block), so
     /// the bumped registers' post-loop values are unobservable.
     StridedLoop {
-        /// Trip count.
+        /// Inclusive start of the static range.
+        min: i64,
+        /// Static trip count.
         extent: i64,
+        /// Live range within the static one (see [`Item::Loop`]).
+        clamp: Clamp,
         /// Loop-entry prelude: loop-var init plus iteration-0 values of
         /// the affine registers, in original program order.
         pre: Vec<Instr>,
@@ -364,6 +422,23 @@ impl CompiledFunc {
                     Item::Loop { body, .. } => count(body),
                     Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
                     Item::StridedLoop { .. } | Item::MulAddLoop { .. } => 1,
+                })
+                .sum()
+        }
+        count(&self.body)
+    }
+
+    /// Number of loops the block optimizer trimmed to a dynamic live
+    /// range (a guard on the loop's own variable turned into bounds).
+    pub fn trimmed_loop_count(&self) -> usize {
+        fn count(b: &Block) -> usize {
+            b.items
+                .iter()
+                .map(|it| match it {
+                    Item::Code(_) | Item::MulAddLoop { .. } | Item::JitCall { .. } => 0,
+                    Item::Loop { clamp, body, .. } => !clamp.is_none() as usize + count(body),
+                    Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
+                    Item::StridedLoop { clamp, .. } => !clamp.is_none() as usize,
                 })
                 .sum()
         }
@@ -978,6 +1053,7 @@ impl Compiler {
                     var: vr,
                     min: *min,
                     extent: *extent,
+                    clamp: Clamp::default(),
                     body: Block { items: blk.items },
                     kind: match kind {
                         tvm_tir::ForKind::Parallel => LoopKind::Parallel {
@@ -1155,7 +1231,7 @@ fn interval_of(
 /// interpreter instead.
 ///
 /// Every schedule-parallel loop is marked *unproven* (it executes
-/// sequentially): this entry backs the scalar rung, whose `vm/v2`
+/// sequentially): this entry backs the scalar rung, whose `vm/v3`
 /// fingerprint promises sequential semantics. The optimized pipeline
 /// threads race-freedom proofs through [`compile_with_proofs`].
 pub fn compile(func: &PrimFunc) -> Result<CompiledFunc, CompileError> {
@@ -1309,6 +1385,79 @@ mod tests {
             },
         };
         assert!(compile(&f).is_err());
+    }
+
+    #[test]
+    fn live_range_is_the_guarded_subset_of_the_static_range() {
+        const MIN: i64 = i64::MIN;
+        const MAX: i64 = i64::MAX;
+        // Bound registers: ireg 0 (lower), ireg 1 (upper).
+        let clamp = |lo: Option<i64>, hi: Option<i64>| Clamp {
+            lo: lo.map(|off| (0, off)),
+            hi: hi.map(|off| (1, off)),
+        };
+        // (min, extent, clamp, lower reg, upper reg) -> expected range.
+        let table = [
+            // No clamp: the static range, whatever the registers hold.
+            (0, 8, clamp(None, None), MIN, MIN, (0, 8)),
+            // Full: bounds outside the static range on both sides.
+            (0, 8, clamp(Some(0), Some(0)), -5, 100, (0, 8)),
+            // Clamped low (`var > e`), clamped high (`var <= e`), both.
+            (0, 8, clamp(Some(1), None), 2, 0, (3, 8)),
+            (0, 8, clamp(None, Some(1)), 0, 4, (0, 5)),
+            (0, 8, clamp(Some(0), Some(0)), 2, 6, (2, 6)),
+            // Empty: bounds crossed, below the range, above the range.
+            (0, 8, clamp(Some(0), Some(0)), 6, 2, (6, 6)),
+            (0, 8, clamp(None, Some(0)), 0, -3, (0, 0)),
+            (0, 8, clamp(Some(0), None), 50, 0, (8, 8)),
+            // Negative static range and bounds.
+            (-10, 6, clamp(Some(0), Some(1)), -8, -6, (-8, -5)),
+            // Registers at the ends of i64: saturate, never wrap.
+            (0, 8, clamp(Some(1), None), MAX, 0, (8, 8)),
+            (0, 8, clamp(None, Some(1)), 0, MAX, (0, 8)),
+            (0, 8, clamp(Some(0), None), MIN, 0, (0, 8)),
+            (0, 8, clamp(None, Some(0)), 0, MIN, (0, 0)),
+            (MIN, 3, clamp(None, Some(1)), 0, MIN, (MIN, MIN + 1)),
+            (MAX - 3, 3, clamp(Some(1), None), MAX, 0, (MAX, MAX)),
+            // Degenerate static ranges.
+            (5, 0, clamp(Some(0), Some(0)), 0, 9, (5, 5)),
+            (5, -2, clamp(None, None), 0, 0, (5, 5)),
+        ];
+        for (min, extent, c, lo, hi, want) in table {
+            assert_eq!(
+                live_range(min, extent, c, &[lo, hi]),
+                want,
+                "min {min} extent {extent} {c:?} lo {lo} hi {hi}"
+            );
+        }
+        // Exhaustively against the guard it replaces, evaluated without
+        // overflow: the live iterations are exactly those on which the
+        // guard holds, inside the static range, never `end < start`.
+        let values = [MIN, MIN + 1, -7, -1, 0, 1, 3, 4, 5, 9, MAX - 1, MAX];
+        for (min, extent) in [(0i64, 5i64), (-3, 7), (4, 1), (2, 0)] {
+            for lo_off in [None, Some(0), Some(1)] {
+                for hi_off in [None, Some(0), Some(1)] {
+                    for lo in values {
+                        for hi in values {
+                            let c = clamp(lo_off, hi_off);
+                            let (start, end) = live_range(min, extent, c, &[lo, hi]);
+                            assert!(min <= start && start <= end && end <= min + extent);
+                            for v in min..min + extent {
+                                let v128 = i128::from(v);
+                                let holds = lo_off
+                                    .is_none_or(|o| v128 >= i128::from(lo) + i128::from(o))
+                                    && hi_off.is_none_or(|o| v128 < i128::from(hi) + i128::from(o));
+                                assert_eq!(
+                                    start <= v && v < end,
+                                    holds,
+                                    "v {v} in {min}+{extent} under {c:?}, lo {lo} hi {hi}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

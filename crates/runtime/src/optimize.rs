@@ -1,11 +1,13 @@
-//! Bytecode block optimizer: strided-pointer-bump loops, fused
-//! multiply-add, and microkernel recognition.
+//! Bytecode block optimizer: fused multiply-add, loop trimming,
+//! strided-pointer-bump loops, and microkernel recognition.
 //!
 //! [`compile_optimized`] is the optimizing counterpart of
 //! [`crate::compile`]: it first runs the TIR pass pipeline
 //! ([`tvm_tir::optimize`] — strength reduction, guard unswitching LICM,
 //! simplification, each re-verified), compiles the result, then applies
-//! three bytecode-level transforms:
+//! four bytecode-level transforms (numbered in the order they landed;
+//! trimming runs before the strided rewrite so that rewrite sees the
+//! straight-line body trimming leaves):
 //!
 //! 1. **FMA peephole** — adjacent `FBin(Mul)`/`FBin(Add)` pairs whose
 //!    product register has exactly one use fuse into
@@ -26,6 +28,23 @@
 //!    strides becomes [`Item::MulAddLoop`], executed by tight slice
 //!    kernels in the VM (`f64` and native-`f32` fast paths, generic
 //!    fallback). This is the 3mm/gemm hot loop.
+//! 4. **Loop trimming** — a loop whose whole body is pure register code
+//!    followed by one `If` without `else` on `var ⋄ e` (`⋄` one of `<`,
+//!    `≤`, `>`, `≥`, either operand order, `e` an integer register the
+//!    loop never writes) stops testing the guard on every iteration and
+//!    instead visits only the iterations on which it holds: the compare
+//!    is dropped, the `then` block becomes the body, and the loop carries
+//!    a [`Clamp`] that [`crate::compile::live_range`] turns into
+//!    `max(min, lo) .. min(min+extent, hi)` at loop entry. This is the
+//!    triangular reduction of lu, cholesky and trmm (`for k in 0..N { if
+//!    k < j { … } }`); with the `If` gone the body is straight-line, so
+//!    transform 2 and the JIT's scalar strided template apply to it
+//!    unchanged. The iterations removed are exactly those whose guard is
+//!    false, on which the untrimmed loop executes pure code whose results
+//!    nothing reads; the iterations kept run in the same ascending order
+//!    with the same instruction sequence, so every reduction keeps its
+//!    accumulation order and the first failing iteration, if any, is the
+//!    same one. See [`try_trim`] for what is refused.
 //!
 //! Why the incremental address update is exact: a register classified
 //! affine holds `base + i·s` at iteration `i`, so bumping by `s` per
@@ -37,16 +56,16 @@
 //! unobservable.
 
 use crate::compile::{
-    compile_with_proofs, Block, CompileError, CompiledFunc, Instr, Item, LoopKind, Reg,
+    compile_with_proofs, Block, Clamp, CompileError, CompiledFunc, Instr, Item, LoopKind, Reg,
     SlotAccess,
 };
 use std::collections::{HashMap, HashSet};
-use tvm_te::{BinOp, DType};
+use tvm_te::{BinOp, CmpOp, DType};
 use tvm_tir::PrimFunc;
 
 /// Version tag of the bytecode engine (compiler + block optimizer +
 /// VM). Bump on any change to instruction semantics or the optimizer.
-pub(crate) const ENGINE_VERSION: &str = "vm/v2";
+pub(crate) const ENGINE_VERSION: &str = "vm/v3";
 
 /// Fingerprint of the full optimization pipeline an execution engine
 /// applies between TIR and measurement: the bytecode engine version,
@@ -370,19 +389,23 @@ fn optimize_block(
                 var,
                 min,
                 extent,
+                clamp,
                 body,
                 kind,
             } => {
                 let body = optimize_block(body, consts, fuse, vn, dts);
-                try_strided(*var, *min, *extent, *kind, &body, consts, vn, dts).unwrap_or(
-                    Item::Loop {
-                        var: *var,
-                        min: *min,
-                        extent: *extent,
-                        body,
-                        kind: *kind,
-                    },
-                )
+                let (body, clamp) =
+                    try_trim(*var, *extent, *kind, *clamp, &body).unwrap_or((body, *clamp));
+                let strided =
+                    try_strided(*var, *min, *extent, clamp, *kind, &body, consts, vn, dts);
+                strided.unwrap_or(Item::Loop {
+                    var: *var,
+                    min: *min,
+                    extent: *extent,
+                    clamp,
+                    body,
+                    kind: *kind,
+                })
             }
             other => other.clone(),
         })
@@ -390,14 +413,184 @@ fn optimize_block(
     Block { items }
 }
 
+/// Can this instruction neither fail nor touch memory? Such an
+/// instruction may run on fewer iterations unobserved, as long as nothing
+/// outside those iterations reads its result.
+fn is_pure(i: &Instr) -> bool {
+    match i {
+        Instr::IBin(op, ..) => !matches!(op, BinOp::Div | BinOp::FloorDiv | BinOp::FloorMod),
+        Instr::IConst(..)
+        | Instr::FConst(..)
+        | Instr::IToF(..)
+        | Instr::IToF32(..)
+        | Instr::FToI(..)
+        | Instr::F32Round(..)
+        | Instr::FBool(..)
+        | Instr::FBin(..)
+        | Instr::FBin32(..)
+        | Instr::ICmp(..)
+        | Instr::FCmp(..)
+        | Instr::And(..)
+        | Instr::Or(..)
+        | Instr::Not(..)
+        | Instr::ISel(..)
+        | Instr::FSel(..)
+        | Instr::FMulAdd { .. } => true,
+        Instr::Call1(..)
+        | Instr::Call2(..)
+        | Instr::Bound { .. }
+        | Instr::Load(..)
+        | Instr::Store(..)
+        | Instr::StoreChecked { .. } => false,
+    }
+}
+
+/// Does this instruction read integer register `r`?
+fn reads_ireg(i: &Instr, r: Reg) -> bool {
+    match i {
+        Instr::IToF(_, s) | Instr::IToF32(_, s) | Instr::Not(_, s) => *s == r,
+        Instr::IBin(_, _, a, b)
+        | Instr::ICmp(_, _, a, b)
+        | Instr::And(_, a, b)
+        | Instr::Or(_, a, b) => *a == r || *b == r,
+        Instr::ISel(_, c, t, f) => *c == r || *t == r || *f == r,
+        Instr::FSel(_, c, _, _) => *c == r,
+        Instr::Bound { idx, .. } | Instr::StoreChecked { idx, .. } => idx.contains(&r),
+        Instr::Load(_, _, addr) | Instr::Store(_, addr, _) => *addr == r,
+        Instr::IConst(..)
+        | Instr::FConst(..)
+        | Instr::FToI(..)
+        | Instr::F32Round(..)
+        | Instr::FBool(..)
+        | Instr::FBin(..)
+        | Instr::FBin32(..)
+        | Instr::FCmp(..)
+        | Instr::Call1(..)
+        | Instr::Call2(..)
+        | Instr::FMulAdd { .. } => false,
+    }
+}
+
+/// Does anything in `b` read integer register `read` or write integer
+/// register `written`? (Already-jitted nests are opaque: yes.)
+fn block_touches(b: &Block, read: Reg, written: Reg) -> bool {
+    let code = |c: &[Instr]| {
+        c.iter()
+            .any(|i| reads_ireg(i, read) || int_dst(i) == Some(written))
+    };
+    let clamped = |c: &Clamp| [c.lo, c.hi].iter().flatten().any(|&(r, _)| r == read);
+    b.items.iter().any(|it| match it {
+        Item::Code(c) => code(c),
+        Item::Loop {
+            var, clamp, body, ..
+        } => *var == written || clamped(clamp) || block_touches(body, read, written),
+        Item::If { cond, then, else_ } => {
+            *cond == read
+                || block_touches(then, read, written)
+                || else_
+                    .as_ref()
+                    .is_some_and(|e| block_touches(e, read, written))
+        }
+        Item::StridedLoop {
+            clamp,
+            pre,
+            bumps,
+            body,
+            ..
+        } => clamped(clamp) || code(pre) || code(body) || bumps.iter().any(|&(r, _)| r == written),
+        Item::MulAddLoop { pre, dst, a, b, .. } => {
+            code(pre) || [dst, a, b].iter().any(|acc| acc.addr == read)
+        }
+        Item::JitCall { .. } => true,
+    })
+}
+
+/// Loop trimming (transform 4 of the module docs): turn a guard on the
+/// loop's own variable into the loop's live range. Returns the new body
+/// and clamp, or `None` to leave the loop exactly as it is. Refused:
+///
+/// - an `else` branch, or any body shape other than `[Code, If]`;
+/// - a condition that is not a single integer `<`/`≤`/`>`/`≥` between
+///   the loop variable and a register the loop never writes — a
+///   conjunction (`cond` defined by `And`) or an affine left side
+///   (`xo·T + xi < N`, the aggressive spaces' split tails) included;
+/// - anything but the `If` reading the condition register;
+/// - an instruction beside the compare that can fail or touch memory:
+///   untrimmed it runs on every iteration, trimmed it would not;
+/// - a proven-parallel loop with work to split: the pool chunks the
+///   static range (the same rule [`try_strided`] applies);
+/// - a loop that is already trimmed.
+fn try_trim(
+    var: Reg,
+    extent: i64,
+    kind: LoopKind,
+    clamp: Clamp,
+    body: &Block,
+) -> Option<(Block, Clamp)> {
+    if !clamp.is_none() || (matches!(kind, LoopKind::Parallel { proven: true }) && extent >= 2) {
+        return None;
+    }
+    let [Item::Code(code), Item::If {
+        cond,
+        then,
+        else_: None,
+    }] = body.items.as_slice()
+    else {
+        return None;
+    };
+    let at = code.iter().position(|i| int_dst(i) == Some(*cond))?;
+    let Instr::ICmp(op, _, a, b) = code[at] else {
+        return None;
+    };
+    // `var ⋄ e`, or `e ⋄ var` read right to left.
+    let (e, var_left) = if a == var {
+        (b, true)
+    } else if b == var {
+        (a, false)
+    } else {
+        return None;
+    };
+    let (lo, hi) = match (op, var_left) {
+        (CmpOp::Lt, true) | (CmpOp::Gt, false) => (None, Some((e, 0))),
+        (CmpOp::Le, true) | (CmpOp::Ge, false) => (None, Some((e, 1))),
+        (CmpOp::Gt, true) | (CmpOp::Lt, false) => (Some((e, 1)), None),
+        (CmpOp::Ge, true) | (CmpOp::Le, false) => (Some((e, 0)), None),
+        (CmpOp::Eq | CmpOp::Ne, _) => return None,
+    };
+    let mut head: Vec<Instr> = code.clone();
+    head.remove(at);
+    let pure = head.iter().all(is_pure);
+    // Splice `then` after what is left of the code, as one `Code` item
+    // when `then` opens with code: a straight-line body stays a single
+    // item, which is what `try_strided` looks for.
+    let mut items = then.items.clone();
+    match items.first_mut() {
+        Some(Item::Code(first)) => {
+            head.append(first);
+            *first = head;
+        }
+        _ if !head.is_empty() => items.insert(0, Item::Code(head)),
+        _ => {}
+    }
+    // What is left is everything but the compare and the `If`: none of
+    // it may read the guard's result or write the bound.
+    let body = Block { items };
+    if e == var || !pure || block_touches(&body, *cond, e) {
+        return None;
+    }
+    Some((body, Clamp { lo, hi }))
+}
+
 /// Rewrite an innermost straight-line loop into strided-pointer-bump
 /// form, and further into a multiply-accumulate microkernel when the
-/// residual body matches.
+/// residual body matches. A trimmed loop (`clamp` set) is planned scalar
+/// and never promoted to a microkernel: those keep a static extent.
 #[allow(clippy::too_many_arguments)]
 fn try_strided(
     var: Reg,
     min: i64,
     extent: i64,
+    clamp: Clamp,
     kind: LoopKind,
     body: &Block,
     consts: &HashMap<Reg, i64>,
@@ -467,16 +660,26 @@ fn try_strided(
             .map(|(&r, &s)| (r, s)),
     );
     bumps.sort_by_key(|&(r, _)| r); // deterministic order
-    if let Some(item) = try_muladd(extent, &pre, &rest, var, &written, &strides, vn) {
-        return Some(item);
+    if clamp.is_none() {
+        if let Some(item) = try_muladd(extent, &pre, &rest, var, &written, &strides, vn) {
+            return Some(item);
+        }
     }
-    if pre.len() <= 1 {
+    if pre.len() <= 1 && clamp.is_none() {
         // Nothing hoisted and no microkernel: the plain loop is as good.
+        // (Not so for a trimmed loop: the strided form is the one the
+        // native backend has a dynamic-trip template for.)
         return None;
     }
-    let lanes = plan_lanes(kind, &rest, dts);
+    let lanes = if clamp.is_none() {
+        plan_lanes(kind, &rest, dts)
+    } else {
+        1
+    };
     Some(Item::StridedLoop {
+        min,
         extent,
+        clamp,
         pre,
         bumps,
         body: rest,
@@ -714,6 +917,273 @@ mod tests {
             Instr::FBin(BinOp::Add, 3, 4, 2),
         ];
         assert_eq!(fma_peephole(&code, &fuse).len(), 2);
+    }
+
+    /// `for r0 in 0..8 { r3 = r0 + r4; <extra>; r2 = cmp; if r2 { A[r3] = A[r3] } }`
+    /// with `r1` the bound register (defined outside the loop).
+    fn guarded_body(cmp: Instr, extra: Vec<Instr>, else_: Option<Block>) -> Block {
+        let mut code = vec![Instr::IBin(BinOp::Add, 3, 0, 4)];
+        code.extend(extra);
+        code.push(cmp);
+        Block {
+            items: vec![
+                Item::Code(code),
+                Item::If {
+                    cond: 2,
+                    then: Block {
+                        items: vec![Item::Code(vec![
+                            Instr::Load(0, 0, 3),
+                            Instr::Store(0, 3, 0),
+                        ])],
+                    },
+                    else_,
+                },
+            ],
+        }
+    }
+
+    fn trim(body: &Block) -> Option<(Block, Clamp)> {
+        try_trim(0, 8, LoopKind::Serial, Clamp::default(), body)
+    }
+
+    #[test]
+    fn every_comparison_trims_to_its_clamp_in_both_operand_orders() {
+        let lo = |off| Clamp {
+            lo: Some((1, off)),
+            ..Clamp::default()
+        };
+        let hi = |off| Clamp {
+            hi: Some((1, off)),
+            ..Clamp::default()
+        };
+        // (op, loop variable on the left?) -> clamp on `var ⋄ r1` / `r1 ⋄ var`.
+        let table = [
+            (CmpOp::Lt, true, hi(0)),
+            (CmpOp::Le, true, hi(1)),
+            (CmpOp::Gt, true, lo(1)),
+            (CmpOp::Ge, true, lo(0)),
+            (CmpOp::Lt, false, lo(1)),
+            (CmpOp::Le, false, lo(0)),
+            (CmpOp::Gt, false, hi(0)),
+            (CmpOp::Ge, false, hi(1)),
+        ];
+        for (op, var_left, want) in table {
+            let (a, b) = if var_left { (0, 1) } else { (1, 0) };
+            let body = guarded_body(Instr::ICmp(op, 2, a, b), vec![], None);
+            let (trimmed, clamp) = trim(&body).unwrap_or_else(|| panic!("{op:?} must trim"));
+            assert_eq!(clamp, want, "{op:?}, loop variable on the left: {var_left}");
+            // The compare is gone and `then` follows the remaining code
+            // in one straight-line item.
+            let [Item::Code(c)] = trimmed.items.as_slice() else {
+                panic!("{op:?}: body must be one Code item, got {trimmed:?}");
+            };
+            assert!(matches!(
+                c.as_slice(),
+                [
+                    Instr::IBin(BinOp::Add, 3, 0, 4),
+                    Instr::Load(0, 0, 3),
+                    Instr::Store(0, 3, 0)
+                ]
+            ));
+            // ... which the strided rewrite then takes, scalar-planned
+            // and never as a microkernel.
+            let item = try_strided(
+                0,
+                0,
+                8,
+                clamp,
+                LoopKind::Vectorized { proven: true },
+                &trimmed,
+                &HashMap::new(),
+                &HashMap::new(),
+                &[DType::F64],
+            );
+            assert!(
+                matches!(item, Some(Item::StridedLoop { clamp: c, lanes: 1, min: 0, .. }) if c == want)
+            );
+        }
+    }
+
+    #[test]
+    fn every_refusal_leaves_the_loop_untouched() {
+        let lt = || Instr::ICmp(CmpOp::Lt, 2, 0, 1);
+        let idx: Box<[Reg]> = vec![3].into_boxed_slice();
+        let refused: Vec<(&str, Block)> = vec![
+            (
+                "else branch",
+                guarded_body(lt(), vec![], Some(Block::default())),
+            ),
+            (
+                "second reader of the condition",
+                guarded_body(lt(), vec![Instr::Not(5, 2)], None),
+            ),
+            (
+                "fallible division",
+                guarded_body(lt(), vec![Instr::IBin(BinOp::FloorMod, 5, 0, 4)], None),
+            ),
+            (
+                "bounds check",
+                guarded_body(
+                    lt(),
+                    vec![Instr::Bound {
+                        buf: 0,
+                        extent: 8,
+                        idx: idx.clone(),
+                    }],
+                    None,
+                ),
+            ),
+            ("load", guarded_body(lt(), vec![Instr::Load(1, 0, 3)], None)),
+            (
+                "store",
+                guarded_body(lt(), vec![Instr::Store(0, 3, 1)], None),
+            ),
+            (
+                "checked store",
+                guarded_body(
+                    lt(),
+                    vec![Instr::StoreChecked {
+                        buf: 0,
+                        idx,
+                        val: 1,
+                    }],
+                    None,
+                ),
+            ),
+            (
+                "call",
+                guarded_body(
+                    lt(),
+                    vec![Instr::Call1(tvm_te::Intrinsic::Sqrt, 1, 1, false)],
+                    None,
+                ),
+            ),
+            (
+                "bound register written in the loop",
+                guarded_body(lt(), vec![Instr::IBin(BinOp::Add, 1, 0, 4)], None),
+            ),
+            (
+                "equality",
+                guarded_body(Instr::ICmp(CmpOp::Eq, 2, 0, 1), vec![], None),
+            ),
+            (
+                "variable against itself",
+                guarded_body(Instr::ICmp(CmpOp::Lt, 2, 0, 0), vec![], None),
+            ),
+            (
+                "affine left side",
+                guarded_body(Instr::ICmp(CmpOp::Lt, 2, 3, 1), vec![], None),
+            ),
+            (
+                "float compare",
+                guarded_body(Instr::FCmp(CmpOp::Lt, 2, 0, 1), vec![], None),
+            ),
+            (
+                "conjunction",
+                guarded_body(
+                    Instr::And(2, 5, 6),
+                    vec![
+                        Instr::ICmp(CmpOp::Lt, 5, 0, 1),
+                        Instr::ICmp(CmpOp::Ge, 6, 0, 4),
+                    ],
+                    None,
+                ),
+            ),
+        ];
+        for (why, body) in &refused {
+            assert!(trim(body).is_none(), "{why}: must not trim");
+            // Through the optimizer the loop comes out exactly as it
+            // went in (no trimming, and an `If` in the body keeps the
+            // strided rewrite away).
+            let item = Item::Loop {
+                var: 0,
+                min: 0,
+                extent: 8,
+                clamp: Clamp::default(),
+                body: body.clone(),
+                kind: LoopKind::Serial,
+            };
+            let before = format!("{item:?}");
+            let out = optimize_block(
+                &Block { items: vec![item] },
+                &HashMap::new(),
+                &HashMap::new(),
+                &HashMap::new(),
+                &[DType::F64],
+            );
+            assert_eq!(format!("{:?}", out.items[0]), before, "{why}");
+        }
+        // The guard read, or the bound written, inside `then`.
+        let mut reads_in_then = guarded_body(lt(), vec![], None);
+        let mut writes_in_then = reads_in_then.clone();
+        for (body, instr) in [
+            (&mut reads_in_then, Instr::IToF(1, 2)),
+            (&mut writes_in_then, Instr::IConst(1, 0)),
+        ] {
+            let Item::If { then, .. } = &mut body.items[1] else {
+                unreachable!()
+            };
+            then.items.push(Item::Code(vec![instr]));
+            assert!(trim(body).is_none());
+        }
+        // A proven-parallel loop with work to split keeps its static
+        // range for the pool; unproven or single-iteration ones trim,
+        // and an already-trimmed loop is not trimmed again.
+        let body = guarded_body(lt(), vec![], None);
+        let proven = LoopKind::Parallel { proven: true };
+        assert!(try_trim(0, 8, proven, Clamp::default(), &body).is_none());
+        assert!(try_trim(0, 1, proven, Clamp::default(), &body).is_some());
+        let unproven = LoopKind::Parallel { proven: false };
+        assert!(try_trim(0, 8, unproven, Clamp::default(), &body).is_some());
+        let (_, clamp) = trim(&body).expect("serial loop trims");
+        assert!(try_trim(0, 8, LoopKind::Serial, clamp, &body).is_none());
+    }
+
+    #[test]
+    fn trimmed_muladd_body_stays_a_strided_loop() {
+        // trmm's guarded body matches the multiply-accumulate pattern;
+        // the microkernels assume a static extent, so a trimmed loop
+        // must stop at strided form.
+        let rest = vec![
+            Instr::Load(0, 0, 3),
+            Instr::Load(1, 1, 3),
+            Instr::Load(2, 2, 3),
+            Instr::FMulAdd {
+                dst: 3,
+                add: 0,
+                a: 1,
+                b: 2,
+                round32: false,
+            },
+            Instr::Store(0, 3, 3),
+        ];
+        let mut code = vec![Instr::IBin(BinOp::Add, 3, 0, 4)];
+        code.extend(rest);
+        let body = Block {
+            items: vec![Item::Code(code)],
+        };
+        let strided = |clamp| {
+            try_strided(
+                0,
+                0,
+                8,
+                clamp,
+                LoopKind::Serial,
+                &body,
+                &HashMap::new(),
+                &HashMap::new(),
+                &[DType::F64; 3],
+            )
+        };
+        assert!(matches!(
+            strided(Clamp::default()),
+            Some(Item::MulAddLoop { .. })
+        ));
+        let clamp = Clamp {
+            lo: Some((1, 1)),
+            ..Clamp::default()
+        };
+        assert!(matches!(strided(clamp), Some(Item::StridedLoop { .. })));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! message matches the interpreter's, which the differential tests in the
 //! workspace enforce across all PolyBench kernels.
 
-use crate::compile::{Block, CompiledFunc, Instr, Item, LoopKind, Reg, SlotAccess};
+use crate::compile::{live_range, Block, CompiledFunc, Instr, Item, LoopKind, Reg, SlotAccess};
 use crate::interp::ExecError;
 use crate::ndarray::NDArray;
 use crate::pool;
@@ -18,6 +18,20 @@ struct Vm<'a> {
     iregs: Vec<i64>,
     fregs: Vec<f64>,
     cf: &'a CompiledFunc,
+    /// Storage base pointers handed to every [`Item::JitCall`], built
+    /// once per VM by [`slot_table`] (empty when nothing is jitted).
+    slots: Vec<*mut u8>,
+}
+
+/// The slot base-pointer table of the JIT ABI, one entry per storage
+/// slot. The pointers stay valid for as long as `storage` is neither
+/// dropped nor resized, which no execution does, so one table serves
+/// every `JitCall` of a run.
+fn slot_table(cf: &CompiledFunc, storage: &mut [NDArray]) -> Vec<*mut u8> {
+    if cf.jit.is_none() {
+        return Vec::new();
+    }
+    storage.iter_mut().map(|a| a.base_ptr_mut()).collect()
 }
 
 impl<'a> Vm<'a> {
@@ -29,34 +43,60 @@ impl<'a> Vm<'a> {
                     var,
                     min,
                     extent,
+                    clamp,
                     body,
                     kind,
                 } => {
+                    // One range computation for static and trimmed
+                    // loops alike (no clamp = the static range).
+                    let (start, end) = live_range(*min, *extent, *clamp, &self.iregs);
                     if let LoopKind::Parallel { proven } = kind {
                         if let Some(plan) =
-                            pool::begin_parallel(*proven, *extent, self.cf.par.as_deref())
+                            pool::begin_parallel(*proven, end - start, self.cf.par.as_deref())
                         {
-                            self.exec_parallel(*var, *min, *extent, body, plan.n_chunks, storage)?;
+                            self.exec_parallel(
+                                *var,
+                                start,
+                                end - start,
+                                body,
+                                plan.n_chunks,
+                                storage,
+                            )?;
                             continue;
                         }
                     }
-                    for it in *min..(min + extent) {
+                    for it in start..end {
                         self.iregs[*var as usize] = it;
                         self.exec_block(body, storage)?;
                     }
                 }
                 Item::StridedLoop {
+                    min,
                     extent,
+                    clamp,
                     pre,
                     bumps,
                     body,
                     ..
                 } => {
+                    let (start, end) = live_range(*min, *extent, *clamp, &self.iregs);
                     // The prelude computes every affine register for
-                    // iteration 0; each iteration then advances them by
-                    // their constant stride instead of recomputing.
+                    // iteration `min`; a trimmed loop then advances them
+                    // to its first live iteration, and each iteration
+                    // advances them by their constant stride instead of
+                    // recomputing. An empty live range runs the (pure)
+                    // prelude and nothing else.
                     self.exec_code(pre, storage)?;
-                    for _ in 0..*extent {
+                    let skip = start - min;
+                    if skip != 0 {
+                        for &(r, s) in bumps.iter() {
+                            // Same wrapping arithmetic as `skip`
+                            // per-iteration bumps.
+                            let v = &mut self.iregs[r as usize];
+                            *v = v.wrapping_add(s.wrapping_mul(skip));
+                        }
+                    }
+                    for _ in start..end {
                         self.exec_code(body, storage)?;
                         for &(r, s) in bumps.iter() {
                             // Wrapping: the bump after the final
@@ -89,18 +129,24 @@ impl<'a> Vm<'a> {
                     let program = self.cf.jit.as_ref().expect("JitCall without program");
                     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
                     {
-                        let slots: Vec<*mut u8> =
-                            storage.iter_mut().map(|a| a.base_ptr_mut()).collect();
+                        assert_eq!(self.slots.len(), storage.len());
                         let f = program.entry_fn(*entry);
                         // Safety: the backend only compiles nests whose
                         // every memory access was statically proven
-                        // in-bounds (no Bound/StoreChecked instructions),
-                        // register indices are < n_iregs/n_fregs by
-                        // construction, and the storage base pointers
-                        // stay valid for the whole call (the VM never
+                        // in-bounds (no Bound/StoreChecked instructions;
+                        // a trimmed loop visits a subset of the
+                        // iterations the proofs cover, see
+                        // `compile::live_range`), register indices are
+                        // < n_iregs/n_fregs by construction, and the
+                        // storage base pointers in `self.slots` stay
+                        // valid for the whole execution (the VM never
                         // resizes storage mid-execution).
                         unsafe {
-                            f(self.iregs.as_mut_ptr(), self.fregs.as_mut_ptr(), slots.as_ptr())
+                            f(
+                                self.iregs.as_mut_ptr(),
+                                self.fregs.as_mut_ptr(),
+                                self.slots.as_ptr(),
+                            )
                         };
                     }
                     #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
@@ -169,12 +215,13 @@ impl<'a> Vm<'a> {
         let cf = self.cf;
         pool::run_chunks(n_chunks, &|c| {
             let (lo, hi) = pool::chunk_range(min, extent, c, n_chunks);
+            let st = unsafe { std::slice::from_raw_parts_mut(shared.0, shared.1) };
             let mut vm = Vm {
                 iregs: iregs.clone(),
                 fregs: fregs.clone(),
                 cf,
+                slots: slot_table(cf, st),
             };
-            let st = unsafe { std::slice::from_raw_parts_mut(shared.0, shared.1) };
             for it in lo..hi {
                 vm.iregs[var as usize] = it;
                 if let Err(e) = vm.exec_block(body, st) {
@@ -689,6 +736,7 @@ pub fn execute(cf: &CompiledFunc, args: &mut [NDArray]) -> Result<(), ExecError>
         iregs: vec![0; cf.n_iregs],
         fregs: vec![0.0; cf.n_fregs],
         cf,
+        slots: slot_table(cf, &mut storage),
     };
     vm.exec_block(&cf.body, &mut storage)?;
     for (i, a) in args.iter_mut().enumerate() {

@@ -330,7 +330,7 @@ fn jit_rung_demotion_is_replay_identical() {
         assert!(
             replay[3..]
                 .iter()
-                .all(|r| r.pipeline.as_deref() == Some("vm/v2+tir-opt/v1+par/v1")),
+                .all(|r| r.pipeline.as_deref() == Some(tvm_runtime::engine_fingerprint().as_str())),
             "post-demotion records carry the optimized-VM fingerprint"
         );
 

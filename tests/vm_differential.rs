@@ -14,10 +14,12 @@ use polybench::molds::mold_for;
 use polybench::{KernelName, ProblemSize};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use tvm_runtime::interp::ExecError;
 use tvm_runtime::{compile, compile_optimized, default_backend, interp, vm, Device, NDArray};
-use tvm_te::DType;
+use tvm_te::{placeholder, CmpOp, DType, PrimExpr, Var};
+use tvm_tir::builder::{for_kind, if_else, seq, ser, store, when, FuncBuilder};
+use tvm_tir::{ForKind, PrimFunc, Stmt};
 
 const KERNELS: [KernelName; 7] = [
     KernelName::Mm3,
@@ -71,8 +73,136 @@ fn assert_engines_agree(func: &tvm_tir::PrimFunc, args: &[NDArray], context: &st
     }
 }
 
+/// A generated triangular nest — the shape loop trimming rewrites, and
+/// its near misses: `for i, j { for k in kmin..kmin+K { if k ⋄ a·i + b·j
+/// + c { body } } }` with a random comparison, operand order and
+/// coefficients (live ranges that come out empty, full and partial),
+/// extents down to 1, f32 or f64, a reduction into `A[i,j]` or an
+/// elementwise write of `C[i,j,k]`, optionally a second statement after
+/// the guarded one or an `else` (neither may be trimmed, both must still
+/// agree), any loop kind on `k`, and optionally a `Parallel` outer loop.
+fn triangular_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String) {
+    let dtype = if rng.gen_bool(0.5) {
+        DType::F32
+    } else {
+        DType::F64
+    };
+    let (ei, ej) = (rng.gen_range(1..=4usize), rng.gen_range(1..=4usize));
+    let kext = [1usize, 2, 3, 5, 8][rng.gen_range(0..5usize)];
+    let kmin: i64 = [-2, 0, 0, 3][rng.gen_range(0..4usize)];
+    // Weighted towards what trimming accepts; `==`/`!=`, an `else`, a
+    // second statement and a (provably race-free) parallel `k` are the
+    // near misses that must come through untrimmed and unchanged.
+    const OPS: [CmpOp; 10] = [
+        CmpOp::Lt,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Gt,
+        CmpOp::Ge,
+        CmpOp::Ge,
+        CmpOp::Eq,
+        CmpOp::Ne,
+    ];
+    const K_KINDS: [ForKind; 6] = [
+        ForKind::Serial,
+        ForKind::Serial,
+        ForKind::Serial,
+        ForKind::Serial,
+        ForKind::Parallel,
+        ForKind::Vectorized,
+    ];
+    let op = OPS[rng.gen_range(0..OPS.len())];
+    let var_left = rng.gen_bool(0.5);
+    let (ca, cb) = (rng.gen_range(-1..=2i64), rng.gen_range(-1..=2i64));
+    let cc = rng.gen_range(kmin - 2..=kmin + kext as i64 + 1);
+    let reduction = rng.gen_bool(0.5);
+    let second_stmt = rng.gen_bool(0.15);
+    let with_else = rng.gen_bool(0.15);
+    let k_kind = K_KINDS[rng.gen_range(0..K_KINDS.len())];
+    let outer_kind = if rng.gen_bool(0.3) {
+        ForKind::Parallel
+    } else {
+        ForKind::Serial
+    };
+    let context = format!(
+        "{dtype:?} {ei}x{ej}x{kext} kmin {kmin} {op:?} var_left {var_left} bound {ca}i+{cb}j+{cc} \
+         reduction {reduction} second {second_stmt} else {with_else} k {k_kind:?} outer {outer_kind:?}"
+    );
+
+    let a = placeholder([ei, ej], dtype, "A");
+    let x = placeholder([kext], dtype, "X");
+    let b = placeholder([kext, ej], dtype, "B");
+    let c = placeholder([ei, ej, kext], dtype, "C");
+    let mut fb = FuncBuilder::new("tri");
+    let ab = fb.param(&a);
+    let _xb = fb.param(&x);
+    let _bb = fb.param(&b);
+    let cb_buf = fb.param(&c);
+
+    let body = for_kind("i", ei as i64, outer_kind, |i| {
+        ser("j", ej as i64, |j| {
+            let k = Var::index("k");
+            let ke = k.expr();
+            let k0 = ke.clone() - kmin; // buffer index of iteration `k`
+            let bound = i.clone() * ca + j.clone() * cb + cc;
+            let guard = if var_left {
+                PrimExpr::cmp(op, ke, bound)
+            } else {
+                PrimExpr::cmp(op, bound, ke)
+            };
+            let kx = [k0.clone()];
+            let cell = [i.clone(), j.clone()];
+            let out = [i.clone(), j.clone(), k0.clone()];
+            let guarded = if reduction {
+                store(
+                    &ab,
+                    &cell,
+                    a.at(&cell) - x.at(&kx) * b.at(&[k0.clone(), j.clone()]),
+                )
+            } else {
+                store(&cb_buf, &out, x.at(&kx) + b.at(&[k0.clone(), j.clone()]))
+            };
+            let other = store(&cb_buf, &out, c.at(&out) * x.at(&kx));
+            let mut stmt = if with_else {
+                if_else(guard, guarded, other.clone())
+            } else {
+                when(guard, guarded)
+            };
+            if second_stmt {
+                stmt = seq([stmt, other]);
+            }
+            Stmt::For {
+                var: k,
+                min: kmin,
+                extent: kext as i64,
+                kind: k_kind,
+                body: Box::new(stmt),
+            }
+        })
+    });
+    let func = fb.build(body);
+    let args = vec![
+        NDArray::random(&[ei, ej], dtype, 1, -1.0, 1.0),
+        NDArray::random(&[kext], dtype, 2, -1.0, 1.0),
+        NDArray::random(&[kext, ej], dtype, 3, -1.0, 1.0),
+        NDArray::random(&[ei, ej, kext], dtype, 4, -1.0, 1.0),
+    ];
+    (func, args, context)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn generated_triangular_nests_match_on_all_four_engines(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..32 {
+            let (func, args, context) = triangular_nest(&mut rng);
+            assert_engines_agree(&func, &args, &context);
+        }
+    }
 
     #[test]
     fn every_kernel_matches_under_random_configs(seed in any::<u64>()) {
@@ -118,13 +248,90 @@ fn error_classification_matches_on_malformed_args() {
 }
 
 #[test]
+fn trimming_is_not_vacuous_and_errors_inside_the_live_range_match() {
+    // for j in 0..8 { for k in 0..8 { if k < j { <store> } } }: the
+    // guard becomes the loop's live range on the optimized engines.
+    type Guarded<'a> = &'a dyn Fn(&std::sync::Arc<tvm_tir::Buffer>, PrimExpr, PrimExpr) -> Stmt;
+    let a = placeholder([8], DType::F64, "A");
+    let x = placeholder([8], DType::F64, "X");
+    let args = vec![
+        NDArray::random(&[8], DType::F64, 5, -1.0, 1.0),
+        NDArray::random(&[8], DType::F64, 6, -1.0, 1.0),
+    ];
+    let build = |guarded: Guarded| {
+        let mut fb = FuncBuilder::new("guarded");
+        let ab = fb.param(&a);
+        let _xb = fb.param(&x);
+        fb.build(ser("j", 8, |j| {
+            ser("k", 8, |k| {
+                when(
+                    PrimExpr::cmp(CmpOp::Lt, k.clone(), j.clone()),
+                    guarded(&ab, j, k),
+                )
+            })
+        }))
+    };
+    // In bounds: trimmed, and (on x86-64) the trimmed loop reaches the JIT.
+    let ok = build(&|ab, j, k| {
+        let (jx, kx) = ([j], [k]);
+        store(ab, &jx, a.at(&jx) - x.at(&kx) * x.at(&kx))
+    });
+    let cf = compile_optimized(&ok).expect("optimized compile");
+    assert_eq!(cf.trimmed_loop_count(), 1, "the k loop must be trimmed");
+    assert_eq!(
+        compile(&ok).expect("compile").trimmed_loop_count(),
+        0,
+        "scalar rung untouched"
+    );
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    {
+        let jitted = default_backend()
+            .jit_compile(&cf)
+            .expect("trimmed loop must jit");
+        assert!(jitted.jit_nest_count() > 0);
+        let simd = jitted.jit_simd_report().expect("jitted");
+        assert_eq!(simd.scalar_reasons.get("dynamic-extent"), Some(&1));
+    }
+    assert_engines_agree(&ok, &args, "in-bounds guarded reduction");
+    // Out of bounds inside the live range — a store at k = 5 (first
+    // live at j = 6), and a read likewise: the same `ExecError` from the
+    // same iteration on every engine, arguments untouched.
+    let bad_store = build(&|ab, _, k| store(ab, &[k.clone() + 3i64], x.at(&[k])));
+    let bad_read = build(&|ab, _, k| {
+        let at = [k.clone()];
+        store(ab, &at, x.at(&[k + 3i64]))
+    });
+    for (func, what) in [(&bad_store, "store"), (&bad_read, "read")] {
+        assert!(
+            compile_optimized(func)
+                .expect("compile")
+                .trimmed_loop_count()
+                > 0,
+            "{what}"
+        );
+        let mut run = args.clone();
+        let err = interp::execute(func, &mut run).expect_err("index 8 of 8");
+        assert!(
+            matches!(&err, ExecError::OutOfBounds { indices, .. } if indices == &[8]),
+            "{what}: {err:?}"
+        );
+        assert_engines_agree(
+            func,
+            &args,
+            &format!("out-of-bounds {what} in the live range"),
+        );
+    }
+}
+
+#[test]
 fn optimizer_transforms_polybench_hot_loops() {
     // The four-engine differential above is only meaningful if the
-    // optimized pipeline actually rewrites these kernels: the matrix
-    // kernels' contiguous mul-add inner loops must be promoted to
-    // strided loops or recognized as microkernels.
+    // optimized pipeline actually rewrites these kernels: every kernel's
+    // inner loops must be promoted to strided loops or recognized as
+    // microkernels, and the triangular kernels' guarded reductions must
+    // be trimmed to their live range.
     let mut any_microkernel = false;
-    for kernel in [KernelName::Gemm, KernelName::Mm3, KernelName::Mm2] {
+    for kernel in KERNELS {
         let mold = mold_for(kernel, ProblemSize::Mini);
         let func = mold.instantiate(&mold.space().default_configuration());
         let cf = compile_optimized(&func).expect("optimized compile");
@@ -133,6 +340,16 @@ fn optimizer_transforms_polybench_hot_loops() {
             "{}: optimizer left every inner loop scalar",
             mold.name()
         );
+        if matches!(
+            kernel,
+            KernelName::Lu | KernelName::Cholesky | KernelName::Trmm
+        ) {
+            assert!(
+                cf.trimmed_loop_count() > 0,
+                "{}: the guarded reduction still iterates over its guard",
+                mold.name()
+            );
+        }
         any_microkernel |= cf.microkernel_count() > 0;
     }
     assert!(
@@ -144,11 +361,11 @@ fn optimizer_transforms_polybench_hot_loops() {
 #[test]
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn jit_actually_compiles_polybench_hot_loops() {
-    // Non-vacuity for the fourth engine: on x86-64 the matrix kernels
-    // must reach real machine code (compiled-nest counter > 0), not
-    // silently fall back to the optimized VM.
+    // Non-vacuity for the fourth engine: on x86-64 every kernel must
+    // reach real machine code (compiled-nest counter > 0), not silently
+    // fall back to the optimized VM.
     let backend = default_backend();
-    for kernel in [KernelName::Gemm, KernelName::Mm3, KernelName::Mm2] {
+    for kernel in KERNELS {
         let mold = mold_for(kernel, ProblemSize::Mini);
         let func = mold.instantiate(&mold.space().default_configuration());
         let cf = compile_optimized(&func).expect("optimized compile");
