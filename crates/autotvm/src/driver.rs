@@ -22,9 +22,10 @@ use crate::measure::{
 };
 use crate::tuner::Tuner;
 use configspace::Configuration;
-use rayon::prelude::*;
 use std::path::Path;
+use std::sync::OnceLock;
 use std::time::Instant;
+use tvm_runtime::pool;
 use ytopt_bo::database::{DbRecord, PerformanceDatabase};
 use ytopt_bo::fault::{panic_message, MeasureError};
 use ytopt_bo::journal::{divergence_error, pipeline_mismatch_error, TrialJournal, TrialRecord};
@@ -225,8 +226,11 @@ pub fn resume_from_journal(
     run_rounds(tuner, evaluator, opts, Some(tape), 1, &in_place(evaluator))
 }
 
-/// Like [`tune`], but measure each round's batch **concurrently** on the
-/// rayon thread pool (the evaluator must be `Sync`).
+/// Like [`tune`], but measure each round's batch **concurrently** on
+/// `tvm_runtime::pool` (the evaluator must be `Sync`): the wave is cut into
+/// at most `pool::num_threads()` contiguous chunks. A chunk body runs in the
+/// pool's serial scope, so a kernel's own `Parallel` loops run sequentially
+/// under a concurrent measurement instead of oversubscribing the machine.
 ///
 /// Process-time accounting charges the *maximum* evaluation time of each
 /// batch — the wall-clock a `batch`-wide worker pool would observe — plus
@@ -242,23 +246,35 @@ pub fn tune_parallel<E: Evaluator + Sync>(
     evaluator: &E,
     opts: TuneOptions,
 ) -> TuningResult {
-    // Each worker catches its own panic so one crashed measurement cannot
-    // kill the batch.
-    let measure = |wave: &[&Configuration]| -> Vec<MeasureResult> {
-        wave.par_iter()
-            .map(|cfg| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluator.evaluate(cfg)))
-                    .unwrap_or_else(|payload| {
-                        MeasureResult::fail(
-                            MeasureError::RuntimeCrash(format!(
-                                "measurement worker panicked: {}",
-                                panic_message(payload.as_ref())
-                            )),
-                            0.0,
-                        )
-                    })
+    // Each measurement catches its own panic so one crashed configuration
+    // cannot kill the batch.
+    let measure_one = |cfg: &Configuration| -> MeasureResult {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluator.evaluate(cfg)))
+            .unwrap_or_else(|payload| {
+                MeasureResult::fail(
+                    MeasureError::RuntimeCrash(format!(
+                        "measurement worker panicked: {}",
+                        panic_message(payload.as_ref())
+                    )),
+                    0.0,
+                )
             })
-            .collect()
+    };
+    let measure = |wave: &[&Configuration]| -> Vec<MeasureResult> {
+        // One slot per configuration: results come back in the wave's
+        // order whichever thread measured them.
+        let slots: Vec<OnceLock<MeasureResult>> = wave.iter().map(|_| OnceLock::new()).collect();
+        let n_chunks = wave.len().min(pool::num_threads());
+        if n_chunks > 0 {
+            pool::run_chunks(n_chunks, &|c| {
+                let (lo, hi) = pool::chunk_range(0, wave.len() as i64, c, n_chunks);
+                for i in lo as usize..hi as usize {
+                    let _ = slots[i].set(measure_one(wave[i]));
+                }
+            });
+        }
+        let filled = slots.into_iter().map(OnceLock::into_inner);
+        filled.map(|r| r.expect("every chunk ran")).collect()
     };
     run_rounds(tuner, evaluator, opts, None, usize::MAX, &measure)
         .expect("journal-free tuning cannot do I/O")
@@ -662,6 +678,40 @@ mod tests {
             assert_eq!(err.kind(), "runtime_crash");
             assert!(err.message().contains("measurement exploded"));
         }
+    }
+
+    #[test]
+    fn parallel_tuning_runs_measurements_as_pool_chunks() {
+        // A measurement is a chunk body of `tvm_runtime::pool`: a
+        // kernel's own `Parallel` loop under it must not dispatch, and on
+        // a one-thread budget the lone chunk stays on the caller (no
+        // worker spawned or woken).
+        let caller = std::thread::current().id();
+        let (counters, plain) = (pool::ParCounters::new(), evaluator());
+        let ev = FnEvaluator::new(space(), |c| {
+            assert!(pool::begin_parallel(true, 8, Some(&counters)).is_none());
+            assert_eq!(std::thread::current().id(), caller);
+            plain.evaluate(c)
+        });
+        let opts = TuneOptions {
+            max_evals: 24,
+            batch: 8,
+            max_process_s: None,
+        };
+        // The only test in this crate that moves the process-global
+        // budget (`pool::test_threads_lock` is private to the runtime);
+        // the others hold at any budget, so it only has to put it back.
+        let budget = pool::num_threads();
+        pool::set_num_threads(1);
+        let par = tune_parallel(&mut YtoptTuner::new(space(), 3), &ev, opts);
+        pool::set_num_threads(budget);
+        assert_eq!(par.failed(), 0, "an assertion above became a crashed trial");
+        let serial_context = ("serial-context".to_string(), 24);
+        assert_eq!(counters.snapshot().fallback_reasons, vec![serial_context]);
+
+        let seq = tune(&mut YtoptTuner::new(space(), 3), &plain, opts);
+        let keys = |r: &TuningResult| r.trials.iter().map(|t| t.config.key()).collect::<Vec<_>>();
+        assert_eq!(keys(&par), keys(&seq), "the sequential trajectory");
     }
 
     #[test]

@@ -30,13 +30,12 @@
 
 use crate::measure::{Evaluator, MeasureResult};
 use configspace::{ConfigSpace, Configuration};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use ytopt_bo::fault::{panic_message, MeasureError};
 
@@ -396,24 +395,23 @@ impl<E> FaultInjector<E> {
     /// Decide this attempt's fate: `Err(fault)` or `Ok(extra latency)`.
     fn inject(&self, config: &Configuration) -> Result<f64, MeasureError> {
         let key = config.key();
+        // Entered even if a holder panicked: an injected crash must not
+        // poison the injector, and each update is one counter bump.
+        let mut attempts = self.attempts.lock().unwrap_or_else(PoisonError::into_inner);
+        let counter = attempts.entry(key.clone()).or_insert(0);
         // Static rejection is keyed on the configuration alone (attempt
         // pinned to 0): the verdict of a deterministic analyzer cannot
-        // change on retry.
+        // change on retry. The entry above still consumes this attempt's
+        // slot so later classes keep their per-attempt draws aligned with
+        // unrejected runs.
         if self.plan.static_reject > 0.0 && self.draw(&key, 0, 2) < self.plan.static_reject {
-            // Still consume this attempt's slot so later classes keep
-            // their per-attempt draws aligned with unrejected runs.
-            self.attempts.lock().entry(key.clone()).or_insert(0);
             return Err(MeasureError::StaticReject(format!(
                 "injected static rejection for {key} (TIR-OOB)"
             )));
         }
-        let attempt = {
-            let mut map = self.attempts.lock();
-            let counter = map.entry(key.clone()).or_insert(0);
-            let current = *counter;
-            *counter += 1;
-            current
-        };
+        let attempt = *counter;
+        *counter += 1;
+        drop(attempts);
         let u = self.draw(&key, attempt, 0);
         let p = &self.plan;
         let mut acc = p.build_failed;

@@ -100,7 +100,7 @@ pub struct Experiment {
     /// Problem-size class.
     pub size: String,
     /// Parameter-space cardinality (Table 1 column).
-    pub space_size: u128,
+    pub space_size: u64,
     /// Outcomes in [`TUNER_NAMES`] order.
     pub outcomes: Vec<TunerOutcome>,
 }
@@ -118,7 +118,8 @@ pub fn run_comparison(
     opts: ExperimentOptions,
 ) -> Experiment {
     let space = polybench::spaces::space_for(kernel, size);
-    let space_size = space.size().expect("paper spaces are discrete");
+    let space_size = u64::try_from(space.size().expect("paper spaces are discrete"))
+        .expect("paper spaces fit in u64 (largest: 228 614 400)");
 
     let tune_opts = TuneOptions {
         max_evals: opts.max_evals,

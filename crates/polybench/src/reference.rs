@@ -1,11 +1,10 @@
 //! Plain-Rust reference implementations (the PolyBench C algorithms),
 //! used to verify every mold configuration numerically.
 //!
-//! Matmuls parallelize over output rows with rayon; the factorizations
-//! parallelize the trailing update of each elimination step — the safe
-//! data-parallel structure of the right-looking algorithms.
+//! Sequential, row by row: matmuls walk the output rows, the
+//! factorizations the trailing update of each elimination step of the
+//! right-looking algorithms.
 
-use rayon::prelude::*;
 use tvm_runtime::NDArray;
 use tvm_te::DType;
 
@@ -17,7 +16,7 @@ pub fn matmul(a: &NDArray, b: &NDArray) -> NDArray {
     let av = a.to_f64_vec();
     let bv = b.to_f64_vec();
     let mut cv = vec![0.0f64; n * m];
-    cv.par_chunks_mut(m).enumerate().for_each(|(i, row)| {
+    cv.chunks_mut(m).enumerate().for_each(|(i, row)| {
         for k in 0..ka {
             let aik = av[i * ka + k];
             let brow = &bv[k * m..(k + 1) * m];
@@ -66,23 +65,13 @@ pub fn syrk(alpha: f64, beta: f64, a: &NDArray, c: &NDArray) -> NDArray {
     assert_eq!(c.shape(), &[n, n]);
     let av = a.to_f64_vec();
     let mut out = c.clone();
-    let rows: Vec<Vec<f64>> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            (0..=i)
-                .map(|j| {
-                    let mut acc = beta * c.get(&[i, j]);
-                    for k in 0..m {
-                        acc += alpha * av[i * m + k] * av[j * m + k];
-                    }
-                    acc
-                })
-                .collect()
-        })
-        .collect();
-    for (i, row) in rows.into_iter().enumerate() {
-        for (j, v) in row.into_iter().enumerate() {
-            out.set(&[i, j], v);
+    for i in 0..n {
+        for j in 0..=i {
+            let mut acc = beta * c.get(&[i, j]);
+            for k in 0..m {
+                acc += alpha * av[i * m + k] * av[j * m + k];
+            }
+            out.set(&[i, j], acc);
         }
     }
     out
@@ -123,10 +112,9 @@ pub fn lu(a: &NDArray) -> NDArray {
         for i in k + 1..n {
             v[i * n + k] /= pivot;
         }
-        // Trailing update rows are independent: parallelize.
         let (top, rest) = v.split_at_mut((k + 1) * n);
         let urow = &top[k * n..];
-        rest.par_chunks_mut(n).for_each(|row| {
+        rest.chunks_mut(n).for_each(|row| {
             let lik = row[k];
             for j in k + 1..n {
                 row[j] -= lik * urow[j];
@@ -159,7 +147,7 @@ pub fn cholesky(a: &NDArray) -> NDArray {
         let col_k: Vec<f64> = (0..n).map(|i| v[i * n + k]).collect();
         let base = k + 1;
         v[base * n..]
-            .par_chunks_mut(n)
+            .chunks_mut(n)
             .enumerate()
             .for_each(|(off, row)| {
                 let i = base + off;

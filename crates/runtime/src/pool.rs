@@ -4,7 +4,7 @@
 //! and reused for every trial afterwards — the steady state performs
 //! **zero thread spawns per trial** ([`threads_spawned`] is monotonic
 //! and observable, so benches can assert pool reuse). Workers are plain
-//! `std::thread`s parked on a `parking_lot` condvar.
+//! `std::thread`s parked on a condvar.
 //!
 //! # Dispatch model
 //!
@@ -19,24 +19,19 @@
 //!
 //! # Arbitration
 //!
-//! Two guards keep the pool from oversubscribing the machine:
-//!
-//! - **Rayon workers run sequentially.** `autotvm::tune_parallel`
-//!   measures trials on rayon worker threads; a device pool fanning out
-//!   *inside* each measurement worker would multiply thread counts and
-//!   wreck timing fidelity. The eligibility
-//!   check ([`begin_parallel`]) detects rayon workers via
-//!   `rayon::current_thread_index()` and caps them to sequential
-//!   execution with a counted reason.
-//! - **No nested dispatch.** Chunk bodies run inside a thread-local
-//!   serial scope; a proven-parallel loop nested inside a dispatched
-//!   chunk executes sequentially (counted), instead of deadlocking or
-//!   exploding the pool.
+//! One rule keeps the pool from oversubscribing the machine: **no nested
+//! dispatch.** Chunk bodies run inside a thread-local serial scope; a
+//! proven-parallel loop reached from inside a dispatched chunk executes
+//! sequentially (counted as `serial-context`), instead of deadlocking or
+//! exploding the pool. `autotvm::tune_parallel` measures a wave of trials
+//! as chunks of this pool, so a kernel's own `Parallel` loops under a
+//! concurrent measurement fall under the same rule — fanning out *inside*
+//! each measurement would multiply thread counts and wreck timing
+//! fidelity.
 
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Version tag of the parallel execution layer, folded into
 /// [`crate::optimize::engine_fingerprint`] (and therefore into memo
@@ -76,21 +71,26 @@ pub enum SerialReason {
     SingleThread,
     /// Fewer than two iterations — nothing to split.
     TrivialExtent,
-    /// Already inside a dispatched chunk (nested parallel loop).
+    /// Already inside a dispatched chunk: a nested parallel loop, or a
+    /// kernel measured as one chunk of a `tune_parallel` wave.
     SerialContext,
-    /// On a rayon measurement worker; the device pool caps to one
-    /// thread to avoid oversubscription.
-    MeasurementWorker,
 }
 
 impl SerialReason {
+    /// Every reason; `reason as usize` indexes [`ParCounters`]' fallbacks.
+    const ALL: [SerialReason; 4] = [
+        SerialReason::Unproven,
+        SerialReason::SingleThread,
+        SerialReason::TrivialExtent,
+        SerialReason::SerialContext,
+    ];
+
     fn label(self) -> &'static str {
         match self {
             SerialReason::Unproven => "unproven-race",
             SerialReason::SingleThread => "single-thread",
             SerialReason::TrivialExtent => "trivial-extent",
             SerialReason::SerialContext => "serial-context",
-            SerialReason::MeasurementWorker => "measurement-worker",
         }
     }
 }
@@ -105,11 +105,7 @@ pub struct ParCounters {
     loops_proven: AtomicU64,
     loops_unproven: AtomicU64,
     dispatches: AtomicU64,
-    seq_unproven: AtomicU64,
-    seq_single_thread: AtomicU64,
-    seq_trivial_extent: AtomicU64,
-    seq_serial_context: AtomicU64,
-    seq_measurement_worker: AtomicU64,
+    sequential: [AtomicU64; SerialReason::ALL.len()],
 }
 
 impl ParCounters {
@@ -131,31 +127,15 @@ impl ParCounters {
 
     /// Record one sequential fallback with its reason.
     pub fn record_fallback(&self, reason: SerialReason) {
-        let ctr = match reason {
-            SerialReason::Unproven => &self.seq_unproven,
-            SerialReason::SingleThread => &self.seq_single_thread,
-            SerialReason::TrivialExtent => &self.seq_trivial_extent,
-            SerialReason::SerialContext => &self.seq_serial_context,
-            SerialReason::MeasurementWorker => &self.seq_measurement_worker,
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
+        self.sequential[reason as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Consistent snapshot (reasons sorted, zero-count reasons elided),
     /// including the global pool facts.
     pub fn snapshot(&self) -> ParStats {
-        let reasons = [
-            (SerialReason::Unproven, &self.seq_unproven),
-            (SerialReason::SingleThread, &self.seq_single_thread),
-            (SerialReason::TrivialExtent, &self.seq_trivial_extent),
-            (SerialReason::SerialContext, &self.seq_serial_context),
-            (
-                SerialReason::MeasurementWorker,
-                &self.seq_measurement_worker,
-            ),
-        ];
-        let mut fallback_reasons: Vec<(String, u64)> = reasons
+        let mut fallback_reasons: Vec<(String, u64)> = SerialReason::ALL
             .iter()
+            .zip(&self.sequential)
             .map(|(r, c)| (r.label().to_string(), c.load(Ordering::Relaxed)))
             .filter(|(_, n)| *n > 0)
             .collect();
@@ -285,8 +265,6 @@ pub fn begin_parallel(
         Some(SerialReason::TrivialExtent)
     } else if in_serial_scope() {
         Some(SerialReason::SerialContext)
-    } else if rayon::current_thread_index().is_some() {
-        Some(SerialReason::MeasurementWorker)
     } else if num_threads() < 2 {
         Some(SerialReason::SingleThread)
     } else {
@@ -326,6 +304,13 @@ pub fn chunk_range(min: i64, extent: i64, c: usize, n: usize) -> (i64, i64) {
 // The pool
 // ---------------------------------------------------------------------
 
+/// Enter `m` even if a holder panicked. Chunk panics are caught before
+/// any pool lock is taken, and every critical section here is a single
+/// queue or flag update, so the data is valid whatever a panic left behind.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct Job {
     /// Type-erased chunk runner. Points at the caller's closure; the
     /// caller does not return from `run_chunks` until every chunk has
@@ -341,7 +326,6 @@ struct Job {
     done_cv: Condvar,
     /// First captured panic payload, rethrown on the calling thread.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    panicked: AtomicBool,
 }
 
 struct TaskPtr(*const (dyn Fn(usize) + Sync));
@@ -394,18 +378,18 @@ fn worker_loop() {
     let p = pool();
     loop {
         let job = {
-            let mut q = p.queue.lock();
+            let mut q = lock(&p.queue);
             loop {
                 if let Some(j) = q.front() {
                     break Arc::clone(j);
                 }
-                p.work_cv.wait(&mut q);
+                q = p.work_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
         run_job_chunks(&job);
         // The job is exhausted (claiming failed); drop it from the
         // queue if the caller hasn't already.
-        let mut q = p.queue.lock();
+        let mut q = lock(&p.queue);
         if let Some(front) = q.front() {
             if Arc::ptr_eq(front, &job) {
                 q.pop_front();
@@ -429,12 +413,10 @@ fn run_job_chunks(job: &Job) {
             run_sequential(|| unsafe { (*task)(c) })
         }));
         if let Err(payload) = result {
-            if !job.panicked.swap(true, Ordering::Relaxed) {
-                *job.panic.lock() = Some(payload);
-            }
+            lock(&job.panic).get_or_insert(payload);
         }
         if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = job.done_lock.lock();
+            let _g = lock(&job.done_lock);
             job.done_cv.notify_all();
         }
     }
@@ -446,7 +428,12 @@ fn run_job_chunks(job: &Job) {
 /// (first panic wins). `n_chunks` must be ≥ 1.
 pub fn run_chunks(n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
     assert!(n_chunks >= 1, "run_chunks needs at least one chunk");
-    ensure_workers(n_chunks.saturating_sub(1));
+    if n_chunks == 1 {
+        // Nothing to share: the caller runs the only chunk, no worker is
+        // spawned or woken (`tune_parallel` under a one-thread budget).
+        return run_sequential(|| f(0));
+    }
+    ensure_workers(n_chunks - 1);
     // The transmute erases the borrow's lifetime so the job can sit in
     // the pool's 'static queue; `run_chunks` blocks until pending == 0
     // below, so no worker touches `f` after we return (see `TaskPtr`'s
@@ -464,11 +451,10 @@ pub fn run_chunks(n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
         done_lock: Mutex::new(()),
         done_cv: Condvar::new(),
         panic: Mutex::new(None),
-        panicked: AtomicBool::new(false),
     });
     {
         let p = pool();
-        let mut q = p.queue.lock();
+        let mut q = lock(&p.queue);
         q.push_back(Arc::clone(&job));
         p.work_cv.notify_all();
     }
@@ -476,18 +462,18 @@ pub fn run_chunks(n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
     run_job_chunks(&job);
     // Wait for chunks claimed by pool workers.
     {
-        let mut g = job.done_lock.lock();
+        let mut g = lock(&job.done_lock);
         while job.pending.load(Ordering::Acquire) != 0 {
-            job.done_cv.wait(&mut g);
+            g = job.done_cv.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
     }
     // Drop the (exhausted) job from the queue if a worker didn't.
     {
         let p = pool();
-        let mut q = p.queue.lock();
+        let mut q = lock(&p.queue);
         q.retain(|j| !Arc::ptr_eq(j, &job));
     }
-    let payload = job.panic.lock().take();
+    let payload = lock(&job.panic).take();
     if let Some(payload) = payload {
         std::panic::resume_unwind(payload);
     }
@@ -498,9 +484,9 @@ pub fn run_chunks(n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
 /// that only assert bit-identity don't need it — outputs are identical
 /// at every thread count.
 #[cfg(test)]
-pub(crate) fn test_threads_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+pub(crate) fn test_threads_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    lock(&LOCK)
 }
 
 #[cfg(test)]
@@ -574,16 +560,6 @@ mod tests {
             }
         });
         assert_eq!(refused.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn rayon_workers_fall_back_to_sequential() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let on_worker = pool.install(|| begin_parallel(true, 8, None).is_none());
-        assert!(on_worker, "dispatch inside a rayon pool must serialize");
     }
 
     #[test]

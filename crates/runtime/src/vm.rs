@@ -11,6 +11,7 @@ use crate::compile::{live_range, Block, CompiledFunc, Instr, Item, LoopKind, Reg
 use crate::interp::ExecError;
 use crate::ndarray::NDArray;
 use crate::pool;
+use std::sync::Mutex;
 use tvm_te::{BinOp, CmpOp, DType, Intrinsic};
 use tvm_tir::PrimFunc;
 
@@ -208,8 +209,7 @@ impl<'a> Vm<'a> {
         // capture would not be `Sync`.
         let shared = &shared;
         // First error per ascending chunk index wins (see doc comment).
-        let first_err: parking_lot::Mutex<Option<(usize, ExecError)>> =
-            parking_lot::Mutex::new(None);
+        let first_err: Mutex<Option<(usize, ExecError)>> = Mutex::new(None);
         let iregs = &self.iregs;
         let fregs = &self.fregs;
         let cf = self.cf;
@@ -225,7 +225,7 @@ impl<'a> Vm<'a> {
             for it in lo..hi {
                 vm.iregs[var as usize] = it;
                 if let Err(e) = vm.exec_block(body, st) {
-                    let mut g = first_err.lock();
+                    let mut g = pool::lock(&first_err);
                     if g.as_ref().is_none_or(|(pc, _)| c < *pc) {
                         *g = Some((c, e));
                     }
@@ -233,7 +233,8 @@ impl<'a> Vm<'a> {
                 }
             }
         });
-        match first_err.into_inner() {
+        let first = pool::lock(&first_err).take();
+        match first {
             Some((_, e)) => Err(e),
             None => Ok(()),
         }

@@ -21,11 +21,12 @@
 //! threshold. (Persisting open breakers would risk locking a kernel out
 //! forever on a machine where the original cause is gone.)
 
-use parking_lot::Mutex;
+use crate::lock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Breaker tuning knobs.
@@ -99,7 +100,7 @@ impl CircuitBreaker {
 
     /// Ask to run one evaluation now.
     pub fn try_acquire(&self) -> Admission {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         match &mut *state {
             State::Closed { .. } => Admission::Proceed,
             State::Open { until, cooldown_s } => {
@@ -135,7 +136,7 @@ impl CircuitBreaker {
     /// for configuration-level failures); `probe` echoes whether
     /// [`CircuitBreaker::try_acquire`] returned [`Admission::Probe`].
     pub fn record(&self, infra_failure: bool, probe: bool) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if probe {
             match &mut *state {
                 State::HalfOpen { cooldown_s, .. } => {
@@ -182,7 +183,7 @@ impl CircuitBreaker {
 
     /// Seconds until an open breaker half-opens (`None` when not open).
     pub fn retry_in_s(&self) -> Option<f64> {
-        match &*self.state.lock() {
+        match &*lock(&self.state) {
             State::Open { until, .. } => Some(
                 (*until)
                     .saturating_duration_since(Instant::now())
@@ -194,7 +195,7 @@ impl CircuitBreaker {
 
     /// Current state name for status reporting.
     pub fn state_name(&self) -> &'static str {
-        match &*self.state.lock() {
+        match &*lock(&self.state) {
             State::Closed { .. } => "closed",
             State::Open { .. } => "open",
             State::HalfOpen { .. } => "half-open",
@@ -235,7 +236,7 @@ impl BreakerBoard {
 
     /// The breaker for `kernel` (created closed if absent).
     pub fn breaker(&self, kernel: &str) -> Arc<CircuitBreaker> {
-        let mut map = self.map.lock();
+        let mut map = lock(&self.map);
         Arc::clone(
             map.entry(kernel.to_string())
                 .or_insert_with(|| Arc::new(CircuitBreaker::new(self.cfg))),
@@ -246,13 +247,13 @@ impl BreakerBoard {
     /// fully open (half-open kernels accept submissions — the probe
     /// machinery runs at evaluation time).
     pub fn submission_block(&self, kernel: &str) -> Option<f64> {
-        let map = self.map.lock();
+        let map = lock(&self.map);
         map.get(kernel).and_then(|b| b.retry_in_s())
     }
 
     /// Snapshot for the status endpoint, sorted by kernel name.
     pub fn snapshot(&self) -> Vec<BreakerStatus> {
-        let map = self.map.lock();
+        let map = lock(&self.map);
         let mut out: Vec<BreakerStatus> = map
             .iter()
             .map(|(kernel, b)| BreakerStatus {

@@ -1,7 +1,7 @@
 //! # tvm-service — supervised multi-tenant tuning service
 //!
-//! A thread-pool-based tuning server (std threads + channels +
-//! `parking_lot`; no async runtime) that accepts `(kernel, size, tuner,
+//! A thread-pool-based tuning server (std threads, channels and locks;
+//! no async runtime) that accepts `(kernel, size, tuner,
 //! budget, deadline)` jobs from many tenants and runs each as a
 //! crash-recoverable session:
 //!
@@ -47,3 +47,11 @@ pub use service::{
 pub use session::{
     now_unix_ms, run_session, SessionCtl, SessionEnd, SessionOptions, SessionReport, SessionTrial,
 };
+
+/// Enter `m` even if a holder panicked: the supervisor restarts panicked
+/// workers, and one crashed session must not cascade into every later
+/// caller of the job table, the queue or a breaker. Each critical section
+/// under these locks is a single table, queue or state update.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

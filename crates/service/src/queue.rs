@@ -9,9 +9,10 @@
 //! into silent job loss. The high-water mark is tracked so tests can
 //! assert the bound was never exceeded by *new* admissions.
 
-use parking_lot::{Condvar, Mutex};
+use crate::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// FIFO of job ids with a hard admission bound.
@@ -41,7 +42,7 @@ impl JobQueue {
 
     /// Jobs currently queued.
     pub fn len(&self) -> usize {
-        self.items.lock().len()
+        lock(&self.items).len()
     }
 
     /// True when nothing is queued.
@@ -56,7 +57,7 @@ impl JobQueue {
 
     /// Admit a new job, or report `(depth, capacity)` when saturated.
     pub fn try_push(&self, id: u64) -> Result<(), (usize, usize)> {
-        let mut items = self.items.lock();
+        let mut items = lock(&self.items);
         if items.len() >= self.capacity {
             return Err((items.len(), self.capacity));
         }
@@ -69,7 +70,7 @@ impl JobQueue {
 
     /// Re-admit a recovered job unconditionally (see module docs).
     pub fn push_recovered(&self, id: u64) {
-        let mut items = self.items.lock();
+        let mut items = lock(&self.items);
         items.push_back(id);
         self.high_water.fetch_max(items.len(), Ordering::Relaxed);
         drop(items);
@@ -80,11 +81,14 @@ impl JobQueue {
     /// Workers call this in a loop with a short timeout so they can also
     /// observe shutdown/kill flags between waits.
     pub fn pop_timeout(&self, timeout: Duration) -> Option<u64> {
-        let mut items = self.items.lock();
+        let mut items = lock(&self.items);
         if let Some(id) = items.pop_front() {
             return Some(id);
         }
-        self.available.wait_for(&mut items, timeout);
+        let (mut items, _) = self
+            .available
+            .wait_timeout(items, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
         items.pop_front()
     }
 

@@ -29,18 +29,19 @@
 use crate::breaker::{BreakerBoard, BreakerConfig, BreakerStatus};
 use crate::job::{JobSpec, RejectReason};
 use crate::ladder::build_ladder;
+use crate::lock;
 use crate::queue::JobQueue;
 use crate::session::{
     now_unix_ms, run_session, SessionCtl, SessionEnd, SessionOptions, SessionReport,
 };
 use autotvm::HarnessOptions;
-use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 use tvm_autotune::MemoCache;
 use ytopt_bo::journal::{RotationPolicy, TrialJournal};
@@ -345,7 +346,7 @@ impl TuningService {
         }
 
         {
-            let mut jobs = self.inner.jobs.lock();
+            let mut jobs = lock(&self.inner.jobs);
             jobs.insert(
                 id,
                 JobEntry {
@@ -360,7 +361,7 @@ impl TuningService {
         if let Err((depth, capacity)) = self.inner.queue.try_push(id) {
             // Roll the admission back completely before rejecting.
             let _ = std::fs::remove_file(&path);
-            self.inner.jobs.lock().remove(&id);
+            lock(&self.inner.jobs).remove(&id);
             return Err(RejectReason::QueueFull { depth, capacity });
         }
         Ok(id)
@@ -368,14 +369,12 @@ impl TuningService {
 
     /// Current lifecycle state of a job.
     pub fn state(&self, id: u64) -> Option<JobState> {
-        self.inner.jobs.lock().get(&id).map(|e| e.state)
+        lock(&self.inner.jobs).get(&id).map(|e| e.state)
     }
 
     /// Terminal outcome, if the job has reached one.
     pub fn outcome(&self, id: u64) -> Option<JobOutcome> {
-        self.inner
-            .jobs
-            .lock()
+        lock(&self.inner.jobs)
             .get(&id)
             .and_then(|e| e.outcome.clone())
     }
@@ -383,7 +382,7 @@ impl TuningService {
     /// Block until `id` reaches a terminal state, up to `timeout`.
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobOutcome> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut jobs = self.inner.jobs.lock();
+        let mut jobs = lock(&self.inner.jobs);
         loop {
             match jobs.get(&id) {
                 None => return None,
@@ -394,7 +393,11 @@ impl TuningService {
             if now >= deadline {
                 return None;
             }
-            self.inner.state_changed.wait_for(&mut jobs, deadline - now);
+            (jobs, _) = self
+                .inner
+                .state_changed
+                .wait_timeout(jobs, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -403,7 +406,7 @@ impl TuningService {
     /// the restarted server runs the job to completion instead (the
     /// cancel was never durable, and re-running is always safe).
     pub fn cancel(&self, id: u64) -> bool {
-        let jobs = self.inner.jobs.lock();
+        let jobs = lock(&self.inner.jobs);
         match jobs.get(&id) {
             Some(e) if !e.state.is_terminal() => {
                 e.cancel.store(true, Ordering::Relaxed);
@@ -415,7 +418,7 @@ impl TuningService {
 
     /// Aggregate health snapshot.
     pub fn status(&self) -> ServiceStatus {
-        let jobs = self.inner.jobs.lock();
+        let jobs = lock(&self.inner.jobs);
         let count = |s: JobState| jobs.values().filter(|e| e.state == s).count();
         let mut jit = JitStats::default();
         let mut par = ParStats::default();
@@ -484,10 +487,10 @@ impl TuningService {
     }
 
     fn join_threads(&self) {
-        if let Some(sup) = self.supervisor.lock().take() {
+        if let Some(sup) = lock(&self.supervisor).take() {
             let _ = sup.join();
         }
-        let handles: Vec<_> = self.workers.lock().drain(..).collect();
+        let handles: Vec<_> = lock(&self.workers).drain(..).collect();
         for h in handles {
             let _ = h.join();
         }
@@ -554,7 +557,7 @@ fn supervisor_loop(inner: Arc<Inner>, workers: Arc<Mutex<Vec<std::thread::JoinHa
             return;
         }
         {
-            let mut pool = workers.lock();
+            let mut pool = lock(&workers);
             for slot in pool.iter_mut() {
                 if slot.is_finished() {
                     let fresh = spawn_worker(Arc::clone(&inner));
@@ -614,7 +617,7 @@ fn worker_loop(inner: Arc<Inner>) {
 /// Returns `None` when killed — the caller must not finalize anything.
 fn run_job(inner: &Inner, id: u64) -> std::io::Result<Option<JobOutcome>> {
     let (spec, submitted_unix_ms, cancel) = {
-        let jobs = inner.jobs.lock();
+        let jobs = lock(&inner.jobs);
         let Some(entry) = jobs.get(&id) else {
             return Ok(None);
         };
@@ -683,7 +686,7 @@ fn run_job(inner: &Inner, id: u64) -> std::io::Result<Option<JobOutcome>> {
 }
 
 fn set_state(inner: &Inner, id: u64, state: JobState) {
-    let mut jobs = inner.jobs.lock();
+    let mut jobs = lock(&inner.jobs);
     if let Some(e) = jobs.get_mut(&id) {
         e.state = state;
     }
@@ -699,7 +702,7 @@ fn finalize(inner: &Inner, id: u64, outcome: JobOutcome) {
         finalize_failed(inner, id, format!("failed to persist outcome: {e}"));
         return;
     }
-    let mut jobs = inner.jobs.lock();
+    let mut jobs = lock(&inner.jobs);
     if let Some(e) = jobs.get_mut(&id) {
         e.state = outcome.state;
         e.outcome = Some(outcome);
@@ -709,9 +712,7 @@ fn finalize(inner: &Inner, id: u64, outcome: JobOutcome) {
 }
 
 fn finalize_failed(inner: &Inner, id: u64, message: String) {
-    let tenant = inner
-        .jobs
-        .lock()
+    let tenant = lock(&inner.jobs)
         .get(&id)
         .map(|e| e.spec.tenant.clone())
         .unwrap_or_default();
@@ -724,7 +725,7 @@ fn finalize_failed(inner: &Inner, id: u64, message: String) {
     };
     let done = inner.dir.join("done").join(format!("{id}.json"));
     let _ = write_json_durable(&done, &outcome);
-    let mut jobs = inner.jobs.lock();
+    let mut jobs = lock(&inner.jobs);
     if let Some(e) = jobs.get_mut(&id) {
         e.state = JobState::Failed;
         e.outcome = Some(outcome);

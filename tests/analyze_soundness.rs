@@ -112,11 +112,11 @@ fn all_mold_configs_are_accepted() {
     }
 }
 
-/// Hand-broken functions must be rejected, and each denial must name one
-/// of the function's real buffers and a concrete access path. The broken
-/// function is verified to be *genuinely* broken by running it on the
-/// interpreter and demanding an out-of-bounds error — the analyzer and
-/// the engine must agree on both sides of the verdict.
+/// Hand-broken functions must be rejected, each denial must name one of
+/// the function's real buffers, and each bounds denial a concrete access
+/// path. The broken function is verified to be *genuinely* broken by
+/// running it on the interpreter and demanding an out-of-bounds error —
+/// the analyzer and the engine must agree on both sides of the verdict.
 #[test]
 fn corrupted_kernels_are_rejected_with_real_access_paths() {
     for kernel in KERNELS {
@@ -147,12 +147,22 @@ fn corrupted_kernels_are_rejected_with_real_access_paths() {
                 "{}: denial names unknown buffer `{buf}`",
                 mold.name()
             );
+            // Only bounds denials carry an access path. Until PR 8 they
+            // were the only denials here; since the molds gained
+            // `s.parallel(yo)` the row shift is also a true `TIR-RACE-RW`
+            // on `i.outer` (iteration i writes the row i+1 reads), and a
+            // race denial names a pair of accesses, not one path.
             assert!(
-                d.access.is_some(),
-                "{}: denial lacks an access path",
+                d.access.is_some() || d.code != analyze::codes::OOB,
+                "{}: bounds denial lacks an access path",
                 mold.name()
             );
         }
+        assert!(
+            report.denials().any(|d| d.code == analyze::codes::OOB),
+            "{}: the out-of-bounds store itself was not denied",
+            mold.name()
+        );
     }
 }
 
