@@ -13,8 +13,8 @@
 //!    its fallback would silently skew the service's status endpoint;
 //!    here it exits nonzero.
 //!
-//! A second phase times gemm/3mm/2mm on the optimized VM vs the JIT and
-//! reports ns/element plus the JIT-over-VM speedup. On targets without a
+//! A second phase times all seven kernels on the optimized VM vs the JIT
+//! and reports ns/element plus the JIT-over-VM speedup. On targets without a
 //! native backend every function falls back (invariant 2 still holds,
 //! with `fallbacks == attempts`) and the timing phase degenerates to
 //! comparing the optimized VM against itself.
@@ -327,7 +327,10 @@ fn main() {
         .and_then(|s| ProblemSize::parse(s))
         .unwrap_or(ProblemSize::Mini);
     let configs_per_kernel = if smoke { 3 } else { 5 };
-    let reps = if smoke { 3 } else { 7 };
+    // Fastest of 15 in both modes: a `mini` kernel runs 10–20 µs on the
+    // JIT, a late pool wake-up doubles that, and the smoke gate compares
+    // against the full run's figure.
+    let reps = 15;
 
     println!("jit fingerprint: {}", jit_fingerprint());
     let dev = CpuDevice::jit();
@@ -347,11 +350,11 @@ fn main() {
         );
     }
     let mut rows = Vec::new();
-    println!("kernel  elements     opt ns/el     jit ns/el  nests  jit-x");
-    for k in [KernelName::Gemm, KernelName::Mm3, KernelName::Mm2] {
+    println!("kernel   elements     opt ns/el     jit ns/el  nests  jit-x");
+    for k in KERNELS {
         let row = time_kernel(k, size, reps);
         println!(
-            "{:<7} {:>8}  {:>12.1}  {:>12.1}  {:>5}  {:>4.2}x",
+            "{:<8} {:>7}  {:>12.1}  {:>12.1}  {:>5}  {:>4.2}x",
             row.kernel,
             row.elements,
             row.opt_ns_per_element(),

@@ -21,7 +21,12 @@
 //! epilogues for remainder iterations. A *trimmed* strided loop (a
 //! guard on the loop's own variable turned into a live range by
 //! [`crate::optimize`]) runs the scalar template with a trip count
-//! computed at loop entry. Every vector site is accounted
+//! computed at loop entry. The scalar strided loop itself — the static
+//! and the trimmed template's, and the packed tier's tail — is
+//! register-resident: element pointers in GPRs, body-defined fregs in
+//! XMM registers, a forwarded reduction accumulator in one XMM register
+//! for the whole loop, and in-memory operands only where the budgets run
+//! out. Every vector site is accounted
 //! in [`SimdStats`]: packed, or scalar with a counted reason
 //! (`dynamic-extent` for trimmed loops), so
 //! `packed + scalar-by-reason = total` always holds. The
@@ -30,7 +35,7 @@
 //! depend on it).
 //!
 //! Fingerprints: a JIT-mode device reports
-//! [`jit_fingerprint`] = `vm/v3+tir-opt/v1+par/v1+jit/v3`, distinct from the
+//! [`jit_fingerprint`] = `vm/v4+tir-opt/v1+par/v1+jit/v4`, distinct from the
 //! optimized VM's [`crate::optimize::engine_fingerprint`] so the
 //! service's engine ladder can attribute trial records to the exact
 //! engine that produced them.
@@ -52,8 +57,10 @@ pub use x86_64::X86Backend;
 /// engine fingerprint. Bump on any change to emitted code semantics.
 /// v2: packed-SIMD tier (proof-gated f64x2/f32x4 strided-loop bodies,
 /// register-tiled mul-add microkernels). v3: the dynamic-trip scalar
-/// strided template for trimmed loops.
-pub const JIT_VERSION: &str = "jit/v3";
+/// strided template for trimmed loops. v4: the register-resident scalar
+/// strided loop and stride-0 microkernel destinations carried in a
+/// register.
+pub const JIT_VERSION: &str = "jit/v4";
 
 /// Fingerprint reported by a JIT-mode device: the optimized engine's
 /// fingerprint plus the codegen version.
@@ -118,6 +125,9 @@ pub struct JitProgram {
     pub(crate) bytes: usize,
     /// Packed-vs-scalar tally over this function's vector sites.
     pub(crate) simd: SimdReport,
+    /// Forwarded strided loops compiled into the nests (they left the
+    /// bytecode, so [`CompiledFunc::forwarded_loop_count`] adds them).
+    pub(crate) forwarded_loops: usize,
 }
 
 impl JitProgram {

@@ -11,9 +11,26 @@
 //! Emitted code must match the optimized VM (and therefore the
 //! reference interpreter) bit for bit:
 //!
-//! - Register files stay in memory (`iregs`/`fregs` arrays passed in
-//!   `rdi`/`rsi`); each bytecode instruction lowers to a short template
-//!   over scratch registers, so evaluation order is the VM's order.
+//! - Each bytecode instruction lowers to one short template, emitted in
+//!   program order, so the order of evaluation — every operation, every
+//!   rounding, every load and store — is the VM's whatever holds the
+//!   operands. Outside a strided loop they are in the register files in
+//!   memory (`iregs`/`fregs` arrays passed in `rdi`/`rsi`), read and
+//!   written through scratch registers. Inside the scalar strided loop
+//!   ([`NestCompiler::emit_strided_trips`], the one loop the static
+//!   template, the trimmed template and the packed tier's tail all end
+//!   in) the same templates take their operands from a per-loop plan
+//!   ([`plan_resident`]): an element pointer in a GPR for each
+//!   `(slot, address register)` pair, stepped by the stride the address
+//!   register had; an XMM register for each freg the body defines, never
+//!   written back (post-loop state of body-defined registers is
+//!   unobservable); one XMM register for a forwarded accumulator
+//!   ([`crate::compile::Carry`]: loaded once behind the empty-range test,
+//!   stored by every iteration). Whatever does not fit the budgets keeps
+//!   its in-memory form, operand by operand — x86 ALU ops take a memory
+//!   operand — so there is one instruction emitter, and every unchecked
+//!   access the resident loop issues is one the in-memory loop issued,
+//!   at the same address, covered by the same proof.
 //! - Float ops use scalar SSE2 (`mulsd`/`addsd`/`divsd`/`sqrtsd`),
 //!   which are IEEE-correctly-rounded exactly like Rust's `f64` ops.
 //!   `f32` rounding replicates the VM's `as f32 as f64` with
@@ -43,9 +60,10 @@
 //!   lanes compute natively in f32: the result is bit-identical to the
 //!   VM's widen→op→round double rounding because products of 24-bit
 //!   significands are exact in f64 and 53 ≥ 2·24+2 makes the double
-//!   rounding innocuous for add/sub/div (Figueroa, 1995). The
-//!   dot-product reduction pattern (`dst` stride 0) has a serial
-//!   accumulation chain and always stays scalar, and every vector site
+//!   rounding innocuous for add/sub/div (Figueroa, 1995). A reduction
+//!   into one element (`dst` stride 0, any factor strides) has a serial
+//!   accumulation chain and always stays scalar (`reduction-chain`),
+//!   with the accumulator in a register, and every vector site
 //!   is tallied packed-or-scalar-with-reason in
 //!   [`super::SimdReport`].
 //! - FMA (`vfmadd231pd`) rounds *once* where the VM rounds twice, so
@@ -71,8 +89,10 @@
 use super::exec_mem::ExecBuf;
 use super::{CodegenBackend, JitProgram, SimdReport};
 use crate::compile::{
-    Block, Clamp, CompileError, CompiledFunc, Instr, Item, LoopKind, Reg, SlotAccess,
+    forwarded_in, Block, Carry, Clamp, CompileError, CompiledFunc, Instr, Item, LoopKind, Reg,
+    SlotAccess,
 };
+use crate::optimize::{float_dst, float_uses, int_dst, reads_ireg};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use tvm_te::{BinOp, DType, Intrinsic};
@@ -103,12 +123,20 @@ const R11: R = R(11);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct X(u8);
 
+/// `X0`/`X1` are the scalar templates' scratch (never resident).
 const X0: X = X(0);
 const X1: X = X(1);
 const X2: X = X(2);
 const X3: X = X(3);
 /// Scratch for packed strided-loop bodies (never mapped to a freg).
 const XSCRATCH: X = X(15);
+
+/// GPRs free inside the scalar strided loop: they hold element pointers
+/// (`RAX`/`RCX` stay template scratch, `R11` counts trips).
+const PTR_REGS: [R; 3] = [R8, R9, R10];
+/// How many XMM registers a scalar strided loop may keep fregs in:
+/// `X2` upwards, through `X15`.
+const XMM_POOL: u8 = 14;
 
 /// Condition code for `jcc`/`cmovcc` (low nibble of the `0F 8x`/`0F 4x`
 /// opcode).
@@ -446,6 +474,15 @@ impl Asm {
         self.modrm_rr(x.0, r.0);
     }
 
+    /// `movq x, r64`
+    fn movq_xr(&mut self, x: X, r: R) {
+        self.b(0x66);
+        self.rex(true, x.0, 0, r.0);
+        self.b(0x0F);
+        self.b(0x6E);
+        self.modrm_rr(x.0, r.0);
+    }
+
     /// Round an f64 in `x` through f32 (`as f32 as f64`).
     fn round32(&mut self, x: X) {
         self.cvtsd2ss_rr(x, x);
@@ -596,10 +633,15 @@ fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
             clamp,
             pre,
             body,
+            carry,
             ..
         } => {
             if *extent < 1 {
                 return reject("empty strided loop");
+            }
+            if let Some(c) = carry {
+                // The load forwarding took out of the body.
+                check_instr(&Instr::Load(c.acc, c.slot, c.addr), dts)?;
             }
             // The trimmed template caps a bound register at
             // `min+extent − off` before adding `off`, both as immediates.
@@ -747,6 +789,8 @@ impl CodegenBackend for X86Backend {
             entries,
             bytes,
             simd,
+            // Whatever forwarded loop left the bytecode is in a nest.
+            forwarded_loops: forwarded_in(&cf.body) - forwarded_in(&body),
         };
         Ok(CompiledFunc {
             body,
@@ -964,10 +1008,156 @@ struct PackedPlan {
     hoisted: HashSet<Reg>,
 }
 
+/// A float operand of a scalar template: resident in an XMM register,
+/// or in the `fregs` file at this displacement off `RSI`.
+#[derive(Clone, Copy, PartialEq)]
+enum F {
+    Reg(X),
+    Mem(i32),
+}
+
+/// The memory element a `Load`/`Store` template touches: `[ptr]`, or
+/// `[RCX + RAX·esize]` with the two registers just loaded.
+#[derive(Clone, Copy)]
+enum Elem {
+    Ptr(R),
+    Indexed,
+}
+
+/// Which operands of the scalar templates live in machine registers
+/// (see [`NestCompiler::emit_instr`]). Empty outside a strided loop.
+#[derive(Default)]
+struct Resident {
+    /// freg → the XMM register holding it.
+    xmms: Vec<(Reg, X)>,
+    /// `(slot, address register)` → the GPR holding the element pointer.
+    ptrs: Vec<((u16, Reg), R)>,
+}
+
+impl Resident {
+    fn xmm(&self, r: Reg) -> Option<X> {
+        self.xmms.iter().find(|e| e.0 == r).map(|e| e.1)
+    }
+
+    fn ptr(&self, slot: u16, addr: Reg) -> Option<R> {
+        self.ptrs.iter().find(|e| e.0 == (slot, addr)).map(|e| e.1)
+    }
+
+    /// Where the templates find freg `r`.
+    fn f(&self, r: Reg) -> F {
+        self.xmm(r).map_or(F::Mem(off(r)), F::Reg)
+    }
+}
+
+/// Element size in bytes of a (float) storage slot.
+fn elem_size(dts: &[DType], slot: u16) -> u8 {
+    if dts[slot as usize] == DType::F64 {
+        8
+    } else {
+        4
+    }
+}
+
+/// Register plan of one scalar strided loop.
+struct ResidentPlan {
+    res: Resident,
+    /// Per-iteration byte step of each resident pointer that moves.
+    steps: Vec<(R, i32)>,
+    /// The strided registers the body still reads from memory.
+    mem_bumps: Vec<(Reg, i64)>,
+}
+
+/// Plan the registers of a scalar strided loop over the budgets `gprs`
+/// and `xmms` (first come, first served, in body order; whatever does not
+/// fit keeps its in-memory form, so empty budgets plan today's loop):
+///
+/// - each `(slot, address register)` pair a `Load`/`Store` names becomes
+///   an element pointer, unless the body itself writes the address
+///   register or the byte step does not fit an immediate. The pointer
+///   takes the step of the address register it replaces, so every access
+///   is the one the in-memory template issues, at the same address;
+/// - the carry's `acc` and `next` share the first XMM register;
+/// - each freg the body defines before reading it gets an XMM register
+///   for the iteration and is never written to `fregs`: post-loop state
+///   of body-defined registers is unobservable ([`crate::optimize`]);
+/// - fregs defined outside the body are never written, so they are read
+///   as memory operands where they are;
+/// - a strided register keeps its in-memory bump only if something still
+///   reads it there (an instruction using it as a value, or an access
+///   left without a pointer).
+fn plan_resident(
+    bumps: &[(Reg, i64)],
+    body: &[Instr],
+    carry: Option<Carry>,
+    dts: &[DType],
+    gprs: &[R],
+    xmms: u8,
+) -> ResidentPlan {
+    let mut res = Resident::default();
+    let mut steps = Vec::new();
+    let stride = |r: Reg| bumps.iter().find(|b| b.0 == r).map_or(0, |b| b.1);
+    for i in body {
+        let (Instr::Load(_, slot, addr) | Instr::Store(slot, addr, _)) = *i else {
+            continue;
+        };
+        let step = stride(addr)
+            .checked_mul(i64::from(elem_size(dts, slot)))
+            .map(i32::try_from);
+        let (Some(&p), Some(Ok(step))) = (gprs.get(res.ptrs.len()), step) else {
+            continue;
+        };
+        if res.ptr(slot, addr).is_none() && !body.iter().any(|j| int_dst(j) == Some(addr)) {
+            res.ptrs.push(((slot, addr), p));
+            if step != 0 {
+                steps.push((p, step));
+            }
+        }
+    }
+    let mut free = (0..xmms).map(|k| X(2 + k));
+    if let Some(c) = carry {
+        if let Some(x) = free.next() {
+            res.xmms.push((c.acc, x));
+            res.xmms.push((c.next, x));
+        }
+    }
+    // fregs read before the body defines them: external, or carried
+    // through memory from the previous iteration.
+    let mut in_memory: Vec<Reg> = Vec::new();
+    for i in body {
+        in_memory.extend(float_uses(i).filter(|&r| res.xmm(r).is_none()));
+        if let Some(d) = float_dst(i) {
+            if res.xmm(d).is_none() && !in_memory.contains(&d) {
+                match free.next() {
+                    Some(x) => res.xmms.push((d, x)),
+                    None => in_memory.push(d),
+                }
+            }
+        }
+    }
+    let read_in_memory = |r: Reg| {
+        body.iter().any(|i| match *i {
+            Instr::Load(_, slot, addr) | Instr::Store(slot, addr, _) => {
+                addr == r && res.ptr(slot, addr).is_none()
+            }
+            _ => reads_ireg(i, r),
+        })
+    };
+    let mem_bumps = bumps
+        .iter()
+        .copied()
+        .filter(|b| read_in_memory(b.0))
+        .collect();
+    ResidentPlan {
+        res,
+        steps,
+        mem_bumps,
+    }
+}
+
 impl NestCompiler<'_> {
     fn emit_item(&mut self, item: &Item) {
         match item {
-            Item::Code(c) => c.iter().for_each(|i| self.emit_instr(i)),
+            Item::Code(c) => self.emit_code(c),
             Item::Loop {
                 var,
                 min,
@@ -1024,26 +1214,30 @@ impl NestCompiler<'_> {
                 pre,
                 bumps,
                 body,
+                carry,
                 kind,
                 lanes,
             } => {
-                pre.iter().for_each(|i| self.emit_instr(i));
+                self.emit_code(pre);
                 if !clamp.is_none() {
                     // Packed and jammed plans split a static extent into
                     // main loop and epilogue; a trimmed loop's trip
                     // count is only known at loop entry.
                     self.simd.scalar("dynamic-extent");
-                    self.emit_trimmed_strided(*min, *extent, *clamp, bumps, body);
+                    self.emit_trimmed_strided(*min, *extent, *clamp, bumps, body, *carry);
                     return;
                 }
                 match self.plan_packed(*extent, bumps, body, kind, *lanes) {
                     Ok(plan) => {
+                        // A carry is sequential state; the optimizer
+                        // forwards no loop that is proven vectorized.
+                        debug_assert!(carry.is_none());
                         self.simd.packed(false);
                         self.emit_packed_strided(*extent, bumps, body, &plan);
                     }
                     Err(reason) => {
                         self.simd.scalar(reason);
-                        self.emit_scalar_strided(*extent, bumps, body);
+                        self.emit_scalar_strided(*extent, bumps, body, *carry);
                     }
                 }
             }
@@ -1055,7 +1249,7 @@ impl NestCompiler<'_> {
                 b,
                 round32,
             } => {
-                pre.iter().for_each(|i| self.emit_instr(i));
+                self.emit_code(pre);
                 self.emit_muladd(*extent, dst, a, b, *round32);
             }
             // Checked away before codegen.
@@ -1063,34 +1257,106 @@ impl NestCompiler<'_> {
         }
     }
 
-    fn emit_instr(&mut self, i: &Instr) {
-        let a = &mut *self.asm;
+    /// Straight-line code outside a resident loop: every operand in its
+    /// in-memory form.
+    fn emit_code(&mut self, code: &[Instr]) {
+        let in_memory = Resident::default();
+        code.iter().for_each(|i| self.emit_instr(i, &in_memory));
+    }
+
+    /// `dst ← src` (nothing when `src` is `dst`).
+    fn fload(&mut self, dst: X, src: F) {
+        match src {
+            F::Reg(s) if s == dst => {}
+            F::Reg(s) => self.asm.sse_rr(None, 0x28, dst, s), // movaps
+            F::Mem(disp) => self.asm.movsd_rm(dst, RSI, disp),
+        }
+    }
+
+    /// `dst ← src` (nothing when `dst` is `src`).
+    fn fstore(&mut self, dst: F, src: X) {
+        match dst {
+            F::Reg(d) if d == src => {}
+            F::Reg(d) => self.asm.sse_rr(None, 0x28, d, src), // movaps
+            F::Mem(disp) => self.asm.movsd_mr(RSI, disp, src),
+        }
+    }
+
+    /// Scalar-double ALU op `dst ← dst op src`; x86 takes the second
+    /// operand from memory as readily as from a register.
+    fn fop(&mut self, op: u8, dst: X, src: F) {
+        match src {
+            F::Reg(s) => self.asm.sse_rr(Some(0xF2), op, dst, s),
+            F::Mem(disp) => self.asm.sse_rm(Some(0xF2), op, dst, RSI, disp),
+        }
+    }
+
+    /// Address the element a `Load`/`Store` touches: through its resident
+    /// pointer, or as `[RCX + RAX·esize]` after loading the address
+    /// register and the slot base.
+    fn elem(&mut self, slot: u16, addr: Reg, res: &Resident) -> Elem {
+        match res.ptr(slot, addr) {
+            Some(p) => Elem::Ptr(p),
+            None => {
+                self.asm.mov_rm(RAX, RDI, off(addr));
+                self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
+                Elem::Indexed
+            }
+        }
+    }
+
+    /// Legacy-SSE move between `x` and the element `e`.
+    fn sse_elem(&mut self, prefix: u8, op: u8, x: X, e: Elem, esize: u8) {
+        match e {
+            Elem::Ptr(p) => self.asm.sse_rm(Some(prefix), op, x, p, 0),
+            Elem::Indexed => self.asm.sse_rm_sib(Some(prefix), op, x, RCX, RAX, esize),
+        }
+    }
+
+    /// One bytecode instruction as a short template in the VM's own
+    /// evaluation order. `res` says which float operands live in XMM
+    /// registers and which elements have a pointer in a GPR; every other
+    /// operand is read from and written to the in-memory register files,
+    /// operand by operand, so an empty `res` is the `Item::Code` form and
+    /// a loop that runs out of registers degrades one operand at a time.
+    /// A value is built in its destination's own register when it has
+    /// one, else in scratch (`X0`/`X1`, `RAX`/`RCX`). Integer registers
+    /// are always in memory.
+    fn emit_instr(&mut self, i: &Instr, res: &Resident) {
+        let f = |r: Reg| res.f(r);
+        let target = |d: F, scratch: X| match d {
+            F::Reg(x) => x,
+            F::Mem(_) => scratch,
+        };
         match *i {
             Instr::IConst(d, v) => {
-                a.mov_ri(RAX, v);
-                a.mov_mr(RDI, off(d), RAX);
+                self.asm.mov_ri(RAX, v);
+                self.asm.mov_mr(RDI, off(d), RAX);
             }
             Instr::FConst(d, v) => {
-                a.mov_ri(RAX, v.to_bits() as i64);
-                a.mov_mr(RSI, off(d), RAX);
+                self.asm.mov_ri(RAX, v.to_bits() as i64);
+                match f(d) {
+                    F::Reg(x) => self.asm.movq_xr(x, RAX),
+                    F::Mem(disp) => self.asm.mov_mr(RSI, disp, RAX),
+                }
             }
-            Instr::IToF(d, s) => {
-                a.mov_rm(RAX, RDI, off(s));
-                a.cvtsi2sd(X0, RAX);
-                a.movsd_mr(RSI, off(d), X0);
-            }
-            Instr::IToF32(d, s) => {
-                a.mov_rm(RAX, RDI, off(s));
-                a.cvtsi2sd(X0, RAX);
-                a.round32(X0);
-                a.movsd_mr(RSI, off(d), X0);
+            Instr::IToF(d, s) | Instr::IToF32(d, s) => {
+                let t = target(f(d), X0);
+                self.asm.mov_rm(RAX, RDI, off(s));
+                self.asm.cvtsi2sd(t, RAX);
+                if matches!(i, Instr::IToF32(..)) {
+                    self.asm.round32(t);
+                }
+                self.fstore(f(d), t);
             }
             Instr::F32Round(d, s) => {
-                a.movsd_rm(X0, RSI, off(s));
-                a.round32(X0);
-                a.movsd_mr(RSI, off(d), X0);
+                let t = target(f(d), X0);
+                self.fload(t, f(s));
+                self.asm.round32(t);
+                self.fstore(f(d), t);
             }
             Instr::IBin(op, d, x, y) => {
+                let a = &mut *self.asm;
                 a.mov_rm(RAX, RDI, off(x));
                 a.mov_rm(RCX, RDI, off(y));
                 match op {
@@ -1102,8 +1368,6 @@ impl NestCompiler<'_> {
                 a.mov_mr(RDI, off(d), RAX);
             }
             Instr::FBin(op, d, x, y) | Instr::FBin32(op, d, x, y) => {
-                let r32 = matches!(i, Instr::FBin32(..));
-                a.movsd_rm(X0, RSI, off(x));
                 let opc = match op {
                     BinOp::Add => 0x58,
                     BinOp::Mul => 0x59,
@@ -1111,59 +1375,73 @@ impl NestCompiler<'_> {
                     BinOp::Div => 0x5E,
                     _ => unreachable!("rejected by check_instr"),
                 };
-                a.sse_rm(Some(0xF2), opc, X0, RSI, off(y));
-                if r32 {
-                    a.round32(X0);
+                let (fd, fx, fy) = (f(d), f(x), f(y));
+                // `d` may share `y`'s register (a carry's `next` shares
+                // `acc`'s): copying `x` into it first would lose `y`.
+                let t = if fd == fy && fd != fx {
+                    X0
+                } else {
+                    target(fd, X0)
+                };
+                self.fload(t, fx);
+                self.fop(opc, t, fy);
+                if matches!(i, Instr::FBin32(..)) {
+                    self.asm.round32(t);
                 }
-                a.movsd_mr(RSI, off(d), X0);
+                self.fstore(fd, t);
             }
             Instr::FMulAdd {
                 dst,
                 add,
-                a: fa,
-                b: fb,
+                a,
+                b,
                 round32,
             } => {
-                a.movsd_rm(X0, RSI, off(fa));
-                a.sse_rm(Some(0xF2), 0x59, X0, RSI, off(fb)); // mulsd
+                // The product is complete in scratch before the sum's
+                // register is written, so `dst` may share any operand's.
+                self.fload(X0, f(a));
+                self.fop(0x59, X0, f(b)); // mulsd
                 if round32 {
-                    a.round32(X0);
+                    self.asm.round32(X0);
                 }
-                a.movsd_rm(X1, RSI, off(add));
-                a.sse_rr(Some(0xF2), 0x58, X1, X0); // addsd: add + m
+                let t = target(f(dst), X1);
+                self.fload(t, f(add));
+                self.fop(0x58, t, F::Reg(X0)); // addsd: add + m
                 if round32 {
-                    a.round32(X1);
+                    self.asm.round32(t);
                 }
-                a.movsd_mr(RSI, off(dst), X1);
+                self.fstore(f(dst), t);
             }
             Instr::Call1(Intrinsic::Sqrt, d, x, round) => {
-                a.movsd_rm(X0, RSI, off(x));
-                a.sse_rr(Some(0xF2), 0x51, X0, X0); // sqrtsd
+                let t = target(f(d), X0);
+                self.fload(t, f(x));
+                self.asm.sse_rr(Some(0xF2), 0x51, t, t); // sqrtsd
                 if round {
-                    a.round32(X0);
+                    self.asm.round32(t);
                 }
-                a.movsd_mr(RSI, off(d), X0);
+                self.fstore(f(d), t);
             }
             Instr::Load(d, slot, addr) => {
-                a.mov_rm(RAX, RDI, off(addr));
-                a.mov_rm(RCX, RDX, (slot as i32) * 8);
+                let e = self.elem(slot, addr, res);
+                let t = target(f(d), X0);
                 if self.dts[slot as usize] == DType::F64 {
-                    a.sse_rm_sib(Some(0xF2), 0x10, X0, RCX, RAX, 8); // movsd
+                    self.sse_elem(0xF2, 0x10, t, e, 8); // movsd
                 } else {
-                    a.sse_rm_sib(Some(0xF3), 0x10, X0, RCX, RAX, 4); // movss
-                    a.cvtss2sd_rr(X0, X0);
+                    self.sse_elem(0xF3, 0x10, t, e, 4); // movss
+                    self.asm.cvtss2sd_rr(t, t);
                 }
-                a.movsd_mr(RSI, off(d), X0);
+                self.fstore(f(d), t);
             }
             Instr::Store(slot, addr, val) => {
-                a.mov_rm(RAX, RDI, off(addr));
-                a.mov_rm(RCX, RDX, (slot as i32) * 8);
-                a.movsd_rm(X0, RSI, off(val));
+                let e = self.elem(slot, addr, res);
+                let v = target(f(val), X0);
+                self.fload(v, f(val));
                 if self.dts[slot as usize] == DType::F64 {
-                    a.sse_rm_sib(Some(0xF2), 0x11, X0, RCX, RAX, 8);
+                    self.sse_elem(0xF2, 0x11, v, e, 8);
                 } else {
-                    a.cvtsd2ss_rr(X0, X0);
-                    a.sse_rm_sib(Some(0xF3), 0x11, X0, RCX, RAX, 4);
+                    // Narrow in scratch: a resident value stays `f64`.
+                    self.asm.cvtsd2ss_rr(X0, v);
+                    self.sse_elem(0xF3, 0x11, X0, e, 4);
                 }
             }
             _ => unreachable!("rejected by check_instr"),
@@ -1173,20 +1451,64 @@ impl NestCompiler<'_> {
     /// The scalar strided-loop template (also the packed path's tail:
     /// after the packed main loop the strided registers sit exactly
     /// `vec_iters·lanes` iterations in, so this continues bit-for-bit).
-    fn emit_scalar_strided(&mut self, extent: i64, bumps: &[(Reg, i64)], body: &[Instr]) {
+    fn emit_scalar_strided(
+        &mut self,
+        extent: i64,
+        bumps: &[(Reg, i64)],
+        body: &[Instr],
+        carry: Option<Carry>,
+    ) {
         self.asm.mov_ri(R11, extent);
-        self.emit_strided_trips(bumps, body);
+        self.emit_strided_trips(bumps, body, carry);
     }
 
-    /// The loop of the scalar strided template: `R11` holds the trip
-    /// count (≥ 1), an immediate for a static loop, computed at loop
-    /// entry for a trimmed one.
-    fn emit_strided_trips(&mut self, bumps: &[(Reg, i64)], body: &[Instr]) {
+    /// The loop of the scalar strided template, register-resident as far
+    /// as the budgets go: `R11` holds the trip count (≥ 1), an immediate
+    /// for a static loop, computed at loop entry for a trimmed one, and
+    /// the register files in memory hold the state of the first iteration
+    /// to run (the prelude, the trimmed prologue's advance and the packed
+    /// main loop all leave it there).
+    fn emit_strided_trips(&mut self, bumps: &[(Reg, i64)], body: &[Instr], carry: Option<Carry>) {
+        let plan = plan_resident(bumps, body, carry, self.dts, &PTR_REGS, XMM_POOL);
+        self.emit_planned_trips(body, carry, &plan);
+    }
+
+    /// [`NestCompiler::emit_strided_trips`] under a given plan. At entry
+    /// each resident element pointer is formed from its address register
+    /// and slot base, and the carry's accumulator is loaded — here, past
+    /// the caller's empty-range test. Each iteration runs the body
+    /// through the plan, forwards the carry (nothing to emit when `acc`
+    /// and `next` share a register), steps the pointers and bumps the
+    /// strided registers something still reads from memory.
+    fn emit_planned_trips(&mut self, body: &[Instr], carry: Option<Carry>, plan: &ResidentPlan) {
+        for &((slot, addr), p) in &plan.res.ptrs {
+            self.element_pointer(p, slot, addr);
+        }
+        if let Some(c) = carry {
+            self.emit_instr(&Instr::Load(c.acc, c.slot, c.addr), &plan.res);
+        }
         let top = self.asm.here();
-        body.iter().for_each(|i| self.emit_instr(i));
-        self.emit_bumps(bumps, 1);
+        body.iter().for_each(|i| self.emit_instr(i, &plan.res));
+        if let Some(c) = carry {
+            let (acc, next) = (plan.res.f(c.acc), plan.res.f(c.next));
+            if acc != next {
+                self.fload(X0, next);
+                self.fstore(acc, X0);
+            }
+        }
+        for &(p, step) in &plan.steps {
+            self.asm.add_ri(p, step);
+        }
+        self.emit_bumps(&plan.mem_bumps, 1);
         self.asm.dec_r(R11);
         self.asm.jcc_back(CC_NZ, top);
+    }
+
+    /// `p ← &slot[iregs[addr]]`. Clobbers `RAX`.
+    fn element_pointer(&mut self, p: R, slot: u16, addr: Reg) {
+        self.asm.mov_rm(RAX, RDI, off(addr));
+        self.asm.mov_rm(p, RDX, (slot as i32) * 8);
+        self.asm.lea_sib(p, p, RAX, elem_size(self.dts, slot));
     }
 
     /// The scalar strided template over a trimmed loop's live range:
@@ -1205,6 +1527,7 @@ impl NestCompiler<'_> {
         clamp: Clamp,
         bumps: &[(Reg, i64)],
         body: &[Instr],
+        carry: Option<Carry>,
     ) {
         let end = min + extent; // cannot overflow: check_item
         self.asm.mov_ri(R8, min);
@@ -1228,7 +1551,7 @@ impl NestCompiler<'_> {
         }
         self.asm.sub_rr(R11, R8);
         let empty = self.asm.jcc_fwd(CC_LE);
-        self.emit_strided_trips(bumps, body);
+        self.emit_strided_trips(bumps, body, carry);
         self.asm.land(empty);
     }
 
@@ -1513,7 +1836,7 @@ impl NestCompiler<'_> {
             self.asm.vzeroupper();
         }
         if tail > 0 {
-            self.emit_scalar_strided(tail, bumps, body);
+            self.emit_scalar_strided(tail, bumps, body, None);
         }
     }
 
@@ -1603,10 +1926,7 @@ impl NestCompiler<'_> {
     /// `r8` (dst), `r9` (a), `r10` (b).
     fn muladd_pointers(&mut self, dst: &SlotAccess, sa: &SlotAccess, sb: &SlotAccess) {
         for (acc, preg) in [(dst, R8), (sa, R9), (sb, R10)] {
-            let esize = if self.dts[acc.slot as usize] == DType::F64 { 8 } else { 4 };
-            self.asm.mov_rm(RAX, RDI, off(acc.addr));
-            self.asm.mov_rm(preg, RDX, (acc.slot as i32) * 8);
-            self.asm.lea_sib(preg, preg, RAX, esize);
+            self.element_pointer(preg, acc.slot, acc.addr);
         }
     }
 
@@ -1626,10 +1946,16 @@ impl NestCompiler<'_> {
         let disjoint = dst.slot != sa.slot && dst.slot != sb.slot;
         let fast = uniform && matched_rounding && disjoint;
         let strides = (dst.stride, sa.stride, sb.stride);
-        if fast && strides.0 == 0 && strides.1 == 1 && strides.2 == 1 {
-            // Serial accumulation order is observable: always scalar.
+        if strides.0 == 0 {
+            // One element accumulates every product, in order: a serial
+            // chain whatever the factors' strides, always scalar, and
+            // carried in a register on either path.
             self.simd.scalar("reduction-chain");
-            self.muladd_reduction(extent, dt);
+            if fast {
+                self.muladd_reduction(extent, dt, sa.stride, sb.stride);
+            } else {
+                self.muladd_generic(extent, dst, sa, sb, round32);
+            }
             return;
         }
         if fast && matches!(strides, (1, 0, 1) | (1, 1, 0) | (1, 1, 1)) {
@@ -1648,30 +1974,36 @@ impl NestCompiler<'_> {
         self.muladd_generic(extent, dst, sa, sb, round32);
     }
 
-    /// Dot-product pattern `(sd, sa, sb) = (0, 1, 1)`: a single serial
-    /// accumulator chain, kept scalar to preserve accumulation order.
-    fn muladd_reduction(&mut self, extent: i64, dt: DType) {
+    /// Reduction into one element (`dst` stride 0, any factor strides)
+    /// of uniform dtype, matched rounding and a destination slot neither
+    /// factor reads: a single serial accumulator chain in native
+    /// precision, kept scalar to preserve accumulation order. Nothing in
+    /// the loop can observe the element, so it is stored once, after the
+    /// loop. Native `f32` is what keeps this apart from the generic path,
+    /// whose chain is `addsd` plus a `cvtsd2ss`/`cvtss2sd` pair where this
+    /// one's is a single `addss`: an untiled 200³ matmul runs 0.63 ns a
+    /// multiply-add here against 5.0 there in `f32` (0.66 against 0.72–1.1
+    /// in `f64`, where the two differ only by the store).
+    fn muladd_reduction(&mut self, extent: i64, dt: DType, sa: i64, sb: i64) {
         let a = &mut *self.asm;
-        let (mov_rm, mov_mr, mul, add, step): (
-            fn(&mut Asm, X, R, i32),
-            fn(&mut Asm, R, i32, X),
-            u8,
-            u8,
-            i32,
-        ) = if dt == DType::F64 {
-            (Asm::movsd_rm, Asm::movsd_mr, 0x59, 0x58, 8)
-        } else {
-            (Asm::movss_rm, Asm::movss_mr, 0x59, 0x58, 4)
-        };
+        let (mov_rm, mov_mr, esize): (fn(&mut Asm, X, R, i32), fn(&mut Asm, R, i32, X), i64) =
+            if dt == DType::F64 {
+                (Asm::movsd_rm, Asm::movsd_mr, 8)
+            } else {
+                (Asm::movss_rm, Asm::movss_mr, 4)
+            };
         let p = if dt == DType::F64 { Some(0xF2) } else { Some(0xF3) };
         mov_rm(a, X1, R8, 0); // acc = dst[d0]
         a.mov_ri(R11, extent);
         let top = a.here();
         mov_rm(a, X0, R9, 0);
-        a.sse_rm(p, mul, X0, R10, 0); // x * y
-        a.sse_rr(p, add, X1, X0); // acc += m
-        a.add_ri(R9, step);
-        a.add_ri(R10, step);
+        a.sse_rm(p, 0x59, X0, R10, 0); // x * y
+        a.sse_rr(p, 0x58, X1, X0); // acc += m
+        for (preg, stride) in [(R9, sa), (R10, sb)] {
+            if stride != 0 {
+                a.add_ri(preg, (stride * esize) as i32); // range-checked in check_item
+            }
+        }
         a.dec_r(R11);
         a.jcc_back(CC_NZ, top);
         mov_mr(a, R8, 0, X1);
@@ -2119,12 +2451,8 @@ impl NestCompiler<'_> {
         for jk in 0..JAM as usize {
             // This k's address code, exactly as the scalar loop runs it
             // (pure register arithmetic: only RAX/RCX/X0/X1 scratch).
-            for i in plan.code {
-                self.emit_instr(i);
-            }
-            for i in plan.pre {
-                self.emit_instr(i);
-            }
+            self.emit_code(plan.code);
+            self.emit_code(plan.pre);
             if jk == 0 {
                 // Destination row pointer: k-invariant per the plan.
                 self.asm.mov_rm(RAX, RDI, off(plan.dst.addr));
@@ -2251,7 +2579,12 @@ impl NestCompiler<'_> {
     /// Generic element-order path: mixed dtypes, arbitrary strides, or
     /// an aliased destination. Replicates the VM's generic loop (load
     /// dst, load a, load b, round-per-op multiply-add, store) exactly,
-    /// including its strict ascending element order.
+    /// including its strict ascending element order. A stride-0
+    /// destination is loaded once, before the loop, and carried in a
+    /// register: the value just stored is the value the next iteration
+    /// would load. The store stays in every iteration, so a factor that
+    /// reads the destination's slot — even its very element — still reads
+    /// what it read before.
     fn muladd_generic(
         &mut self,
         extent: i64,
@@ -2264,9 +2597,15 @@ impl NestCompiler<'_> {
         let dt_a = self.dts[sa.slot as usize];
         let dt_b = self.dts[sb.slot as usize];
         let esize = |dt: DType| if dt == DType::F64 { 8i64 } else { 4 };
+        let carried = dst.stride == 0;
         self.asm.mov_ri(R11, extent);
+        if carried {
+            self.load_widen(X1, R8, dt_d); // c, once
+        }
         let top = self.asm.here();
-        self.load_widen(X1, R8, dt_d); // c
+        if !carried {
+            self.load_widen(X1, R8, dt_d); // c
+        }
         self.load_widen(X0, R9, dt_a); // x
         self.load_widen(X2, R10, dt_b); // y
         self.asm.sse_rr(Some(0xF2), 0x59, X0, X2); // m = x*y (f64)
@@ -2277,7 +2616,18 @@ impl NestCompiler<'_> {
         if round32 {
             self.asm.round32(X1);
         }
-        self.store_narrow(R8, dt_d, X1);
+        if dt_d == DType::F64 {
+            self.asm.movsd_mr(R8, 0, X1);
+        } else {
+            // Narrow like `set_f64_linear`'s `as f32`, beside the sum.
+            self.asm.cvtsd2ss_rr(X3, X1);
+            self.asm.movss_mr(R8, 0, X3);
+            if carried && !round32 {
+                // The store narrowed a sum that was not `f32`-rounded:
+                // carry what a reload would return.
+                self.asm.cvtss2sd_rr(X1, X3);
+            }
+        }
         for (acc, preg, dt) in [(dst, R8, dt_d), (sa, R9, dt_a), (sb, R10, dt_b)] {
             let step = acc.stride * esize(dt);
             if step != 0 {
@@ -2297,27 +2647,84 @@ impl NestCompiler<'_> {
             self.asm.cvtss2sd_rr(x, x);
         }
     }
-
-    /// `*ptr ← x` honoring the slot dtype (f32 narrows, like
-    /// `set_f64_linear`'s `as f32`).
-    fn store_narrow(&mut self, ptr: R, dt: DType, x: X) {
-        if dt == DType::F64 {
-            self.asm.movsd_mr(ptr, 0, x);
-        } else {
-            self.asm.cvtsd2ss_rr(x, x);
-            self.asm.movss_mr(ptr, 0, x);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ndarray::NDArray;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn run_code(code: &[u8], iregs: &mut [i64], fregs: &mut [f64], slots: &[*mut u8]) {
         let buf = ExecBuf::from_code(code).expect("map");
         let f: super::super::JitFn = unsafe { std::mem::transmute(buf.entry(0)) };
         unsafe { f(iregs.as_mut_ptr(), fregs.as_mut_ptr(), slots.as_ptr()) }
+    }
+
+    #[test]
+    fn in_memory_templates_are_byte_for_byte_the_item_code_path() {
+        // With nothing resident every instruction lowers to the template
+        // it always had; these bytes were emitted by the commit before
+        // the resolver existed (`vm/v3`, `jit/v3`). The resident forms
+        // are compared against this path, so it must not drift with them.
+        let code = [
+            Instr::IConst(3, -7_000_000_000),
+            Instr::FConst(20, 1.5),
+            Instr::IToF(1, 2),
+            Instr::IToF32(17, 0),
+            Instr::F32Round(2, 1),
+            Instr::IBin(BinOp::Add, 4, 0, 1),
+            Instr::IBin(BinOp::Sub, 5, 4, 17),
+            Instr::IBin(BinOp::Mul, 6, 5, 5),
+            Instr::FBin(BinOp::Div, 3, 1, 2),
+            Instr::FBin32(BinOp::Mul, 4, 3, 3),
+            Instr::FBin(BinOp::Sub, 5, 20, 4),
+            Instr::FMulAdd {
+                dst: 6,
+                add: 5,
+                a: 3,
+                b: 4,
+                round32: false,
+            },
+            Instr::FMulAdd {
+                dst: 7,
+                add: 6,
+                a: 6,
+                b: 17,
+                round32: true,
+            },
+            Instr::Call1(Intrinsic::Sqrt, 8, 7, true),
+            Instr::Load(9, 0, 4),
+            Instr::Load(10, 1, 16),
+            Instr::Store(0, 5, 9),
+            Instr::Store(1, 6, 10),
+        ];
+        let mut a = Asm::new();
+        let mut simd = SimdReport::default();
+        let mut nc = NestCompiler {
+            asm: &mut a,
+            dts: &[DType::F64, DType::F32],
+            opts: &X86Backend::sse2_only(),
+            simd: &mut simd,
+        };
+        nc.emit_code(&code);
+        let hex: String = a.code.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "48b8007ac45efeffffff4889471848b8000000000000f83f488986a000000048\
+             8b4710f2480f2ac0f20f114608488b07f2480f2ac0f20f5ac0f30f5ac0f20f11\
+             8688000000f20f104608f20f5ac0f30f5ac0f20f114610488b07488b4f084803\
+             c148894720488b4720488b8f88000000482bc148894728488b4728488b4f2848\
+             0fafc148894730f20f104608f20f5e4610f20f114618f20f104618f20f594618\
+             f20f5ac0f30f5ac0f20f114620f20f1086a0000000f20f5c4620f20f114628f2\
+             0f104618f20f594620f20f104e28f20f58c8f20f114e30f20f104630f20f5986\
+             88000000f20f5ac0f30f5ac0f20f104e30f20f58c8f20f5ac9f30f5ac9f20f11\
+             4e38f20f104638f20f51c0f20f5ac0f30f5ac0f20f114640488b4720488b0af2\
+             0f1004c1f20f114648488b8780000000488b4a08f30f100481f30f5ac0f20f11\
+             4650488b4728488b0af20f104648f20f1104c1488b4730488b4a08f20f104650\
+             f20f5ac0f30f110481"
+        );
     }
 
     #[test]
@@ -2331,9 +2738,11 @@ mod tests {
             opts: &X86Backend::sse2_only(),
             simd: &mut simd,
         };
-        nc.emit_instr(&Instr::IBin(BinOp::Add, 2, 0, 1));
-        nc.emit_instr(&Instr::IBin(BinOp::Mul, 3, 0, 1));
-        nc.emit_instr(&Instr::IConst(4, -7_000_000_000));
+        nc.emit_code(&[
+            Instr::IBin(BinOp::Add, 2, 0, 1),
+            Instr::IBin(BinOp::Mul, 3, 0, 1),
+            Instr::IConst(4, -7_000_000_000),
+        ]);
         a.ret();
         let mut ir = [6i64, 7, 0, 0, 0];
         let mut fr = [0f64];
@@ -2353,17 +2762,19 @@ mod tests {
             opts: &X86Backend::sse2_only(),
             simd: &mut simd,
         };
-        nc.emit_instr(&Instr::FBin(BinOp::Div, 2, 0, 1));
-        nc.emit_instr(&Instr::FBin32(BinOp::Mul, 3, 0, 1));
-        nc.emit_instr(&Instr::FMulAdd {
-            dst: 4,
-            add: 2,
-            a: 0,
-            b: 1,
-            round32: false,
-        });
-        nc.emit_instr(&Instr::Call1(Intrinsic::Sqrt, 5, 0, false));
-        nc.emit_instr(&Instr::IToF32(1, 0));
+        nc.emit_code(&[
+            Instr::FBin(BinOp::Div, 2, 0, 1),
+            Instr::FBin32(BinOp::Mul, 3, 0, 1),
+            Instr::FMulAdd {
+                dst: 4,
+                add: 2,
+                a: 0,
+                b: 1,
+                round32: false,
+            },
+            Instr::Call1(Intrinsic::Sqrt, 5, 0, false),
+            Instr::IToF32(1, 0),
+        ]);
         a.ret();
         let (x, y) = (1.9371823_f64, -0.3718_f64);
         let mut ir = [123456789i64, 0];
@@ -2427,6 +2838,7 @@ mod tests {
             pre: vec![Instr::IConst(0, 2), Instr::IBin(BinOp::Mul, 1, 0, 2)],
             bumps: vec![(0, 1), (1, 2)],
             body: vec![Instr::Load(0, 0, 1), Instr::Store(1, 0, 0)],
+            carry: None,
             kind: LoopKind::Serial,
             lanes: 1,
         };
@@ -2488,6 +2900,519 @@ mod tests {
         }
     }
 
+    /// Bit patterns of every element, so NaNs compare like any value.
+    fn bits(arrays: &[NDArray]) -> Vec<Vec<u64>> {
+        arrays
+            .iter()
+            .map(|a| a.to_f64_vec().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    fn slot_ptrs(arrays: &mut [NDArray]) -> Vec<*mut u8> {
+        arrays.iter_mut().map(|a| a.base_ptr_mut()).collect()
+    }
+
+    /// Emit `n` trips of a strided body under the register budgets
+    /// `gprs`/`xmms`, run it over copies of the register files and
+    /// arrays, and return the arrays' bits and the register files. Empty
+    /// budgets are the in-memory templates — the `Item::Code` path, which
+    /// every resident form is compared against.
+    #[allow(clippy::too_many_arguments)]
+    fn run_strided(
+        dts: &[DType],
+        bumps: &[(Reg, i64)],
+        body: &[Instr],
+        carry: Option<Carry>,
+        n: i64,
+        (gprs, xmms): (&[R], u8),
+        iregs: &[i64],
+        fregs: &[f64],
+        arrays: &[NDArray],
+    ) -> (Vec<Vec<u64>>, Vec<i64>, Vec<f64>) {
+        let mut a = Asm::new();
+        let mut simd = SimdReport::default();
+        let mut nc = NestCompiler {
+            asm: &mut a,
+            dts,
+            opts: &X86Backend::sse2_only(),
+            simd: &mut simd,
+        };
+        nc.asm.mov_ri(R11, n);
+        let plan = plan_resident(bumps, body, carry, dts, gprs, xmms);
+        nc.emit_planned_trips(body, carry, &plan);
+        a.ret();
+        let (mut ir, mut fr, mut arrays) = (iregs.to_vec(), fregs.to_vec(), arrays.to_vec());
+        let slots = slot_ptrs(&mut arrays);
+        run_code(&a.code, &mut ir, &mut fr, &slots);
+        (bits(&arrays), ir, fr)
+    }
+
+    /// A random straight-line strided body over three 64-element arrays:
+    /// `n_ptrs` distinct `(slot, address register)` pairs with strides
+    /// from `{0, 1, 2, 3, −1, −2}`, `n_defs` body-defined fregs on top of
+    /// three external ones, the loop variable read as a value, stores
+    /// that may alias earlier loads, and optionally a carried
+    /// accumulator whose `next` is built with `acc` in any operand
+    /// position. Every address stays inside its array for `extent` trips.
+    struct Generated {
+        dts: Vec<DType>,
+        iregs: Vec<i64>,
+        fregs: Vec<f64>,
+        bumps: Vec<(Reg, i64)>,
+        body: Vec<Instr>,
+        carry: Option<Carry>,
+        arrays: Vec<NDArray>,
+    }
+
+    fn pick_of(avail: &[Reg], rng: &mut SmallRng) -> Reg {
+        avail[rng.gen_range(0..avail.len())]
+    }
+
+    fn generate(rng: &mut SmallRng, n_ptrs: usize, n_defs: usize, extent: i64) -> Generated {
+        const STRIDES: [i64; 6] = [0, 1, 2, 3, -1, -2];
+        const OPS: [BinOp; 4] = [BinOp::Add, BinOp::Mul, BinOp::Sub, BinOp::Div];
+        let dts: Vec<DType> = (0..3)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    DType::F64
+                } else {
+                    DType::F32
+                }
+            })
+            .collect();
+        let arrays: Vec<NDArray> = dts
+            .iter()
+            .enumerate()
+            .map(|(i, &dt)| NDArray::random(&[64], dt, 40 + i as u64, 0.5, 2.0))
+            .collect();
+        // ireg 0 is the loop variable; iregs 1..=n_ptrs address slot
+        // `(r − 1) % 3`.
+        let mut iregs = vec![0i64];
+        let mut bumps = vec![(0, 1)];
+        let with_carry = rng.gen_bool(0.5);
+        for r in 1..=n_ptrs as Reg {
+            let fixed = with_carry && r == 1;
+            let s = if fixed {
+                0
+            } else {
+                STRIDES[rng.gen_range(0..STRIDES.len())]
+            };
+            let base = rng.gen_range(0..8i64) + if s < 0 { (extent - 1) * -s } else { 0 };
+            iregs.push(base);
+            if s != 0 {
+                bumps.push((r, s));
+            }
+        }
+        let pair = |r: Reg| (((r - 1) % 3) as u16, r);
+        // fregs 0..3 are external, 3.. defined by the body; the carry's
+        // `acc`/`next` come last.
+        let mut avail: Vec<Reg> = vec![0, 1, 2];
+        let mut body = Vec::new();
+        for k in 0..n_defs {
+            let d = 3 + k as Reg;
+            let pick = |rng: &mut SmallRng| pick_of(&avail, rng);
+            let instr = if k < n_ptrs {
+                let (slot, addr) = pair(1 + k as Reg);
+                Instr::Load(d, slot, addr)
+            } else {
+                match rng.gen_range(0..9) {
+                    0 => Instr::FBin(OPS[rng.gen_range(0..4usize)], d, pick(rng), pick(rng)),
+                    1 => Instr::FBin32(OPS[rng.gen_range(0..4usize)], d, pick(rng), pick(rng)),
+                    2 | 3 => Instr::FMulAdd {
+                        dst: d,
+                        add: pick(rng),
+                        a: pick(rng),
+                        b: pick(rng),
+                        round32: rng.gen_bool(0.5),
+                    },
+                    4 => Instr::F32Round(d, pick(rng)),
+                    5 => {
+                        if rng.gen_bool(0.5) {
+                            Instr::IToF(d, 0)
+                        } else {
+                            Instr::IToF32(d, 0)
+                        }
+                    }
+                    6 => Instr::FConst(d, rng.gen_range(0.5..2.0)),
+                    7 => Instr::Call1(Intrinsic::Sqrt, d, pick(rng), rng.gen_bool(0.5)),
+                    _ => {
+                        let (slot, addr) = pair(rng.gen_range(1..=n_ptrs as Reg));
+                        Instr::Load(d, slot, addr)
+                    }
+                }
+            };
+            body.push(instr);
+            avail.push(d);
+            if rng.gen_bool(0.25) {
+                let (slot, addr) = pair(rng.gen_range(1..=n_ptrs as Reg));
+                body.push(Instr::Store(slot, addr, pick_of(&avail, rng)));
+            }
+        }
+        let pick = |rng: &mut SmallRng| pick_of(&avail, rng);
+        let (slot, addr) = pair(1);
+        let carry = with_carry.then(|| {
+            let (acc, next) = (3 + n_defs as Reg, 4 + n_defs as Reg);
+            let (x, y) = (pick(rng), pick(rng));
+            body.push(match rng.gen_range(0..5) {
+                0 => Instr::FBin(BinOp::Add, next, acc, x),
+                1 => Instr::FBin(BinOp::Sub, next, x, acc),
+                2 => Instr::FBin32(BinOp::Mul, next, acc, acc),
+                3 => Instr::FMulAdd {
+                    dst: next,
+                    add: acc,
+                    a: x,
+                    b: y,
+                    round32: dts[slot as usize] == DType::F32,
+                },
+                _ => Instr::FMulAdd {
+                    dst: next,
+                    add: x,
+                    a: acc,
+                    b: y,
+                    round32: false,
+                },
+            });
+            body.push(Instr::Store(slot, addr, next));
+            Carry {
+                acc,
+                slot,
+                addr,
+                next,
+            }
+        });
+        if carry.is_none() {
+            body.push(Instr::Store(slot, addr, pick(rng)));
+        }
+        let fregs: Vec<f64> = (0..n_defs + 5).map(|k| 0.75 + k as f64 * 0.125).collect();
+        Generated {
+            dts,
+            iregs,
+            fregs,
+            bumps,
+            body,
+            carry,
+            arrays,
+        }
+    }
+
+    #[test]
+    fn resident_template_matches_the_in_memory_one() {
+        // 1–6 pointers against a budget of 3 GPRs, 3–20 body-defined
+        // fregs against 14 XMM registers: both budgets are crossed, and
+        // the operands left over keep their in-memory form one by one.
+        let mut rng = SmallRng::seed_from_u64(0x5ca1a2);
+        let (mut spilled_ptrs, mut spilled_fregs, mut carried, mut dropped_bumps) = (0, 0, 0, 0);
+        for case in 0..400 {
+            let n_ptrs = 1 + case % 6;
+            let n_defs = n_ptrs.max(3) + rng.gen_range(0..=(20 - n_ptrs.max(3)));
+            let extent = rng.gen_range(1..=8);
+            let g = generate(&mut rng, n_ptrs, n_defs, extent);
+            let run = |budgets| {
+                run_strided(
+                    &g.dts, &g.bumps, &g.body, g.carry, extent, budgets, &g.iregs, &g.fregs,
+                    &g.arrays,
+                )
+            };
+            let (want, _, want_fregs) = run((&[], 0));
+            // The full budgets, and budgets so tight that almost every
+            // operand is left in memory beside a resident one.
+            for budgets in [(&PTR_REGS[..], XMM_POOL), (&PTR_REGS[..1], 2)] {
+                let (got, _, got_fregs) = run(budgets);
+                assert_eq!(got, want, "case {case}: {:?} carry {:?}", g.body, g.carry);
+                // External fregs are read where they are, never written.
+                assert_eq!(got_fregs[..3], want_fregs[..3], "case {case}");
+                assert_eq!(got_fregs[..3], g.fregs[..3], "case {case}");
+            }
+            let plan = plan_resident(&g.bumps, &g.body, g.carry, &g.dts, &PTR_REGS, XMM_POOL);
+            spilled_ptrs += (plan.res.ptrs.len() < n_ptrs) as u32;
+            spilled_fregs += g
+                .body
+                .iter()
+                .filter_map(float_dst)
+                .any(|d| plan.res.xmm(d).is_none()) as u32;
+            dropped_bumps += (plan.mem_bumps.len() < g.bumps.len()) as u32;
+            if let Some(c) = g.carry {
+                carried += 1;
+                assert_eq!(plan.res.xmm(c.acc), plan.res.xmm(c.next));
+                assert!(plan.res.xmm(c.acc).is_some());
+            }
+        }
+        // Non-vacuity of each branch the comparison is meant to cover.
+        assert!(
+            spilled_ptrs > 50 && spilled_fregs > 20,
+            "{spilled_ptrs} {spilled_fregs}"
+        );
+        assert!(
+            carried > 100 && dropped_bumps > 100,
+            "{carried} {dropped_bumps}"
+        );
+    }
+
+    #[test]
+    fn resident_loop_reads_its_loop_variable_and_walks_backwards() {
+        // for i in 0..6 { B[10 − 2·i] = A[3·i] · f64(i) + f32(i) }:
+        // the loop variable is read as a value (its in-memory bump must
+        // stay), the two address registers only feed pointers (their
+        // bumps go), strides are non-unit and negative, A is f32.
+        let dts = [DType::F32, DType::F64];
+        let bumps = [(0, 1), (1, 3), (2, -2)];
+        let body = [
+            Instr::Load(0, 0, 1),
+            Instr::IToF(1, 0),
+            Instr::IToF32(2, 0),
+            Instr::FMulAdd {
+                dst: 3,
+                add: 2,
+                a: 0,
+                b: 1,
+                round32: false,
+            },
+            Instr::Store(1, 2, 3),
+        ];
+        let plan = plan_resident(&bumps, &body, None, &dts, &PTR_REGS, XMM_POOL);
+        assert_eq!(plan.mem_bumps, vec![(0, 1)]);
+        assert_eq!(plan.steps, vec![(R8, 12), (R9, -16)]);
+        let arrays = [
+            NDArray::random(&[16], DType::F32, 1, -1.0, 1.0),
+            NDArray::zeros(&[11], DType::F64),
+        ];
+        let (iregs, fregs) = ([0i64, 0, 10], [0f64; 4]);
+        let resident = (&PTR_REGS[..], XMM_POOL);
+        let (got, ..) = run_strided(
+            &dts, &bumps, &body, None, 6, resident, &iregs, &fregs, &arrays,
+        );
+        let (want, ..) = run_strided(
+            &dts,
+            &bumps,
+            &body,
+            None,
+            6,
+            (&[], 0),
+            &iregs,
+            &fregs,
+            &arrays,
+        );
+        assert_eq!(got, want);
+        let a = arrays[0].to_f64_vec();
+        for i in 0..6usize {
+            let v = i as f64 as f32 as f64 + a[3 * i] * i as f64;
+            assert_eq!(got[1][10 - 2 * i], v.to_bits(), "B[{}]", 10 - 2 * i);
+        }
+    }
+
+    #[test]
+    fn packed_main_loop_hands_over_to_the_resident_tail() {
+        // for i in 0..n { B[i] = A[i] · c + A[i] } proven vectorized, at
+        // every extent `lanes·q + r`: the packed main loop leaves the
+        // strided registers in memory, the resident tail picks them up.
+        let dts = [DType::F64, DType::F64];
+        let bumps = vec![(0, 1), (1, 1), (2, 1)];
+        let body = vec![
+            Instr::Load(1, 0, 1),
+            Instr::FMulAdd {
+                dst: 2,
+                add: 1,
+                a: 1,
+                b: 0,
+                round32: false,
+            },
+            Instr::Store(1, 2, 2),
+        ];
+        for opts in [X86Backend::sse2_only(), X86Backend::detect()] {
+            let lanes = i64::from(opts.lanes().0);
+            for q in 1..=3 {
+                for r in 0..lanes {
+                    let extent = lanes * q + r;
+                    let item = Item::StridedLoop {
+                        min: 0,
+                        extent,
+                        clamp: Clamp::default(),
+                        pre: vec![
+                            Instr::IConst(0, 0),
+                            Instr::IConst(1, 3),
+                            Instr::IConst(2, 1),
+                        ],
+                        bumps: bumps.clone(),
+                        body: body.clone(),
+                        carry: None,
+                        kind: LoopKind::Vectorized { proven: true },
+                        lanes: 2,
+                    };
+                    let mut a = Asm::new();
+                    let mut simd = SimdReport::default();
+                    let mut nc = NestCompiler {
+                        asm: &mut a,
+                        dts: &dts,
+                        opts: &opts,
+                        simd: &mut simd,
+                    };
+                    nc.emit_item(&item);
+                    a.ret();
+                    assert_eq!(simd.packed_loops, u64::from(opts.simd), "{opts:?}");
+                    let mut arrays = vec![
+                        NDArray::random(&[40], DType::F64, 9, -1.0, 1.0),
+                        NDArray::zeros(&[40], DType::F64),
+                    ];
+                    let (iregs, fregs) = ([0i64, 3, 1], [1.0 / 3.0, 0.0, 0.0]);
+                    let (want, ..) = run_strided(
+                        &dts,
+                        &bumps,
+                        &body,
+                        None,
+                        extent,
+                        (&[], 0),
+                        &iregs,
+                        &fregs,
+                        &arrays,
+                    );
+                    let slots = slot_ptrs(&mut arrays);
+                    run_code(&a.code, &mut iregs.clone(), &mut fregs.clone(), &slots);
+                    assert_eq!(bits(&arrays), want, "{opts:?} extent {extent}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trimmed_prologue_feeds_the_resident_reduction() {
+        // for i in 2..6, trimmed from below { B[1] = B[1] + A[2·i] } with
+        // the accumulator forwarded: the prologue advances the strided
+        // registers in memory, the resident loop forms its pointers from
+        // them, and an empty range neither loads nor stores `B[1]`.
+        let dts = [DType::F64, DType::F64];
+        let clamp = Clamp {
+            lo: Some((3, 1)),
+            hi: None,
+        };
+        let item = Item::StridedLoop {
+            min: 2,
+            extent: 4,
+            clamp,
+            pre: vec![Instr::IConst(0, 2), Instr::IBin(BinOp::Mul, 1, 0, 2)],
+            bumps: vec![(0, 1), (1, 2)],
+            body: vec![
+                Instr::Load(1, 0, 1),
+                Instr::FBin(BinOp::Add, 2, 0, 1),
+                Instr::Store(1, 4, 2),
+            ],
+            carry: Some(Carry {
+                acc: 0,
+                slot: 1,
+                addr: 4,
+                next: 2,
+            }),
+            kind: LoopKind::Serial,
+            lanes: 1,
+        };
+        check_item(&item, &dts).expect("forwarded trimmed loops are in the JIT subset");
+        let mut a = Asm::new();
+        let mut simd = SimdReport::default();
+        let mut nc = NestCompiler {
+            asm: &mut a,
+            dts: &dts,
+            opts: &X86Backend::sse2_only(),
+            simd: &mut simd,
+        };
+        nc.emit_item(&item);
+        a.ret();
+        // A signalling-NaN bit pattern: any load-and-store-back through
+        // an arithmetic path would quiet it.
+        let snan = f64::from_bits(0x7FF0_0000_0000_0001);
+        for lo in [i64::MIN, 0, 1, 2, 3, 4, 5, 9, i64::MAX] {
+            let mut av: Vec<f64> = (0..16).map(|v| v as f64 + 0.5).collect();
+            let mut bv = vec![-1.0, snan, -1.0];
+            let slots = [av.as_mut_ptr().cast::<u8>(), bv.as_mut_ptr().cast::<u8>()];
+            let mut ir = [0i64, 0, 2, lo, 1];
+            let (start, end) = crate::compile::live_range(2, 4, clamp, &ir);
+            run_code(&a.code, &mut ir, &mut [0f64; 3], &slots);
+            if start == end {
+                assert_eq!(bv[1].to_bits(), snan.to_bits(), "lo {lo}: empty range");
+            } else {
+                // (snan + A[2·start]) quiets, then the rest accumulate.
+                let want = (start..end).fold(snan, |acc, i| acc + av[2 * i as usize]);
+                assert_eq!(bv[1].to_bits(), want.to_bits(), "lo {lo}: {start}..{end}");
+            }
+            assert_eq!((bv[0], bv[2]), (-1.0, -1.0));
+        }
+    }
+
+    #[test]
+    fn stride_zero_muladd_matches_the_vm_loop_on_aliased_and_mixed_operands() {
+        use DType::{F32, F64};
+        // (slot dtypes, dst/a/b slots, a stride, b stride, round32): an
+        // in-place destination whose element the `a` walk crosses, mixed
+        // dtypes with and without per-op rounding, and the native
+        // reduction over non-unit, negative and zero factor strides.
+        let cases = [
+            ([F64, F64, F64], [0, 0, 1], 1, 2, false),
+            ([F32, F32, F32], [0, 1, 0], 2, 1, true),
+            ([F32, F64, F32], [0, 1, 2], 1, 3, false),
+            ([F32, F64, F32], [0, 1, 2], 1, 3, true),
+            ([F64, F32, F32], [0, 1, 2], 3, -1, true),
+            ([F32, F32, F32], [0, 1, 2], 1, 1, false),
+            ([F64, F64, F64], [0, 1, 2], 1, 5, false),
+            ([F32, F32, F32], [0, 1, 2], -2, 0, true),
+            ([F64, F64, F64], [0, 1, 1], 0, -3, false),
+        ];
+        for (dts, [sd, sa, sb], stride_a, stride_b, round32) in cases {
+            let extent = 7i64;
+            let arrays: Vec<NDArray> = dts
+                .iter()
+                .enumerate()
+                .map(|(i, &dt)| NDArray::random(&[48], dt, 70 + i as u64, -1.0, 1.0))
+                .collect();
+            let start = |s: i64| if s < 0 { 6 * -s + 1 } else { 2 };
+            // The destination sits on an element the `a` walk reaches.
+            let iregs = [
+                start(stride_a) + 3 * stride_a,
+                start(stride_a),
+                start(stride_b),
+            ];
+            let access = |slot, addr, stride| SlotAccess { slot, addr, stride };
+            let (d, x, y) = (
+                access(sd, 0, 0),
+                access(sa, 1, stride_a),
+                access(sb, 2, stride_b),
+            );
+            // The VM's generic loop, element by element through memory.
+            let mut want = arrays.clone();
+            for k in 0..extent {
+                let at = |acc: &SlotAccess| (iregs[acc.addr as usize] + k * acc.stride) as usize;
+                let c = want[sd as usize].get_f64_linear(at(&d));
+                let mut m = want[sa as usize].get_f64_linear(at(&x))
+                    * want[sb as usize].get_f64_linear(at(&y));
+                if round32 {
+                    m = m as f32 as f64;
+                }
+                let mut sum = c + m;
+                if round32 {
+                    sum = sum as f32 as f64;
+                }
+                want[sd as usize].set_f64_linear(at(&d), sum);
+            }
+            let mut a = Asm::new();
+            let mut simd = SimdReport::default();
+            let mut nc = NestCompiler {
+                asm: &mut a,
+                dts: &dts,
+                opts: &X86Backend::sse2_only(),
+                simd: &mut simd,
+            };
+            nc.emit_muladd(extent, &d, &x, &y, round32);
+            a.ret();
+            assert_eq!(simd.scalar_reasons.get("reduction-chain"), Some(&1));
+            assert_eq!(simd.sites(), 1);
+            let mut got = arrays.clone();
+            let slots = slot_ptrs(&mut got);
+            run_code(&a.code, &mut iregs.clone(), &mut [0f64], &slots);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{dts:?} slots {sd}/{sa}/{sb} strides {stride_a}/{stride_b} round32 {round32}"
+            );
+        }
+    }
+
     #[test]
     fn trimmed_loops_outside_the_template_are_rejected_not_guessed() {
         let dts = [DType::F64];
@@ -2517,6 +3442,7 @@ mod tests {
                 pre: vec![Instr::IConst(0, 0)],
                 bumps: vec![(0, 1)],
                 body: vec![],
+                carry: None,
                 kind: LoopKind::Serial,
                 lanes: 1,
             };

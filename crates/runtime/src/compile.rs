@@ -200,6 +200,29 @@ impl Clamp {
     }
 }
 
+/// The accumulator a *forwarded* strided loop carries in a register
+/// ([`crate::optimize`]'s accumulator forwarding): the body used to open
+/// with `Load(acc, slot, addr)` and still holds the `Store` of `next` to
+/// the same element, whose address never moves. The value just stored is
+/// the value the next iteration would load, so the `Load` is gone: if the
+/// live range is non-empty, `acc` is loaded once before the first
+/// iteration — behind the empty-range test, because the load's in-bounds
+/// proof was made for iterations that run — and after each iteration
+/// `fregs[acc] ← fregs[next]`. The `Store` runs every iteration, so
+/// memory is current at all times and every other access of the slot
+/// reads what it read before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Carry {
+    /// Float register the dropped `Load` defined.
+    pub(crate) acc: Reg,
+    /// Storage slot of the accumulator element.
+    pub(crate) slot: u16,
+    /// Integer register holding its (loop-invariant) linear address.
+    pub(crate) addr: Reg,
+    /// Float register the body stores to that element.
+    pub(crate) next: Reg,
+}
+
 /// The iterations `start..end` a loop over the static range
 /// `[min, min+extent)` actually visits under `clamp`, with the clamp
 /// registers read from `iregs` at loop entry.
@@ -258,8 +281,9 @@ pub(crate) enum Item {
     /// once per loop entry (loop variable set to `min`, affine index
     /// registers computed for iteration `min`), every register in `bumps`
     /// is advanced to the first live iteration (`(start − min)·stride`,
-    /// nothing for an untrimmed loop), then each live iteration runs
-    /// `body` followed by adding `stride` to every register in `bumps`.
+    /// nothing for an untrimmed loop), a non-empty live range loads the
+    /// `carry` accumulator, then each live iteration runs `body`, forwards
+    /// the carry and adds `stride` to every register in `bumps`.
     /// Registers defined inside an innermost loop are never read
     /// after it (the compiler emits consumers at the definition block), so
     /// the bumped registers' post-loop values are unobservable.
@@ -276,8 +300,14 @@ pub(crate) enum Item {
         /// `(register, per-iteration stride)` bumps applied after each
         /// iteration.
         bumps: Vec<(Reg, i64)>,
-        /// Per-iteration instructions (everything non-affine).
+        /// Per-iteration instructions (everything non-affine; without
+        /// the accumulator's `Load` when `carry` is set).
         body: Vec<Instr>,
+        /// Accumulator forwarded from each iteration's store to the next
+        /// iteration in a register (none as rewritten; set by the block
+        /// optimizer's accumulator forwarding, never on a loop that is
+        /// proven `Parallel`/`Vectorized`).
+        carry: Option<Carry>,
         /// Original loop kind.
         kind: LoopKind,
         /// Planned base vector width in elements (the block optimizer's
@@ -321,6 +351,21 @@ pub(crate) enum Item {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Block {
     pub(crate) items: Vec<Item>,
+}
+
+/// Forwarded strided loops ([`Carry`]) among the bytecode items of `b`.
+pub(crate) fn forwarded_in(b: &Block) -> usize {
+    b.items
+        .iter()
+        .map(|it| match it {
+            Item::Code(_) | Item::MulAddLoop { .. } | Item::JitCall { .. } => 0,
+            Item::Loop { body, .. } => forwarded_in(body),
+            Item::If { then, else_, .. } => {
+                forwarded_in(then) + else_.as_ref().map_or(0, forwarded_in)
+            }
+            Item::StridedLoop { carry, .. } => carry.is_some() as usize,
+        })
+        .sum()
 }
 
 /// Parameter signature entry (drives the same arity/shape/dtype checks the
@@ -443,6 +488,14 @@ impl CompiledFunc {
                 .sum()
         }
         count(&self.body)
+    }
+
+    /// Number of strided reduction loops whose accumulator the block
+    /// optimizer forwards in a register instead of reloading it from the
+    /// element every iteration just stored — still in bytecode, or
+    /// compiled into this function's jitted nests.
+    pub fn forwarded_loop_count(&self) -> usize {
+        forwarded_in(&self.body) + self.jit.as_ref().map_or(0, |p| p.forwarded_loops)
     }
 
     /// Number of inner loops dispatched to the multiply-accumulate slice
@@ -1231,7 +1284,7 @@ fn interval_of(
 /// interpreter instead.
 ///
 /// Every schedule-parallel loop is marked *unproven* (it executes
-/// sequentially): this entry backs the scalar rung, whose `vm/v3`
+/// sequentially): this entry backs the scalar rung, whose `vm/v4`
 /// fingerprint promises sequential semantics. The optimized pipeline
 /// threads race-freedom proofs through [`compile_with_proofs`].
 pub fn compile(func: &PrimFunc) -> Result<CompiledFunc, CompileError> {

@@ -108,15 +108,18 @@ impl NDArray {
     /// order) — the PolyBench initialization pattern.
     pub fn from_fn(shape: &[usize], dtype: DType, mut f: impl FnMut(&[usize]) -> f64) -> NDArray {
         let mut a = NDArray::zeros(shape, dtype);
-        let n = a.numel();
         let mut idx = vec![0usize; shape.len()];
-        for lin in 0..n {
-            let mut rem = lin;
-            for d in (0..shape.len()).rev() {
-                idx[d] = rem % shape[d];
-                rem /= shape[d];
-            }
+        for lin in 0..a.numel() {
             a.set_f64_linear(lin, f(&idx));
+            // Odometer step to the next row-major index: bump the last
+            // dimension and carry (the final step wraps to all zeros).
+            for d in (0..shape.len()).rev() {
+                idx[d] += 1;
+                if idx[d] < shape[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
         }
         a
     }
@@ -294,6 +297,36 @@ mod tests {
     fn from_fn_row_major() {
         let a = NDArray::from_fn(&[2, 2], DType::F64, |idx| (idx[0] * 10 + idx[1]) as f64);
         assert_eq!(a.to_f64_vec(), vec![0.0, 1.0, 10.0, 11.0]);
+    }
+
+    #[test]
+    fn from_fn_indices_match_div_mod() {
+        // Every index `from_fn` hands out, against recomputing it from
+        // the linear offset by `%` and `/` per dimension.
+        let shapes: [&[usize]; 7] = [&[], &[5], &[2, 3, 4], &[1, 1, 1], &[0], &[3, 0, 2], &[4, 1]];
+        for shape in shapes {
+            for dtype in [DType::F32, DType::F64] {
+                let mut seen: Vec<Vec<usize>> = Vec::new();
+                let a = NDArray::from_fn(shape, dtype, |idx| {
+                    seen.push(idx.to_vec());
+                    idx.iter().fold(0.7, |acc, &i| acc * 1.3 + i as f64)
+                });
+                let mut want = NDArray::zeros(shape, dtype);
+                assert_eq!(seen.len(), want.numel(), "{shape:?}");
+                for (lin, idx) in seen.iter().enumerate() {
+                    let mut rem = lin;
+                    let mut by_div = vec![0usize; shape.len()];
+                    for d in (0..shape.len()).rev() {
+                        by_div[d] = rem % shape[d];
+                        rem /= shape[d];
+                    }
+                    assert_eq!(idx, &by_div, "{shape:?} at {lin}");
+                    let v = by_div.iter().fold(0.7, |acc, &i| acc * 1.3 + i as f64);
+                    want.set_f64_linear(lin, v);
+                }
+                assert_eq!(a, want, "{shape:?} {dtype:?}");
+            }
+        }
     }
 
     #[test]

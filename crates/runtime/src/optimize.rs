@@ -1,13 +1,15 @@
 //! Bytecode block optimizer: fused multiply-add, loop trimming,
-//! strided-pointer-bump loops, and microkernel recognition.
+//! strided-pointer-bump loops, microkernel recognition, and accumulator
+//! forwarding.
 //!
 //! [`compile_optimized`] is the optimizing counterpart of
 //! [`crate::compile`]: it first runs the TIR pass pipeline
 //! ([`tvm_tir::optimize`] — strength reduction, guard unswitching LICM,
 //! simplification, each re-verified), compiles the result, then applies
-//! four bytecode-level transforms (numbered in the order they landed;
+//! five bytecode-level transforms (numbered in the order they landed;
 //! trimming runs before the strided rewrite so that rewrite sees the
-//! straight-line body trimming leaves):
+//! straight-line body trimming leaves, forwarding last, on the strided
+//! body the microkernel recognizer declined):
 //!
 //! 1. **FMA peephole** — adjacent `FBin(Mul)`/`FBin(Add)` pairs whose
 //!    product register has exactly one use fuse into
@@ -45,6 +47,19 @@
 //!    with the same instruction sequence, so every reduction keeps its
 //!    accumulation order and the first failing iteration, if any, is the
 //!    same one. See [`try_trim`] for what is refused.
+//! 5. **Accumulator forwarding** — a strided body that loads an element
+//!    and later stores to the same element, at an address that does not
+//!    move (`C[i,j] += …` with the reduction innermost: syrk, and lu,
+//!    cholesky and trmm once trimmed), loses the load: *the value just
+//!    stored is the value about to be loaded*, so the loop carries it in
+//!    a register ([`Carry`]: load once before the first live iteration,
+//!    `acc ← next` after each). The store stays in the body, every
+//!    iteration, so memory is current at all times: another load of the
+//!    slot that happens to alias the accumulator (lu and cholesky update
+//!    `A` in place, trmm reads `B` twice) reads what it read before, and
+//!    nothing has to be sunk, proven pure or proven alias-free. What it
+//!    removes is the store→load round trip on the reduction's dependency
+//!    chain. See [`try_forward`] for what is refused.
 //!
 //! Why the incremental address update is exact: a register classified
 //! affine holds `base + i·s` at iteration `i`, so bumping by `s` per
@@ -56,8 +71,8 @@
 //! unobservable.
 
 use crate::compile::{
-    compile_with_proofs, Block, Clamp, CompileError, CompiledFunc, Instr, Item, LoopKind, Reg,
-    SlotAccess,
+    compile_with_proofs, Block, Carry, Clamp, CompileError, CompiledFunc, Instr, Item, LoopKind,
+    Reg, SlotAccess,
 };
 use std::collections::{HashMap, HashSet};
 use tvm_te::{BinOp, CmpOp, DType};
@@ -65,7 +80,7 @@ use tvm_tir::PrimFunc;
 
 /// Version tag of the bytecode engine (compiler + block optimizer +
 /// VM). Bump on any change to instruction semantics or the optimizer.
-pub(crate) const ENGINE_VERSION: &str = "vm/v3";
+pub(crate) const ENGINE_VERSION: &str = "vm/v4";
 
 /// Fingerprint of the full optimization pipeline an execution engine
 /// applies between TIR and measurement: the bytecode engine version,
@@ -122,7 +137,7 @@ pub fn optimize_compiled(cf: &CompiledFunc) -> CompiledFunc {
 }
 
 /// Integer destination register of an instruction, if any.
-fn int_dst(i: &Instr) -> Option<Reg> {
+pub(crate) fn int_dst(i: &Instr) -> Option<Reg> {
     match i {
         Instr::IConst(d, _)
         | Instr::FToI(d, _)
@@ -167,40 +182,53 @@ fn collect_consts(b: &Block) -> HashMap<Reg, i64> {
     out
 }
 
+/// Float destination register of an instruction, if any.
+pub(crate) fn float_dst(i: &Instr) -> Option<Reg> {
+    match i {
+        Instr::FConst(d, _)
+        | Instr::IToF(d, _)
+        | Instr::IToF32(d, _)
+        | Instr::F32Round(d, _)
+        | Instr::FBin(_, d, _, _)
+        | Instr::FBin32(_, d, _, _)
+        | Instr::FSel(d, _, _, _)
+        | Instr::Call1(_, d, _, _)
+        | Instr::Call2(_, d, _, _, _)
+        | Instr::Load(d, _, _)
+        | Instr::FMulAdd { dst: d, .. } => Some(*d),
+        _ => None,
+    }
+}
+
+/// The float registers an instruction reads (one entry per read).
+pub(crate) fn float_uses(i: &Instr) -> impl Iterator<Item = Reg> {
+    let uses = match *i {
+        Instr::FToI(_, s) | Instr::F32Round(_, s) | Instr::FBool(_, s) => [Some(s), None, None],
+        Instr::FBin(_, _, a, b) | Instr::FBin32(_, _, a, b) | Instr::FCmp(_, _, a, b) => {
+            [Some(a), Some(b), None]
+        }
+        Instr::FSel(_, _, t, f) => [Some(t), Some(f), None],
+        Instr::Call1(_, _, x, _) => [Some(x), None, None],
+        Instr::Call2(_, _, x, y, _) => [Some(x), Some(y), None],
+        Instr::Store(_, _, v) | Instr::StoreChecked { val: v, .. } => [Some(v), None, None],
+        Instr::FMulAdd { add, a, b, .. } => [Some(add), Some(a), Some(b)],
+        _ => [None, None, None],
+    };
+    uses.into_iter().flatten()
+}
+
 /// How many times each float register is read anywhere in the program
 /// (gates the FMA peephole: the fused product register must be dead
 /// outside the pair).
 fn freg_use_counts(b: &Block) -> HashMap<Reg, usize> {
-    fn uses(i: &Instr, out: &mut HashMap<Reg, usize>) {
-        let mut u = |r: Reg| *out.entry(r).or_insert(0) += 1;
-        match i {
-            Instr::FToI(_, s) | Instr::F32Round(_, s) | Instr::FBool(_, s) => u(*s),
-            Instr::FBin(_, _, a, b) | Instr::FBin32(_, _, a, b) => {
-                u(*a);
-                u(*b);
-            }
-            Instr::FSel(_, _, t, f) => {
-                u(*t);
-                u(*f);
-            }
-            Instr::Call1(_, _, x, _) => u(*x),
-            Instr::Call2(_, _, x, y, _) => {
-                u(*x);
-                u(*y);
-            }
-            Instr::Store(_, _, v) | Instr::StoreChecked { val: v, .. } => u(*v),
-            Instr::FMulAdd { add, a, b, .. } => {
-                u(*add);
-                u(*a);
-                u(*b);
-            }
-            _ => {}
-        }
-    }
     fn go(b: &Block, out: &mut HashMap<Reg, usize>) {
         for it in &b.items {
             match it {
-                Item::Code(c) => c.iter().for_each(|i| uses(i, out)),
+                Item::Code(c) => {
+                    for r in c.iter().flat_map(float_uses) {
+                        *out.entry(r).or_insert(0) += 1;
+                    }
+                }
                 Item::Loop { body, .. } => go(body, out),
                 Item::If { then, else_, .. } => {
                     go(then, out);
@@ -446,7 +474,7 @@ fn is_pure(i: &Instr) -> bool {
 }
 
 /// Does this instruction read integer register `r`?
-fn reads_ireg(i: &Instr, r: Reg) -> bool {
+pub(crate) fn reads_ireg(i: &Instr, r: Reg) -> bool {
     match i {
         Instr::IToF(_, s) | Instr::IToF32(_, s) | Instr::Not(_, s) => *s == r,
         Instr::IBin(_, _, a, b)
@@ -584,7 +612,9 @@ fn try_trim(
 /// Rewrite an innermost straight-line loop into strided-pointer-bump
 /// form, and further into a multiply-accumulate microkernel when the
 /// residual body matches. A trimmed loop (`clamp` set) is planned scalar
-/// and never promoted to a microkernel: those keep a static extent.
+/// and never promoted to a microkernel: those keep a static extent. A
+/// body that stays strided has its accumulator forwarded
+/// ([`try_forward`]) when it carries one.
 #[allow(clippy::too_many_arguments)]
 fn try_strided(
     var: Reg,
@@ -676,16 +706,129 @@ fn try_strided(
     } else {
         1
     };
+    let fixed = |r: Reg| stride_of(r, var, &written, &strides) == Some(0);
+    let (body, carry) = match try_forward(&rest, kind, &fixed, vn, dts) {
+        Some((body, carry)) => (body, Some(carry)),
+        None => (rest, None),
+    };
     Some(Item::StridedLoop {
         min,
         extent,
         clamp,
         pre,
         bumps,
-        body: rest,
+        body,
+        carry,
         kind,
         lanes,
     })
+}
+
+/// Do two address registers provably hold the same value on every
+/// iteration? The compiler emits index arithmetic once per access,
+/// without CSE, so a load and a store of one element usually name
+/// different registers that value numbering proves equal.
+fn same_address(a: Reg, b: Reg, vn: &HashMap<Reg, u32>) -> bool {
+    a == b || matches!((vn.get(&a), vn.get(&b)), (Some(x), Some(y)) if x == y)
+}
+
+/// Does this instruction leave a value in its float destination that an
+/// `f32` store and reload returns unchanged?
+fn rounds_to_f32(i: &Instr, dts: &[DType]) -> bool {
+    match i {
+        Instr::IToF32(..) | Instr::F32Round(..) | Instr::FBin32(..) => true,
+        Instr::Call1(.., round) | Instr::Call2(.., round) => *round,
+        Instr::FMulAdd { round32, .. } => *round32,
+        Instr::Load(_, slot, _) => dts[*slot as usize] == DType::F32,
+        _ => false,
+    }
+}
+
+/// Accumulator forwarding (transform 5 of the module docs): find
+/// `Load(acc, s, ra)` … `Store(s, rb, next)` in a strided body with `ra`
+/// and `rb` the same address, fixed for the whole loop (`fixed`: stride
+/// 0), and return the body without the load plus the [`Carry`] that
+/// replaces it. The store is kept. `None` leaves the body exactly as it
+/// is. Refused:
+///
+/// - a loop that is proven `Parallel` or `Vectorized`: its iterations may
+///   be split across workers or lanes, a carry is sequential state;
+/// - any other write to slot `s` in the body (a second `Store`, a
+///   `StoreChecked`): it may hit the accumulator's element behind the
+///   register's back;
+/// - a `Bound` check on slot `s`: the load's address is then not proven
+///   in bounds, and the check must fail before the load, not after it;
+/// - the load after the store, `acc` read before the load or defined
+///   twice, `next` not defined exactly once in the body before the store
+///   or read before that definition: not the reduction shape;
+/// - `acc` read after `next` is defined: a native backend keeps both in
+///   one machine register;
+/// - a slot that is not `f64` whose stored value the store would change:
+///   integer slots always, `f32` unless `next` is defined by an
+///   instruction that already rounds to `f32` (the store narrows, a
+///   register would not).
+fn try_forward(
+    body: &[Instr],
+    kind: LoopKind,
+    fixed: &dyn Fn(Reg) -> bool,
+    vn: &HashMap<Reg, u32>,
+    dts: &[DType],
+) -> Option<(Vec<Instr>, Carry)> {
+    if matches!(
+        kind,
+        LoopKind::Parallel { proven: true } | LoopKind::Vectorized { proven: true }
+    ) {
+        return None;
+    }
+    let reads = |code: &[Instr], r: Reg| code.iter().flat_map(float_uses).any(|u| u == r);
+    let defs = |r: Reg| body.iter().filter(|i| float_dst(i) == Some(r)).count();
+    let carried = |st: usize, slot: u16, rb: Reg, next: Reg| -> Option<(usize, Carry)> {
+        if !fixed(rb) {
+            return None;
+        }
+        let clobbers = |(k, i): (usize, &Instr)| match i {
+            Instr::Store(s, ..) => k != st && *s == slot,
+            Instr::StoreChecked { buf, .. } | Instr::Bound { buf, .. } => *buf == slot,
+            _ => false,
+        };
+        if body.iter().enumerate().any(clobbers) {
+            return None;
+        }
+        let (ld, acc, addr) = body[..st].iter().enumerate().find_map(|(k, i)| match *i {
+            Instr::Load(acc, s, ra) if s == slot && fixed(ra) && same_address(ra, rb, vn) => {
+                Some((k, acc, ra))
+            }
+            _ => None,
+        })?;
+        let df = body[..st].iter().position(|i| float_dst(i) == Some(next))?;
+        let shape = acc != next
+            && defs(acc) == 1
+            && defs(next) == 1
+            && !reads(&body[..ld], acc)
+            && !reads(&body[..df], next)
+            && !reads(&body[df + 1..], acc);
+        let exact = match dts[slot as usize] {
+            DType::F64 => true,
+            DType::F32 => rounds_to_f32(&body[df], dts),
+            _ => false,
+        };
+        (shape && exact).then_some((
+            ld,
+            Carry {
+                acc,
+                slot,
+                addr,
+                next,
+            },
+        ))
+    };
+    let (ld, carry) = body.iter().enumerate().find_map(|(st, i)| match *i {
+        Instr::Store(slot, rb, next) => carried(st, slot, rb, next),
+        _ => None,
+    })?;
+    let mut body = body.to_vec();
+    body.remove(ld);
+    Some((body, carry))
 }
 
 /// Vector-width plan for a strided body: the uniform f64/f32 element
@@ -744,8 +887,7 @@ fn try_muladd(
     // compiler emits index arithmetic twice, without CSE): accept it when
     // value numbering proves both registers compute the same expression,
     // and both advance by the same stride.
-    let same_addr = rs == rc || matches!((vn.get(rc), vn.get(rs)), (Some(a), Some(b)) if a == b);
-    if !same_addr {
+    if !same_address(*rc, *rs, vn) {
         return None;
     }
     // Map the microkernel's factor operands in the multiply's own order
@@ -1184,6 +1326,284 @@ mod tests {
             ..Clamp::default()
         };
         assert!(matches!(strided(clamp), Some(Item::StridedLoop { .. })));
+    }
+
+    /// lu's reduction as the strided rewrite sees it, over slot 0:
+    /// `for r0 in 0..8 { A[r1] = A[r1] − A[r3 + r0] · A[r0·r5 + r4] }`,
+    /// the store's address a second register (`r2`) that value numbering
+    /// proves equal to the load's.
+    fn reduction_body() -> Vec<Instr> {
+        vec![
+            Instr::IBin(BinOp::Add, 6, 3, 0),
+            Instr::IBin(BinOp::Mul, 7, 0, 5),
+            Instr::IBin(BinOp::Add, 8, 7, 4),
+            Instr::Load(0, 0, 1),
+            Instr::Load(1, 0, 6),
+            Instr::Load(2, 0, 8),
+            Instr::FBin(BinOp::Mul, 3, 1, 2),
+            Instr::FBin(BinOp::Sub, 4, 0, 3),
+            Instr::Store(0, 2, 4),
+        ]
+    }
+
+    /// `for r0 in 0..8 { code }` through the block optimizer, with `r5`
+    /// the constant 40 and `r1`/`r2` value-equal.
+    fn optimize_loop(code: Vec<Instr>, kind: LoopKind, clamp: Clamp, dts: &[DType]) -> Item {
+        let item = Item::Loop {
+            var: 0,
+            min: 0,
+            extent: 8,
+            clamp,
+            body: Block {
+                items: vec![Item::Code(code)],
+            },
+            kind,
+        };
+        let consts: HashMap<Reg, i64> = [(5, 40)].into_iter().collect();
+        let vn: HashMap<Reg, u32> = [(1, 100), (2, 100), (9, 101)].into_iter().collect();
+        let mut out = optimize_block(
+            &Block { items: vec![item] },
+            &consts,
+            &HashMap::new(),
+            &vn,
+            dts,
+        );
+        out.items.remove(0)
+    }
+
+    /// The strided form of [`reduction_body`]-like code with nothing
+    /// forwarded: every non-affine instruction still in the body.
+    fn unforwarded(code: &[Instr], kind: LoopKind, clamp: Clamp) -> Item {
+        Item::StridedLoop {
+            min: 0,
+            extent: 8,
+            clamp,
+            pre: vec![
+                Instr::IConst(0, 0),
+                Instr::IBin(BinOp::Add, 6, 3, 0),
+                Instr::IBin(BinOp::Mul, 7, 0, 5),
+                Instr::IBin(BinOp::Add, 8, 7, 4),
+            ],
+            bumps: vec![(0, 1), (6, 1), (7, 40), (8, 40)],
+            body: code[3..].to_vec(),
+            carry: None,
+            kind,
+            lanes: 1,
+        }
+    }
+
+    #[test]
+    fn reduction_shaped_bodies_forward_their_accumulator() {
+        let hi = Clamp {
+            hi: Some((4, 0)),
+            ..Clamp::default()
+        };
+        // lu / cholesky: `acc − a·b`, trimmed.
+        let lu = reduction_body();
+        // trmm: one fused multiply-add, trimmed.
+        let mut trmm = reduction_body();
+        trmm.splice(
+            6..8,
+            [Instr::FMulAdd {
+                dst: 4,
+                add: 0,
+                a: 1,
+                b: 2,
+                round32: false,
+            }],
+        );
+        // syrk: `acc + (α·a)·b` with `α` an external register, static
+        // extent (the microkernel recognizer declines the extra multiply).
+        let mut syrk = reduction_body();
+        syrk.splice(
+            6..8,
+            [
+                Instr::FBin(BinOp::Mul, 3, 9, 1),
+                Instr::FMulAdd {
+                    dst: 4,
+                    add: 0,
+                    a: 3,
+                    b: 2,
+                    round32: false,
+                },
+            ],
+        );
+        // f32, every operation rounded.
+        let mut f32_rounded = reduction_body();
+        f32_rounded[6] = Instr::FBin32(BinOp::Mul, 3, 1, 2);
+        f32_rounded[7] = Instr::FBin32(BinOp::Sub, 4, 0, 3);
+        let unproven = LoopKind::Vectorized { proven: false };
+        for (what, code, kind, clamp, dt) in [
+            ("lu", lu, LoopKind::Serial, hi, DType::F64),
+            ("trmm", trmm, LoopKind::Serial, hi, DType::F64),
+            ("syrk", syrk, LoopKind::Serial, Clamp::default(), DType::F64),
+            ("f32", f32_rounded, LoopKind::Serial, hi, DType::F32),
+            (
+                "unproven vectorized",
+                reduction_body(),
+                unproven,
+                hi,
+                DType::F64,
+            ),
+        ] {
+            let Item::StridedLoop {
+                body, carry, lanes, ..
+            } = optimize_loop(code.clone(), kind, clamp, &[dt])
+            else {
+                panic!("{what}: must reach strided form");
+            };
+            assert_eq!(
+                carry,
+                Some(Carry {
+                    acc: 0,
+                    slot: 0,
+                    addr: 1,
+                    next: 4
+                }),
+                "{what}"
+            );
+            // Only the accumulator's load left the body; the store stays.
+            let mut want = code[3..].to_vec();
+            want.remove(0);
+            assert_eq!(format!("{body:?}"), format!("{want:?}"), "{what}");
+            assert!(matches!(body.last(), Some(Instr::Store(0, 2, 4))), "{what}");
+            // A forwarded loop is never packed.
+            assert_eq!(lanes, 1, "{what}");
+        }
+    }
+
+    #[test]
+    fn every_forwarding_refusal_leaves_the_strided_loop_untouched() {
+        let edit = |f: &dyn Fn(&mut Vec<Instr>)| {
+            let mut code = reduction_body();
+            f(&mut code);
+            code
+        };
+        let idx: Box<[Reg]> = vec![1].into_boxed_slice();
+        let f64s = [DType::F64];
+        let serial = LoopKind::Serial;
+        let refused: Vec<(&str, Vec<Instr>, LoopKind, &[DType])> = vec![
+            (
+                "second store to the slot",
+                edit(&|c| c.push(Instr::Store(0, 8, 3))),
+                serial,
+                &f64s,
+            ),
+            (
+                "checked store to the slot",
+                edit(&|c| {
+                    c.push(Instr::StoreChecked {
+                        buf: 0,
+                        idx: idx.clone(),
+                        val: 3,
+                    })
+                }),
+                serial,
+                &f64s,
+            ),
+            (
+                "checked load",
+                edit(&|c| {
+                    c.insert(
+                        3,
+                        Instr::Bound {
+                            buf: 0,
+                            extent: 8,
+                            idx: idx.clone(),
+                        },
+                    )
+                }),
+                serial,
+                &f64s,
+            ),
+            (
+                "load after the store",
+                edit(&|c| {
+                    let load = c.remove(3);
+                    c[6] = Instr::FBin(BinOp::Sub, 4, 5, 3);
+                    c.push(load);
+                }),
+                serial,
+                &f64s,
+            ),
+            (
+                "accumulator read after the stored value is defined",
+                edit(&|c| c.insert(8, Instr::FBin(BinOp::Add, 5, 0, 4))),
+                serial,
+                &f64s,
+            ),
+            (
+                "accumulator read before its load",
+                edit(&|c| c.insert(3, Instr::FBin(BinOp::Add, 5, 0, 0))),
+                serial,
+                &f64s,
+            ),
+            (
+                "stored value defined twice",
+                edit(&|c| c.insert(8, Instr::FBin(BinOp::Mul, 4, 4, 1))),
+                serial,
+                &f64s,
+            ),
+            (
+                "stored value read before it is defined",
+                edit(&|c| c.insert(4, Instr::FBin(BinOp::Add, 5, 4, 4))),
+                serial,
+                &f64s,
+            ),
+            (
+                "stored value defined outside the loop",
+                edit(&|c| {
+                    c.remove(7);
+                }),
+                serial,
+                &f64s,
+            ),
+            (
+                "addresses not provably equal",
+                edit(&|c| c[8] = Instr::Store(0, 9, 4)),
+                serial,
+                &f64s,
+            ),
+            (
+                "address that moves",
+                edit(&|c| {
+                    c[3] = Instr::Load(0, 0, 6);
+                    c[8] = Instr::Store(0, 6, 4);
+                }),
+                serial,
+                &f64s,
+            ),
+            (
+                "f32 slot, unrounded value",
+                reduction_body(),
+                serial,
+                &[DType::F32],
+            ),
+            ("integer slot", reduction_body(), serial, &[DType::I64]),
+            (
+                "proven vectorized",
+                reduction_body(),
+                LoopKind::Vectorized { proven: true },
+                &f64s,
+            ),
+        ];
+        let hi = Clamp {
+            hi: Some((4, 0)),
+            ..Clamp::default()
+        };
+        for (why, code, kind, dts) in refused {
+            let got = optimize_loop(code.clone(), kind, hi, dts);
+            let want = unforwarded(&code, kind, hi);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{why}");
+        }
+        // A proven-parallel loop reaches strided form only with a single
+        // iteration; it is not forwarded either.
+        let proven = LoopKind::Parallel { proven: true };
+        let fixed = |r: Reg| r == 1 || r == 2;
+        let vn: HashMap<Reg, u32> = [(1, 100), (2, 100)].into_iter().collect();
+        let rest = &reduction_body()[3..];
+        assert!(try_forward(rest, proven, &fixed, &vn, &f64s).is_none());
+        assert!(try_forward(rest, serial, &fixed, &vn, &f64s).is_some());
     }
 
     #[test]

@@ -78,6 +78,8 @@ impl<'a> Vm<'a> {
                     pre,
                     bumps,
                     body,
+                    carry,
+                    kind,
                     ..
                 } => {
                     let (start, end) = live_range(*min, *extent, *clamp, &self.iregs);
@@ -97,8 +99,28 @@ impl<'a> Vm<'a> {
                             *v = v.wrapping_add(s.wrapping_mul(skip));
                         }
                     }
+                    if let Some(c) = carry {
+                        // A carry is sequential state: the optimizer
+                        // never forwards a loop whose iterations may be
+                        // split, and strided loops never reach the pool.
+                        debug_assert!(!matches!(
+                            kind,
+                            LoopKind::Parallel { proven: true }
+                                | LoopKind::Vectorized { proven: true }
+                        ));
+                        // The load is proven in bounds for iterations
+                        // that run; an empty range must not issue it.
+                        if start < end {
+                            let lin = self.iregs[c.addr as usize] as usize;
+                            self.fregs[c.acc as usize] =
+                                storage[c.slot as usize].get_f64_linear(lin);
+                        }
+                    }
                     for _ in start..end {
                         self.exec_code(body, storage)?;
+                        if let Some(c) = carry {
+                            self.fregs[c.acc as usize] = self.fregs[c.next as usize];
+                        }
                         for &(r, s) in bumps.iter() {
                             // Wrapping: the bump after the final
                             // iteration computes a value the scalar

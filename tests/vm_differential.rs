@@ -192,8 +192,144 @@ fn triangular_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String) {
     (func, args, context)
 }
 
+/// A generated reduction nest — the shape accumulator forwarding
+/// rewrites, and its near misses: `for i, j { for k { [if k ⋄ a·i + b·j +
+/// c] D[i,j] = D[i,j] ± [α·] x · y } }` with the reduction innermost and
+/// the destination's address fixed in `k`. The factors come from two other
+/// arrays or from `D` itself (`D[i,k]` and `D[k,j]`, lu's in-place update:
+/// each equals the accumulator's element on one iteration); the arithmetic
+/// is f64, f32 rounded after every operation, or f32 data with an f64
+/// factor (nothing rounds before the store narrows: must not forward);
+/// one or two multiplies; a static range or a guard trimmed to a live
+/// range that may be empty; optionally a second store into `D` that hits
+/// the accumulator's element on one iteration (must not forward) and
+/// optionally a store that goes out of bounds at `k0 = 5`, after the
+/// reduction's store of that iteration. Returns whether `D` is stored to
+/// twice.
+fn reduction_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) {
+    const N: usize = 6;
+    const OPS: [CmpOp; 4] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    const K_KINDS: [ForKind; 5] = [
+        ForKind::Serial,
+        ForKind::Serial,
+        ForKind::Serial,
+        ForKind::Parallel,
+        ForKind::Vectorized,
+    ];
+    // 0: f64, 1: f32 rounded per operation, 2: f32 data, f64 arithmetic.
+    let mode = rng.gen_range(0..3usize);
+    let dtype = if mode == 0 { DType::F64 } else { DType::F32 };
+    let in_place = rng.gen_bool(0.5);
+    let subtract = rng.gen_bool(0.5);
+    let two_mul = mode == 2 || rng.gen_bool(0.4);
+    let kext = [1usize, 3, 6][rng.gen_range(0..3usize)];
+    let kmin: i64 = [-2, 0, 0, 3][rng.gen_range(0..4usize)];
+    let guard = rng.gen_bool(0.6).then(|| {
+        let op = OPS[rng.gen_range(0..OPS.len())];
+        let (ca, cb) = (rng.gen_range(-1..=1i64), rng.gen_range(-1..=1i64));
+        (op, ca, cb, rng.gen_range(kmin - 2..=kmin + kext as i64 + 1))
+    });
+    let second_store = rng.gen_bool(0.15);
+    let fallible = rng.gen_bool(0.2);
+    let k_kind = K_KINDS[rng.gen_range(0..K_KINDS.len())];
+    let context = format!(
+        "mode {mode} in_place {in_place} subtract {subtract} two_mul {two_mul} k {kmin}+{kext} \
+         {k_kind:?} guard {guard:?} second {second_store} fallible {fallible}"
+    );
+
+    let d = placeholder([N, N], dtype, "D");
+    let x = placeholder([N, N], dtype, "X");
+    let y = placeholder([N, N], dtype, "Y");
+    let e = placeholder([5], dtype, "E");
+    let mut fb = FuncBuilder::new("red");
+    let db = fb.param(&d);
+    let _xb = fb.param(&x);
+    let _yb = fb.param(&y);
+    let eb = fb.param(&e);
+    // An f64 α makes the whole right-hand side f64 (mode 2).
+    let alpha_dtype = if mode == 2 { DType::F64 } else { dtype };
+    let alpha = PrimExpr::FloatImm(0.3, alpha_dtype);
+
+    let body = ser("i", N as i64, |i| {
+        ser("j", N as i64, |j| {
+            let k = Var::index("k");
+            let ke = k.expr();
+            let k0 = ke.clone() - kmin; // buffer index of iteration `k`
+            let cell = [i.clone(), j.clone()];
+            let (fx, fy) = if in_place {
+                (
+                    d.at(&[i.clone(), k0.clone()]),
+                    d.at(&[k0.clone(), j.clone()]),
+                )
+            } else {
+                (
+                    x.at(&[i.clone(), k0.clone()]),
+                    y.at(&[k0.clone(), j.clone()]),
+                )
+            };
+            let product = if two_mul {
+                alpha.clone() * fx * fy
+            } else {
+                fx * fy
+            };
+            let sum = if subtract {
+                d.at(&cell) - product
+            } else {
+                d.at(&cell) + product
+            };
+            let mut stmts = vec![store(&db, &cell, sum)];
+            if second_store {
+                // Hits the accumulator's own element when `k0 == j`.
+                let row = [i.clone(), k0.clone()];
+                stmts.push(store(&db, &row, x.at(&[k0.clone(), j.clone()])));
+            }
+            if fallible {
+                stmts.push(store(&eb, &[k0.clone()], y.at(&[k0.clone(), i.clone()])));
+            }
+            let mut stmt = seq(stmts);
+            if let Some((op, ca, cb, cc)) = guard {
+                let bound = i.clone() * ca + j.clone() * cb + cc;
+                stmt = when(PrimExpr::cmp(op, ke, bound), stmt);
+            }
+            Stmt::For {
+                var: k,
+                min: kmin,
+                extent: kext as i64,
+                kind: k_kind,
+                body: Box::new(stmt),
+            }
+        })
+    });
+    let func = fb.build(body);
+    // Small enough that the in-place recurrence `d ± 6·d²` contracts:
+    // no cell overflows into a NaN that would compare unequal to itself.
+    let args = vec![
+        NDArray::random(&[N, N], dtype, 11, -0.03, 0.03),
+        NDArray::random(&[N, N], dtype, 12, -0.03, 0.03),
+        NDArray::random(&[N, N], dtype, 13, -0.03, 0.03),
+        NDArray::random(&[5], dtype, 14, -0.03, 0.03),
+    ];
+    (func, args, context, second_store)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn generated_reduction_nests_match_on_all_four_engines(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..32 {
+            let (func, args, context, second_store) = reduction_nest(&mut rng);
+            assert_engines_agree(&func, &args, &context);
+            // Two stores into the destination's slot: the second may hit
+            // the accumulator's element, so nothing is forwarded.
+            let forwarded = compile_optimized(&func)
+                .expect("optimized compile")
+                .forwarded_loop_count();
+            prop_assert!(!second_store || forwarded == 0, "{}: forwarded {}", context, forwarded);
+            prop_assert_eq!(compile(&func).expect("compile").forwarded_loop_count(), 0);
+        }
+    }
 
     #[test]
     fn generated_triangular_nests_match_on_all_four_engines(seed in any::<u64>()) {
@@ -320,6 +456,106 @@ fn trimming_is_not_vacuous_and_errors_inside_the_live_range_match() {
             &args,
             &format!("out-of-bounds {what} in the live range"),
         );
+    }
+}
+
+#[test]
+fn forwarding_is_not_vacuous_on_the_reduction_kernels() {
+    // What fails, by count, when a refactor silently un-forwards a mold:
+    // syrk, lu, cholesky and trmm keep their reduction's accumulator in a
+    // register on the optimized and JIT rungs (never on the scalar rung),
+    // and gemm's untiled reduction is a microkernel the JIT runs as one
+    // register chain.
+    for kernel in KERNELS {
+        let mold = mold_for(kernel, ProblemSize::Mini);
+        let func = mold.instantiate(&mold.space().default_configuration());
+        let scalar = compile(&func).expect("compile");
+        assert_eq!(scalar.forwarded_loop_count(), 0, "{}", mold.name());
+        let cf = compile_optimized(&func).expect("optimized compile");
+        let forwards = matches!(
+            kernel,
+            KernelName::Syrk | KernelName::Lu | KernelName::Cholesky | KernelName::Trmm
+        );
+        if forwards {
+            assert!(
+                cf.forwarded_loop_count() >= 1,
+                "{}: the reduction reloads its accumulator every iteration",
+                mold.name()
+            );
+        }
+        if kernel == KernelName::Gemm {
+            assert!(cf.microkernel_count() >= 1, "gemm {{1,1}} is a microkernel");
+        }
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            let jitted = default_backend()
+                .jit_compile(&cf)
+                .expect("must jit on x86-64");
+            if forwards {
+                assert!(
+                    jitted.forwarded_loop_count() >= 1,
+                    "{}: no forwarded loop reached native code",
+                    mold.name()
+                );
+            }
+            if kernel == KernelName::Gemm {
+                let simd = jitted.jit_simd_report().expect("jitted");
+                assert!(
+                    simd.scalar_reasons.get("reduction-chain").copied() >= Some(1),
+                    "gemm: {simd:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn empty_live_range_leaves_a_signalling_nan_destination_untouched() {
+    // for j in 0..4 { for k in 0..4 { if k < j − 2 { A[j] −= X[k]·X[k] } } }:
+    // only j = 3 has a live iteration. The forwarded accumulator is loaded
+    // behind the empty-range test and stored only by iterations that run,
+    // so A[0..3] keep a bit pattern no arithmetic would hand back.
+    let a = placeholder([4], DType::F64, "A");
+    let x = placeholder([4], DType::F64, "X");
+    let mut fb = FuncBuilder::new("snan");
+    let ab = fb.param(&a);
+    let _xb = fb.param(&x);
+    let func = fb.build(ser("j", 4, |j| {
+        ser("k", 4, |k| {
+            let (jx, kx) = ([j.clone()], [k.clone()]);
+            when(
+                PrimExpr::cmp(CmpOp::Lt, k, j - 2i64),
+                store(&ab, &jx, a.at(&jx) - x.at(&kx) * x.at(&kx)),
+            )
+        })
+    }));
+    let snan = f64::from_bits(0x7FF0_0000_0000_0001);
+    let args = vec![
+        NDArray::from_f64(&[4], &[snan; 4]),
+        NDArray::random(&[4], DType::F64, 8, 0.5, 1.0),
+    ];
+    let cf = compile(&func).expect("compile");
+    let cf_opt = compile_optimized(&func).expect("optimized compile");
+    assert_eq!(cf_opt.forwarded_loop_count(), 1);
+    let cf_jit = default_backend()
+        .jit_compile(&cf_opt)
+        .unwrap_or(cf_opt.clone());
+    let mut runs = vec![args.clone(); 4];
+    interp::execute(&func, &mut runs[0]).expect("interpreter");
+    vm::execute(&cf, &mut runs[1]).expect("scalar VM");
+    vm::execute(&cf_opt, &mut runs[2]).expect("optimized VM");
+    vm::execute(&cf_jit, &mut runs[3]).expect("JIT");
+    let bits =
+        |run: &[NDArray]| -> Vec<u64> { run[0].as_f64().iter().map(|v| v.to_bits()).collect() };
+    let want = bits(&runs[0]);
+    assert_eq!(
+        want[..3],
+        [snan.to_bits(); 3],
+        "untouched cells keep their bits"
+    );
+    assert_ne!(want[3], snan.to_bits(), "the live iteration wrote its cell");
+    for (engine, run) in ["scalar VM", "optimized VM", "JIT"].iter().zip(&runs[1..]) {
+        assert_eq!(bits(run), want, "{engine}");
     }
 }
 
