@@ -741,6 +741,16 @@ impl X86Backend {
         }
     }
 
+    #[cfg(test)]
+    fn avx() -> X86Backend {
+        X86Backend {
+            simd: true,
+            avx: true,
+            allow_fma: false,
+            fma_available: false,
+        }
+    }
+
     /// `(f64, f32)` packed lane widths this configuration emits.
     fn lanes(&self) -> (u32, u32) {
         if !self.simd {
@@ -3490,5 +3500,277 @@ mod tests {
         // And it differs from the two-rounding contract on this input.
         let two_round = c + a_inv[0] * b[0];
         assert_ne!(d[0], two_round, "FMA must single-round");
+    }
+
+    /// First line where two dumps differ, with both sides.
+    fn assert_same_lines(got: &str, want: &str) {
+        for (g, w) in got.lines().zip(want.lines()) {
+            assert_eq!(g, w, "first differing row");
+        }
+        assert_eq!(got.lines().count(), want.lines().count(), "row count");
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn strided(
+        min: i64,
+        extent: i64,
+        clamp: Clamp,
+        pre: Vec<Instr>,
+        bumps: Vec<(Reg, i64)>,
+        body: Vec<Instr>,
+        carry: Option<Carry>,
+        kind: LoopKind,
+    ) -> Item {
+        Item::StridedLoop {
+            min,
+            extent,
+            clamp,
+            pre,
+            bumps,
+            body,
+            carry,
+            kind,
+            lanes: 4,
+        }
+    }
+
+    // ------------------------------------------------------ template goldens
+
+    /// The packed-or-scalar tally and the hex of what `emit` appends for one
+    /// tier and slot typing. Nothing is executed, so the AVX tier is checked on any host.
+    fn emitted(opts: &X86Backend, dts: &[DType], emit: &dyn Fn(&mut NestCompiler)) -> String {
+        let mut a = Asm::new();
+        let mut simd = SimdReport::default();
+        emit(&mut NestCompiler {
+            asm: &mut a,
+            dts,
+            opts,
+            simd: &mut simd,
+        });
+        let mut reasons: Vec<_> = simd.scalar_reasons.iter().collect();
+        reasons.sort();
+        let hex: String = a.code.iter().map(|b| format!("{b:02x}")).collect();
+        format!(
+            "packed {} tiled {} scalar {reasons:?} {hex}",
+            simd.packed_loops, simd.tiled_loops
+        )
+    }
+
+    fn access(slot: u16, addr: Reg, stride: i64) -> SlotAccess {
+        SlotAccess { slot, addr, stride }
+    }
+
+    /// A serial `k` loop of extent 6 (one jammed group of four and two
+    /// leftover iterations) around a `j` microkernel whose destination
+    /// row does not move with `k`; `inv_first` puts the stride-0 factor
+    /// in the multiply's first operand.
+    fn jam_nest(extent: i64, inv_first: bool, round32: bool) -> Item {
+        let (inv, vec) = (access(1, 7, 0), access(2, 4, 1));
+        let (a, b) = if inv_first { (inv, vec) } else { (vec, inv) };
+        Item::Loop {
+            var: 0,
+            min: 1,
+            extent: 6,
+            clamp: Clamp::default(),
+            body: Block {
+                items: vec![
+                    Item::Code(vec![Instr::IConst(5, 32), Instr::IBin(BinOp::Mul, 3, 0, 5)]),
+                    Item::MulAddLoop {
+                        extent,
+                        pre: vec![
+                            Instr::IBin(BinOp::Add, 4, 3, 6),
+                            Instr::IBin(BinOp::Add, 7, 0, 8),
+                            Instr::IConst(9, 2),
+                        ],
+                        dst: access(0, 9, 1),
+                        a,
+                        b,
+                        round32,
+                    },
+                ],
+            },
+            kind: LoopKind::Serial,
+        }
+    }
+
+    /// A proven-vectorized strided body with a hoisted constant, a
+    /// stride-0 load and every packed instruction form; the `f64` one
+    /// also reads a freg defined outside the loop.
+    fn packed_body(f64m: bool) -> Vec<Instr> {
+        let mut body = vec![
+            Instr::FConst(1, 0.5),
+            Instr::Load(2, 0, 1),
+            Instr::Load(3, 0, 4),
+            Instr::FMulAdd {
+                dst: 5,
+                add: 3,
+                a: 2,
+                b: 1,
+                round32: !f64m,
+            },
+        ];
+        if f64m {
+            body.extend([
+                Instr::FBin(BinOp::Mul, 6, 5, 0),
+                Instr::FBin(BinOp::Sub, 8, 6, 2),
+                Instr::Call1(Intrinsic::Sqrt, 7, 8, false),
+            ]);
+        } else {
+            body.extend([
+                Instr::F32Round(6, 5),
+                Instr::FBin32(BinOp::Div, 8, 6, 2),
+                Instr::Call1(Intrinsic::Sqrt, 7, 8, true),
+            ]);
+        }
+        body.push(Instr::Store(1, 2, 7));
+        body
+    }
+
+    #[test]
+    fn templates_are_byte_for_byte_the_recorded_ones() {
+        // Recorded from the single-file emitter of `jit/v4` (the commit
+        // before the vector layer existed) on all three tiers. The
+        // `(1,1,0)` and `(1,1,1)` microkernels, the packed strided tier
+        // and every `f32` lane see no benchmark traffic, so these bytes
+        // are the only thing that holds them still; a change that moves
+        // emitted code on purpose re-records the file.
+        use DType::{F32, F64};
+        let tiers = [
+            ("scalar", X86Backend::scalar_only()),
+            ("sse2", X86Backend::sse2_only()),
+            ("avx", X86Backend::avx()),
+        ];
+        let mut cases: Vec<(String, Vec<DType>, Box<dyn Fn(&mut NestCompiler)>)> = Vec::new();
+        // Microkernels. Extents 27 (f64) and 45 (f32) leave a tiled main
+        // loop, leftover vectors and a scalar tail at both vector widths.
+        for (dt, extent) in [(F64, 27), (F32, 45)] {
+            for (sd, sa, sb) in [(1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 3), (0, -2, 0), (2, 1, 1)] {
+                cases.push((
+                    format!("muladd {dt:?} ({sd},{sa},{sb})"),
+                    vec![dt; 3],
+                    Box::new(move |nc| {
+                        let (d, a, b) = (access(0, 0, sd), access(1, 1, sa), access(2, 2, sb));
+                        nc.emit_muladd(extent, &d, &a, &b, dt == F32);
+                    }),
+                ));
+            }
+        }
+        // The generic path's refusals: mixed dtypes with and without
+        // per-op rounding over a carried and a walking destination, an
+        // aliased destination, mismatched rounding.
+        for (name, dts, sd, slots, round32) in [
+            ("mixed carried", [F32, F64, F32], 0, [0, 1, 2], false),
+            ("mixed carried round32", [F32, F64, F32], 0, [0, 1, 2], true),
+            ("mixed walking", [F64, F32, F64], 1, [0, 1, 2], true),
+            ("aliased", [F64, F64, F64], 1, [0, 0, 1], false),
+            ("rounding", [F64, F64, F64], 1, [0, 1, 2], true),
+        ] {
+            cases.push((
+                format!("muladd generic {name}"),
+                dts.to_vec(),
+                Box::new(move |nc| {
+                    let (d, a, b) =
+                        (access(slots[0], 0, sd), access(slots[1], 1, 1), access(slots[2], 2, 0));
+                    nc.emit_muladd(9, &d, &a, &b, round32);
+                }),
+            ));
+        }
+        for (dt, extent, inv_first) in [(F64, 27, true), (F32, 45, false), (F64, 8, false)] {
+            cases.push((
+                format!("jam {dt:?} j={extent} inv_first={inv_first}"),
+                vec![dt; 3],
+                Box::new(move |nc| nc.emit_item(&jam_nest(extent, inv_first, dt == F32))),
+            ));
+        }
+        for (dt, extent) in [(F64, 11), (F32, 21), (F64, 8)] {
+            cases.push((
+                format!("packed strided {dt:?} n={extent}"),
+                vec![dt; 2],
+                Box::new(move |nc| {
+                    nc.emit_item(&strided(
+                        0,
+                        extent,
+                        Clamp::default(),
+                        vec![Instr::IConst(0, 0), Instr::IConst(1, 3), Instr::IConst(2, 1)],
+                        vec![(0, 1), (1, 1), (2, 1)],
+                        packed_body(dt == F64),
+                        None,
+                        LoopKind::Vectorized { proven: true },
+                    ))
+                }),
+            ));
+        }
+        // The register-resident scalar loop: a static extent over mixed
+        // dtypes with every scalar template in the body, and a trimmed
+        // reduction with its accumulator forwarded.
+        cases.push((
+            "scalar strided resident".into(),
+            vec![F32, F64],
+            Box::new(|nc| {
+                nc.emit_item(&strided(
+                    0,
+                    6,
+                    Clamp::default(),
+                    vec![Instr::IConst(0, 0), Instr::IConst(1, 0), Instr::IConst(2, 10)],
+                    vec![(0, 1), (1, 3), (2, -2)],
+                    vec![
+                        Instr::Load(0, 0, 1),
+                        Instr::IToF(1, 0),
+                        Instr::IToF32(2, 0),
+                        Instr::FConst(4, -2.5),
+                        Instr::FMulAdd {
+                            dst: 3,
+                            add: 2,
+                            a: 0,
+                            b: 1,
+                            round32: true,
+                        },
+                        Instr::FBin(BinOp::Sub, 5, 3, 9),
+                        Instr::FBin32(BinOp::Div, 6, 5, 4),
+                        Instr::Call1(Intrinsic::Sqrt, 7, 6, true),
+                        Instr::F32Round(8, 7),
+                        Instr::Store(1, 2, 8),
+                        Instr::Store(0, 1, 8),
+                    ],
+                    None,
+                    LoopKind::Serial,
+                ))
+            }),
+        ));
+        cases.push((
+            "trimmed strided carry".into(),
+            vec![F64, F64],
+            Box::new(|nc| {
+                nc.emit_item(&strided(
+                    2,
+                    4,
+                    Clamp {
+                        lo: Some((3, 1)),
+                        hi: Some((5, 0)),
+                    },
+                    vec![Instr::IConst(0, 2), Instr::IBin(BinOp::Mul, 1, 0, 2)],
+                    vec![(0, 1), (1, 2)],
+                    vec![
+                        Instr::Load(1, 0, 1),
+                        Instr::FBin(BinOp::Add, 2, 0, 1),
+                        Instr::Store(1, 4, 2),
+                    ],
+                    Some(Carry {
+                        acc: 0,
+                        slot: 1,
+                        addr: 4,
+                        next: 2,
+                    }),
+                    LoopKind::Serial,
+                ))
+            }),
+        ));
+        let mut got = String::new();
+        for (tier, opts) in &tiers {
+            for (name, dts, emit) in &cases {
+                got.push_str(&format!("{tier} {name}: {}\n", emitted(opts, dts, emit.as_ref())));
+            }
+        }
+        assert_same_lines(&got, include_str!("x86_64/goldens/templates.txt"));
     }
 }
