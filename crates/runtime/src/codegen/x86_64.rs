@@ -38,7 +38,8 @@
 //! - Packed SIMD (`movupd`/`mulpd`/`addpd` f64x2, `movups`/`mulps`/
 //!   `addps` f32x4, or their VEX-256 f64x4/f32x8 forms when AVX is
 //!   detected) is used in three places, all remainder-safe via scalar
-//!   epilogues and all gated on `TVM_JIT_SIMD` ([`X86Backend::simd`]):
+//!   epilogues and none of them on the scalar tier
+//!   ([`X86Backend::scalar_only`]):
 //!   mul-add microkernels with *parallel* stride patterns, where every
 //!   lane performs one multiply and one add with per-element rounding —
 //!   bit-identical to the scalar order, with a register-tiled 4×
@@ -54,7 +55,7 @@
 //!   multiply-adds. Each destination cell still sees the identical
 //!   per-op-rounded sequence `(((d+m₀)+m₁)+m₂)+m₃` in ascending
 //!   reduction order — only the interleaving across *distinct* cells
-//!   changes — and a dataflow scan ([`NestCompiler::plan_jam`]) proves
+//!   changes — and a dataflow scan ([`plan_jam`]) proves
 //!   the destination address and broadcast factor invariant before the
 //!   jam fires. `f32`
 //!   lanes compute natively in f32: the result is bit-identical to the
@@ -66,11 +67,6 @@
 //!   with the accumulator in a register, and every vector site
 //!   is tallied packed-or-scalar-with-reason in
 //!   [`super::SimdReport`].
-//! - FMA (`vfmadd231pd`) rounds *once* where the VM rounds twice, so
-//!   it is **not** bit-exact and is gated behind the off-by-default
-//!   [`X86Backend::allow_fma`] option (never enabled on the engine
-//!   ladder or the differential path).
-//!
 //! - A *trimmed* strided loop ([`crate::optimize`]'s loop trimming: a
 //!   guard on the loop's own variable turned into a live range) runs the
 //!   same scalar strided template with its trip count computed at loop
@@ -85,6 +81,19 @@
 //!   differ from Rust's), float→int casts (saturation differs), and
 //! integer-typed buffers — rejects the nest; the VM executes those
 //! items unchanged.
+//!
+//! # One place knows the ISA
+//!
+//! A template names a float instruction by what it does and how wide it
+//! is — [`Width`]: `f64` or `f32` elements × scalar, SSE2 128-bit or
+//! VEX 256-bit — and [`Asm`]'s vector layer (`vload`, `vstore`,
+//! `vop_rr`, `vop_rm`, `vop1`, `vmov`, `bcast`, `vend`) picks the
+//! encoding: the legacy two-operand forms with their copy-then-operate
+//! and load-then-operate sequences, or the three-operand VEX forms. The
+//! width comes from [`X86Backend::width`] for what the host can run and
+//! from [`Width::scalar`] for the in-order templates and every tail, so
+//! a template is written once for all three tiers and lane counts and
+//! byte steps are read off the width it was handed.
 
 use super::exec_mem::ExecBuf;
 use super::{CodegenBackend, JitProgram, SimdReport};
@@ -138,12 +147,139 @@ const PTR_REGS: [R; 3] = [R8, R9, R10];
 /// `X2` upwards, through `X15`.
 const XMM_POOL: u8 = 14;
 
+/// What the scalar templates compute in, and what an `f32` slot holds.
+const SD: Width = Width::scalar(DType::F64);
+const SS: Width = Width::scalar(DType::F32);
+
 /// Condition code for `jcc`/`cmovcc` (low nibble of the `0F 8x`/`0F 4x`
 /// opcode).
 const CC_NZ: u8 = 0x5;
 const CC_L: u8 = 0xC;
 const CC_LE: u8 = 0xE;
 const CC_G: u8 = 0xF;
+
+// ------------------------------------------------------------ operand types
+
+/// A memory operand: `[base + disp]`, or `[base + index·esize]` with the
+/// index scaled by the element size of the instruction's [`Width`].
+#[derive(Debug, Clone, Copy)]
+struct Mem {
+    base: R,
+    index: Option<R>,
+    disp: i32,
+}
+
+impl Mem {
+    fn at(base: R, disp: i32) -> Mem {
+        Mem {
+            base,
+            index: None,
+            disp,
+        }
+    }
+
+    fn indexed(base: R, index: R) -> Mem {
+        Mem {
+            base,
+            index: Some(index),
+            disp: 0,
+        }
+    }
+}
+
+/// How many elements one float instruction carries, and in which
+/// encoding: legacy-SSE scalar, legacy-SSE 128-bit packed, VEX 256-bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    Scalar,
+    Sse,
+    Avx,
+}
+
+/// Element type × [`Shape`] of a float instruction: all a template knows
+/// about the ISA. Lanes and byte steps are read off it; prefixes and the
+/// choice between two- and three-operand encodings stay inside [`Asm`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Width {
+    /// `F64` or `F32`.
+    dt: DType,
+    shape: Shape,
+}
+
+/// Opcodes of the float arithmetic the layer's `op` parameters take (the
+/// same byte in every [`Width`]; the prefix picks `ss`/`sd`/`ps`/`pd`).
+const FADD: u8 = 0x58;
+const FMUL: u8 = 0x59;
+const FSQRT: u8 = 0x51;
+
+/// The opcode of a binary float op of the JIT subset.
+fn arith(op: BinOp) -> u8 {
+    match op {
+        BinOp::Add => FADD,
+        BinOp::Mul => FMUL,
+        BinOp::Sub => 0x5C,
+        BinOp::Div => 0x5E,
+        _ => unreachable!("rejected by check_instr"),
+    }
+}
+
+impl Width {
+    fn new(dt: DType, shape: Shape) -> Width {
+        debug_assert!(matches!(dt, DType::F64 | DType::F32));
+        Width { dt, shape }
+    }
+
+    /// One element of `dt`: the width of every scalar template and tail.
+    const fn scalar(dt: DType) -> Width {
+        Width {
+            dt,
+            shape: Shape::Scalar,
+        }
+    }
+
+    /// Elements per instruction (1 = scalar).
+    fn lanes(self) -> i64 {
+        match self.shape {
+            Shape::Scalar => 1,
+            Shape::Sse => 16 / i64::from(self.esize()),
+            Shape::Avx => 32 / i64::from(self.esize()),
+        }
+    }
+
+    /// Bytes per element.
+    fn esize(self) -> u8 {
+        if self.dt == DType::F64 {
+            8
+        } else {
+            4
+        }
+    }
+
+    /// Bytes per instruction: what a unit-stride pointer moves by.
+    fn step(self) -> i32 {
+        self.lanes() as i32 * i32::from(self.esize())
+    }
+
+    /// Mandatory prefix of the legacy moves and arithmetic.
+    fn prefix(self) -> Option<u8> {
+        match (self.shape, self.dt == DType::F64) {
+            (Shape::Scalar, true) => Some(0xF2),
+            (Shape::Scalar, false) => Some(0xF3),
+            (_, true) => Some(0x66),
+            (_, false) => None,
+        }
+    }
+
+    /// Prefix of the legacy whole-register copy, `movapd`/`movaps`.
+    fn movap_prefix(self) -> Option<u8> {
+        (self.dt == DType::F64).then_some(0x66)
+    }
+
+    /// VEX `pp` field of the packed moves and arithmetic.
+    fn pp(self) -> u8 {
+        (self.dt == DType::F64) as u8
+    }
+}
 
 // ---------------------------------------------------------------- assembler
 
@@ -406,28 +542,29 @@ impl Asm {
         self.code[f.0..f.0 + 4].copy_from_slice(&bytes);
     }
 
-    // ---- SSE scalar / packed ----
+    // ---- raw float encoders (legacy SSE, VEX) ----
 
-    /// Legacy-SSE op with a memory operand: `prefix 0F op /r [base+disp]`.
-    fn sse_rm(&mut self, prefix: Option<u8>, op: u8, x: X, base: R, disp: i32) {
-        if let Some(p) = prefix {
-            self.b(p);
+    /// ModRM, SIB and displacement bytes of a memory operand; an index is
+    /// scaled by `scale`.
+    fn modrm_m(&mut self, reg: u8, m: Mem, scale: u8) {
+        match m.index {
+            None => self.mem(reg, m.base, m.disp),
+            Some(index) => {
+                debug_assert_eq!(m.disp, 0, "indexed operands carry no displacement");
+                self.mem_sib(reg, m.base, index, scale);
+            }
         }
-        self.rex(false, x.0, 0, base.0);
-        self.b(0x0F);
-        self.b(op);
-        self.mem(x.0, base, disp);
     }
 
-    /// Legacy-SSE op with an indexed memory operand `[base + index*scale]`.
-    fn sse_rm_sib(&mut self, prefix: Option<u8>, op: u8, x: X, base: R, index: R, scale: u8) {
+    /// Legacy-SSE op with a memory operand: `prefix 0F op /r [m]`.
+    fn sse_m(&mut self, prefix: Option<u8>, op: u8, x: X, m: Mem, scale: u8) {
         if let Some(p) = prefix {
             self.b(p);
         }
-        self.rex(false, x.0, index.0, base.0);
+        self.rex(false, x.0, m.index.map_or(0, |i| i.0), m.base.0);
         self.b(0x0F);
         self.b(op);
-        self.mem_sib(x.0, base, index, scale);
+        self.modrm_m(x.0, m, scale);
     }
 
     /// Legacy-SSE register-register op.
@@ -441,20 +578,37 @@ impl Asm {
         self.modrm_rr(dst.0, src.0);
     }
 
-    fn movsd_rm(&mut self, x: X, base: R, disp: i32) {
-        self.sse_rm(Some(0xF2), 0x10, x, base, disp);
+    /// 3-byte VEX prefix. `r`/`x`/`b` are the *full* register numbers
+    /// (bit 3 is extracted), `mm` the opcode map (1=0F, 2=0F38),
+    /// `pp` the mandatory-prefix code (0=none, 1=66, 2=F3, 3=F2).
+    fn vex(&mut self, r: u8, xi: u8, b: u8, mm: u8, vvvv: u8, pp: u8) {
+        self.b(0xC4);
+        self.b(((!(r >> 3) & 1) << 7) | ((!(xi >> 3) & 1) << 6) | ((!(b >> 3) & 1) << 5) | mm);
+        // W0, 256-bit.
+        self.b(((!vvvv & 0xF) << 3) | (1 << 2) | pp);
     }
 
-    fn movsd_mr(&mut self, base: R, disp: i32, x: X) {
-        self.sse_rm(Some(0xF2), 0x11, x, base, disp);
+    /// VEX-256 op, `dst, vvvv_src, [m]` (map 0F). `src1` is a plain
+    /// register *number* (the helper 1's-complements it); pass 0 when the
+    /// instruction ignores vvvv — that encodes the mandatory 1111.
+    fn vex_m(&mut self, pp: u8, op: u8, dst: X, src1: u8, m: Mem, scale: u8) {
+        self.vex(dst.0, m.index.map_or(0, |i| i.0), m.base.0, 1, src1, pp);
+        self.b(op);
+        self.modrm_m(dst.0, m, scale);
     }
 
-    fn movss_rm(&mut self, x: X, base: R, disp: i32) {
-        self.sse_rm(Some(0xF3), 0x10, x, base, disp);
+    /// VEX-256 op, `dst, vvvv_src, src2` (map 0F).
+    fn vex_rr(&mut self, pp: u8, op: u8, dst: X, src1: u8, src2: X) {
+        self.vex(dst.0, 0, src2.0, 1, src1, pp);
+        self.b(op);
+        self.modrm_rr(dst.0, src2.0);
     }
 
-    fn movss_mr(&mut self, base: R, disp: i32, x: X) {
-        self.sse_rm(Some(0xF3), 0x11, x, base, disp);
+    // ---- scalar-double helpers of the in-order templates ----
+
+    /// `movaps dst, src`: a whole-register copy between scalar values.
+    fn movaps(&mut self, dst: X, src: X) {
+        self.sse_rr(None, 0x28, dst, src);
     }
 
     fn cvtss2sd_rr(&mut self, dst: X, src: X) {
@@ -489,62 +643,108 @@ impl Asm {
         self.cvtss2sd_rr(x, x);
     }
 
-    // ---- VEX (AVX) ----
+    // ---- the vector layer: one float instruction at a `Width` ----
+    //
+    // Everything above this line that starts `sse_`/`vex` is reached only
+    // from here. VEX forms are three-operand; the legacy forms compute in
+    // place, so `dst ← a op b` first copies `a` into `dst` (`movap*`,
+    // nothing when they are the same register), and packed legacy
+    // arithmetic, which faults on an unaligned memory operand, takes it
+    // through an unaligned `movup*` into the caller's scratch register.
 
-    /// 3-byte VEX prefix. `r`/`x`/`b` are the *full* register numbers
-    /// (bit 3 is extracted), `mm` the opcode map (1=0F, 2=0F38),
-    /// `pp` the mandatory-prefix code (0=none, 1=66, 2=F3, 3=F2).
-    fn vex(&mut self, r: u8, xi: u8, b: u8, mm: u8, w: bool, vvvv: u8, l256: bool, pp: u8) {
-        self.b(0xC4);
-        self.b(((!(r >> 3) & 1) << 7) | ((!(xi >> 3) & 1) << 6) | ((!(b >> 3) & 1) << 5) | mm);
-        self.b(((w as u8) << 7) | ((!vvvv & 0xF) << 3) | ((l256 as u8) << 2) | pp);
+    fn vmov_m(&mut self, w: Width, op: u8, x: X, m: Mem) {
+        match w.shape {
+            Shape::Avx => self.vex_m(w.pp(), op, x, 0, m, w.esize()),
+            _ => self.sse_m(w.prefix(), op, x, m, w.esize()),
+        }
     }
 
-    /// VEX op, `dst, vvvv_src, [base+disp]` (map 0F). `src1` is a plain
-    /// register *number* (the helper 1's-complements it); pass 0 when the
-    /// instruction ignores vvvv — that encodes the mandatory 1111.
-    fn vex_rm(&mut self, pp: u8, op: u8, dst: X, src1: u8, base: R, disp: i32) {
-        self.vex(dst.0, 0, base.0, 1, false, src1, true, pp);
-        self.b(op);
-        self.mem(dst.0, base, disp);
+    /// `x ← [m]`, unaligned (`movs*`, `movup*`, `vmovup*`).
+    fn vload(&mut self, w: Width, x: X, m: Mem) {
+        self.vmov_m(w, 0x10, x, m);
     }
 
-    fn vex_rr(&mut self, pp: u8, op: u8, dst: X, src1: u8, src2: X) {
-        self.vex(dst.0, 0, src2.0, 1, false, src1, true, pp);
-        self.b(op);
-        self.modrm_rr(dst.0, src2.0);
+    /// `[m] ← x`, unaligned.
+    fn vstore(&mut self, w: Width, m: Mem, x: X) {
+        self.vmov_m(w, 0x11, x, m);
     }
 
-    /// VEX op, `dst, vvvv_src, [base + index*scale]` (map 0F).
-    fn vex_rm_sib(&mut self, pp: u8, op: u8, dst: X, src1: u8, base: R, index: R, scale: u8) {
-        self.vex(dst.0, index.0, base.0, 1, false, src1, true, pp);
-        self.b(op);
-        self.mem_sib(dst.0, base, index, scale);
+    /// `dst ← src`, the whole register (`movap*`).
+    fn vmov(&mut self, w: Width, dst: X, src: X) {
+        match w.shape {
+            Shape::Avx => self.vex_rr(w.pp(), 0x28, dst, 0, src),
+            _ => self.sse_rr(w.movap_prefix(), 0x28, dst, src),
+        }
     }
 
-    /// `vbroadcastsd/ss ymm, [base]` (map 0F38, W0).
-    fn vbroadcast(&mut self, op: u8, dst: X, base: R) {
-        self.vbroadcast_m(op, dst, base, 0);
+    /// `dst ← a op b`.
+    fn vop_rr(&mut self, w: Width, op: u8, dst: X, a: X, b: X) {
+        if w.shape == Shape::Avx {
+            return self.vex_rr(w.pp(), op, dst, a.0, b);
+        }
+        if dst != a {
+            debug_assert!(dst != b, "copying `a` into `dst` would lose `b`");
+            self.vmov(w, dst, a);
+        }
+        self.sse_rr(w.prefix(), op, dst, b);
     }
 
-    /// `vbroadcastsd/ss ymm, [base+disp]` (map 0F38, W0).
-    fn vbroadcast_m(&mut self, op: u8, dst: X, base: R, disp: i32) {
-        self.vex(dst.0, 0, base.0, 2, false, 0, true, 1);
-        self.b(op);
-        self.mem(dst.0, base, disp);
+    /// `dst ← a op [m]`. `scratch` is required, and clobbered, only by
+    /// the packed legacy form.
+    fn vop_rm(&mut self, w: Width, op: u8, dst: X, a: X, m: Mem, scratch: Option<X>) {
+        if w.shape == Shape::Avx {
+            return self.vex_m(w.pp(), op, dst, a.0, m, w.esize());
+        }
+        if dst != a {
+            self.vmov(w, dst, a);
+        }
+        if w.shape == Shape::Scalar {
+            return self.sse_m(w.prefix(), op, dst, m, w.esize());
+        }
+        let scratch = scratch.expect("packed legacy SSE loads its memory operand first");
+        debug_assert!(scratch != dst);
+        self.vload(w, scratch, m);
+        self.sse_rr(w.prefix(), op, dst, scratch);
     }
 
-    /// `vfmadd231pd ymm_dst, ymm_src1, [base]`: dst = src1*mem + dst.
-    fn vfmadd231pd_rm(&mut self, dst: X, src1: u8, base: R) {
-        self.vex(dst.0, 0, base.0, 2, true, src1, true, 1);
-        self.b(0xB8);
-        self.mem(dst.0, base, 0);
+    /// `dst ← op src` (`sqrt`).
+    fn vop1(&mut self, w: Width, op: u8, dst: X, src: X) {
+        match w.shape {
+            Shape::Avx => self.vex_rr(w.pp(), op, dst, 0, src),
+            _ => self.sse_rr(w.prefix(), op, dst, src),
+        }
     }
 
-    fn vzeroupper(&mut self) {
-        self.b(0xC5);
-        self.b(0xF8);
-        self.b(0x77);
+    /// Every lane of `x` ← the scalar at `[m]`.
+    fn bcast(&mut self, w: Width, x: X, m: Mem) {
+        match (w.shape, w.dt == DType::F64) {
+            (Shape::Avx, f64m) => {
+                // vbroadcastsd/ss: map 0F38, prefix 66 for both.
+                self.vex(x.0, m.index.map_or(0, |i| i.0), m.base.0, 2, 0, 1);
+                self.b(if f64m { 0x19 } else { 0x18 });
+                self.modrm_m(x.0, m, w.esize());
+            }
+            (Shape::Sse, true) => {
+                self.vload(Width::scalar(w.dt), x, m);
+                self.sse_rr(Some(0x66), 0x14, x, x); // unpcklpd
+            }
+            (Shape::Sse, false) => {
+                self.vload(Width::scalar(w.dt), x, m);
+                self.sse_rr(None, 0xC6, x, x); // shufps x, x, 0
+                self.b(0x00);
+            }
+            (Shape::Scalar, _) => unreachable!("a broadcast fills vector lanes"),
+        }
+    }
+
+    /// Leave vector code: `vzeroupper` after VEX-256, so the legacy-SSE
+    /// scalar code that follows pays no dirty-upper-half penalty.
+    fn vend(&mut self, w: Width) {
+        if w.shape == Shape::Avx {
+            self.b(0xC5);
+            self.b(0xF8);
+            self.b(0x77);
+        }
     }
 }
 
@@ -670,7 +870,7 @@ fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
             check_code(pre, dts)?;
             for acc in [dst, a, b] {
                 float_slot(dts, acc.slot)?;
-                let esize = if dts[acc.slot as usize] == DType::F64 { 8 } else { 4 };
+                let esize = i64::from(elem_size(dts, acc.slot));
                 if acc.stride.checked_mul(esize).and_then(|v| i32::try_from(v).ok()).is_none() {
                     return reject("microkernel stride out of range");
                 }
@@ -688,78 +888,49 @@ fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
 /// [`CodegenBackend`] trait keeps aarch64/Cranelift additive).
 #[derive(Debug, Clone)]
 pub struct X86Backend {
-    /// Emit packed-SIMD main loops at all (microkernels *and* proven
-    /// vectorized strided loops). Off forces the fully scalar tier —
-    /// bit-identical output, every vector site counted under the
-    /// `simd-disabled` reason. Controlled by the `TVM_JIT_SIMD`
-    /// environment variable in [`X86Backend::detect`] (default on).
-    pub simd: bool,
-    /// Use VEX-256 (4×f64 / 8×f32) vectors instead of SSE2 128-bit
-    /// ones. Detected at construction.
-    pub avx: bool,
-    /// Allow single-rounded `vfmadd231pd` in f64 microkernels. **Not
-    /// bit-exact** with the VM's two-rounding contract — off by
-    /// default and never enabled on the differential or ladder paths.
-    pub allow_fma: bool,
-    /// FMA units present (gates `allow_fma` actually emitting FMA).
-    pub fma_available: bool,
+    /// The widest float instructions emitted: VEX-256 (4×f64 / 8×f32)
+    /// where AVX is detected, SSE2 128-bit otherwise, in the microkernels
+    /// *and* the proven vectorized strided loops; `Scalar` is the fully
+    /// scalar tier — bit-identical output, every vector site counted
+    /// under the `simd-disabled` reason.
+    shape: Shape,
 }
 
 impl X86Backend {
-    /// Detect host features; bit-exact defaults. `TVM_JIT_SIMD=0`
-    /// forces the scalar tier.
+    /// Detect host features.
     pub fn detect() -> X86Backend {
         X86Backend {
-            simd: !matches!(
-                std::env::var("TVM_JIT_SIMD").as_deref(),
-                Ok("0") | Ok("false") | Ok("off")
-            ),
-            avx: std::arch::is_x86_feature_detected!("avx"),
-            allow_fma: false,
-            fma_available: std::arch::is_x86_feature_detected!("fma"),
+            shape: if std::arch::is_x86_feature_detected!("avx") {
+                Shape::Avx
+            } else {
+                Shape::Sse
+            },
         }
     }
 
     /// SSE2-only variant (what a pre-AVX host would produce); used by
     /// tests to cover both vector paths on one machine.
     pub fn sse2_only() -> X86Backend {
-        X86Backend {
-            simd: true,
-            avx: false,
-            allow_fma: false,
-            fma_available: false,
-        }
+        X86Backend { shape: Shape::Sse }
     }
 
-    /// Fully scalar variant (the `TVM_JIT_SIMD=0` tier, pinned
-    /// programmatically); used by tests and the bench binaries to
-    /// measure the packed tier's speedup on one machine.
+    /// Fully scalar variant; tests compare the packed tiers against it
+    /// on one machine.
     pub fn scalar_only() -> X86Backend {
         X86Backend {
-            simd: false,
-            ..X86Backend::detect()
+            shape: Shape::Scalar,
         }
     }
 
+    /// The AVX tier whatever the host: for tests that emit and never run.
     #[cfg(test)]
     fn avx() -> X86Backend {
-        X86Backend {
-            simd: true,
-            avx: true,
-            allow_fma: false,
-            fma_available: false,
-        }
+        X86Backend { shape: Shape::Avx }
     }
 
-    /// `(f64, f32)` packed lane widths this configuration emits.
-    fn lanes(&self) -> (u32, u32) {
-        if !self.simd {
-            (1, 1)
-        } else if self.avx {
-            (4, 8)
-        } else {
-            (2, 4)
-        }
+    /// The width this configuration gives a float instruction over `dt`.
+    fn width(&self, dt: DType) -> Width {
+        Width::new(dt, self.shape)
     }
 }
 
@@ -810,7 +981,8 @@ impl CodegenBackend for X86Backend {
     }
 
     fn vector_widths(&self) -> (u32, u32) {
-        self.lanes()
+        let lanes = |dt| self.width(dt).lanes() as u32;
+        (lanes(DType::F64), lanes(DType::F32))
     }
 }
 
@@ -966,10 +1138,18 @@ const JAM: i64 = 4;
 /// Destination vectors kept live per jammed j-trip (the register-tile
 /// width: independent accumulator chains that hide the add latency).
 const JAM_U: usize = 4;
-/// Accumulator registers for the jammed j-trip (X6/X8/X10/X12).
-const JAM_ACC: [X; JAM_U] = [X(6), X(8), X(10), X(12)];
-/// Product scratch registers paired with [`JAM_ACC`] (X7/X9/X11/X13).
-const JAM_SCR: [X; JAM_U] = [X(7), X(9), X(11), X(13)];
+/// (Product, accumulator) register pairs of a tiled microkernel trip.
+const TILE_PAIRS: [(X, X); 4] = [(X(4), X(8)), (X(5), X(9)), (X(6), X(10)), (X(7), X(11))];
+/// (Accumulator, product scratch) register pairs of the jammed j-trip.
+const JAM_PAIRS: [(X, X); JAM_U] = [(X(6), X(7)), (X(8), X(9)), (X(10), X(11)), (X(12), X(13))];
+
+/// A factor of a packed multiply: a value broadcast into a register
+/// before the loop, or the elements a pointer walks.
+#[derive(Clone, Copy)]
+enum Factor {
+    Bcast(X),
+    At(R),
+}
 
 /// Validated unroll-and-jam plan for a serial loop whose body is only
 /// per-iteration address code plus one parallel-pattern microkernel
@@ -995,20 +1175,16 @@ struct JamPlan<'p> {
     /// Whether the invariant factor is the multiply's *first* operand
     /// (`a`), preserving the VM's NaN-payload operand order.
     inv_first: bool,
-    /// f64 (pd) vs native-f32 (ps) mode.
-    f64m: bool,
-    /// Packed lane count for this mode.
-    lanes: i64,
-    /// The microkernel's ("j") trip count (≥ `lanes`).
+    /// The packed width: `f64` or native-`f32` lanes.
+    w: Width,
+    /// The microkernel's ("j") trip count (≥ `w.lanes()`).
     extent: i64,
 }
 
 /// Validated vectorization plan for one proven `StridedLoop` body.
 struct PackedPlan {
-    /// f64 (pd, 2/4 lanes) vs native-f32 (ps, 4/8 lanes) mode.
-    f64m: bool,
-    /// Emitted lane count (AVX doubles the planner's base width).
-    lanes: i64,
+    /// The packed width: `f64` or native-`f32` lanes.
+    w: Width,
     /// freg → xmm assignment (X0..X14; X15 stays scratch).
     xmap: HashMap<Reg, X>,
     /// Pre-loop invariant broadcasts, in first-use order.
@@ -1024,14 +1200,6 @@ struct PackedPlan {
 enum F {
     Reg(X),
     Mem(i32),
-}
-
-/// The memory element a `Load`/`Store` template touches: `[ptr]`, or
-/// `[RCX + RAX·esize]` with the two registers just loaded.
-#[derive(Clone, Copy)]
-enum Elem {
-    Ptr(R),
-    Indexed,
 }
 
 /// Which operands of the scalar templates live in machine registers
@@ -1061,11 +1229,7 @@ impl Resident {
 
 /// Element size in bytes of a (float) storage slot.
 fn elem_size(dts: &[DType], slot: u16) -> u8 {
-    if dts[slot as usize] == DType::F64 {
-        8
-    } else {
-        4
-    }
+    Width::scalar(dts[slot as usize]).esize()
 }
 
 /// Register plan of one scalar strided loop.
@@ -1164,6 +1328,363 @@ fn plan_resident(
     }
 }
 
+/// Decide whether a strided-loop body can run packed, and how. The
+/// `Err` string is the per-reason scalar-fallback tag tallied in
+/// [`SimdReport`]; together with the packed count these partition
+/// every strided vector site.
+fn plan_packed(
+    extent: i64,
+    bumps: &[(Reg, i64)],
+    body: &[Instr],
+    kind: &LoopKind,
+    dts: &[DType],
+    shape: Shape,
+) -> Result<PackedPlan, &'static str> {
+    if shape == Shape::Scalar {
+        return Err("simd-disabled");
+    }
+    // Packing reorders iterations across lanes, so it is gated on
+    // the dependence analyzer's race-freedom proof exactly like
+    // pool dispatch is for `Parallel` loops.
+    match kind {
+        LoopKind::Vectorized { proven: true } => {}
+        LoopKind::Vectorized { proven: false } => return Err("unproven-vectorize"),
+        _ => return Err("no-vectorize-annotation"),
+    }
+    // Mode: the uniform dtype of every load/store in the body.
+    let mut mode: Option<DType> = None;
+    for i in body {
+        if let Instr::Load(_, slot, _) | Instr::Store(slot, _, _) = i {
+            let dt = dts[*slot as usize];
+            match mode {
+                None => mode = Some(dt),
+                Some(m) if m != dt => return Err("mixed-precision"),
+                _ => {}
+            }
+        }
+    }
+    let Some(dt) = mode else {
+        return Err("body-op");
+    };
+    let w = Width::new(dt, shape);
+    let f64m = dt == DType::F64;
+    if extent < w.lanes() {
+        return Err("short-extent");
+    }
+    for &(_, s) in bumps {
+        if s.checked_mul(w.lanes()).is_none() {
+            return Err("stride-overflow");
+        }
+    }
+    let strides: HashMap<Reg, i64> = bumps.iter().copied().collect();
+    let mut plan = PackedPlan {
+        w,
+        xmap: HashMap::new(),
+        inv: Vec::new(),
+        hoisted: HashSet::new(),
+    };
+    // fregs defined by the body vs. read from outside it.
+    let mut defined: HashSet<Reg> = HashSet::new();
+    let mut external: HashSet<Reg> = HashSet::new();
+    fn alloc(xmap: &mut HashMap<Reg, X>, r: Reg) -> Result<X, &'static str> {
+        if let Some(&x) = xmap.get(&r) {
+            return Ok(x);
+        }
+        // X15 stays scratch for in-body multiply-add temporaries.
+        if xmap.len() >= 15 {
+            return Err("register-pressure");
+        }
+        let x = X(xmap.len() as u8);
+        xmap.insert(r, x);
+        Ok(x)
+    }
+    macro_rules! def {
+        ($d:expr) => {{
+            if defined.contains(&$d) {
+                return Err("freg-reassign");
+            }
+            if external.contains(&$d) {
+                return Err("loop-carried-freg");
+            }
+            defined.insert($d);
+            alloc(&mut plan.xmap, $d)?;
+        }};
+    }
+    macro_rules! read {
+        ($r:expr) => {{
+            if !defined.contains(&$r) && !external.contains(&$r) {
+                // Defined outside the loop: loop-invariant (the
+                // body holds no integer/float redefinitions — they
+                // were rejected above or live in `pre`). Broadcast
+                // once. Native-f32 lanes can't hold an arbitrary
+                // f64, so this is an f64-mode-only trick.
+                if !f64m {
+                    return Err("operand-precision");
+                }
+                external.insert($r);
+                alloc(&mut plan.xmap, $r)?;
+                plan.inv.push(InvSrc::Freg($r));
+            }
+        }};
+    }
+    for i in body {
+        match *i {
+            Instr::FConst(d, v) => {
+                if !f64m && f64::from(v as f32) != v {
+                    return Err("const-precision");
+                }
+                def!(d);
+                plan.hoisted.insert(d);
+                plan.inv.push(InvSrc::Const { dst: d, v });
+            }
+            Instr::Load(d, slot, addr) => match strides.get(&addr).copied().unwrap_or(0) {
+                1 => def!(d),
+                0 => {
+                    def!(d);
+                    plan.hoisted.insert(d);
+                    plan.inv.push(InvSrc::Load { dst: d, slot, addr });
+                }
+                _ => return Err("load-stride"),
+            },
+            Instr::Store(_, addr, val) => {
+                if strides.get(&addr).copied().unwrap_or(0) != 1 {
+                    return Err("store-stride");
+                }
+                read!(val);
+            }
+            Instr::FBin(op, d, x, y) | Instr::FBin32(op, d, x, y) => {
+                if f64m != matches!(i, Instr::FBin(..)) {
+                    return Err("mixed-precision");
+                }
+                debug_assert!(matches!(
+                    op,
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div
+                ));
+                read!(x);
+                read!(y);
+                def!(d);
+            }
+            Instr::FMulAdd {
+                dst,
+                add,
+                a,
+                b,
+                round32,
+            } => {
+                if round32 == f64m {
+                    return Err("rounding-mismatch");
+                }
+                read!(add);
+                read!(a);
+                read!(b);
+                def!(dst);
+            }
+            Instr::F32Round(d, s) => {
+                if f64m {
+                    return Err("mixed-precision");
+                }
+                read!(s);
+                def!(d);
+            }
+            Instr::Call1(Intrinsic::Sqrt, d, x, round) => {
+                if round == f64m {
+                    return Err("rounding-mismatch");
+                }
+                read!(x);
+                def!(d);
+            }
+            _ => return Err("body-op"),
+        }
+    }
+    Ok(plan)
+}
+
+/// What the three operands of a `MulAddLoop` allow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum MulAdd {
+    /// `dst` stride 0: one element accumulates every product, in order —
+    /// a serial chain whatever the factors' strides, always scalar, and
+    /// carried in a register. `native` is the common dtype when the chain
+    /// can run in it ([`NestCompiler::muladd_reduction`]).
+    Reduction { native: Option<DType> },
+    /// `dst` stride 1 and factor strides `(0,1)`, `(1,0)` or `(1,1)` over
+    /// one dtype, rounding matched to it, the destination slot read by
+    /// neither factor: every element is an independent multiply and add.
+    Parallel(DType),
+    /// The element-order loop, with the reason it is not packed.
+    Generic(&'static str),
+}
+
+fn classify_muladd(
+    dst: &SlotAccess,
+    a: &SlotAccess,
+    b: &SlotAccess,
+    round32: bool,
+    dts: &[DType],
+) -> MulAdd {
+    let dt = dts[dst.slot as usize];
+    let refusal = if dts[a.slot as usize] != dt || dts[b.slot as usize] != dt {
+        Some("mixed-dtype")
+    } else if (dt == DType::F64) == round32 {
+        Some("rounding-mismatch")
+    } else if dst.slot == a.slot || dst.slot == b.slot {
+        Some("aliased-dst")
+    } else {
+        None
+    };
+    if dst.stride == 0 {
+        return MulAdd::Reduction {
+            native: refusal.is_none().then_some(dt),
+        };
+    }
+    match refusal {
+        Some(reason) => MulAdd::Generic(reason),
+        None if matches!(
+            (dst.stride, a.stride, b.stride),
+            (1, 0, 1) | (1, 1, 0) | (1, 1, 1)
+        ) =>
+        {
+            MulAdd::Parallel(dt)
+        }
+        None => MulAdd::Generic("stride-pattern"),
+    }
+}
+
+/// Decide whether a serial loop is a jammable microkernel wrapper:
+/// `for k { addr-code; dst[j] += inv_k * vec_k[j] }` where the
+/// destination row is the same for every `k`. Jamming [`JAM`]
+/// consecutive `k` iterations into one fused `j` sweep then loads
+/// and stores each `dst[j]` once per group instead of once per `k`
+/// — and stays bit-exact *by construction*: every memory cell sees
+/// the identical operation sequence (`(((d+m₀)+m₁)+m₂)+m₃`, each
+/// multiply and add individually rounded, `k` ascending), only the
+/// interleaving across distinct cells changes.
+///
+/// Eligibility (each check discharges a soundness obligation):
+/// - body is exactly `[Code?, MulAddLoop]`, the microkernel
+///   [`MulAdd::Parallel`] (uniform dtype, matched rounding, a
+///   destination slot distinct from both factors) with stride
+///   pattern `(1,0,1)` or `(1,1,0)`;
+/// - the address code is memory-free (pure register arithmetic),
+///   so running four iterations' worth up front has no observable
+///   effect beyond the register file, which sees the exact scalar
+///   write sequence;
+/// - it never writes the loop variable (the jam advances it);
+/// - a dataflow pass proves `dst.addr` independent of `k`,
+///   treating loop-carried register reads as varying.
+fn plan_jam<'p>(item: &'p Item, dts: &[DType], shape: Shape) -> Option<JamPlan<'p>> {
+    if shape == Shape::Scalar {
+        return None;
+    }
+    let Item::Loop {
+        var,
+        min,
+        extent: kextent,
+        body,
+        ..
+    } = item
+    else {
+        return None;
+    };
+    if *kextent < JAM {
+        return None;
+    }
+    let (code, ma): (&[Instr], &Item) = match body.items.as_slice() {
+        [ma @ Item::MulAddLoop { .. }] => (&[], ma),
+        [Item::Code(c), ma @ Item::MulAddLoop { .. }] => (c.as_slice(), ma),
+        _ => return None,
+    };
+    let Item::MulAddLoop {
+        extent,
+        pre,
+        dst,
+        a,
+        b,
+        round32,
+    } = ma
+    else {
+        unreachable!("matched above")
+    };
+    let MulAdd::Parallel(dt) = classify_muladd(dst, a, b, *round32, dts) else {
+        return None;
+    };
+    let (inv, vec, inv_first) = match (a.stride, b.stride) {
+        (0, 1) => (*a, *b, true),
+        (1, 0) => (*b, *a, false),
+        _ => return None,
+    };
+    let w = Width::new(dt, shape);
+    if *extent < w.lanes() {
+        return None;
+    }
+    // Setup-code scan: pure register arithmetic only, loop variable
+    // never overwritten. (`FToI` — the only other ireg writer in
+    // the ISA — is outside the JIT subset and cannot appear here.)
+    let mut written: HashSet<Reg> = HashSet::new();
+    for i in code.iter().chain(pre.iter()) {
+        match i {
+            Instr::IConst(d, _) | Instr::IBin(_, d, _, _) => {
+                if d == var {
+                    return None;
+                }
+                written.insert(*d);
+            }
+            Instr::FConst(..)
+            | Instr::IToF(..)
+            | Instr::IToF32(..)
+            | Instr::F32Round(..)
+            | Instr::FBin(..)
+            | Instr::FBin32(..)
+            | Instr::FMulAdd { .. }
+            | Instr::Call1(..) => {}
+            _ => return None,
+        }
+    }
+    // k-invariance of the destination address: a register is
+    // varying if it derives from the loop variable or from a
+    // loop-carried value (read of a setup-written register before
+    // its write this iteration).
+    let mut varying: HashSet<Reg> = HashSet::new();
+    varying.insert(*var);
+    let mut seen: HashSet<Reg> = HashSet::new();
+    for i in code.iter().chain(pre.iter()) {
+        match i {
+            Instr::IConst(d, _) => {
+                seen.insert(*d);
+                varying.remove(d);
+            }
+            Instr::IBin(_, d, x, y) => {
+                let tainted = |r: &Reg| {
+                    varying.contains(r) || (written.contains(r) && !seen.contains(r))
+                };
+                if tainted(x) || tainted(y) {
+                    varying.insert(*d);
+                } else {
+                    varying.remove(d);
+                }
+                seen.insert(*d);
+            }
+            _ => {}
+        }
+    }
+    if varying.contains(&dst.addr) {
+        return None;
+    }
+    Some(JamPlan {
+        kvar: *var,
+        kmin: *min,
+        kextent: *kextent,
+        code,
+        pre,
+        dst: *dst,
+        vec,
+        inv,
+        inv_first,
+        w,
+        extent: *extent,
+    })
+}
+
 impl NestCompiler<'_> {
     fn emit_item(&mut self, item: &Item) {
         match item {
@@ -1180,7 +1701,7 @@ impl NestCompiler<'_> {
                 if *extent < 1 {
                     return;
                 }
-                if let Some(plan) = self.plan_jam(item) {
+                if let Some(plan) = plan_jam(item, self.dts, self.opts.shape) {
                     let done = (plan.kextent / JAM) * JAM;
                     let rem = plan.kextent - done;
                     self.emit_jammed(&plan);
@@ -1226,7 +1747,6 @@ impl NestCompiler<'_> {
                 body,
                 carry,
                 kind,
-                lanes,
             } => {
                 self.emit_code(pre);
                 if !clamp.is_none() {
@@ -1237,7 +1757,7 @@ impl NestCompiler<'_> {
                     self.emit_trimmed_strided(*min, *extent, *clamp, bumps, body, *carry);
                     return;
                 }
-                match self.plan_packed(*extent, bumps, body, kind, *lanes) {
+                match plan_packed(*extent, bumps, body, kind, self.dts, self.opts.shape) {
                     Ok(plan) => {
                         // A carry is sequential state; the optimizer
                         // forwards no loop that is proven vectorized.
@@ -1278,8 +1798,8 @@ impl NestCompiler<'_> {
     fn fload(&mut self, dst: X, src: F) {
         match src {
             F::Reg(s) if s == dst => {}
-            F::Reg(s) => self.asm.sse_rr(None, 0x28, dst, s), // movaps
-            F::Mem(disp) => self.asm.movsd_rm(dst, RSI, disp),
+            F::Reg(s) => self.asm.movaps(dst, s),
+            F::Mem(disp) => self.asm.vload(SD, dst, Mem::at(RSI, disp)),
         }
     }
 
@@ -1287,8 +1807,8 @@ impl NestCompiler<'_> {
     fn fstore(&mut self, dst: F, src: X) {
         match dst {
             F::Reg(d) if d == src => {}
-            F::Reg(d) => self.asm.sse_rr(None, 0x28, d, src), // movaps
-            F::Mem(disp) => self.asm.movsd_mr(RSI, disp, src),
+            F::Reg(d) => self.asm.movaps(d, src),
+            F::Mem(disp) => self.asm.vstore(SD, Mem::at(RSI, disp), src),
         }
     }
 
@@ -1296,30 +1816,22 @@ impl NestCompiler<'_> {
     /// operand from memory as readily as from a register.
     fn fop(&mut self, op: u8, dst: X, src: F) {
         match src {
-            F::Reg(s) => self.asm.sse_rr(Some(0xF2), op, dst, s),
-            F::Mem(disp) => self.asm.sse_rm(Some(0xF2), op, dst, RSI, disp),
+            F::Reg(s) => self.asm.vop_rr(SD, op, dst, dst, s),
+            F::Mem(disp) => self.asm.vop_rm(SD, op, dst, dst, Mem::at(RSI, disp), None),
         }
     }
 
     /// Address the element a `Load`/`Store` touches: through its resident
     /// pointer, or as `[RCX + RAX·esize]` after loading the address
     /// register and the slot base.
-    fn elem(&mut self, slot: u16, addr: Reg, res: &Resident) -> Elem {
+    fn elem(&mut self, slot: u16, addr: Reg, res: &Resident) -> Mem {
         match res.ptr(slot, addr) {
-            Some(p) => Elem::Ptr(p),
+            Some(p) => Mem::at(p, 0),
             None => {
                 self.asm.mov_rm(RAX, RDI, off(addr));
                 self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
-                Elem::Indexed
+                Mem::indexed(RCX, RAX)
             }
-        }
-    }
-
-    /// Legacy-SSE move between `x` and the element `e`.
-    fn sse_elem(&mut self, prefix: u8, op: u8, x: X, e: Elem, esize: u8) {
-        match e {
-            Elem::Ptr(p) => self.asm.sse_rm(Some(prefix), op, x, p, 0),
-            Elem::Indexed => self.asm.sse_rm_sib(Some(prefix), op, x, RCX, RAX, esize),
         }
     }
 
@@ -1378,13 +1890,6 @@ impl NestCompiler<'_> {
                 a.mov_mr(RDI, off(d), RAX);
             }
             Instr::FBin(op, d, x, y) | Instr::FBin32(op, d, x, y) => {
-                let opc = match op {
-                    BinOp::Add => 0x58,
-                    BinOp::Mul => 0x59,
-                    BinOp::Sub => 0x5C,
-                    BinOp::Div => 0x5E,
-                    _ => unreachable!("rejected by check_instr"),
-                };
                 let (fd, fx, fy) = (f(d), f(x), f(y));
                 // `d` may share `y`'s register (a carry's `next` shares
                 // `acc`'s): copying `x` into it first would lose `y`.
@@ -1394,7 +1899,7 @@ impl NestCompiler<'_> {
                     target(fd, X0)
                 };
                 self.fload(t, fx);
-                self.fop(opc, t, fy);
+                self.fop(arith(op), t, fy);
                 if matches!(i, Instr::FBin32(..)) {
                     self.asm.round32(t);
                 }
@@ -1410,13 +1915,13 @@ impl NestCompiler<'_> {
                 // The product is complete in scratch before the sum's
                 // register is written, so `dst` may share any operand's.
                 self.fload(X0, f(a));
-                self.fop(0x59, X0, f(b)); // mulsd
+                self.fop(FMUL, X0, f(b));
                 if round32 {
                     self.asm.round32(X0);
                 }
                 let t = target(f(dst), X1);
                 self.fload(t, f(add));
-                self.fop(0x58, t, F::Reg(X0)); // addsd: add + m
+                self.fop(FADD, t, F::Reg(X0)); // add + m
                 if round32 {
                     self.asm.round32(t);
                 }
@@ -1425,7 +1930,7 @@ impl NestCompiler<'_> {
             Instr::Call1(Intrinsic::Sqrt, d, x, round) => {
                 let t = target(f(d), X0);
                 self.fload(t, f(x));
-                self.asm.sse_rr(Some(0xF2), 0x51, t, t); // sqrtsd
+                self.asm.vop1(SD, FSQRT, t, t);
                 if round {
                     self.asm.round32(t);
                 }
@@ -1434,12 +1939,7 @@ impl NestCompiler<'_> {
             Instr::Load(d, slot, addr) => {
                 let e = self.elem(slot, addr, res);
                 let t = target(f(d), X0);
-                if self.dts[slot as usize] == DType::F64 {
-                    self.sse_elem(0xF2, 0x10, t, e, 8); // movsd
-                } else {
-                    self.sse_elem(0xF3, 0x10, t, e, 4); // movss
-                    self.asm.cvtss2sd_rr(t, t);
-                }
+                self.load_widen(t, e, self.dts[slot as usize]);
                 self.fstore(f(d), t);
             }
             Instr::Store(slot, addr, val) => {
@@ -1447,11 +1947,11 @@ impl NestCompiler<'_> {
                 let v = target(f(val), X0);
                 self.fload(v, f(val));
                 if self.dts[slot as usize] == DType::F64 {
-                    self.sse_elem(0xF2, 0x11, v, e, 8);
+                    self.asm.vstore(SD, e, v);
                 } else {
                     // Narrow in scratch: a resident value stays `f64`.
                     self.asm.cvtsd2ss_rr(X0, v);
-                    self.sse_elem(0xF3, 0x11, X0, e, 4);
+                    self.asm.vstore(SS, e, X0);
                 }
             }
             _ => unreachable!("rejected by check_instr"),
@@ -1597,200 +2097,6 @@ impl NestCompiler<'_> {
         }
     }
 
-    /// Decide whether a strided-loop body can run packed, and how. The
-    /// `Err` string is the per-reason scalar-fallback tag tallied in
-    /// [`SimdReport`]; together with the packed count these partition
-    /// every strided vector site.
-    fn plan_packed(
-        &self,
-        extent: i64,
-        bumps: &[(Reg, i64)],
-        body: &[Instr],
-        kind: &LoopKind,
-        planned: u8,
-    ) -> Result<PackedPlan, &'static str> {
-        if !self.opts.simd {
-            return Err("simd-disabled");
-        }
-        // Packing reorders iterations across lanes, so it is gated on
-        // the dependence analyzer's race-freedom proof exactly like
-        // pool dispatch is for `Parallel` loops.
-        match kind {
-            LoopKind::Vectorized { proven: true } => {}
-            LoopKind::Vectorized { proven: false } => return Err("unproven-vectorize"),
-            _ => return Err("no-vectorize-annotation"),
-        }
-        // Mode: the uniform dtype of every load/store in the body.
-        let mut mode: Option<DType> = None;
-        for i in body {
-            if let Instr::Load(_, slot, _) | Instr::Store(slot, _, _) = i {
-                let dt = self.dts[*slot as usize];
-                match mode {
-                    None => mode = Some(dt),
-                    Some(m) if m != dt => return Err("mixed-precision"),
-                    _ => {}
-                }
-            }
-        }
-        let Some(dt) = mode else {
-            return Err("body-op");
-        };
-        let f64m = dt == DType::F64;
-        let base: i64 = if f64m { 2 } else { 4 };
-        let lanes = if self.opts.avx { base * 2 } else { base };
-        if extent < lanes {
-            return Err("short-extent");
-        }
-        if i64::from(planned) < base {
-            // The block optimizer plans the base vector width on every
-            // strided item; disagreeing here would mean the item was
-            // built outside `compile_optimized`.
-            return Err("planner-scalar");
-        }
-        for &(_, s) in bumps {
-            if s.checked_mul(lanes).is_none() {
-                return Err("stride-overflow");
-            }
-        }
-        let strides: HashMap<Reg, i64> = bumps.iter().copied().collect();
-        let mut plan = PackedPlan {
-            f64m,
-            lanes,
-            xmap: HashMap::new(),
-            inv: Vec::new(),
-            hoisted: HashSet::new(),
-        };
-        // fregs defined by the body vs. read from outside it.
-        let mut defined: HashSet<Reg> = HashSet::new();
-        let mut external: HashSet<Reg> = HashSet::new();
-        fn alloc(xmap: &mut HashMap<Reg, X>, r: Reg) -> Result<X, &'static str> {
-            if let Some(&x) = xmap.get(&r) {
-                return Ok(x);
-            }
-            // X15 stays scratch for in-body multiply-add temporaries.
-            if xmap.len() >= 15 {
-                return Err("register-pressure");
-            }
-            let x = X(xmap.len() as u8);
-            xmap.insert(r, x);
-            Ok(x)
-        }
-        macro_rules! def {
-            ($d:expr) => {{
-                if defined.contains(&$d) {
-                    return Err("freg-reassign");
-                }
-                if external.contains(&$d) {
-                    return Err("loop-carried-freg");
-                }
-                defined.insert($d);
-                alloc(&mut plan.xmap, $d)?;
-            }};
-        }
-        macro_rules! read {
-            ($r:expr) => {{
-                if !defined.contains(&$r) && !external.contains(&$r) {
-                    // Defined outside the loop: loop-invariant (the
-                    // body holds no integer/float redefinitions — they
-                    // were rejected above or live in `pre`). Broadcast
-                    // once. Native-f32 lanes can't hold an arbitrary
-                    // f64, so this is an f64-mode-only trick.
-                    if !f64m {
-                        return Err("operand-precision");
-                    }
-                    external.insert($r);
-                    alloc(&mut plan.xmap, $r)?;
-                    plan.inv.push(InvSrc::Freg($r));
-                }
-            }};
-        }
-        for i in body {
-            match *i {
-                Instr::FConst(d, v) => {
-                    if !f64m && f64::from(v as f32) != v {
-                        return Err("const-precision");
-                    }
-                    def!(d);
-                    plan.hoisted.insert(d);
-                    plan.inv.push(InvSrc::Const { dst: d, v });
-                }
-                Instr::Load(d, slot, addr) => match strides.get(&addr).copied().unwrap_or(0) {
-                    1 => def!(d),
-                    0 => {
-                        def!(d);
-                        plan.hoisted.insert(d);
-                        plan.inv.push(InvSrc::Load { dst: d, slot, addr });
-                    }
-                    _ => return Err("load-stride"),
-                },
-                Instr::Store(_, addr, val) => {
-                    if strides.get(&addr).copied().unwrap_or(0) != 1 {
-                        return Err("store-stride");
-                    }
-                    read!(val);
-                }
-                Instr::FBin(op, d, x, y) | Instr::FBin32(op, d, x, y) => {
-                    if f64m != matches!(i, Instr::FBin(..)) {
-                        return Err("mixed-precision");
-                    }
-                    debug_assert!(matches!(
-                        op,
-                        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div
-                    ));
-                    read!(x);
-                    read!(y);
-                    def!(d);
-                }
-                Instr::FMulAdd {
-                    dst,
-                    add,
-                    a,
-                    b,
-                    round32,
-                } => {
-                    if round32 == f64m {
-                        return Err("rounding-mismatch");
-                    }
-                    read!(add);
-                    read!(a);
-                    read!(b);
-                    def!(dst);
-                }
-                Instr::F32Round(d, s) => {
-                    if f64m {
-                        return Err("mixed-precision");
-                    }
-                    read!(s);
-                    def!(d);
-                }
-                Instr::Call1(Intrinsic::Sqrt, d, x, round) => {
-                    if round == f64m {
-                        return Err("rounding-mismatch");
-                    }
-                    read!(x);
-                    def!(d);
-                }
-                _ => return Err("body-op"),
-            }
-        }
-        Ok(plan)
-    }
-
-    /// Broadcast the scalar at `[base+disp]` across every lane of `x`.
-    fn bcast(&mut self, f64m: bool, x: X, base: R, disp: i32) {
-        if self.opts.avx {
-            self.asm
-                .vbroadcast_m(if f64m { 0x19 } else { 0x18 }, x, base, disp);
-        } else if f64m {
-            self.asm.movsd_rm(x, base, disp);
-            self.asm.sse_rr(Some(0x66), 0x14, x, x); // unpcklpd
-        } else {
-            self.asm.movss_rm(x, base, disp);
-            self.asm.sse_rr(None, 0xC6, x, x); // shufps x,x,0
-            self.asm.b(0x00);
-        }
-    }
-
     /// Packed main loop + scalar epilogue for a proven vectorized
     /// strided loop. Lane `j` of every packed instruction is iteration
     /// `i+j`'s scalar instruction: instructions execute in body order
@@ -1804,16 +2110,13 @@ impl NestCompiler<'_> {
         body: &[Instr],
         plan: &PackedPlan,
     ) {
-        let f64m = plan.f64m;
-        let esize: u8 = if f64m { 8 } else { 4 };
-        let pp: u8 = if f64m { 1 } else { 0 };
-        let sse_p: Option<u8> = if f64m { Some(0x66) } else { None };
-        let vec_iters = extent / plan.lanes;
-        let tail = extent % plan.lanes;
+        let w = plan.w;
+        let vec_iters = extent / w.lanes();
+        let tail = extent % w.lanes();
         for src in &plan.inv {
             match *src {
                 InvSrc::Const { dst, v } => {
-                    let bits = if f64m {
+                    let bits = if w.dt == DType::F64 {
                         v.to_bits() as i64
                     } else {
                         i64::from((v as f32).to_bits())
@@ -1823,28 +2126,26 @@ impl NestCompiler<'_> {
                     // scalar epilogue re-executes the `FConst` first.
                     self.asm.mov_ri(RAX, bits);
                     self.asm.mov_mr(RSI, off(dst), RAX);
-                    self.bcast(f64m, plan.xmap[&dst], RSI, off(dst));
+                    self.asm.bcast(w, plan.xmap[&dst], Mem::at(RSI, off(dst)));
                 }
-                InvSrc::Freg(r) => self.bcast(f64m, plan.xmap[&r], RSI, off(r)),
+                InvSrc::Freg(r) => self.asm.bcast(w, plan.xmap[&r], Mem::at(RSI, off(r))),
                 InvSrc::Load { dst, slot, addr } => {
                     self.asm.mov_rm(RAX, RDI, off(addr));
                     self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
-                    self.asm.lea_sib(RAX, RCX, RAX, esize);
-                    self.bcast(f64m, plan.xmap[&dst], RAX, 0);
+                    self.asm.lea_sib(RAX, RCX, RAX, w.esize());
+                    self.asm.bcast(w, plan.xmap[&dst], Mem::at(RAX, 0));
                 }
             }
         }
         self.asm.mov_ri(R11, vec_iters);
         let top = self.asm.here();
         for i in body {
-            self.emit_packed_instr(i, plan, pp, sse_p, esize);
+            self.emit_packed_instr(i, plan);
         }
-        self.emit_bumps(bumps, plan.lanes);
+        self.emit_bumps(bumps, w.lanes());
         self.asm.dec_r(R11);
         self.asm.jcc_back(CC_NZ, top);
-        if self.opts.avx {
-            self.asm.vzeroupper();
-        }
+        self.asm.vend(w);
         if tail > 0 {
             self.emit_scalar_strided(tail, bumps, body, None);
         }
@@ -1852,15 +2153,10 @@ impl NestCompiler<'_> {
 
     /// One body instruction at full vector width (see
     /// [`NestCompiler::emit_packed_strided`] for the lane contract).
-    fn emit_packed_instr(
-        &mut self,
-        i: &Instr,
-        plan: &PackedPlan,
-        pp: u8,
-        sse_p: Option<u8>,
-        esize: u8,
-    ) {
-        let x = |r: Reg| plan.xmap[&r];
+    /// Every destination is single-assignment-fresh, so distinct from
+    /// its operands' registers.
+    fn emit_packed_instr(&mut self, i: &Instr, plan: &PackedPlan) {
+        let (w, x) = (plan.w, |r: Reg| plan.xmap[&r]);
         match *i {
             // Hoisted to a pre-loop broadcast.
             Instr::FConst(..) => {}
@@ -1870,64 +2166,23 @@ impl NestCompiler<'_> {
                 }
                 self.asm.mov_rm(RAX, RDI, off(addr));
                 self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
-                if self.opts.avx {
-                    self.asm.vex_rm_sib(pp, 0x10, x(d), 0, RCX, RAX, esize);
-                } else {
-                    self.asm.sse_rm_sib(sse_p, 0x10, x(d), RCX, RAX, esize);
-                }
+                self.asm.vload(w, x(d), Mem::indexed(RCX, RAX));
             }
             Instr::Store(slot, addr, val) => {
                 self.asm.mov_rm(RAX, RDI, off(addr));
                 self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
-                if self.opts.avx {
-                    self.asm.vex_rm_sib(pp, 0x11, x(val), 0, RCX, RAX, esize);
-                } else {
-                    self.asm.sse_rm_sib(sse_p, 0x11, x(val), RCX, RAX, esize);
-                }
+                self.asm.vstore(w, Mem::indexed(RCX, RAX), x(val));
             }
             Instr::FBin(op, d, a, b) | Instr::FBin32(op, d, a, b) => {
-                let opc = match op {
-                    BinOp::Add => 0x58,
-                    BinOp::Mul => 0x59,
-                    BinOp::Sub => 0x5C,
-                    BinOp::Div => 0x5E,
-                    _ => unreachable!("rejected by plan_packed"),
-                };
-                if self.opts.avx {
-                    self.asm.vex_rr(pp, opc, x(d), x(a).0, x(b));
-                } else {
-                    // `d` is single-assignment-fresh, so distinct from
-                    // `a`/`b`: a movap*-then-op pair is safe.
-                    self.asm.sse_rr(sse_p, 0x28, x(d), x(a));
-                    self.asm.sse_rr(sse_p, opc, x(d), x(b));
-                }
+                self.asm.vop_rr(w, arith(op), x(d), x(a), x(b));
             }
             Instr::FMulAdd { dst, add, a, b, .. } => {
-                if self.opts.avx {
-                    self.asm.vex_rr(pp, 0x59, XSCRATCH, x(a).0, x(b));
-                    self.asm.vex_rr(pp, 0x58, x(dst), x(add).0, XSCRATCH);
-                } else {
-                    self.asm.sse_rr(sse_p, 0x28, XSCRATCH, x(a));
-                    self.asm.sse_rr(sse_p, 0x59, XSCRATCH, x(b));
-                    self.asm.sse_rr(sse_p, 0x28, x(dst), x(add));
-                    self.asm.sse_rr(sse_p, 0x58, x(dst), XSCRATCH);
-                }
+                self.asm.vop_rr(w, FMUL, XSCRATCH, x(a), x(b));
+                self.asm.vop_rr(w, FADD, x(dst), x(add), XSCRATCH);
             }
-            Instr::F32Round(d, s) => {
-                // Native-f32 lanes are already rounded: a plain copy.
-                if self.opts.avx {
-                    self.asm.vex_rr(pp, 0x28, x(d), 0, x(s));
-                } else {
-                    self.asm.sse_rr(sse_p, 0x28, x(d), x(s));
-                }
-            }
-            Instr::Call1(Intrinsic::Sqrt, d, s, _) => {
-                if self.opts.avx {
-                    self.asm.vex_rr(pp, 0x51, x(d), 0, x(s));
-                } else {
-                    self.asm.sse_rr(sse_p, 0x51, x(d), x(s));
-                }
-            }
+            // Native-f32 lanes are already rounded: a plain copy.
+            Instr::F32Round(d, s) => self.asm.vmov(w, x(d), x(s)),
+            Instr::Call1(Intrinsic::Sqrt, d, s, _) => self.asm.vop1(w, FSQRT, x(d), x(s)),
             _ => unreachable!("rejected by plan_packed"),
         }
     }
@@ -1949,39 +2204,52 @@ impl NestCompiler<'_> {
         round32: bool,
     ) {
         self.muladd_pointers(dst, sa, sb);
-        let dt = self.dts[dst.slot as usize];
-        let uniform = self.dts[sa.slot as usize] == dt && self.dts[sb.slot as usize] == dt;
-        let matched_rounding =
-            (dt == DType::F64 && !round32) || (dt == DType::F32 && round32);
-        let disjoint = dst.slot != sa.slot && dst.slot != sb.slot;
-        let fast = uniform && matched_rounding && disjoint;
-        let strides = (dst.stride, sa.stride, sb.stride);
-        if strides.0 == 0 {
-            // One element accumulates every product, in order: a serial
-            // chain whatever the factors' strides, always scalar, and
-            // carried in a register on either path.
-            self.simd.scalar("reduction-chain");
-            if fast {
-                self.muladd_reduction(extent, dt, sa.stride, sb.stride);
-            } else {
+        match classify_muladd(dst, sa, sb, round32, self.dts) {
+            MulAdd::Reduction { native } => {
+                self.simd.scalar("reduction-chain");
+                match native {
+                    Some(dt) => self.muladd_reduction(extent, dt, sa.stride, sb.stride),
+                    None => self.muladd_generic(extent, dst, sa, sb, round32),
+                }
+            }
+            MulAdd::Parallel(dt) => self.muladd_parallel(extent, dt, sa.stride, sb.stride),
+            MulAdd::Generic(reason) => {
+                self.simd.scalar(reason);
                 self.muladd_generic(extent, dst, sa, sb, round32);
             }
-            return;
         }
-        if fast && matches!(strides, (1, 0, 1) | (1, 1, 0) | (1, 1, 1)) {
-            self.muladd_parallel(extent, dt, strides);
-            return;
+    }
+
+    /// `mov R11, trips`, then `body` that many times (`trips` ≥ 1).
+    fn repeat(&mut self, trips: i64, body: impl FnOnce(&mut Self)) {
+        self.asm.mov_ri(R11, trips);
+        let top = self.asm.here();
+        body(self);
+        self.asm.dec_r(R11);
+        self.asm.jcc_back(CC_NZ, top);
+    }
+
+    /// `m ← a · b` at `disp` bytes past the pointers, the factors in the
+    /// multiply's own operand order (which of two NaN payloads survives
+    /// depends on it).
+    fn product(&mut self, w: Width, m: X, a: Factor, b: Factor, disp: i32, scratch: X) {
+        match (a, b) {
+            (Factor::Bcast(x), Factor::At(p)) => {
+                self.asm
+                    .vop_rm(w, FMUL, m, x, Mem::at(p, disp), Some(scratch))
+            }
+            (Factor::At(p), b) => {
+                self.asm.vload(w, m, Mem::at(p, disp));
+                match b {
+                    Factor::Bcast(y) => self.asm.vop_rr(w, FMUL, m, m, y),
+                    Factor::At(q) => {
+                        self.asm
+                            .vop_rm(w, FMUL, m, m, Mem::at(q, disp), Some(scratch))
+                    }
+                }
+            }
+            (Factor::Bcast(_), Factor::Bcast(_)) => unreachable!("one factor walks"),
         }
-        self.simd.scalar(if !uniform {
-            "mixed-dtype"
-        } else if !matched_rounding {
-            "rounding-mismatch"
-        } else if !disjoint {
-            "aliased-dst"
-        } else {
-            "stride-pattern"
-        });
-        self.muladd_generic(extent, dst, sa, sb, round32);
     }
 
     /// Reduction into one element (`dst` stride 0, any factor strides)
@@ -1995,458 +2263,111 @@ impl NestCompiler<'_> {
     /// multiply-add here against 5.0 there in `f32` (0.66 against 0.72–1.1
     /// in `f64`, where the two differ only by the store).
     fn muladd_reduction(&mut self, extent: i64, dt: DType, sa: i64, sb: i64) {
-        let a = &mut *self.asm;
-        let (mov_rm, mov_mr, esize): (fn(&mut Asm, X, R, i32), fn(&mut Asm, R, i32, X), i64) =
-            if dt == DType::F64 {
-                (Asm::movsd_rm, Asm::movsd_mr, 8)
-            } else {
-                (Asm::movss_rm, Asm::movss_mr, 4)
-            };
-        let p = if dt == DType::F64 { Some(0xF2) } else { Some(0xF3) };
-        mov_rm(a, X1, R8, 0); // acc = dst[d0]
-        a.mov_ri(R11, extent);
-        let top = a.here();
-        mov_rm(a, X0, R9, 0);
-        a.sse_rm(p, 0x59, X0, R10, 0); // x * y
-        a.sse_rr(p, 0x58, X1, X0); // acc += m
-        for (preg, stride) in [(R9, sa), (R10, sb)] {
-            if stride != 0 {
-                a.add_ri(preg, (stride * esize) as i32); // range-checked in check_item
+        let w = Width::scalar(dt);
+        self.asm.vload(w, X1, Mem::at(R8, 0)); // acc = dst[d0]
+        self.repeat(extent, |s| {
+            s.product(w, X0, Factor::At(R9), Factor::At(R10), 0, X3); // x * y
+            s.asm.vop_rr(w, FADD, X1, X1, X0); // acc += m
+            for (preg, stride) in [(R9, sa), (R10, sb)] {
+                if stride != 0 {
+                    // range-checked in check_item
+                    s.asm.add_ri(preg, (stride * i64::from(w.esize())) as i32);
+                }
             }
-        }
-        a.dec_r(R11);
-        a.jcc_back(CC_NZ, top);
-        mov_mr(a, R8, 0, X1);
+        });
+        self.asm.vstore(w, Mem::at(R8, 0), X1);
     }
 
-    /// Parallel patterns `(1,0,1)`, `(1,1,0)`, `(1,1,1)`: every element
-    /// is an independent multiply+add, so lane-splitting preserves
-    /// per-element rounding exactly — vectorize with AVX-256 when
-    /// available, SSE2 128-bit otherwise, scalar tail. When at least
-    /// four packed iterations remain, a register-tiled 4× unroll-and-jam
-    /// main loop runs first: four accumulator blocks in distinct
-    /// registers per trip, amortising the loop overhead and letting the
-    /// independent mul/add chains overlap. Elements stay independent
-    /// with per-element rounding, so tiling is bit-neutral.
-    fn muladd_parallel(&mut self, extent: i64, dt: DType, strides: (i64, i64, i64)) {
-        let f64p = dt == DType::F64;
-        let esize: i32 = if f64p { 8 } else { 4 };
-        let lanes: i64 = if self.opts.avx {
-            if f64p { 4 } else { 8 }
-        } else if f64p {
-            2
-        } else {
-            4
-        };
-        // `TVM_JIT_SIMD=0` forces the (bit-identical) scalar tail to
-        // carry every iteration.
-        let (vec_iters, tail) = if self.opts.simd {
-            (extent / lanes, extent % lanes)
-        } else {
-            (0, extent)
-        };
-        let pp: u8 = if f64p { 1 } else { 0 }; // VEX pp for pd/ps
-        let sse_p: Option<u8> = if f64p { Some(0x66) } else { None };
-        let fma = self.opts.allow_fma && self.opts.fma_available && self.opts.avx && f64p;
-        // Register tiling keeps the plain mul+add pipeline; the FMA
-        // variant stays on the single-vector loop.
-        let blocks = if fma { 0 } else { vec_iters / 4 };
-        let single = vec_iters - blocks * 4;
-        if self.opts.simd {
+    /// Parallel patterns — `dst` stride 1, each factor stride 0 or 1, not
+    /// both 0: every element is an independent multiply+add, so
+    /// lane-splitting preserves per-element rounding exactly — vectorize
+    /// with AVX-256 when available, SSE2 128-bit otherwise, scalar tail.
+    /// When at least four packed iterations remain, a register-tiled 4×
+    /// unroll-and-jam main loop runs first: four accumulator blocks in
+    /// distinct registers per trip, amortising the loop overhead and
+    /// letting the independent mul/add chains overlap. Elements stay
+    /// independent with per-element rounding, so tiling is bit-neutral.
+    /// The scalar tail is the same product and accumulation one element
+    /// wide, in native precision (bit-exact for both f64 and — via
+    /// Figueroa double-rounding innocuity — native f32); on the scalar
+    /// tier it carries every iteration.
+    fn muladd_parallel(&mut self, extent: i64, dt: DType, sa: i64, sb: i64) {
+        let w = self.opts.width(dt);
+        let packed = w.lanes() > 1;
+        let vec_iters = if packed { extent / w.lanes() } else { 0 };
+        let tail = extent - vec_iters * w.lanes();
+        let blocks = vec_iters / 4;
+        if packed {
             self.simd.packed(blocks > 0);
         } else {
             self.simd.scalar("simd-disabled");
         }
+        // The loop-invariant factor is broadcast once (X2) for the
+        // vector loops; the tail reads it where it is.
+        let factor = |stride: i64, p: R, w: Width| {
+            if stride == 0 && w.lanes() > 1 {
+                Factor::Bcast(X2)
+            } else {
+                Factor::At(p)
+            }
+        };
         if vec_iters > 0 {
-            // Broadcast the loop-invariant factor once (X2).
-            match strides {
-                (1, 0, 1) | (1, 1, 0) => {
-                    let inv = if strides.1 == 0 { R9 } else { R10 };
-                    if self.opts.avx {
-                        self.asm.vbroadcast(if f64p { 0x19 } else { 0x18 }, X2, inv);
-                    } else if f64p {
-                        self.asm.movsd_rm(X2, inv, 0);
-                        self.asm.sse_rr(Some(0x66), 0x14, X2, X2); // unpcklpd
-                    } else {
-                        self.asm.movss_rm(X2, inv, 0);
-                        self.asm.sse_rr(None, 0xC6, X2, X2); // shufps x2,x2,0
-                        self.asm.b(0x00);
-                    }
+            for (stride, p) in [(sa, R9), (sb, R10)] {
+                if stride == 0 {
+                    self.asm.bcast(w, X2, Mem::at(p, 0));
                 }
-                _ => {}
             }
         }
-        let vstep = (lanes as i32) * esize;
-        if blocks > 0 {
-            self.asm.mov_ri(R11, blocks);
-            let top = self.asm.here();
-            // Products first (X4..X7), in the multiply's operand order.
-            for k in 0..4i32 {
-                let m = X(4 + k as u8);
-                let disp = k * vstep;
-                match strides {
-                    (1, 0, 1) => {
-                        if self.opts.avx {
-                            self.asm.vex_rm(pp, 0x59, m, X2.0, R10, disp);
-                        } else {
-                            self.asm.sse_rr(sse_p, 0x28, m, X2);
-                            self.asm.sse_rm(sse_p, 0x10, X3, R10, disp);
-                            self.asm.sse_rr(sse_p, 0x59, m, X3);
-                        }
-                    }
-                    (1, 1, 0) => {
-                        if self.opts.avx {
-                            self.asm.vex_rm(pp, 0x10, m, 0, R9, disp);
-                            self.asm.vex_rr(pp, 0x59, m, m.0, X2);
-                        } else {
-                            self.asm.sse_rm(sse_p, 0x10, m, R9, disp);
-                            self.asm.sse_rr(sse_p, 0x59, m, X2);
-                        }
-                    }
-                    _ => {
-                        if self.opts.avx {
-                            self.asm.vex_rm(pp, 0x10, m, 0, R9, disp);
-                            self.asm.vex_rm(pp, 0x59, m, m.0, R10, disp);
-                        } else {
-                            self.asm.sse_rm(sse_p, 0x10, m, R9, disp);
-                            self.asm.sse_rm(sse_p, 0x10, X3, R10, disp);
-                            self.asm.sse_rr(sse_p, 0x59, m, X3);
-                        }
+        // One pass over `pairs.len()` vectors of width `w`, each a
+        // (product, accumulator) register pair: the products first, then
+        // `d = dst + m` for each, stored back.
+        let sweep = |s: &mut Self, trips: i64, w: Width, pairs: &[(X, X)]| {
+            if trips == 0 {
+                return;
+            }
+            let disp = |k: usize| k as i32 * w.step();
+            s.repeat(trips, |s| {
+                let (a, b) = (factor(sa, R9, w), factor(sb, R10, w));
+                for (k, &(m, _)) in pairs.iter().enumerate() {
+                    s.product(w, m, a, b, disp(k), X3);
+                }
+                for (k, &(m, d)) in pairs.iter().enumerate() {
+                    s.asm.vload(w, d, Mem::at(R8, disp(k)));
+                    s.asm.vop_rr(w, FADD, d, d, m);
+                    s.asm.vstore(w, Mem::at(R8, disp(k)), d);
+                }
+                for (stride, p) in [(1, R8), (sa, R9), (sb, R10)] {
+                    if stride == 1 {
+                        s.asm.add_ri(p, disp(pairs.len()));
                     }
                 }
-            }
-            // Then the four dst accumulator blocks (X8..X11).
-            for k in 0..4i32 {
-                let (m, d) = (X(4 + k as u8), X(8 + k as u8));
-                let disp = k * vstep;
-                if self.opts.avx {
-                    self.asm.vex_rm(pp, 0x10, d, 0, R8, disp);
-                    self.asm.vex_rr(pp, 0x58, d, d.0, m);
-                    self.asm.vex_rm(pp, 0x11, d, 0, R8, disp);
-                } else {
-                    self.asm.sse_rm(sse_p, 0x10, d, R8, disp);
-                    self.asm.sse_rr(sse_p, 0x58, d, m);
-                    self.asm.sse_rm(sse_p, 0x11, d, R8, disp);
-                }
-            }
-            self.asm.add_ri(R8, 4 * vstep);
-            if strides.1 == 1 {
-                self.asm.add_ri(R9, 4 * vstep);
-            }
-            if strides.2 == 1 {
-                self.asm.add_ri(R10, 4 * vstep);
-            }
-            self.asm.dec_r(R11);
-            self.asm.jcc_back(CC_NZ, top);
+            });
+        };
+        sweep(self, blocks, w, &TILE_PAIRS);
+        sweep(self, vec_iters - blocks * 4, w, &[(X0, X1)]);
+        if vec_iters > 0 {
+            self.asm.vend(w);
         }
-        if single > 0 {
-            self.asm.mov_ri(R11, single);
-            let top = self.asm.here();
-            // X0 = a * b in the multiply's operand order.
-            match strides {
-                (1, 0, 1) => {
-                    // x = a (invariant), y = b[i]. Legacy-SSE arithmetic
-                    // requires aligned memory operands, so go through an
-                    // unaligned movup* into a scratch register.
-                    if self.opts.avx {
-                        self.asm.vex_rm(pp, 0x59, X0, X2.0, R10, 0);
-                    } else {
-                        self.asm.sse_rr(sse_p, 0x28, X0, X2); // movap* x0, x2
-                        self.asm.sse_rm(sse_p, 0x10, X3, R10, 0);
-                        self.asm.sse_rr(sse_p, 0x59, X0, X3);
-                    }
-                }
-                (1, 1, 0) => {
-                    // x = a[i], y = b (invariant)
-                    if self.opts.avx {
-                        self.asm.vex_rm(pp, 0x10, X0, 0, R9, 0); // vmovup*
-                        self.asm.vex_rr(pp, 0x59, X0, X0.0, X2);
-                    } else {
-                        self.asm.sse_rm(sse_p, 0x10, X0, R9, 0); // movup*
-                        self.asm.sse_rr(sse_p, 0x59, X0, X2);
-                    }
-                }
-                _ => {
-                    // (1,1,1): x = a[i], y = b[i]
-                    if self.opts.avx {
-                        self.asm.vex_rm(pp, 0x10, X0, 0, R9, 0);
-                        self.asm.vex_rm(pp, 0x59, X0, X0.0, R10, 0);
-                    } else {
-                        self.asm.sse_rm(sse_p, 0x10, X0, R9, 0);
-                        self.asm.sse_rm(sse_p, 0x10, X3, R10, 0);
-                        self.asm.sse_rr(sse_p, 0x59, X0, X3);
-                    }
-                }
-            }
-            if fma && strides == (1, 0, 1) {
-                // dst += a*b single-rounded (opt-in, not bit-exact):
-                // reload dst and fuse instead of the mul+add pair.
-                self.asm.vex_rm(pp, 0x10, X1, 0, R8, 0);
-                self.asm.vfmadd231pd_rm(X1, X2.0, R10);
-            } else if self.opts.avx {
-                self.asm.vex_rm(pp, 0x10, X1, 0, R8, 0);
-                self.asm.vex_rr(pp, 0x58, X1, X1.0, X0); // dst + m
-            } else {
-                self.asm.sse_rm(sse_p, 0x10, X1, R8, 0);
-                self.asm.sse_rr(sse_p, 0x58, X1, X0);
-            }
-            if self.opts.avx {
-                self.asm.vex_rm(pp, 0x11, X1, 0, R8, 0);
-            } else {
-                self.asm.sse_rm(sse_p, 0x11, X1, R8, 0);
-            }
-            self.asm.add_ri(R8, vstep);
-            if strides.1 == 1 {
-                self.asm.add_ri(R9, vstep);
-            }
-            if strides.2 == 1 {
-                self.asm.add_ri(R10, vstep);
-            }
-            self.asm.dec_r(R11);
-            self.asm.jcc_back(CC_NZ, top);
-        }
-        if vec_iters > 0 && self.opts.avx {
-            self.asm.vzeroupper();
-        }
-        if tail > 0 {
-            let p: Option<u8> = if f64p { Some(0xF2) } else { Some(0xF3) };
-            self.asm.mov_ri(R11, tail);
-            let top = self.asm.here();
-            // Scalar per-element op in native precision (bit-exact for
-            // both f64 and — via Figueroa double-rounding innocuity —
-            // native f32).
-            if f64p {
-                self.asm.movsd_rm(X0, R9, 0);
-            } else {
-                self.asm.movss_rm(X0, R9, 0);
-            }
-            self.asm.sse_rm(p, 0x59, X0, R10, 0);
-            if f64p {
-                self.asm.movsd_rm(X1, R8, 0);
-            } else {
-                self.asm.movss_rm(X1, R8, 0);
-            }
-            self.asm.sse_rr(p, 0x58, X1, X0);
-            if f64p {
-                self.asm.movsd_mr(R8, 0, X1);
-            } else {
-                self.asm.movss_mr(R8, 0, X1);
-            }
-            self.asm.add_ri(R8, esize);
-            if strides.1 == 1 {
-                self.asm.add_ri(R9, esize);
-            }
-            if strides.2 == 1 {
-                self.asm.add_ri(R10, esize);
-            }
-            self.asm.dec_r(R11);
-            self.asm.jcc_back(CC_NZ, top);
-        }
+        sweep(self, tail, Width::scalar(dt), &[(X0, X1)]);
     }
 
-    /// Decide whether a serial loop is a jammable microkernel wrapper:
-    /// `for k { addr-code; dst[j] += inv_k * vec_k[j] }` where the
-    /// destination row is the same for every `k`. Jamming [`JAM`]
-    /// consecutive `k` iterations into one fused `j` sweep then loads
-    /// and stores each `dst[j]` once per group instead of once per `k`
-    /// — and stays bit-exact *by construction*: every memory cell sees
-    /// the identical operation sequence (`(((d+m₀)+m₁)+m₂)+m₃`, each
-    /// multiply and add individually rounded, `k` ascending), only the
-    /// interleaving across distinct cells changes.
-    ///
-    /// Eligibility (each check discharges a soundness obligation):
-    /// - body is exactly `[Code?, MulAddLoop]` with parallel stride
-    ///   pattern `(1,0,1)` or `(1,1,0)`, uniform dtype, matched
-    ///   rounding, and a destination slot distinct from both factors;
-    /// - the address code is memory-free (pure register arithmetic),
-    ///   so running four iterations' worth up front has no observable
-    ///   effect beyond the register file, which sees the exact scalar
-    ///   write sequence;
-    /// - it never writes the loop variable (the jam advances it);
-    /// - a dataflow pass proves `dst.addr` independent of `k`,
-    ///   treating loop-carried register reads as varying.
-    fn plan_jam<'p>(&self, item: &'p Item) -> Option<JamPlan<'p>> {
-        if !self.opts.simd || self.opts.allow_fma {
-            return None;
-        }
-        let Item::Loop {
-            var,
-            min,
-            extent: kextent,
-            body,
-            ..
-        } = item
-        else {
-            return None;
-        };
-        if *kextent < JAM {
-            return None;
-        }
-        let (code, ma): (&[Instr], &Item) = match body.items.as_slice() {
-            [ma @ Item::MulAddLoop { .. }] => (&[], ma),
-            [Item::Code(c), ma @ Item::MulAddLoop { .. }] => (c.as_slice(), ma),
-            _ => return None,
-        };
-        let Item::MulAddLoop {
-            extent,
-            pre,
-            dst,
-            a,
-            b,
-            round32,
-        } = ma
-        else {
-            unreachable!("matched above")
-        };
-        let dt = self.dts[dst.slot as usize];
-        if self.dts[a.slot as usize] != dt || self.dts[b.slot as usize] != dt {
-            return None;
-        }
-        let f64m = dt == DType::F64;
-        if f64m == *round32 {
-            return None;
-        }
-        if dst.slot == a.slot || dst.slot == b.slot {
-            return None;
-        }
-        let (inv, vec, inv_first) = match (dst.stride, a.stride, b.stride) {
-            (1, 0, 1) => (*a, *b, true),
-            (1, 1, 0) => (*b, *a, false),
-            _ => return None,
-        };
-        let lanes: i64 = if self.opts.avx {
-            if f64m {
-                4
-            } else {
-                8
-            }
-        } else if f64m {
-            2
-        } else {
-            4
-        };
-        if *extent < lanes {
-            return None;
-        }
-        // Setup-code scan: pure register arithmetic only, loop variable
-        // never overwritten. (`FToI` — the only other ireg writer in
-        // the ISA — is outside the JIT subset and cannot appear here.)
-        let mut written: HashSet<Reg> = HashSet::new();
-        for i in code.iter().chain(pre.iter()) {
-            match i {
-                Instr::IConst(d, _) | Instr::IBin(_, d, _, _) => {
-                    if d == var {
-                        return None;
-                    }
-                    written.insert(*d);
-                }
-                Instr::FConst(..)
-                | Instr::IToF(..)
-                | Instr::IToF32(..)
-                | Instr::F32Round(..)
-                | Instr::FBin(..)
-                | Instr::FBin32(..)
-                | Instr::FMulAdd { .. }
-                | Instr::Call1(..) => {}
-                _ => return None,
-            }
-        }
-        // k-invariance of the destination address: a register is
-        // varying if it derives from the loop variable or from a
-        // loop-carried value (read of a setup-written register before
-        // its write this iteration).
-        let mut varying: HashSet<Reg> = HashSet::new();
-        varying.insert(*var);
-        let mut seen: HashSet<Reg> = HashSet::new();
-        for i in code.iter().chain(pre.iter()) {
-            match i {
-                Instr::IConst(d, _) => {
-                    seen.insert(*d);
-                    varying.remove(d);
-                }
-                Instr::IBin(_, d, x, y) => {
-                    let tainted = |r: &Reg| {
-                        varying.contains(r) || (written.contains(r) && !seen.contains(r))
-                    };
-                    if tainted(x) || tainted(y) {
-                        varying.insert(*d);
-                    } else {
-                        varying.remove(d);
-                    }
-                    seen.insert(*d);
-                }
-                _ => {}
-            }
-        }
-        if varying.contains(&dst.addr) {
-            return None;
-        }
-        Some(JamPlan {
-            kvar: *var,
-            kmin: *min,
-            kextent: *kextent,
-            code,
-            pre,
-            dst: *dst,
-            vec,
-            inv,
-            inv_first,
-            f64m,
-            lanes,
-            extent: *extent,
-        })
-    }
-
-    /// Emit `m ← inv_k · vec_k[j..]` (packed, operand order preserved)
-    /// into `scr`, then `acc ← acc + m`.
-    fn jam_step(&mut self, plan: &JamPlan, jk: usize, bptr: R, disp: i32, acc: X, scr: X) {
-        let pp: u8 = if plan.f64m { 1 } else { 0 };
-        let sse_p: Option<u8> = if plan.f64m { Some(0x66) } else { None };
-        let bc = X(2 + jk as u8);
-        if self.opts.avx {
-            if plan.inv_first {
-                self.asm.vex_rm(pp, 0x59, scr, bc.0, bptr, disp);
-            } else {
-                self.asm.vex_rm(pp, 0x10, scr, 0, bptr, disp);
-                self.asm.vex_rr(pp, 0x59, scr, scr.0, bc);
-            }
-            self.asm.vex_rr(pp, 0x58, acc, acc.0, scr);
-        } else {
-            // Legacy-SSE arithmetic needs aligned memory operands, so
-            // the stride-1 factor goes through an unaligned movup*.
-            if plan.inv_first {
-                self.asm.sse_rr(sse_p, 0x28, scr, bc);
-                self.asm.sse_rm(sse_p, 0x10, XSCRATCH, bptr, disp);
-                self.asm.sse_rr(sse_p, 0x59, scr, XSCRATCH);
-            } else {
-                self.asm.sse_rm(sse_p, 0x10, scr, bptr, disp);
-                self.asm.sse_rr(sse_p, 0x59, scr, bc);
-            }
-            self.asm.sse_rr(sse_p, 0x58, acc, scr);
-        }
-    }
-
-    /// The jammed microkernel (see [`NestCompiler::plan_jam`] for the
-    /// shape and its proof obligations). Per group of [`JAM`] `k`
-    /// iterations: run each iteration's address code in scalar order
-    /// (loop variable advanced exactly as the plain template would),
-    /// broadcast its stride-0 factor into `X2..X5`, stack its stride-1
-    /// pointer, then sweep `j` once — [`JAM_U`] destination vectors per
-    /// trip ([`JAM_ACC`]), each receiving the four products in `k`
-    /// order, stored once. Leftover vectors and the scalar tail keep
-    /// the same per-element `k` sequence.
+    /// The jammed microkernel (see [`plan_jam`] for the shape and its
+    /// proof obligations). Per group of [`JAM`] `k` iterations: run each
+    /// iteration's address code in scalar order (loop variable advanced
+    /// exactly as the plain template would), broadcast its stride-0
+    /// factor into `X2..X5`, stack its stride-1 pointer, then sweep `j`
+    /// once — [`JAM_U`] destination vectors per trip ([`JAM_PAIRS`]), each
+    /// loaded, given the four products `inv_k · vec_k[j..]` in `k` order
+    /// (operand order preserved), stored once. Leftover vectors and the
+    /// scalar tail are the same sweep over one register pair, so they
+    /// keep the same per-element `k` sequence.
     fn emit_jammed(&mut self, plan: &JamPlan) {
-        let f64m = plan.f64m;
-        let esize: u8 = if f64m { 8 } else { 4 };
-        let pp: u8 = if f64m { 1 } else { 0 };
-        let sse_p: Option<u8> = if f64m { Some(0x66) } else { None };
-        let p_sc: Option<u8> = if f64m { Some(0xF2) } else { Some(0xF3) };
+        let w = plan.w;
         let groups = plan.kextent / JAM;
-        let vstep = (plan.lanes as i32) * i32::from(esize);
-        let jvecs = plan.extent / plan.lanes;
+        let jvecs = plan.extent / w.lanes();
         let jtrips = jvecs / JAM_U as i64;
-        let jsingle = (jvecs % JAM_U as i64) as usize;
-        let jtail = plan.extent % plan.lanes;
+        let jsingle = jvecs % JAM_U as i64;
+        let jtail = plan.extent % w.lanes();
         // One vector site, packed and register-tiled.
         self.simd.packed(true);
         // Stride-1 factor pointers for the group's four k's, k ascending.
@@ -2458,24 +2379,22 @@ impl NestCompiler<'_> {
         self.asm.mov_ri(RAX, groups);
         self.asm.push_r(RAX);
         let gtop = self.asm.here();
-        for jk in 0..JAM as usize {
+        for jk in 0..JAM as u8 {
             // This k's address code, exactly as the scalar loop runs it
             // (pure register arithmetic: only RAX/RCX/X0/X1 scratch).
             self.emit_code(plan.code);
             self.emit_code(plan.pre);
             if jk == 0 {
                 // Destination row pointer: k-invariant per the plan.
-                self.asm.mov_rm(RAX, RDI, off(plan.dst.addr));
-                self.asm.mov_rm(R8, RDX, (plan.dst.slot as i32) * 8);
-                self.asm.lea_sib(R8, R8, RAX, esize);
+                self.element_pointer(R8, plan.dst.slot, plan.dst.addr);
             }
             self.asm.mov_rm(RAX, RDI, off(plan.inv.addr));
             self.asm.mov_rm(RCX, RDX, (plan.inv.slot as i32) * 8);
-            self.asm.lea_sib(RAX, RCX, RAX, esize);
-            self.bcast(f64m, X(2 + jk as u8), RAX, 0);
+            self.asm.lea_sib(RAX, RCX, RAX, w.esize());
+            self.asm.bcast(w, X(2 + jk), Mem::at(RAX, 0));
             self.asm.mov_rm(RAX, RDI, off(plan.vec.addr));
             self.asm.mov_rm(RCX, RDX, (plan.vec.slot as i32) * 8);
-            self.asm.lea_sib(RAX, RCX, RAX, esize);
+            self.asm.lea_sib(RAX, RCX, RAX, w.esize());
             self.asm.push_r(RAX);
             // Advance the loop variable (the scalar template's
             // post-body increment).
@@ -2486,104 +2405,49 @@ impl NestCompiler<'_> {
         for r in bp.iter().rev() {
             self.asm.pop_r(*r);
         }
+        // One pass over `pairs.len()` destination vectors of width `w`,
+        // each an (accumulator, product scratch) register pair.
+        let sweep = |s: &mut Self, w: Width, pairs: &[(X, X)]| {
+            let disp = |u: usize| u as i32 * w.step();
+            for (u, &(acc, _)) in pairs.iter().enumerate() {
+                s.asm.vload(w, acc, Mem::at(R8, disp(u)));
+            }
+            for (jk, &bptr) in bp.iter().enumerate() {
+                let (inv, vec) = (Factor::Bcast(X(2 + jk as u8)), Factor::At(bptr));
+                let (a, b) = if plan.inv_first {
+                    (inv, vec)
+                } else {
+                    (vec, inv)
+                };
+                for (u, &(acc, scr)) in pairs.iter().enumerate() {
+                    s.product(w, scr, a, b, disp(u), XSCRATCH);
+                    s.asm.vop_rr(w, FADD, acc, acc, scr);
+                }
+            }
+            for (u, &(acc, _)) in pairs.iter().enumerate() {
+                s.asm.vstore(w, Mem::at(R8, disp(u)), acc);
+            }
+            for r in [R8].into_iter().chain(bp) {
+                s.asm.add_ri(r, disp(pairs.len()));
+            }
+        };
         if jtrips > 0 {
-            self.asm.mov_ri(R11, jtrips);
-            let top = self.asm.here();
-            for (u, acc) in JAM_ACC.iter().enumerate() {
-                let disp = u as i32 * vstep;
-                if self.opts.avx {
-                    self.asm.vex_rm(pp, 0x10, *acc, 0, R8, disp);
-                } else {
-                    self.asm.sse_rm(sse_p, 0x10, *acc, R8, disp);
-                }
-            }
-            for jk in 0..JAM as usize {
-                for u in 0..JAM_U {
-                    self.jam_step(plan, jk, bp[jk], u as i32 * vstep, JAM_ACC[u], JAM_SCR[u]);
-                }
-            }
-            for (u, acc) in JAM_ACC.iter().enumerate() {
-                let disp = u as i32 * vstep;
-                if self.opts.avx {
-                    self.asm.vex_rm(pp, 0x11, *acc, 0, R8, disp);
-                } else {
-                    self.asm.sse_rm(sse_p, 0x11, *acc, R8, disp);
-                }
-            }
-            self.asm.add_ri(R8, JAM_U as i32 * vstep);
-            for r in bp {
-                self.asm.add_ri(r, JAM_U as i32 * vstep);
-            }
-            self.asm.dec_r(R11);
-            self.asm.jcc_back(CC_NZ, top);
+            self.repeat(jtrips, |s| sweep(s, w, &JAM_PAIRS));
         }
         for _ in 0..jsingle {
-            if self.opts.avx {
-                self.asm.vex_rm(pp, 0x10, JAM_ACC[0], 0, R8, 0);
-            } else {
-                self.asm.sse_rm(sse_p, 0x10, JAM_ACC[0], R8, 0);
-            }
-            for jk in 0..JAM as usize {
-                self.jam_step(plan, jk, bp[jk], 0, JAM_ACC[0], JAM_SCR[0]);
-            }
-            if self.opts.avx {
-                self.asm.vex_rm(pp, 0x11, JAM_ACC[0], 0, R8, 0);
-            } else {
-                self.asm.sse_rm(sse_p, 0x11, JAM_ACC[0], R8, 0);
-            }
-            self.asm.add_ri(R8, vstep);
-            for r in bp {
-                self.asm.add_ri(r, vstep);
-            }
+            sweep(self, w, &JAM_PAIRS[..1]);
         }
         if jtail > 0 {
-            if self.opts.avx {
-                // Keep the low-lane scalar tail out of dirty-upper
-                // stalls; the next group rebroadcasts X2..X5 anyway.
-                self.asm.vzeroupper();
-            }
-            self.asm.mov_ri(R11, jtail);
-            let top = self.asm.here();
-            if f64m {
-                self.asm.movsd_rm(X0, R8, 0);
-            } else {
-                self.asm.movss_rm(X0, R8, 0);
-            }
-            for (jk, bptr) in bp.iter().enumerate() {
-                let bc = X(2 + jk as u8);
-                // m = inv·vec[j] in operand order (low lane of the
-                // broadcast), then d = d + m — per-op rounding intact.
-                if plan.inv_first {
-                    self.asm.sse_rr(sse_p, 0x28, X1, bc);
-                    self.asm.sse_rm(p_sc, 0x59, X1, *bptr, 0);
-                } else {
-                    if f64m {
-                        self.asm.movsd_rm(X1, *bptr, 0);
-                    } else {
-                        self.asm.movss_rm(X1, *bptr, 0);
-                    }
-                    self.asm.sse_rr(p_sc, 0x59, X1, bc);
-                }
-                self.asm.sse_rr(p_sc, 0x58, X0, X1);
-            }
-            if f64m {
-                self.asm.movsd_mr(R8, 0, X0);
-            } else {
-                self.asm.movss_mr(R8, 0, X0);
-            }
-            self.asm.add_ri(R8, i32::from(esize));
-            for r in bp {
-                self.asm.add_ri(r, i32::from(esize));
-            }
-            self.asm.dec_r(R11);
-            self.asm.jcc_back(CC_NZ, top);
+            // Keep the low-lane scalar tail out of dirty-upper stalls;
+            // the next group rebroadcasts X2..X5 anyway.
+            self.asm.vend(w);
+            // The low lane of each broadcast is the scalar factor.
+            self.repeat(jtail, |s| sweep(s, Width::scalar(w.dt), &[(X0, X1)]));
         }
         self.asm.dec_m(RSP, 0);
         self.asm.jcc_back(CC_NZ, gtop);
         self.asm.pop_r(RAX);
-        if self.opts.avx {
-            self.asm.vzeroupper();
-        }
+        self.asm.vend(w);
     }
 
     /// Generic element-order path: mixed dtypes, arbitrary strides, or
@@ -2606,40 +2470,39 @@ impl NestCompiler<'_> {
         let dt_d = self.dts[dst.slot as usize];
         let dt_a = self.dts[sa.slot as usize];
         let dt_b = self.dts[sb.slot as usize];
-        let esize = |dt: DType| if dt == DType::F64 { 8i64 } else { 4 };
         let carried = dst.stride == 0;
         self.asm.mov_ri(R11, extent);
         if carried {
-            self.load_widen(X1, R8, dt_d); // c, once
+            self.load_widen(X1, Mem::at(R8, 0), dt_d); // c, once
         }
         let top = self.asm.here();
         if !carried {
-            self.load_widen(X1, R8, dt_d); // c
+            self.load_widen(X1, Mem::at(R8, 0), dt_d); // c
         }
-        self.load_widen(X0, R9, dt_a); // x
-        self.load_widen(X2, R10, dt_b); // y
-        self.asm.sse_rr(Some(0xF2), 0x59, X0, X2); // m = x*y (f64)
+        self.load_widen(X0, Mem::at(R9, 0), dt_a); // x
+        self.load_widen(X2, Mem::at(R10, 0), dt_b); // y
+        self.asm.vop_rr(SD, FMUL, X0, X0, X2); // m = x*y (f64)
         if round32 {
             self.asm.round32(X0);
         }
-        self.asm.sse_rr(Some(0xF2), 0x58, X1, X0); // s = c + m
+        self.asm.vop_rr(SD, FADD, X1, X1, X0); // s = c + m
         if round32 {
             self.asm.round32(X1);
         }
         if dt_d == DType::F64 {
-            self.asm.movsd_mr(R8, 0, X1);
+            self.asm.vstore(SD, Mem::at(R8, 0), X1);
         } else {
             // Narrow like `set_f64_linear`'s `as f32`, beside the sum.
             self.asm.cvtsd2ss_rr(X3, X1);
-            self.asm.movss_mr(R8, 0, X3);
+            self.asm.vstore(SS, Mem::at(R8, 0), X3);
             if carried && !round32 {
                 // The store narrowed a sum that was not `f32`-rounded:
                 // carry what a reload would return.
                 self.asm.cvtss2sd_rr(X1, X3);
             }
         }
-        for (acc, preg, dt) in [(dst, R8, dt_d), (sa, R9, dt_a), (sb, R10, dt_b)] {
-            let step = acc.stride * esize(dt);
+        for (acc, preg) in [(dst, R8), (sa, R9), (sb, R10)] {
+            let step = acc.stride * i64::from(elem_size(self.dts, acc.slot));
             if step != 0 {
                 self.asm.add_ri(preg, step as i32); // range-checked in check_item
             }
@@ -2648,12 +2511,10 @@ impl NestCompiler<'_> {
         self.asm.jcc_back(CC_NZ, top);
     }
 
-    /// `x ← f64(*ptr)` honoring the slot dtype (f32 widens).
-    fn load_widen(&mut self, x: X, ptr: R, dt: DType) {
-        if dt == DType::F64 {
-            self.asm.movsd_rm(x, ptr, 0);
-        } else {
-            self.asm.movss_rm(x, ptr, 0);
+    /// `x ← f64([m])` honoring the slot dtype (f32 widens).
+    fn load_widen(&mut self, x: X, m: Mem, dt: DType) {
+        self.asm.vload(Width::scalar(dt), x, m);
+        if dt != DType::F64 {
             self.asm.cvtss2sd_rr(x, x);
         }
     }
@@ -2670,6 +2531,30 @@ mod tests {
         let buf = ExecBuf::from_code(code).expect("map");
         let f: super::super::JitFn = unsafe { std::mem::transmute(buf.entry(0)) };
         unsafe { f(iregs.as_mut_ptr(), fregs.as_mut_ptr(), slots.as_ptr()) }
+    }
+
+    /// The nest function `emit` writes on `opts` (its `ret` included),
+    /// and its packed-or-scalar tally.
+    fn compiled(
+        opts: &X86Backend,
+        dts: &[DType],
+        emit: impl FnOnce(&mut NestCompiler),
+    ) -> (Vec<u8>, SimdReport) {
+        let mut a = Asm::new();
+        let mut simd = SimdReport::default();
+        emit(&mut NestCompiler {
+            asm: &mut a,
+            dts,
+            opts,
+            simd: &mut simd,
+        });
+        a.ret();
+        (a.code, simd)
+    }
+
+    /// [`compiled`] on the SSE2 tier, for tests that execute the code.
+    fn compiled_sse2(dts: &[DType], emit: impl FnOnce(&mut NestCompiler)) -> (Vec<u8>, SimdReport) {
+        compiled(&X86Backend::sse2_only(), dts, emit)
     }
 
     #[test]
@@ -2740,23 +2625,16 @@ mod tests {
     #[test]
     fn integer_templates_execute() {
         // iregs[2] = iregs[0] + iregs[1]; iregs[3] = iregs[0] * iregs[1]
-        let mut a = Asm::new();
-        let mut simd = SimdReport::default();
-        let mut nc = NestCompiler {
-            asm: &mut a,
-            dts: &[],
-            opts: &X86Backend::sse2_only(),
-            simd: &mut simd,
-        };
-        nc.emit_code(&[
-            Instr::IBin(BinOp::Add, 2, 0, 1),
-            Instr::IBin(BinOp::Mul, 3, 0, 1),
-            Instr::IConst(4, -7_000_000_000),
-        ]);
-        a.ret();
+        let (code, _) = compiled_sse2(&[], |nc| {
+            nc.emit_code(&[
+                Instr::IBin(BinOp::Add, 2, 0, 1),
+                Instr::IBin(BinOp::Mul, 3, 0, 1),
+                Instr::IConst(4, -7_000_000_000),
+            ])
+        });
         let mut ir = [6i64, 7, 0, 0, 0];
         let mut fr = [0f64];
-        run_code(&a.code, &mut ir, &mut fr, &[]);
+        run_code(&code, &mut ir, &mut fr, &[]);
         assert_eq!(ir[2], 13);
         assert_eq!(ir[3], 42);
         assert_eq!(ir[4], -7_000_000_000);
@@ -2764,32 +2642,25 @@ mod tests {
 
     #[test]
     fn float_templates_match_rust_semantics() {
-        let mut a = Asm::new();
-        let mut simd = SimdReport::default();
-        let mut nc = NestCompiler {
-            asm: &mut a,
-            dts: &[],
-            opts: &X86Backend::sse2_only(),
-            simd: &mut simd,
-        };
-        nc.emit_code(&[
-            Instr::FBin(BinOp::Div, 2, 0, 1),
-            Instr::FBin32(BinOp::Mul, 3, 0, 1),
-            Instr::FMulAdd {
-                dst: 4,
-                add: 2,
-                a: 0,
-                b: 1,
-                round32: false,
-            },
-            Instr::Call1(Intrinsic::Sqrt, 5, 0, false),
-            Instr::IToF32(1, 0),
-        ]);
-        a.ret();
+        let (code, _) = compiled_sse2(&[], |nc| {
+            nc.emit_code(&[
+                Instr::FBin(BinOp::Div, 2, 0, 1),
+                Instr::FBin32(BinOp::Mul, 3, 0, 1),
+                Instr::FMulAdd {
+                    dst: 4,
+                    add: 2,
+                    a: 0,
+                    b: 1,
+                    round32: false,
+                },
+                Instr::Call1(Intrinsic::Sqrt, 5, 0, false),
+                Instr::IToF32(1, 0),
+            ])
+        });
         let (x, y) = (1.9371823_f64, -0.3718_f64);
         let mut ir = [123456789i64, 0];
         let mut fr = [x, y, 0.0, 0.0, 0.0, 0.0];
-        run_code(&a.code, &mut ir, &mut fr, &[]);
+        run_code(&code, &mut ir, &mut fr, &[]);
         assert_eq!(fr[2], x / y);
         assert_eq!(fr[3], (x * y) as f32 as f64);
         assert_eq!(fr[4], x / y + x * y);
@@ -2803,16 +2674,7 @@ mod tests {
         let mut av: Vec<f32> = (0..8).map(|v| v as f32 * 1.5).collect();
         let mut bv: Vec<f32> = vec![0.0; 8];
         let slots = [av.as_mut_ptr().cast::<u8>(), bv.as_mut_ptr().cast::<u8>()];
-        let mut a = Asm::new();
-        let dts = [DType::F32, DType::F32];
-        let mut simd = SimdReport::default();
-        let mut nc = NestCompiler {
-            asm: &mut a,
-            dts: &dts,
-            opts: &X86Backend::sse2_only(),
-            simd: &mut simd,
-        };
-        nc.emit_item(&Item::Loop {
+        let copy = Item::Loop {
             var: 0,
             min: 2,
             extent: 4,
@@ -2824,11 +2686,11 @@ mod tests {
                 ])],
             },
             kind: crate::compile::LoopKind::Serial,
-        });
-        a.ret();
+        };
+        let (code, _) = compiled_sse2(&[DType::F32, DType::F32], |nc| nc.emit_item(&copy));
         let mut ir = [0i64];
         let mut fr = [0f64];
-        run_code(&a.code, &mut ir, &mut fr, &slots);
+        run_code(&code, &mut ir, &mut fr, &slots);
         assert_eq!(&bv[..2], &[0.0, 0.0]);
         assert_eq!(&bv[2..6], &av[2..6]);
         assert_eq!(&bv[6..], &[0.0, 0.0]);
@@ -2850,7 +2712,6 @@ mod tests {
             body: vec![Instr::Load(0, 0, 1), Instr::Store(1, 0, 0)],
             carry: None,
             kind: LoopKind::Serial,
-            lanes: 1,
         };
         let dts = [DType::F64, DType::F64];
         let bounds = [i64::MIN, -3, 0, 2, 3, 4, 5, 6, 7, 100, i64::MAX];
@@ -2866,16 +2727,7 @@ mod tests {
                 }
                 let it = item(clamp);
                 check_item(&it, &dts).expect("trimmed strided loops are in the JIT subset");
-                let mut a = Asm::new();
-                let mut simd = SimdReport::default();
-                let mut nc = NestCompiler {
-                    asm: &mut a,
-                    dts: &dts,
-                    opts: &X86Backend::sse2_only(),
-                    simd: &mut simd,
-                };
-                nc.emit_item(&it);
-                a.ret();
+                let (code, simd) = compiled_sse2(&dts, |nc| nc.emit_item(&it));
                 assert_eq!(simd.scalar_reasons.get("dynamic-extent"), Some(&1));
                 assert_eq!(simd.sites(), 1);
                 for lo_v in bounds {
@@ -2888,7 +2740,7 @@ mod tests {
                         let (start, end) = crate::compile::live_range(2, 4, clamp, &ir);
                         assert!(2 <= start && start <= end && end <= 6);
                         ranges_seen.insert((start, end));
-                        run_code(&a.code, &mut ir, &mut fr, &slots);
+                        run_code(&code, &mut ir, &mut fr, &slots);
                         for (i, got) in bv.iter().enumerate() {
                             let live = start <= i as i64 && (i as i64) < end;
                             let want = if live { av[2 * i] } else { -1.0 };
@@ -2939,21 +2791,14 @@ mod tests {
         fregs: &[f64],
         arrays: &[NDArray],
     ) -> (Vec<Vec<u64>>, Vec<i64>, Vec<f64>) {
-        let mut a = Asm::new();
-        let mut simd = SimdReport::default();
-        let mut nc = NestCompiler {
-            asm: &mut a,
-            dts,
-            opts: &X86Backend::sse2_only(),
-            simd: &mut simd,
-        };
-        nc.asm.mov_ri(R11, n);
         let plan = plan_resident(bumps, body, carry, dts, gprs, xmms);
-        nc.emit_planned_trips(body, carry, &plan);
-        a.ret();
+        let (code, _) = compiled_sse2(dts, |nc| {
+            nc.asm.mov_ri(R11, n);
+            nc.emit_planned_trips(body, carry, &plan);
+        });
         let (mut ir, mut fr, mut arrays) = (iregs.to_vec(), fregs.to_vec(), arrays.to_vec());
         let slots = slot_ptrs(&mut arrays);
-        run_code(&a.code, &mut ir, &mut fr, &slots);
+        run_code(&code, &mut ir, &mut fr, &slots);
         (bits(&arrays), ir, fr)
     }
 
@@ -3229,7 +3074,7 @@ mod tests {
             Instr::Store(1, 2, 2),
         ];
         for opts in [X86Backend::sse2_only(), X86Backend::detect()] {
-            let lanes = i64::from(opts.lanes().0);
+            let lanes = opts.width(DType::F64).lanes();
             for q in 1..=3 {
                 for r in 0..lanes {
                     let extent = lanes * q + r;
@@ -3246,19 +3091,9 @@ mod tests {
                         body: body.clone(),
                         carry: None,
                         kind: LoopKind::Vectorized { proven: true },
-                        lanes: 2,
                     };
-                    let mut a = Asm::new();
-                    let mut simd = SimdReport::default();
-                    let mut nc = NestCompiler {
-                        asm: &mut a,
-                        dts: &dts,
-                        opts: &opts,
-                        simd: &mut simd,
-                    };
-                    nc.emit_item(&item);
-                    a.ret();
-                    assert_eq!(simd.packed_loops, u64::from(opts.simd), "{opts:?}");
+                    let (code, simd) = compiled(&opts, &dts, |nc| nc.emit_item(&item));
+                    assert_eq!(simd.packed_loops, 1, "{opts:?}");
                     let mut arrays = vec![
                         NDArray::random(&[40], DType::F64, 9, -1.0, 1.0),
                         NDArray::zeros(&[40], DType::F64),
@@ -3276,7 +3111,7 @@ mod tests {
                         &arrays,
                     );
                     let slots = slot_ptrs(&mut arrays);
-                    run_code(&a.code, &mut iregs.clone(), &mut fregs.clone(), &slots);
+                    run_code(&code, &mut iregs.clone(), &mut fregs.clone(), &slots);
                     assert_eq!(bits(&arrays), want, "{opts:?} extent {extent}");
                 }
             }
@@ -3312,19 +3147,9 @@ mod tests {
                 next: 2,
             }),
             kind: LoopKind::Serial,
-            lanes: 1,
         };
         check_item(&item, &dts).expect("forwarded trimmed loops are in the JIT subset");
-        let mut a = Asm::new();
-        let mut simd = SimdReport::default();
-        let mut nc = NestCompiler {
-            asm: &mut a,
-            dts: &dts,
-            opts: &X86Backend::sse2_only(),
-            simd: &mut simd,
-        };
-        nc.emit_item(&item);
-        a.ret();
+        let (code, _) = compiled_sse2(&dts, |nc| nc.emit_item(&item));
         // A signalling-NaN bit pattern: any load-and-store-back through
         // an arithmetic path would quiet it.
         let snan = f64::from_bits(0x7FF0_0000_0000_0001);
@@ -3334,7 +3159,7 @@ mod tests {
             let slots = [av.as_mut_ptr().cast::<u8>(), bv.as_mut_ptr().cast::<u8>()];
             let mut ir = [0i64, 0, 2, lo, 1];
             let (start, end) = crate::compile::live_range(2, 4, clamp, &ir);
-            run_code(&a.code, &mut ir, &mut [0f64; 3], &slots);
+            run_code(&code, &mut ir, &mut [0f64; 3], &slots);
             if start == end {
                 assert_eq!(bv[1].to_bits(), snan.to_bits(), "lo {lo}: empty range");
             } else {
@@ -3400,21 +3225,13 @@ mod tests {
                 }
                 want[sd as usize].set_f64_linear(at(&d), sum);
             }
-            let mut a = Asm::new();
-            let mut simd = SimdReport::default();
-            let mut nc = NestCompiler {
-                asm: &mut a,
-                dts: &dts,
-                opts: &X86Backend::sse2_only(),
-                simd: &mut simd,
-            };
-            nc.emit_muladd(extent, &d, &x, &y, round32);
-            a.ret();
+            let (code, simd) =
+                compiled_sse2(&dts, |nc| nc.emit_muladd(extent, &d, &x, &y, round32));
             assert_eq!(simd.scalar_reasons.get("reduction-chain"), Some(&1));
             assert_eq!(simd.sites(), 1);
             let mut got = arrays.clone();
             let slots = slot_ptrs(&mut got);
-            run_code(&a.code, &mut iregs.clone(), &mut [0f64], &slots);
+            run_code(&code, &mut iregs.clone(), &mut [0f64], &slots);
             assert_eq!(
                 bits(&got),
                 bits(&want),
@@ -3454,52 +3271,13 @@ mod tests {
                 body: vec![],
                 carry: None,
                 kind: LoopKind::Serial,
-                lanes: 1,
             };
             assert!(check_item(&strided, &dts).is_err(), "offset {plus}");
         }
     }
 
-    #[test]
-    fn fma_encoding_single_rounds() {
-        // The opt-in FMA path must produce f64::mul_add (single
-        // rounding) — demonstrably different plumbing from the
-        // bit-exact default.
-        if !std::arch::is_x86_feature_detected!("fma") {
-            return;
-        }
-        // a = b = 1+2⁻⁵², c = −(1+2⁻⁵¹): a·b = 1+2⁻⁵¹+2⁻¹⁰⁴, so the
-        // two-rounding result is exactly 0 while FMA keeps the 2⁻¹⁰⁴.
-        let n = 4usize;
-        let one_ulp = f64::from_bits(0x3FF0000000000001);
-        let c = -(1.0 + 2f64.powi(-51));
-        let mut d = vec![c; n];
-        let a_inv = [one_ulp];
-        let mut b: Vec<f64> = vec![one_ulp; n];
-        let expect: Vec<f64> = d.iter().map(|&c| a_inv[0].mul_add(b[0], c)).collect();
-        let mut asm = Asm::new();
-        // r8=dst, r9=a(invariant), r10=b
-        asm.mov_rm(R8, RDX, 0);
-        asm.mov_rm(R9, RDX, 8);
-        asm.mov_rm(R10, RDX, 16);
-        asm.vbroadcast(0x19, X2, R9);
-        asm.vex_rm(1, 0x10, X1, 0, R8, 0);
-        asm.vfmadd231pd_rm(X1, X2.0, R10);
-        asm.vex_rm(1, 0x11, X1, 0, R8, 0);
-        asm.vzeroupper();
-        asm.ret();
-        let slots = [
-            d.as_mut_ptr().cast::<u8>(),
-            a_inv.as_ptr() as *mut u8,
-            b.as_mut_ptr().cast::<u8>(),
-        ];
-        let mut ir = [0i64];
-        let mut fr = [0f64];
-        run_code(&asm.code, &mut ir, &mut fr, &slots);
-        assert_eq!(d, expect, "fused multiply-add semantics");
-        // And it differs from the two-rounding contract on this input.
-        let two_round = c + a_inv[0] * b[0];
-        assert_ne!(d[0], two_round, "FMA must single-round");
+    fn hex(code: &[u8]) -> String {
+        code.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     /// First line where two dumps differ, with both sides.
@@ -3510,86 +3288,81 @@ mod tests {
         assert_eq!(got.lines().count(), want.lines().count(), "row count");
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn strided(
-        min: i64,
-        extent: i64,
-        clamp: Clamp,
-        pre: Vec<Instr>,
-        bumps: Vec<(Reg, i64)>,
-        body: Vec<Instr>,
-        carry: Option<Carry>,
-        kind: LoopKind,
-    ) -> Item {
-        Item::StridedLoop {
-            min,
-            extent,
-            clamp,
-            pre,
-            bumps,
-            body,
-            carry,
-            kind,
-            lanes: 4,
-        }
-    }
-
     // ------------------------------------------------------ template goldens
-
-    /// The packed-or-scalar tally and the hex of what `emit` appends for one
-    /// tier and slot typing. Nothing is executed, so the AVX tier is checked on any host.
-    fn emitted(opts: &X86Backend, dts: &[DType], emit: &dyn Fn(&mut NestCompiler)) -> String {
-        let mut a = Asm::new();
-        let mut simd = SimdReport::default();
-        emit(&mut NestCompiler {
-            asm: &mut a,
-            dts,
-            opts,
-            simd: &mut simd,
-        });
-        let mut reasons: Vec<_> = simd.scalar_reasons.iter().collect();
-        reasons.sort();
-        let hex: String = a.code.iter().map(|b| format!("{b:02x}")).collect();
-        format!(
-            "packed {} tiled {} scalar {reasons:?} {hex}",
-            simd.packed_loops, simd.tiled_loops
-        )
-    }
 
     fn access(slot: u16, addr: Reg, stride: i64) -> SlotAccess {
         SlotAccess { slot, addr, stride }
     }
 
-    /// A serial `k` loop of extent 6 (one jammed group of four and two
-    /// leftover iterations) around a `j` microkernel whose destination
-    /// row does not move with `k`; `inv_first` puts the stride-0 factor
-    /// in the multiply's first operand.
-    fn jam_nest(extent: i64, inv_first: bool, round32: bool) -> Item {
-        let (inv, vec) = (access(1, 7, 0), access(2, 4, 1));
-        let (a, b) = if inv_first { (inv, vec) } else { (vec, inv) };
-        Item::Loop {
-            var: 0,
-            min: 1,
-            extent: 6,
-            clamp: Clamp::default(),
-            body: Block {
-                items: vec![
-                    Item::Code(vec![Instr::IConst(5, 32), Instr::IBin(BinOp::Mul, 3, 0, 5)]),
-                    Item::MulAddLoop {
-                        extent,
-                        pre: vec![
-                            Instr::IBin(BinOp::Add, 4, 3, 6),
-                            Instr::IBin(BinOp::Add, 7, 0, 8),
-                            Instr::IConst(9, 2),
-                        ],
-                        dst: access(0, 9, 1),
-                        a,
-                        b,
-                        round32,
-                    },
+    fn fmuladd(dst: Reg, add: Reg, a: Reg, b: Reg, round32: bool) -> Instr {
+        Instr::FMulAdd {
+            dst,
+            add,
+            a,
+            b,
+            round32,
+        }
+    }
+
+    /// A serial `k` loop (six iterations: one jammed group of four and two
+    /// leftover) around a `j` microkernel whose destination row does not
+    /// move with `k`, and whatever `tail` holds after it.
+    struct JamNest {
+        k: i64,
+        code: Vec<Instr>,
+        pre: Vec<Instr>,
+        dst: SlotAccess,
+        a: SlotAccess,
+        b: SlotAccess,
+        j: i64,
+        round32: bool,
+        tail: Vec<Item>,
+    }
+
+    impl JamNest {
+        /// `inv_first` puts the stride-0 factor in the multiply's first
+        /// operand.
+        fn new(j: i64, inv_first: bool, round32: bool) -> JamNest {
+            let (inv, vec) = (access(1, 7, 0), access(2, 4, 1));
+            let (a, b) = if inv_first { (inv, vec) } else { (vec, inv) };
+            let (row, col, dst) = (4, 7, 9);
+            JamNest {
+                k: 6,
+                code: vec![Instr::IConst(5, 32), Instr::IBin(BinOp::Mul, 3, 0, 5)],
+                pre: vec![
+                    Instr::IBin(BinOp::Add, row, 3, 6),
+                    Instr::IBin(BinOp::Add, col, 0, 8),
+                    Instr::IConst(dst, 2),
                 ],
-            },
-            kind: LoopKind::Serial,
+                dst: access(0, dst, 1),
+                a,
+                b,
+                j,
+                round32,
+                tail: vec![],
+            }
+        }
+
+        fn item(self) -> Item {
+            let kernel = Item::MulAddLoop {
+                extent: self.j,
+                pre: self.pre,
+                dst: self.dst,
+                a: self.a,
+                b: self.b,
+                round32: self.round32,
+            };
+            let items = [Item::Code(self.code), kernel].into_iter().chain(self.tail);
+            Item::Loop {
+                var: 0,
+                min: 1,
+                extent: self.k,
+                clamp: Clamp::default(),
+                body: Block {
+                    items: items.collect(),
+                },
+                kind: LoopKind::Serial,
+            }
         }
     }
 
@@ -3597,180 +3370,486 @@ mod tests {
     /// stride-0 load and every packed instruction form; the `f64` one
     /// also reads a freg defined outside the loop.
     fn packed_body(f64m: bool) -> Vec<Instr> {
-        let mut body = vec![
+        let head = [
             Instr::FConst(1, 0.5),
             Instr::Load(2, 0, 1),
             Instr::Load(3, 0, 4),
-            Instr::FMulAdd {
-                dst: 5,
-                add: 3,
-                a: 2,
-                b: 1,
-                round32: !f64m,
-            },
+            fmuladd(5, 3, 2, 1, !f64m),
         ];
-        if f64m {
-            body.extend([
+        let rest = if f64m {
+            [
                 Instr::FBin(BinOp::Mul, 6, 5, 0),
                 Instr::FBin(BinOp::Sub, 8, 6, 2),
                 Instr::Call1(Intrinsic::Sqrt, 7, 8, false),
-            ]);
+            ]
         } else {
-            body.extend([
+            [
                 Instr::F32Round(6, 5),
                 Instr::FBin32(BinOp::Div, 8, 6, 2),
                 Instr::Call1(Intrinsic::Sqrt, 7, 8, true),
-            ]);
+            ]
+        };
+        let store = [Instr::Store(1, 2, 7)];
+        head.into_iter().chain(rest).chain(store).collect()
+    }
+
+    fn muladd(extent: i64, slots: [u16; 3], strides: [i64; 3], round32: bool) -> Item {
+        let [dst, a, b] = [0, 1, 2].map(|k| access(slots[k], k as Reg, strides[k]));
+        Item::MulAddLoop {
+            extent,
+            pre: vec![],
+            dst,
+            a,
+            b,
+            round32,
         }
-        body.push(Instr::Store(1, 2, 7));
-        body
+    }
+
+    /// A strided loop from 2 over `bumps`, each strided register starting
+    /// at 3.
+    fn strided(
+        extent: i64,
+        clamp: Clamp,
+        bumps: &[(Reg, i64)],
+        body: Vec<Instr>,
+        carry: Option<Carry>,
+        kind: LoopKind,
+    ) -> Item {
+        Item::StridedLoop {
+            min: 2,
+            extent,
+            clamp,
+            pre: bumps.iter().map(|&(r, _)| Instr::IConst(r, 3)).collect(),
+            bumps: bumps.to_vec(),
+            body,
+            carry,
+            kind,
+        }
     }
 
     #[test]
     fn templates_are_byte_for_byte_the_recorded_ones() {
         // Recorded from the single-file emitter of `jit/v4` (the commit
-        // before the vector layer existed) on all three tiers. The
-        // `(1,1,0)` and `(1,1,1)` microkernels, the packed strided tier
-        // and every `f32` lane see no benchmark traffic, so these bytes
-        // are the only thing that holds them still; a change that moves
-        // emitted code on purpose re-records the file.
+        // before the vector layer existed) on all three tiers; nothing is
+        // executed, so the AVX rows are checked on any host. The `(1,1,0)`
+        // and `(1,1,1)` microkernels, the packed strided tier and every
+        // `f32` lane see no benchmark traffic, so these bytes are the
+        // only thing that holds them still; a change that moves emitted
+        // code on purpose re-records the file.
         use DType::{F32, F64};
+        let mut cases: Vec<(String, Vec<DType>, Item)> = Vec::new();
+        // Microkernels: the parallel patterns, native reductions and the
+        // generic path's refusals (mixed dtypes with and without per-op
+        // rounding over a carried and a walking destination, an aliased
+        // destination, mismatched rounding). Extents 27 (f64) and 45
+        // (f32) leave a tiled main loop, leftover vectors and a scalar
+        // tail at both vector widths.
+        let (f64s, f32s, apart) = ([F64; 3], [F32; 3], [0, 1, 2]);
+        let microkernels = [
+            (f64s, 27, apart, [1, 0, 1], false),
+            (f64s, 27, apart, [1, 1, 0], false),
+            (f64s, 27, apart, [1, 1, 1], false),
+            (f32s, 45, apart, [1, 0, 1], true),
+            (f32s, 45, apart, [1, 1, 0], true),
+            (f32s, 45, apart, [1, 1, 1], true),
+            (f64s, 27, apart, [0, 1, 3], false),
+            (f32s, 45, apart, [0, -2, 0], true),
+            (f64s, 27, apart, [2, 1, 1], false),
+            (f32s, 45, apart, [1, 2, 1], true),
+            ([F32, F64, F32], 9, apart, [0, 1, 0], false),
+            ([F32, F64, F32], 9, apart, [0, 1, 0], true),
+            ([F64, F32, F64], 9, apart, [1, 1, 0], true),
+            (f64s, 9, [0, 0, 1], [1, 1, 0], false),
+            (f64s, 9, apart, [1, 1, 0], true),
+        ];
+        for (dts, n, slots, strides, round32) in microkernels {
+            let name = format!("muladd {dts:?} n={n} {slots:?} {strides:?} round32={round32}");
+            cases.push((name, dts.to_vec(), muladd(n, slots, strides, round32)));
+        }
+        for (dt, j, inv_first) in [(F64, 27, true), (F32, 45, false), (F64, 8, false)] {
+            let name = format!("jam {dt:?} j={j} inv_first={inv_first}");
+            let nest = JamNest::new(j, inv_first, dt == F32).item();
+            cases.push((name, vec![dt; 3], nest));
+        }
+        let unit = [(0, 1), (1, 1), (2, 1)];
+        let proven = LoopKind::Vectorized { proven: true };
+        for (dt, n) in [(F64, 11), (F32, 21), (F64, 8)] {
+            let name = format!("packed strided {dt:?} n={n}");
+            let body = packed_body(dt == F64);
+            let item = strided(n, Clamp::default(), &unit, body, None, proven);
+            cases.push((name, vec![dt; 2], item));
+        }
+        // The register-resident scalar loop: a static extent over mixed
+        // dtypes with every scalar template in the body, and a trimmed
+        // reduction with its accumulator forwarded.
+        let every_template = vec![
+            Instr::Load(0, 0, 1),
+            Instr::IToF(1, 0),
+            Instr::IToF32(2, 0),
+            Instr::FConst(4, -2.5),
+            fmuladd(3, 2, 0, 1, true),
+            Instr::FBin(BinOp::Sub, 5, 3, 9),
+            Instr::FBin32(BinOp::Div, 6, 5, 4),
+            Instr::Call1(Intrinsic::Sqrt, 7, 6, true),
+            Instr::F32Round(8, 7),
+            Instr::Store(1, 2, 8),
+            Instr::Store(0, 1, 8),
+        ];
+        let walks = [(0, 1), (1, 3), (2, -2)];
+        let serial = LoopKind::Serial;
+        let item = strided(6, Clamp::default(), &walks, every_template, None, serial);
+        cases.push(("scalar strided resident".into(), vec![F32, F64], item));
+        let clamp = Clamp {
+            lo: Some((3, 1)),
+            hi: Some((5, 0)),
+        };
+        let carry = Carry {
+            acc: 0,
+            slot: 1,
+            addr: 4,
+            next: 2,
+        };
+        let reduction = vec![
+            Instr::Load(1, 0, 1),
+            Instr::FBin(BinOp::Add, 2, 0, 1),
+            Instr::Store(1, 4, 2),
+        ];
+        let item = strided(4, clamp, &[(0, 1), (1, 2)], reduction, Some(carry), serial);
+        cases.push(("trimmed strided carry".into(), vec![F64; 2], item));
         let tiers = [
             ("scalar", X86Backend::scalar_only()),
             ("sse2", X86Backend::sse2_only()),
             ("avx", X86Backend::avx()),
         ];
-        let mut cases: Vec<(String, Vec<DType>, Box<dyn Fn(&mut NestCompiler)>)> = Vec::new();
-        // Microkernels. Extents 27 (f64) and 45 (f32) leave a tiled main
-        // loop, leftover vectors and a scalar tail at both vector widths.
-        for (dt, extent) in [(F64, 27), (F32, 45)] {
-            for (sd, sa, sb) in [(1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 3), (0, -2, 0), (2, 1, 1)] {
-                cases.push((
-                    format!("muladd {dt:?} ({sd},{sa},{sb})"),
-                    vec![dt; 3],
-                    Box::new(move |nc| {
-                        let (d, a, b) = (access(0, 0, sd), access(1, 1, sa), access(2, 2, sb));
-                        nc.emit_muladd(extent, &d, &a, &b, dt == F32);
-                    }),
-                ));
-            }
-        }
-        // The generic path's refusals: mixed dtypes with and without
-        // per-op rounding over a carried and a walking destination, an
-        // aliased destination, mismatched rounding.
-        for (name, dts, sd, slots, round32) in [
-            ("mixed carried", [F32, F64, F32], 0, [0, 1, 2], false),
-            ("mixed carried round32", [F32, F64, F32], 0, [0, 1, 2], true),
-            ("mixed walking", [F64, F32, F64], 1, [0, 1, 2], true),
-            ("aliased", [F64, F64, F64], 1, [0, 0, 1], false),
-            ("rounding", [F64, F64, F64], 1, [0, 1, 2], true),
-        ] {
-            cases.push((
-                format!("muladd generic {name}"),
-                dts.to_vec(),
-                Box::new(move |nc| {
-                    let (d, a, b) =
-                        (access(slots[0], 0, sd), access(slots[1], 1, 1), access(slots[2], 2, 0));
-                    nc.emit_muladd(9, &d, &a, &b, round32);
-                }),
-            ));
-        }
-        for (dt, extent, inv_first) in [(F64, 27, true), (F32, 45, false), (F64, 8, false)] {
-            cases.push((
-                format!("jam {dt:?} j={extent} inv_first={inv_first}"),
-                vec![dt; 3],
-                Box::new(move |nc| nc.emit_item(&jam_nest(extent, inv_first, dt == F32))),
-            ));
-        }
-        for (dt, extent) in [(F64, 11), (F32, 21), (F64, 8)] {
-            cases.push((
-                format!("packed strided {dt:?} n={extent}"),
-                vec![dt; 2],
-                Box::new(move |nc| {
-                    nc.emit_item(&strided(
-                        0,
-                        extent,
-                        Clamp::default(),
-                        vec![Instr::IConst(0, 0), Instr::IConst(1, 3), Instr::IConst(2, 1)],
-                        vec![(0, 1), (1, 1), (2, 1)],
-                        packed_body(dt == F64),
-                        None,
-                        LoopKind::Vectorized { proven: true },
-                    ))
-                }),
-            ));
-        }
-        // The register-resident scalar loop: a static extent over mixed
-        // dtypes with every scalar template in the body, and a trimmed
-        // reduction with its accumulator forwarded.
-        cases.push((
-            "scalar strided resident".into(),
-            vec![F32, F64],
-            Box::new(|nc| {
-                nc.emit_item(&strided(
-                    0,
-                    6,
-                    Clamp::default(),
-                    vec![Instr::IConst(0, 0), Instr::IConst(1, 0), Instr::IConst(2, 10)],
-                    vec![(0, 1), (1, 3), (2, -2)],
-                    vec![
-                        Instr::Load(0, 0, 1),
-                        Instr::IToF(1, 0),
-                        Instr::IToF32(2, 0),
-                        Instr::FConst(4, -2.5),
-                        Instr::FMulAdd {
-                            dst: 3,
-                            add: 2,
-                            a: 0,
-                            b: 1,
-                            round32: true,
-                        },
-                        Instr::FBin(BinOp::Sub, 5, 3, 9),
-                        Instr::FBin32(BinOp::Div, 6, 5, 4),
-                        Instr::Call1(Intrinsic::Sqrt, 7, 6, true),
-                        Instr::F32Round(8, 7),
-                        Instr::Store(1, 2, 8),
-                        Instr::Store(0, 1, 8),
-                    ],
-                    None,
-                    LoopKind::Serial,
-                ))
-            }),
-        ));
-        cases.push((
-            "trimmed strided carry".into(),
-            vec![F64, F64],
-            Box::new(|nc| {
-                nc.emit_item(&strided(
-                    2,
-                    4,
-                    Clamp {
-                        lo: Some((3, 1)),
-                        hi: Some((5, 0)),
-                    },
-                    vec![Instr::IConst(0, 2), Instr::IBin(BinOp::Mul, 1, 0, 2)],
-                    vec![(0, 1), (1, 2)],
-                    vec![
-                        Instr::Load(1, 0, 1),
-                        Instr::FBin(BinOp::Add, 2, 0, 1),
-                        Instr::Store(1, 4, 2),
-                    ],
-                    Some(Carry {
-                        acc: 0,
-                        slot: 1,
-                        addr: 4,
-                        next: 2,
-                    }),
-                    LoopKind::Serial,
-                ))
-            }),
-        ));
         let mut got = String::new();
         for (tier, opts) in &tiers {
-            for (name, dts, emit) in &cases {
-                got.push_str(&format!("{tier} {name}: {}\n", emitted(opts, dts, emit.as_ref())));
+            for (name, dts, item) in &cases {
+                let (code, simd) = compiled(opts, dts, |nc| nc.emit_item(item));
+                let mut reasons: Vec<_> = simd.scalar_reasons.iter().collect();
+                reasons.sort();
+                let (packed, tiled) = (simd.packed_loops, simd.tiled_loops);
+                let tally = format!("packed {packed} tiled {tiled} scalar {reasons:?}");
+                got.push_str(&format!("{tier} {name}: {tally} {}\n", hex(&code)));
             }
         }
         assert_same_lines(&got, include_str!("x86_64/goldens/templates.txt"));
+    }
+
+    // -------------------------------------------------------------- planners
+
+    /// One call of `plan_packed` over `B[i] = A[i] · c`: as built,
+    /// accepted at every shape but `Scalar`.
+    struct Packable {
+        extent: i64,
+        bumps: Vec<(Reg, i64)>,
+        body: Vec<Instr>,
+        kind: LoopKind,
+        dts: [DType; 2],
+        shape: Shape,
+    }
+
+    fn packable() -> Packable {
+        let mul = Instr::FBin(BinOp::Mul, 2, 1, 0);
+        Packable {
+            extent: 8,
+            bumps: vec![(0, 1), (1, 1), (2, 1)],
+            body: vec![Instr::Load(1, 0, 1), mul, Instr::Store(1, 2, 2)],
+            kind: LoopKind::Vectorized { proven: true },
+            dts: [DType::F64; 2],
+            shape: Shape::Sse,
+        }
+    }
+
+    #[test]
+    fn plan_packed_names_every_refusal() {
+        use DType::{F32, F64};
+        let plan = |c: &Packable| {
+            plan_packed(c.extent, &c.bumps, &c.body, &c.kind, &c.dts, c.shape).map(|p| p.w)
+        };
+        let sqrt = |round| Instr::Call1(Intrinsic::Sqrt, 2, 1, round);
+        let in_f32 = |c: &mut Packable, i: Instr| (c.dts, c.body[1]) = ([F32; 2], i);
+        // Accepted at each shape's own width, and at no extent below it.
+        for dt in [F64, F32] {
+            for shape in [Shape::Sse, Shape::Avx] {
+                let (mut case, want) = (packable(), Width::new(dt, shape));
+                if dt == F32 {
+                    in_f32(&mut case, sqrt(true));
+                }
+                (case.shape, case.extent) = (shape, want.lanes());
+                assert_eq!(plan(&case), Ok(want));
+                case.extent -= 1;
+                assert_eq!(plan(&case), Err("short-extent"));
+            }
+        }
+        // Each refusal changes one thing about the accepted call.
+        let refuses = |reason: &str, edit: &dyn Fn(&mut Packable)| {
+            let mut case = packable();
+            edit(&mut case);
+            assert_eq!(plan(&case), Err(reason), "{:?} {:?}", case.body, case.dts);
+        };
+        let add = |d, x, y| Instr::FBin(BinOp::Add, d, x, y);
+        let add32 = |d, x, y| Instr::FBin32(BinOp::Add, d, x, y);
+        refuses("simd-disabled", &|c| c.shape = Shape::Scalar);
+        refuses("unproven-vectorize", &|c| {
+            c.kind = LoopKind::Vectorized { proven: false }
+        });
+        refuses("no-vectorize-annotation", &|c| c.kind = LoopKind::Serial);
+        refuses("no-vectorize-annotation", &|c| {
+            c.kind = LoopKind::Parallel { proven: true }
+        });
+        refuses("mixed-precision", &|c| c.dts = [F64, F32]);
+        refuses("mixed-precision", &|c| c.body[1] = add32(2, 1, 1));
+        refuses("mixed-precision", &|c| c.dts = [F32; 2]);
+        refuses("mixed-precision", &|c| c.body[1] = Instr::F32Round(2, 1));
+        refuses("body-op", &|c| c.body = vec![Instr::FConst(1, 1.0)]);
+        refuses("body-op", &|c| c.body[1] = Instr::IToF(2, 0));
+        refuses("stride-overflow", &|c| c.bumps.push((3, i64::MAX)));
+        refuses("register-pressure", &|c| {
+            c.body.splice(1..2, (2..17).map(|d| add(d, 1, 1)));
+            c.body[16] = Instr::Store(1, 2, 16);
+        });
+        refuses("freg-reassign", &|c| c.body[1] = add(1, 1, 1));
+        refuses("loop-carried-freg", &|c| c.body[1] = add(0, 0, 1));
+        refuses("operand-precision", &|c| in_f32(c, add32(2, 1, 0)));
+        refuses("const-precision", &|c| in_f32(c, Instr::FConst(2, 0.1)));
+        refuses("load-stride", &|c| c.bumps[1].1 = 2);
+        refuses("store-stride", &|c| c.bumps.truncate(2));
+        refuses("rounding-mismatch", &|c| c.body[1] = sqrt(true));
+        refuses("rounding-mismatch", &|c| {
+            in_f32(c, fmuladd(2, 1, 1, 1, false))
+        });
+    }
+
+    #[test]
+    fn classify_muladd_names_every_refusal() {
+        use DType::{F32, F64};
+        use MulAdd::{Generic, Parallel, Reduction};
+        let (f64s, f32s, mixed, apart) = ([F64; 3], [F32; 3], [F64, F32, F64], [0, 1, 2]);
+        let native = |dt| Reduction { native: dt };
+        // Refusals in the order they are tested: a mixed, mis-rounded,
+        // aliased operand set names the first. A stride-0 destination is
+        // a reduction whatever else holds, in native precision only when
+        // nothing refuses.
+        let table = [
+            (Parallel(F64), f64s, apart, [1, 0, 1], false),
+            (Parallel(F64), f64s, apart, [1, 1, 0], false),
+            (Parallel(F32), f32s, apart, [1, 1, 1], true),
+            (Generic("mixed-dtype"), mixed, apart, [1, 0, 1], false),
+            (
+                Generic("mixed-dtype"),
+                [F32, F32, F64],
+                apart,
+                [1, 0, 1],
+                true,
+            ),
+            (Generic("mixed-dtype"), mixed, [0, 1, 0], [2, 1, 1], true),
+            (Generic("rounding-mismatch"), f64s, apart, [1, 0, 1], true),
+            (
+                Generic("rounding-mismatch"),
+                f32s,
+                [0, 0, 1],
+                [1, 0, 1],
+                false,
+            ),
+            (Generic("aliased-dst"), f64s, [0, 0, 2], [1, 0, 1], false),
+            (Generic("aliased-dst"), f64s, [0, 1, 0], [1, 5, 1], false),
+            (Generic("stride-pattern"), f64s, apart, [1, 0, 0], false),
+            (Generic("stride-pattern"), f64s, apart, [2, 1, 1], false),
+            (Generic("stride-pattern"), f64s, apart, [1, 2, 1], false),
+            (Generic("stride-pattern"), f64s, apart, [-1, 1, 1], false),
+            (native(Some(F64)), f64s, apart, [0, 1, 5], false),
+            (native(Some(F32)), f32s, [0, 1, 1], [0, -2, 0], true),
+            (native(None), [F32, F64, F32], apart, [0, 1, 1], true),
+            (native(None), f64s, apart, [0, 1, 1], true),
+            (native(None), f64s, [0, 0, 1], [0, 1, 1], false),
+        ];
+        for (want, dts, slots, strides, round32) in table {
+            let [dst, a, b] = [0, 1, 2].map(|k| access(slots[k], k as Reg, strides[k]));
+            let got = classify_muladd(&dst, &a, &b, round32, &dts);
+            assert_eq!(got, want, "{dts:?} {slots:?} {strides:?} {round32}");
+        }
+    }
+
+    #[test]
+    fn plan_jam_refuses_each_unproven_shape() {
+        use DType::{F32, F64};
+        let planned = |nest: JamNest, dts: [DType; 3], shape| {
+            let item = nest.item();
+            plan_jam(&item, &dts, shape).map(|p| (p.inv.slot, p.vec.slot, p.inv_first, p.w))
+        };
+        let ok = || JamNest::new(27, true, false);
+        let want = (1, 2, true, Width::new(F64, Shape::Sse));
+        assert_eq!(planned(ok(), [F64; 3], Shape::Sse), Some(want));
+        let want = (1, 2, false, Width::new(F32, Shape::Avx));
+        let f32_nest = JamNest::new(45, false, true);
+        assert_eq!(planned(f32_nest, [F32; 3], Shape::Avx), Some(want));
+        assert_eq!(planned(ok(), [F64; 3], Shape::Scalar), None, "scalar tier");
+        assert_eq!(planned(ok(), [F64, F32, F64], Shape::Sse), None, "dtypes");
+        // Each refusal changes one thing about the accepted nest.
+        let refuses = |why: &str, edit: &dyn Fn(&mut JamNest)| {
+            let mut nest = ok();
+            edit(&mut nest);
+            assert_eq!(planned(nest, [F64; 3], Shape::Sse), None, "{why}");
+        };
+        let dst_addr = |x| Instr::IBin(BinOp::Add, 9, x, 8);
+        refuses("fewer than JAM k iterations", &|n| n.k = JAM - 1);
+        refuses("a third body item", &|n| n.tail.push(Item::Code(vec![])));
+        refuses("mismatched rounding", &|n| n.round32 = true);
+        refuses("destination slot read by a factor", &|n| n.a.slot = 0);
+        refuses("both factors walk", &|n| n.a.stride = 1);
+        refuses("a reduction", &|n| n.dst.stride = 0);
+        refuses("j shorter than one vector", &|n| n.j = 1);
+        refuses("code writes the loop variable", &|n| {
+            n.pre[2] = Instr::IConst(0, 0)
+        });
+        refuses("code touches memory", &|n| n.code[0] = Instr::Load(0, 1, 3));
+        refuses("destination row moves with k", &|n| n.pre[2] = dst_addr(0));
+        refuses("destination row is loop-carried", &|n| {
+            n.pre[2] = dst_addr(9)
+        });
+    }
+
+    // ------------------------------------------------------------ encoder table
+
+    const RBP: R = R(5);
+    const R12: R = R(12);
+    const R13: R = R(13);
+    const R15: R = R(15);
+    /// A low and an extended register of each file (REX/VEX `R`, `X`, `B`).
+    const GPRS: [R; 2] = [RCX, R9];
+    const XMMS: [X; 2] = [X1, X(9)];
+    /// Plain, forced-SIB (`rsp`/`r12`) and forced-disp8 (`rbp`/`r13`) bases.
+    const BASES: [R; 6] = [RCX, R9, RSP, R12, RBP, R13];
+    /// Zero, disp8/imm8 at both ends, disp32/imm32 just past them.
+    const DISPS: [i32; 5] = [0, 127, -128, 128, -129];
+    /// One base of each kind with one displacement of each size, for the
+    /// methods that share the loads' ModRM path.
+    const FEW: [(R, i32); 4] = [(RCX, 0), (R12, 127), (R13, 0), (R9, -129)];
+
+    /// `name (operands): hex` of one call on a fresh assembler.
+    macro_rules! row {
+        ($rows:ident, $method:ident($($arg:expr),*)) => {{
+            let mut a = Asm::new();
+            a.$method($($arg),*);
+            let args = format!("{:?}", ($($arg,)*));
+            $rows.push_str(&format!("{} {args}: {}\n", stringify!($method), hex(&a.code)));
+        }};
+    }
+
+    #[test]
+    fn encoder_rows_are_byte_for_byte_the_recorded_ones() {
+        // One row per method × the operand classes that change the
+        // encoding, recorded from the assembler of `jit/v4` (the integer
+        // and control rows by the same calls, the layer rows by the raw
+        // legacy/VEX sequences its templates spelled out at each site).
+        let mut rows = String::new();
+        for r in GPRS {
+            // imm32 at both ends, imm64 just past them.
+            for v in [0, -1, 0x7FFF_FFFF, -0x8000_0000, 0x8000_0000, i64::MIN] {
+                row!(rows, mov_ri(r, v));
+            }
+            for imm in DISPS {
+                row!(rows, add_ri(r, imm));
+                row!(rows, cmp_ri(r, imm));
+            }
+            row!(rows, dec_r(r));
+            row!(rows, push_r(r));
+            row!(rows, pop_r(r));
+            for s in GPRS {
+                row!(rows, add_rr(r, s));
+                row!(rows, sub_rr(r, s));
+                row!(rows, imul_rr(r, s));
+                row!(rows, cmp_rr(r, s));
+                row!(rows, cmov_rr(CC_L, r, s));
+                row!(rows, cmov_rr(CC_G, r, s));
+            }
+            for x in XMMS {
+                row!(rows, cvtsi2sd(x, r));
+                row!(rows, movq_xr(x, r));
+            }
+            for base in BASES {
+                for disp in DISPS {
+                    row!(rows, mov_rm(r, base, disp));
+                }
+            }
+            for (base, disp) in FEW {
+                row!(rows, mov_mr(base, disp, r));
+                row!(rows, add_mr(base, disp, r));
+            }
+            for base in [RCX, R9, RBP, R13] {
+                for index in [RAX, R15] {
+                    for scale in [1, 4, 8] {
+                        row!(rows, lea_sib(r, base, index, scale));
+                    }
+                }
+            }
+        }
+        for (base, disp) in FEW {
+            for imm in [1, -128, 128] {
+                row!(rows, add_mi(base, disp, imm));
+            }
+            row!(rows, dec_m(base, disp));
+        }
+        row!(rows, ret());
+        let mut a = Asm::new();
+        let skip = a.jcc_fwd(CC_LE);
+        let top = a.here();
+        a.dec_r(R11);
+        a.jcc_back(CC_NZ, top);
+        a.land(skip);
+        rows.push_str(&format!("jcc_fwd jcc_back land: {}\n", hex(&a.code)));
+        for d in XMMS {
+            for s in XMMS {
+                row!(rows, movaps(d, s));
+                row!(rows, cvtss2sd_rr(d, s));
+                row!(rows, cvtsd2ss_rr(d, s));
+            }
+            row!(rows, round32(d));
+        }
+        // The vector layer: every width through every function, `dst == a`
+        // and `dst != a`, low and extended registers, every memory class.
+        let few = FEW.map(|(base, disp)| Mem::at(base, disp));
+        let indexed = [RCX, R9, RBP, R13].map(|b| [RAX, R15].map(|i| Mem::indexed(b, i)));
+        let operands = [
+            (X1, X1, X2),
+            (X1, X2, X3),
+            (X(9), X(9), X1),
+            (X1, X(9), X(10)),
+            (X(10), X1, X(9)),
+        ];
+        for shape in [Shape::Scalar, Shape::Sse, Shape::Avx] {
+            for w in [DType::F64, DType::F32].map(|dt| Width::new(dt, shape)) {
+                for base in BASES {
+                    for disp in DISPS {
+                        row!(rows, vload(w, X1, Mem::at(base, disp)));
+                    }
+                }
+                for x in XMMS {
+                    for m in indexed.concat() {
+                        row!(rows, vload(w, x, m));
+                        row!(rows, vstore(w, m, x));
+                    }
+                    for m in few {
+                        row!(rows, vload(w, x, m));
+                        row!(rows, vstore(w, m, x));
+                        if shape != Shape::Scalar {
+                            row!(rows, bcast(w, x, m));
+                        }
+                    }
+                }
+                for (dst, x, y) in operands {
+                    row!(rows, vmov(w, dst, y));
+                    row!(rows, vop1(w, FSQRT, dst, y));
+                    for op in [FADD, FMUL, arith(BinOp::Sub), arith(BinOp::Div)] {
+                        row!(rows, vop_rr(w, op, dst, x, y));
+                    }
+                    for m in few {
+                        row!(rows, vop_rm(w, FMUL, dst, x, m, Some(y)));
+                    }
+                }
+                row!(rows, vend(w));
+            }
+        }
+        assert_same_lines(&rows, include_str!("x86_64/goldens/asm.txt"));
     }
 }

@@ -310,11 +310,6 @@ pub(crate) enum Item {
         carry: Option<Carry>,
         /// Original loop kind.
         kind: LoopKind,
-        /// Planned base vector width in elements (the block optimizer's
-        /// vector-width plan: 2 for f64, 4 for f32 bodies of proven
-        /// `Vectorized` loops, 1 otherwise). Native backends may widen
-        /// (AVX doubles it) but never pack a loop planned scalar.
-        lanes: u8,
     },
     /// A recognized contiguous multiply-accumulate inner loop:
     /// `dst[i·sd] = dst[i·sd] + a[i·sa] * b[i·sb]` for `extent`
@@ -509,26 +504,6 @@ impl CompiledFunc {
                     Item::Loop { body, .. } => count(body),
                     Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
                     Item::MulAddLoop { .. } => 1,
-                })
-                .sum()
-        }
-        count(&self.body)
-    }
-
-    /// Number of schedule-vectorized inner loops running in
-    /// strided-pointer-bump form (vectorized loops promoted further, to
-    /// microkernels, are counted by [`CompiledFunc::microkernel_count`]).
-    pub fn vectorized_fast_loop_count(&self) -> usize {
-        fn count(b: &Block) -> usize {
-            b.items
-                .iter()
-                .map(|it| match it {
-                    Item::Code(_) | Item::MulAddLoop { .. } | Item::JitCall { .. } => 0,
-                    Item::Loop { body, .. } => count(body),
-                    Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
-                    Item::StridedLoop { kind, .. } => {
-                        matches!(kind, LoopKind::Vectorized { .. }) as usize
-                    }
                 })
                 .sum()
         }

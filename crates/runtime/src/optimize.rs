@@ -701,11 +701,6 @@ fn try_strided(
         // native backend has a dynamic-trip template for.)
         return None;
     }
-    let lanes = if clamp.is_none() {
-        plan_lanes(kind, &rest, dts)
-    } else {
-        1
-    };
     let fixed = |r: Reg| stride_of(r, var, &written, &strides) == Some(0);
     let (body, carry) = match try_forward(&rest, kind, &fixed, vn, dts) {
         Some((body, carry)) => (body, Some(carry)),
@@ -720,7 +715,6 @@ fn try_strided(
         body,
         carry,
         kind,
-        lanes,
     })
 }
 
@@ -829,33 +823,6 @@ fn try_forward(
     let mut body = body.to_vec();
     body.remove(ld);
     Some((body, carry))
-}
-
-/// Vector-width plan for a strided body: the uniform f64/f32 element
-/// width of its loads and stores when the enclosing loop carries the
-/// analyzer's `Vectorized` race-freedom proof, else 1 (scalar). Native
-/// backends may widen the plan (AVX doubles it) but never pack a loop
-/// planned scalar.
-fn plan_lanes(kind: LoopKind, body: &[Instr], dts: &[DType]) -> u8 {
-    if !matches!(kind, LoopKind::Vectorized { proven: true }) {
-        return 1;
-    }
-    let mut mode: Option<DType> = None;
-    for i in body {
-        if let Instr::Load(_, slot, _) | Instr::Store(slot, _, _) = i {
-            let dt = dts[*slot as usize];
-            match mode {
-                None => mode = Some(dt),
-                Some(m) if m != dt => return 1,
-                _ => {}
-            }
-        }
-    }
-    match mode {
-        Some(DType::F64) => 2,
-        Some(DType::F32) => 4,
-        _ => 1,
-    }
 }
 
 /// Recognize the contiguous multiply-accumulate body
@@ -1141,7 +1108,7 @@ mod tests {
                 &[DType::F64],
             );
             assert!(
-                matches!(item, Some(Item::StridedLoop { clamp: c, lanes: 1, min: 0, .. }) if c == want)
+                matches!(item, Some(Item::StridedLoop { clamp: c, min: 0, .. }) if c == want)
             );
         }
     }
@@ -1388,7 +1355,6 @@ mod tests {
             body: code[3..].to_vec(),
             carry: None,
             kind,
-            lanes: 1,
         }
     }
 
@@ -1446,9 +1412,8 @@ mod tests {
                 DType::F64,
             ),
         ] {
-            let Item::StridedLoop {
-                body, carry, lanes, ..
-            } = optimize_loop(code.clone(), kind, clamp, &[dt])
+            let Item::StridedLoop { body, carry, .. } =
+                optimize_loop(code.clone(), kind, clamp, &[dt])
             else {
                 panic!("{what}: must reach strided form");
             };
@@ -1467,8 +1432,6 @@ mod tests {
             want.remove(0);
             assert_eq!(format!("{body:?}"), format!("{want:?}"), "{what}");
             assert!(matches!(body.last(), Some(Instr::Store(0, 2, 4))), "{what}");
-            // A forwarded loop is never packed.
-            assert_eq!(lanes, 1, "{what}");
         }
     }
 
