@@ -1,0 +1,1990 @@
+//! The backend and the templates: [`X86Backend`] replaces every
+//! jittable nest of a function by a call into code [`NestCompiler`]
+//! emits, one template per bytecode item, through [`Asm`]'s layers.
+
+use super::asm::*;
+use super::plan::*;
+use crate::codegen::exec_mem::ExecBuf;
+use crate::codegen::{CodegenBackend, JitProgram, SimdReport};
+use crate::compile::{
+    forwarded_in, Block, Carry, Clamp, CompileError, CompiledFunc, Instr, Item, LoopKind, Reg,
+    SlotAccess,
+};
+use std::sync::Arc;
+use tvm_te::{BinOp, DType, Intrinsic};
+
+/// What the scalar templates compute in, and what an `f32` slot holds.
+const SD: Width = Width::scalar(DType::F64);
+const SS: Width = Width::scalar(DType::F32);
+
+// ------------------------------------------------------------ nest codegen
+
+/// Hand-rolled x86-64 backend (the only native backend today; the
+/// [`CodegenBackend`] trait keeps aarch64/Cranelift additive).
+#[derive(Debug, Clone)]
+pub struct X86Backend {
+    /// The widest float instructions emitted: VEX-256 (4×f64 / 8×f32)
+    /// where AVX is detected, SSE2 128-bit otherwise, in the microkernels
+    /// *and* the proven vectorized strided loops; `Scalar` is the fully
+    /// scalar tier — bit-identical output, every vector site counted
+    /// under the `simd-disabled` reason.
+    shape: Shape,
+}
+
+impl X86Backend {
+    /// Detect host features.
+    pub fn detect() -> X86Backend {
+        X86Backend {
+            shape: if std::arch::is_x86_feature_detected!("avx") {
+                Shape::Avx
+            } else {
+                Shape::Sse
+            },
+        }
+    }
+
+    /// SSE2-only variant (what a pre-AVX host would produce); used by
+    /// tests to cover both vector paths on one machine.
+    pub fn sse2_only() -> X86Backend {
+        X86Backend { shape: Shape::Sse }
+    }
+
+    /// Fully scalar variant; tests compare the packed tiers against it
+    /// on one machine.
+    pub fn scalar_only() -> X86Backend {
+        X86Backend {
+            shape: Shape::Scalar,
+        }
+    }
+
+    /// The AVX tier whatever the host: for tests that emit and never run.
+    #[cfg(test)]
+    fn avx() -> X86Backend {
+        X86Backend { shape: Shape::Avx }
+    }
+
+    /// The width this configuration gives a float instruction over `dt`.
+    fn width(&self, dt: DType) -> Width {
+        Width::new(dt, self.shape)
+    }
+}
+
+impl CodegenBackend for X86Backend {
+    fn name(&self) -> &'static str {
+        "x86_64"
+    }
+
+    fn jit_compile(&self, cf: &CompiledFunc) -> Result<CompiledFunc, CompileError> {
+        let dts: Vec<DType> = cf
+            .params
+            .iter()
+            .map(|p| p.dtype)
+            .chain(cf.allocs.iter().map(|(_, dt)| *dt))
+            .collect();
+        let mut asm = Asm::new();
+        let mut entries: Vec<usize> = Vec::new();
+        let mut first_reason: Option<String> = None;
+        let mut simd = SimdReport::default();
+        let body = rewrite_block(
+            &cf.body,
+            &dts,
+            self,
+            &mut asm,
+            &mut entries,
+            &mut first_reason,
+            &mut simd,
+        );
+        if entries.is_empty() {
+            let why = first_reason.unwrap_or_else(|| "no loop nest in function".into());
+            return Err(CompileError(format!("no jittable loop nest: {why}")));
+        }
+        let bytes = asm.code.len();
+        let buf = ExecBuf::from_code(&asm.code)?;
+        let program = JitProgram {
+            buf,
+            entries,
+            bytes,
+            simd,
+            // Whatever forwarded loop left the bytecode is in a nest.
+            forwarded_loops: forwarded_in(&cf.body) - forwarded_in(&body),
+        };
+        Ok(CompiledFunc {
+            body,
+            jit: Some(Arc::new(program)),
+            ..cf.clone()
+        })
+    }
+
+    fn vector_widths(&self) -> (u32, u32) {
+        let lanes = |dt| self.width(dt).lanes() as u32;
+        (lanes(DType::F64), lanes(DType::F32))
+    }
+}
+
+/// Replace every maximal jittable loop nest with a [`Item::JitCall`],
+/// recursing into loops and conditionals that are not jittable as a
+/// whole so inner nests still compile.
+#[allow(clippy::too_many_arguments)]
+fn rewrite_block(
+    b: &Block,
+    dts: &[DType],
+    opts: &X86Backend,
+    asm: &mut Asm,
+    entries: &mut Vec<usize>,
+    first_reason: &mut Option<String>,
+    simd: &mut SimdReport,
+) -> Block {
+    let items = b
+        .items
+        .iter()
+        .map(|item| match item {
+            Item::Loop { .. } | Item::StridedLoop { .. } | Item::MulAddLoop { .. } => {
+                // A nest holding a proven-parallel loop stays in
+                // bytecode: jitting it whole would run the loop
+                // sequentially inside the nest and silently lose pool
+                // dispatch. Recursing below still compiles the serial
+                // nests *inside* the parallel body — jitted entries are
+                // sealed-RX and take their register files as arguments,
+                // so worker-thread chunk VMs call them reentrantly.
+                let verdict = if contains_proven_parallel(item) {
+                    Err("parallel loop kept in bytecode for pool dispatch".to_string())
+                } else {
+                    check_item(item, dts)
+                };
+                match verdict {
+                    Ok(()) => {
+                        let entry = asm.here();
+                        let mut nc = NestCompiler {
+                            asm,
+                            dts,
+                            opts,
+                            simd,
+                        };
+                        nc.emit_item(item);
+                        nc.asm.ret();
+                        entries.push(entry);
+                        Item::JitCall {
+                            entry: entries.len() - 1,
+                        }
+                    }
+                    Err(why) => {
+                        first_reason.get_or_insert(why);
+                        match item {
+                            // A rejected outer loop may still hold
+                            // jittable inner nests.
+                            Item::Loop {
+                                var,
+                                min,
+                                extent,
+                                clamp,
+                                body,
+                                kind,
+                            } => Item::Loop {
+                                var: *var,
+                                min: *min,
+                                extent: *extent,
+                                clamp: *clamp,
+                                body: rewrite_block(
+                                    body,
+                                    dts,
+                                    opts,
+                                    asm,
+                                    entries,
+                                    first_reason,
+                                    simd,
+                                ),
+                                kind: *kind,
+                            },
+                            other => other.clone(),
+                        }
+                    }
+                }
+            }
+            Item::If { cond, then, else_ } => Item::If {
+                cond: *cond,
+                then: rewrite_block(then, dts, opts, asm, entries, first_reason, simd),
+                else_: else_
+                    .as_ref()
+                    .map(|e| rewrite_block(e, dts, opts, asm, entries, first_reason, simd)),
+            },
+            other => other.clone(),
+        })
+        .collect();
+    Block { items }
+}
+
+/// Does this item contain (or is it) a `Parallel` loop the analyzer
+/// proved race-free with enough iterations to split? Such loops must
+/// remain bytecode `Item::Loop`s so the VM can dispatch them to the
+/// worker pool. `StridedLoop`/`MulAddLoop` never qualify: the block
+/// optimizer refuses to convert dispatchable parallel loops.
+fn contains_proven_parallel(item: &Item) -> bool {
+    match item {
+        Item::Loop {
+            extent, body, kind, ..
+        } => {
+            (matches!(kind, LoopKind::Parallel { proven: true }) && *extent >= 2)
+                || body.items.iter().any(contains_proven_parallel)
+        }
+        Item::If { then, else_, .. } => {
+            then.items.iter().any(contains_proven_parallel)
+                || else_
+                    .as_ref()
+                    .is_some_and(|e| e.items.iter().any(contains_proven_parallel))
+        }
+        _ => false,
+    }
+}
+
+pub(super) struct NestCompiler<'a> {
+    asm: &'a mut Asm,
+    dts: &'a [DType],
+    opts: &'a X86Backend,
+    simd: &'a mut SimdReport,
+}
+
+/// Destination vectors kept live per jammed j-trip (the register-tile
+/// width: independent accumulator chains that hide the add latency).
+const JAM_U: usize = 4;
+/// (Product, accumulator) register pairs of a tiled microkernel trip.
+const TILE_PAIRS: [(X, X); 4] = [(X(4), X(8)), (X(5), X(9)), (X(6), X(10)), (X(7), X(11))];
+/// (Accumulator, product scratch) register pairs of the jammed j-trip.
+const JAM_PAIRS: [(X, X); JAM_U] = [(X(6), X(7)), (X(8), X(9)), (X(10), X(11)), (X(12), X(13))];
+
+/// A factor of a packed multiply: a value broadcast into a register
+/// before the loop, or the elements a pointer walks.
+#[derive(Clone, Copy)]
+enum Factor {
+    Bcast(X),
+    At(R),
+}
+
+impl NestCompiler<'_> {
+    pub(super) fn emit_item(&mut self, item: &Item) {
+        match item {
+            Item::Code(c) => self.emit_code(c),
+            Item::Loop {
+                var,
+                min,
+                extent,
+                clamp,
+                body,
+                ..
+            } => {
+                debug_assert!(clamp.is_none(), "rejected by check_item");
+                if *extent < 1 {
+                    return;
+                }
+                if let Some(plan) = plan_jam(item, self.dts, self.opts.shape) {
+                    let done = (plan.kextent / JAM) * JAM;
+                    let rem = plan.kextent - done;
+                    self.emit_jammed(&plan);
+                    if rem > 0 {
+                        // Leftover k iterations run through the plain
+                        // templates, continuing where the jammed groups
+                        // left the loop variable.
+                        self.emit_item(&Item::Loop {
+                            var: *var,
+                            min: *min + done,
+                            extent: rem,
+                            clamp: Clamp::default(),
+                            body: body.clone(),
+                            kind: LoopKind::Serial,
+                        });
+                    }
+                    return;
+                }
+                let end = min + extent;
+                self.asm.mov_ri(RAX, *min);
+                self.asm.mov_mr(RDI, off(*var), RAX);
+                let top = self.asm.here();
+                for it in &body.items {
+                    self.emit_item(it);
+                }
+                self.asm.mov_rm(RAX, RDI, off(*var));
+                self.asm.add_ri(RAX, 1);
+                self.asm.mov_mr(RDI, off(*var), RAX);
+                if end as i32 as i64 == end {
+                    self.asm.cmp_ri(RAX, end as i32);
+                } else {
+                    self.asm.mov_ri(RCX, end);
+                    self.asm.cmp_rr(RAX, RCX);
+                }
+                self.asm.jcc_back(CC_L, top);
+            }
+            Item::StridedLoop {
+                min,
+                extent,
+                clamp,
+                pre,
+                bumps,
+                body,
+                carry,
+                kind,
+            } => {
+                self.emit_code(pre);
+                if !clamp.is_none() {
+                    // Packed and jammed plans split a static extent into
+                    // main loop and epilogue; a trimmed loop's trip
+                    // count is only known at loop entry.
+                    self.simd.scalar("dynamic-extent");
+                    self.emit_trimmed_strided(*min, *extent, *clamp, bumps, body, *carry);
+                    return;
+                }
+                match plan_packed(*extent, bumps, body, kind, self.dts, self.opts.shape) {
+                    Ok(plan) => {
+                        // A carry is sequential state; the optimizer
+                        // forwards no loop that is proven vectorized.
+                        debug_assert!(carry.is_none());
+                        self.simd.packed(false);
+                        self.emit_packed_strided(*extent, bumps, body, &plan);
+                    }
+                    Err(reason) => {
+                        self.simd.scalar(reason);
+                        self.emit_scalar_strided(*extent, bumps, body, *carry);
+                    }
+                }
+            }
+            Item::MulAddLoop {
+                extent,
+                pre,
+                dst,
+                a,
+                b,
+                round32,
+            } => {
+                self.emit_code(pre);
+                self.emit_muladd(*extent, dst, a, b, *round32);
+            }
+            // Checked away before codegen.
+            Item::If { .. } | Item::JitCall { .. } => unreachable!("rejected by check_item"),
+        }
+    }
+
+    /// Straight-line code outside a resident loop: every operand in its
+    /// in-memory form.
+    fn emit_code(&mut self, code: &[Instr]) {
+        let in_memory = Resident::default();
+        code.iter().for_each(|i| self.emit_instr(i, &in_memory));
+    }
+
+    /// `dst ← src` (nothing when `src` is `dst`).
+    fn fload(&mut self, dst: X, src: F) {
+        match src {
+            F::Reg(s) if s == dst => {}
+            F::Reg(s) => self.asm.movaps(dst, s),
+            F::Mem(disp) => self.asm.vload(SD, dst, Mem::at(RSI, disp)),
+        }
+    }
+
+    /// `dst ← src` (nothing when `dst` is `src`).
+    fn fstore(&mut self, dst: F, src: X) {
+        match dst {
+            F::Reg(d) if d == src => {}
+            F::Reg(d) => self.asm.movaps(d, src),
+            F::Mem(disp) => self.asm.vstore(SD, Mem::at(RSI, disp), src),
+        }
+    }
+
+    /// Scalar-double ALU op `dst ← dst op src`; x86 takes the second
+    /// operand from memory as readily as from a register.
+    fn fop(&mut self, op: u8, dst: X, src: F) {
+        match src {
+            F::Reg(s) => self.asm.vop_rr(SD, op, dst, dst, s),
+            F::Mem(disp) => self.asm.vop_rm(SD, op, dst, dst, Mem::at(RSI, disp), None),
+        }
+    }
+
+    /// Address the element a `Load`/`Store` touches: through its resident
+    /// pointer, or as `[RCX + RAX·esize]` after loading the address
+    /// register and the slot base.
+    fn elem(&mut self, slot: u16, addr: Reg, res: &Resident) -> Mem {
+        match res.ptr(slot, addr) {
+            Some(p) => Mem::at(p, 0),
+            None => {
+                self.asm.mov_rm(RAX, RDI, off(addr));
+                self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
+                Mem::indexed(RCX, RAX)
+            }
+        }
+    }
+
+    /// One bytecode instruction as a short template in the VM's own
+    /// evaluation order. `res` says which float operands live in XMM
+    /// registers and which elements have a pointer in a GPR; every other
+    /// operand is read from and written to the in-memory register files,
+    /// operand by operand, so an empty `res` is the `Item::Code` form and
+    /// a loop that runs out of registers degrades one operand at a time.
+    /// A value is built in its destination's own register when it has
+    /// one, else in scratch (`X0`/`X1`, `RAX`/`RCX`). Integer registers
+    /// are always in memory.
+    fn emit_instr(&mut self, i: &Instr, res: &Resident) {
+        let f = |r: Reg| res.f(r);
+        let target = |d: F, scratch: X| match d {
+            F::Reg(x) => x,
+            F::Mem(_) => scratch,
+        };
+        match *i {
+            Instr::IConst(d, v) => {
+                self.asm.mov_ri(RAX, v);
+                self.asm.mov_mr(RDI, off(d), RAX);
+            }
+            Instr::FConst(d, v) => {
+                self.asm.mov_ri(RAX, v.to_bits() as i64);
+                match f(d) {
+                    F::Reg(x) => self.asm.movq_xr(x, RAX),
+                    F::Mem(disp) => self.asm.mov_mr(RSI, disp, RAX),
+                }
+            }
+            Instr::IToF(d, s) | Instr::IToF32(d, s) => {
+                let t = target(f(d), X0);
+                self.asm.mov_rm(RAX, RDI, off(s));
+                self.asm.cvtsi2sd(t, RAX);
+                if matches!(i, Instr::IToF32(..)) {
+                    self.asm.round32(t);
+                }
+                self.fstore(f(d), t);
+            }
+            Instr::F32Round(d, s) => {
+                let t = target(f(d), X0);
+                self.fload(t, f(s));
+                self.asm.round32(t);
+                self.fstore(f(d), t);
+            }
+            Instr::IBin(op, d, x, y) => {
+                let a = &mut *self.asm;
+                a.mov_rm(RAX, RDI, off(x));
+                a.mov_rm(RCX, RDI, off(y));
+                match op {
+                    BinOp::Add => a.add_rr(RAX, RCX),
+                    BinOp::Sub => a.sub_rr(RAX, RCX),
+                    BinOp::Mul => a.imul_rr(RAX, RCX),
+                    _ => unreachable!("rejected by check_instr"),
+                }
+                a.mov_mr(RDI, off(d), RAX);
+            }
+            Instr::FBin(op, d, x, y) | Instr::FBin32(op, d, x, y) => {
+                let (fd, fx, fy) = (f(d), f(x), f(y));
+                // `d` may share `y`'s register (a carry's `next` shares
+                // `acc`'s): copying `x` into it first would lose `y`.
+                let t = if fd == fy && fd != fx {
+                    X0
+                } else {
+                    target(fd, X0)
+                };
+                self.fload(t, fx);
+                self.fop(arith(op), t, fy);
+                if matches!(i, Instr::FBin32(..)) {
+                    self.asm.round32(t);
+                }
+                self.fstore(fd, t);
+            }
+            Instr::FMulAdd {
+                dst,
+                add,
+                a,
+                b,
+                round32,
+            } => {
+                // The product is complete in scratch before the sum's
+                // register is written, so `dst` may share any operand's.
+                self.fload(X0, f(a));
+                self.fop(FMUL, X0, f(b));
+                if round32 {
+                    self.asm.round32(X0);
+                }
+                let t = target(f(dst), X1);
+                self.fload(t, f(add));
+                self.fop(FADD, t, F::Reg(X0)); // add + m
+                if round32 {
+                    self.asm.round32(t);
+                }
+                self.fstore(f(dst), t);
+            }
+            Instr::Call1(Intrinsic::Sqrt, d, x, round) => {
+                let t = target(f(d), X0);
+                self.fload(t, f(x));
+                self.asm.vop1(SD, FSQRT, t, t);
+                if round {
+                    self.asm.round32(t);
+                }
+                self.fstore(f(d), t);
+            }
+            Instr::Load(d, slot, addr) => {
+                let e = self.elem(slot, addr, res);
+                let t = target(f(d), X0);
+                self.load_widen(t, e, self.dts[slot as usize]);
+                self.fstore(f(d), t);
+            }
+            Instr::Store(slot, addr, val) => {
+                let e = self.elem(slot, addr, res);
+                let v = target(f(val), X0);
+                self.fload(v, f(val));
+                if self.dts[slot as usize] == DType::F64 {
+                    self.asm.vstore(SD, e, v);
+                } else {
+                    // Narrow in scratch: a resident value stays `f64`.
+                    self.asm.cvtsd2ss_rr(X0, v);
+                    self.asm.vstore(SS, e, X0);
+                }
+            }
+            _ => unreachable!("rejected by check_instr"),
+        }
+    }
+
+    /// The scalar strided-loop template (also the packed path's tail:
+    /// after the packed main loop the strided registers sit exactly
+    /// `vec_iters·lanes` iterations in, so this continues bit-for-bit).
+    fn emit_scalar_strided(
+        &mut self,
+        extent: i64,
+        bumps: &[(Reg, i64)],
+        body: &[Instr],
+        carry: Option<Carry>,
+    ) {
+        self.asm.mov_ri(R11, extent);
+        self.emit_strided_trips(bumps, body, carry);
+    }
+
+    /// The loop of the scalar strided template, register-resident as far
+    /// as the budgets go: `R11` holds the trip count (≥ 1), an immediate
+    /// for a static loop, computed at loop entry for a trimmed one, and
+    /// the register files in memory hold the state of the first iteration
+    /// to run (the prelude, the trimmed prologue's advance and the packed
+    /// main loop all leave it there).
+    fn emit_strided_trips(&mut self, bumps: &[(Reg, i64)], body: &[Instr], carry: Option<Carry>) {
+        let plan = plan_resident(bumps, body, carry, self.dts, &PTR_REGS, XMM_POOL);
+        self.emit_planned_trips(body, carry, &plan);
+    }
+
+    /// [`NestCompiler::emit_strided_trips`] under a given plan. At entry
+    /// each resident element pointer is formed from its address register
+    /// and slot base, and the carry's accumulator is loaded — here, past
+    /// the caller's empty-range test. Each iteration runs the body
+    /// through the plan, forwards the carry (nothing to emit when `acc`
+    /// and `next` share a register), steps the pointers and bumps the
+    /// strided registers something still reads from memory.
+    fn emit_planned_trips(&mut self, body: &[Instr], carry: Option<Carry>, plan: &ResidentPlan) {
+        for &((slot, addr), p) in &plan.res.ptrs {
+            self.element_pointer(p, slot, addr);
+        }
+        if let Some(c) = carry {
+            self.emit_instr(&Instr::Load(c.acc, c.slot, c.addr), &plan.res);
+        }
+        let top = self.asm.here();
+        body.iter().for_each(|i| self.emit_instr(i, &plan.res));
+        if let Some(c) = carry {
+            let (acc, next) = (plan.res.f(c.acc), plan.res.f(c.next));
+            if acc != next {
+                self.fload(X0, next);
+                self.fstore(acc, X0);
+            }
+        }
+        for &(p, step) in &plan.steps {
+            self.asm.add_ri(p, step);
+        }
+        self.emit_bumps(&plan.mem_bumps, 1);
+        self.asm.dec_r(R11);
+        self.asm.jcc_back(CC_NZ, top);
+    }
+
+    /// `p ← &slot[iregs[addr]]`. Clobbers `RAX`.
+    fn element_pointer(&mut self, p: R, slot: u16, addr: Reg) {
+        self.asm.mov_rm(RAX, RDI, off(addr));
+        self.asm.mov_rm(p, RDX, (slot as i32) * 8);
+        self.asm.lea_sib(p, p, RAX, elem_size(self.dts, slot));
+    }
+
+    /// The scalar strided template over a trimmed loop's live range:
+    /// [`crate::compile::live_range`] in machine code (`R8` = start,
+    /// `R11` = end, both inside the static `[min, min+extent]` whatever
+    /// the bound registers hold, so the in-bounds proofs behind the
+    /// body's unchecked loads and stores keep covering every iteration
+    /// run), the strided registers advanced from iteration `min` (where
+    /// the prelude left them) to `start`, a forward jump over an empty
+    /// range, then the same loop a static extent gets. `RDX` holds the
+    /// slot table and is never scratch.
+    fn emit_trimmed_strided(
+        &mut self,
+        min: i64,
+        extent: i64,
+        clamp: Clamp,
+        bumps: &[(Reg, i64)],
+        body: &[Instr],
+        carry: Option<Carry>,
+    ) {
+        let end = min + extent; // cannot overflow: check_item
+        self.asm.mov_ri(R8, min);
+        if let Some(lo) = clamp.lo {
+            self.asm.mov_ri(R9, min);
+            self.emit_clamp_bound(R8, lo, R9, end);
+            // RAX = start − min iterations to skip; every strided
+            // register moves by that many strides, with the wrapping
+            // arithmetic of the per-iteration bump.
+            self.asm.mov_ri(RAX, min.wrapping_neg());
+            self.asm.add_rr(RAX, R8);
+            for &(r, s) in bumps {
+                self.asm.mov_ri(RCX, s);
+                self.asm.imul_rr(RCX, RAX);
+                self.asm.add_mr(RDI, off(r), RCX);
+            }
+        }
+        self.asm.mov_ri(R11, end);
+        if let Some(hi) = clamp.hi {
+            self.emit_clamp_bound(R11, hi, R8, end);
+        }
+        self.asm.sub_rr(R11, R8);
+        let empty = self.asm.jcc_fwd(CC_LE);
+        self.emit_strided_trips(bumps, body, carry);
+        self.asm.land(empty);
+    }
+
+    /// `dst ← clamp(iregs[reg] + plus, floor, end)`, one side of
+    /// [`crate::compile::live_range`]. The register is capped at
+    /// `end − plus` *before* `plus` (≥ 0, checked with `end − plus` in
+    /// `check_item`) is added, so the add cannot wrap: the result equals
+    /// the saturating form for every register value. `floor` holds a
+    /// value in `[min, end]`. Clobbers `RCX`.
+    fn emit_clamp_bound(&mut self, dst: R, (reg, plus): (Reg, i64), floor: R, end: i64) {
+        let a = &mut *self.asm;
+        a.mov_rm(dst, RDI, off(reg));
+        a.mov_ri(RCX, end - plus);
+        a.cmp_rr(dst, RCX);
+        a.cmov_rr(CC_G, dst, RCX);
+        if plus != 0 {
+            a.add_ri(dst, plus as i32);
+        }
+        a.cmp_rr(dst, floor);
+        a.cmov_rr(CC_L, dst, floor);
+    }
+
+    /// Advance every strided register by `scale` iterations' worth.
+    fn emit_bumps(&mut self, bumps: &[(Reg, i64)], scale: i64) {
+        for &(r, s) in bumps {
+            let s = s.checked_mul(scale).expect("checked in plan_packed");
+            if s as i32 as i64 == s {
+                self.asm.add_mi(RDI, off(r), s as i32);
+            } else {
+                self.asm.mov_ri(RAX, s);
+                self.asm.add_mr(RDI, off(r), RAX);
+            }
+        }
+    }
+
+    /// Packed main loop + scalar epilogue for a proven vectorized
+    /// strided loop. Lane `j` of every packed instruction is iteration
+    /// `i+j`'s scalar instruction: instructions execute in body order
+    /// at full width, so each lane sees the exact scalar operation
+    /// sequence, every store writes a disjoint element (stride-1,
+    /// proven race-free), and per-element IEEE rounding is preserved.
+    fn emit_packed_strided(
+        &mut self,
+        extent: i64,
+        bumps: &[(Reg, i64)],
+        body: &[Instr],
+        plan: &PackedPlan,
+    ) {
+        let w = plan.w;
+        let vec_iters = extent / w.lanes();
+        let tail = extent % w.lanes();
+        for src in &plan.inv {
+            match *src {
+                InvSrc::Const { dst, v } => {
+                    let bits = if w.dt == DType::F64 {
+                        v.to_bits() as i64
+                    } else {
+                        i64::from((v as f32).to_bits())
+                    };
+                    // Materialise through the destination freg's slot:
+                    // post-loop register state is unobservable and the
+                    // scalar epilogue re-executes the `FConst` first.
+                    self.asm.mov_ri(RAX, bits);
+                    self.asm.mov_mr(RSI, off(dst), RAX);
+                    self.asm.bcast(w, plan.xmap[&dst], Mem::at(RSI, off(dst)));
+                }
+                InvSrc::Freg(r) => self.asm.bcast(w, plan.xmap[&r], Mem::at(RSI, off(r))),
+                InvSrc::Load { dst, slot, addr } => {
+                    self.asm.mov_rm(RAX, RDI, off(addr));
+                    self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
+                    self.asm.lea_sib(RAX, RCX, RAX, w.esize());
+                    self.asm.bcast(w, plan.xmap[&dst], Mem::at(RAX, 0));
+                }
+            }
+        }
+        self.asm.mov_ri(R11, vec_iters);
+        let top = self.asm.here();
+        for i in body {
+            self.emit_packed_instr(i, plan);
+        }
+        self.emit_bumps(bumps, w.lanes());
+        self.asm.dec_r(R11);
+        self.asm.jcc_back(CC_NZ, top);
+        self.asm.vend(w);
+        if tail > 0 {
+            self.emit_scalar_strided(tail, bumps, body, None);
+        }
+    }
+
+    /// One body instruction at full vector width (see
+    /// [`NestCompiler::emit_packed_strided`] for the lane contract).
+    /// Every destination is single-assignment-fresh, so distinct from
+    /// its operands' registers.
+    fn emit_packed_instr(&mut self, i: &Instr, plan: &PackedPlan) {
+        let (w, x) = (plan.w, |r: Reg| plan.xmap[&r]);
+        match *i {
+            // Hoisted to a pre-loop broadcast.
+            Instr::FConst(..) => {}
+            Instr::Load(d, slot, addr) => {
+                if plan.hoisted.contains(&d) {
+                    return; // stride-0: broadcast pre-loop
+                }
+                self.asm.mov_rm(RAX, RDI, off(addr));
+                self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
+                self.asm.vload(w, x(d), Mem::indexed(RCX, RAX));
+            }
+            Instr::Store(slot, addr, val) => {
+                self.asm.mov_rm(RAX, RDI, off(addr));
+                self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
+                self.asm.vstore(w, Mem::indexed(RCX, RAX), x(val));
+            }
+            Instr::FBin(op, d, a, b) | Instr::FBin32(op, d, a, b) => {
+                self.asm.vop_rr(w, arith(op), x(d), x(a), x(b));
+            }
+            Instr::FMulAdd { dst, add, a, b, .. } => {
+                self.asm.vop_rr(w, FMUL, XSCRATCH, x(a), x(b));
+                self.asm.vop_rr(w, FADD, x(dst), x(add), XSCRATCH);
+            }
+            // Native-f32 lanes are already rounded: a plain copy.
+            Instr::F32Round(d, s) => self.asm.vmov(w, x(d), x(s)),
+            Instr::Call1(Intrinsic::Sqrt, d, s, _) => self.asm.vop1(w, FSQRT, x(d), x(s)),
+            _ => unreachable!("rejected by plan_packed"),
+        }
+    }
+
+    /// Materialise the three element pointers of a microkernel into
+    /// `r8` (dst), `r9` (a), `r10` (b).
+    fn muladd_pointers(&mut self, dst: &SlotAccess, sa: &SlotAccess, sb: &SlotAccess) {
+        for (acc, preg) in [(dst, R8), (sa, R9), (sb, R10)] {
+            self.element_pointer(preg, acc.slot, acc.addr);
+        }
+    }
+
+    fn emit_muladd(
+        &mut self,
+        extent: i64,
+        dst: &SlotAccess,
+        sa: &SlotAccess,
+        sb: &SlotAccess,
+        round32: bool,
+    ) {
+        self.muladd_pointers(dst, sa, sb);
+        match classify_muladd(dst, sa, sb, round32, self.dts) {
+            MulAdd::Reduction { native } => {
+                self.simd.scalar("reduction-chain");
+                match native {
+                    Some(dt) => self.muladd_reduction(extent, dt, sa.stride, sb.stride),
+                    None => self.muladd_generic(extent, dst, sa, sb, round32),
+                }
+            }
+            MulAdd::Parallel(dt) => self.muladd_parallel(extent, dt, sa.stride, sb.stride),
+            MulAdd::Generic(reason) => {
+                self.simd.scalar(reason);
+                self.muladd_generic(extent, dst, sa, sb, round32);
+            }
+        }
+    }
+
+    /// `mov R11, trips`, then `body` that many times (`trips` ≥ 1).
+    fn repeat(&mut self, trips: i64, body: impl FnOnce(&mut Self)) {
+        self.asm.mov_ri(R11, trips);
+        let top = self.asm.here();
+        body(self);
+        self.asm.dec_r(R11);
+        self.asm.jcc_back(CC_NZ, top);
+    }
+
+    /// `m ← a · b` at `disp` bytes past the pointers, the factors in the
+    /// multiply's own operand order (which of two NaN payloads survives
+    /// depends on it).
+    fn product(&mut self, w: Width, m: X, a: Factor, b: Factor, disp: i32, scratch: X) {
+        match (a, b) {
+            (Factor::Bcast(x), Factor::At(p)) => {
+                self.asm
+                    .vop_rm(w, FMUL, m, x, Mem::at(p, disp), Some(scratch))
+            }
+            (Factor::At(p), b) => {
+                self.asm.vload(w, m, Mem::at(p, disp));
+                match b {
+                    Factor::Bcast(y) => self.asm.vop_rr(w, FMUL, m, m, y),
+                    Factor::At(q) => {
+                        self.asm
+                            .vop_rm(w, FMUL, m, m, Mem::at(q, disp), Some(scratch))
+                    }
+                }
+            }
+            (Factor::Bcast(_), Factor::Bcast(_)) => unreachable!("one factor walks"),
+        }
+    }
+
+    /// Reduction into one element (`dst` stride 0, any factor strides)
+    /// of uniform dtype, matched rounding and a destination slot neither
+    /// factor reads: a single serial accumulator chain in native
+    /// precision, kept scalar to preserve accumulation order. Nothing in
+    /// the loop can observe the element, so it is stored once, after the
+    /// loop. Native `f32` is what keeps this apart from the generic path,
+    /// whose chain is `addsd` plus a `cvtsd2ss`/`cvtss2sd` pair where this
+    /// one's is a single `addss`: an untiled 200³ matmul runs 0.63 ns a
+    /// multiply-add here against 5.0 there in `f32` (0.66 against 0.72–1.1
+    /// in `f64`, where the two differ only by the store).
+    fn muladd_reduction(&mut self, extent: i64, dt: DType, sa: i64, sb: i64) {
+        let w = Width::scalar(dt);
+        self.asm.vload(w, X1, Mem::at(R8, 0)); // acc = dst[d0]
+        self.repeat(extent, |s| {
+            s.product(w, X0, Factor::At(R9), Factor::At(R10), 0, X3); // x * y
+            s.asm.vop_rr(w, FADD, X1, X1, X0); // acc += m
+            for (preg, stride) in [(R9, sa), (R10, sb)] {
+                if stride != 0 {
+                    // range-checked in check_item
+                    s.asm.add_ri(preg, (stride * i64::from(w.esize())) as i32);
+                }
+            }
+        });
+        self.asm.vstore(w, Mem::at(R8, 0), X1);
+    }
+
+    /// Parallel patterns — `dst` stride 1, each factor stride 0 or 1, not
+    /// both 0: every element is an independent multiply+add, so
+    /// lane-splitting preserves per-element rounding exactly — vectorize
+    /// with AVX-256 when available, SSE2 128-bit otherwise, scalar tail.
+    /// When at least four packed iterations remain, a register-tiled 4×
+    /// unroll-and-jam main loop runs first: four accumulator blocks in
+    /// distinct registers per trip, amortising the loop overhead and
+    /// letting the independent mul/add chains overlap. Elements stay
+    /// independent with per-element rounding, so tiling is bit-neutral.
+    /// The scalar tail is the same product and accumulation one element
+    /// wide, in native precision (bit-exact for both f64 and — via
+    /// Figueroa double-rounding innocuity — native f32); on the scalar
+    /// tier it carries every iteration.
+    fn muladd_parallel(&mut self, extent: i64, dt: DType, sa: i64, sb: i64) {
+        let w = self.opts.width(dt);
+        let packed = w.lanes() > 1;
+        let vec_iters = if packed { extent / w.lanes() } else { 0 };
+        let tail = extent - vec_iters * w.lanes();
+        let blocks = vec_iters / 4;
+        if packed {
+            self.simd.packed(blocks > 0);
+        } else {
+            self.simd.scalar("simd-disabled");
+        }
+        // The loop-invariant factor is broadcast once (X2) for the
+        // vector loops; the tail reads it where it is.
+        let factor = |stride: i64, p: R, w: Width| {
+            if stride == 0 && w.lanes() > 1 {
+                Factor::Bcast(X2)
+            } else {
+                Factor::At(p)
+            }
+        };
+        if vec_iters > 0 {
+            for (stride, p) in [(sa, R9), (sb, R10)] {
+                if stride == 0 {
+                    self.asm.bcast(w, X2, Mem::at(p, 0));
+                }
+            }
+        }
+        // One pass over `pairs.len()` vectors of width `w`, each a
+        // (product, accumulator) register pair: the products first, then
+        // `d = dst + m` for each, stored back.
+        let sweep = |s: &mut Self, trips: i64, w: Width, pairs: &[(X, X)]| {
+            if trips == 0 {
+                return;
+            }
+            let disp = |k: usize| k as i32 * w.step();
+            s.repeat(trips, |s| {
+                let (a, b) = (factor(sa, R9, w), factor(sb, R10, w));
+                for (k, &(m, _)) in pairs.iter().enumerate() {
+                    s.product(w, m, a, b, disp(k), X3);
+                }
+                for (k, &(m, d)) in pairs.iter().enumerate() {
+                    s.asm.vload(w, d, Mem::at(R8, disp(k)));
+                    s.asm.vop_rr(w, FADD, d, d, m);
+                    s.asm.vstore(w, Mem::at(R8, disp(k)), d);
+                }
+                for (stride, p) in [(1, R8), (sa, R9), (sb, R10)] {
+                    if stride == 1 {
+                        s.asm.add_ri(p, disp(pairs.len()));
+                    }
+                }
+            });
+        };
+        sweep(self, blocks, w, &TILE_PAIRS);
+        sweep(self, vec_iters - blocks * 4, w, &[(X0, X1)]);
+        if vec_iters > 0 {
+            self.asm.vend(w);
+        }
+        sweep(self, tail, Width::scalar(dt), &[(X0, X1)]);
+    }
+
+    /// The jammed microkernel (see [`plan_jam`] for the shape and its
+    /// proof obligations). Per group of [`JAM`] `k` iterations: run each
+    /// iteration's address code in scalar order (loop variable advanced
+    /// exactly as the plain template would), broadcast its stride-0
+    /// factor into `X2..X5`, stack its stride-1 pointer, then sweep `j`
+    /// once — [`JAM_U`] destination vectors per trip ([`JAM_PAIRS`]), each
+    /// loaded, given the four products `inv_k · vec_k[j..]` in `k` order
+    /// (operand order preserved), stored once. Leftover vectors and the
+    /// scalar tail are the same sweep over one register pair, so they
+    /// keep the same per-element `k` sequence.
+    fn emit_jammed(&mut self, plan: &JamPlan) {
+        let w = plan.w;
+        let groups = plan.kextent / JAM;
+        let jvecs = plan.extent / w.lanes();
+        let jtrips = jvecs / JAM_U as i64;
+        let jsingle = jvecs % JAM_U as i64;
+        let jtail = plan.extent % w.lanes();
+        // One vector site, packed and register-tiled.
+        self.simd.packed(true);
+        // Stride-1 factor pointers for the group's four k's, k ascending.
+        let bp = [R9, R10, RCX, RAX];
+        self.asm.mov_ri(RAX, plan.kmin);
+        self.asm.mov_mr(RDI, off(plan.kvar), RAX);
+        // Every GPR is claimed below, so the group counter lives in the
+        // stack's top slot (restored before returning).
+        self.asm.mov_ri(RAX, groups);
+        self.asm.push_r(RAX);
+        let gtop = self.asm.here();
+        for jk in 0..JAM as u8 {
+            // This k's address code, exactly as the scalar loop runs it
+            // (pure register arithmetic: only RAX/RCX/X0/X1 scratch).
+            self.emit_code(plan.code);
+            self.emit_code(plan.pre);
+            if jk == 0 {
+                // Destination row pointer: k-invariant per the plan.
+                self.element_pointer(R8, plan.dst.slot, plan.dst.addr);
+            }
+            self.asm.mov_rm(RAX, RDI, off(plan.inv.addr));
+            self.asm.mov_rm(RCX, RDX, (plan.inv.slot as i32) * 8);
+            self.asm.lea_sib(RAX, RCX, RAX, w.esize());
+            self.asm.bcast(w, X(2 + jk), Mem::at(RAX, 0));
+            self.asm.mov_rm(RAX, RDI, off(plan.vec.addr));
+            self.asm.mov_rm(RCX, RDX, (plan.vec.slot as i32) * 8);
+            self.asm.lea_sib(RAX, RCX, RAX, w.esize());
+            self.asm.push_r(RAX);
+            // Advance the loop variable (the scalar template's
+            // post-body increment).
+            self.asm.mov_rm(RAX, RDI, off(plan.kvar));
+            self.asm.add_ri(RAX, 1);
+            self.asm.mov_mr(RDI, off(plan.kvar), RAX);
+        }
+        for r in bp.iter().rev() {
+            self.asm.pop_r(*r);
+        }
+        // One pass over `pairs.len()` destination vectors of width `w`,
+        // each an (accumulator, product scratch) register pair.
+        let sweep = |s: &mut Self, w: Width, pairs: &[(X, X)]| {
+            let disp = |u: usize| u as i32 * w.step();
+            for (u, &(acc, _)) in pairs.iter().enumerate() {
+                s.asm.vload(w, acc, Mem::at(R8, disp(u)));
+            }
+            for (jk, &bptr) in bp.iter().enumerate() {
+                let (inv, vec) = (Factor::Bcast(X(2 + jk as u8)), Factor::At(bptr));
+                let (a, b) = if plan.inv_first {
+                    (inv, vec)
+                } else {
+                    (vec, inv)
+                };
+                for (u, &(acc, scr)) in pairs.iter().enumerate() {
+                    s.product(w, scr, a, b, disp(u), XSCRATCH);
+                    s.asm.vop_rr(w, FADD, acc, acc, scr);
+                }
+            }
+            for (u, &(acc, _)) in pairs.iter().enumerate() {
+                s.asm.vstore(w, Mem::at(R8, disp(u)), acc);
+            }
+            for r in [R8].into_iter().chain(bp) {
+                s.asm.add_ri(r, disp(pairs.len()));
+            }
+        };
+        if jtrips > 0 {
+            self.repeat(jtrips, |s| sweep(s, w, &JAM_PAIRS));
+        }
+        for _ in 0..jsingle {
+            sweep(self, w, &JAM_PAIRS[..1]);
+        }
+        if jtail > 0 {
+            // Keep the low-lane scalar tail out of dirty-upper stalls;
+            // the next group rebroadcasts X2..X5 anyway.
+            self.asm.vend(w);
+            // The low lane of each broadcast is the scalar factor.
+            self.repeat(jtail, |s| sweep(s, Width::scalar(w.dt), &[(X0, X1)]));
+        }
+        self.asm.dec_m(RSP, 0);
+        self.asm.jcc_back(CC_NZ, gtop);
+        self.asm.pop_r(RAX);
+        self.asm.vend(w);
+    }
+
+    /// Generic element-order path: mixed dtypes, arbitrary strides, or
+    /// an aliased destination. Replicates the VM's generic loop (load
+    /// dst, load a, load b, round-per-op multiply-add, store) exactly,
+    /// including its strict ascending element order. A stride-0
+    /// destination is loaded once, before the loop, and carried in a
+    /// register: the value just stored is the value the next iteration
+    /// would load. The store stays in every iteration, so a factor that
+    /// reads the destination's slot — even its very element — still reads
+    /// what it read before.
+    fn muladd_generic(
+        &mut self,
+        extent: i64,
+        dst: &SlotAccess,
+        sa: &SlotAccess,
+        sb: &SlotAccess,
+        round32: bool,
+    ) {
+        let dt_d = self.dts[dst.slot as usize];
+        let dt_a = self.dts[sa.slot as usize];
+        let dt_b = self.dts[sb.slot as usize];
+        let carried = dst.stride == 0;
+        self.asm.mov_ri(R11, extent);
+        if carried {
+            self.load_widen(X1, Mem::at(R8, 0), dt_d); // c, once
+        }
+        let top = self.asm.here();
+        if !carried {
+            self.load_widen(X1, Mem::at(R8, 0), dt_d); // c
+        }
+        self.load_widen(X0, Mem::at(R9, 0), dt_a); // x
+        self.load_widen(X2, Mem::at(R10, 0), dt_b); // y
+        self.asm.vop_rr(SD, FMUL, X0, X0, X2); // m = x*y (f64)
+        if round32 {
+            self.asm.round32(X0);
+        }
+        self.asm.vop_rr(SD, FADD, X1, X1, X0); // s = c + m
+        if round32 {
+            self.asm.round32(X1);
+        }
+        if dt_d == DType::F64 {
+            self.asm.vstore(SD, Mem::at(R8, 0), X1);
+        } else {
+            // Narrow like `set_f64_linear`'s `as f32`, beside the sum.
+            self.asm.cvtsd2ss_rr(X3, X1);
+            self.asm.vstore(SS, Mem::at(R8, 0), X3);
+            if carried && !round32 {
+                // The store narrowed a sum that was not `f32`-rounded:
+                // carry what a reload would return.
+                self.asm.cvtss2sd_rr(X1, X3);
+            }
+        }
+        for (acc, preg) in [(dst, R8), (sa, R9), (sb, R10)] {
+            let step = acc.stride * i64::from(elem_size(self.dts, acc.slot));
+            if step != 0 {
+                self.asm.add_ri(preg, step as i32); // range-checked in check_item
+            }
+        }
+        self.asm.dec_r(R11);
+        self.asm.jcc_back(CC_NZ, top);
+    }
+
+    /// `x ← f64([m])` honoring the slot dtype (f32 widens).
+    fn load_widen(&mut self, x: X, m: Mem, dt: DType) {
+        self.asm.vload(Width::scalar(dt), x, m);
+        if dt != DType::F64 {
+            self.asm.cvtss2sd_rr(x, x);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::fixtures::{access, assert_same_lines, fmuladd, hex, JamNest};
+    use super::*;
+    use crate::ndarray::NDArray;
+    use crate::optimize::float_dst;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
+
+    fn run_code(code: &[u8], iregs: &mut [i64], fregs: &mut [f64], slots: &[*mut u8]) {
+        let buf = ExecBuf::from_code(code).expect("map");
+        let f: crate::codegen::JitFn = unsafe { std::mem::transmute(buf.entry(0)) };
+        unsafe { f(iregs.as_mut_ptr(), fregs.as_mut_ptr(), slots.as_ptr()) }
+    }
+
+    /// The nest function `emit` writes on `opts` (its `ret` included),
+    /// and its packed-or-scalar tally.
+    fn compiled(
+        opts: &X86Backend,
+        dts: &[DType],
+        emit: impl FnOnce(&mut NestCompiler),
+    ) -> (Vec<u8>, SimdReport) {
+        let mut a = Asm::new();
+        let mut simd = SimdReport::default();
+        emit(&mut NestCompiler {
+            asm: &mut a,
+            dts,
+            opts,
+            simd: &mut simd,
+        });
+        a.ret();
+        (a.code, simd)
+    }
+
+    /// [`compiled`] on the SSE2 tier, for tests that execute the code.
+    fn compiled_sse2(dts: &[DType], emit: impl FnOnce(&mut NestCompiler)) -> (Vec<u8>, SimdReport) {
+        compiled(&X86Backend::sse2_only(), dts, emit)
+    }
+
+    #[test]
+    fn in_memory_templates_are_byte_for_byte_the_item_code_path() {
+        // With nothing resident every instruction lowers to the template
+        // it always had; these bytes were emitted by the commit before
+        // the resolver existed (`vm/v3`, `jit/v3`). The resident forms
+        // are compared against this path, so it must not drift with them.
+        let code = [
+            Instr::IConst(3, -7_000_000_000),
+            Instr::FConst(20, 1.5),
+            Instr::IToF(1, 2),
+            Instr::IToF32(17, 0),
+            Instr::F32Round(2, 1),
+            Instr::IBin(BinOp::Add, 4, 0, 1),
+            Instr::IBin(BinOp::Sub, 5, 4, 17),
+            Instr::IBin(BinOp::Mul, 6, 5, 5),
+            Instr::FBin(BinOp::Div, 3, 1, 2),
+            Instr::FBin32(BinOp::Mul, 4, 3, 3),
+            Instr::FBin(BinOp::Sub, 5, 20, 4),
+            Instr::FMulAdd {
+                dst: 6,
+                add: 5,
+                a: 3,
+                b: 4,
+                round32: false,
+            },
+            Instr::FMulAdd {
+                dst: 7,
+                add: 6,
+                a: 6,
+                b: 17,
+                round32: true,
+            },
+            Instr::Call1(Intrinsic::Sqrt, 8, 7, true),
+            Instr::Load(9, 0, 4),
+            Instr::Load(10, 1, 16),
+            Instr::Store(0, 5, 9),
+            Instr::Store(1, 6, 10),
+        ];
+        let mut a = Asm::new();
+        let mut simd = SimdReport::default();
+        let mut nc = NestCompiler {
+            asm: &mut a,
+            dts: &[DType::F64, DType::F32],
+            opts: &X86Backend::sse2_only(),
+            simd: &mut simd,
+        };
+        nc.emit_code(&code);
+        let hex: String = a.code.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "48b8007ac45efeffffff4889471848b8000000000000f83f488986a000000048\
+             8b4710f2480f2ac0f20f114608488b07f2480f2ac0f20f5ac0f30f5ac0f20f11\
+             8688000000f20f104608f20f5ac0f30f5ac0f20f114610488b07488b4f084803\
+             c148894720488b4720488b8f88000000482bc148894728488b4728488b4f2848\
+             0fafc148894730f20f104608f20f5e4610f20f114618f20f104618f20f594618\
+             f20f5ac0f30f5ac0f20f114620f20f1086a0000000f20f5c4620f20f114628f2\
+             0f104618f20f594620f20f104e28f20f58c8f20f114e30f20f104630f20f5986\
+             88000000f20f5ac0f30f5ac0f20f104e30f20f58c8f20f5ac9f30f5ac9f20f11\
+             4e38f20f104638f20f51c0f20f5ac0f30f5ac0f20f114640488b4720488b0af2\
+             0f1004c1f20f114648488b8780000000488b4a08f30f100481f30f5ac0f20f11\
+             4650488b4728488b0af20f104648f20f1104c1488b4730488b4a08f20f104650\
+             f20f5ac0f30f110481"
+        );
+    }
+
+    #[test]
+    fn integer_templates_execute() {
+        // iregs[2] = iregs[0] + iregs[1]; iregs[3] = iregs[0] * iregs[1]
+        let (code, _) = compiled_sse2(&[], |nc| {
+            nc.emit_code(&[
+                Instr::IBin(BinOp::Add, 2, 0, 1),
+                Instr::IBin(BinOp::Mul, 3, 0, 1),
+                Instr::IConst(4, -7_000_000_000),
+            ])
+        });
+        let mut ir = [6i64, 7, 0, 0, 0];
+        let mut fr = [0f64];
+        run_code(&code, &mut ir, &mut fr, &[]);
+        assert_eq!(ir[2], 13);
+        assert_eq!(ir[3], 42);
+        assert_eq!(ir[4], -7_000_000_000);
+    }
+
+    #[test]
+    fn float_templates_match_rust_semantics() {
+        let (code, _) = compiled_sse2(&[], |nc| {
+            nc.emit_code(&[
+                Instr::FBin(BinOp::Div, 2, 0, 1),
+                Instr::FBin32(BinOp::Mul, 3, 0, 1),
+                Instr::FMulAdd {
+                    dst: 4,
+                    add: 2,
+                    a: 0,
+                    b: 1,
+                    round32: false,
+                },
+                Instr::Call1(Intrinsic::Sqrt, 5, 0, false),
+                Instr::IToF32(1, 0),
+            ])
+        });
+        let (x, y) = (1.9371823_f64, -0.3718_f64);
+        let mut ir = [123456789i64, 0];
+        let mut fr = [x, y, 0.0, 0.0, 0.0, 0.0];
+        run_code(&code, &mut ir, &mut fr, &[]);
+        assert_eq!(fr[2], x / y);
+        assert_eq!(fr[3], (x * y) as f32 as f64);
+        assert_eq!(fr[4], x / y + x * y);
+        assert_eq!(fr[5], x.sqrt());
+        assert_eq!(fr[1], 123456789i64 as f64 as f32 as f64);
+    }
+
+    #[test]
+    fn loop_and_memory_templates_execute() {
+        // for i in 2..6 { B[i] = A[i] (f32, widened/narrowed) }
+        let mut av: Vec<f32> = (0..8).map(|v| v as f32 * 1.5).collect();
+        let mut bv: Vec<f32> = vec![0.0; 8];
+        let slots = [av.as_mut_ptr().cast::<u8>(), bv.as_mut_ptr().cast::<u8>()];
+        let copy = Item::Loop {
+            var: 0,
+            min: 2,
+            extent: 4,
+            clamp: Clamp::default(),
+            body: Block {
+                items: vec![Item::Code(vec![
+                    Instr::Load(0, 0, 0),
+                    Instr::Store(1, 0, 0),
+                ])],
+            },
+            kind: crate::compile::LoopKind::Serial,
+        };
+        let (code, _) = compiled_sse2(&[DType::F32, DType::F32], |nc| nc.emit_item(&copy));
+        let mut ir = [0i64];
+        let mut fr = [0f64];
+        run_code(&code, &mut ir, &mut fr, &slots);
+        assert_eq!(&bv[..2], &[0.0, 0.0]);
+        assert_eq!(&bv[2..6], &av[2..6]);
+        assert_eq!(&bv[6..], &[0.0, 0.0]);
+        assert_eq!(ir[0], 6, "loop var left at end bound");
+    }
+
+    #[test]
+    fn trimmed_strided_loop_writes_exactly_the_live_elements() {
+        // for i in 2..6, trimmed to its live range { B[i] = A[2·i] }:
+        // ireg 0 = i (stride 1), ireg 1 = 2·i (stride 2, so the advance
+        // to the first live iteration is not a unit step), ireg 2 = 2,
+        // iregs 3/4 = the lower/upper bound registers.
+        let item = |clamp: Clamp| Item::StridedLoop {
+            min: 2,
+            extent: 4,
+            clamp,
+            pre: vec![Instr::IConst(0, 2), Instr::IBin(BinOp::Mul, 1, 0, 2)],
+            bumps: vec![(0, 1), (1, 2)],
+            body: vec![Instr::Load(0, 0, 1), Instr::Store(1, 0, 0)],
+            carry: None,
+            kind: LoopKind::Serial,
+        };
+        let dts = [DType::F64, DType::F64];
+        let bounds = [i64::MIN, -3, 0, 2, 3, 4, 5, 6, 7, 100, i64::MAX];
+        let mut ranges_seen = HashSet::new();
+        for lo in [None, Some(0), Some(1)] {
+            for hi in [None, Some(0), Some(1)] {
+                let clamp = Clamp {
+                    lo: lo.map(|plus| (3, plus)),
+                    hi: hi.map(|plus| (4, plus)),
+                };
+                if clamp.is_none() {
+                    continue;
+                }
+                let it = item(clamp);
+                check_item(&it, &dts).expect("trimmed strided loops are in the JIT subset");
+                let (code, simd) = compiled_sse2(&dts, |nc| nc.emit_item(&it));
+                assert_eq!(simd.scalar_reasons.get("dynamic-extent"), Some(&1));
+                assert_eq!(simd.sites(), 1);
+                for lo_v in bounds {
+                    for hi_v in bounds {
+                        let mut av: Vec<f64> = (0..16).map(|v| v as f64 + 0.5).collect();
+                        let mut bv: Vec<f64> = vec![-1.0; 8];
+                        let slots = [av.as_mut_ptr().cast::<u8>(), bv.as_mut_ptr().cast::<u8>()];
+                        let mut ir = [0i64, 0, 2, lo_v, hi_v];
+                        let mut fr = [0f64];
+                        let (start, end) = crate::compile::live_range(2, 4, clamp, &ir);
+                        assert!(2 <= start && start <= end && end <= 6);
+                        ranges_seen.insert((start, end));
+                        run_code(&code, &mut ir, &mut fr, &slots);
+                        for (i, got) in bv.iter().enumerate() {
+                            let live = start <= i as i64 && (i as i64) < end;
+                            let want = if live { av[2 * i] } else { -1.0 };
+                            assert_eq!(
+                                *got, want,
+                                "B[{i}] under {clamp:?} with lo={lo_v} hi={hi_v}: live {start}..{end}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // Non-vacuity: empty, full, clamped-low, clamped-high and both.
+        for want in [(2, 2), (6, 6), (2, 6), (4, 6), (2, 4), (3, 5)] {
+            assert!(
+                ranges_seen.contains(&want),
+                "live range {want:?} never exercised"
+            );
+        }
+    }
+
+    /// Bit patterns of every element, so NaNs compare like any value.
+    fn bits(arrays: &[NDArray]) -> Vec<Vec<u64>> {
+        arrays
+            .iter()
+            .map(|a| a.to_f64_vec().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    fn slot_ptrs(arrays: &mut [NDArray]) -> Vec<*mut u8> {
+        arrays.iter_mut().map(|a| a.base_ptr_mut()).collect()
+    }
+
+    /// Emit `n` trips of a strided body under the register budgets
+    /// `gprs`/`xmms`, run it over copies of the register files and
+    /// arrays, and return the arrays' bits and the register files. Empty
+    /// budgets are the in-memory templates — the `Item::Code` path, which
+    /// every resident form is compared against.
+    #[allow(clippy::too_many_arguments)]
+    fn run_strided(
+        dts: &[DType],
+        bumps: &[(Reg, i64)],
+        body: &[Instr],
+        carry: Option<Carry>,
+        n: i64,
+        (gprs, xmms): (&[R], u8),
+        iregs: &[i64],
+        fregs: &[f64],
+        arrays: &[NDArray],
+    ) -> (Vec<Vec<u64>>, Vec<i64>, Vec<f64>) {
+        let plan = plan_resident(bumps, body, carry, dts, gprs, xmms);
+        let (code, _) = compiled_sse2(dts, |nc| {
+            nc.asm.mov_ri(R11, n);
+            nc.emit_planned_trips(body, carry, &plan);
+        });
+        let (mut ir, mut fr, mut arrays) = (iregs.to_vec(), fregs.to_vec(), arrays.to_vec());
+        let slots = slot_ptrs(&mut arrays);
+        run_code(&code, &mut ir, &mut fr, &slots);
+        (bits(&arrays), ir, fr)
+    }
+
+    /// A random straight-line strided body over three 64-element arrays:
+    /// `n_ptrs` distinct `(slot, address register)` pairs with strides
+    /// from `{0, 1, 2, 3, −1, −2}`, `n_defs` body-defined fregs on top of
+    /// three external ones, the loop variable read as a value, stores
+    /// that may alias earlier loads, and optionally a carried
+    /// accumulator whose `next` is built with `acc` in any operand
+    /// position. Every address stays inside its array for `extent` trips.
+    struct Generated {
+        dts: Vec<DType>,
+        iregs: Vec<i64>,
+        fregs: Vec<f64>,
+        bumps: Vec<(Reg, i64)>,
+        body: Vec<Instr>,
+        carry: Option<Carry>,
+        arrays: Vec<NDArray>,
+    }
+
+    fn pick_of(avail: &[Reg], rng: &mut SmallRng) -> Reg {
+        avail[rng.gen_range(0..avail.len())]
+    }
+
+    fn generate(rng: &mut SmallRng, n_ptrs: usize, n_defs: usize, extent: i64) -> Generated {
+        const STRIDES: [i64; 6] = [0, 1, 2, 3, -1, -2];
+        const OPS: [BinOp; 4] = [BinOp::Add, BinOp::Mul, BinOp::Sub, BinOp::Div];
+        let dts: Vec<DType> = (0..3)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    DType::F64
+                } else {
+                    DType::F32
+                }
+            })
+            .collect();
+        let arrays: Vec<NDArray> = dts
+            .iter()
+            .enumerate()
+            .map(|(i, &dt)| NDArray::random(&[64], dt, 40 + i as u64, 0.5, 2.0))
+            .collect();
+        // ireg 0 is the loop variable; iregs 1..=n_ptrs address slot
+        // `(r − 1) % 3`.
+        let mut iregs = vec![0i64];
+        let mut bumps = vec![(0, 1)];
+        let with_carry = rng.gen_bool(0.5);
+        for r in 1..=n_ptrs as Reg {
+            let fixed = with_carry && r == 1;
+            let s = if fixed {
+                0
+            } else {
+                STRIDES[rng.gen_range(0..STRIDES.len())]
+            };
+            let base = rng.gen_range(0..8i64) + if s < 0 { (extent - 1) * -s } else { 0 };
+            iregs.push(base);
+            if s != 0 {
+                bumps.push((r, s));
+            }
+        }
+        let pair = |r: Reg| (((r - 1) % 3) as u16, r);
+        // fregs 0..3 are external, 3.. defined by the body; the carry's
+        // `acc`/`next` come last.
+        let mut avail: Vec<Reg> = vec![0, 1, 2];
+        let mut body = Vec::new();
+        for k in 0..n_defs {
+            let d = 3 + k as Reg;
+            let pick = |rng: &mut SmallRng| pick_of(&avail, rng);
+            let instr = if k < n_ptrs {
+                let (slot, addr) = pair(1 + k as Reg);
+                Instr::Load(d, slot, addr)
+            } else {
+                match rng.gen_range(0..9) {
+                    0 => Instr::FBin(OPS[rng.gen_range(0..4usize)], d, pick(rng), pick(rng)),
+                    1 => Instr::FBin32(OPS[rng.gen_range(0..4usize)], d, pick(rng), pick(rng)),
+                    2 | 3 => Instr::FMulAdd {
+                        dst: d,
+                        add: pick(rng),
+                        a: pick(rng),
+                        b: pick(rng),
+                        round32: rng.gen_bool(0.5),
+                    },
+                    4 => Instr::F32Round(d, pick(rng)),
+                    5 => {
+                        if rng.gen_bool(0.5) {
+                            Instr::IToF(d, 0)
+                        } else {
+                            Instr::IToF32(d, 0)
+                        }
+                    }
+                    6 => Instr::FConst(d, rng.gen_range(0.5..2.0)),
+                    7 => Instr::Call1(Intrinsic::Sqrt, d, pick(rng), rng.gen_bool(0.5)),
+                    _ => {
+                        let (slot, addr) = pair(rng.gen_range(1..=n_ptrs as Reg));
+                        Instr::Load(d, slot, addr)
+                    }
+                }
+            };
+            body.push(instr);
+            avail.push(d);
+            if rng.gen_bool(0.25) {
+                let (slot, addr) = pair(rng.gen_range(1..=n_ptrs as Reg));
+                body.push(Instr::Store(slot, addr, pick_of(&avail, rng)));
+            }
+        }
+        let pick = |rng: &mut SmallRng| pick_of(&avail, rng);
+        let (slot, addr) = pair(1);
+        let carry = with_carry.then(|| {
+            let (acc, next) = (3 + n_defs as Reg, 4 + n_defs as Reg);
+            let (x, y) = (pick(rng), pick(rng));
+            body.push(match rng.gen_range(0..5) {
+                0 => Instr::FBin(BinOp::Add, next, acc, x),
+                1 => Instr::FBin(BinOp::Sub, next, x, acc),
+                2 => Instr::FBin32(BinOp::Mul, next, acc, acc),
+                3 => Instr::FMulAdd {
+                    dst: next,
+                    add: acc,
+                    a: x,
+                    b: y,
+                    round32: dts[slot as usize] == DType::F32,
+                },
+                _ => Instr::FMulAdd {
+                    dst: next,
+                    add: x,
+                    a: acc,
+                    b: y,
+                    round32: false,
+                },
+            });
+            body.push(Instr::Store(slot, addr, next));
+            Carry {
+                acc,
+                slot,
+                addr,
+                next,
+            }
+        });
+        if carry.is_none() {
+            body.push(Instr::Store(slot, addr, pick(rng)));
+        }
+        let fregs: Vec<f64> = (0..n_defs + 5).map(|k| 0.75 + k as f64 * 0.125).collect();
+        Generated {
+            dts,
+            iregs,
+            fregs,
+            bumps,
+            body,
+            carry,
+            arrays,
+        }
+    }
+
+    #[test]
+    fn resident_template_matches_the_in_memory_one() {
+        // 1–6 pointers against a budget of 3 GPRs, 3–20 body-defined
+        // fregs against 14 XMM registers: both budgets are crossed, and
+        // the operands left over keep their in-memory form one by one.
+        let mut rng = SmallRng::seed_from_u64(0x5ca1a2);
+        let (mut spilled_ptrs, mut spilled_fregs, mut carried, mut dropped_bumps) = (0, 0, 0, 0);
+        for case in 0..400 {
+            let n_ptrs = 1 + case % 6;
+            let n_defs = n_ptrs.max(3) + rng.gen_range(0..=(20 - n_ptrs.max(3)));
+            let extent = rng.gen_range(1..=8);
+            let g = generate(&mut rng, n_ptrs, n_defs, extent);
+            let run = |budgets| {
+                run_strided(
+                    &g.dts, &g.bumps, &g.body, g.carry, extent, budgets, &g.iregs, &g.fregs,
+                    &g.arrays,
+                )
+            };
+            let (want, _, want_fregs) = run((&[], 0));
+            // The full budgets, and budgets so tight that almost every
+            // operand is left in memory beside a resident one.
+            for budgets in [(&PTR_REGS[..], XMM_POOL), (&PTR_REGS[..1], 2)] {
+                let (got, _, got_fregs) = run(budgets);
+                assert_eq!(got, want, "case {case}: {:?} carry {:?}", g.body, g.carry);
+                // External fregs are read where they are, never written.
+                assert_eq!(got_fregs[..3], want_fregs[..3], "case {case}");
+                assert_eq!(got_fregs[..3], g.fregs[..3], "case {case}");
+            }
+            let plan = plan_resident(&g.bumps, &g.body, g.carry, &g.dts, &PTR_REGS, XMM_POOL);
+            spilled_ptrs += (plan.res.ptrs.len() < n_ptrs) as u32;
+            spilled_fregs += g
+                .body
+                .iter()
+                .filter_map(float_dst)
+                .any(|d| plan.res.xmm(d).is_none()) as u32;
+            dropped_bumps += (plan.mem_bumps.len() < g.bumps.len()) as u32;
+            if let Some(c) = g.carry {
+                carried += 1;
+                assert_eq!(plan.res.xmm(c.acc), plan.res.xmm(c.next));
+                assert!(plan.res.xmm(c.acc).is_some());
+            }
+        }
+        // Non-vacuity of each branch the comparison is meant to cover.
+        assert!(
+            spilled_ptrs > 50 && spilled_fregs > 20,
+            "{spilled_ptrs} {spilled_fregs}"
+        );
+        assert!(
+            carried > 100 && dropped_bumps > 100,
+            "{carried} {dropped_bumps}"
+        );
+    }
+
+    #[test]
+    fn resident_loop_reads_its_loop_variable_and_walks_backwards() {
+        // for i in 0..6 { B[10 − 2·i] = A[3·i] · f64(i) + f32(i) }:
+        // the loop variable is read as a value (its in-memory bump must
+        // stay), the two address registers only feed pointers (their
+        // bumps go), strides are non-unit and negative, A is f32.
+        let dts = [DType::F32, DType::F64];
+        let bumps = [(0, 1), (1, 3), (2, -2)];
+        let body = [
+            Instr::Load(0, 0, 1),
+            Instr::IToF(1, 0),
+            Instr::IToF32(2, 0),
+            Instr::FMulAdd {
+                dst: 3,
+                add: 2,
+                a: 0,
+                b: 1,
+                round32: false,
+            },
+            Instr::Store(1, 2, 3),
+        ];
+        let plan = plan_resident(&bumps, &body, None, &dts, &PTR_REGS, XMM_POOL);
+        assert_eq!(plan.mem_bumps, vec![(0, 1)]);
+        assert_eq!(plan.steps, vec![(R8, 12), (R9, -16)]);
+        let arrays = [
+            NDArray::random(&[16], DType::F32, 1, -1.0, 1.0),
+            NDArray::zeros(&[11], DType::F64),
+        ];
+        let (iregs, fregs) = ([0i64, 0, 10], [0f64; 4]);
+        let resident = (&PTR_REGS[..], XMM_POOL);
+        let (got, ..) = run_strided(
+            &dts, &bumps, &body, None, 6, resident, &iregs, &fregs, &arrays,
+        );
+        let (want, ..) = run_strided(
+            &dts,
+            &bumps,
+            &body,
+            None,
+            6,
+            (&[], 0),
+            &iregs,
+            &fregs,
+            &arrays,
+        );
+        assert_eq!(got, want);
+        let a = arrays[0].to_f64_vec();
+        for i in 0..6usize {
+            let v = i as f64 as f32 as f64 + a[3 * i] * i as f64;
+            assert_eq!(got[1][10 - 2 * i], v.to_bits(), "B[{}]", 10 - 2 * i);
+        }
+    }
+
+    #[test]
+    fn packed_main_loop_hands_over_to_the_resident_tail() {
+        // for i in 0..n { B[i] = A[i] · c + A[i] } proven vectorized, at
+        // every extent `lanes·q + r`: the packed main loop leaves the
+        // strided registers in memory, the resident tail picks them up.
+        let dts = [DType::F64, DType::F64];
+        let bumps = vec![(0, 1), (1, 1), (2, 1)];
+        let body = vec![
+            Instr::Load(1, 0, 1),
+            Instr::FMulAdd {
+                dst: 2,
+                add: 1,
+                a: 1,
+                b: 0,
+                round32: false,
+            },
+            Instr::Store(1, 2, 2),
+        ];
+        for opts in [X86Backend::sse2_only(), X86Backend::detect()] {
+            let lanes = opts.width(DType::F64).lanes();
+            for q in 1..=3 {
+                for r in 0..lanes {
+                    let extent = lanes * q + r;
+                    let item = Item::StridedLoop {
+                        min: 0,
+                        extent,
+                        clamp: Clamp::default(),
+                        pre: vec![
+                            Instr::IConst(0, 0),
+                            Instr::IConst(1, 3),
+                            Instr::IConst(2, 1),
+                        ],
+                        bumps: bumps.clone(),
+                        body: body.clone(),
+                        carry: None,
+                        kind: LoopKind::Vectorized { proven: true },
+                    };
+                    let (code, simd) = compiled(&opts, &dts, |nc| nc.emit_item(&item));
+                    assert_eq!(simd.packed_loops, 1, "{opts:?}");
+                    let mut arrays = vec![
+                        NDArray::random(&[40], DType::F64, 9, -1.0, 1.0),
+                        NDArray::zeros(&[40], DType::F64),
+                    ];
+                    let (iregs, fregs) = ([0i64, 3, 1], [1.0 / 3.0, 0.0, 0.0]);
+                    let (want, ..) = run_strided(
+                        &dts,
+                        &bumps,
+                        &body,
+                        None,
+                        extent,
+                        (&[], 0),
+                        &iregs,
+                        &fregs,
+                        &arrays,
+                    );
+                    let slots = slot_ptrs(&mut arrays);
+                    run_code(&code, &mut iregs.clone(), &mut fregs.clone(), &slots);
+                    assert_eq!(bits(&arrays), want, "{opts:?} extent {extent}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trimmed_prologue_feeds_the_resident_reduction() {
+        // for i in 2..6, trimmed from below { B[1] = B[1] + A[2·i] } with
+        // the accumulator forwarded: the prologue advances the strided
+        // registers in memory, the resident loop forms its pointers from
+        // them, and an empty range neither loads nor stores `B[1]`.
+        let dts = [DType::F64, DType::F64];
+        let clamp = Clamp {
+            lo: Some((3, 1)),
+            hi: None,
+        };
+        let item = Item::StridedLoop {
+            min: 2,
+            extent: 4,
+            clamp,
+            pre: vec![Instr::IConst(0, 2), Instr::IBin(BinOp::Mul, 1, 0, 2)],
+            bumps: vec![(0, 1), (1, 2)],
+            body: vec![
+                Instr::Load(1, 0, 1),
+                Instr::FBin(BinOp::Add, 2, 0, 1),
+                Instr::Store(1, 4, 2),
+            ],
+            carry: Some(Carry {
+                acc: 0,
+                slot: 1,
+                addr: 4,
+                next: 2,
+            }),
+            kind: LoopKind::Serial,
+        };
+        check_item(&item, &dts).expect("forwarded trimmed loops are in the JIT subset");
+        let (code, _) = compiled_sse2(&dts, |nc| nc.emit_item(&item));
+        // A signalling-NaN bit pattern: any load-and-store-back through
+        // an arithmetic path would quiet it.
+        let snan = f64::from_bits(0x7FF0_0000_0000_0001);
+        for lo in [i64::MIN, 0, 1, 2, 3, 4, 5, 9, i64::MAX] {
+            let mut av: Vec<f64> = (0..16).map(|v| v as f64 + 0.5).collect();
+            let mut bv = vec![-1.0, snan, -1.0];
+            let slots = [av.as_mut_ptr().cast::<u8>(), bv.as_mut_ptr().cast::<u8>()];
+            let mut ir = [0i64, 0, 2, lo, 1];
+            let (start, end) = crate::compile::live_range(2, 4, clamp, &ir);
+            run_code(&code, &mut ir, &mut [0f64; 3], &slots);
+            if start == end {
+                assert_eq!(bv[1].to_bits(), snan.to_bits(), "lo {lo}: empty range");
+            } else {
+                // (snan + A[2·start]) quiets, then the rest accumulate.
+                let want = (start..end).fold(snan, |acc, i| acc + av[2 * i as usize]);
+                assert_eq!(bv[1].to_bits(), want.to_bits(), "lo {lo}: {start}..{end}");
+            }
+            assert_eq!((bv[0], bv[2]), (-1.0, -1.0));
+        }
+    }
+
+    #[test]
+    fn stride_zero_muladd_matches_the_vm_loop_on_aliased_and_mixed_operands() {
+        use DType::{F32, F64};
+        // (slot dtypes, dst/a/b slots, a stride, b stride, round32): an
+        // in-place destination whose element the `a` walk crosses, mixed
+        // dtypes with and without per-op rounding, and the native
+        // reduction over non-unit, negative and zero factor strides.
+        let cases = [
+            ([F64, F64, F64], [0, 0, 1], 1, 2, false),
+            ([F32, F32, F32], [0, 1, 0], 2, 1, true),
+            ([F32, F64, F32], [0, 1, 2], 1, 3, false),
+            ([F32, F64, F32], [0, 1, 2], 1, 3, true),
+            ([F64, F32, F32], [0, 1, 2], 3, -1, true),
+            ([F32, F32, F32], [0, 1, 2], 1, 1, false),
+            ([F64, F64, F64], [0, 1, 2], 1, 5, false),
+            ([F32, F32, F32], [0, 1, 2], -2, 0, true),
+            ([F64, F64, F64], [0, 1, 1], 0, -3, false),
+        ];
+        for (dts, [sd, sa, sb], stride_a, stride_b, round32) in cases {
+            let extent = 7i64;
+            let arrays: Vec<NDArray> = dts
+                .iter()
+                .enumerate()
+                .map(|(i, &dt)| NDArray::random(&[48], dt, 70 + i as u64, -1.0, 1.0))
+                .collect();
+            let start = |s: i64| if s < 0 { 6 * -s + 1 } else { 2 };
+            // The destination sits on an element the `a` walk reaches.
+            let iregs = [
+                start(stride_a) + 3 * stride_a,
+                start(stride_a),
+                start(stride_b),
+            ];
+            let access = |slot, addr, stride| SlotAccess { slot, addr, stride };
+            let (d, x, y) = (
+                access(sd, 0, 0),
+                access(sa, 1, stride_a),
+                access(sb, 2, stride_b),
+            );
+            // The VM's generic loop, element by element through memory.
+            let mut want = arrays.clone();
+            for k in 0..extent {
+                let at = |acc: &SlotAccess| (iregs[acc.addr as usize] + k * acc.stride) as usize;
+                let c = want[sd as usize].get_f64_linear(at(&d));
+                let mut m = want[sa as usize].get_f64_linear(at(&x))
+                    * want[sb as usize].get_f64_linear(at(&y));
+                if round32 {
+                    m = m as f32 as f64;
+                }
+                let mut sum = c + m;
+                if round32 {
+                    sum = sum as f32 as f64;
+                }
+                want[sd as usize].set_f64_linear(at(&d), sum);
+            }
+            let (code, simd) =
+                compiled_sse2(&dts, |nc| nc.emit_muladd(extent, &d, &x, &y, round32));
+            assert_eq!(simd.scalar_reasons.get("reduction-chain"), Some(&1));
+            assert_eq!(simd.sites(), 1);
+            let mut got = arrays.clone();
+            let slots = slot_ptrs(&mut got);
+            run_code(&code, &mut iregs.clone(), &mut [0f64], &slots);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{dts:?} slots {sd}/{sa}/{sb} strides {stride_a}/{stride_b} round32 {round32}"
+            );
+        }
+    }
+
+    // ------------------------------------------------------ template goldens
+
+    /// A proven-vectorized strided body with a hoisted constant, a
+    /// stride-0 load and every packed instruction form; the `f64` one
+    /// also reads a freg defined outside the loop.
+    fn packed_body(f64m: bool) -> Vec<Instr> {
+        let head = [
+            Instr::FConst(1, 0.5),
+            Instr::Load(2, 0, 1),
+            Instr::Load(3, 0, 4),
+            fmuladd(5, 3, 2, 1, !f64m),
+        ];
+        let rest = if f64m {
+            [
+                Instr::FBin(BinOp::Mul, 6, 5, 0),
+                Instr::FBin(BinOp::Sub, 8, 6, 2),
+                Instr::Call1(Intrinsic::Sqrt, 7, 8, false),
+            ]
+        } else {
+            [
+                Instr::F32Round(6, 5),
+                Instr::FBin32(BinOp::Div, 8, 6, 2),
+                Instr::Call1(Intrinsic::Sqrt, 7, 8, true),
+            ]
+        };
+        let store = [Instr::Store(1, 2, 7)];
+        head.into_iter().chain(rest).chain(store).collect()
+    }
+
+    fn muladd(extent: i64, slots: [u16; 3], strides: [i64; 3], round32: bool) -> Item {
+        let [dst, a, b] = [0, 1, 2].map(|k| access(slots[k], k as Reg, strides[k]));
+        Item::MulAddLoop {
+            extent,
+            pre: vec![],
+            dst,
+            a,
+            b,
+            round32,
+        }
+    }
+
+    /// A strided loop from 2 over `bumps`, each strided register starting
+    /// at 3.
+    fn strided(
+        extent: i64,
+        clamp: Clamp,
+        bumps: &[(Reg, i64)],
+        body: Vec<Instr>,
+        carry: Option<Carry>,
+        kind: LoopKind,
+    ) -> Item {
+        Item::StridedLoop {
+            min: 2,
+            extent,
+            clamp,
+            pre: bumps.iter().map(|&(r, _)| Instr::IConst(r, 3)).collect(),
+            bumps: bumps.to_vec(),
+            body,
+            carry,
+            kind,
+        }
+    }
+
+    #[test]
+    fn templates_are_byte_for_byte_the_recorded_ones() {
+        // Recorded from the single-file emitter of `jit/v4` (the commit
+        // before the vector layer existed) on all three tiers; nothing is
+        // executed, so the AVX rows are checked on any host. The `(1,1,0)`
+        // and `(1,1,1)` microkernels, the packed strided tier and every
+        // `f32` lane see no benchmark traffic, so these bytes are the
+        // only thing that holds them still; a change that moves emitted
+        // code on purpose re-records the file.
+        use DType::{F32, F64};
+        let mut cases: Vec<(String, Vec<DType>, Item)> = Vec::new();
+        // Microkernels: the parallel patterns, native reductions and the
+        // generic path's refusals (mixed dtypes with and without per-op
+        // rounding over a carried and a walking destination, an aliased
+        // destination, mismatched rounding). Extents 27 (f64) and 45
+        // (f32) leave a tiled main loop, leftover vectors and a scalar
+        // tail at both vector widths.
+        let (f64s, f32s, apart) = ([F64; 3], [F32; 3], [0, 1, 2]);
+        let microkernels = [
+            (f64s, 27, apart, [1, 0, 1], false),
+            (f64s, 27, apart, [1, 1, 0], false),
+            (f64s, 27, apart, [1, 1, 1], false),
+            (f32s, 45, apart, [1, 0, 1], true),
+            (f32s, 45, apart, [1, 1, 0], true),
+            (f32s, 45, apart, [1, 1, 1], true),
+            (f64s, 27, apart, [0, 1, 3], false),
+            (f32s, 45, apart, [0, -2, 0], true),
+            (f64s, 27, apart, [2, 1, 1], false),
+            (f32s, 45, apart, [1, 2, 1], true),
+            ([F32, F64, F32], 9, apart, [0, 1, 0], false),
+            ([F32, F64, F32], 9, apart, [0, 1, 0], true),
+            ([F64, F32, F64], 9, apart, [1, 1, 0], true),
+            (f64s, 9, [0, 0, 1], [1, 1, 0], false),
+            (f64s, 9, apart, [1, 1, 0], true),
+        ];
+        for (dts, n, slots, strides, round32) in microkernels {
+            let name = format!("muladd {dts:?} n={n} {slots:?} {strides:?} round32={round32}");
+            cases.push((name, dts.to_vec(), muladd(n, slots, strides, round32)));
+        }
+        for (dt, j, inv_first) in [(F64, 27, true), (F32, 45, false), (F64, 8, false)] {
+            let name = format!("jam {dt:?} j={j} inv_first={inv_first}");
+            let nest = JamNest::new(j, inv_first, dt == F32).item();
+            cases.push((name, vec![dt; 3], nest));
+        }
+        let unit = [(0, 1), (1, 1), (2, 1)];
+        let proven = LoopKind::Vectorized { proven: true };
+        for (dt, n) in [(F64, 11), (F32, 21), (F64, 8)] {
+            let name = format!("packed strided {dt:?} n={n}");
+            let body = packed_body(dt == F64);
+            let item = strided(n, Clamp::default(), &unit, body, None, proven);
+            cases.push((name, vec![dt; 2], item));
+        }
+        // The register-resident scalar loop: a static extent over mixed
+        // dtypes with every scalar template in the body, and a trimmed
+        // reduction with its accumulator forwarded.
+        let every_template = vec![
+            Instr::Load(0, 0, 1),
+            Instr::IToF(1, 0),
+            Instr::IToF32(2, 0),
+            Instr::FConst(4, -2.5),
+            fmuladd(3, 2, 0, 1, true),
+            Instr::FBin(BinOp::Sub, 5, 3, 9),
+            Instr::FBin32(BinOp::Div, 6, 5, 4),
+            Instr::Call1(Intrinsic::Sqrt, 7, 6, true),
+            Instr::F32Round(8, 7),
+            Instr::Store(1, 2, 8),
+            Instr::Store(0, 1, 8),
+        ];
+        let walks = [(0, 1), (1, 3), (2, -2)];
+        let serial = LoopKind::Serial;
+        let item = strided(6, Clamp::default(), &walks, every_template, None, serial);
+        cases.push(("scalar strided resident".into(), vec![F32, F64], item));
+        let clamp = Clamp {
+            lo: Some((3, 1)),
+            hi: Some((5, 0)),
+        };
+        let carry = Carry {
+            acc: 0,
+            slot: 1,
+            addr: 4,
+            next: 2,
+        };
+        let reduction = vec![
+            Instr::Load(1, 0, 1),
+            Instr::FBin(BinOp::Add, 2, 0, 1),
+            Instr::Store(1, 4, 2),
+        ];
+        let item = strided(4, clamp, &[(0, 1), (1, 2)], reduction, Some(carry), serial);
+        cases.push(("trimmed strided carry".into(), vec![F64; 2], item));
+        let tiers = [
+            ("scalar", X86Backend::scalar_only()),
+            ("sse2", X86Backend::sse2_only()),
+            ("avx", X86Backend::avx()),
+        ];
+        let mut got = String::new();
+        for (tier, opts) in &tiers {
+            for (name, dts, item) in &cases {
+                let (code, simd) = compiled(opts, dts, |nc| nc.emit_item(item));
+                let mut reasons: Vec<_> = simd.scalar_reasons.iter().collect();
+                reasons.sort();
+                let (packed, tiled) = (simd.packed_loops, simd.tiled_loops);
+                let tally = format!("packed {packed} tiled {tiled} scalar {reasons:?}");
+                got.push_str(&format!("{tier} {name}: {tally} {}\n", hex(&code)));
+            }
+        }
+        assert_same_lines(&got, include_str!("goldens/templates.txt"));
+    }
+}

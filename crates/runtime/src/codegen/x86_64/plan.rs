@@ -1,0 +1,928 @@
+//! Planning: which nests are in the JIT subset and how each is laid out
+//! in registers — pure functions of the bytecode, the slot dtypes and a
+//! vector [`Shape`], so every decision is testable without emitting or
+//! executing anything.
+
+use super::asm::{Shape, Width, R, R10, R8, R9, X};
+use crate::compile::{Carry, Instr, Item, LoopKind, Reg, SlotAccess};
+use crate::optimize::{float_dst, float_uses, int_dst, reads_ireg};
+use std::collections::{HashMap, HashSet};
+use tvm_te::{BinOp, DType, Intrinsic};
+
+/// Offset of register `r` inside its (8-byte-element) register file.
+pub(super) fn off(r: Reg) -> i32 {
+    (r as i32) * 8
+}
+
+/// GPRs free inside the scalar strided loop: they hold element pointers
+/// (`RAX`/`RCX` stay template scratch, `R11` counts trips).
+pub(super) const PTR_REGS: [R; 3] = [R8, R9, R10];
+/// How many XMM registers a scalar strided loop may keep fregs in:
+/// `X2` upwards, through `X15`.
+pub(super) const XMM_POOL: u8 = 14;
+
+// ------------------------------------------------------------ nest checking
+
+fn reject<T>(msg: impl Into<String>) -> Result<T, String> {
+    Err(msg.into())
+}
+
+fn float_slot(dts: &[DType], slot: u16) -> Result<DType, String> {
+    match dts[slot as usize] {
+        dt @ (DType::F32 | DType::F64) => Ok(dt),
+        other => reject(format!("integer-typed buffer ({other:?})")),
+    }
+}
+
+/// Is this instruction in the infallible, bit-exact JIT subset?
+fn check_instr(i: &Instr, dts: &[DType]) -> Result<(), String> {
+    match i {
+        Instr::IConst(..) | Instr::FConst(..) | Instr::IToF(..) | Instr::IToF32(..) => Ok(()),
+        Instr::F32Round(..) | Instr::FMulAdd { .. } => Ok(()),
+        Instr::IBin(op, ..) => match op {
+            BinOp::Add | BinOp::Sub | BinOp::Mul => Ok(()),
+            // Div/FloorDiv/FloorMod can fail; Min/Max are cheap enough
+            // that the VM handles the (rare) nests using them.
+            other => reject(format!("integer op {other:?}")),
+        },
+        Instr::FBin(op, ..) | Instr::FBin32(op, ..) => match op {
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => Ok(()),
+            // minsd/maxsd NaN and ±0 semantics differ from Rust's
+            // f64::min/max; floor ops need roundsd (SSE4.1) — rejected.
+            other => reject(format!("float op {other:?}")),
+        },
+        Instr::Call1(Intrinsic::Sqrt, ..) => Ok(()),
+        Instr::Call1(intr, ..) | Instr::Call2(intr, ..) => {
+            reject(format!("intrinsic {intr:?}"))
+        }
+        Instr::Load(_, slot, _) | Instr::Store(slot, _, _) => {
+            float_slot(dts, *slot).map(|_| ())
+        }
+        Instr::Bound { .. } => reject("runtime bounds check"),
+        Instr::StoreChecked { .. } => reject("checked store"),
+        // cvttsd2si saturation differs from Rust's `as i64`; FBool and
+        // the compare/select family need NaN-faithful flag handling —
+        // all left to the VM.
+        Instr::FToI(..) => reject("float-to-int cast"),
+        Instr::FBool(..)
+        | Instr::ICmp(..)
+        | Instr::FCmp(..)
+        | Instr::And(..)
+        | Instr::Or(..)
+        | Instr::Not(..)
+        | Instr::ISel(..)
+        | Instr::FSel(..) => reject("compare/select"),
+    }
+}
+
+fn check_code(code: &[Instr], dts: &[DType]) -> Result<(), String> {
+    code.iter().try_for_each(|i| check_instr(i, dts))
+}
+
+/// Is this item compilable as (part of) a native nest?
+pub(super) fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
+    match item {
+        Item::Code(c) => check_code(c, dts),
+        Item::Loop {
+            min,
+            extent,
+            clamp,
+            body,
+            ..
+        } => {
+            if min.checked_add(*extent).is_none() {
+                return reject("loop bound overflow");
+            }
+            // Only the strided template has a dynamic-trip form; the
+            // VM runs this loop and the nests inside it still compile.
+            if !clamp.is_none() {
+                return reject("trimmed loop outside strided form");
+            }
+            body.items.iter().try_for_each(|it| check_item(it, dts))
+        }
+        Item::StridedLoop {
+            min,
+            extent,
+            clamp,
+            pre,
+            body,
+            carry,
+            ..
+        } => {
+            if *extent < 1 {
+                return reject("empty strided loop");
+            }
+            if let Some(c) = carry {
+                // The load forwarding took out of the body.
+                check_instr(&Instr::Load(c.acc, c.slot, c.addr), dts)?;
+            }
+            // The trimmed template caps a bound register at
+            // `min+extent − off` before adding `off`, both as immediates.
+            let end = min.checked_add(*extent);
+            let encodable = |&(_, plus): &(Reg, i64)| {
+                (0..=i64::from(i32::MAX)).contains(&plus)
+                    && end.and_then(|e| e.checked_sub(plus)).is_some()
+            };
+            if ![clamp.lo, clamp.hi].iter().flatten().all(encodable) {
+                return reject("trimmed loop bound out of range");
+            }
+            check_code(pre, dts)?;
+            check_code(body, dts)
+        }
+        Item::MulAddLoop {
+            extent,
+            pre,
+            dst,
+            a,
+            b,
+            ..
+        } => {
+            if *extent < 1 {
+                return reject("empty microkernel loop");
+            }
+            check_code(pre, dts)?;
+            for acc in [dst, a, b] {
+                float_slot(dts, acc.slot)?;
+                let esize = i64::from(elem_size(dts, acc.slot));
+                if acc.stride.checked_mul(esize).and_then(|v| i32::try_from(v).ok()).is_none() {
+                    return reject("microkernel stride out of range");
+                }
+            }
+            Ok(())
+        }
+        Item::If { .. } => reject("conditional"),
+        Item::JitCall { .. } => reject("already compiled"),
+    }
+}
+
+/// Element size in bytes of a (float) storage slot.
+pub(super) fn elem_size(dts: &[DType], slot: u16) -> u8 {
+    Width::scalar(dts[slot as usize]).esize()
+}
+
+/// A float operand of a scalar template: resident in an XMM register,
+/// or in the `fregs` file at this displacement off `RSI`.
+#[derive(Clone, Copy, PartialEq)]
+pub(super) enum F {
+    Reg(X),
+    Mem(i32),
+}
+
+/// Which operands of the scalar templates live in machine registers
+/// (see [`super::emit::NestCompiler::emit_instr`]). Empty outside a strided loop.
+#[derive(Default)]
+pub(super) struct Resident {
+    /// freg → the XMM register holding it.
+    pub(super) xmms: Vec<(Reg, X)>,
+    /// `(slot, address register)` → the GPR holding the element pointer.
+    pub(super) ptrs: Vec<((u16, Reg), R)>,
+}
+
+impl Resident {
+    pub(super) fn xmm(&self, r: Reg) -> Option<X> {
+        self.xmms.iter().find(|e| e.0 == r).map(|e| e.1)
+    }
+
+    pub(super) fn ptr(&self, slot: u16, addr: Reg) -> Option<R> {
+        self.ptrs.iter().find(|e| e.0 == (slot, addr)).map(|e| e.1)
+    }
+
+    /// Where the templates find freg `r`.
+    pub(super) fn f(&self, r: Reg) -> F {
+        self.xmm(r).map_or(F::Mem(off(r)), F::Reg)
+    }
+}
+
+/// Register plan of one scalar strided loop.
+pub(super) struct ResidentPlan {
+    pub(super) res: Resident,
+    /// Per-iteration byte step of each resident pointer that moves.
+    pub(super) steps: Vec<(R, i32)>,
+    /// The strided registers the body still reads from memory.
+    pub(super) mem_bumps: Vec<(Reg, i64)>,
+}
+
+/// Plan the registers of a scalar strided loop over the budgets `gprs`
+/// and `xmms` (first come, first served, in body order; whatever does not
+/// fit keeps its in-memory form, so empty budgets plan today's loop):
+///
+/// - each `(slot, address register)` pair a `Load`/`Store` names becomes
+///   an element pointer, unless the body itself writes the address
+///   register or the byte step does not fit an immediate. The pointer
+///   takes the step of the address register it replaces, so every access
+///   is the one the in-memory template issues, at the same address;
+/// - the carry's `acc` and `next` share the first XMM register;
+/// - each freg the body defines before reading it gets an XMM register
+///   for the iteration and is never written to `fregs`: post-loop state
+///   of body-defined registers is unobservable ([`crate::optimize`]);
+/// - fregs defined outside the body are never written, so they are read
+///   as memory operands where they are;
+/// - a strided register keeps its in-memory bump only if something still
+///   reads it there (an instruction using it as a value, or an access
+///   left without a pointer).
+pub(super) fn plan_resident(
+    bumps: &[(Reg, i64)],
+    body: &[Instr],
+    carry: Option<Carry>,
+    dts: &[DType],
+    gprs: &[R],
+    xmms: u8,
+) -> ResidentPlan {
+    let mut res = Resident::default();
+    let mut steps = Vec::new();
+    let stride = |r: Reg| bumps.iter().find(|b| b.0 == r).map_or(0, |b| b.1);
+    for i in body {
+        let (Instr::Load(_, slot, addr) | Instr::Store(slot, addr, _)) = *i else {
+            continue;
+        };
+        let step = stride(addr)
+            .checked_mul(i64::from(elem_size(dts, slot)))
+            .map(i32::try_from);
+        let (Some(&p), Some(Ok(step))) = (gprs.get(res.ptrs.len()), step) else {
+            continue;
+        };
+        if res.ptr(slot, addr).is_none() && !body.iter().any(|j| int_dst(j) == Some(addr)) {
+            res.ptrs.push(((slot, addr), p));
+            if step != 0 {
+                steps.push((p, step));
+            }
+        }
+    }
+    let mut free = (0..xmms).map(|k| X(2 + k));
+    if let Some(c) = carry {
+        if let Some(x) = free.next() {
+            res.xmms.push((c.acc, x));
+            res.xmms.push((c.next, x));
+        }
+    }
+    // fregs read before the body defines them: external, or carried
+    // through memory from the previous iteration.
+    let mut in_memory: Vec<Reg> = Vec::new();
+    for i in body {
+        in_memory.extend(float_uses(i).filter(|&r| res.xmm(r).is_none()));
+        if let Some(d) = float_dst(i) {
+            if res.xmm(d).is_none() && !in_memory.contains(&d) {
+                match free.next() {
+                    Some(x) => res.xmms.push((d, x)),
+                    None => in_memory.push(d),
+                }
+            }
+        }
+    }
+    let read_in_memory = |r: Reg| {
+        body.iter().any(|i| match *i {
+            Instr::Load(_, slot, addr) | Instr::Store(slot, addr, _) => {
+                addr == r && res.ptr(slot, addr).is_none()
+            }
+            _ => reads_ireg(i, r),
+        })
+    };
+    let mem_bumps = bumps
+        .iter()
+        .copied()
+        .filter(|b| read_in_memory(b.0))
+        .collect();
+    ResidentPlan {
+        res,
+        steps,
+        mem_bumps,
+    }
+}
+
+/// Where a loop-invariant packed register gets its (broadcast) value.
+pub(super) enum InvSrc {
+    /// A body `FConst` hoisted out of the loop: materialise the bits in
+    /// the destination freg's slot (unobservable post-loop; the scalar
+    /// tail re-executes the `FConst`) and broadcast from there.
+    Const { dst: Reg, v: f64 },
+    /// An freg defined outside the loop body (f64 mode only — an
+    /// external freg holds a full f64, which native-f32 lanes can't
+    /// represent): broadcast from its register-file slot.
+    Freg(Reg),
+    /// A stride-0 `Load`: the address register is never bumped, so the
+    /// element is the same every iteration. Hoisting it above the
+    /// loop's stores is sound *because* the loop is proven race-free:
+    /// any store hitting the loaded element would be a cross-iteration
+    /// read/write dependence the analyzer flags.
+    Load { dst: Reg, slot: u16, addr: Reg },
+}
+
+/// Validated vectorization plan for one proven `StridedLoop` body.
+pub(super) struct PackedPlan {
+    /// The packed width: `f64` or native-`f32` lanes.
+    pub(super) w: Width,
+    /// freg → xmm assignment (X0..X14; X15 stays scratch).
+    pub(super) xmap: HashMap<Reg, X>,
+    /// Pre-loop invariant broadcasts, in first-use order.
+    pub(super) inv: Vec<InvSrc>,
+    /// fregs whose defining instruction was hoisted (consts and
+    /// stride-0 loads): skipped in the packed body.
+    pub(super) hoisted: HashSet<Reg>,
+}
+
+/// Decide whether a strided-loop body can run packed, and how. The
+/// `Err` string is the per-reason scalar-fallback tag tallied in
+/// [`crate::codegen::SimdReport`]; together with the packed count these partition
+/// every strided vector site.
+pub(super) fn plan_packed(
+    extent: i64,
+    bumps: &[(Reg, i64)],
+    body: &[Instr],
+    kind: &LoopKind,
+    dts: &[DType],
+    shape: Shape,
+) -> Result<PackedPlan, &'static str> {
+    if shape == Shape::Scalar {
+        return Err("simd-disabled");
+    }
+    // Packing reorders iterations across lanes, so it is gated on
+    // the dependence analyzer's race-freedom proof exactly like
+    // pool dispatch is for `Parallel` loops.
+    match kind {
+        LoopKind::Vectorized { proven: true } => {}
+        LoopKind::Vectorized { proven: false } => return Err("unproven-vectorize"),
+        _ => return Err("no-vectorize-annotation"),
+    }
+    // Mode: the uniform dtype of every load/store in the body.
+    let mut mode: Option<DType> = None;
+    for i in body {
+        if let Instr::Load(_, slot, _) | Instr::Store(slot, _, _) = i {
+            let dt = dts[*slot as usize];
+            match mode {
+                None => mode = Some(dt),
+                Some(m) if m != dt => return Err("mixed-precision"),
+                _ => {}
+            }
+        }
+    }
+    let Some(dt) = mode else {
+        return Err("body-op");
+    };
+    let w = Width::new(dt, shape);
+    let f64m = dt == DType::F64;
+    if extent < w.lanes() {
+        return Err("short-extent");
+    }
+    for &(_, s) in bumps {
+        if s.checked_mul(w.lanes()).is_none() {
+            return Err("stride-overflow");
+        }
+    }
+    let strides: HashMap<Reg, i64> = bumps.iter().copied().collect();
+    let mut plan = PackedPlan {
+        w,
+        xmap: HashMap::new(),
+        inv: Vec::new(),
+        hoisted: HashSet::new(),
+    };
+    // fregs defined by the body vs. read from outside it.
+    let mut defined: HashSet<Reg> = HashSet::new();
+    let mut external: HashSet<Reg> = HashSet::new();
+    fn alloc(xmap: &mut HashMap<Reg, X>, r: Reg) -> Result<X, &'static str> {
+        if let Some(&x) = xmap.get(&r) {
+            return Ok(x);
+        }
+        // X15 stays scratch for in-body multiply-add temporaries.
+        if xmap.len() >= 15 {
+            return Err("register-pressure");
+        }
+        let x = X(xmap.len() as u8);
+        xmap.insert(r, x);
+        Ok(x)
+    }
+    macro_rules! def {
+        ($d:expr) => {{
+            if defined.contains(&$d) {
+                return Err("freg-reassign");
+            }
+            if external.contains(&$d) {
+                return Err("loop-carried-freg");
+            }
+            defined.insert($d);
+            alloc(&mut plan.xmap, $d)?;
+        }};
+    }
+    macro_rules! read {
+        ($r:expr) => {{
+            if !defined.contains(&$r) && !external.contains(&$r) {
+                // Defined outside the loop: loop-invariant (the
+                // body holds no integer/float redefinitions — they
+                // were rejected above or live in `pre`). Broadcast
+                // once. Native-f32 lanes can't hold an arbitrary
+                // f64, so this is an f64-mode-only trick.
+                if !f64m {
+                    return Err("operand-precision");
+                }
+                external.insert($r);
+                alloc(&mut plan.xmap, $r)?;
+                plan.inv.push(InvSrc::Freg($r));
+            }
+        }};
+    }
+    for i in body {
+        match *i {
+            Instr::FConst(d, v) => {
+                if !f64m && f64::from(v as f32) != v {
+                    return Err("const-precision");
+                }
+                def!(d);
+                plan.hoisted.insert(d);
+                plan.inv.push(InvSrc::Const { dst: d, v });
+            }
+            Instr::Load(d, slot, addr) => match strides.get(&addr).copied().unwrap_or(0) {
+                1 => def!(d),
+                0 => {
+                    def!(d);
+                    plan.hoisted.insert(d);
+                    plan.inv.push(InvSrc::Load { dst: d, slot, addr });
+                }
+                _ => return Err("load-stride"),
+            },
+            Instr::Store(_, addr, val) => {
+                if strides.get(&addr).copied().unwrap_or(0) != 1 {
+                    return Err("store-stride");
+                }
+                read!(val);
+            }
+            Instr::FBin(op, d, x, y) | Instr::FBin32(op, d, x, y) => {
+                if f64m != matches!(i, Instr::FBin(..)) {
+                    return Err("mixed-precision");
+                }
+                debug_assert!(matches!(
+                    op,
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div
+                ));
+                read!(x);
+                read!(y);
+                def!(d);
+            }
+            Instr::FMulAdd {
+                dst,
+                add,
+                a,
+                b,
+                round32,
+            } => {
+                if round32 == f64m {
+                    return Err("rounding-mismatch");
+                }
+                read!(add);
+                read!(a);
+                read!(b);
+                def!(dst);
+            }
+            Instr::F32Round(d, s) => {
+                if f64m {
+                    return Err("mixed-precision");
+                }
+                read!(s);
+                def!(d);
+            }
+            Instr::Call1(Intrinsic::Sqrt, d, x, round) => {
+                if round == f64m {
+                    return Err("rounding-mismatch");
+                }
+                read!(x);
+                def!(d);
+            }
+            _ => return Err("body-op"),
+        }
+    }
+    Ok(plan)
+}
+
+/// What the three operands of a `MulAddLoop` allow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum MulAdd {
+    /// `dst` stride 0: one element accumulates every product, in order —
+    /// a serial chain whatever the factors' strides, always scalar, and
+    /// carried in a register. `native` is the common dtype when the chain
+    /// can run in it ([`super::emit::NestCompiler::muladd_reduction`]).
+    Reduction { native: Option<DType> },
+    /// `dst` stride 1 and factor strides `(0,1)`, `(1,0)` or `(1,1)` over
+    /// one dtype, rounding matched to it, the destination slot read by
+    /// neither factor: every element is an independent multiply and add.
+    Parallel(DType),
+    /// The element-order loop, with the reason it is not packed.
+    Generic(&'static str),
+}
+
+pub(super) fn classify_muladd(
+    dst: &SlotAccess,
+    a: &SlotAccess,
+    b: &SlotAccess,
+    round32: bool,
+    dts: &[DType],
+) -> MulAdd {
+    let dt = dts[dst.slot as usize];
+    let refusal = if dts[a.slot as usize] != dt || dts[b.slot as usize] != dt {
+        Some("mixed-dtype")
+    } else if (dt == DType::F64) == round32 {
+        Some("rounding-mismatch")
+    } else if dst.slot == a.slot || dst.slot == b.slot {
+        Some("aliased-dst")
+    } else {
+        None
+    };
+    if dst.stride == 0 {
+        return MulAdd::Reduction {
+            native: refusal.is_none().then_some(dt),
+        };
+    }
+    match refusal {
+        Some(reason) => MulAdd::Generic(reason),
+        None if matches!(
+            (dst.stride, a.stride, b.stride),
+            (1, 0, 1) | (1, 1, 0) | (1, 1, 1)
+        ) =>
+        {
+            MulAdd::Parallel(dt)
+        }
+        None => MulAdd::Generic("stride-pattern"),
+    }
+}
+
+/// k-iterations fused per trip of a jammed microkernel (the
+/// "unroll-and-jam" depth: one destination load/store feeds this many
+/// multiply-accumulate steps).
+pub(super) const JAM: i64 = 4;
+
+/// Validated unroll-and-jam plan for a serial loop whose body is only
+/// per-iteration address code plus one parallel-pattern microkernel
+/// with a loop-invariant destination row. See
+/// [`plan_jam`] for the eligibility proof obligations.
+pub(super) struct JamPlan<'p> {
+    /// The jammed ("k") loop's variable register.
+    pub(super) kvar: Reg,
+    /// Its inclusive start.
+    pub(super) kmin: i64,
+    /// Its trip count (≥ [`JAM`]).
+    pub(super) kextent: i64,
+    /// Straight-line body code preceding the microkernel (address math).
+    pub(super) code: &'p [Instr],
+    /// The microkernel's own prelude.
+    pub(super) pre: &'p [Instr],
+    /// Destination operand (stride 1, address k-invariant).
+    pub(super) dst: SlotAccess,
+    /// The stride-1 factor operand (varies along j).
+    pub(super) vec: SlotAccess,
+    /// The stride-0 factor operand (the per-k broadcast scalar).
+    pub(super) inv: SlotAccess,
+    /// Whether the invariant factor is the multiply's *first* operand
+    /// (`a`), preserving the VM's NaN-payload operand order.
+    pub(super) inv_first: bool,
+    /// The packed width: `f64` or native-`f32` lanes.
+    pub(super) w: Width,
+    /// The microkernel's ("j") trip count (≥ `w.lanes()`).
+    pub(super) extent: i64,
+}
+
+/// Decide whether a serial loop is a jammable microkernel wrapper:
+/// `for k { addr-code; dst[j] += inv_k * vec_k[j] }` where the
+/// destination row is the same for every `k`. Jamming [`JAM`]
+/// consecutive `k` iterations into one fused `j` sweep then loads
+/// and stores each `dst[j]` once per group instead of once per `k`
+/// — and stays bit-exact *by construction*: every memory cell sees
+/// the identical operation sequence (`(((d+m₀)+m₁)+m₂)+m₃`, each
+/// multiply and add individually rounded, `k` ascending), only the
+/// interleaving across distinct cells changes.
+///
+/// Eligibility (each check discharges a soundness obligation):
+/// - body is exactly `[Code?, MulAddLoop]`, the microkernel
+///   [`MulAdd::Parallel`] (uniform dtype, matched rounding, a
+///   destination slot distinct from both factors) with stride
+///   pattern `(1,0,1)` or `(1,1,0)`;
+/// - the address code is memory-free (pure register arithmetic),
+///   so running four iterations' worth up front has no observable
+///   effect beyond the register file, which sees the exact scalar
+///   write sequence;
+/// - it never writes the loop variable (the jam advances it);
+/// - a dataflow pass proves `dst.addr` independent of `k`,
+///   treating loop-carried register reads as varying.
+pub(super) fn plan_jam<'p>(item: &'p Item, dts: &[DType], shape: Shape) -> Option<JamPlan<'p>> {
+    if shape == Shape::Scalar {
+        return None;
+    }
+    let Item::Loop {
+        var,
+        min,
+        extent: kextent,
+        body,
+        ..
+    } = item
+    else {
+        return None;
+    };
+    if *kextent < JAM {
+        return None;
+    }
+    let (code, ma): (&[Instr], &Item) = match body.items.as_slice() {
+        [ma @ Item::MulAddLoop { .. }] => (&[], ma),
+        [Item::Code(c), ma @ Item::MulAddLoop { .. }] => (c.as_slice(), ma),
+        _ => return None,
+    };
+    let Item::MulAddLoop {
+        extent,
+        pre,
+        dst,
+        a,
+        b,
+        round32,
+    } = ma
+    else {
+        unreachable!("matched above")
+    };
+    let MulAdd::Parallel(dt) = classify_muladd(dst, a, b, *round32, dts) else {
+        return None;
+    };
+    let (inv, vec, inv_first) = match (a.stride, b.stride) {
+        (0, 1) => (*a, *b, true),
+        (1, 0) => (*b, *a, false),
+        _ => return None,
+    };
+    let w = Width::new(dt, shape);
+    if *extent < w.lanes() {
+        return None;
+    }
+    // Setup-code scan: pure register arithmetic only, loop variable
+    // never overwritten. (`FToI` — the only other ireg writer in
+    // the ISA — is outside the JIT subset and cannot appear here.)
+    let mut written: HashSet<Reg> = HashSet::new();
+    for i in code.iter().chain(pre.iter()) {
+        match i {
+            Instr::IConst(d, _) | Instr::IBin(_, d, _, _) => {
+                if d == var {
+                    return None;
+                }
+                written.insert(*d);
+            }
+            Instr::FConst(..)
+            | Instr::IToF(..)
+            | Instr::IToF32(..)
+            | Instr::F32Round(..)
+            | Instr::FBin(..)
+            | Instr::FBin32(..)
+            | Instr::FMulAdd { .. }
+            | Instr::Call1(..) => {}
+            _ => return None,
+        }
+    }
+    // k-invariance of the destination address: a register is
+    // varying if it derives from the loop variable or from a
+    // loop-carried value (read of a setup-written register before
+    // its write this iteration).
+    let mut varying: HashSet<Reg> = HashSet::new();
+    varying.insert(*var);
+    let mut seen: HashSet<Reg> = HashSet::new();
+    for i in code.iter().chain(pre.iter()) {
+        match i {
+            Instr::IConst(d, _) => {
+                seen.insert(*d);
+                varying.remove(d);
+            }
+            Instr::IBin(_, d, x, y) => {
+                let tainted = |r: &Reg| {
+                    varying.contains(r) || (written.contains(r) && !seen.contains(r))
+                };
+                if tainted(x) || tainted(y) {
+                    varying.insert(*d);
+                } else {
+                    varying.remove(d);
+                }
+                seen.insert(*d);
+            }
+            _ => {}
+        }
+    }
+    if varying.contains(&dst.addr) {
+        return None;
+    }
+    Some(JamPlan {
+        kvar: *var,
+        kmin: *min,
+        kextent: *kextent,
+        code,
+        pre,
+        dst: *dst,
+        vec,
+        inv,
+        inv_first,
+        w,
+        extent: *extent,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::fixtures::{access, fmuladd, JamNest};
+    use super::*;
+    use crate::compile::{Block, Clamp};
+
+    #[test]
+    fn trimmed_loops_outside_the_template_are_rejected_not_guessed() {
+        let dts = [DType::F64];
+        let clamp = Clamp {
+            hi: Some((1, 0)),
+            ..Clamp::default()
+        };
+        // A trimmed loop that did not reach strided form stays on the VM.
+        let plain = Item::Loop {
+            var: 0,
+            min: 0,
+            extent: 4,
+            clamp,
+            body: Block::default(),
+            kind: LoopKind::Serial,
+        };
+        assert!(check_item(&plain, &dts).is_err());
+        // Offsets the template cannot encode are refused as well.
+        for plus in [-1, i64::from(i32::MAX) + 1] {
+            let strided = Item::StridedLoop {
+                min: 0,
+                extent: 4,
+                clamp: Clamp {
+                    lo: Some((1, plus)),
+                    ..Clamp::default()
+                },
+                pre: vec![Instr::IConst(0, 0)],
+                bumps: vec![(0, 1)],
+                body: vec![],
+                carry: None,
+                kind: LoopKind::Serial,
+            };
+            assert!(check_item(&strided, &dts).is_err(), "offset {plus}");
+        }
+    }
+
+    /// One call of `plan_packed` over `B[i] = A[i] · c`: as built,
+    /// accepted at every shape but `Scalar`.
+    struct Packable {
+        extent: i64,
+        bumps: Vec<(Reg, i64)>,
+        body: Vec<Instr>,
+        kind: LoopKind,
+        dts: [DType; 2],
+        shape: Shape,
+    }
+
+    fn packable() -> Packable {
+        let mul = Instr::FBin(BinOp::Mul, 2, 1, 0);
+        Packable {
+            extent: 8,
+            bumps: vec![(0, 1), (1, 1), (2, 1)],
+            body: vec![Instr::Load(1, 0, 1), mul, Instr::Store(1, 2, 2)],
+            kind: LoopKind::Vectorized { proven: true },
+            dts: [DType::F64; 2],
+            shape: Shape::Sse,
+        }
+    }
+
+    #[test]
+    fn plan_packed_names_every_refusal() {
+        use DType::{F32, F64};
+        let plan = |c: &Packable| {
+            plan_packed(c.extent, &c.bumps, &c.body, &c.kind, &c.dts, c.shape).map(|p| p.w)
+        };
+        let sqrt = |round| Instr::Call1(Intrinsic::Sqrt, 2, 1, round);
+        let in_f32 = |c: &mut Packable, i: Instr| (c.dts, c.body[1]) = ([F32; 2], i);
+        // Accepted at each shape's own width, and at no extent below it.
+        for dt in [F64, F32] {
+            for shape in [Shape::Sse, Shape::Avx] {
+                let (mut case, want) = (packable(), Width::new(dt, shape));
+                if dt == F32 {
+                    in_f32(&mut case, sqrt(true));
+                }
+                (case.shape, case.extent) = (shape, want.lanes());
+                assert_eq!(plan(&case), Ok(want));
+                case.extent -= 1;
+                assert_eq!(plan(&case), Err("short-extent"));
+            }
+        }
+        // Each refusal changes one thing about the accepted call.
+        let refuses = |reason: &str, edit: &dyn Fn(&mut Packable)| {
+            let mut case = packable();
+            edit(&mut case);
+            assert_eq!(plan(&case), Err(reason), "{:?} {:?}", case.body, case.dts);
+        };
+        let add = |d, x, y| Instr::FBin(BinOp::Add, d, x, y);
+        let add32 = |d, x, y| Instr::FBin32(BinOp::Add, d, x, y);
+        refuses("simd-disabled", &|c| c.shape = Shape::Scalar);
+        refuses("unproven-vectorize", &|c| {
+            c.kind = LoopKind::Vectorized { proven: false }
+        });
+        refuses("no-vectorize-annotation", &|c| c.kind = LoopKind::Serial);
+        refuses("no-vectorize-annotation", &|c| {
+            c.kind = LoopKind::Parallel { proven: true }
+        });
+        refuses("mixed-precision", &|c| c.dts = [F64, F32]);
+        refuses("mixed-precision", &|c| c.body[1] = add32(2, 1, 1));
+        refuses("mixed-precision", &|c| c.dts = [F32; 2]);
+        refuses("mixed-precision", &|c| c.body[1] = Instr::F32Round(2, 1));
+        refuses("body-op", &|c| c.body = vec![Instr::FConst(1, 1.0)]);
+        refuses("body-op", &|c| c.body[1] = Instr::IToF(2, 0));
+        refuses("stride-overflow", &|c| c.bumps.push((3, i64::MAX)));
+        refuses("register-pressure", &|c| {
+            c.body.splice(1..2, (2..17).map(|d| add(d, 1, 1)));
+            c.body[16] = Instr::Store(1, 2, 16);
+        });
+        refuses("freg-reassign", &|c| c.body[1] = add(1, 1, 1));
+        refuses("loop-carried-freg", &|c| c.body[1] = add(0, 0, 1));
+        refuses("operand-precision", &|c| in_f32(c, add32(2, 1, 0)));
+        refuses("const-precision", &|c| in_f32(c, Instr::FConst(2, 0.1)));
+        refuses("load-stride", &|c| c.bumps[1].1 = 2);
+        refuses("store-stride", &|c| c.bumps.truncate(2));
+        refuses("rounding-mismatch", &|c| c.body[1] = sqrt(true));
+        refuses("rounding-mismatch", &|c| {
+            in_f32(c, fmuladd(2, 1, 1, 1, false))
+        });
+    }
+
+    #[test]
+    fn classify_muladd_names_every_refusal() {
+        use DType::{F32, F64};
+        use MulAdd::{Generic, Parallel, Reduction};
+        let (f64s, f32s, mixed, apart) = ([F64; 3], [F32; 3], [F64, F32, F64], [0, 1, 2]);
+        let native = |dt| Reduction { native: dt };
+        // Refusals in the order they are tested: a mixed, mis-rounded,
+        // aliased operand set names the first. A stride-0 destination is
+        // a reduction whatever else holds, in native precision only when
+        // nothing refuses.
+        let table = [
+            (Parallel(F64), f64s, apart, [1, 0, 1], false),
+            (Parallel(F64), f64s, apart, [1, 1, 0], false),
+            (Parallel(F32), f32s, apart, [1, 1, 1], true),
+            (Generic("mixed-dtype"), mixed, apart, [1, 0, 1], false),
+            (
+                Generic("mixed-dtype"),
+                [F32, F32, F64],
+                apart,
+                [1, 0, 1],
+                true,
+            ),
+            (Generic("mixed-dtype"), mixed, [0, 1, 0], [2, 1, 1], true),
+            (Generic("rounding-mismatch"), f64s, apart, [1, 0, 1], true),
+            (
+                Generic("rounding-mismatch"),
+                f32s,
+                [0, 0, 1],
+                [1, 0, 1],
+                false,
+            ),
+            (Generic("aliased-dst"), f64s, [0, 0, 2], [1, 0, 1], false),
+            (Generic("aliased-dst"), f64s, [0, 1, 0], [1, 5, 1], false),
+            (Generic("stride-pattern"), f64s, apart, [1, 0, 0], false),
+            (Generic("stride-pattern"), f64s, apart, [2, 1, 1], false),
+            (Generic("stride-pattern"), f64s, apart, [1, 2, 1], false),
+            (Generic("stride-pattern"), f64s, apart, [-1, 1, 1], false),
+            (native(Some(F64)), f64s, apart, [0, 1, 5], false),
+            (native(Some(F32)), f32s, [0, 1, 1], [0, -2, 0], true),
+            (native(None), [F32, F64, F32], apart, [0, 1, 1], true),
+            (native(None), f64s, apart, [0, 1, 1], true),
+            (native(None), f64s, [0, 0, 1], [0, 1, 1], false),
+        ];
+        for (want, dts, slots, strides, round32) in table {
+            let [dst, a, b] = [0, 1, 2].map(|k| access(slots[k], k as Reg, strides[k]));
+            let got = classify_muladd(&dst, &a, &b, round32, &dts);
+            assert_eq!(got, want, "{dts:?} {slots:?} {strides:?} {round32}");
+        }
+    }
+
+    #[test]
+    fn plan_jam_refuses_each_unproven_shape() {
+        use DType::{F32, F64};
+        let planned = |nest: JamNest, dts: [DType; 3], shape| {
+            let item = nest.item();
+            plan_jam(&item, &dts, shape).map(|p| (p.inv.slot, p.vec.slot, p.inv_first, p.w))
+        };
+        let ok = || JamNest::new(27, true, false);
+        let want = (1, 2, true, Width::new(F64, Shape::Sse));
+        assert_eq!(planned(ok(), [F64; 3], Shape::Sse), Some(want));
+        let want = (1, 2, false, Width::new(F32, Shape::Avx));
+        let f32_nest = JamNest::new(45, false, true);
+        assert_eq!(planned(f32_nest, [F32; 3], Shape::Avx), Some(want));
+        assert_eq!(planned(ok(), [F64; 3], Shape::Scalar), None, "scalar tier");
+        assert_eq!(planned(ok(), [F64, F32, F64], Shape::Sse), None, "dtypes");
+        // Each refusal changes one thing about the accepted nest.
+        let refuses = |why: &str, edit: &dyn Fn(&mut JamNest)| {
+            let mut nest = ok();
+            edit(&mut nest);
+            assert_eq!(planned(nest, [F64; 3], Shape::Sse), None, "{why}");
+        };
+        let dst_addr = |x| Instr::IBin(BinOp::Add, 9, x, 8);
+        refuses("fewer than JAM k iterations", &|n| n.k = JAM - 1);
+        refuses("a third body item", &|n| n.tail.push(Item::Code(vec![])));
+        refuses("mismatched rounding", &|n| n.round32 = true);
+        refuses("destination slot read by a factor", &|n| n.a.slot = 0);
+        refuses("both factors walk", &|n| n.a.stride = 1);
+        refuses("a reduction", &|n| n.dst.stride = 0);
+        refuses("j shorter than one vector", &|n| n.j = 1);
+        refuses("code writes the loop variable", &|n| {
+            n.pre[2] = Instr::IConst(0, 0)
+        });
+        refuses("code touches memory", &|n| n.code[0] = Instr::Load(0, 1, 3));
+        refuses("destination row moves with k", &|n| n.pre[2] = dst_addr(0));
+        refuses("destination row is loop-carried", &|n| {
+            n.pre[2] = dst_addr(9)
+        });
+    }
+}
