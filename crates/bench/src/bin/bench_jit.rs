@@ -59,9 +59,8 @@ fn die(msg: &str) -> ! {
 }
 
 /// Detected ISA features relevant to the packed-SIMD tier, plus the
-/// lane widths the active backend actually emits at (which fold in the
-/// `TVM_JIT_SIMD` toggle). Recorded in the JSON so `results/BENCH_*`
-/// figures stay interpretable across machines.
+/// lane widths the default backend emits at. Recorded in the JSON so
+/// `results/BENCH_*` figures stay interpretable across machines.
 fn cpu_json() -> serde_json::Value {
     #[cfg(target_arch = "x86_64")]
     let (sse2, avx, avx2, fma) = (
@@ -164,8 +163,8 @@ fn check_accounting(dev: &CpuDevice, expected_attempts: u64) {
 
 /// The packed-SIMD accounting invariant: the per-reason scalar counts
 /// cover every scalar site, tiling only ever happens on packed sites,
-/// and — when the packed tier is on — the default gemm/2mm/3mm runs
-/// must actually exercise it (non-vacuity).
+/// and — where there is a native backend — the default gemm/2mm/3mm
+/// runs must actually exercise the packed tier (non-vacuity).
 fn check_simd_accounting(dev: &CpuDevice) {
     let stats = dev
         .simd_stats()
@@ -184,8 +183,8 @@ fn check_simd_accounting(dev: &CpuDevice) {
         ));
     }
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    if stats.f64_lanes > 1 && stats.packed_loops == 0 {
-        die("vacuous run: packed tier enabled but no vector site took the packed path");
+    if stats.packed_loops == 0 {
+        die("vacuous run: no vector site took the packed path");
     }
     println!(
         "simd: {} sites = {} packed ({} tiled) + {} scalar ({} reasons), lanes f64x{} f32x{}",
@@ -205,14 +204,10 @@ fn check_simd_accounting(dev: &CpuDevice) {
 /// that silently loses JIT performance fails CI here instead of
 /// shipping. Full (non-smoke) runs rewrite the baseline. The gate only
 /// arms when the run matches the committed conditions: native backend,
-/// packed tier on, same problem size.
+/// same problem size.
 fn check_speedup_baseline(rows: &[TimedRow], size: ProblemSize) {
     const MARGIN: f64 = 0.4;
     if !cfg!(all(target_arch = "x86_64", target_os = "linux")) {
-        return;
-    }
-    if default_backend().vector_widths().0 <= 1 {
-        println!("baseline gate: packed tier off (TVM_JIT_SIMD=0) — skipped");
         return;
     }
     let Ok(text) = std::fs::read_to_string("results/BENCH_jit.json") else {

@@ -29,10 +29,9 @@
 //! out. Every vector site is accounted
 //! in [`SimdStats`]: packed, or scalar with a counted reason
 //! (`dynamic-extent` for trimmed loops), so
-//! `packed + scalar-by-reason = total` always holds. The
-//! `TVM_JIT_SIMD=0` environment toggle forces the fully scalar tier
-//! (outputs are bit-identical either way, so the fingerprint does not
-//! depend on it).
+//! `packed + scalar-by-reason = total` always holds. [`scalar_backend`]
+//! is the fully scalar tier (outputs are bit-identical either way, so
+//! the fingerprint does not depend on it).
 //!
 //! Fingerprints: a JIT-mode device reports
 //! [`jit_fingerprint`] = `vm/v4+tir-opt/v1+par/v1+jit/v4`, distinct from the
@@ -205,9 +204,8 @@ pub fn default_backend() -> Arc<dyn CodegenBackend> {
 }
 
 /// The default backend with packed-SIMD emission forced off: scalar
-/// SSE2 on x86-64 Linux, [`NoopBackend`] everywhere else. The benches
-/// use it to measure the packed tier against the scalar JIT on the
-/// same machine.
+/// SSE2 on x86-64 Linux, [`NoopBackend`] everywhere else. The
+/// differential suites run every kernel on both tiers in one process.
 pub fn scalar_backend() -> Arc<dyn CodegenBackend> {
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     {

@@ -262,13 +262,12 @@ impl Asm {
     // ---- integer ops (64-bit) ----
 
     pub(super) fn mov_ri(&mut self, r: R, v: i64) {
+        self.rex(true, 0, 0, r.0);
         if v as i32 as i64 == v {
-            self.rex(true, 0, 0, r.0);
             self.b(0xC7);
             self.modrm_rr(0, r.0);
             self.imm32(v as i32);
         } else {
-            self.rex(true, 0, 0, r.0);
             self.b(0xB8 + (r.0 & 7));
             self.imm64(v);
         }
@@ -316,32 +315,28 @@ impl Asm {
         self.alu_rr(&[0x0F, 0x40 + cc], dst, src);
     }
 
-    /// `add r, imm32` (sign-extended).
-    pub(super) fn add_ri(&mut self, r: R, imm: i32) {
-        self.rex(true, 0, 0, r.0);
-        if (-128..=127).contains(&imm) {
-            self.b(0x83);
-            self.modrm_rr(0, r.0);
+    /// Group-1 ALU op on a 64-bit `rm` operand with a sign-extended
+    /// immediate: the imm8 form when it fits, imm32 otherwise.
+    fn alu_imm(&mut self, rm: R, imm: i32, modrm: impl FnOnce(&mut Asm)) {
+        let small = (-128..=127).contains(&imm);
+        self.rex(true, 0, 0, rm.0);
+        self.b(if small { 0x83 } else { 0x81 });
+        modrm(self);
+        if small {
             self.b(imm as u8);
         } else {
-            self.b(0x81);
-            self.modrm_rr(0, r.0);
             self.imm32(imm);
         }
     }
 
+    /// `add r, imm32` (sign-extended).
+    pub(super) fn add_ri(&mut self, r: R, imm: i32) {
+        self.alu_imm(r, imm, |a| a.modrm_rr(0, r.0));
+    }
+
     /// `add qword [base+disp], imm32`
     pub(super) fn add_mi(&mut self, base: R, disp: i32, imm: i32) {
-        self.rex(true, 0, 0, base.0);
-        if (-128..=127).contains(&imm) {
-            self.b(0x83);
-            self.mem(0, base, disp);
-            self.b(imm as u8);
-        } else {
-            self.b(0x81);
-            self.mem(0, base, disp);
-            self.imm32(imm);
-        }
+        self.alu_imm(base, imm, |a| a.mem(0, base, disp));
     }
 
     /// `add qword [base+disp], r`
@@ -352,16 +347,7 @@ impl Asm {
     }
 
     pub(super) fn cmp_ri(&mut self, r: R, imm: i32) {
-        self.rex(true, 0, 0, r.0);
-        if (-128..=127).contains(&imm) {
-            self.b(0x83);
-            self.modrm_rr(7, r.0);
-            self.b(imm as u8);
-        } else {
-            self.b(0x81);
-            self.modrm_rr(7, r.0);
-            self.imm32(imm);
-        }
+        self.alu_imm(r, imm, |a| a.modrm_rr(7, r.0));
     }
 
     pub(super) fn dec_r(&mut self, r: R) {
@@ -378,16 +364,12 @@ impl Asm {
     }
 
     pub(super) fn push_r(&mut self, r: R) {
-        if r.0 >= 8 {
-            self.b(0x41);
-        }
+        self.rex(false, 0, 0, r.0);
         self.b(0x50 + (r.0 & 7));
     }
 
     pub(super) fn pop_r(&mut self, r: R) {
-        if r.0 >= 8 {
-            self.b(0x41);
-        }
+        self.rex(false, 0, 0, r.0);
         self.b(0x58 + (r.0 & 7));
     }
 

@@ -81,19 +81,22 @@ impl CodegenBackend for X86Backend {
             .map(|p| p.dtype)
             .chain(cf.allocs.iter().map(|(_, dt)| *dt))
             .collect();
-        let mut asm = Asm::new();
-        let mut entries: Vec<usize> = Vec::new();
-        let mut first_reason: Option<String> = None;
-        let mut simd = SimdReport::default();
-        let body = rewrite_block(
-            &cf.body,
-            &dts,
-            self,
-            &mut asm,
-            &mut entries,
-            &mut first_reason,
-            &mut simd,
-        );
+        let mut rw = Rewriter {
+            dts: &dts,
+            opts: self,
+            asm: Asm::new(),
+            entries: Vec::new(),
+            first_reason: None,
+            simd: SimdReport::default(),
+        };
+        let body = rw.block(&cf.body);
+        let Rewriter {
+            asm,
+            entries,
+            first_reason,
+            simd,
+            ..
+        } = rw;
         if entries.is_empty() {
             let why = first_reason.unwrap_or_else(|| "no loop nest in function".into());
             return Err(CompileError(format!("no jittable loop nest: {why}")));
@@ -121,23 +124,29 @@ impl CodegenBackend for X86Backend {
     }
 }
 
-/// Replace every maximal jittable loop nest with a [`Item::JitCall`],
-/// recursing into loops and conditionals that are not jittable as a
-/// whole so inner nests still compile.
-#[allow(clippy::too_many_arguments)]
-fn rewrite_block(
-    b: &Block,
-    dts: &[DType],
-    opts: &X86Backend,
-    asm: &mut Asm,
-    entries: &mut Vec<usize>,
-    first_reason: &mut Option<String>,
-    simd: &mut SimdReport,
-) -> Block {
-    let items = b
-        .items
-        .iter()
-        .map(|item| match item {
+/// One function's pass: the code emitted so far, an entry offset per
+/// compiled nest, the first reason a nest was refused, the vector-site
+/// tally.
+struct Rewriter<'a> {
+    dts: &'a [DType],
+    opts: &'a X86Backend,
+    asm: Asm,
+    entries: Vec<usize>,
+    first_reason: Option<String>,
+    simd: SimdReport,
+}
+
+impl Rewriter<'_> {
+    /// Replace every maximal jittable loop nest with a [`Item::JitCall`],
+    /// recursing into loops and conditionals that are not jittable as a
+    /// whole so inner nests still compile.
+    fn block(&mut self, b: &Block) -> Block {
+        let items = b.items.iter().map(|item| self.item(item)).collect();
+        Block { items }
+    }
+
+    fn item(&mut self, item: &Item) -> Item {
+        match item {
             Item::Loop { .. } | Item::StridedLoop { .. } | Item::MulAddLoop { .. } => {
                 // A nest holding a proven-parallel loop stays in
                 // bytecode: jitting it whole would run the loop
@@ -149,26 +158,25 @@ fn rewrite_block(
                 let verdict = if contains_proven_parallel(item) {
                     Err("parallel loop kept in bytecode for pool dispatch".to_string())
                 } else {
-                    check_item(item, dts)
+                    check_item(item, self.dts)
                 };
                 match verdict {
                     Ok(()) => {
-                        let entry = asm.here();
+                        self.entries.push(self.asm.here());
                         let mut nc = NestCompiler {
-                            asm,
-                            dts,
-                            opts,
-                            simd,
+                            asm: &mut self.asm,
+                            dts: self.dts,
+                            opts: self.opts,
+                            simd: &mut self.simd,
                         };
                         nc.emit_item(item);
                         nc.asm.ret();
-                        entries.push(entry);
                         Item::JitCall {
-                            entry: entries.len() - 1,
+                            entry: self.entries.len() - 1,
                         }
                     }
                     Err(why) => {
-                        first_reason.get_or_insert(why);
+                        self.first_reason.get_or_insert(why);
                         match item {
                             // A rejected outer loop may still hold
                             // jittable inner nests.
@@ -184,15 +192,7 @@ fn rewrite_block(
                                 min: *min,
                                 extent: *extent,
                                 clamp: *clamp,
-                                body: rewrite_block(
-                                    body,
-                                    dts,
-                                    opts,
-                                    asm,
-                                    entries,
-                                    first_reason,
-                                    simd,
-                                ),
+                                body: self.block(body),
                                 kind: *kind,
                             },
                             other => other.clone(),
@@ -202,15 +202,12 @@ fn rewrite_block(
             }
             Item::If { cond, then, else_ } => Item::If {
                 cond: *cond,
-                then: rewrite_block(then, dts, opts, asm, entries, first_reason, simd),
-                else_: else_
-                    .as_ref()
-                    .map(|e| rewrite_block(e, dts, opts, asm, entries, first_reason, simd)),
+                then: self.block(then),
+                else_: else_.as_ref().map(|e| self.block(e)),
             },
             other => other.clone(),
-        })
-        .collect();
-    Block { items }
+        }
+    }
 }
 
 /// Does this item contain (or is it) a `Parallel` loop the analyzer
@@ -731,6 +728,7 @@ impl NestCompiler<'_> {
     /// its operands' registers.
     fn emit_packed_instr(&mut self, i: &Instr, plan: &PackedPlan) {
         let (w, x) = (plan.w, |r: Reg| plan.xmap[&r]);
+        let in_memory = Resident::default();
         match *i {
             // Hoisted to a pre-loop broadcast.
             Instr::FConst(..) => {}
@@ -738,14 +736,12 @@ impl NestCompiler<'_> {
                 if plan.hoisted.contains(&d) {
                     return; // stride-0: broadcast pre-loop
                 }
-                self.asm.mov_rm(RAX, RDI, off(addr));
-                self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
-                self.asm.vload(w, x(d), Mem::indexed(RCX, RAX));
+                let e = self.elem(slot, addr, &in_memory);
+                self.asm.vload(w, x(d), e);
             }
             Instr::Store(slot, addr, val) => {
-                self.asm.mov_rm(RAX, RDI, off(addr));
-                self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
-                self.asm.vstore(w, Mem::indexed(RCX, RAX), x(val));
+                let e = self.elem(slot, addr, &in_memory);
+                self.asm.vstore(w, e, x(val));
             }
             Instr::FBin(op, d, a, b) | Instr::FBin32(op, d, a, b) => {
                 self.asm.vop_rr(w, arith(op), x(d), x(a), x(b));
@@ -761,14 +757,8 @@ impl NestCompiler<'_> {
         }
     }
 
-    /// Materialise the three element pointers of a microkernel into
-    /// `r8` (dst), `r9` (a), `r10` (b).
-    fn muladd_pointers(&mut self, dst: &SlotAccess, sa: &SlotAccess, sb: &SlotAccess) {
-        for (acc, preg) in [(dst, R8), (sa, R9), (sb, R10)] {
-            self.element_pointer(preg, acc.slot, acc.addr);
-        }
-    }
-
+    /// A microkernel: its three element pointers in `r8` (dst), `r9` (a)
+    /// and `r10` (b), then the loop its operands allow.
     fn emit_muladd(
         &mut self,
         extent: i64,
@@ -777,7 +767,9 @@ impl NestCompiler<'_> {
         sb: &SlotAccess,
         round32: bool,
     ) {
-        self.muladd_pointers(dst, sa, sb);
+        for (acc, preg) in [(dst, R8), (sa, R9), (sb, R10)] {
+            self.element_pointer(preg, acc.slot, acc.addr);
+        }
         match classify_muladd(dst, sa, sb, round32, self.dts) {
             MulAdd::Reduction { native } => {
                 self.simd.scalar("reduction-chain");

@@ -518,18 +518,7 @@ impl CompiledFunc {
     /// Number of loop nests compiled to native machine code (0 unless a
     /// [`crate::codegen::CodegenBackend`] processed this function).
     pub fn jit_nest_count(&self) -> usize {
-        fn count(b: &Block) -> usize {
-            b.items
-                .iter()
-                .map(|it| match it {
-                    Item::Code(_) | Item::StridedLoop { .. } | Item::MulAddLoop { .. } => 0,
-                    Item::Loop { body, .. } => count(body),
-                    Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
-                    Item::JitCall { .. } => 1,
-                })
-                .sum()
-        }
-        count(&self.body)
+        self.jit.as_ref().map_or(0, |p| p.nest_count())
     }
 
     /// Machine-code bytes backing this function's jitted nests.

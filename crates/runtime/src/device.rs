@@ -191,7 +191,8 @@ impl CpuDevice {
     }
 
     /// CPU device pinned to the reference interpreter — the differential
-    /// oracle, and the baseline the `bench_vm` binary compares against.
+    /// oracle, and the rung the benchmark's `runtime.interp.ns_per_elem`
+    /// times.
     pub fn interpreter() -> CpuDevice {
         CpuDevice {
             mode: CpuMode::Interp,
@@ -200,8 +201,8 @@ impl CpuDevice {
         }
     }
 
-    /// CPU device pinned to the scalar (unoptimized) VM — the baseline
-    /// the `bench_passes` binary compares the optimized engine against.
+    /// CPU device pinned to the scalar (unoptimized) VM — the reference
+    /// `tests/vm_differential.rs` compares the optimized engine against.
     /// Runs everything sequentially: `compile` marks every parallel loop
     /// unproven, so the scalar rung never consults the pool.
     pub fn scalar_vm() -> CpuDevice {

@@ -479,10 +479,11 @@ pub fn run_chunks(n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// Serializes unit tests that mutate the process-global thread budget
-/// (`set_num_threads`): counter assertions would race otherwise. Tests
-/// that only assert bit-identity don't need it — outputs are identical
-/// at every thread count.
+/// Serializes the unit tests that touch the process-wide pool: whatever
+/// sets the thread budget (`set_num_threads`) or dispatches on it
+/// (`run_chunks`, a kernel with a proven-parallel loop). Spawn and
+/// dispatch counts would race otherwise; outputs would not — they are
+/// identical at every thread count.
 #[cfg(test)]
 pub(crate) fn test_threads_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -513,6 +514,7 @@ mod tests {
 
     #[test]
     fn run_chunks_visits_every_chunk_once() {
+        let _guard = test_threads_lock();
         let hits: Vec<AtomicI64> = (0..13).map(|_| AtomicI64::new(0)).collect();
         run_chunks(13, &|c| {
             hits[c].fetch_add(1, Ordering::Relaxed);
@@ -524,10 +526,17 @@ mod tests {
 
     #[test]
     fn pool_is_reused_across_jobs() {
-        run_chunks(4, &|_| {});
+        let _guard = test_threads_lock();
+        set_num_threads(4);
+        let dispatch = || {
+            let plan = begin_parallel(true, 64, None).expect("four threads, 64 iterations");
+            assert_eq!(plan.n_chunks, 4);
+            run_chunks(plan.n_chunks, &|_| {});
+        };
+        dispatch();
         let after_first = threads_spawned();
         for _ in 0..50 {
-            run_chunks(4, &|_| {});
+            dispatch();
         }
         assert_eq!(
             threads_spawned(),
@@ -538,6 +547,7 @@ mod tests {
 
     #[test]
     fn chunk_panics_propagate_to_the_caller() {
+        let _guard = test_threads_lock();
         let result = std::panic::catch_unwind(|| {
             run_chunks(4, &|c| {
                 if c == 2 {
@@ -553,6 +563,7 @@ mod tests {
     #[test]
     fn nested_dispatch_is_serialized() {
         // Inside a chunk, begin_parallel must refuse (serial-context).
+        let _guard = test_threads_lock();
         let refused = AtomicUsize::new(0);
         run_chunks(2, &|_| {
             if begin_parallel(true, 8, None).is_none() {

@@ -111,7 +111,8 @@ pub struct SessionTrial {
     /// Replayed from the journal (true) or measured live (false).
     pub replayed: bool,
     /// Real wall-clock seconds of the live evaluation (0 for replayed
-    /// trials) — the p50/p99 latency source for `bench_service`.
+    /// trials) — the source of the benchmark's
+    /// `service.session.trial_wall_us_p50`.
     pub wall_s: f64,
 }
 

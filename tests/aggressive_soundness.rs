@@ -24,7 +24,9 @@ use polybench::{CodeMold, KernelName, ProblemSize, SpaceMode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use tvm_runtime::{compile, compile_optimized, default_backend, interp, vm, NDArray};
+use tvm_runtime::{
+    compile, compile_optimized, default_backend, interp, scalar_backend, vm, NDArray,
+};
 use tvm_tir::analyze::{self, codes, oracle};
 use tvm_tir::PrimFunc;
 
@@ -38,33 +40,34 @@ const KERNELS: [KernelName; 7] = [
     KernelName::Trmm,
 ];
 
-/// An admitted config must execute on all four engines with no error and
-/// bit-identical output arrays.
+/// An admitted config must execute on all four engines — the JIT once
+/// per tier, packed and fully scalar — with no error and bit-identical
+/// output arrays.
 fn run_all_engines(func: &PrimFunc, args: &[NDArray], context: &str) {
     let mut via_interp = args.to_vec();
-    let mut via_vm = args.to_vec();
-    let mut via_opt = args.to_vec();
-    let mut via_jit = args.to_vec();
     interp::execute(func, &mut via_interp)
         .unwrap_or_else(|e| panic!("{context}: interpreter failed after admit: {e}"));
     let cf = compile(func).unwrap_or_else(|e| panic!("{context}: admitted config must compile: {e}"));
-    vm::execute(&cf, &mut via_vm)
-        .unwrap_or_else(|e| panic!("{context}: scalar VM failed after admit: {e}"));
     let cf_opt = compile_optimized(func)
         .unwrap_or_else(|e| panic!("{context}: optimized pipeline must compile: {e}"));
-    vm::execute(&cf_opt, &mut via_opt)
-        .unwrap_or_else(|e| panic!("{context}: optimized VM failed after admit: {e}"));
-    let cf_jit = default_backend().jit_compile(&cf_opt).unwrap_or(cf_opt);
-    vm::execute(&cf_jit, &mut via_jit)
-        .unwrap_or_else(|e| panic!("{context}: JIT failed after admit: {e}"));
-    for (i, (a, b)) in via_interp.iter().zip(&via_vm).enumerate() {
-        assert_eq!(a, b, "{context}: arg {i} diverged on the scalar VM");
-    }
-    for (i, (a, b)) in via_interp.iter().zip(&via_opt).enumerate() {
-        assert_eq!(a, b, "{context}: arg {i} diverged on the optimized VM");
-    }
-    for (i, (a, b)) in via_interp.iter().zip(&via_jit).enumerate() {
-        assert_eq!(a, b, "{context}: arg {i} diverged on the JIT");
+    let [packed, scalar] = [default_backend(), scalar_backend()].map(|backend| {
+        backend
+            .jit_compile(&cf_opt)
+            .unwrap_or_else(|_| cf_opt.clone())
+    });
+    let engines = [
+        ("scalar VM", cf),
+        ("optimized VM", cf_opt),
+        ("packed JIT", packed),
+        ("scalar JIT", scalar),
+    ];
+    for (engine, compiled) in engines {
+        let mut via = args.to_vec();
+        vm::execute(&compiled, &mut via)
+            .unwrap_or_else(|e| panic!("{context}: {engine} failed after admit: {e}"));
+        for (i, (a, b)) in via_interp.iter().zip(&via).enumerate() {
+            assert_eq!(a, b, "{context}: arg {i} diverged on the {engine}");
+        }
     }
 }
 

@@ -2,9 +2,9 @@
 //! the scalar JIT tier and the interpreter oracle.
 //!
 //! The packed tier claims bit-exactness *by construction* — lanes only
-//! ever carry disjoint elements, reductions stay scalar, and FMA
-//! contraction is gated off — so the same function compiled by
-//! [`default_backend`] (packed, AVX when available) and
+//! ever carry disjoint elements, reductions stay scalar, and a multiply
+//! and its add are never contracted into one FMA — so the same function
+//! compiled by [`default_backend`] (packed, AVX when available) and
 //! [`scalar_backend`] (scalar tier forced) must produce bit-identical
 //! outputs on every input. This suite drives that claim over random
 //! strides, unaligned base offsets, and remainder extents around the
@@ -181,15 +181,6 @@ fn packed_matches_scalar_on_jam_tile_shapes() {
     }
 }
 
-/// True when `TVM_JIT_SIMD=0` forces the scalar tier — the
-/// non-vacuity assertions below are about the *packed* tier and
-/// self-skip under that setting (the exactness tests still run; the
-/// CI matrix leg covers both values).
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-fn simd_forced_off() -> bool {
-    std::env::var("TVM_JIT_SIMD").is_ok_and(|v| v == "0")
-}
-
 #[test]
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn packed_path_is_not_vacuous() {
@@ -199,9 +190,6 @@ fn packed_path_is_not_vacuous() {
     // sites, a unit-stride map at a multi-tile extent must pack, and
     // the accounting invariant `packed + scalar-by-reason = total`
     // must hold on every report.
-    if simd_forced_off() {
-        return;
-    }
     let mold = mold_for(KernelName::Gemm, ProblemSize::Mini);
     let func = mold.instantiate(&mold.baseline_configuration());
     let cf = compile_optimized(&func).expect("optimized compile");
@@ -234,9 +222,6 @@ fn jam_tier_is_not_vacuous() {
     // At least one y-tile-of-1 gemm shape must report a register-tiled
     // (unroll-and-jam) packed site, and the scalar backend must report
     // none anywhere — the tiers really are distinct code paths.
-    if simd_forced_off() {
-        return;
-    }
     let mold = mold_for(KernelName::Gemm, ProblemSize::Mini);
     let config = config_with(
         &mold.baseline_configuration(),

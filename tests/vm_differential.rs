@@ -15,8 +15,12 @@ use polybench::{KernelName, ProblemSize};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use tvm_runtime::interp::ExecError;
-use tvm_runtime::{compile, compile_optimized, default_backend, interp, vm, Device, NDArray};
+use tvm_runtime::{
+    compile, compile_optimized, default_backend, interp, scalar_backend, vm, CodegenBackend,
+    CompiledFunc, Device, NDArray,
+};
 use tvm_te::{placeholder, CmpOp, DType, PrimExpr, Var};
 use tvm_tir::builder::{for_kind, if_else, seq, ser, store, when, FuncBuilder};
 use tvm_tir::{ForKind, PrimFunc, Stmt};
@@ -31,45 +35,49 @@ const KERNELS: [KernelName; 7] = [
     KernelName::Trmm,
 ];
 
-/// Run `func` on all four engines from identical argument snapshots;
-/// the results (including any error) and every output array must match
-/// bit for bit.
-fn assert_engines_agree(func: &tvm_tir::PrimFunc, args: &[NDArray], context: &str) {
-    let mut via_interp = args.to_vec();
-    let mut via_vm = args.to_vec();
-    let mut via_opt = args.to_vec();
-    let mut via_jit = args.to_vec();
-    let r_interp = interp::execute(func, &mut via_interp);
+/// The JIT rung's tiers, each compiled and run by every check below:
+/// packed (AVX or SSE2, as the host allows) and fully scalar.
+fn jit_tiers() -> [(&'static str, Arc<dyn CodegenBackend>); 2] {
+    [
+        ("packed JIT", default_backend()),
+        ("scalar JIT", scalar_backend()),
+    ]
+}
+
+/// `func` compiled for every bytecode engine: the scalar VM, the
+/// optimized VM and the JIT once per tier. The JIT rungs mirror the
+/// device's fallback contract: when the backend declines, the optimized
+/// bytecode runs unchanged.
+fn compiled_engines(func: &PrimFunc, context: &str) -> [(&'static str, CompiledFunc); 4] {
     let cf = compile(func)
         .unwrap_or_else(|e| panic!("{context}: PolyBench kernels must compile, got {e}"));
-    let r_vm = vm::execute(&cf, &mut via_vm);
     let cf_opt = compile_optimized(func)
         .unwrap_or_else(|e| panic!("{context}: optimized pipeline must compile, got {e}"));
-    let r_opt = vm::execute(&cf_opt, &mut via_opt);
-    // The JIT rung mirrors the device's fallback contract: when the
-    // backend declines, the optimized bytecode runs unchanged.
-    let cf_jit = default_backend().jit_compile(&cf_opt).unwrap_or(cf_opt);
-    let r_jit = vm::execute(&cf_jit, &mut via_jit);
-    assert_eq!(
-        r_interp, r_vm,
-        "{context}: scalar VM result/error class diverged"
-    );
-    assert_eq!(
-        r_interp, r_opt,
-        "{context}: optimized VM result/error class diverged"
-    );
-    assert_eq!(
-        r_interp, r_jit,
-        "{context}: JIT result/error class diverged"
-    );
-    for (i, (a, b)) in via_interp.iter().zip(&via_vm).enumerate() {
-        assert_eq!(a, b, "{context}: arg {i} diverged on the scalar VM");
-    }
-    for (i, (a, b)) in via_interp.iter().zip(&via_opt).enumerate() {
-        assert_eq!(a, b, "{context}: arg {i} diverged on the optimized VM");
-    }
-    for (i, (a, b)) in via_interp.iter().zip(&via_jit).enumerate() {
-        assert_eq!(a, b, "{context}: arg {i} diverged on the JIT");
+    let [packed, scalar] = jit_tiers().map(|(tier, backend)| {
+        let cf_jit = backend
+            .jit_compile(&cf_opt)
+            .unwrap_or_else(|_| cf_opt.clone());
+        (tier, cf_jit)
+    });
+    [("scalar VM", cf), ("optimized VM", cf_opt), packed, scalar]
+}
+
+/// Run `func` on all four engines — the JIT once per tier — from
+/// identical argument snapshots; the results (including any error) and
+/// every output array must match bit for bit.
+fn assert_engines_agree(func: &PrimFunc, args: &[NDArray], context: &str) {
+    let mut via_interp = args.to_vec();
+    let r_interp = interp::execute(func, &mut via_interp);
+    for (engine, compiled) in compiled_engines(func, context) {
+        let mut via = args.to_vec();
+        let r = vm::execute(&compiled, &mut via);
+        assert_eq!(
+            r_interp, r,
+            "{context}: {engine} result/error class diverged"
+        );
+        for (i, (a, b)) in via_interp.iter().zip(&via).enumerate() {
+            assert_eq!(a, b, "{context}: arg {i} diverged on the {engine}");
+        }
     }
 }
 
@@ -420,13 +428,15 @@ fn trimming_is_not_vacuous_and_errors_inside_the_live_range_match() {
         "scalar rung untouched"
     );
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    {
-        let jitted = default_backend()
-            .jit_compile(&cf)
-            .expect("trimmed loop must jit");
-        assert!(jitted.jit_nest_count() > 0);
+    for (tier, backend) in jit_tiers() {
+        let jitted = backend.jit_compile(&cf).expect("trimmed loop must jit");
+        assert!(jitted.jit_nest_count() > 0, "{tier}");
         let simd = jitted.jit_simd_report().expect("jitted");
-        assert_eq!(simd.scalar_reasons.get("dynamic-extent"), Some(&1));
+        assert_eq!(
+            simd.scalar_reasons.get("dynamic-extent"),
+            Some(&1),
+            "{tier}"
+        );
     }
     assert_engines_agree(&ok, &args, "in-bounds guarded reduction");
     // Out of bounds inside the live range — a store at k = 5 (first
@@ -487,14 +497,12 @@ fn forwarding_is_not_vacuous_on_the_reduction_kernels() {
             assert!(cf.microkernel_count() >= 1, "gemm {{1,1}} is a microkernel");
         }
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        {
-            let jitted = default_backend()
-                .jit_compile(&cf)
-                .expect("must jit on x86-64");
+        for (tier, backend) in jit_tiers() {
+            let jitted = backend.jit_compile(&cf).expect("must jit on x86-64");
             if forwards {
                 assert!(
                     jitted.forwarded_loop_count() >= 1,
-                    "{}: no forwarded loop reached native code",
+                    "{} on the {tier}: no forwarded loop reached native code",
                     mold.name()
                 );
             }
@@ -502,7 +510,7 @@ fn forwarding_is_not_vacuous_on_the_reduction_kernels() {
                 let simd = jitted.jit_simd_report().expect("jitted");
                 assert!(
                     simd.scalar_reasons.get("reduction-chain").copied() >= Some(1),
-                    "gemm: {simd:?}"
+                    "gemm on the {tier}: {simd:?}"
                 );
             }
         }
@@ -534,28 +542,23 @@ fn empty_live_range_leaves_a_signalling_nan_destination_untouched() {
         NDArray::from_f64(&[4], &[snan; 4]),
         NDArray::random(&[4], DType::F64, 8, 0.5, 1.0),
     ];
-    let cf = compile(&func).expect("compile");
-    let cf_opt = compile_optimized(&func).expect("optimized compile");
-    assert_eq!(cf_opt.forwarded_loop_count(), 1);
-    let cf_jit = default_backend()
-        .jit_compile(&cf_opt)
-        .unwrap_or(cf_opt.clone());
-    let mut runs = vec![args.clone(); 4];
-    interp::execute(&func, &mut runs[0]).expect("interpreter");
-    vm::execute(&cf, &mut runs[1]).expect("scalar VM");
-    vm::execute(&cf_opt, &mut runs[2]).expect("optimized VM");
-    vm::execute(&cf_jit, &mut runs[3]).expect("JIT");
+    let engines = compiled_engines(&func, "snan");
+    assert_eq!(engines[1].1.forwarded_loop_count(), 1, "optimized VM");
     let bits =
         |run: &[NDArray]| -> Vec<u64> { run[0].as_f64().iter().map(|v| v.to_bits()).collect() };
-    let want = bits(&runs[0]);
+    let mut via_interp = args.clone();
+    interp::execute(&func, &mut via_interp).expect("interpreter");
+    let want = bits(&via_interp);
     assert_eq!(
         want[..3],
         [snan.to_bits(); 3],
         "untouched cells keep their bits"
     );
     assert_ne!(want[3], snan.to_bits(), "the live iteration wrote its cell");
-    for (engine, run) in ["scalar VM", "optimized VM", "JIT"].iter().zip(&runs[1..]) {
-        assert_eq!(bits(run), want, "{engine}");
+    for (engine, compiled) in engines {
+        let mut run = args.clone();
+        vm::execute(&compiled, &mut run).expect(engine);
+        assert_eq!(bits(&run), want, "{engine}");
     }
 }
 
@@ -600,20 +603,21 @@ fn jit_actually_compiles_polybench_hot_loops() {
     // Non-vacuity for the fourth engine: on x86-64 every kernel must
     // reach real machine code (compiled-nest counter > 0), not silently
     // fall back to the optimized VM.
-    let backend = default_backend();
     for kernel in KERNELS {
         let mold = mold_for(kernel, ProblemSize::Mini);
         let func = mold.instantiate(&mold.space().default_configuration());
         let cf = compile_optimized(&func).expect("optimized compile");
-        let jitted = backend
-            .jit_compile(&cf)
-            .unwrap_or_else(|e| panic!("{}: must jit on x86-64, got {e}", mold.name()));
-        assert!(
-            jitted.jit_nest_count() > 0,
-            "{}: JIT emitted no native loop nest",
-            mold.name()
-        );
-        assert!(jitted.jit_code_bytes() > 0);
+        for (tier, backend) in jit_tiers() {
+            let jitted = backend.jit_compile(&cf).unwrap_or_else(|e| {
+                panic!("{} on the {tier}: must jit on x86-64, got {e}", mold.name())
+            });
+            assert!(
+                jitted.jit_nest_count() > 0,
+                "{} on the {tier}: JIT emitted no native loop nest",
+                mold.name()
+            );
+            assert!(jitted.jit_code_bytes() > 0);
+        }
     }
 }
 
@@ -690,6 +694,57 @@ fn thread_sweep_is_not_vacuous() {
         spawned,
         "steady-state trials must not spawn threads"
     );
+    tvm_runtime::pool::set_num_threads(1);
+}
+
+#[test]
+fn parallel_loop_accounting_is_complete() {
+    // Every runtime entry into a `Parallel` loop lands in exactly one
+    // counter bucket, on every mold at every thread budget: the
+    // per-reason counts sum to the fallback total; a function with a
+    // prepared parallel loop counts an entry — dispatch or fallback —
+    // and one without counts nothing; a proven loop dispatches as soon
+    // as there are two threads and never at one. The molds whose
+    // schedules annotate a tile loop `Parallel` (gemm, 3mm, 2mm, syrk)
+    // prepare one under their default configuration, the others never.
+    // One device per run, so the counters attribute cleanly.
+    let _guard = thread_budget_lock();
+    let mut rng = SmallRng::seed_from_u64(777);
+    for kernel in KERNELS {
+        let mold = mold_for(kernel, ProblemSize::Mini);
+        let annotated = matches!(
+            kernel,
+            KernelName::Gemm | KernelName::Mm3 | KernelName::Mm2 | KernelName::Syrk
+        );
+        let mut configs = vec![mold.space().default_configuration()];
+        configs.extend((0..3).map(|_| mold.space().sample(&mut rng)));
+        for (nth, config) in configs.iter().enumerate() {
+            let func = mold.instantiate(config);
+            for threads in [1usize, 2, 4, 7] {
+                tvm_runtime::pool::set_num_threads(threads);
+                let device = tvm_runtime::CpuDevice::new();
+                let mut args = mold.init_args();
+                device.run(&func, &mut args).expect("runs");
+                let stats = device.par_stats().expect("optimized device keeps counters");
+                let context = format!("{} / {config} @ {threads} threads: {stats:?}", mold.name());
+                let reason_sum: u64 = stats.fallback_reasons.iter().map(|(_, n)| n).sum();
+                assert_eq!(reason_sum, stats.fallbacks, "lost a reason: {context}");
+                let census = stats.loops_proven + stats.loops_unproven;
+                let entries = stats.dispatches + stats.fallbacks;
+                assert_eq!(census > 0, entries > 0, "lost an entry: {context}");
+                if !annotated {
+                    assert_eq!(census, 0, "no annotation: {context}");
+                } else if nth == 0 {
+                    assert!(census >= 1, "census lost: {context}");
+                }
+                if threads == 1 {
+                    assert_eq!(stats.dispatches, 0, "{context}");
+                } else if stats.loops_proven > 0 {
+                    assert!(stats.dispatches >= 1, "proven, never dispatched: {context}");
+                }
+            }
+        }
+    }
     tvm_runtime::pool::set_num_threads(1);
 }
 
