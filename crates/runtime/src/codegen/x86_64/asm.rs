@@ -514,9 +514,9 @@ impl Asm {
 
     // ---- the vector layer: one float instruction at a `Width` ----
     //
-    // Everything above this line that starts `sse_`/`vex` is reached only
-    // from here. VEX forms are three-operand; the legacy forms compute in
-    // place, so `dst ← a op b` first copies `a` into `dst` (`movap*`,
+    // The raw `sse_*`/`vex*` encoders are reached only from here and from
+    // the helpers above. VEX forms are three-operand; the legacy forms
+    // compute in place, so `dst ← a op b` first copies `a` into `dst` (`movap*`,
     // nothing when they are the same register), and packed legacy
     // arithmetic, which faults on an unaligned memory operand, takes it
     // through an unaligned `movup*` into the caller's scratch register.

@@ -272,7 +272,7 @@ impl NestCompiler<'_> {
                 if *extent < 1 {
                     return;
                 }
-                if let Some(plan) = plan_jam(item, self.dts, self.opts.shape) {
+                if let Some(plan) = plan_jam(item, self.dts, |dt| self.opts.width(dt)) {
                     let done = (plan.kextent / JAM) * JAM;
                     let rem = plan.kextent - done;
                     self.emit_jammed(&plan);
@@ -328,7 +328,8 @@ impl NestCompiler<'_> {
                     self.emit_trimmed_strided(*min, *extent, *clamp, bumps, body, *carry);
                     return;
                 }
-                match plan_packed(*extent, bumps, body, kind, self.dts, self.opts.shape) {
+                let width = |dt| self.opts.width(dt);
+                match plan_packed(*extent, bumps, body, kind, self.dts, width) {
                     Ok(plan) => {
                         // A carry is sequential state; the optimizer
                         // forwards no loop that is proven vectorized.

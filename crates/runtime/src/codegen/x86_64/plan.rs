@@ -1,9 +1,9 @@
 //! Planning: which nests are in the JIT subset and how each is laid out
-//! in registers — pure functions of the bytecode, the slot dtypes and a
-//! vector [`Shape`], so every decision is testable without emitting or
-//! executing anything.
+//! in registers — pure functions of the bytecode, the slot dtypes and the
+//! backend's [`Width`] for an element type, so every decision is testable
+//! without emitting or executing anything.
 
-use super::asm::{Shape, Width, R, R10, R8, R9, X};
+use super::asm::{Width, R, R10, R8, R9, X};
 use crate::compile::{Carry, Instr, Item, LoopKind, Reg, SlotAccess};
 use crate::optimize::{float_dst, float_uses, int_dst, reads_ireg};
 use std::collections::{HashMap, HashSet};
@@ -330,9 +330,10 @@ pub(super) fn plan_packed(
     body: &[Instr],
     kind: &LoopKind,
     dts: &[DType],
-    shape: Shape,
+    width: impl Fn(DType) -> Width,
 ) -> Result<PackedPlan, &'static str> {
-    if shape == Shape::Scalar {
+    // The scalar tier packs nothing, whatever the element type.
+    if width(DType::F64).lanes() == 1 {
         return Err("simd-disabled");
     }
     // Packing reorders iterations across lanes, so it is gated on
@@ -358,7 +359,7 @@ pub(super) fn plan_packed(
     let Some(dt) = mode else {
         return Err("body-op");
     };
-    let w = Width::new(dt, shape);
+    let w = width(dt);
     let f64m = dt == DType::F64;
     if extent < w.lanes() {
         return Err("short-extent");
@@ -599,10 +600,11 @@ pub(super) struct JamPlan<'p> {
 /// - it never writes the loop variable (the jam advances it);
 /// - a dataflow pass proves `dst.addr` independent of `k`,
 ///   treating loop-carried register reads as varying.
-pub(super) fn plan_jam<'p>(item: &'p Item, dts: &[DType], shape: Shape) -> Option<JamPlan<'p>> {
-    if shape == Shape::Scalar {
-        return None;
-    }
+pub(super) fn plan_jam<'p>(
+    item: &'p Item,
+    dts: &[DType],
+    width: impl Fn(DType) -> Width,
+) -> Option<JamPlan<'p>> {
     let Item::Loop {
         var,
         min,
@@ -640,8 +642,9 @@ pub(super) fn plan_jam<'p>(item: &'p Item, dts: &[DType], shape: Shape) -> Optio
         (1, 0) => (*b, *a, false),
         _ => return None,
     };
-    let w = Width::new(dt, shape);
-    if *extent < w.lanes() {
+    // A scalar width jams nothing; a packed one needs a full vector.
+    let w = width(dt);
+    if w.lanes() == 1 || *extent < w.lanes() {
         return None;
     }
     // Setup-code scan: pure register arithmetic only, loop variable
@@ -714,6 +717,7 @@ pub(super) fn plan_jam<'p>(item: &'p Item, dts: &[DType], shape: Shape) -> Optio
 
 #[cfg(test)]
 mod tests {
+    use super::super::asm::Shape;
     use super::super::fixtures::{access, fmuladd, JamNest};
     use super::*;
     use crate::compile::{Block, Clamp};
@@ -781,7 +785,8 @@ mod tests {
     fn plan_packed_names_every_refusal() {
         use DType::{F32, F64};
         let plan = |c: &Packable| {
-            plan_packed(c.extent, &c.bumps, &c.body, &c.kind, &c.dts, c.shape).map(|p| p.w)
+            let width = |dt| Width::new(dt, c.shape);
+            plan_packed(c.extent, &c.bumps, &c.body, &c.kind, &c.dts, width).map(|p| p.w)
         };
         let sqrt = |round| Instr::Call1(Intrinsic::Sqrt, 2, 1, round);
         let in_f32 = |c: &mut Packable, i: Instr| (c.dts, c.body[1]) = ([F32; 2], i);
@@ -892,7 +897,8 @@ mod tests {
         use DType::{F32, F64};
         let planned = |nest: JamNest, dts: [DType; 3], shape| {
             let item = nest.item();
-            plan_jam(&item, &dts, shape).map(|p| (p.inv.slot, p.vec.slot, p.inv_first, p.w))
+            let plan = plan_jam(&item, &dts, |dt| Width::new(dt, shape));
+            plan.map(|p| (p.inv.slot, p.vec.slot, p.inv_first, p.w))
         };
         let ok = || JamNest::new(27, true, false);
         let want = (1, 2, true, Width::new(F64, Shape::Sse));
