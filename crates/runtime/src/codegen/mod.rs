@@ -26,7 +26,10 @@
 //! register-resident: element pointers in GPRs, body-defined fregs in
 //! XMM registers, a forwarded reduction accumulator in one XMM register
 //! for the whole loop, and in-memory operands only where the budgets run
-//! out. Every vector site is accounted
+//! out. The nest around it is resident the same way: a maximal loop or
+//! conditional whose every item is in the subset is one native entry,
+//! its loop counters and the integer registers it defines in
+//! callee-saved GPRs. Every vector site is accounted
 //! in [`SimdStats`]: packed, or scalar with a counted reason
 //! (`dynamic-extent` for trimmed loops), so
 //! `packed + scalar-by-reason = total` always holds. [`scalar_backend`]
@@ -34,7 +37,7 @@
 //! the fingerprint does not depend on it).
 //!
 //! Fingerprints: a JIT-mode device reports
-//! [`jit_fingerprint`] = `vm/v4+tir-opt/v1+par/v1+jit/v4`, distinct from the
+//! [`jit_fingerprint`] = `vm/v5+tir-opt/v1+par/v1+jit/v5`, distinct from the
 //! optimized VM's [`crate::optimize::engine_fingerprint`] so the
 //! service's engine ladder can attribute trial records to the exact
 //! engine that produced them.
@@ -58,8 +61,10 @@ pub use x86_64::X86Backend;
 /// register-tiled mul-add microkernels). v3: the dynamic-trip scalar
 /// strided template for trimmed loops. v4: the register-resident scalar
 /// strided loop and stride-0 microkernel destinations carried in a
-/// register.
-pub const JIT_VERSION: &str = "jit/v4";
+/// register. v5: the resident nest — conditionals, integer compares and
+/// trimmed plain loops in the subset, loop counters and nest-level
+/// integer registers in callee-saved GPRs for a whole nest.
+pub const JIT_VERSION: &str = "jit/v5";
 
 /// Fingerprint reported by a JIT-mode device: the optimized engine's
 /// fingerprint plus the codegen version.
@@ -320,9 +325,11 @@ pub struct SimdCounters {
 impl SimdCounters {
     /// Fold one function's emission report into the shared counters.
     pub fn record_report(&self, r: &SimdReport) {
-        self.packed_loops.fetch_add(r.packed_loops, Ordering::Relaxed);
+        self.packed_loops
+            .fetch_add(r.packed_loops, Ordering::Relaxed);
         self.tiled_loops.fetch_add(r.tiled_loops, Ordering::Relaxed);
-        self.scalar_loops.fetch_add(r.scalar_loops, Ordering::Relaxed);
+        self.scalar_loops
+            .fetch_add(r.scalar_loops, Ordering::Relaxed);
         if !r.scalar_reasons.is_empty() {
             let mut m = self.reasons.lock().expect("simd reason lock");
             for (k, v) in &r.scalar_reasons {

@@ -1,10 +1,12 @@
 //! Hand-rolled x86-64 emitter and loop-nest compiler.
 //!
-//! The backend compiles whole *loop nests* of an optimized bytecode
-//! program — subtrees built from `Loop`, `StridedLoop`, `MulAddLoop`
-//! and straight-line `Code` whose every instruction is in the
-//! infallible JIT subset — into single native functions, eliminating
-//! the VM's per-item dispatch and per-instruction interpretation.
+//! The backend compiles whole *nests* of an optimized bytecode program —
+//! a loop or conditional whose subtree is built from `Loop` (static or
+//! trimmed), `If`, `StridedLoop`, `MulAddLoop` and straight-line `Code`
+//! whose every instruction is in the infallible JIT subset — into single
+//! native functions, eliminating the VM's per-item dispatch and
+//! per-instruction interpretation. A nest holding a proven-parallel loop
+//! stays in bytecode for the pool; the nests inside it still compile.
 //!
 //! # Bit-exactness contract
 //!
@@ -14,23 +16,36 @@
 //! - Each bytecode instruction lowers to one short template, emitted in
 //!   program order, so the order of evaluation — every operation, every
 //!   rounding, every load and store — is the VM's whatever holds the
-//!   operands. Outside a strided loop they are in the register files in
-//!   memory (`iregs`/`fregs` arrays passed in `rdi`/`rsi`), read and
-//!   written through scratch registers. Inside the scalar strided loop
-//!   ([`emit::NestCompiler::emit_strided_trips`], the one loop the static
-//!   template, the trimmed template and the packed tier's tail all end
-//!   in) the same templates take their operands from a per-loop plan
-//!   ([`plan::plan_resident`]): an element pointer in a GPR for each
-//!   `(slot, address register)` pair, stepped by the stride the address
-//!   register had; an XMM register for each freg the body defines, never
-//!   written back (post-loop state of body-defined registers is
-//!   unobservable); one XMM register for a forwarded accumulator
-//!   ([`crate::compile::Carry`]: loaded once behind the empty-range test,
-//!   stored by every iteration). Whatever does not fit the budgets keeps
-//!   its in-memory form, operand by operand — x86 ALU ops take a memory
-//!   operand — so there is one instruction emitter, and every unchecked
-//!   access the resident loop issues is one the in-memory loop issued,
-//!   at the same address, covered by the same proof.
+//!   operands. There is one instruction emitter
+//!   ([`emit::NestCompiler::emit_instr`]) and it takes each operand from
+//!   where a plan put it, else from the register files in memory
+//!   (`iregs`/`fregs` arrays passed in `rdi`/`rsi`) through scratch
+//!   registers, operand by operand — x86 ALU ops take a memory operand.
+//!   Two plans say where:
+//!   - **The nest** ([`plan::plan_nest`]): loop counters and the integer
+//!     registers the nest defines (nest-level code, the preludes of its
+//!     strided loops and microkernels) live in the callee-saved GPRs
+//!     `rbx`, `rbp`, `r12`–`r15` for as long as something reads them,
+//!     innermost definitions first; the registers are saved once at the
+//!     nest's entry and restored at its `ret`, and no leaf template
+//!     touches them. Nothing is written back: a nest is one loop or
+//!     conditional, and a register defined inside one is dead after it.
+//!     Integer templates are the same wrapping `add`/`sub`/`imul`;
+//!     compares and `And`/`Or`/`Not` are `cmp`/`setcc`, exact by
+//!     construction. Float operands of nest-level code stay in `fregs`.
+//!   - **The scalar strided loop** ([`plan::plan_resident`], emitted by
+//!     [`emit::NestCompiler::emit_strided_trips`], the one loop the
+//!     static template, the trimmed template and the packed tier's tail
+//!     all end in) adds to the nest's plan an element pointer in a GPR
+//!     for each `(slot, address register)` pair, stepped by the stride
+//!     the address register had; an XMM register for each freg the body
+//!     defines, never written back (post-loop state of body-defined
+//!     registers is unobservable); one XMM register for a forwarded
+//!     accumulator ([`crate::compile::Carry`]: loaded once behind the
+//!     empty-range test, stored by every iteration).
+//!
+//!   Every unchecked access a resident form issues is one the in-memory
+//!   form issued, at the same address, covered by the same proof.
 //! - Float ops use scalar SSE2 (`mulsd`/`addsd`/`divsd`/`sqrtsd`),
 //!   which are IEEE-correctly-rounded exactly like Rust's `f64` ops.
 //!   `f32` rounding replicates the VM's `as f32 as f64` with
@@ -67,20 +82,26 @@
 //!   with the accumulator in a register, and every vector site
 //!   is tallied packed-or-scalar-with-reason in
 //!   [`super::SimdReport`].
-//! - A *trimmed* strided loop ([`crate::optimize`]'s loop trimming: a
-//!   guard on the loop's own variable turned into a live range) runs the
-//!   same scalar strided template with its trip count computed at loop
-//!   entry ([`emit::NestCompiler::emit_trimmed_strided`]): the iterations run
-//!   are the ones whose guard held, in ascending order. It is never
-//!   packed or jammed — those plans split a static extent — and is
-//!   tallied scalar under `dynamic-extent`.
+//! - A *trimmed* loop ([`crate::optimize`]'s loop trimming: a guard on
+//!   the loop's own variable turned into a live range) computes its range
+//!   at loop entry — [`emit::NestCompiler::emit_live_range`],
+//!   [`crate::compile::live_range`] in machine code, one template for the
+//!   plain and the strided loop — and runs the iterations whose guard
+//!   held, in ascending order. A trimmed strided loop runs the scalar
+//!   strided template ([`emit::NestCompiler::emit_trimmed_strided`]); it
+//!   is never packed or jammed — those plans split a static extent — and
+//!   is tallied scalar under `dynamic-extent`.
+//! - A conditional tests its condition register against zero and jumps
+//!   over the arm not taken; both arms are checked, so a store that a
+//!   false guard protects is never reached and one a true guard admits
+//!   was proven in bounds by the compiler or the nest is not compiled.
 //!
-//! Anything outside the subset — conditionals, trimmed loops that are
-//! not in strided form, bounds checks, checked
-//! stores, failable integer division, float min/max (NaN semantics
-//!   differ from Rust's), float→int casts (saturation differs), and
-//! integer-typed buffers — rejects the nest; the VM executes those
-//! items unchanged.
+//! Anything outside the subset — bounds checks, checked stores, failable
+//! integer division, float min/max (NaN semantics differ from Rust's),
+//! float→int casts (saturation differs), float compares and selects
+//! (NaN-faithful flag handling), and integer-typed buffers — rejects the
+//! nest; the VM executes those items unchanged and the nests inside them
+//! still compile.
 //!
 //! # One place knows the ISA
 //!
@@ -104,8 +125,10 @@ pub use emit::X86Backend;
 /// What the encoder, planner and template tests share.
 #[cfg(test)]
 mod fixtures {
-    use crate::compile::{Block, Clamp, Instr, Item, LoopKind, Reg, SlotAccess};
-    use tvm_te::BinOp;
+    use crate::compile::{Block, Carry, Clamp, Instr, Item, LoopKind, Reg, SlotAccess};
+    use rand::rngs::SmallRng;
+    use rand::Rng;
+    use tvm_te::{BinOp, CmpOp, DType};
 
     pub(super) fn hex(code: &[u8]) -> String {
         code.iter().map(|b| format!("{b:02x}")).collect()
@@ -192,6 +215,396 @@ mod fixtures {
                 },
                 kind: LoopKind::Serial,
             }
+        }
+    }
+
+    pub(super) fn pick_of(avail: &[Reg], rng: &mut SmallRng) -> Reg {
+        avail[rng.gen_range(0..avail.len())]
+    }
+
+    // ------------------------------------------------------- generated nests
+
+    /// Elements per array of a generated nest.
+    pub(super) const LEN: i64 = 256;
+    /// What an integer register holds before the nest defines it: read as
+    /// an address it faults, read as a value it shows.
+    pub(super) const POISON: i64 = 0x5A5A_5A5A_5A5A_5A5A;
+
+    /// A generated loop nest: plain loops `depth` deep (static or trimmed,
+    /// extents 1–3, any of them the jammed microkernel wrapper), with
+    /// conditionals on integer compares and their `And`/`Or`/`Not`, up to
+    /// `extras` nest-level integer registers built from loop variables,
+    /// constants and each other, every one written to an array through
+    /// `IToF` so its value is observable, and at the bottom a leaf of
+    /// every kind — a microkernel of any stride pattern and dtype mix, a
+    /// strided loop that is static, trimmed or carries its accumulator,
+    /// reads its loop variable as a value and walks backwards — whose
+    /// address, bound and condition registers come from any level of the
+    /// nest or from outside it. Every address stays inside its array.
+    pub(super) struct NestGen<'r> {
+        pub(super) rng: &'r mut SmallRng,
+        pub(super) dts: Vec<DType>,
+        /// The integer file at entry: the constants the nest reads,
+        /// [`POISON`] in every register it defines.
+        pub(super) iregs: Vec<i64>,
+        pub(super) n_fregs: Reg,
+        /// Registers code generated now may read, with the interval of
+        /// the values each takes.
+        pub(super) avail: Vec<(Reg, i64, i64)>,
+        pub(super) extras: usize,
+        /// Trimmed plain loops, conditionals with an `else`, jam wrappers.
+        pub(super) shapes: [u32; 3],
+    }
+
+    impl NestGen<'_> {
+        fn below(&mut self, n: i64) -> i64 {
+            self.rng.gen_range(0..n)
+        }
+
+        fn defined(&mut self) -> Reg {
+            self.iregs.push(POISON);
+            (self.iregs.len() - 1) as Reg
+        }
+
+        /// A register the caller of the nest holds `v` in.
+        fn konst(&mut self, v: i64) -> Reg {
+            self.iregs.push(v);
+            (self.iregs.len() - 1) as Reg
+        }
+
+        fn freg(&mut self) -> Reg {
+            self.n_fregs += 1;
+            self.n_fregs - 1
+        }
+
+        /// Something to read: a register of the nest, or a constant.
+        fn operand(&mut self) -> (Reg, i64, i64) {
+            if self.avail.is_empty() || self.rng.gen_bool(0.2) {
+                let v = self.below(7) - 2;
+                (self.konst(v), v, v)
+            } else {
+                self.avail[self.rng.gen_range(0..self.avail.len())]
+            }
+        }
+
+        /// One more nest-level integer register, if the budget has one.
+        fn extra(&mut self, code: &mut Vec<Instr>) {
+            if self.extras == 0 {
+                return;
+            }
+            let ((x, xl, xh), (y, yl, yh)) = (self.operand(), self.operand());
+            let d = self.defined();
+            let (instr, lo, hi) = match self.below(8) {
+                0 | 1 => (Instr::IBin(BinOp::Add, d, x, y), xl + yl, xh + yh),
+                2 => (Instr::IBin(BinOp::Sub, d, x, y), xl - yh, xh - yl),
+                3 => {
+                    let p = [xl * yl, xl * yh, xh * yl, xh * yh];
+                    let (lo, hi) = (*p.iter().min().unwrap(), *p.iter().max().unwrap());
+                    (Instr::IBin(BinOp::Mul, d, x, y), lo, hi)
+                }
+                4 => {
+                    const OPS: [CmpOp; 6] = [
+                        CmpOp::Lt,
+                        CmpOp::Le,
+                        CmpOp::Gt,
+                        CmpOp::Ge,
+                        CmpOp::Eq,
+                        CmpOp::Ne,
+                    ];
+                    let op = OPS[self.rng.gen_range(0..OPS.len())];
+                    (Instr::ICmp(op, d, x, y), 0, 1)
+                }
+                5 => (Instr::And(d, x, y), 0, 1),
+                6 => (Instr::Or(d, x, y), 0, 1),
+                _ => (Instr::Not(d, x), 0, 1),
+            };
+            if lo.abs().max(hi.abs()) > 40 {
+                // Too wide to address with: leave it defined and unread.
+                code.push(Instr::IConst(d, lo));
+                return;
+            }
+            code.push(instr);
+            self.avail.push((d, lo, hi));
+            self.extras -= 1;
+        }
+
+        /// An address register every value of which leaves `back`
+        /// elements before it and `fwd` after it inside an array: a
+        /// register of the nest plus a constant, or — unless the caller
+        /// will bump it — a constant alone.
+        fn addr(&mut self, code: &mut Vec<Instr>, (back, fwd): (i64, i64), bumped: bool) -> Reg {
+            let slack = self.below(8);
+            if !bumped && self.rng.gen_bool(0.2) {
+                return self.konst(back + slack);
+            }
+            let (base, lo, hi) = if self.avail.is_empty() {
+                (self.konst(0), 0, 0)
+            } else {
+                self.avail[self.rng.gen_range(0..self.avail.len())]
+            };
+            assert!(back + slack + (hi - lo) + fwd < LEN);
+            let (a, c) = (self.defined(), self.konst(back + slack - lo));
+            code.push(Instr::IBin(BinOp::Add, a, base, c));
+            a
+        }
+
+        /// Make one available register's value observable.
+        fn observe(&mut self, code: &mut Vec<Instr>) {
+            if self.avail.is_empty() {
+                return;
+            }
+            let (r, ..) = self.avail[self.rng.gen_range(0..self.avail.len())];
+            let (f, slot) = (self.freg(), self.below(4) as u16);
+            let at = self.addr(code, (0, 0), false);
+            code.push(if self.rng.gen_bool(0.5) {
+                Instr::IToF(f, r)
+            } else {
+                Instr::IToF32(f, r)
+            });
+            code.push(Instr::Store(slot, at, f));
+        }
+
+        fn span(stride: i64, n: i64) -> (i64, i64) {
+            let reach = stride * (n - 1);
+            ((-reach).max(0), reach.max(0))
+        }
+
+        fn muladd(&mut self, n: i64, slots: [u16; 3], strides: [i64; 3], round32: bool) -> Item {
+            let mut pre = Vec::new();
+            let [dst, a, b] = [0, 1, 2].map(|k| {
+                let at = self.addr(&mut pre, Self::span(strides[k], n), false);
+                access(slots[k], at, strides[k])
+            });
+            Item::MulAddLoop {
+                extent: n,
+                pre,
+                dst,
+                a,
+                b,
+                round32,
+            }
+        }
+
+        fn any_muladd(&mut self) -> Item {
+            const PATTERNS: [[i64; 3]; 9] = [
+                [1, 0, 1],
+                [1, 1, 0],
+                [1, 1, 1],
+                [0, 1, 1],
+                [0, 1, 3],
+                [0, -2, 0],
+                [2, 1, 1],
+                [1, 2, 1],
+                [-1, 1, 1],
+            ];
+            let strides = PATTERNS[self.rng.gen_range(0..PATTERNS.len())];
+            let slots = [0, 1, 2].map(|_| self.below(4) as u16);
+            let (n, round32) = (1 + self.below(9), self.rng.gen_bool(0.5));
+            self.muladd(n, slots, strides, round32)
+        }
+
+        /// A serial `k` loop around a microkernel whose destination row
+        /// does not move with `k`: jammed when the three slots agree.
+        fn jam_wrapper(&mut self) -> Item {
+            self.shapes[2] += 1;
+            let lanes = if self.dts[0] == DType::F64 { 2 } else { 4 };
+            let (j, kext, kmin) = (lanes + self.below(4), 4 + self.below(4), self.below(2));
+            let k = self.defined();
+            // The destination's address is built before `k` is readable.
+            let mut pre = Vec::new();
+            let row = Self::span(1, j);
+            let dst = access(0, self.addr(&mut pre, row, false), 1);
+            let mark = self.avail.len();
+            self.avail.push((k, kmin, kmin + kext - 1));
+            let mut code = Vec::new();
+            self.extra(&mut code);
+            let inv_first = self.rng.gen_bool(0.5);
+            let inv = access(1, self.addr(&mut pre, (0, 0), false), 0);
+            let vec = access(2, self.addr(&mut pre, row, false), 1);
+            self.avail.truncate(mark);
+            let (a, b) = if inv_first { (inv, vec) } else { (vec, inv) };
+            let kernel = Item::MulAddLoop {
+                extent: j,
+                pre,
+                dst,
+                a,
+                b,
+                round32: self.dts[0] == DType::F32,
+            };
+            Item::Loop {
+                var: k,
+                min: kmin,
+                extent: kext,
+                clamp: Clamp::default(),
+                body: Block {
+                    items: vec![Item::Code(code), kernel],
+                },
+                kind: LoopKind::Serial,
+            }
+        }
+
+        /// A bound of a live range: a register of the nest or a constant,
+        /// near the static range or far outside it.
+        fn clamp(&mut self, p: f64) -> Clamp {
+            let side = |s: &mut Self| {
+                s.rng.gen_bool(p).then(|| {
+                    let reg = if s.rng.gen_bool(0.5) {
+                        s.operand().0
+                    } else {
+                        let v = [i64::MIN, -3, 0, 1, 2, 3, 5, i64::MAX][s.below(8) as usize];
+                        s.konst(v)
+                    };
+                    (reg, s.below(2))
+                })
+            };
+            Clamp {
+                lo: side(self),
+                hi: side(self),
+            }
+        }
+
+        fn strided(&mut self) -> Item {
+            const STRIDES: [i64; 6] = [0, 1, 2, 3, -1, -2];
+            const OPS: [BinOp; 4] = [BinOp::Add, BinOp::Mul, BinOp::Sub, BinOp::Div];
+            let (n, min) = (1 + self.below(8), [0, 0, 2, -1][self.below(4) as usize]);
+            let var = self.defined();
+            let mut pre = vec![Instr::IConst(var, min)];
+            let mut bumps = vec![(var, 1)];
+            let carried = self.rng.gen_bool(0.4);
+            // Pointer 0 is the carry's: fixed, and its slot stored to by
+            // nothing else.
+            let n_ptrs = 1 + self.below(4) as usize;
+            let mut ptrs = Vec::new();
+            for k in 0..n_ptrs {
+                let stride = if carried && k == 0 {
+                    0
+                } else {
+                    STRIDES[self.rng.gen_range(0..STRIDES.len())]
+                };
+                let slot = if carried && k > 0 {
+                    1 + self.below(3) as u16
+                } else {
+                    self.below(4) as u16
+                };
+                let a = self.addr(&mut pre, Self::span(stride, n), stride != 0);
+                if stride != 0 {
+                    bumps.push((a, stride));
+                }
+                ptrs.push((if carried && k == 0 { 0 } else { slot }, a));
+            }
+            // fregs 0..3 are the caller's.
+            let mut vals: Vec<Reg> = vec![0, 1, 2];
+            let mut body = Vec::new();
+            for &(slot, a) in ptrs.iter().skip(carried as usize) {
+                let d = self.freg();
+                body.push(Instr::Load(d, slot, a));
+                vals.push(d);
+            }
+            if self.rng.gen_bool(0.5) {
+                let d = self.freg();
+                body.push(Instr::IToF(d, var));
+                vals.push(d);
+            }
+            for _ in 0..self.below(4) {
+                let (d, x, y) = (
+                    self.freg(),
+                    pick_of(&vals, self.rng),
+                    pick_of(&vals, self.rng),
+                );
+                let op = OPS[self.rng.gen_range(0..OPS.len())];
+                body.push(if self.rng.gen_bool(0.5) {
+                    Instr::FBin(op, d, x, y)
+                } else {
+                    fmuladd(d, x, y, pick_of(&vals, self.rng), self.rng.gen_bool(0.3))
+                });
+                vals.push(d);
+            }
+            for &(slot, a) in ptrs.iter().skip(carried as usize) {
+                if self.rng.gen_bool(0.5) {
+                    body.push(Instr::Store(slot, a, pick_of(&vals, self.rng)));
+                }
+            }
+            let carry = carried.then(|| {
+                let (acc, next, (slot, addr)) = (self.freg(), self.freg(), ptrs[0]);
+                body.push(Instr::FBin(BinOp::Add, next, acc, pick_of(&vals, self.rng)));
+                body.push(Instr::Store(slot, addr, next));
+                Carry {
+                    acc,
+                    slot,
+                    addr,
+                    next,
+                }
+            });
+            Item::StridedLoop {
+                min,
+                extent: n,
+                clamp: self.clamp(0.3),
+                pre,
+                bumps,
+                body,
+                carry,
+                kind: LoopKind::Serial,
+            }
+        }
+
+        pub(super) fn plain_loop(&mut self, depth_left: usize) -> Item {
+            let (var, extent, min) = (self.defined(), 1 + self.below(3), self.below(3) - 1);
+            let clamp = self.clamp(0.2);
+            self.shapes[0] += !clamp.is_none() as u32;
+            let mark = self.avail.len();
+            self.avail.push((var, min, min + extent - 1));
+            let body = self.block(depth_left);
+            self.avail.truncate(mark);
+            Item::Loop {
+                var,
+                min,
+                extent,
+                clamp,
+                body,
+                kind: LoopKind::Serial,
+            }
+        }
+
+        /// A conditional on a register of the nest (a compare's 0/1, or
+        /// any value), its arms one level further down.
+        fn conditional(&mut self, depth_left: usize) -> Item {
+            let (cond, ..) = self.operand();
+            let mark = self.avail.len();
+            let then = self.block(depth_left);
+            self.avail.truncate(mark);
+            let else_ = self.rng.gen_bool(0.5).then(|| self.block(depth_left));
+            self.avail.truncate(mark);
+            self.shapes[1] += else_.is_some() as u32;
+            Item::If { cond, then, else_ }
+        }
+
+        /// One or two stretches of nest-level code, each ahead of a loop,
+        /// a conditional or — always, at the bottom — a leaf.
+        fn block(&mut self, depth_left: usize) -> Block {
+            let mut items = Vec::new();
+            for _ in 0..1 + self.below(2) {
+                let mut code = Vec::new();
+                for _ in 0..self.below(4) {
+                    self.extra(&mut code);
+                }
+                if self.rng.gen_bool(0.6) {
+                    self.observe(&mut code);
+                }
+                if !code.is_empty() {
+                    items.push(Item::Code(code));
+                }
+                let roll = if depth_left == 0 { 0 } else { self.below(8) };
+                items.push(match roll {
+                    0 => match self.below(4) {
+                        0 => self.any_muladd(),
+                        1 => self.jam_wrapper(),
+                        _ => self.strided(),
+                    },
+                    1 | 2 => self.conditional(depth_left - 1),
+                    _ => self.plain_loop(depth_left - 1),
+                });
+            }
+            Block { items }
         }
     }
 }

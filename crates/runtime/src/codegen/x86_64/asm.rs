@@ -14,8 +14,10 @@ pub(super) const RAX: R = R(0);
 pub(super) const RCX: R = R(1);
 /// Slot base-pointer table argument.
 pub(super) const RDX: R = R(2);
+pub(super) const RBX: R = R(3);
 /// Stack pointer (jam group counter lives in its top slot).
 pub(super) const RSP: R = R(4);
+pub(super) const RBP: R = R(5);
 /// `fregs` argument.
 pub(super) const RSI: R = R(6);
 /// `iregs` argument.
@@ -25,6 +27,10 @@ pub(super) const R9: R = R(9);
 pub(super) const R10: R = R(10);
 /// Innermost-loop trip counter.
 pub(super) const R11: R = R(11);
+pub(super) const R12: R = R(12);
+pub(super) const R13: R = R(13);
+pub(super) const R14: R = R(14);
+pub(super) const R15: R = R(15);
 
 /// XMM/YMM register number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,10 +44,12 @@ pub(super) const X3: X = X(3);
 /// Scratch for packed strided-loop bodies (never mapped to a freg).
 pub(super) const XSCRATCH: X = X(15);
 
-/// Condition code for `jcc`/`cmovcc` (low nibble of the `0F 8x`/`0F 4x`
-/// opcode).
+/// Condition code for `jcc`/`cmovcc`/`setcc` (low nibble of the
+/// `0F 8x`/`0F 4x`/`0F 9x` opcode).
+pub(super) const CC_E: u8 = 0x4;
 pub(super) const CC_NZ: u8 = 0x5;
 pub(super) const CC_L: u8 = 0xC;
+pub(super) const CC_GE: u8 = 0xD;
 pub(super) const CC_LE: u8 = 0xE;
 pub(super) const CC_G: u8 = 0xF;
 
@@ -176,8 +184,9 @@ pub(super) struct Asm {
     pub(super) code: Vec<u8>,
 }
 
-/// A forward `jcc` whose 32-bit displacement is patched later (the skip
-/// over a trimmed loop whose live range came out empty).
+/// A forward `jcc`/`jmp` whose 32-bit displacement is patched later (the
+/// skip over a trimmed loop whose live range came out empty, over the arm
+/// of a conditional that is not taken).
 pub(super) struct Fwd(usize);
 
 impl Asm {
@@ -204,8 +213,7 @@ impl Asm {
     /// REX prefix; always emitted when `w` (64-bit operand) is set,
     /// otherwise only when an extended register is referenced.
     fn rex(&mut self, w: bool, reg: u8, index: u8, base: u8) {
-        let rex =
-            0x40 | ((w as u8) << 3) | ((reg >> 3) << 2) | ((index >> 3) << 1) | (base >> 3);
+        let rex = 0x40 | ((w as u8) << 3) | ((reg >> 3) << 2) | ((index >> 3) << 1) | (base >> 3);
         if rex != 0x40 || w {
             self.b(rex);
         }
@@ -294,8 +302,20 @@ impl Asm {
         self.modrm_rr(dst.0, src.0);
     }
 
+    pub(super) fn mov_rr(&mut self, dst: R, src: R) {
+        self.alu_rr(&[0x8B], dst, src);
+    }
+
     pub(super) fn add_rr(&mut self, dst: R, src: R) {
         self.alu_rr(&[0x03], dst, src);
+    }
+
+    pub(super) fn and_rr(&mut self, dst: R, src: R) {
+        self.alu_rr(&[0x23], dst, src);
+    }
+
+    pub(super) fn or_rr(&mut self, dst: R, src: R) {
+        self.alu_rr(&[0x0B], dst, src);
     }
 
     pub(super) fn sub_rr(&mut self, dst: R, src: R) {
@@ -313,6 +333,19 @@ impl Asm {
     /// `cmovcc dst, src`
     pub(super) fn cmov_rr(&mut self, cc: u8, dst: R, src: R) {
         self.alu_rr(&[0x0F, 0x40 + cc], dst, src);
+    }
+
+    /// `r ← cc ? 1 : 0` in 64 bits: `setcc r8; movzx r32, r8`. `r` is a
+    /// register whose low byte needs no REX to name (`RAX`–`RBX`) or an
+    /// extended one.
+    pub(super) fn setcc(&mut self, cc: u8, r: R) {
+        debug_assert!(!(4..8).contains(&r.0), "spl..dil need a bare REX");
+        for (op, reg) in [(0x90 + cc, 0), (0xB6, r.0)] {
+            self.rex(false, reg, 0, r.0);
+            self.b(0x0F);
+            self.b(op);
+            self.modrm_rr(reg, r.0);
+        }
     }
 
     /// Group-1 ALU op on a 64-bit `rm` operand with a sign-extended
@@ -404,10 +437,21 @@ impl Asm {
         Fwd(at)
     }
 
+    /// Forward unconditional jump (over an `else` arm); patch with
+    /// [`Asm::land`].
+    pub(super) fn jmp_fwd(&mut self) -> Fwd {
+        self.b(0xE9);
+        let at = self.here();
+        self.imm32(0);
+        Fwd(at)
+    }
+
     /// Resolve a forward jump to land here.
     pub(super) fn land(&mut self, f: Fwd) {
         let rel = self.here() as i64 - (f.0 as i64 + 4);
-        let bytes = i32::try_from(rel).expect("forward jump in range").to_le_bytes();
+        let bytes = i32::try_from(rel)
+            .expect("forward jump in range")
+            .to_le_bytes();
         self.code[f.0..f.0 + 4].copy_from_slice(&bytes);
     }
 
@@ -622,10 +666,6 @@ mod tests {
     use super::super::fixtures::{assert_same_lines, hex};
     use super::*;
 
-    const RBP: R = R(5);
-    const R12: R = R(12);
-    const R13: R = R(13);
-    const R15: R = R(15);
     /// A low and an extended register of each file (REX/VEX `R`, `X`, `B`).
     const GPRS: [R; 2] = [RCX, R9];
     const XMMS: [X; 2] = [X1, X(9)];
@@ -761,6 +801,42 @@ mod tests {
                 row!(rows, vend(w));
             }
         }
+        // What the resident nest added (`jit/v5`): register moves and 0/1
+        // logic over the scratch and the callee-saved nest registers
+        // (`r12`/`r13` are the forced-SIB / forced-disp8 bases), their
+        // saves, and the jump over an `else` arm.
+        const NEST: [R; 8] = [RAX, RCX, RBX, RBP, R12, R13, R14, R15];
+        for r in NEST {
+            row!(rows, push_r(r));
+            row!(rows, pop_r(r));
+            row!(rows, add_ri(r, 1));
+            row!(rows, cmp_ri(r, 0));
+            row!(rows, lea_sib(R8, R8, r, 8));
+            for s in [RAX, RCX, RBP, R12] {
+                row!(rows, mov_rr(r, s));
+                row!(rows, mov_rr(s, r));
+                row!(rows, and_rr(s, r));
+                row!(rows, or_rr(s, r));
+            }
+            for (base, disp) in FEW {
+                row!(rows, mov_rm(r, base, disp));
+                row!(rows, mov_mr(base, disp, r));
+            }
+        }
+        for cc in [CC_E, CC_NZ, CC_L, CC_GE, CC_LE, CC_G] {
+            for r in [RAX, RCX, R9] {
+                row!(rows, setcc(cc, r));
+            }
+        }
+        row!(rows, mov_rm(RCX, RSP, 0));
+        let mut a = Asm::new();
+        let to_else = a.jcc_fwd(CC_E);
+        a.dec_r(R11);
+        let to_end = a.jmp_fwd();
+        a.land(to_else);
+        a.dec_r(RBX);
+        a.land(to_end);
+        rows.push_str(&format!("jcc_fwd jmp_fwd land land: {}\n", hex(&a.code)));
         assert_same_lines(&rows, include_str!("goldens/asm.txt"));
     }
 }

@@ -10,8 +10,9 @@ use crate::compile::{
     forwarded_in, Block, Carry, Clamp, CompileError, CompiledFunc, Instr, Item, LoopKind, Reg,
     SlotAccess,
 };
+use std::rc::Rc;
 use std::sync::Arc;
-use tvm_te::{BinOp, DType, Intrinsic};
+use tvm_te::{BinOp, CmpOp, DType, Intrinsic};
 
 /// What the scalar templates compute in, and what an `f32` slot holds.
 const SD: Width = Width::scalar(DType::F64);
@@ -137,75 +138,74 @@ struct Rewriter<'a> {
 }
 
 impl Rewriter<'_> {
-    /// Replace every maximal jittable loop nest with a [`Item::JitCall`],
-    /// recursing into loops and conditionals that are not jittable as a
-    /// whole so inner nests still compile.
+    /// Replace every maximal jittable nest — a loop or conditional whose
+    /// every item is in the subset — with a [`Item::JitCall`], recursing
+    /// into loops and conditionals that are not jittable as a whole so
+    /// inner nests still compile.
     fn block(&mut self, b: &Block) -> Block {
         let items = b.items.iter().map(|item| self.item(item)).collect();
         Block { items }
     }
 
     fn item(&mut self, item: &Item) -> Item {
-        match item {
-            Item::Loop { .. } | Item::StridedLoop { .. } | Item::MulAddLoop { .. } => {
-                // A nest holding a proven-parallel loop stays in
-                // bytecode: jitting it whole would run the loop
-                // sequentially inside the nest and silently lose pool
-                // dispatch. Recursing below still compiles the serial
-                // nests *inside* the parallel body — jitted entries are
-                // sealed-RX and take their register files as arguments,
-                // so worker-thread chunk VMs call them reentrantly.
-                let verdict = if contains_proven_parallel(item) {
-                    Err("parallel loop kept in bytecode for pool dispatch".to_string())
-                } else {
-                    check_item(item, self.dts)
+        if matches!(item, Item::Code(_) | Item::JitCall { .. }) {
+            return item.clone();
+        }
+        // A nest holding a proven-parallel loop stays in bytecode: jitting
+        // it whole would run the loop sequentially inside the nest and
+        // silently lose pool dispatch. Recursing below still compiles the
+        // serial nests *inside* the parallel body — jitted entries are
+        // sealed-RX and take their register files as arguments, so
+        // worker-thread chunk VMs call them reentrantly.
+        let verdict = if contains_proven_parallel(item) {
+            Err("parallel loop kept in bytecode for pool dispatch".to_string())
+        } else {
+            check_item(item, self.dts)
+        };
+        match verdict {
+            Ok(()) => {
+                self.entries.push(self.asm.here());
+                let mut nc = NestCompiler {
+                    asm: &mut self.asm,
+                    dts: self.dts,
+                    opts: self.opts,
+                    simd: &mut self.simd,
+                    nest: Rc::new([]),
                 };
-                match verdict {
-                    Ok(()) => {
-                        self.entries.push(self.asm.here());
-                        let mut nc = NestCompiler {
-                            asm: &mut self.asm,
-                            dts: self.dts,
-                            opts: self.opts,
-                            simd: &mut self.simd,
-                        };
-                        nc.emit_item(item);
-                        nc.asm.ret();
-                        Item::JitCall {
-                            entry: self.entries.len() - 1,
-                        }
-                    }
-                    Err(why) => {
-                        self.first_reason.get_or_insert(why);
-                        match item {
-                            // A rejected outer loop may still hold
-                            // jittable inner nests.
-                            Item::Loop {
-                                var,
-                                min,
-                                extent,
-                                clamp,
-                                body,
-                                kind,
-                            } => Item::Loop {
-                                var: *var,
-                                min: *min,
-                                extent: *extent,
-                                clamp: *clamp,
-                                body: self.block(body),
-                                kind: *kind,
-                            },
-                            other => other.clone(),
-                        }
-                    }
+                nc.emit_nest(item);
+                nc.asm.ret();
+                Item::JitCall {
+                    entry: self.entries.len() - 1,
                 }
             }
-            Item::If { cond, then, else_ } => Item::If {
-                cond: *cond,
-                then: self.block(then),
-                else_: else_.as_ref().map(|e| self.block(e)),
-            },
-            other => other.clone(),
+            Err(why) => {
+                self.first_reason.get_or_insert(why);
+                // A rejected loop or conditional may still hold jittable
+                // nests.
+                match item {
+                    Item::Loop {
+                        var,
+                        min,
+                        extent,
+                        clamp,
+                        body,
+                        kind,
+                    } => Item::Loop {
+                        var: *var,
+                        min: *min,
+                        extent: *extent,
+                        clamp: *clamp,
+                        body: self.block(body),
+                        kind: *kind,
+                    },
+                    Item::If { cond, then, else_ } => Item::If {
+                        cond: *cond,
+                        then: self.block(then),
+                        else_: else_.as_ref().map(|e| self.block(e)),
+                    },
+                    other => other.clone(),
+                }
+            }
         }
     }
 }
@@ -238,6 +238,10 @@ pub(super) struct NestCompiler<'a> {
     dts: &'a [DType],
     opts: &'a X86Backend,
     simd: &'a mut SimdReport,
+    /// Where the nest's integer registers live ([`plan_nest`]); every
+    /// template outside a strided loop resolves its operands through it,
+    /// and a strided loop's own plan extends it.
+    nest: Rc<[(Reg, R)]>,
 }
 
 /// Destination vectors kept live per jammed j-trip (the register-tile
@@ -256,7 +260,32 @@ enum Factor {
     At(R),
 }
 
+/// The `jcc` condition under which an integer compare holds.
+fn cc_of(op: CmpOp) -> u8 {
+    match op {
+        CmpOp::Lt => CC_L,
+        CmpOp::Le => CC_LE,
+        CmpOp::Gt => CC_G,
+        CmpOp::Ge => CC_GE,
+        CmpOp::Eq => CC_E,
+        CmpOp::Ne => CC_NZ,
+    }
+}
+
 impl NestCompiler<'_> {
+    /// One nest, entry to the instruction before its `ret`: plan its
+    /// integer registers over [`NEST_GPRS`], save the ones the plan uses,
+    /// emit the item, restore them.
+    pub(super) fn emit_nest(&mut self, root: &Item) {
+        let gprs = plan_nest(root, &NEST_GPRS);
+        let used = NEST_GPRS.map(|g| gprs.iter().any(|e| e.1 == g));
+        let saved = NEST_GPRS.into_iter().zip(used).filter(|s| s.1).map(|s| s.0);
+        saved.clone().for_each(|g| self.asm.push_r(g));
+        self.nest = gprs.into();
+        self.emit_item(root);
+        saved.rev().for_each(|g| self.asm.pop_r(g));
+    }
+
     pub(super) fn emit_item(&mut self, item: &Item) {
         match item {
             Item::Code(c) => self.emit_code(c),
@@ -268,7 +297,6 @@ impl NestCompiler<'_> {
                 body,
                 ..
             } => {
-                debug_assert!(clamp.is_none(), "rejected by check_item");
                 if *extent < 1 {
                     return;
                 }
@@ -291,23 +319,58 @@ impl NestCompiler<'_> {
                     }
                     return;
                 }
-                let end = min + extent;
-                self.asm.mov_ri(RAX, *min);
-                self.asm.mov_mr(RDI, off(*var), RAX);
+                // The counter is an integer register like any other: in
+                // the GPR the nest plan gave it, else in `iregs`.
+                let end = min + extent; // cannot overflow: check_item
+                let counter = self.i(*var);
+                let empty = if clamp.is_none() {
+                    self.emit_code(&[Instr::IConst(*var, *min)]);
+                    None
+                } else {
+                    // A trimmed loop runs `start..end` of its live range,
+                    // `end` in the stack's top slot: every leaf clobbers
+                    // `R11`, and what the body pushes it pops.
+                    self.emit_live_range(*min, end, *clamp);
+                    self.asm.cmp_rr(R8, R11);
+                    let empty = self.asm.jcc_fwd(CC_GE);
+                    self.asm.push_r(R11);
+                    self.istore(counter, R8);
+                    Some(empty)
+                };
                 let top = self.asm.here();
                 for it in &body.items {
                     self.emit_item(it);
                 }
-                self.asm.mov_rm(RAX, RDI, off(*var));
-                self.asm.add_ri(RAX, 1);
-                self.asm.mov_mr(RDI, off(*var), RAX);
-                if end as i32 as i64 == end {
-                    self.asm.cmp_ri(RAX, end as i32);
+                let c = self.step(counter);
+                if empty.is_some() {
+                    self.asm.mov_rm(RCX, RSP, 0);
+                    self.asm.cmp_rr(c, RCX);
+                } else if end as i32 as i64 == end {
+                    self.asm.cmp_ri(c, end as i32);
                 } else {
                     self.asm.mov_ri(RCX, end);
-                    self.asm.cmp_rr(RAX, RCX);
+                    self.asm.cmp_rr(c, RCX);
                 }
                 self.asm.jcc_back(CC_L, top);
+                if let Some(empty) = empty {
+                    self.asm.pop_r(RCX);
+                    self.asm.land(empty);
+                }
+            }
+            Item::If { cond, then, else_ } => {
+                let c = self.ireg(self.i(*cond), RAX);
+                self.asm.cmp_ri(c, 0);
+                let to_else = self.asm.jcc_fwd(CC_E);
+                then.items.iter().for_each(|it| self.emit_item(it));
+                match else_ {
+                    Some(e) => {
+                        let to_end = self.asm.jmp_fwd();
+                        self.asm.land(to_else);
+                        e.items.iter().for_each(|it| self.emit_item(it));
+                        self.asm.land(to_end);
+                    }
+                    None => self.asm.land(to_else),
+                }
             }
             Item::StridedLoop {
                 min,
@@ -355,15 +418,78 @@ impl NestCompiler<'_> {
                 self.emit_muladd(*extent, dst, a, b, *round32);
             }
             // Checked away before codegen.
-            Item::If { .. } | Item::JitCall { .. } => unreachable!("rejected by check_item"),
+            Item::JitCall { .. } => unreachable!("rejected by check_item"),
         }
     }
 
-    /// Straight-line code outside a resident loop: every operand in its
-    /// in-memory form.
+    /// The plain-loop template of `jit/v4`, verbatim — counter loaded,
+    /// incremented and stored back through `RAX` every iteration — kept
+    /// as the oracle the resident nest is compared against. It knows
+    /// neither conditionals nor trimmed plain loops; everything below a
+    /// plain loop is the shared leaf templates with nothing resident.
+    #[cfg(test)]
+    fn emit_item_in_memory(&mut self, item: &Item) {
+        let Item::Loop {
+            var,
+            min,
+            extent,
+            clamp,
+            body,
+            ..
+        } = item
+        else {
+            return self.emit_item(item);
+        };
+        debug_assert!(clamp.is_none(), "rejected by check_item");
+        if *extent < 1 {
+            return;
+        }
+        if let Some(plan) = plan_jam(item, self.dts, |dt| self.opts.width(dt)) {
+            let done = (plan.kextent / JAM) * JAM;
+            let rem = plan.kextent - done;
+            self.emit_jammed(&plan);
+            if rem > 0 {
+                self.emit_item_in_memory(&Item::Loop {
+                    var: *var,
+                    min: *min + done,
+                    extent: rem,
+                    clamp: Clamp::default(),
+                    body: body.clone(),
+                    kind: LoopKind::Serial,
+                });
+            }
+            return;
+        }
+        let end = min + extent;
+        self.asm.mov_ri(RAX, *min);
+        self.asm.mov_mr(RDI, off(*var), RAX);
+        let top = self.asm.here();
+        for it in &body.items {
+            self.emit_item_in_memory(it);
+        }
+        self.asm.mov_rm(RAX, RDI, off(*var));
+        self.asm.add_ri(RAX, 1);
+        self.asm.mov_mr(RDI, off(*var), RAX);
+        if end as i32 as i64 == end {
+            self.asm.cmp_ri(RAX, end as i32);
+        } else {
+            self.asm.mov_ri(RCX, end);
+            self.asm.cmp_rr(RAX, RCX);
+        }
+        self.asm.jcc_back(CC_L, top);
+    }
+
+    /// Straight-line code outside a strided loop: integer operands where
+    /// the nest plan put them, float operands in their in-memory form.
     fn emit_code(&mut self, code: &[Instr]) {
-        let in_memory = Resident::default();
-        code.iter().for_each(|i| self.emit_instr(i, &in_memory));
+        let nest = Rc::clone(&self.nest);
+        let res = Resident::of_nest(&nest);
+        code.iter().for_each(|i| self.emit_instr(i, &res));
+    }
+
+    /// Where the nest keeps ireg `r`.
+    fn i(&self, r: Reg) -> I {
+        Resident::of_nest(&self.nest).i(r)
     }
 
     /// `dst ← src` (nothing when `src` is `dst`).
@@ -393,39 +519,100 @@ impl NestCompiler<'_> {
         }
     }
 
+    /// `dst ← src` (nothing when `src` is `dst`).
+    fn iload(&mut self, dst: R, src: I) {
+        match src {
+            I::Reg(s) if s == dst => {}
+            I::Reg(s) => self.asm.mov_rr(dst, s),
+            I::Mem(disp) => self.asm.mov_rm(dst, RDI, disp),
+        }
+    }
+
+    /// `dst ← src` (nothing when `dst` is `src`).
+    fn istore(&mut self, dst: I, src: R) {
+        match dst {
+            I::Reg(d) if d == src => {}
+            I::Reg(d) => self.asm.mov_rr(d, src),
+            I::Mem(disp) => self.asm.mov_mr(RDI, disp, src),
+        }
+    }
+
+    /// The machine register holding `src`: its own, or `scratch` once
+    /// loaded from `iregs`.
+    fn ireg(&mut self, src: I, scratch: R) -> R {
+        match src {
+            I::Reg(r) => r,
+            I::Mem(_) => {
+                self.iload(scratch, src);
+                scratch
+            }
+        }
+    }
+
+    /// `at ← at + 1`, wherever `at` lives; returns the register that
+    /// holds the sum.
+    fn step(&mut self, at: I) -> R {
+        let c = self.ireg(at, RAX);
+        self.asm.add_ri(c, 1);
+        self.istore(at, c);
+        c
+    }
+
+    /// `at ← at + src`.
+    fn iadd(&mut self, at: I, src: R) {
+        match at {
+            I::Reg(r) => self.asm.add_rr(r, src),
+            I::Mem(disp) => self.asm.add_mr(RDI, disp, src),
+        }
+    }
+
+    /// `into ← (src != 0)` under `CC_NZ`, `(src == 0)` under `CC_E`.
+    fn truth(&mut self, cc: u8, src: I, into: R) {
+        let r = self.ireg(src, into);
+        self.asm.cmp_ri(r, 0);
+        self.asm.setcc(cc, into);
+    }
+
     /// Address the element a `Load`/`Store` touches: through its resident
-    /// pointer, or as `[RCX + RAX·esize]` after loading the address
-    /// register and the slot base.
+    /// pointer, or as `[RCX + index·esize]` after loading the slot base,
+    /// the index in the address register's GPR or in `RAX`.
     fn elem(&mut self, slot: u16, addr: Reg, res: &Resident) -> Mem {
         match res.ptr(slot, addr) {
             Some(p) => Mem::at(p, 0),
             None => {
-                self.asm.mov_rm(RAX, RDI, off(addr));
+                let index = self.ireg(res.i(addr), RAX);
                 self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
-                Mem::indexed(RCX, RAX)
+                Mem::indexed(RCX, index)
             }
         }
     }
 
     /// One bytecode instruction as a short template in the VM's own
-    /// evaluation order. `res` says which float operands live in XMM
-    /// registers and which elements have a pointer in a GPR; every other
-    /// operand is read from and written to the in-memory register files,
-    /// operand by operand, so an empty `res` is the `Item::Code` form and
-    /// a loop that runs out of registers degrades one operand at a time.
-    /// A value is built in its destination's own register when it has
-    /// one, else in scratch (`X0`/`X1`, `RAX`/`RCX`). Integer registers
-    /// are always in memory.
+    /// evaluation order. `res` says which integer operands live in GPRs,
+    /// which float operands in XMM registers and which elements have a
+    /// pointer in a GPR; every other operand is read from and written to
+    /// the in-memory register files, operand by operand, so an empty
+    /// `res` is the `Item::Code` form of a function with no nest around
+    /// it, and a nest or loop that runs out of registers degrades one
+    /// operand at a time. A value is built in its destination's own
+    /// register when it has one, else in scratch (`X0`/`X1`,
+    /// `RAX`/`RCX`). Distinct integer registers that are live at one
+    /// instruction never share a GPR ([`plan_nest`]'s ranges are closed).
     fn emit_instr(&mut self, i: &Instr, res: &Resident) {
         let f = |r: Reg| res.f(r);
         let target = |d: F, scratch: X| match d {
             F::Reg(x) => x,
             F::Mem(_) => scratch,
         };
+        let itarget = |d: I| match d {
+            I::Reg(r) => r,
+            I::Mem(_) => RAX,
+        };
         match *i {
             Instr::IConst(d, v) => {
-                self.asm.mov_ri(RAX, v);
-                self.asm.mov_mr(RDI, off(d), RAX);
+                let t = itarget(res.i(d));
+                self.asm.mov_ri(t, v);
+                self.istore(res.i(d), t);
             }
             Instr::FConst(d, v) => {
                 self.asm.mov_ri(RAX, v.to_bits() as i64);
@@ -436,8 +623,8 @@ impl NestCompiler<'_> {
             }
             Instr::IToF(d, s) | Instr::IToF32(d, s) => {
                 let t = target(f(d), X0);
-                self.asm.mov_rm(RAX, RDI, off(s));
-                self.asm.cvtsi2sd(t, RAX);
+                let s = self.ireg(res.i(s), RAX);
+                self.asm.cvtsi2sd(t, s);
                 if matches!(i, Instr::IToF32(..)) {
                     self.asm.round32(t);
                 }
@@ -450,16 +637,44 @@ impl NestCompiler<'_> {
                 self.fstore(f(d), t);
             }
             Instr::IBin(op, d, x, y) => {
-                let a = &mut *self.asm;
-                a.mov_rm(RAX, RDI, off(x));
-                a.mov_rm(RCX, RDI, off(y));
+                let (id, ix, iy) = (res.i(d), res.i(x), res.i(y));
+                // As below for floats: never copy `x` over a `y` that
+                // shares `d`'s register.
+                let t = if id == iy && id != ix {
+                    RAX
+                } else {
+                    itarget(id)
+                };
+                self.iload(t, ix);
+                let y = self.ireg(iy, RCX);
                 match op {
-                    BinOp::Add => a.add_rr(RAX, RCX),
-                    BinOp::Sub => a.sub_rr(RAX, RCX),
-                    BinOp::Mul => a.imul_rr(RAX, RCX),
+                    BinOp::Add => self.asm.add_rr(t, y),
+                    BinOp::Sub => self.asm.sub_rr(t, y),
+                    BinOp::Mul => self.asm.imul_rr(t, y),
                     _ => unreachable!("rejected by check_instr"),
                 }
-                a.mov_mr(RDI, off(d), RAX);
+                self.istore(id, t);
+            }
+            Instr::ICmp(op, d, x, y) => {
+                let x = self.ireg(res.i(x), RAX);
+                let y = self.ireg(res.i(y), RCX);
+                self.asm.cmp_rr(x, y);
+                self.asm.setcc(cc_of(op), RAX);
+                self.istore(res.i(d), RAX);
+            }
+            Instr::And(d, x, y) | Instr::Or(d, x, y) => {
+                self.truth(CC_NZ, res.i(x), RAX);
+                self.truth(CC_NZ, res.i(y), RCX);
+                if matches!(i, Instr::And(..)) {
+                    self.asm.and_rr(RAX, RCX);
+                } else {
+                    self.asm.or_rr(RAX, RCX);
+                }
+                self.istore(res.i(d), RAX);
+            }
+            Instr::Not(d, x) => {
+                self.truth(CC_E, res.i(x), RAX);
+                self.istore(res.i(d), RAX);
             }
             Instr::FBin(op, d, x, y) | Instr::FBin32(op, d, x, y) => {
                 let (fd, fx, fy) = (f(d), f(x), f(y));
@@ -551,7 +766,9 @@ impl NestCompiler<'_> {
     /// to run (the prelude, the trimmed prologue's advance and the packed
     /// main loop all leave it there).
     fn emit_strided_trips(&mut self, bumps: &[(Reg, i64)], body: &[Instr], carry: Option<Carry>) {
-        let plan = plan_resident(bumps, body, carry, self.dts, &PTR_REGS, XMM_POOL);
+        let nest = Rc::clone(&self.nest);
+        let mut plan = plan_resident(bumps, body, carry, self.dts, &PTR_REGS, XMM_POOL);
+        plan.res.gprs = &nest;
         self.emit_planned_trips(body, carry, &plan);
     }
 
@@ -561,7 +778,7 @@ impl NestCompiler<'_> {
     /// the caller's empty-range test. Each iteration runs the body
     /// through the plan, forwards the carry (nothing to emit when `acc`
     /// and `next` share a register), steps the pointers and bumps the
-    /// strided registers something still reads from memory.
+    /// strided registers something still reads as values.
     fn emit_planned_trips(&mut self, body: &[Instr], carry: Option<Carry>, plan: &ResidentPlan) {
         for &((slot, addr), p) in &plan.res.ptrs {
             self.element_pointer(p, slot, addr);
@@ -586,22 +803,28 @@ impl NestCompiler<'_> {
         self.asm.jcc_back(CC_NZ, top);
     }
 
-    /// `p ← &slot[iregs[addr]]`. Clobbers `RAX`.
-    fn element_pointer(&mut self, p: R, slot: u16, addr: Reg) {
-        self.asm.mov_rm(RAX, RDI, off(addr));
-        self.asm.mov_rm(p, RDX, (slot as i32) * 8);
-        self.asm.lea_sib(p, p, RAX, elem_size(self.dts, slot));
+    /// `[RAX]`, `RAX ← &slot[addr]` for elements of `w`. Clobbers `RCX`.
+    fn element(&mut self, slot: u16, addr: Reg, w: Width) -> Mem {
+        let index = self.ireg(self.i(addr), RAX);
+        self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
+        self.asm.lea_sib(RAX, RCX, index, w.esize());
+        Mem::at(RAX, 0)
     }
 
-    /// The scalar strided template over a trimmed loop's live range:
-    /// [`crate::compile::live_range`] in machine code (`R8` = start,
-    /// `R11` = end, both inside the static `[min, min+extent]` whatever
-    /// the bound registers hold, so the in-bounds proofs behind the
-    /// body's unchecked loads and stores keep covering every iteration
-    /// run), the strided registers advanced from iteration `min` (where
-    /// the prelude left them) to `start`, a forward jump over an empty
-    /// range, then the same loop a static extent gets. `RDX` holds the
-    /// slot table and is never scratch.
+    /// `p ← &slot[addr]`, the address register read where the nest keeps
+    /// it. Clobbers `RAX`.
+    fn element_pointer(&mut self, p: R, slot: u16, addr: Reg) {
+        let index = self.ireg(self.i(addr), RAX);
+        self.asm.mov_rm(p, RDX, (slot as i32) * 8);
+        self.asm.lea_sib(p, p, index, elem_size(self.dts, slot));
+    }
+
+    /// The scalar strided template over a trimmed loop's live range
+    /// ([`NestCompiler::emit_live_range`]), the strided registers
+    /// advanced from iteration `min` (where the prelude left them) to
+    /// `start`, a forward jump over an empty range, then the same loop a
+    /// static extent gets. `RDX` holds the slot table and is never
+    /// scratch.
     fn emit_trimmed_strided(
         &mut self,
         min: i64,
@@ -611,11 +834,8 @@ impl NestCompiler<'_> {
         body: &[Instr],
         carry: Option<Carry>,
     ) {
-        let end = min + extent; // cannot overflow: check_item
-        self.asm.mov_ri(R8, min);
-        if let Some(lo) = clamp.lo {
-            self.asm.mov_ri(R9, min);
-            self.emit_clamp_bound(R8, lo, R9, end);
+        self.emit_live_range(min, min + extent, clamp); // cannot overflow: check_item
+        if clamp.lo.is_some() {
             // RAX = start − min iterations to skip; every strided
             // register moves by that many strides, with the wrapping
             // arithmetic of the per-iteration bump.
@@ -624,12 +844,8 @@ impl NestCompiler<'_> {
             for &(r, s) in bumps {
                 self.asm.mov_ri(RCX, s);
                 self.asm.imul_rr(RCX, RAX);
-                self.asm.add_mr(RDI, off(r), RCX);
+                self.iadd(self.i(r), RCX);
             }
-        }
-        self.asm.mov_ri(R11, end);
-        if let Some(hi) = clamp.hi {
-            self.emit_clamp_bound(R11, hi, R8, end);
         }
         self.asm.sub_rr(R11, R8);
         let empty = self.asm.jcc_fwd(CC_LE);
@@ -637,15 +853,35 @@ impl NestCompiler<'_> {
         self.asm.land(empty);
     }
 
-    /// `dst ← clamp(iregs[reg] + plus, floor, end)`, one side of
+    /// [`crate::compile::live_range`] in machine code, for the trimmed
+    /// strided template and the trimmed plain loop alike: `R8` = start,
+    /// `R11` = end, both inside the static `[min, end]` whatever the bound
+    /// registers hold, so the in-bounds proofs behind the unchecked loads
+    /// and stores of the body keep covering every iteration run. Clobbers
+    /// `R9` and `RCX`.
+    fn emit_live_range(&mut self, min: i64, end: i64, clamp: Clamp) {
+        match clamp.lo {
+            Some(lo) => {
+                self.asm.mov_ri(R9, min);
+                self.emit_clamp_bound(R8, lo, R9, end);
+            }
+            None => self.asm.mov_ri(R8, min),
+        }
+        match clamp.hi {
+            Some(hi) => self.emit_clamp_bound(R11, hi, R8, end),
+            None => self.asm.mov_ri(R11, end),
+        }
+    }
+
+    /// `dst ← clamp(reg + plus, floor, end)`, one side of
     /// [`crate::compile::live_range`]. The register is capped at
     /// `end − plus` *before* `plus` (≥ 0, checked with `end − plus` in
     /// `check_item`) is added, so the add cannot wrap: the result equals
     /// the saturating form for every register value. `floor` holds a
     /// value in `[min, end]`. Clobbers `RCX`.
     fn emit_clamp_bound(&mut self, dst: R, (reg, plus): (Reg, i64), floor: R, end: i64) {
+        self.iload(dst, self.i(reg));
         let a = &mut *self.asm;
-        a.mov_rm(dst, RDI, off(reg));
         a.mov_ri(RCX, end - plus);
         a.cmp_rr(dst, RCX);
         a.cmov_rr(CC_G, dst, RCX);
@@ -656,15 +892,18 @@ impl NestCompiler<'_> {
         a.cmov_rr(CC_L, dst, floor);
     }
 
-    /// Advance every strided register by `scale` iterations' worth.
+    /// Advance every strided register by `scale` iterations' worth, where
+    /// it lives.
     fn emit_bumps(&mut self, bumps: &[(Reg, i64)], scale: i64) {
         for &(r, s) in bumps {
             let s = s.checked_mul(scale).expect("checked in plan_packed");
-            if s as i32 as i64 == s {
-                self.asm.add_mi(RDI, off(r), s as i32);
-            } else {
-                self.asm.mov_ri(RAX, s);
-                self.asm.add_mr(RDI, off(r), RAX);
+            match (self.i(r), i32::try_from(s)) {
+                (I::Reg(g), Ok(s)) => self.asm.add_ri(g, s),
+                (I::Mem(disp), Ok(s)) => self.asm.add_mi(RDI, disp, s),
+                (at, Err(_)) => {
+                    self.asm.mov_ri(RAX, s);
+                    self.iadd(at, RAX);
+                }
             }
         }
     }
@@ -702,10 +941,8 @@ impl NestCompiler<'_> {
                 }
                 InvSrc::Freg(r) => self.asm.bcast(w, plan.xmap[&r], Mem::at(RSI, off(r))),
                 InvSrc::Load { dst, slot, addr } => {
-                    self.asm.mov_rm(RAX, RDI, off(addr));
-                    self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
-                    self.asm.lea_sib(RAX, RCX, RAX, w.esize());
-                    self.asm.bcast(w, plan.xmap[&dst], Mem::at(RAX, 0));
+                    let e = self.element(slot, addr, w);
+                    self.asm.bcast(w, plan.xmap[&dst], e);
                 }
             }
         }
@@ -729,7 +966,8 @@ impl NestCompiler<'_> {
     /// its operands' registers.
     fn emit_packed_instr(&mut self, i: &Instr, plan: &PackedPlan) {
         let (w, x) = (plan.w, |r: Reg| plan.xmap[&r]);
-        let in_memory = Resident::default();
+        let nest = Rc::clone(&self.nest);
+        let nest = Resident::of_nest(&nest);
         match *i {
             // Hoisted to a pre-loop broadcast.
             Instr::FConst(..) => {}
@@ -737,11 +975,11 @@ impl NestCompiler<'_> {
                 if plan.hoisted.contains(&d) {
                     return; // stride-0: broadcast pre-loop
                 }
-                let e = self.elem(slot, addr, &in_memory);
+                let e = self.elem(slot, addr, &nest);
                 self.asm.vload(w, x(d), e);
             }
             Instr::Store(slot, addr, val) => {
-                let e = self.elem(slot, addr, &in_memory);
+                let e = self.elem(slot, addr, &nest);
                 self.asm.vstore(w, e, x(val));
             }
             Instr::FBin(op, d, a, b) | Instr::FBin32(op, d, a, b) => {
@@ -939,10 +1177,10 @@ impl NestCompiler<'_> {
         self.simd.packed(true);
         // Stride-1 factor pointers for the group's four k's, k ascending.
         let bp = [R9, R10, RCX, RAX];
-        self.asm.mov_ri(RAX, plan.kmin);
-        self.asm.mov_mr(RDI, off(plan.kvar), RAX);
-        // Every GPR is claimed below, so the group counter lives in the
-        // stack's top slot (restored before returning).
+        let kvar = self.i(plan.kvar);
+        self.emit_code(&[Instr::IConst(plan.kvar, plan.kmin)]);
+        // Every scratch GPR is claimed below, so the group counter lives
+        // in the stack's top slot (restored before returning).
         self.asm.mov_ri(RAX, groups);
         self.asm.push_r(RAX);
         let gtop = self.asm.here();
@@ -955,19 +1193,13 @@ impl NestCompiler<'_> {
                 // Destination row pointer: k-invariant per the plan.
                 self.element_pointer(R8, plan.dst.slot, plan.dst.addr);
             }
-            self.asm.mov_rm(RAX, RDI, off(plan.inv.addr));
-            self.asm.mov_rm(RCX, RDX, (plan.inv.slot as i32) * 8);
-            self.asm.lea_sib(RAX, RCX, RAX, w.esize());
-            self.asm.bcast(w, X(2 + jk), Mem::at(RAX, 0));
-            self.asm.mov_rm(RAX, RDI, off(plan.vec.addr));
-            self.asm.mov_rm(RCX, RDX, (plan.vec.slot as i32) * 8);
-            self.asm.lea_sib(RAX, RCX, RAX, w.esize());
+            let inv = self.element(plan.inv.slot, plan.inv.addr, w);
+            self.asm.bcast(w, X(2 + jk), inv);
+            self.element(plan.vec.slot, plan.vec.addr, w);
             self.asm.push_r(RAX);
             // Advance the loop variable (the scalar template's
             // post-body increment).
-            self.asm.mov_rm(RAX, RDI, off(plan.kvar));
-            self.asm.add_ri(RAX, 1);
-            self.asm.mov_mr(RDI, off(plan.kvar), RAX);
+            self.step(kvar);
         }
         for r in bp.iter().rev() {
             self.asm.pop_r(*r);
@@ -1089,7 +1321,9 @@ impl NestCompiler<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::fixtures::{access, assert_same_lines, fmuladd, hex, JamNest};
+    use super::super::fixtures::{
+        access, assert_same_lines, fmuladd, hex, pick_of, JamNest, NestGen, LEN, POISON,
+    };
     use super::*;
     use crate::ndarray::NDArray;
     use crate::optimize::float_dst;
@@ -1117,6 +1351,7 @@ mod tests {
             dts,
             opts,
             simd: &mut simd,
+            nest: Rc::new([]),
         });
         a.ret();
         (a.code, simd)
@@ -1172,6 +1407,7 @@ mod tests {
             dts: &[DType::F64, DType::F32],
             opts: &X86Backend::sse2_only(),
             simd: &mut simd,
+            nest: Rc::new([]),
         };
         nc.emit_code(&code);
         let hex: String = a.code.iter().map(|b| format!("{b:02x}")).collect();
@@ -1387,10 +1623,6 @@ mod tests {
         body: Vec<Instr>,
         carry: Option<Carry>,
         arrays: Vec<NDArray>,
-    }
-
-    fn pick_of(avail: &[Reg], rng: &mut SmallRng) -> Reg {
-        avail[rng.gen_range(0..avail.len())]
     }
 
     fn generate(rng: &mut SmallRng, n_ptrs: usize, n_defs: usize, extent: i64) -> Generated {
@@ -1810,6 +2042,91 @@ mod tests {
         }
     }
 
+    #[test]
+    fn resident_nest_matches_the_in_memory_one() {
+        // Depth 1–4 against 0–12 nest-level registers plus the loop
+        // counters and every leaf's prelude: the six-GPR budget is
+        // crossed in most cases, and what does not fit keeps its
+        // in-memory form beside what does.
+        let opts = X86Backend::sse2_only();
+        let mut rng = SmallRng::seed_from_u64(0x2e57ed);
+        let (mut spilled, mut all_booked, mut shapes, mut jammed) = (0, 0, [0u32; 3], 0);
+        for case in 0..400 {
+            let uniform = rng.gen_bool(0.5);
+            let dts: Vec<DType> = (0..4)
+                .map(|k| {
+                    if (uniform && k < 3) || rng.gen_bool(0.5) {
+                        DType::F64
+                    } else {
+                        DType::F32
+                    }
+                })
+                .collect();
+            let extras = rng.gen_range(0..=12);
+            let mut g = NestGen {
+                rng: &mut rng,
+                dts,
+                iregs: Vec::new(),
+                n_fregs: 3,
+                avail: Vec::new(),
+                extras,
+                shapes: [0; 3],
+            };
+            let root = g.plain_loop(case % 4);
+            let (dts, iregs, n_fregs) = (g.dts.clone(), g.iregs.clone(), g.n_fregs);
+            for (total, seen) in shapes.iter_mut().zip(g.shapes) {
+                *total += seen;
+            }
+            check_item(&root, &dts).unwrap_or_else(|why| panic!("case {case}: {why}"));
+            let arrays: Vec<NDArray> = dts
+                .iter()
+                .enumerate()
+                .map(|(i, &dt)| NDArray::random(&[LEN as usize], dt, 90 + i as u64, 0.5, 2.0))
+                .collect();
+            let fregs: Vec<f64> = (0..n_fregs).map(|k| 0.75 + k as f64 * 0.125).collect();
+            let run = |code: &[u8]| {
+                let (mut ir, mut fr, mut arrays) = (iregs.clone(), fregs.clone(), arrays.clone());
+                let slots = slot_ptrs(&mut arrays);
+                run_code(code, &mut ir, &mut fr, &slots);
+                let fr: Vec<u64> = fr.iter().map(|v| v.to_bits()).collect();
+                (bits(&arrays), ir, fr)
+            };
+            let (resident, simd) = compiled(&opts, &dts, |nc| nc.emit_nest(&root));
+            let (in_memory, _) = compiled(&opts, &dts, |nc| nc.emit_item(&root));
+            jammed += simd.tiled_loops.min(1);
+            // Where the old template can say anything — no conditional,
+            // no trimmed plain loop — the resolver with nothing resident
+            // writes its bytes.
+            if g.shapes[0] == 0 && !format!("{root:?}").contains("If {") {
+                let (old, _) = compiled(&opts, &dts, |nc| nc.emit_item_in_memory(&root));
+                assert_eq!(hex(&in_memory), hex(&old), "case {case}: {root:?}");
+            }
+            let (got, got_iregs, got_fregs) = run(&resident);
+            let (want, _, want_fregs) = run(&in_memory);
+            assert_eq!(got, want, "case {case}: {root:?}");
+            // No float lives in a register at nest level.
+            assert_eq!(got_fregs, want_fregs, "case {case}");
+            let gprs = plan_nest(&root, &NEST_GPRS);
+            let candidates = live_ranges(&root);
+            for (r, &at_entry) in iregs.iter().enumerate() {
+                // A register the nest defines is written back only if it
+                // has no GPR; one it only reads is never written.
+                let booked = gprs.iter().any(|e| e.0 == r as Reg);
+                if at_entry != POISON || booked {
+                    assert_eq!(got_iregs[r], at_entry, "case {case}: ireg {r} {root:?}");
+                }
+            }
+            spilled += (gprs.len() < candidates.len()) as u32;
+            all_booked += (gprs.len() == candidates.len() && !gprs.is_empty()) as u32;
+        }
+        // Non-vacuity of each branch the comparison is meant to cover.
+        assert!(spilled > 100 && all_booked > 50, "{spilled} {all_booked}");
+        assert!(
+            shapes.iter().all(|&n| n > 40) && jammed > 10,
+            "{shapes:?} {jammed}"
+        );
+    }
+
     // ------------------------------------------------------ template goldens
 
     /// A proven-vectorized strided body with a hoisted constant, a
@@ -1873,10 +2190,120 @@ mod tests {
         }
     }
 
+    fn serial(var: Reg, extent: i64, clamp: Clamp, items: Vec<Item>) -> Item {
+        Item::Loop {
+            var,
+            min: 0,
+            extent,
+            clamp,
+            body: Block { items },
+            kind: LoopKind::Serial,
+        }
+    }
+
+    /// lu's `(i, j)` cell under its `j` loop, `i` (ireg 0) and `N` (ireg 1)
+    /// the caller's: `for j { if j < i { A[i,j] = (A[i,j] − Σ_{k<j}
+    /// A[i,k]·A[k,j]) / A[j,j] } else { A[i,j] −= Σ_{k<i} A[i,k]·A[k,j] } }`,
+    /// both reductions trimmed and forwarded.
+    fn lu_cell_nest() -> Item {
+        let reduction = |var: Reg, bound: Reg, acc: Reg| {
+            // iregs: var = k, var+1 = i·N + k, var+2 = k·N + j.
+            let (row, col) = (var + 1, var + 2);
+            let clamp = Clamp {
+                lo: None,
+                hi: Some((bound, 0)),
+            };
+            let carry = Carry {
+                acc,
+                slot: 0,
+                addr: 5,
+                next: acc + 3,
+            };
+            Item::StridedLoop {
+                min: 0,
+                extent: 8,
+                clamp,
+                pre: vec![
+                    Instr::IConst(var, 0),
+                    Instr::IBin(BinOp::Add, row, 3, var),
+                    Instr::IBin(BinOp::Add, col, 2, var),
+                ],
+                bumps: vec![(var, 1), (row, 1), (col, 8)],
+                body: vec![
+                    Instr::Load(acc + 1, 0, row),
+                    Instr::Load(acc + 2, 0, col),
+                    fmuladd(acc + 3, acc, acc + 1, acc + 2, false),
+                    Instr::Store(0, 5, acc + 3),
+                ],
+                carry: Some(carry),
+                kind: LoopKind::Serial,
+            }
+        };
+        let cell = vec![
+            Instr::IBin(BinOp::Mul, 3, 0, 1), // i·N
+            Instr::IBin(BinOp::Mul, 4, 2, 1), // j·N
+            Instr::IBin(BinOp::Add, 5, 3, 2), // &A[i,j]
+            Instr::IBin(BinOp::Add, 6, 4, 2), // &A[j,j]
+            Instr::ICmp(CmpOp::Lt, 7, 2, 0),
+        ];
+        let divide = vec![
+            Instr::Load(8, 0, 5),
+            Instr::Load(9, 0, 6),
+            Instr::FBin(BinOp::Div, 10, 8, 9),
+            Instr::Store(0, 5, 10),
+        ];
+        let below = Block {
+            items: vec![reduction(8, 2, 0), Item::Code(divide)],
+        };
+        let above = Block {
+            items: vec![reduction(11, 0, 4)],
+        };
+        let branch = Item::If {
+            cond: 7,
+            then: below,
+            else_: Some(above),
+        };
+        serial(2, 8, Clamp::default(), vec![Item::Code(cell), branch])
+    }
+
+    /// A split tail: `for xo in 0..3 { for xi in 0..4 { if xo·4 + xi < 10
+    /// { C[x] += A[x]·B[x] } } }`, the guard tested every iteration, with
+    /// the `xo` loop itself trimmed by a bound of the caller's (ireg 9).
+    fn guarded_tail_nest() -> Item {
+        let inner = vec![
+            Instr::IBin(BinOp::Add, 4, 3, 2),
+            Instr::ICmp(CmpOp::Lt, 5, 4, 6),
+        ];
+        let guarded = vec![
+            Instr::Load(0, 0, 4),
+            Instr::Load(1, 1, 4),
+            Instr::Load(2, 2, 4),
+            fmuladd(3, 2, 0, 1, false),
+            Instr::Store(2, 4, 3),
+        ];
+        let tail = Item::If {
+            cond: 5,
+            then: Block {
+                items: vec![Item::Code(guarded)],
+            },
+            else_: None,
+        };
+        let xi = serial(2, 4, Clamp::default(), vec![Item::Code(inner), tail]);
+        let outer = vec![Instr::IBin(BinOp::Mul, 3, 0, 1)];
+        let clamp = Clamp {
+            lo: None,
+            hi: Some((9, 1)),
+        };
+        serial(0, 3, clamp, vec![Item::Code(outer), xi])
+    }
+
     #[test]
     fn templates_are_byte_for_byte_the_recorded_ones() {
         // Recorded from the single-file emitter of `jit/v4` (the commit
-        // before the vector layer existed) on all three tiers; nothing is
+        // before the vector layer existed) on all three tiers, and
+        // re-recorded on `jit/v5` for the rows the one live-range template
+        // moved (the trimmed strided loop; the jam's counter set-up is the
+        // same bytes) plus the two whole nests; nothing is
         // executed, so the AVX rows are checked on any host. The `(1,1,0)`
         // and `(1,1,1)` microkernels, the packed strided tier and every
         // `f32` lane see no benchmark traffic, so these bytes are the
@@ -1967,15 +2394,25 @@ mod tests {
             ("sse2", X86Backend::sse2_only()),
             ("avx", X86Backend::avx()),
         ];
+        // Whole nests, planned over the nest GPRs (`jit/v5`).
+        let nests = [
+            ("nest lu cell", vec![F64], lu_cell_nest()),
+            ("nest guarded tail", vec![F64; 3], guarded_tail_nest()),
+        ];
         let mut got = String::new();
         for (tier, opts) in &tiers {
-            for (name, dts, item) in &cases {
-                let (code, simd) = compiled(opts, dts, |nc| nc.emit_item(item));
+            let mut row = |name: &str, (code, simd): (Vec<u8>, SimdReport)| {
                 let mut reasons: Vec<_> = simd.scalar_reasons.iter().collect();
                 reasons.sort();
                 let (packed, tiled) = (simd.packed_loops, simd.tiled_loops);
                 let tally = format!("packed {packed} tiled {tiled} scalar {reasons:?}");
                 got.push_str(&format!("{tier} {name}: {tally} {}\n", hex(&code)));
+            };
+            for (name, dts, item) in &cases {
+                row(name, compiled(opts, dts, |nc| nc.emit_item(item)));
+            }
+            for (name, dts, item) in &nests {
+                row(name, compiled(opts, dts, |nc| nc.emit_nest(item)));
             }
         }
         assert_same_lines(&got, include_str!("goldens/templates.txt"));

@@ -3,8 +3,8 @@
 //! backend's [`Width`] for an element type, so every decision is testable
 //! without emitting or executing anything.
 
-use super::asm::{Width, R, R10, R8, R9, X};
-use crate::compile::{Carry, Instr, Item, LoopKind, Reg, SlotAccess};
+use super::asm::{Width, R, R10, R12, R13, R14, R15, R8, R9, RBP, RBX, X};
+use crate::compile::{Block, Carry, Clamp, Instr, Item, LoopKind, Reg, SlotAccess};
 use crate::optimize::{float_dst, float_uses, int_dst, reads_ireg};
 use std::collections::{HashMap, HashSet};
 use tvm_te::{BinOp, DType, Intrinsic};
@@ -20,6 +20,9 @@ pub(super) const PTR_REGS: [R; 3] = [R8, R9, R10];
 /// How many XMM registers a scalar strided loop may keep fregs in:
 /// `X2` upwards, through `X15`.
 pub(super) const XMM_POOL: u8 = 14;
+/// GPRs a nest keeps integer registers in: the callee-saved ones, which
+/// no leaf template touches, saved once at the nest's entry.
+pub(super) const NEST_GPRS: [R; 6] = [RBX, RBP, R12, R13, R14, R15];
 
 // ------------------------------------------------------------ nest checking
 
@@ -52,31 +55,44 @@ fn check_instr(i: &Instr, dts: &[DType]) -> Result<(), String> {
             other => reject(format!("float op {other:?}")),
         },
         Instr::Call1(Intrinsic::Sqrt, ..) => Ok(()),
-        Instr::Call1(intr, ..) | Instr::Call2(intr, ..) => {
-            reject(format!("intrinsic {intr:?}"))
-        }
-        Instr::Load(_, slot, _) | Instr::Store(slot, _, _) => {
-            float_slot(dts, *slot).map(|_| ())
-        }
+        Instr::Call1(intr, ..) | Instr::Call2(intr, ..) => reject(format!("intrinsic {intr:?}")),
+        Instr::Load(_, slot, _) | Instr::Store(slot, _, _) => float_slot(dts, *slot).map(|_| ()),
         Instr::Bound { .. } => reject("runtime bounds check"),
         Instr::StoreChecked { .. } => reject("checked store"),
+        // Integer 0/1 logic is exact by construction.
+        Instr::ICmp(..) | Instr::And(..) | Instr::Or(..) | Instr::Not(..) => Ok(()),
         // cvttsd2si saturation differs from Rust's `as i64`; FBool and
-        // the compare/select family need NaN-faithful flag handling —
-        // all left to the VM.
+        // the float compare/select family need NaN-faithful flag
+        // handling — all left to the VM.
         Instr::FToI(..) => reject("float-to-int cast"),
-        Instr::FBool(..)
-        | Instr::ICmp(..)
-        | Instr::FCmp(..)
-        | Instr::And(..)
-        | Instr::Or(..)
-        | Instr::Not(..)
-        | Instr::ISel(..)
-        | Instr::FSel(..) => reject("compare/select"),
+        Instr::FBool(..) | Instr::FCmp(..) | Instr::ISel(..) | Instr::FSel(..) => {
+            reject("float compare/select")
+        }
     }
 }
 
 fn check_code(code: &[Instr], dts: &[DType]) -> Result<(), String> {
     code.iter().try_for_each(|i| check_instr(i, dts))
+}
+
+fn check_block(b: &Block, dts: &[DType]) -> Result<(), String> {
+    b.items.iter().try_for_each(|it| check_item(it, dts))
+}
+
+/// Can the live-range template compute this clamp over `[min, min+extent)`?
+/// It caps a bound register at `min+extent − off` before adding `off`,
+/// both as immediates.
+fn check_clamp(min: i64, extent: i64, clamp: &Clamp) -> Result<(), String> {
+    let Some(end) = min.checked_add(extent) else {
+        return reject("loop bound overflow");
+    };
+    let encodable = |&(_, plus): &(Reg, i64)| {
+        (0..=i64::from(i32::MAX)).contains(&plus) && end.checked_sub(plus).is_some()
+    };
+    if ![clamp.lo, clamp.hi].iter().flatten().all(encodable) {
+        return reject("trimmed loop bound out of range");
+    }
+    Ok(())
 }
 
 /// Is this item compilable as (part of) a native nest?
@@ -90,15 +106,8 @@ pub(super) fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
             body,
             ..
         } => {
-            if min.checked_add(*extent).is_none() {
-                return reject("loop bound overflow");
-            }
-            // Only the strided template has a dynamic-trip form; the
-            // VM runs this loop and the nests inside it still compile.
-            if !clamp.is_none() {
-                return reject("trimmed loop outside strided form");
-            }
-            body.items.iter().try_for_each(|it| check_item(it, dts))
+            check_clamp(*min, *extent, clamp)?;
+            check_block(body, dts)
         }
         Item::StridedLoop {
             min,
@@ -116,16 +125,7 @@ pub(super) fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
                 // The load forwarding took out of the body.
                 check_instr(&Instr::Load(c.acc, c.slot, c.addr), dts)?;
             }
-            // The trimmed template caps a bound register at
-            // `min+extent − off` before adding `off`, both as immediates.
-            let end = min.checked_add(*extent);
-            let encodable = |&(_, plus): &(Reg, i64)| {
-                (0..=i64::from(i32::MAX)).contains(&plus)
-                    && end.and_then(|e| e.checked_sub(plus)).is_some()
-            };
-            if ![clamp.lo, clamp.hi].iter().flatten().all(encodable) {
-                return reject("trimmed loop bound out of range");
-            }
+            check_clamp(*min, *extent, clamp)?;
             check_code(pre, dts)?;
             check_code(body, dts)
         }
@@ -144,13 +144,21 @@ pub(super) fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
             for acc in [dst, a, b] {
                 float_slot(dts, acc.slot)?;
                 let esize = i64::from(elem_size(dts, acc.slot));
-                if acc.stride.checked_mul(esize).and_then(|v| i32::try_from(v).ok()).is_none() {
+                if acc
+                    .stride
+                    .checked_mul(esize)
+                    .and_then(|v| i32::try_from(v).ok())
+                    .is_none()
+                {
                     return reject("microkernel stride out of range");
                 }
             }
             Ok(())
         }
-        Item::If { .. } => reject("conditional"),
+        Item::If { then, else_, .. } => {
+            check_block(then, dts)?;
+            else_.as_ref().map_or(Ok(()), |e| check_block(e, dts))
+        }
         Item::JitCall { .. } => reject("already compiled"),
     }
 }
@@ -168,17 +176,37 @@ pub(super) enum F {
     Mem(i32),
 }
 
+/// An integer operand of a scalar template: resident in a GPR, or in the
+/// `iregs` file at this displacement off `RDI`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum I {
+    Reg(R),
+    Mem(i32),
+}
+
 /// Which operands of the scalar templates live in machine registers
-/// (see [`super::emit::NestCompiler::emit_instr`]). Empty outside a strided loop.
+/// (see [`super::emit::NestCompiler::emit_instr`]). Empty outside a nest.
 #[derive(Default)]
-pub(super) struct Resident {
+pub(super) struct Resident<'n> {
     /// freg → the XMM register holding it.
     pub(super) xmms: Vec<(Reg, X)>,
     /// `(slot, address register)` → the GPR holding the element pointer.
     pub(super) ptrs: Vec<((u16, Reg), R)>,
+    /// ireg → the GPR holding it, for the whole nest: [`plan_nest`]'s
+    /// result, in register order.
+    pub(super) gprs: &'n [(Reg, R)],
 }
 
-impl Resident {
+impl<'n> Resident<'n> {
+    /// The nest's plan alone: what every template outside a strided loop
+    /// resolves its operands through.
+    pub(super) fn of_nest(gprs: &'n [(Reg, R)]) -> Resident<'n> {
+        Resident {
+            gprs,
+            ..Resident::default()
+        }
+    }
+
     pub(super) fn xmm(&self, r: Reg) -> Option<X> {
         self.xmms.iter().find(|e| e.0 == r).map(|e| e.1)
     }
@@ -191,11 +219,309 @@ impl Resident {
     pub(super) fn f(&self, r: Reg) -> F {
         self.xmm(r).map_or(F::Mem(off(r)), F::Reg)
     }
+
+    /// Where the templates find ireg `r`.
+    pub(super) fn i(&self, r: Reg) -> I {
+        let gpr = self.gprs.binary_search_by_key(&r, |e| e.0);
+        gpr.map_or(I::Mem(off(r)), |at| I::Reg(self.gprs[at].1))
+    }
+}
+
+// ------------------------------------------------------------ the nest plan
+
+/// The integer registers an instruction of the JIT subset reads.
+fn int_uses(i: &Instr) -> impl Iterator<Item = Reg> {
+    let uses = match *i {
+        Instr::IToF(_, s) | Instr::IToF32(_, s) | Instr::Not(_, s) => [Some(s), None],
+        Instr::IBin(_, _, a, b)
+        | Instr::ICmp(_, _, a, b)
+        | Instr::And(_, a, b)
+        | Instr::Or(_, a, b) => [Some(a), Some(b)],
+        Instr::Load(_, _, addr) | Instr::Store(_, addr, _) => [Some(addr), None],
+        _ => [None, None],
+    };
+    uses.into_iter().flatten()
+}
+
+/// The stretch of a nest over which an integer register it defines holds
+/// a value something still reads: positions count the nest's instructions
+/// and loop edges in program order.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) struct Live {
+    pub(super) reg: Reg,
+    /// Position of the definition (a loop counter's: its loop's entry).
+    pub(super) start: u32,
+    /// Position of the last read, moved to the end of every loop that
+    /// holds the read but not the definition; a counter's is its loop's.
+    pub(super) end: u32,
+    /// Loops around the definition: innermost registers are booked first.
+    pub(super) depth: u32,
+}
+
+/// "Not inside any loop of the nest".
+const NO_LOOP: u32 = u32::MAX;
+
+/// Where a walk saw an integer register defined.
+#[derive(Clone, Copy, PartialEq)]
+enum Def {
+    /// Not by this nest (so far): the caller's, read where it is.
+    Outside,
+    /// Once, at this position, inside this loop (or [`NO_LOOP`]).
+    At(u32, u32),
+    /// More than once, after a read, or away from where it is read: a
+    /// register that keeps its in-memory form.
+    Refused,
+}
+
+/// What a walk knows of one integer register.
+#[derive(Clone, Copy)]
+struct Seen {
+    def: Def,
+    /// Read before the nest defined it.
+    read_first: bool,
+    /// Last read beside the definition (same loop body), if any.
+    last: u32,
+    /// Last loop holding a read that the definition is outside of — a
+    /// loop directly below the definition's — or [`NO_LOOP`].
+    through: u32,
+}
+
+/// One walk over a nest in program order, recording where each integer
+/// register is defined and how far it is read.
+#[derive(Default)]
+struct Walk {
+    pos: u32,
+    /// The innermost open loop, by index into `loops`.
+    inside: u32,
+    /// Per loop: the loop around it and its depth, then its end position.
+    loops: Vec<(u32, u32, u32)>,
+    /// Per register.
+    regs: Vec<Seen>,
+}
+
+impl Walk {
+    fn seen(&mut self, r: Reg) -> &mut Seen {
+        if self.regs.len() <= r as usize {
+            let unseen = Seen {
+                def: Def::Outside,
+                read_first: false,
+                last: 0,
+                through: NO_LOOP,
+            };
+            self.regs.resize(r as usize + 1, unseen);
+        }
+        &mut self.regs[r as usize]
+    }
+
+    fn def(&mut self, r: Reg) {
+        let (pos, inside) = (self.pos, self.inside);
+        let seen = self.seen(r);
+        seen.def = match seen.def {
+            Def::Outside if !seen.read_first => Def::At(pos, inside),
+            _ => Def::Refused,
+        };
+    }
+
+    /// A register a strided body writes: it changes under a loop this
+    /// walk sees as one position.
+    fn unbookable(&mut self, r: Reg) {
+        self.seen(r).def = Def::Refused;
+    }
+
+    fn read(&mut self, r: Reg) {
+        let (pos, inside) = (self.pos, self.inside);
+        match self.seen(r).def {
+            Def::Outside => self.seen(r).read_first = true,
+            Def::Refused => {}
+            Def::At(_, def_inside) => match self.below(def_inside, inside) {
+                None => self.seen(r).last = pos,
+                // Inside a loop the definition is outside of: live until
+                // that loop is done. Loops open in program order.
+                Some(Ok(lp)) => self.seen(r).through = lp,
+                Some(Err(())) => self.seen(r).def = Def::Refused,
+            },
+        }
+    }
+
+    fn code(&mut self, code: &[Instr]) {
+        for i in code {
+            self.pos += 1;
+            int_uses(i).for_each(|r| self.read(r));
+            if let Some(d) = int_dst(i) {
+                self.def(d);
+            }
+        }
+    }
+
+    fn enter_loop(&mut self) {
+        let depth = self.depth(self.inside) + 1;
+        self.loops.push((self.inside, depth, 0));
+        self.inside = self.loops.len() as u32 - 1;
+    }
+
+    fn leave_loop(&mut self) {
+        self.pos += 1;
+        let this = &mut self.loops[self.inside as usize];
+        this.2 = self.pos;
+        self.inside = this.0;
+    }
+
+    /// How many loops of the nest are around (and including) `lp`.
+    fn depth(&self, lp: u32) -> u32 {
+        self.loops.get(lp as usize).map_or(0, |l| l.1)
+    }
+
+    /// The loop directly inside `outer` on the way down to `lp`: `None`
+    /// when `lp` is `outer`, `Some(Err)` when `lp` is not inside `outer`.
+    fn below(&self, outer: u32, mut lp: u32) -> Option<Result<u32, ()>> {
+        if lp == outer {
+            return None;
+        }
+        while lp != NO_LOOP {
+            let around = self.loops[lp as usize].0;
+            if around == outer {
+                return Some(Ok(lp));
+            }
+            lp = around;
+        }
+        Some(Err(()))
+    }
+
+    fn block(&mut self, b: &Block) {
+        b.items.iter().for_each(|it| self.item(it));
+    }
+
+    fn bounds(&mut self, clamp: &Clamp) {
+        for &(r, _) in [clamp.lo, clamp.hi].iter().flatten() {
+            self.read(r);
+        }
+    }
+
+    fn item(&mut self, item: &Item) {
+        match item {
+            Item::Code(c) => self.code(c),
+            Item::Loop {
+                var, clamp, body, ..
+            } => {
+                self.pos += 1;
+                self.bounds(clamp);
+                self.enter_loop();
+                self.def(*var);
+                self.block(body);
+                // The increment and the compare at the bottom.
+                self.pos += 1;
+                self.read(*var);
+                self.leave_loop();
+            }
+            Item::If { cond, then, else_ } => {
+                self.pos += 1;
+                self.read(*cond);
+                self.block(then);
+                if let Some(e) = else_ {
+                    self.block(e);
+                }
+            }
+            Item::StridedLoop {
+                clamp,
+                pre,
+                bumps,
+                body,
+                carry,
+                ..
+            } => {
+                self.code(pre);
+                // Loop entry: the live range, the advance to its first
+                // iteration, the element pointers and the carry's load.
+                self.pos += 1;
+                self.bounds(clamp);
+                if let Some(c) = carry {
+                    self.read(c.addr);
+                }
+                // The loop itself, conservatively: every register it
+                // names is live to its end (the resident form reads fewer
+                // — the address registers it turned into pointers, the
+                // bumps nothing reads — and a shorter range would only let
+                // the prelude's registers share a GPR).
+                self.enter_loop();
+                self.pos += 1;
+                for i in body {
+                    int_uses(i).for_each(|r| self.read(r));
+                    int_dst(i).into_iter().for_each(|d| self.unbookable(d));
+                }
+                bumps.iter().for_each(|b| self.read(b.0));
+                self.leave_loop();
+            }
+            Item::MulAddLoop { pre, dst, a, b, .. } => {
+                self.code(pre);
+                self.pos += 1;
+                [dst, a, b].iter().for_each(|acc| self.read(acc.addr));
+            }
+            Item::JitCall { .. } => unreachable!("rejected by check_item"),
+        }
+    }
+}
+
+/// The live range of every integer register `root` defines and could keep
+/// in a GPR, in register order. Left out — they keep their in-memory
+/// form — are registers defined twice, written by a strided body, or read
+/// somewhere their definition does not dominate (before it in program
+/// order, or outside the loop that holds it): the compiler emits none of
+/// those, and a nest that has one is still compiled correctly.
+pub(super) fn live_ranges(root: &Item) -> Vec<Live> {
+    let mut w = Walk {
+        inside: NO_LOOP,
+        ..Walk::default()
+    };
+    w.item(root);
+    let live = |(reg, seen): (usize, &Seen)| match seen.def {
+        Def::At(start, inside) => Some(Live {
+            reg: reg as Reg,
+            start,
+            end: start
+                .max(seen.last)
+                .max(w.loops.get(seen.through as usize).map_or(0, |l| l.2)),
+            depth: w.depth(inside),
+        }),
+        _ => None,
+    };
+    w.regs.iter().enumerate().filter_map(live).collect()
+}
+
+/// Plan the integer registers of a nest over the GPR budget `pool`: which
+/// of the registers the nest defines — loop counters, nest-level code,
+/// the preludes of its strided loops and microkernels — live in a GPR for
+/// as long as something reads them. Innermost definitions first, in
+/// program order among equals, each taking the first register of `pool`
+/// that is free over its whole live range; whatever does not fit keeps its
+/// in-memory form, operand by operand. Registers the nest only reads are
+/// where the caller left them, in memory. Nothing is written back: a nest
+/// is one loop or conditional, and a register defined inside one is dead
+/// after it ([`crate::optimize`]).
+pub(super) fn plan_nest(root: &Item, pool: &[R]) -> Vec<(Reg, R)> {
+    let mut lives = live_ranges(root);
+    lives.sort_by_key(|l| (std::cmp::Reverse(l.depth), l.start));
+    // Per register of `pool`, the spans booked: disjoint, in order.
+    let mut booked: Vec<Vec<(u32, u32)>> = vec![Vec::new(); pool.len()];
+    let mut gprs: Vec<(Reg, R)> = Vec::with_capacity(lives.len());
+    for l in &lives {
+        for (spans, &g) in booked.iter_mut().zip(pool) {
+            // The first span that ends at or after this one starts is the
+            // only one that can overlap it.
+            let at = spans.partition_point(|s| s.1 < l.start);
+            if spans.get(at).is_none_or(|s| l.end < s.0) {
+                spans.insert(at, (l.start, l.end));
+                gprs.push((l.reg, g));
+                break;
+            }
+        }
+    }
+    gprs.sort_by_key(|e| e.0);
+    gprs
 }
 
 /// Register plan of one scalar strided loop.
-pub(super) struct ResidentPlan {
-    pub(super) res: Resident,
+pub(super) struct ResidentPlan<'n> {
+    pub(super) res: Resident<'n>,
     /// Per-iteration byte step of each resident pointer that moves.
     pub(super) steps: Vec<(R, i32)>,
     /// The strided registers the body still reads from memory.
@@ -227,7 +553,7 @@ pub(super) fn plan_resident(
     dts: &[DType],
     gprs: &[R],
     xmms: u8,
-) -> ResidentPlan {
+) -> ResidentPlan<'static> {
     let mut res = Resident::default();
     let mut steps = Vec::new();
     let stride = |r: Reg| bumps.iter().find(|b| b.0 == r).map_or(0, |b| b.1);
@@ -609,13 +935,15 @@ pub(super) fn plan_jam<'p>(
         var,
         min,
         extent: kextent,
+        clamp,
         body,
         ..
     } = item
     else {
         return None;
     };
-    if *kextent < JAM {
+    // A trimmed loop's trip count is only known at loop entry.
+    if *kextent < JAM || !clamp.is_none() {
         return None;
     }
     let (code, ma): (&[Instr], &Item) = match body.items.as_slice() {
@@ -684,9 +1012,8 @@ pub(super) fn plan_jam<'p>(
                 varying.remove(d);
             }
             Instr::IBin(_, d, x, y) => {
-                let tainted = |r: &Reg| {
-                    varying.contains(r) || (written.contains(r) && !seen.contains(r))
-                };
+                let tainted =
+                    |r: &Reg| varying.contains(r) || (written.contains(r) && !seen.contains(r));
                 if tainted(x) || tainted(y) {
                     varying.insert(*d);
                 } else {
@@ -717,20 +1044,17 @@ pub(super) fn plan_jam<'p>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::asm::Shape;
-    use super::super::fixtures::{access, fmuladd, JamNest};
+    use super::super::asm::{Shape, R11, RAX, RCX, RDI, RDX, RSI, RSP};
+    use super::super::fixtures::{access, fmuladd, JamNest, NestGen};
     use super::*;
-    use crate::compile::{Block, Clamp};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use tvm_te::CmpOp;
 
     #[test]
-    fn trimmed_loops_outside_the_template_are_rejected_not_guessed() {
+    fn trimmed_loops_are_admitted_with_encodable_bounds_only() {
         let dts = [DType::F64];
-        let clamp = Clamp {
-            hi: Some((1, 0)),
-            ..Clamp::default()
-        };
-        // A trimmed loop that did not reach strided form stays on the VM.
-        let plain = Item::Loop {
+        let plain = |clamp| Item::Loop {
             var: 0,
             min: 0,
             extent: 4,
@@ -738,24 +1062,253 @@ mod tests {
             body: Block::default(),
             kind: LoopKind::Serial,
         };
-        assert!(check_item(&plain, &dts).is_err());
-        // Offsets the template cannot encode are refused as well.
+        let strided = |clamp| Item::StridedLoop {
+            min: 0,
+            extent: 4,
+            clamp,
+            pre: vec![Instr::IConst(0, 0)],
+            bumps: vec![(0, 1)],
+            body: vec![],
+            carry: None,
+            kind: LoopKind::Serial,
+        };
+        // One live-range template serves the plain and the strided loop.
+        let hi = Clamp {
+            hi: Some((1, 0)),
+            ..Clamp::default()
+        };
+        assert_eq!(check_item(&plain(hi), &dts), Ok(()));
+        assert_eq!(check_item(&strided(hi), &dts), Ok(()));
+        // Offsets it cannot encode are refused on both.
         for plus in [-1, i64::from(i32::MAX) + 1] {
-            let strided = Item::StridedLoop {
-                min: 0,
-                extent: 4,
-                clamp: Clamp {
-                    lo: Some((1, plus)),
-                    ..Clamp::default()
-                },
-                pre: vec![Instr::IConst(0, 0)],
-                bumps: vec![(0, 1)],
-                body: vec![],
-                carry: None,
-                kind: LoopKind::Serial,
+            let lo = Clamp {
+                lo: Some((1, plus)),
+                ..Clamp::default()
             };
-            assert!(check_item(&strided, &dts).is_err(), "offset {plus}");
+            assert!(check_item(&plain(lo), &dts).is_err(), "offset {plus}");
+            assert!(check_item(&strided(lo), &dts).is_err(), "offset {plus}");
         }
+    }
+
+    #[test]
+    fn conditionals_are_admitted_when_both_arms_are() {
+        let dts = [DType::F64];
+        let arm = |i: Instr| Block {
+            items: vec![Item::Code(vec![i])],
+        };
+        let (fine, checked) = (
+            Instr::ICmp(CmpOp::Ne, 2, 0, 1),
+            Instr::StoreChecked {
+                buf: 0,
+                idx: vec![0].into(),
+                val: 0,
+            },
+        );
+        let cond = |then: &Instr, else_: Option<&Instr>| Item::If {
+            cond: 0,
+            then: arm(then.clone()),
+            else_: else_.map(|i| arm(i.clone())),
+        };
+        assert_eq!(check_item(&cond(&fine, None), &dts), Ok(()));
+        assert_eq!(check_item(&cond(&fine, Some(&fine)), &dts), Ok(()));
+        let refused = Err("checked store".to_string());
+        assert_eq!(check_item(&cond(&checked, None), &dts), refused);
+        assert_eq!(check_item(&cond(&checked, Some(&fine)), &dts), refused);
+        assert_eq!(check_item(&cond(&fine, Some(&checked)), &dts), refused);
+        // Integer 0/1 logic is in the subset; whatever needs NaN- or
+        // saturation-faithful handling keeps its reason.
+        for op in [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ] {
+            assert_eq!(check_instr(&Instr::ICmp(op, 2, 0, 1), &dts), Ok(()));
+        }
+        for i in [Instr::And(2, 0, 1), Instr::Or(2, 0, 1), Instr::Not(2, 0)] {
+            assert_eq!(check_instr(&i, &dts), Ok(()));
+        }
+        let float = Err("float compare/select".to_string());
+        for i in [
+            Instr::FCmp(CmpOp::Lt, 2, 0, 1),
+            Instr::FBool(2, 0),
+            Instr::ISel(2, 0, 1, 1),
+            Instr::FSel(2, 0, 1, 1),
+        ] {
+            assert_eq!(check_instr(&i, &dts), float);
+        }
+        let cast = Err("float-to-int cast".to_string());
+        assert_eq!(check_instr(&Instr::FToI(2, 0), &dts), cast);
+    }
+
+    /// Run a nest the way the emitter lays it out — every loop body twice,
+    /// both arms of every conditional — tracking which integer register
+    /// each GPR of `plan` holds, and fail on a read that finds another's
+    /// value there.
+    struct Replay<'p> {
+        plan: &'p Resident<'p>,
+        dts: &'p [DType],
+        holds: Vec<(R, Reg)>,
+        reads: usize,
+    }
+
+    impl Replay<'_> {
+        fn read(&mut self, r: Reg) {
+            if let I::Reg(g) = self.plan.i(r) {
+                let held = self.holds.iter().rev().find(|h| h.0 == g).map(|h| h.1);
+                assert_eq!(held, Some(r), "read of ireg {r} in {g:?}");
+                self.reads += 1;
+            }
+        }
+
+        fn write(&mut self, r: Reg) {
+            if let I::Reg(g) = self.plan.i(r) {
+                self.holds.push((g, r));
+            }
+        }
+
+        fn code(&mut self, code: &[Instr]) {
+            for i in code {
+                int_uses(i).for_each(|r| self.read(r));
+                int_dst(i).into_iter().for_each(|d| self.write(d));
+            }
+        }
+
+        fn bounds(&mut self, clamp: &Clamp) {
+            for &(r, _) in [clamp.lo, clamp.hi].iter().flatten() {
+                self.read(r);
+            }
+        }
+
+        fn block(&mut self, b: &Block) {
+            b.items.iter().for_each(|it| self.item(it));
+        }
+
+        fn item(&mut self, item: &Item) {
+            match item {
+                Item::Code(c) => self.code(c),
+                Item::Loop {
+                    var, clamp, body, ..
+                } => {
+                    self.bounds(clamp);
+                    self.write(*var);
+                    for _ in 0..2 {
+                        self.block(body);
+                        self.read(*var);
+                        self.write(*var);
+                    }
+                }
+                Item::If { cond, then, else_ } => {
+                    self.read(*cond);
+                    self.block(then);
+                    else_.iter().for_each(|e| self.block(e));
+                }
+                Item::StridedLoop {
+                    clamp,
+                    pre,
+                    bumps,
+                    body,
+                    carry,
+                    ..
+                } => {
+                    self.code(pre);
+                    self.bounds(clamp);
+                    if clamp.lo.is_some() {
+                        // The advance to the first live iteration.
+                        for &(r, _) in bumps {
+                            self.read(r);
+                            self.write(r);
+                        }
+                    }
+                    let plan = plan_resident(bumps, body, *carry, self.dts, &PTR_REGS, XMM_POOL);
+                    for &((_, addr), _) in &plan.res.ptrs {
+                        self.read(addr);
+                    }
+                    carry.iter().for_each(|c| self.read(c.addr));
+                    for _ in 0..2 {
+                        for i in body {
+                            match *i {
+                                Instr::Load(_, slot, addr) | Instr::Store(slot, addr, _)
+                                    if plan.res.ptr(slot, addr).is_some() => {}
+                                _ => int_uses(i).for_each(|r| self.read(r)),
+                            }
+                            int_dst(i).into_iter().for_each(|d| self.write(d));
+                        }
+                        for &(r, _) in &plan.mem_bumps {
+                            self.read(r);
+                            self.write(r);
+                        }
+                    }
+                }
+                Item::MulAddLoop { pre, dst, a, b, .. } => {
+                    self.code(pre);
+                    [dst, a, b].iter().for_each(|acc| self.read(acc.addr));
+                }
+                Item::JitCall { .. } => unreachable!("not generated"),
+            }
+        }
+    }
+
+    #[test]
+    fn nest_plans_book_no_register_twice_and_leave_the_rest_in_memory() {
+        // Nothing is emitted and nothing runs: the plan is checked
+        // against its own live ranges, and against a replay of the nest
+        // that knows nothing of them.
+        let clobbered = [RAX, RCX, RDX, RSI, RDI, RSP, R8, R9, R10, R11];
+        assert!(NEST_GPRS.iter().all(|g| !clobbered.contains(g)));
+        assert!(PTR_REGS.iter().all(|p| clobbered.contains(p)));
+        let mut rng = SmallRng::seed_from_u64(0x91a);
+        let (mut shared, mut unbooked, mut replayed) = (0, 0, 0);
+        for case in 0..600 {
+            let extras = rng.gen_range(0..=12);
+            let mut g = NestGen {
+                rng: &mut rng,
+                dts: vec![DType::F64; 4],
+                iregs: Vec::new(),
+                n_fregs: 3,
+                avail: Vec::new(),
+                extras,
+                shapes: [0; 3],
+            };
+            let root = g.plain_loop(case % 4);
+            let (dts, n_iregs) = (g.dts.clone(), g.iregs.len() as Reg);
+            let lives = live_ranges(&root);
+            for pool in [&NEST_GPRS[..], &NEST_GPRS[..2], &[]] {
+                let gprs = plan_nest(&root, pool);
+                let plan = Resident::of_nest(&gprs);
+                let live = |r: Reg| lives.iter().find(|l| l.reg == r);
+                for (k, &(r, g)) in gprs.iter().enumerate() {
+                    assert!(pool.contains(&g), "case {case}");
+                    let l = live(r).expect("only a register with a live range is booked");
+                    for &(other, h) in &gprs[..k] {
+                        let o = live(other).expect("booked");
+                        assert_ne!(other, r, "case {case}: booked twice");
+                        let apart = l.end < o.start || o.end < l.start;
+                        assert!(g != h || apart, "case {case}: {l:?} and {o:?} in {g:?}");
+                        shared += (g == h) as u32;
+                    }
+                }
+                // Whatever is not booked resolves to its place in `iregs`.
+                for r in 0..n_iregs {
+                    if !gprs.iter().any(|e| e.0 == r) {
+                        assert_eq!(plan.i(r), I::Mem(off(r)), "case {case}");
+                        unbooked += live(r).is_some() as u32;
+                    }
+                }
+                assert!(gprs.len() <= lives.len());
+                let mut replay = Replay {
+                    plan: &plan,
+                    dts: &dts,
+                    holds: Vec::new(),
+                    reads: 0,
+                };
+                replay.item(&root);
+                replayed += replay.reads;
+            }
+        }
+        assert!(shared > 1000 && unbooked > 1000 && replayed > 10_000);
     }
 
     /// One call of `plan_packed` over `B[i] = A[i] · c`: as built,
@@ -915,6 +1468,15 @@ mod tests {
             assert_eq!(planned(nest, [F64; 3], Shape::Sse), None, "{why}");
         };
         let dst_addr = |x| Instr::IBin(BinOp::Add, 9, x, 8);
+        let mut trimmed = ok().item();
+        if let Item::Loop { clamp, .. } = &mut trimmed {
+            clamp.hi = Some((6, 0));
+        }
+        let sse = |dt| Width::new(dt, Shape::Sse);
+        assert!(
+            plan_jam(&trimmed, &[F64; 3], sse).is_none(),
+            "a trimmed loop"
+        );
         refuses("fewer than JAM k iterations", &|n| n.k = JAM - 1);
         refuses("a third body item", &|n| n.tail.push(Item::Code(vec![])));
         refuses("mismatched rounding", &|n| n.round32 = true);

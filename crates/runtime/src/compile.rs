@@ -4,7 +4,9 @@
 //! resolved, every variable lives in a flat register file instead of a
 //! `HashMap`, buffer accesses become precomputed strided offsets, and pure
 //! loop-invariant index arithmetic is hoisted into the enclosing loop's
-//! preheader. The companion [`crate::vm`] executes the result with zero
+//! preheader. An access is unchecked when its index registers' static
+//! intervals — narrowed, under a conditional, by what the condition says of
+//! that very index expression — lie inside the buffer. The companion [`crate::vm`] executes the result with zero
 //! allocation in the steady state.
 //!
 //! The compiler is *semantics-preserving with respect to the interpreter*:
@@ -485,6 +487,57 @@ impl CompiledFunc {
         count(&self.body)
     }
 
+    /// Number of conditionals left in bytecode (none inside a jitted
+    /// nest: the native backend compiles an `If` whose arms it can).
+    pub fn conditional_count(&self) -> usize {
+        fn count(b: &Block) -> usize {
+            b.items
+                .iter()
+                .map(|it| match it {
+                    Item::Loop { body, .. } => count(body),
+                    Item::If { then, else_, .. } => {
+                        1 + count(then) + else_.as_ref().map_or(0, count)
+                    }
+                    _ => 0,
+                })
+                .sum()
+        }
+        count(&self.body)
+    }
+
+    /// The item tree on one line — `Loop[extent]{…}`, `Loop[extent]~{…}`
+    /// when trimmed, `If{…}Else{…}`, `Code(n)`, `Strided[extent]`,
+    /// `MulAdd[extent]`, `Jit#entry` — for messages that have to say which
+    /// items stayed in bytecode.
+    pub fn outline(&self) -> String {
+        fn block(b: &Block) -> String {
+            let items: Vec<String> = b.items.iter().map(item).collect();
+            items.join("; ")
+        }
+        fn item(it: &Item) -> String {
+            let trimmed = |c: &Clamp| if c.is_none() { "" } else { "~" };
+            match it {
+                Item::Code(c) => format!("Code({})", c.len()),
+                Item::Loop {
+                    extent,
+                    clamp,
+                    body,
+                    ..
+                } => format!("Loop[{extent}]{}{{ {} }}", trimmed(clamp), block(body)),
+                Item::If { then, else_, .. } => {
+                    let else_ = else_.as_ref().map(|e| format!(" Else{{ {} }}", block(e)));
+                    format!("If{{ {} }}{}", block(then), else_.unwrap_or_default())
+                }
+                Item::StridedLoop { extent, clamp, .. } => {
+                    format!("Strided[{extent}]{}", trimmed(clamp))
+                }
+                Item::MulAddLoop { extent, .. } => format!("MulAdd[{extent}]"),
+                Item::JitCall { entry } => format!("Jit#{entry}"),
+            }
+        }
+        block(&self.body)
+    }
+
     /// Number of strided reduction loops whose accumulator the block
     /// optimizer forwards in a register instead of reloading it from the
     /// element every iteration just stored — still in bytecode, or
@@ -628,6 +681,86 @@ struct Compiler {
     slot_names: Vec<String>,
     slot_shapes: Vec<Vec<usize>>,
     slot_strides: Vec<Vec<usize>>,
+    /// What the guards around the statement being compiled establish:
+    /// `expr ∈ [lo, hi]` wherever that statement runs (see
+    /// [`guard_facts`]).
+    guards: Vec<(PrimExpr, i64, i64)>,
+}
+
+/// Is `e` integer arithmetic over loop variables and literals alone — a
+/// value nothing the guarded statement does can change?
+fn index_only(e: &PrimExpr) -> bool {
+    match e {
+        PrimExpr::IntImm(..) | PrimExpr::Var(_) => true,
+        PrimExpr::Binary(_, a, b) => !e.dtype().is_float() && index_only(a) && index_only(b),
+        _ => false,
+    }
+}
+
+/// `a ⋄ b` as a comparison of `b` with `a`.
+fn flipped(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        CmpOp::Eq | CmpOp::Ne => op,
+    }
+}
+
+/// The comparison that holds exactly where `op` does not.
+fn negated(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Ge,
+        CmpOp::Le => CmpOp::Gt,
+        CmpOp::Gt => CmpOp::Le,
+        CmpOp::Ge => CmpOp::Lt,
+        CmpOp::Eq => CmpOp::Ne,
+        CmpOp::Ne => CmpOp::Eq,
+    }
+}
+
+/// The integer ranges a condition pins down where it `holds` (or where it
+/// does not): `e ⋄ c` and `c ⋄ e` against a literal, through `And` (both
+/// conjuncts hold), `Or` (neither disjunct does, where it does not) and
+/// `Not`. The interpreter evaluates exactly these comparisons in `i64`,
+/// and `e` is arithmetic over loop variables and literals alone, so inside
+/// the guarded statement every evaluation of an expression structurally
+/// equal to `e` lies in the range — the split tail
+/// `if (xo·T + xi < N) { … A[xo·T + xi] … }` is the case that matters.
+fn guard_facts(cond: &PrimExpr, holds: bool, out: &mut Vec<(PrimExpr, i64, i64)>) {
+    match cond {
+        PrimExpr::Cmp(op, a, b) if !a.dtype().unify(b.dtype()).is_float() => {
+            // `c ⋄ e` read right to left.
+            let (e, c, op) = match (a.as_int(), b.as_int()) {
+                (None, Some(c)) => (a, c, *op),
+                (Some(c), None) => (b, c, flipped(*op)),
+                _ => return,
+            };
+            let op = if holds { op } else { negated(op) };
+            let range = match op {
+                CmpOp::Lt => c.checked_sub(1).map(|hi| (i64::MIN, hi)),
+                CmpOp::Le => Some((i64::MIN, c)),
+                CmpOp::Gt => c.checked_add(1).map(|lo| (lo, i64::MAX)),
+                CmpOp::Ge => Some((c, i64::MAX)),
+                CmpOp::Eq => Some((c, c)),
+                CmpOp::Ne => None,
+            };
+            if let (Some((lo, hi)), true) = (range, index_only(e)) {
+                out.push((e.as_ref().clone(), lo, hi));
+            }
+        }
+        PrimExpr::And(a, b) if holds => {
+            guard_facts(a, true, out);
+            guard_facts(b, true, out);
+        }
+        PrimExpr::Or(a, b) if !holds => {
+            guard_facts(a, false, out);
+            guard_facts(b, false, out);
+        }
+        PrimExpr::Not(a) => guard_facts(a, !holds, out),
+        _ => {}
+    }
 }
 
 fn reject<T>(msg: impl Into<String>) -> Result<T, CompileError> {
@@ -795,6 +928,31 @@ impl Compiler {
         dst
     }
 
+    /// Intersect the known interval of `r`, the register `e` was just
+    /// compiled into, with what the enclosing guards say of `e`. Only a
+    /// register this evaluation alone reads is narrowed — the one `ibin`
+    /// allocated last: the compiler shares no register but interned
+    /// constants and loop variables, so every consumer of `r` sits inside
+    /// the guards. (The instruction itself may be hoisted out of them; on
+    /// the iterations where a guard fails it computes a value outside the
+    /// interval that nothing reads.)
+    fn narrow_by_guards(&mut self, e: &PrimExpr, r: Reg) {
+        let fresh = r as usize + 1 == self.idef.len() && self.const_of(r).is_none();
+        if !fresh || self.guards.is_empty() {
+            return;
+        }
+        let (mut lo, mut hi) = self.ival[r as usize].unwrap_or((i64::MIN, i64::MAX));
+        for (guarded, glo, ghi) in &self.guards {
+            if guarded == e {
+                (lo, hi) = (lo.max(*glo), hi.min(*ghi));
+            }
+        }
+        // An empty range is a guard that never holds: claim nothing.
+        if lo <= hi && (lo, hi) != (i64::MIN, i64::MAX) {
+            self.ival[r as usize] = Some((lo, hi));
+        }
+    }
+
     fn compile_expr(&mut self, e: &PrimExpr) -> Result<(Reg, Cls), CompileError> {
         match e {
             PrimExpr::IntImm(v, _) => Ok((self.iconst(*v), Cls::I)),
@@ -823,7 +981,9 @@ impl Compiler {
                 } else {
                     let ia = self.coerce_i(ra, ca);
                     let ib = self.coerce_i(rb, cb);
-                    Ok((self.ibin(*op, ia, ib), Cls::I))
+                    let r = self.ibin(*op, ia, ib);
+                    self.narrow_by_guards(e, r);
+                    Ok((r, Cls::I))
                 }
             }
             PrimExpr::Cmp(op, a, b) => {
@@ -1147,15 +1307,21 @@ impl Compiler {
                     };
                 }
                 let tc = self.truthy(rc, cc);
+                // Each arm compiles under what the condition says there.
+                let outer = self.guards.len();
+                guard_facts(cond, true, &mut self.guards);
                 self.blocks.push(BlockBuilder::new());
                 let res = self.compile_stmt(then);
                 let tb = self.blocks.pop().expect("then block");
+                self.guards.truncate(outer);
                 res?;
                 let eb = match else_ {
                     Some(e) => {
+                        guard_facts(cond, false, &mut self.guards);
                         self.blocks.push(BlockBuilder::new());
                         let res = self.compile_stmt(e);
                         let b = self.blocks.pop().expect("else block");
+                        self.guards.truncate(outer);
                         res?;
                         Some(Block { items: b.items })
                     }
@@ -1248,7 +1414,7 @@ fn interval_of(
 /// interpreter instead.
 ///
 /// Every schedule-parallel loop is marked *unproven* (it executes
-/// sequentially): this entry backs the scalar rung, whose `vm/v4`
+/// sequentially): this entry backs the scalar rung, whose `vm/v5`
 /// fingerprint promises sequential semantics. The optimized pipeline
 /// threads race-freedom proofs through [`compile_with_proofs`].
 pub fn compile(func: &PrimFunc) -> Result<CompiledFunc, CompileError> {
@@ -1302,6 +1468,7 @@ pub(crate) fn compile_with_proofs(
         slot_names,
         slot_shapes,
         slot_strides,
+        guards: Vec::new(),
     };
     c.compile_stmt(&func.body)?;
     debug_assert_eq!(c.blocks.len(), 1);
@@ -1380,6 +1547,90 @@ mod tests {
             0,
             "all accesses of a divisible tiling should be proven safe"
         );
+    }
+
+    #[test]
+    fn a_guard_proves_exactly_the_accesses_it_covers() {
+        use tvm_tir::builder::{if_else, ser, store, when, FuncBuilder};
+        // for xo in 0..3 { for xi in 0..4 { <guarded> } } over ten elements:
+        // `xo·4 + xi` reaches 11, so an access at it is proven only by a
+        // guard on that very expression, tight enough, in the arm it holds
+        // in. Each function runs on the interpreter and the VM: the same
+        // arrays, or the same error.
+        let v = placeholder([10], DType::F64, "V");
+        let lit = |c: i64| PrimExpr::IntImm(c, DType::I64);
+        let lt = |a: PrimExpr, c: i64| PrimExpr::cmp(CmpOp::Lt, a, lit(c));
+        let build = |body: &dyn Fn(&std::sync::Arc<tvm_tir::Buffer>, PrimExpr) -> Stmt| {
+            let mut fb = FuncBuilder::new("tail");
+            let vb = fb.param(&v);
+            fb.build(ser("xo", 3, |xo| {
+                ser("xi", 4, |xi| body(&vb, xo * 4i64 + xi))
+            }))
+        };
+        let bump = |vb: &std::sync::Arc<tvm_tir::Buffer>, at: PrimExpr| {
+            let at = [at];
+            store(vb, &at, v.at(&at) + PrimExpr::FloatImm(1.0, DType::F64))
+        };
+        type Body<'a> = &'a dyn Fn(&std::sync::Arc<tvm_tir::Buffer>, PrimExpr) -> Stmt;
+        let not = |e: PrimExpr| PrimExpr::Not(std::sync::Arc::new(e));
+        let and = |a: PrimExpr, b: PrimExpr| {
+            PrimExpr::And(std::sync::Arc::new(a), std::sync::Arc::new(b))
+        };
+        let ge10 = |x: PrimExpr| PrimExpr::cmp(CmpOp::Ge, x, lit(10));
+        let cases: [(&str, usize, bool, Body); 10] = [
+            ("split tail", 0, true, &|vb, x| {
+                when(lt(x.clone(), 10), bump(vb, x))
+            }),
+            ("literal on the left", 0, true, &|vb, x| {
+                when(PrimExpr::cmp(CmpOp::Gt, lit(10), x.clone()), bump(vb, x))
+            }),
+            ("<= 9", 0, true, &|vb, x| {
+                when(PrimExpr::cmp(CmpOp::Le, x.clone(), lit(9)), bump(vb, x))
+            }),
+            ("in the else of its negation", 0, true, &|vb, x| {
+                if_else(ge10(x.clone()), Stmt::Nop, bump(vb, x))
+            }),
+            ("under Not", 0, true, &|vb, x| {
+                when(not(ge10(x.clone())), bump(vb, x))
+            }),
+            ("under And", 0, true, &|vb, x| {
+                when(and(lt(x.clone(), 10), lt(x.clone(), 12)), bump(vb, x))
+            }),
+            // Near misses: every one keeps its checks, and the ones that
+            // leave the array say so on every engine.
+            ("guard too loose", 2, false, &|vb, x| {
+                when(lt(x.clone(), 11), bump(vb, x))
+            }),
+            ("another expression", 2, false, &|vb, x| {
+                when(lt(x.clone(), 10), bump(vb, x + 1i64))
+            }),
+            ("in the arm where it fails", 2, false, &|vb, x| {
+                if_else(lt(x.clone(), 10), Stmt::Nop, bump(vb, x))
+            }),
+            ("unguarded", 2, false, &|vb, x| bump(vb, x)),
+        ];
+        for (what, checks, runs, body) in cases {
+            let f = build(body);
+            let cf = compile(&f).expect("compile");
+            assert_eq!(cf.bounds_check_count(), checks, "{what}");
+            let args = vec![crate::NDArray::random(&[10], DType::F64, 3, -1.0, 1.0)];
+            let (mut via_interp, mut via_vm) = (args.clone(), args.clone());
+            let want = crate::interp::execute(&f, &mut via_interp);
+            assert_eq!(want.is_ok(), runs, "{what}: {want:?}");
+            assert_eq!(crate::vm::execute(&cf, &mut via_vm), want, "{what}");
+            assert_eq!(via_vm, via_interp, "{what}");
+        }
+        // A guard on a loop variable itself narrows nothing: its register
+        // is shared with code outside the guard.
+        let mut fb = FuncBuilder::new("shared");
+        let vb = fb.param(&v);
+        let f = fb.build(ser("i", 12, |i| {
+            tvm_tir::builder::seq([
+                when(lt(i.clone(), 10), bump(&vb, i.clone())),
+                when(lt(i.clone(), 0), bump(&vb, i)),
+            ])
+        }));
+        assert_eq!(compile(&f).expect("compile").bounds_check_count(), 4);
     }
 
     #[test]

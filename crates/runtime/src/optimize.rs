@@ -80,7 +80,7 @@ use tvm_tir::PrimFunc;
 
 /// Version tag of the bytecode engine (compiler + block optimizer +
 /// VM). Bump on any change to instruction semantics or the optimizer.
-pub(crate) const ENGINE_VERSION: &str = "vm/v4";
+pub(crate) const ENGINE_VERSION: &str = "vm/v5";
 
 /// Fingerprint of the full optimization pipeline an execution engine
 /// applies between TIR and measurement: the bytecode engine version,
@@ -1107,9 +1107,7 @@ mod tests {
                 &HashMap::new(),
                 &[DType::F64],
             );
-            assert!(
-                matches!(item, Some(Item::StridedLoop { clamp: c, min: 0, .. }) if c == want)
-            );
+            assert!(matches!(item, Some(Item::StridedLoop { clamp: c, min: 0, .. }) if c == want));
         }
     }
 

@@ -320,6 +320,175 @@ fn reduction_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) 
     (func, args, context, second_store)
 }
 
+/// A generated nest with control flow the native backend compiles —
+/// conditionals and trimmed plain loops — and its near misses. Over
+/// `for i (serial or parallel), j` one of:
+///
+/// 0. `if c(i,j) { for k { D[i,j] += X[i,k]·Y[k,j] } }`, and
+/// 1. the same with `else { for k { D[i,j] −= … } }`: a conditional around
+///    the forwarded reduction, `c` any of the six integer compares over
+///    `i`, `j` and constants, the `And`, `Or` or `Not` of two, or — to be
+///    refused — a float compare of `X[i,j]`;
+/// 2. `for j { if j ⋄ i + c { for k { D[i,j] += X[i,k]·X[j,k] } } }`:
+///    the guard is on the `j` loop's own variable, so `j` is trimmed
+///    around a strided inner loop (syrk's untiled shape);
+/// 3. a split tail, `for xo, xi { if xo·t + xi < T { for k { V[xo·t+xi] +=
+///    … } } }` over 10 elements in tiles of `t`: `T ≤ 10` never leaves the
+///    array — the guard is what proves the accesses — and `T > 10` does,
+///    under a guard that is true: the same `ExecError` on every rung;
+/// 4. a store into a 5-element array at `j + off` under `c(i,j)` ahead of
+///    the reduction: out of bounds under a guard that may never hold
+///    (then it must not fire) or does (then every rung fails alike);
+/// 5. the reduction under `c(i,j)` and that store in the `else`: one arm
+///    the native backend compiles, one it must refuse the conditional for.
+fn control_flow_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String) {
+    const N: usize = 6;
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+        CmpOp::Eq,
+        CmpOp::Ne,
+    ];
+    let dtype = if rng.gen_bool(0.5) {
+        DType::F64
+    } else {
+        DType::F32
+    };
+    let shape = rng.gen_range(0..6usize);
+    let outer_kind = if rng.gen_bool(0.4) {
+        ForKind::Parallel
+    } else {
+        ForKind::Serial
+    };
+    let kext = [1i64, 3, 6][rng.gen_range(0..3usize)];
+    let tail = rng.gen_range(8..=12i64);
+    let off = rng.gen_range(-1..=3i64);
+    let d = placeholder([N, N], dtype, "D");
+    let x = placeholder([N, N], dtype, "X");
+    let y = placeholder([N, N], dtype, "Y");
+    let e = placeholder([5], dtype, "E");
+    let v = placeholder([10], dtype, "V");
+    let spec = std::cell::RefCell::new(Vec::new());
+    let compare = |rng: &mut SmallRng, i: &PrimExpr, j: &PrimExpr| {
+        let op = OPS[rng.gen_range(0..OPS.len())];
+        let (which, c) = (rng.gen_range(0..4usize), rng.gen_range(-1..=6i64));
+        spec.borrow_mut().push(format!("{op:?}/{which}/{c}"));
+        let (lhs, rhs) = match which {
+            0 => (i.clone(), j.clone() + c - 2i64),
+            1 => (j.clone(), i.clone() * 2i64 - c),
+            2 => (i.clone() + j.clone(), PrimExpr::IntImm(c + 2, DType::I64)),
+            _ => (i.clone(), PrimExpr::IntImm(c, DType::I64)),
+        };
+        PrimExpr::cmp(op, lhs, rhs)
+    };
+    let logic = rng.gen_range(0..6usize);
+    let condition = |rng: &mut SmallRng, i: &PrimExpr, j: &PrimExpr| match logic {
+        0 | 1 => compare(rng, i, j),
+        2 => PrimExpr::And(Arc::new(compare(rng, i, j)), Arc::new(compare(rng, i, j))),
+        3 => PrimExpr::Or(Arc::new(compare(rng, i, j)), Arc::new(compare(rng, i, j))),
+        4 => PrimExpr::Not(Arc::new(compare(rng, i, j))),
+        // A float compare: the native backend refuses it by name.
+        _ => PrimExpr::cmp(
+            OPS[rng.gen_range(0..OPS.len())],
+            x.at(&[i.clone(), j.clone()]),
+            PrimExpr::FloatImm(0.1, dtype),
+        ),
+    };
+
+    let mut fb = FuncBuilder::new("flow");
+    let db = fb.param(&d);
+    let _xb = fb.param(&x);
+    let _yb = fb.param(&y);
+    let eb = fb.param(&e);
+    let vb = fb.param(&v);
+
+    let reduce = |i: &PrimExpr, j: &PrimExpr, transposed: bool, subtract: bool| {
+        let cell = [i.clone(), j.clone()];
+        ser("k", kext, |k| {
+            let rhs = if transposed {
+                x.at(&[j.clone(), k.clone()])
+            } else {
+                y.at(&[k.clone(), j.clone()])
+            };
+            let product = x.at(&[i.clone(), k]) * rhs;
+            let sum = if subtract {
+                d.at(&cell) - product
+            } else {
+                d.at(&cell) + product
+            };
+            store(&db, &cell, sum)
+        })
+    };
+    let body = if shape == 3 {
+        // Tiles of 2–5 over ten elements, sometimes one tile too many.
+        let tile = rng.gen_range(2..=5i64);
+        let tiles = (10 + tile - 1) / tile + rng.gen_range(0..=1i64);
+        let form = rng.gen_range(0..3usize);
+        spec.borrow_mut()
+            .push(format!("tile {tile} x {tiles} form {form}"));
+        for_kind("xo", tiles, outer_kind, |xo| {
+            ser("xi", tile, |xi| {
+                let at = [xo * tile + xi];
+                let bound = PrimExpr::IntImm(tail, DType::I64);
+                let guard = match form {
+                    0 => PrimExpr::cmp(CmpOp::Lt, at[0].clone(), bound),
+                    1 => PrimExpr::cmp(CmpOp::Gt, bound, at[0].clone()),
+                    _ => PrimExpr::cmp(CmpOp::Le, at[0].clone(), bound - 1i64),
+                };
+                let sum = ser("k", kext, |k| {
+                    let kk = [k.clone(), k];
+                    store(&vb, &at, v.at(&at) + x.at(&kk) * y.at(&kk))
+                });
+                when(guard, sum)
+            })
+        })
+    } else {
+        for_kind("i", N as i64, outer_kind, |i| {
+            ser("j", N as i64, |j| match shape {
+                0 => when(condition(rng, &i, &j), reduce(&i, &j, false, false)),
+                1 => if_else(
+                    condition(rng, &i, &j),
+                    reduce(&i, &j, false, false),
+                    reduce(&i, &j, false, true),
+                ),
+                2 => {
+                    let op = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][rng.gen_range(0..4usize)];
+                    spec.borrow_mut().push(format!("{op:?}"));
+                    let guard = PrimExpr::cmp(op, j.clone(), i.clone() + off);
+                    when(guard, reduce(&i, &j, true, false))
+                }
+                4 => seq([
+                    when(
+                        condition(rng, &i, &j),
+                        store(&eb, &[j.clone() + off], x.at(&[i.clone(), j.clone()])),
+                    ),
+                    reduce(&i, &j, false, false),
+                ]),
+                _ => if_else(
+                    condition(rng, &i, &j),
+                    reduce(&i, &j, false, false),
+                    store(&eb, &[j.clone() + off], x.at(&[i.clone(), j.clone()])),
+                ),
+            })
+        })
+    };
+    let context = format!(
+        "{dtype:?} shape {shape} outer {outer_kind:?} k {kext} tail {tail} off {off} logic {logic} {:?}",
+        spec.borrow()
+    );
+    let func = fb.build(body);
+    let args = vec![
+        NDArray::random(&[N, N], dtype, 21, -0.5, 0.5),
+        NDArray::random(&[N, N], dtype, 22, -0.5, 0.5),
+        NDArray::random(&[N, N], dtype, 23, -0.5, 0.5),
+        NDArray::random(&[5], dtype, 24, -0.5, 0.5),
+        NDArray::random(&[10], dtype, 25, -0.5, 0.5),
+    ];
+    (func, args, context)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -337,6 +506,17 @@ proptest! {
             prop_assert!(!second_store || forwarded == 0, "{}: forwarded {}", context, forwarded);
             prop_assert_eq!(compile(&func).expect("compile").forwarded_loop_count(), 0);
         }
+        // The same reductions under control flow, at every thread budget
+        // (a third of the nests open with a parallel loop).
+        let _guard = thread_budget_lock();
+        for threads in [1usize, 2, 4, 7] {
+            tvm_runtime::pool::set_num_threads(threads);
+            for _ in 0..12 {
+                let (func, args, context) = control_flow_nest(&mut rng);
+                assert_engines_agree(&func, &args, &format!("{context} @ {threads} threads"));
+            }
+        }
+        tvm_runtime::pool::set_num_threads(1);
     }
 
     #[test]
@@ -518,6 +698,81 @@ fn forwarding_is_not_vacuous_on_the_reduction_kernels() {
 }
 
 #[test]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn control_flow_is_not_vacuous_on_the_generated_nests_or_the_triangular_kernels() {
+    // What the generated control-flow nests are for: conditionals and
+    // trimmed plain loops that end up *inside* native code, and guarded
+    // stores that do go out of bounds.
+    let mut rng = SmallRng::seed_from_u64(0xc0de);
+    let (mut ifs_jitted, mut trimmed_jitted, mut failed) = (0, 0, 0);
+    for _ in 0..200 {
+        let (func, args, _) = control_flow_nest(&mut rng);
+        let cf = compile_optimized(&func).expect("optimized compile");
+        if let Ok(jitted) = default_backend().jit_compile(&cf) {
+            ifs_jitted += (jitted.conditional_count() < cf.conditional_count()) as u32;
+            trimmed_jitted += (jitted.trimmed_loop_count() < cf.trimmed_loop_count()) as u32;
+        }
+        failed += interp::execute(&func, &mut args.clone()).is_err() as u32;
+    }
+    assert!(
+        ifs_jitted > 40 && trimmed_jitted > 15 && failed > 10,
+        "{ifs_jitted} {trimmed_jitted} {failed}"
+    );
+    // lu's, cholesky's and syrk's `(i, j)` cells are native from the cell
+    // loop down: no conditional and no trimmed loop is left for the
+    // bytecode dispatcher, at the default configuration and at `{1, 2}`.
+    for kernel in [KernelName::Lu, KernelName::Cholesky, KernelName::Syrk] {
+        let mold = mold_for(kernel, ProblemSize::Mini);
+        let names: Vec<String> = mold
+            .space()
+            .params()
+            .iter()
+            .map(|p| p.name().to_string())
+            .collect();
+        assert_eq!(names.len(), 2, "{}", mold.name());
+        let values = [1, 2].map(configspace::ParamValue::Int).to_vec();
+        let one_two = configspace::Configuration::new(names, values);
+        assert!(mold.space().validate(&one_two));
+        for config in [mold.space().default_configuration(), one_two] {
+            let cf = compile_optimized(&mold.instantiate(&config)).expect("optimized compile");
+            assert!(
+                cf.conditional_count() + cf.trimmed_loop_count() > 0,
+                "{} / {config}: nothing to compile: {}",
+                mold.name(),
+                cf.outline()
+            );
+            for (tier, backend) in jit_tiers() {
+                let jitted = backend.jit_compile(&cf).expect("must jit on x86-64");
+                assert_eq!(
+                    (jitted.conditional_count(), jitted.trimmed_loop_count()),
+                    (0, 0),
+                    "{} / {config} on the {tier}: {}",
+                    mold.name(),
+                    jitted.outline()
+                );
+            }
+        }
+    }
+    // And no function of the seven paper spaces falls back whole for a
+    // reason the backend no longer has.
+    let device = tvm_runtime::CpuDevice::jit();
+    let mut rng = SmallRng::seed_from_u64(0x5eed);
+    for kernel in KERNELS {
+        let mold = mold_for(kernel, ProblemSize::Mini);
+        for _ in 0..24 {
+            let config = mold.space().sample(&mut rng);
+            device.prepare(&mold.instantiate(&config));
+        }
+    }
+    let stats = device.jit_stats().expect("a JIT device keeps counters");
+    assert!(stats.functions_jitted > 100, "{stats:?}");
+    for (reason, _) in &stats.fallback_reasons {
+        let gone = reason.contains("conditional") || reason.contains("outside strided form");
+        assert!(!gone, "{stats:?}");
+    }
+}
+
+#[test]
 fn empty_live_range_leaves_a_signalling_nan_destination_untouched() {
     // for j in 0..4 { for k in 0..4 { if k < j − 2 { A[j] −= X[k]·X[k] } } }:
     // only j = 3 has a live iteration. The forwarded accumulator is loaded
@@ -626,7 +881,8 @@ fn jit_actually_compiles_polybench_hot_loops() {
 /// assertions (bit-identity itself holds at any thread count).
 fn thread_budget_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[test]
