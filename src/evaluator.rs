@@ -413,14 +413,23 @@ impl Evaluator for MoldEvaluator {
 
         let mut best = f64::INFINITY;
         let mut process = instantiate_s + build_s + transfer_s;
-        for _ in 0..self.repeats {
+        // The kernels run in place, so every repeat needs fresh arrays —
+        // the same ones: built once, copied for every repeat but the last,
+        // which takes the originals.
+        let mut fresh: Option<Vec<NDArray>> = None;
+        for repeat in 0..self.repeats {
             let run = match self.mode {
                 EvalMode::Simulated => {
                     let mut no_args: [NDArray; 0] = [];
                     self.device.run(func, &mut no_args)
                 }
                 EvalMode::Real => {
-                    let mut args = self.mold.init_args();
+                    let original = fresh.take().unwrap_or_else(|| self.mold.init_args());
+                    let mut args = if repeat + 1 < self.repeats {
+                        fresh.insert(original).clone()
+                    } else {
+                        original
+                    };
                     match entry.prepared.as_deref() {
                         // Compiled once per configuration; every repeat
                         // (and every cache hit) reuses the artifact.
@@ -572,6 +581,61 @@ mod tests {
         let r3 = Evaluator::evaluate(&thrice, &cfg);
         assert_eq!(r1.runtime_s, r3.runtime_s, "deterministic device");
         assert!(r3.process_s > r1.process_s);
+    }
+
+    /// A mold that counts how often its arrays are built.
+    struct CountingMold(Box<dyn CodeMold>, Arc<std::sync::atomic::AtomicUsize>);
+
+    impl CodeMold for CountingMold {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn size(&self) -> ProblemSize {
+            self.0.size()
+        }
+
+        fn space(&self) -> &configspace::ConfigSpace {
+            self.0.space()
+        }
+
+        fn instantiate(&self, config: &Configuration) -> tvm_tir::PrimFunc {
+            self.0.instantiate(config)
+        }
+
+        fn init_args(&self) -> Vec<NDArray> {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.init_args()
+        }
+
+        fn reference_args(&self) -> Vec<Option<NDArray>> {
+            self.0.reference_args()
+        }
+    }
+
+    #[test]
+    fn arrays_are_built_once_per_evaluation_and_every_repeat_starts_fresh() {
+        // lu runs in place: a repeat that started from the previous
+        // repeat's output would factor a factored matrix. One repeat and
+        // three must agree with the reference, from one `init_args` each.
+        let built = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        for (repeats, calls) in [(1, 1), (3, 2)] {
+            let mold = CountingMold(mold_for(KernelName::Lu, ProblemSize::Mini), built.clone());
+            let ev = MoldEvaluator::real(Box::new(mold), CpuDevice::new()).with_repeats(repeats);
+            let cfg = Evaluator::space(&ev).default_configuration();
+            let r = Evaluator::evaluate(&ev, &cfg);
+            assert!(r.is_ok(), "error: {:?}", r.error);
+            assert_eq!(built.load(std::sync::atomic::Ordering::Relaxed), calls);
+        }
+        // What every repeat runs on is what a lone run gets.
+        let mold = mold_for(KernelName::Lu, ProblemSize::Mini);
+        let func = mold.instantiate(&mold.space().default_configuration());
+        let (original, mut first) = (mold.init_args(), mold.init_args());
+        let mut copy = original.clone();
+        CpuDevice::new().run(&func, &mut first).expect("runs");
+        CpuDevice::new().run(&func, &mut copy).expect("runs");
+        assert_eq!(first, copy);
+        assert_ne!(first, original, "lu overwrites its argument");
     }
 
     #[test]
