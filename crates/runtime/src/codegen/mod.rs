@@ -373,7 +373,7 @@ mod tests {
     fn noop_backend_always_falls_back() {
         let f = tvm_te::placeholder([2], tvm_te::DType::F32, "A");
         let b = tvm_te::compute([2], "B", |i| f.at(&[i[0].clone()]) + 1i64);
-        let s = tvm_te::Schedule::create(&[b.clone()]);
+        let s = tvm_te::Schedule::create(std::slice::from_ref(&b));
         let pf = tvm_tir::lower::lower(&s, &[f, b], "idf");
         let cf = crate::compile::compile(&pf).expect("compile");
         assert!(NoopBackend.jit_compile(&cf).is_err());

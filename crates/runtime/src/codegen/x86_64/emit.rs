@@ -1471,7 +1471,7 @@ mod tests {
         assert_eq!(fr[3], (x * y) as f32 as f64);
         assert_eq!(fr[4], x / y + x * y);
         assert_eq!(fr[5], x.sqrt());
-        assert_eq!(fr[1], 123456789i64 as f64 as f32 as f64);
+        assert_eq!(fr[1], 123456789_f64 as f32 as f64);
     }
 
     #[test]

@@ -910,10 +910,10 @@ mod tests {
         let c = compute([n, n], "C", |i| {
             sum(
                 a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                &[k.clone()],
+                std::slice::from_ref(&k),
             )
         });
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         if tile > 1 {
             let (y, x) = (c.axis(0), c.axis(1));
             let (yo, yi) = s.split(&c, &y, tile);

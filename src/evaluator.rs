@@ -268,7 +268,7 @@ impl MoldEvaluator {
     /// legality prelint first (denied configs are never instantiated),
     /// then the full analyzer over the lowered function. Returns the
     /// rejection to cache, or the admitted function.
-    fn static_gate(&self, config: &Configuration) -> Result<PrimFunc, CacheEntry> {
+    fn static_gate(&self, config: &Configuration) -> Result<PrimFunc, Arc<CacheEntry>> {
         let lint = self.mold.prelint(config);
         if lint.iter().any(|d| d.severity == Severity::Deny) {
             let summary = tvm_tir::analyze::AnalysisReport {
@@ -277,7 +277,7 @@ impl MoldEvaluator {
             }
             .reject_summary();
             self.count_denial(PruneStage::Prelint, &lint);
-            return Err(CacheEntry {
+            return Err(Arc::new(CacheEntry {
                 func: None,
                 build_s: 0.0,
                 prepared: None,
@@ -286,14 +286,14 @@ impl MoldEvaluator {
                     summary,
                     diagnostics: lint,
                 }),
-            });
+            }));
         }
         let func = self.mold.instantiate(config);
         let report = tvm_tir::analyze::check(&func);
         if report.is_rejected() {
             let summary = report.reject_summary();
             self.count_denial(PruneStage::Analysis, &report.diagnostics);
-            return Err(CacheEntry {
+            return Err(Arc::new(CacheEntry {
                 func: Some(func),
                 build_s: 0.0,
                 prepared: None,
@@ -302,7 +302,7 @@ impl MoldEvaluator {
                     summary,
                     diagnostics: report.diagnostics,
                 }),
-            });
+            }));
         }
         Ok(func)
     }
@@ -318,7 +318,7 @@ impl MoldEvaluator {
         }
         let handed = self.lowered.lock().expect("lowered lock").remove(&key);
         let entry = match handed.map_or_else(|| self.static_gate(config), Ok) {
-            Err(reject) => Arc::new(reject),
+            Err(reject) => reject,
             Ok(func) => {
                 self.accepted.fetch_add(1, Ordering::Relaxed);
                 let build_s = self.device.build_cost(&func);
@@ -363,7 +363,7 @@ impl MoldEvaluator {
                 Err(reject) => {
                     let r = reject.reject.as_ref().expect("static_gate rejection");
                     report.deny(r.stage, r.diagnostics.clone());
-                    self.cache.insert(key, Arc::new(reject));
+                    self.cache.insert(key, reject);
                 }
                 Ok(func) => {
                     lowered.insert(key, func);

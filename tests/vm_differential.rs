@@ -292,7 +292,11 @@ fn reduction_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) 
                 stmts.push(store(&db, &row, x.at(&[k0.clone(), j.clone()])));
             }
             if fallible {
-                stmts.push(store(&eb, &[k0.clone()], y.at(&[k0.clone(), i.clone()])));
+                stmts.push(store(
+                    &eb,
+                    std::slice::from_ref(&k0),
+                    y.at(&[k0.clone(), i.clone()]),
+                ));
             }
             let mut stmt = seq(stmts);
             if let Some((op, ca, cb, cc)) = guard {
