@@ -330,16 +330,20 @@ impl Walk {
 
     fn read(&mut self, r: Reg) {
         let (pos, inside) = (self.pos, self.inside);
-        match self.seen(r).def {
-            Def::Outside => self.seen(r).read_first = true,
-            Def::Refused => {}
-            Def::At(_, def_inside) => match self.below(def_inside, inside) {
-                None => self.seen(r).last = pos,
-                // Inside a loop the definition is outside of: live until
-                // that loop is done. Loops open in program order.
-                Some(Ok(lp)) => self.seen(r).through = lp,
-                Some(Err(())) => self.seen(r).def = Def::Refused,
-            },
+        let def = self.seen(r).def;
+        let seen = match def {
+            Def::Outside => return self.regs[r as usize].read_first = true,
+            Def::Refused => return,
+            Def::At(_, def_inside) if def_inside == inside => None,
+            Def::At(_, def_inside) => Some(self.below(def_inside, inside)),
+        };
+        let reg = &mut self.regs[r as usize];
+        match seen {
+            None => reg.last = pos,
+            // Inside a loop the definition is outside of: live until
+            // that loop is done. Loops open in program order.
+            Some(Ok(lp)) => reg.through = lp,
+            Some(Err(())) => reg.def = Def::Refused,
         }
     }
 
@@ -371,20 +375,17 @@ impl Walk {
         self.loops.get(lp as usize).map_or(0, |l| l.1)
     }
 
-    /// The loop directly inside `outer` on the way down to `lp`: `None`
-    /// when `lp` is `outer`, `Some(Err)` when `lp` is not inside `outer`.
-    fn below(&self, outer: u32, mut lp: u32) -> Option<Result<u32, ()>> {
-        if lp == outer {
-            return None;
-        }
+    /// The loop directly inside `outer` on the way down to `lp` (which is
+    /// not `outer`), or `Err` when `lp` is not inside `outer`.
+    fn below(&self, outer: u32, mut lp: u32) -> Result<u32, ()> {
         while lp != NO_LOOP {
             let around = self.loops[lp as usize].0;
             if around == outer {
-                return Some(Ok(lp));
+                return Ok(lp);
             }
             lp = around;
         }
-        Some(Err(()))
+        Err(())
     }
 
     fn block(&mut self, b: &Block) {
@@ -470,6 +471,8 @@ impl Walk {
 pub(super) fn live_ranges(root: &Item) -> Vec<Live> {
     let mut w = Walk {
         inside: NO_LOOP,
+        loops: Vec::with_capacity(8),
+        regs: Vec::with_capacity(256),
         ..Walk::default()
     };
     w.item(root);
@@ -490,31 +493,46 @@ pub(super) fn live_ranges(root: &Item) -> Vec<Live> {
 /// Plan the integer registers of a nest over the GPR budget `pool`: which
 /// of the registers the nest defines — loop counters, nest-level code,
 /// the preludes of its strided loops and microkernels — live in a GPR for
-/// as long as something reads them. Innermost definitions first, in
-/// program order among equals, each taking the first register of `pool`
-/// that is free over its whole live range; whatever does not fit keeps its
-/// in-memory form, operand by operand. Registers the nest only reads are
-/// where the caller left them, in memory. Nothing is written back: a nest
-/// is one loop or conditional, and a register defined inside one is dead
-/// after it ([`crate::optimize`]).
+/// as long as something reads them. One pass in program order: a
+/// definition takes the first register of `pool` nothing live holds
+/// (ranges are closed: two registers live at one instruction never
+/// share), and when all are taken the outermost definition among the
+/// holders gives its register up for good to one defined further in —
+/// first come, first served among equals, innermost definitions first.
+/// Whatever does not fit keeps its in-memory form, operand by operand.
+/// Registers the nest only reads are where the caller left them, in
+/// memory. Nothing is written back: a nest is one loop or conditional,
+/// and a register defined inside one is dead after it
+/// ([`crate::optimize`]). The result is in register order.
 pub(super) fn plan_nest(root: &Item, pool: &[R]) -> Vec<(Reg, R)> {
     let mut lives = live_ranges(root);
-    lives.sort_by_key(|l| (std::cmp::Reverse(l.depth), l.start));
-    // Per register of `pool`, the spans booked: disjoint, in order.
-    let mut booked: Vec<Vec<(u32, u32)>> = vec![Vec::new(); pool.len()];
-    let mut gprs: Vec<(Reg, R)> = Vec::with_capacity(lives.len());
-    for l in &lives {
-        for (spans, &g) in booked.iter_mut().zip(pool) {
-            // The first span that ends at or after this one starts is the
-            // only one that can overlap it.
-            let at = spans.partition_point(|s| s.1 < l.start);
-            if spans.get(at).is_none_or(|s| l.end < s.0) {
-                spans.insert(at, (l.start, l.end));
-                gprs.push((l.reg, g));
-                break;
+    lives.sort_by_key(|l| l.start);
+    // Per register of `pool`: which of `lives` holds it now.
+    let mut holders: Vec<Option<usize>> = vec![None; pool.len()];
+    let mut booked: Vec<Option<R>> = vec![None; lives.len()];
+    for (n, l) in lives.iter().enumerate() {
+        for h in holders.iter_mut() {
+            if h.is_some_and(|o| lives[o].end < l.start) {
+                *h = None;
             }
         }
+        let outermost = |h: &Option<usize>| h.map_or(0, |o| lives[o].depth + 1);
+        let Some((k, holder)) = holders.iter_mut().enumerate().min_by_key(|(_, h)| outermost(h))
+        else {
+            break; // an empty pool books nothing
+        };
+        match *holder {
+            Some(o) if lives[o].depth >= l.depth => continue,
+            Some(o) => booked[o] = None,
+            None => {}
+        }
+        (*holder, booked[n]) = (Some(n), Some(pool[k]));
     }
+    let mut gprs: Vec<(Reg, R)> = lives
+        .iter()
+        .zip(booked)
+        .filter_map(|(l, g)| Some((l.reg, g?)))
+        .collect();
     gprs.sort_by_key(|e| e.0);
     gprs
 }
