@@ -236,6 +236,9 @@ fn main() -> Result<(), String> {
             let higher = m["better"].as_str() == Some("higher");
             let bound = m["bound"].as_f64().unwrap_or(0.0);
             println!("  {name:18} {}", compare(&a, &b, higher, bound));
+            let values = |v: &[f64]| v.iter().map(|x| format!("{x:.4}")).collect::<Vec<_>>();
+            println!("  {:18} this {}", "", values(&a).join(" / "));
+            println!("  {:18} other {}", "", values(&b).join(" / "));
         }
     }
     if traced {

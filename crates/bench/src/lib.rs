@@ -15,7 +15,9 @@
 //!   runtime + configuration per tuner),
 //! * `run_all` — every experiment, results written to `results/`,
 //! * `ablation_kappa`, `ablation_surrogate`, `ablation_model_fidelity` —
-//!   the design-choice ablations listed in DESIGN.md.
+//!   the design-choice ablations listed in DESIGN.md,
+//! * `versus <other-checkout> --workload W` — the repository benchmark
+//!   in this checkout against another, alternated pairs.
 
 pub mod plot;
 
