@@ -172,6 +172,9 @@ fn main() -> Result<(), String> {
     let other = PathBuf::from(argv.first().filter(|a| !a.starts_with("--")).ok_or(usage)?);
     let workload = flag("--workload").ok_or(usage)?;
     let pairs: usize = flag("--pairs").map_or(Ok(10), |p| p.parse().map_err(|_| usage))?;
+    if pairs == 0 {
+        return Err(usage.into());
+    }
     let traced = argv.iter().any(|a| a == "--trace");
     let this = std::env::current_dir().map_err(|e| e.to_string())?;
     let manifest = std::fs::read_to_string(this.join("BENCHMARK.json"))
@@ -232,7 +235,7 @@ fn main() -> Result<(), String> {
                 .collect()
         };
         let (a, b) = (column(this_runs), column(other_runs));
-        if a.len() == pairs && b.len() == pairs && pairs > 0 {
+        if a.len() == pairs && b.len() == pairs {
             let higher = m["better"].as_str() == Some("higher");
             let bound = m["bound"].as_f64().unwrap_or(0.0);
             println!("  {name:18} {}", compare(&a, &b, higher, bound));
@@ -268,15 +271,9 @@ fn main() -> Result<(), String> {
         failed(this_runs),
         failed(other_runs)
     );
-    let mut fatal = Vec::new();
-    for (a, b) in this_runs.iter().zip(other_runs) {
-        let (must, listed) = disagreements(a, b);
-        listed.iter().for_each(|l| println!("  differs: {l}"));
-        fatal.extend(must);
-        if !fatal.is_empty() || !listed.is_empty() {
-            break; // every round prints the same counts
-        }
-    }
+    // Every round of a workload prints the same counts: one pair says it.
+    let (fatal, listed) = disagreements(&this_runs[0], &other_runs[0]);
+    listed.iter().for_each(|l| println!("  differs: {l}"));
     if fatal.is_empty() {
         Ok(())
     } else {

@@ -246,7 +246,7 @@ fn int_uses(i: &Instr) -> impl Iterator<Item = Reg> {
 /// The stretch of a nest over which an integer register it defines holds
 /// a value something still reads: positions count the nest's instructions
 /// and loop edges in program order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(super) struct Live {
     pub(super) reg: Reg,
     /// Position of the definition (a loop counter's: its loop's entry).
@@ -330,20 +330,21 @@ impl Walk {
 
     fn read(&mut self, r: Reg) {
         let (pos, inside) = (self.pos, self.inside);
-        let def = self.seen(r).def;
-        let seen = match def {
-            Def::Outside => return self.regs[r as usize].read_first = true,
-            Def::Refused => return,
-            Def::At(_, def_inside) if def_inside == inside => None,
-            Def::At(_, def_inside) => Some(self.below(def_inside, inside)),
+        let seen = *self.seen(r);
+        // The loop below the definition's that holds this read, if the
+        // read is not beside the definition.
+        let through = match seen.def {
+            Def::At(_, def_inside) if def_inside != inside => Some(self.below(def_inside, inside)),
+            _ => None,
         };
-        let reg = &mut self.regs[r as usize];
-        match seen {
-            None => reg.last = pos,
-            // Inside a loop the definition is outside of: live until
-            // that loop is done. Loops open in program order.
-            Some(Ok(lp)) => reg.through = lp,
-            Some(Err(())) => reg.def = Def::Refused,
+        let seen = &mut self.regs[r as usize];
+        match (seen.def, through) {
+            (Def::Outside, _) => seen.read_first = true,
+            (Def::Refused, _) => {}
+            (Def::At(..), None) => seen.last = pos,
+            // Live until that loop is done; loops open in program order.
+            (Def::At(..), Some(Ok(lp))) => seen.through = lp,
+            (Def::At(..), Some(Err(()))) => seen.def = Def::Refused,
         }
     }
 
@@ -517,7 +518,10 @@ pub(super) fn plan_nest(root: &Item, pool: &[R]) -> Vec<(Reg, R)> {
             }
         }
         let outermost = |h: &Option<usize>| h.map_or(0, |o| lives[o].depth + 1);
-        let Some((k, holder)) = holders.iter_mut().enumerate().min_by_key(|(_, h)| outermost(h))
+        let Some((k, holder)) = holders
+            .iter_mut()
+            .enumerate()
+            .min_by_key(|(_, h)| outermost(h))
         else {
             break; // an empty pool books nothing
         };

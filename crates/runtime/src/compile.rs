@@ -505,39 +505,6 @@ impl CompiledFunc {
         count(&self.body)
     }
 
-    /// The item tree on one line — `Loop[extent]{…}`, `Loop[extent]~{…}`
-    /// when trimmed, `If{…}Else{…}`, `Code(n)`, `Strided[extent]`,
-    /// `MulAdd[extent]`, `Jit#entry` — for messages that have to say which
-    /// items stayed in bytecode.
-    pub fn outline(&self) -> String {
-        fn block(b: &Block) -> String {
-            let items: Vec<String> = b.items.iter().map(item).collect();
-            items.join("; ")
-        }
-        fn item(it: &Item) -> String {
-            let trimmed = |c: &Clamp| if c.is_none() { "" } else { "~" };
-            match it {
-                Item::Code(c) => format!("Code({})", c.len()),
-                Item::Loop {
-                    extent,
-                    clamp,
-                    body,
-                    ..
-                } => format!("Loop[{extent}]{}{{ {} }}", trimmed(clamp), block(body)),
-                Item::If { then, else_, .. } => {
-                    let else_ = else_.as_ref().map(|e| format!(" Else{{ {} }}", block(e)));
-                    format!("If{{ {} }}{}", block(then), else_.unwrap_or_default())
-                }
-                Item::StridedLoop { extent, clamp, .. } => {
-                    format!("Strided[{extent}]{}", trimmed(clamp))
-                }
-                Item::MulAddLoop { extent, .. } => format!("MulAdd[{extent}]"),
-                Item::JitCall { entry } => format!("Jit#{entry}"),
-            }
-        }
-        block(&self.body)
-    }
-
     /// Number of strided reduction loops whose accumulator the block
     /// optimizer forwards in a register instead of reloading it from the
     /// element every iteration just stored — still in bytecode, or

@@ -741,18 +741,16 @@ fn control_flow_is_not_vacuous_on_the_generated_nests_or_the_triangular_kernels(
             let cf = compile_optimized(&mold.instantiate(&config)).expect("optimized compile");
             assert!(
                 cf.conditional_count() + cf.trimmed_loop_count() > 0,
-                "{} / {config}: nothing to compile: {}",
-                mold.name(),
-                cf.outline()
+                "{} / {config}: no control flow to compile",
+                mold.name()
             );
             for (tier, backend) in jit_tiers() {
                 let jitted = backend.jit_compile(&cf).expect("must jit on x86-64");
                 assert_eq!(
                     (jitted.conditional_count(), jitted.trimmed_loop_count()),
                     (0, 0),
-                    "{} / {config} on the {tier}: {}",
-                    mold.name(),
-                    jitted.outline()
+                    "{} / {config} on the {tier}: conditionals, trimmed loops left in bytecode",
+                    mold.name()
                 );
             }
         }
