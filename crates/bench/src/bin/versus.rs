@@ -1,9 +1,10 @@
 //! Compare this checkout against another on one benchmark workload.
 //!
 //! `versus <other-checkout> --workload W [--pairs 10] [--seed 2023]
-//! [--seconds S] [--trace]`, from the root of this checkout: runs the
-//! `BENCHMARK.json` command in both trees, each with its own
-//! `CARGO_TARGET_DIR` (`<tree>/.bench_build`), `--pairs` times each and
+//! [--trace]`, from the root of this checkout: runs the `BENCHMARK.json`
+//! command in both trees at the manifest's `run_seconds` (the length the
+//! bounds were set for), each with its own `CARGO_TARGET_DIR`
+//! (`<tree>/.bench_build`), `--pairs` times each and
 //! alternating which side goes first — the host flips between two speed
 //! levels about 35 % apart, so a fixed order measures the order. For every
 //! end-to-end metric it prints the median [quartiles] of each side, in how
@@ -167,8 +168,7 @@ fn main() -> Result<(), String> {
         let at = argv.iter().position(|a| a == name);
         at.and_then(|i| argv.get(i + 1)).cloned()
     };
-    let usage =
-        "versus <other-checkout> --workload W [--pairs N] [--seed S] [--seconds S] [--trace]";
+    let usage = "versus <other-checkout> --workload W [--pairs N] [--seed S] [--trace]";
     let other = PathBuf::from(argv.first().filter(|a| !a.starts_with("--")).ok_or(usage)?);
     let workload = flag("--workload").ok_or(usage)?;
     let pairs: usize = flag("--pairs").map_or(Ok(10), |p| p.parse().map_err(|_| usage))?;
@@ -185,13 +185,12 @@ fn main() -> Result<(), String> {
         items.filter_map(|s| s.as_str().map(String::from)).collect()
     };
     let command = strings(&manifest["command"]);
-    let seconds = flag("--seconds").unwrap_or_else(|| manifest["run_seconds"].to_string());
     let mut args = vec!["--workload".to_string(), workload.clone()];
     args.extend([
         "--seed".to_string(),
         flag("--seed").unwrap_or_else(|| "2023".into()),
     ]);
-    args.extend(["--seconds".to_string(), seconds]);
+    args.extend(["--seconds".to_string(), manifest["run_seconds"].to_string()]);
     if traced {
         args.extend(["--trace".to_string(), "1".to_string()]);
     }

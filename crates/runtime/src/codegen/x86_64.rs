@@ -30,6 +30,9 @@
 //!     nest's entry and restored at its `ret`, and no leaf template
 //!     touches them. Nothing is written back: a nest is one loop or
 //!     conditional, and a register defined inside one is dead after it.
+//!     A register read where its definition may not have run — outside
+//!     its loop, past the conditional arm that holds it — keeps its
+//!     in-memory form, and a nest that is one leaf plans nothing.
 //!     Integer templates are the same wrapping `add`/`sub`/`imul`;
 //!     compares and `And`/`Or`/`Not` are `cmp`/`setcc`, exact by
 //!     construction. Float operands of nest-level code stay in `fregs`.
@@ -235,7 +238,9 @@ mod fixtures {
     /// conditionals on integer compares and their `And`/`Or`/`Not`, up to
     /// `extras` nest-level integer registers built from loop variables,
     /// constants and each other, every one written to an array through
-    /// `IToF` so its value is observable, and at the bottom a leaf of
+    /// `IToF` so its value is observable (some of them past the arm that
+    /// defines them, where the arm may not have run), and at the bottom a
+    /// leaf of
     /// every kind — a microkernel of any stride pattern and dtype mix, a
     /// strided loop that is static, trimmed or carries its accumulator,
     /// reads its loop variable as a value and walks backwards — whose
@@ -354,6 +359,10 @@ mod fixtures {
                 return;
             }
             let (r, ..) = self.avail[self.rng.gen_range(0..self.avail.len())];
+            self.observe_reg(r, code);
+        }
+
+        fn observe_reg(&mut self, r: Reg, code: &mut Vec<Instr>) {
             let (f, slot) = (self.freg(), self.below(4) as u16);
             let at = self.addr(code, (0, 0), false);
             code.push(if self.rng.gen_bool(0.5) {
@@ -566,16 +575,32 @@ mod fixtures {
         }
 
         /// A conditional on a register of the nest (a compare's 0/1, or
-        /// any value), its arms one level further down.
-        fn conditional(&mut self, depth_left: usize) -> Item {
+        /// any value), its arms one level further down — and, one time in
+        /// three, a register its `then` arm defines read as a value where
+        /// that arm may not have run: in the `else` arm, or after the
+        /// conditional.
+        fn conditional(&mut self, depth_left: usize) -> Vec<Item> {
             let (cond, ..) = self.operand();
             let mark = self.avail.len();
             let then = self.block(depth_left);
+            let stray = self.avail.get(mark).map(|a| a.0);
+            let stray = stray.filter(|_| self.rng.gen_bool(0.33));
             self.avail.truncate(mark);
-            let else_ = self.rng.gen_bool(0.5).then(|| self.block(depth_left));
+            let mut else_ = self.rng.gen_bool(0.5).then(|| self.block(depth_left));
             self.avail.truncate(mark);
             self.shapes[1] += else_.is_some() as u32;
-            Item::If { cond, then, else_ }
+            let mut after = Vec::new();
+            if let Some(r) = stray {
+                let mut code = Vec::new();
+                self.observe_reg(r, &mut code);
+                match &mut else_ {
+                    Some(e) if self.rng.gen_bool(0.5) => e.items.push(Item::Code(code)),
+                    _ => after.push(Item::Code(code)),
+                }
+            }
+            let mut items = vec![Item::If { cond, then, else_ }];
+            items.append(&mut after);
+            items
         }
 
         /// One or two stretches of nest-level code, each ahead of a loop,
@@ -594,15 +619,15 @@ mod fixtures {
                     items.push(Item::Code(code));
                 }
                 let roll = if depth_left == 0 { 0 } else { self.below(8) };
-                items.push(match roll {
-                    0 => match self.below(4) {
+                match roll {
+                    0 => items.push(match self.below(4) {
                         0 => self.any_muladd(),
                         1 => self.jam_wrapper(),
                         _ => self.strided(),
-                    },
-                    1 | 2 => self.conditional(depth_left - 1),
-                    _ => self.plain_loop(depth_left - 1),
-                });
+                    }),
+                    1 | 2 => items.extend(self.conditional(depth_left - 1)),
+                    _ => items.push(self.plain_loop(depth_left - 1)),
+                }
             }
             Block { items }
         }

@@ -191,7 +191,10 @@ pub(super) struct Fwd(usize);
 
 impl Asm {
     pub(super) fn new() -> Asm {
-        Asm { code: Vec::new() }
+        // A page: what the smallest function's code is mapped into.
+        Asm {
+            code: Vec::with_capacity(4096),
+        }
     }
 
     pub(super) fn here(&self) -> usize {

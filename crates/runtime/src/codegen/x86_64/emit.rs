@@ -89,6 +89,7 @@ impl CodegenBackend for X86Backend {
             entries: Vec::new(),
             first_reason: None,
             simd: SimdReport::default(),
+            walk: Walk::with_iregs(cf.n_iregs),
         };
         let body = rw.block(&cf.body);
         let Rewriter {
@@ -113,9 +114,8 @@ impl CodegenBackend for X86Backend {
             forwarded_loops: forwarded_in(&cf.body) - forwarded_in(&body),
         };
         Ok(CompiledFunc {
-            body,
             jit: Some(Arc::new(program)),
-            ..cf.clone()
+            ..cf.with_body(body)
         })
     }
 
@@ -127,7 +127,7 @@ impl CodegenBackend for X86Backend {
 
 /// One function's pass: the code emitted so far, an entry offset per
 /// compiled nest, the first reason a nest was refused, the vector-site
-/// tally.
+/// tally, the nest planner's tables.
 struct Rewriter<'a> {
     dts: &'a [DType],
     opts: &'a X86Backend,
@@ -135,6 +135,7 @@ struct Rewriter<'a> {
     entries: Vec<usize>,
     first_reason: Option<String>,
     simd: SimdReport,
+    walk: Walk,
 }
 
 impl Rewriter<'_> {
@@ -172,7 +173,7 @@ impl Rewriter<'_> {
                     simd: &mut self.simd,
                     nest: Rc::new([]),
                 };
-                nc.emit_nest(item);
+                nc.emit_nest(item, &mut self.walk);
                 nc.asm.ret();
                 Item::JitCall {
                     entry: self.entries.len() - 1,
@@ -276,8 +277,8 @@ impl NestCompiler<'_> {
     /// One nest, entry to the instruction before its `ret`: plan its
     /// integer registers over [`NEST_GPRS`], save the ones the plan uses,
     /// emit the item, restore them.
-    pub(super) fn emit_nest(&mut self, root: &Item) {
-        let gprs = plan_nest(root, &NEST_GPRS);
+    pub(super) fn emit_nest(&mut self, root: &Item, walk: &mut Walk) {
+        let gprs = plan_nest(root, &NEST_GPRS, walk);
         let used = NEST_GPRS.map(|g| gprs.iter().any(|e| e.1 == g));
         let saved = NEST_GPRS.into_iter().zip(used).filter(|s| s.1).map(|s| s.0);
         saved.clone().for_each(|g| self.asm.push_r(g));
@@ -2091,7 +2092,8 @@ mod tests {
                 let fr: Vec<u64> = fr.iter().map(|v| v.to_bits()).collect();
                 (bits(&arrays), ir, fr)
             };
-            let (resident, simd) = compiled(&opts, &dts, |nc| nc.emit_nest(&root));
+            let (resident, simd) =
+                compiled(&opts, &dts, |nc| nc.emit_nest(&root, &mut Walk::default()));
             let (in_memory, _) = compiled(&opts, &dts, |nc| nc.emit_item(&root));
             jammed += simd.tiled_loops.min(1);
             // Where the old template can say anything — no conditional,
@@ -2106,8 +2108,8 @@ mod tests {
             assert_eq!(got, want, "case {case}: {root:?}");
             // No float lives in a register at nest level.
             assert_eq!(got_fregs, want_fregs, "case {case}");
-            let gprs = plan_nest(&root, &NEST_GPRS);
-            let candidates = live_ranges(&root);
+            let gprs = plan_nest(&root, &NEST_GPRS, &mut Walk::default());
+            let candidates = live_ranges(&root, &mut Walk::default());
             for (r, &at_entry) in iregs.iter().enumerate() {
                 // A register the nest defines is written back only if it
                 // has no GPR; one it only reads is never written.
@@ -2412,7 +2414,10 @@ mod tests {
                 row(name, compiled(opts, dts, |nc| nc.emit_item(item)));
             }
             for (name, dts, item) in &nests {
-                row(name, compiled(opts, dts, |nc| nc.emit_nest(item)));
+                row(
+                    name,
+                    compiled(opts, dts, |nc| nc.emit_nest(item, &mut Walk::default())),
+                );
             }
         }
         assert_same_lines(&got, include_str!("goldens/templates.txt"));

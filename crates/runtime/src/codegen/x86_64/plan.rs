@@ -258,15 +258,15 @@ pub(super) struct Live {
     pub(super) depth: u32,
 }
 
-/// "Not inside any loop of the nest".
-const NO_LOOP: u32 = u32::MAX;
+/// "Not inside any loop or conditional arm of the nest".
+const NO_SCOPE: u32 = u32::MAX;
 
 /// Where a walk saw an integer register defined.
 #[derive(Clone, Copy, PartialEq)]
 enum Def {
     /// Not by this nest (so far): the caller's, read where it is.
     Outside,
-    /// Once, at this position, inside this loop (or [`NO_LOOP`]).
+    /// Once, at this position, inside this scope (or [`NO_SCOPE`]).
     At(u32, u32),
     /// More than once, after a read, or away from where it is read: a
     /// register that keeps its in-memory form.
@@ -276,41 +276,73 @@ enum Def {
 /// What a walk knows of one integer register.
 #[derive(Clone, Copy)]
 struct Seen {
+    /// The walk that wrote this record; an older one's says nothing.
+    nest: u32,
     def: Def,
     /// Read before the nest defined it.
     read_first: bool,
-    /// Last read beside the definition (same loop body), if any.
+    /// Last read with no loop between it and the definition, if any.
     last: u32,
-    /// Last loop holding a read that the definition is outside of — a
-    /// loop directly below the definition's — or [`NO_LOOP`].
+    /// Last loop holding a read that the definition is outside of — the
+    /// outermost such loop around that read — or [`NO_SCOPE`].
     through: u32,
 }
 
-/// One walk over a nest in program order, recording where each integer
-/// register is defined and how far it is read.
+/// A loop body or a conditional arm of the nest being walked.
+struct Scope {
+    /// The scope around it, or [`NO_SCOPE`].
+    around: u32,
+    /// Loops around and including it.
+    depth: u32,
+    is_loop: bool,
+    /// Position of its last instruction, once the walk has left it.
+    end: u32,
+}
+
+/// The walk over a nest in program order that records where each integer
+/// register is defined and how far it is read. One serves every nest of a
+/// function: the per-register table is written only where a nest names a
+/// register, and stamped with the nest.
 #[derive(Default)]
-struct Walk {
+pub(super) struct Walk {
+    nest: u32,
     pos: u32,
-    /// The innermost open loop, by index into `loops`.
+    /// The innermost open scope, by index into `scopes`.
     inside: u32,
-    /// Per loop: the loop around it and its depth, then its end position.
-    loops: Vec<(u32, u32, u32)>,
+    scopes: Vec<Scope>,
     /// Per register.
     regs: Vec<Seen>,
+    /// The registers this nest defined, in program order.
+    defs: Vec<Reg>,
 }
 
 impl Walk {
+    /// The walk for the nests of a function with `n` integer registers.
+    pub(super) fn with_iregs(n: usize) -> Walk {
+        Walk {
+            scopes: Vec::with_capacity(8),
+            regs: Vec::with_capacity(n),
+            defs: Vec::with_capacity(n),
+            ..Walk::default()
+        }
+    }
+
     fn seen(&mut self, r: Reg) -> &mut Seen {
+        let unseen = Seen {
+            nest: self.nest,
+            def: Def::Outside,
+            read_first: false,
+            last: 0,
+            through: NO_SCOPE,
+        };
         if self.regs.len() <= r as usize {
-            let unseen = Seen {
-                def: Def::Outside,
-                read_first: false,
-                last: 0,
-                through: NO_LOOP,
-            };
             self.regs.resize(r as usize + 1, unseen);
         }
-        &mut self.regs[r as usize]
+        let seen = &mut self.regs[r as usize];
+        if seen.nest != self.nest {
+            *seen = unseen;
+        }
+        seen
     }
 
     fn def(&mut self, r: Reg) {
@@ -320,6 +352,9 @@ impl Walk {
             Def::Outside if !seen.read_first => Def::At(pos, inside),
             _ => Def::Refused,
         };
+        if seen.def != Def::Refused {
+            self.defs.push(r);
+        }
     }
 
     /// A register a strided body writes: it changes under a loop this
@@ -330,21 +365,20 @@ impl Walk {
 
     fn read(&mut self, r: Reg) {
         let (pos, inside) = (self.pos, self.inside);
-        let seen = *self.seen(r);
-        // The loop below the definition's that holds this read, if the
-        // read is not beside the definition.
-        let through = match seen.def {
-            Def::At(_, def_inside) if def_inside != inside => Some(self.below(def_inside, inside)),
-            _ => None,
+        let seen = self.seen(r);
+        let Def::At(_, def_inside) = seen.def else {
+            seen.read_first |= seen.def == Def::Outside;
+            return;
         };
+        let through = self.below(def_inside, inside);
         let seen = &mut self.regs[r as usize];
-        match (seen.def, through) {
-            (Def::Outside, _) => seen.read_first = true,
-            (Def::Refused, _) => {}
-            (Def::At(..), None) => seen.last = pos,
+        match through {
+            Ok(None) => seen.last = pos,
             // Live until that loop is done; loops open in program order.
-            (Def::At(..), Some(Ok(lp))) => seen.through = lp,
-            (Def::At(..), Some(Err(()))) => seen.def = Def::Refused,
+            Ok(Some(lp)) => seen.through = lp,
+            // Read where the definition may not have run: outside its
+            // loop, or past the conditional arm that holds it.
+            Err(()) => seen.def = Def::Refused,
         }
     }
 
@@ -358,39 +392,47 @@ impl Walk {
         }
     }
 
-    fn enter_loop(&mut self) {
-        let depth = self.depth(self.inside) + 1;
-        self.loops.push((self.inside, depth, 0));
-        self.inside = self.loops.len() as u32 - 1;
+    fn enter(&mut self, is_loop: bool) {
+        self.scopes.push(Scope {
+            around: self.inside,
+            depth: self.depth(self.inside) + is_loop as u32,
+            is_loop,
+            end: 0,
+        });
+        self.inside = self.scopes.len() as u32 - 1;
     }
 
-    fn leave_loop(&mut self) {
+    fn leave(&mut self) {
         self.pos += 1;
-        let this = &mut self.loops[self.inside as usize];
-        this.2 = self.pos;
-        self.inside = this.0;
+        let this = &mut self.scopes[self.inside as usize];
+        this.end = self.pos;
+        self.inside = this.around;
     }
 
-    /// How many loops of the nest are around (and including) `lp`.
-    fn depth(&self, lp: u32) -> u32 {
-        self.loops.get(lp as usize).map_or(0, |l| l.1)
+    /// How many loops of the nest are around (and including) `scope`.
+    fn depth(&self, scope: u32) -> u32 {
+        self.scopes.get(scope as usize).map_or(0, |s| s.depth)
     }
 
-    /// The loop directly inside `outer` on the way down to `lp` (which is
-    /// not `outer`), or `Err` when `lp` is not inside `outer`.
-    fn below(&self, outer: u32, mut lp: u32) -> Result<u32, ()> {
-        while lp != NO_LOOP {
-            let around = self.loops[lp as usize].0;
-            if around == outer {
-                return Ok(lp);
+    /// The outermost loop on the way from `outer` down to the scope `at`
+    /// (`None`: they are the same scope, or only conditional arms
+    /// apart), or `Err` when `at` is not inside `outer`.
+    fn below(&self, outer: u32, mut at: u32) -> Result<Option<u32>, ()> {
+        let mut lp = None;
+        while at != outer {
+            let scope = self.scopes.get(at as usize).ok_or(())?;
+            if scope.is_loop {
+                lp = Some(at);
             }
-            lp = around;
+            at = scope.around;
         }
-        Err(())
+        Ok(lp)
     }
 
-    fn block(&mut self, b: &Block) {
+    fn arm(&mut self, b: &Block) {
+        self.enter(false);
         b.items.iter().for_each(|it| self.item(it));
+        self.leave();
     }
 
     fn bounds(&mut self, clamp: &Clamp) {
@@ -407,21 +449,19 @@ impl Walk {
             } => {
                 self.pos += 1;
                 self.bounds(clamp);
-                self.enter_loop();
+                self.enter(true);
                 self.def(*var);
-                self.block(body);
+                body.items.iter().for_each(|it| self.item(it));
                 // The increment and the compare at the bottom.
                 self.pos += 1;
                 self.read(*var);
-                self.leave_loop();
+                self.leave();
             }
             Item::If { cond, then, else_ } => {
                 self.pos += 1;
                 self.read(*cond);
-                self.block(then);
-                if let Some(e) = else_ {
-                    self.block(e);
-                }
+                self.arm(then);
+                else_.iter().for_each(|e| self.arm(e));
             }
             Item::StridedLoop {
                 clamp,
@@ -444,14 +484,14 @@ impl Walk {
                 // — the address registers it turned into pointers, the
                 // bumps nothing reads — and a shorter range would only let
                 // the prelude's registers share a GPR).
-                self.enter_loop();
+                self.enter(true);
                 self.pos += 1;
                 for i in body {
                     int_uses(i).for_each(|r| self.read(r));
                     int_dst(i).into_iter().for_each(|d| self.unbookable(d));
                 }
                 bumps.iter().for_each(|b| self.read(b.0));
-                self.leave_loop();
+                self.leave();
             }
             Item::MulAddLoop { pre, dst, a, b, .. } => {
                 self.code(pre);
@@ -464,31 +504,35 @@ impl Walk {
 }
 
 /// The live range of every integer register `root` defines and could keep
-/// in a GPR, in register order. Left out — they keep their in-memory
-/// form — are registers defined twice, written by a strided body, or read
-/// somewhere their definition does not dominate (before it in program
-/// order, or outside the loop that holds it): the compiler emits none of
-/// those, and a nest that has one is still compiled correctly.
-pub(super) fn live_ranges(root: &Item) -> Vec<Live> {
-    let mut w = Walk {
-        inside: NO_LOOP,
-        loops: Vec::with_capacity(8),
-        regs: Vec::with_capacity(256),
-        ..Walk::default()
-    };
+/// in a GPR, in the order of their definitions. Left out — they keep their
+/// in-memory form — are registers defined twice, written by a strided
+/// body, or read somewhere their definition does not dominate: before it
+/// in program order, outside the loop that holds it, or past the
+/// conditional arm that holds it.
+pub(super) fn live_ranges(root: &Item, w: &mut Walk) -> Vec<Live> {
+    (w.nest, w.pos, w.inside) = (w.nest + 1, 0, NO_SCOPE);
+    w.scopes.clear();
+    w.defs.clear();
     w.item(root);
-    let live = |(reg, seen): (usize, &Seen)| match seen.def {
-        Def::At(start, inside) => Some(Live {
-            reg: reg as Reg,
+    let live = |&reg: &Reg| match w.regs[reg as usize] {
+        Seen {
+            def: Def::At(start, inside),
+            last,
+            through,
+            ..
+        } => Some(Live {
+            reg,
             start,
             end: start
-                .max(seen.last)
-                .max(w.loops.get(seen.through as usize).map_or(0, |l| l.2)),
+                .max(last)
+                .max(w.scopes.get(through as usize).map_or(0, |s| s.end)),
             depth: w.depth(inside),
         }),
         _ => None,
     };
-    w.regs.iter().enumerate().filter_map(live).collect()
+    let mut lives = Vec::with_capacity(w.defs.len());
+    lives.extend(w.defs.iter().filter_map(live));
+    lives
 }
 
 /// Plan the integer registers of a nest over the GPR budget `pool`: which
@@ -504,13 +548,17 @@ pub(super) fn live_ranges(root: &Item) -> Vec<Live> {
 /// Registers the nest only reads are where the caller left them, in
 /// memory. Nothing is written back: a nest is one loop or conditional,
 /// and a register defined inside one is dead after it
-/// ([`crate::optimize`]). The result is in register order.
-pub(super) fn plan_nest(root: &Item, pool: &[R]) -> Vec<(Reg, R)> {
-    let mut lives = live_ranges(root);
-    lives.sort_by_key(|l| l.start);
+/// ([`crate::optimize`]). A nest that is one leaf has only its prelude to
+/// book, run once a call: it plans nothing. The result is in register
+/// order.
+pub(super) fn plan_nest(root: &Item, pool: &[R], walk: &mut Walk) -> Vec<(Reg, R)> {
+    if !matches!(root, Item::Loop { .. } | Item::If { .. }) {
+        return Vec::new();
+    }
+    let lives = live_ranges(root, walk);
     // Per register of `pool`: which of `lives` holds it now.
     let mut holders: Vec<Option<usize>> = vec![None; pool.len()];
-    let mut booked: Vec<Option<R>> = vec![None; lives.len()];
+    let mut gprs: Vec<(Reg, R)> = Vec::with_capacity(lives.len());
     for (n, l) in lives.iter().enumerate() {
         for h in holders.iter_mut() {
             if h.is_some_and(|o| lives[o].end < l.start) {
@@ -527,16 +575,12 @@ pub(super) fn plan_nest(root: &Item, pool: &[R]) -> Vec<(Reg, R)> {
         };
         match *holder {
             Some(o) if lives[o].depth >= l.depth => continue,
-            Some(o) => booked[o] = None,
+            Some(o) => gprs.retain(|e| e.0 != lives[o].reg),
             None => {}
         }
-        (*holder, booked[n]) = (Some(n), Some(pool[k]));
+        *holder = Some(n);
+        gprs.push((l.reg, pool[k]));
     }
-    let mut gprs: Vec<(Reg, R)> = lives
-        .iter()
-        .zip(booked)
-        .filter_map(|(l, g)| Some((l.reg, g?)))
-        .collect();
     gprs.sort_by_key(|e| e.0);
     gprs
 }
@@ -1166,9 +1210,9 @@ mod tests {
     }
 
     /// Run a nest the way the emitter lays it out — every loop body twice,
-    /// both arms of every conditional — tracking which integer register
-    /// each GPR of `plan` holds, and fail on a read that finds another's
-    /// value there.
+    /// each arm of every conditional from the state before it — tracking
+    /// which integer register each GPR of `plan` holds, and fail on a read
+    /// that finds another's value there.
     struct Replay<'p> {
         plan: &'p Resident<'p>,
         dts: &'p [DType],
@@ -1224,8 +1268,21 @@ mod tests {
                 }
                 Item::If { cond, then, else_ } => {
                     self.read(*cond);
+                    // Either arm may be the one that runs: afterwards a
+                    // GPR holds what both leave in it, or nothing a read
+                    // may rely on.
+                    let before = self.holds.clone();
                     self.block(then);
+                    let after_then = std::mem::replace(&mut self.holds, before);
                     else_.iter().for_each(|e| self.block(e));
+                    let held = |holds: &[(R, Reg)], g: R| {
+                        holds.iter().rev().find(|h| h.0 == g).map(|h| h.1)
+                    };
+                    for g in NEST_GPRS {
+                        if held(&after_then, g) != held(&self.holds, g) {
+                            self.holds.push((g, Reg::MAX));
+                        }
+                    }
                 }
                 Item::StridedLoop {
                     clamp,
@@ -1283,6 +1340,8 @@ mod tests {
         assert!(PTR_REGS.iter().all(|p| clobbered.contains(p)));
         let mut rng = SmallRng::seed_from_u64(0x91a);
         let (mut shared, mut unbooked, mut replayed) = (0, 0, 0);
+        // One walk for all of them, as one serves every nest of a function.
+        let mut walk = Walk::default();
         for case in 0..600 {
             let extras = rng.gen_range(0..=12);
             let mut g = NestGen {
@@ -1296,9 +1355,9 @@ mod tests {
             };
             let root = g.plain_loop(case % 4);
             let (dts, n_iregs) = (g.dts.clone(), g.iregs.len() as Reg);
-            let lives = live_ranges(&root);
+            let lives = live_ranges(&root, &mut walk);
             for pool in [&NEST_GPRS[..], &NEST_GPRS[..2], &[]] {
-                let gprs = plan_nest(&root, pool);
+                let gprs = plan_nest(&root, pool, &mut walk);
                 let plan = Resident::of_nest(&gprs);
                 let live = |r: Reg| lives.iter().find(|l| l.reg == r);
                 for (k, &(r, g)) in gprs.iter().enumerate() {

@@ -6,8 +6,9 @@
 //! loop-invariant index arithmetic is hoisted into the enclosing loop's
 //! preheader. An access is unchecked when its index registers' static
 //! intervals — narrowed, under a conditional, by what the condition says of
-//! that very index expression — lie inside the buffer. The companion [`crate::vm`] executes the result with zero
-//! allocation in the steady state.
+//! that very index expression — lie inside the buffer. The companion
+//! [`crate::vm`] executes the result with zero allocation in the steady
+//! state.
 //!
 //! The compiler is *semantics-preserving with respect to the interpreter*:
 //! for every function it accepts, the VM produces bit-identical outputs and
@@ -19,6 +20,7 @@
 
 use std::collections::HashMap;
 use tvm_te::{BinOp, CmpOp, DType, Intrinsic, PrimExpr, Tensor};
+use tvm_tir::analyze::interval::{constraints_from_guard, IntervalEnv};
 use tvm_tir::{PrimFunc, Stmt};
 
 /// Register index into the VM's `i64` or `f64` register file.
@@ -410,6 +412,24 @@ impl CompiledFunc {
         &self.name
     }
 
+    /// This function over another body: a clone that never copies the
+    /// body it is about to replace.
+    pub(crate) fn with_body(&self, body: Block) -> CompiledFunc {
+        CompiledFunc {
+            name: self.name.clone(),
+            params: self.params.clone(),
+            allocs: self.allocs.clone(),
+            slot_names: self.slot_names.clone(),
+            slot_shapes: self.slot_shapes.clone(),
+            slot_strides: self.slot_strides.clone(),
+            n_iregs: self.n_iregs,
+            n_fregs: self.n_fregs,
+            body,
+            jit: self.jit.clone(),
+            par: self.par.clone(),
+        }
+    }
+
     /// Total instruction count (static, not dynamic).
     pub fn instr_count(&self) -> usize {
         fn count(b: &Block) -> usize {
@@ -664,70 +684,19 @@ fn index_only(e: &PrimExpr) -> bool {
     }
 }
 
-/// `a ⋄ b` as a comparison of `b` with `a`.
-fn flipped(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Eq | CmpOp::Ne => op,
-    }
-}
-
-/// The comparison that holds exactly where `op` does not.
-fn negated(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Ge,
-        CmpOp::Le => CmpOp::Gt,
-        CmpOp::Gt => CmpOp::Le,
-        CmpOp::Ge => CmpOp::Lt,
-        CmpOp::Eq => CmpOp::Ne,
-        CmpOp::Ne => CmpOp::Eq,
-    }
-}
-
-/// The integer ranges a condition pins down where it `holds` (or where it
-/// does not): `e ⋄ c` and `c ⋄ e` against a literal, through `And` (both
-/// conjuncts hold), `Or` (neither disjunct does, where it does not) and
-/// `Not`. The interpreter evaluates exactly these comparisons in `i64`,
-/// and `e` is arithmetic over loop variables and literals alone, so inside
-/// the guarded statement every evaluation of an expression structurally
-/// equal to `e` lies in the range — the split tail
-/// `if (xo·T + xi < N) { … A[xo·T + xi] … }` is the case that matters.
-fn guard_facts(cond: &PrimExpr, holds: bool, out: &mut Vec<(PrimExpr, i64, i64)>) {
-    match cond {
-        PrimExpr::Cmp(op, a, b) if !a.dtype().unify(b.dtype()).is_float() => {
-            // `c ⋄ e` read right to left.
-            let (e, c, op) = match (a.as_int(), b.as_int()) {
-                (None, Some(c)) => (a, c, *op),
-                (Some(c), None) => (b, c, flipped(*op)),
-                _ => return,
-            };
-            let op = if holds { op } else { negated(op) };
-            let range = match op {
-                CmpOp::Lt => c.checked_sub(1).map(|hi| (i64::MIN, hi)),
-                CmpOp::Le => Some((i64::MIN, c)),
-                CmpOp::Gt => c.checked_add(1).map(|lo| (lo, i64::MAX)),
-                CmpOp::Ge => Some((c, i64::MAX)),
-                CmpOp::Eq => Some((c, c)),
-                CmpOp::Ne => None,
-            };
-            if let (Some((lo, hi)), true) = (range, index_only(e)) {
-                out.push((e.as_ref().clone(), lo, hi));
-            }
-        }
-        PrimExpr::And(a, b) if holds => {
-            guard_facts(a, true, out);
-            guard_facts(b, true, out);
-        }
-        PrimExpr::Or(a, b) if !holds => {
-            guard_facts(a, false, out);
-            guard_facts(b, false, out);
-        }
-        PrimExpr::Not(a) => guard_facts(a, !holds, out),
-        _ => {}
-    }
+/// The integer ranges `cond` holding pins down, by the analyzer's own
+/// derivation ([`constraints_from_guard`]: comparisons against a constant
+/// side, through `And` and `Not`; an `Or` says nothing), kept for the
+/// expressions that are [`index_only`]. The interpreter evaluates exactly
+/// these comparisons in `i64`, so inside the guarded statement every
+/// evaluation of an expression structurally equal to one of them lies in
+/// its range — the split tail `if (xo·T + xi < N) { … A[xo·T + xi] … }` is
+/// the case that matters.
+fn guard_facts(cond: &PrimExpr, out: &mut Vec<(PrimExpr, i64, i64)>) {
+    let mut facts = Vec::new();
+    constraints_from_guard(cond, &IntervalEnv::default(), &mut facts);
+    let kept = facts.into_iter().filter(|c| index_only(&c.expr));
+    out.extend(kept.map(|c| (c.expr, c.range.lo, c.range.hi)));
 }
 
 fn reject<T>(msg: impl Into<String>) -> Result<T, CompileError> {
@@ -1276,7 +1245,7 @@ impl Compiler {
                 let tc = self.truthy(rc, cc);
                 // Each arm compiles under what the condition says there.
                 let outer = self.guards.len();
-                guard_facts(cond, true, &mut self.guards);
+                guard_facts(cond, &mut self.guards);
                 self.blocks.push(BlockBuilder::new());
                 let res = self.compile_stmt(then);
                 let tb = self.blocks.pop().expect("then block");
@@ -1284,7 +1253,8 @@ impl Compiler {
                 res?;
                 let eb = match else_ {
                     Some(e) => {
-                        guard_facts(cond, false, &mut self.guards);
+                        let negated = PrimExpr::Not(std::sync::Arc::new(cond.clone()));
+                        guard_facts(&negated, &mut self.guards);
                         self.blocks.push(BlockBuilder::new());
                         let res = self.compile_stmt(e);
                         let b = self.blocks.pop().expect("else block");

@@ -133,7 +133,7 @@ pub fn optimize_compiled(cf: &CompiledFunc) -> CompiledFunc {
         .chain(cf.allocs.iter().map(|(_, dt)| *dt))
         .collect();
     let body = optimize_block(&cf.body, &consts, &fuse, &vn, &dts);
-    CompiledFunc { body, ..cf.clone() }
+    cf.with_body(body)
 }
 
 /// Integer destination register of an instruction, if any.
