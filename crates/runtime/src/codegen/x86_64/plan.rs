@@ -264,8 +264,10 @@ const NO_SCOPE: u32 = u32::MAX;
 /// Where a walk saw an integer register defined.
 #[derive(Clone, Copy, PartialEq)]
 enum Def {
-    /// Not by this nest (so far): the caller's, read where it is.
+    /// Not by this nest (so far), and not read by it either.
     Outside,
+    /// Not by this nest (so far): the caller's, read where it is.
+    Read,
     /// Once, at this position, inside this scope (or [`NO_SCOPE`]).
     At(u32, u32),
     /// More than once, after a read, or away from where it is read: a
@@ -279,8 +281,6 @@ struct Seen {
     /// The walk that wrote this record; an older one's says nothing.
     nest: u32,
     def: Def,
-    /// Read before the nest defined it.
-    read_first: bool,
     /// Last read with no loop between it and the definition, if any.
     last: u32,
     /// Last loop holding a read that the definition is outside of — the
@@ -331,7 +331,6 @@ impl Walk {
         let unseen = Seen {
             nest: self.nest,
             def: Def::Outside,
-            read_first: false,
             last: 0,
             through: NO_SCOPE,
         };
@@ -348,12 +347,11 @@ impl Walk {
     fn def(&mut self, r: Reg) {
         let (pos, inside) = (self.pos, self.inside);
         let seen = self.seen(r);
-        seen.def = match seen.def {
-            Def::Outside if !seen.read_first => Def::At(pos, inside),
-            _ => Def::Refused,
-        };
-        if seen.def != Def::Refused {
+        if seen.def == Def::Outside {
+            seen.def = Def::At(pos, inside);
             self.defs.push(r);
+        } else {
+            seen.def = Def::Refused;
         }
     }
 
@@ -367,7 +365,9 @@ impl Walk {
         let (pos, inside) = (self.pos, self.inside);
         let seen = self.seen(r);
         let Def::At(_, def_inside) = seen.def else {
-            seen.read_first |= seen.def == Def::Outside;
+            if seen.def == Def::Outside {
+                seen.def = Def::Read;
+            }
             return;
         };
         let through = self.below(def_inside, inside);
@@ -556,32 +556,30 @@ pub(super) fn plan_nest(root: &Item, pool: &[R], walk: &mut Walk) -> Vec<(Reg, R
         return Vec::new();
     }
     let lives = live_ranges(root, walk);
-    // Per register of `pool`: which of `lives` holds it now.
-    let mut holders: Vec<Option<usize>> = vec![None; pool.len()];
+    // Per register of `pool`: its holder's last position (0: none yet),
+    // depth and index in `lives`.
+    let mut held = [(0u32, 0u32, 0usize); NEST_GPRS.len()];
     let mut gprs: Vec<(Reg, R)> = Vec::with_capacity(lives.len());
     for (n, l) in lives.iter().enumerate() {
-        for h in holders.iter_mut() {
-            if h.is_some_and(|o| lives[o].end < l.start) {
-                *h = None;
-            }
-        }
-        let outermost = |h: &Option<usize>| h.map_or(0, |o| lives[o].depth + 1);
-        let Some((k, holder)) = holders
-            .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, h)| outermost(h))
-        else {
+        // Free — the holder's range is over — before taken, then the
+        // outermost holder; the first of `pool` among equals.
+        let rank = |&(end, depth, _): &(u32, u32, usize)| (end >= l.start) as u32 * (depth + 1);
+        let Some(k) = (0..pool.len()).min_by_key(|&k| rank(&held[k])) else {
             break; // an empty pool books nothing
         };
-        match *holder {
-            Some(o) if lives[o].depth >= l.depth => continue,
-            Some(o) => gprs.retain(|e| e.0 != lives[o].reg),
-            None => {}
+        let (end, depth, o) = held[k];
+        if end >= l.start {
+            if depth >= l.depth {
+                continue;
+            }
+            gprs.retain(|e| e.0 != lives[o].reg);
         }
-        *holder = Some(n);
-        gprs.push((l.reg, pool[k]));
+        held[k] = (l.end, l.depth, n);
+        // In register order: the compiler numbers registers as it goes,
+        // so this is nearly always the end.
+        let at = gprs.partition_point(|e| e.0 < l.reg);
+        gprs.insert(at, (l.reg, pool[k]));
     }
-    gprs.sort_by_key(|e| e.0);
     gprs
 }
 
