@@ -9,7 +9,8 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 /// Spaces up to this size get a materialized random permutation (exact
-/// no-repeat enumeration); larger spaces use rejection sampling.
+/// no-repeat enumeration); larger spaces use rejection sampling. Every
+/// index of a permuted space fits the permutation's `u32`.
 const PERMUTE_LIMIT: u128 = 1 << 20;
 
 /// AutoTVM's `RandomTuner`.
@@ -17,7 +18,7 @@ pub struct RandomTuner {
     space: ConfigSpace,
     rng: SmallRng,
     /// Pre-shuffled flat indices (small spaces).
-    perm: Option<Vec<u128>>,
+    perm: Option<Vec<u32>>,
     cursor: usize,
     /// Visited keys (large spaces).
     visited: HashSet<String>,
@@ -30,7 +31,7 @@ impl RandomTuner {
         let mut rng = SmallRng::seed_from_u64(seed);
         let size = space.size().expect("RandomTuner needs a discrete space");
         let perm = if size <= PERMUTE_LIMIT {
-            let mut p: Vec<u128> = (0..size).collect();
+            let mut p: Vec<u32> = (0..size as u32).collect();
             p.shuffle(&mut rng);
             Some(p)
         } else {
@@ -57,7 +58,7 @@ impl Tuner for RandomTuner {
         match &self.perm {
             Some(perm) => {
                 while out.len() < n && self.cursor < perm.len() {
-                    out.push(self.space.at(perm[self.cursor]));
+                    out.push(self.space.at(u128::from(perm[self.cursor])));
                     self.cursor += 1;
                 }
                 if self.cursor >= perm.len() {
@@ -140,6 +141,28 @@ mod tests {
         // And differs from grid order.
         let grid: Vec<String> = small_space().grid().map(|c| c.key()).collect();
         assert_ne!(c1, grid);
+    }
+
+    #[test]
+    fn a_u32_permutation_proposes_what_the_u128_one_did() {
+        // 6⁵·12 = 93 312 points: past `u16`, under the limit. The shuffle
+        // swaps by position, so the element type changes neither the
+        // permutation nor the number of draws.
+        let mut cs = ConfigSpace::new();
+        for (i, n) in [6i64, 6, 6, 6, 6, 12].into_iter().enumerate() {
+            let values: Vec<i64> = (1..=n).collect();
+            cs.add(Hyperparameter::ordinal_ints(format!("P{i}"), &values));
+        }
+        let size = cs.size().expect("discrete");
+        assert!(size > 65_536 && size <= PERMUTE_LIMIT);
+        for seed in [1, 77, 2023] {
+            let mut wide: Vec<u128> = (0..size).collect();
+            wide.shuffle(&mut SmallRng::seed_from_u64(seed));
+            let want: Vec<String> = wide[..100].iter().map(|&i| cs.at(i).key()).collect();
+            let got = RandomTuner::new(cs.clone(), seed).next_batch(100);
+            let got: Vec<String> = got.iter().map(|c| c.key()).collect();
+            assert_eq!(got, want, "seed {seed}");
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! that must agree (`sequence_hash`, `trials`, `jit.fallbacks`,
 //! `jit.functions_jitted`) fail the comparison when they do not; the other
 //! counts that differ are listed. `--trace` runs traced rounds instead and
-//! adds the per-span self times. `benchmark/Cargo.lock`, which every
+//! adds the per-span self times and, from the span file each traced run
+//! writes, the median `runtime.device.run_prepared` of every configuration
+//! of every session on both sides. `benchmark/Cargo.lock`, which every
 //! benchmark build rewrites, is checked out again in both trees at the end.
 
 use serde_json::Value;
@@ -35,13 +37,57 @@ const MUST_AGREE: [&str; 4] = [
 ];
 
 /// What one benchmark run printed: the last line's metrics, the
-/// exact-count lines and (traced) the self-time table.
+/// exact-count lines and (traced) the self-time table, plus what its span
+/// file says of each configuration.
 #[derive(Debug, Default, PartialEq)]
 struct Run {
     metrics: BTreeMap<String, f64>,
     exact: BTreeMap<String, String>,
     self_ms: BTreeMap<String, f64>,
+    /// `(session, nth configuration measured in it)` → median
+    /// `run_prepared` of its repeats, ms.
+    config_ms: BTreeMap<(u64, usize), f64>,
     failed: u64,
+}
+
+/// The span that times one kernel run, and the one around a
+/// configuration's repeats.
+const RUN_SPAN: &str = "runtime.device.run_prepared";
+const CONFIG_SPAN: &str = "tvm-autotune.evaluator.evaluate_miss";
+/// Most configurations a traced round may hold for their table to print.
+const MAX_CONFIG_ROWS: usize = 100;
+
+/// Per configuration of a traced round — the [`CONFIG_SPAN`]s of each
+/// session in start order — the median duration of its [`RUN_SPAN`]
+/// children, in ms.
+fn config_ms(trace: &Value) -> BTreeMap<(u64, usize), f64> {
+    let spans: Vec<&Value> = trace["spans"].as_array().into_iter().flatten().collect();
+    let num = |s: &Value, key: &str| s[key].as_f64().unwrap_or(0.0);
+    let named = |name: &'static str| {
+        spans
+            .iter()
+            .filter(move |s| s["name"].as_str() == Some(name))
+    };
+    let mut configs: Vec<&&Value> = named(CONFIG_SPAN).collect();
+    configs.sort_by(|a, b| {
+        let key = |s: &Value| (num(s, "session"), num(s, "start_ns"));
+        key(a).partial_cmp(&key(b)).expect("span times are numbers")
+    });
+    let mut out = BTreeMap::new();
+    let mut nth: BTreeMap<u64, usize> = BTreeMap::new();
+    for config in configs {
+        let session = num(config, "session") as u64;
+        let at = nth.entry(session).or_insert(0);
+        let runs: Vec<f64> = named(RUN_SPAN)
+            .filter(|r| num(r, "parent") == num(config, "id"))
+            .map(|r| (num(r, "end_ns") - num(r, "start_ns")) / 1e6)
+            .collect();
+        if !runs.is_empty() {
+            out.insert((session, *at), quartiles(&runs)[1]);
+        }
+        *at += 1;
+    }
+    out
 }
 
 /// The indented lines under the line that starts with `header`.
@@ -159,7 +205,18 @@ fn run_once(tree: &Path, command: &[String], args: &[String]) -> Result<Run, Str
         let stderr = String::from_utf8_lossy(&out.stderr);
         return Err(format!("{}: {}\n{stderr}", tree.display(), out.status));
     }
-    parse_run(&String::from_utf8_lossy(&out.stdout))
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut run = parse_run(&stdout)?;
+    // A traced run says where it left its spans.
+    if let Some(path) = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("trace written to "))
+    {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let trace: Value = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+        run.config_ms = config_ms(&trace);
+    }
+    Ok(run)
 }
 
 fn main() -> Result<(), String> {
@@ -263,6 +320,16 @@ fn main() -> Result<(), String> {
         for span in this_runs[0].self_ms.keys() {
             row(span, &|r| r.self_ms.get(span).copied());
         }
+        // A table a reader can take in: the workloads of few, long runs.
+        let configs = &this_runs[0].config_ms;
+        if configs.len() <= MAX_CONFIG_ROWS {
+            println!("  {RUN_SPAN} ms per configuration (session.nth), median: this, other");
+            for at in configs.keys() {
+                row(&format!("{}.{}", at.0, at.1), &|r| {
+                    r.config_ms.get(at).copied()
+                });
+            }
+        }
     }
     let failed = |runs: &[Run]| runs.iter().map(|r| r.failed).sum::<u64>();
     println!(
@@ -302,6 +369,34 @@ mod tests {
              {{\"value\":{trials_per_s},\"unit\":\"1/s\"}},\"setup_s\":{{\"value\":0.5,\"unit\":\"s\"}}}}}}\n",
             20000.0 / trials_per_s
         )
+    }
+
+    #[test]
+    fn a_span_file_gives_each_configuration_its_median_run() {
+        let span = |id: u32, parent: u32, session: u32, name: &str, start: u32, end: u32| {
+            format!(
+                "{{\"id\":{id},\"parent\":{parent},\"session\":{session},\"name\":\"{name}\",\
+                 \"start_ns\":{start},\"end_ns\":{end}}}"
+            )
+        };
+        // Session 2's only configuration opens first in the file; session
+        // 1 measures two, the second one ahead of the first in file order.
+        let spans = [
+            span(7, 1, 2, CONFIG_SPAN, 50, 9_000_000),
+            span(8, 7, 2, RUN_SPAN, 100, 4_000_100),
+            span(4, 1, 1, CONFIG_SPAN, 9_000_000, 20_000_000),
+            span(5, 4, 1, RUN_SPAN, 9_000_000, 10_000_000),
+            span(6, 4, 1, "polybench.molds.init_args", 10_000_000, 19_000_000),
+            span(2, 1, 1, CONFIG_SPAN, 10, 8_000_000),
+            span(3, 2, 1, RUN_SPAN, 1_000_000, 3_000_000),
+            span(9, 2, 1, RUN_SPAN, 3_000_000, 8_000_000),
+            span(10, 2, 1, RUN_SPAN, 8_000_000, 11_000_000),
+        ];
+        let text = format!("{{\"spans\":[{}]}}", spans.join(","));
+        let trace: Value = serde_json::from_str(&text).expect("parses");
+        let want = [((1, 0), 3.0), ((1, 1), 1.0), ((2, 0), 4.0)];
+        assert_eq!(config_ms(&trace), BTreeMap::from(want));
+        assert!(config_ms(&Value::Null).is_empty());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! The x86-64 emitter has a packed-SIMD tier: analyzer-proven
 //! vectorized strided loops and parallel-pattern mul-add microkernels
 //! run as f64x2/f32x4 bodies (VEX-256 f64x4/f32x8 when AVX is
-//! detected), with register-tiled unroll-and-jam main loops and scalar
-//! epilogues for remainder iterations. A *trimmed* strided loop (a
+//! detected), with register-tiled unroll-and-jam main loops; what a sweep
+//! leaves over runs at the next narrower width, down to scalar. A *trimmed* strided loop (a
 //! guard on the loop's own variable turned into a live range by
 //! [`crate::optimize`]) runs the scalar template with a trip count
 //! computed at loop entry. The scalar strided loop itself — the static
@@ -37,7 +37,7 @@
 //! the fingerprint does not depend on it).
 //!
 //! Fingerprints: a JIT-mode device reports
-//! [`jit_fingerprint`] = `vm/v5+tir-opt/v1+par/v1+jit/v5`, distinct from the
+//! [`jit_fingerprint`] = `vm/v6+tir-opt/v1+par/v1+jit/v6`, distinct from the
 //! optimized VM's [`crate::optimize::engine_fingerprint`] so the
 //! service's engine ladder can attribute trial records to the exact
 //! engine that produced them.
@@ -63,8 +63,11 @@ pub use x86_64::X86Backend;
 /// strided loop and stride-0 microkernel destinations carried in a
 /// register. v5: the resident nest — conditionals, integer compares and
 /// trimmed plain loops in the subset, loop counters and nest-level
-/// integer registers in callee-saved GPRs for a whole nest.
-pub const JIT_VERSION: &str = "jit/v5";
+/// integer registers in callee-saved GPRs for a whole nest. v6: plain
+/// loops carry hoisted registers (set at entry, bumped per iteration), a
+/// microkernel row is swept at each width its extent fills, and the jam
+/// takes rows shorter than the widest vector.
+pub const JIT_VERSION: &str = "jit/v6";
 
 /// Fingerprint reported by a JIT-mode device: the optimized engine's
 /// fingerprint plus the codegen version.
@@ -143,6 +146,19 @@ impl JitProgram {
     /// Total machine-code bytes emitted for this function.
     pub fn code_bytes(&self) -> usize {
         self.bytes
+    }
+
+    /// The machine code of every nest, in emission order (read-only: the
+    /// region is sealed read+execute). Tests count instructions in it.
+    pub fn code(&self) -> &[u8] {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        // SAFETY: the mapping holds `bytes` initialised bytes of code,
+        // readable for as long as `self.buf` lives.
+        unsafe {
+            std::slice::from_raw_parts(self.buf.entry(0), self.bytes)
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+        &[]
     }
 
     /// Callable entry point of nest `idx`.

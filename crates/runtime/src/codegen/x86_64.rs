@@ -33,6 +33,10 @@
 //!     A register read where its definition may not have run — outside
 //!     its loop, past the conditional arm that holds it — keeps its
 //!     in-memory form, and a nest that is one leaf plans nothing.
+//!     A plain loop's hoisted registers ([`crate::optimize`]'s level
+//!     hoisting) are booked like its counter — set once at loop entry,
+//!     bumped by `add r, imm` at the bottom — so an outer level's index
+//!     arithmetic costs an add an iteration, not a recomputation.
 //!     Integer templates are the same wrapping `add`/`sub`/`imul`;
 //!     compares and `And`/`Or`/`Not` are `cmp`/`setcc`, exact by
 //!     construction. Float operands of nest-level code stay in `fregs`.
@@ -55,8 +59,10 @@
 //!   `cvtsd2ss`/`cvtss2sd` pairs after each operation.
 //! - Packed SIMD (`movupd`/`mulpd`/`addpd` f64x2, `movups`/`mulps`/
 //!   `addps` f32x4, or their VEX-256 f64x4/f32x8 forms when AVX is
-//!   detected) is used in three places, all remainder-safe via scalar
-//!   epilogues and none of them on the scalar tier
+//!   detected) is used in three places, all remainder-safe — what a
+//!   sweep leaves over runs at the next narrower width, VEX-256 then SSE2
+//!   then scalar, so a short row gets the width its extent fills — and
+//!   none of them on the scalar tier
 //!   ([`X86Backend::scalar_only`]):
 //!   mul-add microkernels with *parallel* stride patterns, where every
 //!   lane performs one multiply and one add with per-element rounding —
@@ -213,11 +219,51 @@ mod fixtures {
                 min: 1,
                 extent: self.k,
                 clamp: Clamp::default(),
+                pre: vec![],
+                bumps: vec![],
                 body: Block {
                     items: items.collect(),
                 },
                 kind: LoopKind::Serial,
             }
+        }
+    }
+
+    /// A generated nest as a function over [`LEN`]-element arrays of
+    /// `dts`: a prologue that sets the registers the nest only reads
+    /// (`iregs` entries other than [`POISON`]; the ones it defines start at
+    /// zero) and the caller's fregs, then the nest. What the block
+    /// optimizer and the VM take.
+    pub(super) fn nest_function(
+        root: &Item,
+        iregs: &[i64],
+        n_fregs: Reg,
+        dts: &[DType],
+    ) -> crate::compile::CompiledFunc {
+        let konsts = iregs.iter().enumerate().filter(|(_, &v)| v != POISON);
+        let mut prologue: Vec<Instr> = konsts.map(|(r, &v)| Instr::IConst(r as Reg, v)).collect();
+        prologue.extend((0..3).map(|k| Instr::FConst(k, 0.75 + f64::from(k) * 0.125)));
+        let shape = vec![LEN as usize];
+        crate::compile::CompiledFunc {
+            name: "nest".into(),
+            params: (0..dts.len())
+                .map(|k| crate::compile::ParamSpec {
+                    name: format!("S{k}"),
+                    shape: shape.clone(),
+                    dtype: dts[k],
+                })
+                .collect(),
+            allocs: vec![],
+            slot_names: (0..dts.len()).map(|k| format!("S{k}")).collect(),
+            slot_shapes: vec![shape; dts.len()],
+            slot_strides: vec![vec![1]; dts.len()],
+            n_iregs: iregs.len(),
+            n_fregs: n_fregs as usize,
+            body: Block {
+                items: vec![Item::Code(prologue), root.clone()],
+            },
+            jit: None,
+            par: None,
         }
     }
 
@@ -240,12 +286,13 @@ mod fixtures {
     /// constants and each other, every one written to an array through
     /// `IToF` so its value is observable (some of them past the arm that
     /// defines them, where the arm may not have run), and at the bottom a
-    /// leaf of
-    /// every kind — a microkernel of any stride pattern and dtype mix, a
+    /// leaf of every kind — a microkernel of any stride pattern and dtype mix, a
     /// strided loop that is static, trimmed or carries its accumulator,
     /// reads its loop variable as a value and walks backwards — whose
     /// address, bound and condition registers come from any level of the
-    /// nest or from outside it. Every address stays inside its array.
+    /// nest or from outside it. One plain loop in three is followed by a
+    /// read of a register its body defines, as a value, after the loop.
+    /// Every address stays inside its array.
     pub(super) struct NestGen<'r> {
         pub(super) rng: &'r mut SmallRng,
         pub(super) dts: Vec<DType>,
@@ -257,11 +304,29 @@ mod fixtures {
         /// the values each takes.
         pub(super) avail: Vec<(Reg, i64, i64)>,
         pub(super) extras: usize,
-        /// Trimmed plain loops, conditionals with an `else`, jam wrappers.
-        pub(super) shapes: [u32; 3],
+        /// Trimmed plain loops, conditionals with an `else`, jam wrappers,
+        /// reads of a loop's register after the loop.
+        pub(super) shapes: [u32; 4],
+        /// A register the body of the plain loop generated last defines.
+        pub(super) defined_in_loop: Option<Reg>,
     }
 
-    impl NestGen<'_> {
+    impl<'r> NestGen<'r> {
+        /// A generator over arrays of `dts` with a budget of `extras`
+        /// nest-level registers; fregs 0..3 are the caller's.
+        pub(super) fn new(rng: &'r mut SmallRng, dts: Vec<DType>, extras: usize) -> Self {
+            NestGen {
+                rng,
+                dts,
+                iregs: Vec::new(),
+                n_fregs: 3,
+                avail: Vec::new(),
+                extras,
+                shapes: [0; 4],
+                defined_in_loop: None,
+            }
+        }
+
         fn below(&mut self, n: i64) -> i64 {
             self.rng.gen_range(0..n)
         }
@@ -445,6 +510,8 @@ mod fixtures {
                 min: kmin,
                 extent: kext,
                 clamp: Clamp::default(),
+                pre: vec![],
+                bumps: vec![],
                 body: Block {
                     items: vec![Item::Code(code), kernel],
                 },
@@ -563,12 +630,15 @@ mod fixtures {
             let mark = self.avail.len();
             self.avail.push((var, min, min + extent - 1));
             let body = self.block(depth_left);
+            self.defined_in_loop = self.avail.get(mark + 1).map(|a| a.0);
             self.avail.truncate(mark);
             Item::Loop {
                 var,
                 min,
                 extent,
                 clamp,
+                pre: vec![],
+                bumps: vec![],
                 body,
                 kind: LoopKind::Serial,
             }
@@ -626,7 +696,16 @@ mod fixtures {
                         _ => self.strided(),
                     }),
                     1 | 2 => items.extend(self.conditional(depth_left - 1)),
-                    _ => items.push(self.plain_loop(depth_left - 1)),
+                    _ => {
+                        items.push(self.plain_loop(depth_left - 1));
+                        let after = self.defined_in_loop.take();
+                        if let Some(r) = after.filter(|_| self.rng.gen_bool(0.33)) {
+                            self.shapes[3] += 1;
+                            let mut code = Vec::new();
+                            self.observe_reg(r, &mut code);
+                            items.push(Item::Code(code));
+                        }
+                    }
                 }
             }
             Block { items }

@@ -132,6 +132,28 @@ impl Width {
         }
     }
 
+    /// The next narrower width over the same elements — VEX-256, then
+    /// SSE2, then scalar — for what a wider sweep leaves over.
+    pub(super) fn narrower(self) -> Option<Width> {
+        let shape = match self.shape {
+            Shape::Avx => Shape::Sse,
+            Shape::Sse => Shape::Scalar,
+            Shape::Scalar => return None,
+        };
+        Some(Width { shape, ..self })
+    }
+
+    /// How a row of `extent` elements is swept from this width down: each
+    /// width with the iterations it takes of what the wider ones left.
+    pub(super) fn sweeps(self, extent: i64) -> impl Iterator<Item = (Width, i64)> {
+        let mut left = extent;
+        std::iter::successors(Some(self), |w| w.narrower()).map(move |w| {
+            let iters = left / w.lanes();
+            left -= iters * w.lanes();
+            (w, iters)
+        })
+    }
+
     /// Elements per instruction (1 = scalar).
     pub(super) fn lanes(self) -> i64 {
         match self.shape {

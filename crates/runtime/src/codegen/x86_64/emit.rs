@@ -189,6 +189,8 @@ impl Rewriter<'_> {
                         min,
                         extent,
                         clamp,
+                        pre,
+                        bumps,
                         body,
                         kind,
                     } => Item::Loop {
@@ -196,6 +198,8 @@ impl Rewriter<'_> {
                         min: *min,
                         extent: *extent,
                         clamp: *clamp,
+                        pre: pre.clone(),
+                        bumps: bumps.clone(),
                         body: self.block(body),
                         kind: *kind,
                     },
@@ -295,6 +299,8 @@ impl NestCompiler<'_> {
                 min,
                 extent,
                 clamp,
+                pre,
+                bumps,
                 body,
                 ..
             } => {
@@ -308,12 +314,16 @@ impl NestCompiler<'_> {
                     if rem > 0 {
                         // Leftover k iterations run through the plain
                         // templates, continuing where the jammed groups
-                        // left the loop variable.
+                        // left the loop variable: the hoisted registers
+                        // set again for it are the values they were
+                        // bumped to.
                         self.emit_item(&Item::Loop {
                             var: *var,
                             min: *min + done,
                             extent: rem,
                             clamp: Clamp::default(),
+                            pre: pre.clone(),
+                            bumps: bumps.clone(),
                             body: body.clone(),
                             kind: LoopKind::Serial,
                         });
@@ -338,10 +348,14 @@ impl NestCompiler<'_> {
                     self.istore(counter, R8);
                     Some(empty)
                 };
+                // The hoisted registers, for the first iteration that
+                // runs (none of them is read past an empty range).
+                self.emit_code(pre);
                 let top = self.asm.here();
                 for it in &body.items {
                     self.emit_item(it);
                 }
+                self.emit_bumps(bumps, 1);
                 let c = self.step(counter);
                 if empty.is_some() {
                     self.asm.mov_rm(RCX, RSP, 0);
@@ -455,6 +469,8 @@ impl NestCompiler<'_> {
                     min: *min + done,
                     extent: rem,
                     clamp: Clamp::default(),
+                    pre: Vec::new(),
+                    bumps: Vec::new(),
                     body: body.clone(),
                     kind: LoopKind::Serial,
                 });
@@ -1026,8 +1042,12 @@ impl NestCompiler<'_> {
         }
     }
 
-    /// `mov R11, trips`, then `body` that many times (`trips` ≥ 1).
+    /// `body`, `trips` (≥ 1) times: counted down in `R11` when more than
+    /// one.
     fn repeat(&mut self, trips: i64, body: impl FnOnce(&mut Self)) {
+        if trips == 1 {
+            return body(self);
+        }
         self.asm.mov_ri(R11, trips);
         let top = self.asm.here();
         body(self);
@@ -1086,30 +1106,25 @@ impl NestCompiler<'_> {
 
     /// Parallel patterns — `dst` stride 1, each factor stride 0 or 1, not
     /// both 0: every element is an independent multiply+add, so
-    /// lane-splitting preserves per-element rounding exactly — vectorize
-    /// with AVX-256 when available, SSE2 128-bit otherwise, scalar tail.
-    /// When at least four packed iterations remain, a register-tiled 4×
-    /// unroll-and-jam main loop runs first: four accumulator blocks in
-    /// distinct registers per trip, amortising the loop overhead and
-    /// letting the independent mul/add chains overlap. Elements stay
-    /// independent with per-element rounding, so tiling is bit-neutral.
-    /// The scalar tail is the same product and accumulation one element
-    /// wide, in native precision (bit-exact for both f64 and — via
-    /// Figueroa double-rounding innocuity — native f32); on the scalar
-    /// tier it carries every iteration.
+    /// lane-splitting preserves per-element rounding exactly. The row is
+    /// swept at the widest width the backend has, then each narrower one
+    /// over what is left — VEX-256, SSE2, scalar — so the width a row gets
+    /// follows from its extent: two `f64` elements are one SSE2 operation
+    /// on any packed tier, and a 110-wide row's last two are one as well.
+    /// When at least four packed iterations remain at a width, a
+    /// register-tiled 4× unroll-and-jam main loop runs first: four
+    /// accumulator blocks in distinct registers per trip, amortising the
+    /// loop overhead and letting the independent mul/add chains overlap.
+    /// Elements stay independent with per-element rounding, so tiling is
+    /// bit-neutral. The scalar sweep is the same product and accumulation
+    /// one element wide, in native precision (bit-exact for both f64 and —
+    /// via Figueroa double-rounding innocuity — native f32); on the scalar
+    /// tier it carries every iteration. The site is tallied packed when
+    /// some sweep ran wider than scalar.
     fn muladd_parallel(&mut self, extent: i64, dt: DType, sa: i64, sb: i64) {
-        let w = self.opts.width(dt);
-        let packed = w.lanes() > 1;
-        let vec_iters = if packed { extent / w.lanes() } else { 0 };
-        let tail = extent - vec_iters * w.lanes();
-        let blocks = vec_iters / 4;
-        if packed {
-            self.simd.packed(blocks > 0);
-        } else {
-            self.simd.scalar("simd-disabled");
-        }
-        // The loop-invariant factor is broadcast once (X2) for the
-        // vector loops; the tail reads it where it is.
+        // The loop-invariant factor is broadcast once (X2), at the widest
+        // width that runs — a narrower sweep reads its low lanes — and the
+        // scalar sweep reads it where it is.
         let factor = |stride: i64, p: R, w: Width| {
             if stride == 0 && w.lanes() > 1 {
                 Factor::Bcast(X2)
@@ -1117,13 +1132,6 @@ impl NestCompiler<'_> {
                 Factor::At(p)
             }
         };
-        if vec_iters > 0 {
-            for (stride, p) in [(sa, R9), (sb, R10)] {
-                if stride == 0 {
-                    self.asm.bcast(w, X2, Mem::at(p, 0));
-                }
-            }
-        }
         // One pass over `pairs.len()` vectors of width `w`, each a
         // (product, accumulator) register pair: the products first, then
         // `d = dst + m` for each, stored back.
@@ -1149,12 +1157,31 @@ impl NestCompiler<'_> {
                 }
             });
         };
-        sweep(self, blocks, w, &TILE_PAIRS);
-        sweep(self, vec_iters - blocks * 4, w, &[(X0, X1)]);
-        if vec_iters > 0 {
-            self.asm.vend(w);
+        let (mut packed, mut tiled) = (false, false);
+        for (w, iters) in self.opts.width(dt).sweeps(extent) {
+            let vectors = if w.lanes() > 1 { iters } else { 0 };
+            if vectors > 0 && !packed {
+                for (stride, p) in [(sa, R9), (sb, R10)] {
+                    if stride == 0 {
+                        self.asm.bcast(w, X2, Mem::at(p, 0));
+                    }
+                }
+            }
+            packed |= vectors > 0;
+            tiled |= vectors >= 4;
+            sweep(self, vectors / 4, w, &TILE_PAIRS);
+            sweep(self, iters - vectors / 4 * 4, w, &[(X0, X1)]);
+            if iters > 0 {
+                self.asm.vend(w);
+            }
         }
-        sweep(self, tail, Width::scalar(dt), &[(X0, X1)]);
+        if packed {
+            self.simd.packed(tiled);
+        } else if self.opts.width(dt).lanes() > 1 {
+            self.simd.scalar("short-extent");
+        } else {
+            self.simd.scalar("simd-disabled");
+        }
     }
 
     /// The jammed microkernel (see [`plan_jam`] for the shape and its
@@ -1164,22 +1191,23 @@ impl NestCompiler<'_> {
     /// factor into `X2..X5`, stack its stride-1 pointer, then sweep `j`
     /// once — [`JAM_U`] destination vectors per trip ([`JAM_PAIRS`]), each
     /// loaded, given the four products `inv_k · vec_k[j..]` in `k` order
-    /// (operand order preserved), stored once. Leftover vectors and the
-    /// scalar tail are the same sweep over one register pair, so they
-    /// keep the same per-element `k` sequence.
+    /// (operand order preserved), stored once. Leftover vectors and what
+    /// they leave of the row — at each narrower width, down to scalar —
+    /// are the same sweep over one register pair, so they keep the same
+    /// per-element `k` sequence.
     fn emit_jammed(&mut self, plan: &JamPlan) {
         let w = plan.w;
         let groups = plan.kextent / JAM;
         let jvecs = plan.extent / w.lanes();
         let jtrips = jvecs / JAM_U as i64;
         let jsingle = jvecs % JAM_U as i64;
-        let jtail = plan.extent % w.lanes();
         // One vector site, packed and register-tiled.
         self.simd.packed(true);
         // Stride-1 factor pointers for the group's four k's, k ascending.
         let bp = [R9, R10, RCX, RAX];
         let kvar = self.i(plan.kvar);
         self.emit_code(&[Instr::IConst(plan.kvar, plan.kmin)]);
+        self.emit_code(plan.hoisted);
         // Every scratch GPR is claimed below, so the group counter lives
         // in the stack's top slot (restored before returning).
         self.asm.mov_ri(RAX, groups);
@@ -1198,8 +1226,9 @@ impl NestCompiler<'_> {
             self.asm.bcast(w, X(2 + jk), inv);
             self.element(plan.vec.slot, plan.vec.addr, w);
             self.asm.push_r(RAX);
-            // Advance the loop variable (the scalar template's
-            // post-body increment).
+            // Advance the hoisted registers and the loop variable (the
+            // scalar template's bumps and post-body increment).
+            self.emit_bumps(plan.bumps, 1);
             self.step(kvar);
         }
         for r in bp.iter().rev() {
@@ -1237,12 +1266,17 @@ impl NestCompiler<'_> {
         for _ in 0..jsingle {
             sweep(self, w, &JAM_PAIRS[..1]);
         }
-        if jtail > 0 {
-            // Keep the low-lane scalar tail out of dirty-upper stalls;
-            // the next group rebroadcasts X2..X5 anyway.
+        // What the vectors leave of the row, at each narrower width in
+        // turn; the next group rebroadcasts X2..X5 anyway, so the upper
+        // halves can go before the legacy encodings run.
+        if plan.extent % w.lanes() > 0 {
             self.asm.vend(w);
-            // The low lane of each broadcast is the scalar factor.
-            self.repeat(jtail, |s| sweep(s, Width::scalar(w.dt), &[(X0, X1)]));
+        }
+        for (n, iters) in w.sweeps(plan.extent).skip(1) {
+            // The low lanes of each broadcast are the narrower factor.
+            if iters > 0 {
+                self.repeat(iters, |s| sweep(s, n, &[(X0, X1)]));
+            }
         }
         self.asm.dec_m(RSP, 0);
         self.asm.jcc_back(CC_NZ, gtop);
@@ -1323,7 +1357,8 @@ impl NestCompiler<'_> {
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::{
-        access, assert_same_lines, fmuladd, hex, pick_of, JamNest, NestGen, LEN, POISON,
+        access, assert_same_lines, fmuladd, hex, nest_function, pick_of, JamNest, NestGen, LEN,
+        POISON,
     };
     use super::*;
     use crate::ndarray::NDArray;
@@ -1486,6 +1521,8 @@ mod tests {
             min: 2,
             extent: 4,
             clamp: Clamp::default(),
+            pre: vec![],
+            bumps: vec![],
             body: Block {
                 items: vec![Item::Code(vec![
                     Instr::Load(0, 0, 0),
@@ -2051,7 +2088,7 @@ mod tests {
         // in-memory form beside what does.
         let opts = X86Backend::sse2_only();
         let mut rng = SmallRng::seed_from_u64(0x2e57ed);
-        let (mut spilled, mut all_booked, mut shapes, mut jammed) = (0, 0, [0u32; 3], 0);
+        let (mut spilled, mut all_booked, mut shapes, mut jammed) = (0, 0, [0u32; 4], 0);
         for case in 0..400 {
             let uniform = rng.gen_bool(0.5);
             let dts: Vec<DType> = (0..4)
@@ -2064,15 +2101,7 @@ mod tests {
                 })
                 .collect();
             let extras = rng.gen_range(0..=12);
-            let mut g = NestGen {
-                rng: &mut rng,
-                dts,
-                iregs: Vec::new(),
-                n_fregs: 3,
-                avail: Vec::new(),
-                extras,
-                shapes: [0; 3],
-            };
+            let mut g = NestGen::new(&mut rng, dts, extras);
             let root = g.plain_loop(case % 4);
             let (dts, iregs, n_fregs) = (g.dts.clone(), g.iregs.clone(), g.n_fregs);
             for (total, seen) in shapes.iter_mut().zip(g.shapes) {
@@ -2127,6 +2156,118 @@ mod tests {
             shapes.iter().all(|&n| n > 40) && jammed > 10,
             "{shapes:?} {jammed}"
         );
+    }
+
+    #[test]
+    fn hoisted_nest_matches_the_unhoisted_one_on_every_engine() {
+        // Generated nests of depth 1–4 through the block optimizer — level
+        // hoisting at every plain loop, trimmed ones included, a leaf's own
+        // bumped registers and the ones read after their loop left where
+        // they are — against the nest as generated, on the VM and on the
+        // packed and the scalar JIT tier: six runs, one set of arrays.
+        let tiers = [X86Backend::sse2_only(), X86Backend::scalar_only()];
+        let mut rng = SmallRng::seed_from_u64(0x401571);
+        let (mut hoisted, mut bumped, mut trimmed, mut read_after, mut jammed) = (0, 0, 0, 0, 0);
+        for case in 0..300 {
+            let dts: Vec<DType> = (0..4)
+                .map(|_| [DType::F64, DType::F32][rng.gen_range(0..2usize)])
+                .collect();
+            let extras = rng.gen_range(0..=12);
+            let mut g = NestGen::new(&mut rng, dts, extras);
+            let root = g.plain_loop(case % 4);
+            let plain = nest_function(&root, &g.iregs, g.n_fregs, &g.dts);
+            let optimized = crate::optimize::optimize_compiled(&plain);
+            hoisted += optimized.hoisted_loop_count();
+            let dump = format!("{:?}", optimized.body);
+            bumped += dump.contains("bumps: [(") as u32;
+            trimmed += dump
+                .contains("clamp: Clamp { lo: Some")
+                .min(dump.contains("pre: [I")) as u32;
+            // A register the generator reads after its loop must keep its
+            // definition in the body: had it moved, the value read would
+            // be one bump further.
+            read_after += g.shapes[3];
+            let arrays: Vec<NDArray> = (g.dts.iter().enumerate())
+                .map(|(i, &dt)| NDArray::random(&[LEN as usize], dt, 70 + i as u64, 0.5, 2.0))
+                .collect();
+            let run = |cf: &CompiledFunc| {
+                let mut args = arrays.clone();
+                crate::vm::execute(cf, &mut args).expect("generated nests cannot fail");
+                bits(&args)
+            };
+            let want = run(&plain);
+            assert_eq!(run(&optimized), want, "case {case}: VM, {root:?}");
+            for opts in &tiers {
+                for cf in [&plain, &optimized] {
+                    let jitted = opts.jit_compile(cf).expect("the nest is in the subset");
+                    assert_eq!(run(&jitted), want, "case {case}: {opts:?}, {:?}", cf.body);
+                    // A jammed `k` loop that carries bumps of its own.
+                    let tiled = jitted.jit_simd_report().map_or(0, |r| r.tiled_loops);
+                    jammed += (tiled > 0 && dump.contains("bumps: [(")) as u32;
+                }
+            }
+        }
+        assert!(
+            hoisted > 200 && bumped > 100 && trimmed > 10 && read_after > 50 && jammed > 20,
+            "{hoisted} {bumped} {trimmed} {read_after} {jammed}"
+        );
+    }
+
+    #[test]
+    fn a_bump_that_wraps_past_the_last_iteration_changes_nothing() {
+        // for i in 0..8 { S0[i + 3] = f64(i · 2⁶⁰); <a one-element row> }:
+        // `i · 2⁶⁰` is hoisted and bumped by 2⁶⁰ — too wide for an
+        // immediate, and after the eighth iteration the bump wraps to
+        // `i64::MIN`, a value the unhoisted loop never computes and
+        // nothing reads.
+        const K: i64 = 1 << 60;
+        let iregs = [K, 3, POISON, POISON, POISON];
+        let row = Item::MulAddLoop {
+            extent: 1,
+            pre: vec![],
+            dst: access(1, 1, 1),
+            a: access(2, 1, 0),
+            b: access(3, 1, 1),
+            round32: false,
+        };
+        let code = vec![
+            Instr::IBin(BinOp::Mul, 3, 2, 0),
+            Instr::IToF(3, 3),
+            Instr::IBin(BinOp::Add, 4, 2, 1),
+            Instr::Store(0, 4, 3),
+        ];
+        let root = Item::Loop {
+            var: 2,
+            min: 0,
+            extent: 8,
+            clamp: Clamp::default(),
+            pre: vec![],
+            bumps: vec![],
+            body: Block {
+                items: vec![Item::Code(code), row],
+            },
+            kind: LoopKind::Serial,
+        };
+        let dts = [DType::F64; 4];
+        let plain = nest_function(&root, &iregs, 4, &dts);
+        let optimized = crate::optimize::optimize_compiled(&plain);
+        let Item::Loop { bumps, .. } = &optimized.body.items[1] else {
+            panic!("{:?}", optimized.body);
+        };
+        assert_eq!(bumps, &[(3, K), (4, 1)]);
+        let arrays = vec![NDArray::zeros(&[LEN as usize], DType::F64); 4];
+        let run = |cf: &CompiledFunc| {
+            let mut args = arrays.clone();
+            crate::vm::execute(cf, &mut args).expect("runs");
+            args[0].to_f64_vec()
+        };
+        let want = run(&plain);
+        assert_eq!(want[10], (7 * K) as f64);
+        assert_eq!(run(&optimized), want);
+        for opts in [X86Backend::sse2_only(), X86Backend::scalar_only()] {
+            let jitted = opts.jit_compile(&optimized).expect("in the subset");
+            assert_eq!(run(&jitted), want, "{opts:?}");
+        }
     }
 
     // ------------------------------------------------------ template goldens
@@ -2198,6 +2339,8 @@ mod tests {
             min: 0,
             extent,
             clamp,
+            pre: vec![],
+            bumps: vec![],
             body: Block { items },
             kind: LoopKind::Serial,
         }
@@ -2299,14 +2442,68 @@ mod tests {
         serial(0, 3, clamp, vec![Item::Code(outer), xi])
     }
 
+    /// gemm `{1, 2}`'s `j.outer` nest as level hoisting leaves it, `i·N`
+    /// (ireg 9) and `i·K` (ireg 15) the caller's: `for jo { for k { T[i,
+    /// jo·2 ..+2] += A[i, k] · B[k, jo·2 ..+2] } }`, every address set at
+    /// its loop's entry and bumped, the row one microkernel with nothing
+    /// left in its prelude. Six `k` steps: one jammed group and two
+    /// leftover, which set the hoisted registers again. `jo` is trimmed by
+    /// a bound of the caller's (ireg 1).
+    fn hoisted_matmul_nest() -> Item {
+        let row = Item::MulAddLoop {
+            extent: 2,
+            pre: vec![],
+            dst: access(2, 13, 1),
+            a: access(0, 16, 0),
+            b: access(1, 19, 1),
+            round32: false,
+        };
+        let k = Item::Loop {
+            var: 7,
+            min: 0,
+            extent: 6,
+            clamp: Clamp::default(),
+            pre: vec![
+                Instr::IBin(BinOp::Add, 16, 15, 7),
+                Instr::IBin(BinOp::Mul, 17, 7, 2),
+                Instr::IBin(BinOp::Add, 18, 11, 17),
+                Instr::IConst(8, 0),
+                Instr::IBin(BinOp::Add, 13, 12, 8),
+                Instr::IBin(BinOp::Add, 19, 18, 8),
+            ],
+            bumps: vec![(16, 1), (19, 220)],
+            body: Block { items: vec![row] },
+            kind: LoopKind::Serial,
+        };
+        Item::Loop {
+            var: 6,
+            min: 0,
+            extent: 110,
+            clamp: Clamp {
+                lo: None,
+                hi: Some((1, 0)),
+            },
+            pre: vec![
+                Instr::IBin(BinOp::Mul, 11, 6, 10),
+                Instr::IBin(BinOp::Add, 12, 9, 11),
+            ],
+            bumps: vec![(11, 2), (12, 2)],
+            body: Block { items: vec![k] },
+            kind: LoopKind::Serial,
+        }
+    }
+
     #[test]
     fn templates_are_byte_for_byte_the_recorded_ones() {
         // Recorded from the single-file emitter of `jit/v4` (the commit
-        // before the vector layer existed) on all three tiers, and
-        // re-recorded on `jit/v5` for the rows the one live-range template
-        // moved (the trimmed strided loop; the jam's counter set-up is the
-        // same bytes) plus the two whole nests; nothing is
-        // executed, so the AVX rows are checked on any host. The `(1,1,0)`
+        // before the vector layer existed) on all three tiers, re-recorded
+        // on `jit/v5` for the rows the one live-range template moved (the
+        // trimmed strided loop; the jam's counter set-up is the same
+        // bytes) plus the two whole nests, and on `jit/v6` for the rows
+        // that sweep a row at more than one width or run a counted loop
+        // once (CHANGES.md lists them) plus the short rows and the hoisted
+        // nest; nothing is executed, so the AVX rows are checked on any
+        // host. The `(1,1,0)`
         // and `(1,1,1)` microkernels, the packed strided tier and every
         // `f32` lane see no benchmark traffic, so these bytes are the
         // only thing that holds them still; a change that moves emitted
@@ -2337,7 +2534,17 @@ mod tests {
             (f64s, 9, [0, 0, 1], [1, 1, 0], false),
             (f64s, 9, apart, [1, 1, 0], true),
         ];
-        for (dts, n, slots, strides, round32) in microkernels {
+        // Short rows (`jit/v6`): the width follows the extent, so a row
+        // of two is one SSE2 operation on either packed tier, five `f64`
+        // are a VEX-256 one and a scalar one, seven `f32` an SSE2 one and
+        // three scalar.
+        let short_rows = [
+            (f64s, 2, apart, [1, 0, 1], false),
+            (f64s, 3, apart, [1, 1, 0], false),
+            (f64s, 5, apart, [1, 0, 1], false),
+            (f32s, 7, apart, [1, 1, 1], true),
+        ];
+        for (dts, n, slots, strides, round32) in microkernels.into_iter().chain(short_rows) {
             let name = format!("muladd {dts:?} n={n} {slots:?} {strides:?} round32={round32}");
             cases.push((name, dts.to_vec(), muladd(n, slots, strides, round32)));
         }
@@ -2396,10 +2603,12 @@ mod tests {
             ("sse2", X86Backend::sse2_only()),
             ("avx", X86Backend::avx()),
         ];
-        // Whole nests, planned over the nest GPRs (`jit/v5`).
+        // Whole nests, planned over the nest GPRs (`jit/v5`), and one
+        // whose loops carry hoisted registers (`jit/v6`).
         let nests = [
             ("nest lu cell", vec![F64], lu_cell_nest()),
             ("nest guarded tail", vec![F64; 3], guarded_tail_nest()),
+            ("nest hoisted matmul", vec![F64; 3], hoisted_matmul_nest()),
         ];
         let mut got = String::new();
         for (tier, opts) in &tiers {

@@ -5,7 +5,7 @@
 
 use super::asm::{Width, R, R10, R12, R13, R14, R15, R8, R9, RBP, RBX, X};
 use crate::compile::{Block, Carry, Clamp, Instr, Item, LoopKind, Reg, SlotAccess};
-use crate::optimize::{float_dst, float_uses, int_dst, reads_ireg};
+use crate::optimize::{float_dst, float_uses, int_dst, int_uses, reads_ireg};
 use std::collections::{HashMap, HashSet};
 use tvm_te::{BinOp, DType, Intrinsic};
 
@@ -103,10 +103,12 @@ pub(super) fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
             min,
             extent,
             clamp,
+            pre,
             body,
             ..
         } => {
             check_clamp(*min, *extent, clamp)?;
+            check_code(pre, dts)?;
             check_block(body, dts)
         }
         Item::StridedLoop {
@@ -228,20 +230,6 @@ impl<'n> Resident<'n> {
 }
 
 // ------------------------------------------------------------ the nest plan
-
-/// The integer registers an instruction of the JIT subset reads.
-fn int_uses(i: &Instr) -> impl Iterator<Item = Reg> {
-    let uses = match *i {
-        Instr::IToF(_, s) | Instr::IToF32(_, s) | Instr::Not(_, s) => [Some(s), None],
-        Instr::IBin(_, _, a, b)
-        | Instr::ICmp(_, _, a, b)
-        | Instr::And(_, a, b)
-        | Instr::Or(_, a, b) => [Some(a), Some(b)],
-        Instr::Load(_, _, addr) | Instr::Store(_, addr, _) => [Some(addr), None],
-        _ => [None, None],
-    };
-    uses.into_iter().flatten()
-}
 
 /// The stretch of a nest over which an integer register it defines holds
 /// a value something still reads: positions count the nest's instructions
@@ -385,7 +373,7 @@ impl Walk {
     fn code(&mut self, code: &[Instr]) {
         for i in code {
             self.pos += 1;
-            int_uses(i).for_each(|r| self.read(r));
+            int_uses(i, |r| self.read(r));
             if let Some(d) = int_dst(i) {
                 self.def(d);
             }
@@ -445,15 +433,31 @@ impl Walk {
         match item {
             Item::Code(c) => self.code(c),
             Item::Loop {
-                var, clamp, body, ..
+                var,
+                clamp,
+                pre,
+                body,
+                ..
             } => {
                 self.pos += 1;
                 self.bounds(clamp);
                 self.enter(true);
                 self.def(*var);
+                // The hoisted registers are defined once, ahead of the
+                // first iteration, and booked like the counter: whatever
+                // the body reads (or the bottom bumps) lives to the
+                // loop's end, whatever only `pre` reads dies there.
+                self.code(pre);
+                let body_from = self.pos;
                 body.items.iter().for_each(|it| self.item(it));
-                // The increment and the compare at the bottom.
+                // The bumps, the increment and the compare at the bottom.
                 self.pos += 1;
+                for d in pre.iter().filter_map(int_dst) {
+                    let seen = self.seen(d);
+                    if seen.last > body_from || seen.through != NO_SCOPE {
+                        self.read(d);
+                    }
+                }
                 self.read(*var);
                 self.leave();
             }
@@ -487,7 +491,7 @@ impl Walk {
                 self.enter(true);
                 self.pos += 1;
                 for i in body {
-                    int_uses(i).for_each(|r| self.read(r));
+                    int_uses(i, |r| self.read(r));
                     int_dst(i).into_iter().for_each(|d| self.unbookable(d));
                 }
                 bumps.iter().for_each(|b| self.read(b.0));
@@ -949,6 +953,9 @@ pub(super) struct JamPlan<'p> {
     pub(super) kmin: i64,
     /// Its trip count (≥ [`JAM`]).
     pub(super) kextent: i64,
+    /// Its hoisted registers: set once, and moved after each `k`.
+    pub(super) hoisted: &'p [Instr],
+    pub(super) bumps: &'p [(Reg, i64)],
     /// Straight-line body code preceding the microkernel (address math).
     pub(super) code: &'p [Instr],
     /// The microkernel's own prelude.
@@ -989,7 +996,9 @@ pub(super) struct JamPlan<'p> {
 ///   write sequence;
 /// - it never writes the loop variable (the jam advances it);
 /// - a dataflow pass proves `dst.addr` independent of `k`,
-///   treating loop-carried register reads as varying.
+///   treating loop-carried register reads and the loop's bumped
+///   registers as varying (a hoisted register that is not bumped is set
+///   once, outside the code the pass scans).
 pub(super) fn plan_jam<'p>(
     item: &'p Item,
     dts: &[DType],
@@ -1000,6 +1009,8 @@ pub(super) fn plan_jam<'p>(
         min,
         extent: kextent,
         clamp,
+        pre: hoisted,
+        bumps,
         body,
         ..
     } = item
@@ -1034,9 +1045,13 @@ pub(super) fn plan_jam<'p>(
         (1, 0) => (*b, *a, false),
         _ => return None,
     };
-    // A scalar width jams nothing; a packed one needs a full vector.
-    let w = width(dt);
-    if w.lanes() == 1 || *extent < w.lanes() {
+    // The widest width the row fills at least once: a scalar one jams
+    // nothing.
+    let mut w = width(dt);
+    while *extent < w.lanes() {
+        w = w.narrower()?;
+    }
+    if w.lanes() == 1 {
         return None;
     }
     // Setup-code scan: pure register arithmetic only, loop variable
@@ -1066,7 +1081,7 @@ pub(super) fn plan_jam<'p>(
     // varying if it derives from the loop variable or from a
     // loop-carried value (read of a setup-written register before
     // its write this iteration).
-    let mut varying: HashSet<Reg> = HashSet::new();
+    let mut varying: HashSet<Reg> = bumps.iter().map(|b| b.0).collect();
     varying.insert(*var);
     let mut seen: HashSet<Reg> = HashSet::new();
     for i in code.iter().chain(pre.iter()) {
@@ -1095,6 +1110,8 @@ pub(super) fn plan_jam<'p>(
         kvar: *var,
         kmin: *min,
         kextent: *kextent,
+        hoisted,
+        bumps,
         code,
         pre,
         dst: *dst,
@@ -1109,7 +1126,7 @@ pub(super) fn plan_jam<'p>(
 #[cfg(test)]
 mod tests {
     use super::super::asm::{Shape, R11, RAX, RCX, RDI, RDX, RSI, RSP};
-    use super::super::fixtures::{access, fmuladd, JamNest, NestGen};
+    use super::super::fixtures::{access, fmuladd, nest_function, JamNest, NestGen};
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1123,6 +1140,8 @@ mod tests {
             min: 0,
             extent: 4,
             clamp,
+            pre: vec![],
+            bumps: vec![],
             body: Block::default(),
             kind: LoopKind::Serial,
         };
@@ -1235,7 +1254,7 @@ mod tests {
 
         fn code(&mut self, code: &[Instr]) {
             for i in code {
-                int_uses(i).for_each(|r| self.read(r));
+                int_uses(i, |r| self.read(r));
                 int_dst(i).into_iter().for_each(|d| self.write(d));
             }
         }
@@ -1254,12 +1273,22 @@ mod tests {
             match item {
                 Item::Code(c) => self.code(c),
                 Item::Loop {
-                    var, clamp, body, ..
+                    var,
+                    clamp,
+                    pre,
+                    bumps,
+                    body,
+                    ..
                 } => {
                     self.bounds(clamp);
                     self.write(*var);
+                    self.code(pre);
                     for _ in 0..2 {
                         self.block(body);
+                        for &(r, _) in bumps {
+                            self.read(r);
+                            self.write(r);
+                        }
                         self.read(*var);
                         self.write(*var);
                     }
@@ -1309,7 +1338,7 @@ mod tests {
                             match *i {
                                 Instr::Load(_, slot, addr) | Instr::Store(slot, addr, _)
                                     if plan.res.ptr(slot, addr).is_some() => {}
-                                _ => int_uses(i).for_each(|r| self.read(r)),
+                                _ => int_uses(i, |r| self.read(r)),
                             }
                             int_dst(i).into_iter().for_each(|d| self.write(d));
                         }
@@ -1337,56 +1366,57 @@ mod tests {
         assert!(NEST_GPRS.iter().all(|g| !clobbered.contains(g)));
         assert!(PTR_REGS.iter().all(|p| clobbered.contains(p)));
         let mut rng = SmallRng::seed_from_u64(0x91a);
-        let (mut shared, mut unbooked, mut replayed) = (0, 0, 0);
+        let (mut shared, mut unbooked, mut replayed, mut bumped) = (0, 0, 0, 0);
         // One walk for all of them, as one serves every nest of a function.
         let mut walk = Walk::default();
         for case in 0..600 {
             let extras = rng.gen_range(0..=12);
-            let mut g = NestGen {
-                rng: &mut rng,
-                dts: vec![DType::F64; 4],
-                iregs: Vec::new(),
-                n_fregs: 3,
-                avail: Vec::new(),
-                extras,
-                shapes: [0; 3],
-            };
-            let root = g.plain_loop(case % 4);
+            let mut g = NestGen::new(&mut rng, vec![DType::F64; 4], extras);
+            let generated = g.plain_loop(case % 4);
             let (dts, n_iregs) = (g.dts.clone(), g.iregs.len() as Reg);
-            let lives = live_ranges(&root, &mut walk);
-            for pool in [&NEST_GPRS[..], &NEST_GPRS[..2], &[]] {
-                let gprs = plan_nest(&root, pool, &mut walk);
-                let plan = Resident::of_nest(&gprs);
-                let live = |r: Reg| lives.iter().find(|l| l.reg == r);
-                for (k, &(r, g)) in gprs.iter().enumerate() {
-                    assert!(pool.contains(&g), "case {case}");
-                    let l = live(r).expect("only a register with a live range is booked");
-                    for &(other, h) in &gprs[..k] {
-                        let o = live(other).expect("booked");
-                        assert_ne!(other, r, "case {case}: booked twice");
-                        let apart = l.end < o.start || o.end < l.start;
-                        assert!(g != h || apart, "case {case}: {l:?} and {o:?} in {g:?}");
-                        shared += (g == h) as u32;
+            // The nest as generated, and as the block optimizer leaves it:
+            // index arithmetic hoisted to each loop's entry and bumped.
+            let plain = nest_function(&generated, &g.iregs, g.n_fregs, &dts);
+            let mut optimized = crate::optimize::optimize_compiled(&plain).body.items;
+            let hoisted = optimized.pop().expect("the prologue, then the nest");
+            bumped += format!("{hoisted:?}").matches("bumps: [(").count();
+            for root in [generated, hoisted] {
+                let lives = live_ranges(&root, &mut walk);
+                for pool in [&NEST_GPRS[..], &NEST_GPRS[..2], &[]] {
+                    let gprs = plan_nest(&root, pool, &mut walk);
+                    let plan = Resident::of_nest(&gprs);
+                    let live = |r: Reg| lives.iter().find(|l| l.reg == r);
+                    for (k, &(r, g)) in gprs.iter().enumerate() {
+                        assert!(pool.contains(&g), "case {case}");
+                        let l = live(r).expect("only a register with a live range is booked");
+                        for &(other, h) in &gprs[..k] {
+                            let o = live(other).expect("booked");
+                            assert_ne!(other, r, "case {case}: booked twice");
+                            let apart = l.end < o.start || o.end < l.start;
+                            assert!(g != h || apart, "case {case}: {l:?} and {o:?} in {g:?}");
+                            shared += (g == h) as u32;
+                        }
                     }
-                }
-                // Whatever is not booked resolves to its place in `iregs`.
-                for r in 0..n_iregs {
-                    if !gprs.iter().any(|e| e.0 == r) {
-                        assert_eq!(plan.i(r), I::Mem(off(r)), "case {case}");
-                        unbooked += live(r).is_some() as u32;
+                    // Whatever is not booked resolves to its place in `iregs`.
+                    for r in 0..n_iregs {
+                        if !gprs.iter().any(|e| e.0 == r) {
+                            assert_eq!(plan.i(r), I::Mem(off(r)), "case {case}");
+                            unbooked += live(r).is_some() as u32;
+                        }
                     }
+                    assert!(gprs.len() <= lives.len());
+                    let mut replay = Replay {
+                        plan: &plan,
+                        dts: &dts,
+                        holds: Vec::new(),
+                        reads: 0,
+                    };
+                    replay.item(&root);
+                    replayed += replay.reads;
                 }
-                assert!(gprs.len() <= lives.len());
-                let mut replay = Replay {
-                    plan: &plan,
-                    dts: &dts,
-                    holds: Vec::new(),
-                    reads: 0,
-                };
-                replay.item(&root);
-                replayed += replay.reads;
             }
         }
+        assert!(bumped > 300, "{bumped}");
         assert!(shared > 1000 && unbooked > 1000 && replayed > 10_000);
     }
 

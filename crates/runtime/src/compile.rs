@@ -2,7 +2,9 @@
 //!
 //! [`compile`] turns a [`PrimFunc`] into a [`CompiledFunc`]: loop bounds are
 //! resolved, every variable lives in a flat register file instead of a
-//! `HashMap`, buffer accesses become precomputed strided offsets, and pure
+//! `HashMap`, buffer accesses become precomputed strided offsets — an
+//! affine address one register however many accesses name it, built from
+//! partial sums that each sit at their own loop level — and pure
 //! loop-invariant index arithmetic is hoisted into the enclosing loop's
 //! preheader. An access is unchecked when its index registers' static
 //! intervals — narrowed, under a conditional, by what the condition says of
@@ -255,7 +257,11 @@ pub(crate) fn live_range(min: i64, extent: i64, clamp: Clamp, iregs: &[i64]) -> 
 pub(crate) enum Item {
     /// Straight-line instructions.
     Code(Vec<Instr>),
-    /// `for ireg[var] in live_range(min, extent, clamp) { body }`
+    /// `for ireg[var] in live_range(min, extent, clamp) { body }`. With a
+    /// `pre` (the block optimizer's level hoisting): `pre` runs once per
+    /// loop entry with the loop variable at the first live iteration, and
+    /// after each iteration every register in `bumps` advances by its
+    /// stride — the form [`Item::StridedLoop`] has, one level up.
     Loop {
         /// Loop variable register.
         var: Reg,
@@ -266,6 +272,13 @@ pub(crate) enum Item {
         /// Live range within the static one (none as compiled; set by
         /// the block optimizer's loop trimming).
         clamp: Clamp,
+        /// Loop-entry prelude: the values, at the first live iteration,
+        /// of the body's integer registers that are affine in the loop
+        /// variable, in original program order (empty as compiled).
+        pre: Vec<Instr>,
+        /// `(register, per-iteration stride)` of the `pre` registers the
+        /// body reads that move with the loop variable.
+        bumps: Vec<(Reg, i64)>,
         /// Loop body.
         body: Block,
         /// Execution flavor (drives the block optimizer's choices).
@@ -437,7 +450,7 @@ impl CompiledFunc {
                 .iter()
                 .map(|it| match it {
                     Item::Code(c) => c.len(),
-                    Item::Loop { body, .. } => count(body),
+                    Item::Loop { pre, body, .. } => pre.len() + count(body),
                     Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
                     Item::StridedLoop { pre, body, .. } => pre.len() + body.len(),
                     Item::MulAddLoop { pre, .. } => pre.len() + 1,
@@ -507,6 +520,22 @@ impl CompiledFunc {
         count(&self.body)
     }
 
+    /// Number of plain loops the block optimizer hoisted index arithmetic
+    /// out of (a `pre`, and bumps for what moves), still in bytecode.
+    pub fn hoisted_loop_count(&self) -> usize {
+        fn count(b: &Block) -> usize {
+            b.items
+                .iter()
+                .map(|it| match it {
+                    Item::Loop { pre, body, .. } => !pre.is_empty() as usize + count(body),
+                    Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
+                    _ => 0,
+                })
+                .sum()
+        }
+        count(&self.body)
+    }
+
     /// Number of conditionals left in bytecode (none inside a jitted
     /// nest: the native backend compiles an `If` whose arms it can).
     pub fn conditional_count(&self) -> usize {
@@ -564,6 +593,11 @@ impl CompiledFunc {
     /// Machine-code bytes backing this function's jitted nests.
     pub fn jit_code_bytes(&self) -> usize {
         self.jit.as_ref().map_or(0, |p| p.code_bytes())
+    }
+
+    /// The machine code backing this function's jitted nests.
+    pub fn jit_code(&self) -> &[u8] {
+        self.jit.as_ref().map_or(&[], |p| p.code())
     }
 
     /// Packed-SIMD emission report of this function's jitted nests
@@ -672,6 +706,11 @@ struct Compiler {
     /// `expr ∈ [lo, hi]` wherever that statement runs (see
     /// [`guard_facts`]).
     guards: Vec<(PrimExpr, i64, i64)>,
+    /// Interned address arithmetic ([`Compiler::affine_addr`]): the one
+    /// register holding `a · b` (the flag set) or `a + b`. Keyed by
+    /// registers that die with their loop, so an entry is never looked up
+    /// past the block that defines it.
+    addr_ops: HashMap<(bool, Reg, Reg), Reg>,
 }
 
 /// Is `e` integer arithmetic over loop variables and literals alone — a
@@ -874,19 +913,134 @@ impl Compiler {
     /// interval that nothing reads.)
     fn narrow_by_guards(&mut self, e: &PrimExpr, r: Reg) {
         let fresh = r as usize + 1 == self.idef.len() && self.const_of(r).is_none();
-        if !fresh || self.guards.is_empty() {
-            return;
+        if fresh {
+            self.ival[r as usize] = self.guarded(e, self.ival[r as usize]);
         }
-        let (mut lo, mut hi) = self.ival[r as usize].unwrap_or((i64::MIN, i64::MAX));
+    }
+
+    /// `ival`, the interval arithmetic gives the value of `e`, intersected
+    /// with what the enclosing guards say of `e`.
+    fn guarded(&self, e: &PrimExpr, ival: Option<(i64, i64)>) -> Option<(i64, i64)> {
+        let (mut lo, mut hi) = ival.unwrap_or((i64::MIN, i64::MAX));
         for (guarded, glo, ghi) in &self.guards {
             if guarded == e {
                 (lo, hi) = (lo.max(*glo), hi.min(*ghi));
             }
         }
         // An empty range is a guard that never holds: claim nothing.
-        if lo <= hi && (lo, hi) != (i64::MIN, i64::MAX) {
-            self.ival[r as usize] = Some((lo, hi));
+        let narrowed = lo <= hi && (lo, hi) != (i64::MIN, i64::MAX);
+        if narrowed {
+            Some((lo, hi))
+        } else {
+            ival
         }
+    }
+
+    /// Adds `scale · e` to the affine form `form` (terms `coefficient ·
+    /// register` of the loop variables `e` names, and a constant) and
+    /// returns the interval [`Compiler::compile_expr`] would give the
+    /// register of `e` — without compiling it. `None` unless `e` is sums,
+    /// differences and constant multiples of bound loop variables and
+    /// literals, and the interval arithmetic bounds every node of it: then
+    /// no operation of `e` can wrap, and its value is its form's. (The
+    /// grammar of [`tvm_tir::passes::affine::affine_of`] less the
+    /// quotients; walked here over registers because its `Var`s clone a
+    /// name each, too dear for every access of every trial.)
+    fn index_form(
+        &self,
+        e: &PrimExpr,
+        scale: i64,
+        form: &mut (Vec<(Reg, i64)>, i64),
+    ) -> Option<(i64, i64)> {
+        match e {
+            PrimExpr::IntImm(v, _) => {
+                form.1 = form.1.checked_add(scale.checked_mul(*v)?)?;
+                Some((*v, *v))
+            }
+            PrimExpr::Var(v) => {
+                let r = *self.env.get(&v.id)?;
+                match form.0.iter_mut().find(|t| t.0 == r) {
+                    Some(term) => term.1 = term.1.checked_add(scale)?,
+                    None => form.0.push((r, scale)),
+                }
+                self.ival[r as usize]
+            }
+            PrimExpr::Binary(op, a, b) if !e.dtype().is_float() => {
+                let (sa, sb) = match (op, a.as_int(), b.as_int()) {
+                    (BinOp::Add, ..) => (scale, scale),
+                    (BinOp::Sub, ..) => (scale, scale.checked_neg()?),
+                    (BinOp::Mul, _, Some(c)) => (scale.checked_mul(c)?, 0),
+                    (BinOp::Mul, Some(c), _) => (0, scale.checked_mul(c)?),
+                    _ => return None,
+                };
+                let (ia, ib) = (self.index_form(a, sa, form)?, self.index_form(b, sb, form)?);
+                let cb = (ib.0 == ib.1).then_some(ib.0);
+                let (lo, hi) = interval_of(*op, Some(ia), Some(ib), cb)?;
+                if lo == hi {
+                    Some((lo, hi))
+                } else {
+                    self.guarded(e, Some((lo, hi)))
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// The linear address of an access whose every index is proven in
+    /// bounds, compiled from its affine form `Σ cᵥ·v + k` instead of
+    /// index by index: one interned multiply per (variable, coefficient),
+    /// the terms added outermost-defined first so each partial sum settles
+    /// at its own loop level, every sum interned — equal addresses (a
+    /// cell's load and its store, the same cell of two arrays of one
+    /// shape) are one register, and addresses that agree on their outer
+    /// terms share those. `None` keeps the index-by-index path: an index
+    /// that is not affine, not proven, or not bounded node by node.
+    ///
+    /// The interned registers are shared between statements, so no guard
+    /// may narrow them ([`Compiler::narrow_by_guards`] never sees one: it
+    /// is handed what `compile_expr` allocates); their intervals come from
+    /// the loop variables' static ranges and hold wherever they are read.
+    fn affine_addr(&mut self, idx: &[PrimExpr], shape: &[usize], strides: &[usize]) -> Option<Reg> {
+        #[cfg(test)]
+        if tests::INDEX_BY_INDEX.with(|on| on.get()) {
+            return None;
+        }
+        let mut form = (Vec::with_capacity(4), 0i64);
+        for ((e, &extent), &stride) in idx.iter().zip(shape).zip(strides) {
+            let (lo, hi) = self.index_form(e, stride as i64, &mut form)?;
+            if lo < 0 || hi >= extent as i64 {
+                return None;
+            }
+        }
+        let (vars, constant) = form;
+        let mut terms: Vec<Reg> = Vec::with_capacity(vars.len() + 1);
+        for (r, c) in vars {
+            match c {
+                0 => {}
+                1 => terms.push(r),
+                _ => {
+                    let k = self.iconst(c);
+                    terms.push(self.addr_op(BinOp::Mul, r, k));
+                }
+            }
+        }
+        if constant != 0 || terms.is_empty() {
+            terms.push(self.iconst(constant));
+        }
+        terms.sort_by_key(|&r| self.idef[r as usize]);
+        let sum = |acc, &t| self.addr_op(BinOp::Add, acc, t);
+        Some(terms[1..].iter().fold(terms[0], sum))
+    }
+
+    /// The one register holding `a op b` (`·` or `+`) of an address.
+    fn addr_op(&mut self, op: BinOp, a: Reg, b: Reg) -> Reg {
+        let key = (op == BinOp::Mul, a, b);
+        if let Some(&r) = self.addr_ops.get(&key) {
+            return r;
+        }
+        let r = self.ibin(op, a, b);
+        self.addr_ops.insert(key, r);
+        r
     }
 
     fn compile_expr(&mut self, e: &PrimExpr) -> Result<(Reg, Cls), CompileError> {
@@ -1080,6 +1234,12 @@ impl Compiler {
                 shape.len()
             ));
         }
+        let strides = self.slot_strides[slot as usize].clone();
+        if let Some(addr) = self.affine_addr(idx, &shape, &strides) {
+            let dst = self.freg_at(self.top());
+            self.emit(Instr::Load(dst, slot, addr));
+            return Ok((dst, Cls::F));
+        }
         let mut regs: Vec<Reg> = Vec::with_capacity(idx.len());
         for (d, ie) in idx.iter().enumerate() {
             let (r, c) = self.compile_expr(ie)?;
@@ -1095,7 +1255,6 @@ impl Compiler {
                 });
             }
         }
-        let strides = self.slot_strides[slot as usize].clone();
         let addr = self.linear_addr(&regs, &strides);
         let top = self.top();
         let dst = self.freg_at(top);
@@ -1167,6 +1326,8 @@ impl Compiler {
                     min: *min,
                     extent: *extent,
                     clamp: Clamp::default(),
+                    pre: Vec::new(),
+                    bumps: Vec::new(),
                     body: Block { items: blk.items },
                     kind: match kind {
                         tvm_tir::ForKind::Parallel => LoopKind::Parallel {
@@ -1205,6 +1366,11 @@ impl Compiler {
                         shape.len()
                     ));
                 }
+                let strides = self.slot_strides[slot as usize].clone();
+                if let Some(addr) = self.affine_addr(indices, &shape, &strides) {
+                    self.emit(Instr::Store(slot, addr, fv));
+                    return Ok(());
+                }
                 let mut regs: Vec<Reg> = Vec::with_capacity(indices.len());
                 for ie in indices {
                     let (r, c) = self.compile_expr(ie)?;
@@ -1214,7 +1380,6 @@ impl Compiler {
                     matches!(self.ival[r as usize], Some((lo, hi)) if lo >= 0 && hi < ext as i64)
                 });
                 if all_proven {
-                    let strides = self.slot_strides[slot as usize].clone();
                     let addr = self.linear_addr(&regs, &strides);
                     self.emit(Instr::Store(slot, addr, fv));
                 } else {
@@ -1351,7 +1516,7 @@ fn interval_of(
 /// interpreter instead.
 ///
 /// Every schedule-parallel loop is marked *unproven* (it executes
-/// sequentially): this entry backs the scalar rung, whose `vm/v5`
+/// sequentially): this entry backs the scalar rung, whose `vm/v6`
 /// fingerprint promises sequential semantics. The optimized pipeline
 /// threads race-freedom proofs through [`compile_with_proofs`].
 pub fn compile(func: &PrimFunc) -> Result<CompiledFunc, CompileError> {
@@ -1406,6 +1571,7 @@ pub(crate) fn compile_with_proofs(
         slot_shapes,
         slot_strides,
         guards: Vec::new(),
+        addr_ops: HashMap::new(),
     };
     c.compile_stmt(&func.body)?;
     debug_assert_eq!(c.blocks.len(), 1);
@@ -1461,6 +1627,101 @@ mod tests {
             s.reorder(&c, &[yo, xo, k.clone(), yi, xi]);
         }
         lower(&s, &[a, b, c], "mm")
+    }
+
+    thread_local! {
+        /// Compile every address index by index, as `vm/v5` did: the
+        /// oracle the affine addresses are compared against.
+        pub(super) static INDEX_BY_INDEX: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    fn compile_index_by_index(f: &PrimFunc) -> CompiledFunc {
+        INDEX_BY_INDEX.with(|on| on.set(true));
+        let cf = compile(f);
+        INDEX_BY_INDEX.with(|on| on.set(false));
+        cf.expect("compile")
+    }
+
+    #[test]
+    fn affine_addresses_compute_what_the_index_by_index_ones_did() {
+        use tvm_tir::builder::{seq, ser, store, when, FuncBuilder};
+        // Tiled and ragged matmuls (split tails under their guard), and a
+        // nest whose accesses differ by a constant, repeat an address in
+        // two arrays and go through an exact quotient: the same arrays as
+        // the interpreter and as the index-by-index compile, with the
+        // same bounds checks and fewer instructions.
+        let mut funcs: Vec<(String, PrimFunc, Vec<usize>)> = Vec::new();
+        for (n, tile) in [(8usize, 1i64), (16, 4), (10, 3), (12, 5)] {
+            funcs.push((
+                format!("matmul {n}/{tile}"),
+                matmul_func(n, tile),
+                vec![n, n],
+            ));
+        }
+        let a = placeholder([6, 10], DType::F32, "A");
+        let b = placeholder([6, 10], DType::F32, "B");
+        let mut fb = FuncBuilder::new("stencil");
+        let (ab, bb) = (fb.param(&a), fb.param(&b));
+        let body = ser("i", 6, |i| {
+            ser("j", 4, |j| {
+                let (at, next) = (
+                    [i.clone(), j.clone() * 2i64],
+                    [i.clone(), j.clone() * 2i64 + 1i64],
+                );
+                let halved = [(i.clone() * 2i64) / 2i64, j.clone() + 5i64];
+                seq([
+                    store(&bb, &at, a.at(&at) + a.at(&next)),
+                    store(&ab, &next, b.at(&at) * a.at(&halved)),
+                    when(
+                        PrimExpr::cmp(
+                            CmpOp::Lt,
+                            j.clone() * 3i64 + i.clone(),
+                            PrimExpr::IntImm(10, DType::I64),
+                        ),
+                        store(&bb, &[i.clone(), j.clone() * 3i64 + i.clone()], a.at(&at)),
+                    ),
+                ])
+            })
+        });
+        funcs.push(("stencil".into(), fb.build(body), vec![6, 10]));
+        for (what, f, shape) in funcs {
+            let args: Vec<crate::NDArray> = (0..f.params.len())
+                .map(|k| crate::NDArray::random(&shape, DType::F32, 40 + k as u64, -1.0, 1.0))
+                .collect();
+            let (affine, oracle) = (compile(&f).expect("compile"), compile_index_by_index(&f));
+            let mut want = args.clone();
+            crate::interp::execute(&f, &mut want).expect("interpreter");
+            for cf in [&affine, &oracle] {
+                let mut got = args.clone();
+                crate::vm::execute(cf, &mut got).expect("vm");
+                assert_eq!(got, want, "{what}");
+            }
+            assert_eq!(
+                affine.bounds_check_count(),
+                oracle.bounds_check_count(),
+                "{what}"
+            );
+            assert!(affine.instr_count() < oracle.instr_count(), "{what}");
+        }
+        // One cell, loaded and stored: one address register.
+        let cf = compile(&matmul_func(16, 4)).expect("compile");
+        let mut cells = Vec::new();
+        fn accesses(b: &Block, out: &mut Vec<(bool, u16, Reg)>) {
+            for it in &b.items {
+                match it {
+                    Item::Code(c) => out.extend(c.iter().filter_map(|i| match *i {
+                        Instr::Load(_, slot, addr) => Some((false, slot, addr)),
+                        Instr::Store(slot, addr, _) => Some((true, slot, addr)),
+                        _ => None,
+                    })),
+                    Item::Loop { body, .. } => accesses(body, out),
+                    _ => {}
+                }
+            }
+        }
+        accesses(&cf.body, &mut cells);
+        let stored = cells.iter().rfind(|c| c.0).expect("the update's store");
+        assert!(cells.contains(&(false, stored.1, stored.2)), "{cells:?}");
     }
 
     #[test]

@@ -139,6 +139,21 @@ impl NDArray {
         self.data.len()
     }
 
+    /// Overwrite every element with `other`'s, in place (no allocation).
+    ///
+    /// # Panics
+    /// If the two arrays differ in shape or dtype.
+    pub fn copy_from(&mut self, other: &NDArray) {
+        assert_eq!(self.shape, other.shape, "copy_from: shapes differ");
+        match (&mut self.data, &other.data) {
+            (TensorData::F32(d), TensorData::F32(s)) => d.copy_from_slice(s),
+            (TensorData::F64(d), TensorData::F64(s)) => d.copy_from_slice(s),
+            (TensorData::I32(d), TensorData::I32(s)) => d.copy_from_slice(s),
+            (TensorData::I64(d), TensorData::I64(s)) => d.copy_from_slice(s),
+            _ => panic!("copy_from: dtypes differ"),
+        }
+    }
+
     /// Read element at a linear offset, widened to `f64`.
     #[inline]
     pub fn get_f64_linear(&self, off: usize) -> f64 {

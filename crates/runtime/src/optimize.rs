@@ -1,15 +1,16 @@
 //! Bytecode block optimizer: fused multiply-add, loop trimming,
-//! strided-pointer-bump loops, microkernel recognition, and accumulator
-//! forwarding.
+//! strided-pointer-bump loops, microkernel recognition, accumulator
+//! forwarding, and level hoisting.
 //!
 //! [`compile_optimized`] is the optimizing counterpart of
 //! [`crate::compile`]: it first runs the TIR pass pipeline
 //! ([`tvm_tir::optimize`] — strength reduction, guard unswitching LICM,
 //! simplification, each re-verified), compiles the result, then applies
-//! five bytecode-level transforms (numbered in the order they landed;
+//! six bytecode-level transforms (numbered in the order they landed;
 //! trimming runs before the strided rewrite so that rewrite sees the
-//! straight-line body trimming leaves, forwarding last, on the strided
-//! body the microkernel recognizer declined):
+//! straight-line body trimming leaves, forwarding on the strided body the
+//! microkernel recognizer declined, level hoisting on each loop the
+//! strided rewrite left a plain loop, innermost first):
 //!
 //! 1. **FMA peephole** — adjacent `FBin(Mul)`/`FBin(Add)` pairs whose
 //!    product register has exactly one use fuse into
@@ -60,15 +61,26 @@
 //!    nothing has to be sunk, proven pure or proven alias-free. What it
 //!    removes is the store→load round trip on the reduction's dependency
 //!    chain. See [`try_forward`] for what is refused.
+//! 6. **Level hoisting** — transform 2 at every other loop level. A loop
+//!    that stays a plain [`Item::Loop`] gets a `pre` and `bumps` like a
+//!    strided loop's: the pure integer instructions of its body's `Code`
+//!    items, and of the `pre` of the strided loops and microkernels
+//!    directly under it, that are affine in its variable move to `pre`
+//!    (stride 0: hoisted; otherwise bumped after each iteration, unless
+//!    only `pre` reads them). With the compiler's affine addresses
+//!    (`compile.rs`: one register per distinct address, each partial sum
+//!    at its own level) a `k` step of a small matmul tile is left with
+//!    its multiply-adds and two `add r, imm`. See [`try_hoist`] for what
+//!    is refused.
 //!
 //! Why the incremental address update is exact: a register classified
 //! affine holds `base + i·s` at iteration `i`, so bumping by `s` per
 //! iteration reproduces the recomputed value exactly (the intermediate
 //! values are the same ones the scalar program computes, so overflow
-//! behaviour is unchanged too). Registers defined inside an innermost
-//! loop are never read after it — the compiler places every consumer at
-//! its operands' definition block — so post-loop register state is
-//! unobservable.
+//! behaviour is unchanged too). Registers defined inside a loop are
+//! never read after it — the compiler places every consumer at its
+//! operands' definition block — so post-loop register state is
+//! unobservable; level hoisting checks it all the same ([`escaping`]).
 
 use crate::compile::{
     compile_with_proofs, Block, Carry, Clamp, CompileError, CompiledFunc, Instr, Item, LoopKind,
@@ -80,7 +92,7 @@ use tvm_tir::PrimFunc;
 
 /// Version tag of the bytecode engine (compiler + block optimizer +
 /// VM). Bump on any change to instruction semantics or the optimizer.
-pub(crate) const ENGINE_VERSION: &str = "vm/v5";
+pub(crate) const ENGINE_VERSION: &str = "vm/v6";
 
 /// Fingerprint of the full optimization pipeline an execution engine
 /// applies between TIR and measurement: the bytecode engine version,
@@ -126,13 +138,14 @@ pub fn optimize_compiled(cf: &CompiledFunc) -> CompiledFunc {
     let consts = collect_consts(&cf.body);
     let fuse = freg_use_counts(&cf.body);
     let vn = value_numbers(&cf.body);
+    let escapes = escaping(&cf.body, cf.n_iregs);
     let dts: Vec<DType> = cf
         .params
         .iter()
         .map(|p| p.dtype)
         .chain(cf.allocs.iter().map(|(_, dt)| *dt))
         .collect();
-    let body = optimize_block(&cf.body, &consts, &fuse, &vn, &dts);
+    let body = optimize_block(&cf.body, &consts, &fuse, &vn, &dts, &escapes);
     cf.with_body(body)
 }
 
@@ -382,12 +395,17 @@ fn fma_peephole(code: &[Instr], fuse: &HashMap<Reg, usize>) -> Vec<Instr> {
 /// the loop variable advances by 1, registers never written in the body
 /// are invariant (stride 0), and registers the affine scan classified
 /// carry their computed stride.
-fn stride_of(r: Reg, var: Reg, written: &HashSet<Reg>, strides: &HashMap<Reg, i64>) -> Option<i64> {
+fn stride_of(
+    r: Reg,
+    var: Reg,
+    written: &impl Fn(Reg) -> bool,
+    strides: &HashMap<Reg, i64>,
+) -> Option<i64> {
     if r == var {
         Some(1)
     } else if let Some(&s) = strides.get(&r) {
         Some(s)
-    } else if !written.contains(&r) {
+    } else if !written(r) {
         Some(0)
     } else {
         None
@@ -400,6 +418,7 @@ fn optimize_block(
     fuse: &HashMap<Reg, usize>,
     vn: &HashMap<Reg, u32>,
     dts: &[DType],
+    escapes: &[bool],
 ) -> Block {
     let items = b
         .items
@@ -408,10 +427,10 @@ fn optimize_block(
             Item::Code(c) => Item::Code(fma_peephole(c, fuse)),
             Item::If { cond, then, else_ } => Item::If {
                 cond: *cond,
-                then: optimize_block(then, consts, fuse, vn, dts),
+                then: optimize_block(then, consts, fuse, vn, dts, escapes),
                 else_: else_
                     .as_ref()
-                    .map(|e| optimize_block(e, consts, fuse, vn, dts)),
+                    .map(|e| optimize_block(e, consts, fuse, vn, dts, escapes)),
             },
             Item::Loop {
                 var,
@@ -420,19 +439,25 @@ fn optimize_block(
                 clamp,
                 body,
                 kind,
+                ..
             } => {
-                let body = optimize_block(body, consts, fuse, vn, dts);
+                let body = optimize_block(body, consts, fuse, vn, dts, escapes);
                 let (body, clamp) =
                     try_trim(*var, *extent, *kind, *clamp, &body).unwrap_or((body, *clamp));
                 let strided =
                     try_strided(*var, *min, *extent, clamp, *kind, &body, consts, vn, dts);
-                strided.unwrap_or(Item::Loop {
-                    var: *var,
-                    min: *min,
-                    extent: *extent,
-                    clamp,
-                    body,
-                    kind: *kind,
+                strided.unwrap_or_else(|| {
+                    let (pre, bumps, body) = try_hoist(*var, *extent, *kind, body, consts, escapes);
+                    Item::Loop {
+                        var: *var,
+                        min: *min,
+                        extent: *extent,
+                        clamp,
+                        pre,
+                        bumps,
+                        body,
+                        kind: *kind,
+                    }
                 })
             }
             other => other.clone(),
@@ -473,18 +498,27 @@ fn is_pure(i: &Instr) -> bool {
     }
 }
 
-/// Does this instruction read integer register `r`?
-pub(crate) fn reads_ireg(i: &Instr, r: Reg) -> bool {
+/// The integer registers an instruction reads, one call per read.
+pub(crate) fn int_uses(i: &Instr, mut f: impl FnMut(Reg)) {
     match i {
-        Instr::IToF(_, s) | Instr::IToF32(_, s) | Instr::Not(_, s) => *s == r,
+        Instr::IToF(_, s) | Instr::IToF32(_, s) | Instr::Not(_, s) => f(*s),
         Instr::IBin(_, _, a, b)
         | Instr::ICmp(_, _, a, b)
         | Instr::And(_, a, b)
-        | Instr::Or(_, a, b) => *a == r || *b == r,
-        Instr::ISel(_, c, t, f) => *c == r || *t == r || *f == r,
-        Instr::FSel(_, c, _, _) => *c == r,
-        Instr::Bound { idx, .. } | Instr::StoreChecked { idx, .. } => idx.contains(&r),
-        Instr::Load(_, _, addr) | Instr::Store(_, addr, _) => *addr == r,
+        | Instr::Or(_, a, b) => {
+            f(*a);
+            f(*b);
+        }
+        Instr::ISel(_, c, t, e) => {
+            f(*c);
+            f(*t);
+            f(*e);
+        }
+        Instr::FSel(_, c, _, _) => f(*c),
+        Instr::Bound { idx, .. } | Instr::StoreChecked { idx, .. } => {
+            idx.iter().for_each(|&r| f(r))
+        }
+        Instr::Load(_, _, addr) | Instr::Store(_, addr, _) => f(*addr),
         Instr::IConst(..)
         | Instr::FConst(..)
         | Instr::FToI(..)
@@ -495,42 +529,139 @@ pub(crate) fn reads_ireg(i: &Instr, r: Reg) -> bool {
         | Instr::FCmp(..)
         | Instr::Call1(..)
         | Instr::Call2(..)
-        | Instr::FMulAdd { .. } => false,
+        | Instr::FMulAdd { .. } => {}
     }
 }
 
-/// Does anything in `b` read integer register `read` or write integer
-/// register `written`? (Already-jitted nests are opaque: yes.)
-fn block_touches(b: &Block, read: Reg, written: Reg) -> bool {
-    let code = |c: &[Instr]| {
-        c.iter()
-            .any(|i| reads_ireg(i, read) || int_dst(i) == Some(written))
-    };
-    let clamped = |c: &Clamp| [c.lo, c.hi].iter().flatten().any(|&(r, _)| r == read);
-    b.items.iter().any(|it| match it {
-        Item::Code(c) => code(c),
+/// Does this instruction read integer register `r`?
+pub(crate) fn reads_ireg(i: &Instr, r: Reg) -> bool {
+    let mut hit = false;
+    int_uses(i, |u| hit |= u == r);
+    hit
+}
+
+/// One step of [`int_accesses`].
+#[derive(Clone, Copy, PartialEq)]
+enum Access {
+    Read(Reg),
+    Write(Reg),
+    /// A plain loop opens (its variable's write follows) and closes.
+    EnterLoop,
+    LeaveLoop,
+}
+
+/// Every integer register access in `b`, in program order: an
+/// instruction's reads before its write, a loop's bumps as a read and a
+/// write at its bottom. Returns `false` if `b` holds an already-jitted
+/// nest, which is opaque.
+fn int_accesses(b: &Block, f: &mut impl FnMut(Access)) -> bool {
+    fn code(c: &[Instr], f: &mut impl FnMut(Access)) {
+        for i in c {
+            int_uses(i, |r| f(Access::Read(r)));
+            int_dst(i).into_iter().for_each(|d| f(Access::Write(d)));
+        }
+    }
+    fn entry(clamp: &Clamp, f: &mut impl FnMut(Access)) {
+        for &(r, _) in [clamp.lo, clamp.hi].iter().flatten() {
+            f(Access::Read(r));
+        }
+    }
+    fn bottom(bumps: &[(Reg, i64)], f: &mut impl FnMut(Access)) {
+        for &(r, _) in bumps {
+            f(Access::Read(r));
+            f(Access::Write(r));
+        }
+    }
+    b.items.iter().all(|it| match it {
+        Item::Code(c) => {
+            code(c, f);
+            true
+        }
         Item::Loop {
-            var, clamp, body, ..
-        } => *var == written || clamped(clamp) || block_touches(body, read, written),
+            var,
+            clamp,
+            pre,
+            bumps,
+            body,
+            ..
+        } => {
+            entry(clamp, f);
+            f(Access::EnterLoop);
+            f(Access::Write(*var));
+            code(pre, f);
+            let seen = int_accesses(body, f);
+            bottom(bumps, f);
+            f(Access::LeaveLoop);
+            seen
+        }
         Item::If { cond, then, else_ } => {
-            *cond == read
-                || block_touches(then, read, written)
-                || else_
-                    .as_ref()
-                    .is_some_and(|e| block_touches(e, read, written))
+            f(Access::Read(*cond));
+            int_accesses(then, f) && else_.as_ref().is_none_or(|e| int_accesses(e, f))
         }
         Item::StridedLoop {
             clamp,
             pre,
             bumps,
             body,
+            carry,
             ..
-        } => clamped(clamp) || code(pre) || code(body) || bumps.iter().any(|&(r, _)| r == written),
-        Item::MulAddLoop { pre, dst, a, b, .. } => {
-            code(pre) || [dst, a, b].iter().any(|acc| acc.addr == read)
+        } => {
+            code(pre, f);
+            entry(clamp, f);
+            carry.iter().for_each(|c| f(Access::Read(c.addr)));
+            code(body, f);
+            bottom(bumps, f);
+            true
         }
-        Item::JitCall { .. } => true,
+        Item::MulAddLoop { pre, dst, a, b, .. } => {
+            code(pre, f);
+            [dst, a, b].iter().for_each(|acc| f(Access::Read(acc.addr)));
+            true
+        }
+        Item::JitCall { .. } => false,
     })
+}
+
+/// Does anything in `b` read integer register `read` or write integer
+/// register `written`? (Already-jitted nests are opaque: yes.)
+fn block_touches(b: &Block, read: Reg, written: Reg) -> bool {
+    let mut hit = false;
+    let seen = int_accesses(b, &mut |a| {
+        hit |= a == Access::Read(read) || a == Access::Write(written);
+    });
+    hit || !seen
+}
+
+/// Per integer register: may its value be seen where its one definition
+/// does not reach — is it read outside the loop that holds the
+/// definition, read before it in program order, or defined twice? The
+/// compiler emits none of these (every consumer sits at or below its
+/// operands' definition block); level hoisting leaves such a register
+/// where it is instead of assuming so.
+fn escaping(b: &Block, n_iregs: usize) -> Vec<bool> {
+    const UNDEFINED: u32 = u32::MAX;
+    const OUTSIDE_LOOPS: u32 = u32::MAX - 1;
+    let mut escapes = vec![false; n_iregs];
+    let mut defined_in = vec![UNDEFINED; n_iregs];
+    let (mut open, mut loops) = (Vec::new(), 0u32);
+    int_accesses(b, &mut |a| match a {
+        Access::EnterLoop => {
+            open.push(loops);
+            loops += 1;
+        }
+        Access::LeaveLoop => {
+            open.pop();
+        }
+        Access::Write(r) if defined_in[r as usize] == UNDEFINED => {
+            defined_in[r as usize] = open.last().copied().unwrap_or(OUTSIDE_LOOPS);
+        }
+        Access::Write(r) => escapes[r as usize] = true,
+        Access::Read(r) => {
+            let held = defined_in[r as usize];
+            escapes[r as usize] |= held != OUTSIDE_LOOPS && !open.contains(&held);
+        }
+    });
+    escapes
 }
 
 /// Loop trimming (transform 4 of the module docs): turn a guard on the
@@ -609,6 +740,122 @@ fn try_trim(
     Some((body, Clamp { lo, hi }))
 }
 
+/// Level hoisting (transform 6 of the module docs): what
+/// [`try_strided`] does for the innermost loop, for a loop that stays a
+/// plain [`Item::Loop`]. Returns the loop's `pre`, its `bumps` and the
+/// body without the instructions that moved — no `pre` and the body as
+/// it was when nothing moves. Candidates are the `IConst`s and the integer
+/// `+`/`−`/`·` of the body's own `Code` items and of the `pre` of the
+/// strided loops and microkernels directly under it, taken in program
+/// order; one moves when its operands are the loop variable, registers
+/// nothing in the body writes, or registers that moved before it, `·`
+/// only by an interned constant — so its value is `base + var·s`, and
+/// `s` is its bump (none for `s = 0`, none for a register only `pre`
+/// itself reads). Refused:
+///
+/// - a proven-`Parallel` loop with work to split (the pool hands each
+///   worker a copy of the registers as they were at loop entry), and a
+///   loop that never runs;
+/// - a register the body writes anywhere else: a second definition, a
+///   leaf's own bump (the leaf steps it from the value its `pre` sets on
+///   every entry), an inner loop's variable;
+/// - a register that is [`escaping`]: read after the loop, it would show
+///   one stride past the value the unhoisted loop leaves; read before its
+///   definition, the previous iteration's value;
+/// - anything that is not pure integer arithmetic, and everything when
+///   the body holds an already-jitted nest or writes the loop variable.
+fn try_hoist(
+    var: Reg,
+    extent: i64,
+    kind: LoopKind,
+    body: Block,
+    consts: &HashMap<Reg, i64>,
+    escapes: &[bool],
+) -> (Vec<Instr>, Vec<(Reg, i64)>, Block) {
+    let untouched = |body| (Vec::new(), Vec::new(), body);
+    if extent < 1 || (matches!(kind, LoopKind::Parallel { proven: true }) && extent >= 2) {
+        return untouched(body);
+    }
+    // Per register: the body's writes and reads of it.
+    let mut touched = vec![(0u32, 0u32); escapes.len()];
+    let seen = int_accesses(&body, &mut |a| match a {
+        Access::Write(r) => touched[r as usize].0 += 1,
+        Access::Read(r) => touched[r as usize].1 += 1,
+        Access::EnterLoop | Access::LeaveLoop => {}
+    });
+    if !seen || touched[var as usize].0 > 0 {
+        return untouched(body);
+    }
+    let written = |r: Reg| touched[r as usize].0 > 0;
+    let mut strides: HashMap<Reg, i64> = HashMap::new();
+    let mut pre: Vec<Instr> = Vec::new();
+    // Keep the instructions of `code` that stay; the rest go to `pre`.
+    let mut sift = |code: &mut Vec<Instr>| {
+        code.retain(|instr| {
+            let (d, s) = match *instr {
+                Instr::IConst(d, _) => (d, Some(0)),
+                Instr::IBin(op, d, a, b) => {
+                    let sa = stride_of(a, var, &written, &strides);
+                    let sb = stride_of(b, var, &written, &strides);
+                    (d, affine_stride(op, (a, sa), (b, sb), consts, &written))
+                }
+                _ => (var, None),
+            };
+            match s {
+                Some(s) if d != var && touched[d as usize].0 == 1 && !escapes[d as usize] => {
+                    strides.insert(d, s);
+                    pre.push(instr.clone());
+                    false
+                }
+                _ => true,
+            }
+        })
+    };
+    let mut items = body.items;
+    for it in &mut items {
+        if let Item::Code(code)
+        | Item::StridedLoop { pre: code, .. }
+        | Item::MulAddLoop { pre: code, .. } = it
+        {
+            sift(code);
+        }
+    }
+    items.retain(|it| !matches!(it, Item::Code(code) if code.is_empty()));
+    // A register only `pre` reads needs no bump: nothing sees it move.
+    for i in &pre {
+        int_uses(i, |r| touched[r as usize].1 -= 1);
+    }
+    let mut bumps: Vec<(Reg, i64)> = strides
+        .into_iter()
+        .filter(|&(r, s)| s != 0 && touched[r as usize].1 > 0)
+        .collect();
+    bumps.sort_by_key(|&(r, _)| r); // deterministic order
+    (pre, bumps, Block { items })
+}
+
+/// Per-iteration stride of `x op y` given its operands' strides (`None`:
+/// not affine in the loop variable): `+`, `−`, and `·` by a constant the
+/// loop never writes. Checked: a stride that overflows is not a stride.
+fn affine_stride(
+    op: BinOp,
+    (a, sa): (Reg, Option<i64>),
+    (b, sb): (Reg, Option<i64>),
+    consts: &HashMap<Reg, i64>,
+    written: &impl Fn(Reg) -> bool,
+) -> Option<i64> {
+    match op {
+        BinOp::Add => sa.zip(sb).and_then(|(x, y)| x.checked_add(y)),
+        BinOp::Sub => sa.zip(sb).and_then(|(x, y)| x.checked_sub(y)),
+        BinOp::Mul => match (sa, sb) {
+            (Some(0), Some(0)) => Some(0),
+            (Some(x), _) if consts.contains_key(&b) && !written(b) => x.checked_mul(consts[&b]),
+            (_, Some(y)) if consts.contains_key(&a) && !written(a) => y.checked_mul(consts[&a]),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// Rewrite an innermost straight-line loop into strided-pointer-bump
 /// form, and further into a multiply-accumulate microkernel when the
 /// residual body matches. A trimmed loop (`clamp` set) is planned scalar
@@ -641,7 +888,8 @@ fn try_strided(
         [Item::Code(c)] => c,
         _ => return None,
     };
-    let written: HashSet<Reg> = code.iter().filter_map(int_dst).collect();
+    let defined: HashSet<Reg> = code.iter().filter_map(int_dst).collect();
+    let written = |r: Reg| defined.contains(&r);
     // Affine scan: which int registers advance by a constant stride per
     // iteration? Only pure `+`/`-`/`·const` chains qualify; their
     // defining instructions move to the loop prelude.
@@ -653,21 +901,7 @@ fn try_strided(
         };
         let sa = stride_of(*a, var, &written, &strides);
         let sb = stride_of(*b, var, &written, &strides);
-        let s = match op {
-            BinOp::Add => sa.zip(sb).and_then(|(x, y)| x.checked_add(y)),
-            BinOp::Sub => sa.zip(sb).and_then(|(x, y)| x.checked_sub(y)),
-            BinOp::Mul => match (sa, sb) {
-                (Some(0), Some(0)) => Some(0),
-                (Some(x), _) if consts.contains_key(b) && !written.contains(b) => {
-                    x.checked_mul(consts[b])
-                }
-                (_, Some(y)) if consts.contains_key(a) && !written.contains(a) => {
-                    y.checked_mul(consts[a])
-                }
-                _ => None,
-            },
-            _ => None,
-        };
+        let s = affine_stride(*op, (*a, sa), (*b, sb), consts, &written);
         if let Some(s) = s {
             strides.insert(*d, s);
             moved[idx] = true;
@@ -833,7 +1067,7 @@ fn try_muladd(
     pre: &[Instr],
     rest: &[Instr],
     var: Reg,
-    written: &HashSet<Reg>,
+    written: &impl Fn(Reg) -> bool,
     strides: &HashMap<Reg, i64>,
     vn: &HashMap<Reg, u32>,
 ) -> Option<Item> {
@@ -1200,13 +1434,16 @@ mod tests {
         for (why, body) in &refused {
             assert!(trim(body).is_none(), "{why}: must not trim");
             // Through the optimizer the loop comes out exactly as it
-            // went in (no trimming, and an `If` in the body keeps the
-            // strided rewrite away).
+            // went in (no trimming, an `If` in the body keeps the strided
+            // rewrite away, and every register marked escaping keeps
+            // level hoisting away).
             let item = Item::Loop {
                 var: 0,
                 min: 0,
                 extent: 8,
                 clamp: Clamp::default(),
+                pre: vec![],
+                bumps: vec![],
                 body: body.clone(),
                 kind: LoopKind::Serial,
             };
@@ -1217,6 +1454,7 @@ mod tests {
                 &HashMap::new(),
                 &HashMap::new(),
                 &[DType::F64],
+                &[true; 8],
             );
             assert_eq!(format!("{:?}", out.items[0]), before, "{why}");
         }
@@ -1319,6 +1557,8 @@ mod tests {
             min: 0,
             extent: 8,
             clamp,
+            pre: vec![],
+            bumps: vec![],
             body: Block {
                 items: vec![Item::Code(code)],
             },
@@ -1332,6 +1572,7 @@ mod tests {
             &HashMap::new(),
             &vn,
             dts,
+            &[false; 10],
         );
         out.items.remove(0)
     }
@@ -1565,6 +1806,263 @@ mod tests {
         let rest = &reduction_body()[3..];
         assert!(try_forward(rest, proven, &fixed, &vn, &f64s).is_none());
         assert!(try_forward(rest, serial, &fixed, &vn, &f64s).is_some());
+    }
+
+    /// `for r0 in 0..8 { r3 = r0·r5; r4 = r3 + r1; <leaf over r7 = r4 + r6> }`
+    /// with `r5` the constant 40, `r1` and `r2` the caller's: the shape
+    /// level hoisting takes whole.
+    fn hoistable_body(strided: bool) -> Block {
+        let code = vec![
+            Instr::IBin(BinOp::Mul, 3, 0, 5),
+            Instr::IBin(BinOp::Add, 4, 3, 1),
+        ];
+        let leaf_pre = vec![Instr::IConst(6, 0), Instr::IBin(BinOp::Add, 7, 4, 6)];
+        let leaf = if strided {
+            Item::StridedLoop {
+                min: 0,
+                extent: 2,
+                clamp: Clamp::default(),
+                pre: leaf_pre,
+                bumps: vec![(6, 1), (7, 1)],
+                body: vec![Instr::Load(0, 0, 7), Instr::Store(1, 7, 0)],
+                carry: None,
+                kind: LoopKind::Serial,
+            }
+        } else {
+            let at = |slot, addr, stride| SlotAccess { slot, addr, stride };
+            Item::MulAddLoop {
+                extent: 2,
+                pre: leaf_pre,
+                dst: at(0, 7, 1),
+                a: at(1, 4, 0),
+                b: at(2, 7, 1),
+                round32: false,
+            }
+        };
+        Block {
+            items: vec![Item::Code(code), leaf],
+        }
+    }
+
+    /// What [`try_hoist`] moved out of `body`: the registers `pre` defines
+    /// and the bumps, or `None` when the loop stays as it is.
+    fn hoist(body: &Block, kind: LoopKind, extent: i64, escapes: &[bool]) -> Option<Hoisted> {
+        let consts: HashMap<Reg, i64> = [(5, 40), (9, i64::MAX)].into_iter().collect();
+        let (pre, bumps, rest) = try_hoist(0, extent, kind, body.clone(), &consts, escapes);
+        let moved: Vec<Reg> = pre.iter().filter_map(int_dst).collect();
+        if moved.is_empty() {
+            // The loop comes back exactly as it went in.
+            assert!(bumps.is_empty());
+            assert_eq!(format!("{rest:?}"), format!("{body:?}"));
+            return None;
+        }
+        Some((moved, bumps, rest))
+    }
+    type Hoisted = (Vec<Reg>, Vec<(Reg, i64)>, Block);
+
+    #[test]
+    fn level_hoisting_moves_what_is_affine_and_bumps_what_the_body_reads() {
+        let serial = LoopKind::Serial;
+        let (pre, bumps, rest) =
+            hoist(&hoistable_body(false), serial, 8, &[false; 10]).expect("hoists");
+        // Code and the microkernel's prelude, in program order; `r3` is
+        // read by `pre` alone and `r6` does not move: neither is bumped.
+        assert_eq!(pre, [3, 4, 6, 7]);
+        assert_eq!(bumps, [(4, 40), (7, 40)]);
+        let [Item::MulAddLoop { pre: left, .. }] = rest.items.as_slice() else {
+            panic!("the emptied Code item goes, the leaf stays: {rest:?}");
+        };
+        assert!(left.is_empty());
+        // A proven-parallel loop that never splits, an unproven one and a
+        // trimmed one are plain sequential loops: through the optimizer
+        // each carries the same `pre`.
+        let unproven = LoopKind::Parallel { proven: false };
+        for (kind, extent) in [(LoopKind::Parallel { proven: true }, 1), (unproven, 8)] {
+            let moved = hoist(&hoistable_body(false), kind, extent, &[false; 10]);
+            assert_eq!(moved.expect("hoists").0, pre, "{kind:?}");
+        }
+        let hi = Clamp {
+            hi: Some((2, 0)),
+            ..Clamp::default()
+        };
+        let item = Item::Loop {
+            var: 0,
+            min: 0,
+            extent: 8,
+            clamp: hi,
+            pre: vec![],
+            bumps: vec![],
+            body: hoistable_body(false),
+            kind: serial,
+        };
+        let consts: HashMap<Reg, i64> = [(5, 40)].into_iter().collect();
+        let (none, dts) = (HashMap::new(), [DType::F64; 3]);
+        let block = Block { items: vec![item] };
+        let out = optimize_block(&block, &consts, &none, &HashMap::new(), &dts, &[false; 10]);
+        assert!(matches!(
+            &out.items[0],
+            Item::Loop { clamp, pre, bumps, .. } if *clamp == hi && pre.len() == 4 && bumps.len() == 2
+        ));
+    }
+
+    #[test]
+    fn every_hoisting_refusal_leaves_the_register_where_it_is() {
+        fn code(b: &mut Block) -> &mut Vec<Instr> {
+            let Item::Code(c) = &mut b.items[0] else {
+                unreachable!()
+            };
+            c
+        }
+        let serial = LoopKind::Serial;
+        let free = [false; 12];
+        let body = || hoistable_body(false);
+        // The whole loop: nothing moves.
+        let proven = LoopKind::Parallel { proven: true };
+        assert!(hoist(&body(), proven, 8, &free).is_none(), "pool dispatch");
+        assert!(hoist(&body(), serial, 0, &free).is_none(), "never runs");
+        let mut jitted = body();
+        jitted.items.push(Item::JitCall { entry: 0 });
+        assert!(hoist(&jitted, serial, 8, &free).is_none(), "opaque nest");
+        let mut stepped = body();
+        code(&mut stepped).push(Instr::IBin(BinOp::Add, 0, 0, 1));
+        assert!(
+            hoist(&stepped, serial, 8, &free).is_none(),
+            "writes its variable"
+        );
+        let mut nothing = body();
+        nothing.items.truncate(1);
+        nothing.items[0] = Item::Code(vec![Instr::Load(0, 0, 1)]);
+        assert!(hoist(&nothing, serial, 8, &free).is_none(), "no candidate");
+        // One register: it stays, and so does whatever is computed from
+        // it; the rest moves as before. (registers left in `pre`, bumps)
+        type Edit<'a> = &'a dyn Fn(&mut Block, &mut [bool; 12]);
+        type Case<'a> = (&'a str, Edit<'a>, Vec<Reg>, Vec<(Reg, i64)>);
+        let table: Vec<Case> = vec![
+            (
+                "a second definition in the body",
+                &|b, _| {
+                    b.items
+                        .push(Item::Code(vec![Instr::IBin(BinOp::Add, 4, 3, 1)]))
+                },
+                vec![3, 6],
+                vec![(3, 40)],
+            ),
+            (
+                "the leaf bumps it",
+                &|b, _| *b = hoistable_body(true),
+                vec![3, 4],
+                vec![(4, 40)],
+            ),
+            (
+                "read after the loop, or before its definition",
+                &|_, escapes| escapes[4] = true,
+                vec![3, 6],
+                vec![(3, 40)],
+            ),
+            (
+                "a product of two registers",
+                &|b, _| code(b)[0] = Instr::IBin(BinOp::Mul, 3, 0, 1),
+                vec![6],
+                vec![],
+            ),
+            (
+                "a division",
+                &|b, _| code(b)[1] = Instr::IBin(BinOp::FloorDiv, 4, 3, 5),
+                vec![3, 6],
+                vec![(3, 40)],
+            ),
+            (
+                "a compare",
+                &|b, _| code(b)[1] = Instr::ICmp(CmpOp::Lt, 4, 3, 1),
+                vec![3, 6],
+                vec![(3, 40)],
+            ),
+            (
+                "a stride that overflows",
+                &|b, _| {
+                    code(b)[0] = Instr::IBin(BinOp::Mul, 3, 0, 9);
+                    code(b)[1] = Instr::IBin(BinOp::Add, 4, 3, 3);
+                },
+                vec![3, 6],
+                vec![(3, i64::MAX)],
+            ),
+            (
+                "an operand an inner loop writes",
+                &|b, _| {
+                    let inner = Item::Loop {
+                        var: 1,
+                        min: 0,
+                        extent: 2,
+                        clamp: Clamp::default(),
+                        pre: vec![],
+                        bumps: vec![],
+                        body: Block::default(),
+                        kind: LoopKind::Serial,
+                    };
+                    b.items.insert(0, inner);
+                    b.items.swap(0, 1);
+                },
+                vec![3, 6],
+                vec![(3, 40)],
+            ),
+        ];
+        for (why, edit, want_pre, want_bumps) in table {
+            let (mut b, mut escapes) = (body(), free);
+            edit(&mut b, &mut escapes);
+            let (pre, bumps, rest) = hoist(&b, serial, 8, &escapes).expect(why);
+            assert_eq!((pre, bumps), (want_pre.clone(), want_bumps), "{why}");
+            // Nothing is lost: what did not move is still in the body.
+            let mut left = 0;
+            int_accesses(&rest, &mut |a| {
+                left += matches!(a, Access::Write(_)) as usize
+            });
+            let mut before = 0;
+            int_accesses(&b, &mut |a| {
+                before += matches!(a, Access::Write(_)) as usize
+            });
+            assert_eq!(left + want_pre.len(), before, "{why}");
+        }
+    }
+
+    #[test]
+    fn a_register_escapes_when_a_read_may_miss_its_one_definition() {
+        // r0 = const (outside every loop); for r1 { r2 = r1 + r0; for r3 {
+        // r4 = r2 + r3; read r4 }; read r2 }; read r2 (after its loop);
+        // r5 read before it is defined; r6 defined twice.
+        let add = |d, a, b| Instr::IBin(BinOp::Add, d, a, b);
+        let read = |r| Instr::IToF(0, r);
+        let lp = |var, items| Item::Loop {
+            var,
+            min: 0,
+            extent: 2,
+            clamp: Clamp::default(),
+            pre: vec![],
+            bumps: vec![],
+            body: Block { items },
+            kind: LoopKind::Serial,
+        };
+        let inner = lp(3, vec![Item::Code(vec![add(4, 2, 3), read(4)])]);
+        let outer = lp(
+            1,
+            vec![
+                Item::Code(vec![add(2, 1, 0), read(5)]),
+                inner,
+                Item::Code(vec![read(2), add(5, 1, 0), add(6, 1, 0)]),
+            ],
+        );
+        let block = Block {
+            items: vec![
+                Item::Code(vec![Instr::IConst(0, 7)]),
+                outer,
+                Item::Code(vec![read(2), read(0), add(6, 0, 0)]),
+            ],
+        };
+        let escapes = escaping(&block, 8);
+        assert_eq!(
+            escapes,
+            [false, false, true, false, false, true, true, false],
+            "r2 after its loop, r5 before its definition, r6 twice"
+        );
     }
 
     #[test]

@@ -45,6 +45,8 @@ impl<'a> Vm<'a> {
                     min,
                     extent,
                     clamp,
+                    pre,
+                    bumps,
                     body,
                     kind,
                 } => {
@@ -55,6 +57,10 @@ impl<'a> Vm<'a> {
                         if let Some(plan) =
                             pool::begin_parallel(*proven, end - start, self.cf.par.as_deref())
                         {
+                            // Hoisted registers are sequential state: the
+                            // optimizer leaves a loop with work to split
+                            // as it is.
+                            debug_assert!(pre.is_empty());
                             self.exec_parallel(
                                 *var,
                                 start,
@@ -66,9 +72,18 @@ impl<'a> Vm<'a> {
                             continue;
                         }
                     }
+                    if !pre.is_empty() {
+                        // The hoisted registers, computed for the first
+                        // live iteration by the very instructions that
+                        // computed them every iteration (pure: an empty
+                        // range runs them and nothing else).
+                        self.iregs[*var as usize] = start;
+                        self.exec_code(pre, storage)?;
+                    }
                     for it in start..end {
                         self.iregs[*var as usize] = it;
                         self.exec_block(body, storage)?;
+                        self.bump(bumps);
                     }
                 }
                 Item::StridedLoop {
@@ -121,13 +136,7 @@ impl<'a> Vm<'a> {
                         if let Some(c) = carry {
                             self.fregs[c.acc as usize] = self.fregs[c.next as usize];
                         }
-                        for &(r, s) in bumps.iter() {
-                            // Wrapping: the bump after the final
-                            // iteration computes a value the scalar
-                            // program never does; it is never read.
-                            let v = &mut self.iregs[r as usize];
-                            *v = v.wrapping_add(s);
-                        }
+                        self.bump(bumps);
                     }
                 }
                 Item::MulAddLoop {
@@ -183,6 +192,16 @@ impl<'a> Vm<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Advance every bumped register by one iteration's stride. Wrapping:
+    /// the bump after the final iteration computes a value the scalar
+    /// program never does; it is never read.
+    fn bump(&mut self, bumps: &[(Reg, i64)]) {
+        for &(r, s) in bumps {
+            let v = &mut self.iregs[r as usize];
+            *v = v.wrapping_add(s);
+        }
     }
 
     /// Run a proven-race-free `Parallel` loop by splitting its iteration

@@ -74,32 +74,35 @@ impl Affine {
     }
 
     fn combine(&self, other: &Affine, sign: i64) -> Option<Affine> {
-        let mut coeffs: HashMap<u64, (Var, i64)> = HashMap::new();
-        for (v, c) in &self.terms {
-            coeffs.insert(v.id, (v.clone(), *c));
-        }
-        for (v, c) in &other.terms {
-            let signed = c.checked_mul(sign)?;
-            match coeffs.entry(v.id) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let cur = e.get().1;
-                    e.get_mut().1 = cur.checked_add(signed)?;
+        // Both term lists are sorted by variable id: one merge.
+        let mut terms = Vec::with_capacity(self.terms.len() + other.terms.len());
+        let (mut mine, mut theirs) = (self.terms.iter().peekable(), other.terms.iter().peekable());
+        loop {
+            let order = match (mine.peek(), theirs.peek()) {
+                (Some(a), Some(b)) => a.0.id.cmp(&b.0.id),
+                (Some(_), None) => std::cmp::Ordering::Less,
+                (None, Some(_)) => std::cmp::Ordering::Greater,
+                (None, None) => break,
+            };
+            let (v, c) = match order {
+                std::cmp::Ordering::Less => mine.next().cloned()?,
+                std::cmp::Ordering::Greater => {
+                    let (v, c) = theirs.next()?;
+                    (v.clone(), c.checked_mul(sign)?)
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((v.clone(), signed));
+                std::cmp::Ordering::Equal => {
+                    let ((v, a), (_, b)) = (mine.next()?, theirs.next()?);
+                    (v.clone(), a.checked_add(b.checked_mul(sign)?)?)
                 }
+            };
+            if c != 0 {
+                terms.push((v, c));
             }
         }
         let constant = self
             .constant
             .checked_add(other.constant.checked_mul(sign)?)?;
-        Some(
-            Affine {
-                terms: coeffs.into_values().collect(),
-                constant,
-            }
-            .normalize(),
-        )
+        Some(Affine { terms, constant })
     }
 
     /// `self * k`, or `None` on overflow.

@@ -118,24 +118,28 @@ impl PassManager {
         self
     }
 
-    /// Run the pipeline, collecting a [`PassTrace`] per pass.
+    /// Apply one pass to `cur` in place and re-verify it.
+    fn step(
+        &self,
+        cur: &mut PrimFunc,
+        name: &'static str,
+        pass: PassFn,
+    ) -> Result<(), PipelineError> {
+        cur.body = pass(&cur.body);
+        if self.verify_each {
+            verify::verify(cur).map_err(|error| PipelineError { pass: name, error })?;
+        }
+        Ok(())
+    }
+
+    /// Run the pipeline, collecting a [`PassTrace`] per pass: the IR is
+    /// rendered before and after each one.
     pub fn run_traced(&self, func: &PrimFunc) -> Result<(PrimFunc, Vec<PassTrace>), PipelineError> {
         let mut cur = func.clone();
         let mut traces = Vec::with_capacity(self.passes.len());
-        for (name, pass) in &self.passes {
+        for &(name, pass) in &self.passes {
             let before = cur.body.to_string();
-            let new_body = pass(&cur.body);
-            cur = PrimFunc {
-                name: cur.name.clone(),
-                params: cur.params.clone(),
-                allocs: cur.allocs.clone(),
-                body: new_body,
-            };
-            if self.verify_each {
-                if let Err(error) = verify::verify(&cur) {
-                    return Err(PipelineError { pass: name, error });
-                }
-            }
+            self.step(&mut cur, name, pass)?;
             let after = cur.body.to_string();
             let changed = before != after;
             traces.push(PassTrace {
@@ -148,20 +152,26 @@ impl PassManager {
         Ok((cur, traces))
     }
 
-    /// Run the pipeline; dump per-pass IR to stderr when enabled.
+    /// Run the pipeline. No IR text is rendered unless dumping is on:
+    /// then each pass's before and after go to stderr.
     pub fn run(&self, func: &PrimFunc) -> Result<PrimFunc, PipelineError> {
+        if !self.dump {
+            let mut cur = func.clone();
+            for &(name, pass) in &self.passes {
+                self.step(&mut cur, name, pass)?;
+            }
+            return Ok(cur);
+        }
         let (out, traces) = self.run_traced(func)?;
-        if self.dump {
-            for t in &traces {
-                eprintln!(
-                    "=== [{}] pass `{}` ({}) ===",
-                    func.name,
-                    t.pass,
-                    if t.changed { "changed" } else { "no change" }
-                );
-                if t.changed {
-                    eprintln!("--- before ---\n{}--- after ---\n{}", t.before, t.after);
-                }
+        for t in &traces {
+            eprintln!(
+                "=== [{}] pass `{}` ({}) ===",
+                func.name,
+                t.pass,
+                if t.changed { "changed" } else { "no change" }
+            );
+            if t.changed {
+                eprintln!("--- before ---\n{}--- after ---\n{}", t.before, t.after);
             }
         }
         Ok(out)
@@ -206,6 +216,13 @@ mod tests {
         let (out, traces) = PassManager::default().run_traced(&f).expect("pipeline");
         assert_eq!(traces.len(), 4);
         assert!(verify::verify(&out).is_ok());
+        // The untraced run renders no IR and arrives at the same function.
+        let quiet = PassManager::default()
+            .with_dump(false)
+            .run(&f)
+            .expect("pipeline");
+        assert_eq!(quiet.body.to_string(), out.body.to_string());
+        assert_eq!(quiet.params.len(), f.params.len());
     }
 
     #[test]

@@ -111,6 +111,20 @@ impl MemoCache {
     }
 }
 
+/// Positions, among `func`'s parameters, of the buffers its body stores
+/// to: the arrays a run changes, the only ones a repeat must get back.
+fn stored_params(func: &PrimFunc) -> Vec<usize> {
+    let mut stored = vec![false; func.params.len()];
+    func.body.walk(&mut |s| {
+        if let tvm_tir::Stmt::BufferStore { buffer, .. } = s {
+            if let Some(p) = func.params.iter().position(|b| b.id == buffer.id) {
+                stored[p] = true;
+            }
+        }
+    });
+    (0..stored.len()).filter(|&p| stored[p]).collect()
+}
+
 /// Measures configurations of one code mold on one device.
 ///
 /// Process time per evaluation = mold instantiation (real wall clock) +
@@ -414,9 +428,11 @@ impl Evaluator for MoldEvaluator {
         let mut best = f64::INFINITY;
         let mut process = instantiate_s + build_s + transfer_s;
         // The kernels run in place, so every repeat needs fresh arrays —
-        // the same ones: built once, copied for every repeat but the last,
-        // which takes the originals.
-        let mut fresh: Option<Vec<NDArray>> = None;
+        // the same ones: built once, and before every repeat but the first
+        // the parameters the kernel stores to are copied back, in place,
+        // from the pristine copies taken of them alone.
+        let mut arrays: Option<Vec<NDArray>> = None;
+        let mut pristine: Vec<(usize, NDArray)> = Vec::new();
         for repeat in 0..self.repeats {
             let run = match self.mode {
                 EvalMode::Simulated => {
@@ -424,17 +440,20 @@ impl Evaluator for MoldEvaluator {
                     self.device.run(func, &mut no_args)
                 }
                 EvalMode::Real => {
-                    let original = fresh.take().unwrap_or_else(|| self.mold.init_args());
-                    let mut args = if repeat + 1 < self.repeats {
-                        fresh.insert(original).clone()
-                    } else {
-                        original
-                    };
+                    let args = arrays.get_or_insert_with(|| self.mold.init_args());
+                    if repeat > 0 {
+                        for (p, original) in &pristine {
+                            args[*p].copy_from(original);
+                        }
+                    } else if self.repeats > 1 {
+                        let kept = stored_params(func).into_iter();
+                        pristine = kept.map(|p| (p, args[p].clone())).collect();
+                    }
                     match entry.prepared.as_deref() {
                         // Compiled once per configuration; every repeat
                         // (and every cache hit) reuses the artifact.
-                        Some(prepared) => self.device.run_prepared(prepared, &mut args),
-                        None => self.device.run(func, &mut args),
+                        Some(prepared) => self.device.run_prepared(prepared, args),
+                        None => self.device.run(func, args),
                     }
                 }
             };
@@ -611,6 +630,93 @@ mod tests {
         fn reference_args(&self) -> Vec<Option<NDArray>> {
             self.0.reference_args()
         }
+    }
+
+    /// A JIT device that keeps the arrays every run was handed.
+    struct RecordingDevice(CpuDevice, Arc<Mutex<Vec<Vec<NDArray>>>>);
+
+    impl Device for RecordingDevice {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn run(
+            &self,
+            func: &tvm_tir::PrimFunc,
+            args: &mut [NDArray],
+        ) -> Result<f64, tvm_runtime::DeviceError> {
+            self.1.lock().expect("record lock").push(args.to_vec());
+            self.0.run(func, args)
+        }
+
+        fn prepare(&self, func: &tvm_tir::PrimFunc) -> Option<Arc<CompiledFunc>> {
+            self.0.prepare(func)
+        }
+
+        fn run_prepared(
+            &self,
+            prepared: &CompiledFunc,
+            args: &mut [NDArray],
+        ) -> Result<f64, tvm_runtime::DeviceError> {
+            self.1.lock().expect("record lock").push(args.to_vec());
+            self.0.run_prepared(prepared, args)
+        }
+    }
+
+    #[test]
+    fn every_repeat_of_every_mold_starts_from_the_arrays_init_args_builds() {
+        // Only the parameters a kernel stores to are copied back between
+        // repeats (`Out` for gemm, `A` for lu): the run must not have
+        // changed any other. Seven molds, paper and aggressive spaces,
+        // the default and two sampled configurations each.
+        use polybench::molds::mold_for_mode;
+        use polybench::SpaceMode;
+        use rand::SeedableRng;
+        const KERNELS: [KernelName; 7] = [
+            KernelName::Mm3,
+            KernelName::Lu,
+            KernelName::Cholesky,
+            KernelName::Gemm,
+            KernelName::Mm2,
+            KernelName::Syrk,
+            KernelName::Trmm,
+        ];
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(22);
+        let (mut runs, mut restored, mut params) = (0, 0, 0);
+        for kernel in KERNELS {
+            for mode in [SpaceMode::Paper, SpaceMode::Aggressive] {
+                let mold = || mold_for_mode(kernel, ProblemSize::Mini, mode);
+                let record = Arc::new(Mutex::new(Vec::new()));
+                let device = RecordingDevice(CpuDevice::jit(), record.clone());
+                let ev = MoldEvaluator::real(mold(), device).with_repeats(3);
+                let space = Evaluator::space(&ev).clone();
+                let mut configs = vec![space.default_configuration()];
+                configs.extend((0..2).map(|_| space.sample(&mut rng)));
+                let pristine = mold().init_args();
+                for cfg in configs {
+                    let before = record.lock().expect("record lock").len();
+                    let r = Evaluator::evaluate(&ev, &cfg);
+                    let record = record.lock().expect("record lock");
+                    // A statically rejected configuration runs nothing.
+                    assert_eq!(r.is_ok(), record.len() == before + 3, "{kernel:?} {cfg}");
+                    for args in &record[before..] {
+                        assert_eq!(args, &pristine, "{kernel:?} {mode:?} {cfg}");
+                        runs += 1;
+                    }
+                    if r.is_ok() {
+                        let func = mold().instantiate(&cfg);
+                        let stored = stored_params(&func);
+                        assert!(!stored.is_empty(), "{kernel:?}");
+                        restored += stored.len();
+                        params += func.params.len();
+                    }
+                }
+            }
+        }
+        // Every kernel but the two in-place ones reads arrays it never
+        // writes: those are built once and never copied.
+        assert!(runs >= 7 * 2 * 3 && restored >= 7 * 2, "{runs} {restored}");
+        assert!(2 * restored < params, "{restored} of {params}");
     }
 
     #[test]

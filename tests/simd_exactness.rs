@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tvm_runtime::{compile_optimized, default_backend, interp, scalar_backend, vm, NDArray};
-use tvm_te::{compute, placeholder, DType, Schedule};
+use tvm_te::{compute, placeholder, reduce_axis, sum, DType, Schedule};
 use tvm_tir::lower::lower;
 use tvm_tir::PrimFunc;
 
@@ -156,6 +156,82 @@ fn packed_matches_scalar_at_remainder_extents() {
         for dtype in [DType::F64, DType::F32] {
             let (func, args) = strided_map(extent, 1, 1, dtype);
             assert_packed_matches_scalar(&func, &args, &format!("remainder n={extent} {dtype:?}"));
+        }
+    }
+}
+
+/// `C[i, j] = Σₖ A[i, k]·B[k, j]` over `[2·yt, 2·row]` with `k` outside
+/// the `yt × row` tile: the `j.inner` row is a mul-add microkernel of
+/// extent `row`, straight under `k` when `yt` is 1 (the jammed shape).
+fn row_matmul(row: usize, yt: usize, kext: usize, dtype: DType) -> (PrimFunc, Vec<NDArray>) {
+    let (m, n) = (2 * yt, 2 * row);
+    let a = placeholder([m, kext], dtype, "A");
+    let b = placeholder([kext, n], dtype, "B");
+    let k = reduce_axis(0, kext as i64, "k");
+    let c = compute([m, n], "C", |i| {
+        sum(
+            a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
+            std::slice::from_ref(&k),
+        )
+    });
+    let mut s = Schedule::create(std::slice::from_ref(&c));
+    let (y, x) = (c.axis(0), c.axis(1));
+    let (yo, yi) = s.split(&c, &y, yt as i64);
+    let (xo, xi) = s.split(&c, &x, row as i64);
+    s.reorder(&c, &[yo, xo, k.clone(), yi, xi]);
+    let func = lower(&s, &[a, b, c], "row_matmul");
+    let args = vec![
+        NDArray::random(&[m, kext], dtype, 0xa0 + row as u64, -2.0, 2.0),
+        NDArray::random(&[kext, n], dtype, 0xb0 + row as u64, -2.0, 2.0),
+        NDArray::zeros(&[m, n], dtype),
+    ];
+    (func, args)
+}
+
+#[test]
+fn short_rows_match_at_every_extent_on_every_tier() {
+    // A row's width is picked by its extent — AVX, then SSE2, then scalar
+    // over what each leaves — so extents 1–9 cover every mix: one scalar
+    // element, one `f64x2`, `f64x4` + one, two `f64x4` + one (and the
+    // `f32` ladder at 4 and 8 lanes). Under `k` directly (jammed four
+    // steps at a time when `k` has them, the leftover steps plain) and
+    // under a two-row tile (never jammed), on the host's widest tier, the
+    // SSE2 tier and the scalar tier, against the interpreter.
+    for row in 1..=9 {
+        for (yt, kext) in [(1, 3), (1, 6), (2, 5)] {
+            for dtype in [DType::F64, DType::F32] {
+                let (func, args) = row_matmul(row, yt, kext, dtype);
+                let context = format!("row {row} under a {yt}-row tile, k {kext}, {dtype:?}");
+                assert_packed_matches_scalar(&func, &args, &context);
+                #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+                {
+                    use tvm_runtime::CodegenBackend;
+                    let cf = compile_optimized(&func).expect("optimized compile");
+                    assert!(cf.microkernel_count() > 0, "{context}: no microkernel");
+                    let sse2 = tvm_runtime::codegen::X86Backend::sse2_only();
+                    let jitted = sse2.jit_compile(&cf).expect("must jit");
+                    let (mut want, mut got) = (args.clone(), args.clone());
+                    interp::execute(&func, &mut want).expect("interpreter");
+                    vm::execute(&jitted, &mut got).expect("SSE2 tier");
+                    assert_eq!(got, want, "{context}: SSE2 tier");
+                    // A row is packed as soon as it holds one SSE2 vector,
+                    // and counted scalar, by name, when it does not (a row
+                    // of one is no row: `k` itself is the microkernel).
+                    let report = jitted.jit_simd_report().expect("report");
+                    let lanes = if dtype == DType::F64 { 2 } else { 4 };
+                    assert_eq!(
+                        report.packed_loops > 0,
+                        row >= lanes,
+                        "{context}: {report:?}"
+                    );
+                    let short = report.scalar_reasons.get("short-extent").copied();
+                    assert_eq!(
+                        short.is_some(),
+                        (2..lanes).contains(&row),
+                        "{context}: {report:?}"
+                    );
+                }
+            }
         }
     }
 }

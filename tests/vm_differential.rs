@@ -878,6 +878,173 @@ fn jit_actually_compiles_polybench_hot_loops() {
     }
 }
 
+/// `name {P0: a, P1: b, …}` of `kernel` at `size`, lowered.
+fn lowered(kernel: KernelName, size: ProblemSize, tiles: &[i64]) -> (PrimFunc, String) {
+    let mold = mold_for(kernel, size);
+    let names: Vec<String> = mold
+        .space()
+        .params()
+        .iter()
+        .map(|p| p.name().to_string())
+        .collect();
+    let values = tiles
+        .iter()
+        .map(|&t| configspace::ParamValue::Int(t))
+        .collect();
+    let config = configspace::Configuration::new(names, values);
+    assert!(mold.space().validate(&config), "{} / {config}", mold.name());
+    let context = format!("{} / {config}", mold.name());
+    (mold.instantiate(&config), context)
+}
+
+#[test]
+fn level_hoisting_is_not_vacuous_on_the_small_tile_matmuls() {
+    // What fails, by count, when index arithmetic stops leaving the outer
+    // loop levels: at small tiles the `k` loop of every matmul product —
+    // not innermost: it wraps the `j.inner` row — carries a `pre` and
+    // bumps, and so does the tile loop around it. (Drop `try_hoist`'s
+    // "the body writes it once" refusal and the leaf's own bumped
+    // registers move too: seven tests of this file fail.) The scalar rung
+    // is untouched.
+    for (kernel, at_least) in [
+        (KernelName::Gemm, 2),
+        (KernelName::Mm2, 4),
+        (KernelName::Mm3, 6),
+    ] {
+        // Row tiles of 1, column tiles the second smallest the space has.
+        let mold = mold_for(kernel, ProblemSize::Mini);
+        let tiles: Vec<i64> = (mold.space().params().iter().enumerate())
+            .map(|(nth, p)| match p {
+                configspace::Hyperparameter::Ordinal { sequence, .. } => {
+                    sequence[nth % 2].as_int().expect("integer tiles")
+                }
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        let (func, context) = lowered(kernel, ProblemSize::Mini, &tiles);
+        let cf = compile_optimized(&func).expect("optimized compile");
+        assert!(
+            cf.hoisted_loop_count() >= at_least,
+            "{context}: {} loops carry hoisted index arithmetic",
+            cf.hoisted_loop_count()
+        );
+        assert_eq!(compile(&func).expect("compile").hoisted_loop_count(), 0);
+        assert_engines_agree(&func, &mold.init_args(), &context);
+    }
+}
+
+/// Length in bytes of the instruction at the head of `code`: the subset
+/// of x86-64 the emitter writes (legacy and REX prefixes, the one- and
+/// two-byte opcodes of its integer, control and SSE templates, 3-byte VEX
+/// and `vzeroupper`). Panics on anything else, so a new encoding shows.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn instruction_len(code: &[u8]) -> usize {
+    // ModRM, SIB and displacement.
+    let operand = |b: &[u8]| -> usize {
+        let (md, rm) = (b[0] >> 6, b[0] & 7);
+        if md == 3 {
+            return 1;
+        }
+        let sib = (rm == 4) as usize;
+        let absolute = md == 0 && (rm == 5 || (rm == 4 && b[1] & 7 == 5));
+        1 + sib + [4 * absolute as usize, 1, 4][md as usize]
+    };
+    match code[0] {
+        0xC5 => return 3, // vzeroupper
+        0xC4 => {
+            // VEX map 0F / 0F38: opcode, then a register or memory operand.
+            return 4 + operand(&code[4..]);
+        }
+        _ => {}
+    }
+    let mut at = 0;
+    while matches!(code[at], 0x66 | 0xF2 | 0xF3) {
+        at += 1;
+    }
+    let rex_w = code[at] & 0xF8 == 0x48;
+    at += (code[at] & 0xF0 == 0x40) as usize;
+    let op = code[at];
+    at += 1;
+    match op {
+        0x0F => {
+            let op2 = code[at];
+            at += 1;
+            match op2 {
+                0x80..=0x8F => at + 4,                 // jcc rel32
+                0xC6 => at + operand(&code[at..]) + 1, // shufps imm8
+                _ => at + operand(&code[at..]),
+            }
+        }
+        0x50..=0x5F | 0xC3 => at,       // push, pop, ret
+        0xE9 => at + 4,                 // jmp rel32
+        0xB8..=0xBF if rex_w => at + 8, // mov r64, imm64
+        0xC7 | 0x81 => at + operand(&code[at..]) + 4,
+        0x83 => at + operand(&code[at..]) + 1,
+        0x01 | 0x03 | 0x0B | 0x23 | 0x2B | 0x3B | 0x89 | 0x8B | 0x8D | 0xFF => {
+            at + operand(&code[at..])
+        }
+        other => panic!("opcode {other:#04x} is not one the emitter writes"),
+    }
+}
+
+#[test]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn gemm_one_by_two_spends_under_22_instructions_a_k_step() {
+    // gemm-medium {P0: 1, P1: 2}: 5.28 M `k` steps of one two-element
+    // row. On `jit/v5` a step was 48 instructions — nine integer
+    // operations recomputed every step, a scalar loop for the row. Now
+    // the addresses are bumped, the row is one `f64x2` operation and four
+    // steps share one load and store of it: the group's loop — the one
+    // loop inside the `j.outer` loop — is counted here, instruction by
+    // instruction, back-edge target to back-edge. No timing.
+    let (func, context) = lowered(KernelName::Gemm, ProblemSize::Medium, &[1, 2]);
+    let cf = compile_optimized(&func).expect("optimized compile");
+    let jitted = default_backend().jit_compile(&cf).expect("gemm must jit");
+    let code = jitted.jit_code();
+    // Every instruction's offset; the walk must end exactly at the end.
+    let mut starts = Vec::new();
+    let mut at = 0;
+    while at < code.len() {
+        starts.push(at);
+        at += instruction_len(&code[at..]);
+    }
+    assert_eq!(at, code.len(), "{context}: the decode lost its footing");
+    // Back edges: a `jcc rel32` to an earlier instruction.
+    let mut loops: Vec<(usize, usize)> = Vec::new();
+    for &at in &starts {
+        if code[at] == 0x0F && (0x80..=0x8F).contains(&code[at + 1]) {
+            let rel = i32::from_le_bytes(code[at + 2..at + 6].try_into().expect("rel32"));
+            if rel < 0 {
+                let target = (at as i64 + 6 + i64::from(rel)) as usize;
+                assert!(
+                    starts.contains(&target),
+                    "{context}: a jump into an instruction"
+                );
+                loops.push((target, at));
+            }
+        }
+    }
+    // The one loop that sits inside another and holds none: `k`'s, under
+    // `j.outer` (the zeroing and the epilogue nests have a leaf's
+    // countdown under their one plain loop too, but those loops run per
+    // element; `i.outer` is the pool's, in bytecode).
+    let inside = |a: &(usize, usize), b: &(usize, usize)| b.0 <= a.0 && a.1 < b.1;
+    let innermost: Vec<&(usize, usize)> = loops
+        .iter()
+        .filter(|l| loops.iter().any(|o| inside(l, o)) && !loops.iter().any(|o| inside(o, l)))
+        .filter(|l| code[l.1 + 1] == 0x85 && code[l.1 - 4..l.1] == [0x48, 0xFF, 0x0C, 0x24])
+        .collect();
+    let [&(target, back)] = innermost.as_slice() else {
+        panic!(
+            "{context}: one jammed group loop (`dec [rsp]; jnz`), got {innermost:?} of {loops:?}"
+        );
+    };
+    let group = starts.iter().filter(|&&s| target <= s && s <= back).count();
+    // Four `k` steps a group.
+    assert_eq!(group, 71, "{context}: instructions in the group's loop");
+    assert!(group <= 4 * 22);
+}
+
 /// Tests that mutate the process-global worker-pool thread budget
 /// serialize on this lock so they cannot race each other's counter
 /// assertions (bit-identity itself holds at any thread count).
