@@ -2,9 +2,9 @@
 //! AutoTVM strategies and the ytopt Bayesian optimizer alike — against an
 //! evaluator and records the trial history with process-time accounting.
 //!
-//! Four entry points share one round loop (ask → replay the journaled
-//! prefix → prune the live suffix → measure → journal → tell) and differ
-//! only in how a wave of live configurations is measured: [`tune`]
+//! Four entry points share one round loop, [`run_rounds`] (ask → replay the
+//! journaled prefix → prune the live suffix → measure → journal → tell),
+//! and differ only in how a wave of live configurations is measured: [`tune`]
 //! (in-memory only), [`tune_journaled`] (every completed trial written to
 //! an append-only JSONL journal, durable before the tuner is told) and
 //! [`resume_from_journal`] (replay a journal's completed trials through
@@ -14,7 +14,8 @@
 //! [`tune_parallel`] measures the whole round concurrently. Every tuner is
 //! a deterministic function of (seed, observed history), so a
 //! killed-and-resumed run follows the identical remaining trajectory as
-//! an uninterrupted one.
+//! an uninterrupted one. The tuning service's supervised session is a fifth
+//! caller of the same loop, through the three seams [`run_rounds`] documents.
 
 use crate::measure::{
     CacheStats, Evaluator, JitStats, MeasureResult, ParStats, PruneStats, SimdStats,
@@ -26,7 +27,6 @@ use std::path::Path;
 use std::sync::OnceLock;
 use std::time::Instant;
 use tvm_runtime::pool;
-use ytopt_bo::database::{DbRecord, PerformanceDatabase};
 use ytopt_bo::fault::{panic_message, MeasureError};
 use ytopt_bo::journal::{divergence_error, pipeline_mismatch_error, TrialJournal, TrialRecord};
 
@@ -162,21 +162,6 @@ impl TuningResult {
             })
             .collect()
     }
-
-    /// Export into a [`PerformanceDatabase`] (ytopt's `results.csv`).
-    pub fn to_database(&self, problem: &str) -> PerformanceDatabase {
-        let mut db = PerformanceDatabase::new(problem);
-        for t in &self.trials {
-            db.push(DbRecord {
-                index: t.index,
-                config: t.config.clone(),
-                runtime_s: t.runtime_s,
-                error: t.error.clone(),
-                elapsed_s: t.elapsed_s,
-            });
-        }
-        db
-    }
 }
 
 /// Run `tuner` against `evaluator` until the budget is exhausted or the
@@ -188,7 +173,8 @@ impl TuningResult {
 /// CPU time training is charged for it, exactly as in the paper's
 /// "overall autotuning process time".
 pub fn tune(tuner: &mut dyn Tuner, evaluator: &dyn Evaluator, opts: TuneOptions) -> TuningResult {
-    run_rounds(tuner, evaluator, opts, None, 1, &in_place(evaluator))
+    let measure = &mut in_place(evaluator);
+    run_rounds(tuner, evaluator, opts, None, Think::Charged, 1, measure)
         .expect("journal-free tuning cannot do I/O")
 }
 
@@ -202,8 +188,9 @@ pub fn tune_journaled(
     path: impl AsRef<Path>,
 ) -> std::io::Result<TuningResult> {
     let mut journal = TrialJournal::create(path)?;
-    let fresh = (&mut journal, Vec::new());
-    run_rounds(tuner, evaluator, opts, Some(fresh), 1, &in_place(evaluator))
+    let fresh = Some((&mut journal, Vec::new()));
+    let measure = &mut in_place(evaluator);
+    run_rounds(tuner, evaluator, opts, fresh, Think::Charged, 1, measure)
 }
 
 /// Resume a (possibly interrupted) journaled run: replay every completed
@@ -222,8 +209,9 @@ pub fn resume_from_journal(
     path: impl AsRef<Path>,
 ) -> std::io::Result<TuningResult> {
     let (mut journal, replay) = TrialJournal::open_resume(path)?;
-    let tape = (&mut journal, replay);
-    run_rounds(tuner, evaluator, opts, Some(tape), 1, &in_place(evaluator))
+    let tape = Some((&mut journal, replay));
+    let measure = &mut in_place(evaluator);
+    run_rounds(tuner, evaluator, opts, tape, Think::Charged, 1, measure)
 }
 
 /// Like [`tune`], but measure each round's batch **concurrently** on
@@ -260,7 +248,7 @@ pub fn tune_parallel<E: Evaluator + Sync>(
                 )
             })
     };
-    let measure = |wave: &[&Configuration]| -> Vec<MeasureResult> {
+    let mut measure = |wave: &[&Configuration]| -> Vec<MeasureResult> {
         // One slot per configuration: results come back in the wave's
         // order whichever thread measured them.
         let slots: Vec<OnceLock<MeasureResult>> = wave.iter().map(|_| OnceLock::new()).collect();
@@ -276,7 +264,8 @@ pub fn tune_parallel<E: Evaluator + Sync>(
         let filled = slots.into_iter().map(OnceLock::into_inner);
         filled.map(|r| r.expect("every chunk ran")).collect()
     };
-    run_rounds(tuner, evaluator, opts, None, usize::MAX, &measure)
+    let width = usize::MAX;
+    run_rounds(tuner, evaluator, opts, None, Think::Charged, width, &mut measure)
         .expect("journal-free tuning cannot do I/O")
 }
 
@@ -286,35 +275,77 @@ fn in_place(evaluator: &dyn Evaluator) -> impl Fn(&[&Configuration]) -> Vec<Meas
     move |wave| wave.iter().map(|cfg| evaluator.evaluate(cfg)).collect()
 }
 
+/// Seam 1 of [`run_rounds`]: whether the wall clock of the tuner's
+/// `next_batch` / `update` and the evaluator's `prune_batch` is charged to
+/// `elapsed_s`. The four `tune*` entry points charge it (the paper's
+/// "overall autotuning process time"); a service session does not — its
+/// `elapsed_s` steps by exactly `eval_process_s`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Think {
+    /// Think time is part of the process time.
+    Charged,
+    /// Only evaluations are charged.
+    Free,
+}
+
+/// The caller's side of [`run_rounds`]: seams 2 and 3. Any
+/// `FnMut(&[&Configuration]) -> Vec<MeasureResult>` is a caller that
+/// measures every wave and ignores the per-trial callback.
+pub trait Waves {
+    /// Measure one wave of live configurations, one result per
+    /// configuration in order — or decline it with `None`: nothing of that
+    /// wave is measured, journaled or told to the tuner, what is already
+    /// staged is committed, and the loop returns the history so far.
+    fn measure(&mut self, wave: &[&Configuration]) -> Option<Vec<MeasureResult>>;
+
+    /// Called once after each trial is recorded — replayed from the tape
+    /// or measured live and staged — before the next trial's pipeline
+    /// stamp is read, so the caller may switch engines here.
+    fn recorded(&mut self, _trial: &Trial, _replayed: bool) {}
+}
+
+impl<F: FnMut(&[&Configuration]) -> Vec<MeasureResult>> Waves for F {
+    fn measure(&mut self, wave: &[&Configuration]) -> Option<Vec<MeasureResult>> {
+        Some(self(wave))
+    }
+}
+
 /// The round loop. Each round asks the tuner for a batch, satisfies its
 /// prefix from the journal's replayed records while any remain,
 /// statically prunes the live suffix, measures it in waves of up to
-/// `width` configurations through `measure`, journals every live trial,
+/// `width` configurations through `caller`, journals every live trial,
 /// and tells the tuner.
 ///
 /// A wave is the unit of charging: the process is charged the *slowest*
 /// member of a wave (for `width` 1 that is the trial itself). A round is
 /// the unit of durability: the journal is written after each trial and
 /// durable before the tuner is told — one sync per round, immediately
-/// before `update`.
-fn run_rounds(
+/// before `update`, and one on the way out if a wave was declined.
+///
+/// The evaluator's pipeline fingerprint is read per trial, not per run:
+/// a live record is stamped with the fingerprint at the moment it is
+/// staged, a replayed record's stamp is checked against the fingerprint
+/// at that index, and [`Waves::recorded`] runs after either — an evaluator
+/// that changes engines there is replayed through the same changes.
+pub fn run_rounds(
     tuner: &mut dyn Tuner,
     evaluator: &dyn Evaluator,
     opts: TuneOptions,
     journal: Option<(&mut TrialJournal, Vec<TrialRecord>)>,
+    think_time: Think,
     width: usize,
-    measure: &dyn Fn(&[&Configuration]) -> Vec<MeasureResult>,
+    caller: &mut dyn Waves,
 ) -> std::io::Result<TuningResult> {
     let (mut journal, replay) = journal.unzip();
     let replay = replay.unwrap_or_default();
-    let pipeline = evaluator.pipeline_fingerprint();
+    let charged = think_time == Think::Charged;
     let mut trials: Vec<Trial> = Vec::with_capacity(opts.max_evals);
     let mut elapsed = 0.0f64;
     let mut think = 0.0f64;
     let replay_total = replay.len();
     let mut replay = replay.into_iter();
 
-    while trials.len() < opts.max_evals && tuner.has_next() {
+    'rounds: while trials.len() < opts.max_evals && tuner.has_next() {
         // While replaying, `elapsed` is restored from the journal rather
         // than accumulated live, so the resume process's own think time
         // does not distort the trajectory — and the cap must not fire at
@@ -328,7 +359,7 @@ fn run_rounds(
         let batch = tuner.next_batch(want);
         let dt = t0.elapsed().as_secs_f64();
         think += dt;
-        if !replaying {
+        if charged && !replaying {
             elapsed += dt;
         }
         if batch.is_empty() {
@@ -346,6 +377,7 @@ fn run_rounds(
                     &config.key(),
                 ));
             }
+            let pipeline = evaluator.pipeline_fingerprint();
             if rec.pipeline != pipeline {
                 return Err(pipeline_mismatch_error(
                     trials.len(),
@@ -359,7 +391,9 @@ fn run_rounds(
                 process_s: rec.eval_process_s,
                 error: rec.error,
             };
-            trials.push(Trial::new(trials.len(), config, &res, elapsed));
+            let trial = Trial::new(trials.len(), config, &res, elapsed);
+            caller.recorded(&trial, true);
+            trials.push(trial);
             results.push(res);
         }
 
@@ -371,7 +405,9 @@ fn run_rounds(
             // is real work the process did.
             let t0 = Instant::now();
             let mut verdicts = evaluator.prune_batch(live).unwrap_or_default();
-            elapsed += t0.elapsed().as_secs_f64();
+            if charged {
+                elapsed += t0.elapsed().as_secs_f64();
+            }
             verdicts.resize(live.len(), None);
 
             for (wave, denied) in live.chunks(width).zip(verdicts.chunks(width)) {
@@ -380,7 +416,10 @@ fn run_rounds(
                     .zip(denied)
                     .filter_map(|(config, denied)| denied.is_none().then_some(config))
                     .collect();
-                let mut measured = measure(&admitted).into_iter();
+                let Some(measured) = caller.measure(&admitted) else {
+                    break 'rounds;
+                };
+                let mut measured = measured.into_iter();
                 let wave_results: Vec<MeasureResult> = denied
                     .iter()
                     .map(|denied| match denied {
@@ -406,9 +445,10 @@ fn run_rounds(
                             error: trial.error.clone(),
                             eval_process_s: trial.eval_process_s,
                             elapsed_s: trial.elapsed_s,
-                            pipeline: pipeline.clone(),
+                            pipeline: evaluator.pipeline_fingerprint(),
                         })?;
                     }
+                    caller.recorded(&trial, false);
                     trials.push(trial);
                     results.push(res);
                 }
@@ -425,9 +465,14 @@ fn run_rounds(
         tuner.update(&feedback);
         let dt = t1.elapsed().as_secs_f64();
         think += dt;
-        if any_live {
+        if charged && any_live {
             elapsed += dt;
         }
+    }
+    // A declined wave leaves the round's earlier waves staged: the file
+    // and the returned history never disagree.
+    if let Some(journal) = journal {
+        journal.commit()?;
     }
 
     Ok(TuningResult {
@@ -776,7 +821,9 @@ mod tests {
         let (mut journal, replay) = journal;
         let mut t = RandomTuner::new(space(), 42);
         let tape = Some((&mut journal, replay));
-        let res = run_rounds(&mut t, &ev, opts, tape, 1, &in_place(&ev)).expect("journaled run");
+        let measure = &mut in_place(&ev);
+        let res = run_rounds(&mut t, &ev, opts, tape, Think::Charged, 1, measure)
+            .expect("journaled run");
         assert_eq!(res.len(), max_evals);
         (journal.written(), journal.syncs())
     }
@@ -885,6 +932,120 @@ mod tests {
         )
         .expect("same pipeline resumes");
         assert_eq!((resumed.len(), resumed.replayed), (8, 4));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_pipeline_stamp_is_read_per_trial() {
+        /// An engine that is swapped from the per-trial callback after
+        /// trial number `swap_after` — what a demoting ladder does.
+        struct Swapping {
+            space: ConfigSpace,
+            version: std::cell::Cell<&'static str>,
+            swap_after: usize,
+        }
+        impl Evaluator for Swapping {
+            fn space(&self) -> &ConfigSpace {
+                &self.space
+            }
+            fn evaluate(&self, c: &Configuration) -> MeasureResult {
+                MeasureResult::ok(c.int("P0") as f64, 0.5)
+            }
+            fn pipeline_fingerprint(&self) -> Option<String> {
+                Some(self.version.get().to_string())
+            }
+        }
+        impl Waves for &Swapping {
+            fn measure(&mut self, wave: &[&Configuration]) -> Option<Vec<MeasureResult>> {
+                Some(wave.iter().map(|c| self.evaluate(c)).collect())
+            }
+            fn recorded(&mut self, trial: &Trial, _replayed: bool) {
+                if trial.index + 1 == self.swap_after {
+                    self.version.set("engine/v2");
+                }
+            }
+        }
+        let path = tmp("driver-stamps.jsonl");
+        let run = |swap_after: usize, max_evals: usize, resume: bool| {
+            let ev = &Swapping {
+                space: space(),
+                version: std::cell::Cell::new("engine/v1"),
+                swap_after,
+            };
+            let opts = TuneOptions {
+                max_evals,
+                batch: 3,
+                max_process_s: None,
+            };
+            let (mut journal, tape) = if resume {
+                TrialJournal::open_resume(&path).expect("resume")
+            } else {
+                (TrialJournal::create(&path).expect("create"), Vec::new())
+            };
+            let tape = Some((&mut journal, tape));
+            let mut t = RandomTuner::new(space(), 7);
+            run_rounds(&mut t, ev, opts, tape, Think::Charged, 1, &mut &*ev)
+        };
+        let stamps = || -> Vec<String> {
+            let rows = TrialJournal::load(&path).expect("load");
+            rows.into_iter().map(|r| r.pipeline.expect("stamped")).collect()
+        };
+
+        // Swapped after trial 5, in the middle of the second round: rows
+        // 0..5 carry the old stamp, the rest the new one.
+        assert_eq!(run(5, 8, false).expect("live").len(), 8);
+        assert_eq!(stamps()[..5], ["engine/v1"; 5]);
+        assert_eq!(stamps()[5..], ["engine/v2"; 3]);
+        // Replay walks the evaluator through the same swap and goes on.
+        let resumed = run(5, 12, true).expect("same swap resumes");
+        assert_eq!((resumed.len(), resumed.replayed), (12, 8));
+        assert_eq!(stamps()[5..], ["engine/v2"; 7]);
+        // An evaluator that swaps one trial early disagrees with the tape
+        // at exactly that index; one that never swaps, at the first new stamp.
+        for (swap_after, index) in [(4, 4), (usize::MAX, 5)] {
+            let err = run(swap_after, 12, true).expect_err("stamp disagrees");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let at = format!("journal record {index} was measured under pipeline");
+            assert!(err.to_string().contains(&at), "{err}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_declined_wave_commits_what_is_staged_and_ends_the_run() {
+        /// Measures `left` configurations, then declines every wave.
+        struct Declining<'a, E: Evaluator>(&'a E, usize);
+        impl<E: Evaluator> Waves for Declining<'_, E> {
+            fn measure(&mut self, wave: &[&Configuration]) -> Option<Vec<MeasureResult>> {
+                self.1 = self.1.checked_sub(wave.len())?;
+                Some(wave.iter().map(|c| self.0.evaluate(c)).collect())
+            }
+        }
+        let path = tmp("driver-declined.jsonl");
+        let ev = evaluator();
+        let opts = TuneOptions {
+            max_evals: 20,
+            batch: 4,
+            max_process_s: None,
+        };
+        let mut journal = TrialJournal::create(&path).expect("create");
+        let mut t = RandomTuner::new(space(), 42);
+        let fresh = Some((&mut journal, Vec::new()));
+        let caller = &mut Declining(&ev, 6);
+        let cut = run_rounds(&mut t, &ev, opts, fresh, Think::Charged, 1, caller).expect("run");
+        // One whole round and two trials of the next: six rows, two syncs.
+        assert_eq!(cut.len(), 6);
+        assert_eq!((journal.written(), journal.syncs()), (6, 2));
+        assert_eq!(TrialJournal::load(&path).expect("load").len(), 6);
+        // The file is what a resume needs to finish the uninterrupted run.
+        drop(journal);
+        let full = tune(&mut RandomTuner::new(space(), 42), &ev, opts);
+        let resumed = resume_from_journal(&mut RandomTuner::new(space(), 42), &ev, opts, &path)
+            .expect("resume");
+        assert_eq!(resumed.replayed, 6);
+        let keys = |r: &TuningResult| r.trials.iter().map(|t| t.config.key()).collect::<Vec<_>>();
+        assert_eq!(keys(&cut), keys(&full)[..6]);
+        assert_eq!(keys(&resumed), keys(&full));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -21,8 +21,9 @@
 //! accounting (build + transfer + repeated runs), and [`driver::tune`]
 //! runs the one trial loop, charging the tuner's *real* think time plus the
 //! (simulated or real) evaluation cost — the quantity Figures 4–13 of the
-//! paper plot on their time axes. [`record`] persists trials as JSON, the
-//! moral equivalent of AutoTVM's tuning logs.
+//! paper plot on their time axes. The journal `driver::tune_journaled`
+//! writes (`ytopt_bo::journal`) is the one on-disk trial format — AutoTVM's
+//! tuning log and the paper's performance database at once.
 //!
 //! Fault tolerance: [`harness::HarnessedEvaluator`] wraps any evaluator
 //! with panic isolation, wall-clock timeouts and transient-failure retry;
@@ -31,16 +32,14 @@
 //! [`driver::resume_from_journal`] give crash-consistent checkpointing of
 //! tuning runs.
 
-pub mod autoscheduler;
 pub mod driver;
 pub mod harness;
 pub mod measure;
-pub mod record;
 pub mod tuner;
 
-pub use autoscheduler::AutoScheduler;
 pub use driver::{
-    resume_from_journal, tune, tune_journaled, tune_parallel, Trial, TuneOptions, TuningResult,
+    resume_from_journal, run_rounds, tune, tune_journaled, tune_parallel, Think, Trial,
+    TuneOptions, TuningResult, Waves,
 };
 pub use harness::{FaultInjector, FaultPlan, HarnessOptions, HarnessedEvaluator, RetryPolicy};
 pub use measure::{CacheStats, Evaluator, JitStats, MeasureError, MeasureResult, ParStats, SimdStats};

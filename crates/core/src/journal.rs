@@ -57,8 +57,8 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// One journaled trial (superset of the information in
-/// `autotvm::record::TuningRecord`: failures keep their error class).
+/// One journaled trial — a row of the paper's performance database:
+/// failures keep their error class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrialRecord {
     /// 0-based evaluation index within the run.

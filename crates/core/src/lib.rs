@@ -17,12 +17,12 @@
 //!   batch proposals as an extension),
 //! * [`acquisition::Acquisition`] — LCB (the paper's choice), plus EI and
 //!   PI for the ablation benches,
-//! * [`database::PerformanceDatabase`] — every evaluated configuration
-//!   with its runtime, exportable as JSON/CSV (ytopt's `results.csv`),
 //! * [`fault::MeasureError`] — the structured measurement-failure
 //!   taxonomy shared with the AutoTVM measurement pipeline,
-//! * [`journal::TrialJournal`] — crash-consistent per-trial journaling
-//!   behind the driver's `tune_journaled` / `resume_from_journal`,
+//! * [`journal::TrialJournal`] — the performance database: every
+//!   evaluated configuration with its runtime, error class and process
+//!   time, one crash-consistent JSON line per trial, written by the
+//!   driver's `tune_journaled` and replayed by `resume_from_journal`,
 //! * [`problem`] — the evaluator-side counters every layer reports.
 //!
 //! ```
@@ -42,14 +42,12 @@
 //! ```
 
 pub mod acquisition;
-pub mod database;
 pub mod fault;
 pub mod journal;
 pub mod problem;
 pub mod search;
 
 pub use acquisition::Acquisition;
-pub use database::PerformanceDatabase;
 pub use fault::MeasureError;
 pub use journal::{TrialJournal, TrialRecord};
 pub use problem::{CacheStats, JitStats, ParStats, PruneStats, SimdStats, StaticCheckStats};

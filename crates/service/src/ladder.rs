@@ -13,14 +13,20 @@
 //! backend declines a kernel; ladder demotion is the coarser response
 //! to an engine that keeps failing outright.
 //!
+//! The ladder is the [`Evaluator`] a session hands to the one trial loop
+//! (`autotvm::driver::run_rounds`): `evaluate`, `pipeline_fingerprint` and
+//! the counters answer for the rung it is on, and it does not prune in
+//! batch. Its position lives in `Cell`s because the loop holds it shared
+//! while the session's per-trial callback moves it.
+//!
 //! Demotion interacts with crash recovery through the journal's
 //! `pipeline` stamps: each record carries the fingerprint of the rung
 //! that measured it. Replay feeds every record's outcome back through
 //! [`EngineLadder::observe`], so the ladder demotes at exactly the same
-//! trial indices as the original run — and
-//! [`EngineLadder::verify_replay`] cross-checks every record's stamp
-//! against the reconstructed rung, turning any drift into a hard
-//! `InvalidData` error instead of silently mixing engines.
+//! trial indices as the original run — and the loop checks every record's
+//! stamp against the fingerprint of the reconstructed rung, turning any
+//! drift into a hard `InvalidData` error instead of silently mixing
+//! engines.
 
 use crate::job::{EngineKind, JobSpec};
 use autotvm::harness::{FaultInjector, HarnessOptions, HarnessedEvaluator};
@@ -28,6 +34,7 @@ use autotvm::measure::{Evaluator, MeasureResult};
 use configspace::{ConfigSpace, Configuration};
 use gpu_sim::{GpuSpec, SimDevice};
 use polybench::molds::mold_for_mode;
+use std::cell::Cell;
 use std::sync::Arc;
 use tvm_autotune::{MemoCache, MoldEvaluator};
 use tvm_runtime::CpuDevice;
@@ -51,10 +58,10 @@ fn is_engine_failure(kind: &str) -> bool {
 /// Fastest-first stack of engines with automatic demotion.
 pub struct EngineLadder {
     rungs: Vec<Rung>,
-    level: usize,
-    streak: u32,
+    level: Cell<usize>,
+    streak: Cell<u32>,
     demote_after: u32,
-    demotions: u32,
+    demotions: Cell<u32>,
 }
 
 impl EngineLadder {
@@ -64,123 +71,48 @@ impl EngineLadder {
         assert!(!rungs.is_empty(), "ladder needs at least one rung");
         EngineLadder {
             rungs,
-            level: 0,
-            streak: 0,
+            level: Cell::new(0),
+            streak: Cell::new(0),
             demote_after: demote_after.max(1),
-            demotions: 0,
+            demotions: Cell::new(0),
         }
     }
 
     /// Current rung index (0 = fastest).
     pub fn level(&self) -> usize {
-        self.level
+        self.level.get()
     }
 
     /// Current rung's display name.
     pub fn rung_name(&self) -> &str {
-        &self.rungs[self.level].name
+        &self.rungs[self.level()].name
     }
 
     /// Times this ladder has demoted.
     pub fn demotions(&self) -> u32 {
-        self.demotions
+        self.demotions.get()
     }
 
-    /// The tuning space (identical across rungs — same mold).
-    pub fn space(&self) -> &ConfigSpace {
-        self.rungs[0].evaluator.space()
-    }
-
-    /// The current rung's pipeline fingerprint (stamped into journal
-    /// records).
-    pub fn fingerprint(&self) -> Option<String> {
-        self.rungs[self.level].evaluator.pipeline_fingerprint()
-    }
-
-    /// Measure `config` on the current rung.
-    pub fn evaluate(&self, config: &Configuration) -> MeasureResult {
-        self.rungs[self.level].evaluator.evaluate(config)
-    }
-
-    /// Current rung's memo-cache counters.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.rungs[self.level].evaluator.cache_stats()
-    }
-
-    /// Current rung's static-analyzer counters.
-    pub fn static_check_stats(&self) -> Option<StaticCheckStats> {
-        self.rungs[self.level].evaluator.static_check_stats()
-    }
-
-    /// The JIT rung's native-codegen counters, regardless of the rung the
-    /// ladder is currently on (`None` when no rung runs a JIT device) —
-    /// after a demotion the compile work done *before* stepping down is
-    /// still part of the session's story.
-    pub fn jit_stats(&self) -> Option<JitStats> {
-        self.rungs.iter().find_map(|r| r.evaluator.jit_stats())
-    }
-
-    /// Multicore-dispatch counters merged over every rung that runs
-    /// parallel loops on the worker pool (`None` when no rung does).
-    /// Unlike [`Self::jit_stats`] this merges instead of taking the
-    /// first hit: both the JIT rung and the optimized-VM rung dispatch
-    /// to the pool, and after a demotion both have a story to tell.
-    pub fn par_stats(&self) -> Option<ParStats> {
-        let mut merged: Option<ParStats> = None;
-        for r in &self.rungs {
-            if let Some(s) = r.evaluator.par_stats() {
-                merged.get_or_insert_with(ParStats::default).merge(&s);
-            }
-        }
-        merged
-    }
-
-    /// Packed-SIMD emission counters merged over every rung whose
-    /// evaluator runs a vectorizing codegen rung (in practice only the
-    /// JIT rung reports; merging keeps the accounting correct if a
-    /// future rung grows its own vectorizer). Merged like
-    /// [`Self::par_stats`]: after a demotion, vector sites compiled on
-    /// the old rung are still part of the session's story.
-    pub fn simd_stats(&self) -> Option<SimdStats> {
-        let mut merged: Option<SimdStats> = None;
-        for r in &self.rungs {
-            if let Some(s) = r.evaluator.simd_stats() {
-                merged.get_or_insert_with(SimdStats::default).merge(&s);
-            }
-        }
-        merged
-    }
-
-    /// Static-pruning counters merged over every rung whose evaluator
-    /// runs the analyzer pipeline (`None` when none does). Merged like
-    /// [`Self::par_stats`]: after a demotion, candidates denied on the
-    /// old rung are still part of the session's story.
-    pub fn prune_stats(&self) -> Option<PruneStats> {
-        let mut merged: Option<PruneStats> = None;
-        for r in &self.rungs {
-            if let Some(s) = r.evaluator.prune_stats() {
-                merged.get_or_insert_with(PruneStats::default).merge(&s);
-            }
-        }
-        merged
+    fn current(&self) -> &dyn Evaluator {
+        &*self.rungs[self.level()].evaluator
     }
 
     /// Feed one trial's outcome (live or replayed) into the demotion
     /// state machine. Returns `true` when this observation demoted the
     /// ladder. Success resets the streak; engine-failure kinds extend
     /// it; configuration-level failures leave it unchanged.
-    pub fn observe(&mut self, error_kind: Option<&str>) -> bool {
+    pub fn observe(&self, error_kind: Option<&str>) -> bool {
         match error_kind {
             None => {
-                self.streak = 0;
+                self.streak.set(0);
                 false
             }
             Some(kind) if is_engine_failure(kind) => {
-                self.streak += 1;
-                if self.streak >= self.demote_after && self.level + 1 < self.rungs.len() {
-                    self.level += 1;
-                    self.streak = 0;
-                    self.demotions += 1;
+                self.streak.set(self.streak.get() + 1);
+                if self.streak.get() >= self.demote_after && self.level() + 1 < self.rungs.len() {
+                    self.level.set(self.level() + 1);
+                    self.streak.set(0);
+                    self.demotions.set(self.demotions() + 1);
                     true
                 } else {
                     false
@@ -189,23 +121,69 @@ impl EngineLadder {
             Some(_) => false,
         }
     }
+}
 
-    /// Check that a replayed record's pipeline stamp matches the rung the
-    /// reconstructed ladder is on. Call *before* [`EngineLadder::observe`]
-    /// for that record (mirroring the live order: measure, then react).
-    pub fn verify_replay(&self, recorded: &Option<String>) -> Result<(), String> {
-        let current = self.fingerprint();
-        if *recorded == current {
-            Ok(())
-        } else {
-            Err(format!(
-                "journal record measured under pipeline {:?} but the reconstructed ladder is on \
-                 rung {:?} ({:?})",
-                recorded,
-                self.rung_name(),
-                current
-            ))
-        }
+/// One `Option` of counters merged over every rung that reports them.
+fn merged<S: Default>(
+    rungs: &[Rung],
+    stats: impl Fn(&dyn Evaluator) -> Option<S>,
+    merge: impl Fn(&mut S, &S),
+) -> Option<S> {
+    let mut out: Option<S> = None;
+    for s in rungs.iter().filter_map(|r| stats(&*r.evaluator)) {
+        merge(out.get_or_insert_with(S::default), &s);
+    }
+    out
+}
+
+impl Evaluator for EngineLadder {
+    /// The tuning space (identical across rungs — same mold).
+    fn space(&self) -> &ConfigSpace {
+        self.rungs[0].evaluator.space()
+    }
+
+    /// Measure `config` on the current rung.
+    fn evaluate(&self, config: &Configuration) -> MeasureResult {
+        self.current().evaluate(config)
+    }
+
+    /// The current rung's pipeline fingerprint (stamped into journal
+    /// records, checked against them on replay).
+    fn pipeline_fingerprint(&self) -> Option<String> {
+        self.current().pipeline_fingerprint()
+    }
+
+    fn cache_stats(&self) -> Option<CacheStats> {
+        self.current().cache_stats()
+    }
+
+    fn static_check_stats(&self) -> Option<StaticCheckStats> {
+        self.current().static_check_stats()
+    }
+
+    /// The JIT rung's native-codegen counters, regardless of the rung the
+    /// ladder is currently on (`None` when no rung runs a JIT device) —
+    /// after a demotion the compile work done *before* stepping down is
+    /// still part of the session's story.
+    fn jit_stats(&self) -> Option<JitStats> {
+        self.rungs.iter().find_map(|r| r.evaluator.jit_stats())
+    }
+
+    // The three below merge over every rung instead of taking the first
+    // hit: both the JIT rung and the optimized-VM rung dispatch to the
+    // pool, vectorize and prune, and after a demotion both have a story
+    // to tell.
+
+    fn par_stats(&self) -> Option<ParStats> {
+        merged(&self.rungs, |e| e.par_stats(), ParStats::merge)
+    }
+
+    fn simd_stats(&self) -> Option<SimdStats> {
+        merged(&self.rungs, |e| e.simd_stats(), SimdStats::merge)
+    }
+
+    fn prune_stats(&self) -> Option<PruneStats> {
+        merged(&self.rungs, |e| e.prune_stats(), PruneStats::merge)
     }
 }
 
@@ -315,19 +293,19 @@ mod tests {
 
     #[test]
     fn engine_failures_demote_after_streak() {
-        let mut l = two_rung_ladder();
+        let l = two_rung_ladder();
         assert_eq!(l.rung_name(), "fast");
         assert!(!l.observe(Some("build_failed")));
         assert!(l.observe(Some("build_failed")), "second in a row demotes");
         assert_eq!(l.rung_name(), "slow");
         assert_eq!(l.level(), 1);
         assert_eq!(l.demotions(), 1);
-        assert_eq!(l.fingerprint(), Some("slow/v1".into()));
+        assert_eq!(l.pipeline_fingerprint(), Some("slow/v1".into()));
     }
 
     #[test]
     fn success_resets_and_config_failures_do_not_count() {
-        let mut l = two_rung_ladder();
+        let l = two_rung_ladder();
         l.observe(Some("runtime_crash"));
         l.observe(None); // success resets
         l.observe(Some("numeric_mismatch"));
@@ -340,33 +318,12 @@ mod tests {
 
     #[test]
     fn bottom_rung_absorbs_failures() {
-        let mut l = two_rung_ladder();
+        let l = two_rung_ladder();
         for _ in 0..10 {
             l.observe(Some("build_failed"));
         }
         assert_eq!(l.level(), 1, "cannot demote past the last rung");
         assert_eq!(l.demotions(), 1);
-    }
-
-    #[test]
-    fn replay_verification_tracks_demotions() {
-        // Simulated original run: ok, crash, crash(→demote), ok.
-        let stamps = [
-            Some("fast/v1".to_string()),
-            Some("fast/v1".to_string()),
-            Some("fast/v1".to_string()),
-            Some("slow/v1".to_string()),
-        ];
-        let kinds: [Option<&str>; 4] = [None, Some("runtime_crash"), Some("runtime_crash"), None];
-        let mut l = two_rung_ladder();
-        for (stamp, kind) in stamps.iter().zip(kinds) {
-            l.verify_replay(stamp).expect("stamps line up");
-            l.observe(kind);
-        }
-        assert_eq!(l.level(), 1);
-        // A drifted stamp is caught.
-        let mut l = two_rung_ladder();
-        assert!(l.verify_replay(&Some("slow/v1".into())).is_err());
     }
 
     #[test]
@@ -378,9 +335,8 @@ mod tests {
         assert_eq!(l.level(), 0);
         assert_eq!(l.rung_name(), "jit", "native codegen tops the ladder");
         let mut fps = Vec::new();
-        let mut l = l;
         loop {
-            fps.push(l.fingerprint());
+            fps.push(l.pipeline_fingerprint());
             if l.level() + 1 >= 4 {
                 break;
             }
@@ -403,6 +359,6 @@ mod tests {
         let spec = JobSpec::new("t", "lu", "mini");
         let l = build_ladder(&spec, &cache, HarnessOptions::default(), 3).expect("ladder");
         assert_eq!(l.rung_name(), "sim-a100");
-        assert_eq!(l.fingerprint(), None, "analytical device: no pipeline");
+        assert_eq!(l.pipeline_fingerprint(), None, "analytical device: no pipeline");
     }
 }

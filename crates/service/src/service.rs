@@ -34,7 +34,7 @@ use crate::queue::JobQueue;
 use crate::session::{
     now_unix_ms, run_session, SessionCtl, SessionEnd, SessionOptions, SessionReport,
 };
-use autotvm::HarnessOptions;
+use autotvm::{Evaluator, HarnessOptions};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::Write;

@@ -1,18 +1,21 @@
-//! One supervised tuning session: the driver loop of `autotvm::tune`,
-//! extended with the service's control plane — kill/cancel flags,
-//! wall-clock deadlines, per-kernel circuit breakers, engine-ladder
-//! demotion, and journal-backed replay so a killed session resumes with
-//! results identical to an uninterrupted run.
+//! One supervised tuning session: a caller of the one trial loop
+//! (`autotvm::driver::run_rounds`) that puts the service's control plane —
+//! kill/cancel flags, wall-clock deadlines, per-kernel circuit breakers —
+//! in front of every live evaluation and the engine ladder behind every
+//! recorded trial. Journaling, replay and the divergence and pipeline
+//! checks are the loop's, so a killed session resumes with results
+//! identical to an uninterrupted run.
 //!
-//! The replay contract is the driver's, plus one obligation: every
-//! journal record's `pipeline` stamp is verified against the rung the
-//! reconstructed [`EngineLadder`] is on, and every record's outcome is
-//! fed back through [`EngineLadder::observe`] — so demotions happen at
-//! identical trial indices across kill/restart boundaries.
+//! The session adds one obligation to the loop's replay contract: every
+//! record's outcome, replayed or live, is fed back through
+//! [`EngineLadder::observe`] — so demotions happen at identical trial
+//! indices across kill/restart boundaries, and the stamp the loop reads for
+//! the next trial is that of the rung the original run was on.
 
 use crate::breaker::{is_infra_failure, Admission, CircuitBreaker};
 use crate::ladder::EngineLadder;
-use autotvm::measure::MeasureResult;
+use autotvm::driver::{run_rounds, Think, Trial, TuneOptions, Waves};
+use autotvm::measure::{Evaluator, MeasureResult};
 use autotvm::Tuner;
 use configspace::Configuration;
 use serde::{Deserialize, Serialize};
@@ -20,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 use ytopt_bo::fault::MeasureError;
-use ytopt_bo::journal::{divergence_error, TrialJournal, TrialRecord};
+use ytopt_bo::journal::{TrialJournal, TrialRecord};
 use ytopt_bo::problem::{CacheStats, JitStats, ParStats, PruneStats, SimdStats};
 
 /// Milliseconds since the UNIX epoch (deadline arithmetic survives
@@ -46,7 +49,7 @@ pub struct SessionOptions {
 }
 
 /// Shared control flags for a running session.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct SessionCtl {
     /// Tenant-requested cancellation (graceful: session stops before its
     /// next live evaluation and reports `Cancelled`).
@@ -63,17 +66,7 @@ pub struct SessionCtl {
 impl SessionCtl {
     /// Control block with fresh flags and no breaker.
     pub fn new() -> SessionCtl {
-        SessionCtl {
-            cancel: Arc::new(AtomicBool::new(false)),
-            kill: Arc::new(AtomicBool::new(false)),
-            breaker: None,
-        }
-    }
-}
-
-impl Default for SessionCtl {
-    fn default() -> Self {
-        SessionCtl::new()
+        SessionCtl::default()
     }
 }
 
@@ -167,64 +160,95 @@ impl SessionReport {
     }
 }
 
-/// Why the measure loop stopped before the budget.
-enum Stop {
-    Killed,
-    Cancelled,
-    Deadline,
+/// The session's side of the trial loop: the control plane in front of
+/// every live evaluation, and the ladder behind every recorded trial.
+struct Supervised<'a> {
+    ladder: &'a EngineLadder,
+    opts: SessionOptions,
+    ctl: &'a SessionCtl,
+    end: SessionEnd,
+    /// Wall-clock seconds of the evaluation `recorded` has not seen yet.
+    wall_s: f64,
+    /// Per trial: the rung that measured it, replayed or not, wall-clock.
+    seen: Vec<(String, bool, f64)>,
 }
 
-fn control_check(ctl: &SessionCtl, opts: &SessionOptions, live: bool) -> Option<Stop> {
-    if ctl.kill.load(Ordering::Relaxed) {
-        return Some(Stop::Killed);
-    }
-    if !live {
-        // Replay is cheap and must run to completion so the in-memory
-        // state (tuner, ladder) is fully reconstructed before any
-        // graceful exit is journaled.
-        return None;
-    }
-    if ctl.cancel.load(Ordering::Relaxed) {
-        return Some(Stop::Cancelled);
-    }
-    if let Some(deadline) = opts.deadline_unix_ms {
-        if now_unix_ms() >= deadline {
-            return Some(Stop::Deadline);
+impl Supervised<'_> {
+    /// `Err` with the flag, if any, that stops the session before its next
+    /// live evaluation.
+    fn check_control(&self) -> Result<(), SessionEnd> {
+        let expired = |deadline| now_unix_ms() >= deadline;
+        if self.ctl.kill.load(Ordering::Relaxed) {
+            Err(SessionEnd::Interrupted)
+        } else if self.ctl.cancel.load(Ordering::Relaxed) {
+            Err(SessionEnd::Cancelled)
+        } else if self.opts.deadline_unix_ms.is_some_and(expired) {
+            Err(SessionEnd::DeadlineExceeded)
+        } else {
+            Ok(())
         }
     }
-    None
-}
 
-/// Wait out an open breaker without going deaf to the control plane.
-/// Returns the admission verdict, or a stop if one fired while waiting.
-fn acquire_breaker(
-    breaker: &CircuitBreaker,
-    ctl: &SessionCtl,
-    opts: &SessionOptions,
-) -> Result<bool, Stop> {
-    loop {
-        match breaker.try_acquire() {
-            Admission::Proceed => return Ok(false),
-            Admission::Probe => return Ok(true),
-            Admission::Wait(d) => {
-                if let Some(stop) = control_check(ctl, opts, true) {
-                    return Err(stop);
+    /// Wait out an open breaker without going deaf to the control plane:
+    /// whether the admission is a probe, or the stop that fired meanwhile.
+    fn admit(&self, breaker: &CircuitBreaker) -> Result<bool, SessionEnd> {
+        loop {
+            match breaker.try_acquire() {
+                Admission::Proceed => return Ok(false),
+                Admission::Probe => return Ok(true),
+                Admission::Wait(d) => {
+                    self.check_control()?;
+                    std::thread::sleep(d.min(Duration::from_millis(5)));
                 }
-                std::thread::sleep(d.min(Duration::from_millis(5)));
             }
         }
     }
+
+    /// One live evaluation on the current rung, or the reason not to.
+    fn measure_one(&mut self, config: &Configuration) -> Result<MeasureResult, SessionEnd> {
+        self.check_control()?;
+        let breaker = self.ctl.breaker.as_deref();
+        let probe = breaker.map(|b| self.admit(b)).transpose()?;
+        let t0 = Instant::now();
+        let res = self.ladder.evaluate(config);
+        self.wall_s = t0.elapsed().as_secs_f64();
+        if let (Some(b), Some(probe)) = (breaker, probe) {
+            let infra = res.error.as_ref().is_some_and(|e| is_infra_failure(e.kind()));
+            b.record(infra, probe);
+        }
+        Ok(res)
+    }
 }
 
-/// Run (or resume) one session to a terminal state.
+impl Waves for Supervised<'_> {
+    fn measure(&mut self, wave: &[&Configuration]) -> Option<Vec<MeasureResult>> {
+        let measured: Result<Vec<MeasureResult>, SessionEnd> =
+            wave.iter().map(|config| self.measure_one(config)).collect();
+        measured.map_err(|stop| self.end = stop).ok()
+    }
+
+    /// The journal line carries the rung that measured it; only then may
+    /// the ladder demote for the *next* trial.
+    fn recorded(&mut self, trial: &Trial, replayed: bool) {
+        let engine = self.ladder.rung_name().to_string();
+        self.seen.push((engine, replayed, std::mem::take(&mut self.wall_s)));
+        self.ladder.observe(trial.error.as_ref().map(|e| e.kind()));
+    }
+}
+
+/// Run (or resume) one session to a terminal state: the one trial loop
+/// (`autotvm::driver::run_rounds`, DESIGN §5a) over the ladder, one trial
+/// to a wave, think time not charged, with the control plane deciding
+/// before each live evaluation whether it happens.
 ///
 /// `replay` is the journal's existing tape (empty for fresh sessions);
 /// `journal` receives every *live* trial: written after each trial,
-/// durable before the tuner is told — one sync per wave, and one on every
+/// durable before the tuner is told — one sync per round, and one on every
 /// exit that returns a report, so `trials` and the file never disagree.
-/// On `SessionEnd::Interrupted` the returned report reflects the work
-/// done so far and the journal on disk is exactly what a restarted server
-/// needs to finish the session.
+/// Replay writes nothing and is never cut short; a kill is seen at the
+/// first live evaluation. On `SessionEnd::Interrupted` the returned report
+/// reflects the work done so far and the journal on disk is exactly what a
+/// restarted server needs to finish the session.
 pub fn run_session(
     tuner: &mut dyn Tuner,
     ladder: &mut EngineLadder,
@@ -233,156 +257,63 @@ pub fn run_session(
     opts: SessionOptions,
     ctl: &SessionCtl,
 ) -> std::io::Result<SessionReport> {
-    let mut trials: Vec<SessionTrial> = Vec::with_capacity(opts.max_evals);
-    let mut elapsed = 0.0f64;
-    let mut replay = replay.into_iter();
-    let mut replayed = 0usize;
-    let mut end = SessionEnd::Completed;
+    let ladder = &*ladder;
+    let mut session = Supervised {
+        ladder,
+        opts,
+        ctl,
+        end: SessionEnd::Completed,
+        wall_s: 0.0,
+        seen: Vec::with_capacity(opts.max_evals),
+    };
+    let budget = TuneOptions {
+        max_evals: opts.max_evals,
+        batch: opts.batch,
+        max_process_s: None,
+    };
+    let tape = Some((journal, replay));
+    let result = run_rounds(tuner, ladder, budget, tape, Think::Free, 1, &mut session)?;
 
-    'rounds: while trials.len() < opts.max_evals && tuner.has_next() {
-        let want = opts.batch.min(opts.max_evals - trials.len());
-        let batch = tuner.next_batch(want);
-        if batch.is_empty() {
-            break;
-        }
-        let mut results: Vec<(Configuration, MeasureResult)> = Vec::with_capacity(batch.len());
-        for config in batch {
-            let (res, live) = match replay.next() {
-                Some(rec) => {
-                    if rec.config.key() != config.key() {
-                        return Err(divergence_error(
-                            trials.len(),
-                            &rec.config.key(),
-                            &config.key(),
-                        ));
-                    }
-                    ladder
-                        .verify_replay(&rec.pipeline)
-                        .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidData, msg))?;
-                    if let Some(stop) = control_check(ctl, &opts, false) {
-                        end = stop_to_end(stop);
-                        break 'rounds;
-                    }
-                    replayed += 1;
-                    elapsed = rec.elapsed_s;
-                    (
-                        MeasureResult {
-                            runtime_s: rec.runtime_s,
-                            process_s: rec.eval_process_s,
-                            error: rec.error,
-                        },
-                        false,
-                    )
-                }
-                None => {
-                    if let Some(stop) = control_check(ctl, &opts, true) {
-                        end = stop_to_end(stop);
-                        break 'rounds;
-                    }
-                    let probe = match ctl.breaker.as_deref() {
-                        Some(b) => match acquire_breaker(b, ctl, &opts) {
-                            Ok(probe) => probe,
-                            Err(stop) => {
-                                end = stop_to_end(stop);
-                                break 'rounds;
-                            }
-                        },
-                        None => false,
-                    };
-                    let t0 = Instant::now();
-                    let res = ladder.evaluate(&config);
-                    let wall = t0.elapsed().as_secs_f64();
-                    if let Some(b) = ctl.breaker.as_deref() {
-                        let infra = res
-                            .error
-                            .as_ref()
-                            .map(|e| is_infra_failure(e.kind()))
-                            .unwrap_or(false);
-                        b.record(infra, probe);
-                    }
-                    elapsed += res.process_s;
-                    // Write before reacting: the journal line carries
-                    // the rung that measured it, then the ladder may
-                    // demote for the *next* trial.
-                    journal.stage(&TrialRecord {
-                        index: trials.len(),
-                        config: config.clone(),
-                        runtime_s: res.runtime_s,
-                        error: res.error.clone(),
-                        eval_process_s: res.process_s,
-                        elapsed_s: elapsed,
-                        pipeline: ladder.fingerprint(),
-                    })?;
-                    trials.push(SessionTrial {
-                        index: trials.len(),
-                        config: config.clone(),
-                        runtime_s: res.runtime_s,
-                        error: res.error.clone(),
-                        eval_process_s: res.process_s,
-                        elapsed_s: elapsed,
-                        engine: ladder.rung_name().to_string(),
-                        replayed: false,
-                        wall_s: wall,
-                    });
-                    ladder.observe(res.error.as_ref().map(|e| e.kind()));
-                    results.push((config, res));
-                    continue;
-                }
-            };
-            debug_assert!(!live);
-            trials.push(SessionTrial {
-                index: trials.len(),
-                config: config.clone(),
-                runtime_s: res.runtime_s,
-                error: res.error.clone(),
-                eval_process_s: res.process_s,
-                elapsed_s: elapsed,
-                engine: ladder.rung_name().to_string(),
-                replayed: true,
-                wall_s: 0.0,
-            });
-            ladder.observe(res.error.as_ref().map(|e| e.kind()));
-            results.push((config, res));
-        }
-        journal.commit()?;
-        tuner.update(&results);
-    }
-    // A wave cut short (kill, cancel, deadline) is still in the report.
-    journal.commit()?;
-
+    let trials = result.trials.into_iter().zip(session.seen);
     Ok(SessionReport {
-        tuner: tuner.name().to_string(),
-        end,
-        replayed,
-        total_process_s: elapsed,
+        tuner: result.tuner,
+        end: session.end,
+        replayed: result.replayed,
+        total_process_s: result.total_process_s,
         demotions: ladder.demotions(),
         final_engine: ladder.rung_name().to_string(),
-        cache: ladder.cache_stats(),
-        jit: ladder.jit_stats(),
-        par: ladder.par_stats(),
-        simd: ladder.simd_stats(),
-        prune: ladder.prune_stats(),
-        trials,
+        cache: result.cache,
+        jit: result.jit,
+        par: result.par,
+        simd: result.simd,
+        prune: result.prune,
+        trials: trials
+            .map(|(t, (engine, replayed, wall_s))| SessionTrial {
+                index: t.index,
+                config: t.config,
+                runtime_s: t.runtime_s,
+                error: t.error,
+                eval_process_s: t.eval_process_s,
+                elapsed_s: t.elapsed_s,
+                engine,
+                replayed,
+                wall_s,
+            })
+            .collect(),
     })
-}
-
-fn stop_to_end(stop: Stop) -> SessionEnd {
-    match stop {
-        Stop::Killed => SessionEnd::Interrupted,
-        Stop::Cancelled => SessionEnd::Cancelled,
-        Stop::Deadline => SessionEnd::DeadlineExceeded,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::breaker::BreakerConfig;
+    use crate::job::TunerKind;
     use crate::ladder::Rung;
-    use autotvm::measure::{Evaluator, FnEvaluator};
+    use autotvm::measure::FnEvaluator;
     use autotvm::RandomTuner;
     use configspace::{ConfigSpace, Hyperparameter};
     use std::path::PathBuf;
+    use std::sync::atomic::AtomicUsize;
 
     fn space() -> ConfigSpace {
         let mut cs = ConfigSpace::new();
@@ -419,44 +350,183 @@ mod tests {
         }
     }
 
-    #[test]
-    fn completes_and_matches_the_driver_trajectory() {
-        let path = tmp("complete.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let mut tuner = RandomTuner::new(space(), 9);
-        let mut ladder = ok_ladder();
-        let mut journal = TrialJournal::create(&path).expect("journal");
-        let ctl = SessionCtl::new();
-        let report = run_session(
-            &mut tuner,
-            &mut ladder,
-            &mut journal,
-            Vec::new(),
-            opts(12),
-            &ctl,
-        )
-        .expect("session");
-        assert_eq!(report.end, SessionEnd::Completed);
-        assert_eq!(report.trials.len(), 12);
-        assert_eq!(report.replayed, 0);
+    /// Two knobs, crashes and timeouts on some cells, a process time that
+    /// depends on the configuration.
+    fn grid_space() -> ConfigSpace {
+        let mut cs = ConfigSpace::new();
+        for knob in ["P0", "P1"] {
+            cs.add(Hyperparameter::ordinal_ints(
+                knob,
+                &(1..=12).collect::<Vec<i64>>(),
+            ));
+        }
+        cs
+    }
 
-        // The driver over the same seed/evaluator proposes identically.
-        let ev = FnEvaluator::new(space(), |c| MeasureResult::ok(c.int("P0") as f64, 0.5));
-        let mut reference = RandomTuner::new(space(), 9);
-        let expected = autotvm::tune(
-            &mut reference,
-            &ev,
-            autotvm::TuneOptions {
-                max_evals: 12,
-                batch: 4,
+    fn grid_cell(c: &Configuration) -> MeasureResult {
+        let (a, b) = (c.int("P0"), c.int("P1"));
+        if (a + 2 * b) % 7 == 0 {
+            MeasureResult::fail(MeasureError::RuntimeCrash("bad cell".into()), 0.0625)
+        } else if (a * b) % 11 == 0 {
+            let limit_s = 2.0;
+            let message = None;
+            MeasureResult::fail(MeasureError::Timeout { limit_s, message }, 2.0)
+        } else {
+            let runtime = ((a - 7).pow(2) + (b - 3).pow(2)) as f64 * 0.125 + 1.0;
+            MeasureResult::ok(runtime, 0.25 + a as f64 * 0.03125)
+        }
+    }
+
+    /// A session over `path` on a one-rung ladder of `grid_cell` whose kill
+    /// flag flips during live evaluation number `kill_at` (0: before any).
+    fn grid_session(
+        kind: TunerKind,
+        seed: u64,
+        o: SessionOptions,
+        path: &std::path::Path,
+        resume: bool,
+        kill_at: Option<usize>,
+    ) -> SessionReport {
+        let ctl = SessionCtl::new();
+        ctl.kill.store(kill_at == Some(0), Ordering::Relaxed);
+        let (kill, count) = (Arc::clone(&ctl.kill), AtomicUsize::new(0));
+        let evaluator = FnEvaluator::new(grid_space(), move |c| {
+            if Some(count.fetch_add(1, Ordering::SeqCst) + 1) == kill_at {
+                kill.store(true, Ordering::Relaxed);
+            }
+            grid_cell(c)
+        });
+        let name = "toy".into();
+        let evaluator = Box::new(evaluator);
+        let mut ladder = EngineLadder::new(vec![Rung { name, evaluator }], 3);
+        let (mut journal, tape) = if resume {
+            TrialJournal::open_resume(path).expect("resume")
+        } else {
+            (TrialJournal::create(path).expect("journal"), Vec::new())
+        };
+        let mut tuner = kind.build(grid_space(), seed);
+        run_session(tuner.as_mut(), &mut ladder, &mut journal, tape, o, &ctl).expect("session")
+    }
+
+    /// The rows of the journal at `path` with `elapsed_s` taken out.
+    fn rows(path: &std::path::Path) -> (Vec<TrialRecord>, Vec<f64>) {
+        let mut rows = TrialJournal::load(path).expect("load");
+        let elapsed = rows
+            .iter_mut()
+            .map(|r| std::mem::take(&mut r.elapsed_s))
+            .collect();
+        (rows, elapsed)
+    }
+
+    #[test]
+    fn a_killed_and_resumed_session_writes_the_journal_the_driver_writes() {
+        const KINDS: [TunerKind; 5] = [
+            TunerKind::Random,
+            TunerKind::GridSearch,
+            TunerKind::Ga,
+            TunerKind::Xgb,
+            TunerKind::Ytopt,
+        ];
+        let (session_path, driver_path) = (tmp("equals-session.jsonl"), tmp("equals-driver.jsonl"));
+        // splitmix64: the cases are random, and the same on every run.
+        let mut state = 0x2023u64;
+        let mut draw = |lo: usize, hi: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            lo + ((z ^ (z >> 31)) % (hi - lo + 1) as u64) as usize
+        };
+        for case in 0..20 {
+            let kind = KINDS[case % 5];
+            let (seed, batch, budget) = (draw(0, 999) as u64, draw(1, 8), draw(6, 28));
+            let kill_at = draw(0, budget);
+            let what = format!("{kind:?} seed {seed} batch {batch} budget {budget} kill {kill_at}");
+
+            // The driver: uninterrupted, then cut back to `kill_at` rows —
+            // what a crash there leaves — and resumed.
+            let ev = FnEvaluator::new(grid_space(), grid_cell);
+            let tune_opts = TuneOptions {
+                max_evals: budget,
+                batch,
                 max_process_s: None,
-            },
-        );
-        let keys: Vec<String> = report.trials.iter().map(|t| t.config.key()).collect();
-        let want: Vec<String> = expected.trials.iter().map(|t| t.config.key()).collect();
-        assert_eq!(keys, want);
-        assert_eq!(TrialJournal::load(&path).expect("load").len(), 12);
+            };
+            let tuner = || kind.build(grid_space(), seed);
+            let full = autotvm::tune_journaled(tuner().as_mut(), &ev, tune_opts, &driver_path)
+                .expect("driver");
+            let (reference, charged) = rows(&driver_path);
+            assert_eq!(reference.len(), full.len(), "{what}");
+            let text = std::fs::read_to_string(&driver_path).expect("read");
+            let kept: String = text.split_inclusive('\n').take(kill_at).collect();
+            std::fs::write(&driver_path, kept).expect("cut");
+            let resumed =
+                autotvm::resume_from_journal(tuner().as_mut(), &ev, tune_opts, &driver_path)
+                    .expect("driver resume");
+            assert_eq!(resumed.replayed, kill_at.min(full.len()), "{what}");
+            assert_eq!(rows(&driver_path).0, reference, "{what}: driver resume");
+
+            // The session: killed during evaluation `kill_at`, resumed.
+            let o = SessionOptions {
+                max_evals: budget,
+                batch,
+                deadline_unix_ms: None,
+            };
+            let killed = grid_session(kind, seed, o, &session_path, false, Some(kill_at));
+            if kill_at < full.len() {
+                assert_eq!(killed.end, SessionEnd::Interrupted, "{what}");
+                assert_eq!(killed.trials.len(), kill_at, "{what}");
+            }
+            let done = grid_session(kind, seed, o, &session_path, true, None);
+            assert_eq!(done.end, SessionEnd::Completed, "{what}");
+            assert_eq!(done.replayed, killed.trials.len(), "{what}");
+
+            // Same keys, runtimes, errors, process times and stamps; the
+            // session's clock is the think-free sum, the driver's adds
+            // think time to it.
+            let (session_rows, free) = rows(&session_path);
+            assert_eq!(session_rows, reference, "{what}");
+            let mut sum = 0.0;
+            for (i, row) in reference.iter().enumerate() {
+                sum += row.eval_process_s;
+                assert_eq!(free[i], sum, "{what}: trial {i}");
+                assert_eq!(done.trials[i].elapsed_s, sum, "{what}: trial {i}");
+                assert!(charged[i] >= sum, "{what}: trial {i}");
+            }
+            assert_eq!(done.total_process_s, sum, "{what}");
+        }
+        let _ = std::fs::remove_file(&session_path);
+        let _ = std::fs::remove_file(&driver_path);
+    }
+
+    #[test]
+    fn a_kill_set_before_a_resume_interrupts_without_touching_the_journal() {
+        let (path, ref_path) = (tmp("kill-first.jsonl"), tmp("kill-first-ref.jsonl"));
+        let (kind, seed, o) = (TunerKind::Random, 4, opts(20));
+        let reference = grid_session(kind, seed, o, &ref_path, false, None);
+        assert_eq!(reference.trials.len(), 20);
+        // Seven rows on disk: one whole wave and three trials of the next.
+        let killed = grid_session(kind, seed, o, &path, false, Some(7));
+        assert_eq!(killed.trials.len(), 7);
+        let before = std::fs::read(&path).expect("read");
+
+        // Replay writes nothing and is not cut short; the kill is seen at
+        // the first live evaluation.
+        let again = grid_session(kind, seed, o, &path, true, Some(0));
+        assert_eq!(again.end, SessionEnd::Interrupted);
+        assert_eq!((again.replayed, again.trials.len()), (7, 7));
+        assert!(std::fs::read(&path).expect("read") == before, "journal touched");
+
+        let done = grid_session(kind, seed, o, &path, true, None);
+        assert_eq!((done.end, done.replayed), (SessionEnd::Completed, 7));
+        let identity = |r: &SessionReport| -> Vec<(String, Option<f64>, Option<&str>, f64)> {
+            let kind = |t: &SessionTrial| t.error.as_ref().map(|e| e.kind());
+            let row = |t: &SessionTrial| (t.config.key(), t.runtime_s, kind(t), t.elapsed_s);
+            r.trials.iter().map(row).collect()
+        };
+        assert_eq!(identity(&done), identity(&reference));
+        let whole = std::fs::read(&ref_path).expect("read");
+        assert!(std::fs::read(&path).expect("read") == whole, "journals differ");
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&ref_path);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Everything here is watchdog-bounded: a deadlock or livelock fails the
 //! test instead of hanging CI.
 
-use autotvm::{FaultPlan, HarnessOptions};
+use autotvm::{Evaluator, FaultPlan, HarnessOptions};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;

@@ -1,5 +1,7 @@
 //! Autotune LU end to end with the BO framework (`YtoptTuner` through the
-//! one trial loop, one evaluation at a time as ytopt does), exporting the performance database exactly like ytopt's `results.csv`.
+//! one trial loop, one evaluation at a time as ytopt does), journaling every
+//! trial: the journal is the performance database ytopt keeps as
+//! `results.csv`.
 //!
 //! Run: `cargo run --release --example autotune_lu -- [size] [max_evals]`
 //! (size: large | extralarge; default large, 100 evaluations)
@@ -22,7 +24,10 @@ fn main() {
     let device = SimDevice::new(GpuSpec::swing_cpu_core());
     let evaluator = MoldEvaluator::simulated(mold, device);
 
-    let result = tune(
+    let dir = std::env::temp_dir().join("tvm-autotune");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let journal = dir.join(format!("{}.jsonl", evaluator.workload()));
+    let result = tune_journaled(
         &mut YtoptTuner::new(evaluator.space().clone(), 0),
         &evaluator,
         TuneOptions {
@@ -30,7 +35,9 @@ fn main() {
             batch: 1,
             max_process_s: None,
         },
-    );
+        &journal,
+    )
+    .expect("journaled run");
 
     // Convergence curve (every time the incumbent improves).
     let mut best = f64::INFINITY;
@@ -58,17 +65,9 @@ fn main() {
         result.total_process_s
     );
 
-    // Persist the performance database (ytopt writes results.csv).
-    let db = result.to_database(&evaluator.workload());
-    let dir = std::env::temp_dir().join("tvm-autotune");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let csv = dir.join("results.csv");
-    let json = dir.join("results.json");
-    db.save_csv(&csv).expect("csv");
-    db.save_json(&json).expect("json");
     println!(
-        "performance database written to {} and {}",
-        csv.display(),
-        json.display()
+        "performance database: {} ({} trials, one JSON line each)",
+        journal.display(),
+        TrialJournal::load(&journal).expect("load").len()
     );
 }

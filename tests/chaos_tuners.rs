@@ -8,7 +8,6 @@
 //! always come from a successful trial.
 
 use tvm_autotune::autotvm::measure::FnEvaluator;
-use tvm_autotune::autotvm::record::{pick_best, TuningRecord};
 use tvm_autotune::autotvm::XgbTuner;
 use tvm_autotune::prelude::*;
 
@@ -127,15 +126,34 @@ fn heavy_chaos_still_completes_and_best_is_successful() {
     }
 }
 
+/// The best read back from a journal of a half-failed run is a trial that
+/// succeeded, and the journal kept every failure's class.
 #[test]
 fn pick_best_never_returns_a_failed_trial() {
-    for r in run_all(0.5, 4, 60) {
-        let records = TuningRecord::from_result("chaos", &r);
-        assert_eq!(records.len(), r.len());
-        let best = pick_best(&records, "chaos").expect("some trial succeeded");
+    let path = std::env::temp_dir().join(format!("chaos-best-{}.jsonl", std::process::id()));
+    let opts = TuneOptions {
+        max_evals: 60,
+        batch: 8,
+        max_process_s: None,
+    };
+    let ev = chaotic_evaluator(0.5, 4);
+    for i in 0..5 {
+        let fresh = || tuners(4).swap_remove(i);
+        let live = tune_journaled(fresh().as_mut(), &ev, opts, &path).expect("journaled run");
+        let rows = TrialJournal::load(&path).expect("load");
+        assert_eq!(rows.len(), live.len());
+        let failed = rows.iter().filter(|r| r.runtime_s.is_none());
+        assert_eq!(failed.clone().count(), live.failed());
+        assert!(failed.clone().all(|r| r.error.is_some()), "{}", live.tuner);
+
+        let back = resume_from_journal(fresh().as_mut(), &ev, opts, &path).expect("read back");
+        assert_eq!(back.replayed, live.len(), "{}: nothing re-measured", live.tuner);
+        let best = back.best().expect("some trial succeeded");
         assert!(best.runtime_s.is_some());
         assert!(best.error.is_none());
+        assert_eq!(best.index, live.best().expect("best").index);
     }
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The issue's acceptance run: seeded end-to-end tuning with 20% injected

@@ -1,86 +1,71 @@
-//! Integration: persistence of tuning results (AutoTVM-style JSON-lines
-//! records and the ytopt-style performance database) round-tripped
-//! through real tuning runs.
+//! Integration: the performance database is the trial journal. A real
+//! tuning run written by `tune_journaled` is read back by
+//! `TrialJournal::load` and queried through `TuningResult::best()`.
 
-use tvm_autotune::autotvm::record::{load, pick_best, save, TuningRecord};
-use tvm_autotune::bo::PerformanceDatabase;
 use tvm_autotune::prelude::*;
 
-fn tmpdir() -> std::path::PathBuf {
+fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tvm-autotune-it-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
+    dir.join(name)
+}
+
+fn evaluator(kernel: KernelName) -> MoldEvaluator {
+    let mold = mold_for(kernel, ProblemSize::Large);
+    MoldEvaluator::simulated(mold, SimDevice::new(GpuSpec::swing_cpu_core()))
+}
+
+fn opts(max_evals: usize) -> TuneOptions {
+    TuneOptions {
+        max_evals,
+        batch: 1,
+        max_process_s: None,
+    }
 }
 
 #[test]
-fn autotvm_records_roundtrip_real_run() {
-    let mold = mold_for(KernelName::Cholesky, ProblemSize::Large);
-    let ev = MoldEvaluator::simulated(mold, SimDevice::new(GpuSpec::swing_cpu_core()));
-    let workload = ev.workload();
-    let mut tuner = YtoptTuner::new(ev.space().clone(), 9);
-    let res = tune(
-        &mut tuner,
-        &ev,
-        TuneOptions {
-            max_evals: 12,
-            batch: 1,
-            max_process_s: None,
-        },
-    );
+fn journal_rows_are_the_trials_of_a_real_run() {
+    let ev = evaluator(KernelName::Lu);
+    let path = tmp("lu.jsonl");
+    let tuner = || YtoptTuner::new(ev.space().clone(), 0);
+    let res = tune_journaled(&mut tuner(), &ev, opts(10), &path).expect("journaled run");
 
-    let recs = TuningRecord::from_result(&workload, &res);
-    assert_eq!(recs.len(), 12);
-
-    let path = tmpdir().join("records.jsonl");
+    let rows = TrialJournal::load(&path).expect("load");
+    assert_eq!(rows.len(), 10, "one row per evaluation");
+    for (row, t) in rows.iter().zip(&res.trials) {
+        assert_eq!(
+            (row.index, &row.config, row.runtime_s, &row.error),
+            (t.index, &t.config, t.runtime_s, &t.error)
+        );
+        assert_eq!(
+            (row.eval_process_s, row.elapsed_s),
+            (t.eval_process_s, t.elapsed_s)
+        );
+    }
+    let text = std::fs::read_to_string(&path).expect("read");
+    assert_eq!(text.lines().count(), 10, "one JSON line per row");
+    assert!(text.lines().all(|l| l.contains("\"P0\"") && l.contains("\"P1\"")));
     let _ = std::fs::remove_file(&path);
-    save(&path, &recs).expect("save");
-    let back = load(&path).expect("load");
-    assert_eq!(back, recs);
+}
 
-    let best = pick_best(&back, &workload).expect("best");
+#[test]
+fn best_queried_from_the_journal_agrees_with_the_live_run() {
+    let ev = evaluator(KernelName::Cholesky);
+    let path = tmp("cholesky.jsonl");
+    let tuner = || YtoptTuner::new(ev.space().clone(), 9);
+    let res = tune_journaled(&mut tuner(), &ev, opts(12), &path).expect("journaled run");
+
+    // The same budget over the finished journal measures nothing: the
+    // history, and so the best, is read from the file.
+    let back = resume_from_journal(&mut tuner(), &ev, opts(12), &path).expect("read back");
+    assert_eq!((back.len(), back.replayed), (12, 12));
+    let (best, live) = (back.best().expect("best"), res.best().expect("ran"));
     assert_eq!(
-        best.runtime_s,
-        res.best().expect("ran").runtime_s,
-        "picked best must agree with the in-memory result"
+        (best.index, best.runtime_s),
+        (live.index, live.runtime_s),
+        "the journal's best must agree with the in-memory result"
     );
     // The best configuration must still be valid in the space.
     assert!(ev.space().validate(&best.config));
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn performance_database_roundtrip_real_run() {
-    let mold = mold_for(KernelName::Lu, ProblemSize::Large);
-    let ev = MoldEvaluator::simulated(mold, SimDevice::new(GpuSpec::swing_cpu_core()));
-    let res = tune(
-        &mut YtoptTuner::new(ev.space().clone(), 0),
-        &ev,
-        TuneOptions {
-            max_evals: 10,
-            batch: 1,
-            max_process_s: None,
-        },
-    );
-    let db = res.to_database("lu-large");
-    assert_eq!(db.len(), 10);
-
-    let dir = tmpdir();
-    let jpath = dir.join("db.json");
-    let cpath = dir.join("results.csv");
-    db.save_json(&jpath).expect("json");
-    db.save_csv(&cpath).expect("csv");
-
-    let back = PerformanceDatabase::load_json(&jpath).expect("load");
-    assert_eq!(back.records, db.records);
-    assert_eq!(
-        back.best().expect("best").runtime_s,
-        db.best().expect("best").runtime_s
-    );
-
-    let csv = std::fs::read_to_string(&cpath).expect("read csv");
-    let lines: Vec<&str> = csv.lines().collect();
-    assert_eq!(lines.len(), 11, "header + 10 rows");
-    assert!(lines[0].starts_with("P0,P1,objective"));
-    let _ = std::fs::remove_file(&jpath);
-    let _ = std::fs::remove_file(&cpath);
 }
