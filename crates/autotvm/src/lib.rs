@@ -38,8 +38,7 @@ pub mod measure;
 pub mod tuner;
 
 pub use driver::{
-    resume_from_journal, run_rounds, tune, tune_journaled, tune_parallel, Think, Trial,
-    TuneOptions, TuningResult, Waves,
+    resume_from_journal, tune, tune_journaled, tune_parallel, Trial, TuneOptions, TuningResult,
 };
 pub use harness::{FaultInjector, FaultPlan, HarnessOptions, HarnessedEvaluator, RetryPolicy};
 pub use measure::{CacheStats, Evaluator, JitStats, MeasureError, MeasureResult, ParStats, SimdStats};

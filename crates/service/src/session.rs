@@ -498,14 +498,14 @@ mod tests {
     }
 
     #[test]
-    fn a_kill_set_before_a_resume_interrupts_without_touching_the_journal() {
+    fn a_kill_is_seen_at_the_first_live_evaluation_and_resume_reproduces_the_uninterrupted_run() {
         let (path, ref_path) = (tmp("kill-first.jsonl"), tmp("kill-first-ref.jsonl"));
         let (kind, seed, o) = (TunerKind::Random, 4, opts(20));
         let reference = grid_session(kind, seed, o, &ref_path, false, None);
         assert_eq!(reference.trials.len(), 20);
         // Seven rows on disk: one whole wave and three trials of the next.
         let killed = grid_session(kind, seed, o, &path, false, Some(7));
-        assert_eq!(killed.trials.len(), 7);
+        assert_eq!((killed.end, killed.trials.len()), (SessionEnd::Interrupted, 7));
         let before = std::fs::read(&path).expect("read");
 
         // Replay writes nothing and is not cut short; the kill is seen at
@@ -525,87 +525,6 @@ mod tests {
         assert_eq!(identity(&done), identity(&reference));
         let whole = std::fs::read(&ref_path).expect("read");
         assert!(std::fs::read(&path).expect("read") == whole, "journals differ");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&ref_path);
-    }
-
-    #[test]
-    fn kill_interrupts_and_resume_reproduces_uninterrupted_run() {
-        let path = tmp("kill-resume.jsonl");
-        let _ = std::fs::remove_file(&path);
-
-        // Reference: uninterrupted 20-trial session.
-        let mut t_ref = RandomTuner::new(space(), 4);
-        let mut l_ref = ok_ladder();
-        let ref_path = tmp("kill-resume-ref.jsonl");
-        let _ = std::fs::remove_file(&ref_path);
-        let mut j_ref = TrialJournal::create(&ref_path).expect("journal");
-        let full = run_session(
-            &mut t_ref,
-            &mut l_ref,
-            &mut j_ref,
-            Vec::new(),
-            opts(20),
-            &SessionCtl::new(),
-        )
-        .expect("reference");
-
-        // Interrupted: the kill flag flips after the 7th live evaluation.
-        let ctl = SessionCtl::new();
-        let kill = Arc::clone(&ctl.kill);
-        let count = std::sync::atomic::AtomicUsize::new(0);
-        let ladder_killed = EngineLadder::new(
-            vec![Rung {
-                name: "toy".into(),
-                evaluator: Box::new(FnEvaluator::new(space(), move |c| {
-                    if count.fetch_add(1, Ordering::SeqCst) + 1 >= 7 {
-                        kill.store(true, Ordering::Relaxed);
-                    }
-                    MeasureResult::ok(c.int("P0") as f64, 0.5)
-                })),
-            }],
-            3,
-        );
-        let mut ladder_killed = ladder_killed;
-        let mut t_killed = RandomTuner::new(space(), 4);
-        let mut journal = TrialJournal::create(&path).expect("journal");
-        let partial = run_session(
-            &mut t_killed,
-            &mut ladder_killed,
-            &mut journal,
-            Vec::new(),
-            opts(20),
-            &ctl,
-        )
-        .expect("interrupted session");
-        assert_eq!(partial.end, SessionEnd::Interrupted);
-        assert!(partial.trials.len() >= 7 && partial.trials.len() < 20);
-        drop(journal);
-
-        // Restarted process: fresh tuner/ladder, replay + finish.
-        let (mut journal, tape) = TrialJournal::open_resume(&path).expect("resume");
-        let mut t_res = RandomTuner::new(space(), 4);
-        let mut l_res = ok_ladder();
-        let resumed = run_session(
-            &mut t_res,
-            &mut l_res,
-            &mut journal,
-            tape,
-            opts(20),
-            &SessionCtl::new(),
-        )
-        .expect("resumed session");
-        assert_eq!(resumed.end, SessionEnd::Completed);
-        assert_eq!(resumed.trials.len(), 20);
-        assert_eq!(resumed.replayed, partial.trials.len());
-
-        let keys = |r: &SessionReport| -> Vec<(String, Option<f64>)> {
-            r.trials
-                .iter()
-                .map(|t| (t.config.key(), t.runtime_s))
-                .collect()
-        };
-        assert_eq!(keys(&full), keys(&resumed), "identical results after kill");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&ref_path);
     }
