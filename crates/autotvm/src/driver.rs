@@ -265,8 +265,16 @@ pub fn tune_parallel<E: Evaluator + Sync>(
         filled.map(|r| r.expect("every chunk ran")).collect()
     };
     let width = usize::MAX;
-    run_rounds(tuner, evaluator, opts, None, Think::Charged, width, &mut measure)
-        .expect("journal-free tuning cannot do I/O")
+    run_rounds(
+        tuner,
+        evaluator,
+        opts,
+        None,
+        Think::Charged,
+        width,
+        &mut measure,
+    )
+    .expect("journal-free tuning cannot do I/O")
 }
 
 /// A wave measured on the caller's thread, one configuration after the
@@ -822,8 +830,8 @@ mod tests {
         let mut t = RandomTuner::new(space(), 42);
         let tape = Some((&mut journal, replay));
         let measure = &mut in_place(&ev);
-        let res = run_rounds(&mut t, &ev, opts, tape, Think::Charged, 1, measure)
-            .expect("journaled run");
+        let res =
+            run_rounds(&mut t, &ev, opts, tape, Think::Charged, 1, measure).expect("journaled run");
         assert_eq!(res.len(), max_evals);
         (journal.written(), journal.syncs())
     }
@@ -988,7 +996,9 @@ mod tests {
         };
         let stamps = || -> Vec<String> {
             let rows = TrialJournal::load(&path).expect("load");
-            rows.into_iter().map(|r| r.pipeline.expect("stamped")).collect()
+            rows.into_iter()
+                .map(|r| r.pipeline.expect("stamped"))
+                .collect()
         };
 
         // Swapped after trial 5, in the middle of the second round: rows

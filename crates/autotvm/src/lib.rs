@@ -41,7 +41,9 @@ pub use driver::{
     resume_from_journal, tune, tune_journaled, tune_parallel, Trial, TuneOptions, TuningResult,
 };
 pub use harness::{FaultInjector, FaultPlan, HarnessOptions, HarnessedEvaluator, RetryPolicy};
-pub use measure::{CacheStats, Evaluator, JitStats, MeasureError, MeasureResult, ParStats, SimdStats};
+pub use measure::{
+    CacheStats, Evaluator, JitStats, MeasureError, MeasureResult, ParStats, SimdStats,
+};
 pub use tuner::{
     ga::GaTuner, gridsearch::GridSearchTuner, random::RandomTuner, xgb::XgbTuner,
     ytopt::YtoptTuner, Tuner,

@@ -7,7 +7,9 @@
 
 use configspace::{ConfigSpace, Configuration};
 pub use ytopt_bo::fault::MeasureError;
-pub use ytopt_bo::problem::{CacheStats, JitStats, ParStats, PruneStats, SimdStats, StaticCheckStats};
+pub use ytopt_bo::problem::{
+    CacheStats, JitStats, ParStats, PruneStats, SimdStats, StaticCheckStats,
+};
 
 /// Outcome of measuring one configuration.
 #[derive(Debug, Clone, PartialEq)]

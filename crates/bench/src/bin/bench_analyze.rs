@@ -58,7 +58,9 @@ impl Row {
 fn bench_kernel(kernel: KernelName, size: ProblemSize, mode: SpaceMode, configs: usize) -> Row {
     let mold = mold_for_mode(kernel, size, mode);
     let mut rng = SmallRng::seed_from_u64(42);
-    let samples: Vec<_> = (0..configs).map(|_| mold.space().sample(&mut rng)).collect();
+    let samples: Vec<_> = (0..configs)
+        .map(|_| mold.space().sample(&mut rng))
+        .collect();
 
     // Phase 1 (timed as analysis): the prelint on declared schedule
     // facts. Denied configurations are never instantiated — they would
@@ -183,9 +185,7 @@ fn main() {
     let total_cfgs: usize = rows.iter().map(|r| r.configs).sum();
     let total_rejected: usize = rows.iter().map(Row::rejected).sum();
     let mean_ns = rows.iter().map(|r| r.analyze_ns_per_config).sum::<f64>() / rows.len() as f64;
-    println!(
-        "mean {mean_ns:.0} ns/config; {total_rejected}/{total_cfgs} rejected; by code:"
-    );
+    println!("mean {mean_ns:.0} ns/config; {total_rejected}/{total_cfgs} rejected; by code:");
     for (code, n) in &by_code {
         println!("  {code:<18} {n}");
     }

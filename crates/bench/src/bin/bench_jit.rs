@@ -107,7 +107,10 @@ fn differential(size: ProblemSize, configs_per_kernel: usize, dev: &CpuDevice) -
                 ))
             });
             dev.run(&func, &mut via_jit).unwrap_or_else(|e| {
-                die(&format!("{} / {config}: JIT device failed: {e}", mold.name()))
+                die(&format!(
+                    "{} / {config}: JIT device failed: {e}",
+                    mold.name()
+                ))
             });
             runs += 1;
             for (i, (a, b)) in via_interp.iter().zip(&via_jit).enumerate() {

@@ -323,7 +323,10 @@ mod tests {
         assert_eq!(a.fallbacks, 4);
         assert_eq!(
             a.fallback_reasons,
-            vec![("float op Max".to_string(), 3), ("int buffer".to_string(), 1)]
+            vec![
+                ("float op Max".to_string(), 3),
+                ("int buffer".to_string(), 1)
+            ]
         );
         let mut empty = JitStats::default();
         empty.merge(&a);

@@ -177,7 +177,7 @@ mod tests {
     fn small_func(n: usize) -> PrimFunc {
         let a = placeholder([n, n], DType::F32, "A");
         let b = compute([n, n], "B", |i| a.at(&[i[0].clone(), i[1].clone()]) * 2i64);
-        let s = Schedule::create(&[b.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&b));
         lower(&s, &[a, b], "scale")
     }
 

@@ -266,10 +266,10 @@ mod tests {
         let c: Tensor = compute([n, n], "C", |i| {
             sum(
                 a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                &[k.clone()],
+                std::slice::from_ref(&k),
             )
         });
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let (y, x) = (c.axis(0), c.axis(1));
         let (yo, yi) = s.split(&c, &y, ty);
         let (xo, xi) = s.split(&c, &x, tx);
@@ -332,7 +332,11 @@ mod tests {
         let _bb = fb.param(&b);
         let body = ser("k", nk, |k| {
             ser("i", 64, move |i| {
-                store(&ab, &[i.clone()], a.at(&[i]) + b.at(&[k.clone()]))
+                store(
+                    &ab,
+                    std::slice::from_ref(&i),
+                    a.at(std::slice::from_ref(&i)) + b.at(std::slice::from_ref(&k)),
+                )
             })
         });
         let f = fb.build(body);
@@ -353,10 +357,10 @@ mod tests {
             let c = compute([n, n], "C", |i| {
                 sum(
                     a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                    &[k.clone()],
+                    std::slice::from_ref(&k),
                 )
             });
-            let s = Schedule::create(&[c.clone()]);
+            let s = Schedule::create(std::slice::from_ref(&c));
             lower(&s, &[a, b, c], "mm")
         };
         let t32 = cost_model(&build(DType::F32), &GpuSpec::a100()).total();

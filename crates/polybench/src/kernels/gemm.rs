@@ -266,7 +266,10 @@ mod tests {
             mold.prelint(c).iter().map(|d| d.code).collect()
         };
         assert_eq!(codes_of(&cfg(0, 5, [0; 5])), vec![codes::TRIP_ZERO]);
-        assert_eq!(codes_of(&cfg(4, 5, [0, 0, 64, 0, 0])), vec![codes::VEC_OVER]);
+        assert_eq!(
+            codes_of(&cfg(4, 5, [0, 0, 64, 0, 0])),
+            vec![codes::VEC_OVER]
+        );
         assert_eq!(
             codes_of(&cfg(4, 5, [0, 2, 0, 0, 0])),
             vec![codes::FUSE_ILLEGAL],

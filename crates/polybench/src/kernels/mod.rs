@@ -122,27 +122,9 @@ pub(crate) fn tile_matmul_stage_aggressive(
     let (yo, yi) = s.split(t, &y, ty);
     let (xo, xi) = s.split(t, &x, tx);
     let order: Vec<IterVar> = match kn.order {
-        1 => vec![
-            xo.clone(),
-            yo.clone(),
-            k.clone(),
-            xi.clone(),
-            yi.clone(),
-        ],
-        2 => vec![
-            yo.clone(),
-            xo.clone(),
-            yi.clone(),
-            xi.clone(),
-            k.clone(),
-        ],
-        _ => vec![
-            yo.clone(),
-            xo.clone(),
-            k.clone(),
-            yi.clone(),
-            xi.clone(),
-        ],
+        1 => vec![xo.clone(), yo.clone(), k.clone(), xi.clone(), yi.clone()],
+        2 => vec![yo.clone(), xo.clone(), yi.clone(), xi.clone(), k.clone()],
+        _ => vec![yo.clone(), xo.clone(), k.clone(), yi.clone(), xi.clone()],
     };
     s.reorder(t, &order);
     if kn.vec > 0 {

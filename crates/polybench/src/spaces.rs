@@ -170,7 +170,11 @@ pub fn space_for(kernel: KernelName, size: ProblemSize) -> ConfigSpace {
 /// aggressive knobs) take their first — neutral — value. The result
 /// instantiates to the same schedule as `config` did in its own space.
 pub fn embed_config(space: &ConfigSpace, config: &Configuration) -> Configuration {
-    let names: Vec<String> = space.params().iter().map(|p| p.name().to_string()).collect();
+    let names: Vec<String> = space
+        .params()
+        .iter()
+        .map(|p| p.name().to_string())
+        .collect();
     let values = space
         .params()
         .iter()

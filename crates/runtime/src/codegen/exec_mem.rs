@@ -79,7 +79,17 @@ impl ExecBuf {
         unsafe {
             std::ptr::copy_nonoverlapping(code.as_ptr(), ptr, code.len());
         }
-        let rc = unsafe { syscall6(SYS_MPROTECT, ptr as i64, len as i64, PROT_READ | PROT_EXEC, 0, 0, 0) };
+        let rc = unsafe {
+            syscall6(
+                SYS_MPROTECT,
+                ptr as i64,
+                len as i64,
+                PROT_READ | PROT_EXEC,
+                0,
+                0,
+                0,
+            )
+        };
         if rc < 0 {
             unsafe { syscall6(SYS_MUNMAP, ptr as i64, len as i64, 0, 0, 0, 0) };
             return Err(CompileError(format!("mprotect failed (errno {})", -rc)));

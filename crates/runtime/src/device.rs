@@ -1,6 +1,8 @@
 //! Device abstraction: anything that can run and time a lowered function.
 
-use crate::codegen::{default_backend, CodegenBackend, JitCounters, JitStats, SimdCounters, SimdStats};
+use crate::codegen::{
+    default_backend, CodegenBackend, JitCounters, JitStats, SimdCounters, SimdStats,
+};
 use crate::compile::{compile, CompiledFunc};
 use crate::interp::ExecError;
 use crate::ndarray::NDArray;
@@ -360,10 +362,10 @@ mod tests {
         let c = compute([n, n], "C", |i| {
             sum(
                 a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                &[k.clone()],
+                std::slice::from_ref(&k),
             )
         });
-        let s = Schedule::create(&[c.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&c));
         lower(&s, &[a, b, c], "mm")
     }
 
@@ -371,7 +373,7 @@ mod tests {
     fn cpu_device_times_execution() {
         let a = placeholder([64], DType::F32, "A");
         let b = compute([64], "B", |i| a.at(&[i[0].clone()]) * 2i64);
-        let s = Schedule::create(&[b.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "dbl");
         let dev = CpuDevice::new();
         let mut args = [
@@ -391,7 +393,7 @@ mod tests {
     fn prepared_path_matches_direct_run() {
         let a = placeholder([32], DType::F32, "A");
         let b = compute([32], "B", |i| a.at(&[i[0].clone()]) * 3i64);
-        let s = Schedule::create(&[b.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "tpl");
         let dev = CpuDevice::new();
         let prepared = dev.prepare(&f).expect("cpu device compiles kernels");
@@ -431,7 +433,10 @@ mod tests {
             assert!(stats.bytes_emitted > 0);
             assert_eq!(stats.fallbacks, 0, "{:?}", stats.fallback_reasons);
             let prepared = jit.prepare(&f).expect("prepare");
-            assert!(prepared.jit_nest_count() >= 1, "prepared artifact carries native code");
+            assert!(
+                prepared.jit_nest_count() >= 1,
+                "prepared artifact carries native code"
+            );
         }
         #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
         {
@@ -450,7 +455,7 @@ mod tests {
         let b = compute([16], "B", |i| {
             tvm_te::max_expr(a.at(&[i[0].clone()]), 0.0f32)
         });
-        let s = Schedule::create(&[b.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "sel");
         let dev = CpuDevice::jit();
         let mut args = [
@@ -479,7 +484,7 @@ mod tests {
         let n = 12;
         let a = placeholder([n, n], DType::F32, "A");
         let c = compute([n, n], "C", |i| a.at(&[i[0].clone(), i[1].clone()]) * 2i64);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let y = c.axis(0);
         s.parallel(&c, &y);
         let f = lower(&s, &[a, c], "par_dbl");
@@ -496,7 +501,9 @@ mod tests {
         assert_eq!(stats.pool_threads, 4);
         // Bit-identical to the interpreter under dispatch.
         let mut expect = [args[0].clone(), NDArray::zeros(&[n, n], DType::F32)];
-        CpuDevice::interpreter().run(&f, &mut expect).expect("interp");
+        CpuDevice::interpreter()
+            .run(&f, &mut expect)
+            .expect("interp");
         assert_eq!(args[1], expect[1]);
         // Rungs that never dispatch expose no stats.
         assert!(CpuDevice::interpreter().par_stats().is_none());

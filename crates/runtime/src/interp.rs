@@ -414,10 +414,10 @@ mod tests {
         let c = compute([n, n], "C", |i| {
             sum(
                 a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                &[k.clone()],
+                std::slice::from_ref(&k),
             )
         });
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         if tile > 1 {
             let (y, x) = (c.axis(0), c.axis(1));
             let (yo, yi) = s.split(&c, &y, tile);
@@ -473,7 +473,7 @@ mod tests {
     fn arity_checked() {
         let a = placeholder([2], DType::F32, "A");
         let b = compute([2], "B", |i| a.at(&[i[0].clone()]));
-        let s = Schedule::create(&[b.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "id");
         let mut args = [NDArray::zeros(&[2], DType::F32)];
         assert!(matches!(
@@ -486,7 +486,7 @@ mod tests {
     fn shape_checked() {
         let a = placeholder([2], DType::F32, "A");
         let b = compute([2], "B", |i| a.at(&[i[0].clone()]));
-        let s = Schedule::create(&[b.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "id");
         let mut args = [
             NDArray::zeros(&[3], DType::F32),
@@ -502,7 +502,7 @@ mod tests {
     fn dtype_checked() {
         let a = placeholder([2], DType::F32, "A");
         let b = compute([2], "B", |i| a.at(&[i[0].clone()]));
-        let s = Schedule::create(&[b.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "id");
         let mut args = [
             NDArray::zeros(&[2], DType::F64),
@@ -519,7 +519,7 @@ mod tests {
         let a = placeholder([4], DType::F32, "A");
         let t = compute([4], "T", |i| a.at(&[i[0].clone()]) * 2i64);
         let o = compute([4], "O", |i| t.at(&[i[0].clone()]) + 1i64);
-        let s = Schedule::create(&[o.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&o));
         let f = lower(&s, &[a, o], "chain");
         let mut args = [
             NDArray::from_f32(&[4], &[1.0, 2.0, 3.0, 4.0]),
@@ -535,9 +535,12 @@ mod tests {
         let a = placeholder([3, 4], DType::F32, "A");
         let k = reduce_axis(0, 4, "k");
         let m = compute([3], "M", |i| {
-            max_reduce(a.at(&[i[0].clone(), k.var_expr()]), &[k.clone()])
+            max_reduce(
+                a.at(&[i[0].clone(), k.var_expr()]),
+                std::slice::from_ref(&k),
+            )
         });
-        let s = Schedule::create(&[m.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&m));
         let f = lower(&s, &[a, m], "rowmax");
         let av = NDArray::from_f32(
             &[3, 4],
@@ -560,8 +563,8 @@ mod tests {
         let body = ser("i", 4, |i| {
             store(
                 &ab,
-                &[i.clone()],
-                a.at(&[i.clone()]) + tvm_te::cast(DType::F32, i),
+                std::slice::from_ref(&i),
+                a.at(std::slice::from_ref(&i)) + tvm_te::cast(DType::F32, i.clone()),
             )
         });
         let f = fb.build(body);

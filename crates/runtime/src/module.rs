@@ -79,7 +79,7 @@ mod tests {
     fn square_module(n: usize) -> Module {
         let a = placeholder([n], DType::F32, "A");
         let b = compute([n], "B", |i| a.at(&[i[0].clone()]) * a.at(&[i[0].clone()]));
-        let s = Schedule::create(&[b.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&b));
         Module::new(lower(&s, &[a, b], "square"))
     }
 

@@ -191,9 +191,7 @@ pub fn num_threads() -> usize {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        });
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     // First resolution wins; a concurrent set_num_threads overwrites.
     let _ = THREADS.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed);
     THREADS.load(Ordering::Relaxed)

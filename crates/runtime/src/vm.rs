@@ -812,10 +812,10 @@ mod tests {
         let c = compute([n, n], "C", |i| {
             sum(
                 a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                &[k.clone()],
+                std::slice::from_ref(&k),
             )
         });
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         if tile > 1 {
             let (y, x) = (c.axis(0), c.axis(1));
             let (yo, yi) = s.split(&c, &y, tile);
@@ -855,7 +855,7 @@ mod tests {
         let a = placeholder([4], DType::F32, "A");
         let t = compute([4], "T", |i| a.at(&[i[0].clone()]) * 2i64);
         let o = compute([4], "O", |i| t.at(&[i[0].clone()]) + 1i64);
-        let s = Schedule::create(&[o.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&o));
         let f = lower(&s, &[a, o], "chain");
         let args = vec![
             NDArray::from_f32(&[4], &[1.0, 2.0, 3.0, 4.0]),
@@ -871,7 +871,7 @@ mod tests {
     fn arity_shape_dtype_errors_match() {
         let a = placeholder([2], DType::F32, "A");
         let b = compute([2], "B", |i| a.at(&[i[0].clone()]));
-        let s = Schedule::create(&[b.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "id");
         let cf = compile(&f).expect("compile");
         // Arity.
@@ -936,8 +936,8 @@ mod tests {
         let body = ser("i", 4, |i| {
             store(
                 &ab,
-                &[i.clone()],
-                a.at(&[i.clone()]) + tvm_te::cast(DType::F32, i),
+                std::slice::from_ref(&i),
+                a.at(std::slice::from_ref(&i)) + tvm_te::cast(DType::F32, i.clone()),
             )
         });
         let f = fb.build(body);
@@ -951,9 +951,12 @@ mod tests {
         let a = placeholder([3, 4], DType::F32, "A");
         let k = reduce_axis(0, 4, "k");
         let m = compute([3], "M", |i| {
-            max_reduce(a.at(&[i[0].clone(), k.var_expr()]), &[k.clone()])
+            max_reduce(
+                a.at(&[i[0].clone(), k.var_expr()]),
+                std::slice::from_ref(&k),
+            )
         });
-        let s = Schedule::create(&[m.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&m));
         let f = lower(&s, &[a, m], "rowmax");
         let args = vec![
             NDArray::from_f32(
@@ -1021,10 +1024,10 @@ mod tests {
         let c = compute([n, n], "C", |i| {
             sum(
                 a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                &[k.clone()],
+                std::slice::from_ref(&k),
             )
         });
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let (y, x) = (c.axis(0), c.axis(1));
         let (yo, yi) = s.split(&c, &y, tile);
         let (xo, xi) = s.split(&c, &x, tile);

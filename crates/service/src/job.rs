@@ -286,7 +286,10 @@ mod tests {
         assert_eq!(SpaceKind::parse("Aggressive"), Some(SpaceKind::Aggressive));
         assert_eq!(SpaceKind::parse("huge"), None);
         assert_eq!(SpaceKind::Paper.mode(), polybench::SpaceMode::Paper);
-        assert_eq!(SpaceKind::Aggressive.mode(), polybench::SpaceMode::Aggressive);
+        assert_eq!(
+            SpaceKind::Aggressive.mode(),
+            polybench::SpaceMode::Aggressive
+        );
 
         let mut spec = JobSpec::new("t", "gemm", "mini");
         spec.space = SpaceKind::Aggressive;

@@ -359,6 +359,10 @@ mod tests {
         let spec = JobSpec::new("t", "lu", "mini");
         let l = build_ladder(&spec, &cache, HarnessOptions::default(), 3).expect("ladder");
         assert_eq!(l.rung_name(), "sim-a100");
-        assert_eq!(l.pipeline_fingerprint(), None, "analytical device: no pipeline");
+        assert_eq!(
+            l.pipeline_fingerprint(),
+            None,
+            "analytical device: no pipeline"
+        );
     }
 }

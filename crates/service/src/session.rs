@@ -213,7 +213,10 @@ impl Supervised<'_> {
         let res = self.ladder.evaluate(config);
         self.wall_s = t0.elapsed().as_secs_f64();
         if let (Some(b), Some(probe)) = (breaker, probe) {
-            let infra = res.error.as_ref().is_some_and(|e| is_infra_failure(e.kind()));
+            let infra = res
+                .error
+                .as_ref()
+                .is_some_and(|e| is_infra_failure(e.kind()));
             b.record(infra, probe);
         }
         Ok(res)
@@ -231,7 +234,8 @@ impl Waves for Supervised<'_> {
     /// the ladder demote for the *next* trial.
     fn recorded(&mut self, trial: &Trial, replayed: bool) {
         let engine = self.ladder.rung_name().to_string();
-        self.seen.push((engine, replayed, std::mem::take(&mut self.wall_s)));
+        self.seen
+            .push((engine, replayed, std::mem::take(&mut self.wall_s)));
         self.ladder.observe(trial.error.as_ref().map(|e| e.kind()));
     }
 }
@@ -505,7 +509,10 @@ mod tests {
         assert_eq!(reference.trials.len(), 20);
         // Seven rows on disk: one whole wave and three trials of the next.
         let killed = grid_session(kind, seed, o, &path, false, Some(7));
-        assert_eq!((killed.end, killed.trials.len()), (SessionEnd::Interrupted, 7));
+        assert_eq!(
+            (killed.end, killed.trials.len()),
+            (SessionEnd::Interrupted, 7)
+        );
         let before = std::fs::read(&path).expect("read");
 
         // Replay writes nothing and is not cut short; the kill is seen at
@@ -513,7 +520,10 @@ mod tests {
         let again = grid_session(kind, seed, o, &path, true, Some(0));
         assert_eq!(again.end, SessionEnd::Interrupted);
         assert_eq!((again.replayed, again.trials.len()), (7, 7));
-        assert!(std::fs::read(&path).expect("read") == before, "journal touched");
+        assert!(
+            std::fs::read(&path).expect("read") == before,
+            "journal touched"
+        );
 
         let done = grid_session(kind, seed, o, &path, true, None);
         assert_eq!((done.end, done.replayed), (SessionEnd::Completed, 7));
@@ -524,7 +534,10 @@ mod tests {
         };
         assert_eq!(identity(&done), identity(&reference));
         let whole = std::fs::read(&ref_path).expect("read");
-        assert!(std::fs::read(&path).expect("read") == whole, "journals differ");
+        assert!(
+            std::fs::read(&path).expect("read") == whole,
+            "journals differ"
+        );
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&ref_path);
     }

@@ -36,7 +36,7 @@ type Identity = Vec<(String, Option<String>, Option<String>, String)>;
 
 fn chaos_spec(i: usize) -> JobSpec {
     let mut spec = JobSpec::new(format!("tenant-{i}"), KERNELS[i % KERNELS.len()], "mini");
-    spec.tuner = if i % 2 == 0 {
+    spec.tuner = if i.is_multiple_of(2) {
         TunerKind::Random
     } else {
         TunerKind::GridSearch
@@ -278,9 +278,12 @@ fn jit_rung_demotion_is_replay_identical() {
             deadline_unix_ms: None,
         };
         let cache = std::sync::Arc::new(MemoCache::new());
-        let mut ladder =
-            build_ladder(&spec, &cache, HarnessOptions::default(), 3).expect("ladder");
-        assert_eq!(ladder.rung_name(), "jit", "real sessions start on native codegen");
+        let mut ladder = build_ladder(&spec, &cache, HarnessOptions::default(), 3).expect("ladder");
+        assert_eq!(
+            ladder.rung_name(),
+            "jit",
+            "real sessions start on native codegen"
+        );
         let mut tuner = spec.tuner.build(ladder.space().clone(), spec.seed);
         let path = dir.join("session.jsonl");
         let mut journal = TrialJournal::create(&path).expect("journal");
@@ -295,7 +298,10 @@ fn jit_rung_demotion_is_replay_identical() {
         .expect("live session");
         drop(journal);
 
-        assert_eq!(live.demotions, 1, "three build failures demote exactly once");
+        assert_eq!(
+            live.demotions, 1,
+            "three build failures demote exactly once"
+        );
         assert_eq!(live.final_engine, "optimized-vm");
         let engines: Vec<&str> = live.trials.iter().map(|t| t.engine.as_str()).collect();
         assert_eq!(
@@ -314,7 +320,10 @@ fn jit_rung_demotion_is_replay_identical() {
                 .iter()
                 .all(|r| r.pipeline.as_deref() == Some(tvm_runtime::jit_fingerprint().as_str())),
             "pre-demotion records carry the JIT fingerprint: {:?}",
-            replay.iter().map(|r| r.pipeline.clone()).collect::<Vec<_>>()
+            replay
+                .iter()
+                .map(|r| r.pipeline.clone())
+                .collect::<Vec<_>>()
         );
         assert!(
             replay[3..]
@@ -340,7 +349,10 @@ fn jit_rung_demotion_is_replay_identical() {
             &SessionCtl::new(),
         )
         .expect("replay session");
-        assert_eq!(replayed.replayed, spec.max_evals, "every trial came off the tape");
+        assert_eq!(
+            replayed.replayed, spec.max_evals,
+            "every trial came off the tape"
+        );
         assert_eq!(replayed.demotions, 1);
         assert_eq!(replayed.final_engine, "optimized-vm");
         assert_eq!(
@@ -373,8 +385,11 @@ fn parallel_sessions_recover_replay_identical_with_par_fingerprint() {
         const JOBS: usize = 8;
         let spec_for = |i: usize| -> JobSpec {
             let kernels = ["gemm", "3mm", "syrk", "2mm"];
-            let mut spec =
-                JobSpec::new(format!("par-tenant-{i}"), kernels[i % kernels.len()], "mini");
+            let mut spec = JobSpec::new(
+                format!("par-tenant-{i}"),
+                kernels[i % kernels.len()],
+                "mini",
+            );
             spec.tuner = TunerKind::Random;
             spec.seed = 100 + i as u64;
             spec.max_evals = 6;
@@ -466,13 +481,20 @@ fn parallel_sessions_recover_replay_identical_with_par_fingerprint() {
             // to a pool-capable rung, never to a pre-pool pipeline.
             let path = svc_dir.join("journals").join(format!("{id}.jsonl"));
             let (_journal, records) = TrialJournal::open_resume(&path).expect("journal reopens");
-            assert_eq!(records.len(), specs[*i].max_evals, "session {i} tape length");
+            assert_eq!(
+                records.len(),
+                specs[*i].max_evals,
+                "session {i} tape length"
+            );
             assert!(
                 records
                     .iter()
                     .all(|r| r.pipeline.as_deref().is_some_and(|p| p.contains("+par/v1"))),
                 "session {i} journal carries a non-par/v1 stamp: {:?}",
-                records.iter().map(|r| r.pipeline.clone()).collect::<Vec<_>>()
+                records
+                    .iter()
+                    .map(|r| r.pipeline.clone())
+                    .collect::<Vec<_>>()
             );
         }
         assert!(

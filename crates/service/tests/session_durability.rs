@@ -76,7 +76,7 @@ fn rung(
 }
 
 fn slow_fails(p: i64) -> Option<MeasureError> {
-    (p % 5 == 0).then(|| MeasureError::Timeout {
+    (p % 5 == 0).then_some(MeasureError::Timeout {
         limit_s: 2.0,
         message: None,
     })

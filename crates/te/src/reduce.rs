@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn sum_builds_reduce_node() {
         let k = reduce_axis(0, 4, "k");
-        let e = sum(float(1.0), &[k.clone()]);
+        let e = sum(float(1.0), std::slice::from_ref(&k));
         match e {
             PrimExpr::Reduce { combiner, axes, .. } => {
                 assert_eq!(combiner, Combiner::Sum);

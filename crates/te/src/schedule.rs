@@ -556,7 +556,7 @@ mod tests {
         let c = compute([n, n], "C", |i| {
             sum(
                 a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                &[k.clone()],
+                std::slice::from_ref(&k),
             )
         });
         (a, b, c, k)
@@ -568,7 +568,7 @@ mod tests {
         let d = compute([8, 8], "D", |i| {
             c.at(&[i[0].clone(), i[1].clone()]) + int(1)
         });
-        let s = Schedule::create(&[d.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&d));
         assert_eq!(s.stages.len(), 2);
         assert!(s.stages[0].tensor.same_as(&c));
         assert!(s.stages[1].tensor.same_as(&d));
@@ -577,7 +577,7 @@ mod tests {
     #[test]
     fn initial_leaves_are_axes_then_reduce() {
         let (_, _, c, k) = matmul(8);
-        let s = Schedule::create(&[c.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&c));
         let st = s.stage(&c);
         assert_eq!(st.leaf_iter_vars.len(), 3);
         assert_eq!(st.leaf_iter_vars[2].var.id, k.var.id);
@@ -586,7 +586,7 @@ mod tests {
     #[test]
     fn split_replaces_leaf() {
         let (_, _, c, _) = matmul(16);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let y = c.axis(0);
         let (yo, yi) = s.split(&c, &y, 4);
         assert_eq!(yo.extent(), 4);
@@ -601,7 +601,7 @@ mod tests {
     #[test]
     fn split_non_divisible_rounds_up_and_guards() {
         let (_, _, c, _) = matmul(10);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let y = c.axis(0);
         let (yo, yi) = s.split(&c, &y, 3);
         assert_eq!(yo.extent(), 4); // ceil(10/3)
@@ -613,7 +613,7 @@ mod tests {
     #[test]
     fn axis_bindings_reconstruct_parent() {
         let (_, _, c, _) = matmul(16);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let y = c.axis(0);
         let (yo, yi) = s.split(&c, &y, 4);
         let (bind, guards) = s.stage(&c).axis_bindings();
@@ -639,7 +639,7 @@ mod tests {
     #[test]
     fn nested_split_bindings_chain() {
         let (_, _, c, _) = matmul(64);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let y = c.axis(0);
         let (_yo, yi) = s.split(&c, &y, 16);
         let (_yio, yii) = s.split(&c, &yi, 4);
@@ -668,7 +668,7 @@ mod tests {
     #[test]
     fn reorder_permutes_slots() {
         let (_, _, c, k) = matmul(8);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let (y, x) = (c.axis(0), c.axis(1));
         s.reorder(&c, &[k.clone(), x.clone(), y.clone()]);
         let order: Vec<u64> = s
@@ -685,7 +685,7 @@ mod tests {
         // The paper's mold: yo, yi = split(y, P); xo, xi = split(x, P);
         // reorder(yo, xo, k, yi, xi)
         let (_, _, c, k) = matmul(32);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let (y, x) = (c.axis(0), c.axis(1));
         let (yo, yi) = s.split(&c, &y, 8);
         let (xo, xi) = s.split(&c, &x, 8);
@@ -708,7 +708,7 @@ mod tests {
     #[test]
     fn fuse_adjacent() {
         let (_, _, c, _) = matmul(8);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let (y, x) = (c.axis(0), c.axis(1));
         let f = s.fuse(&c, &y, &x);
         assert_eq!(f.extent(), 64);
@@ -721,7 +721,7 @@ mod tests {
     #[should_panic(expected = "adjacent")]
     fn fuse_non_adjacent_panics() {
         let (_, _, c, k) = matmul(8);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let y = c.axis(0);
         let _ = s.fuse(&c, &y, &k); // y and k are not adjacent (x between)
     }
@@ -729,7 +729,7 @@ mod tests {
     #[test]
     fn tile_produces_four_loops() {
         let (_, _, c, _) = matmul(16);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let (y, x) = (c.axis(0), c.axis(1));
         let (xo, yo, xi, yi) = s.tile(&c, &x, &y, 4, 4);
         let order: Vec<u64> = s
@@ -745,7 +745,7 @@ mod tests {
     #[test]
     fn annotations_stick() {
         let (_, _, c, _) = matmul(8);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let (y, x) = (c.axis(0), c.axis(1));
         s.parallel(&c, &y);
         s.vectorize(&c, &x);
@@ -772,7 +772,7 @@ mod tests {
     #[test]
     fn split_reduce_axis_keeps_kind() {
         let (_, _, c, k) = matmul(16);
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let (ko, ki) = s.split(&c, &k, 4);
         assert!(ko.is_reduce() && ki.is_reduce());
     }

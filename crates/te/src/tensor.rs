@@ -314,7 +314,7 @@ mod tests {
         let c = compute([4, 4], "C", |i| {
             sum(
                 a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                &[k.clone()],
+                std::slice::from_ref(&k),
             )
         });
         assert_eq!(c.dtype(), DType::F32);
@@ -347,7 +347,7 @@ mod tests {
         let a = placeholder([4], DType::F32, "A");
         let k = reduce_axis(0, 4, "k");
         let _ = compute([4], "B", |_| {
-            sum(a.at(&[k.var_expr()]), &[k.clone()]) + crate::ops::float(1.0)
+            sum(a.at(&[k.var_expr()]), std::slice::from_ref(&k)) + crate::ops::float(1.0)
         });
     }
 }

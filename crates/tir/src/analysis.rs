@@ -376,10 +376,10 @@ mod tests {
         let c = compute([n, n], "C", |i| {
             sum(
                 a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                &[k.clone()],
+                std::slice::from_ref(&k),
             )
         });
-        let s = Schedule::create(&[c.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&c));
         lower(&s, &[a, b, c], "mm")
     }
 

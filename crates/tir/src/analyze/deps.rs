@@ -252,7 +252,12 @@ pub fn race_free_parallel_vars(func: &PrimFunc) -> HashSet<u64> {
 /// gate its packed f64x2/f32x4 emission; unproven loops run scalar.
 pub fn race_free_vectorized_vars(func: &PrimFunc) -> HashSet<u64> {
     let mut proven = HashSet::new();
-    prove(&func.body, ForKind::Vectorized, &mut Vec::new(), &mut proven);
+    prove(
+        &func.body,
+        ForKind::Vectorized,
+        &mut Vec::new(),
+        &mut proven,
+    );
     proven
 }
 
@@ -271,7 +276,9 @@ fn prove(stmt: &Stmt, want: ForKind, outer: &mut Vec<LoopCtx>, proven: &mut Hash
                 } else if !reads_buffer_in_guard(body) {
                     let mut diags = Vec::new();
                     let mut seen = HashSet::new();
-                    analyze_loop(var, *min, *extent, *kind, body, outer, &mut diags, &mut seen);
+                    analyze_loop(
+                        var, *min, *extent, *kind, body, outer, &mut diags, &mut seen,
+                    );
                     if diags.is_empty() {
                         proven.insert(var.id);
                     }

@@ -383,8 +383,7 @@ mod tests {
                     diagnostics: vec![],
                 };
                 if bad {
-                    r.diagnostics
-                        .push(Diagnostic::deny(codes::RACE_WW, "race"));
+                    r.diagnostics.push(Diagnostic::deny(codes::RACE_WW, "race"));
                 }
                 Some(r)
             },

@@ -31,8 +31,7 @@ const BUDGET: u64 = 4_000_000;
 /// return `true` iff two *distinct* iterations access the same element
 /// of `diag.buffer` with at least one write.
 pub fn confirm_race(func: &PrimFunc, diag: &Diagnostic) -> bool {
-    let (Some(loop_name), Some(buffer)) = (diag.loop_var.as_deref(), diag.buffer.as_deref())
-    else {
+    let (Some(loop_name), Some(buffer)) = (diag.loop_var.as_deref(), diag.buffer.as_deref()) else {
         return false;
     };
     let mut env: HashMap<u64, i64> = HashMap::new();
@@ -152,9 +151,7 @@ fn exec(
                         .is_none_or(|e| exec(e, env, t, buffer, trace, budget))
             }
         },
-        Stmt::Seq(items) => items
-            .iter()
-            .all(|s| exec(s, env, t, buffer, trace, budget)),
+        Stmt::Seq(items) => items.iter().all(|s| exec(s, env, t, buffer, trace, budget)),
         Stmt::BufferStore {
             buffer: b,
             indices,

@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn attached_elementwise_moves_inside_consumer_loop() {
         let (a, t, o) = chain(16);
-        let mut s = Schedule::create(&[o.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&o));
         let (y, x) = (o.axis(0), o.axis(1));
         let (yo, _yi) = s.split(&o, &y, 4);
         let (_xo, _xi) = s.split(&o, &x, 4);
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn attached_region_extent_matches_tile() {
         let (a, t, o) = chain(16);
-        let mut s = Schedule::create(&[o.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&o));
         let (y, x) = (o.axis(0), o.axis(1));
         let (yo, _yi) = s.split(&o, &y, 4);
         let (_xo, _xi) = s.split(&o, &x, 8);
@@ -330,11 +330,11 @@ mod tests {
         let e = compute([n, n], "E", |i| {
             sum(
                 a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                &[k.clone()],
+                std::slice::from_ref(&k),
             )
         });
         let o = compute([n, n], "O", |i| e.at(&[i[0].clone(), i[1].clone()]) + 1i64);
-        let mut s = Schedule::create(&[o.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&o));
         let y = o.axis(0);
         let (yo, _yi) = s.split(&o, &y, 2);
         s.compute_at(&e, &o, &yo);

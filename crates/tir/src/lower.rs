@@ -276,10 +276,10 @@ mod tests {
         let c = compute([n, n], "C", |i| {
             sum(
                 a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                &[k.clone()],
+                std::slice::from_ref(&k),
             )
         });
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         if tile > 1 {
             let (y, x) = (c.axis(0), c.axis(1));
             let (yo, yi) = s.split(&c, &y, tile);
@@ -319,7 +319,7 @@ mod tests {
     fn lower_nondivisible_split_guards() {
         let a = placeholder([10], DType::F32, "A");
         let b = compute([10], "B", |i| a.at(&[i[0].clone()]) + 1i64);
-        let mut s = Schedule::create(&[b.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&b));
         let x = b.axis(0);
         let _ = s.split(&b, &x, 3);
         let f = lower(&s, &[a, b], "guarded");
@@ -337,7 +337,7 @@ mod tests {
         let a = placeholder([4], DType::F32, "A");
         let t = compute([4], "T", |i| a.at(&[i[0].clone()]) * 2i64);
         let o = compute([4], "O", |i| t.at(&[i[0].clone()]) + 1i64);
-        let s = Schedule::create(&[o.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&o));
         let f = lower(&s, &[a, o], "chain");
         assert_eq!(f.params.len(), 2);
         assert_eq!(f.allocs.len(), 1);
@@ -357,7 +357,7 @@ mod tests {
     fn parallel_annotation_reaches_forkind() {
         let a = placeholder([8, 8], DType::F32, "A");
         let b = compute([8, 8], "B", |i| a.at(&[i[0].clone(), i[1].clone()]));
-        let mut s = Schedule::create(&[b.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&b));
         let y = b.axis(0);
         s.parallel(&b, &y);
         let f = lower(&s, &[a, b], "par");
@@ -376,7 +376,7 @@ mod tests {
     fn unroll_pass_expands_small_loop() {
         let a = placeholder([8], DType::F32, "A");
         let b = compute([8], "B", |i| a.at(&[i[0].clone()]) + 1i64);
-        let mut s = Schedule::create(&[b.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&b));
         let x = b.axis(0);
         let (_, xi) = s.split(&b, &x, 4);
         s.unroll(&b, &xi);

@@ -198,11 +198,11 @@ mod tests {
             move |i| {
                 sum(
                     a.at(&[i[0].clone(), k.var_expr()]) * b.at(&[k.var_expr(), i[1].clone()]),
-                    &[k.clone()],
+                    std::slice::from_ref(&k),
                 )
             }
         });
-        let mut s = Schedule::create(&[c.clone()]);
+        let mut s = Schedule::create(std::slice::from_ref(&c));
         let axes = (0..2).map(|d| c.axis(d)).collect::<Vec<_>>();
         let (xo, xi) = s.split(&c, &axes[1], split);
         let fused = s.fuse(&c, &xo, &xi);

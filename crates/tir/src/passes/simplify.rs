@@ -235,7 +235,7 @@ mod tests {
         let v = Var::index("i");
         assert_eq!(simplify_expr(&(v.expr() + 0)), v.expr());
         assert_eq!(simplify_expr(&(v.expr() * 1)), v.expr());
-        assert_eq!(simplify_expr(&(v.expr() * 0)).as_int(), Some(0));
+        assert_eq!(simplify_expr(&(v.expr() * int(0))).as_int(), Some(0));
         assert_eq!(simplify_expr(&(0 + v.expr())), v.expr());
     }
 

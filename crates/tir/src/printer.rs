@@ -115,7 +115,7 @@ mod tests {
     fn prints_function() {
         let a = placeholder([4, 4], DType::F32, "A");
         let b = compute([4, 4], "B", |i| a.at(&[i[0].clone(), i[1].clone()]) + 1i64);
-        let s = Schedule::create(&[b.clone()]);
+        let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "add1");
         let text = format!("{f}");
         assert!(text.contains("fn add1("), "got: {text}");

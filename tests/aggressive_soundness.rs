@@ -47,7 +47,8 @@ fn run_all_engines(func: &PrimFunc, args: &[NDArray], context: &str) {
     let mut via_interp = args.to_vec();
     interp::execute(func, &mut via_interp)
         .unwrap_or_else(|e| panic!("{context}: interpreter failed after admit: {e}"));
-    let cf = compile(func).unwrap_or_else(|e| panic!("{context}: admitted config must compile: {e}"));
+    let cf =
+        compile(func).unwrap_or_else(|e| panic!("{context}: admitted config must compile: {e}"));
     let cf_opt = compile_optimized(func)
         .unwrap_or_else(|e| panic!("{context}: optimized pipeline must compile: {e}"));
     let [packed, scalar] = [default_backend(), scalar_backend()].map(|backend| {
@@ -198,9 +199,8 @@ fn gemm_denials_are_confirmed_by_every_oracle_kind() {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let cfg = |vals: [i64; 7]| {
-        Configuration::new(names.clone(), vals.map(ParamValue::Int).to_vec())
-    };
+    let cfg =
+        |vals: [i64; 7]| Configuration::new(names.clone(), vals.map(ParamValue::Int).to_vec());
 
     // VEC wider than the x tile: instantiable, lanes provably masked.
     let vec_over = cfg([4, 5, 0, 0, 64, 0, 0]);
@@ -216,7 +216,10 @@ fn gemm_denials_are_confirmed_by_every_oracle_kind() {
     // Parallel reduction: clean prelint, denied by the race analysis,
     // confirmed by exhaustive enumeration of the parallel iterations.
     let racy = cfg([4, 5, 0, 0, 0, 2, 0]);
-    assert!(mold.prelint(&racy).is_empty(), "races are the analyzer's job");
+    assert!(
+        mold.prelint(&racy).is_empty(),
+        "races are the analyzer's job"
+    );
     let func = mold.instantiate(&racy);
     let report = analyze::check(&func);
     let denial = report

@@ -147,7 +147,12 @@ fn pick_best_never_returns_a_failed_trial() {
         assert!(failed.clone().all(|r| r.error.is_some()), "{}", live.tuner);
 
         let back = resume_from_journal(fresh().as_mut(), &ev, opts, &path).expect("read back");
-        assert_eq!(back.replayed, live.len(), "{}: nothing re-measured", live.tuner);
+        assert_eq!(
+            back.replayed,
+            live.len(),
+            "{}: nothing re-measured",
+            live.tuner
+        );
         let best = back.best().expect("some trial succeeded");
         assert!(best.runtime_s.is_some());
         assert!(best.error.is_none());

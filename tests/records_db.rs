@@ -44,7 +44,9 @@ fn journal_rows_are_the_trials_of_a_real_run() {
     }
     let text = std::fs::read_to_string(&path).expect("read");
     assert_eq!(text.lines().count(), 10, "one JSON line per row");
-    assert!(text.lines().all(|l| l.contains("\"P0\"") && l.contains("\"P1\"")));
+    assert!(text
+        .lines()
+        .all(|l| l.contains("\"P0\"") && l.contains("\"P1\"")));
     let _ = std::fs::remove_file(&path);
 }
 

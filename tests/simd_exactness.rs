@@ -270,7 +270,9 @@ fn packed_path_is_not_vacuous() {
     let func = mold.instantiate(&mold.baseline_configuration());
     let cf = compile_optimized(&func).expect("optimized compile");
     let jf = default_backend().jit_compile(&cf).expect("gemm must jit");
-    let report = jf.jit_simd_report().expect("jitted function keeps a report");
+    let report = jf
+        .jit_simd_report()
+        .expect("jitted function keeps a report");
     assert!(
         report.packed_loops > 0,
         "gemm at default config must reach the packed tier: {report:?}"

@@ -240,8 +240,14 @@ fn aggressive_gemm_tuning_never_loses_to_the_paper_space() {
     );
     // The BO phase roams the wild part of the space, so the static
     // filter must have seen real traffic.
-    let prune = res.prune.clone().expect("analyzed evaluator reports prune counters");
-    assert!(prune.total() > 0, "no candidate reached the prune ledger: {prune:?}");
+    let prune = res
+        .prune
+        .clone()
+        .expect("analyzed evaluator reports prune counters");
+    assert!(
+        prune.total() > 0,
+        "no candidate reached the prune ledger: {prune:?}"
+    );
 }
 
 #[test]
@@ -250,10 +256,8 @@ fn aggressive_3mm_tuning_never_loses_to_the_paper_space() {
     // is itself a tuning result, and the aggressive run warm-starts from
     // that run's embedded trials before spending the rest of its 100-eval
     // budget on the widened space.
-    let paper_ev = MoldEvaluator::simulated(
-        mold_for(KernelName::Mm3, ProblemSize::Mini),
-        quiet_device(),
-    );
+    let paper_ev =
+        MoldEvaluator::simulated(mold_for(KernelName::Mm3, ProblemSize::Mini), quiet_device());
     let mut paper_tuner = YtoptTuner::new(paper_ev.space().clone(), 12);
     let paper_res = tune(
         &mut paper_tuner,
