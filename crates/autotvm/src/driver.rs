@@ -173,9 +173,7 @@ impl TuningResult {
 /// CPU time training is charged for it, exactly as in the paper's
 /// "overall autotuning process time".
 pub fn tune(tuner: &mut dyn Tuner, evaluator: &dyn Evaluator, opts: TuneOptions) -> TuningResult {
-    let measure = &mut in_place(evaluator);
-    run_rounds(tuner, evaluator, opts, None, Think::Charged, 1, measure)
-        .expect("journal-free tuning cannot do I/O")
+    run_in_place(tuner, evaluator, opts, None).expect("journal-free tuning cannot do I/O")
 }
 
 /// Like [`tune`], but write every completed trial to a crash-consistent
@@ -188,9 +186,7 @@ pub fn tune_journaled(
     path: impl AsRef<Path>,
 ) -> std::io::Result<TuningResult> {
     let mut journal = TrialJournal::create(path)?;
-    let fresh = Some((&mut journal, Vec::new()));
-    let measure = &mut in_place(evaluator);
-    run_rounds(tuner, evaluator, opts, fresh, Think::Charged, 1, measure)
+    run_in_place(tuner, evaluator, opts, Some((&mut journal, Vec::new())))
 }
 
 /// Resume a (possibly interrupted) journaled run: replay every completed
@@ -209,9 +205,7 @@ pub fn resume_from_journal(
     path: impl AsRef<Path>,
 ) -> std::io::Result<TuningResult> {
     let (mut journal, replay) = TrialJournal::open_resume(path)?;
-    let tape = Some((&mut journal, replay));
-    let measure = &mut in_place(evaluator);
-    run_rounds(tuner, evaluator, opts, tape, Think::Charged, 1, measure)
+    run_in_place(tuner, evaluator, opts, Some((&mut journal, replay)))
 }
 
 /// Like [`tune`], but measure each round's batch **concurrently** on
@@ -264,23 +258,31 @@ pub fn tune_parallel<E: Evaluator + Sync>(
         let filled = slots.into_iter().map(OnceLock::into_inner);
         filled.map(|r| r.expect("every chunk ran")).collect()
     };
-    let width = usize::MAX;
+    let (think, width) = (Think::Charged, usize::MAX);
+    run_rounds(tuner, evaluator, opts, None, think, width, &mut measure)
+        .expect("journal-free tuning cannot do I/O")
+}
+
+/// The loop as the three sequential entry points run it: think time
+/// charged, each wave one configuration measured on the caller's thread.
+fn run_in_place(
+    tuner: &mut dyn Tuner,
+    evaluator: &dyn Evaluator,
+    opts: TuneOptions,
+    journal: Option<(&mut TrialJournal, Vec<TrialRecord>)>,
+) -> std::io::Result<TuningResult> {
+    let mut measure = |wave: &[&Configuration]| -> Vec<MeasureResult> {
+        wave.iter().map(|cfg| evaluator.evaluate(cfg)).collect()
+    };
     run_rounds(
         tuner,
         evaluator,
         opts,
-        None,
+        journal,
         Think::Charged,
-        width,
+        1,
         &mut measure,
     )
-    .expect("journal-free tuning cannot do I/O")
-}
-
-/// A wave measured on the caller's thread, one configuration after the
-/// other.
-fn in_place(evaluator: &dyn Evaluator) -> impl Fn(&[&Configuration]) -> Vec<MeasureResult> + '_ {
-    move |wave| wave.iter().map(|cfg| evaluator.evaluate(cfg)).collect()
 }
 
 /// Seam 1 of [`run_rounds`]: whether the wall clock of the tuner's
@@ -829,9 +831,7 @@ mod tests {
         let (mut journal, replay) = journal;
         let mut t = RandomTuner::new(space(), 42);
         let tape = Some((&mut journal, replay));
-        let measure = &mut in_place(&ev);
-        let res =
-            run_rounds(&mut t, &ev, opts, tape, Think::Charged, 1, measure).expect("journaled run");
+        let res = run_in_place(&mut t, &ev, opts, tape).expect("journaled run");
         assert_eq!(res.len(), max_evals);
         (journal.written(), journal.syncs())
     }

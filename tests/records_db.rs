@@ -27,8 +27,8 @@ fn opts(max_evals: usize) -> TuneOptions {
 fn journal_rows_are_the_trials_of_a_real_run() {
     let ev = evaluator(KernelName::Lu);
     let path = tmp("lu.jsonl");
-    let tuner = || YtoptTuner::new(ev.space().clone(), 0);
-    let res = tune_journaled(&mut tuner(), &ev, opts(10), &path).expect("journaled run");
+    let mut tuner = YtoptTuner::new(ev.space().clone(), 0);
+    let res = tune_journaled(&mut tuner, &ev, opts(10), &path).expect("journaled run");
 
     let rows = TrialJournal::load(&path).expect("load");
     assert_eq!(rows.len(), 10, "one row per evaluation");
