@@ -59,7 +59,7 @@ fn die(msg: &str) -> ! {
 }
 
 /// Detected ISA features relevant to the packed-SIMD tier, plus the
-/// lane widths the default backend emits at. Recorded in the JSON so
+/// `f64` lane width the default backend emits at. Recorded in the JSON so
 /// `results/BENCH_*` figures stay interpretable across machines.
 fn cpu_json() -> serde_json::Value {
     #[cfg(target_arch = "x86_64")]
@@ -71,15 +71,13 @@ fn cpu_json() -> serde_json::Value {
     );
     #[cfg(not(target_arch = "x86_64"))]
     let (sse2, avx, avx2, fma) = (false, false, false, false);
-    let (f64_lanes, f32_lanes) = default_backend().vector_widths();
     serde_json::json!({
         "arch": std::env::consts::ARCH,
         "sse2": sse2,
         "avx": avx,
         "avx2": avx2,
         "fma": fma,
-        "f64_lanes": f64_lanes,
-        "f32_lanes": f32_lanes,
+        "f64_lanes": default_backend().f64_lanes(),
     })
 }
 
@@ -190,14 +188,13 @@ fn check_simd_accounting(dev: &CpuDevice) {
         die("vacuous run: no vector site took the packed path");
     }
     println!(
-        "simd: {} sites = {} packed ({} tiled) + {} scalar ({} reasons), lanes f64x{} f32x{}",
+        "simd: {} sites = {} packed ({} tiled) + {} scalar ({} reasons), lanes f64x{}",
         stats.sites(),
         stats.packed_loops,
         stats.tiled_loops,
         stats.scalar_loops,
         stats.scalar_reasons.len(),
-        stats.f64_lanes,
-        stats.f32_lanes
+        stats.f64_lanes
     );
 }
 
@@ -382,7 +379,6 @@ fn main() {
             "tiled_loops": simd.tiled_loops,
             "scalar_loops": simd.scalar_loops,
             "f64_lanes": simd.f64_lanes,
-            "f32_lanes": simd.f32_lanes,
             "scalar_reasons": simd.scalar_reasons.iter().map(|(r, n)| serde_json::json!({
                 "reason": r,
                 "count": n,

@@ -14,30 +14,29 @@
 //! back-edge relocations are resolved at emission time (the buffer is
 //! sealed read+execute before any pointer escapes).
 //!
-//! The x86-64 emitter has a packed-SIMD tier: analyzer-proven
-//! vectorized strided loops and parallel-pattern mul-add microkernels
-//! run as f64x2/f32x4 bodies (VEX-256 f64x4/f32x8 when AVX is
-//! detected), with register-tiled unroll-and-jam main loops; what a sweep
-//! leaves over runs at the next narrower width, down to scalar. A *trimmed* strided loop (a
-//! guard on the loop's own variable turned into a live range by
-//! [`crate::optimize`]) runs the scalar template with a trip count
-//! computed at loop entry. The scalar strided loop itself — the static
-//! and the trimmed template's, and the packed tier's tail — is
-//! register-resident: element pointers in GPRs, body-defined fregs in
-//! XMM registers, a forwarded reduction accumulator in one XMM register
-//! for the whole loop, and in-memory operands only where the budgets run
-//! out. The nest around it is resident the same way: a maximal loop or
-//! conditional whose every item is in the subset is one native entry,
-//! its loop counters and the integer registers it defines in
-//! callee-saved GPRs. Every vector site is accounted
-//! in [`SimdStats`]: packed, or scalar with a counted reason
-//! (`dynamic-extent` for trimmed loops), so
+//! The x86-64 emitter computes in `f64` only; a function with `f32` data
+//! or rounding runs whole on the optimized VM. It has a packed-SIMD tier:
+//! parallel-pattern mul-add microkernels, and the reduction loop jammed
+//! around them, run as f64x2 bodies (VEX-256 f64x4 when AVX is detected)
+//! with register-tiled main loops; what a sweep leaves over runs at the
+//! next narrower width, down to scalar. A strided loop runs the scalar
+//! template, with a trip count computed at loop entry when it is
+//! *trimmed* (a guard on the loop's own variable turned into a live range
+//! by [`crate::optimize`]). That loop is register-resident: element
+//! pointers in GPRs, body-defined fregs in XMM registers, a forwarded
+//! reduction accumulator in one XMM register for the whole loop, and
+//! in-memory operands only where the budgets run out. The nest around it
+//! is resident the same way: a maximal loop or conditional whose every
+//! item is in the subset is one native entry, its loop counters and the
+//! integer registers it defines in callee-saved GPRs. Every vector site is
+//! accounted in [`SimdStats`]: packed, or scalar with a counted reason
+//! (`strided-loop`, `dynamic-extent` for trimmed ones), so
 //! `packed + scalar-by-reason = total` always holds. [`scalar_backend`]
 //! is the fully scalar tier (outputs are bit-identical either way, so
 //! the fingerprint does not depend on it).
 //!
 //! Fingerprints: a JIT-mode device reports
-//! [`jit_fingerprint`] = `vm/v6+tir-opt/v1+par/v1+jit/v6`, distinct from the
+//! [`jit_fingerprint`] = `vm/v6+tir-opt/v1+par/v1+jit/v7`, distinct from the
 //! optimized VM's [`crate::optimize::engine_fingerprint`] so the
 //! service's engine ladder can attribute trial records to the exact
 //! engine that produced them.
@@ -66,8 +65,10 @@ pub use x86_64::X86Backend;
 /// integer registers in callee-saved GPRs for a whole nest. v6: plain
 /// loops carry hoisted registers (set at entry, bumped per iteration), a
 /// microkernel row is swept at each width its extent fills, and the jam
-/// takes rows shorter than the widest vector.
-pub const JIT_VERSION: &str = "jit/v6";
+/// takes rows shorter than the widest vector. v7: `f64` only — a function
+/// with `f32` in it falls back whole — and no packed strided loop, so a
+/// vectorize annotation no longer changes the code a loop gets.
+pub const JIT_VERSION: &str = "jit/v7";
 
 /// Fingerprint reported by a JIT-mode device: the optimized engine's
 /// fingerprint plus the codegen version.
@@ -187,11 +188,11 @@ pub trait CodegenBackend: Send + Sync + std::fmt::Debug {
     /// Compile every jittable loop nest of `cf` to machine code.
     fn jit_compile(&self, cf: &CompiledFunc) -> Result<CompiledFunc, CompileError>;
 
-    /// `(f64, f32)` packed lane widths this backend emits, in elements
-    /// (1 = scalar). Purely informational — surfaced through
-    /// [`SimdStats`] and the bench JSON `cpu` blocks.
-    fn vector_widths(&self) -> (u32, u32) {
-        (1, 1)
+    /// The packed `f64` lane width this backend emits, in elements (1 =
+    /// scalar). Purely informational — surfaced through [`SimdStats`] and
+    /// the bench JSON `cpu` blocks.
+    fn f64_lanes(&self) -> u32 {
+        1
     }
 }
 
@@ -313,7 +314,9 @@ pub struct SimdStats {
     pub scalar_loops: u64,
     /// Packed lane width for f64 sites (1 = scalar tier).
     pub f64_lanes: u32,
-    /// Packed lane width for f32 sites (1 = scalar tier).
+    /// Always 0: the JIT computes in `f64` only, and a function with `f32`
+    /// in it runs on the optimized VM. The field stays until the stats
+    /// structs become one registry (ROADMAP 2(a)).
     pub f32_lanes: u32,
     /// Scalar reason → count, sorted by reason for stable output.
     pub scalar_reasons: Vec<(String, u64)>,
@@ -334,7 +337,6 @@ pub struct SimdCounters {
     tiled_loops: AtomicU64,
     scalar_loops: AtomicU64,
     f64_lanes: AtomicU64,
-    f32_lanes: AtomicU64,
     reasons: Mutex<HashMap<String, u64>>,
 }
 
@@ -354,10 +356,9 @@ impl SimdCounters {
         }
     }
 
-    /// Record the backend's packed lane widths (idempotent).
-    pub fn set_lanes(&self, f64_lanes: u32, f32_lanes: u32) {
+    /// Record the backend's packed lane width (idempotent).
+    pub fn set_lanes(&self, f64_lanes: u32) {
         self.f64_lanes.store(f64_lanes as u64, Ordering::Relaxed);
-        self.f32_lanes.store(f32_lanes as u64, Ordering::Relaxed);
     }
 
     /// Consistent-enough snapshot for status reporting.
@@ -375,7 +376,7 @@ impl SimdCounters {
             tiled_loops: self.tiled_loops.load(Ordering::Relaxed),
             scalar_loops: self.scalar_loops.load(Ordering::Relaxed),
             f64_lanes: self.f64_lanes.load(Ordering::Relaxed) as u32,
-            f32_lanes: self.f32_lanes.load(Ordering::Relaxed) as u32,
+            f32_lanes: 0,
             scalar_reasons,
         }
     }
@@ -387,7 +388,7 @@ mod tests {
 
     #[test]
     fn noop_backend_always_falls_back() {
-        let f = tvm_te::placeholder([2], tvm_te::DType::F32, "A");
+        let f = tvm_te::placeholder([2], tvm_te::DType::F64, "A");
         let b = tvm_te::compute([2], "B", |i| f.at(&[i[0].clone()]) + 1i64);
         let s = tvm_te::Schedule::create(std::slice::from_ref(&b));
         let pf = tvm_tir::lower::lower(&s, &[f, b], "idf");

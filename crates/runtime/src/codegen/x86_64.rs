@@ -42,37 +42,35 @@
 //!     construction. Float operands of nest-level code stay in `fregs`.
 //!   - **The scalar strided loop** ([`plan::plan_resident`], emitted by
 //!     [`emit::NestCompiler::emit_strided_trips`], the one loop the
-//!     static template, the trimmed template and the packed tier's tail
-//!     all end in) adds to the nest's plan an element pointer in a GPR
-//!     for each `(slot, address register)` pair, stepped by the stride
-//!     the address register had; an XMM register for each freg the body
-//!     defines, never written back (post-loop state of body-defined
-//!     registers is unobservable); one XMM register for a forwarded
+//!     static and the trimmed template both end in) adds to the nest's
+//!     plan an element pointer in a GPR for each `(slot, address
+//!     register)` pair, stepped by the stride the address register had;
+//!     an XMM register for each freg the body defines, never written
+//!     back (post-loop state of body-defined registers is
+//!     unobservable); one XMM register for a forwarded
 //!     accumulator ([`crate::compile::Carry`]: loaded once behind the
 //!     empty-range test, stored by every iteration).
 //!
 //!   Every unchecked access a resident form issues is one the in-memory
 //!   form issued, at the same address, covered by the same proof.
 //! - Float ops use scalar SSE2 (`mulsd`/`addsd`/`divsd`/`sqrtsd`),
-//!   which are IEEE-correctly-rounded exactly like Rust's `f64` ops.
-//!   `f32` rounding replicates the VM's `as f32 as f64` with
-//!   `cvtsd2ss`/`cvtss2sd` pairs after each operation.
-//! - Packed SIMD (`movupd`/`mulpd`/`addpd` f64x2, `movups`/`mulps`/
-//!   `addps` f32x4, or their VEX-256 f64x4/f32x8 forms when AVX is
-//!   detected) is used in three places, all remainder-safe — what a
-//!   sweep leaves over runs at the next narrower width, VEX-256 then SSE2
-//!   then scalar, so a short row gets the width its extent fills — and
-//!   none of them on the scalar tier
+//!   which are IEEE-correctly-rounded exactly like Rust's `f64` ops. The
+//!   JIT computes in `f64` only: a function with an `f32` slot or any
+//!   instruction that rounds to `f32` is refused whole
+//!   ([`plan::check_f64`]) and runs on the optimized VM, which is
+//!   bit-identical to it and has `f32` slice kernels of its own.
+//! - Packed SIMD (`movupd`/`mulpd`/`addpd` f64x2, or their VEX-256
+//!   f64x4 forms when AVX is detected) is used in two places, both
+//!   remainder-safe — what a sweep leaves over runs at the next narrower
+//!   width, VEX-256 then SSE2 then scalar, so a short row gets the width
+//!   its extent fills — and neither on the scalar tier
 //!   ([`X86Backend::scalar_only`]):
 //!   mul-add microkernels with *parallel* stride patterns, where every
 //!   lane performs one multiply and one add with per-element rounding —
 //!   bit-identical to the scalar order, with a register-tiled 4×
-//!   unroll-and-jam main loop; strided-loop bodies whose enclosing
-//!   loop carries the analyzer's race-freedom proof
-//!   (`LoopKind::Vectorized { proven: true }`), where each lane writes
-//!   a disjoint element and keeps its own operation sequence; and a
-//!   cross-iteration unroll-and-jam of the *reduction* loop itself,
-//!   when a serial loop wraps exactly one axpy-like mul-add whose
+//!   unroll-and-jam main loop; and a cross-iteration unroll-and-jam of
+//!   the *reduction* loop itself, when a serial loop wraps exactly one
+//!   axpy-like mul-add whose
 //!   destination row is invariant in the loop variable (the y-tile-1
 //!   matmul shape): four consecutive reduction steps are fused into
 //!   one sweep that loads and stores the destination once per four
@@ -81,25 +79,20 @@
 //!   reduction order — only the interleaving across *distinct* cells
 //!   changes — and a dataflow scan ([`plan::plan_jam`]) proves
 //!   the destination address and broadcast factor invariant before the
-//!   jam fires. `f32`
-//!   lanes compute natively in f32: the result is bit-identical to the
-//!   VM's widen→op→round double rounding because products of 24-bit
-//!   significands are exact in f64 and 53 ≥ 2·24+2 makes the double
-//!   rounding innocuous for add/sub/div (Figueroa, 1995). A reduction
-//!   into one element (`dst` stride 0, any factor strides) has a serial
-//!   accumulation chain and always stays scalar (`reduction-chain`),
-//!   with the accumulator in a register, and every vector site
-//!   is tallied packed-or-scalar-with-reason in
-//!   [`super::SimdReport`].
+//!   jam fires. A reduction into one element (`dst` stride 0, any factor
+//!   strides) has a serial accumulation chain and always stays scalar
+//!   (`reduction-chain`), with the accumulator in a register; a strided
+//!   loop is one scalar site (`strided-loop`); and every vector site is
+//!   tallied packed-or-scalar-with-reason in [`super::SimdReport`].
 //! - A *trimmed* loop ([`crate::optimize`]'s loop trimming: a guard on
 //!   the loop's own variable turned into a live range) computes its range
 //!   at loop entry — [`emit::NestCompiler::emit_live_range`],
 //!   [`crate::compile::live_range`] in machine code, one template for the
 //!   plain and the strided loop — and runs the iterations whose guard
 //!   held, in ascending order. A trimmed strided loop runs the scalar
-//!   strided template ([`emit::NestCompiler::emit_trimmed_strided`]); it
-//!   is never packed or jammed — those plans split a static extent — and
-//!   is tallied scalar under `dynamic-extent`.
+//!   strided template ([`emit::NestCompiler::emit_trimmed_strided`]) and
+//!   is tallied under `dynamic-extent`; a trimmed plain loop is never
+//!   jammed — the jam splits a static extent.
 //! - A conditional tests its condition register against zero and jumps
 //!   over the arm not taken; both arms are checked, so a store that a
 //!   false guard protects is never reached and one a true guard admits
@@ -115,13 +108,13 @@
 //! # One place knows the ISA
 //!
 //! A template names a float instruction by what it does and how wide it
-//! is — [`asm::Width`]: `f64` or `f32` elements × scalar, SSE2 128-bit or
-//! VEX 256-bit — and [`asm::Asm`]'s vector layer (`vload`, `vstore`,
+//! is — [`asm::Width`]: scalar, SSE2 128-bit or VEX 256-bit over `f64`
+//! elements — and [`asm::Asm`]'s vector layer (`vload`, `vstore`,
 //! `vop_rr`, `vop_rm`, `vop1`, `vmov`, `bcast`, `vend`) picks the
 //! encoding: the legacy two-operand forms with their copy-then-operate
 //! and load-then-operate sequences, or the three-operand VEX forms. The
 //! width comes from [`X86Backend::width`] for what the host can run and
-//! from [`asm::Width::scalar`] for the in-order templates and every tail, so
+//! is [`asm::SD`] for the in-order templates and every tail, so
 //! a template is written once for all three tiers and lane counts and
 //! byte steps are read off the width it was handed.
 
@@ -176,14 +169,13 @@ mod fixtures {
         pub(super) a: SlotAccess,
         pub(super) b: SlotAccess,
         pub(super) j: i64,
-        pub(super) round32: bool,
         pub(super) tail: Vec<Item>,
     }
 
     impl JamNest {
         /// `inv_first` puts the stride-0 factor in the multiply's first
         /// operand.
-        pub(super) fn new(j: i64, inv_first: bool, round32: bool) -> JamNest {
+        pub(super) fn new(j: i64, inv_first: bool) -> JamNest {
             let (inv, vec) = (access(1, 7, 0), access(2, 4, 1));
             let (a, b) = if inv_first { (inv, vec) } else { (vec, inv) };
             let (row, col, dst) = (4, 7, 9);
@@ -199,7 +191,6 @@ mod fixtures {
                 a,
                 b,
                 j,
-                round32,
                 tail: vec![],
             }
         }
@@ -211,7 +202,7 @@ mod fixtures {
                 dst: self.dst,
                 a: self.a,
                 b: self.b,
-                round32: self.round32,
+                round32: false,
             };
             let items = [Item::Code(self.code), kernel].into_iter().chain(self.tail);
             Item::Loop {
@@ -327,6 +318,13 @@ mod fixtures {
             }
         }
 
+        /// Whether the function computes in `f32`: only then does the
+        /// generator write the forms that round to it (the JIT refuses the
+        /// function whole, and the optimized VM runs it).
+        fn in_f32(&self) -> bool {
+            self.dts.contains(&DType::F32)
+        }
+
         fn below(&mut self, n: i64) -> i64 {
             self.rng.gen_range(0..n)
         }
@@ -430,7 +428,7 @@ mod fixtures {
         fn observe_reg(&mut self, r: Reg, code: &mut Vec<Instr>) {
             let (f, slot) = (self.freg(), self.below(4) as u16);
             let at = self.addr(code, (0, 0), false);
-            code.push(if self.rng.gen_bool(0.5) {
+            code.push(if self.rng.gen_bool(0.5) || !self.in_f32() {
                 Instr::IToF(f, r)
             } else {
                 Instr::IToF32(f, r)
@@ -474,7 +472,7 @@ mod fixtures {
             let strides = PATTERNS[self.rng.gen_range(0..PATTERNS.len())];
             let slots = [0, 1, 2].map(|_| self.below(4) as u16);
             let (n, round32) = (1 + self.below(9), self.rng.gen_bool(0.5));
-            self.muladd(n, slots, strides, round32)
+            self.muladd(n, slots, strides, round32 && self.in_f32())
         }
 
         /// A serial `k` loop around a microkernel whose destination row
@@ -591,7 +589,9 @@ mod fixtures {
                 body.push(if self.rng.gen_bool(0.5) {
                     Instr::FBin(op, d, x, y)
                 } else {
-                    fmuladd(d, x, y, pick_of(&vals, self.rng), self.rng.gen_bool(0.3))
+                    let b = pick_of(&vals, self.rng);
+                    let round32 = self.rng.gen_bool(0.3) && self.in_f32();
+                    fmuladd(d, x, y, b, round32)
                 });
                 vals.push(d);
             }

@@ -2,7 +2,7 @@
 //! byte-level assembler. Prefix, REX, ModRM/SIB and VEX bytes are written
 //! nowhere else.
 
-use tvm_te::{BinOp, DType};
+use tvm_te::BinOp;
 
 // ---------------------------------------------------------------- registers
 
@@ -41,7 +41,8 @@ pub(super) const X0: X = X(0);
 pub(super) const X1: X = X(1);
 pub(super) const X2: X = X(2);
 pub(super) const X3: X = X(3);
-/// Scratch for packed strided-loop bodies (never mapped to a freg).
+/// Scratch of the jammed sweep's packed legacy loads (never mapped to a
+/// freg).
 pub(super) const XSCRATCH: X = X(15);
 
 /// Condition code for `jcc`/`cmovcc`/`setcc` (low nibble of the
@@ -91,18 +92,17 @@ pub(super) enum Shape {
     Avx,
 }
 
-/// Element type × [`Shape`] of a float instruction: all a template knows
-/// about the ISA. Lanes and byte steps are read off it; prefixes and the
-/// choice between two- and three-operand encodings stay inside [`Asm`].
+/// The [`Shape`] of a float instruction over `f64` elements, the only
+/// ones the JIT computes in: all a template knows about the ISA. Lanes and
+/// byte steps are read off it; prefixes and the choice between two- and
+/// three-operand encodings stay inside [`Asm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct Width {
-    /// `F64` or `F32`.
-    pub(super) dt: DType,
     shape: Shape,
 }
 
 /// Opcodes of the float arithmetic the layer's `op` parameters take (the
-/// same byte in every [`Width`]; the prefix picks `ss`/`sd`/`ps`/`pd`).
+/// same byte in every [`Width`]; the prefix picks `sd` or `pd`).
 pub(super) const FADD: u8 = 0x58;
 pub(super) const FMUL: u8 = 0x59;
 pub(super) const FSQRT: u8 = 0x51;
@@ -119,28 +119,19 @@ pub(super) fn arith(op: BinOp) -> u8 {
 }
 
 impl Width {
-    pub(super) fn new(dt: DType, shape: Shape) -> Width {
-        debug_assert!(matches!(dt, DType::F64 | DType::F32));
-        Width { dt, shape }
+    pub(super) const fn new(shape: Shape) -> Width {
+        Width { shape }
     }
 
-    /// One element of `dt`: the width of every scalar template and tail.
-    pub(super) const fn scalar(dt: DType) -> Width {
-        Width {
-            dt,
-            shape: Shape::Scalar,
-        }
-    }
-
-    /// The next narrower width over the same elements — VEX-256, then
-    /// SSE2, then scalar — for what a wider sweep leaves over.
+    /// The next narrower width — VEX-256, then SSE2, then scalar — for
+    /// what a wider sweep leaves over.
     pub(super) fn narrower(self) -> Option<Width> {
         let shape = match self.shape {
             Shape::Avx => Shape::Sse,
             Shape::Sse => Shape::Scalar,
             Shape::Scalar => return None,
         };
-        Some(Width { shape, ..self })
+        Some(Width { shape })
     }
 
     /// How a row of `extent` elements is swept from this width down: each
@@ -158,45 +149,34 @@ impl Width {
     pub(super) fn lanes(self) -> i64 {
         match self.shape {
             Shape::Scalar => 1,
-            Shape::Sse => 16 / i64::from(self.esize()),
-            Shape::Avx => 32 / i64::from(self.esize()),
-        }
-    }
-
-    /// Bytes per element.
-    pub(super) fn esize(self) -> u8 {
-        if self.dt == DType::F64 {
-            8
-        } else {
-            4
+            Shape::Sse => 16 / i64::from(ESIZE),
+            Shape::Avx => 32 / i64::from(ESIZE),
         }
     }
 
     /// Bytes per instruction: what a unit-stride pointer moves by.
     pub(super) fn step(self) -> i32 {
-        self.lanes() as i32 * i32::from(self.esize())
+        self.lanes() as i32 * i32::from(ESIZE)
     }
 
-    /// Mandatory prefix of the legacy moves and arithmetic.
+    /// Mandatory prefix of the legacy moves and arithmetic: `sd` or `pd`.
     fn prefix(self) -> Option<u8> {
-        match (self.shape, self.dt == DType::F64) {
-            (Shape::Scalar, true) => Some(0xF2),
-            (Shape::Scalar, false) => Some(0xF3),
-            (_, true) => Some(0x66),
-            (_, false) => None,
-        }
-    }
-
-    /// Prefix of the legacy whole-register copy, `movapd`/`movaps`.
-    fn movap_prefix(self) -> Option<u8> {
-        (self.dt == DType::F64).then_some(0x66)
-    }
-
-    /// VEX `pp` field of the packed moves and arithmetic.
-    fn pp(self) -> u8 {
-        (self.dt == DType::F64) as u8
+        Some(if self.shape == Shape::Scalar {
+            0xF2
+        } else {
+            0x66
+        })
     }
 }
+
+/// Bytes per element: an `f64`.
+pub(super) const ESIZE: u8 = 8;
+
+/// One element: the width of every scalar template and tail.
+pub(super) const SD: Width = Width::new(Shape::Scalar);
+
+/// VEX `pp` field of the packed `f64` moves and arithmetic (`66`).
+const PP_66: u8 = 1;
 
 // ---------------------------------------------------------------- assembler
 
@@ -549,14 +529,6 @@ impl Asm {
         self.sse_rr(None, 0x28, dst, src);
     }
 
-    pub(super) fn cvtss2sd_rr(&mut self, dst: X, src: X) {
-        self.sse_rr(Some(0xF3), 0x5A, dst, src);
-    }
-
-    pub(super) fn cvtsd2ss_rr(&mut self, dst: X, src: X) {
-        self.sse_rr(Some(0xF2), 0x5A, dst, src);
-    }
-
     /// `cvtsi2sd x, r64`
     pub(super) fn cvtsi2sd(&mut self, x: X, r: R) {
         self.b(0xF2);
@@ -575,12 +547,6 @@ impl Asm {
         self.modrm_rr(x.0, r.0);
     }
 
-    /// Round an f64 in `x` through f32 (`as f32 as f64`).
-    pub(super) fn round32(&mut self, x: X) {
-        self.cvtsd2ss_rr(x, x);
-        self.cvtss2sd_rr(x, x);
-    }
-
     // ---- the vector layer: one float instruction at a `Width` ----
     //
     // The raw `sse_*`/`vex*` encoders are reached only from here and from
@@ -592,8 +558,8 @@ impl Asm {
 
     fn vmov_m(&mut self, w: Width, op: u8, x: X, m: Mem) {
         match w.shape {
-            Shape::Avx => self.vex_m(w.pp(), op, x, 0, m, w.esize()),
-            _ => self.sse_m(w.prefix(), op, x, m, w.esize()),
+            Shape::Avx => self.vex_m(PP_66, op, x, 0, m, ESIZE),
+            _ => self.sse_m(w.prefix(), op, x, m, ESIZE),
         }
     }
 
@@ -607,18 +573,18 @@ impl Asm {
         self.vmov_m(w, 0x11, x, m);
     }
 
-    /// `dst ← src`, the whole register (`movap*`).
+    /// `dst ← src`, the whole register (`movapd`).
     pub(super) fn vmov(&mut self, w: Width, dst: X, src: X) {
         match w.shape {
-            Shape::Avx => self.vex_rr(w.pp(), 0x28, dst, 0, src),
-            _ => self.sse_rr(w.movap_prefix(), 0x28, dst, src),
+            Shape::Avx => self.vex_rr(PP_66, 0x28, dst, 0, src),
+            _ => self.sse_rr(Some(0x66), 0x28, dst, src),
         }
     }
 
     /// `dst ← a op b`.
     pub(super) fn vop_rr(&mut self, w: Width, op: u8, dst: X, a: X, b: X) {
         if w.shape == Shape::Avx {
-            return self.vex_rr(w.pp(), op, dst, a.0, b);
+            return self.vex_rr(PP_66, op, dst, a.0, b);
         }
         if dst != a {
             debug_assert!(dst != b, "copying `a` into `dst` would lose `b`");
@@ -631,13 +597,13 @@ impl Asm {
     /// the packed legacy form.
     pub(super) fn vop_rm(&mut self, w: Width, op: u8, dst: X, a: X, m: Mem, scratch: Option<X>) {
         if w.shape == Shape::Avx {
-            return self.vex_m(w.pp(), op, dst, a.0, m, w.esize());
+            return self.vex_m(PP_66, op, dst, a.0, m, ESIZE);
         }
         if dst != a {
             self.vmov(w, dst, a);
         }
         if w.shape == Shape::Scalar {
-            return self.sse_m(w.prefix(), op, dst, m, w.esize());
+            return self.sse_m(w.prefix(), op, dst, m, ESIZE);
         }
         let scratch = scratch.expect("packed legacy SSE loads its memory operand first");
         debug_assert!(scratch != dst);
@@ -648,30 +614,25 @@ impl Asm {
     /// `dst ← op src` (`sqrt`).
     pub(super) fn vop1(&mut self, w: Width, op: u8, dst: X, src: X) {
         match w.shape {
-            Shape::Avx => self.vex_rr(w.pp(), op, dst, 0, src),
+            Shape::Avx => self.vex_rr(PP_66, op, dst, 0, src),
             _ => self.sse_rr(w.prefix(), op, dst, src),
         }
     }
 
     /// Every lane of `x` ← the scalar at `[m]`.
     pub(super) fn bcast(&mut self, w: Width, x: X, m: Mem) {
-        match (w.shape, w.dt == DType::F64) {
-            (Shape::Avx, f64m) => {
-                // vbroadcastsd/ss: map 0F38, prefix 66 for both.
-                self.vex(x.0, m.index.map_or(0, |i| i.0), m.base.0, 2, 0, 1);
-                self.b(if f64m { 0x19 } else { 0x18 });
-                self.modrm_m(x.0, m, w.esize());
+        match w.shape {
+            Shape::Avx => {
+                // vbroadcastsd: map 0F38, prefix 66.
+                self.vex(x.0, m.index.map_or(0, |i| i.0), m.base.0, 2, 0, PP_66);
+                self.b(0x19);
+                self.modrm_m(x.0, m, ESIZE);
             }
-            (Shape::Sse, true) => {
-                self.vload(Width::scalar(w.dt), x, m);
+            Shape::Sse => {
+                self.vload(SD, x, m);
                 self.sse_rr(Some(0x66), 0x14, x, x); // unpcklpd
             }
-            (Shape::Sse, false) => {
-                self.vload(Width::scalar(w.dt), x, m);
-                self.sse_rr(None, 0xC6, x, x); // shufps x, x, 0
-                self.b(0x00);
-            }
-            (Shape::Scalar, _) => unreachable!("a broadcast fills vector lanes"),
+            Shape::Scalar => unreachable!("a broadcast fills vector lanes"),
         }
     }
 
@@ -777,10 +738,7 @@ mod tests {
         for d in XMMS {
             for s in XMMS {
                 row!(rows, movaps(d, s));
-                row!(rows, cvtss2sd_rr(d, s));
-                row!(rows, cvtsd2ss_rr(d, s));
             }
-            row!(rows, round32(d));
         }
         // The vector layer: every width through every function, `dst == a`
         // and `dst != a`, low and extended registers, every memory class.
@@ -794,37 +752,36 @@ mod tests {
             (X(10), X1, X(9)),
         ];
         for shape in [Shape::Scalar, Shape::Sse, Shape::Avx] {
-            for w in [DType::F64, DType::F32].map(|dt| Width::new(dt, shape)) {
-                for base in BASES {
-                    for disp in DISPS {
-                        row!(rows, vload(w, X1, Mem::at(base, disp)));
-                    }
+            let w = Width::new(shape);
+            for base in BASES {
+                for disp in DISPS {
+                    row!(rows, vload(w, X1, Mem::at(base, disp)));
                 }
-                for x in XMMS {
-                    for m in indexed.concat() {
-                        row!(rows, vload(w, x, m));
-                        row!(rows, vstore(w, m, x));
-                    }
-                    for m in few {
-                        row!(rows, vload(w, x, m));
-                        row!(rows, vstore(w, m, x));
-                        if shape != Shape::Scalar {
-                            row!(rows, bcast(w, x, m));
-                        }
-                    }
-                }
-                for (dst, x, y) in operands {
-                    row!(rows, vmov(w, dst, y));
-                    row!(rows, vop1(w, FSQRT, dst, y));
-                    for op in [FADD, FMUL, arith(BinOp::Sub), arith(BinOp::Div)] {
-                        row!(rows, vop_rr(w, op, dst, x, y));
-                    }
-                    for m in few {
-                        row!(rows, vop_rm(w, FMUL, dst, x, m, Some(y)));
-                    }
-                }
-                row!(rows, vend(w));
             }
+            for x in XMMS {
+                for m in indexed.concat() {
+                    row!(rows, vload(w, x, m));
+                    row!(rows, vstore(w, m, x));
+                }
+                for m in few {
+                    row!(rows, vload(w, x, m));
+                    row!(rows, vstore(w, m, x));
+                    if shape != Shape::Scalar {
+                        row!(rows, bcast(w, x, m));
+                    }
+                }
+            }
+            for (dst, x, y) in operands {
+                row!(rows, vmov(w, dst, y));
+                row!(rows, vop1(w, FSQRT, dst, y));
+                for op in [FADD, FMUL, arith(BinOp::Sub), arith(BinOp::Div)] {
+                    row!(rows, vop_rr(w, op, dst, x, y));
+                }
+                for m in few {
+                    row!(rows, vop_rm(w, FMUL, dst, x, m, Some(y)));
+                }
+            }
+            row!(rows, vend(w));
         }
         // What the resident nest added (`jit/v5`): register moves and 0/1
         // logic over the scratch and the callee-saved nest registers

@@ -1,12 +1,12 @@
 //! Planning: which nests are in the JIT subset and how each is laid out
 //! in registers — pure functions of the bytecode, the slot dtypes and the
-//! backend's [`Width`] for an element type, so every decision is testable
-//! without emitting or executing anything.
+//! backend's widest [`Width`], so every decision is testable without
+//! emitting or executing anything.
 
-use super::asm::{Width, R, R10, R12, R13, R14, R15, R8, R9, RBP, RBX, X};
-use crate::compile::{Block, Carry, Clamp, Instr, Item, LoopKind, Reg, SlotAccess};
+use super::asm::{Width, ESIZE, R, R10, R12, R13, R14, R15, R8, R9, RBP, RBX, X};
+use crate::compile::{Block, Carry, Clamp, Instr, Item, Reg, SlotAccess};
 use crate::optimize::{float_dst, float_uses, int_dst, int_uses, reads_ireg};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use tvm_te::{BinOp, DType, Intrinsic};
 
 /// Offset of register `r` inside its (8-byte-element) register file.
@@ -30,9 +30,49 @@ fn reject<T>(msg: impl Into<String>) -> Result<T, String> {
     Err(msg.into())
 }
 
-fn float_slot(dts: &[DType], slot: u16) -> Result<DType, String> {
+/// The one reason for everything `f32`. The JIT computes in `f64` only: a
+/// function with an `f32` slot or any rounding to `f32` runs whole on the
+/// optimized VM ([`check_f64`]), which is bit-identical to it under the
+/// per-function fallback contract and is the `f32` fast path.
+pub(super) const NOT_F64: &str = "f32 data or rounding (the JIT is f64-only)";
+
+/// Is `i` one of the forms `f32` arithmetic compiles to?
+fn rounds_to_f32(i: &Instr) -> bool {
+    matches!(
+        i,
+        Instr::FBin32(..)
+            | Instr::F32Round(..)
+            | Instr::IToF32(..)
+            | Instr::FMulAdd { round32: true, .. }
+            | Instr::Call1(.., true)
+            | Instr::Call2(.., true)
+    )
+}
+
+/// The function-level half of [`NOT_F64`]: refuses a function with a
+/// non-`f64` float slot or an instruction anywhere that rounds to `f32`,
+/// before any of it is emitted.
+pub(super) fn check_f64(dts: &[DType], body: &Block) -> Result<(), String> {
+    fn rounds(b: &Block) -> bool {
+        b.items.iter().any(|item| match item {
+            Item::Code(c) => c.iter().any(rounds_to_f32),
+            Item::Loop { pre, body, .. } => pre.iter().any(rounds_to_f32) || rounds(body),
+            Item::StridedLoop { pre, body, .. } => pre.iter().chain(body).any(rounds_to_f32),
+            Item::MulAddLoop { pre, round32, .. } => *round32 || pre.iter().any(rounds_to_f32),
+            Item::If { then, else_, .. } => rounds(then) || else_.as_ref().is_some_and(rounds),
+            Item::JitCall { .. } => false,
+        })
+    }
+    if dts.contains(&DType::F32) || rounds(body) {
+        return reject(NOT_F64);
+    }
+    Ok(())
+}
+
+fn float_slot(dts: &[DType], slot: u16) -> Result<(), String> {
     match dts[slot as usize] {
-        dt @ (DType::F32 | DType::F64) => Ok(dt),
+        DType::F64 => Ok(()),
+        DType::F32 => reject(NOT_F64),
         other => reject(format!("integer-typed buffer ({other:?})")),
     }
 }
@@ -40,15 +80,16 @@ fn float_slot(dts: &[DType], slot: u16) -> Result<DType, String> {
 /// Is this instruction in the infallible, bit-exact JIT subset?
 fn check_instr(i: &Instr, dts: &[DType]) -> Result<(), String> {
     match i {
-        Instr::IConst(..) | Instr::FConst(..) | Instr::IToF(..) | Instr::IToF32(..) => Ok(()),
-        Instr::F32Round(..) | Instr::FMulAdd { .. } => Ok(()),
+        _ if rounds_to_f32(i) => reject(NOT_F64),
+        Instr::FBin32(..) | Instr::F32Round(..) | Instr::IToF32(..) => unreachable!("caught above"),
+        Instr::IConst(..) | Instr::FConst(..) | Instr::IToF(..) | Instr::FMulAdd { .. } => Ok(()),
         Instr::IBin(op, ..) => match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul => Ok(()),
             // Div/FloorDiv/FloorMod can fail; Min/Max are cheap enough
             // that the VM handles the (rare) nests using them.
             other => reject(format!("integer op {other:?}")),
         },
-        Instr::FBin(op, ..) | Instr::FBin32(op, ..) => match op {
+        Instr::FBin(op, ..) => match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => Ok(()),
             // minsd/maxsd NaN and ±0 semantics differ from Rust's
             // f64::min/max; floor ops need roundsd (SSE4.1) — rejected.
@@ -56,7 +97,7 @@ fn check_instr(i: &Instr, dts: &[DType]) -> Result<(), String> {
         },
         Instr::Call1(Intrinsic::Sqrt, ..) => Ok(()),
         Instr::Call1(intr, ..) | Instr::Call2(intr, ..) => reject(format!("intrinsic {intr:?}")),
-        Instr::Load(_, slot, _) | Instr::Store(slot, _, _) => float_slot(dts, *slot).map(|_| ()),
+        Instr::Load(_, slot, _) | Instr::Store(slot, _, _) => float_slot(dts, *slot),
         Instr::Bound { .. } => reject("runtime bounds check"),
         Instr::StoreChecked { .. } => reject("checked store"),
         // Integer 0/1 logic is exact by construction.
@@ -137,18 +178,20 @@ pub(super) fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
             dst,
             a,
             b,
-            ..
+            round32,
         } => {
+            if *round32 {
+                return reject(NOT_F64);
+            }
             if *extent < 1 {
                 return reject("empty microkernel loop");
             }
             check_code(pre, dts)?;
             for acc in [dst, a, b] {
                 float_slot(dts, acc.slot)?;
-                let esize = i64::from(elem_size(dts, acc.slot));
                 if acc
                     .stride
-                    .checked_mul(esize)
+                    .checked_mul(i64::from(ESIZE))
                     .and_then(|v| i32::try_from(v).ok())
                     .is_none()
                 {
@@ -163,11 +206,6 @@ pub(super) fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
         }
         Item::JitCall { .. } => reject("already compiled"),
     }
-}
-
-/// Element size in bytes of a (float) storage slot.
-pub(super) fn elem_size(dts: &[DType], slot: u16) -> u8 {
-    Width::scalar(dts[slot as usize]).esize()
 }
 
 /// A float operand of a scalar template: resident in an XMM register,
@@ -618,7 +656,6 @@ pub(super) fn plan_resident(
     bumps: &[(Reg, i64)],
     body: &[Instr],
     carry: Option<Carry>,
-    dts: &[DType],
     gprs: &[R],
     xmms: u8,
 ) -> ResidentPlan<'static> {
@@ -630,7 +667,7 @@ pub(super) fn plan_resident(
             continue;
         };
         let step = stride(addr)
-            .checked_mul(i64::from(elem_size(dts, slot)))
+            .checked_mul(i64::from(ESIZE))
             .map(i32::try_from);
         let (Some(&p), Some(Ok(step))) = (gprs.get(res.ptrs.len()), step) else {
             continue;
@@ -683,257 +720,39 @@ pub(super) fn plan_resident(
     }
 }
 
-/// Where a loop-invariant packed register gets its (broadcast) value.
-pub(super) enum InvSrc {
-    /// A body `FConst` hoisted out of the loop: materialise the bits in
-    /// the destination freg's slot (unobservable post-loop; the scalar
-    /// tail re-executes the `FConst`) and broadcast from there.
-    Const { dst: Reg, v: f64 },
-    /// An freg defined outside the loop body (f64 mode only — an
-    /// external freg holds a full f64, which native-f32 lanes can't
-    /// represent): broadcast from its register-file slot.
-    Freg(Reg),
-    /// A stride-0 `Load`: the address register is never bumped, so the
-    /// element is the same every iteration. Hoisting it above the
-    /// loop's stores is sound *because* the loop is proven race-free:
-    /// any store hitting the loaded element would be a cross-iteration
-    /// read/write dependence the analyzer flags.
-    Load { dst: Reg, slot: u16, addr: Reg },
-}
-
-/// Validated vectorization plan for one proven `StridedLoop` body.
-pub(super) struct PackedPlan {
-    /// The packed width: `f64` or native-`f32` lanes.
-    pub(super) w: Width,
-    /// freg → xmm assignment (X0..X14; X15 stays scratch).
-    pub(super) xmap: HashMap<Reg, X>,
-    /// Pre-loop invariant broadcasts, in first-use order.
-    pub(super) inv: Vec<InvSrc>,
-    /// fregs whose defining instruction was hoisted (consts and
-    /// stride-0 loads): skipped in the packed body.
-    pub(super) hoisted: HashSet<Reg>,
-}
-
-/// Decide whether a strided-loop body can run packed, and how. The
-/// `Err` string is the per-reason scalar-fallback tag tallied in
-/// [`crate::codegen::SimdReport`]; together with the packed count these partition
-/// every strided vector site.
-pub(super) fn plan_packed(
-    extent: i64,
-    bumps: &[(Reg, i64)],
-    body: &[Instr],
-    kind: &LoopKind,
-    dts: &[DType],
-    width: impl Fn(DType) -> Width,
-) -> Result<PackedPlan, &'static str> {
-    // The scalar tier packs nothing, whatever the element type.
-    if width(DType::F64).lanes() == 1 {
-        return Err("simd-disabled");
-    }
-    // Packing reorders iterations across lanes, so it is gated on
-    // the dependence analyzer's race-freedom proof exactly like
-    // pool dispatch is for `Parallel` loops.
-    match kind {
-        LoopKind::Vectorized { proven: true } => {}
-        LoopKind::Vectorized { proven: false } => return Err("unproven-vectorize"),
-        _ => return Err("no-vectorize-annotation"),
-    }
-    // Mode: the uniform dtype of every load/store in the body.
-    let mut mode: Option<DType> = None;
-    for i in body {
-        if let Instr::Load(_, slot, _) | Instr::Store(slot, _, _) = i {
-            let dt = dts[*slot as usize];
-            match mode {
-                None => mode = Some(dt),
-                Some(m) if m != dt => return Err("mixed-precision"),
-                _ => {}
-            }
-        }
-    }
-    let Some(dt) = mode else {
-        return Err("body-op");
-    };
-    let w = width(dt);
-    let f64m = dt == DType::F64;
-    if extent < w.lanes() {
-        return Err("short-extent");
-    }
-    for &(_, s) in bumps {
-        if s.checked_mul(w.lanes()).is_none() {
-            return Err("stride-overflow");
-        }
-    }
-    let strides: HashMap<Reg, i64> = bumps.iter().copied().collect();
-    let mut plan = PackedPlan {
-        w,
-        xmap: HashMap::new(),
-        inv: Vec::new(),
-        hoisted: HashSet::new(),
-    };
-    // fregs defined by the body vs. read from outside it.
-    let mut defined: HashSet<Reg> = HashSet::new();
-    let mut external: HashSet<Reg> = HashSet::new();
-    fn alloc(xmap: &mut HashMap<Reg, X>, r: Reg) -> Result<X, &'static str> {
-        if let Some(&x) = xmap.get(&r) {
-            return Ok(x);
-        }
-        // X15 stays scratch for in-body multiply-add temporaries.
-        if xmap.len() >= 15 {
-            return Err("register-pressure");
-        }
-        let x = X(xmap.len() as u8);
-        xmap.insert(r, x);
-        Ok(x)
-    }
-    macro_rules! def {
-        ($d:expr) => {{
-            if defined.contains(&$d) {
-                return Err("freg-reassign");
-            }
-            if external.contains(&$d) {
-                return Err("loop-carried-freg");
-            }
-            defined.insert($d);
-            alloc(&mut plan.xmap, $d)?;
-        }};
-    }
-    macro_rules! read {
-        ($r:expr) => {{
-            if !defined.contains(&$r) && !external.contains(&$r) {
-                // Defined outside the loop: loop-invariant (the
-                // body holds no integer/float redefinitions — they
-                // were rejected above or live in `pre`). Broadcast
-                // once. Native-f32 lanes can't hold an arbitrary
-                // f64, so this is an f64-mode-only trick.
-                if !f64m {
-                    return Err("operand-precision");
-                }
-                external.insert($r);
-                alloc(&mut plan.xmap, $r)?;
-                plan.inv.push(InvSrc::Freg($r));
-            }
-        }};
-    }
-    for i in body {
-        match *i {
-            Instr::FConst(d, v) => {
-                if !f64m && f64::from(v as f32) != v {
-                    return Err("const-precision");
-                }
-                def!(d);
-                plan.hoisted.insert(d);
-                plan.inv.push(InvSrc::Const { dst: d, v });
-            }
-            Instr::Load(d, slot, addr) => match strides.get(&addr).copied().unwrap_or(0) {
-                1 => def!(d),
-                0 => {
-                    def!(d);
-                    plan.hoisted.insert(d);
-                    plan.inv.push(InvSrc::Load { dst: d, slot, addr });
-                }
-                _ => return Err("load-stride"),
-            },
-            Instr::Store(_, addr, val) => {
-                if strides.get(&addr).copied().unwrap_or(0) != 1 {
-                    return Err("store-stride");
-                }
-                read!(val);
-            }
-            Instr::FBin(op, d, x, y) | Instr::FBin32(op, d, x, y) => {
-                if f64m != matches!(i, Instr::FBin(..)) {
-                    return Err("mixed-precision");
-                }
-                debug_assert!(matches!(
-                    op,
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div
-                ));
-                read!(x);
-                read!(y);
-                def!(d);
-            }
-            Instr::FMulAdd {
-                dst,
-                add,
-                a,
-                b,
-                round32,
-            } => {
-                if round32 == f64m {
-                    return Err("rounding-mismatch");
-                }
-                read!(add);
-                read!(a);
-                read!(b);
-                def!(dst);
-            }
-            Instr::F32Round(d, s) => {
-                if f64m {
-                    return Err("mixed-precision");
-                }
-                read!(s);
-                def!(d);
-            }
-            Instr::Call1(Intrinsic::Sqrt, d, x, round) => {
-                if round == f64m {
-                    return Err("rounding-mismatch");
-                }
-                read!(x);
-                def!(d);
-            }
-            _ => return Err("body-op"),
-        }
-    }
-    Ok(plan)
-}
-
 /// What the three operands of a `MulAddLoop` allow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) enum MulAdd {
     /// `dst` stride 0: one element accumulates every product, in order —
     /// a serial chain whatever the factors' strides, always scalar, and
-    /// carried in a register. `native` is the common dtype when the chain
-    /// can run in it ([`super::emit::NestCompiler::muladd_reduction`]).
-    Reduction { native: Option<DType> },
-    /// `dst` stride 1 and factor strides `(0,1)`, `(1,0)` or `(1,1)` over
-    /// one dtype, rounding matched to it, the destination slot read by
-    /// neither factor: every element is an independent multiply and add.
-    Parallel(DType),
+    /// carried in a register. `stored_once` when neither factor reads the
+    /// destination's slot, so nothing in the loop can observe the element
+    /// ([`super::emit::NestCompiler::muladd_reduction`]).
+    Reduction { stored_once: bool },
+    /// `dst` stride 1 and factor strides `(0,1)`, `(1,0)` or `(1,1)`, the
+    /// destination slot read by neither factor: every element is an
+    /// independent multiply and add.
+    Parallel,
     /// The element-order loop, with the reason it is not packed.
     Generic(&'static str),
 }
 
-pub(super) fn classify_muladd(
-    dst: &SlotAccess,
-    a: &SlotAccess,
-    b: &SlotAccess,
-    round32: bool,
-    dts: &[DType],
-) -> MulAdd {
-    let dt = dts[dst.slot as usize];
-    let refusal = if dts[a.slot as usize] != dt || dts[b.slot as usize] != dt {
-        Some("mixed-dtype")
-    } else if (dt == DType::F64) == round32 {
-        Some("rounding-mismatch")
-    } else if dst.slot == a.slot || dst.slot == b.slot {
-        Some("aliased-dst")
-    } else {
-        None
-    };
+pub(super) fn classify_muladd(dst: &SlotAccess, a: &SlotAccess, b: &SlotAccess) -> MulAdd {
+    let aliased = dst.slot == a.slot || dst.slot == b.slot;
     if dst.stride == 0 {
         return MulAdd::Reduction {
-            native: refusal.is_none().then_some(dt),
+            stored_once: !aliased,
         };
     }
-    match refusal {
-        Some(reason) => MulAdd::Generic(reason),
-        None if matches!(
-            (dst.stride, a.stride, b.stride),
-            (1, 0, 1) | (1, 1, 0) | (1, 1, 1)
-        ) =>
-        {
-            MulAdd::Parallel(dt)
-        }
-        None => MulAdd::Generic("stride-pattern"),
+    if aliased {
+        MulAdd::Generic("aliased-dst")
+    } else if matches!(
+        (dst.stride, a.stride, b.stride),
+        (1, 0, 1) | (1, 1, 0) | (1, 1, 1)
+    ) {
+        MulAdd::Parallel
+    } else {
+        MulAdd::Generic("stride-pattern")
     }
 }
 
@@ -969,7 +788,7 @@ pub(super) struct JamPlan<'p> {
     /// Whether the invariant factor is the multiply's *first* operand
     /// (`a`), preserving the VM's NaN-payload operand order.
     pub(super) inv_first: bool,
-    /// The packed width: `f64` or native-`f32` lanes.
+    /// The widest packed width the row fills.
     pub(super) w: Width,
     /// The microkernel's ("j") trip count (≥ `w.lanes()`).
     pub(super) extent: i64,
@@ -987,9 +806,8 @@ pub(super) struct JamPlan<'p> {
 ///
 /// Eligibility (each check discharges a soundness obligation):
 /// - body is exactly `[Code?, MulAddLoop]`, the microkernel
-///   [`MulAdd::Parallel`] (uniform dtype, matched rounding, a
-///   destination slot distinct from both factors) with stride
-///   pattern `(1,0,1)` or `(1,1,0)`;
+///   [`MulAdd::Parallel`] (a destination slot distinct from both factors)
+///   with stride pattern `(1,0,1)` or `(1,1,0)`;
 /// - the address code is memory-free (pure register arithmetic),
 ///   so running four iterations' worth up front has no observable
 ///   effect beyond the register file, which sees the exact scalar
@@ -999,11 +817,7 @@ pub(super) struct JamPlan<'p> {
 ///   treating loop-carried register reads and the loop's bumped
 ///   registers as varying (a hoisted register that is not bumped is set
 ///   once, outside the code the pass scans).
-pub(super) fn plan_jam<'p>(
-    item: &'p Item,
-    dts: &[DType],
-    width: impl Fn(DType) -> Width,
-) -> Option<JamPlan<'p>> {
+pub(super) fn plan_jam(item: &Item, widest: Width) -> Option<JamPlan<'_>> {
     let Item::Loop {
         var,
         min,
@@ -1032,14 +846,14 @@ pub(super) fn plan_jam<'p>(
         dst,
         a,
         b,
-        round32,
+        ..
     } = ma
     else {
         unreachable!("matched above")
     };
-    let MulAdd::Parallel(dt) = classify_muladd(dst, a, b, *round32, dts) else {
+    if classify_muladd(dst, a, b) != MulAdd::Parallel {
         return None;
-    };
+    }
     let (inv, vec, inv_first) = match (a.stride, b.stride) {
         (0, 1) => (*a, *b, true),
         (1, 0) => (*b, *a, false),
@@ -1047,7 +861,7 @@ pub(super) fn plan_jam<'p>(
     };
     // The widest width the row fills at least once: a scalar one jams
     // nothing.
-    let mut w = width(dt);
+    let mut w = widest;
     while *extent < w.lanes() {
         w = w.narrower()?;
     }
@@ -1068,10 +882,7 @@ pub(super) fn plan_jam<'p>(
             }
             Instr::FConst(..)
             | Instr::IToF(..)
-            | Instr::IToF32(..)
-            | Instr::F32Round(..)
             | Instr::FBin(..)
-            | Instr::FBin32(..)
             | Instr::FMulAdd { .. }
             | Instr::Call1(..) => {}
             _ => return None,
@@ -1128,6 +939,7 @@ mod tests {
     use super::super::asm::{Shape, R11, RAX, RCX, RDI, RDX, RSI, RSP};
     use super::super::fixtures::{access, fmuladd, nest_function, JamNest, NestGen};
     use super::*;
+    use crate::compile::LoopKind;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use tvm_te::CmpOp;
@@ -1226,13 +1038,76 @@ mod tests {
         assert_eq!(check_instr(&Instr::FToI(2, 0), &dts), cast);
     }
 
+    #[test]
+    fn everything_f32_is_refused_under_one_reason() {
+        use DType::{F32, F64};
+        let refused = Err(NOT_F64.to_string());
+        let code = |i: Instr| Item::Code(vec![i]);
+        let row = |dst, a, b, round32| Item::MulAddLoop {
+            extent: 4,
+            pre: vec![],
+            dst,
+            a,
+            b,
+            round32,
+        };
+        let (d, x, y) = (access(0, 0, 1), access(1, 1, 0), access(2, 2, 1));
+        // (what, slot dtypes, item): an `f32` slot read, written or walked
+        // by a microkernel, and each form `f32` arithmetic compiles to.
+        let table = [
+            (
+                "f32 slot loaded",
+                [F64, F32, F64],
+                code(Instr::Load(0, 1, 0)),
+            ),
+            (
+                "f32 slot stored",
+                [F32, F64, F64],
+                code(Instr::Store(0, 0, 0)),
+            ),
+            ("f32 microkernel slot", [F64, F64, F32], row(d, x, y, false)),
+            ("FBin32", [F64; 3], code(Instr::FBin32(BinOp::Mul, 2, 0, 1))),
+            ("F32Round", [F64; 3], code(Instr::F32Round(2, 0))),
+            ("IToF32", [F64; 3], code(Instr::IToF32(2, 0))),
+            (
+                "round32 multiply-add",
+                [F64; 3],
+                code(fmuladd(3, 2, 0, 1, true)),
+            ),
+            (
+                "round32 sqrt",
+                [F64; 3],
+                code(Instr::Call1(Intrinsic::Sqrt, 2, 0, true)),
+            ),
+            ("round32 microkernel", [F64; 3], row(d, x, y, true)),
+        ];
+        for (what, dts, item) in table {
+            assert_eq!(check_item(&item, &dts), refused, "{what}");
+            // The function that holds it falls back whole, before anything
+            // of it is emitted.
+            let body = Block { items: vec![item] };
+            assert_eq!(check_f64(&dts, &body), refused, "{what}");
+        }
+        // The same items over `f64` and without the rounding are admitted.
+        let fine = [
+            code(Instr::Load(0, 1, 0)),
+            code(Instr::FBin(BinOp::Mul, 2, 0, 1)),
+            code(fmuladd(3, 2, 0, 1, false)),
+            code(Instr::Call1(Intrinsic::Sqrt, 2, 0, false)),
+            row(d, x, y, false),
+        ];
+        for item in fine {
+            assert_eq!(check_item(&item, &[F64; 3]), Ok(()), "{item:?}");
+            assert_eq!(check_f64(&[F64; 3], &Block { items: vec![item] }), Ok(()));
+        }
+    }
+
     /// Run a nest the way the emitter lays it out — every loop body twice,
     /// each arm of every conditional from the state before it — tracking
     /// which integer register each GPR of `plan` holds, and fail on a read
     /// that finds another's value there.
     struct Replay<'p> {
         plan: &'p Resident<'p>,
-        dts: &'p [DType],
         holds: Vec<(R, Reg)>,
         reads: usize,
     }
@@ -1328,7 +1203,7 @@ mod tests {
                             self.write(r);
                         }
                     }
-                    let plan = plan_resident(bumps, body, *carry, self.dts, &PTR_REGS, XMM_POOL);
+                    let plan = plan_resident(bumps, body, *carry, &PTR_REGS, XMM_POOL);
                     for &((_, addr), _) in &plan.res.ptrs {
                         self.read(addr);
                     }
@@ -1373,10 +1248,10 @@ mod tests {
             let extras = rng.gen_range(0..=12);
             let mut g = NestGen::new(&mut rng, vec![DType::F64; 4], extras);
             let generated = g.plain_loop(case % 4);
-            let (dts, n_iregs) = (g.dts.clone(), g.iregs.len() as Reg);
+            let n_iregs = g.iregs.len() as Reg;
             // The nest as generated, and as the block optimizer leaves it:
             // index arithmetic hoisted to each loop's entry and bumped.
-            let plain = nest_function(&generated, &g.iregs, g.n_fregs, &dts);
+            let plain = nest_function(&generated, &g.iregs, g.n_fregs, &g.dts);
             let mut optimized = crate::optimize::optimize_compiled(&plain).body.items;
             let hoisted = optimized.pop().expect("the prologue, then the nest");
             bumped += format!("{hoisted:?}").matches("bumps: [(").count();
@@ -1407,7 +1282,6 @@ mod tests {
                     assert!(gprs.len() <= lives.len());
                     let mut replay = Replay {
                         plan: &plan,
-                        dts: &dts,
                         holds: Vec::new(),
                         reads: 0,
                     };
@@ -1420,175 +1294,64 @@ mod tests {
         assert!(shared > 1000 && unbooked > 1000 && replayed > 10_000);
     }
 
-    /// One call of `plan_packed` over `B[i] = A[i] · c`: as built,
-    /// accepted at every shape but `Scalar`.
-    struct Packable {
-        extent: i64,
-        bumps: Vec<(Reg, i64)>,
-        body: Vec<Instr>,
-        kind: LoopKind,
-        dts: [DType; 2],
-        shape: Shape,
-    }
-
-    fn packable() -> Packable {
-        let mul = Instr::FBin(BinOp::Mul, 2, 1, 0);
-        Packable {
-            extent: 8,
-            bumps: vec![(0, 1), (1, 1), (2, 1)],
-            body: vec![Instr::Load(1, 0, 1), mul, Instr::Store(1, 2, 2)],
-            kind: LoopKind::Vectorized { proven: true },
-            dts: [DType::F64; 2],
-            shape: Shape::Sse,
-        }
-    }
-
-    #[test]
-    fn plan_packed_names_every_refusal() {
-        use DType::{F32, F64};
-        let plan = |c: &Packable| {
-            let width = |dt| Width::new(dt, c.shape);
-            plan_packed(c.extent, &c.bumps, &c.body, &c.kind, &c.dts, width).map(|p| p.w)
-        };
-        let sqrt = |round| Instr::Call1(Intrinsic::Sqrt, 2, 1, round);
-        let in_f32 = |c: &mut Packable, i: Instr| (c.dts, c.body[1]) = ([F32; 2], i);
-        // Accepted at each shape's own width, and at no extent below it.
-        for dt in [F64, F32] {
-            for shape in [Shape::Sse, Shape::Avx] {
-                let (mut case, want) = (packable(), Width::new(dt, shape));
-                if dt == F32 {
-                    in_f32(&mut case, sqrt(true));
-                }
-                (case.shape, case.extent) = (shape, want.lanes());
-                assert_eq!(plan(&case), Ok(want));
-                case.extent -= 1;
-                assert_eq!(plan(&case), Err("short-extent"));
-            }
-        }
-        // Each refusal changes one thing about the accepted call.
-        let refuses = |reason: &str, edit: &dyn Fn(&mut Packable)| {
-            let mut case = packable();
-            edit(&mut case);
-            assert_eq!(plan(&case), Err(reason), "{:?} {:?}", case.body, case.dts);
-        };
-        let add = |d, x, y| Instr::FBin(BinOp::Add, d, x, y);
-        let add32 = |d, x, y| Instr::FBin32(BinOp::Add, d, x, y);
-        refuses("simd-disabled", &|c| c.shape = Shape::Scalar);
-        refuses("unproven-vectorize", &|c| {
-            c.kind = LoopKind::Vectorized { proven: false }
-        });
-        refuses("no-vectorize-annotation", &|c| c.kind = LoopKind::Serial);
-        refuses("no-vectorize-annotation", &|c| {
-            c.kind = LoopKind::Parallel { proven: true }
-        });
-        refuses("mixed-precision", &|c| c.dts = [F64, F32]);
-        refuses("mixed-precision", &|c| c.body[1] = add32(2, 1, 1));
-        refuses("mixed-precision", &|c| c.dts = [F32; 2]);
-        refuses("mixed-precision", &|c| c.body[1] = Instr::F32Round(2, 1));
-        refuses("body-op", &|c| c.body = vec![Instr::FConst(1, 1.0)]);
-        refuses("body-op", &|c| c.body[1] = Instr::IToF(2, 0));
-        refuses("stride-overflow", &|c| c.bumps.push((3, i64::MAX)));
-        refuses("register-pressure", &|c| {
-            c.body.splice(1..2, (2..17).map(|d| add(d, 1, 1)));
-            c.body[16] = Instr::Store(1, 2, 16);
-        });
-        refuses("freg-reassign", &|c| c.body[1] = add(1, 1, 1));
-        refuses("loop-carried-freg", &|c| c.body[1] = add(0, 0, 1));
-        refuses("operand-precision", &|c| in_f32(c, add32(2, 1, 0)));
-        refuses("const-precision", &|c| in_f32(c, Instr::FConst(2, 0.1)));
-        refuses("load-stride", &|c| c.bumps[1].1 = 2);
-        refuses("store-stride", &|c| c.bumps.truncate(2));
-        refuses("rounding-mismatch", &|c| c.body[1] = sqrt(true));
-        refuses("rounding-mismatch", &|c| {
-            in_f32(c, fmuladd(2, 1, 1, 1, false))
-        });
-    }
-
     #[test]
     fn classify_muladd_names_every_refusal() {
-        use DType::{F32, F64};
         use MulAdd::{Generic, Parallel, Reduction};
-        let (f64s, f32s, mixed, apart) = ([F64; 3], [F32; 3], [F64, F32, F64], [0, 1, 2]);
-        let native = |dt| Reduction { native: dt };
-        // Refusals in the order they are tested: a mixed, mis-rounded,
-        // aliased operand set names the first. A stride-0 destination is
-        // a reduction whatever else holds, in native precision only when
-        // nothing refuses.
+        let apart = [0, 1, 2];
+        let once = |stored_once| Reduction { stored_once };
+        // An aliased destination is refused before the stride pattern is
+        // looked at. A stride-0 destination is a reduction whatever else
+        // holds, stored once only when no factor reads its slot.
         let table = [
-            (Parallel(F64), f64s, apart, [1, 0, 1], false),
-            (Parallel(F64), f64s, apart, [1, 1, 0], false),
-            (Parallel(F32), f32s, apart, [1, 1, 1], true),
-            (Generic("mixed-dtype"), mixed, apart, [1, 0, 1], false),
-            (
-                Generic("mixed-dtype"),
-                [F32, F32, F64],
-                apart,
-                [1, 0, 1],
-                true,
-            ),
-            (Generic("mixed-dtype"), mixed, [0, 1, 0], [2, 1, 1], true),
-            (Generic("rounding-mismatch"), f64s, apart, [1, 0, 1], true),
-            (
-                Generic("rounding-mismatch"),
-                f32s,
-                [0, 0, 1],
-                [1, 0, 1],
-                false,
-            ),
-            (Generic("aliased-dst"), f64s, [0, 0, 2], [1, 0, 1], false),
-            (Generic("aliased-dst"), f64s, [0, 1, 0], [1, 5, 1], false),
-            (Generic("stride-pattern"), f64s, apart, [1, 0, 0], false),
-            (Generic("stride-pattern"), f64s, apart, [2, 1, 1], false),
-            (Generic("stride-pattern"), f64s, apart, [1, 2, 1], false),
-            (Generic("stride-pattern"), f64s, apart, [-1, 1, 1], false),
-            (native(Some(F64)), f64s, apart, [0, 1, 5], false),
-            (native(Some(F32)), f32s, [0, 1, 1], [0, -2, 0], true),
-            (native(None), [F32, F64, F32], apart, [0, 1, 1], true),
-            (native(None), f64s, apart, [0, 1, 1], true),
-            (native(None), f64s, [0, 0, 1], [0, 1, 1], false),
+            (Parallel, apart, [1, 0, 1]),
+            (Parallel, apart, [1, 1, 0]),
+            (Parallel, apart, [1, 1, 1]),
+            (Generic("aliased-dst"), [0, 0, 2], [1, 0, 1]),
+            (Generic("aliased-dst"), [0, 1, 0], [1, 5, 1]),
+            (Generic("stride-pattern"), apart, [1, 0, 0]),
+            (Generic("stride-pattern"), apart, [2, 1, 1]),
+            (Generic("stride-pattern"), apart, [1, 2, 1]),
+            (Generic("stride-pattern"), apart, [-1, 1, 1]),
+            (once(true), apart, [0, 1, 5]),
+            (once(true), [0, 1, 1], [0, -2, 0]),
+            (once(false), [0, 0, 1], [0, 1, 1]),
+            (once(false), [0, 1, 0], [0, 1, 1]),
         ];
-        for (want, dts, slots, strides, round32) in table {
+        for (want, slots, strides) in table {
             let [dst, a, b] = [0, 1, 2].map(|k| access(slots[k], k as Reg, strides[k]));
-            let got = classify_muladd(&dst, &a, &b, round32, &dts);
-            assert_eq!(got, want, "{dts:?} {slots:?} {strides:?} {round32}");
+            let got = classify_muladd(&dst, &a, &b);
+            assert_eq!(got, want, "{slots:?} {strides:?}");
         }
     }
 
     #[test]
     fn plan_jam_refuses_each_unproven_shape() {
-        use DType::{F32, F64};
-        let planned = |nest: JamNest, dts: [DType; 3], shape| {
+        let planned = |nest: JamNest, shape| {
             let item = nest.item();
-            let plan = plan_jam(&item, &dts, |dt| Width::new(dt, shape));
+            let plan = plan_jam(&item, Width::new(shape));
             plan.map(|p| (p.inv.slot, p.vec.slot, p.inv_first, p.w))
         };
-        let ok = || JamNest::new(27, true, false);
-        let want = (1, 2, true, Width::new(F64, Shape::Sse));
-        assert_eq!(planned(ok(), [F64; 3], Shape::Sse), Some(want));
-        let want = (1, 2, false, Width::new(F32, Shape::Avx));
-        let f32_nest = JamNest::new(45, false, true);
-        assert_eq!(planned(f32_nest, [F32; 3], Shape::Avx), Some(want));
-        assert_eq!(planned(ok(), [F64; 3], Shape::Scalar), None, "scalar tier");
-        assert_eq!(planned(ok(), [F64, F32, F64], Shape::Sse), None, "dtypes");
+        let ok = || JamNest::new(27, true);
+        let want = (1, 2, true, Width::new(Shape::Sse));
+        assert_eq!(planned(ok(), Shape::Sse), Some(want));
+        let want = (1, 2, false, Width::new(Shape::Avx));
+        assert_eq!(planned(JamNest::new(45, false), Shape::Avx), Some(want));
+        assert_eq!(planned(ok(), Shape::Scalar), None, "scalar tier");
         // Each refusal changes one thing about the accepted nest.
         let refuses = |why: &str, edit: &dyn Fn(&mut JamNest)| {
             let mut nest = ok();
             edit(&mut nest);
-            assert_eq!(planned(nest, [F64; 3], Shape::Sse), None, "{why}");
+            assert_eq!(planned(nest, Shape::Sse), None, "{why}");
         };
         let dst_addr = |x| Instr::IBin(BinOp::Add, 9, x, 8);
         let mut trimmed = ok().item();
         if let Item::Loop { clamp, .. } = &mut trimmed {
             clamp.hi = Some((6, 0));
         }
-        let sse = |dt| Width::new(dt, Shape::Sse);
-        assert!(
-            plan_jam(&trimmed, &[F64; 3], sse).is_none(),
-            "a trimmed loop"
-        );
+        let sse = Width::new(Shape::Sse);
+        assert!(plan_jam(&trimmed, sse).is_none(), "a trimmed loop");
         refuses("fewer than JAM k iterations", &|n| n.k = JAM - 1);
         refuses("a third body item", &|n| n.tail.push(Item::Code(vec![])));
-        refuses("mismatched rounding", &|n| n.round32 = true);
         refuses("destination slot read by a factor", &|n| n.a.slot = 0);
         refuses("both factors walk", &|n| n.a.stride = 1);
         refuses("a reduction", &|n| n.dst.stride = 0);

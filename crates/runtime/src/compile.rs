@@ -133,9 +133,10 @@ pub(crate) enum Instr {
     },
 }
 
-/// Execution flavor of a loop, from the schedule's `ForKind`. `Unrolled`
-/// and thread-bound loops run serially on the CPU VM, so they map to
-/// [`LoopKind::Serial`].
+/// Execution flavor of a loop, from the schedule's `ForKind`. `Unrolled`,
+/// vectorized and thread-bound loops run serially on the CPU VM and in
+/// the JIT, so they map to [`LoopKind::Serial`]: a vectorize annotation
+/// decides what the analyzer prunes (`TIR-VEC-*`), not how the loop runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LoopKind {
     /// Ordinary sequential loop.
@@ -151,18 +152,6 @@ pub(crate) enum LoopKind {
     /// reason), and the optimizer must not reorder observable effects
     /// across either form.
     Parallel {
-        /// Race-freedom proof carried from the analyzer.
-        proven: bool,
-    },
-    /// Schedule-declared vectorized loop. When `proven` is set the
-    /// analyzer's race-freedom proof
-    /// ([`tvm_tir::analyze::deps::race_free_vectorized_vars`]) covers
-    /// this loop, and the native codegen backend may evaluate blocks of
-    /// iterations simultaneously with packed SIMD lanes — bit-identical
-    /// to sequential order because each lane writes a disjoint element
-    /// and keeps its own operation sequence. Unproven vectorized loops
-    /// run scalar (with a counted fallback reason).
-    Vectorized {
         /// Race-freedom proof carried from the analyzer.
         proven: bool,
     },
@@ -323,7 +312,7 @@ pub(crate) enum Item {
         /// Accumulator forwarded from each iteration's store to the next
         /// iteration in a register (none as rewritten; set by the block
         /// optimizer's accumulator forwarding, never on a loop that is
-        /// proven `Parallel`/`Vectorized`).
+        /// proven `Parallel`).
         carry: Option<Carry>,
         /// Original loop kind.
         kind: LoopKind,
@@ -692,10 +681,6 @@ struct Compiler {
     /// Loop-variable ids the analyzer proved race-free (parallel loops
     /// only; empty on the plain `compile` path).
     par_proven: std::collections::HashSet<u64>,
-    /// Loop-variable ids of vectorized loops the analyzer proved
-    /// race-free (empty on the plain `compile` path); gates packed-SIMD
-    /// codegen the same way `par_proven` gates pool dispatch.
-    vec_proven: std::collections::HashSet<u64>,
     /// Buffer id / TE op id -> storage slot.
     buf_slot: HashMap<u64, u16>,
     op_slot: HashMap<u64, u16>,
@@ -1333,9 +1318,6 @@ impl Compiler {
                         tvm_tir::ForKind::Parallel => LoopKind::Parallel {
                             proven: self.par_proven.contains(&var.id),
                         },
-                        tvm_tir::ForKind::Vectorized => LoopKind::Vectorized {
-                            proven: self.vec_proven.contains(&var.id),
-                        },
                         _ => LoopKind::Serial,
                     },
                 };
@@ -1520,22 +1502,17 @@ fn interval_of(
 /// fingerprint promises sequential semantics. The optimized pipeline
 /// threads race-freedom proofs through [`compile_with_proofs`].
 pub fn compile(func: &PrimFunc) -> Result<CompiledFunc, CompileError> {
-    let empty = std::collections::HashSet::new();
-    compile_with_proofs(func, &empty, &empty)
+    compile_with_proofs(func, &std::collections::HashSet::new())
 }
 
-/// [`compile`], with the analyzer's race-freedom proof sets
-/// ([`tvm_tir::analyze::deps::race_free_parallel_vars`] /
-/// [`tvm_tir::analyze::deps::race_free_vectorized_vars`]) threaded into
+/// [`compile`], with the analyzer's race-freedom proof set
+/// ([`tvm_tir::analyze::deps::race_free_parallel_vars`]) threaded into
 /// the loop metadata: a `ForKind::Parallel` loop whose variable id is in
 /// `par_proven` compiles to `LoopKind::Parallel { proven: true }` and
-/// becomes eligible for worker-pool dispatch; a `ForKind::Vectorized`
-/// loop in `vec_proven` compiles to `LoopKind::Vectorized { proven:
-/// true }` and becomes eligible for packed-SIMD codegen.
+/// becomes eligible for worker-pool dispatch.
 pub(crate) fn compile_with_proofs(
     func: &PrimFunc,
     par_proven: &std::collections::HashSet<u64>,
-    vec_proven: &std::collections::HashSet<u64>,
 ) -> Result<CompiledFunc, CompileError> {
     let n_slots = func.params.len() + func.allocs.len();
     if n_slots > u16::MAX as usize {
@@ -1564,7 +1541,6 @@ pub(crate) fn compile_with_proofs(
         fconsts: HashMap::new(),
         env: HashMap::new(),
         par_proven: par_proven.clone(),
-        vec_proven: vec_proven.clone(),
         buf_slot,
         op_slot,
         slot_names,

@@ -227,8 +227,7 @@ impl CpuDevice {
     /// the SSE2-only emitter or a never-compiling backend).
     pub fn jit_with_backend(backend: Arc<dyn CodegenBackend>) -> CpuDevice {
         let simd = SimdCounters::default();
-        let (f64_lanes, f32_lanes) = backend.vector_widths();
-        simd.set_lanes(f64_lanes, f32_lanes);
+        simd.set_lanes(backend.f64_lanes());
         CpuDevice {
             mode: CpuMode::Jit,
             jit: Some(Arc::new(JitState {
@@ -356,8 +355,8 @@ mod tests {
     use tvm_tir::lower::lower;
 
     fn matmul(n: usize) -> PrimFunc {
-        let a = placeholder([n, n], DType::F32, "A");
-        let b = placeholder([n, n], DType::F32, "B");
+        let a = placeholder([n, n], DType::F64, "A");
+        let b = placeholder([n, n], DType::F64, "B");
         let k = reduce_axis(0, n as i64, "k");
         let c = compute([n, n], "C", |i| {
             sum(
@@ -413,9 +412,9 @@ mod tests {
         let f = matmul(10);
         let mk_args = || {
             [
-                NDArray::random(&[10, 10], DType::F32, 11, -1.0, 1.0),
-                NDArray::random(&[10, 10], DType::F32, 12, -1.0, 1.0),
-                NDArray::zeros(&[10, 10], DType::F32),
+                NDArray::random(&[10, 10], DType::F64, 11, -1.0, 1.0),
+                NDArray::random(&[10, 10], DType::F64, 12, -1.0, 1.0),
+                NDArray::zeros(&[10, 10], DType::F64),
             ]
         };
         let jit = CpuDevice::jit();
@@ -451,19 +450,19 @@ mod tests {
     fn jit_fallback_is_counted_and_still_correct() {
         // Float max is outside the jittable subset (NaN/-0.0 semantics),
         // so this relu must fall back to the optimized VM with a reason.
-        let a = placeholder([16], DType::F32, "A");
+        let a = placeholder([16], DType::F64, "A");
         let b = compute([16], "B", |i| {
-            tvm_te::max_expr(a.at(&[i[0].clone()]), 0.0f32)
+            tvm_te::max_expr(a.at(&[i[0].clone()]), 0.0f64)
         });
         let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "sel");
         let dev = CpuDevice::jit();
         let mut args = [
-            NDArray::random(&[16], DType::F32, 9, -1.0, 1.0),
-            NDArray::zeros(&[16], DType::F32),
+            NDArray::random(&[16], DType::F64, 9, -1.0, 1.0),
+            NDArray::zeros(&[16], DType::F64),
         ];
         dev.run(&f, &mut args).expect("fallback run");
-        let mut expect = [args[0].clone(), NDArray::zeros(&[16], DType::F32)];
+        let mut expect = [args[0].clone(), NDArray::zeros(&[16], DType::F64)];
         CpuDevice::new().run(&f, &mut expect).expect("opt run");
         assert_eq!(args[1], expect[1]);
         let stats = dev.jit_stats().expect("stats");

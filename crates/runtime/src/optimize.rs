@@ -112,25 +112,19 @@ pub fn engine_fingerprint() -> String {
 /// back to the unoptimized function if a pass or its verification
 /// fails), bytecode compilation, then the block optimizer. Parallel
 /// loops the dependence analyzer proves race-free are marked
-/// dispatchable, and vectorized loops it proves race-free are marked
-/// packable for native backends; each proof runs on whichever function
-/// actually compiles, so pass-pipeline rewrites can't invalidate it
-/// silently.
+/// dispatchable; the proof runs on whichever function actually
+/// compiles, so pass-pipeline rewrites can't invalidate it silently.
 pub fn compile_optimized(func: &PrimFunc) -> Result<CompiledFunc, CompileError> {
-    use tvm_tir::analyze::deps::{race_free_parallel_vars, race_free_vectorized_vars};
+    use tvm_tir::analyze::deps::race_free_parallel_vars;
     if let Ok(opt) = tvm_tir::optimize(func) {
-        let par = race_free_parallel_vars(&opt);
-        let vec = race_free_vectorized_vars(&opt);
-        if let Ok(cf) = compile_with_proofs(&opt, &par, &vec) {
+        if let Ok(cf) = compile_with_proofs(&opt, &race_free_parallel_vars(&opt)) {
             return Ok(optimize_compiled(&cf));
         }
     }
     // The optimized IR failed to compile (e.g. a rewrite surfaced a
     // short-circuit shape the compiler rejects): keep the scalar
     // engine's exact behaviour on the original function.
-    let par = race_free_parallel_vars(func);
-    let vec = race_free_vectorized_vars(func);
-    compile_with_proofs(func, &par, &vec).map(|cf| optimize_compiled(&cf))
+    compile_with_proofs(func, &race_free_parallel_vars(func)).map(|cf| optimize_compiled(&cf))
 }
 
 /// Apply the bytecode-level transforms to an already-compiled function.
@@ -979,8 +973,8 @@ fn rounds_to_f32(i: &Instr, dts: &[DType]) -> bool {
 /// replaces it. The store is kept. `None` leaves the body exactly as it
 /// is. Refused:
 ///
-/// - a loop that is proven `Parallel` or `Vectorized`: its iterations may
-///   be split across workers or lanes, a carry is sequential state;
+/// - a loop that is proven `Parallel`: its iterations may be split
+///   across workers, a carry is sequential state;
 /// - any other write to slot `s` in the body (a second `Store`, a
 ///   `StoreChecked`): it may hit the accumulator's element behind the
 ///   register's back;
@@ -1002,10 +996,7 @@ fn try_forward(
     vn: &HashMap<Reg, u32>,
     dts: &[DType],
 ) -> Option<(Vec<Instr>, Carry)> {
-    if matches!(
-        kind,
-        LoopKind::Parallel { proven: true } | LoopKind::Vectorized { proven: true }
-    ) {
+    if kind == (LoopKind::Parallel { proven: true }) {
         return None;
     }
     let reads = |code: &[Instr], r: Reg| code.iter().flat_map(float_uses).any(|u| u == r);
@@ -1335,7 +1326,7 @@ mod tests {
                 0,
                 8,
                 clamp,
-                LoopKind::Vectorized { proven: true },
+                LoopKind::Serial,
                 &trimmed,
                 &HashMap::new(),
                 &HashMap::new(),
@@ -1637,14 +1628,14 @@ mod tests {
         let mut f32_rounded = reduction_body();
         f32_rounded[6] = Instr::FBin32(BinOp::Mul, 3, 1, 2);
         f32_rounded[7] = Instr::FBin32(BinOp::Sub, 4, 0, 3);
-        let unproven = LoopKind::Vectorized { proven: false };
+        let unproven = LoopKind::Parallel { proven: false };
         for (what, code, kind, clamp, dt) in [
             ("lu", lu, LoopKind::Serial, hi, DType::F64),
             ("trmm", trmm, LoopKind::Serial, hi, DType::F64),
             ("syrk", syrk, LoopKind::Serial, Clamp::default(), DType::F64),
             ("f32", f32_rounded, LoopKind::Serial, hi, DType::F32),
             (
-                "unproven vectorized",
+                "unproven parallel",
                 reduction_body(),
                 unproven,
                 hi,
@@ -1782,12 +1773,6 @@ mod tests {
                 &[DType::F32],
             ),
             ("integer slot", reduction_body(), serial, &[DType::I64]),
-            (
-                "proven vectorized",
-                reduction_body(),
-                LoopKind::Vectorized { proven: true },
-                &f64s,
-            ),
         ];
         let hi = Clamp {
             hi: Some((4, 0)),

@@ -118,11 +118,7 @@ impl<'a> Vm<'a> {
                         // A carry is sequential state: the optimizer
                         // never forwards a loop whose iterations may be
                         // split, and strided loops never reach the pool.
-                        debug_assert!(!matches!(
-                            kind,
-                            LoopKind::Parallel { proven: true }
-                                | LoopKind::Vectorized { proven: true }
-                        ));
+                        debug_assert!(*kind != LoopKind::Parallel { proven: true });
                         // The load is proven in bounds for iterations
                         // that run; an empty range must not issue it.
                         if start < end {

@@ -236,32 +236,11 @@ fn analyze_loop(
 /// trivially race-free.
 pub fn race_free_parallel_vars(func: &PrimFunc) -> HashSet<u64> {
     let mut proven = HashSet::new();
-    prove(&func.body, ForKind::Parallel, &mut Vec::new(), &mut proven);
+    prove(&func.body, &mut Vec::new(), &mut proven);
     proven
 }
 
-/// Variable ids of `ForKind::Vectorized` loops whose dependence analysis
-/// comes back completely clean — the same certificate as
-/// [`race_free_parallel_vars`], applied to vectorize annotations.
-///
-/// A clean report proves every element is written by at most one
-/// iteration and no iteration reads another's writes, so evaluating a
-/// block of iterations simultaneously (packed SIMD lanes) produces
-/// bit-identical results to sequential order as long as each lane's own
-/// operation sequence is preserved. The native codegen rung uses this to
-/// gate its packed f64x2/f32x4 emission; unproven loops run scalar.
-pub fn race_free_vectorized_vars(func: &PrimFunc) -> HashSet<u64> {
-    let mut proven = HashSet::new();
-    prove(
-        &func.body,
-        ForKind::Vectorized,
-        &mut Vec::new(),
-        &mut proven,
-    );
-    proven
-}
-
-fn prove(stmt: &Stmt, want: ForKind, outer: &mut Vec<LoopCtx>, proven: &mut HashSet<u64>) {
+fn prove(stmt: &Stmt, outer: &mut Vec<LoopCtx>, proven: &mut HashSet<u64>) {
     match stmt {
         Stmt::For {
             var,
@@ -270,7 +249,7 @@ fn prove(stmt: &Stmt, want: ForKind, outer: &mut Vec<LoopCtx>, proven: &mut Hash
             kind,
             body,
         } => {
-            if *kind == want {
+            if *kind == ForKind::Parallel {
                 if *extent < 2 {
                     proven.insert(var.id);
                 } else if !reads_buffer_in_guard(body) {
@@ -289,18 +268,18 @@ fn prove(stmt: &Stmt, want: ForKind, outer: &mut Vec<LoopCtx>, proven: &mut Hash
                 min: *min,
                 extent: *extent,
             });
-            prove(body, want, outer, proven);
+            prove(body, outer, proven);
             outer.pop();
         }
         Stmt::IfThenElse { then, else_, .. } => {
-            prove(then, want, outer, proven);
+            prove(then, outer, proven);
             if let Some(e) = else_ {
-                prove(e, want, outer, proven);
+                prove(e, outer, proven);
             }
         }
         Stmt::Seq(items) => {
             for s in items {
-                prove(s, want, outer, proven);
+                prove(s, outer, proven);
             }
         }
         _ => {}

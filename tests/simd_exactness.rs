@@ -6,12 +6,13 @@
 //! and its add are never contracted into one FMA — so the same function
 //! compiled by [`default_backend`] (packed, AVX when available) and
 //! [`scalar_backend`] (scalar tier forced) must produce bit-identical
-//! outputs on every input. This suite drives that claim over random
-//! strides, unaligned base offsets, and remainder extents around the
-//! vector width (`lanes ± 1`, `n − 1`, `2·n`), plus the unroll-and-jam
-//! tile shapes on gemm, and pins down non-vacuity: on x86-64 the
-//! default backend must actually take the packed path for the shapes
-//! this suite claims to cover.
+//! outputs on every input. This suite drives that claim over the row
+//! widths around every vector width and the unroll-and-jam tile shapes
+//! on gemm, runs vectorize-annotated maps and `f32` kernels — which the
+//! JIT compiles like any loop, and refuses whole, respectively — on every
+//! tier, and pins down non-vacuity: on x86-64 the default backend must
+//! actually take the packed path for the shapes this suite claims to
+//! cover.
 //!
 //! Off x86-64 both backends decline and every engine degenerates to
 //! the optimized VM, which keeps the exactness half of the suite green
@@ -20,10 +21,11 @@
 use configspace::{ConfigSpace, Configuration, Hyperparameter, ParamValue};
 use polybench::molds::mold_for;
 use polybench::{KernelName, ProblemSize};
-use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use tvm_runtime::{compile_optimized, default_backend, interp, scalar_backend, vm, NDArray};
+use std::sync::Arc;
+use tvm_runtime::{
+    compile_optimized, default_backend, interp, scalar_backend, vm, CodegenBackend, CpuDevice,
+    Device, NDArray,
+};
 use tvm_te::{compute, placeholder, reduce_axis, sum, DType, Schedule};
 use tvm_tir::lower::lower;
 use tvm_tir::PrimFunc;
@@ -62,9 +64,8 @@ fn assert_packed_matches_scalar(func: &PrimFunc, args: &[NDArray], context: &str
 }
 
 /// `B[i] = A[i·stride + offset] · A[i·stride + offset] + A[offset]`
-/// with the `i` axis marked vectorized — the shape the optimizer
-/// promotes to a proven vectorized strided loop. `stride` and `offset`
-/// steer the packed tier's pointer math off the aligned happy path.
+/// with the `i` axis marked vectorized and proven race-free: a strided
+/// loop like any other on every rung.
 fn strided_map(extent: usize, stride: i64, offset: i64, dtype: DType) -> (PrimFunc, Vec<NDArray>) {
     let src = offset as usize + stride as usize * extent + 1;
     let a = placeholder([src], dtype, "A");
@@ -123,39 +124,81 @@ fn ordinal_values(space: &ConfigSpace, name: &str) -> Vec<i64> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn packed_matches_scalar_on_random_strided_maps(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let extent = rng.gen_range(1usize..48);
-        let stride = rng.gen_range(1i64..4);
-        let offset = rng.gen_range(0i64..5);
-        let dtype = if rng.gen() { DType::F64 } else { DType::F32 };
-        let (func, args) = strided_map(extent, stride, offset, dtype);
-        assert_packed_matches_scalar(
-            &func,
-            &args,
-            &format!("map n={extent} stride={stride} offset={offset} {dtype:?}"),
-        );
-    }
+/// The JIT rung's three tiers: the host's widest, SSE2 and scalar (the
+/// first two are one off x86-64, where every backend declines).
+fn tiers() -> Vec<(&'static str, Arc<dyn CodegenBackend>)> {
+    let mut tiers = vec![("default", default_backend()), ("scalar", scalar_backend())];
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    tiers.push((
+        "SSE2",
+        Arc::new(tvm_runtime::codegen::X86Backend::sse2_only()),
+    ));
+    tiers
 }
 
 #[test]
-fn packed_matches_scalar_at_remainder_extents() {
-    // Extents straddling every vector width the backend emits — SSE
-    // f64x2/f32x4 and AVX f64x4/f32x8 — so the packed main loop, the
-    // leftover-vector loop, and the scalar epilogue all get exercised:
-    // lanes − 1 (pure epilogue), lanes (no epilogue), lanes + 1 (one
-    // scalar tail step), 2·lanes ± 1, and a multi-tile 33. The base
-    // offset of 1 keeps the address math non-trivial (a zero-offset
-    // unit-stride map collapses to direct indexing, which stays a
-    // plain scalar loop) and lands every packed access off alignment.
+fn vectorized_maps_and_f32_kernels_match_the_interpreter_on_every_tier() {
+    // Vectorize-annotated maps at extents straddling every vector width
+    // (lanes − 1, lanes, lanes + 1, 2·lanes ± 1, a multi-tile 33) over
+    // unit and non-unit strides and base offsets, in `f64` and `f32`, and
+    // `f32` row matmuls, on a JIT device per tier against the
+    // interpreter. The annotation changes nothing the JIT emits: an `f64`
+    // map's loop is one scalar strided site. An `f32` function runs whole
+    // on the optimized VM, and every one is counted under the one reason.
+    let mut maps = Vec::new();
     for extent in [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33] {
-        for dtype in [DType::F64, DType::F32] {
-            let (func, args) = strided_map(extent, 1, 1, dtype);
-            assert_packed_matches_scalar(&func, &args, &format!("remainder n={extent} {dtype:?}"));
+        for (stride, offset) in [(1, 1), (2, 0), (3, 4)] {
+            for dtype in [DType::F64, DType::F32] {
+                let (func, args) = strided_map(extent, stride, offset, dtype);
+                let context = format!("map n={extent} stride={stride} offset={offset} {dtype:?}");
+                maps.push((func, args, context, dtype));
+            }
+        }
+    }
+    for row in 1..=9 {
+        let (func, args) = row_matmul(row, 1, 6, DType::F32);
+        maps.push((func, args, format!("f32 row {row}"), DType::F32));
+    }
+    let n_f32 = maps.iter().filter(|m| m.3 == DType::F32).count() as u64;
+    for (tier, backend) in tiers() {
+        let [f64_device, f32_device] =
+            [0, 1].map(|_| CpuDevice::jit_with_backend(Arc::clone(&backend)));
+        for (func, args, context, dtype) in &maps {
+            let mut want = args.clone();
+            interp::execute(func, &mut want).expect("interpreter");
+            let device = if *dtype == DType::F32 {
+                &f32_device
+            } else {
+                &f64_device
+            };
+            let mut got = args.clone();
+            device.run(func, &mut got).expect("JIT device");
+            assert_eq!(got, want, "{context} on the {tier} tier");
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            if *dtype == DType::F64 {
+                // Extent 1 leaves no loop to compile.
+                let cf = compile_optimized(func).expect("optimized compile");
+                if let Ok(jitted) = backend.jit_compile(&cf) {
+                    let report = jitted.jit_simd_report().expect("report");
+                    assert_eq!(report.sites(), 1, "{context}: {report:?}");
+                    let strided = report.scalar_reasons.get("strided-loop");
+                    assert_eq!(strided, Some(&1), "{context}: {report:?}");
+                }
+            }
+        }
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            let stats = f32_device.jit_stats().expect("a JIT device keeps counters");
+            assert_eq!((stats.functions_jitted, stats.fallbacks), (0, n_f32));
+            let [(reason, count)] = stats.fallback_reasons.as_slice() else {
+                panic!("{tier}: one reason for every f32 function: {stats:?}");
+            };
+            assert!(reason.ends_with("(the JIT is f64-only)"), "{reason}");
+            assert_eq!(*count, n_f32);
+            // Every `f64` map but the three of extent 1, which have no loop.
+            let stats = f64_device.jit_stats().expect("a JIT device keeps counters");
+            let n_f64 = maps.len() as u64 - n_f32;
+            assert_eq!(stats.functions_jitted, n_f64 - 3, "{tier}: {stats:?}");
         }
     }
 }
@@ -193,7 +236,7 @@ fn short_rows_match_at_every_extent_on_every_tier() {
     // A row's width is picked by its extent — AVX, then SSE2, then scalar
     // over what each leaves — so extents 1–9 cover every mix: one scalar
     // element, one `f64x2`, `f64x4` + one, two `f64x4` + one (and the
-    // `f32` ladder at 4 and 8 lanes). Under `k` directly (jammed four
+    // same rows in `f32`, on the optimized VM). Under `k` directly (jammed four
     // steps at a time when `k` has them, the leftover steps plain) and
     // under a two-row tile (never jammed), on the host's widest tier, the
     // SSE2 tier and the scalar tier, against the interpreter.
@@ -203,33 +246,29 @@ fn short_rows_match_at_every_extent_on_every_tier() {
                 let (func, args) = row_matmul(row, yt, kext, dtype);
                 let context = format!("row {row} under a {yt}-row tile, k {kext}, {dtype:?}");
                 assert_packed_matches_scalar(&func, &args, &context);
+                // An `f32` row runs on the optimized VM, the JIT refusing
+                // it whole: only the `f64` rows count towards non-vacuity.
                 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
                 {
-                    use tvm_runtime::CodegenBackend;
                     let cf = compile_optimized(&func).expect("optimized compile");
                     assert!(cf.microkernel_count() > 0, "{context}: no microkernel");
                     let sse2 = tvm_runtime::codegen::X86Backend::sse2_only();
+                    if dtype == DType::F32 {
+                        assert!(sse2.jit_compile(&cf).is_err(), "{context}");
+                        continue;
+                    }
                     let jitted = sse2.jit_compile(&cf).expect("must jit");
                     let (mut want, mut got) = (args.clone(), args.clone());
                     interp::execute(&func, &mut want).expect("interpreter");
                     vm::execute(&jitted, &mut got).expect("SSE2 tier");
                     assert_eq!(got, want, "{context}: SSE2 tier");
-                    // A row is packed as soon as it holds one SSE2 vector,
-                    // and counted scalar, by name, when it does not (a row
-                    // of one is no row: `k` itself is the microkernel).
+                    // A row is packed as soon as it holds one SSE2 vector:
+                    // every row of two or more (a row of one is no row:
+                    // `k` itself is the microkernel).
                     let report = jitted.jit_simd_report().expect("report");
-                    let lanes = if dtype == DType::F64 { 2 } else { 4 };
-                    assert_eq!(
-                        report.packed_loops > 0,
-                        row >= lanes,
-                        "{context}: {report:?}"
-                    );
-                    let short = report.scalar_reasons.get("short-extent").copied();
-                    assert_eq!(
-                        short.is_some(),
-                        (2..lanes).contains(&row),
-                        "{context}: {report:?}"
-                    );
+                    assert_eq!(report.packed_loops > 0, row >= 2, "{context}: {report:?}");
+                    let short = report.scalar_reasons.get("short-extent");
+                    assert_eq!(short, None, "{context}: {report:?}");
                 }
             }
         }
@@ -263,9 +302,8 @@ fn packed_path_is_not_vacuous() {
     // The exactness tests above are only meaningful if the default
     // backend actually takes the packed path on the shapes they cover.
     // Gemm at the bench baseline configuration must report packed
-    // sites, a unit-stride map at a multi-tile extent must pack, and
-    // the accounting invariant `packed + scalar-by-reason = total`
-    // must hold on every report.
+    // sites, and the accounting invariant `packed + scalar-by-reason =
+    // total` must hold on its report.
     let mold = mold_for(KernelName::Gemm, ProblemSize::Mini);
     let func = mold.instantiate(&mold.baseline_configuration());
     let cf = compile_optimized(&func).expect("optimized compile");
@@ -283,15 +321,6 @@ fn packed_path_is_not_vacuous() {
         "every scalar site must carry a reason: {report:?}"
     );
     assert_eq!(report.sites(), report.packed_loops + report.scalar_loops);
-
-    let (map, _) = strided_map(33, 1, 1, DType::F64);
-    let cf = compile_optimized(&map).expect("optimized compile");
-    let jf = default_backend().jit_compile(&cf).expect("map must jit");
-    let report = jf.jit_simd_report().expect("report");
-    assert!(
-        report.packed_loops > 0,
-        "unit-stride vectorized map must pack: {report:?}"
-    );
 }
 
 #[test]

@@ -706,11 +706,15 @@ fn forwarding_is_not_vacuous_on_the_reduction_kernels() {
 fn control_flow_is_not_vacuous_on_the_generated_nests_or_the_triangular_kernels() {
     // What the generated control-flow nests are for: conditionals and
     // trimmed plain loops that end up *inside* native code, and guarded
-    // stores that do go out of bounds.
+    // stores that do go out of bounds. Counted over the `f64` nests: the
+    // JIT refuses an `f32` one whole, and the optimized VM runs it.
     let mut rng = SmallRng::seed_from_u64(0xc0de);
     let (mut ifs_jitted, mut trimmed_jitted, mut failed) = (0, 0, 0);
-    for _ in 0..200 {
+    for _ in 0..400 {
         let (func, args, _) = control_flow_nest(&mut rng);
+        if args[0].dtype() != DType::F64 {
+            continue;
+        }
         let cf = compile_optimized(&func).expect("optimized compile");
         if let Ok(jitted) = default_backend().jit_compile(&cf) {
             ifs_jitted += (jitted.conditional_count() < cf.conditional_count()) as u32;
