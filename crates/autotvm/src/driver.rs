@@ -380,6 +380,15 @@ pub fn run_rounds(
         // are neither re-analyzed nor re-measured.
         let mut results: Vec<MeasureResult> = Vec::with_capacity(batch.len());
         for (config, rec) in batch.iter().zip(replay.by_ref()) {
+            // A record out of place (a journal missing its head) would
+            // replay shifted costs even where the keys happen to agree.
+            if rec.index != trials.len() {
+                return Err(divergence_error(
+                    trials.len(),
+                    &format!("record {}", rec.index),
+                    &config.key(),
+                ));
+            }
             if rec.config.key() != config.key() {
                 return Err(divergence_error(
                     trials.len(),
@@ -878,6 +887,37 @@ mod tests {
         )
         .expect_err("must diverge");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_journal_missing_its_first_records_is_refused() {
+        let path = tmp("driver-headless.jsonl");
+        let ev = evaluator();
+        let opts = TuneOptions {
+            max_evals: 8,
+            batch: 4,
+            max_process_s: None,
+        };
+        tune_journaled(&mut RandomTuner::new(space(), 42), &ev, opts, &path).expect("run");
+        let records = TrialJournal::load(&path).expect("load");
+        // Verbatim records 3.., and the same tail relabelled with the
+        // head's configurations, so only the index is out of place.
+        let mut relabelled = records[3..].to_vec();
+        for (r, head) in relabelled.iter_mut().zip(&records) {
+            r.config = head.config.clone();
+        }
+        for tail in [records[3..].to_vec(), relabelled] {
+            let mut j = TrialJournal::create(&path).expect("create");
+            for r in &tail {
+                j.append(r).expect("append");
+            }
+            drop(j);
+            let err = resume_from_journal(&mut RandomTuner::new(space(), 42), &ev, opts, &path)
+                .expect_err("a headless journal must not replay");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("diverges at trial 0"), "{err}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

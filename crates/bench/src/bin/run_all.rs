@@ -1,13 +1,15 @@
 //! Run every paper experiment (Table 1 + Figures 4–13) and write results
-//! to `results/` (JSON per experiment + a summary text file).
+//! to `results/` (JSON per experiment + a summary text file). Stdout also
+//! carries the paper's §4 per-parameter listing (3mm extralarge) and each
+//! experiment's traces as a terminal scatter plot.
 //!
 //! Usage: `run_all [max_evals] [seed] [outdir]`
 
-use polybench::spaces::table1;
+use polybench::spaces::{space_for, table1};
 use polybench::{KernelName, ProblemSize};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use tvm_bench::{figure_ids, print_experiment, run_comparison, ExperimentOptions};
+use tvm_bench::{figure_ids, print_experiment, render_traces, run_comparison, ExperimentOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -24,6 +26,16 @@ fn main() {
         let _ = writeln!(summary, "{k:<10} {s:<12} {card:>16}");
     }
     let _ = writeln!(summary);
+
+    println!("# Per-parameter detail (extralarge 3mm, the paper's §4 listing)");
+    for p in space_for(KernelName::Mm3, ProblemSize::ExtraLarge).params() {
+        let card = p.cardinality().expect("discrete");
+        let values: Vec<String> = (0..card as usize)
+            .map(|i| p.value_at(i).to_string())
+            .collect();
+        println!("{} ({} values): [{}]", p.name(), card, values.join(", "));
+    }
+    println!();
 
     // Figures 4-13: the five workload comparisons.
     let workloads = [
@@ -44,6 +56,8 @@ fn main() {
         let (trace_fig, min_fig) = figure_ids(kernel, size).expect("paper workload");
         println!("### {trace_fig} / {min_fig}");
         print_experiment(&e, false);
+        println!();
+        print!("{}", render_traces(&e, 100, 24));
         println!();
 
         let _ = writeln!(summary, "# {trace_fig} / {min_fig}: {kernel} {size}");

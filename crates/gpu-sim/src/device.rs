@@ -311,13 +311,13 @@ mod tests {
         let f = small_func(128);
         let mut args = [];
         let a100 = SimDevice::new(GpuSpec::a100());
-        let v100 = SimDevice::new(GpuSpec::v100());
+        let core = SimDevice::new(GpuSpec::swing_cpu_core());
         let on_a100 = a100.run(&f, &mut args).expect("run");
-        let on_v100 = v100.run(&f, &mut args).expect("run");
-        assert_ne!(on_a100, on_v100);
+        let on_core = core.run(&f, &mut args).expect("run");
+        assert_ne!(on_a100, on_core);
         assert_eq!(
-            v100.predict(&f).to_bits(),
-            cost_model(&f, &GpuSpec::v100()).total().to_bits()
+            core.predict(&f).to_bits(),
+            cost_model(&f, &GpuSpec::swing_cpu_core()).total().to_bits()
         );
         assert_eq!(a100.spec().name, GpuSpec::a100().name);
     }

@@ -67,28 +67,6 @@ pub fn build_3mm(d: &Mm3Dims, tiles: [i64; 6]) -> PrimFunc {
     build_3mm_knobbed(d, tiles, &MatmulKnobs::neutral())
 }
 
-/// Lower 3mm with operator fusion via `compute_at`: `G` is tiled by
-/// `(ty, tx)`; `E` is attached at `G`'s row-tile loop (computed once per
-/// row tile) and, optionally, `F` at the column-tile loop (recomputed per
-/// tile pair — the locality-vs-recompute trade the fusion ablation
-/// measures).
-pub fn build_3mm_fused(d: &Mm3Dims, ty: i64, tx: i64, attach_f: bool) -> PrimFunc {
-    let (args, g, [_k, _l, m]) = build_graph(d);
-    let mut s = Schedule::create(std::slice::from_ref(&g));
-    let e = s.stages[0].tensor.clone();
-    let f = s.stages[1].tensor.clone();
-    let (y, x) = (g.axis(0), g.axis(1));
-    let (yo, yi) = s.split(&g, &y, ty);
-    let (xo, xi) = s.split(&g, &x, tx);
-    s.reorder(&g, &[yo.clone(), xo.clone(), m.clone(), yi, xi]);
-    s.compute_at(&e, &g, &yo);
-    if attach_f {
-        s.compute_at(&f, &g, &xo);
-    }
-    let [a, b, c, dd] = args;
-    lower(&s, &[a, b, c, dd, g], "mm3_fused")
-}
-
 /// The 3mm code mold.
 pub struct Mm3Mold {
     size: ProblemSize,
@@ -240,23 +218,6 @@ mod tests {
         // E and F are internal allocations; params are A,B,C,D,G.
         assert_eq!(f.params.len(), 5);
         assert_eq!(f.allocs.len(), 2);
-    }
-
-    #[test]
-    fn fused_3mm_matches_reference() {
-        let mold = Mm3Mold::new(ProblemSize::Mini);
-        for attach_f in [false, true] {
-            let f = build_3mm_fused(mold.dims(), 4, 6, attach_f);
-            let mut args = mold.init_args();
-            execute(&f, &mut args).expect("run");
-            let expect = mold.reference_args();
-            let g = expect[4].as_ref().expect("G");
-            assert!(
-                args[4].allclose(g, 1e-9, 1e-9),
-                "attach_f={attach_f}: max diff {}",
-                args[4].max_abs_diff(g)
-            );
-        }
     }
 
     /// Run an aggressive config (tiles + knobs on stage G) against the

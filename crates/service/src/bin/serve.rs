@@ -2,7 +2,7 @@
 //! localhost TCP.
 //!
 //! ```text
-//! serve --dir DIR [--port P] [--workers N] [--queue N] [--rotate N]
+//! serve --dir DIR [--port P] [--workers N] [--queue N]
 //!       [--demote-after N] [--timeout-s S]
 //! ```
 //!
@@ -19,12 +19,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tvm_service::proto::{handle_line, Response};
 use tvm_service::service::{ServiceConfig, TuningService};
-use ytopt_bo::journal::RotationPolicy;
 
 fn usage() -> ! {
     eprintln!(
         "usage: serve --dir DIR [--port P] [--workers N] [--queue N] \
-         [--rotate RECORDS_PER_SEGMENT] [--demote-after N] [--timeout-s S]"
+         [--demote-after N] [--timeout-s S]"
     );
     std::process::exit(2);
 }
@@ -47,12 +46,6 @@ fn parse_args() -> Args {
             "--port" => port = val().parse().unwrap_or_else(|_| usage()),
             "--workers" => cfg.workers = val().parse().unwrap_or_else(|_| usage()),
             "--queue" => cfg.queue_capacity = val().parse().unwrap_or_else(|_| usage()),
-            "--rotate" => {
-                cfg.rotation = Some(RotationPolicy {
-                    max_records_per_segment: val().parse().unwrap_or_else(|_| usage()),
-                    ..RotationPolicy::default()
-                })
-            }
             "--demote-after" => cfg.demote_after = val().parse().unwrap_or_else(|_| usage()),
             "--timeout-s" => {
                 cfg.harness.timeout_s = Some(val().parse().unwrap_or_else(|_| usage()))

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! <dir>/jobs/<id>.json       accepted job spec + submission timestamp
-//! <dir>/journals/<id>.jsonl  the session's trial journal (+ .segN archives)
+//! <dir>/journals/<id>.jsonl  the session's trial journal
 //! <dir>/done/<id>.json       terminal outcome (absence ⇒ in flight)
 //! ```
 //!
@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 use tvm_autotune::MemoCache;
-use ytopt_bo::journal::{RotationPolicy, TrialJournal};
+use ytopt_bo::journal::TrialJournal;
 use ytopt_bo::problem::{CacheStats, JitStats, ParStats, PruneStats, SimdStats};
 
 /// Sentinel id that makes a worker panic *outside* the job runner's
@@ -62,8 +62,6 @@ pub struct ServiceConfig {
     pub breaker: BreakerConfig,
     /// Consecutive engine failures before a session demotes one rung.
     pub demote_after: u32,
-    /// Journal rotation policy (`None` = single-file journals).
-    pub rotation: Option<RotationPolicy>,
     /// Harness policy (timeout/retry) applied to real-engine rungs.
     pub harness: HarnessOptions,
     /// Worker queue-poll period, milliseconds.
@@ -77,7 +75,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             breaker: BreakerConfig::default(),
             demote_after: 3,
-            rotation: None,
             harness: HarnessOptions::default(),
             poll_ms: 10,
         }
@@ -638,15 +635,10 @@ fn run_job(inner: &Inner, id: u64) -> std::io::Result<Option<JobOutcome>> {
     let mut tuner = spec.tuner.build(ladder.space().clone(), spec.seed);
 
     let journal_path = inner.dir.join("journals").join(format!("{id}.jsonl"));
-    let resuming = journal_path.exists();
-    let (mut journal, replay) = match (resuming, inner.cfg.rotation) {
-        (true, Some(policy)) => TrialJournal::open_resume_rotating(&journal_path, policy)?,
-        (true, None) => TrialJournal::open_resume(&journal_path)?,
-        (false, Some(policy)) => (
-            TrialJournal::create_rotating(&journal_path, policy)?,
-            vec![],
-        ),
-        (false, None) => (TrialJournal::create(&journal_path)?, vec![]),
+    let (mut journal, replay) = if journal_path.exists() {
+        TrialJournal::open_resume(&journal_path)?
+    } else {
+        (TrialJournal::create(&journal_path)?, vec![])
     };
 
     let ctl = SessionCtl {

@@ -1,9 +1,8 @@
 //! Service-level chaos suite.
 //!
 //! The acceptance scenario from the service design: many concurrent
-//! tenant sessions with 0–50% injected fault rates, a journal rotation
-//! policy small enough that kills land across rotation boundaries, and
-//! repeated abrupt server kills mid-flight. After the final restart every
+//! tenant sessions with 0–50% injected fault rates and repeated abrupt
+//! server kills mid-flight. After the final restart every
 //! session must complete with trial records *identical* to an
 //! uninterrupted sequential run of the same spec (faults included — the
 //! injector is deterministic): same config keys, same runtimes, same
@@ -24,7 +23,7 @@ use tvm_service::ladder::build_ladder;
 use tvm_service::service::{JobState, ServiceConfig, TuningService};
 use tvm_service::session::{run_session, SessionCtl, SessionOptions, SessionTrial};
 use tvm_service::BreakerConfig;
-use ytopt_bo::journal::{RotationPolicy, TrialJournal};
+use ytopt_bo::journal::TrialJournal;
 
 const KERNELS: [&str; 7] = ["lu", "cholesky", "3mm", "gemm", "2mm", "syrk", "trmm"];
 
@@ -57,12 +56,6 @@ fn chaos_cfg() -> ServiceConfig {
     ServiceConfig {
         workers: 4,
         queue_capacity: 128,
-        // Rotation small enough that every session rolls segments, so
-        // kills land across rotation boundaries.
-        rotation: Some(RotationPolicy {
-            max_records_per_segment: 3,
-            compact_after_segments: 2,
-        }),
         // Breakers stay out of the way here (their own behavior is
         // covered by unit tests); a storm of *injected* faults must not
         // throttle the chaos run into the watchdog.
@@ -169,8 +162,7 @@ fn chaos_sessions_survive_kills_with_identical_results() {
             .collect();
 
         // Submit in three waves; kill the server abruptly after each wave
-        // so in-flight sessions are interrupted mid-journal (including
-        // across rotation boundaries).
+        // so in-flight sessions are interrupted mid-journal.
         let svc_dir = dir.join("svc");
         let waves: [std::ops::Range<usize>; 3] = [0..40, 40..70, 70..SESSIONS];
         let mut ids: HashMap<usize, u64> = HashMap::new();
@@ -411,12 +403,8 @@ fn parallel_sessions_recover_replay_identical_with_par_fingerprint() {
             .map(|(i, s)| untimed(identity(&reference_trials(s, &ref_dir, i))))
             .collect();
 
-        // Single-file journals so the post-mortem stamp check below can
-        // read each tape directly (rotation-boundary kills are covered
-        // by the acceptance test above).
         let cfg = || ServiceConfig {
             workers: 2,
-            rotation: None,
             ..chaos_cfg()
         };
         let svc_dir = dir.join("svc");

@@ -1,9 +1,8 @@
 //! The session journal's durability contract — *written after each trial,
 //! durable before the tuner is told* — checked by enumeration and by
 //! counting syncs, never by timing: a crash at every byte offset of a
-//! reference journal, the number of `fdatasync`s per wave, the files a
-//! rotating session leaves behind, and a journal recorded at the commit
-//! before the per-wave sync landed.
+//! reference journal, the number of `fdatasync`s per wave, and a journal
+//! recorded at the commit before the per-wave sync landed.
 
 use autotvm::measure::{Evaluator, MeasureResult};
 use autotvm::{GridSearchTuner, MeasureError, RandomTuner, Tuner};
@@ -14,7 +13,7 @@ use std::sync::Arc;
 use tvm_service::{
     run_session, EngineLadder, Rung, SessionCtl, SessionEnd, SessionOptions, SessionReport,
 };
-use ytopt_bo::journal::{RotationPolicy, TrialJournal, TrialRecord};
+use ytopt_bo::journal::{TrialJournal, TrialRecord};
 
 fn space_of(points: i64) -> ConfigSpace {
     let mut cs = ConfigSpace::new();
@@ -126,37 +125,6 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// Every file of the journal at `path` (active file, archives, temps),
-/// sorted by name.
-fn journal_paths(path: &Path) -> Vec<PathBuf> {
-    let base = path.to_string_lossy();
-    let mut out: Vec<PathBuf> = std::fs::read_dir(path.parent().expect("dir"))
-        .expect("read_dir")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.to_string_lossy().starts_with(&*base))
-        .collect();
-    out.sort();
-    out
-}
-
-/// The journal's files as `(suffix after the journal's name, bytes)`.
-fn files(path: &Path) -> Vec<(String, Vec<u8>)> {
-    let base = path.as_os_str().len();
-    journal_paths(path)
-        .iter()
-        .map(|p| {
-            let suffix = p.to_string_lossy()[base..].to_string();
-            (suffix, std::fs::read(p).expect("read"))
-        })
-        .collect()
-}
-
-fn remove(path: &Path) {
-    for p in journal_paths(path) {
-        let _ = std::fs::remove_file(p);
-    }
-}
-
 /// What replay promises to reproduce: key, runtime bits, error class and
 /// the rung that measured the trial.
 fn identity(r: &SessionReport) -> Vec<(String, Option<u64>, Option<&'static str>, String)> {
@@ -239,8 +207,8 @@ fn resume_from_every_byte_offset_reproduces_the_reference_session_and_file() {
             "cut {cut}: the finished journal differs from the reference file"
         );
     }
-    remove(&path);
-    remove(&ref_path);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&ref_path);
 }
 
 #[test]
@@ -263,7 +231,7 @@ fn the_journal_is_synced_once_per_wave() {
             "{max_evals} evaluations in batches of {batch}"
         );
     }
-    remove(&path);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -299,44 +267,7 @@ fn a_wave_cut_short_leaves_exactly_the_reported_trials_on_disk() {
         let on_disk = TrialJournal::load(&path).expect("load");
         assert_eq!(on_disk.len(), report.trials.len(), "{name}");
     }
-    remove(&path);
-}
-
-#[test]
-fn a_rotating_session_leaves_the_files_per_record_appends_leave() {
-    for cap in [3, 6] {
-        let policy = RotationPolicy {
-            max_records_per_segment: cap,
-            compact_after_segments: 0,
-        };
-        let staged = tmp(&format!("rotate-session-{cap}.jsonl"));
-        remove(&staged);
-        let mut journal = TrialJournal::create_rotating(&staged, policy).expect("journal");
-        let report = session(
-            &mut RandomTuner::new(space(), 4),
-            &mut ladder(crash_on_even),
-            &mut journal,
-            Vec::new(),
-            opts(20, 4),
-            &SessionCtl::new(),
-        );
-        assert_eq!(report.trials.len(), 20);
-        drop(journal);
-
-        let records = TrialJournal::load(&staged).expect("load");
-        assert_eq!(records.len(), 20);
-        let appended = tmp(&format!("rotate-append-{cap}.jsonl"));
-        remove(&appended);
-        let mut journal = TrialJournal::create_rotating(&appended, policy).expect("journal");
-        for r in &records {
-            journal.append(r).expect("append");
-        }
-        drop(journal);
-        assert_eq!(files(&staged), files(&appended), "cap {cap}");
-        assert_eq!(files(&staged).len(), 20 / cap + 1, "cap {cap}");
-        remove(&staged);
-        remove(&appended);
-    }
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The fixed toy session behind `tests/fixtures/session_journal_golden.jsonl`:
@@ -390,5 +321,5 @@ fn golden_journal_written_by_the_parent_commit_is_reproduced_byte_for_byte() {
     );
     assert_eq!((resumed.replayed, journal.written()), (14, 0));
     assert_eq!(identity(&resumed), identity(&report));
-    remove(&path);
+    let _ = std::fs::remove_file(&path);
 }

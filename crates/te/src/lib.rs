@@ -54,6 +54,6 @@ pub use ops::{
 };
 pub use range::Range;
 pub use reduce::{max_reduce, min_reduce, prod, sum, Combiner};
-pub use schedule::{AttachType, IterVarAttr, Schedule, Stage, StageRef};
+pub use schedule::{IterVarAttr, Schedule, Stage, StageRef};
 pub use tensor::{compute, compute_multi, placeholder, Op, OpKind, Tensor};
 pub use var::{reduce_axis, IterVar, IterVarType, Var};

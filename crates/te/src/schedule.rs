@@ -78,21 +78,6 @@ pub enum IterRelation {
     },
 }
 
-/// Where a stage's computation is attached.
-#[derive(Debug, Clone)]
-pub enum AttachType {
-    /// Computed in its own top-level loop nest (the default).
-    Root,
-    /// Computed inside a consumer stage's loop nest, at the given leaf
-    /// axis (`s[P].compute_at(s[C], axis)`).
-    At {
-        /// Consumer op id.
-        consumer: u64,
-        /// Leaf axis of the consumer the producer attaches under.
-        axis: IterVar,
-    },
-}
-
 /// Per-op scheduling state.
 #[derive(Debug, Clone)]
 pub struct Stage {
@@ -104,8 +89,6 @@ pub struct Stage {
     pub relations: Vec<IterRelation>,
     /// Annotations keyed by leaf var id.
     pub attrs: HashMap<u64, IterVarAttr>,
-    /// Computation placement.
-    pub attach: AttachType,
 }
 
 impl Stage {
@@ -125,14 +108,7 @@ impl Stage {
             leaf_iter_vars: leaves,
             relations: Vec::new(),
             attrs: HashMap::new(),
-            attach: AttachType::Root,
         }
-    }
-
-    /// True when the stage is computed inside a consumer
-    /// (`compute_at` was applied).
-    pub fn is_attached(&self) -> bool {
-        matches!(self.attach, AttachType::At { .. })
     }
 
     fn leaf_pos(&self, iv: &IterVar) -> Option<usize> {
@@ -445,63 +421,6 @@ impl Schedule {
     /// Bind a loop to a GPU thread axis.
     pub fn bind(&mut self, tensor: &Tensor, iv: &IterVar, tag: ThreadTag) {
         self.annotate(tensor, iv, IterVarAttr::Bind(tag));
-    }
-
-    /// Compute `producer` inside `consumer`'s loop nest, under leaf
-    /// `axis` (`s[P].compute_at(s[C], axis)`).
-    ///
-    /// At lowering, the region of `producer` the remaining inner loops of
-    /// `consumer` read is inferred and recomputed at every iteration of
-    /// `axis`. The attached producer's own splits are not applied (its
-    /// region is traversed with plain loops), matching TVM's restriction
-    /// that inlined/attached stages lose their independent schedule.
-    ///
-    /// # Panics
-    /// * `producer`/`consumer` not scheduled here, or equal;
-    /// * `axis` is not a leaf of `consumer`;
-    /// * `consumer` does not read `producer`;
-    /// * `consumer` is itself attached (attachment chains are not
-    ///   supported);
-    /// * an output tensor is attached (outputs must stay at root).
-    pub fn compute_at(&mut self, producer: &Tensor, consumer: &Tensor, axis: &IterVar) {
-        assert!(
-            !producer.same_as(consumer),
-            "cannot attach `{}` to itself",
-            producer.name()
-        );
-        assert!(
-            consumer
-                .op
-                .input_tensors()
-                .iter()
-                .any(|t| t.same_as(producer)),
-            "`{}` does not read `{}`",
-            consumer.name(),
-            producer.name()
-        );
-        assert!(
-            !self.outputs.iter().any(|o| o.same_as(producer)),
-            "output `{}` must stay at root",
-            producer.name()
-        );
-        let consumer_stage = self.stage(consumer);
-        assert!(
-            !consumer_stage.is_attached(),
-            "attachment chains are not supported (`{}` is itself attached)",
-            consumer.name()
-        );
-        assert!(
-            consumer_stage.leaf_pos(axis).is_some(),
-            "axis `{}` is not a leaf of `{}`",
-            axis.var.name,
-            consumer.name()
-        );
-        let consumer_id = consumer.op.id;
-        let stage = self.stage_mut(producer);
-        stage.attach = AttachType::At {
-            consumer: consumer_id,
-            axis: axis.clone(),
-        };
     }
 
     /// All variables (leaf or intermediate) known to a stage — for tests

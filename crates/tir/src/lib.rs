@@ -33,7 +33,6 @@ pub mod analysis;
 pub mod analyze;
 pub mod buffer;
 pub mod builder;
-pub mod compute_at;
 pub mod lower;
 pub mod passes;
 pub mod printer;

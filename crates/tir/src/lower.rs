@@ -79,24 +79,9 @@ pub fn lower_with_options(
         }
     }
 
-    // Stages attached via `compute_at`, grouped by consumer op id.
-    let mut attached: HashMap<u64, Vec<&Stage>> = HashMap::new();
-    for st in &schedule.stages {
-        if let tvm_te::AttachType::At { consumer, .. } = &st.attach {
-            attached.entry(*consumer).or_default().push(st);
-        }
-    }
-
     let mut body = Stmt::Nop;
     for st in &schedule.stages {
-        if st.is_attached() {
-            continue;
-        }
-        let inner = attached
-            .get(&st.tensor.op.id)
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        body = body.then(lower_stage(st, &buf_of, inner));
+        body = body.then(lower_stage(st, &buf_of));
     }
 
     let mut func = PrimFunc {
@@ -136,11 +121,6 @@ fn identity_expr(c: Combiner, dtype: DType) -> PrimExpr {
     }
 }
 
-/// Combine helper shared with the `compute_at` emitter.
-pub(crate) fn combine_expr_pub(c: Combiner, acc: PrimExpr, x: PrimExpr) -> PrimExpr {
-    combine_expr(c, acc, x)
-}
-
 fn combine_expr(c: Combiner, acc: PrimExpr, x: PrimExpr) -> PrimExpr {
     use tvm_te::BinOp;
     let op = match c {
@@ -152,7 +132,7 @@ fn combine_expr(c: Combiner, acc: PrimExpr, x: PrimExpr) -> PrimExpr {
     PrimExpr::binary(op, acc, x)
 }
 
-fn lower_stage(stage: &Stage, buf_of: &HashMap<u64, Arc<Buffer>>, attached: &[&Stage]) -> Stmt {
+fn lower_stage(stage: &Stage, buf_of: &HashMap<u64, Arc<Buffer>>) -> Stmt {
     let tensor = &stage.tensor;
     let out_buf = buf_of
         .get(&tensor.op.id)
@@ -176,7 +156,7 @@ fn lower_stage(stage: &Stage, buf_of: &HashMap<u64, Arc<Buffer>>, attached: &[&S
     let mut stmt = match &body {
         PrimExpr::Reduce { combiner, .. } => {
             let read_out = PrimExpr::TensorRead(tensor.clone(), out_idx.clone());
-            let update_val = combine_expr(*combiner, read_out, substituted_value.clone());
+            let update_val = combine_expr(*combiner, read_out, substituted_value);
             Stmt::BufferStore {
                 buffer: out_buf.clone(),
                 indices: out_idx,
@@ -186,7 +166,7 @@ fn lower_stage(stage: &Stage, buf_of: &HashMap<u64, Arc<Buffer>>, attached: &[&S
         _ => Stmt::BufferStore {
             buffer: out_buf.clone(),
             indices: out_idx,
-            value: substituted_value.clone(),
+            value: substituted_value,
         },
     };
 
@@ -204,25 +184,8 @@ fn lower_stage(stage: &Stage, buf_of: &HashMap<u64, Arc<Buffer>>, attached: &[&S
         };
     }
 
-    // Wrap the update in the leaf loop nest, innermost last. Producers
-    // attached at a leaf are emitted at the top of that leaf's loop body.
-    for (pos, leaf) in stage.leaf_iter_vars.iter().enumerate().rev() {
-        for producer in attached {
-            let attach_axis = match &producer.attach {
-                tvm_te::AttachType::At { axis, .. } => axis,
-                tvm_te::AttachType::Root => unreachable!("attached list holds At stages"),
-            };
-            if attach_axis.var.id == leaf.var.id {
-                let region = crate::compute_at::attached_region_stmt(
-                    producer,
-                    stage,
-                    pos,
-                    &substituted_value,
-                    buf_of,
-                );
-                stmt = region.then(stmt);
-            }
-        }
+    // Wrap the update in the leaf loop nest, innermost last.
+    for leaf in stage.leaf_iter_vars.iter().rev() {
         let kind = match stage.attr_of(leaf) {
             Some(IterVarAttr::Parallel) => ForKind::Parallel,
             Some(IterVarAttr::Vectorize) => ForKind::Vectorized,

@@ -1,5 +1,5 @@
 //! Inspect the analytical device model: sweep tile sizes of a blocked
-//! matmul across three simulated devices (A100, V100, one EPYC core) and
+//! matmul across two simulated devices (A100, one EPYC core) and
 //! print the modeled runtime landscape plus the cost breakdown of one
 //! configuration.
 //!
@@ -30,7 +30,7 @@ fn tiled_matmul(n: usize, ty: i64, tx: i64) -> PrimFunc {
 fn main() {
     let n = 2048usize;
     let tiles: [i64; 6] = [1, 8, 32, 128, 512, 2048];
-    let devices = [GpuSpec::a100(), GpuSpec::v100(), GpuSpec::swing_cpu_core()];
+    let devices = [GpuSpec::a100(), GpuSpec::swing_cpu_core()];
 
     for spec in &devices {
         println!("== {} ==", spec.name);

@@ -860,7 +860,7 @@ mod tests {
     #[test]
     fn devices_sharing_a_cache_keep_their_own_runtimes() {
         // Analytical devices have no pipeline fingerprint, so an a100 and a
-        // v100 evaluator on one cache share memo entries — the lowered
+        // CPU-core evaluator on one cache share memo entries — the lowered
         // function, never a modeled time.
         let shared = Arc::new(MemoCache::new());
         let on = |spec: GpuSpec| {
@@ -870,7 +870,7 @@ mod tests {
             )
             .with_cache(Arc::clone(&shared))
         };
-        let (a100, v100) = (on(GpuSpec::a100()), on(GpuSpec::v100()));
+        let (a100, core) = (on(GpuSpec::a100()), on(GpuSpec::swing_cpu_core()));
         let cfg = Evaluator::space(&a100).default_configuration();
         let alone = |spec: GpuSpec| {
             let ev = MoldEvaluator::simulated(
@@ -881,11 +881,11 @@ mod tests {
         };
 
         let first = Evaluator::evaluate(&a100, &cfg).runtime_s;
-        let second = Evaluator::evaluate(&v100, &cfg).runtime_s;
+        let second = Evaluator::evaluate(&core, &cfg).runtime_s;
         let again = Evaluator::evaluate(&a100, &cfg).runtime_s;
         assert_eq!((shared.stats().hits, shared.stats().misses), (2, 1));
         assert_eq!(first, alone(GpuSpec::a100()));
-        assert_eq!(second, alone(GpuSpec::v100()));
+        assert_eq!(second, alone(GpuSpec::swing_cpu_core()));
         assert_ne!(first, second, "each device reports its own model");
         assert_eq!(again, first);
     }
