@@ -19,8 +19,9 @@
 //! * **Bounded retry with backoff** — [`MeasureError::Transient`]
 //!   failures are retried up to [`RetryPolicy::max_attempts`] with
 //!   exponential backoff. All attempts' process time **plus** the backoff
-//!   waits are charged to the trial, so the paper's "autotuning process
-//!   time" metric honestly reflects the cost of flaky infrastructure.
+//!   waits are charged to the trial (the waits are charged, never slept),
+//!   so the paper's "autotuning process time" metric honestly reflects the
+//!   cost of flaky infrastructure.
 //!
 //! [`FaultInjector`] is the test-side counterpart: a deterministic,
 //! seeded chaos wrapper with per-class failure rates and latency spikes,
@@ -79,9 +80,6 @@ pub struct HarnessOptions {
     pub timeout_s: Option<f64>,
     /// Retry policy for transient failures.
     pub retry: RetryPolicy,
-    /// When true, backoff waits really sleep; when false (default, for
-    /// simulated evaluators) they are only *charged* to process time.
-    pub sleep_on_backoff: bool,
 }
 
 /// Fault-tolerance wrapper around any evaluator — one harness for all
@@ -208,9 +206,6 @@ impl<E: Evaluator + Send + Sync + 'static> Evaluator for HarnessedEvaluator<E> {
                 return res;
             }
             charged += backoff;
-            if self.opts.sleep_on_backoff && backoff > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(backoff));
-            }
             backoff *= self.opts.retry.backoff_mult;
         }
         unreachable!("retry loop always returns")

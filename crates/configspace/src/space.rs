@@ -104,11 +104,6 @@ impl ConfigSpace {
         out.extend(self.params.iter().map(|p| p.sample_encoded(rng)));
     }
 
-    /// `n` independent samples.
-    pub fn sample_n(&self, rng: &mut impl Rng, n: usize) -> Vec<Configuration> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
-
     /// Configuration at a mixed-radix flat index over the discrete grid
     /// (row-major: the *last* parameter varies fastest, matching
     /// AutoTVM's `ConfigSpace.get(i)` convention).

@@ -22,15 +22,6 @@ impl CacheStats {
     pub fn total(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Fraction of lookups served from the cache (0 when never queried).
-    pub fn hit_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total() as f64
-        }
-    }
 }
 
 /// Accept/reject counters of an evaluator-side static schedule-safety
@@ -47,16 +38,6 @@ impl StaticCheckStats {
     /// Total analyzed configurations.
     pub fn total(&self) -> u64 {
         self.accepted + self.rejected
-    }
-
-    /// Fraction of analyzed configurations rejected statically (0 when
-    /// nothing was analyzed).
-    pub fn reject_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.rejected as f64 / self.total() as f64
-        }
     }
 }
 
@@ -83,16 +64,6 @@ impl JitStats {
     /// Total compile attempts (jitted + fallbacks).
     pub fn attempts(&self) -> u64 {
         self.functions_jitted + self.fallbacks
-    }
-
-    /// Fraction of compile attempts that reached native code (0 when
-    /// nothing was attempted).
-    pub fn jit_rate(&self) -> f64 {
-        if self.attempts() == 0 {
-            0.0
-        } else {
-            self.functions_jitted as f64 / self.attempts() as f64
-        }
     }
 
     /// Fold `other` into `self` (used by the service to aggregate the
@@ -139,17 +110,6 @@ pub struct ParStats {
 }
 
 impl ParStats {
-    /// Fraction of runtime parallel-loop entries that dispatched on the
-    /// pool (0 when no parallel loop ever executed).
-    pub fn dispatch_rate(&self) -> f64 {
-        let entries = self.dispatches + self.fallbacks;
-        if entries == 0 {
-            0.0
-        } else {
-            self.dispatches as f64 / entries as f64
-        }
-    }
-
     /// Fold `other` into `self` (counter-wise sums; reasons merged by
     /// name and kept sorted; pool facts are process-global, so take the
     /// max).
@@ -189,9 +149,6 @@ pub struct SimdStats {
     /// Elements per packed `f64` operation (2 for SSE2, 4 for AVX; 1
     /// when packed emission is off).
     pub f64_lanes: u64,
-    /// Elements per packed `f32` operation (4 for SSE2, 8 for AVX; 1
-    /// when packed emission is off).
-    pub f32_lanes: u64,
     /// Scalar-fallback reasons with occurrence counts, sorted by reason.
     pub scalar_reasons: Vec<(String, u64)>,
 }
@@ -200,16 +157,6 @@ impl SimdStats {
     /// Total vector sites seen (packed + scalar).
     pub fn sites(&self) -> u64 {
         self.packed_loops + self.scalar_loops
-    }
-
-    /// Fraction of vector sites emitted packed (0 when no site was
-    /// compiled).
-    pub fn packed_rate(&self) -> f64 {
-        if self.sites() == 0 {
-            0.0
-        } else {
-            self.packed_loops as f64 / self.sites() as f64
-        }
     }
 
     /// Fold `other` into `self` (counter-wise sums; reasons merged by
@@ -227,7 +174,6 @@ impl SimdStats {
         }
         self.scalar_reasons.sort();
         self.f64_lanes = self.f64_lanes.max(other.f64_lanes);
-        self.f32_lanes = self.f32_lanes.max(other.f32_lanes);
     }
 }
 
@@ -254,16 +200,6 @@ impl PruneStats {
         self.admitted + self.prelint_denied + self.analyzer_denied
     }
 
-    /// Fraction of candidates denied statically (0 when nothing was
-    /// examined).
-    pub fn deny_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            (self.prelint_denied + self.analyzer_denied) as f64 / self.total() as f64
-        }
-    }
-
     /// Fold `other` into `self` (counter-wise sums; per-code counts
     /// merged by code and kept sorted).
     pub fn merge(&mut self, other: &PruneStats) {
@@ -285,10 +221,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn jit_stats_rates() {
-        let s = JitStats::default();
-        assert_eq!(s.attempts(), 0);
-        assert_eq!(s.jit_rate(), 0.0);
+    fn jit_stats_attempts() {
+        assert_eq!(JitStats::default().attempts(), 0);
         let s = JitStats {
             functions_jitted: 3,
             nests_compiled: 5,
@@ -297,7 +231,6 @@ mod tests {
             fallback_reasons: vec![("float op Max".into(), 1)],
         };
         assert_eq!(s.attempts(), 4);
-        assert!((s.jit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -334,23 +267,18 @@ mod tests {
     }
 
     #[test]
-    fn static_check_stats_rates() {
-        let s = StaticCheckStats::default();
-        assert_eq!(s.total(), 0);
-        assert_eq!(s.reject_rate(), 0.0);
+    fn static_check_stats_total() {
+        assert_eq!(StaticCheckStats::default().total(), 0);
         let s = StaticCheckStats {
             accepted: 3,
             rejected: 1,
         };
         assert_eq!(s.total(), 4);
-        assert!((s.reject_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]
-    fn prune_stats_rates_and_merge() {
-        let s = PruneStats::default();
-        assert_eq!(s.total(), 0);
-        assert_eq!(s.deny_rate(), 0.0);
+    fn prune_stats_total_and_merge() {
+        assert_eq!(PruneStats::default().total(), 0);
         let mut a = PruneStats {
             admitted: 6,
             prelint_denied: 1,
@@ -358,7 +286,6 @@ mod tests {
             denied_by_code: vec![("TIR-RACE-WW".into(), 1), ("TIR-TRIP-ZERO".into(), 1)],
         };
         assert_eq!(a.total(), 8);
-        assert!((a.deny_rate() - 0.25).abs() < 1e-12);
         let b = PruneStats {
             admitted: 2,
             prelint_denied: 2,

@@ -27,35 +27,20 @@ pub struct SimDevice {
     pub noise: f64,
     /// Noise seed.
     pub seed: u64,
-    /// Probability an execution fails with a transient device fault
-    /// (0 disables; models flaky nodes / driver hiccups for chaos tests).
-    pub fault_rate: f64,
-    /// Seed for the fault draws (independent of the noise seed).
-    pub fault_seed: u64,
-    /// Per-function attempt counters feeding the fault draws, so a retry
-    /// of the same function re-rolls while draws stay independent of the
-    /// order other functions are evaluated in — the same
-    /// (function, attempt, seed) keying as the harness's `FaultInjector`,
-    /// which keeps injected faults journal-resume-safe (clones share the
-    /// counters).
-    fault_attempts: Arc<Mutex<HashMap<String, u64>>>,
-    /// Noise-free predictions by printed function — the key the noise and
-    /// fault draws use. The model is pure in (function, spec), so repeats,
-    /// retries and re-proposals pay a lookup; seed, noise and fault
-    /// settings stay outside it, and clones share it.
+    /// Noise-free predictions by printed function — the key the noise
+    /// draw uses. The model is pure in (function, spec), so repeats,
+    /// retries and re-proposals pay a lookup; seed and noise stay outside
+    /// it, and clones share it.
     predictions: Arc<Mutex<HashMap<String, f64>>>,
 }
 
 impl SimDevice {
-    /// Simulated device with ±2 % noise, seed 0, no injected faults.
+    /// Simulated device with ±2 % noise, seed 0.
     pub fn new(spec: GpuSpec) -> SimDevice {
         SimDevice {
             spec,
             noise: 0.04,
             seed: 0,
-            fault_rate: 0.0,
-            fault_seed: 0,
-            fault_attempts: Arc::new(Mutex::new(HashMap::new())),
             predictions: Arc::new(Mutex::new(HashMap::new())),
         }
     }
@@ -75,17 +60,6 @@ impl SimDevice {
     /// Builder: noise seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder: deterministic transient-fault injection. Each `run` draws
-    /// a hash of (function, seed, per-function attempt) against `rate`; a
-    /// hit returns `DeviceError::Rejected` with a message classified as
-    /// transient by the measurement harness, so retries can succeed.
-    pub fn with_faults(mut self, rate: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        self.fault_rate = rate;
-        self.fault_seed = seed;
         self
     }
 
@@ -128,28 +102,8 @@ impl Device for SimDevice {
     }
 
     fn run(&self, func: &PrimFunc, _args: &mut [NDArray]) -> Result<f64, DeviceError> {
-        // Printed once: the fault, noise and memo keys are all this string.
+        // Printed once: the noise and memo keys are both this string.
         let printed = func.to_string();
-        if self.fault_rate > 0.0 {
-            let n = {
-                let mut attempts = self.fault_attempts.lock().expect("fault counter lock");
-                let n = attempts.entry(printed.clone()).or_insert(0);
-                let current = *n;
-                *n += 1;
-                current
-            };
-            let mut h = DefaultHasher::new();
-            printed.hash(&mut h);
-            self.fault_seed.hash(&mut h);
-            n.hash(&mut h);
-            let u = (h.finish() >> 11) as f64 / (1u64 << 53) as f64;
-            if u < self.fault_rate {
-                return Err(DeviceError::Rejected(format!(
-                    "transient device fault injected on `{}` (attempt {n})",
-                    func.name
-                )));
-            }
-        }
         let t = self.predict_printed(func, &printed);
         if !t.is_finite() {
             return Err(DeviceError::Rejected(format!(
@@ -175,7 +129,7 @@ mod tests {
     use tvm_tir::lower::lower;
 
     fn small_func(n: usize) -> PrimFunc {
-        let a = placeholder([n, n], DType::F32, "A");
+        let a = placeholder([n, n], DType::F64, "A");
         let b = compute([n, n], "B", |i| a.at(&[i[0].clone(), i[1].clone()]) * 2i64);
         let s = Schedule::create(std::slice::from_ref(&b));
         lower(&s, &[a, b], "scale")
@@ -216,56 +170,6 @@ mod tests {
         let dev = SimDevice::new(GpuSpec::a100());
         let base = dev.build_cost(&f1);
         assert!(base >= 0.8);
-    }
-
-    #[test]
-    fn fault_injection_is_deterministic_and_retryable() {
-        let f = small_func(32);
-        let mut args = [];
-        // Rate 0 (default): never fails.
-        let clean = SimDevice::new(GpuSpec::a100());
-        for _ in 0..20 {
-            assert!(clean.run(&f, &mut args).is_ok());
-        }
-        // Rate 1: always fails, with a transient-classified message.
-        let broken = SimDevice::new(GpuSpec::a100()).with_faults(1.0, 7);
-        let err = broken.run(&f, &mut args).expect_err("must fail");
-        let DeviceError::Rejected(msg) = &err else {
-            panic!("expected Rejected, got {err:?}");
-        };
-        assert!(msg.contains("transient device fault"));
-        // Moderate rate: the per-attempt counter re-rolls, so across many
-        // executions both outcomes occur, identically for the same seed.
-        let mut outcomes = |seed: u64| -> Vec<bool> {
-            let dev = SimDevice::new(GpuSpec::a100()).with_faults(0.3, seed);
-            (0..40).map(|_| dev.run(&f, &mut args).is_ok()).collect()
-        };
-        let a = outcomes(1);
-        assert_eq!(a, outcomes(1), "same seed reproduces exactly");
-        assert!(a.iter().any(|ok| *ok) && a.iter().any(|ok| !*ok));
-    }
-
-    #[test]
-    fn fault_draws_independent_of_evaluation_order() {
-        // Interleaving executions of another function must not perturb a
-        // function's own fault sequence (journal-resume safety).
-        let f1 = small_func(16);
-        let f2 = small_func(24);
-        let mut args = [];
-        let solo: Vec<bool> = {
-            let dev = SimDevice::new(GpuSpec::a100()).with_faults(0.5, 3);
-            (0..10).map(|_| dev.run(&f1, &mut args).is_ok()).collect()
-        };
-        let interleaved: Vec<bool> = {
-            let dev = SimDevice::new(GpuSpec::a100()).with_faults(0.5, 3);
-            (0..10)
-                .map(|_| {
-                    let _ = dev.run(&f2, &mut args);
-                    dev.run(&f1, &mut args).is_ok()
-                })
-                .collect()
-        };
-        assert_eq!(solo, interleaved);
     }
 
     #[test]
@@ -323,37 +227,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_attempts_advance_on_memoized_runs() {
-        // The fault roll happens before the memo lookup, on every run: the
-        // n-th run of a function reports attempt n when it faults, whether
-        // or not its prediction was already memoized.
-        let f = small_func(32);
-        let mut args = [];
-        let dev = SimDevice::new(GpuSpec::a100()).with_faults(0.3, 1);
-        let mut faults_after_a_success = 0;
-        let mut succeeded = false;
-        for attempt in 0..40 {
-            match dev.run(&f, &mut args) {
-                Ok(_) => succeeded = true,
-                Err(DeviceError::Rejected(msg)) => {
-                    assert!(
-                        msg.contains(&format!("(attempt {attempt})")),
-                        "run {attempt} reported: {msg}"
-                    );
-                    faults_after_a_success += succeeded as usize;
-                }
-                Err(other) => panic!("unexpected error: {other:?}"),
-            }
-        }
-        assert!(faults_after_a_success > 0, "a memoized run must still roll");
-    }
-
-    #[test]
     fn args_untouched() {
         let f = small_func(8);
         let dev = SimDevice::new(GpuSpec::a100());
-        let a = NDArray::random(&[8, 8], DType::F32, 3, 0.0, 1.0);
-        let b = NDArray::zeros(&[8, 8], DType::F32);
+        let a = NDArray::random(&[8, 8], DType::F64, 3, 0.0, 1.0);
+        let b = NDArray::zeros(&[8, 8], DType::F64);
         let mut args = [a.clone(), b.clone()];
         let _ = dev.run(&f, &mut args).unwrap();
         assert_eq!(args[0], a);

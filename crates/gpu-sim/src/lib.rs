@@ -31,7 +31,7 @@
 //! use tvm_tir::lower::lower;
 //!
 //! let n = 256usize;
-//! let a = placeholder([n, n], DType::F32, "A");
+//! let a = placeholder([n, n], DType::F64, "A");
 //! let b = compute([n, n], "B", |i| a.at(&[i[0].clone(), i[1].clone()]) * 2i64);
 //! let s = Schedule::create(&[b.clone()]);
 //! let f = lower(&s, &[a, b], "scale");

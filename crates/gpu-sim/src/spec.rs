@@ -17,8 +17,6 @@ pub struct GpuSpec {
     pub threads_per_sm: usize,
     /// Maximum threads per block.
     pub max_threads_per_block: usize,
-    /// Peak FP32 throughput, FLOP/s.
-    pub fp32_flops: f64,
     /// Peak FP64 throughput, FLOP/s.
     pub fp64_flops: f64,
     /// HBM bandwidth, bytes/s.
@@ -49,7 +47,6 @@ impl GpuSpec {
             num_sms: 108,
             threads_per_sm: 2048,
             max_threads_per_block: 1024,
-            fp32_flops: 19.5e12,
             fp64_flops: 9.7e12,
             dram_bw: 1.555e12,
             l2_bw: 4.0e12,
@@ -77,7 +74,6 @@ impl GpuSpec {
             num_sms: 1,
             threads_per_sm: 1,
             max_threads_per_block: 1,
-            fp32_flops: 5.0e9,
             fp64_flops: 2.5e9,
             dram_bw: 20e9,
             l2_bw: 100e9,
@@ -87,15 +83,6 @@ impl GpuSpec {
             sync_overhead_s: 5e-9,
             block_overhead_s: 5e-9,
             warp_size: 8,
-        }
-    }
-
-    /// Peak FLOP/s for a given element width (4 → FP32, 8 → FP64).
-    pub fn peak_flops(&self, elem_bytes: usize) -> f64 {
-        if elem_bytes >= 8 {
-            self.fp64_flops
-        } else {
-            self.fp32_flops
         }
     }
 
@@ -113,11 +100,8 @@ mod tests {
     fn a100_preset_sane() {
         let s = GpuSpec::a100();
         assert_eq!(s.num_sms, 108);
-        assert!(s.fp32_flops > s.fp64_flops);
         assert!(s.l2_bw > s.dram_bw);
         assert_eq!(s.device_threads(), 108 * 2048);
-        assert_eq!(s.peak_flops(4), s.fp32_flops);
-        assert_eq!(s.peak_flops(8), s.fp64_flops);
     }
 
     #[test]

@@ -50,12 +50,6 @@ pub(crate) fn build_gemm_knobbed(
     lower(&s, &[a, b, c, out], "gemm")
 }
 
-/// Build gemm with tiles `(ty, tx)` on the multiplication stage (the
-/// paper schedule — neutral knobs).
-pub fn build_gemm(ni: usize, nj: usize, nk: usize, ty: i64, tx: i64) -> PrimFunc {
-    build_gemm_knobbed(ni, nj, nk, ty, tx, &MatmulKnobs::neutral())
-}
-
 /// The gemm code mold.
 pub struct GemmMold {
     size: ProblemSize,

@@ -60,12 +60,6 @@ pub(crate) fn build_2mm_knobbed(
     lower(&s, &[a, b, c, d, out], "mm2")
 }
 
-/// Build 2mm with tiles `(t0, t1)` on stage `E = A·B` and `(t2, t3)` on
-/// stage `F = E·C` (the paper schedule — neutral knobs).
-pub fn build_2mm(ni: usize, nj: usize, nk: usize, nl: usize, tiles: [i64; 4]) -> PrimFunc {
-    build_2mm_knobbed(ni, nj, nk, nl, tiles, &MatmulKnobs::neutral())
-}
-
 /// The 2mm code mold.
 pub struct Mm2Mold {
     size: ProblemSize,

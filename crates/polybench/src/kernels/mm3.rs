@@ -61,12 +61,6 @@ pub(crate) fn build_3mm_knobbed(d: &Mm3Dims, tiles: [i64; 6], kn: &MatmulKnobs) 
     lower(&s, &[a, b, c, dd, g], "mm3")
 }
 
-/// Lower 3mm with the six tile factors `(P0..P5)` of the paper's mold:
-/// `P0/P1` tile stage `E`, `P2/P3` stage `F`, `P4/P5` stage `G`.
-pub fn build_3mm(d: &Mm3Dims, tiles: [i64; 6]) -> PrimFunc {
-    build_3mm_knobbed(d, tiles, &MatmulKnobs::neutral())
-}
-
 /// The 3mm code mold.
 pub struct Mm3Mold {
     size: ProblemSize,

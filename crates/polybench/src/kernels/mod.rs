@@ -58,17 +58,6 @@ impl MatmulKnobs {
         }
     }
 
-    /// All knobs at their paper-equivalent value.
-    pub fn neutral() -> MatmulKnobs {
-        MatmulKnobs {
-            order: 0,
-            fuse: 0,
-            vec: 0,
-            par: 0,
-            unroll: 0,
-        }
-    }
-
     /// True when every knob reproduces the paper schedule.
     pub fn is_neutral(&self) -> bool {
         self.order == 0 && self.fuse == 0 && self.vec == 0 && self.par == 0 && self.unroll == 0

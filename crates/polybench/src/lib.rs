@@ -17,7 +17,7 @@
 //! * [`spaces`] — the exact tuning spaces of the paper (ordinal
 //!   hyperparameters over divisor lists), reproducing Table 1's
 //!   cardinalities bit-for-bit,
-//! * [`reference`](crate::reference) — plain-Rust reference implementations used to verify
+//! * [`mod@reference`] — plain-Rust reference implementations used to verify
 //!   every mold configuration numerically,
 //! * [`molds`] — the [`molds::CodeMold`] trait tying it together for the
 //!   tuners.

@@ -14,12 +14,11 @@
 //! back-edge relocations are resolved at emission time (the buffer is
 //! sealed read+execute before any pointer escapes).
 //!
-//! The x86-64 emitter computes in `f64` only; a function with `f32` data
-//! or rounding runs whole on the optimized VM. It has a packed-SIMD tier:
-//! parallel-pattern mul-add microkernels, and the reduction loop jammed
-//! around them, run as f64x2 bodies (VEX-256 f64x4 when AVX is detected)
-//! with register-tiled main loops; what a sweep leaves over runs at the
-//! next narrower width, down to scalar. A strided loop runs the scalar
+//! The x86-64 emitter has a packed-SIMD tier: parallel-pattern mul-add
+//! microkernels, and the reduction loop jammed around them, run as f64x2
+//! bodies (VEX-256 f64x4 when AVX is detected) with register-tiled main
+//! loops; what a sweep leaves over runs at the next narrower width, down
+//! to scalar. A strided loop runs the scalar
 //! template, with a trip count computed at loop entry when it is
 //! *trimmed* (a guard on the loop's own variable turned into a live range
 //! by [`crate::optimize`]). That loop is register-resident: element
@@ -65,9 +64,9 @@ pub use x86_64::X86Backend;
 /// integer registers in callee-saved GPRs for a whole nest. v6: plain
 /// loops carry hoisted registers (set at entry, bumped per iteration), a
 /// microkernel row is swept at each width its extent fills, and the jam
-/// takes rows shorter than the widest vector. v7: `f64` only — a function
-/// with `f32` in it falls back whole — and no packed strided loop, so a
-/// vectorize annotation no longer changes the code a loop gets.
+/// takes rows shorter than the widest vector. v7: `f64` only, and no
+/// packed strided loop, so a vectorize annotation no longer changes the
+/// code a loop gets.
 pub const JIT_VERSION: &str = "jit/v7";
 
 /// Fingerprint reported by a JIT-mode device: the optimized engine's
@@ -314,10 +313,6 @@ pub struct SimdStats {
     pub scalar_loops: u64,
     /// Packed lane width for f64 sites (1 = scalar tier).
     pub f64_lanes: u32,
-    /// Always 0: the JIT computes in `f64` only, and a function with `f32`
-    /// in it runs on the optimized VM. The field stays until the stats
-    /// structs become one registry (ROADMAP 2(a)).
-    pub f32_lanes: u32,
     /// Scalar reason → count, sorted by reason for stable output.
     pub scalar_reasons: Vec<(String, u64)>,
 }
@@ -376,7 +371,6 @@ impl SimdCounters {
             tiled_loops: self.tiled_loops.load(Ordering::Relaxed),
             scalar_loops: self.scalar_loops.load(Ordering::Relaxed),
             f64_lanes: self.f64_lanes.load(Ordering::Relaxed) as u32,
-            f32_lanes: 0,
             scalar_reasons,
         }
     }

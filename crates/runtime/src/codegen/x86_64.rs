@@ -54,11 +54,7 @@
 //!   Every unchecked access a resident form issues is one the in-memory
 //!   form issued, at the same address, covered by the same proof.
 //! - Float ops use scalar SSE2 (`mulsd`/`addsd`/`divsd`/`sqrtsd`),
-//!   which are IEEE-correctly-rounded exactly like Rust's `f64` ops. The
-//!   JIT computes in `f64` only: a function with an `f32` slot or any
-//!   instruction that rounds to `f32` is refused whole
-//!   ([`plan::check_f64`]) and runs on the optimized VM, which is
-//!   bit-identical to it and has `f32` slice kernels of its own.
+//!   which are IEEE-correctly-rounded exactly like Rust's `f64` ops.
 //! - Packed SIMD (`movupd`/`mulpd`/`addpd` f64x2, or their VEX-256
 //!   f64x4 forms when AVX is detected) is used in two places, both
 //!   remainder-safe — what a sweep leaves over runs at the next narrower
@@ -148,14 +144,8 @@ mod fixtures {
         SlotAccess { slot, addr, stride }
     }
 
-    pub(super) fn fmuladd(dst: Reg, add: Reg, a: Reg, b: Reg, round32: bool) -> Instr {
-        Instr::FMulAdd {
-            dst,
-            add,
-            a,
-            b,
-            round32,
-        }
+    pub(super) fn fmuladd(dst: Reg, add: Reg, a: Reg, b: Reg) -> Instr {
+        Instr::FMulAdd { dst, add, a, b }
     }
 
     /// A serial `k` loop (six iterations: one jammed group of four and two
@@ -202,7 +192,6 @@ mod fixtures {
                 dst: self.dst,
                 a: self.a,
                 b: self.b,
-                round32: false,
             };
             let items = [Item::Code(self.code), kernel].into_iter().chain(self.tail);
             Item::Loop {
@@ -277,7 +266,7 @@ mod fixtures {
     /// constants and each other, every one written to an array through
     /// `IToF` so its value is observable (some of them past the arm that
     /// defines them, where the arm may not have run), and at the bottom a
-    /// leaf of every kind — a microkernel of any stride pattern and dtype mix, a
+    /// leaf of every kind — a microkernel of any stride pattern, a
     /// strided loop that is static, trimmed or carries its accumulator,
     /// reads its loop variable as a value and walks backwards — whose
     /// address, bound and condition registers come from any level of the
@@ -316,13 +305,6 @@ mod fixtures {
                 shapes: [0; 4],
                 defined_in_loop: None,
             }
-        }
-
-        /// Whether the function computes in `f32`: only then does the
-        /// generator write the forms that round to it (the JIT refuses the
-        /// function whole, and the optimized VM runs it).
-        fn in_f32(&self) -> bool {
-            self.dts.contains(&DType::F32)
         }
 
         fn below(&mut self, n: i64) -> i64 {
@@ -428,11 +410,7 @@ mod fixtures {
         fn observe_reg(&mut self, r: Reg, code: &mut Vec<Instr>) {
             let (f, slot) = (self.freg(), self.below(4) as u16);
             let at = self.addr(code, (0, 0), false);
-            code.push(if self.rng.gen_bool(0.5) || !self.in_f32() {
-                Instr::IToF(f, r)
-            } else {
-                Instr::IToF32(f, r)
-            });
+            code.push(Instr::IToF(f, r));
             code.push(Instr::Store(slot, at, f));
         }
 
@@ -441,7 +419,7 @@ mod fixtures {
             ((-reach).max(0), reach.max(0))
         }
 
-        fn muladd(&mut self, n: i64, slots: [u16; 3], strides: [i64; 3], round32: bool) -> Item {
+        fn muladd(&mut self, n: i64, slots: [u16; 3], strides: [i64; 3]) -> Item {
             let mut pre = Vec::new();
             let [dst, a, b] = [0, 1, 2].map(|k| {
                 let at = self.addr(&mut pre, Self::span(strides[k], n), false);
@@ -453,7 +431,6 @@ mod fixtures {
                 dst,
                 a,
                 b,
-                round32,
             }
         }
 
@@ -471,16 +448,15 @@ mod fixtures {
             ];
             let strides = PATTERNS[self.rng.gen_range(0..PATTERNS.len())];
             let slots = [0, 1, 2].map(|_| self.below(4) as u16);
-            let (n, round32) = (1 + self.below(9), self.rng.gen_bool(0.5));
-            self.muladd(n, slots, strides, round32 && self.in_f32())
+            let n = 1 + self.below(9);
+            self.muladd(n, slots, strides)
         }
 
         /// A serial `k` loop around a microkernel whose destination row
         /// does not move with `k`: jammed when the three slots agree.
         fn jam_wrapper(&mut self) -> Item {
             self.shapes[2] += 1;
-            let lanes = if self.dts[0] == DType::F64 { 2 } else { 4 };
-            let (j, kext, kmin) = (lanes + self.below(4), 4 + self.below(4), self.below(2));
+            let (j, kext, kmin) = (2 + self.below(4), 4 + self.below(4), self.below(2));
             let k = self.defined();
             // The destination's address is built before `k` is readable.
             let mut pre = Vec::new();
@@ -501,7 +477,6 @@ mod fixtures {
                 dst,
                 a,
                 b,
-                round32: self.dts[0] == DType::F32,
             };
             Item::Loop {
                 var: k,
@@ -589,9 +564,7 @@ mod fixtures {
                 body.push(if self.rng.gen_bool(0.5) {
                     Instr::FBin(op, d, x, y)
                 } else {
-                    let b = pick_of(&vals, self.rng);
-                    let round32 = self.rng.gen_bool(0.3) && self.in_f32();
-                    fmuladd(d, x, y, b, round32)
+                    fmuladd(d, x, y, pick_of(&vals, self.rng))
                 });
                 vals.push(d);
             }

@@ -77,8 +77,6 @@ impl CodegenBackend for X86Backend {
             .map(|p| p.dtype)
             .chain(cf.allocs.iter().map(|(_, dt)| *dt))
             .collect();
-        check_f64(&dts, &cf.body)
-            .map_err(|why| CompileError(format!("no jittable loop nest: {why}")))?;
         let mut rw = Rewriter {
             dts: &dts,
             opts: self,
@@ -690,7 +688,7 @@ impl NestCompiler<'_> {
                 self.fop(FADD, t, F::Reg(X0)); // add + m
                 self.fstore(f(dst), t);
             }
-            Instr::Call1(Intrinsic::Sqrt, d, x, _) => {
+            Instr::Call1(Intrinsic::Sqrt, d, x) => {
                 let t = target(f(d), X0);
                 self.fload(t, f(x));
                 self.asm.vop1(SD, FSQRT, t, t);
@@ -1196,8 +1194,8 @@ mod tests {
         // With nothing resident every instruction lowers to the template
         // it always had; these bytes were emitted by the commit before
         // the resolver existed (`vm/v3`, `jit/v3`), and re-recorded by
-        // `jit/v6` when the `f32` forms left the list. The resident forms
-        // are compared against this path, so it must not drift with them.
+        // `jit/v6`. The resident forms are compared against this path, so
+        // it must not drift with them.
         let code = [
             Instr::IConst(3, -7_000_000_000),
             Instr::FConst(20, 1.5),
@@ -1208,9 +1206,9 @@ mod tests {
             Instr::FBin(BinOp::Div, 3, 1, 2),
             Instr::FBin(BinOp::Mul, 4, 3, 3),
             Instr::FBin(BinOp::Sub, 5, 20, 4),
-            fmuladd(6, 5, 3, 4, false),
-            fmuladd(7, 6, 6, 17, false),
-            Instr::Call1(Intrinsic::Sqrt, 8, 7, false),
+            fmuladd(6, 5, 3, 4),
+            fmuladd(7, 6, 6, 17),
+            Instr::Call1(Intrinsic::Sqrt, 8, 7),
             Instr::Load(9, 0, 4),
             Instr::Load(10, 1, 16),
             Instr::Store(0, 5, 9),
@@ -1255,8 +1253,8 @@ mod tests {
         let (code, _) = compiled_sse2(|nc| {
             nc.emit_code(&[
                 Instr::FBin(BinOp::Div, 2, 0, 1),
-                fmuladd(4, 2, 0, 1, false),
-                Instr::Call1(Intrinsic::Sqrt, 5, 0, false),
+                fmuladd(4, 2, 0, 1),
+                Instr::Call1(Intrinsic::Sqrt, 5, 0),
                 Instr::IToF(3, 0),
             ])
         });
@@ -1459,10 +1457,10 @@ mod tests {
             } else {
                 match rng.gen_range(0..8) {
                     0 | 1 => Instr::FBin(OPS[rng.gen_range(0..4usize)], d, pick(rng), pick(rng)),
-                    2 | 3 => fmuladd(d, pick(rng), pick(rng), pick(rng), false),
+                    2 | 3 => fmuladd(d, pick(rng), pick(rng), pick(rng)),
                     4 => Instr::IToF(d, 0),
                     5 => Instr::FConst(d, rng.gen_range(0.5..2.0)),
-                    6 => Instr::Call1(Intrinsic::Sqrt, d, pick(rng), false),
+                    6 => Instr::Call1(Intrinsic::Sqrt, d, pick(rng)),
                     _ => {
                         let (slot, addr) = pair(rng.gen_range(1..=n_ptrs as Reg));
                         Instr::Load(d, slot, addr)
@@ -1485,8 +1483,8 @@ mod tests {
                 0 => Instr::FBin(BinOp::Add, next, acc, x),
                 1 => Instr::FBin(BinOp::Sub, next, x, acc),
                 2 => Instr::FBin(BinOp::Mul, next, acc, acc),
-                3 => fmuladd(next, acc, x, y, false),
-                _ => fmuladd(next, x, acc, y, false),
+                3 => fmuladd(next, acc, x, y),
+                _ => fmuladd(next, x, acc, y),
             });
             body.push(Instr::Store(slot, addr, next));
             Carry {
@@ -1573,7 +1571,7 @@ mod tests {
             Instr::Load(0, 0, 1),
             Instr::IToF(1, 0),
             Instr::FConst(2, 0.5),
-            fmuladd(3, 2, 0, 1, false),
+            fmuladd(3, 2, 0, 1),
             Instr::Store(1, 2, 3),
         ];
         let plan = plan_resident(&bumps, &body, None, &PTR_REGS, XMM_POOL);
@@ -1649,34 +1647,23 @@ mod tests {
     }
 
     #[test]
-    fn stride_zero_muladd_matches_the_vm_loop_on_aliased_and_mixed_operands() {
-        use DType::{F32, F64};
-        // (slot dtypes, dst/a/b slots, a stride, b stride, round32): an
-        // in-place destination whose element the `a` walk crosses, the
-        // reduction stored once over non-unit, negative and zero factor
-        // strides, and — run by the optimized VM, the JIT refusing the
-        // function whole — mixed dtypes with and without per-op rounding.
+    fn stride_zero_muladd_matches_the_vm_loop_on_aliased_operands() {
+        // (dst/a/b slots, a stride, b stride): an in-place destination
+        // whose element the `a` walk crosses, and the reduction stored once
+        // over non-unit, negative and zero factor strides.
         let cases = [
-            ([F64, F64, F64], [0, 0, 1], 1, 2, false),
-            ([F32, F32, F32], [0, 1, 0], 2, 1, true),
-            ([F32, F64, F32], [0, 1, 2], 1, 3, false),
-            ([F32, F64, F32], [0, 1, 2], 1, 3, true),
-            ([F64, F32, F32], [0, 1, 2], 3, -1, true),
-            ([F32, F32, F32], [0, 1, 2], 1, 1, false),
-            ([F64, F64, F64], [0, 1, 2], 1, 5, false),
-            ([F32, F32, F32], [0, 1, 2], -2, 0, true),
-            ([F64, F64, F64], [0, 1, 1], 0, -3, false),
+            ([0, 0, 1], 1, 2),
+            ([0, 1, 0], 2, 1),
+            ([0, 1, 2], 3, -1),
+            ([0, 1, 2], 1, 5),
+            ([0, 1, 2], -2, 0),
+            ([0, 1, 1], 0, -3),
         ];
-        let (mut jitted, mut refused) = (0, 0);
-        for (dts, [sd, sa, sb], stride_a, stride_b, round32) in cases {
-            let context = format!(
-                "{dts:?} slots {sd}/{sa}/{sb} strides {stride_a}/{stride_b} round32 {round32}"
-            );
+        for ([sd, sa, sb], stride_a, stride_b) in cases {
+            let context = format!("slots {sd}/{sa}/{sb} strides {stride_a}/{stride_b}");
             let extent = 7i64;
-            let arrays: Vec<NDArray> = dts
-                .iter()
-                .enumerate()
-                .map(|(i, &dt)| NDArray::random(&[LEN as usize], dt, 70 + i as u64, -1.0, 1.0))
+            let arrays: Vec<NDArray> = (0..3)
+                .map(|i| NDArray::random(&[LEN as usize], DType::F64, 70 + i, -1.0, 1.0))
                 .collect();
             let start = |s: i64| if s < 0 { 6 * -s + 1 } else { 2 };
             // The destination sits on an element the `a` walk reaches.
@@ -1695,16 +1682,9 @@ mod tests {
             for k in 0..extent {
                 let at = |acc: &SlotAccess| (iregs[acc.addr as usize] + k * acc.stride) as usize;
                 let c = want[sd as usize].get_f64_linear(at(&d));
-                let mut m = want[sa as usize].get_f64_linear(at(&x))
+                let m = want[sa as usize].get_f64_linear(at(&x))
                     * want[sb as usize].get_f64_linear(at(&y));
-                if round32 {
-                    m = m as f32 as f64;
-                }
-                let mut sum = c + m;
-                if round32 {
-                    sum = sum as f32 as f64;
-                }
-                want[sd as usize].set_f64_linear(at(&d), sum);
+                want[sd as usize].set_f64_linear(at(&d), c + m);
             }
             let row = Item::MulAddLoop {
                 extent,
@@ -1712,31 +1692,20 @@ mod tests {
                 dst: d,
                 a: x,
                 b: y,
-                round32,
             };
-            let cf = nest_function(&row, &iregs, 3, &dts);
+            let cf = nest_function(&row, &iregs, 3, &[DType::F64; 3]);
             let run = |cf: &CompiledFunc| {
                 let mut args = arrays.clone();
                 crate::vm::execute(cf, &mut args).expect("runs");
                 bits(&args)
             };
             assert_eq!(run(&cf), bits(&want), "{context}: VM");
-            match X86Backend::sse2_only().jit_compile(&cf) {
-                Ok(native) => {
-                    let simd = native.jit_simd_report().expect("jitted");
-                    assert_eq!(simd.scalar_reasons.get("reduction-chain"), Some(&1));
-                    assert_eq!(simd.sites(), 1);
-                    assert_eq!(run(&native), bits(&want), "{context}: JIT");
-                    jitted += 1;
-                }
-                Err(why) => {
-                    assert!(dts.contains(&F32), "{context}: {why:?}");
-                    assert!(why.0.ends_with(NOT_F64), "{context}: {why:?}");
-                    refused += 1;
-                }
-            }
+            let native = X86Backend::sse2_only().jit_compile(&cf).expect(&context);
+            let simd = native.jit_simd_report().expect("jitted");
+            assert_eq!(simd.scalar_reasons.get("reduction-chain"), Some(&1));
+            assert_eq!(simd.sites(), 1);
+            assert_eq!(run(&native), bits(&want), "{context}: JIT");
         }
-        assert_eq!((jitted, refused), (3, 6));
     }
 
     #[test]
@@ -1810,39 +1779,26 @@ mod tests {
         // hoisting at every plain loop, trimmed ones included, a leaf's own
         // bumped registers and the ones read after their loop left where
         // they are — against the nest as generated, on the VM and on the
-        // packed and the scalar JIT tier: six runs, one set of arrays. A
-        // nest over `f32` slots runs on the VM alone: the JIT refuses it
-        // whole, by name, and the non-vacuity counts are of `f64` nests.
+        // packed and the scalar JIT tier: six runs, one set of arrays.
         let tiers = [X86Backend::sse2_only(), X86Backend::scalar_only()];
         let mut rng = SmallRng::seed_from_u64(0x401571);
         let (mut hoisted, mut bumped, mut trimmed, mut read_after, mut jammed) = (0, 0, 0, 0, 0);
-        let mut refused = 0;
         for case in 0..300 {
-            let dts: Vec<DType> = if rng.gen_bool(0.5) {
-                vec![DType::F64; 4]
-            } else {
-                (0..4)
-                    .map(|_| [DType::F64, DType::F32][rng.gen_range(0..2usize)])
-                    .collect()
-            };
-            let in_f64 = !dts.contains(&DType::F32);
             let extras = rng.gen_range(0..=12);
-            let mut g = NestGen::new(&mut rng, dts, extras);
+            let mut g = NestGen::new(&mut rng, vec![DType::F64; 4], extras);
             let root = g.plain_loop(case % 4);
             let plain = nest_function(&root, &g.iregs, g.n_fregs, &g.dts);
             let optimized = crate::optimize::optimize_compiled(&plain);
             let dump = format!("{:?}", optimized.body);
-            if in_f64 {
-                hoisted += optimized.hoisted_loop_count();
-                bumped += dump.contains("bumps: [(") as u32;
-                trimmed += dump
-                    .contains("clamp: Clamp { lo: Some")
-                    .min(dump.contains("pre: [I")) as u32;
-                // A register the generator reads after its loop must keep
-                // its definition in the body: had it moved, the value read
-                // would be one bump further.
-                read_after += g.shapes[3];
-            }
+            hoisted += optimized.hoisted_loop_count();
+            bumped += dump.contains("bumps: [(") as u32;
+            trimmed += dump
+                .contains("clamp: Clamp { lo: Some")
+                .min(dump.contains("pre: [I")) as u32;
+            // A register the generator reads after its loop must keep its
+            // definition in the body: had it moved, the value read would be
+            // one bump further.
+            read_after += g.shapes[3];
             let arrays: Vec<NDArray> = (g.dts.iter().enumerate())
                 .map(|(i, &dt)| NDArray::random(&[LEN as usize], dt, 70 + i as u64, 0.5, 2.0))
                 .collect();
@@ -1855,16 +1811,9 @@ mod tests {
             assert_eq!(run(&optimized), want, "case {case}: VM, {root:?}");
             for opts in &tiers {
                 for cf in [&plain, &optimized] {
-                    let jitted = match opts.jit_compile(cf) {
-                        Ok(jitted) => jitted,
-                        Err(why) => {
-                            assert!(!in_f64, "case {case}: {why:?}");
-                            assert!(why.0.ends_with(NOT_F64), "case {case}: {why:?}");
-                            refused += 1;
-                            continue;
-                        }
-                    };
-                    assert!(in_f64, "case {case}: an f32 nest reached native code");
+                    let jitted = opts
+                        .jit_compile(cf)
+                        .unwrap_or_else(|why| panic!("case {case}: {why:?}"));
                     assert_eq!(run(&jitted), want, "case {case}: {opts:?}, {:?}", cf.body);
                     // A jammed `k` loop that carries bumps of its own.
                     let tiled = jitted.jit_simd_report().map_or(0, |r| r.tiled_loops);
@@ -1876,7 +1825,6 @@ mod tests {
             hoisted > 100 && bumped > 50 && trimmed > 5 && read_after > 25 && jammed > 10,
             "{hoisted} {bumped} {trimmed} {read_after} {jammed}"
         );
-        assert!(refused > 200, "{refused}");
     }
 
     #[test]
@@ -1894,7 +1842,6 @@ mod tests {
             dst: access(1, 1, 1),
             a: access(2, 1, 0),
             b: access(3, 1, 1),
-            round32: false,
         };
         let code = vec![
             Instr::IBin(BinOp::Mul, 3, 2, 0),
@@ -1946,7 +1893,6 @@ mod tests {
             dst,
             a,
             b,
-            round32: false,
         }
     }
 
@@ -2015,7 +1961,7 @@ mod tests {
                 body: vec![
                     Instr::Load(acc + 1, 0, row),
                     Instr::Load(acc + 2, 0, col),
-                    fmuladd(acc + 3, acc, acc + 1, acc + 2, false),
+                    fmuladd(acc + 3, acc, acc + 1, acc + 2),
                     Instr::Store(0, 5, acc + 3),
                 ],
                 carry: Some(carry),
@@ -2061,7 +2007,7 @@ mod tests {
             Instr::Load(0, 0, 4),
             Instr::Load(1, 1, 4),
             Instr::Load(2, 2, 4),
-            fmuladd(3, 2, 0, 1, false),
+            fmuladd(3, 2, 0, 1),
             Instr::Store(2, 4, 3),
         ];
         let tail = Item::If {
@@ -2094,7 +2040,6 @@ mod tests {
             dst: access(2, 13, 1),
             a: access(0, 16, 0),
             b: access(1, 19, 1),
-            round32: false,
         };
         let k = Item::Loop {
             var: 7,
@@ -2177,17 +2122,16 @@ mod tests {
             cases.push((name, JamNest::new(j, inv_first).item()));
         }
         // The register-resident scalar loop: a static extent with every
-        // scalar template in the body (re-recorded over `f64` on `jit/v6`
-        // when its `f32` forms left), and a trimmed reduction with its
-        // accumulator forwarded.
+        // scalar template in the body (re-recorded on `jit/v6`), and a
+        // trimmed reduction with its accumulator forwarded.
         let every_template = vec![
             Instr::Load(0, 0, 1),
             Instr::IToF(1, 0),
             Instr::FConst(4, -2.5),
-            fmuladd(3, 4, 0, 1, false),
+            fmuladd(3, 4, 0, 1),
             Instr::FBin(BinOp::Sub, 5, 3, 9),
             Instr::FBin(BinOp::Div, 6, 5, 4),
-            Instr::Call1(Intrinsic::Sqrt, 7, 6, false),
+            Instr::Call1(Intrinsic::Sqrt, 7, 6),
             Instr::Store(1, 2, 7),
             Instr::Store(0, 1, 7),
         ];

@@ -30,49 +30,9 @@ fn reject<T>(msg: impl Into<String>) -> Result<T, String> {
     Err(msg.into())
 }
 
-/// The one reason for everything `f32`. The JIT computes in `f64` only: a
-/// function with an `f32` slot or any rounding to `f32` runs whole on the
-/// optimized VM ([`check_f64`]), which is bit-identical to it under the
-/// per-function fallback contract and is the `f32` fast path.
-pub(super) const NOT_F64: &str = "f32 data or rounding (the JIT is f64-only)";
-
-/// Is `i` one of the forms `f32` arithmetic compiles to?
-fn rounds_to_f32(i: &Instr) -> bool {
-    matches!(
-        i,
-        Instr::FBin32(..)
-            | Instr::F32Round(..)
-            | Instr::IToF32(..)
-            | Instr::FMulAdd { round32: true, .. }
-            | Instr::Call1(.., true)
-            | Instr::Call2(.., true)
-    )
-}
-
-/// The function-level half of [`NOT_F64`]: refuses a function with a
-/// non-`f64` float slot or an instruction anywhere that rounds to `f32`,
-/// before any of it is emitted.
-pub(super) fn check_f64(dts: &[DType], body: &Block) -> Result<(), String> {
-    fn rounds(b: &Block) -> bool {
-        b.items.iter().any(|item| match item {
-            Item::Code(c) => c.iter().any(rounds_to_f32),
-            Item::Loop { pre, body, .. } => pre.iter().any(rounds_to_f32) || rounds(body),
-            Item::StridedLoop { pre, body, .. } => pre.iter().chain(body).any(rounds_to_f32),
-            Item::MulAddLoop { pre, round32, .. } => *round32 || pre.iter().any(rounds_to_f32),
-            Item::If { then, else_, .. } => rounds(then) || else_.as_ref().is_some_and(rounds),
-            Item::JitCall { .. } => false,
-        })
-    }
-    if dts.contains(&DType::F32) || rounds(body) {
-        return reject(NOT_F64);
-    }
-    Ok(())
-}
-
 fn float_slot(dts: &[DType], slot: u16) -> Result<(), String> {
     match dts[slot as usize] {
         DType::F64 => Ok(()),
-        DType::F32 => reject(NOT_F64),
         other => reject(format!("integer-typed buffer ({other:?})")),
     }
 }
@@ -80,8 +40,6 @@ fn float_slot(dts: &[DType], slot: u16) -> Result<(), String> {
 /// Is this instruction in the infallible, bit-exact JIT subset?
 fn check_instr(i: &Instr, dts: &[DType]) -> Result<(), String> {
     match i {
-        _ if rounds_to_f32(i) => reject(NOT_F64),
-        Instr::FBin32(..) | Instr::F32Round(..) | Instr::IToF32(..) => unreachable!("caught above"),
         Instr::IConst(..) | Instr::FConst(..) | Instr::IToF(..) | Instr::FMulAdd { .. } => Ok(()),
         Instr::IBin(op, ..) => match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul => Ok(()),
@@ -178,11 +136,7 @@ pub(super) fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
             dst,
             a,
             b,
-            round32,
         } => {
-            if *round32 {
-                return reject(NOT_F64);
-            }
             if *extent < 1 {
                 return reject("empty microkernel loop");
             }
@@ -937,7 +891,7 @@ pub(super) fn plan_jam(item: &Item, widest: Width) -> Option<JamPlan<'_>> {
 #[cfg(test)]
 mod tests {
     use super::super::asm::{Shape, R11, RAX, RCX, RDI, RDX, RSI, RSP};
-    use super::super::fixtures::{access, fmuladd, nest_function, JamNest, NestGen};
+    use super::super::fixtures::{access, nest_function, JamNest, NestGen};
     use super::*;
     use crate::compile::LoopKind;
     use rand::rngs::SmallRng;
@@ -1036,70 +990,6 @@ mod tests {
         }
         let cast = Err("float-to-int cast".to_string());
         assert_eq!(check_instr(&Instr::FToI(2, 0), &dts), cast);
-    }
-
-    #[test]
-    fn everything_f32_is_refused_under_one_reason() {
-        use DType::{F32, F64};
-        let refused = Err(NOT_F64.to_string());
-        let code = |i: Instr| Item::Code(vec![i]);
-        let row = |dst, a, b, round32| Item::MulAddLoop {
-            extent: 4,
-            pre: vec![],
-            dst,
-            a,
-            b,
-            round32,
-        };
-        let (d, x, y) = (access(0, 0, 1), access(1, 1, 0), access(2, 2, 1));
-        // (what, slot dtypes, item): an `f32` slot read, written or walked
-        // by a microkernel, and each form `f32` arithmetic compiles to.
-        let table = [
-            (
-                "f32 slot loaded",
-                [F64, F32, F64],
-                code(Instr::Load(0, 1, 0)),
-            ),
-            (
-                "f32 slot stored",
-                [F32, F64, F64],
-                code(Instr::Store(0, 0, 0)),
-            ),
-            ("f32 microkernel slot", [F64, F64, F32], row(d, x, y, false)),
-            ("FBin32", [F64; 3], code(Instr::FBin32(BinOp::Mul, 2, 0, 1))),
-            ("F32Round", [F64; 3], code(Instr::F32Round(2, 0))),
-            ("IToF32", [F64; 3], code(Instr::IToF32(2, 0))),
-            (
-                "round32 multiply-add",
-                [F64; 3],
-                code(fmuladd(3, 2, 0, 1, true)),
-            ),
-            (
-                "round32 sqrt",
-                [F64; 3],
-                code(Instr::Call1(Intrinsic::Sqrt, 2, 0, true)),
-            ),
-            ("round32 microkernel", [F64; 3], row(d, x, y, true)),
-        ];
-        for (what, dts, item) in table {
-            assert_eq!(check_item(&item, &dts), refused, "{what}");
-            // The function that holds it falls back whole, before anything
-            // of it is emitted.
-            let body = Block { items: vec![item] };
-            assert_eq!(check_f64(&dts, &body), refused, "{what}");
-        }
-        // The same items over `f64` and without the rounding are admitted.
-        let fine = [
-            code(Instr::Load(0, 1, 0)),
-            code(Instr::FBin(BinOp::Mul, 2, 0, 1)),
-            code(fmuladd(3, 2, 0, 1, false)),
-            code(Instr::Call1(Intrinsic::Sqrt, 2, 0, false)),
-            row(d, x, y, false),
-        ];
-        for item in fine {
-            assert_eq!(check_item(&item, &[F64; 3]), Ok(()), "{item:?}");
-            assert_eq!(check_f64(&[F64; 3], &Block { items: vec![item] }), Ok(()));
-        }
     }
 
     /// Run a nest the way the emitter lays it out — every loop body twice,

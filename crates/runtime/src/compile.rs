@@ -54,12 +54,8 @@ pub(crate) enum Instr {
     FConst(Reg, f64),
     /// `freg[dst] = ireg[src] as f64` (`Value::as_f64` on an int)
     IToF(Reg, Reg),
-    /// `freg[dst] = ireg[src] as f64 as f32 as f64` (cast to `F32` from int)
-    IToF32(Reg, Reg),
     /// `ireg[dst] = freg[src] as i64` (`Value::as_i64` on a float)
     FToI(Reg, Reg),
-    /// `freg[dst] = freg[src] as f32 as f64` (f32 re-rounding)
-    F32Round(Reg, Reg),
     /// `ireg[dst] = (freg[src] != 0.0) as i64` (`truthy` on a float)
     FBool(Reg, Reg),
     /// Integer binary op; `Div`/`FloorDiv`/`FloorMod` check for zero at
@@ -67,8 +63,6 @@ pub(crate) enum Instr {
     IBin(BinOp, Reg, Reg, Reg),
     /// Float binary op in `f64`.
     FBin(BinOp, Reg, Reg, Reg),
-    /// Float binary op re-rounded through `f32` after the full operation.
-    FBin32(BinOp, Reg, Reg, Reg),
     /// Integer compare, result 0/1 in an int register.
     ICmp(CmpOp, Reg, Reg, Reg),
     /// Float compare, result 0/1 in an int register.
@@ -83,10 +77,10 @@ pub(crate) enum Instr {
     ISel(Reg, Reg, Reg, Reg),
     /// Float select.
     FSel(Reg, Reg, Reg, Reg),
-    /// Unary intrinsic; `round32` re-rounds through `f32`.
-    Call1(Intrinsic, Reg, Reg, bool),
-    /// Binary intrinsic (`Pow`): `dst, x, y, round32`.
-    Call2(Intrinsic, Reg, Reg, Reg, bool),
+    /// Unary intrinsic: `dst, x`.
+    Call1(Intrinsic, Reg, Reg),
+    /// Binary intrinsic (`Pow`): `dst, x, y`.
+    Call2(Intrinsic, Reg, Reg, Reg),
     /// Check `ireg[*idx.last()]` against `[0, extent)`; on failure report
     /// the index prefix evaluated so far (the interpreter's partial-index
     /// out-of-bounds shape for tensor reads).
@@ -114,11 +108,10 @@ pub(crate) enum Instr {
         /// Value register (`f64` file).
         val: Reg,
     },
-    /// `freg[dst] = freg[add] + freg[a] * freg[b]`, rounded through `f32`
-    /// after *each* of the two operations when `round32` is set. This is a
-    /// fused *instruction*, not a fused *rounding*: the product is rounded
-    /// exactly as the separate `FBin`/`FBin32` pair it replaces, so results
-    /// stay bit-identical to the unfused program (and the interpreter).
+    /// `freg[dst] = freg[add] + freg[a] * freg[b]`. This is a fused
+    /// *instruction*, not a fused *rounding*: the product is rounded exactly
+    /// as by the separate `FBin` pair it replaces, so results stay
+    /// bit-identical to the unfused program (and the interpreter).
     FMulAdd {
         /// Destination (`f64` file).
         dst: Reg,
@@ -128,8 +121,6 @@ pub(crate) enum Instr {
         a: Reg,
         /// Second factor.
         b: Reg,
-        /// Round through `f32` after the multiply and after the add.
-        round32: bool,
     },
 }
 
@@ -319,10 +310,10 @@ pub(crate) enum Item {
     },
     /// A recognized contiguous multiply-accumulate inner loop:
     /// `dst[i·sd] = dst[i·sd] + a[i·sa] * b[i·sb]` for `extent`
-    /// iterations, with `round32` rounding after each operation. Executes
-    /// as a tight slice microkernel; semantics (including accumulation
-    /// order — strictly ascending, one element at a time) are bit-identical
-    /// to the scalar instruction sequence it replaces.
+    /// iterations. Executes as a tight slice microkernel; semantics
+    /// (including accumulation order — strictly ascending, one element at a
+    /// time) are bit-identical to the scalar instruction sequence it
+    /// replaces.
     MulAddLoop {
         /// Trip count.
         extent: i64,
@@ -334,8 +325,6 @@ pub(crate) enum Item {
         a: SlotAccess,
         /// Second factor operand.
         b: SlotAccess,
-        /// Round through `f32` after multiply and after add.
-        round32: bool,
     },
     /// A loop nest compiled to native machine code by a
     /// [`crate::codegen::CodegenBackend`]: the VM calls entry point
@@ -1046,12 +1035,7 @@ impl Compiler {
                     let fb = self.coerce_f(rb, cb);
                     let at = (self.fdef[fa as usize].max(self.fdef[fb as usize])) as usize;
                     let dst = self.freg_at(at);
-                    let instr = if dt == DType::F32 {
-                        Instr::FBin32(*op, dst, fa, fb)
-                    } else {
-                        Instr::FBin(*op, dst, fa, fb)
-                    };
-                    self.emit_at(at, instr);
+                    self.emit_at(at, Instr::FBin(*op, dst, fa, fb));
                     Ok((dst, Cls::F))
                 } else {
                     let ia = self.coerce_i(ra, ca);
@@ -1156,20 +1140,6 @@ impl Compiler {
             PrimExpr::Cast(dt, a) => {
                 let (r, c) = self.compile_expr(a)?;
                 match dt {
-                    DType::F32 => match c {
-                        Cls::I => {
-                            let at = self.idef[r as usize] as usize;
-                            let dst = self.freg_at(at);
-                            self.emit_at(at, Instr::IToF32(dst, r));
-                            Ok((dst, Cls::F))
-                        }
-                        Cls::F => {
-                            let at = self.fdef[r as usize] as usize;
-                            let dst = self.freg_at(at);
-                            self.emit_at(at, Instr::F32Round(dst, r));
-                            Ok((dst, Cls::F))
-                        }
-                    },
                     DType::F64 => Ok((self.coerce_f(r, c), Cls::F)),
                     // Int/bool casts are `as_i64`: identity on ints (no
                     // width truncation, matching the interpreter's i64-wide
@@ -1181,7 +1151,6 @@ impl Compiler {
                 if args.len() < intr.arity() {
                     return reject(format!("intrinsic {intr:?} needs {} args", intr.arity()));
                 }
-                let round = e.dtype() == DType::F32;
                 let (rx, cx) = self.compile_expr(&args[0])?;
                 let fx = self.coerce_f(rx, cx);
                 if *intr == Intrinsic::Pow {
@@ -1189,12 +1158,12 @@ impl Compiler {
                     let fy = self.coerce_f(ry, cy);
                     let at = (self.fdef[fx as usize].max(self.fdef[fy as usize])) as usize;
                     let dst = self.freg_at(at);
-                    self.emit_at(at, Instr::Call2(*intr, dst, fx, fy, round));
+                    self.emit_at(at, Instr::Call2(*intr, dst, fx, fy));
                     Ok((dst, Cls::F))
                 } else {
                     let at = self.fdef[fx as usize] as usize;
                     let dst = self.freg_at(at);
-                    self.emit_at(at, Instr::Call1(*intr, dst, fx, round));
+                    self.emit_at(at, Instr::Call1(*intr, dst, fx));
                     Ok((dst, Cls::F))
                 }
             }
@@ -1586,8 +1555,8 @@ mod tests {
     use tvm_tir::lower::lower;
 
     fn matmul_func(n: usize, tile: i64) -> PrimFunc {
-        let a = placeholder([n, n], DType::F32, "A");
-        let b = placeholder([n, n], DType::F32, "B");
+        let a = placeholder([n, n], DType::F64, "A");
+        let b = placeholder([n, n], DType::F64, "B");
         let k = reduce_axis(0, n as i64, "k");
         let c = compute([n, n], "C", |i| {
             sum(
@@ -1634,8 +1603,8 @@ mod tests {
                 vec![n, n],
             ));
         }
-        let a = placeholder([6, 10], DType::F32, "A");
-        let b = placeholder([6, 10], DType::F32, "B");
+        let a = placeholder([6, 10], DType::F64, "A");
+        let b = placeholder([6, 10], DType::F64, "B");
         let mut fb = FuncBuilder::new("stencil");
         let (ab, bb) = (fb.param(&a), fb.param(&b));
         let body = ser("i", 6, |i| {
@@ -1662,7 +1631,7 @@ mod tests {
         funcs.push(("stencil".into(), fb.build(body), vec![6, 10]));
         for (what, f, shape) in funcs {
             let args: Vec<crate::NDArray> = (0..f.params.len())
-                .map(|k| crate::NDArray::random(&shape, DType::F32, 40 + k as u64, -1.0, 1.0))
+                .map(|k| crate::NDArray::random(&shape, DType::F64, 40 + k as u64, -1.0, 1.0))
                 .collect();
             let (affine, oracle) = (compile(&f).expect("compile"), compile_index_by_index(&f));
             let mut want = args.clone();
@@ -1811,7 +1780,7 @@ mod tests {
     fn unlowered_reduce_is_rejected() {
         // Built by hand: the builder's verifier would refuse a residual
         // Reduce, but defence in depth matters for hand-assembled TIR.
-        let buf = tvm_tir::Buffer::new("A", vec![1usize], DType::F32);
+        let buf = tvm_tir::Buffer::new("A", vec![1usize], DType::F64);
         let f = PrimFunc {
             name: "bad".into(),
             params: vec![buf.clone()],
@@ -1821,7 +1790,7 @@ mod tests {
                 indices: vec![PrimExpr::IntImm(0, DType::I64)],
                 value: PrimExpr::Reduce {
                     combiner: tvm_te::Combiner::Sum,
-                    source: std::sync::Arc::new(PrimExpr::FloatImm(0.0, DType::F32)),
+                    source: std::sync::Arc::new(PrimExpr::FloatImm(0.0, DType::F64)),
                     axes: vec![],
                 },
             },
@@ -1905,7 +1874,7 @@ mod tests {
     #[test]
     fn constant_folding_and_interning() {
         use tvm_tir::builder::{ser, store, FuncBuilder};
-        let a = placeholder([8], DType::F32, "A");
+        let a = placeholder([8], DType::F64, "A");
         let mut fb = FuncBuilder::new("fold");
         let ab = fb.param(&a);
         // A[i] = A[(i*2 + 4 - 4) / 2]: the index simplifies but the divide

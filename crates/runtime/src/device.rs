@@ -370,14 +370,14 @@ mod tests {
 
     #[test]
     fn cpu_device_times_execution() {
-        let a = placeholder([64], DType::F32, "A");
+        let a = placeholder([64], DType::F64, "A");
         let b = compute([64], "B", |i| a.at(&[i[0].clone()]) * 2i64);
         let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "dbl");
         let dev = CpuDevice::new();
         let mut args = [
-            NDArray::random(&[64], DType::F32, 3, 0.0, 1.0),
-            NDArray::zeros(&[64], DType::F32),
+            NDArray::random(&[64], DType::F64, 3, 0.0, 1.0),
+            NDArray::zeros(&[64], DType::F64),
         ];
         let t = dev.run(&f, &mut args).expect("run");
         assert!(t >= 0.0);
@@ -390,15 +390,15 @@ mod tests {
 
     #[test]
     fn prepared_path_matches_direct_run() {
-        let a = placeholder([32], DType::F32, "A");
+        let a = placeholder([32], DType::F64, "A");
         let b = compute([32], "B", |i| a.at(&[i[0].clone()]) * 3i64);
         let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "tpl");
         let dev = CpuDevice::new();
         let prepared = dev.prepare(&f).expect("cpu device compiles kernels");
-        let input = NDArray::random(&[32], DType::F32, 5, -1.0, 1.0);
-        let mut via_run = [input.clone(), NDArray::zeros(&[32], DType::F32)];
-        let mut via_prepared = [input, NDArray::zeros(&[32], DType::F32)];
+        let input = NDArray::random(&[32], DType::F64, 5, -1.0, 1.0);
+        let mut via_run = [input.clone(), NDArray::zeros(&[32], DType::F64)];
+        let mut via_prepared = [input, NDArray::zeros(&[32], DType::F64)];
         dev.run(&f, &mut via_run).expect("run");
         dev.run_prepared(&prepared, &mut via_prepared)
             .expect("run_prepared");
@@ -481,7 +481,7 @@ mod tests {
         let _guard = crate::pool::test_threads_lock();
         crate::pool::set_num_threads(4);
         let n = 12;
-        let a = placeholder([n, n], DType::F32, "A");
+        let a = placeholder([n, n], DType::F64, "A");
         let c = compute([n, n], "C", |i| a.at(&[i[0].clone(), i[1].clone()]) * 2i64);
         let mut s = Schedule::create(std::slice::from_ref(&c));
         let y = c.axis(0);
@@ -489,8 +489,8 @@ mod tests {
         let f = lower(&s, &[a, c], "par_dbl");
         let dev = CpuDevice::new();
         let mut args = [
-            NDArray::random(&[n, n], DType::F32, 3, -1.0, 1.0),
-            NDArray::zeros(&[n, n], DType::F32),
+            NDArray::random(&[n, n], DType::F64, 3, -1.0, 1.0),
+            NDArray::zeros(&[n, n], DType::F64),
         ];
         dev.run(&f, &mut args).expect("run");
         let stats = dev.par_stats().expect("optimized rung tracks par stats");
@@ -499,7 +499,7 @@ mod tests {
         assert_eq!(stats.dispatches, 1, "{stats:?}");
         assert_eq!(stats.pool_threads, 4);
         // Bit-identical to the interpreter under dispatch.
-        let mut expect = [args[0].clone(), NDArray::zeros(&[n, n], DType::F32)];
+        let mut expect = [args[0].clone(), NDArray::zeros(&[n, n], DType::F64)];
         CpuDevice::interpreter()
             .run(&f, &mut expect)
             .expect("interp");

@@ -1,7 +1,7 @@
 //! Reference interpreter for lowered TIR.
 //!
 //! Executes a [`PrimFunc`] against host [`NDArray`]s with exact loop-nest
-//! semantics. `Parallel`/`Vectorized`/`ThreadBinding` loops execute with
+//! semantics. `Parallel`/`Vectorized`/`Unrolled` loops execute with
 //! *sequential semantics* here (like TVM's reference interpreter); their
 //! kinds are exploited by the timing devices (`CpuDevice` repeats, the
 //! `gpu-sim` cost model) rather than by this functional path.
@@ -147,7 +147,7 @@ impl<'a> Machine<'a> {
                 let dt = e.dtype();
                 if dt.is_float() {
                     let (x, y) = (va.as_f64(), vb.as_f64());
-                    let mut r = match op {
+                    Ok(Value::F(match op {
                         BinOp::Add => x + y,
                         BinOp::Sub => x - y,
                         BinOp::Mul => x * y,
@@ -156,12 +156,7 @@ impl<'a> Machine<'a> {
                         BinOp::FloorMod => x - (x / y).floor() * y,
                         BinOp::Min => x.min(y),
                         BinOp::Max => x.max(y),
-                    };
-                    // f32 arithmetic rounds after every operation.
-                    if dt == DType::F32 {
-                        r = r as f32 as f64;
-                    }
-                    Ok(Value::F(r))
+                    }))
                 } else {
                     let (x, y) = (va.as_i64(), vb.as_i64());
                     let r = match op {
@@ -234,7 +229,6 @@ impl<'a> Machine<'a> {
             PrimExpr::Cast(t, a) => {
                 let v = self.eval(a)?;
                 Ok(match t {
-                    DType::F32 => Value::F(v.as_f64() as f32 as f64),
                     DType::F64 => Value::F(v.as_f64()),
                     _ => Value::I(v.as_i64()),
                 })
@@ -249,11 +243,6 @@ impl<'a> Machine<'a> {
                     Intrinsic::Sin => x.sin(),
                     Intrinsic::Cos => x.cos(),
                     Intrinsic::Pow => x.powf(self.eval(&args[1])?.as_f64()),
-                };
-                let r = if e.dtype() == DType::F32 {
-                    r as f32 as f64
-                } else {
-                    r
                 };
                 Ok(Value::F(r))
             }
@@ -408,8 +397,8 @@ mod tests {
     use tvm_tir::lower::lower;
 
     fn run_matmul(n: usize, tile: i64) -> (NDArray, NDArray, NDArray) {
-        let a = placeholder([n, n], DType::F32, "A");
-        let b = placeholder([n, n], DType::F32, "B");
+        let a = placeholder([n, n], DType::F64, "A");
+        let b = placeholder([n, n], DType::F64, "B");
         let k = reduce_axis(0, n as i64, "k");
         let c = compute([n, n], "C", |i| {
             sum(
@@ -425,9 +414,9 @@ mod tests {
             s.reorder(&c, &[yo, xo, k.clone(), yi, xi]);
         }
         let f = lower(&s, &[a, b, c], "mm");
-        let av = NDArray::random(&[n, n], DType::F32, 1, -1.0, 1.0);
-        let bv = NDArray::random(&[n, n], DType::F32, 2, -1.0, 1.0);
-        let cv = NDArray::zeros(&[n, n], DType::F32);
+        let av = NDArray::random(&[n, n], DType::F64, 1, -1.0, 1.0);
+        let bv = NDArray::random(&[n, n], DType::F64, 2, -1.0, 1.0);
+        let cv = NDArray::zeros(&[n, n], DType::F64);
         let mut args = [av.clone(), bv.clone(), cv];
         execute(&f, &mut args).expect("execution");
         (av, bv, args[2].clone())
@@ -435,14 +424,14 @@ mod tests {
 
     fn reference_matmul(a: &NDArray, b: &NDArray) -> NDArray {
         let n = a.shape()[0];
-        let mut c = NDArray::zeros(&[n, n], DType::F32);
+        let mut c = NDArray::zeros(&[n, n], DType::F64);
         for i in 0..n {
             for j in 0..n {
-                let mut acc = 0.0f32;
+                let mut acc = 0.0;
                 for k in 0..n {
-                    acc += (a.get(&[i, k]) as f32) * (b.get(&[k, j]) as f32);
+                    acc += a.get(&[i, k]) * b.get(&[k, j]);
                 }
-                c.set(&[i, j], acc as f64);
+                c.set(&[i, j], acc);
             }
         }
         c
@@ -471,11 +460,11 @@ mod tests {
 
     #[test]
     fn arity_checked() {
-        let a = placeholder([2], DType::F32, "A");
+        let a = placeholder([2], DType::F64, "A");
         let b = compute([2], "B", |i| a.at(&[i[0].clone()]));
         let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "id");
-        let mut args = [NDArray::zeros(&[2], DType::F32)];
+        let mut args = [NDArray::zeros(&[2], DType::F64)];
         assert!(matches!(
             execute(&f, &mut args),
             Err(ExecError::ArityMismatch { .. })
@@ -484,13 +473,13 @@ mod tests {
 
     #[test]
     fn shape_checked() {
-        let a = placeholder([2], DType::F32, "A");
+        let a = placeholder([2], DType::F64, "A");
         let b = compute([2], "B", |i| a.at(&[i[0].clone()]));
         let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "id");
         let mut args = [
-            NDArray::zeros(&[3], DType::F32),
-            NDArray::zeros(&[2], DType::F32),
+            NDArray::zeros(&[3], DType::F64),
+            NDArray::zeros(&[2], DType::F64),
         ];
         assert!(matches!(
             execute(&f, &mut args),
@@ -500,13 +489,13 @@ mod tests {
 
     #[test]
     fn dtype_checked() {
-        let a = placeholder([2], DType::F32, "A");
+        let a = placeholder([2], DType::F64, "A");
         let b = compute([2], "B", |i| a.at(&[i[0].clone()]));
         let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "id");
         let mut args = [
+            NDArray::zeros(&[2], DType::I64),
             NDArray::zeros(&[2], DType::F64),
-            NDArray::zeros(&[2], DType::F32),
         ];
         assert!(matches!(
             execute(&f, &mut args),
@@ -516,14 +505,14 @@ mod tests {
 
     #[test]
     fn intermediate_alloc_chain() {
-        let a = placeholder([4], DType::F32, "A");
+        let a = placeholder([4], DType::F64, "A");
         let t = compute([4], "T", |i| a.at(&[i[0].clone()]) * 2i64);
         let o = compute([4], "O", |i| t.at(&[i[0].clone()]) + 1i64);
         let s = Schedule::create(std::slice::from_ref(&o));
         let f = lower(&s, &[a, o], "chain");
         let mut args = [
-            NDArray::from_f32(&[4], &[1.0, 2.0, 3.0, 4.0]),
-            NDArray::zeros(&[4], DType::F32),
+            NDArray::from_f64(&[4], &[1.0, 2.0, 3.0, 4.0]),
+            NDArray::zeros(&[4], DType::F64),
         ];
         execute(&f, &mut args).expect("run");
         assert_eq!(args[1].to_f64_vec(), vec![3.0, 5.0, 7.0, 9.0]);
@@ -532,7 +521,7 @@ mod tests {
     #[test]
     fn max_reduction() {
         use tvm_te::max_reduce;
-        let a = placeholder([3, 4], DType::F32, "A");
+        let a = placeholder([3, 4], DType::F64, "A");
         let k = reduce_axis(0, 4, "k");
         let m = compute([3], "M", |i| {
             max_reduce(
@@ -542,13 +531,13 @@ mod tests {
         });
         let s = Schedule::create(std::slice::from_ref(&m));
         let f = lower(&s, &[a, m], "rowmax");
-        let av = NDArray::from_f32(
+        let av = NDArray::from_f64(
             &[3, 4],
             &[
                 1.0, 9.0, 2.0, 3.0, -5.0, -1.0, -9.0, -2.0, 0.0, 0.5, 0.25, 0.75,
             ],
         );
-        let mut args = [av, NDArray::zeros(&[3], DType::F32)];
+        let mut args = [av, NDArray::zeros(&[3], DType::F64)];
         execute(&f, &mut args).expect("run");
         assert_eq!(args[1].to_f64_vec(), vec![9.0, -1.0, 0.75]);
     }
@@ -557,18 +546,18 @@ mod tests {
     fn in_place_builder_kernel() {
         // Built via the imperative builder: A[i] = A[i] + i (in place)
         use tvm_tir::builder::{ser, store, FuncBuilder};
-        let a = placeholder([4], DType::F32, "A");
+        let a = placeholder([4], DType::F64, "A");
         let mut fb = FuncBuilder::new("inc");
         let ab = fb.param(&a);
         let body = ser("i", 4, |i| {
             store(
                 &ab,
                 std::slice::from_ref(&i),
-                a.at(std::slice::from_ref(&i)) + tvm_te::cast(DType::F32, i.clone()),
+                a.at(std::slice::from_ref(&i)) + tvm_te::cast(DType::F64, i.clone()),
             )
         });
         let f = fb.build(body);
-        let mut args = [NDArray::from_f32(&[4], &[10.0, 10.0, 10.0, 10.0])];
+        let mut args = [NDArray::from_f64(&[4], &[10.0, 10.0, 10.0, 10.0])];
         execute(&f, &mut args).expect("run");
         assert_eq!(args[0].to_f64_vec(), vec![10.0, 11.0, 12.0, 13.0]);
     }
@@ -576,14 +565,14 @@ mod tests {
     #[test]
     fn out_of_bounds_detected() {
         use tvm_tir::builder::{ser, store, FuncBuilder};
-        let a = placeholder([4], DType::F32, "A");
+        let a = placeholder([4], DType::F64, "A");
         let mut fb = FuncBuilder::new("oob");
         let ab = fb.param(&a);
         let body = ser("i", 5, |i| {
-            store(&ab, &[i], tvm_te::PrimExpr::FloatImm(1.0, DType::F32))
+            store(&ab, &[i], tvm_te::PrimExpr::FloatImm(1.0, DType::F64))
         });
         let f = fb.build(body);
-        let mut args = [NDArray::zeros(&[4], DType::F32)];
+        let mut args = [NDArray::zeros(&[4], DType::F64)];
         assert!(matches!(
             execute(&f, &mut args),
             Err(ExecError::OutOfBounds { .. })

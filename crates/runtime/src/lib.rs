@@ -7,7 +7,7 @@
 //! can be validated against PolyBench reference kernels at small sizes,
 //! and timed on the host CPU.
 //!
-//! Execution goes through a compiled engine: [`compile`] turns a lowered
+//! Execution goes through a compiled engine: [`compile()`] turns a lowered
 //! function into a flat register program once, and the [`vm`] executes it
 //! allocation-free — typically well over an order of magnitude faster than
 //! the tree-walking [`interp`], which is kept as the differential-testing
@@ -22,12 +22,12 @@
 //! use tvm_tir::lower::lower;
 //! use tvm_runtime::{Module, NDArray};
 //!
-//! let a = placeholder([4], DType::F32, "A");
+//! let a = placeholder([4], DType::F64, "A");
 //! let b = compute([4], "B", |i| a.at(&[i[0].clone()]) + 1i64);
 //! let s = Schedule::create(&[b.clone()]);
 //! let m = Module::new(lower(&s, &[a, b], "add1"));
-//! let x = NDArray::from_f32(&[4], &[1.0, 2.0, 3.0, 4.0]);
-//! let mut args = [x, NDArray::zeros(&[4], DType::F32)];
+//! let x = NDArray::from_f64(&[4], &[1.0, 2.0, 3.0, 4.0]);
+//! let mut args = [x, NDArray::zeros(&[4], DType::F64)];
 //! m.run(&mut args).unwrap();
 //! assert_eq!(args[1].to_f64_vec(), vec![2.0, 3.0, 4.0, 5.0]);
 //! ```

@@ -77,7 +77,7 @@ mod tests {
     use tvm_tir::lower::lower;
 
     fn square_module(n: usize) -> Module {
-        let a = placeholder([n], DType::F32, "A");
+        let a = placeholder([n], DType::F64, "A");
         let b = compute([n], "B", |i| a.at(&[i[0].clone()]) * a.at(&[i[0].clone()]));
         let s = Schedule::create(std::slice::from_ref(&b));
         Module::new(lower(&s, &[a, b], "square"))
@@ -100,7 +100,7 @@ mod tests {
     fn run_and_time() {
         let m = square_module(4);
         let mut args = m.alloc_args();
-        args[0] = NDArray::from_f32(&[4], &[1.0, 2.0, 3.0, 4.0]);
+        args[0] = NDArray::from_f64(&[4], &[1.0, 2.0, 3.0, 4.0]);
         m.run(&mut args).expect("run");
         assert_eq!(args[1].to_f64_vec(), vec![1.0, 4.0, 9.0, 16.0]);
         let t = m.time(&mut args, 2).expect("time");

@@ -7,8 +7,6 @@ use tvm_te::DType;
 /// Typed element storage of an [`NDArray`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TensorData {
-    /// `float32` elements.
-    F32(Vec<f32>),
     /// `float64` elements.
     F64(Vec<f64>),
     /// `int32` elements.
@@ -20,7 +18,6 @@ pub enum TensorData {
 impl TensorData {
     fn len(&self) -> usize {
         match self {
-            TensorData::F32(v) => v.len(),
             TensorData::F64(v) => v.len(),
             TensorData::I32(v) => v.len(),
             TensorData::I64(v) => v.len(),
@@ -29,7 +26,6 @@ impl TensorData {
 
     fn dtype(&self) -> DType {
         match self {
-            TensorData::F32(_) => DType::F32,
             TensorData::F64(_) => DType::F64,
             TensorData::I32(_) => DType::I32,
             TensorData::I64(_) => DType::I64,
@@ -49,7 +45,6 @@ impl NDArray {
     pub fn zeros(shape: &[usize], dtype: DType) -> NDArray {
         let n: usize = shape.iter().product();
         let data = match dtype {
-            DType::F32 => TensorData::F32(vec![0.0; n]),
             DType::F64 => TensorData::F64(vec![0.0; n]),
             DType::I32 => TensorData::I32(vec![0; n]),
             DType::I64 => TensorData::I64(vec![0; n]),
@@ -58,15 +53,6 @@ impl NDArray {
         NDArray {
             shape: shape.to_vec(),
             data,
-        }
-    }
-
-    /// Array from `f32` values (length must match the shape).
-    pub fn from_f32(shape: &[usize], values: &[f32]) -> NDArray {
-        assert_eq!(shape.iter().product::<usize>(), values.len());
-        NDArray {
-            shape: shape.to_vec(),
-            data: TensorData::F32(values.to_vec()),
         }
     }
 
@@ -84,7 +70,6 @@ impl NDArray {
         let n: usize = shape.iter().product();
         let mut rng = SmallRng::seed_from_u64(seed);
         let data = match dtype {
-            DType::F32 => TensorData::F32((0..n).map(|_| rng.gen_range(lo..hi) as f32).collect()),
             DType::F64 => TensorData::F64((0..n).map(|_| rng.gen_range(lo..hi)).collect()),
             DType::I32 => TensorData::I32(
                 (0..n)
@@ -146,7 +131,6 @@ impl NDArray {
     pub fn copy_from(&mut self, other: &NDArray) {
         assert_eq!(self.shape, other.shape, "copy_from: shapes differ");
         match (&mut self.data, &other.data) {
-            (TensorData::F32(d), TensorData::F32(s)) => d.copy_from_slice(s),
             (TensorData::F64(d), TensorData::F64(s)) => d.copy_from_slice(s),
             (TensorData::I32(d), TensorData::I32(s)) => d.copy_from_slice(s),
             (TensorData::I64(d), TensorData::I64(s)) => d.copy_from_slice(s),
@@ -158,7 +142,6 @@ impl NDArray {
     #[inline]
     pub fn get_f64_linear(&self, off: usize) -> f64 {
         match &self.data {
-            TensorData::F32(v) => v[off] as f64,
             TensorData::F64(v) => v[off],
             TensorData::I32(v) => v[off] as f64,
             TensorData::I64(v) => v[off] as f64,
@@ -169,7 +152,6 @@ impl NDArray {
     #[inline]
     pub fn set_f64_linear(&mut self, off: usize, val: f64) {
         match &mut self.data {
-            TensorData::F32(v) => v[off] = val as f32,
             TensorData::F64(v) => v[off] = val,
             TensorData::I32(v) => v[off] = val as i32,
             TensorData::I64(v) => v[off] = val as i64,
@@ -207,22 +189,6 @@ impl NDArray {
         (0..self.numel()).map(|i| self.get_f64_linear(i)).collect()
     }
 
-    /// Borrow `f32` storage (panics for other dtypes).
-    pub fn as_f32(&self) -> &[f32] {
-        match &self.data {
-            TensorData::F32(v) => v,
-            other => panic!("expected f32 storage, found {:?}", other.dtype()),
-        }
-    }
-
-    /// Borrow `f32` storage mutably.
-    pub fn as_f32_mut(&mut self) -> &mut [f32] {
-        match &mut self.data {
-            TensorData::F32(v) => v,
-            other => panic!("expected f32 storage, found {:?}", other.dtype()),
-        }
-    }
-
     /// Borrow `f64` storage (panics for other dtypes).
     pub fn as_f64(&self) -> &[f64] {
         match &self.data {
@@ -244,7 +210,6 @@ impl NDArray {
     /// never resizes storage while a compiled function executes.
     pub(crate) fn base_ptr_mut(&mut self) -> *mut u8 {
         match &mut self.data {
-            TensorData::F32(v) => v.as_mut_ptr().cast(),
             TensorData::F64(v) => v.as_mut_ptr().cast(),
             TensorData::I32(v) => v.as_mut_ptr().cast(),
             TensorData::I64(v) => v.as_mut_ptr().cast(),
@@ -284,7 +249,7 @@ mod tests {
 
     #[test]
     fn zeros_and_shape() {
-        let a = NDArray::zeros(&[2, 3], DType::F32);
+        let a = NDArray::zeros(&[2, 3], DType::F64);
         assert_eq!(a.numel(), 6);
         assert_eq!(a.shape(), &[2, 3]);
         assert!(a.to_f64_vec().iter().all(|&v| v == 0.0));
@@ -300,9 +265,9 @@ mod tests {
 
     #[test]
     fn random_is_deterministic() {
-        let a = NDArray::random(&[16], DType::F32, 7, -1.0, 1.0);
-        let b = NDArray::random(&[16], DType::F32, 7, -1.0, 1.0);
-        let c = NDArray::random(&[16], DType::F32, 8, -1.0, 1.0);
+        let a = NDArray::random(&[16], DType::F64, 7, -1.0, 1.0);
+        let b = NDArray::random(&[16], DType::F64, 7, -1.0, 1.0);
+        let c = NDArray::random(&[16], DType::F64, 8, -1.0, 1.0);
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert!(a.to_f64_vec().iter().all(|&v| (-1.0..1.0).contains(&v)));
@@ -320,7 +285,7 @@ mod tests {
         // the linear offset by `%` and `/` per dimension.
         let shapes: [&[usize]; 7] = [&[], &[5], &[2, 3, 4], &[1, 1, 1], &[0], &[3, 0, 2], &[4, 1]];
         for shape in shapes {
-            for dtype in [DType::F32, DType::F64] {
+            for dtype in [DType::I64, DType::F64] {
                 let mut seen: Vec<Vec<usize>> = Vec::new();
                 let a = NDArray::from_fn(shape, dtype, |idx| {
                     seen.push(idx.to_vec());
@@ -361,12 +326,5 @@ mod tests {
         let b = NDArray::zeros(&[2], DType::F64);
         let c = NDArray::zeros(&[3], DType::F64);
         assert!(!b.allclose(&c, 1e-6, 1e-6));
-    }
-
-    #[test]
-    fn f32_rounding_on_store() {
-        let mut a = NDArray::zeros(&[1], DType::F32);
-        a.set_f64_linear(0, 1.0 + 1e-12);
-        assert_eq!(a.get_f64_linear(0), 1.0, "f32 storage rounds");
     }
 }

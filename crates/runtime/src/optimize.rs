@@ -3,7 +3,7 @@
 //! forwarding, and level hoisting.
 //!
 //! [`compile_optimized`] is the optimizing counterpart of
-//! [`crate::compile`]: it first runs the TIR pass pipeline
+//! [`crate::compile()`]: it first runs the TIR pass pipeline
 //! ([`tvm_tir::optimize`] — strength reduction, guard unswitching LICM,
 //! simplification, each re-verified), compiles the result, then applies
 //! six bytecode-level transforms (numbered in the order they landed;
@@ -29,8 +29,8 @@
 //! 3. **Microkernel recognition** — a strided body of exactly
 //!    `load dst; load a; load b; fmuladd; store dst` with known address
 //!    strides becomes [`Item::MulAddLoop`], executed by tight slice
-//!    kernels in the VM (`f64` and native-`f32` fast paths, generic
-//!    fallback). This is the 3mm/gemm hot loop.
+//!    kernels in the VM (a contiguous fast path, generic fallback). This
+//!    is the 3mm/gemm hot loop.
 //! 4. **Loop trimming** — a loop whose whole body is pure register code
 //!    followed by one `If` without `else` on `var ⋄ e` (`⋄` one of `<`,
 //!    `≤`, `>`, `≥`, either operand order, `e` an integer register the
@@ -194,13 +194,10 @@ pub(crate) fn float_dst(i: &Instr) -> Option<Reg> {
     match i {
         Instr::FConst(d, _)
         | Instr::IToF(d, _)
-        | Instr::IToF32(d, _)
-        | Instr::F32Round(d, _)
         | Instr::FBin(_, d, _, _)
-        | Instr::FBin32(_, d, _, _)
         | Instr::FSel(d, _, _, _)
-        | Instr::Call1(_, d, _, _)
-        | Instr::Call2(_, d, _, _, _)
+        | Instr::Call1(_, d, _)
+        | Instr::Call2(_, d, _, _)
         | Instr::Load(d, _, _)
         | Instr::FMulAdd { dst: d, .. } => Some(*d),
         _ => None,
@@ -210,13 +207,11 @@ pub(crate) fn float_dst(i: &Instr) -> Option<Reg> {
 /// The float registers an instruction reads (one entry per read).
 pub(crate) fn float_uses(i: &Instr) -> impl Iterator<Item = Reg> {
     let uses = match *i {
-        Instr::FToI(_, s) | Instr::F32Round(_, s) | Instr::FBool(_, s) => [Some(s), None, None],
-        Instr::FBin(_, _, a, b) | Instr::FBin32(_, _, a, b) | Instr::FCmp(_, _, a, b) => {
-            [Some(a), Some(b), None]
-        }
+        Instr::FToI(_, s) | Instr::FBool(_, s) => [Some(s), None, None],
+        Instr::FBin(_, _, a, b) | Instr::FCmp(_, _, a, b) => [Some(a), Some(b), None],
         Instr::FSel(_, _, t, f) => [Some(t), Some(f), None],
-        Instr::Call1(_, _, x, _) => [Some(x), None, None],
-        Instr::Call2(_, _, x, y, _) => [Some(x), Some(y), None],
+        Instr::Call1(_, _, x) => [Some(x), None, None],
+        Instr::Call2(_, _, x, y) => [Some(x), Some(y), None],
         Instr::Store(_, _, v) | Instr::StoreChecked { val: v, .. } => [Some(v), None, None],
         Instr::FMulAdd { add, a, b, .. } => [Some(add), Some(a), Some(b)],
         _ => [None, None, None],
@@ -336,46 +331,26 @@ fn value_numbers(b: &Block) -> HashMap<Reg, u32> {
     cx.vn
 }
 
-/// Fuse adjacent `mul`/`add` pairs into [`Instr::FMulAdd`]. Both
-/// instructions must use the same rounding class and the product
+/// Fuse adjacent `mul`/`add` pairs into [`Instr::FMulAdd`]. The product
 /// register must have exactly one use in the whole program (the add).
 fn fma_peephole(code: &[Instr], fuse: &HashMap<Reg, usize>) -> Vec<Instr> {
     let mut out: Vec<Instr> = Vec::with_capacity(code.len());
     let mut i = 0;
     while i < code.len() {
-        if i + 1 < code.len() {
-            let (mul32, m, a, b) = match &code[i] {
-                Instr::FBin(BinOp::Mul, m, a, b) => (false, *m, *a, *b),
-                Instr::FBin32(BinOp::Mul, m, a, b) => (true, *m, *a, *b),
-                _ => (false, Reg::MAX, 0, 0),
+        if let [Instr::FBin(BinOp::Mul, m, a, b), Instr::FBin(BinOp::Add, d, x, y), ..] = code[i..]
+        {
+            let add = if y == m && x != m {
+                Some(x)
+            } else if x == m && y != m {
+                Some(y)
+            } else {
+                None
             };
-            if m != Reg::MAX {
-                let nxt = match &code[i + 1] {
-                    Instr::FBin(BinOp::Add, d, x, y) if !mul32 => Some((*d, *x, *y)),
-                    Instr::FBin32(BinOp::Add, d, x, y) if mul32 => Some((*d, *x, *y)),
-                    _ => None,
-                };
-                if let Some((d, x, y)) = nxt {
-                    let add = if y == m && x != m {
-                        Some(x)
-                    } else if x == m && y != m {
-                        Some(y)
-                    } else {
-                        None
-                    };
-                    if let Some(add) = add {
-                        if fuse.get(&m).copied().unwrap_or(0) == 1 {
-                            out.push(Instr::FMulAdd {
-                                dst: d,
-                                add,
-                                a,
-                                b,
-                                round32: mul32,
-                            });
-                            i += 2;
-                            continue;
-                        }
-                    }
+            if let Some(add) = add {
+                if fuse.get(&m).copied().unwrap_or(0) == 1 {
+                    out.push(Instr::FMulAdd { dst: d, add, a, b });
+                    i += 2;
+                    continue;
                 }
             }
         }
@@ -469,12 +444,9 @@ fn is_pure(i: &Instr) -> bool {
         Instr::IConst(..)
         | Instr::FConst(..)
         | Instr::IToF(..)
-        | Instr::IToF32(..)
         | Instr::FToI(..)
-        | Instr::F32Round(..)
         | Instr::FBool(..)
         | Instr::FBin(..)
-        | Instr::FBin32(..)
         | Instr::ICmp(..)
         | Instr::FCmp(..)
         | Instr::And(..)
@@ -495,7 +467,7 @@ fn is_pure(i: &Instr) -> bool {
 /// The integer registers an instruction reads, one call per read.
 pub(crate) fn int_uses(i: &Instr, mut f: impl FnMut(Reg)) {
     match i {
-        Instr::IToF(_, s) | Instr::IToF32(_, s) | Instr::Not(_, s) => f(*s),
+        Instr::IToF(_, s) | Instr::Not(_, s) => f(*s),
         Instr::IBin(_, _, a, b)
         | Instr::ICmp(_, _, a, b)
         | Instr::And(_, a, b)
@@ -516,10 +488,8 @@ pub(crate) fn int_uses(i: &Instr, mut f: impl FnMut(Reg)) {
         Instr::IConst(..)
         | Instr::FConst(..)
         | Instr::FToI(..)
-        | Instr::F32Round(..)
         | Instr::FBool(..)
         | Instr::FBin(..)
-        | Instr::FBin32(..)
         | Instr::FCmp(..)
         | Instr::Call1(..)
         | Instr::Call2(..)
@@ -954,18 +924,6 @@ fn same_address(a: Reg, b: Reg, vn: &HashMap<Reg, u32>) -> bool {
     a == b || matches!((vn.get(&a), vn.get(&b)), (Some(x), Some(y)) if x == y)
 }
 
-/// Does this instruction leave a value in its float destination that an
-/// `f32` store and reload returns unchanged?
-fn rounds_to_f32(i: &Instr, dts: &[DType]) -> bool {
-    match i {
-        Instr::IToF32(..) | Instr::F32Round(..) | Instr::FBin32(..) => true,
-        Instr::Call1(.., round) | Instr::Call2(.., round) => *round,
-        Instr::FMulAdd { round32, .. } => *round32,
-        Instr::Load(_, slot, _) => dts[*slot as usize] == DType::F32,
-        _ => false,
-    }
-}
-
 /// Accumulator forwarding (transform 5 of the module docs): find
 /// `Load(acc, s, ra)` … `Store(s, rb, next)` in a strided body with `ra`
 /// and `rb` the same address, fixed for the whole loop (`fixed`: stride
@@ -985,10 +943,8 @@ fn rounds_to_f32(i: &Instr, dts: &[DType]) -> bool {
 ///   or read before that definition: not the reduction shape;
 /// - `acc` read after `next` is defined: a native backend keeps both in
 ///   one machine register;
-/// - a slot that is not `f64` whose stored value the store would change:
-///   integer slots always, `f32` unless `next` is defined by an
-///   instruction that already rounds to `f32` (the store narrows, a
-///   register would not).
+/// - a slot that is not `f64`: the store narrows the value to an
+///   integer, a register would not.
 fn try_forward(
     body: &[Instr],
     kind: LoopKind,
@@ -1026,11 +982,7 @@ fn try_forward(
             && !reads(&body[..ld], acc)
             && !reads(&body[..df], next)
             && !reads(&body[df + 1..], acc);
-        let exact = match dts[slot as usize] {
-            DType::F64 => true,
-            DType::F32 => rounds_to_f32(&body[df], dts),
-            _ => false,
-        };
+        let exact = dts[slot as usize] == DType::F64;
         (shape && exact).then_some((
             ld,
             Carry {
@@ -1062,13 +1014,8 @@ fn try_muladd(
     strides: &HashMap<Reg, i64>,
     vn: &HashMap<Reg, u32>,
 ) -> Option<Item> {
-    let [Instr::Load(c, slot_d, rc), Instr::Load(x, slot_a, ra), Instr::Load(y, slot_b, rb), Instr::FMulAdd {
-        dst,
-        add,
-        a,
-        b,
-        round32,
-    }, Instr::Store(slot_s, rs, vs)] = rest
+    let [Instr::Load(c, slot_d, rc), Instr::Load(x, slot_a, ra), Instr::Load(y, slot_b, rb), Instr::FMulAdd { dst, add, a, b }, Instr::Store(slot_s, rs, vs)] =
+        rest
     else {
         return None;
     };
@@ -1115,7 +1062,6 @@ fn try_muladd(
             addr: rb,
             stride: sb,
         },
-        round32: *round32,
     })
 }
 
@@ -1128,9 +1074,9 @@ mod tests {
     use tvm_te::{compute, placeholder, reduce_axis, sum, DType, Schedule};
     use tvm_tir::lower::lower;
 
-    fn matmul_func(n: usize, tile: i64, dtype: DType) -> PrimFunc {
-        let a = placeholder([n, n], dtype, "A");
-        let b = placeholder([n, n], dtype, "B");
+    fn matmul_func(n: usize, tile: i64) -> PrimFunc {
+        let a = placeholder([n, n], DType::F64, "A");
+        let b = placeholder([n, n], DType::F64, "B");
         let k = reduce_axis(0, n as i64, "k");
         let c = compute([n, n], "C", |i| {
             sum(
@@ -1167,30 +1113,28 @@ mod tests {
 
     #[test]
     fn tiled_matmul_hits_microkernel_and_matches() {
-        for dtype in [DType::F32, DType::F64] {
-            let f = matmul_func(16, 4, dtype);
-            let opt = compile_optimized(&f).expect("compile_optimized");
-            assert!(
-                opt.microkernel_count() > 0,
-                "tiled matmul inner loop must dispatch to the muladd microkernel ({dtype:?})"
-            );
-            let args = vec![
-                NDArray::random(&[16, 16], dtype, 11, -1.0, 1.0),
-                NDArray::random(&[16, 16], dtype, 12, -1.0, 1.0),
-                NDArray::zeros(&[16, 16], dtype),
-            ];
-            assert_three_way(&f, &args);
-        }
+        let f = matmul_func(16, 4);
+        let opt = compile_optimized(&f).expect("compile_optimized");
+        assert!(
+            opt.microkernel_count() > 0,
+            "tiled matmul inner loop must dispatch to the muladd microkernel"
+        );
+        let args = vec![
+            NDArray::random(&[16, 16], DType::F64, 11, -1.0, 1.0),
+            NDArray::random(&[16, 16], DType::F64, 12, -1.0, 1.0),
+            NDArray::zeros(&[16, 16], DType::F64),
+        ];
+        assert_three_way(&f, &args);
     }
 
     #[test]
     fn untiled_and_ragged_matmuls_match() {
         for (n, tile) in [(8usize, 1i64), (10, 3), (12, 5)] {
-            let f = matmul_func(n, tile, DType::F32);
+            let f = matmul_func(n, tile);
             let args = vec![
-                NDArray::random(&[n, n], DType::F32, 21, -1.0, 1.0),
-                NDArray::random(&[n, n], DType::F32, 22, -1.0, 1.0),
-                NDArray::zeros(&[n, n], DType::F32),
+                NDArray::random(&[n, n], DType::F64, 21, -1.0, 1.0),
+                NDArray::random(&[n, n], DType::F64, 22, -1.0, 1.0),
+                NDArray::zeros(&[n, n], DType::F64),
             ];
             assert_three_way(&f, &args);
         }
@@ -1198,7 +1142,7 @@ mod tests {
 
     #[test]
     fn strided_transform_applies_to_tiled_nest() {
-        let f = matmul_func(16, 4, DType::F32);
+        let f = matmul_func(16, 4);
         let opt = compile_optimized(&f).expect("compile_optimized");
         assert!(opt.strided_loop_count() > 0);
         // The scalar program must be untouched by the optimized path.
@@ -1224,33 +1168,17 @@ mod tests {
     fn fma_peephole_fuses_single_use_product() {
         let fuse: HashMap<Reg, usize> = [(2u32, 1usize), (4, 1)].into_iter().collect();
         let code = vec![
-            Instr::FBin32(BinOp::Mul, 2, 0, 1),
-            Instr::FBin32(BinOp::Add, 3, 4, 2),
+            Instr::FBin(BinOp::Mul, 2, 0, 1),
+            Instr::FBin(BinOp::Add, 3, 4, 2),
         ];
         let out = fma_peephole(&code, &fuse);
         assert_eq!(out.len(), 1);
         match &out[0] {
-            Instr::FMulAdd {
-                dst,
-                add,
-                a,
-                b,
-                round32,
-            } => {
-                assert_eq!((*dst, *add, *a, *b, *round32), (3, 4, 0, 1, true));
+            Instr::FMulAdd { dst, add, a, b } => {
+                assert_eq!((*dst, *add, *a, *b), (3, 4, 0, 1));
             }
             other => panic!("expected FMulAdd, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn mixed_rounding_does_not_fuse() {
-        let fuse: HashMap<Reg, usize> = [(2u32, 1usize)].into_iter().collect();
-        let code = vec![
-            Instr::FBin32(BinOp::Mul, 2, 0, 1),
-            Instr::FBin(BinOp::Add, 3, 4, 2),
-        ];
-        assert_eq!(fma_peephole(&code, &fuse).len(), 2);
     }
 
     /// `for r0 in 0..8 { r3 = r0 + r4; <extra>; r2 = cmp; if r2 { A[r3] = A[r3] } }`
@@ -1386,7 +1314,7 @@ mod tests {
                 "call",
                 guarded_body(
                     lt(),
-                    vec![Instr::Call1(tvm_te::Intrinsic::Sqrt, 1, 1, false)],
+                    vec![Instr::Call1(tvm_te::Intrinsic::Sqrt, 1, 1)],
                     None,
                 ),
             ),
@@ -1489,7 +1417,6 @@ mod tests {
                 add: 0,
                 a: 1,
                 b: 2,
-                round32: false,
             },
             Instr::Store(0, 3, 3),
         ];
@@ -1605,7 +1532,6 @@ mod tests {
                 add: 0,
                 a: 1,
                 b: 2,
-                round32: false,
             }],
         );
         // syrk: `acc + (α·a)·b` with `α` an external register, static
@@ -1620,20 +1546,14 @@ mod tests {
                     add: 0,
                     a: 3,
                     b: 2,
-                    round32: false,
                 },
             ],
         );
-        // f32, every operation rounded.
-        let mut f32_rounded = reduction_body();
-        f32_rounded[6] = Instr::FBin32(BinOp::Mul, 3, 1, 2);
-        f32_rounded[7] = Instr::FBin32(BinOp::Sub, 4, 0, 3);
         let unproven = LoopKind::Parallel { proven: false };
         for (what, code, kind, clamp, dt) in [
             ("lu", lu, LoopKind::Serial, hi, DType::F64),
             ("trmm", trmm, LoopKind::Serial, hi, DType::F64),
             ("syrk", syrk, LoopKind::Serial, Clamp::default(), DType::F64),
-            ("f32", f32_rounded, LoopKind::Serial, hi, DType::F32),
             (
                 "unproven parallel",
                 reduction_body(),
@@ -1766,12 +1686,6 @@ mod tests {
                 serial,
                 &f64s,
             ),
-            (
-                "f32 slot, unrounded value",
-                reduction_body(),
-                serial,
-                &[DType::F32],
-            ),
             ("integer slot", reduction_body(), serial, &[DType::I64]),
         ];
         let hi = Clamp {
@@ -1821,7 +1735,6 @@ mod tests {
                 dst: at(0, 7, 1),
                 a: at(1, 4, 0),
                 b: at(2, 7, 1),
-                round32: false,
             }
         };
         Block {

@@ -141,10 +141,9 @@ impl<'a> Vm<'a> {
                     dst,
                     a,
                     b,
-                    round32,
                 } => {
                     self.exec_code(pre, storage)?;
-                    self.exec_muladd(*extent, dst, a, b, *round32, storage);
+                    self.exec_muladd(*extent, dst, a, b, storage);
                 }
                 Item::If { cond, then, else_ } => {
                     if self.iregs[*cond as usize] != 0 {
@@ -283,13 +282,7 @@ impl<'a> Vm<'a> {
                 Instr::IConst(d, v) => self.iregs[*d as usize] = *v,
                 Instr::FConst(d, v) => self.fregs[*d as usize] = *v,
                 Instr::IToF(d, s) => self.fregs[*d as usize] = self.iregs[*s as usize] as f64,
-                Instr::IToF32(d, s) => {
-                    self.fregs[*d as usize] = self.iregs[*s as usize] as f64 as f32 as f64;
-                }
                 Instr::FToI(d, s) => self.iregs[*d as usize] = self.fregs[*s as usize] as i64,
-                Instr::F32Round(d, s) => {
-                    self.fregs[*d as usize] = self.fregs[*s as usize] as f32 as f64;
-                }
                 Instr::FBool(d, s) => {
                     self.iregs[*d as usize] = (self.fregs[*s as usize] != 0.0) as i64;
                 }
@@ -325,12 +318,6 @@ impl<'a> Vm<'a> {
                     let (x, y) = (self.fregs[*a as usize], self.fregs[*b as usize]);
                     self.fregs[*d as usize] = fbin(*op, x, y);
                 }
-                Instr::FBin32(op, d, a, b) => {
-                    let (x, y) = (self.fregs[*a as usize], self.fregs[*b as usize]);
-                    // f32 arithmetic rounds once after the full operation,
-                    // exactly like the interpreter.
-                    self.fregs[*d as usize] = fbin(*op, x, y) as f32 as f64;
-                }
                 Instr::ICmp(op, d, a, b) => {
                     let (x, y) = (self.iregs[*a as usize], self.iregs[*b as usize]);
                     self.iregs[*d as usize] = icmp(*op, x, y) as i64;
@@ -364,7 +351,7 @@ impl<'a> Vm<'a> {
                         self.fregs[*f as usize]
                     };
                 }
-                Instr::Call1(i, d, x, round) => {
+                Instr::Call1(i, d, x) => {
                     let x = self.fregs[*x as usize];
                     let r = match i {
                         Intrinsic::Sqrt => x.sqrt(),
@@ -375,12 +362,11 @@ impl<'a> Vm<'a> {
                         Intrinsic::Cos => x.cos(),
                         Intrinsic::Pow => unreachable!("Pow is Call2"),
                     };
-                    self.fregs[*d as usize] = if *round { r as f32 as f64 } else { r };
+                    self.fregs[*d as usize] = r;
                 }
-                Instr::Call2(i, d, x, y, round) => {
+                Instr::Call2(i, d, x, y) => {
                     debug_assert_eq!(*i, Intrinsic::Pow);
-                    let r = self.fregs[*x as usize].powf(self.fregs[*y as usize]);
-                    self.fregs[*d as usize] = if *round { r as f32 as f64 } else { r };
+                    self.fregs[*d as usize] = self.fregs[*x as usize].powf(self.fregs[*y as usize]);
                 }
                 Instr::Bound { buf, extent, idx } => {
                     let i = self.iregs[idx[idx.len() - 1] as usize];
@@ -399,25 +385,12 @@ impl<'a> Vm<'a> {
                     let lin = self.iregs[*addr as usize] as usize;
                     storage[*buf as usize].set_f64_linear(lin, self.fregs[*val as usize]);
                 }
-                Instr::FMulAdd {
-                    dst,
-                    add,
-                    a,
-                    b,
-                    round32,
-                } => {
+                Instr::FMulAdd { dst, add, a, b } => {
                     // Fused dispatch, unfused rounding: the product and
-                    // the sum each round exactly like the FBin/FBin32
-                    // pair this instruction replaces.
-                    let mut m = self.fregs[*a as usize] * self.fregs[*b as usize];
-                    if *round32 {
-                        m = m as f32 as f64;
-                    }
-                    let mut s = self.fregs[*add as usize] + m;
-                    if *round32 {
-                        s = s as f32 as f64;
-                    }
-                    self.fregs[*dst as usize] = s;
+                    // the sum each round exactly like the FBin pair this
+                    // instruction replaces.
+                    let m = self.fregs[*a as usize] * self.fregs[*b as usize];
+                    self.fregs[*dst as usize] = self.fregs[*add as usize] + m;
                 }
                 Instr::StoreChecked { buf, idx, val } => {
                     let shape = &self.cf.slot_shapes[*buf as usize];
@@ -454,7 +427,6 @@ impl<'a> Vm<'a> {
         d: &SlotAccess,
         a: &SlotAccess,
         b: &SlotAccess,
-        round32: bool,
         storage: &mut [NDArray],
     ) {
         let n = extent as usize;
@@ -462,38 +434,19 @@ impl<'a> Vm<'a> {
         let a0 = self.iregs[a.addr as usize];
         let b0 = self.iregs[b.addr as usize];
         let (ds, asl, bsl) = (d.slot as usize, a.slot as usize, b.slot as usize);
-        if ds != asl && ds != bsl {
-            let dts = [
-                storage[ds].dtype(),
-                storage[asl].dtype(),
-                storage[bsl].dtype(),
-            ];
-            if dts == [DType::F64; 3] && !round32 {
-                let (dd, aa, bb) = disjoint3(storage, ds, asl, bsl);
-                muladd_f64(
-                    dd.as_f64_mut(),
-                    aa.as_f64(),
-                    bb.as_f64(),
-                    n,
-                    (d0, d.stride),
-                    (a0, a.stride),
-                    (b0, b.stride),
-                );
-                return;
-            }
-            if dts == [DType::F32; 3] && round32 {
-                let (dd, aa, bb) = disjoint3(storage, ds, asl, bsl);
-                muladd_f32(
-                    dd.as_f32_mut(),
-                    aa.as_f32(),
-                    bb.as_f32(),
-                    n,
-                    (d0, d.stride),
-                    (a0, a.stride),
-                    (b0, b.stride),
-                );
-                return;
-            }
+        let f64_slot = |s: usize| storage[s].dtype() == DType::F64;
+        if ds != asl && ds != bsl && f64_slot(ds) && f64_slot(asl) && f64_slot(bsl) {
+            let (dd, aa, bb) = disjoint3(storage, ds, asl, bsl);
+            muladd_f64(
+                dd.as_f64_mut(),
+                aa.as_f64(),
+                bb.as_f64(),
+                n,
+                (d0, d.stride),
+                (a0, a.stride),
+                (b0, b.stride),
+            );
+            return;
         }
         // Generic path: replicate the scalar instruction sequence
         // (load, load, load, fmuladd, store) element by element for
@@ -503,15 +456,7 @@ impl<'a> Vm<'a> {
             let c = storage[ds].get_f64_linear(di as usize);
             let x = storage[asl].get_f64_linear(ai as usize);
             let y = storage[bsl].get_f64_linear(bi as usize);
-            let mut m = x * y;
-            if round32 {
-                m = m as f32 as f64;
-            }
-            let mut s = c + m;
-            if round32 {
-                s = s as f32 as f64;
-            }
-            storage[ds].set_f64_linear(di as usize, s);
+            storage[ds].set_f64_linear(di as usize, c + x * y);
             di = di.wrapping_add(d.stride);
             ai = ai.wrapping_add(a.stride);
             bi = bi.wrapping_add(b.stride);
@@ -535,70 +480,63 @@ fn disjoint3(
     (dref, pa, pb)
 }
 
-/// Chunked element-wise mul-add arms shared by the `f64` and `f32`
-/// microkernels. Every destination lane is written exactly once, so
-/// splitting the loop into 4-lane blocks (plus a scalar tail) keeps
-/// each element's load → multiply → add → store sequence intact —
-/// accumulation order is per-element, never across the block — while
-/// handing LLVM an obvious packed shape it can autovectorize without
-/// reassociation. Multiply operand order matches the scalar arm.
-macro_rules! chunked_muladd_arms {
-    ($axpy:ident, $xpay:ident, $hadamard:ident, $t:ty) => {
-        /// `d[i] += x * b[i]` in 4-lane blocks.
-        fn $axpy(d: &mut [$t], x: $t, b: &[$t]) {
-            let mut dc = d.chunks_exact_mut(4);
-            let mut bc = b.chunks_exact(4);
-            for (dv, y) in (&mut dc).zip(&mut bc) {
-                dv[0] += x * y[0];
-                dv[1] += x * y[1];
-                dv[2] += x * y[2];
-                dv[3] += x * y[3];
-            }
-            for (dv, y) in dc.into_remainder().iter_mut().zip(bc.remainder()) {
-                *dv += x * *y;
-            }
-        }
+// The chunked element-wise arms of `muladd_f64`. Every destination lane
+// is written exactly once, so splitting the loop into 4-lane blocks (plus
+// a scalar tail) keeps each element's load → multiply → add → store
+// sequence intact — accumulation order is per-element, never across the
+// block — while handing LLVM an obvious packed shape it can autovectorize
+// without reassociation. Multiply operand order matches the scalar arm.
 
-        /// `d[i] += a[i] * y` in 4-lane blocks.
-        fn $xpay(d: &mut [$t], a: &[$t], y: $t) {
-            let mut dc = d.chunks_exact_mut(4);
-            let mut ac = a.chunks_exact(4);
-            for (dv, x) in (&mut dc).zip(&mut ac) {
-                dv[0] += x[0] * y;
-                dv[1] += x[1] * y;
-                dv[2] += x[2] * y;
-                dv[3] += x[3] * y;
-            }
-            for (dv, x) in dc.into_remainder().iter_mut().zip(ac.remainder()) {
-                *dv += *x * y;
-            }
-        }
-
-        /// `d[i] += a[i] * b[i]` in 4-lane blocks.
-        fn $hadamard(d: &mut [$t], a: &[$t], b: &[$t]) {
-            let mut dc = d.chunks_exact_mut(4);
-            let mut ac = a.chunks_exact(4);
-            let mut bc = b.chunks_exact(4);
-            for ((dv, x), y) in (&mut dc).zip(&mut ac).zip(&mut bc) {
-                dv[0] += x[0] * y[0];
-                dv[1] += x[1] * y[1];
-                dv[2] += x[2] * y[2];
-                dv[3] += x[3] * y[3];
-            }
-            for ((dv, x), y) in dc
-                .into_remainder()
-                .iter_mut()
-                .zip(ac.remainder())
-                .zip(bc.remainder())
-            {
-                *dv += *x * *y;
-            }
-        }
-    };
+/// `d[i] += x * b[i]` in 4-lane blocks.
+fn axpy_f64(d: &mut [f64], x: f64, b: &[f64]) {
+    let mut dc = d.chunks_exact_mut(4);
+    let mut bc = b.chunks_exact(4);
+    for (dv, y) in (&mut dc).zip(&mut bc) {
+        dv[0] += x * y[0];
+        dv[1] += x * y[1];
+        dv[2] += x * y[2];
+        dv[3] += x * y[3];
+    }
+    for (dv, y) in dc.into_remainder().iter_mut().zip(bc.remainder()) {
+        *dv += x * *y;
+    }
 }
 
-chunked_muladd_arms!(axpy_f64, xpay_f64, hadamard_f64, f64);
-chunked_muladd_arms!(axpy_f32, xpay_f32, hadamard_f32, f32);
+/// `d[i] += a[i] * y` in 4-lane blocks.
+fn xpay_f64(d: &mut [f64], a: &[f64], y: f64) {
+    let mut dc = d.chunks_exact_mut(4);
+    let mut ac = a.chunks_exact(4);
+    for (dv, x) in (&mut dc).zip(&mut ac) {
+        dv[0] += x[0] * y;
+        dv[1] += x[1] * y;
+        dv[2] += x[2] * y;
+        dv[3] += x[3] * y;
+    }
+    for (dv, x) in dc.into_remainder().iter_mut().zip(ac.remainder()) {
+        *dv += *x * y;
+    }
+}
+
+/// `d[i] += a[i] * b[i]` in 4-lane blocks.
+fn hadamard_f64(d: &mut [f64], a: &[f64], b: &[f64]) {
+    let mut dc = d.chunks_exact_mut(4);
+    let mut ac = a.chunks_exact(4);
+    let mut bc = b.chunks_exact(4);
+    for ((dv, x), y) in (&mut dc).zip(&mut ac).zip(&mut bc) {
+        dv[0] += x[0] * y[0];
+        dv[1] += x[1] * y[1];
+        dv[2] += x[2] * y[2];
+        dv[3] += x[3] * y[3];
+    }
+    for ((dv, x), y) in dc
+        .into_remainder()
+        .iter_mut()
+        .zip(ac.remainder())
+        .zip(bc.remainder())
+    {
+        *dv += *x * *y;
+    }
+}
 
 /// `f64` multiply-accumulate microkernel. Operates directly on the
 /// stored values, so it is trivially bit-identical to the scalar VM.
@@ -625,59 +563,6 @@ fn muladd_f64(
         (1, 0, 1) => axpy_f64(&mut d[d0..d0 + n], a[a0], &b[b0..b0 + n]),
         (1, 1, 0) => xpay_f64(&mut d[d0..d0 + n], &a[a0..a0 + n], b[b0]),
         (1, 1, 1) => hadamard_f64(&mut d[d0..d0 + n], &a[a0..a0 + n], &b[b0..b0 + n]),
-        _ => {
-            let (mut di, mut ai, mut bi) = (d0 as i64, a0 as i64, b0 as i64);
-            if sd == 0 {
-                let mut acc = d[d0];
-                for _ in 0..n {
-                    acc += a[ai as usize] * b[bi as usize];
-                    ai = ai.wrapping_add(sa);
-                    bi = bi.wrapping_add(sb);
-                }
-                d[d0] = acc;
-            } else {
-                for _ in 0..n {
-                    d[di as usize] += a[ai as usize] * b[bi as usize];
-                    di = di.wrapping_add(sd);
-                    ai = ai.wrapping_add(sa);
-                    bi = bi.wrapping_add(sb);
-                }
-            }
-        }
-    }
-}
-
-/// Native-`f32` multiply-accumulate microkernel.
-///
-/// The VM's `f32` contract is "compute in `f64`, round to `f32` after
-/// each operation". Native `f32` arithmetic is bit-identical here: the
-/// product of two `f32` values is exact in `f64` (48 significand bits
-/// fit in 53), so rounding it to `f32` equals an `f32` multiply; and
-/// double rounding `f64`→`f32` of an `f32`+`f32` sum is innocuous
-/// because 53 ≥ 2·24 + 2 (Figueroa's theorem). Rust never contracts
-/// `x * y + z` into an FMA without explicit opt-in, so each operation
-/// rounds separately, exactly like the scalar instruction pair.
-fn muladd_f32(
-    d: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-    (d0, sd): (i64, i64),
-    (a0, sa): (i64, i64),
-    (b0, sb): (i64, i64),
-) {
-    let (d0, a0, b0) = (d0 as usize, a0 as usize, b0 as usize);
-    match (sd, sa, sb) {
-        (0, 1, 1) => {
-            let mut acc = d[d0];
-            for (x, y) in a[a0..a0 + n].iter().zip(&b[b0..b0 + n]) {
-                acc += x * y;
-            }
-            d[d0] = acc;
-        }
-        (1, 0, 1) => axpy_f32(&mut d[d0..d0 + n], a[a0], &b[b0..b0 + n]),
-        (1, 1, 0) => xpay_f32(&mut d[d0..d0 + n], &a[a0..a0 + n], b[b0]),
-        (1, 1, 1) => hadamard_f32(&mut d[d0..d0 + n], &a[a0..a0 + n], &b[b0..b0 + n]),
         _ => {
             let (mut di, mut ai, mut bi) = (d0 as i64, a0 as i64, b0 as i64);
             if sd == 0 {
@@ -802,8 +687,8 @@ mod tests {
     use tvm_tir::lower::lower;
 
     fn matmul_func(n: usize, tile: i64) -> PrimFunc {
-        let a = placeholder([n, n], DType::F32, "A");
-        let b = placeholder([n, n], DType::F32, "B");
+        let a = placeholder([n, n], DType::F64, "A");
+        let b = placeholder([n, n], DType::F64, "B");
         let k = reduce_axis(0, n as i64, "k");
         let c = compute([n, n], "C", |i| {
             sum(
@@ -838,9 +723,9 @@ mod tests {
         for (n, tile) in [(12usize, 1i64), (16, 4), (10, 3)] {
             let f = matmul_func(n, tile);
             let args = vec![
-                NDArray::random(&[n, n], DType::F32, 1, -1.0, 1.0),
-                NDArray::random(&[n, n], DType::F32, 2, -1.0, 1.0),
-                NDArray::zeros(&[n, n], DType::F32),
+                NDArray::random(&[n, n], DType::F64, 1, -1.0, 1.0),
+                NDArray::random(&[n, n], DType::F64, 2, -1.0, 1.0),
+                NDArray::zeros(&[n, n], DType::F64),
             ];
             differential(&f, &args);
         }
@@ -848,14 +733,14 @@ mod tests {
 
     #[test]
     fn intermediate_alloc_chain_matches() {
-        let a = placeholder([4], DType::F32, "A");
+        let a = placeholder([4], DType::F64, "A");
         let t = compute([4], "T", |i| a.at(&[i[0].clone()]) * 2i64);
         let o = compute([4], "O", |i| t.at(&[i[0].clone()]) + 1i64);
         let s = Schedule::create(std::slice::from_ref(&o));
         let f = lower(&s, &[a, o], "chain");
         let args = vec![
-            NDArray::from_f32(&[4], &[1.0, 2.0, 3.0, 4.0]),
-            NDArray::zeros(&[4], DType::F32),
+            NDArray::from_f64(&[4], &[1.0, 2.0, 3.0, 4.0]),
+            NDArray::zeros(&[4], DType::F64),
         ];
         differential(&f, &args);
         let mut run_args = args.clone();
@@ -865,21 +750,21 @@ mod tests {
 
     #[test]
     fn arity_shape_dtype_errors_match() {
-        let a = placeholder([2], DType::F32, "A");
+        let a = placeholder([2], DType::F64, "A");
         let b = compute([2], "B", |i| a.at(&[i[0].clone()]));
         let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "id");
         let cf = compile(&f).expect("compile");
         // Arity.
-        let mut one = vec![NDArray::zeros(&[2], DType::F32)];
+        let mut one = vec![NDArray::zeros(&[2], DType::F64)];
         assert_eq!(
             execute(&cf, &mut one),
             interp::execute(&f, &mut one.clone())
         );
         // Shape.
         let mut bad_shape = vec![
-            NDArray::zeros(&[3], DType::F32),
-            NDArray::zeros(&[2], DType::F32),
+            NDArray::zeros(&[3], DType::F64),
+            NDArray::zeros(&[2], DType::F64),
         ];
         assert_eq!(
             execute(&cf, &mut bad_shape),
@@ -887,8 +772,8 @@ mod tests {
         );
         // DType.
         let mut bad_dtype = vec![
+            NDArray::zeros(&[2], DType::I64),
             NDArray::zeros(&[2], DType::F64),
-            NDArray::zeros(&[2], DType::F32),
         ];
         assert_eq!(
             execute(&cf, &mut bad_dtype),
@@ -899,14 +784,14 @@ mod tests {
     #[test]
     fn out_of_bounds_matches_interp() {
         use tvm_tir::builder::{ser, store, FuncBuilder};
-        let a = placeholder([4], DType::F32, "A");
+        let a = placeholder([4], DType::F64, "A");
         let mut fb = FuncBuilder::new("oob");
         let ab = fb.param(&a);
         let body = ser("i", 5, |i| {
-            store(&ab, &[i], tvm_te::PrimExpr::FloatImm(1.0, DType::F32))
+            store(&ab, &[i], tvm_te::PrimExpr::FloatImm(1.0, DType::F64))
         });
         let f = fb.build(body);
-        let args = vec![NDArray::zeros(&[4], DType::F32)];
+        let args = vec![NDArray::zeros(&[4], DType::F64)];
         differential(&f, &args);
         // And the error really is OutOfBounds with the full index vector.
         let cf = compile(&f).expect("compile");
@@ -926,25 +811,25 @@ mod tests {
     #[test]
     fn in_place_builder_kernel_matches() {
         use tvm_tir::builder::{ser, store, FuncBuilder};
-        let a = placeholder([4], DType::F32, "A");
+        let a = placeholder([4], DType::F64, "A");
         let mut fb = FuncBuilder::new("inc");
         let ab = fb.param(&a);
         let body = ser("i", 4, |i| {
             store(
                 &ab,
                 std::slice::from_ref(&i),
-                a.at(std::slice::from_ref(&i)) + tvm_te::cast(DType::F32, i.clone()),
+                a.at(std::slice::from_ref(&i)) + tvm_te::cast(DType::F64, i.clone()),
             )
         });
         let f = fb.build(body);
-        let args = vec![NDArray::from_f32(&[4], &[10.0, 10.0, 10.0, 10.0])];
+        let args = vec![NDArray::from_f64(&[4], &[10.0, 10.0, 10.0, 10.0])];
         differential(&f, &args);
     }
 
     #[test]
     fn max_reduction_matches() {
         use tvm_te::max_reduce;
-        let a = placeholder([3, 4], DType::F32, "A");
+        let a = placeholder([3, 4], DType::F64, "A");
         let k = reduce_axis(0, 4, "k");
         let m = compute([3], "M", |i| {
             max_reduce(
@@ -955,13 +840,13 @@ mod tests {
         let s = Schedule::create(std::slice::from_ref(&m));
         let f = lower(&s, &[a, m], "rowmax");
         let args = vec![
-            NDArray::from_f32(
+            NDArray::from_f64(
                 &[3, 4],
                 &[
                     1.0, 9.0, 2.0, 3.0, -5.0, -1.0, -9.0, -2.0, 0.0, 0.5, 0.25, 0.75,
                 ],
             ),
-            NDArray::zeros(&[3], DType::F32),
+            NDArray::zeros(&[3], DType::F64),
         ];
         differential(&f, &args);
     }
@@ -969,7 +854,7 @@ mod tests {
     #[test]
     fn division_by_zero_matches_interp() {
         use tvm_tir::builder::{ser, store, FuncBuilder};
-        let a = placeholder([4], DType::F32, "A");
+        let a = placeholder([4], DType::F64, "A");
         let mut fb = FuncBuilder::new("divz");
         let ab = fb.param(&a);
         let body = ser("i", 4, |i| {
@@ -978,7 +863,7 @@ mod tests {
             store(&ab, &[i.clone() / zero], a.at(&[i]))
         });
         let f = fb.build(body);
-        let args = vec![NDArray::zeros(&[4], DType::F32)];
+        let args = vec![NDArray::zeros(&[4], DType::F64)];
         differential(&f, &args);
     }
 
@@ -986,7 +871,7 @@ mod tests {
     fn run_falls_back_to_interp_on_reject() {
         use tvm_te::PrimExpr;
         use tvm_tir::Stmt;
-        let buf = tvm_tir::Buffer::new("A", vec![1usize], DType::F32);
+        let buf = tvm_tir::Buffer::new("A", vec![1usize], DType::F64);
         let f = PrimFunc {
             name: "bad".into(),
             params: vec![buf.clone()],
@@ -996,12 +881,12 @@ mod tests {
                 indices: vec![PrimExpr::IntImm(0, DType::I64)],
                 value: PrimExpr::Reduce {
                     combiner: tvm_te::Combiner::Sum,
-                    source: std::sync::Arc::new(PrimExpr::FloatImm(0.0, DType::F32)),
+                    source: std::sync::Arc::new(PrimExpr::FloatImm(0.0, DType::F64)),
                     axes: vec![],
                 },
             },
         };
-        let mut args = vec![NDArray::zeros(&[1], DType::F32)];
+        let mut args = vec![NDArray::zeros(&[1], DType::F64)];
         // The VM rejects at compile time; `run` must fall back and report
         // the interpreter's own BadExpr.
         let err = run(&f, &mut args).expect_err("reduce");
@@ -1014,8 +899,8 @@ mod tests {
     /// Tiled matmul whose outer row-tile loop carries a `Parallel`
     /// annotation (the shape the polybench molds emit).
     fn parallel_matmul_func(n: usize, tile: i64) -> PrimFunc {
-        let a = placeholder([n, n], DType::F32, "A");
-        let b = placeholder([n, n], DType::F32, "B");
+        let a = placeholder([n, n], DType::F64, "A");
+        let b = placeholder([n, n], DType::F64, "B");
         let k = reduce_axis(0, n as i64, "k");
         let c = compute([n, n], "C", |i| {
             sum(
@@ -1047,9 +932,9 @@ mod tests {
         for threads in [1usize, 2, 4, 7] {
             crate::pool::set_num_threads(threads);
             let args = vec![
-                NDArray::random(&[16, 16], DType::F32, 31, -1.0, 1.0),
-                NDArray::random(&[16, 16], DType::F32, 32, -1.0, 1.0),
-                NDArray::zeros(&[16, 16], DType::F32),
+                NDArray::random(&[16, 16], DType::F64, 31, -1.0, 1.0),
+                NDArray::random(&[16, 16], DType::F64, 32, -1.0, 1.0),
+                NDArray::zeros(&[16, 16], DType::F64),
             ];
             let mut seq = args.clone();
             let mut par = args;
@@ -1076,8 +961,8 @@ mod tests {
         use tvm_tir::builder::{par, store, FuncBuilder};
         let _guard = crate::pool::test_threads_lock();
         crate::pool::set_num_threads(4);
-        let a = placeholder([8], DType::F32, "A");
-        let b = placeholder([8], DType::F32, "B");
+        let a = placeholder([8], DType::F64, "A");
+        let b = placeholder([8], DType::F64, "B");
         let mut fb = FuncBuilder::new("oob_par");
         let _ab = fb.param(&a);
         let bb = fb.param(&b);
@@ -1092,8 +977,8 @@ mod tests {
         let cf = crate::optimize::compile_optimized(&f).expect("compile_optimized");
         assert_eq!(cf.parallel_loop_counts(), (1, 0), "OOB is not a race");
         let args = vec![
-            NDArray::random(&[8], DType::F32, 33, -1.0, 1.0),
-            NDArray::zeros(&[8], DType::F32),
+            NDArray::random(&[8], DType::F64, 33, -1.0, 1.0),
+            NDArray::zeros(&[8], DType::F64),
         ];
         let mut seq = args.clone();
         let mut par_args = args;

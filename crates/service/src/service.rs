@@ -775,6 +775,53 @@ mod tests {
     }
 
     #[test]
+    fn a_done_marker_in_the_legacy_report_shape_still_loads() {
+        // A finished JIT job as the service wrote it while the packed-SIMD
+        // counters still carried `f32_lanes`. Its outcome is final: were
+        // the marker unreadable, the job would be adopted and run again.
+        let job = r#"{"spec":{"tenant":"legacy","kernel":"lu","size":"mini","tuner":"Random",
+            "seed":1,"max_evals":2,"batch":1,"engine":"Real","deadline_s":null,"fault":null,
+            "space":"Paper"},"submitted_unix_ms":1792094419382}"#;
+        let done = r#"{"id":1,"tenant":"legacy","state":"Completed","report":{
+            "tuner":"AutoTVM-Random","end":"Completed","trials":[
+            {"index":0,"config":{"names":["P0","P1"],"values":[5,2]},"runtime_s":4.1366e-05,
+             "error":null,"eval_process_s":0.000324166,"elapsed_s":0.000324166,"engine":"jit",
+             "replayed":false,"wall_s":0.000339673},
+            {"index":1,"config":{"names":["P0","P1"],"values":[40,10]},"runtime_s":3.997e-05,
+             "error":null,"eval_process_s":0.000331916,"elapsed_s":0.0006560820000000001,
+             "engine":"jit","replayed":false,"wall_s":0.000345455}],
+            "replayed":0,"total_process_s":0.0006560820000000001,"demotions":0,
+            "final_engine":"jit","cache":{"hits":0,"misses":2},
+            "jit":{"functions_jitted":2,"nests_compiled":2,"bytes_emitted":1811,"fallbacks":0,
+                   "fallback_reasons":[]},
+            "par":{"loops_proven":0,"loops_unproven":0,"dispatches":0,"fallbacks":0,
+                   "fallback_reasons":[],"pool_threads":2,"threads_spawned":0},
+            "simd":{"packed_loops":0,"tiled_loops":0,"scalar_loops":4,"f64_lanes":4,
+                    "f32_lanes":0,"scalar_reasons":[["dynamic-extent",4]]},
+            "prune":{"admitted":2,"prelint_denied":0,"analyzer_denied":0,"denied_by_code":[]}},
+            "message":null}"#;
+        let dir = tmpdir("legacy-done");
+        for (sub, raw) in [("jobs", job), ("done", done)] {
+            std::fs::create_dir_all(dir.join(sub)).expect("mkdir");
+            std::fs::write(dir.join(sub).join("1.json"), raw).expect("write");
+        }
+        let (svc, rec) = TuningService::open(&dir, small_cfg()).expect("open");
+        let expected = RecoveryReport {
+            adopted: 0,
+            already_done: 1,
+        };
+        assert_eq!(rec, expected);
+        let out = svc.outcome(1).expect("the stored outcome");
+        assert_eq!((out.id, out.state), (1, JobState::Completed));
+        let report = out.report.expect("report");
+        assert_eq!(report.trials.len(), 2);
+        assert_eq!(report.trials[1].runtime_s, Some(3.997e-05));
+        let simd = report.simd.expect("simd counters");
+        assert_eq!((simd.scalar_loops, simd.f64_lanes), (4, 4));
+        svc.shutdown();
+    }
+
+    #[test]
     fn invalid_specs_and_full_queues_are_rejected_with_reasons() {
         let dir = tmpdir("reject");
         let cfg = ServiceConfig {

@@ -6,12 +6,10 @@ use std::fmt;
 /// Scalar element type of a tensor or expression.
 ///
 /// Mirrors the TVM `DataType` surface needed by the paper's kernels (the
-/// PolyBench kernels are `float32`/`float64`; integer types appear in index
+/// PolyBench kernels are `float64`; integer types appear in index
 /// arithmetic and predicates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DType {
-    /// 32-bit IEEE-754 float (`float32`).
-    F32,
     /// 64-bit IEEE-754 float (`float64`).
     F64,
     /// 32-bit signed integer (`int32`).
@@ -26,15 +24,15 @@ impl DType {
     /// Size of one element in bytes.
     pub fn size_bytes(self) -> usize {
         match self {
-            DType::F32 | DType::I32 => 4,
+            DType::I32 => 4,
             DType::F64 | DType::I64 => 8,
             DType::Bool => 1,
         }
     }
 
-    /// True for `F32`/`F64`.
+    /// True for `F64`.
     pub fn is_float(self) -> bool {
-        matches!(self, DType::F32 | DType::F64)
+        self == DType::F64
     }
 
     /// True for `I32`/`I64`.
@@ -42,10 +40,9 @@ impl DType {
         matches!(self, DType::I32 | DType::I64)
     }
 
-    /// TVM-style type name, e.g. `"float32"`.
+    /// TVM-style type name, e.g. `"float64"`.
     pub fn name(self) -> &'static str {
         match self {
-            DType::F32 => "float32",
             DType::F64 => "float64",
             DType::I32 => "int32",
             DType::I64 => "int64",
@@ -56,7 +53,6 @@ impl DType {
     /// Parse a TVM-style type name.
     pub fn parse(name: &str) -> Option<DType> {
         match name {
-            "float32" | "f32" => Some(DType::F32),
             "float64" | "f64" => Some(DType::F64),
             "int32" | "i32" => Some(DType::I32),
             "int64" | "i64" => Some(DType::I64),
@@ -72,7 +68,6 @@ impl DType {
         match (self, other) {
             (a, b) if a == b => a,
             (F64, _) | (_, F64) => F64,
-            (F32, _) | (_, F32) => F32,
             (I64, _) | (_, I64) => I64,
             (I32, _) | (_, I32) => I32,
             _ => Bool,
@@ -92,7 +87,6 @@ mod tests {
 
     #[test]
     fn sizes() {
-        assert_eq!(DType::F32.size_bytes(), 4);
         assert_eq!(DType::F64.size_bytes(), 8);
         assert_eq!(DType::I32.size_bytes(), 4);
         assert_eq!(DType::I64.size_bytes(), 8);
@@ -101,23 +95,24 @@ mod tests {
 
     #[test]
     fn parse_roundtrip() {
-        for d in [DType::F32, DType::F64, DType::I32, DType::I64, DType::Bool] {
+        for d in [DType::F64, DType::I32, DType::I64, DType::Bool] {
             assert_eq!(DType::parse(d.name()), Some(d));
         }
         assert_eq!(DType::parse("float16"), None);
+        assert_eq!(DType::parse("float32"), None);
     }
 
     #[test]
     fn unify_promotes() {
-        assert_eq!(DType::F32.unify(DType::I64), DType::F32);
-        assert_eq!(DType::F64.unify(DType::F32), DType::F64);
+        assert_eq!(DType::I64.unify(DType::F64), DType::F64);
+        assert_eq!(DType::F64.unify(DType::I32), DType::F64);
         assert_eq!(DType::I32.unify(DType::I64), DType::I64);
         assert_eq!(DType::Bool.unify(DType::Bool), DType::Bool);
     }
 
     #[test]
     fn predicates() {
-        assert!(DType::F32.is_float() && !DType::F32.is_int());
+        assert!(DType::F64.is_float() && !DType::F64.is_int());
         assert!(DType::I64.is_int() && !DType::I64.is_float());
         assert!(!DType::Bool.is_int() && !DType::Bool.is_float());
     }

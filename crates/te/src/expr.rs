@@ -143,7 +143,7 @@ impl PrimExpr {
             }
             PrimExpr::Select(_, t, f) => t.dtype().unify(f.dtype()),
             PrimExpr::Cast(t, _) => *t,
-            PrimExpr::Call(_, args) => args.first().map(|a| a.dtype()).unwrap_or(DType::F32),
+            PrimExpr::Call(_, args) => args.first().map(|a| a.dtype()).unwrap_or(DType::F64),
             PrimExpr::TensorRead(t, _) => t.dtype(),
             PrimExpr::Reduce { source, .. } => source.dtype(),
         }
@@ -208,12 +208,6 @@ impl From<i32> for PrimExpr {
     }
 }
 
-impl From<f32> for PrimExpr {
-    fn from(v: f32) -> Self {
-        PrimExpr::FloatImm(v as f64, DType::F32)
-    }
-}
-
 impl From<f64> for PrimExpr {
     fn from(v: f64) -> Self {
         PrimExpr::FloatImm(v, DType::F64)
@@ -245,8 +239,8 @@ mod tests {
 
     #[test]
     fn dtype_inference() {
-        let e = PrimExpr::binary(BinOp::Add, int(1), PrimExpr::from(2.0f32));
-        assert_eq!(e.dtype(), DType::F32);
+        let e = PrimExpr::binary(BinOp::Add, int(1), PrimExpr::from(2.0f64));
+        assert_eq!(e.dtype(), DType::F64);
         let c = PrimExpr::cmp(CmpOp::Lt, int(1), int(2));
         assert_eq!(c.dtype(), DType::Bool);
     }

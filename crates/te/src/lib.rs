@@ -22,8 +22,8 @@
 //! use tvm_te::{placeholder, compute, reduce_axis, sum, DType, Schedule};
 //!
 //! let (n, m, k) = (64usize, 64usize, 64usize);
-//! let a = placeholder([n, k], DType::F32, "A");
-//! let b = placeholder([k, m], DType::F32, "B");
+//! let a = placeholder([n, k], DType::F64, "A");
+//! let b = placeholder([k, m], DType::F64, "B");
 //! let kk = reduce_axis(0, k as i64, "k");
 //! let c = compute([n, m], "C", |idx| {
 //!     sum(a.at(&[idx[0].clone(), kk.var_expr()]) * b.at(&[kk.var_expr(), idx[1].clone()]),

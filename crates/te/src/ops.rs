@@ -10,9 +10,9 @@ pub fn int(v: i64) -> PrimExpr {
     PrimExpr::IntImm(v, DType::I64)
 }
 
-/// `F32` float literal.
+/// `F64` float literal.
 pub fn float(v: f64) -> PrimExpr {
-    PrimExpr::FloatImm(v, DType::F32)
+    PrimExpr::FloatImm(v, DType::F64)
 }
 
 /// Floor division (integer).

@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn op_printing() {
         use crate::{compute, placeholder, DType};
-        let a = placeholder([4], DType::F32, "A");
+        let a = placeholder([4], DType::F64, "A");
         let b = compute([4], "B", |i| a.at(&[i[0].clone()]) + a.at(&[i[0].clone()]));
         let s = format!("{}", b.op);
         assert!(s.starts_with("compute B[i] = "), "got: {s}");

@@ -1,6 +1,5 @@
 //! Schedule tree: per-stage loop transformations (`split`, `reorder`,
-//! `fuse`, `tile`) and annotations (`unroll`, `vectorize`, `parallel`,
-//! `bind`).
+//! `fuse`) and annotations (`unroll`, `vectorize`, `parallel`).
 //!
 //! A [`Schedule`] owns one [`Stage`] per compute op reachable from its
 //! outputs. Each stage tracks the *current* loop order
@@ -11,33 +10,8 @@
 use crate::expr::PrimExpr;
 use crate::ops::{floordiv, floormod};
 use crate::tensor::{OpKind, Tensor};
-use crate::var::{IterVar, IterVarType, Var};
+use crate::var::{IterVar, IterVarType};
 use std::collections::HashMap;
-
-/// GPU thread axes a loop can be bound to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ThreadTag {
-    /// `blockIdx.x`
-    BlockIdxX,
-    /// `blockIdx.y`
-    BlockIdxY,
-    /// `threadIdx.x`
-    ThreadIdxX,
-    /// `threadIdx.y`
-    ThreadIdxY,
-}
-
-impl ThreadTag {
-    /// CUDA-style name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ThreadTag::BlockIdxX => "blockIdx.x",
-            ThreadTag::BlockIdxY => "blockIdx.y",
-            ThreadTag::ThreadIdxX => "threadIdx.x",
-            ThreadTag::ThreadIdxY => "threadIdx.y",
-        }
-    }
-}
 
 /// Annotation attached to a leaf iteration variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,8 +22,6 @@ pub enum IterVarAttr {
     Vectorize,
     /// Execute iterations in parallel (CPU threads).
     Parallel,
-    /// Bind to a GPU thread axis.
-    Bind(ThreadTag),
 }
 
 /// A split or fuse relation connecting original axes to derived loops.
@@ -279,26 +251,6 @@ impl Schedule {
         (outer, inner)
     }
 
-    /// Split `iv` into `nparts` outer iterations (TVM's `nparts=` form);
-    /// returns `(outer, inner)`.
-    pub fn split_nparts(
-        &mut self,
-        tensor: &Tensor,
-        iv: &IterVar,
-        nparts: i64,
-    ) -> (IterVar, IterVar) {
-        assert!(nparts >= 1, "nparts must be >= 1, got {nparts}");
-        let extent = {
-            let stage = self.stage(tensor);
-            let pos = stage
-                .leaf_pos(iv)
-                .unwrap_or_else(|| panic!("axis `{}` is not a leaf", iv.var.name));
-            stage.leaf_iter_vars[pos].dom.extent
-        };
-        let factor = extent.div_euclid(nparts) + i64::from(extent % nparts != 0);
-        self.split(tensor, iv, factor)
-    }
-
     /// Reorder the listed leaf axes into the given order; unlisted axes
     /// keep their positions (`s[T].reorder(...)`).
     pub fn reorder(&mut self, tensor: &Tensor, order: &[IterVar]) {
@@ -376,22 +328,6 @@ impl Schedule {
         fused
     }
 
-    /// `tile(x, y, xf, yf)` — split both axes and reorder to
-    /// `(xo, yo, xi, yi)`; returns them in that order.
-    pub fn tile(
-        &mut self,
-        tensor: &Tensor,
-        x: &IterVar,
-        y: &IterVar,
-        x_factor: i64,
-        y_factor: i64,
-    ) -> (IterVar, IterVar, IterVar, IterVar) {
-        let (xo, xi) = self.split(tensor, x, x_factor);
-        let (yo, yi) = self.split(tensor, y, y_factor);
-        self.reorder(tensor, &[xo.clone(), yo.clone(), xi.clone(), yi.clone()]);
-        (xo, yo, xi, yi)
-    }
-
     fn annotate(&mut self, tensor: &Tensor, iv: &IterVar, attr: IterVarAttr) {
         let stage = self.stage_mut(tensor);
         assert!(
@@ -417,46 +353,6 @@ impl Schedule {
     pub fn parallel(&mut self, tensor: &Tensor, iv: &IterVar) {
         self.annotate(tensor, iv, IterVarAttr::Parallel);
     }
-
-    /// Bind a loop to a GPU thread axis.
-    pub fn bind(&mut self, tensor: &Tensor, iv: &IterVar, tag: ThreadTag) {
-        self.annotate(tensor, iv, IterVarAttr::Bind(tag));
-    }
-
-    /// All variables (leaf or intermediate) known to a stage — for tests
-    /// and diagnostics.
-    pub fn all_vars(&self, tensor: &Tensor) -> Vec<Var> {
-        let stage = self.stage(tensor);
-        let mut vars: Vec<Var> = stage.leaf_iter_vars.iter().map(|l| l.var.clone()).collect();
-        for rel in &stage.relations {
-            match rel {
-                IterRelation::Split {
-                    parent,
-                    outer,
-                    inner,
-                    ..
-                } => {
-                    for v in [&parent.var, &outer.var, &inner.var] {
-                        if !vars.iter().any(|x| x.id == v.id) {
-                            vars.push(v.clone());
-                        }
-                    }
-                }
-                IterRelation::Fuse {
-                    outer,
-                    inner,
-                    fused,
-                } => {
-                    for v in [&outer.var, &inner.var, &fused.var] {
-                        if !vars.iter().any(|x| x.id == v.id) {
-                            vars.push(v.clone());
-                        }
-                    }
-                }
-            }
-        }
-        vars
-    }
 }
 
 #[cfg(test)]
@@ -469,8 +365,8 @@ mod tests {
     use std::collections::HashMap as Map;
 
     fn matmul(n: usize) -> (Tensor, Tensor, Tensor, IterVar) {
-        let a = placeholder([n, n], DType::F32, "A");
-        let b = placeholder([n, n], DType::F32, "B");
+        let a = placeholder([n, n], DType::F64, "A");
+        let b = placeholder([n, n], DType::F64, "B");
         let k = reduce_axis(0, n as i64, "k");
         let c = compute([n, n], "C", |i| {
             sum(
@@ -646,22 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn tile_produces_four_loops() {
-        let (_, _, c, _) = matmul(16);
-        let mut s = Schedule::create(std::slice::from_ref(&c));
-        let (y, x) = (c.axis(0), c.axis(1));
-        let (xo, yo, xi, yi) = s.tile(&c, &x, &y, 4, 4);
-        let order: Vec<u64> = s
-            .stage(&c)
-            .leaf_iter_vars
-            .iter()
-            .take(4)
-            .map(|l| l.var.id)
-            .collect();
-        assert_eq!(order, vec![xo.var.id, yo.var.id, xi.var.id, yi.var.id]);
-    }
-
-    #[test]
     fn annotations_stick() {
         let (_, _, c, _) = matmul(8);
         let mut s = Schedule::create(std::slice::from_ref(&c));
@@ -670,11 +550,6 @@ mod tests {
         s.vectorize(&c, &x);
         assert_eq!(s.stage(&c).attr_of(&y), Some(IterVarAttr::Parallel));
         assert_eq!(s.stage(&c).attr_of(&x), Some(IterVarAttr::Vectorize));
-        s.bind(&c, &y, ThreadTag::BlockIdxX);
-        assert_eq!(
-            s.stage(&c).attr_of(&y),
-            Some(IterVarAttr::Bind(ThreadTag::BlockIdxX))
-        );
     }
 
     #[test]

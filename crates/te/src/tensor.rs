@@ -200,7 +200,7 @@ pub fn placeholder(shape: impl Into<Vec<usize>>, dtype: DType, name: impl Into<S
 ///
 /// ```
 /// use tvm_te::{compute, placeholder, DType};
-/// let a = placeholder([4, 4], DType::F32, "A");
+/// let a = placeholder([4, 4], DType::F64, "A");
 /// let b = compute([4, 4], "B", |i| a.at(&[i[1].clone(), i[0].clone()])); // transpose
 /// assert_eq!(b.shape(), &[4, 4]);
 /// ```
@@ -308,8 +308,8 @@ mod tests {
 
     #[test]
     fn compute_tracks_inputs_and_axes() {
-        let a = placeholder([4, 8], DType::F32, "A");
-        let b = placeholder([8, 4], DType::F32, "B");
+        let a = placeholder([4, 8], DType::F64, "A");
+        let b = placeholder([8, 4], DType::F64, "B");
         let k = reduce_axis(0, 8, "k");
         let c = compute([4, 4], "C", |i| {
             sum(
@@ -317,7 +317,7 @@ mod tests {
                 std::slice::from_ref(&k),
             )
         });
-        assert_eq!(c.dtype(), DType::F32);
+        assert_eq!(c.dtype(), DType::F64);
         assert_eq!(c.axes().len(), 2);
         assert_eq!(c.reduce_axes(), vec![k]);
         let ins = c.op.input_tensors();
@@ -327,9 +327,9 @@ mod tests {
 
     #[test]
     fn tensor_identity() {
-        let a = placeholder([2], DType::F32, "A");
+        let a = placeholder([2], DType::F64, "A");
         let a2 = a.clone();
-        let b = placeholder([2], DType::F32, "A");
+        let b = placeholder([2], DType::F64, "A");
         assert!(a.same_as(&a2));
         assert!(!a.same_as(&b));
     }
@@ -337,14 +337,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "rank 2, got 1 indices")]
     fn at_checks_rank() {
-        let a = placeholder([2, 2], DType::F32, "A");
+        let a = placeholder([2, 2], DType::F64, "A");
         let _ = a.at(&[crate::ops::int(0)]);
     }
 
     #[test]
     #[should_panic(expected = "root of a compute body")]
     fn nested_reduce_rejected() {
-        let a = placeholder([4], DType::F32, "A");
+        let a = placeholder([4], DType::F64, "A");
         let k = reduce_axis(0, 4, "k");
         let _ = compute([4], "B", |_| {
             sum(a.at(&[k.var_expr()]), std::slice::from_ref(&k)) + crate::ops::float(1.0)

@@ -370,8 +370,8 @@ mod tests {
     use tvm_te::{compute, placeholder, reduce_axis, sum, DType, Schedule};
 
     fn matmul(n: usize) -> PrimFunc {
-        let a = placeholder([n, n], DType::F32, "A");
-        let b = placeholder([n, n], DType::F32, "B");
+        let a = placeholder([n, n], DType::F64, "A");
+        let b = placeholder([n, n], DType::F64, "B");
         let k = reduce_axis(0, n as i64, "k");
         let c = compute([n, n], "C", |i| {
             sum(
@@ -525,7 +525,7 @@ mod tests {
         ];
         let elem_strides = [64usize, 1];
         for indices in &accesses {
-            let info = access_info("A", 4096, DType::F32, indices, &[64, 64], &loops);
+            let info = access_info("A", 4096, DType::F64, indices, &[64, 64], &loops);
             let want: Vec<i64> = loops
                 .iter()
                 .map(|l| stride_by_map(indices, &elem_strides, l.var_id, &loops).unwrap_or(0))
@@ -542,7 +542,7 @@ mod tests {
         use tvm_te::ops::cmp;
         use tvm_te::Var;
         let (i, j) = (Var::index("i"), Var::index("j"));
-        let b = Buffer::new("b", [64usize, 64], DType::F32);
+        let b = Buffer::new("b", [64usize, 64], DType::F64);
         let body = Stmt::IfThenElse {
             cond: cmp::lt(j.expr(), i.expr()),
             then: Box::new(Stmt::BufferStore {

@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn in_bounds_access_is_clean() {
         let i = Var::index("i");
-        let b = Buffer::new("b", [16usize], DType::F32);
+        let b = Buffer::new("b", [16usize], DType::F64);
         let store = Stmt::BufferStore {
             buffer: b.clone(),
             indices: vec![i.expr()],
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn off_by_one_store_is_denied() {
         let i = Var::index("i");
-        let b = Buffer::new("b", [16usize], DType::F32);
+        let b = Buffer::new("b", [16usize], DType::F64);
         let store = Stmt::BufferStore {
             buffer: b.clone(),
             indices: vec![i.expr() + 1],
@@ -208,7 +208,7 @@ mod tests {
     fn guard_makes_overhanging_tile_safe() {
         // for io in 0..4, ii in 0..5: if io*5+ii < 18 { b[io*5+ii] = 0 }
         let (io, ii) = (Var::index("io"), Var::index("ii"));
-        let b = Buffer::new("b", [18usize], DType::F32);
+        let b = Buffer::new("b", [18usize], DType::F64);
         let idx = io.expr() * 5 + ii.expr();
         let guarded = Stmt::IfThenElse {
             cond: cmp::lt(idx.clone(), int(18)),
@@ -237,8 +237,8 @@ mod tests {
     #[test]
     fn read_out_of_bounds_is_denied() {
         let i = Var::index("i");
-        let a = tvm_te::placeholder([8], DType::F32, "A");
-        let b = Buffer::new("b", [16usize], DType::F32);
+        let a = tvm_te::placeholder([8], DType::F64, "A");
+        let b = Buffer::new("b", [16usize], DType::F64);
         let store = Stmt::BufferStore {
             buffer: b.clone(),
             indices: vec![i.expr()],
@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn zero_extent_loop_body_is_unreachable() {
         let i = Var::index("i");
-        let b = Buffer::new("b", [4usize], DType::F32);
+        let b = Buffer::new("b", [4usize], DType::F64);
         let store = Stmt::BufferStore {
             buffer: b.clone(),
             indices: vec![int(100)],
@@ -267,7 +267,7 @@ mod tests {
     fn else_branch_uses_negated_guard() {
         // for i in 0..20: if i < 10 { b[i] } else { b[i - 10] }
         let i = Var::index("i");
-        let b = Buffer::new("b", [10usize], DType::F32);
+        let b = Buffer::new("b", [10usize], DType::F64);
         let mk = |idx: PrimExpr| Stmt::BufferStore {
             buffer: b.clone(),
             indices: vec![idx],
@@ -286,7 +286,7 @@ mod tests {
         // Index depends on a read value: outside the affine fragment.
         let i = Var::index("i");
         let a = tvm_te::placeholder([16], DType::I64, "A");
-        let b = Buffer::new("b", [16usize], DType::F32);
+        let b = Buffer::new("b", [16usize], DType::F64);
         let store = Stmt::BufferStore {
             buffer: b.clone(),
             indices: vec![a.at(&[i.expr()])],

@@ -523,7 +523,7 @@ mod tests {
     fn disjoint_rows_are_clean() {
         // parallel i: for j: C[i][j] = 0
         let (i, j) = (Var::index("i"), Var::index("j"));
-        let c = Buffer::new("C", [8usize, 8], DType::F32);
+        let c = Buffer::new("C", [8usize, 8], DType::F64);
         let store = Stmt::BufferStore {
             buffer: c.clone(),
             indices: vec![i.expr(), j.expr()],
@@ -542,9 +542,9 @@ mod tests {
     fn parallel_reduction_axis_is_denied() {
         // parallel k: C[0] = C[0] + A[k] — classic reduction race.
         let k = Var::index("k");
-        let c = Buffer::new("C", [1usize], DType::F32);
-        let a = tvm_te::placeholder([8], DType::F32, "A");
-        let c_t = tvm_te::placeholder([1], DType::F32, "C");
+        let c = Buffer::new("C", [1usize], DType::F64);
+        let a = tvm_te::placeholder([8], DType::F64, "A");
+        let c_t = tvm_te::placeholder([1], DType::F64, "C");
         let store = Stmt::BufferStore {
             buffer: c.clone(),
             indices: vec![tvm_te::ops::int(0)],
@@ -563,7 +563,7 @@ mod tests {
     fn overlapping_tiles_are_denied() {
         // parallel io: for ii in 0..6: B[io*4 + ii] = 0 — tiles overlap by 2.
         let (io, ii) = (Var::index("io"), Var::index("ii"));
-        let b = Buffer::new("B", [32usize], DType::F32);
+        let b = Buffer::new("B", [32usize], DType::F64);
         let store = Stmt::BufferStore {
             buffer: b.clone(),
             indices: vec![io.expr() * 4 + ii.expr()],
@@ -586,7 +586,7 @@ mod tests {
     fn exact_tiles_are_clean() {
         // parallel io: for ii in 0..4: B[io*4 + ii] = 0 — exact partition.
         let (io, ii) = (Var::index("io"), Var::index("ii"));
-        let b = Buffer::new("B", [16usize], DType::F32);
+        let b = Buffer::new("B", [16usize], DType::F64);
         let store = Stmt::BufferStore {
             buffer: b.clone(),
             indices: vec![io.expr() * 4 + ii.expr()],
@@ -605,8 +605,8 @@ mod tests {
     fn vectorized_elementwise_is_clean() {
         // for i: vectorized j: C[i][j] = A[i][j] + 1
         let (i, j) = (Var::index("i"), Var::index("j"));
-        let c = Buffer::new("C", [8usize, 8], DType::F32);
-        let a = tvm_te::placeholder([8, 8], DType::F32, "A");
+        let c = Buffer::new("C", [8usize, 8], DType::F64);
+        let a = tvm_te::placeholder([8, 8], DType::F64, "A");
         let store = Stmt::BufferStore {
             buffer: c.clone(),
             indices: vec![i.expr(), j.expr()],
@@ -625,9 +625,9 @@ mod tests {
     fn vectorized_reduction_axis_is_denied() {
         // for i: vectorized k: C[i] = C[i] + A[i][k]
         let (i, k) = (Var::index("i"), Var::index("k"));
-        let c = Buffer::new("C", [8usize], DType::F32);
-        let a = tvm_te::placeholder([8, 8], DType::F32, "A");
-        let c_t = tvm_te::placeholder([8], DType::F32, "C");
+        let c = Buffer::new("C", [8usize], DType::F64);
+        let a = tvm_te::placeholder([8, 8], DType::F64, "A");
+        let c_t = tvm_te::placeholder([8], DType::F64, "C");
         let store = Stmt::BufferStore {
             buffer: c.clone(),
             indices: vec![i.expr()],
@@ -650,7 +650,7 @@ mod tests {
         // parallel i: if i < 1 { B[0] = 0 } — only one iteration writes,
         // which the distance test cannot see; must warn, not deny.
         let i = Var::index("i");
-        let b = Buffer::new("B", [4usize], DType::F32);
+        let b = Buffer::new("B", [4usize], DType::F64);
         let store = Stmt::BufferStore {
             buffer: b.clone(),
             indices: vec![tvm_te::ops::int(0)],
@@ -677,7 +677,7 @@ mod tests {
     fn race_freedom_proof_accepts_disjoint_rows() {
         // parallel i: for j: C[i][j] = 0 — each row owned by one iteration.
         let (i, j) = (Var::index("i"), Var::index("j"));
-        let c = Buffer::new("C", [8usize, 8], DType::F32);
+        let c = Buffer::new("C", [8usize, 8], DType::F64);
         let store = Stmt::BufferStore {
             buffer: c.clone(),
             indices: vec![i.expr(), j.expr()],
@@ -697,9 +697,9 @@ mod tests {
     fn race_freedom_proof_rejects_reduction_and_maybe() {
         // parallel k: C[0] = C[0] + A[k] — certified race, never proven.
         let k = Var::index("k");
-        let c = Buffer::new("C", [1usize], DType::F32);
-        let a = tvm_te::placeholder([8], DType::F32, "A");
-        let c_t = tvm_te::placeholder([1], DType::F32, "C");
+        let c = Buffer::new("C", [1usize], DType::F64);
+        let a = tvm_te::placeholder([8], DType::F64, "A");
+        let c_t = tvm_te::placeholder([1], DType::F64, "C");
         let store = Stmt::BufferStore {
             buffer: c.clone(),
             indices: vec![tvm_te::ops::int(0)],
@@ -717,7 +717,7 @@ mod tests {
         // (code, buffer, var-name); the proof must still separate them.
         let i1 = Var::index("i");
         let i2 = Var::index("i");
-        let b = Buffer::new("B", [8usize], DType::F32);
+        let b = Buffer::new("B", [8usize], DType::F64);
         let racy = Stmt::BufferStore {
             buffer: b.clone(),
             indices: vec![tvm_te::ops::int(0)],
@@ -742,8 +742,8 @@ mod tests {
         // parallel i: if A[i] < 0 { C[i] = 0 } — the guard read is not
         // collected as an access, so the proof must decline.
         let i = Var::index("i");
-        let c = Buffer::new("C", [8usize], DType::F32);
-        let a = tvm_te::placeholder([8], DType::F32, "A");
+        let c = Buffer::new("C", [8usize], DType::F64);
+        let a = tvm_te::placeholder([8], DType::F64, "A");
         let store = Stmt::BufferStore {
             buffer: c.clone(),
             indices: vec![i.expr()],
@@ -767,8 +767,8 @@ mod tests {
     fn trivial_extent_parallel_loop_is_proven() {
         // parallel i in 0..1: C[0] += 1 — no pair of iterations exists.
         let i = Var::index("i");
-        let c = Buffer::new("C", [1usize], DType::F32);
-        let c_t = tvm_te::placeholder([1], DType::F32, "C");
+        let c = Buffer::new("C", [1usize], DType::F64);
+        let c_t = tvm_te::placeholder([1], DType::F64, "C");
         let store = Stmt::BufferStore {
             buffer: c.clone(),
             indices: vec![tvm_te::ops::int(0)],
@@ -783,8 +783,8 @@ mod tests {
     fn serial_loops_are_ignored() {
         // Serial reduction is fine.
         let k = Var::index("k");
-        let c = Buffer::new("C", [1usize], DType::F32);
-        let c_t = tvm_te::placeholder([1], DType::F32, "C");
+        let c = Buffer::new("C", [1usize], DType::F64);
+        let c_t = tvm_te::placeholder([1], DType::F64, "C");
         let store = Stmt::BufferStore {
             buffer: c.clone(),
             indices: vec![tvm_te::ops::int(0)],

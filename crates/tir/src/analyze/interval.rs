@@ -30,12 +30,6 @@ fn clamp(v: i128) -> i64 {
 }
 
 impl Interval {
-    /// The full `i64` range (used for unconstrained values).
-    pub const TOP: Interval = Interval {
-        lo: i64::MIN,
-        hi: i64::MAX,
-    };
-
     /// Construct `[lo, hi]`.
     pub fn new(lo: i64, hi: i64) -> Interval {
         Interval { lo, hi }

@@ -276,9 +276,9 @@ mod tests {
         // parallel k: C[0] = C[0] + A[k] — the denial's witness is any
         // pair of iterations, both writing offset 0.
         let k = Var::index("k");
-        let c = Buffer::new("C", [1usize], DType::F32);
-        let a = tvm_te::placeholder([8], DType::F32, "A");
-        let c_t = tvm_te::placeholder([1], DType::F32, "C");
+        let c = Buffer::new("C", [1usize], DType::F64);
+        let a = tvm_te::placeholder([8], DType::F64, "A");
+        let c_t = tvm_te::placeholder([1], DType::F64, "C");
         let body = for_(
             &k,
             8,
@@ -302,7 +302,7 @@ mod tests {
     fn clean_parallel_loop_yields_no_witness() {
         // parallel i: B[i] = 0 — a fabricated denial must NOT confirm.
         let i = Var::index("i");
-        let b = Buffer::new("B", [8usize], DType::F32);
+        let b = Buffer::new("B", [8usize], DType::F64);
         let body = for_(
             &i,
             8,
@@ -327,7 +327,7 @@ mod tests {
         // parallel io: for ii in 0..6: if io*4+ii < 14 { B[io*4+ii] = 0 }
         // — tiles overlap by 2 even inside the guarded region.
         let (io, ii) = (Var::index("io"), Var::index("ii"));
-        let b = Buffer::new("B", [14usize], DType::F32);
+        let b = Buffer::new("B", [14usize], DType::F64);
         let idx = io.expr() * 4 + ii.expr();
         let body = for_(
             &io,
@@ -361,7 +361,7 @@ mod tests {
     fn masked_vector_loop_is_detected() {
         // vectorized v in 0..8: if v < 5 { B[v] = 0 } — masked lanes.
         let v = Var::index("v");
-        let b = Buffer::new("B", [5usize], DType::F32);
+        let b = Buffer::new("B", [5usize], DType::F64);
         let body = for_(
             &v,
             8,
@@ -380,7 +380,7 @@ mod tests {
 
         // Full-width vector loop: no mask, no finding.
         let v2 = Var::index("v");
-        let b2 = Buffer::new("B", [8usize], DType::F32);
+        let b2 = Buffer::new("B", [8usize], DType::F64);
         let clean = for_(
             &v2,
             8,

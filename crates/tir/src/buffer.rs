@@ -99,15 +99,15 @@ mod tests {
 
     #[test]
     fn strides_row_major() {
-        let b = Buffer::new("b", [2usize, 3, 4], DType::F32);
+        let b = Buffer::new("b", [2usize, 3, 4], DType::F64);
         assert_eq!(b.strides(), vec![12, 4, 1]);
         assert_eq!(b.numel(), 24);
-        assert_eq!(b.size_bytes(), 96);
+        assert_eq!(b.size_bytes(), 192);
     }
 
     #[test]
     fn offset_computes_linear_index() {
-        let b = Buffer::new("b", [2usize, 3, 4], DType::F32);
+        let b = Buffer::new("b", [2usize, 3, 4], DType::F64);
         assert_eq!(b.offset(&[0, 0, 0]), 0);
         assert_eq!(b.offset(&[1, 2, 3]), 12 + 8 + 3);
     }
@@ -125,7 +125,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "out of bounds")]
     fn offset_bounds_checked_in_debug() {
-        let b = Buffer::new("b", [2usize, 2], DType::F32);
+        let b = Buffer::new("b", [2usize, 2], DType::F64);
         let _ = b.offset(&[2, 0]);
     }
 }

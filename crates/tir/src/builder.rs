@@ -136,7 +136,7 @@ mod tests {
     fn builds_verified_inplace_kernel() {
         // A[i][j] += 1 for j < i  (in-place, guarded)
         let n = 8usize;
-        let a = placeholder([n, n], DType::F32, "A");
+        let a = placeholder([n, n], DType::F64, "A");
         let mut fb = FuncBuilder::new("tri_inc");
         let ab = fb.param(&a);
         let body = ser2("i", n as i64, "j", n as i64, |i, j| {
@@ -145,7 +145,7 @@ mod tests {
                 store(
                     &ab,
                     &[i.clone(), j.clone()],
-                    a.at(&[i, j]) + PrimExpr::FloatImm(1.0, DType::F32),
+                    a.at(&[i, j]) + PrimExpr::FloatImm(1.0, DType::F64),
                 ),
             )
         });
@@ -165,11 +165,11 @@ mod tests {
     #[should_panic(expected = "failed verification")]
     fn build_rejects_unscoped_vars() {
         let n = 4usize;
-        let a = placeholder([n], DType::F32, "A");
+        let a = placeholder([n], DType::F64, "A");
         let mut fb = FuncBuilder::new("bad");
         let ab = fb.param(&a);
         let ghost = Var::index("ghost");
-        let body = store(&ab, &[ghost.expr()], PrimExpr::FloatImm(0.0, DType::F32));
+        let body = store(&ab, &[ghost.expr()], PrimExpr::FloatImm(0.0, DType::F64));
         let _ = fb.build(body);
     }
 }

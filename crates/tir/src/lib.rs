@@ -22,7 +22,7 @@
 //! use tvm_te::{placeholder, compute, DType, Schedule};
 //! use tvm_tir::lower::lower;
 //!
-//! let a = placeholder([8, 8], DType::F32, "A");
+//! let a = placeholder([8, 8], DType::F64, "A");
 //! let b = compute([8, 8], "B", |i| a.at(&[i[0].clone(), i[1].clone()]) + 1i64);
 //! let s = Schedule::create(&[b.clone()]);
 //! let f = lower(&s, &[a, b], "add_one");

@@ -190,7 +190,6 @@ fn lower_stage(stage: &Stage, buf_of: &HashMap<u64, Arc<Buffer>>) -> Stmt {
             Some(IterVarAttr::Parallel) => ForKind::Parallel,
             Some(IterVarAttr::Vectorize) => ForKind::Vectorized,
             Some(IterVarAttr::Unroll) => ForKind::Unrolled,
-            Some(IterVarAttr::Bind(tag)) => ForKind::ThreadBinding(tag),
             None => ForKind::Serial,
         };
         stmt = Stmt::For {
@@ -233,8 +232,8 @@ mod tests {
     use tvm_te::{compute, placeholder, reduce_axis, sum};
 
     fn matmul_sched(n: usize, tile: i64) -> (Schedule, Vec<Tensor>) {
-        let a = placeholder([n, n], DType::F32, "A");
-        let b = placeholder([n, n], DType::F32, "B");
+        let a = placeholder([n, n], DType::F64, "A");
+        let b = placeholder([n, n], DType::F64, "B");
         let k = reduce_axis(0, n as i64, "k");
         let c = compute([n, n], "C", |i| {
             sum(
@@ -280,7 +279,7 @@ mod tests {
 
     #[test]
     fn lower_nondivisible_split_guards() {
-        let a = placeholder([10], DType::F32, "A");
+        let a = placeholder([10], DType::F64, "A");
         let b = compute([10], "B", |i| a.at(&[i[0].clone()]) + 1i64);
         let mut s = Schedule::create(std::slice::from_ref(&b));
         let x = b.axis(0);
@@ -297,7 +296,7 @@ mod tests {
 
     #[test]
     fn intermediate_tensor_gets_alloc() {
-        let a = placeholder([4], DType::F32, "A");
+        let a = placeholder([4], DType::F64, "A");
         let t = compute([4], "T", |i| a.at(&[i[0].clone()]) * 2i64);
         let o = compute([4], "O", |i| t.at(&[i[0].clone()]) + 1i64);
         let s = Schedule::create(std::slice::from_ref(&o));
@@ -310,7 +309,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "missing from lowering args")]
     fn output_must_be_arg() {
-        let a = placeholder([4], DType::F32, "A");
+        let a = placeholder([4], DType::F64, "A");
         let b = compute([4], "B", |i| a.at(&[i[0].clone()]));
         let s = Schedule::create(&[b]);
         let _ = lower(&s, &[a], "bad");
@@ -318,7 +317,7 @@ mod tests {
 
     #[test]
     fn parallel_annotation_reaches_forkind() {
-        let a = placeholder([8, 8], DType::F32, "A");
+        let a = placeholder([8, 8], DType::F64, "A");
         let b = compute([8, 8], "B", |i| a.at(&[i[0].clone(), i[1].clone()]));
         let mut s = Schedule::create(std::slice::from_ref(&b));
         let y = b.axis(0);
@@ -337,7 +336,7 @@ mod tests {
 
     #[test]
     fn unroll_pass_expands_small_loop() {
-        let a = placeholder([8], DType::F32, "A");
+        let a = placeholder([8], DType::F64, "A");
         let b = compute([8], "B", |i| a.at(&[i[0].clone()]) + 1i64);
         let mut s = Schedule::create(std::slice::from_ref(&b));
         let x = b.axis(0);

@@ -182,7 +182,7 @@ mod tests {
         //   ⇒ for i { if i < 3 { for j { if j < 5 { S } } } }
         let i = Var::index("i");
         let j = Var::index("j");
-        let b = Buffer::new("b", [64usize], DType::F32);
+        let b = Buffer::new("b", [64usize], DType::F64);
         let guard = PrimExpr::And(
             std::sync::Arc::new(cmp::lt(i.expr(), int(3))),
             std::sync::Arc::new(cmp::lt(j.expr(), int(5))),
@@ -222,7 +222,7 @@ mod tests {
         let i = Var::index("i");
         let j = Var::index("j");
         let k = Var::index("k");
-        let b = Buffer::new("b", [64usize], DType::F32);
+        let b = Buffer::new("b", [64usize], DType::F64);
         let nest = for_loop(
             &k,
             2,
@@ -258,7 +258,7 @@ mod tests {
     fn parallel_loops_are_left_alone() {
         let i = Var::index("i");
         let j = Var::index("j");
-        let b = Buffer::new("b", [64usize], DType::F32);
+        let b = Buffer::new("b", [64usize], DType::F64);
         let nest = for_loop(
             &i,
             4,
@@ -297,7 +297,7 @@ mod tests {
         // floordiv by a variable could trap: the guard must not move.
         let i = Var::index("i");
         let n = Var::index("n");
-        let b = Buffer::new("b", [64usize], DType::F32);
+        let b = Buffer::new("b", [64usize], DType::F64);
         let failable = cmp::lt(tvm_te::ops::floordiv(int(4), n.expr()), int(3));
         let nest = for_loop(
             &n,

@@ -85,7 +85,7 @@ mod tests {
     #[test]
     fn subst_respects_shadowing() {
         let i = Var::index("i");
-        let b = Buffer::new("b", [8usize], DType::F32);
+        let b = Buffer::new("b", [8usize], DType::F64);
         let inner = Stmt::For {
             var: i.clone(),
             min: 0,

@@ -62,11 +62,9 @@ pub struct PassTrace {
 
 type PassFn = fn(&Stmt) -> Stmt;
 
-/// An ordered list of statement-level passes with per-pass
-/// verification.
+/// An ordered list of statement-level passes, each re-verified.
 pub struct PassManager {
     passes: Vec<(&'static str, PassFn)>,
-    verify_each: bool,
     dump: bool,
 }
 
@@ -79,7 +77,6 @@ impl Default for PassManager {
                 ("licm", licm::hoist_invariant_guards),
                 ("simplify-final", simplify::simplify_stmt),
             ],
-            verify_each: true,
             dump: dump_from_env(),
         }
     }
@@ -94,7 +91,6 @@ impl PassManager {
     pub fn empty() -> Self {
         PassManager {
             passes: vec![],
-            verify_each: true,
             dump: dump_from_env(),
         }
     }
@@ -112,12 +108,6 @@ impl PassManager {
         self
     }
 
-    /// Enable or disable per-pass verification (on by default).
-    pub fn with_verify(mut self, verify_each: bool) -> Self {
-        self.verify_each = verify_each;
-        self
-    }
-
     /// Apply one pass to `cur` in place and re-verify it.
     fn step(
         &self,
@@ -126,10 +116,7 @@ impl PassManager {
         pass: PassFn,
     ) -> Result<(), PipelineError> {
         cur.body = pass(&cur.body);
-        if self.verify_each {
-            verify::verify(cur).map_err(|error| PipelineError { pass: name, error })?;
-        }
-        Ok(())
+        verify::verify(cur).map_err(|error| PipelineError { pass: name, error })
     }
 
     /// Run the pipeline, collecting a [`PassTrace`] per pass: the IR is
@@ -190,8 +177,8 @@ mod tests {
     use tvm_te::{compute, placeholder, reduce_axis, sum, DType, Schedule};
 
     fn matmul_func(split: i64) -> PrimFunc {
-        let a = placeholder([8, 8], DType::F32, "A");
-        let b = placeholder([8, 8], DType::F32, "B");
+        let a = placeholder([8, 8], DType::F64, "A");
+        let b = placeholder([8, 8], DType::F64, "B");
         let k = reduce_axis(0, 8, "k");
         let c = compute([8, 8], "C", {
             let (a, b, k) = (a.clone(), b.clone(), k.clone());
@@ -239,7 +226,7 @@ mod tests {
     fn broken_pass_is_caught_by_verification() {
         fn clobber(_: &Stmt) -> Stmt {
             // Store to a buffer the function does not know about.
-            let ghost = crate::buffer::Buffer::new("ghost", [1usize], DType::F32);
+            let ghost = crate::buffer::Buffer::new("ghost", [1usize], DType::F64);
             Stmt::BufferStore {
                 buffer: ghost,
                 indices: vec![tvm_te::ops::int(0)],

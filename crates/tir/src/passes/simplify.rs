@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn single_iteration_loop_inlined() {
         let i = Var::index("i");
-        let b = Buffer::new("b", [4usize], tvm_te::DType::F32);
+        let b = Buffer::new("b", [4usize], tvm_te::DType::F64);
         let s = Stmt::For {
             var: i.clone(),
             min: 2,
@@ -302,8 +302,8 @@ mod tests {
     #[test]
     fn float_zero_mul_not_folded() {
         // 0.0 * x must NOT fold to 0.0 (x could be inf/NaN)
-        let v = Var::new("x", tvm_te::DType::F32);
-        let e = PrimExpr::binary(BinOp::Mul, PrimExpr::FloatImm(0.0, DType::F32), v.expr());
+        let v = Var::new("x", tvm_te::DType::F64);
+        let e = PrimExpr::binary(BinOp::Mul, PrimExpr::FloatImm(0.0, DType::F64), v.expr());
         assert!(matches!(simplify_expr(&e), PrimExpr::Binary(..)));
     }
 }

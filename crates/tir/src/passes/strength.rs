@@ -16,7 +16,7 @@
 //! division that could trap, no tensor reads.
 
 use super::affine::{affine_of, VarRanges};
-use crate::stmt::{PrimFunc, Stmt};
+use crate::stmt::Stmt;
 use tvm_te::expr::{BinOp, CmpOp};
 use tvm_te::visitor::rewrite;
 use tvm_te::PrimExpr;
@@ -139,16 +139,6 @@ pub fn strength_reduce_stmt(stmt: &Stmt) -> Stmt {
     reduce_stmt(stmt, &mut VarRanges::new())
 }
 
-/// Strength-reduce a whole function (body only; signature unchanged).
-pub fn strength_reduce(func: &PrimFunc) -> PrimFunc {
-    PrimFunc {
-        name: func.name.clone(),
-        params: func.params.clone(),
-        allocs: func.allocs.clone(),
-        body: strength_reduce_stmt(&func.body),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +179,7 @@ mod tests {
     fn eliminates_fuse_reconstruction() {
         // for f in [0, 12): B[floordiv(f,4), floormod(f,4)] = f
         let f = Var::index("f");
-        let b = Buffer::new("b", [3usize, 4], DType::F32);
+        let b = Buffer::new("b", [3usize, 4], DType::F64);
         let store = Stmt::BufferStore {
             buffer: b,
             indices: vec![
@@ -213,7 +203,7 @@ mod tests {
         let o = Var::index("o");
         let i = Var::index("i");
         let fused = o.expr() * int(4) + i.expr();
-        let b2 = Buffer::new("b2", [3usize, 4], DType::F32);
+        let b2 = Buffer::new("b2", [3usize, 4], DType::F64);
         let store = Stmt::BufferStore {
             buffer: b2,
             indices: vec![
@@ -243,7 +233,7 @@ mod tests {
     fn folds_provable_guard() {
         // for i in [0,4): if i < 10 { store } — guard is provably true.
         let i = Var::index("i");
-        let b = Buffer::new("b", [4usize], DType::F32);
+        let b = Buffer::new("b", [4usize], DType::F64);
         let nest = Stmt::For {
             var: i.clone(),
             min: 0,
@@ -275,7 +265,7 @@ mod tests {
     fn leaves_undecidable_guard_alone() {
         // for i in [0,8): if i < 5 — depends on i, must survive.
         let i = Var::index("i");
-        let b = Buffer::new("b", [8usize], DType::F32);
+        let b = Buffer::new("b", [8usize], DType::F64);
         let nest = Stmt::For {
             var: i.clone(),
             min: 0,

@@ -69,7 +69,7 @@ mod tests {
 
     fn unrolled_loop(extent: i64) -> Stmt {
         let i = Var::index("i");
-        let b = Buffer::new("b", [64usize], DType::F32);
+        let b = Buffer::new("b", [64usize], DType::F64);
         Stmt::For {
             var: i.clone(),
             min: 0,
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn nested_unroll_both_expand() {
         let i = Var::index("i");
-        let b = Buffer::new("b", [16usize], DType::F32);
+        let b = Buffer::new("b", [16usize], DType::F64);
         let inner = unrolled_loop(2);
         let outer = Stmt::For {
             var: i,

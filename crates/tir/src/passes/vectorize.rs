@@ -49,7 +49,7 @@ mod tests {
     use tvm_te::{DType, Var};
 
     fn store() -> Stmt {
-        let b = Buffer::new("b", [8usize], DType::F32);
+        let b = Buffer::new("b", [8usize], DType::F64);
         Stmt::BufferStore {
             buffer: b,
             indices: vec![tvm_te::ops::int(0)],

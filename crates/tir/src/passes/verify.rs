@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn detects_undefined_var() {
-        let b = Buffer::new("b", [4usize], DType::F32);
+        let b = Buffer::new("b", [4usize], DType::F64);
         let free = Var::index("ghost");
         let f = func_with_body(
             Stmt::BufferStore {
@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn detects_rank_mismatch() {
-        let b = Buffer::new("b", [4usize, 4], DType::F32);
+        let b = Buffer::new("b", [4usize, 4], DType::F64);
         let f = func_with_body(
             Stmt::BufferStore {
                 buffer: b.clone(),
@@ -226,8 +226,8 @@ mod tests {
 
     #[test]
     fn detects_unknown_buffer() {
-        let known = Buffer::new("k", [4usize], DType::F32);
-        let unknown = Buffer::new("u", [4usize], DType::F32);
+        let known = Buffer::new("k", [4usize], DType::F64);
+        let unknown = Buffer::new("u", [4usize], DType::F64);
         let f = func_with_body(
             Stmt::BufferStore {
                 buffer: unknown,
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn accepts_wellformed_loop() {
-        let b = Buffer::new("b", [4usize], DType::F32);
+        let b = Buffer::new("b", [4usize], DType::F64);
         let i = Var::index("i");
         let f = func_with_body(
             Stmt::For {
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn detects_shadowed_loop_var() {
-        let b = Buffer::new("b", [4usize], DType::F32);
+        let b = Buffer::new("b", [4usize], DType::F64);
         let i = Var::index("i");
         let inner = Stmt::For {
             var: i.clone(),
@@ -295,7 +295,7 @@ mod tests {
     fn distinct_vars_with_same_name_are_not_shadowing() {
         // Two `Var::index("i")` calls mint distinct ids: nesting them is
         // legal — shadowing is an *identity* collision, not a name one.
-        let b = Buffer::new("b", [4usize, 4], DType::F32);
+        let b = Buffer::new("b", [4usize, 4], DType::F64);
         let outer = Var::index("i");
         let inner = Var::index("i");
         let f = func_with_body(
@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn detects_non_positive_extent() {
-        let b = Buffer::new("b", [4usize], DType::F32);
+        let b = Buffer::new("b", [4usize], DType::F64);
         for bad in [0i64, -3] {
             let i = Var::index("i");
             let f = func_with_body(
@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn loop_var_scope_ends_with_loop() {
-        let b = Buffer::new("b", [4usize], DType::F32);
+        let b = Buffer::new("b", [4usize], DType::F64);
         let i = Var::index("i");
         let loop_then_use = Stmt::Seq(vec![
             Stmt::For {

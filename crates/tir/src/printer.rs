@@ -1,6 +1,6 @@
 //! Pretty-printing of TIR statements and functions.
 
-use crate::stmt::{ForKind, PrimFunc, Stmt};
+use crate::stmt::{PrimFunc, Stmt};
 use std::fmt;
 
 fn indent(f: &mut fmt::Formatter<'_>, level: usize) -> fmt::Result {
@@ -20,22 +20,7 @@ fn print_stmt(s: &Stmt, f: &mut fmt::Formatter<'_>, level: usize) -> fmt::Result
             body,
         } => {
             indent(f, level)?;
-            let kw = match kind {
-                ForKind::ThreadBinding(tag) => {
-                    writeln!(
-                        f,
-                        "bind {} = {} in [{}, {}) {{",
-                        var.name,
-                        tag.name(),
-                        min,
-                        min + extent
-                    )?;
-                    print_stmt(body, f, level + 1)?;
-                    indent(f, level)?;
-                    return writeln!(f, "}}");
-                }
-                k => k.keyword(),
-            };
+            let kw = kind.keyword();
             writeln!(f, "{kw} {} in [{}, {}) {{", var.name, min, min + extent)?;
             print_stmt(body, f, level + 1)?;
             indent(f, level)?;
@@ -113,7 +98,7 @@ mod tests {
 
     #[test]
     fn prints_function() {
-        let a = placeholder([4, 4], DType::F32, "A");
+        let a = placeholder([4, 4], DType::F64, "A");
         let b = compute([4, 4], "B", |i| a.at(&[i[0].clone(), i[1].clone()]) + 1i64);
         let s = Schedule::create(std::slice::from_ref(&b));
         let f = lower(&s, &[a, b], "add1");

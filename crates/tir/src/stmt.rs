@@ -2,7 +2,6 @@
 
 use crate::buffer::Buffer;
 use std::sync::Arc;
-use tvm_te::schedule::ThreadTag;
 use tvm_te::{PrimExpr, Var};
 
 /// Execution strategy of a `for` loop.
@@ -16,8 +15,6 @@ pub enum ForKind {
     Vectorized,
     /// Fully unrolled at compile time (by the unroll pass).
     Unrolled,
-    /// Bound to a GPU thread axis.
-    ThreadBinding(ThreadTag),
 }
 
 impl ForKind {
@@ -28,7 +25,6 @@ impl ForKind {
             ForKind::Parallel => "parallel",
             ForKind::Vectorized => "vectorized",
             ForKind::Unrolled => "unrolled",
-            ForKind::ThreadBinding(_) => "thread_binding",
         }
     }
 }
@@ -175,7 +171,7 @@ mod tests {
     use tvm_te::DType;
 
     fn store(name: &str) -> Stmt {
-        let b = Buffer::new(name, [1usize], DType::F32);
+        let b = Buffer::new(name, [1usize], DType::F64);
         Stmt::BufferStore {
             buffer: b,
             indices: vec![int(0)],

@@ -322,7 +322,7 @@ fn vectorized_and_unrolled_kinds_do_not_change_bounds_verdicts() {
         ForKind::Unrolled,
     ] {
         let i = Var::index("i");
-        let b = Buffer::new("B", [6usize], DType::F32);
+        let b = Buffer::new("B", [6usize], DType::F64);
         let store = Stmt::BufferStore {
             buffer: b.clone(),
             indices: vec![i.expr()],

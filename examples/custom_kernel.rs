@@ -11,14 +11,14 @@
 use std::time::Instant;
 use tvm_autotune::autotvm::measure::FnEvaluator;
 use tvm_autotune::prelude::*;
-use tvm_autotune::te::ops::cmp;
+use tvm_autotune::te::ops::{cmp, float};
 use tvm_autotune::te::select;
 
 const N: usize = 96;
 
 /// Build the stencil with the given schedule decisions.
 fn build_stencil(tile_y: i64, tile_x: i64, unroll_inner: bool) -> Module {
-    let a = placeholder([N, N], DType::F32, "A");
+    let a = placeholder([N, N], DType::F64, "A");
     let b = compute([N, N], "B", |idx| {
         let (i, j) = (idx[0].clone(), idx[1].clone());
         let interior = cmp::and(
@@ -32,7 +32,7 @@ fn build_stencil(tile_y: i64, tile_x: i64, unroll_inner: bool) -> Module {
             + a.at(&[i.clone(), j.clone() + 1])
             + center.clone();
         // 0.2 * 5-point average in the interior; copy on the boundary.
-        select(interior, sum5 * PrimExprF32(0.2), center)
+        select(interior, sum5 * float(0.2), center)
     });
     let mut s = Schedule::create(std::slice::from_ref(&b));
     let (y, x) = (b.axis(0), b.axis(1));
@@ -43,11 +43,6 @@ fn build_stencil(tile_y: i64, tile_x: i64, unroll_inner: bool) -> Module {
         s.unroll(&b, &xi);
     }
     Module::new(lower(&s, &[a, b], "jacobi5"))
-}
-
-#[allow(non_snake_case)]
-fn PrimExprF32(v: f64) -> tvm_autotune::te::PrimExpr {
-    tvm_autotune::te::PrimExpr::FloatImm(v, DType::F32)
 }
 
 fn main() {
@@ -62,7 +57,7 @@ fn main() {
         cs.size().expect("discrete")
     );
 
-    let input = NDArray::random(&[N, N], DType::F32, 9, 0.0, 1.0);
+    let input = NDArray::random(&[N, N], DType::F64, 9, 0.0, 1.0);
     let tuning_input = input.clone();
     let evaluator = FnEvaluator::new(cs.clone(), move |cfg: &Configuration| {
         let unroll = cfg
@@ -74,7 +69,7 @@ fn main() {
             unroll.unwrap_or(false),
         );
         let t0 = Instant::now();
-        let mut args = vec![tuning_input.clone(), NDArray::zeros(&[N, N], DType::F32)];
+        let mut args = vec![tuning_input.clone(), NDArray::zeros(&[N, N], DType::F64)];
         match module.time(&mut args, 3) {
             Ok(t) => MeasureResult::ok(t, t0.elapsed().as_secs_f64()),
             Err(e) => MeasureResult::fail(e.to_string(), t0.elapsed().as_secs_f64()),
@@ -100,10 +95,10 @@ fn main() {
 
     // Sanity: result must equal the untiled reference.
     let module = build_stencil(best.config.int("tile_y"), best.config.int("tile_x"), false);
-    let mut args = vec![input.clone(), NDArray::zeros(&[N, N], DType::F32)];
+    let mut args = vec![input.clone(), NDArray::zeros(&[N, N], DType::F64)];
     module.run(&mut args).expect("run");
     let reference = build_stencil(1, 1, false);
-    let mut ref_args = vec![input, NDArray::zeros(&[N, N], DType::F32)];
+    let mut ref_args = vec![input, NDArray::zeros(&[N, N], DType::F64)];
     reference.run(&mut ref_args).expect("run");
     assert!(
         args[1].allclose(&ref_args[1], 1e-5, 1e-6),

@@ -10,8 +10,8 @@ use tvm_autotune::sim::cost_model;
 use tvm_autotune::tir::PrimFunc;
 
 fn tiled_matmul(n: usize, ty: i64, tx: i64) -> PrimFunc {
-    let a = placeholder([n, n], DType::F32, "A");
-    let b = placeholder([n, n], DType::F32, "B");
+    let a = placeholder([n, n], DType::F64, "A");
+    let b = placeholder([n, n], DType::F64, "B");
     let k = reduce_axis(0, n as i64, "k");
     let c = compute([n, n], "C", |i| {
         sum(

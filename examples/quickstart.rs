@@ -9,8 +9,8 @@ use tvm_autotune::prelude::*;
 fn main() {
     // ---- Part 1: the mini-TVM pipeline on a hand-written kernel ----
     let n = 64usize;
-    let a = placeholder([n, n], DType::F32, "A");
-    let b = placeholder([n, n], DType::F32, "B");
+    let a = placeholder([n, n], DType::F64, "A");
+    let b = placeholder([n, n], DType::F64, "B");
     let k = reduce_axis(0, n as i64, "k");
     let c = compute([n, n], "C", |i| {
         sum(
@@ -30,8 +30,8 @@ fn main() {
     println!("lowered function:\n{}", module.func());
 
     let mut args = module.alloc_args();
-    args[0] = NDArray::random(&[n, n], DType::F32, 1, -1.0, 1.0);
-    args[1] = NDArray::random(&[n, n], DType::F32, 2, -1.0, 1.0);
+    args[0] = NDArray::random(&[n, n], DType::F64, 1, -1.0, 1.0);
+    args[1] = NDArray::random(&[n, n], DType::F64, 2, -1.0, 1.0);
     let t = module.time(&mut args, 3).expect("cpu run");
     println!("matmul {n}x{n} on the CPU interpreter: {:.3} ms", t * 1e3);
     println!("C[0][0] = {:.6}\n", args[2].get(&[0, 0]));

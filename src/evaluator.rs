@@ -464,8 +464,9 @@ impl Evaluator for MoldEvaluator {
                 }
                 Err(e) => {
                     // Classify the device's free-form error into the
-                    // taxonomy (e.g. an injected "transient device fault"
-                    // becomes retryable for the harness).
+                    // taxonomy (e.g. a simulated "kernel rejected" becomes
+                    // an invalid schedule, an out-of-bounds access a
+                    // runtime crash).
                     return MeasureResult::fail(MeasureError::classify(e.to_string()), process);
                 }
             }
@@ -517,7 +518,6 @@ impl Evaluator for MoldEvaluator {
             tiled_loops: s.tiled_loops,
             scalar_loops: s.scalar_loops,
             f64_lanes: u64::from(s.f64_lanes),
-            f32_lanes: u64::from(s.f32_lanes),
             scalar_reasons: s.scalar_reasons,
         })
     }
@@ -801,7 +801,6 @@ mod tests {
         let stats = ev.cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 2, "distinct configs miss");
-        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(Evaluator::cache_stats(&ev), Some(stats));
     }
 
@@ -968,8 +967,8 @@ mod tests {
             use tvm_te::{ops, DType, Var};
             use tvm_tir::{Buffer, ForKind, PrimFunc, Stmt};
             let i = Var::index("i");
-            let c = Buffer::new("C", [8usize], DType::F32);
-            let c_read = tvm_te::placeholder([8], DType::F32, "C");
+            let c = Buffer::new("C", [8usize], DType::F64);
+            let c_read = tvm_te::placeholder([8], DType::F64, "C");
             let store = if config.int("P0") == 1 {
                 // parallel i: C[0] = C[0] + 1 — write-write race.
                 Stmt::BufferStore {
@@ -999,7 +998,7 @@ mod tests {
         }
 
         fn init_args(&self) -> Vec<tvm_runtime::NDArray> {
-            vec![tvm_runtime::NDArray::zeros(&[8], tvm_te::DType::F32)]
+            vec![tvm_runtime::NDArray::zeros(&[8], tvm_te::DType::F64)]
         }
 
         fn reference_args(&self) -> Vec<Option<tvm_runtime::NDArray>> {

@@ -220,9 +220,9 @@ fn shift_store_indices(func: &PrimFunc) -> PrimFunc {
 fn synthetic_parallel_race_is_denied() {
     // parallel i: C[0] = C[0] + A[i] — the classic reduction race.
     let i = Var::index("i");
-    let c = Buffer::new("C", [1usize], DType::F32);
-    let a = tvm_te::placeholder([8], DType::F32, "A");
-    let c_read = tvm_te::placeholder([1], DType::F32, "C");
+    let c = Buffer::new("C", [1usize], DType::F64);
+    let a = tvm_te::placeholder([8], DType::F64, "A");
+    let c_read = tvm_te::placeholder([1], DType::F64, "C");
     let race = PrimFunc {
         name: "race".into(),
         params: vec![c.clone()],

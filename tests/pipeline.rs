@@ -6,8 +6,8 @@ use tvm_autotune::prelude::*;
 use tvm_autotune::te;
 
 fn matmul_graph(n: usize) -> (te::Tensor, te::Tensor, te::Tensor, te::IterVar) {
-    let a = placeholder([n, n], DType::F32, "A");
-    let b = placeholder([n, n], DType::F32, "B");
+    let a = placeholder([n, n], DType::F64, "A");
+    let b = placeholder([n, n], DType::F64, "B");
     let k = reduce_axis(0, n as i64, "k");
     let c = compute([n, n], "C", |i| {
         sum(
@@ -33,8 +33,8 @@ fn run_matmul_with_tiles(n: usize, ty: i64, tx: i64, split_k: Option<i64>) -> ND
     }
     let m = Module::new(lower(&s, &[a, b, c], "mm"));
     let mut args = m.alloc_args();
-    args[0] = NDArray::random(&[n, n], DType::F32, 11, -1.0, 1.0);
-    args[1] = NDArray::random(&[n, n], DType::F32, 12, -1.0, 1.0);
+    args[0] = NDArray::random(&[n, n], DType::F64, 11, -1.0, 1.0);
+    args[1] = NDArray::random(&[n, n], DType::F64, 12, -1.0, 1.0);
     m.run(&mut args).expect("execute");
     args[2].clone()
 }
@@ -67,8 +67,8 @@ fn fused_schedule_matches() {
     let (_, _) = s.split(&c, &f, 8);
     let m = Module::new(lower(&s, &[a, b, c], "mm_fused"));
     let mut args = m.alloc_args();
-    args[0] = NDArray::random(&[n, n], DType::F32, 11, -1.0, 1.0);
-    args[1] = NDArray::random(&[n, n], DType::F32, 12, -1.0, 1.0);
+    args[0] = NDArray::random(&[n, n], DType::F64, 11, -1.0, 1.0);
+    args[1] = NDArray::random(&[n, n], DType::F64, 12, -1.0, 1.0);
     m.run(&mut args).expect("execute");
     let baseline = run_matmul_with_tiles(n, 1, 1, None);
     assert!(baseline.allclose(&args[2], 1e-4, 1e-5));
@@ -88,8 +88,8 @@ fn unroll_and_vectorize_preserve_semantics() {
     s.parallel(&c, &yo);
     let m = Module::new(lower(&s, &[a, b, c], "mm_annotated"));
     let mut args = m.alloc_args();
-    args[0] = NDArray::random(&[n, n], DType::F32, 11, -1.0, 1.0);
-    args[1] = NDArray::random(&[n, n], DType::F32, 12, -1.0, 1.0);
+    args[0] = NDArray::random(&[n, n], DType::F64, 11, -1.0, 1.0);
+    args[1] = NDArray::random(&[n, n], DType::F64, 12, -1.0, 1.0);
     m.run(&mut args).expect("execute");
     let baseline = run_matmul_with_tiles(n, 1, 1, None);
     assert!(baseline.allclose(&args[2], 1e-4, 1e-5));

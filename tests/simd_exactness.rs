@@ -8,9 +8,8 @@
 //! [`scalar_backend`] (scalar tier forced) must produce bit-identical
 //! outputs on every input. This suite drives that claim over the row
 //! widths around every vector width and the unroll-and-jam tile shapes
-//! on gemm, runs vectorize-annotated maps and `f32` kernels — which the
-//! JIT compiles like any loop, and refuses whole, respectively — on every
-//! tier, and pins down non-vacuity: on x86-64 the default backend must
+//! on gemm, runs vectorize-annotated maps — which the JIT compiles like
+//! any loop — on every tier, and pins down non-vacuity: on x86-64 the default backend must
 //! actually take the packed path for the shapes this suite claims to
 //! cover.
 //!
@@ -66,9 +65,9 @@ fn assert_packed_matches_scalar(func: &PrimFunc, args: &[NDArray], context: &str
 /// `B[i] = A[i·stride + offset] · A[i·stride + offset] + A[offset]`
 /// with the `i` axis marked vectorized and proven race-free: a strided
 /// loop like any other on every rung.
-fn strided_map(extent: usize, stride: i64, offset: i64, dtype: DType) -> (PrimFunc, Vec<NDArray>) {
+fn strided_map(extent: usize, stride: i64, offset: i64) -> (PrimFunc, Vec<NDArray>) {
     let src = offset as usize + stride as usize * extent + 1;
-    let a = placeholder([src], dtype, "A");
+    let a = placeholder([src], DType::F64, "A");
     let b = compute([extent], "B", |i| {
         let at = a.at(&[i[0].clone() * stride + offset]);
         at.clone() * at + a.at(&[tvm_te::ops::int(offset)])
@@ -78,8 +77,14 @@ fn strided_map(extent: usize, stride: i64, offset: i64, dtype: DType) -> (PrimFu
     s.vectorize(&b, &x);
     let func = lower(&s, &[a, b], "strided_map");
     let args = vec![
-        NDArray::random(&[src], dtype, 0x51_3d ^ (extent as u64) << 8, -2.0, 2.0),
-        NDArray::zeros(&[extent], dtype),
+        NDArray::random(
+            &[src],
+            DType::F64,
+            0x51_3d ^ (extent as u64) << 8,
+            -2.0,
+            2.0,
+        ),
+        NDArray::zeros(&[extent], DType::F64),
     ];
     (func, args)
 }
@@ -137,45 +142,30 @@ fn tiers() -> Vec<(&'static str, Arc<dyn CodegenBackend>)> {
 }
 
 #[test]
-fn vectorized_maps_and_f32_kernels_match_the_interpreter_on_every_tier() {
+fn vectorized_maps_match_the_interpreter_on_every_tier() {
     // Vectorize-annotated maps at extents straddling every vector width
     // (lanes − 1, lanes, lanes + 1, 2·lanes ± 1, a multi-tile 33) over
-    // unit and non-unit strides and base offsets, in `f64` and `f32`, and
-    // `f32` row matmuls, on a JIT device per tier against the
-    // interpreter. The annotation changes nothing the JIT emits: an `f64`
-    // map's loop is one scalar strided site. An `f32` function runs whole
-    // on the optimized VM, and every one is counted under the one reason.
+    // unit and non-unit strides and base offsets, on a JIT device per tier
+    // against the interpreter. The annotation changes nothing the JIT
+    // emits: a map's loop is one scalar strided site.
     let mut maps = Vec::new();
     for extent in [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33] {
         for (stride, offset) in [(1, 1), (2, 0), (3, 4)] {
-            for dtype in [DType::F64, DType::F32] {
-                let (func, args) = strided_map(extent, stride, offset, dtype);
-                let context = format!("map n={extent} stride={stride} offset={offset} {dtype:?}");
-                maps.push((func, args, context, dtype));
-            }
+            let (func, args) = strided_map(extent, stride, offset);
+            let context = format!("map n={extent} stride={stride} offset={offset}");
+            maps.push((func, args, context));
         }
     }
-    for row in 1..=9 {
-        let (func, args) = row_matmul(row, 1, 6, DType::F32);
-        maps.push((func, args, format!("f32 row {row}"), DType::F32));
-    }
-    let n_f32 = maps.iter().filter(|m| m.3 == DType::F32).count() as u64;
     for (tier, backend) in tiers() {
-        let [f64_device, f32_device] =
-            [0, 1].map(|_| CpuDevice::jit_with_backend(Arc::clone(&backend)));
-        for (func, args, context, dtype) in &maps {
+        let device = CpuDevice::jit_with_backend(Arc::clone(&backend));
+        for (func, args, context) in &maps {
             let mut want = args.clone();
             interp::execute(func, &mut want).expect("interpreter");
-            let device = if *dtype == DType::F32 {
-                &f32_device
-            } else {
-                &f64_device
-            };
             let mut got = args.clone();
             device.run(func, &mut got).expect("JIT device");
             assert_eq!(got, want, "{context} on the {tier} tier");
             #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-            if *dtype == DType::F64 {
+            {
                 // Extent 1 leaves no loop to compile.
                 let cf = compile_optimized(func).expect("optimized compile");
                 if let Ok(jitted) = backend.jit_compile(&cf) {
@@ -186,19 +176,15 @@ fn vectorized_maps_and_f32_kernels_match_the_interpreter_on_every_tier() {
                 }
             }
         }
+        // Every map but the three of extent 1, which have no loop.
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         {
-            let stats = f32_device.jit_stats().expect("a JIT device keeps counters");
-            assert_eq!((stats.functions_jitted, stats.fallbacks), (0, n_f32));
-            let [(reason, count)] = stats.fallback_reasons.as_slice() else {
-                panic!("{tier}: one reason for every f32 function: {stats:?}");
-            };
-            assert!(reason.ends_with("(the JIT is f64-only)"), "{reason}");
-            assert_eq!(*count, n_f32);
-            // Every `f64` map but the three of extent 1, which have no loop.
-            let stats = f64_device.jit_stats().expect("a JIT device keeps counters");
-            let n_f64 = maps.len() as u64 - n_f32;
-            assert_eq!(stats.functions_jitted, n_f64 - 3, "{tier}: {stats:?}");
+            let stats = device.jit_stats().expect("a JIT device keeps counters");
+            assert_eq!(
+                stats.functions_jitted,
+                maps.len() as u64 - 3,
+                "{tier}: {stats:?}"
+            );
         }
     }
 }
@@ -206,10 +192,10 @@ fn vectorized_maps_and_f32_kernels_match_the_interpreter_on_every_tier() {
 /// `C[i, j] = Σₖ A[i, k]·B[k, j]` over `[2·yt, 2·row]` with `k` outside
 /// the `yt × row` tile: the `j.inner` row is a mul-add microkernel of
 /// extent `row`, straight under `k` when `yt` is 1 (the jammed shape).
-fn row_matmul(row: usize, yt: usize, kext: usize, dtype: DType) -> (PrimFunc, Vec<NDArray>) {
+fn row_matmul(row: usize, yt: usize, kext: usize) -> (PrimFunc, Vec<NDArray>) {
     let (m, n) = (2 * yt, 2 * row);
-    let a = placeholder([m, kext], dtype, "A");
-    let b = placeholder([kext, n], dtype, "B");
+    let a = placeholder([m, kext], DType::F64, "A");
+    let b = placeholder([kext, n], DType::F64, "B");
     let k = reduce_axis(0, kext as i64, "k");
     let c = compute([m, n], "C", |i| {
         sum(
@@ -224,9 +210,9 @@ fn row_matmul(row: usize, yt: usize, kext: usize, dtype: DType) -> (PrimFunc, Ve
     s.reorder(&c, &[yo, xo, k.clone(), yi, xi]);
     let func = lower(&s, &[a, b, c], "row_matmul");
     let args = vec![
-        NDArray::random(&[m, kext], dtype, 0xa0 + row as u64, -2.0, 2.0),
-        NDArray::random(&[kext, n], dtype, 0xb0 + row as u64, -2.0, 2.0),
-        NDArray::zeros(&[m, n], dtype),
+        NDArray::random(&[m, kext], DType::F64, 0xa0 + row as u64, -2.0, 2.0),
+        NDArray::random(&[kext, n], DType::F64, 0xb0 + row as u64, -2.0, 2.0),
+        NDArray::zeros(&[m, n], DType::F64),
     ];
     (func, args)
 }
@@ -235,41 +221,33 @@ fn row_matmul(row: usize, yt: usize, kext: usize, dtype: DType) -> (PrimFunc, Ve
 fn short_rows_match_at_every_extent_on_every_tier() {
     // A row's width is picked by its extent — AVX, then SSE2, then scalar
     // over what each leaves — so extents 1–9 cover every mix: one scalar
-    // element, one `f64x2`, `f64x4` + one, two `f64x4` + one (and the
-    // same rows in `f32`, on the optimized VM). Under `k` directly (jammed four
-    // steps at a time when `k` has them, the leftover steps plain) and
-    // under a two-row tile (never jammed), on the host's widest tier, the
-    // SSE2 tier and the scalar tier, against the interpreter.
+    // element, one `f64x2`, `f64x4` + one, two `f64x4` + one. Under `k`
+    // directly (jammed four steps at a time when `k` has them, the
+    // leftover steps plain) and under a two-row tile (never jammed), on
+    // the host's widest tier, the SSE2 tier and the scalar tier, against
+    // the interpreter.
     for row in 1..=9 {
         for (yt, kext) in [(1, 3), (1, 6), (2, 5)] {
-            for dtype in [DType::F64, DType::F32] {
-                let (func, args) = row_matmul(row, yt, kext, dtype);
-                let context = format!("row {row} under a {yt}-row tile, k {kext}, {dtype:?}");
-                assert_packed_matches_scalar(&func, &args, &context);
-                // An `f32` row runs on the optimized VM, the JIT refusing
-                // it whole: only the `f64` rows count towards non-vacuity.
-                #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-                {
-                    let cf = compile_optimized(&func).expect("optimized compile");
-                    assert!(cf.microkernel_count() > 0, "{context}: no microkernel");
-                    let sse2 = tvm_runtime::codegen::X86Backend::sse2_only();
-                    if dtype == DType::F32 {
-                        assert!(sse2.jit_compile(&cf).is_err(), "{context}");
-                        continue;
-                    }
-                    let jitted = sse2.jit_compile(&cf).expect("must jit");
-                    let (mut want, mut got) = (args.clone(), args.clone());
-                    interp::execute(&func, &mut want).expect("interpreter");
-                    vm::execute(&jitted, &mut got).expect("SSE2 tier");
-                    assert_eq!(got, want, "{context}: SSE2 tier");
-                    // A row is packed as soon as it holds one SSE2 vector:
-                    // every row of two or more (a row of one is no row:
-                    // `k` itself is the microkernel).
-                    let report = jitted.jit_simd_report().expect("report");
-                    assert_eq!(report.packed_loops > 0, row >= 2, "{context}: {report:?}");
-                    let short = report.scalar_reasons.get("short-extent");
-                    assert_eq!(short, None, "{context}: {report:?}");
-                }
+            let (func, args) = row_matmul(row, yt, kext);
+            let context = format!("row {row} under a {yt}-row tile, k {kext}");
+            assert_packed_matches_scalar(&func, &args, &context);
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            {
+                let cf = compile_optimized(&func).expect("optimized compile");
+                assert!(cf.microkernel_count() > 0, "{context}: no microkernel");
+                let sse2 = tvm_runtime::codegen::X86Backend::sse2_only();
+                let jitted = sse2.jit_compile(&cf).expect("must jit");
+                let (mut want, mut got) = (args.clone(), args.clone());
+                interp::execute(&func, &mut want).expect("interpreter");
+                vm::execute(&jitted, &mut got).expect("SSE2 tier");
+                assert_eq!(got, want, "{context}: SSE2 tier");
+                // A row is packed as soon as it holds one SSE2 vector:
+                // every row of two or more (a row of one is no row: `k`
+                // itself is the microkernel).
+                let report = jitted.jit_simd_report().expect("report");
+                assert_eq!(report.packed_loops > 0, row >= 2, "{context}: {report:?}");
+                let short = report.scalar_reasons.get("short-extent");
+                assert_eq!(short, None, "{context}: {report:?}");
             }
         }
     }

@@ -85,16 +85,12 @@ fn assert_engines_agree(func: &PrimFunc, args: &[NDArray], context: &str) {
 /// its near misses: `for i, j { for k in kmin..kmin+K { if k ⋄ a·i + b·j
 /// + c { body } } }` with a random comparison, operand order and
 /// coefficients (live ranges that come out empty, full and partial),
-/// extents down to 1, f32 or f64, a reduction into `A[i,j]` or an
+/// extents down to 1, a reduction into `A[i,j]` or an
 /// elementwise write of `C[i,j,k]`, optionally a second statement after
 /// the guarded one or an `else` (neither may be trimmed, both must still
 /// agree), any loop kind on `k`, and optionally a `Parallel` outer loop.
 fn triangular_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String) {
-    let dtype = if rng.gen_bool(0.5) {
-        DType::F32
-    } else {
-        DType::F64
-    };
+    let dtype = DType::F64;
     let (ei, ej) = (rng.gen_range(1..=4usize), rng.gen_range(1..=4usize));
     let kext = [1usize, 2, 3, 5, 8][rng.gen_range(0..5usize)];
     let kmin: i64 = [-2, 0, 0, 3][rng.gen_range(0..4usize)];
@@ -135,7 +131,7 @@ fn triangular_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String) {
         ForKind::Serial
     };
     let context = format!(
-        "{dtype:?} {ei}x{ej}x{kext} kmin {kmin} {op:?} var_left {var_left} bound {ca}i+{cb}j+{cc} \
+        "{ei}x{ej}x{kext} kmin {kmin} {op:?} var_left {var_left} bound {ca}i+{cb}j+{cc} \
          reduction {reduction} second {second_stmt} else {with_else} k {k_kind:?} outer {outer_kind:?}"
     );
 
@@ -205,10 +201,8 @@ fn triangular_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String) {
 /// c] D[i,j] = D[i,j] ± [α·] x · y } }` with the reduction innermost and
 /// the destination's address fixed in `k`. The factors come from two other
 /// arrays or from `D` itself (`D[i,k]` and `D[k,j]`, lu's in-place update:
-/// each equals the accumulator's element on one iteration); the arithmetic
-/// is f64, f32 rounded after every operation, or f32 data with an f64
-/// factor (nothing rounds before the store narrows: must not forward);
-/// one or two multiplies; a static range or a guard trimmed to a live
+/// each equals the accumulator's element on one iteration); one or two
+/// multiplies; a static range or a guard trimmed to a live
 /// range that may be empty; optionally a second store into `D` that hits
 /// the accumulator's element on one iteration (must not forward) and
 /// optionally a store that goes out of bounds at `k0 = 5`, after the
@@ -224,12 +218,10 @@ fn reduction_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) 
         ForKind::Parallel,
         ForKind::Vectorized,
     ];
-    // 0: f64, 1: f32 rounded per operation, 2: f32 data, f64 arithmetic.
-    let mode = rng.gen_range(0..3usize);
-    let dtype = if mode == 0 { DType::F64 } else { DType::F32 };
+    let dtype = DType::F64;
     let in_place = rng.gen_bool(0.5);
     let subtract = rng.gen_bool(0.5);
-    let two_mul = mode == 2 || rng.gen_bool(0.4);
+    let two_mul = rng.gen_bool(0.4);
     let kext = [1usize, 3, 6][rng.gen_range(0..3usize)];
     let kmin: i64 = [-2, 0, 0, 3][rng.gen_range(0..4usize)];
     let guard = rng.gen_bool(0.6).then(|| {
@@ -241,7 +233,7 @@ fn reduction_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) 
     let fallible = rng.gen_bool(0.2);
     let k_kind = K_KINDS[rng.gen_range(0..K_KINDS.len())];
     let context = format!(
-        "mode {mode} in_place {in_place} subtract {subtract} two_mul {two_mul} k {kmin}+{kext} \
+        "in_place {in_place} subtract {subtract} two_mul {two_mul} k {kmin}+{kext} \
          {k_kind:?} guard {guard:?} second {second_store} fallible {fallible}"
     );
 
@@ -254,9 +246,7 @@ fn reduction_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) 
     let _xb = fb.param(&x);
     let _yb = fb.param(&y);
     let eb = fb.param(&e);
-    // An f64 α makes the whole right-hand side f64 (mode 2).
-    let alpha_dtype = if mode == 2 { DType::F64 } else { dtype };
-    let alpha = PrimExpr::FloatImm(0.3, alpha_dtype);
+    let alpha = PrimExpr::FloatImm(0.3, dtype);
 
     let body = ser("i", N as i64, |i| {
         ser("j", N as i64, |j| {
@@ -355,11 +345,7 @@ fn control_flow_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String) {
         CmpOp::Eq,
         CmpOp::Ne,
     ];
-    let dtype = if rng.gen_bool(0.5) {
-        DType::F64
-    } else {
-        DType::F32
-    };
+    let dtype = DType::F64;
     let shape = rng.gen_range(0..6usize);
     let outer_kind = if rng.gen_bool(0.4) {
         ForKind::Parallel
@@ -479,7 +465,7 @@ fn control_flow_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String) {
         })
     };
     let context = format!(
-        "{dtype:?} shape {shape} outer {outer_kind:?} k {kext} tail {tail} off {off} logic {logic} {:?}",
+        "shape {shape} outer {outer_kind:?} k {kext} tail {tail} off {off} logic {logic} {:?}",
         spec.borrow()
     );
     let func = fb.build(body);
@@ -563,14 +549,9 @@ fn error_classification_matches_on_malformed_args() {
         bad_shape[0] = NDArray::zeros(&[1, 1], good[0].dtype());
         assert_engines_agree(&func, &bad_shape, &format!("{name} shape"));
 
-        // Dtype: first argument flipped F32 <-> F64 at the same shape.
+        // Dtype: first argument an integer array of the same shape.
         let mut bad_dtype = good.clone();
-        let flipped = if good[0].dtype() == DType::F32 {
-            DType::F64
-        } else {
-            DType::F32
-        };
-        bad_dtype[0] = NDArray::zeros(good[0].shape(), flipped);
+        bad_dtype[0] = NDArray::zeros(good[0].shape(), DType::I64);
         assert_engines_agree(&func, &bad_dtype, &format!("{name} dtype"));
     }
 }
@@ -706,15 +687,11 @@ fn forwarding_is_not_vacuous_on_the_reduction_kernels() {
 fn control_flow_is_not_vacuous_on_the_generated_nests_or_the_triangular_kernels() {
     // What the generated control-flow nests are for: conditionals and
     // trimmed plain loops that end up *inside* native code, and guarded
-    // stores that do go out of bounds. Counted over the `f64` nests: the
-    // JIT refuses an `f32` one whole, and the optimized VM runs it.
+    // stores that do go out of bounds.
     let mut rng = SmallRng::seed_from_u64(0xc0de);
     let (mut ifs_jitted, mut trimmed_jitted, mut failed) = (0, 0, 0);
     for _ in 0..400 {
         let (func, args, _) = control_flow_nest(&mut rng);
-        if args[0].dtype() != DType::F64 {
-            continue;
-        }
         let cf = compile_optimized(&func).expect("optimized compile");
         if let Ok(jitted) = default_backend().jit_compile(&cf) {
             ifs_jitted += (jitted.conditional_count() < cf.conditional_count()) as u32;
