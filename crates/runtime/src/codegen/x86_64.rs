@@ -96,8 +96,8 @@
 //!
 //! Anything outside the subset — bounds checks, checked stores, failable
 //! integer division, float min/max (NaN semantics differ from Rust's),
-//! float→int casts (saturation differs), float compares and selects
-//! (NaN-faithful flag handling), and integer-typed buffers — rejects the
+//! float→int casts (saturation differs), float compares (NaN-faithful
+//! flag handling), and integer-typed buffers — rejects the
 //! nest; the VM executes those items unchanged and the nests inside them
 //! still compile.
 //!

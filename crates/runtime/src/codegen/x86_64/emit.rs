@@ -12,7 +12,7 @@ use crate::compile::{
 };
 use std::rc::Rc;
 use std::sync::Arc;
-use tvm_te::{BinOp, CmpOp, DType, Intrinsic};
+use tvm_te::{BinOp, CmpOp, DType};
 
 // ------------------------------------------------------------ nest codegen
 
@@ -688,7 +688,7 @@ impl NestCompiler<'_> {
                 self.fop(FADD, t, F::Reg(X0)); // add + m
                 self.fstore(f(dst), t);
             }
-            Instr::Call1(Intrinsic::Sqrt, d, x) => {
+            Instr::Sqrt(d, x) => {
                 let t = target(f(d), X0);
                 self.fload(t, f(x));
                 self.asm.vop1(SD, FSQRT, t, t);
@@ -1208,7 +1208,7 @@ mod tests {
             Instr::FBin(BinOp::Sub, 5, 20, 4),
             fmuladd(6, 5, 3, 4),
             fmuladd(7, 6, 6, 17),
-            Instr::Call1(Intrinsic::Sqrt, 8, 7),
+            Instr::Sqrt(8, 7),
             Instr::Load(9, 0, 4),
             Instr::Load(10, 1, 16),
             Instr::Store(0, 5, 9),
@@ -1254,7 +1254,7 @@ mod tests {
             nc.emit_code(&[
                 Instr::FBin(BinOp::Div, 2, 0, 1),
                 fmuladd(4, 2, 0, 1),
-                Instr::Call1(Intrinsic::Sqrt, 5, 0),
+                Instr::Sqrt(5, 0),
                 Instr::IToF(3, 0),
             ])
         });
@@ -1460,7 +1460,7 @@ mod tests {
                     2 | 3 => fmuladd(d, pick(rng), pick(rng), pick(rng)),
                     4 => Instr::IToF(d, 0),
                     5 => Instr::FConst(d, rng.gen_range(0.5..2.0)),
-                    6 => Instr::Call1(Intrinsic::Sqrt, d, pick(rng)),
+                    6 => Instr::Sqrt(d, pick(rng)),
                     _ => {
                         let (slot, addr) = pair(rng.gen_range(1..=n_ptrs as Reg));
                         Instr::Load(d, slot, addr)
@@ -2131,7 +2131,7 @@ mod tests {
             fmuladd(3, 4, 0, 1),
             Instr::FBin(BinOp::Sub, 5, 3, 9),
             Instr::FBin(BinOp::Div, 6, 5, 4),
-            Instr::Call1(Intrinsic::Sqrt, 7, 6),
+            Instr::Sqrt(7, 6),
             Instr::Store(1, 2, 7),
             Instr::Store(0, 1, 7),
         ];

@@ -7,7 +7,7 @@ use super::asm::{Width, ESIZE, R, R10, R12, R13, R14, R15, R8, R9, RBP, RBX, X};
 use crate::compile::{Block, Carry, Clamp, Instr, Item, Reg, SlotAccess};
 use crate::optimize::{float_dst, float_uses, int_dst, int_uses, reads_ireg};
 use std::collections::HashSet;
-use tvm_te::{BinOp, DType, Intrinsic};
+use tvm_te::{BinOp, DType};
 
 /// Offset of register `r` inside its (8-byte-element) register file.
 pub(super) fn off(r: Reg) -> i32 {
@@ -53,20 +53,16 @@ fn check_instr(i: &Instr, dts: &[DType]) -> Result<(), String> {
             // f64::min/max; floor ops need roundsd (SSE4.1) — rejected.
             other => reject(format!("float op {other:?}")),
         },
-        Instr::Call1(Intrinsic::Sqrt, ..) => Ok(()),
-        Instr::Call1(intr, ..) | Instr::Call2(intr, ..) => reject(format!("intrinsic {intr:?}")),
+        Instr::Sqrt(..) => Ok(()),
         Instr::Load(_, slot, _) | Instr::Store(slot, _, _) => float_slot(dts, *slot),
         Instr::Bound { .. } => reject("runtime bounds check"),
         Instr::StoreChecked { .. } => reject("checked store"),
         // Integer 0/1 logic is exact by construction.
         Instr::ICmp(..) | Instr::And(..) | Instr::Or(..) | Instr::Not(..) => Ok(()),
         // cvttsd2si saturation differs from Rust's `as i64`; FBool and
-        // the float compare/select family need NaN-faithful flag
-        // handling — all left to the VM.
+        // FCmp need NaN-faithful flag handling — all left to the VM.
         Instr::FToI(..) => reject("float-to-int cast"),
-        Instr::FBool(..) | Instr::FCmp(..) | Instr::ISel(..) | Instr::FSel(..) => {
-            reject("float compare/select")
-        }
+        Instr::FBool(..) | Instr::FCmp(..) => reject("float compare"),
     }
 }
 
@@ -838,7 +834,7 @@ pub(super) fn plan_jam(item: &Item, widest: Width) -> Option<JamPlan<'_>> {
             | Instr::IToF(..)
             | Instr::FBin(..)
             | Instr::FMulAdd { .. }
-            | Instr::Call1(..) => {}
+            | Instr::Sqrt(..) => {}
             _ => return None,
         }
     }
@@ -979,13 +975,8 @@ mod tests {
         for i in [Instr::And(2, 0, 1), Instr::Or(2, 0, 1), Instr::Not(2, 0)] {
             assert_eq!(check_instr(&i, &dts), Ok(()));
         }
-        let float = Err("float compare/select".to_string());
-        for i in [
-            Instr::FCmp(CmpOp::Lt, 2, 0, 1),
-            Instr::FBool(2, 0),
-            Instr::ISel(2, 0, 1, 1),
-            Instr::FSel(2, 0, 1, 1),
-        ] {
+        let float = Err("float compare".to_string());
+        for i in [Instr::FCmp(CmpOp::Lt, 2, 0, 1), Instr::FBool(2, 0)] {
             assert_eq!(check_instr(&i, &dts), float);
         }
         let cast = Err("float-to-int cast".to_string());

@@ -21,7 +21,7 @@
 //! the authoritative interpreter behaviour.
 
 use std::collections::HashMap;
-use tvm_te::{BinOp, CmpOp, DType, Intrinsic, PrimExpr, Tensor};
+use tvm_te::{BinOp, CmpOp, DType, PrimExpr, Tensor};
 use tvm_tir::analyze::interval::{constraints_from_guard, IntervalEnv};
 use tvm_tir::{PrimFunc, Stmt};
 
@@ -73,14 +73,8 @@ pub(crate) enum Instr {
     Or(Reg, Reg, Reg),
     /// `ireg[dst] = (ireg[a] == 0) as i64`
     Not(Reg, Reg),
-    /// `ireg[dst] = if ireg[c] != 0 { ireg[t] } else { ireg[f] }`
-    ISel(Reg, Reg, Reg, Reg),
-    /// Float select.
-    FSel(Reg, Reg, Reg, Reg),
-    /// Unary intrinsic: `dst, x`.
-    Call1(Intrinsic, Reg, Reg),
-    /// Binary intrinsic (`Pow`): `dst, x, y`.
-    Call2(Intrinsic, Reg, Reg, Reg),
+    /// `freg[dst] = freg[x].sqrt()`
+    Sqrt(Reg, Reg),
     /// Check `ireg[*idx.last()]` against `[0, extent)`; on failure report
     /// the index prefix evaluated so far (the interpreter's partial-index
     /// out-of-bounds shape for tensor reads).
@@ -818,8 +812,8 @@ impl Compiler {
 
     /// Can evaluating `e` produce an `ExecError` (or is it outside what we
     /// compile)? Conservative: used to reject short-circuit (`And`/`Or`)
-    /// and lazy (`Select`) positions whose skipped evaluation the flat
-    /// program cannot reproduce.
+    /// operands whose skipped evaluation the flat program cannot
+    /// reproduce.
     fn failable(&self, e: &PrimExpr) -> bool {
         match e {
             PrimExpr::IntImm(..) | PrimExpr::FloatImm(..) | PrimExpr::BoolImm(_) => false,
@@ -833,9 +827,7 @@ impl Compiler {
             PrimExpr::Cmp(_, a, b) | PrimExpr::And(a, b) | PrimExpr::Or(a, b) => {
                 self.failable(a) || self.failable(b)
             }
-            PrimExpr::Not(a) | PrimExpr::Cast(_, a) => self.failable(a),
-            PrimExpr::Select(c, t, f) => self.failable(c) || self.failable(t) || self.failable(f),
-            PrimExpr::Call(_, args) => args.iter().any(|a| self.failable(a)),
+            PrimExpr::Not(a) | PrimExpr::Sqrt(a) => self.failable(a),
             PrimExpr::TensorRead(..) | PrimExpr::Reduce { .. } => true,
         }
     }
@@ -1105,67 +1097,13 @@ impl Compiler {
                 self.emit_at(at, Instr::Not(dst, ta));
                 Ok((dst, Cls::I))
             }
-            PrimExpr::Select(c, t, f) => {
-                // The interpreter evaluates only the taken branch; eager
-                // evaluation is only unobservable when both are pure.
-                if self.failable(t) || self.failable(f) {
-                    return reject("select branch may fail");
-                }
-                let (rc, cc) = self.compile_expr(c)?;
-                let tc = self.truthy(rc, cc);
-                let (rt, ct) = self.compile_expr(t)?;
-                let (rf, cf) = self.compile_expr(f)?;
-                if ct == Cls::F || cf == Cls::F {
-                    let ft = self.coerce_f(rt, ct);
-                    let ff = self.coerce_f(rf, cf);
-                    let at = (self.idef[tc as usize] as usize)
-                        .max(self.fdef[ft as usize] as usize)
-                        .max(self.fdef[ff as usize] as usize);
-                    let dst = self.freg_at(at);
-                    self.emit_at(at, Instr::FSel(dst, tc, ft, ff));
-                    Ok((dst, Cls::F))
-                } else {
-                    let at = (self.idef[tc as usize] as usize)
-                        .max(self.idef[rt as usize] as usize)
-                        .max(self.idef[rf as usize] as usize);
-                    let interval = match (self.ival[rt as usize], self.ival[rf as usize]) {
-                        (Some((a, b)), Some((x, y))) => Some((a.min(x), b.max(y))),
-                        _ => None,
-                    };
-                    let dst = self.ireg_at(at, interval);
-                    self.emit_at(at, Instr::ISel(dst, tc, rt, rf));
-                    Ok((dst, Cls::I))
-                }
-            }
-            PrimExpr::Cast(dt, a) => {
-                let (r, c) = self.compile_expr(a)?;
-                match dt {
-                    DType::F64 => Ok((self.coerce_f(r, c), Cls::F)),
-                    // Int/bool casts are `as_i64`: identity on ints (no
-                    // width truncation, matching the interpreter's i64-wide
-                    // `Value`), truncation on floats.
-                    _ => Ok((self.coerce_i(r, c), Cls::I)),
-                }
-            }
-            PrimExpr::Call(intr, args) => {
-                if args.len() < intr.arity() {
-                    return reject(format!("intrinsic {intr:?} needs {} args", intr.arity()));
-                }
-                let (rx, cx) = self.compile_expr(&args[0])?;
+            PrimExpr::Sqrt(a) => {
+                let (rx, cx) = self.compile_expr(a)?;
                 let fx = self.coerce_f(rx, cx);
-                if *intr == Intrinsic::Pow {
-                    let (ry, cy) = self.compile_expr(&args[1])?;
-                    let fy = self.coerce_f(ry, cy);
-                    let at = (self.fdef[fx as usize].max(self.fdef[fy as usize])) as usize;
-                    let dst = self.freg_at(at);
-                    self.emit_at(at, Instr::Call2(*intr, dst, fx, fy));
-                    Ok((dst, Cls::F))
-                } else {
-                    let at = self.fdef[fx as usize] as usize;
-                    let dst = self.freg_at(at);
-                    self.emit_at(at, Instr::Call1(*intr, dst, fx));
-                    Ok((dst, Cls::F))
-                }
+                let at = self.fdef[fx as usize] as usize;
+                let dst = self.freg_at(at);
+                self.emit_at(at, Instr::Sqrt(dst, fx));
+                Ok((dst, Cls::F))
             }
             PrimExpr::TensorRead(t, idx) => self.compile_read(t, idx),
             PrimExpr::Reduce { .. } => reject("Reduce must be lowered before execution"),
@@ -1396,12 +1334,6 @@ impl Compiler {
                 for st in items {
                     self.compile_stmt(st)?;
                 }
-                Ok(())
-            }
-            Stmt::Evaluate(e) => {
-                // Evaluated for effect only; a pure expression compiles to
-                // dead code, a failable one keeps its error behaviour.
-                self.compile_expr(e)?;
                 Ok(())
             }
             Stmt::Nop => Ok(()),
@@ -1789,7 +1721,6 @@ mod tests {
                 buffer: buf,
                 indices: vec![PrimExpr::IntImm(0, DType::I64)],
                 value: PrimExpr::Reduce {
-                    combiner: tvm_te::Combiner::Sum,
                     source: std::sync::Arc::new(PrimExpr::FloatImm(0.0, DType::F64)),
                     axes: vec![],
                 },

@@ -154,8 +154,7 @@ pub(crate) fn int_dst(i: &Instr) -> Option<Reg> {
         | Instr::FCmp(_, d, _, _)
         | Instr::And(d, _, _)
         | Instr::Or(d, _, _)
-        | Instr::Not(d, _)
-        | Instr::ISel(d, _, _, _) => Some(*d),
+        | Instr::Not(d, _) => Some(*d),
         _ => None,
     }
 }
@@ -195,9 +194,7 @@ pub(crate) fn float_dst(i: &Instr) -> Option<Reg> {
         Instr::FConst(d, _)
         | Instr::IToF(d, _)
         | Instr::FBin(_, d, _, _)
-        | Instr::FSel(d, _, _, _)
-        | Instr::Call1(_, d, _)
-        | Instr::Call2(_, d, _, _)
+        | Instr::Sqrt(d, _)
         | Instr::Load(d, _, _)
         | Instr::FMulAdd { dst: d, .. } => Some(*d),
         _ => None,
@@ -207,11 +204,8 @@ pub(crate) fn float_dst(i: &Instr) -> Option<Reg> {
 /// The float registers an instruction reads (one entry per read).
 pub(crate) fn float_uses(i: &Instr) -> impl Iterator<Item = Reg> {
     let uses = match *i {
-        Instr::FToI(_, s) | Instr::FBool(_, s) => [Some(s), None, None],
+        Instr::FToI(_, s) | Instr::FBool(_, s) | Instr::Sqrt(_, s) => [Some(s), None, None],
         Instr::FBin(_, _, a, b) | Instr::FCmp(_, _, a, b) => [Some(a), Some(b), None],
-        Instr::FSel(_, _, t, f) => [Some(t), Some(f), None],
-        Instr::Call1(_, _, x) => [Some(x), None, None],
-        Instr::Call2(_, _, x, y) => [Some(x), Some(y), None],
         Instr::Store(_, _, v) | Instr::StoreChecked { val: v, .. } => [Some(v), None, None],
         Instr::FMulAdd { add, a, b, .. } => [Some(add), Some(a), Some(b)],
         _ => [None, None, None],
@@ -437,7 +431,8 @@ fn optimize_block(
 
 /// Can this instruction neither fail nor touch memory? Such an
 /// instruction may run on fewer iterations unobserved, as long as nothing
-/// outside those iterations reads its result.
+/// outside those iterations reads its result. `Sqrt` is counted impure
+/// too: no loop is trimmed whose guard follows one.
 fn is_pure(i: &Instr) -> bool {
     match i {
         Instr::IBin(op, ..) => !matches!(op, BinOp::Div | BinOp::FloorDiv | BinOp::FloorMod),
@@ -452,11 +447,8 @@ fn is_pure(i: &Instr) -> bool {
         | Instr::And(..)
         | Instr::Or(..)
         | Instr::Not(..)
-        | Instr::ISel(..)
-        | Instr::FSel(..)
         | Instr::FMulAdd { .. } => true,
-        Instr::Call1(..)
-        | Instr::Call2(..)
+        Instr::Sqrt(..)
         | Instr::Bound { .. }
         | Instr::Load(..)
         | Instr::Store(..)
@@ -475,12 +467,6 @@ pub(crate) fn int_uses(i: &Instr, mut f: impl FnMut(Reg)) {
             f(*a);
             f(*b);
         }
-        Instr::ISel(_, c, t, e) => {
-            f(*c);
-            f(*t);
-            f(*e);
-        }
-        Instr::FSel(_, c, _, _) => f(*c),
         Instr::Bound { idx, .. } | Instr::StoreChecked { idx, .. } => {
             idx.iter().for_each(|&r| f(r))
         }
@@ -491,8 +477,7 @@ pub(crate) fn int_uses(i: &Instr, mut f: impl FnMut(Reg)) {
         | Instr::FBool(..)
         | Instr::FBin(..)
         | Instr::FCmp(..)
-        | Instr::Call1(..)
-        | Instr::Call2(..)
+        | Instr::Sqrt(..)
         | Instr::FMulAdd { .. } => {}
     }
 }
@@ -1310,14 +1295,7 @@ mod tests {
                     None,
                 ),
             ),
-            (
-                "call",
-                guarded_body(
-                    lt(),
-                    vec![Instr::Call1(tvm_te::Intrinsic::Sqrt, 1, 1)],
-                    None,
-                ),
-            ),
+            ("sqrt", guarded_body(lt(), vec![Instr::Sqrt(1, 1)], None)),
             (
                 "bound register written in the loop",
                 guarded_body(lt(), vec![Instr::IBin(BinOp::Add, 1, 0, 4)], None),

@@ -97,7 +97,10 @@ pub fn handle_request(service: &TuningService, request: Request) -> Response {
             outcome: service.outcome(id),
         },
         Request::Wait { id, timeout_s } => Response::Outcome {
-            outcome: service.wait(id, Duration::from_secs_f64(timeout_s.max(0.0))),
+            outcome: service.wait(
+                id,
+                Duration::try_from_secs_f64(timeout_s.max(0.0)).unwrap_or(Duration::MAX),
+            ),
         },
         Request::Cancel { id } => Response::Cancelled {
             ok: service.cancel(id),
@@ -184,6 +187,25 @@ mod tests {
             handle_request(&svc, Request::Shutdown),
             Response::ShuttingDown
         ));
+        svc.shutdown();
+    }
+
+    /// A timeout no `Duration` holds waits without a deadline instead of
+    /// panicking the connection's thread (and with it the server).
+    #[test]
+    fn a_wait_longer_than_any_duration_is_served() {
+        let dir = std::env::temp_dir()
+            .join("tvm-service-proto-tests")
+            .join("huge-wait");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (svc, _) = TuningService::open(&dir, ServiceConfig::default()).expect("open");
+        for timeout_s in ["1e20", "1e300"] {
+            let line = format!(r#"{{"type":"wait","id":999,"timeout_s":{timeout_s}}}"#);
+            match handle_line(&svc, &line) {
+                Response::Outcome { outcome: None } => {}
+                other => panic!("expected an empty outcome, got {other:?}"),
+            }
+        }
         svc.shutdown();
     }
 }

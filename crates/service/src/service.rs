@@ -376,9 +376,10 @@ impl TuningService {
             .and_then(|e| e.outcome.clone())
     }
 
-    /// Block until `id` reaches a terminal state, up to `timeout`.
+    /// Block until `id` reaches a terminal state, up to `timeout`. A
+    /// timeout too long to end at a representable instant waits for good.
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobOutcome> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = std::time::Instant::now().checked_add(timeout);
         let mut jobs = lock(&self.inner.jobs);
         loop {
             match jobs.get(&id) {
@@ -386,15 +387,18 @@ impl TuningService {
                 Some(e) if e.outcome.is_some() => return e.outcome.clone(),
                 Some(_) => {}
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            (jobs, _) = self
-                .inner
-                .state_changed
-                .wait_timeout(jobs, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
+            let changed = &self.inner.state_changed;
+            jobs = match deadline {
+                None => changed.wait(jobs).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = std::time::Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    let waited = changed.wait_timeout(jobs, deadline - now);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
     }
 
@@ -651,7 +655,7 @@ fn run_job(inner: &Inner, id: u64) -> std::io::Result<Option<JobOutcome>> {
         batch: spec.batch,
         deadline_unix_ms: spec
             .deadline_s
-            .map(|d| submitted_unix_ms + (d * 1000.0) as u64),
+            .map(|d| submitted_unix_ms.saturating_add((d * 1000.0) as u64)),
     };
     let report = run_session(
         tuner.as_mut(),
@@ -1016,6 +1020,21 @@ mod tests {
         let id = svc.submit(spec).expect("admit");
         let out = svc.wait(id, Duration::from_secs(30)).expect("terminal");
         assert_eq!(out.state, JobState::DeadlineExceeded);
+        svc.shutdown();
+    }
+
+    /// A deadline beyond what a `u64` of milliseconds holds saturates
+    /// rather than wrapping to a time before submission.
+    #[test]
+    fn a_huge_deadline_never_expires() {
+        let dir = tmpdir("huge-deadline");
+        let (svc, _) = TuningService::open(&dir, small_cfg()).expect("open");
+        let mut spec = quick_spec("t", 11);
+        spec.max_evals = 2;
+        spec.deadline_s = Some(1e300);
+        let id = svc.submit(spec).expect("admit");
+        let out = svc.wait(id, Duration::from_secs(30)).expect("terminal");
+        assert_eq!(out.state, JobState::Completed);
         svc.shutdown();
     }
 }

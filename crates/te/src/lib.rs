@@ -7,7 +7,7 @@
 //!
 //! * [`placeholder`] / [`compute`] tensor declarations,
 //! * scalar [`expr::PrimExpr`] arithmetic with [`reduce_axis`]-based
-//!   reductions ([`sum`], [`max_reduce`], [`min_reduce`]),
+//!   sum reductions ([`sum`]),
 //! * a [`schedule::Schedule`] tree with the loop transformations the paper
 //!   tunes over: `split`, `reorder`, `fuse`, `tile`, `unroll`, `vectorize`,
 //!   `parallel` and GPU thread `bind`.
@@ -48,12 +48,10 @@ pub mod var;
 pub mod visitor;
 
 pub use dtype::DType;
-pub use expr::{BinOp, CmpOp, Intrinsic, PrimExpr};
-pub use ops::{
-    cast, cos, exp, float, floordiv, floormod, int, log, max_expr, min_expr, select, sin, sqrt,
-};
+pub use expr::{BinOp, CmpOp, PrimExpr};
+pub use ops::{float, floordiv, floormod, int, max_expr, min_expr, sqrt};
 pub use range::Range;
-pub use reduce::{max_reduce, min_reduce, prod, sum, Combiner};
+pub use reduce::sum;
 pub use schedule::{IterVarAttr, Schedule, Stage, StageRef};
-pub use tensor::{compute, compute_multi, placeholder, Op, OpKind, Tensor};
+pub use tensor::{compute, placeholder, Op, OpKind, Tensor};
 pub use var::{reduce_axis, IterVar, IterVarType, Var};

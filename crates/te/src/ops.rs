@@ -1,7 +1,7 @@
 //! Operator overloads and expression builder functions.
 
 use crate::dtype::DType;
-use crate::expr::{BinOp, CmpOp, Intrinsic, PrimExpr};
+use crate::expr::{BinOp, CmpOp, PrimExpr};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 use std::sync::Arc;
 
@@ -35,47 +35,9 @@ pub fn max_expr(a: impl Into<PrimExpr>, b: impl Into<PrimExpr>) -> PrimExpr {
     PrimExpr::binary(BinOp::Max, a.into(), b.into())
 }
 
-/// Value-level `if cond { t } else { f }`.
-pub fn select(
-    cond: impl Into<PrimExpr>,
-    t: impl Into<PrimExpr>,
-    f: impl Into<PrimExpr>,
-) -> PrimExpr {
-    PrimExpr::Select(
-        Arc::new(cond.into()),
-        Arc::new(t.into()),
-        Arc::new(f.into()),
-    )
-}
-
-/// Convert `e` to `dtype`.
-pub fn cast(dtype: DType, e: impl Into<PrimExpr>) -> PrimExpr {
-    PrimExpr::Cast(dtype, Arc::new(e.into()))
-}
-
 /// `sqrt(x)`.
 pub fn sqrt(x: impl Into<PrimExpr>) -> PrimExpr {
-    PrimExpr::Call(Intrinsic::Sqrt, vec![x.into()])
-}
-
-/// `exp(x)`.
-pub fn exp(x: impl Into<PrimExpr>) -> PrimExpr {
-    PrimExpr::Call(Intrinsic::Exp, vec![x.into()])
-}
-
-/// Natural log.
-pub fn log(x: impl Into<PrimExpr>) -> PrimExpr {
-    PrimExpr::Call(Intrinsic::Log, vec![x.into()])
-}
-
-/// `sin(x)`.
-pub fn sin(x: impl Into<PrimExpr>) -> PrimExpr {
-    PrimExpr::Call(Intrinsic::Sin, vec![x.into()])
-}
-
-/// `cos(x)`.
-pub fn cos(x: impl Into<PrimExpr>) -> PrimExpr {
-    PrimExpr::Call(Intrinsic::Cos, vec![x.into()])
+    PrimExpr::Sqrt(Arc::new(x.into()))
 }
 
 macro_rules! impl_binop {

@@ -49,18 +49,7 @@ impl fmt::Display for PrimExpr {
             PrimExpr::And(a, b) => write!(f, "({a} && {b})"),
             PrimExpr::Or(a, b) => write!(f, "({a} || {b})"),
             PrimExpr::Not(a) => write!(f, "!({a})"),
-            PrimExpr::Select(c, t, e) => write!(f, "select({c}, {t}, {e})"),
-            PrimExpr::Cast(t, a) => write!(f, "{t}({a})"),
-            PrimExpr::Call(i, args) => {
-                write!(f, "{}(", i.name())?;
-                for (n, a) in args.iter().enumerate() {
-                    if n > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
-            }
+            PrimExpr::Sqrt(a) => write!(f, "sqrt({a})"),
             PrimExpr::TensorRead(t, idx) => {
                 write!(f, "{}[", t.name())?;
                 for (n, i) in idx.iter().enumerate() {
@@ -71,12 +60,8 @@ impl fmt::Display for PrimExpr {
                 }
                 write!(f, "]")
             }
-            PrimExpr::Reduce {
-                combiner,
-                source,
-                axes,
-            } => {
-                write!(f, "{}({source}, axis=[", combiner.name())?;
+            PrimExpr::Reduce { source, axes } => {
+                write!(f, "sum({source}, axis=[")?;
                 for (n, a) in axes.iter().enumerate() {
                     if n > 0 {
                         write!(f, ", ")?;

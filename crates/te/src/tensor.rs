@@ -232,23 +232,6 @@ pub fn compute(
     compute_from_parts(shape, name, axes, body)
 }
 
-/// `compute` variant that exposes the created axes to the caller before the
-/// body is built — convenient when the body references axes by name.
-pub fn compute_multi(
-    shape: impl Into<Vec<usize>>,
-    name: impl Into<String>,
-    f: impl FnOnce(&[IterVar]) -> PrimExpr,
-) -> Tensor {
-    let shape = shape.into();
-    let axes: Vec<IterVar> = shape
-        .iter()
-        .enumerate()
-        .map(|(d, &ext)| IterVar::data_par(ext as i64, format!("ax{d}")))
-        .collect();
-    let body = f(&axes);
-    compute_from_parts(shape, name.into(), axes, body)
-}
-
 fn compute_from_parts(
     shape: Vec<usize>,
     name: String,

@@ -19,17 +19,7 @@ pub fn walk(expr: &PrimExpr, f: &mut impl FnMut(&PrimExpr)) {
             walk(a, f);
             walk(b, f);
         }
-        PrimExpr::Not(a) | PrimExpr::Cast(_, a) => walk(a, f),
-        PrimExpr::Select(c, t, e) => {
-            walk(c, f);
-            walk(t, f);
-            walk(e, f);
-        }
-        PrimExpr::Call(_, args) => {
-            for a in args {
-                walk(a, f);
-            }
-        }
+        PrimExpr::Not(a) | PrimExpr::Sqrt(a) => walk(a, f),
         PrimExpr::TensorRead(_, idx) => {
             for i in idx {
                 walk(i, f);
@@ -55,22 +45,11 @@ pub fn rewrite(expr: &PrimExpr, f: &mut impl FnMut(&PrimExpr) -> Option<PrimExpr
         PrimExpr::And(a, b) => PrimExpr::And(Arc::new(rewrite(a, f)), Arc::new(rewrite(b, f))),
         PrimExpr::Or(a, b) => PrimExpr::Or(Arc::new(rewrite(a, f)), Arc::new(rewrite(b, f))),
         PrimExpr::Not(a) => PrimExpr::Not(Arc::new(rewrite(a, f))),
-        PrimExpr::Cast(t, a) => PrimExpr::Cast(*t, Arc::new(rewrite(a, f))),
-        PrimExpr::Select(c, t, e) => PrimExpr::Select(
-            Arc::new(rewrite(c, f)),
-            Arc::new(rewrite(t, f)),
-            Arc::new(rewrite(e, f)),
-        ),
-        PrimExpr::Call(i, args) => PrimExpr::Call(*i, args.iter().map(|a| rewrite(a, f)).collect()),
+        PrimExpr::Sqrt(a) => PrimExpr::Sqrt(Arc::new(rewrite(a, f))),
         PrimExpr::TensorRead(t, idx) => {
             PrimExpr::TensorRead(t.clone(), idx.iter().map(|i| rewrite(i, f)).collect())
         }
-        PrimExpr::Reduce {
-            combiner,
-            source,
-            axes,
-        } => PrimExpr::Reduce {
-            combiner: *combiner,
+        PrimExpr::Reduce { source, axes } => PrimExpr::Reduce {
             source: Arc::new(rewrite(source, f)),
             axes: axes.clone(),
         },
@@ -99,24 +78,10 @@ pub fn free_vars(expr: &PrimExpr) -> Vec<Var> {
     out
 }
 
-/// Number of nodes in the expression tree.
-pub fn node_count(expr: &PrimExpr) -> usize {
-    let mut n = 0;
-    walk(expr, &mut |_| n += 1);
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::int;
-
-    #[test]
-    fn walk_counts_nodes() {
-        let v = Var::index("i");
-        let e = v.expr() * 2 + 1;
-        assert_eq!(node_count(&e), 5); // add, mul, var, 2, 1
-    }
 
     #[test]
     fn substitute_replaces_vars() {

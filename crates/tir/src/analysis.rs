@@ -3,7 +3,7 @@
 
 use crate::stmt::{ForKind, PrimFunc, Stmt};
 use std::collections::HashMap;
-use tvm_te::{BinOp, CmpOp, DType, Intrinsic, PrimExpr};
+use tvm_te::{BinOp, CmpOp, DType, PrimExpr};
 
 /// One loop surrounding a statement.
 #[derive(Debug, Clone)]
@@ -129,21 +129,13 @@ pub fn eval_int_with<F: Fn(u64) -> Option<i64>>(e: &PrimExpr, env: &F) -> Option
         PrimExpr::And(a, b) => Some((operand(a, env)? != 0 && operand(b, env)? != 0) as i64),
         PrimExpr::Or(a, b) => Some((operand(a, env)? != 0 || operand(b, env)? != 0) as i64),
         PrimExpr::Not(a) => Some((operand(a, env)? == 0) as i64),
-        PrimExpr::Select(c, t, f) => {
-            if operand(c, env)? != 0 {
-                operand(t, env)
-            } else {
-                operand(f, env)
-            }
-        }
-        PrimExpr::Cast(t, a) if t.is_int() => operand(a, env),
         _ => None,
     }
 }
 
 /// Count floating-point operations in an expression (one per float-typed
-/// arithmetic node; intrinsic calls count as four, matching common
-/// roofline practice for transcendental/special functions).
+/// arithmetic node; `sqrt` counts as four, matching common roofline
+/// practice for special functions).
 pub fn count_flops(e: &PrimExpr) -> f64 {
     let mut flops = 0.0;
     tvm_te::visitor::walk(e, &mut |node| match node {
@@ -158,12 +150,7 @@ pub fn count_flops(e: &PrimExpr) -> f64 {
                 flops += 1.0;
             }
         }
-        PrimExpr::Call(i, _) => {
-            flops += match i {
-                Intrinsic::Abs => 1.0,
-                _ => 4.0,
-            };
-        }
+        PrimExpr::Sqrt(_) => flops += 4.0,
         _ => {}
     });
     flops
@@ -347,7 +334,7 @@ fn collect(
                 write,
             });
         }
-        Stmt::Evaluate(_) | Stmt::Nop => {}
+        Stmt::Nop => {}
     }
 }
 

@@ -82,11 +82,6 @@ fn walk(stmt: &Stmt, env: &mut IntervalEnv, out: &mut Vec<Diagnostic>) {
                 check_reads_in(idx, env, out);
             }
         }
-        Stmt::Evaluate(e) => {
-            if !env.unreachable() {
-                check_reads_in(e, env, out);
-            }
-        }
         Stmt::Nop => {}
     }
 }

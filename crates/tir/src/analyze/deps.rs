@@ -382,7 +382,6 @@ fn collect_accesses(
                 collect_reads(e, inner, guarded, out);
             }
         }
-        Stmt::Evaluate(e) => collect_reads(e, inner, guarded, out),
         Stmt::Nop => {}
     }
 }

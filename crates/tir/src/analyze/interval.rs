@@ -241,7 +241,7 @@ impl IntervalEnv {
 /// Abstractly evaluate an integer expression to an interval.
 ///
 /// Returns `None` for constructs outside the affine-ish fragment
-/// (tensor reads, float casts, possibly-zero divisors, unbound
+/// (tensor reads, floats, `sqrt`, possibly-zero divisors, unbound
 /// variables) — callers must treat `None` as "cannot prove safe".
 pub fn eval_interval(e: &PrimExpr, env: &IntervalEnv) -> Option<Interval> {
     let base = match e {
@@ -307,22 +307,6 @@ pub fn eval_interval(e: &PrimExpr, env: &IntervalEnv) -> Option<Interval> {
                 None => Interval::new(0, 1),
             }
         }
-        PrimExpr::Select(c, t, f) => {
-            let ic = eval_interval(c, env)?;
-            if ic.is_empty() {
-                Interval::empty()
-            } else {
-                match ic.as_point() {
-                    Some(0) => eval_interval(f, env)?,
-                    Some(_) => eval_interval(t, env)?,
-                    None => {
-                        let (it, inf) = (eval_interval(t, env)?, eval_interval(f, env)?);
-                        Interval::new(it.lo.min(inf.lo), it.hi.max(inf.hi))
-                    }
-                }
-            }
-        }
-        PrimExpr::Cast(t, a) if t.is_int() => eval_interval(a, env)?,
         _ => return None,
     };
     Some(env.refine(e, base))

@@ -170,7 +170,6 @@ fn exec(
             }
             true
         }
-        Stmt::Evaluate(e) => record_reads(e, env, t, buffer, trace),
         Stmt::Nop => true,
     }
 }

@@ -39,6 +39,6 @@ pub mod printer;
 pub mod stmt;
 
 pub use buffer::Buffer;
-pub use lower::{lower, lower_with_options, LowerOptions};
+pub use lower::lower;
 pub use passes::pipeline::{optimize, PassManager, PassTrace, PipelineError, PIPELINE_VERSION};
 pub use stmt::{ForKind, PrimFunc, Stmt};

@@ -6,52 +6,22 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tvm_te::schedule::{IterVarAttr, Stage};
 use tvm_te::visitor::substitute;
-use tvm_te::{Combiner, DType, OpKind, PrimExpr, Schedule, Tensor, Var};
+use tvm_te::{BinOp, OpKind, PrimExpr, Schedule, Tensor, Var};
 
-/// Options controlling the lowering pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct LowerOptions {
-    /// Run algebraic simplification after lowering.
-    pub simplify: bool,
-    /// Expand `Unrolled` loops (up to `max_unroll` iterations).
-    pub unroll: bool,
-    /// Cap on unrolled trip count; larger loops stay rolled.
-    pub max_unroll: i64,
-    /// Run the structural verifier (recommended; cheap).
-    pub verify: bool,
-}
+/// Trip-count cap of the unroll pass; longer `Unrolled` loops stay rolled.
+const MAX_UNROLL: i64 = 256;
 
-impl Default for LowerOptions {
-    fn default() -> Self {
-        LowerOptions {
-            simplify: true,
-            unroll: true,
-            max_unroll: 256,
-            verify: true,
-        }
-    }
-}
-
-/// Lower with default [`LowerOptions`].
+/// Lower a scheduled graph into a [`PrimFunc`]: simplify, unroll,
+/// simplify again, legalize vector loops and verify.
 ///
 /// `args` fixes the parameter order of the resulting function (the calling
 /// convention for `tvm_runtime`); any computed tensor not listed becomes an
 /// internal allocation.
-pub fn lower(schedule: &Schedule, args: &[Tensor], name: &str) -> PrimFunc {
-    lower_with_options(schedule, args, name, LowerOptions::default())
-}
-
-/// Lower a scheduled graph into a [`PrimFunc`].
 ///
 /// # Panics
 /// If an output of the schedule is missing from `args`, or a stage has an
 /// unsupported structure (e.g. placeholder listed as a stage).
-pub fn lower_with_options(
-    schedule: &Schedule,
-    args: &[Tensor],
-    name: &str,
-    opts: LowerOptions,
-) -> PrimFunc {
+pub fn lower(schedule: &Schedule, args: &[Tensor], name: &str) -> PrimFunc {
     for out in &schedule.outputs {
         assert!(
             args.iter().any(|a| a.same_as(out)),
@@ -91,45 +61,12 @@ pub fn lower_with_options(
         body,
     };
 
-    if opts.simplify {
-        func.body = crate::passes::simplify::simplify_stmt(&func.body);
-    }
-    if opts.unroll {
-        func.body = crate::passes::unroll::unroll_loops(&func.body, opts.max_unroll);
-        if opts.simplify {
-            func.body = crate::passes::simplify::simplify_stmt(&func.body);
-        }
-    }
+    func.body = crate::passes::simplify::simplify_stmt(&func.body);
+    func.body = crate::passes::unroll::unroll_loops(&func.body, MAX_UNROLL);
+    func.body = crate::passes::simplify::simplify_stmt(&func.body);
     func.body = crate::passes::vectorize::legalize_vector_loops(&func.body);
-    if opts.verify {
-        crate::passes::verify::verify(&func).expect("lowered function failed verification");
-    }
+    crate::passes::verify::verify(&func).expect("lowered function failed verification");
     func
-}
-
-fn identity_expr(c: Combiner, dtype: DType) -> PrimExpr {
-    if dtype.is_float() {
-        PrimExpr::FloatImm(c.identity_f64(), dtype)
-    } else {
-        let v = match c {
-            Combiner::Sum => 0,
-            Combiner::Prod => 1,
-            Combiner::Max => i64::MIN,
-            Combiner::Min => i64::MAX,
-        };
-        PrimExpr::IntImm(v, dtype)
-    }
-}
-
-fn combine_expr(c: Combiner, acc: PrimExpr, x: PrimExpr) -> PrimExpr {
-    use tvm_te::BinOp;
-    let op = match c {
-        Combiner::Sum => BinOp::Add,
-        Combiner::Prod => BinOp::Mul,
-        Combiner::Max => BinOp::Max,
-        Combiner::Min => BinOp::Min,
-    };
-    PrimExpr::binary(op, acc, x)
 }
 
 fn lower_stage(stage: &Stage, buf_of: &HashMap<u64, Arc<Buffer>>) -> Stmt {
@@ -148,26 +85,19 @@ fn lower_stage(stage: &Stage, buf_of: &HashMap<u64, Arc<Buffer>>) -> Stmt {
 
     // Output element indices in terms of leaf loop vars.
     let out_idx: Vec<PrimExpr> = axes.iter().map(|ax| subst(&ax.var_expr())).collect();
-    let substituted_value = match &body {
-        PrimExpr::Reduce { source, .. } => subst(source),
+    // A reduction adds its source to the output element.
+    let value = match &body {
+        PrimExpr::Reduce { source, .. } => PrimExpr::binary(
+            BinOp::Add,
+            PrimExpr::TensorRead(tensor.clone(), out_idx.clone()),
+            subst(source),
+        ),
         other => subst(other),
     };
-
-    let mut stmt = match &body {
-        PrimExpr::Reduce { combiner, .. } => {
-            let read_out = PrimExpr::TensorRead(tensor.clone(), out_idx.clone());
-            let update_val = combine_expr(*combiner, read_out, substituted_value);
-            Stmt::BufferStore {
-                buffer: out_buf.clone(),
-                indices: out_idx,
-                value: update_val,
-            }
-        }
-        _ => Stmt::BufferStore {
-            buffer: out_buf.clone(),
-            indices: out_idx,
-            value: substituted_value,
-        },
+    let mut stmt = Stmt::BufferStore {
+        buffer: out_buf.clone(),
+        indices: out_idx,
+        value,
     };
 
     // Boundary guards from non-divisible splits.
@@ -201,16 +131,20 @@ fn lower_stage(stage: &Stage, buf_of: &HashMap<u64, Arc<Buffer>>) -> Stmt {
         };
     }
 
-    // Reductions need the output initialized to the combiner identity
-    // before the update nest runs.
-    if let PrimExpr::Reduce { combiner, .. } = &body {
+    // Reductions need the output initialized to zero before the update
+    // nest runs.
+    if matches!(body, PrimExpr::Reduce { .. }) {
         let fresh: Vec<Var> = (0..axes.len())
             .map(|d| Var::index(format!("init{d}")))
             .collect();
         let mut init = Stmt::BufferStore {
             buffer: out_buf,
             indices: fresh.iter().map(|v| v.expr()).collect(),
-            value: identity_expr(*combiner, tensor.dtype()),
+            value: if tensor.dtype().is_float() {
+                PrimExpr::FloatImm(0.0, tensor.dtype())
+            } else {
+                PrimExpr::IntImm(0, tensor.dtype())
+            },
         };
         for (d, v) in fresh.iter().enumerate().rev() {
             init = Stmt::For {
@@ -229,7 +163,7 @@ fn lower_stage(stage: &Stage, buf_of: &HashMap<u64, Arc<Buffer>>) -> Stmt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvm_te::{compute, placeholder, reduce_axis, sum};
+    use tvm_te::{compute, placeholder, reduce_axis, sum, DType};
 
     fn matmul_sched(n: usize, tile: i64) -> (Schedule, Vec<Tensor>) {
         let a = placeholder([n, n], DType::F64, "A");

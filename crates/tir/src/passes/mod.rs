@@ -1,6 +1,6 @@
 //! TIR optimization and verification passes.
 //!
-//! The default [`crate::lower()`] pipeline runs, in order:
+//! The [`crate::lower()`] pipeline runs, in order:
 //! [`simplify`] → [`unroll`] → [`simplify`] → [`vectorize`] → [`verify`].
 //!
 //! The post-lowering optimization pipeline ([`pipeline::optimize`],
@@ -70,7 +70,6 @@ pub fn subst_stmt(stmt: &Stmt, map: &HashMap<u64, PrimExpr>) -> Stmt {
             else_: else_.as_ref().map(|e| Box::new(subst_stmt(e, map))),
         },
         Stmt::Seq(items) => Stmt::Seq(items.iter().map(|s| subst_stmt(s, map)).collect()),
-        Stmt::Evaluate(e) => Stmt::Evaluate(substitute(e, map)),
         Stmt::Nop => Stmt::Nop,
     }
 }

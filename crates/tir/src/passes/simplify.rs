@@ -51,7 +51,7 @@ fn fold_float(op: BinOp, a: f64, b: f64, t: DType) -> PrimExpr {
 
 /// Simplify one expression: constant folding plus the identities
 /// `x+0`, `x-0`, `x*1`, `x*0`, `x/1`, `floordiv(x,1)`, `floormod(x,1)`,
-/// `select(const, a, b)`, and comparison folding.
+/// and comparison folding.
 pub fn simplify_expr(e: &PrimExpr) -> PrimExpr {
     rewrite(e, &mut |node| match node {
         PrimExpr::Binary(op, a, b) => {
@@ -119,18 +119,6 @@ pub fn simplify_expr(e: &PrimExpr) -> PrimExpr {
         },
         PrimExpr::Not(a) => match &**a {
             PrimExpr::BoolImm(v) => Some(PrimExpr::BoolImm(!v)),
-            _ => None,
-        },
-        PrimExpr::Select(c, t, f) => match &**c {
-            PrimExpr::BoolImm(true) => Some((**t).clone()),
-            PrimExpr::BoolImm(false) => Some((**f).clone()),
-            _ => None,
-        },
-        PrimExpr::Cast(t, a) => match &**a {
-            PrimExpr::IntImm(v, _) if t.is_int() => Some(PrimExpr::IntImm(*v, *t)),
-            PrimExpr::IntImm(v, _) if t.is_float() => Some(PrimExpr::FloatImm(*v as f64, *t)),
-            PrimExpr::FloatImm(v, _) if t.is_float() => Some(PrimExpr::FloatImm(*v, *t)),
-            PrimExpr::FloatImm(v, _) if t.is_int() => Some(PrimExpr::IntImm(*v as i64, *t)),
             _ => None,
         },
         _ => None,
@@ -207,7 +195,6 @@ pub fn simplify_stmt(stmt: &Stmt) -> Stmt {
                 _ => Stmt::Seq(out),
             }
         }
-        Stmt::Evaluate(e) => Stmt::Evaluate(simplify_expr(e)),
         Stmt::Nop => Stmt::Nop,
     }
 }
@@ -291,9 +278,14 @@ mod tests {
 
     #[test]
     fn constant_if_pruned() {
+        let b = Buffer::new("b", [1usize], DType::F64);
         let s = Stmt::IfThenElse {
             cond: cmp::lt(int(3), int(2)),
-            then: Box::new(Stmt::Evaluate(int(1))),
+            then: Box::new(Stmt::BufferStore {
+                buffer: b,
+                indices: vec![int(0)],
+                value: PrimExpr::FloatImm(1.0, DType::F64),
+            }),
             else_: None,
         };
         assert!(matches!(simplify_stmt(&s), Stmt::Nop));

@@ -129,7 +129,6 @@ fn reduce_stmt(stmt: &Stmt, ranges: &mut VarRanges) -> Stmt {
             else_: else_.as_ref().map(|e| Box::new(reduce_stmt(e, ranges))),
         },
         Stmt::Seq(items) => Stmt::Seq(items.iter().map(|s| reduce_stmt(s, ranges)).collect()),
-        Stmt::Evaluate(e) => Stmt::Evaluate(reduce_expr(e, ranges)),
         Stmt::Nop => Stmt::Nop,
     }
 }

@@ -158,7 +158,6 @@ fn check_stmt(
             }
             Ok(())
         }
-        Stmt::Evaluate(e) => check_expr(e, defined, known_ops),
         Stmt::Nop => Ok(()),
     }
 }

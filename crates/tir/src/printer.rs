@@ -59,10 +59,6 @@ fn print_stmt(s: &Stmt, f: &mut fmt::Formatter<'_>, level: usize) -> fmt::Result
             }
             Ok(())
         }
-        Stmt::Evaluate(e) => {
-            indent(f, level)?;
-            writeln!(f, "eval {e}")
-        }
         Stmt::Nop => Ok(()),
     }
 }

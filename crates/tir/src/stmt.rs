@@ -69,8 +69,6 @@ pub enum Stmt {
     },
     /// Statement sequence.
     Seq(Vec<Stmt>),
-    /// Expression evaluated for effect (kept for IR completeness).
-    Evaluate(PrimExpr),
     /// No-op.
     Nop,
 }
@@ -113,7 +111,7 @@ impl Stmt {
                     s.walk(f);
                 }
             }
-            Stmt::BufferStore { .. } | Stmt::Evaluate(_) | Stmt::Nop => {}
+            Stmt::BufferStore { .. } | Stmt::Nop => {}
         }
     }
 

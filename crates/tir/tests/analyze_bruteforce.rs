@@ -85,7 +85,6 @@ fn brute_force_in_bounds(func: &PrimFunc) -> bool {
                 }
                 expr_reads(value, env, out);
             }
-            Stmt::Evaluate(e) => expr_reads(e, env, out),
             Stmt::Nop => {}
         }
     }

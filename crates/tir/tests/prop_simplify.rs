@@ -16,7 +16,6 @@ enum Op {
     PushVar(u8),
     Binary(u8),
     Cmp(u8),
-    Select,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -25,7 +24,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..3).prop_map(Op::PushVar),
         (0u8..8).prop_map(Op::Binary),
         (0u8..6).prop_map(Op::Cmp),
-        Just(Op::Select),
     ]
 }
 
@@ -56,24 +54,16 @@ fn build(ops: &[Op], vars: &[Var; 3]) -> PrimExpr {
                 if stack.len() >= 2 {
                     let b = stack.pop().expect("len>=2");
                     let a = stack.pop().expect("len>=2");
-                    let e = match which % 6 {
+                    // A comparison evaluates to 0 or 1, so it mixes
+                    // with integer arithmetic like any other operand.
+                    stack.push(match which % 6 {
                         0 => cmp::lt(a, b),
                         1 => cmp::le(a, b),
                         2 => cmp::gt(a, b),
                         3 => cmp::ge(a, b),
                         4 => cmp::eq(a, b),
                         _ => cmp::ne(a, b),
-                    };
-                    // Comparisons as 0/1 integers keep the tree int-typed.
-                    stack.push(tvm_te::select(e, int(1), int(0)));
-                }
-            }
-            Op::Select => {
-                if stack.len() >= 3 {
-                    let f = stack.pop().expect("len>=3");
-                    let t = stack.pop().expect("len>=3");
-                    let c = stack.pop().expect("len>=3");
-                    stack.push(tvm_te::select(cmp::ne(c, int(0)), t, f));
+                    });
                 }
             }
         }

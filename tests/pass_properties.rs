@@ -46,7 +46,7 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
 }
 
 /// Lower an `N`×`N` matmul under `plan`. Non-divisible split factors
-/// produce tail guards (min/select) — exactly the expressions LICM and
+/// produce tail guards — exactly the expressions LICM and
 /// strength reduction exist to move and rewrite.
 fn scheduled_matmul(plan: &Plan) -> PrimFunc {
     let a = placeholder([N, N], DType::F64, "A");
