@@ -20,8 +20,8 @@ pub struct RandomTuner {
     /// Pre-shuffled flat indices (small spaces).
     perm: Option<Vec<u32>>,
     cursor: usize,
-    /// Visited keys (large spaces).
-    visited: HashSet<String>,
+    /// Flat indices drawn so far (large spaces).
+    visited: HashSet<u128>,
     exhausted: bool,
 }
 
@@ -68,14 +68,13 @@ impl Tuner for RandomTuner {
             None => {
                 // Huge space: collisions are vanishingly rare; bound the
                 // rejection loop anyway.
+                let size = self.space.size().expect("discrete");
                 let mut attempts = 0usize;
                 while out.len() < n && attempts < n * 100 {
                     attempts += 1;
-                    let size = self.space.size().expect("discrete");
                     let idx = (self.rng.gen::<u128>()) % size;
-                    let c = self.space.at(idx);
-                    if self.visited.insert(c.key()) {
-                        out.push(c);
+                    if self.visited.insert(idx) {
+                        out.push(self.space.at(idx));
                     }
                 }
                 if out.is_empty() {

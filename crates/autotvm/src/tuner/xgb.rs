@@ -12,6 +12,9 @@
 //! unvisited point beats the incumbent, the proposal pool empties. The
 //! paper observes exactly this: "XGBoost search tuner could only do at
 //! most 56 evaluations no matter how many evaluations are set".
+//!
+//! Candidates are encoded rows and flat grid indices; only the winners of
+//! a refill become configurations.
 
 use crate::measure::MeasureResult;
 use crate::tuner::sa::anneal;
@@ -25,67 +28,72 @@ use surrogate::Regressor;
 
 /// Grid-rank candidates exhaustively up to this space size; anneal above.
 const GRID_LIMIT: u128 = 1 << 16;
+/// Candidates proposed per model refresh (AutoTVM `plan_size`).
+const PLAN_SIZE: usize = 16;
+/// Random trials before the first model fit.
+const N_INITIAL: usize = 16;
+/// Boosting rounds per refit.
+const N_ROUNDS: usize = 40;
 
 /// AutoTVM's `XGBTuner`.
 pub struct XgbTuner {
     space: ConfigSpace,
     rng: SmallRng,
-    /// Candidates proposed per model refresh (AutoTVM `plan_size`).
-    pub plan_size: usize,
-    /// Random trials before the first model fit.
-    pub n_initial: usize,
     /// Proposal filter: keep candidates with predicted runtime below
     /// `(1 + margin) × best observed`.
     pub improvement_margin: f64,
-    /// Boosting rounds per refit.
-    pub n_rounds: usize,
     observed: Vec<(Vec<f64>, f64)>,
     best_runtime: f64,
     worst_runtime: f64,
     pending: Vec<Configuration>,
-    visited: HashSet<String>,
+    /// Flat indices of the points proposed or measured so far. A
+    /// configuration from outside the space has none, so it is never one
+    /// of them.
+    visited: HashSet<u128>,
+    /// The encoded grid of a space of at most [`GRID_LIMIT`] points,
+    /// enumerated at the first model-based refill.
+    grid: Option<Vec<f64>>,
     exhausted: bool,
 }
 
 impl XgbTuner {
-    /// New tuner with AutoTVM-like defaults.
+    /// New tuner with AutoTVM-like defaults over a discrete space.
     pub fn new(space: ConfigSpace, seed: u64) -> XgbTuner {
+        space.size().expect("XgbTuner needs a discrete space");
         XgbTuner {
             space,
             rng: SmallRng::seed_from_u64(seed),
-            plan_size: 16,
-            n_initial: 16,
             improvement_margin: 0.05,
-            n_rounds: 40,
             observed: Vec::new(),
             best_runtime: f64::INFINITY,
             worst_runtime: f64::NEG_INFINITY,
             pending: Vec::new(),
             visited: HashSet::new(),
+            grid: None,
             exhausted: false,
         }
     }
 
-    /// Number of measurements the model has seen.
-    pub fn observed_count(&self) -> usize {
-        self.observed.len()
-    }
-
+    /// Up to `n` distinct unvisited random points, marked visited.
     fn propose_random(&mut self, n: usize) {
+        let mut row = Vec::with_capacity(self.space.len());
         let mut attempts = 0;
         while self.pending.len() < n && attempts < n * 200 {
             attempts += 1;
-            let c = self.space.sample(&mut self.rng);
-            if !self.visited.contains(&c.key()) && !self.pending.iter().any(|p| p.key() == c.key())
-            {
-                self.pending.push(c);
+            row.clear();
+            self.space.sample_encoded(&mut self.rng, &mut row);
+            let index = self.space.index_of_encoded(&row).expect("sampled");
+            if self.visited.insert(index) {
+                self.pending.push(self.space.at(index));
             }
         }
     }
 
+    /// Called with nothing pending, so every point proposed before is
+    /// visited by now.
     fn refill(&mut self) {
-        if self.observed.len() < self.n_initial {
-            self.propose_random(self.plan_size);
+        if self.observed.len() < N_INITIAL {
+            self.propose_random(PLAN_SIZE);
             if self.pending.is_empty() {
                 self.exhausted = true;
             }
@@ -94,36 +102,41 @@ impl XgbTuner {
 
         // Train the cost model on everything observed so far.
         let (x, y): (Vec<Vec<f64>>, Vec<f64>) = self.observed.iter().cloned().unzip();
-        let mut model = GradientBoosting::new(self.n_rounds)
+        let mut model = GradientBoosting::new(N_ROUNDS)
             .with_max_depth(4)
             .with_seed(7);
         model.fit(&x, &y);
 
+        // Unvisited points predicted competitive, as (index, prediction).
         let threshold = self.best_runtime * (1.0 + self.improvement_margin);
+        let visited = &self.visited;
+        let keep = |&(index, pred): &(u128, f64)| pred <= threshold && !visited.contains(&index);
         let size = self.space.size().expect("discrete space");
-        let mut candidates: Vec<(Configuration, f64)> = if size <= GRID_LIMIT {
-            self.space
-                .grid()
-                .filter(|c| !self.visited.contains(&c.key()))
-                .map(|c| {
-                    let pred = model.predict_one(&self.space.encode(&c));
-                    (c, pred)
-                })
+        let mut candidates: Vec<(u128, f64)> = if size <= GRID_LIMIT {
+            let grid = self.grid.get_or_insert_with(|| self.space.grid_encoded());
+            model
+                .predict_rows(grid, size as usize)
+                .into_iter()
+                .enumerate()
+                .map(|(i, pred)| (i as u128, pred))
+                .filter(keep)
                 .collect()
         } else {
             let space = &self.space;
-            let score = |c: &Configuration| -model.predict_one(&space.encode(c));
-            anneal(space, &score, self.plan_size * 4, 60, &mut self.rng)
+            let score = |row: &[f64]| -model.predict_one(row);
+            anneal(space, &score, PLAN_SIZE * 4, 60, &mut self.rng)
                 .into_iter()
-                .filter(|(c, _)| !self.visited.contains(&c.key()))
-                .map(|(c, s)| (c, -s))
+                .map(|(row, s)| (space.index_of_encoded(&row).expect("annealed"), -s))
+                .filter(keep)
                 .collect()
         };
-        candidates.retain(|(_, pred)| *pred <= threshold);
         candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        candidates.truncate(self.plan_size);
+        candidates.truncate(PLAN_SIZE);
 
-        self.pending = candidates.into_iter().map(|(c, _)| c).collect();
+        for (index, _) in candidates {
+            self.visited.insert(index);
+            self.pending.push(self.space.at(index));
+        }
         if self.pending.is_empty() {
             // No unvisited candidate predicted competitive: stop early
             // (the paper's ≤56-evaluation behavior).
@@ -145,11 +158,7 @@ impl Tuner for XgbTuner {
             self.refill();
         }
         let take = n.min(self.pending.len());
-        let out: Vec<Configuration> = self.pending.drain(..take).collect();
-        for c in &out {
-            self.visited.insert(c.key());
-        }
-        out
+        self.pending.drain(..take).collect()
     }
 
     fn update(&mut self, results: &[(Configuration, MeasureResult)]) {
@@ -157,7 +166,9 @@ impl Tuner for XgbTuner {
         // failures reflects every success in the batch, independent of the
         // order the measurer happened to return results in.
         for (cfg, res) in results {
-            self.visited.insert(cfg.key());
+            if let Some(index) = self.space.index_of(cfg) {
+                self.visited.insert(index);
+            }
             if let Some(t) = res.runtime_s {
                 self.observed.push((self.space.encode(cfg), t));
                 self.best_runtime = self.best_runtime.min(t);
@@ -291,7 +302,7 @@ mod tests {
     fn failed_measurements_penalize_the_model() {
         let mut t = XgbTuner::new(space(10), 2);
         let batch = t.next_batch(4);
-        assert_eq!(t.observed_count(), 0);
+        assert_eq!(t.observed.len(), 0);
         // One success fixes the penalty scale; failures train at 10×.
         let mut results: Vec<_> = batch
             .iter()
@@ -300,7 +311,7 @@ mod tests {
             .collect();
         results.push((batch[0].clone(), MeasureResult::ok(2.0, 2.0)));
         t.update(&results);
-        assert_eq!(t.observed_count(), 4, "failures become training points");
+        assert_eq!(t.observed.len(), 4, "failures become training points");
         assert!(t.observed.iter().any(|(_, y)| (*y - 20.0).abs() < 1e-9));
     }
 }

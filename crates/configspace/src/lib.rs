@@ -30,5 +30,5 @@ pub mod value;
 
 pub use config::Configuration;
 pub use param::Hyperparameter;
-pub use space::{ConfigSpace, GridIter};
+pub use space::ConfigSpace;
 pub use value::ParamValue;

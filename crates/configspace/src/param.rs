@@ -187,13 +187,14 @@ impl Hyperparameter {
         }
     }
 
-    /// The index an encoded ordinal/categorical value stands for (`None`
-    /// for NaN, fractions, out-of-range values and numeric parameters).
+    /// The discrete index an encoded value stands for (`None` for NaN,
+    /// fractions, out-of-range values and continuous parameters).
     pub(crate) fn encoded_index(&self, x: f64) -> Option<usize> {
-        let len = match self {
-            Hyperparameter::Ordinal { sequence, .. } => sequence.len(),
-            Hyperparameter::Categorical { choices, .. } => choices.len(),
-            _ => return None,
+        let (x, len) = match self {
+            Hyperparameter::Ordinal { sequence, .. } => (x, sequence.len()),
+            Hyperparameter::Categorical { choices, .. } => (x, choices.len()),
+            Hyperparameter::UniformInt { lo, hi, .. } => (x - *lo as f64, (hi - lo + 1) as usize),
+            Hyperparameter::UniformFloat { .. } => return None,
         };
         (x >= 0.0 && x < len as f64 && x.fract() == 0.0).then_some(x as usize)
     }

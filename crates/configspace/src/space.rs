@@ -128,27 +128,40 @@ impl ConfigSpace {
         )
     }
 
-    /// Flat index of a configuration (inverse of [`ConfigSpace::at`]).
+    /// Flat index of a configuration (inverse of [`ConfigSpace::at`]):
+    /// `None` unless it names this space's parameters in order, each with
+    /// one of its values, so no configuration from outside the space has
+    /// one.
     pub fn index_of(&self, config: &Configuration) -> Option<u128> {
+        let names = self.params.iter().map(|p| p.name());
+        if !names.eq(config.names.iter().map(String::as_str)) {
+            return None;
+        }
         let mut idx = 0u128;
-        for p in &self.params {
-            let card = p.cardinality()?;
-            let v = config.get(p.name())?;
-            let i = p.index_of(v)? as u128;
-            idx = idx * card + i;
+        for (p, v) in self.params.iter().zip(&config.values) {
+            idx = idx * p.cardinality()? + p.index_of(v)? as u128;
         }
         Some(idx)
     }
 
-    /// Lazy row-major enumeration of the whole grid.
-    pub fn grid(&self) -> GridIter<'_> {
-        GridIter {
-            space: self,
-            next: 0,
-            size: self
-                .size()
-                .expect("grid enumeration needs a discrete space"),
+    /// [`ConfigSpace::index_of`] of the configuration `row` encodes
+    /// (`None` if it encodes none of this space's).
+    pub fn index_of_encoded(&self, row: &[f64]) -> Option<u128> {
+        assert_eq!(row.len(), self.params.len(), "row width");
+        let mut idx = 0u128;
+        for (p, &x) in self.params.iter().zip(row) {
+            idx = idx * p.cardinality()? + p.encoded_index(x)? as u128;
         }
+        Some(idx)
+    }
+
+    /// Lazy row-major enumeration of the whole grid: [`ConfigSpace::at`]
+    /// of every index.
+    pub fn grid(&self) -> impl Iterator<Item = Configuration> + '_ {
+        let size = self
+            .size()
+            .expect("grid enumeration needs a discrete space");
+        (0..size).map(|i| self.at(i))
     }
 
     /// Encode a configuration into a numeric feature vector for surrogate
@@ -292,32 +305,6 @@ fn step_rank(cur: Option<usize>, len: usize, rng: &mut impl Rng) -> usize {
         cur - 1
     } else {
         cur + 1
-    }
-}
-
-/// Lazy iterator over all configurations of a discrete space, in
-/// row-major (grid) order.
-pub struct GridIter<'a> {
-    space: &'a ConfigSpace,
-    next: u128,
-    size: u128,
-}
-
-impl<'a> Iterator for GridIter<'a> {
-    type Item = Configuration;
-
-    fn next(&mut self) -> Option<Configuration> {
-        if self.next >= self.size {
-            return None;
-        }
-        let c = self.space.at(self.next);
-        self.next += 1;
-        Some(c)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = (self.size - self.next).min(usize::MAX as u128) as usize;
-        (rem, Some(rem))
     }
 }
 
@@ -526,6 +513,29 @@ mod tests {
                 assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "same RNG state");
             }
         }
+    }
+
+    #[test]
+    fn indices_of_rows_and_configurations_are_the_grid_positions() {
+        let cs = mixed_space(false);
+        for (i, row) in cs.grid_encoded().chunks_exact(cs.len()).enumerate() {
+            assert_eq!(cs.index_of_encoded(row), Some(i as u128));
+            assert_eq!(cs.index_of(&cs.at(i as u128)), Some(i as u128));
+        }
+        // No index for what no point of the space is: a value or a rank it
+        // lacks, a parameter too many, or its parameters in another order.
+        assert_eq!(cs.index_of_encoded(&[5.0, 0.0, 0.0, 0.0]), None);
+        assert_eq!(cs.index_of_encoded(&[0.0, 0.0, 6.0, 0.0]), None);
+        assert_eq!(cs.index_of_encoded(&[0.0, 0.0, 0.5, 0.0]), None);
+        let mut c = cs.at(7);
+        c.values[2] = ParamValue::Int(-3);
+        assert_eq!(cs.index_of(&c), None);
+        let mut c = cs.at(7);
+        c.names.swap(0, 1);
+        c.values.swap(0, 1);
+        assert_eq!(cs.index_of(&c), None);
+        let c = mixed_space(true).sample(&mut SmallRng::seed_from_u64(1));
+        assert_eq!(cs.index_of(&c), None);
     }
 
     #[test]

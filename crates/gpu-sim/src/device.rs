@@ -2,9 +2,7 @@
 
 use crate::model::cost_model;
 use crate::spec::GpuSpec;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use tvm_runtime::{Device, DeviceError, NDArray};
 use tvm_tir::PrimFunc;
@@ -23,10 +21,11 @@ pub struct SimDevice {
     /// memo below is shared by clones, so every holder of one memo must
     /// model the same hardware.
     spec: GpuSpec,
-    /// Peak-to-peak relative noise amplitude (e.g. `0.04` = ±2 %).
-    pub noise: f64,
+    /// Peak-to-peak relative noise amplitude (e.g. `0.04` = ±2 %), in
+    /// `[0, 1)` so that a runtime stays positive.
+    noise: f64,
     /// Noise seed.
-    pub seed: u64,
+    seed: u64,
     /// Noise-free predictions by printed function — the key the noise
     /// draw uses. The model is pure in (function, spec), so repeats,
     /// retries and re-proposals pay a lookup; seed and noise stay outside
@@ -88,12 +87,60 @@ impl SimDevice {
         }
         // Key the noise on the printed function (loop extents capture the
         // configuration) and the seed.
-        let mut h = DefaultHasher::new();
-        printed.hash(&mut h);
-        self.seed.hash(&mut h);
-        let u = (h.finish() >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
+        let h = noise_hash(printed, self.seed);
+        let u = (h >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
         1.0 + self.noise * (u - 0.5)
     }
+}
+
+/// SipHash-1-3 with both keys zero over `printed`'s bytes, `0xff` and the
+/// seed's 8 bytes: what `std`'s `DefaultHasher::new()` makes of `printed`
+/// then `seed` today. `std` leaves that algorithm unspecified across
+/// releases, and every modeled runtime depends on it.
+fn noise_hash(printed: &str, seed: u64) -> u64 {
+    fn round(v: &mut [u64; 4]) {
+        v[0] = v[0].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(13) ^ v[0];
+        v[0] = v[0].rotate_left(32);
+        v[2] = v[2].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(16) ^ v[2];
+        v[0] = v[0].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(21) ^ v[0];
+        v[2] = v[2].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(17) ^ v[2];
+        v[2] = v[2].rotate_left(32);
+    }
+    fn compress(v: &mut [u64; 4], m: u64) {
+        v[3] ^= m;
+        round(v);
+        v[0] ^= m;
+    }
+    let mut v = [
+        0x736f_6d65_7073_6575,
+        0x646f_7261_6e64_6f6d,
+        0x6c79_6765_6e65_7261,
+        0x7465_6462_7974_6573,
+    ];
+    // Little-endian words: the printed bytes', then those of its last
+    // partial word, `0xff` and the seed, zero-padded.
+    let words = printed.as_bytes().chunks_exact(8);
+    let rest = words.remainder();
+    let mut tail = [0u8; 24];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0xff;
+    tail[rest.len() + 1..][..8].copy_from_slice(&seed.to_le_bytes());
+    let full = (rest.len() + 9) / 8;
+    let word = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+    for w in words.chain(tail.chunks_exact(8).take(full)) {
+        compress(&mut v, word(w));
+    }
+    let len = (printed.len() + 9) as u64;
+    compress(&mut v, word(&tail[8 * full..]) | len << 56);
+    v[2] ^= 0xff;
+    for _ in 0..3 {
+        round(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
 }
 
 impl Device for SimDevice {
@@ -224,6 +271,44 @@ mod tests {
             cost_model(&f, &GpuSpec::swing_cpu_core()).total().to_bits()
         );
         assert_eq!(a100.spec().name, GpuSpec::a100().name);
+    }
+
+    /// Against `DefaultHasher` fed the string then the seed, as
+    /// `noise_factor` fed it before it had its own SipHash.
+    #[test]
+    fn the_noise_hash_is_the_default_hasher() {
+        use std::hash::{Hash, Hasher};
+        // An LCG's high bits: the crate has no RNG of its own.
+        let mut state = 2023u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 11
+        };
+        let alphabet: Vec<char> = "for (i.outer, 0, 16) {}[]+*é→ \n".chars().collect();
+        for _ in 0..1000 {
+            let len = next() % 80;
+            let s: String = (0..len)
+                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                .collect();
+            let seed = next() ^ next() << 40;
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            (s.as_str(), seed).hash(&mut h);
+            assert_eq!(noise_hash(&s, seed), h.finish(), "{s:?}, seed {seed}");
+        }
+        // Known answers, so that a toolchain whose `DefaultHasher` moves
+        // cannot move this one along with it.
+        assert_eq!(noise_hash("", 0), 0x8c2c_67c2_7dc5_5de3);
+        assert_eq!(noise_hash("gemm", 7), 0x303d_0d31_43a3_d03e);
+        let printed = "for (i.outer, 0, 16) { B[i] = A[i]*2 }";
+        assert_eq!(noise_hash(printed, 1), 0xf26f_fb46_7c7c_ec74);
+    }
+
+    #[test]
+    #[should_panic]
+    fn noise_outside_the_unit_interval_is_refused() {
+        let _ = SimDevice::new(GpuSpec::a100()).with_noise(2.0);
     }
 
     #[test]

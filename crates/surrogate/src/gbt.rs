@@ -1,7 +1,7 @@
 //! Gradient-boosted regression trees (the XGBoost stand-in behind
 //! AutoTVM's `XGBTuner`).
 
-use crate::tree::{gather_columns, FitScratch, RegressionTree};
+use crate::tree::{gather_columns, FitScratch, RegressionTree, LANES};
 use crate::Regressor;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -77,6 +77,34 @@ impl GradientBoosting {
     /// Number of fitted trees.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
+    }
+
+    /// [`Regressor::predict_one`] of each of `n_rows` rows laid end to end
+    /// in one row-major slice, bit for bit.
+    ///
+    /// Rows go down each tree [`LANES`] at a time
+    /// ([`RegressionTree::predict_lanes`]; the last block repeats the last
+    /// row to fill up), and each row's leaves are summed in tree order from
+    /// the value `Iterator::sum` starts from, as `predict_one` sums them.
+    pub fn predict_rows(&self, rows: &[f64], n_rows: usize) -> Vec<f64> {
+        assert!(self.is_fitted(), "predict before fit");
+        let width = rows.len().checked_div(n_rows).unwrap_or(0);
+        assert_eq!(width * n_rows, rows.len(), "ragged rows");
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        let mut out = Vec::with_capacity(n_rows);
+        for block in (0..n_rows).step_by(LANES) {
+            let starts = std::array::from_fn(|lane| (block + lane).min(n_rows - 1) * width);
+            let mut sums = [zero; LANES];
+            for tree in &self.trees {
+                for (sum, leaf) in sums.iter_mut().zip(tree.predict_lanes(rows, &starts)) {
+                    *sum += leaf;
+                }
+            }
+            for sum in &sums[..LANES.min(n_rows - block)] {
+                out.push(self.base + self.learning_rate * sum);
+            }
+        }
+        out
     }
 }
 
@@ -237,6 +265,51 @@ mod tests {
                 assert_eq!(gbt.predict_one(row).to_bits(), old.to_bits());
             }
         }
+    }
+
+    /// Every row of a 57 600-point grid of six integer ranks, 3mm-mini's
+    /// shape, through a booster fitted the way the XGB tuner fits one and
+    /// through one whose rank-0 rows of feature 0 reach a −0.0 leaf in
+    /// every tree from a −0.0 base: those predict −0.0 only when the
+    /// leaves are summed from the value `Iterator::sum` starts from.
+    #[test]
+    fn predict_rows_is_predict_one_bit_for_bit() {
+        // Row-major, last feature fastest: (6, 5, 8, 6, 8, 5) ranks.
+        let (strides, cards) = ([9600, 1920, 240, 40, 5, 1], [6, 5, 8, 6, 8, 5]);
+        let grid: Vec<f64> = (0..57_600)
+            .flat_map(|i| (0..6).map(move |d| (i / strides[d] % cards[d]) as f64))
+            .collect();
+        let x: Vec<Vec<f64>> = grid.chunks(6).step_by(997).map(<[f64]>::to_vec).collect();
+        // A bowl, and every seventh point a failure at a penalty.
+        let bowl = |r: &[f64]| 1e-3 * (1.0 + (r[0] - 2.0).powi(2) + 0.5 * (r[3] - 1.0).powi(2));
+        let y: Vec<f64> = (0..x.len())
+            .map(|i| if i % 7 == 3 { 0.1 } else { bowl(&x[i]) })
+            .collect();
+        let mut fitted = GradientBoosting::new(40).with_max_depth(4).with_seed(7);
+        fitted.fit(&x, &y);
+        let trees = (0..40)
+            .map(|t| {
+                let step = |r: &Vec<f64>| if r[0] == 0.0 { -0.0 } else { 100.0 + t as f64 };
+                let mut tree = RegressionTree::new(4);
+                tree.fit(&x, &x.iter().map(step).collect::<Vec<f64>>());
+                tree
+            })
+            .collect();
+        let signed_zero = GradientBoosting {
+            base: -0.0,
+            trees,
+            ..GradientBoosting::new(40)
+        };
+        // All of it, and a count that leaves the last block part-filled.
+        for (model, n) in [(&fitted, 57_600), (&signed_zero, 57_600), (&fitted, 13)] {
+            let got = model.predict_rows(&grid[..6 * n], n);
+            assert_eq!(got.len(), n);
+            for (i, (row, got)) in grid.chunks(6).zip(&got).enumerate() {
+                assert_eq!(got.to_bits(), model.predict_one(row).to_bits(), "row {i}");
+            }
+        }
+        let zeros = signed_zero.predict_rows(&grid, 57_600);
+        assert!(zeros.iter().any(|p| p.to_bits() == (-0.0f64).to_bits()));
     }
 
     #[test]
