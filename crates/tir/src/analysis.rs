@@ -1,7 +1,8 @@
-//! Loop-nest analysis: features consumed by the analytical GPU cost model
-//! (`gpu-sim`) and by tuner feature encodings (`autotvm`).
+//! Loop-nest analysis: the per-store features the analytical GPU cost
+//! model (`gpu-sim`) consumes.
 
-use crate::stmt::{ForKind, PrimFunc, Stmt};
+use crate::passes::affine::{affine_of, VarRanges};
+use crate::stmt::{PrimFunc, Stmt};
 use std::collections::HashMap;
 use tvm_te::{BinOp, CmpOp, DType, PrimExpr};
 
@@ -10,21 +11,15 @@ use tvm_te::{BinOp, CmpOp, DType, PrimExpr};
 pub struct LoopInfo {
     /// Loop variable id.
     pub var_id: u64,
-    /// Loop variable name.
-    pub name: String,
     /// Lower bound.
     pub min: i64,
     /// Trip count.
     pub extent: i64,
-    /// Execution strategy.
-    pub kind: ForKind,
 }
 
 /// One memory access (read or the store target) of a statement.
 #[derive(Debug, Clone)]
 pub struct AccessInfo {
-    /// Buffer/tensor name.
-    pub buffer: String,
     /// Total elements of the underlying storage.
     pub buffer_numel: usize,
     /// Element size in bytes.
@@ -115,21 +110,22 @@ pub fn eval_int_with<F: Fn(u64) -> Option<i64>>(e: &PrimExpr, env: &F) -> Option
                 BinOp::Max => a.max(b),
             })
         }
-        PrimExpr::Cmp(op, a, b) => {
-            let (a, b) = (operand(a, env)?, operand(b, env)?);
-            Some(match op {
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-            } as i64)
-        }
+        PrimExpr::Cmp(op, a, b) => Some(compare(*op, operand(a, env)?, operand(b, env)?) as i64),
         PrimExpr::And(a, b) => Some((operand(a, env)? != 0 && operand(b, env)? != 0) as i64),
         PrimExpr::Or(a, b) => Some((operand(a, env)? != 0 || operand(b, env)? != 0) as i64),
         PrimExpr::Not(a) => Some((operand(a, env)? == 0) as i64),
         _ => None,
+    }
+}
+
+fn compare(op: CmpOp, a: i64, b: i64) -> bool {
+    match op {
+        CmpOp::Eq => a == b,
+        CmpOp::Ne => a != b,
+        CmpOp::Lt => a < b,
+        CmpOp::Le => a <= b,
+        CmpOp::Gt => a > b,
+        CmpOp::Ge => a >= b,
     }
 }
 
@@ -206,33 +202,129 @@ impl XorShift {
 
 const SELECTIVITY_SAMPLES: usize = 512;
 
-fn guard_selectivity(guards: &[PrimExpr], loops: &[LoopInfo]) -> f64 {
-    if guards.is_empty() {
-        return 1.0;
-    }
+/// The sample points of a loop list: `SELECTIVITY_SAMPLES` rows of one
+/// value per loop. Every list restarts the stream, so the points depend
+/// only on the loops' `(min, extent)` and stores under equal lists share
+/// them.
+fn draw_samples(loops: &[LoopInfo]) -> Vec<i64> {
     let mut rng = XorShift(0x9E3779B97F4A7C15);
-    let mut pass = 0usize;
-    let mut values = vec![0i64; loops.len()];
+    let mut values = Vec::with_capacity(SELECTIVITY_SAMPLES * loops.len());
     for _ in 0..SELECTIVITY_SAMPLES {
-        for (value, l) in values.iter_mut().zip(loops) {
-            *value = l.min + rng.below(l.extent);
-        }
-        let env = |id| loop_value(loops, &values, id);
-        // A conjunction of independent predicates, so the order is free:
-        // innermost first, because the outermost guards are split-tail
-        // bounds checks that almost always hold, while the inner ones
-        // (triangular domains) reject most samples early.
-        let ok = guards
-            .iter()
-            .rev()
-            .all(|g| eval_int_with(g, &env).map(|v| v != 0).unwrap_or(true));
-        pass += ok as usize;
+        values.extend(loops.iter().map(|l| l.min + rng.below(l.extent)));
     }
+    values
+}
+
+/// `Σ c·values[slot] + k`: an affine side resolved to loop slots.
+type SlotForm = (Vec<(usize, i64)>, i64);
+
+/// One conjunct of a store's guards, compiled once per store.
+enum Guard<'a> {
+    /// `lhs op rhs`, both sides evaluated in wrapping `i64`; never `None`.
+    Affine(CmpOp, SlotForm, SlotForm),
+    /// Anything else, walked as a tree; `None` ("cannot analyze") passes.
+    Tree(&'a PrimExpr),
+}
+
+impl Guard<'_> {
+    fn holds(&self, loops: &[LoopInfo], row: &[i64]) -> bool {
+        let at = |(terms, k): &SlotForm| {
+            terms.iter().fold(*k, |acc, &(slot, c)| {
+                acc.wrapping_add(c.wrapping_mul(row[slot]))
+            })
+        };
+        match self {
+            Guard::Affine(op, lhs, rhs) => compare(*op, at(lhs), at(rhs)),
+            Guard::Tree(g) => {
+                eval_int_with(g, &|id| loop_value(loops, row, id)).is_none_or(|v| v != 0)
+            }
+        }
+    }
+}
+
+/// `e` as a slot form: `affine_of` gives a form and every variable of `e`
+/// is an enclosing loop. The check is on `e`, not the form, because the
+/// form cancels `free - free` and `free * 0`, which the tree walk cannot
+/// evaluate.
+fn slot_form(e: &PrimExpr, loops: &[LoopInfo], ranges: &VarRanges) -> Option<SlotForm> {
+    let slot = |id| loops.iter().rposition(|l| l.var_id == id);
+    let mut bound = true;
+    tvm_te::visitor::walk(e, &mut |n| {
+        if let PrimExpr::Var(v) = n {
+            bound &= slot(v.id).is_some();
+        }
+    });
+    let form = affine_of(e, ranges).filter(|_| bound)?;
+    let terms = form.terms.iter().map(|(v, c)| Some((slot(v.id)?, *c)));
+    Some((terms.collect::<Option<_>>()?, form.constant))
+}
+
+/// Append the conjuncts of guard `g` to `out`.
+fn compile<'a>(g: &'a PrimExpr, loops: &[LoopInfo], ranges: &VarRanges, out: &mut Vec<Guard<'a>>) {
+    let affine = |op: CmpOp, a: &PrimExpr, b: &PrimExpr| {
+        let (a, b) = (slot_form(a, loops, ranges)?, slot_form(b, loops, ranges)?);
+        Some(Guard::Affine(op, a, b))
+    };
+    let compiled = match g {
+        PrimExpr::Cmp(op, a, b) => affine(*op, a, b),
+        // Else-branch guards: the complementary comparison.
+        PrimExpr::Not(c) => match &**c {
+            PrimExpr::Cmp(op, a, b) => {
+                let op = match op {
+                    CmpOp::Eq => CmpOp::Ne,
+                    CmpOp::Ne => CmpOp::Eq,
+                    CmpOp::Lt => CmpOp::Ge,
+                    CmpOp::Le => CmpOp::Gt,
+                    CmpOp::Gt => CmpOp::Le,
+                    CmpOp::Ge => CmpOp::Lt,
+                };
+                affine(op, a, b)
+            }
+            _ => None,
+        },
+        // `And` passes when its left side is `None`, so it splits only
+        // when that side compiles to comparisons alone.
+        PrimExpr::And(a, b) => {
+            let mark = out.len();
+            compile(a, loops, ranges, out);
+            if out[mark..].iter().all(|c| matches!(c, Guard::Affine(..))) {
+                compile(b, loops, ranges, out);
+                return;
+            }
+            out.truncate(mark);
+            None
+        }
+        _ => None,
+    };
+    out.push(compiled.unwrap_or(Guard::Tree(g)));
+}
+
+/// The share of the sample points `draws` of `loops` that pass every
+/// guard, floored at one sample.
+fn guard_selectivity(guards: &[PrimExpr], loops: &[LoopInfo], draws: &[i64]) -> f64 {
+    let ranges: VarRanges = loops
+        .iter()
+        .map(|l| (l.var_id, (l.min, l.min + (l.extent - 1).max(0))))
+        .collect();
+    // A conjunction of independent predicates, so the order is free:
+    // innermost first, because the outermost guards are split-tail
+    // bounds checks that almost always hold, while the inner ones
+    // (triangular domains) reject most samples early.
+    let mut conjuncts = Vec::new();
+    for g in guards.iter().rev() {
+        compile(g, loops, &ranges, &mut conjuncts);
+    }
+    let n = loops.len();
+    let pass = (0..SELECTIVITY_SAMPLES)
+        .filter(|s| {
+            let row = &draws[s * n..(s + 1) * n];
+            conjuncts.iter().all(|g| g.holds(loops, row))
+        })
+        .count();
     (pass as f64 / SELECTIVITY_SAMPLES as f64).max(1.0 / SELECTIVITY_SAMPLES as f64)
 }
 
 fn access_info(
-    name: &str,
     numel: usize,
     dtype: DType,
     indices: &[PrimExpr],
@@ -252,17 +344,20 @@ fn access_info(
         .map(|l| stride_of(indices, &elem_strides, l.var_id, &base).unwrap_or(0))
         .collect();
     AccessInfo {
-        buffer: name.to_string(),
         buffer_numel: numel,
         elem_bytes: dtype.size_bytes(),
         strides,
     }
 }
 
+/// Sample points by the `(min, extent)` list they were drawn for.
+type Draws = HashMap<Vec<(i64, i64)>, Vec<i64>>;
+
 fn collect(
     stmt: &Stmt,
     loops: &mut Vec<LoopInfo>,
     guards: &mut Vec<PrimExpr>,
+    draws: &mut Draws,
     out: &mut Vec<StmtFeatures>,
 ) {
     match stmt {
@@ -270,32 +365,30 @@ fn collect(
             var,
             min,
             extent,
-            kind,
             body,
+            ..
         } => {
             loops.push(LoopInfo {
                 var_id: var.id,
-                name: var.name.clone(),
                 min: *min,
                 extent: *extent,
-                kind: *kind,
             });
-            collect(body, loops, guards, out);
+            collect(body, loops, guards, draws, out);
             loops.pop();
         }
         Stmt::IfThenElse { cond, then, else_ } => {
             guards.push(cond.clone());
-            collect(then, loops, guards, out);
+            collect(then, loops, guards, draws, out);
             guards.pop();
             if let Some(e) = else_ {
                 guards.push(PrimExpr::Not(std::sync::Arc::new(cond.clone())));
-                collect(e, loops, guards, out);
+                collect(e, loops, guards, draws, out);
                 guards.pop();
             }
         }
         Stmt::Seq(items) => {
             for s in items {
-                collect(s, loops, guards, out);
+                collect(s, loops, guards, draws, out);
             }
         }
         Stmt::BufferStore {
@@ -306,29 +399,22 @@ fn collect(
             let mut reads = Vec::new();
             tvm_te::visitor::walk(value, &mut |e| {
                 if let PrimExpr::TensorRead(t, idx) = e {
-                    reads.push(access_info(
-                        t.name(),
-                        t.numel(),
-                        t.dtype(),
-                        idx,
-                        t.shape(),
-                        loops,
-                    ));
+                    reads.push(access_info(t.numel(), t.dtype(), idx, t.shape(), loops));
                 }
             });
-            let write = access_info(
-                &buffer.name,
-                buffer.numel(),
-                buffer.dtype,
-                indices,
-                &buffer.shape,
-                loops,
-            );
+            let write = access_info(buffer.numel(), buffer.dtype, indices, &buffer.shape, loops);
             let raw_iterations: f64 = loops.iter().map(|l| l.extent as f64).product();
+            let guard_selectivity = if guards.is_empty() {
+                1.0
+            } else {
+                let key = loops.iter().map(|l| (l.min, l.extent)).collect();
+                let draws = draws.entry(key).or_insert_with(|| draw_samples(loops));
+                guard_selectivity(guards, loops, draws)
+            };
             out.push(StmtFeatures {
                 loops: loops.clone(),
                 raw_iterations,
-                guard_selectivity: guard_selectivity(guards, loops),
+                guard_selectivity,
                 flops_per_iter: count_flops(value),
                 reads,
                 write,
@@ -341,20 +427,22 @@ fn collect(
 /// Extract per-store loop-nest features from a lowered function.
 pub fn analyze(func: &PrimFunc) -> Vec<StmtFeatures> {
     let mut out = Vec::new();
-    collect(&func.body, &mut Vec::new(), &mut Vec::new(), &mut out);
+    let (mut loops, mut guards) = (Vec::new(), Vec::new());
+    collect(
+        &func.body,
+        &mut loops,
+        &mut guards,
+        &mut Draws::new(),
+        &mut out,
+    );
     out
-}
-
-/// Total floating-point work of the whole function.
-pub fn total_flops(func: &PrimFunc) -> f64 {
-    analyze(func).iter().map(|f| f.total_flops()).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lower::lower;
-    use tvm_te::{compute, placeholder, reduce_axis, sum, DType, Schedule};
+    use tvm_te::{compute, placeholder, reduce_axis, sum, DType, Schedule, Var};
 
     fn matmul(n: usize) -> PrimFunc {
         let a = placeholder([n, n], DType::F64, "A");
@@ -387,20 +475,10 @@ mod tests {
         let f = matmul(16);
         let feats = analyze(&f);
         let update = &feats[1];
-        // Loops are (i, j, k). Reads: A[i,k] (strides 16,0,1), B[k,j] (0,1,16),
-        // C[i,j] (16,1,0). Write C[i,j] likewise.
-        let a = update
-            .reads
-            .iter()
-            .find(|r| r.buffer == "A")
-            .expect("A read");
-        assert_eq!(a.strides, vec![16, 0, 1]);
-        let b = update
-            .reads
-            .iter()
-            .find(|r| r.buffer == "B")
-            .expect("B read");
-        assert_eq!(b.strides, vec![0, 1, 16]);
+        // Loops are (i, j, k). Reads, in walk order: C[i,j] (strides
+        // 16,1,0), A[i,k] (16,0,1), B[k,j] (0,1,16). Write C[i,j] likewise.
+        let strides: Vec<&[i64]> = update.reads.iter().map(|r| &r.strides[..]).collect();
+        assert_eq!(strides, [&[16, 1, 0], &[16, 0, 1], &[0, 1, 16]]);
         assert_eq!(update.write.strides, vec![16, 1, 0]);
     }
 
@@ -454,10 +532,80 @@ mod tests {
         Some(off1 - off0)
     }
 
+    /// Numbers drawn by the case runner, read in order by a recursive
+    /// guard builder (the runner has no recursive strategies).
+    struct Tape<'a>(std::slice::Iter<'a, u64>);
+
+    impl Tape<'_> {
+        fn pick(&mut self, n: u64) -> u64 {
+            self.0.next().map_or(0, |v| v % n)
+        }
+
+        /// Constants in `-4..=4` and operators nested at most `depth`
+        /// deep, so the reference never overflows on loop values in
+        /// `-3..=8`. Most draws stay affine, so most comparisons compile.
+        /// An exhausted tape reads as zeros.
+        fn index(&mut self, vars: &[Var], depth: u32) -> PrimExpr {
+            use BinOp::*;
+            const OPS: [BinOp; 10] = [Add, Sub, Add, Sub, Mul, Div, FloorDiv, FloorMod, Min, Max];
+            match self.pick(if depth == 0 { 3 } else { 3 + OPS.len() as u64 }) {
+                0 => tvm_te::ops::int(self.pick(9) as i64 - 4),
+                1 | 2 => vars[self.pick(vars.len() as u64) as usize].expr(),
+                op => {
+                    let a = self.index(vars, depth - 1);
+                    PrimExpr::binary(OPS[op as usize - 3], a, self.index(vars, depth - 1))
+                }
+            }
+        }
+
+        fn guard(&mut self, vars: &[Var], depth: u32) -> PrimExpr {
+            use tvm_te::ops::cmp::{and, not, or};
+            use CmpOp::*;
+            let compare = |t: &mut Self| {
+                let op = [Eq, Ne, Lt, Le, Gt, Ge][t.pick(6) as usize];
+                let depth = t.pick(3) as u32;
+                let a = t.index(vars, depth);
+                PrimExpr::cmp(op, a, t.index(vars, depth))
+            };
+            match self.pick(if depth == 0 { 2 } else { 6 }) {
+                0 => compare(self),
+                1 => not(compare(self)),
+                2 => and(self.guard(vars, depth - 1), self.guard(vars, depth - 1)),
+                3 => or(self.guard(vars, depth - 1), self.guard(vars, depth - 1)),
+                4 => not(self.guard(vars, depth - 1)),
+                _ => self.index(vars, 1),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        // Loops bind `vars[..3]` with repeats, extents 0 and 1 and
+        // negative minimums; `vars[3]` is never bound.
+        fn generated_guards_match_the_map_reference(
+            nest in proptest::collection::vec((0usize..3, -3i64..=3, 0i64..=6), 0..6),
+            tape in proptest::collection::vec(0u64..1 << 16, 64..65),
+        ) {
+            let vars = [Var::index("i"), Var::index("j"), Var::index("k"), Var::index("free")];
+            let loops: Vec<LoopInfo> = nest
+                .iter()
+                .map(|&(v, min, extent)| LoopInfo { var_id: vars[v].id, min, extent })
+                .collect();
+            let mut tape = Tape(tape.iter());
+            let guards: Vec<PrimExpr> = (0..1 + tape.pick(3)).map(|_| tape.guard(&vars, 2)).collect();
+            proptest::prop_assert_eq!(
+                guard_selectivity(&guards, &loops, &draw_samples(&loops)).to_bits(),
+                guard_selectivity_by_map(&guards, &loops).to_bits(),
+                "guards {guards:?} under {loops:?}"
+            );
+        }
+    }
+
     #[test]
     fn slot_evaluation_matches_the_map_reference() {
+        use tvm_te::ops::cmp::{and, not, or};
         use tvm_te::ops::{cmp, floordiv, floormod, int};
-        use tvm_te::Var;
         let (i, j, k, free) = (
             Var::index("i"),
             Var::index("j"),
@@ -466,10 +614,8 @@ mod tests {
         );
         let loop_of = |v: &Var, min: i64, extent: i64| LoopInfo {
             var_id: v.id,
-            name: v.name.clone(),
             min,
             extent,
-            kind: ForKind::Serial,
         };
         // `i` is bound twice (the inner binding must win), `k` has a
         // non-zero minimum and a one-trip loop draws nothing.
@@ -492,17 +638,27 @@ mod tests {
             vec![cmp::lt(floordiv(i.expr(), j.expr()), int(2))],
             // Never true: clamps to the 1/512 floor.
             vec![cmp::lt(i.expr(), int(0))],
+            // A `None` left side passes the whole `And`; split, the
+            // right side would fail every sample.
+            vec![and(cmp::lt(free.expr(), int(0)), cmp::lt(i.expr(), int(0)))],
+            vec![or(cmp::lt(free.expr(), int(0)), cmp::lt(i.expr(), int(0)))],
+            vec![
+                not(cmp::le(j.expr(), i.expr())),
+                cmp::lt(PrimExpr::binary(BinOp::Min, i.expr(), k.expr()), int(7)),
+                cmp::ge(PrimExpr::binary(BinOp::Max, j.expr(), int(2)), k.expr() - 5),
+            ],
         ];
         for guards in &guard_sets {
             for depth in 0..=loops.len() {
                 let nest = &loops[..depth];
                 assert_eq!(
-                    guard_selectivity(guards, nest).to_bits(),
+                    guard_selectivity(guards, nest, &draw_samples(nest)).to_bits(),
                     guard_selectivity_by_map(guards, nest).to_bits(),
                     "guards {guards:?} under {depth} loops"
                 );
             }
         }
+        generated_guards_match_the_map_reference();
 
         let accesses: Vec<Vec<PrimExpr>> = vec![
             vec![i.expr(), k.expr()],
@@ -512,7 +668,7 @@ mod tests {
         ];
         let elem_strides = [64usize, 1];
         for indices in &accesses {
-            let info = access_info("A", 4096, DType::F64, indices, &[64, 64], &loops);
+            let info = access_info(4096, DType::F64, indices, &[64, 64], &loops);
             let want: Vec<i64> = loops
                 .iter()
                 .map(|l| stride_by_map(indices, &elem_strides, l.var_id, &loops).unwrap_or(0))
