@@ -30,16 +30,6 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-const KERNELS: [KernelName; 7] = [
-    KernelName::Mm3,
-    KernelName::Mm2,
-    KernelName::Gemm,
-    KernelName::Syrk,
-    KernelName::Trmm,
-    KernelName::Lu,
-    KernelName::Cholesky,
-];
-
 struct Row {
     kernel: String,
     configs: usize,
@@ -158,7 +148,7 @@ fn main() {
         "kernel", "analyze ns/cfg", "lower ns/cfg", "prelint", "analyzer"
     );
     let mut rows = Vec::new();
-    for k in KERNELS {
+    for k in KernelName::all() {
         let row = bench_kernel(k, size, mode, configs);
         println!(
             "{:<10} {:>14.0} {:>16.0} {:>8.1}% {:>8.1}%",

@@ -31,16 +31,6 @@ use tvm_runtime::{
     compile_optimized, default_backend, interp, jit_fingerprint, vm, CpuDevice, Device, NDArray,
 };
 
-const KERNELS: [KernelName; 7] = [
-    KernelName::Mm3,
-    KernelName::Lu,
-    KernelName::Cholesky,
-    KernelName::Gemm,
-    KernelName::Mm2,
-    KernelName::Syrk,
-    KernelName::Trmm,
-];
-
 fn kernel_label(kernel: KernelName) -> &'static str {
     match kernel {
         KernelName::Gemm => "gemm",
@@ -87,7 +77,7 @@ fn cpu_json() -> serde_json::Value {
 fn differential(size: ProblemSize, configs_per_kernel: usize, dev: &CpuDevice) -> u64 {
     let mut rng = SmallRng::seed_from_u64(2024);
     let mut runs = 0u64;
-    for kernel in KERNELS {
+    for kernel in KernelName::all() {
         let mold = mold_for(kernel, size);
         let mut configs = vec![mold.space().default_configuration()];
         for _ in 1..configs_per_kernel.max(1) {
@@ -346,7 +336,7 @@ fn main() {
     }
     let mut rows = Vec::new();
     println!("kernel   elements     opt ns/el     jit ns/el  nests  jit-x");
-    for k in KERNELS {
+    for k in KernelName::all() {
         let row = time_kernel(k, size, reps);
         println!(
             "{:<8} {:>7}  {:>12.1}  {:>12.1}  {:>5}  {:>4.2}x",

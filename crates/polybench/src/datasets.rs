@@ -79,6 +79,19 @@ pub enum KernelName {
 }
 
 impl KernelName {
+    /// All seven kernels, in declaration order.
+    pub fn all() -> [KernelName; 7] {
+        [
+            KernelName::Mm3,
+            KernelName::Lu,
+            KernelName::Cholesky,
+            KernelName::Gemm,
+            KernelName::Mm2,
+            KernelName::Syrk,
+            KernelName::Trmm,
+        ]
+    }
+
     /// The paper's three kernels.
     pub fn paper_kernels() -> [KernelName; 3] {
         [KernelName::Mm3, KernelName::Cholesky, KernelName::Lu]
@@ -246,15 +259,7 @@ mod tests {
         for s in ProblemSize::all() {
             assert_eq!(ProblemSize::parse(&s.to_string()), Some(s));
         }
-        for k in [
-            KernelName::Mm3,
-            KernelName::Lu,
-            KernelName::Cholesky,
-            KernelName::Gemm,
-            KernelName::Mm2,
-            KernelName::Syrk,
-            KernelName::Trmm,
-        ] {
+        for k in KernelName::all() {
             assert_eq!(KernelName::parse(&k.to_string()), Some(k));
         }
         assert_eq!(ProblemSize::parse("xl"), Some(ProblemSize::ExtraLarge));

@@ -111,12 +111,6 @@ pub(crate) fn build_syrk_par(m: usize, n: usize, ty: i64, tx: i64, par_mode: i64
     fb.build(body)
 }
 
-/// Build tiled syrk for `C: n×n`, `A: n×m` with tiles `(ty, tx)` and the
-/// paper's parallel outer row-tile loop.
-pub fn build_syrk(m: usize, n: usize, ty: i64, tx: i64) -> PrimFunc {
-    build_syrk_par(m, n, ty, tx, 0)
-}
-
 /// The syrk code mold.
 pub struct SyrkMold {
     size: ProblemSize,
@@ -198,33 +192,19 @@ mod tests {
     use super::*;
     use tvm_runtime::interp::execute;
 
-    fn check(ty: i64, tx: i64) {
-        let mold = SyrkMold::new(ProblemSize::Mini);
-        let (m, n) = mold.dims;
-        let f = build_syrk(m, n, ty, tx);
-        let mut args = mold.init_args();
-        execute(&f, &mut args).expect("run");
-        let expect = mold.reference_args()[1].clone().expect("C");
-        assert!(
-            args[1].allclose(&expect, 1e-9, 1e-9),
-            "tiles ({ty},{tx}): max diff {}",
-            args[1].max_abs_diff(&expect)
-        );
-    }
-
     #[test]
     fn untiled_matches_reference() {
-        check(1, 1);
+        check_par(1, 1, 0);
     }
 
     #[test]
     fn tiled_matches_reference() {
-        check(6, 5);
+        check_par(6, 5, 0);
     }
 
     #[test]
     fn nondivisible_tiles_match_reference() {
-        check(7, 11);
+        check_par(7, 11, 0);
     }
 
     fn check_par(ty: i64, tx: i64, par_mode: i64) {
@@ -271,7 +251,7 @@ mod tests {
     fn upper_triangle_untouched() {
         let mold = SyrkMold::new(ProblemSize::Mini);
         let (m, n) = mold.dims;
-        let f = build_syrk(m, n, 5, 6);
+        let f = build_syrk_par(m, n, 5, 6, 0);
         let input = mold.init_args()[1].clone();
         let mut args = mold.init_args();
         execute(&f, &mut args).expect("run");

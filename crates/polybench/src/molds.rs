@@ -147,15 +147,7 @@ mod tests {
 
     #[test]
     fn aggressive_baseline_is_legal_and_neutral() {
-        for kernel in [
-            KernelName::Gemm,
-            KernelName::Mm2,
-            KernelName::Mm3,
-            KernelName::Lu,
-            KernelName::Cholesky,
-            KernelName::Syrk,
-            KernelName::Trmm,
-        ] {
+        for kernel in KernelName::all() {
             let mold = mold_for_mode(kernel, ProblemSize::Mini, SpaceMode::Aggressive);
             assert_eq!(mold.mode(), SpaceMode::Aggressive);
             let base = mold.baseline_configuration();

@@ -204,16 +204,6 @@ pub fn table1() -> Vec<(KernelName, ProblemSize, u128)> {
 mod tests {
     use super::*;
 
-    const ALL_KERNELS: [KernelName; 7] = [
-        KernelName::Mm3,
-        KernelName::Lu,
-        KernelName::Cholesky,
-        KernelName::Gemm,
-        KernelName::Mm2,
-        KernelName::Syrk,
-        KernelName::Trmm,
-    ];
-
     #[test]
     fn table1_cardinalities_match_paper() {
         let expect = [
@@ -291,7 +281,7 @@ mod tests {
         // space (same name, value present), and the aggressive space is
         // strictly larger — for all seven kernels at both a test size and
         // a paper size.
-        for kernel in ALL_KERNELS {
+        for kernel in KernelName::all() {
             for size in [ProblemSize::Mini, ProblemSize::Large] {
                 let paper = space_for_mode(kernel, size, SpaceMode::Paper);
                 let agg = space_for_mode(kernel, size, SpaceMode::Aggressive);

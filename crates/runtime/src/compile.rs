@@ -337,19 +337,31 @@ pub(crate) struct Block {
     pub(crate) items: Vec<Item>,
 }
 
+impl Block {
+    /// Every item of this block and of the blocks inside it (loop bodies
+    /// and both arms of a conditional), in pre-order.
+    fn walk(&self) -> impl Iterator<Item = &Item> {
+        let mut stack: Vec<&Item> = self.items.iter().rev().collect();
+        std::iter::from_fn(move || {
+            let item = stack.pop()?;
+            match item {
+                Item::Loop { body, .. } => stack.extend(body.items.iter().rev()),
+                Item::If { then, else_, .. } => {
+                    stack.extend(else_.iter().flat_map(|e| e.items.iter().rev()));
+                    stack.extend(then.items.iter().rev());
+                }
+                _ => {}
+            }
+            Some(item)
+        })
+    }
+}
+
 /// Forwarded strided loops ([`Carry`]) among the bytecode items of `b`.
 pub(crate) fn forwarded_in(b: &Block) -> usize {
-    b.items
-        .iter()
-        .map(|it| match it {
-            Item::Code(_) | Item::MulAddLoop { .. } | Item::JitCall { .. } => 0,
-            Item::Loop { body, .. } => forwarded_in(body),
-            Item::If { then, else_, .. } => {
-                forwarded_in(then) + else_.as_ref().map_or(0, forwarded_in)
-            }
-            Item::StridedLoop { carry, .. } => carry.is_some() as usize,
-        })
-        .sum()
+    b.walk()
+        .filter(|it| matches!(it, Item::StridedLoop { carry: Some(_), .. }))
+        .count()
 }
 
 /// Parameter signature entry (drives the same arity/shape/dtype checks the
@@ -417,113 +429,76 @@ impl CompiledFunc {
 
     /// Total instruction count (static, not dynamic).
     pub fn instr_count(&self) -> usize {
-        fn count(b: &Block) -> usize {
-            b.items
-                .iter()
-                .map(|it| match it {
-                    Item::Code(c) => c.len(),
-                    Item::Loop { pre, body, .. } => pre.len() + count(body),
-                    Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
-                    Item::StridedLoop { pre, body, .. } => pre.len() + body.len(),
-                    Item::MulAddLoop { pre, .. } => pre.len() + 1,
-                    Item::JitCall { .. } => 1,
-                })
-                .sum()
-        }
-        count(&self.body)
+        self.body
+            .walk()
+            .map(|it| match it {
+                Item::Code(c) => c.len(),
+                Item::Loop { pre, .. } => pre.len(),
+                Item::If { .. } => 0,
+                Item::StridedLoop { pre, body, .. } => pre.len() + body.len(),
+                Item::MulAddLoop { pre, .. } => pre.len() + 1,
+                Item::JitCall { .. } => 1,
+            })
+            .sum()
     }
 
     /// Number of runtime bounds checks left after static elision (a proxy
-    /// for how much of the index arithmetic was proven safe).
+    /// for how much of the index arithmetic was proven safe). Jitted nests
+    /// contain no checks by construction.
     pub fn bounds_check_count(&self) -> usize {
-        fn in_code(c: &[Instr]) -> usize {
+        let checks = |c: &[Instr]| {
             c.iter()
                 .filter(|i| matches!(i, Instr::Bound { .. } | Instr::StoreChecked { .. }))
                 .count()
-        }
-        fn count(b: &Block) -> usize {
-            b.items
-                .iter()
-                .map(|it| match it {
-                    Item::Code(c) => in_code(c),
-                    Item::Loop { body, .. } => count(body),
-                    Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
-                    Item::StridedLoop { pre, body, .. } => in_code(pre) + in_code(body),
-                    Item::MulAddLoop { pre, .. } => in_code(pre),
-                    // Jitted nests contain no checks by construction.
-                    Item::JitCall { .. } => 0,
-                })
-                .sum()
-        }
-        count(&self.body)
+        };
+        self.body
+            .walk()
+            .map(|it| match it {
+                Item::Code(c) => checks(c),
+                Item::StridedLoop { pre, body, .. } => checks(pre) + checks(body),
+                Item::MulAddLoop { pre, .. } => checks(pre),
+                Item::Loop { .. } | Item::If { .. } | Item::JitCall { .. } => 0,
+            })
+            .sum()
     }
 
     /// Number of innermost loops the block optimizer turned into
     /// strided-pointer-bump form (includes microkernel loops).
     pub fn strided_loop_count(&self) -> usize {
-        fn count(b: &Block) -> usize {
-            b.items
-                .iter()
-                .map(|it| match it {
-                    Item::Code(_) | Item::JitCall { .. } => 0,
-                    Item::Loop { body, .. } => count(body),
-                    Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
-                    Item::StridedLoop { .. } | Item::MulAddLoop { .. } => 1,
-                })
-                .sum()
-        }
-        count(&self.body)
+        self.body
+            .walk()
+            .filter(|it| matches!(it, Item::StridedLoop { .. } | Item::MulAddLoop { .. }))
+            .count()
     }
 
     /// Number of loops the block optimizer trimmed to a dynamic live
     /// range (a guard on the loop's own variable turned into bounds).
     pub fn trimmed_loop_count(&self) -> usize {
-        fn count(b: &Block) -> usize {
-            b.items
-                .iter()
-                .map(|it| match it {
-                    Item::Code(_) | Item::MulAddLoop { .. } | Item::JitCall { .. } => 0,
-                    Item::Loop { clamp, body, .. } => !clamp.is_none() as usize + count(body),
-                    Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
-                    Item::StridedLoop { clamp, .. } => !clamp.is_none() as usize,
-                })
-                .sum()
-        }
-        count(&self.body)
+        self.body
+            .walk()
+            .filter(|it| match it {
+                Item::Loop { clamp, .. } | Item::StridedLoop { clamp, .. } => !clamp.is_none(),
+                _ => false,
+            })
+            .count()
     }
 
     /// Number of plain loops the block optimizer hoisted index arithmetic
     /// out of (a `pre`, and bumps for what moves), still in bytecode.
     pub fn hoisted_loop_count(&self) -> usize {
-        fn count(b: &Block) -> usize {
-            b.items
-                .iter()
-                .map(|it| match it {
-                    Item::Loop { pre, body, .. } => !pre.is_empty() as usize + count(body),
-                    Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
-                    _ => 0,
-                })
-                .sum()
-        }
-        count(&self.body)
+        self.body
+            .walk()
+            .filter(|it| matches!(it, Item::Loop { pre, .. } if !pre.is_empty()))
+            .count()
     }
 
     /// Number of conditionals left in bytecode (none inside a jitted
     /// nest: the native backend compiles an `If` whose arms it can).
     pub fn conditional_count(&self) -> usize {
-        fn count(b: &Block) -> usize {
-            b.items
-                .iter()
-                .map(|it| match it {
-                    Item::Loop { body, .. } => count(body),
-                    Item::If { then, else_, .. } => {
-                        1 + count(then) + else_.as_ref().map_or(0, count)
-                    }
-                    _ => 0,
-                })
-                .sum()
-        }
-        count(&self.body)
+        self.body
+            .walk()
+            .filter(|it| matches!(it, Item::If { .. }))
+            .count()
     }
 
     /// Number of strided reduction loops whose accumulator the block
@@ -537,18 +512,10 @@ impl CompiledFunc {
     /// Number of inner loops dispatched to the multiply-accumulate slice
     /// microkernel.
     pub fn microkernel_count(&self) -> usize {
-        fn count(b: &Block) -> usize {
-            b.items
-                .iter()
-                .map(|it| match it {
-                    Item::Code(_) | Item::StridedLoop { .. } | Item::JitCall { .. } => 0,
-                    Item::Loop { body, .. } => count(body),
-                    Item::If { then, else_, .. } => count(then) + else_.as_ref().map_or(0, count),
-                    Item::MulAddLoop { .. } => 1,
-                })
-                .sum()
-        }
-        count(&self.body)
+        self.body
+            .walk()
+            .filter(|it| matches!(it, Item::MulAddLoop { .. }))
+            .count()
     }
 
     /// Register file sizes `(int, float)`.
@@ -587,34 +554,18 @@ impl CompiledFunc {
     /// Loops the optimizer rewrote to strided/microkernel form are
     /// included (they execute sequentially regardless of proof).
     pub fn parallel_loop_counts(&self) -> (usize, usize) {
-        fn count(b: &Block, acc: &mut (usize, usize)) {
-            for it in &b.items {
-                match it {
-                    Item::Code(_) | Item::MulAddLoop { .. } | Item::JitCall { .. } => {}
-                    Item::Loop { body, kind, .. } => {
-                        tally(kind, acc);
-                        count(body, acc);
+        let proven = |want: bool| {
+            self.body
+                .walk()
+                .filter(|it| match it {
+                    Item::Loop { kind, .. } | Item::StridedLoop { kind, .. } => {
+                        *kind == LoopKind::Parallel { proven: want }
                     }
-                    Item::If { then, else_, .. } => {
-                        count(then, acc);
-                        if let Some(e) = else_ {
-                            count(e, acc);
-                        }
-                    }
-                    Item::StridedLoop { kind, .. } => tally(kind, acc),
-                }
-            }
-        }
-        fn tally(kind: &LoopKind, acc: &mut (usize, usize)) {
-            match kind {
-                LoopKind::Parallel { proven: true } => acc.0 += 1,
-                LoopKind::Parallel { proven: false } => acc.1 += 1,
-                _ => {}
-            }
-        }
-        let mut acc = (0, 0);
-        count(&self.body, &mut acc);
-        acc
+                    _ => false,
+                })
+                .count()
+        };
+        (proven(true), proven(false))
     }
 }
 

@@ -21,8 +21,6 @@ pub struct RandomForest {
     /// Features per split (`None` = `ceil(n_features / 3)`, scikit-learn's
     /// regression default).
     pub max_features: Option<usize>,
-    /// Bootstrap resampling of rows per tree.
-    pub bootstrap: bool,
     /// Base RNG seed.
     pub seed: u64,
     trees: Vec<RegressionTree>,
@@ -30,14 +28,13 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Forest with `n_trees` trees and library defaults
-    /// (depth 16, leaf 1, bootstrap on).
+    /// (depth 16, leaf 1, every tree on a bootstrap sample of the rows).
     pub fn new(n_trees: usize) -> RandomForest {
         RandomForest {
             n_trees: n_trees.max(1),
             max_depth: 16,
             min_samples_leaf: 1,
             max_features: None,
-            bootstrap: true,
             seed: 0,
             trees: Vec::new(),
         }
@@ -64,12 +61,6 @@ impl RandomForest {
     /// Builder: features per split.
     pub fn with_max_features(mut self, m: usize) -> Self {
         self.max_features = Some(m.max(1));
-        self
-    }
-
-    /// Builder: toggle bootstrap resampling.
-    pub fn with_bootstrap(mut self, b: bool) -> Self {
-        self.bootstrap = b;
         self
     }
 
@@ -167,11 +158,7 @@ impl Regressor for RandomForest {
                     .wrapping_add(t as u64 + 1);
                 let mut rng = SmallRng::seed_from_u64(tree_seed);
                 rows.clear();
-                if self.bootstrap {
-                    rows.extend((0..n).map(|_| rng.gen_range(0..n)));
-                } else {
-                    rows.extend(0..n);
-                }
+                rows.extend((0..n).map(|_| rng.gen_range(0..n)));
                 gather_columns(x, &rows, &mut bx);
                 by.clear();
                 by.extend(rows.iter().map(|&i| y[i]));
@@ -239,23 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn no_bootstrap_full_depth_interpolates() {
-        let (x, y) = quadratic(30);
-        let mut rf = RandomForest::new(5)
-            .with_bootstrap(false)
-            .with_max_features(1)
-            .with_seed(2);
-        rf.fit(&x, &y);
-        // Without bootstrap and with all features, trees see all rows:
-        // training error should be ~0.
-        let preds = rf.predict(&x);
-        assert!(rmse(&preds, &y) < 1e-9);
-        // And the ensemble agrees with itself -> zero std.
-        let (_, s) = rf.predict_with_std(&x[10]);
-        assert!(s < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "predict before fit")]
     fn predict_before_fit_panics() {
         let rf = RandomForest::new(3);
@@ -279,16 +249,12 @@ mod tests {
                     .wrapping_mul(0x9E3779B97F4A7C15)
                     .wrapping_add(t as u64 + 1);
                 let mut rng = SmallRng::seed_from_u64(tree_seed);
-                let (bx, by): (Vec<Vec<f64>>, Vec<f64>) = if rf.bootstrap {
-                    (0..n)
-                        .map(|_| {
-                            let i = rng.gen_range(0..n);
-                            (x[i].clone(), y[i])
-                        })
-                        .unzip()
-                } else {
-                    (x.to_vec(), y.to_vec())
-                };
+                let (bx, by): (Vec<Vec<f64>>, Vec<f64>) = (0..n)
+                    .map(|_| {
+                        let i = rng.gen_range(0..n);
+                        (x[i].clone(), y[i])
+                    })
+                    .unzip();
                 let mut tree = OracleTree::like(
                     &RegressionTree::new(rf.max_depth)
                         .with_min_samples_leaf(rf.min_samples_leaf)
@@ -324,11 +290,9 @@ mod tests {
 
     #[test]
     fn fits_the_trees_the_row_cloning_forest_fitted() {
-        for (n, d, bootstrap) in [(10, 2, true), (100, 2, true), (60, 6, true), (40, 6, false)] {
+        for (n, d) in [(10, 2), (100, 2), (60, 6), (40, 6)] {
             let (x, y) = ranked(n, d, n as u64);
-            let mut rf = RandomForest::new(32)
-                .with_seed(0x5EED ^ d as u64)
-                .with_bootstrap(bootstrap);
+            let mut rf = RandomForest::new(32).with_seed(0x5EED ^ d as u64);
             rf.fit(&x, &y);
             let oracle = oracle_trees(&rf, &x, &y);
             for (t, (tree, old)) in rf.trees.iter().zip(&oracle).enumerate() {

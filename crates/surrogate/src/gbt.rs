@@ -3,11 +3,8 @@
 
 use crate::tree::{gather_columns, FitScratch, RegressionTree, LANES};
 use crate::Regressor;
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
-/// Gradient boosting with squared loss, shrinkage and row subsampling.
+/// Gradient boosting with squared loss and shrinkage.
 ///
 /// Squared loss means each round fits a CART tree to the current
 /// residuals — sufficient for the tuner's purpose (ranking candidate
@@ -20,8 +17,6 @@ pub struct GradientBoosting {
     pub learning_rate: f64,
     /// Depth cap per tree.
     pub max_depth: usize,
-    /// Fraction of rows sampled per round (1.0 = all).
-    pub subsample: f64,
     /// RNG seed.
     pub seed: u64,
     base: f64,
@@ -36,30 +31,15 @@ impl GradientBoosting {
             n_rounds: n_rounds.max(1),
             learning_rate: 0.3,
             max_depth: 6,
-            subsample: 1.0,
             seed: 0,
             base: 0.0,
             trees: Vec::new(),
         }
     }
 
-    /// Builder: learning rate.
-    pub fn with_learning_rate(mut self, lr: f64) -> Self {
-        assert!(lr > 0.0 && lr <= 1.0, "learning rate must be in (0, 1]");
-        self.learning_rate = lr;
-        self
-    }
-
     /// Builder: tree depth.
     pub fn with_max_depth(mut self, d: usize) -> Self {
         self.max_depth = d;
-        self
-    }
-
-    /// Builder: row subsample fraction.
-    pub fn with_subsample(mut self, s: f64) -> Self {
-        assert!(s > 0.0 && s <= 1.0, "subsample must be in (0, 1]");
-        self.subsample = s;
         self
     }
 
@@ -116,21 +96,15 @@ impl Regressor for GradientBoosting {
         self.trees.clear();
         self.base = y.iter().sum::<f64>() / n as f64;
         let mut pred: Vec<f64> = vec![self.base; n];
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        let m = ((n as f64 * self.subsample).round() as usize).clamp(1, n);
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut scratch = FitScratch::default();
+        let rows: Vec<usize> = (0..n).collect();
         let mut rx: Vec<f64> = Vec::new();
-        let mut ry: Vec<f64> = Vec::with_capacity(m);
+        gather_columns(x, &rows, &mut rx);
+        let mut scratch = FitScratch::default();
+        let mut ry: Vec<f64> = Vec::with_capacity(n);
 
         for round in 0..self.n_rounds {
-            if m < n {
-                order.shuffle(&mut rng);
-            }
-            let rows = &order[..m];
-            gather_columns(x, rows, &mut rx);
             ry.clear();
-            ry.extend(rows.iter().map(|&i| y[i] - pred[i]));
+            ry.extend(y.iter().zip(&pred).map(|(y, p)| y - p));
             let mut tree =
                 RegressionTree::new(self.max_depth).with_seed(self.seed.wrapping_add(round as u64));
             tree.fit_columns(&rx, &ry, &mut scratch);
@@ -191,19 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn subsample_still_learns() {
-        let (x, y) = friedmanish(300);
-        let mut gbt = GradientBoosting::new(60).with_subsample(0.5).with_seed(2);
-        gbt.fit(&x, &y);
-        let rho = spearman(&gbt.predict(&x), &y);
-        assert!(rho > 0.9, "spearman={rho}");
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let (x, y) = friedmanish(120);
-        let mut a = GradientBoosting::new(15).with_subsample(0.7).with_seed(9);
-        let mut b = GradientBoosting::new(15).with_subsample(0.7).with_seed(9);
+        let mut a = GradientBoosting::new(15).with_seed(9);
+        let mut b = GradientBoosting::new(15).with_seed(9);
         a.fit(&x, &y);
         b.fit(&x, &y);
         assert_eq!(a.predict(&x), b.predict(&x));
@@ -220,50 +185,33 @@ mod tests {
     }
 
     /// The fit loop as it was when every round cloned its rows for the
-    /// row-vector splitter (`tree::oracle`): same subsample draws, same
-    /// residuals, so the same predictions to the bit.
+    /// row-vector splitter (`tree::oracle`): same residuals, so the same
+    /// predictions to the bit.
     #[test]
     fn fits_like_the_row_cloning_booster() {
         use crate::tree::oracle::OracleTree;
         let (x, y) = friedmanish(150);
-        for subsample in [1.0, 0.6] {
-            let mut gbt = GradientBoosting::new(12)
-                .with_max_depth(4)
-                .with_subsample(subsample)
-                .with_seed(7);
-            gbt.fit(&x, &y);
+        let mut gbt = GradientBoosting::new(12).with_max_depth(4).with_seed(7);
+        gbt.fit(&x, &y);
 
-            let n = x.len();
-            let base = y.iter().sum::<f64>() / n as f64;
-            let mut pred = vec![base; n];
-            let mut rng = SmallRng::seed_from_u64(gbt.seed);
-            let m = ((n as f64 * subsample).round() as usize).clamp(1, n);
-            let mut order: Vec<usize> = (0..n).collect();
-            let mut trees = Vec::new();
-            for round in 0..gbt.n_rounds {
-                let rows: Vec<usize> = if m < n {
-                    order.shuffle(&mut rng);
-                    order[..m].to_vec()
-                } else {
-                    order.clone()
-                };
-                let rx: Vec<Vec<f64>> = rows.iter().map(|&i| x[i].clone()).collect();
-                let ry: Vec<f64> = rows.iter().map(|&i| y[i] - pred[i]).collect();
-                let mut tree = OracleTree::like(
-                    &RegressionTree::new(gbt.max_depth)
-                        .with_seed(gbt.seed.wrapping_add(round as u64)),
-                );
-                tree.fit(&rx, &ry);
-                for i in 0..n {
-                    pred[i] += gbt.learning_rate * tree.predict_one(&x[i]);
-                }
-                trees.push(tree);
+        let base = y.iter().sum::<f64>() / x.len() as f64;
+        let mut pred = vec![base; x.len()];
+        let mut trees = Vec::new();
+        for round in 0..gbt.n_rounds {
+            let ry: Vec<f64> = y.iter().zip(&pred).map(|(y, p)| y - p).collect();
+            let mut tree = OracleTree::like(
+                &RegressionTree::new(gbt.max_depth).with_seed(gbt.seed.wrapping_add(round as u64)),
+            );
+            tree.fit(&x, &ry);
+            for (p, row) in pred.iter_mut().zip(&x) {
+                *p += gbt.learning_rate * tree.predict_one(row);
             }
-            for row in &x {
-                let old = base
-                    + gbt.learning_rate * trees.iter().map(|t| t.predict_one(row)).sum::<f64>();
-                assert_eq!(gbt.predict_one(row).to_bits(), old.to_bits());
-            }
+            trees.push(tree);
+        }
+        for row in &x {
+            let old =
+                base + gbt.learning_rate * trees.iter().map(|t| t.predict_one(row)).sum::<f64>();
+            assert_eq!(gbt.predict_one(row).to_bits(), old.to_bits());
         }
     }
 
@@ -310,11 +258,5 @@ mod tests {
         }
         let zeros = signed_zero.predict_rows(&grid, 57_600);
         assert!(zeros.iter().any(|p| p.to_bits() == (-0.0f64).to_bits()));
-    }
-
-    #[test]
-    #[should_panic(expected = "learning rate")]
-    fn invalid_lr_rejected() {
-        let _ = GradientBoosting::new(5).with_learning_rate(0.0);
     }
 }

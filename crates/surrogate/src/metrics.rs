@@ -13,17 +13,6 @@ pub fn rmse(pred: &[f64], truth: &[f64]) -> f64 {
     mse.sqrt()
 }
 
-/// Mean absolute error.
-pub fn mae(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len());
-    assert!(!pred.is_empty());
-    pred.iter()
-        .zip(truth)
-        .map(|(p, t)| (p - t).abs())
-        .sum::<f64>()
-        / pred.len() as f64
-}
-
 /// Coefficient of determination (`1 - SS_res / SS_tot`; `0.0` when the
 /// target is constant and predictions match it, negative when worse than
 /// the mean predictor).
@@ -94,11 +83,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rmse_mae_basic() {
+    fn rmse_basic() {
         let p = [1.0, 2.0, 3.0];
         let t = [1.0, 2.0, 5.0];
         assert!((rmse(&p, &t) - (4.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert!((mae(&p, &t) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -172,30 +172,6 @@ impl AnalysisReport {
         }
         out
     }
-
-    /// Machine-readable JSON document.
-    pub fn to_json(&self) -> String {
-        let diags: Vec<serde_json::Value> = self
-            .diagnostics
-            .iter()
-            .map(|d| {
-                serde_json::json!({
-                    "code": d.code,
-                    "severity": d.severity.label(),
-                    "message": d.message,
-                    "buffer": d.buffer,
-                    "access": d.access,
-                    "loop_var": d.loop_var,
-                })
-            })
-            .collect();
-        serde_json::json!({
-            "function": self.function,
-            "verdict": if self.is_rejected() { "reject" } else { "accept" },
-            "diagnostics": diags,
-        })
-        .to_string()
-    }
 }
 
 /// Run the full analyzer (bounds + parallel dependence) on a lowered
@@ -282,54 +258,6 @@ impl PruneReport {
     pub fn total(&self) -> u64 {
         self.admitted + self.prelint_denied + self.analyzer_denied
     }
-
-    /// Fraction of candidates denied (0 when the batch was empty).
-    pub fn fraction_denied(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            (self.prelint_denied + self.analyzer_denied) as f64 / self.total() as f64
-        }
-    }
-
-    /// True when candidate `i` was admitted.
-    pub fn is_admitted(&self, i: usize) -> bool {
-        matches!(self.verdicts.get(i), Some(Verdict::Admit))
-    }
-}
-
-/// Statically filter a batch: run the cheap `prelint` first, and only
-/// when it passes call `analyze` (which typically instantiates the
-/// schedule and runs [`check`]). `analyze` returning `None` means the
-/// candidate could not be instantiated even though the prelint passed —
-/// it is denied under [`codes::UNANALYZABLE`].
-pub fn prune_with<T>(
-    items: &[T],
-    mut prelint: impl FnMut(&T) -> Vec<Diagnostic>,
-    mut analyze: impl FnMut(&T) -> Option<AnalysisReport>,
-) -> PruneReport {
-    let mut report = PruneReport::default();
-    for item in items {
-        let lint = prelint(item);
-        if lint.iter().any(|d| d.severity == Severity::Deny) {
-            report.deny(PruneStage::Prelint, lint);
-            continue;
-        }
-        match analyze(item) {
-            Some(analysis) if analysis.is_rejected() => {
-                report.deny(PruneStage::Analysis, analysis.diagnostics);
-            }
-            Some(_) => report.admit(),
-            None => report.deny(
-                PruneStage::Analysis,
-                vec![Diagnostic::deny(
-                    codes::UNANALYZABLE,
-                    "candidate failed to instantiate after a clean prelint",
-                )],
-            ),
-        }
-    }
-    report
 }
 
 #[cfg(test)]
@@ -337,7 +265,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn report_render_and_json() {
+    fn report_renders_text() {
         let mut r = AnalysisReport {
             function: "mm".into(),
             diagnostics: vec![],
@@ -357,44 +285,30 @@ mod tests {
         assert!(text.contains("REJECT"));
         assert!(text.contains("deny[TIR-OOB]"));
         assert!(text.contains("warn[TIR-RACE-MAYBE]"));
-        let json = r.to_json();
-        assert!(json.contains("\"verdict\":\"reject\""));
-        assert!(json.contains("TIR-OOB"));
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid json");
-        assert_eq!(parsed.get("function").and_then(|v| v.as_str()), Some("mm"));
     }
 
     #[test]
-    fn prune_batches_and_counts_by_code() {
-        // Items are (prelint-denies, analyzer-denies) pairs.
-        let items = [(false, false), (true, false), (false, true), (true, true)];
-        let report = prune_with(
-            &items,
-            |&(lint, _)| {
-                if lint {
-                    vec![Diagnostic::deny(codes::TRIP_ZERO, "zero tile")]
-                } else {
-                    vec![]
-                }
-            },
-            |&(_, bad)| {
-                let mut r = AnalysisReport {
-                    function: "f".into(),
-                    diagnostics: vec![],
-                };
-                if bad {
-                    r.diagnostics.push(Diagnostic::deny(codes::RACE_WW, "race"));
-                }
-                Some(r)
-            },
-        );
+    fn prune_report_counts_each_code_once_per_candidate() {
+        let mut report = PruneReport::default();
+        report.admit();
+        let zero = || vec![Diagnostic::deny(codes::TRIP_ZERO, "zero tile")];
+        report.deny(PruneStage::Prelint, zero());
+        report.deny(PruneStage::Prelint, [zero(), zero()].concat());
+        let race = Diagnostic::deny(codes::RACE_WW, "race");
+        let maybe = Diagnostic::warn(codes::RACE_MAYBE, "unresolved");
+        report.deny(PruneStage::Analysis, vec![race, maybe]);
         assert_eq!(report.total(), 4);
         assert_eq!(report.admitted, 1);
-        assert_eq!(report.prelint_denied, 2); // prelint wins over analysis
+        assert_eq!(report.prelint_denied, 2);
         assert_eq!(report.analyzer_denied, 1);
-        assert!((report.fraction_denied() - 0.75).abs() < 1e-12);
-        assert!(report.is_admitted(0));
-        assert!(!report.is_admitted(1));
+        assert!(matches!(report.verdicts[0], Verdict::Admit));
+        assert!(matches!(
+            &report.verdicts[3],
+            Verdict::Deny {
+                stage: PruneStage::Analysis,
+                ..
+            }
+        ));
         assert_eq!(
             report.by_code,
             vec![
@@ -402,19 +316,6 @@ mod tests {
                 (codes::TRIP_ZERO.to_string(), 2)
             ]
         );
-    }
-
-    #[test]
-    fn prune_denies_uninstantiable_after_clean_prelint() {
-        let report = prune_with(&[()], |_| vec![], |_| None);
-        assert_eq!(report.analyzer_denied, 1);
-        assert!(matches!(
-            &report.verdicts[0],
-            Verdict::Deny {
-                stage: PruneStage::Analysis,
-                ..
-            }
-        ));
     }
 
     #[test]

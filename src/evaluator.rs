@@ -672,18 +672,9 @@ mod tests {
         use polybench::molds::mold_for_mode;
         use polybench::SpaceMode;
         use rand::SeedableRng;
-        const KERNELS: [KernelName; 7] = [
-            KernelName::Mm3,
-            KernelName::Lu,
-            KernelName::Cholesky,
-            KernelName::Gemm,
-            KernelName::Mm2,
-            KernelName::Syrk,
-            KernelName::Trmm,
-        ];
         let mut rng = rand::rngs::SmallRng::seed_from_u64(22);
         let (mut runs, mut restored, mut params) = (0, 0, 0);
-        for kernel in KERNELS {
+        for kernel in KernelName::all() {
             for mode in [SpaceMode::Paper, SpaceMode::Aggressive] {
                 let mold = || mold_for_mode(kernel, ProblemSize::Mini, mode);
                 let record = Arc::new(Mutex::new(Vec::new()));

@@ -1,87 +1,43 @@
-//! Differential soundness of the static schedule-safety analyzer.
+//! Differential soundness of the static schedule-safety analyzer,
+//! through the shared harness (`common::oracle`).
 //!
 //! The analyzer gates every config before compilation, so its verdicts
 //! must track the execution engines: an **accepted** `(kernel, config)`
-//! pair must never raise an out-of-bounds `ExecError` in the interpreter
-//! or the compiled VM, and a **rejected** pair's diagnostics must name a
+//! pair must never raise an out-of-bounds `ExecError` on any engine at
+//! any thread budget, and a **rejected** pair's diagnostics must name a
 //! buffer that actually exists in the lowered function.
 
+mod common;
+
+use common::oracle::{check, check_verdict, phantom_denials};
 use polybench::molds::mold_for;
 use polybench::{KernelName, ProblemSize};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tvm_runtime::interp::ExecError;
-use tvm_runtime::{compile, interp, vm};
 use tvm_te::{ops, DType, Var};
 use tvm_tir::analyze;
 use tvm_tir::{Buffer, ForKind, PrimFunc, Stmt};
 
-const KERNELS: [KernelName; 7] = [
-    KernelName::Mm3,
-    KernelName::Lu,
-    KernelName::Cholesky,
-    KernelName::Gemm,
-    KernelName::Mm2,
-    KernelName::Syrk,
-    KernelName::Trmm,
-];
-
-/// True when the error is the class the bounds analysis guards against.
-fn is_oob(err: &ExecError) -> bool {
-    matches!(err, ExecError::OutOfBounds { .. })
-}
-
-/// Every buffer name reachable from the function signature.
-fn buffer_names(func: &PrimFunc) -> Vec<String> {
-    func.params
-        .iter()
-        .chain(func.allocs.iter())
-        .map(|b| b.name.clone())
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Accepted configs never go out of bounds on either engine;
-    /// rejected configs name a real buffer in their diagnostics.
+    /// Every sampled config runs alike on every engine, and an accepted
+    /// one never out of bounds (`check` holds both); rejected configs
+    /// name a real buffer in their diagnostics.
     #[test]
     fn accepted_configs_never_oob(seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        for kernel in KERNELS {
+        for kernel in KernelName::all() {
             let mold = mold_for(kernel, ProblemSize::Mini);
             let config = mold.space().sample(&mut rng);
             let func = mold.instantiate(&config);
-            let report = analyze::check(&func);
             let context = format!("{} / {config}", mold.name());
-            if report.is_rejected() {
-                // Soundness of the *diagnostics*: they must point at
-                // something real, not a phantom access.
-                let names = buffer_names(&func);
-                for d in report.denials() {
-                    let buf = d.buffer.as_deref().unwrap_or_else(|| {
-                        panic!("{context}: denial {} lacks a buffer", d.code)
-                    });
-                    prop_assert!(
-                        names.iter().any(|n| n == buf),
-                        "{}: denial names unknown buffer `{}` (have {:?})",
-                        context, buf, names
-                    );
-                }
-            } else {
-                // Accepted: both engines must run without OOB.
-                let mut via_interp = mold.init_args();
-                if let Err(e) = interp::execute(&func, &mut via_interp) {
-                    prop_assert!(!is_oob(&e), "{}: interp OOB after accept: {}", context, e);
-                }
-                let cf = compile(&func)
-                    .unwrap_or_else(|e| panic!("{context}: accepted config failed to compile: {e}"));
-                let mut via_vm = mold.init_args();
-                if let Err(e) = vm::execute(&cf, &mut via_vm) {
-                    prop_assert!(!is_oob(&e), "{}: VM OOB after accept: {}", context, e);
-                }
-            }
+            let report = analyze::check(&func);
+            let phantoms = phantom_denials(&func, &report);
+            prop_assert!(phantoms.is_empty(), "{}: {:?}", context, phantoms);
+            let _ = check(&func, &mold.init_args(), &context);
         }
     }
 }
@@ -89,10 +45,14 @@ proptest! {
 /// The PolyBench molds only emit in-bounds schedules, so the analyzer
 /// must accept every configuration it sees from them — a mass-rejection
 /// regression here would silently starve the tuner of measurements.
+/// Every kernel and every sample is visited; the test fails once, at the
+/// end, with the list of every configuration that was denied or whose
+/// verdict did not hold up.
 #[test]
 fn all_mold_configs_are_accepted() {
     let mut rng = SmallRng::seed_from_u64(7);
-    for kernel in KERNELS {
+    let mut failing = Vec::new();
+    for kernel in KernelName::all() {
         let mold = mold_for(kernel, ProblemSize::Mini);
         for i in 0..12 {
             let config = if i == 0 {
@@ -100,68 +60,58 @@ fn all_mold_configs_are_accepted() {
             } else {
                 mold.space().sample(&mut rng)
             };
-            let func = mold.instantiate(&config);
-            let report = analyze::check(&func);
-            assert!(
-                !report.is_rejected(),
-                "{} / {config}: legal schedule rejected:\n{}",
-                mold.name(),
-                report.render_text()
-            );
+            let verdict = check_verdict(&*mold, &config);
+            if !verdict.denials.is_empty() || !verdict.failures.is_empty() {
+                failing.push(format!("{} / {config}: {verdict:?}", mold.name()));
+            }
         }
     }
+    assert!(
+        failing.is_empty(),
+        "{} legal schedules rejected or unconfirmed:\n{}",
+        failing.len(),
+        failing.join("\n")
+    );
 }
 
 /// Hand-broken functions must be rejected, each denial must name one of
 /// the function's real buffers, and each bounds denial a concrete access
 /// path. The broken function is verified to be *genuinely* broken by
-/// running it on the interpreter and demanding an out-of-bounds error —
-/// the analyzer and the engine must agree on both sides of the verdict.
+/// running it on every engine and demanding an out-of-bounds error —
+/// the analyzer and the engines must agree on both sides of the verdict.
 #[test]
 fn corrupted_kernels_are_rejected_with_real_access_paths() {
-    for kernel in KERNELS {
+    for kernel in KernelName::all() {
         let mold = mold_for(kernel, ProblemSize::Mini);
         let config = mold.space().default_configuration();
         let func = mold.instantiate(&config);
         let corrupted = shift_store_indices(&func);
-        let mut args = mold.init_args();
-        match interp::execute(&corrupted, &mut args) {
-            Err(e) if is_oob(&e) => {}
-            other => panic!(
-                "{}: shifted stores should OOB at runtime, got {other:?}",
-                mold.name()
-            ),
+        let context = format!("{} shifted", mold.name());
+        match check(&corrupted, &mold.init_args(), &context) {
+            Err(ExecError::OutOfBounds { .. }) => {}
+            other => panic!("{context}: shifted stores should OOB at runtime, got {other:?}"),
         }
         let report = analyze::check(&corrupted);
         assert!(
             report.is_rejected(),
-            "{}: runtime-OOB schedule must be rejected, got:\n{}",
-            mold.name(),
+            "{context}: runtime-OOB schedule must be rejected, got:\n{}",
             report.render_text()
         );
-        let names = buffer_names(&corrupted);
+        let phantoms = phantom_denials(&corrupted, &report);
+        assert!(phantoms.is_empty(), "{context}: {phantoms:?}");
         for d in report.denials() {
-            let buf = d.buffer.as_deref().expect("denial carries a buffer");
-            assert!(
-                names.iter().any(|n| n == buf),
-                "{}: denial names unknown buffer `{buf}`",
-                mold.name()
-            );
-            // Only bounds denials carry an access path. Until PR 8 they
-            // were the only denials here; since the molds gained
-            // `s.parallel(yo)` the row shift is also a true `TIR-RACE-RW`
-            // on `i.outer` (iteration i writes the row i+1 reads), and a
-            // race denial names a pair of accesses, not one path.
+            // Only bounds denials carry an access path: the row shift is
+            // also a true `TIR-RACE-RW` on the parallel `i.outer`
+            // (iteration i writes the row i+1 reads), and a race denial
+            // names a pair of accesses, not one path.
             assert!(
                 d.access.is_some() || d.code != analyze::codes::OOB,
-                "{}: bounds denial lacks an access path",
-                mold.name()
+                "{context}: bounds denial lacks an access path",
             );
         }
         assert!(
             report.denials().any(|d| d.code == analyze::codes::OOB),
-            "{}: the out-of-bounds store itself was not denied",
-            mold.name()
+            "{context}: the out-of-bounds store itself was not denied",
         );
     }
 }
