@@ -105,18 +105,6 @@ impl<E> HarnessedEvaluator<E> {
         self
     }
 
-    /// Builder: per-attempt wall-clock limit, seconds.
-    pub fn with_timeout(mut self, timeout_s: f64) -> Self {
-        self.opts.timeout_s = Some(timeout_s);
-        self
-    }
-
-    /// Builder: retry policy for transient failures.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.opts.retry = retry;
-        self
-    }
-
     /// The active options.
     pub fn options(&self) -> &HarnessOptions {
         &self.opts
@@ -577,8 +565,10 @@ mod tests {
             }
             MeasureResult::ok(1.0, 1.0)
         }))
-        .with_timeout(0.05)
-        .with_retry(RetryPolicy::none());
+        .with_options(HarnessOptions {
+            timeout_s: Some(0.05),
+            retry: RetryPolicy::none(),
+        });
         let slow = Evaluator::space(&h).at(0);
         let t0 = Instant::now();
         let r = Evaluator::evaluate(&h, &slow);
@@ -606,10 +596,13 @@ mod tests {
                 MeasureResult::ok(2.0, 1.0)
             }
         }))
-        .with_retry(RetryPolicy {
-            max_attempts: 3,
-            backoff_s: 0.25,
-            backoff_mult: 2.0,
+        .with_options(HarnessOptions {
+            timeout_s: None,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                backoff_s: 0.25,
+                backoff_mult: 2.0,
+            },
         });
         let cfg = Evaluator::space(&h).at(0);
         let r = Evaluator::evaluate(&h, &cfg);
@@ -623,10 +616,13 @@ mod tests {
         let h = HarnessedEvaluator::new(FnEvaluator::new(space(), |_| {
             MeasureResult::fail(MeasureError::Transient("always down".into()), 0.1)
         }))
-        .with_retry(RetryPolicy {
-            max_attempts: 3,
-            backoff_s: 0.5,
-            backoff_mult: 1.0,
+        .with_options(HarnessOptions {
+            timeout_s: None,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                backoff_s: 0.5,
+                backoff_mult: 1.0,
+            },
         });
         let cfg = Evaluator::space(&h).at(0);
         let r = Evaluator::evaluate(&h, &cfg);
@@ -672,11 +668,14 @@ mod tests {
         // re-roll per attempt, so most configurations eventually succeed.
         let mut plan = FaultPlan::none(3);
         plan.transient = 0.6;
-        let h = HarnessedEvaluator::new(FaultInjector::new(ok_evaluator(), plan)).with_retry(
-            RetryPolicy {
-                max_attempts: 5,
-                backoff_s: 0.01,
-                backoff_mult: 1.0,
+        let h = HarnessedEvaluator::new(FaultInjector::new(ok_evaluator(), plan)).with_options(
+            HarnessOptions {
+                timeout_s: None,
+                retry: RetryPolicy {
+                    max_attempts: 5,
+                    backoff_s: 0.01,
+                    backoff_mult: 1.0,
+                },
             },
         );
         let ok = (0..40)

@@ -5,17 +5,18 @@
 //! the simulated Swing device. See DESIGN.md's experiment index for the
 //! mapping and EXPERIMENTS.md for paper-vs-measured results.
 //!
-//! Binaries (all accept `--help`-free positional args, printed rows are
+//! Binaries (positional args, no `--help`; printed rows are
 //! self-describing):
 //!
-//! * `table1_spaces` — Table 1 (parameter-space cardinalities),
-//! * `figure_traces <kernel> <size>` — Figures 4/6/8/10/12 (per-trial
-//!   `(elapsed, runtime)` series for the five tuners),
-//! * `figure_minruntimes <kernel> <size>` — Figures 5/7/9/11/13 (best
-//!   runtime + configuration per tuner),
-//! * `run_all` — every experiment, results written to `results/`,
+//! * `run_all [max_evals] [seed] [outdir]` — every experiment: Table 1,
+//!   the §4 per-parameter listing and every figure's table and trace
+//!   scatter (Figures 4–13), results written to `outdir` (`results/`),
 //! * `ablation_kappa`, `ablation_surrogate`, `ablation_model_fidelity` —
 //!   the design-choice ablations listed in DESIGN.md,
+//! * `bench_jit [--smoke]` — every kernel on the JIT device against the
+//!   interpreter, fallback accounting and JIT-over-VM timings,
+//! * `bench_analyze [--smoke]` — the static analyzer's cost per
+//!   configuration and its rejections by code,
 //! * `versus <other-checkout> --workload W` — the repository benchmark
 //!   in this checkout against another, alternated pairs.
 

@@ -9,8 +9,7 @@ use tvm_runtime::interp::execute;
 /// compare every output against the reference implementation.
 ///
 /// Returns `Err` with a human-readable reason on any mismatch — used by
-/// tests, the quickstart example, and spot-check sampling in the tuning
-/// integration tests.
+/// this module's tests and the spot-check sampling in `tests/pipeline.rs`.
 pub fn verify_config(mold: &dyn CodeMold, config: &Configuration, rtol: f64) -> Result<(), String> {
     let func = mold.instantiate(config);
     let mut args = mold.init_args();

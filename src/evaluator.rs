@@ -20,7 +20,7 @@ const TRANSFER_BW: f64 = 16e9;
 
 /// How argument data is handled per evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalMode {
+enum EvalMode {
     /// Analytical device: runtime is modeled from the lowered function;
     /// no data is allocated (the paper-scale experiments).
     Simulated,
@@ -150,9 +150,9 @@ pub struct MoldEvaluator {
     mold: Box<dyn CodeMold>,
     device: Box<dyn Device>,
     mode: EvalMode,
-    /// Timed runs per evaluation (AutoTVM measures multiple times; ytopt
-    /// evaluates once).
-    pub repeats: usize,
+    /// Timed runs per evaluation, at least one (AutoTVM measures multiple
+    /// times; ytopt evaluates once). Set by [`MoldEvaluator::with_repeats`].
+    repeats: usize,
     cache: Arc<MemoCache>,
     accepted: AtomicU64,
     rejected: AtomicU64,
@@ -600,6 +600,20 @@ mod tests {
         let r3 = Evaluator::evaluate(&thrice, &cfg);
         assert_eq!(r1.runtime_s, r3.runtime_s, "deterministic device");
         assert!(r3.process_s > r1.process_s);
+    }
+
+    #[test]
+    fn zero_repeats_still_measure_once() {
+        let ev = |repeats| {
+            let mold = mold_for(KernelName::Cholesky, ProblemSize::Large);
+            MoldEvaluator::simulated(mold, SimDevice::new(GpuSpec::a100())).with_repeats(repeats)
+        };
+        let (none, once) = (ev(0), ev(1));
+        let cfg = Evaluator::space(&once).default_configuration();
+        let r0 = Evaluator::evaluate(&none, &cfg);
+        let r1 = Evaluator::evaluate(&once, &cfg);
+        assert!(r0.runtime_s.is_some_and(f64::is_finite), "{r0:?}");
+        assert_eq!(r0.runtime_s, r1.runtime_s);
     }
 
     /// A mold that counts how often its arrays are built.

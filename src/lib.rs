@@ -60,11 +60,11 @@ pub use ytopt_bo as bo;
 mod evaluator;
 
 pub use autotvm::YtoptTuner;
-pub use evaluator::{EvalMode, MemoCache, MoldEvaluator};
+pub use evaluator::{MemoCache, MoldEvaluator};
 
 /// Convenient glob import for examples and downstream users.
 pub mod prelude {
-    pub use crate::evaluator::{EvalMode, MemoCache, MoldEvaluator};
+    pub use crate::evaluator::{MemoCache, MoldEvaluator};
     pub use autotvm::{
         resume_from_journal, tune, tune_journaled, tune_parallel, CacheStats, Evaluator,
         FaultInjector, FaultPlan, GaTuner, GridSearchTuner, HarnessOptions, HarnessedEvaluator,

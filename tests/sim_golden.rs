@@ -3,11 +3,19 @@
 //! The cost model, the guard-selectivity sampler and the noise draw are
 //! deterministic; anything that makes them cheaper (memoization, a
 //! different environment representation in `tir::analysis`) must leave
-//! every modeled number exactly where it was. The values below were
-//! recorded before the first such change.
+//! every modeled number exactly where it was. The default-configuration
+//! runs and selectivities were recorded at 0677026, before the first such
+//! change; the whole-space fold at 1139378, before guards were compiled
+//! to affine forms. The values are
+//! `tests/pins/sim_golden.{runs,selectivity,whole_space}.txt`, moved there
+//! verbatim from this file's constants.
 
+mod common;
+
+use common::pins;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::fmt::Write;
 use tvm_autotune::polybench::{molds::mold_for, KernelName, ProblemSize};
 use tvm_autotune::runtime::Device;
 use tvm_autotune::sim::{cost_model, GpuSpec, SimDevice};
@@ -19,72 +27,53 @@ fn default_func(kernel: KernelName, size: ProblemSize) -> PrimFunc {
     mold.instantiate(&mold.space().default_configuration())
 }
 
-/// `(kernel, size, run on swing_cpu_core(), run on a100())` as `f64` bits.
-const RUNS: [(KernelName, ProblemSize, u64, u64); 3] = [
-    (
-        KernelName::Lu,
-        ProblemSize::Large,
-        0x4021be8ec4ba11d7,
-        0x404d936228c8906f,
-    ),
-    (
-        KernelName::Cholesky,
-        ProblemSize::Large,
-        0x3ff22e7d4df8f72e,
-        0x3fa94ced65833abe,
-    ),
-    (
-        KernelName::Mm3,
-        ProblemSize::ExtraLarge,
-        0x40534e85b23d700d,
-        0x4056c838363df06c,
-    ),
-];
-
+/// `<kernel>-<size>/<device> <run f64 bits>` for the three paper
+/// kernels at their paper sizes on both presets.
 #[test]
 fn default_configurations_run_to_the_recorded_bits() {
-    for (kernel, size, swing, a100) in RUNS {
+    let mut got = String::new();
+    for (kernel, size) in [
+        (KernelName::Lu, ProblemSize::Large),
+        (KernelName::Cholesky, ProblemSize::Large),
+        (KernelName::Mm3, ProblemSize::ExtraLarge),
+    ] {
         let func = default_func(kernel, size);
-        for (spec, want) in [(GpuSpec::swing_cpu_core(), swing), (GpuSpec::a100(), a100)] {
+        for spec in [GpuSpec::swing_cpu_core(), GpuSpec::a100()] {
             let dev = SimDevice::new(spec);
-            // Twice: the second run is served from the device's memo.
-            for attempt in 0..2 {
-                let got = dev.run(&func, &mut []).expect("simulated run");
-                assert_eq!(
-                    got.to_bits(),
-                    want,
-                    "{kernel}-{size} on {}, run {attempt}: {got:e} is {:#018x}, recorded {want:#018x}",
-                    dev.name(),
-                    got.to_bits(),
-                );
-            }
+            let first = dev.run(&func, &mut []).expect("simulated run");
+            // The second run is served from the device's memo.
+            let again = dev.run(&func, &mut []).expect("simulated run");
+            assert_eq!(first.to_bits(), again.to_bits(), "{kernel}-{size}");
+            writeln!(
+                got,
+                "{kernel}-{size}/{} {:#018x}",
+                dev.name(),
+                first.to_bits()
+            )
+            .unwrap();
         }
     }
+    pins::check("sim_golden.runs", &got);
 }
 
+/// `<kernel>-large/<store> <selectivity>` for every store of the
+/// default lu and cholesky, in `analyze` order.
 #[test]
 fn guard_selectivity_samples_are_the_recorded_ones() {
-    let selectivity = |kernel| -> Vec<f64> {
-        analyze(&default_func(kernel, ProblemSize::Large))
-            .iter()
-            .map(|f| f.guard_selectivity)
-            .collect()
-    };
-    assert_eq!(
-        selectivity(KernelName::Lu),
-        [0.171875, 0.515625, 0.173828125]
-    );
-    assert_eq!(
-        selectivity(KernelName::Cholesky),
-        [0.171875, 0.515625, 0.001953125, 0.001953125]
-    );
+    let mut got = String::new();
+    for kernel in [KernelName::Lu, KernelName::Cholesky] {
+        let size = ProblemSize::Large;
+        for (i, f) in analyze(&default_func(kernel, size)).iter().enumerate() {
+            writeln!(got, "{kernel}-{size}/{i} {}", f.guard_selectivity).unwrap();
+        }
+    }
+    pins::check("sim_golden.selectivity", &got);
 }
 
 /// Every selectivity and every modeled total, on both presets, over the
 /// whole lu and cholesky spaces at the paper's sizes and seeded samples of
 /// 3mm (the third paper kernel) and of the four extension kernels, folded
-/// into one FNV-1a value. Recorded before guards were compiled to affine
-/// forms; the existing tests cover only default configurations.
+/// into one FNV-1a value; pinned with the number of functions folded.
 #[test]
 fn the_whole_modeled_space_folds_to_the_recorded_value() {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -128,6 +117,8 @@ fn the_whole_modeled_space_folds_to_the_recorded_value() {
             funcs += 1;
         }
     }
-    assert_eq!(funcs, 2652);
-    assert_eq!(hash, 0xb76b_0df6_81a6_36ba, "{hash:#018x}");
+    pins::check(
+        "sim_golden.whole_space",
+        &format!("funcs {funcs}\nhash {hash:#018x}\n"),
+    );
 }
