@@ -18,7 +18,9 @@
 //! microkernels, and the reduction loop jammed around them, run as f64x2
 //! bodies (VEX-256 f64x4 when AVX is detected) with register-tiled main
 //! loops; what a sweep leaves over runs at the next narrower width, down
-//! to scalar. A strided loop runs the scalar
+//! to scalar. A loop around a reduction chain into a cell of its own runs
+//! consecutive cells' chains side by side, scalar on every tier
+//! (`jammed-chain`). A strided loop runs the scalar
 //! template, with a trip count computed at loop entry when it is
 //! *trimmed* (a guard on the loop's own variable turned into a live range
 //! by [`crate::optimize`]). That loop is register-resident: element
@@ -35,7 +37,7 @@
 //! the fingerprint does not depend on it).
 //!
 //! Fingerprints: a JIT-mode device reports
-//! [`jit_fingerprint`] = `vm/v6+tir-opt/v1+par/v1+jit/v7`, distinct from the
+//! [`jit_fingerprint`] = `vm/v6+tir-opt/v1+par/v1+jit/v8`, distinct from the
 //! optimized VM's [`crate::optimize::engine_fingerprint`] so the
 //! service's engine ladder can attribute trial records to the exact
 //! engine that produced them.
@@ -66,8 +68,9 @@ pub use x86_64::X86Backend;
 /// microkernel row is swept at each width its extent fills, and the jam
 /// takes rows shorter than the widest vector. v7: `f64` only, and no
 /// packed strided loop, so a vectorize annotation no longer changes the
-/// code a loop gets.
-pub const JIT_VERSION: &str = "jit/v7";
+/// code a loop gets. v8: the chain jam — consecutive iterations of a loop
+/// around a reduction chain accumulate side by side.
+pub const JIT_VERSION: &str = "jit/v8";
 
 /// Fingerprint reported by a JIT-mode device: the optimized engine's
 /// fingerprint plus the codegen version.

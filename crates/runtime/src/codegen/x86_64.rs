@@ -76,10 +76,27 @@
 //!   changes — and a dataflow scan ([`plan::plan_jam`]) proves
 //!   the destination address and broadcast factor invariant before the
 //!   jam fires. A reduction into one element (`dst` stride 0, any factor
-//!   strides) has a serial accumulation chain and always stays scalar
-//!   (`reduction-chain`), with the accumulator in a register; a strided
-//!   loop is one scalar site (`strided-loop`); and every vector site is
-//!   tallied packed-or-scalar-with-reason in [`super::SimdReport`].
+//!   strides) has a serial accumulation chain, and a chain on its own
+//!   stays scalar (`reduction-chain`), with the accumulator in a register;
+//!   a strided loop is one scalar site (`strided-loop`); and every vector
+//!   site is tallied packed-or-scalar-with-reason in [`super::SimdReport`].
+//! - The *chain jam* ([`plan::plan_chain_jam`], `jit/v8`) runs the chains
+//!   of consecutive iterations side by side instead. A serial loop, static
+//!   or trimmed, whose body is `[Code?, chain]` or `[Code, if c { [Code?,
+//!   chain] }]` — the chain a stride-0 microkernel stored once or a
+//!   forwarded strided loop — runs a group of 8 or 2 iterations a trip:
+//!   their code in program order (a guard tested on all of them first),
+//!   then one `k` sweep with a scalar accumulator per cell (every tier
+//!   takes it), what the cells share computed once, a moving factor read
+//!   in place, and one store per cell; an iteration no group takes, or
+//!   whose guard fails, runs the templates above. Each cell still sees its
+//!   own per-op-rounded sequence in ascending `k`; the planner proves that
+//!   by four obligations: (1) the cell's address moves by a nonzero
+//!   constant per iteration, and not with `k`; (2) the body's only store
+//!   is to its own cell, and nothing loads the cell's slot at another
+//!   address; (3) every access is unchecked, so no run can stop between
+//!   cells; (4) the body writes neither the loop variable nor its bumped
+//!   registers. The groups are one scalar site, `jammed-chain`.
 //! - A *trimmed* loop ([`crate::optimize`]'s loop trimming: a guard on
 //!   the loop's own variable turned into a live range) computes its range
 //!   at loop entry — [`emit::NestCompiler::emit_live_range`],
@@ -209,6 +226,97 @@ mod fixtures {
         }
     }
 
+    /// `for j in 0..6 { [guard; if 10] { D[j + i1] = D[j + i1]·f2;
+    /// for k { D[j + i1] += X[i5 + k]·Y[j + i2 + 8k] } } }`: a microkernel
+    /// chain, or the same as a forwarded strided loop.
+    pub(super) struct ChainNest {
+        pub(super) extent: i64,
+        pub(super) clamp: Clamp,
+        pub(super) guard: Option<Vec<Instr>>,
+        pub(super) prologue: Vec<Instr>,
+        pub(super) chain: Item,
+        pub(super) tail: Vec<Item>,
+    }
+
+    impl ChainNest {
+        pub(super) fn new(strided: bool) -> ChainNest {
+            let chain = if strided {
+                Item::StridedLoop {
+                    min: 0,
+                    extent: 5,
+                    clamp: Clamp::default(),
+                    pre: vec![
+                        Instr::IConst(6, 0),
+                        Instr::IBin(BinOp::Add, 7, 5, 6),
+                        Instr::IBin(BinOp::Add, 4, 0, 2),
+                    ],
+                    bumps: vec![(6, 1), (7, 1), (4, 8)],
+                    body: vec![
+                        Instr::Load(5, 1, 7),
+                        Instr::Load(6, 2, 4),
+                        Instr::FBin(BinOp::Mul, 7, 5, 6),
+                        Instr::FBin(BinOp::Add, 8, 4, 7),
+                        Instr::Store(0, 3, 8),
+                    ],
+                    carry: Some(Carry {
+                        acc: 4,
+                        slot: 0,
+                        addr: 3,
+                        next: 8,
+                    }),
+                    kind: LoopKind::Serial,
+                }
+            } else {
+                Item::MulAddLoop {
+                    extent: 5,
+                    pre: vec![Instr::IBin(BinOp::Add, 4, 0, 2)],
+                    dst: access(0, 3, 0),
+                    a: access(1, 5, 1),
+                    b: access(2, 4, 8),
+                }
+            };
+            ChainNest {
+                extent: 6,
+                clamp: Clamp::default(),
+                guard: None,
+                prologue: vec![
+                    Instr::IBin(BinOp::Add, 3, 0, 1),
+                    Instr::Load(0, 0, 3),
+                    Instr::FBin(BinOp::Mul, 1, 0, 2),
+                    Instr::Store(0, 3, 1),
+                ],
+                chain,
+                tail: vec![],
+            }
+        }
+
+        pub(super) fn item(self) -> Item {
+            let arm = [Item::Code(self.prologue), self.chain].into_iter();
+            let arm: Vec<Item> = arm.chain(self.tail).collect();
+            let items = match self.guard {
+                None => arm,
+                Some(g) => vec![
+                    Item::Code(g),
+                    Item::If {
+                        cond: 10,
+                        then: Block { items: arm },
+                        else_: None,
+                    },
+                ],
+            };
+            Item::Loop {
+                var: 0,
+                min: 0,
+                extent: self.extent,
+                clamp: self.clamp,
+                pre: vec![],
+                bumps: vec![],
+                body: Block { items },
+                kind: LoopKind::Serial,
+            }
+        }
+    }
+
     /// A generated nest as a function over [`LEN`]-element arrays of
     /// `dts`: a prologue that sets the registers the nest only reads
     /// (`iregs` entries other than [`POISON`]; the ones it defines start at
@@ -260,7 +368,8 @@ mod fixtures {
     pub(super) const POISON: i64 = 0x5A5A_5A5A_5A5A_5A5A;
 
     /// A generated loop nest: plain loops `depth` deep (static or trimmed,
-    /// extents 1–3, any of them the jammed microkernel wrapper), with
+    /// extents 1–3, any of them the jammed microkernel wrapper or a loop
+    /// of 2–7 around a reduction chain into a cell of its own), with
     /// conditionals on integer compares and their `And`/`Or`/`Not`, up to
     /// `extras` nest-level integer registers built from loop variables,
     /// constants and each other, every one written to an array through
@@ -492,6 +601,83 @@ mod fixtures {
             }
         }
 
+        /// A serial `j` loop around a reduction chain — a stride-0
+        /// microkernel or a forwarded strided loop — into `S0[j + c]`,
+        /// after a prologue that may scale the cell: jammed when the
+        /// planner proves it, which one time in six a factor read from
+        /// `S0` refuses.
+        fn chain_wrapper(&mut self) -> Item {
+            let (j, extent, min) = (self.defined(), 2 + self.below(6), self.below(2));
+            let mark = self.avail.len();
+            self.avail.push((j, min, min + extent - 1));
+            let (n, slack) = (1 + self.below(6), self.below(8));
+            let slack = self.konst(slack);
+            let cell = self.defined();
+            let mut code = vec![Instr::IBin(BinOp::Add, cell, j, slack)];
+            if self.rng.gen_bool(0.5) {
+                let (v, scaled) = (self.freg(), self.freg());
+                code.push(Instr::Load(v, 0, cell));
+                code.push(Instr::FBin(BinOp::Mul, scaled, v, 1));
+                code.push(Instr::Store(0, cell, scaled));
+            }
+            let slot = |g: &mut Self| (g.below(6) as u16).min(3);
+            let stride = [0, 1, 2, -1][self.below(4) as usize];
+            let chain = if self.rng.gen_bool(0.5) {
+                let mut pre = Vec::new();
+                let [a, b] = [stride, 1].map(|s| {
+                    let at = self.addr(&mut pre, Self::span(s, n), false);
+                    access(slot(self), at, s)
+                });
+                Item::MulAddLoop {
+                    extent: n,
+                    pre,
+                    dst: access(0, cell, 0),
+                    a,
+                    b,
+                }
+            } else {
+                let k = self.defined();
+                let mut pre = vec![Instr::IConst(k, 0)];
+                let at = self.addr(&mut pre, Self::span(stride, n), stride != 0);
+                let mut bumps = vec![(k, 1)];
+                bumps.extend((stride != 0).then_some((at, stride)));
+                let (x, y, acc, next) = (self.freg(), self.freg(), self.freg(), self.freg());
+                Item::StridedLoop {
+                    min: 0,
+                    extent: n,
+                    clamp: Clamp::default(),
+                    pre,
+                    bumps,
+                    body: vec![
+                        Instr::Load(x, slot(self), at),
+                        Instr::FBin(BinOp::Mul, y, x, 2),
+                        Instr::FBin(BinOp::Add, next, acc, y),
+                        Instr::Store(0, cell, next),
+                    ],
+                    carry: Some(Carry {
+                        acc,
+                        slot: 0,
+                        addr: cell,
+                        next,
+                    }),
+                    kind: LoopKind::Serial,
+                }
+            };
+            self.avail.truncate(mark);
+            Item::Loop {
+                var: j,
+                min,
+                extent,
+                clamp: Clamp::default(),
+                pre: vec![],
+                bumps: vec![],
+                body: Block {
+                    items: vec![Item::Code(code), chain],
+                },
+                kind: LoopKind::Serial,
+            }
+        }
+
         /// A bound of a live range: a register of the nest or a constant,
         /// near the static range or far outside it.
         fn clamp(&mut self, p: f64) -> Clamp {
@@ -663,9 +849,10 @@ mod fixtures {
                 }
                 let roll = if depth_left == 0 { 0 } else { self.below(8) };
                 match roll {
-                    0 => items.push(match self.below(4) {
+                    0 => items.push(match self.below(5) {
                         0 => self.any_muladd(),
                         1 => self.jam_wrapper(),
+                        2 => self.chain_wrapper(),
                         _ => self.strided(),
                     }),
                     1 | 2 => items.extend(self.conditional(depth_left - 1)),

@@ -10,6 +10,7 @@ use crate::compile::{
     forwarded_in, Block, Carry, Clamp, CompileError, CompiledFunc, Instr, Item, LoopKind, Reg,
     SlotAccess,
 };
+use crate::optimize::float_dst;
 use std::rc::Rc;
 use std::sync::Arc;
 use tvm_te::{BinOp, CmpOp, DType};
@@ -344,8 +345,9 @@ impl NestCompiler<'_> {
                 // runs (none of them is read past an empty range).
                 self.emit_code(pre);
                 let top = self.asm.here();
-                for it in &body.items {
-                    self.emit_item(it);
+                match plan_chain_jam(*var, *extent, bumps, body) {
+                    Ok(j) => self.emit_chain_step(&j, body, empty.is_none().then_some(end)),
+                    Err(_) => body.items.iter().for_each(|it| self.emit_item(it)),
                 }
                 self.emit_bumps(bumps);
                 let c = self.step(counter);
@@ -430,6 +432,7 @@ impl NestCompiler<'_> {
             min,
             extent,
             clamp,
+            bumps,
             body,
             ..
         } = item
@@ -462,8 +465,12 @@ impl NestCompiler<'_> {
         self.asm.mov_ri(RAX, *min);
         self.asm.mov_mr(RDI, off(*var), RAX);
         let top = self.asm.here();
-        for it in &body.items {
-            self.emit_item_in_memory(it);
+        match plan_chain_jam(*var, *extent, bumps, body) {
+            Ok(j) => self.emit_chain_step(&j, body, Some(end)),
+            Err(_) => body
+                .items
+                .iter()
+                .for_each(|it| self.emit_item_in_memory(it)),
         }
         self.asm.mov_rm(RAX, RDI, off(*var));
         self.asm.add_ri(RAX, 1);
@@ -496,6 +503,7 @@ impl NestCompiler<'_> {
             F::Reg(s) if s == dst => {}
             F::Reg(s) => self.asm.movaps(dst, s),
             F::Mem(disp) => self.asm.vload(SD, dst, Mem::at(RSI, disp)),
+            F::At(p, disp) => self.asm.vload(SD, dst, Mem::at(p, disp)),
         }
     }
 
@@ -505,6 +513,7 @@ impl NestCompiler<'_> {
             F::Reg(d) if d == src => {}
             F::Reg(d) => self.asm.movaps(d, src),
             F::Mem(disp) => self.asm.vstore(SD, Mem::at(RSI, disp), src),
+            F::At(..) => unreachable!("an element read in place is never written"),
         }
     }
 
@@ -514,6 +523,7 @@ impl NestCompiler<'_> {
         match src {
             F::Reg(s) => self.asm.vop_rr(SD, op, dst, dst, s),
             F::Mem(disp) => self.asm.vop_rm(SD, op, dst, dst, Mem::at(RSI, disp), None),
+            F::At(p, disp) => self.asm.vop_rm(SD, op, dst, dst, Mem::at(p, disp), None),
         }
     }
 
@@ -576,7 +586,7 @@ impl NestCompiler<'_> {
     /// the index in the address register's GPR or in `RAX`.
     fn elem(&mut self, slot: u16, addr: Reg, res: &Resident) -> Mem {
         match res.ptr(slot, addr) {
-            Some(p) => Mem::at(p, 0),
+            Some(at) => at,
             None => {
                 let index = self.ireg(res.i(addr), RAX);
                 self.asm.mov_rm(RCX, RDX, (slot as i32) * 8);
@@ -600,7 +610,7 @@ impl NestCompiler<'_> {
         let f = |r: Reg| res.f(r);
         let target = |d: F, scratch: X| match d {
             F::Reg(x) => x,
-            F::Mem(_) => scratch,
+            _ => scratch,
         };
         let itarget = |d: I| match d {
             I::Reg(r) => r,
@@ -617,6 +627,7 @@ impl NestCompiler<'_> {
                 match f(d) {
                     F::Reg(x) => self.asm.movq_xr(x, RAX),
                     F::Mem(disp) => self.asm.mov_mr(RSI, disp, RAX),
+                    F::At(..) => unreachable!("only a load is read in place"),
                 }
             }
             Instr::IToF(d, s) => {
@@ -731,7 +742,7 @@ impl NestCompiler<'_> {
     /// and `next` share a register), steps the pointers and bumps the
     /// strided registers something still reads as values.
     fn emit_planned_trips(&mut self, body: &[Instr], carry: Option<Carry>, plan: &ResidentPlan) {
-        for &((slot, addr), p) in &plan.res.ptrs {
+        for &((slot, addr), p, _) in &plan.res.ptrs {
             self.element_pointer(p, slot, addr);
         }
         if let Some(c) = carry {
@@ -1116,6 +1127,147 @@ impl NestCompiler<'_> {
         self.asm.vend(w);
     }
 
+    /// One trip of a chain jam's loop ([`plan_chain_jam`]): the widest
+    /// group of [`CHAIN_GROUPS`] the iterations left fill runs side by side
+    /// and stops at its last iteration — under a guard, only when the
+    /// guard holds on every one of them, tested first on a speculative pass
+    /// that counts them in `R11` and puts the loop variable and its bumped
+    /// registers back; otherwise one iteration runs the body's own
+    /// templates. `end` is the loop's, or in the stack's top slot. The
+    /// groups are one scalar site, `jammed-chain`.
+    fn emit_chain_step(&mut self, j: &ChainJam, body: &Block, end: Option<i64>) {
+        self.simd.scalar("jammed-chain");
+        let (mut done, mut fails) = (Vec::new(), Vec::new());
+        for g in CHAIN_GROUPS {
+            match end {
+                Some(end) => self.asm.mov_ri(RAX, end),
+                None => self.asm.mov_rm(RAX, RSP, 0),
+            }
+            let var = self.ireg(self.i(j.var), RCX);
+            self.asm.sub_rr(RAX, var);
+            self.asm.cmp_ri(RAX, g as i32);
+            let short = self.asm.jcc_fwd(CC_L);
+            if let Some((code, cond)) = j.guard {
+                self.asm.mov_ri(R11, 0);
+                let top = self.asm.here();
+                self.emit_code(code);
+                let r = self.ireg(self.i(cond), RAX);
+                self.asm.cmp_ri(r, 0);
+                fails.push(self.asm.jcc_fwd(CC_E));
+                self.advance(j, 1);
+                self.asm.add_ri(R11, 1);
+                self.asm.cmp_ri(R11, g as i32);
+                self.asm.jcc_back(CC_L, top);
+                self.advance(j, -g);
+            }
+            self.emit_chain_group(j, g);
+            done.push(self.asm.jmp_fwd());
+            self.asm.land(short);
+        }
+        if !fails.is_empty() {
+            // The guard failed after holding on `R11` iterations: back.
+            let alone = self.asm.jmp_fwd();
+            fails.into_iter().for_each(|f| self.asm.land(f));
+            let moved = j.bumps.iter().copied().chain([(j.var, 1)]);
+            for (r, s) in moved {
+                self.asm.mov_ri(RAX, s.wrapping_neg());
+                self.asm.imul_rr(RAX, R11);
+                self.iadd(self.i(r), RAX);
+            }
+            self.asm.land(alone);
+        }
+        body.items.iter().for_each(|it| self.emit_item(it));
+        done.into_iter().for_each(|d| self.asm.land(d));
+    }
+
+    /// The loop variable and its bumped registers, `n` iterations on.
+    fn advance(&mut self, j: &ChainJam, n: i64) {
+        let moved = j.bumps.iter().map(|&(r, s)| (r, s.wrapping_mul(n)));
+        let moved: Vec<_> = moved.chain([(j.var, n)]).collect();
+        self.emit_bumps(&moved);
+    }
+
+    /// `g` iterations of a chain jam, side by side: each one's code in
+    /// program order (the guard's known to hold), counted in `R11`; then
+    /// the pointers formed from the last one's registers (`R8` the cell,
+    /// `R9`/`R10` the streams; the other iterations' elements are whole
+    /// cells back) and every cell's accumulator loaded into `X2 + c` — no
+    /// prologue touches another's cell —, one `k` sweep that steps every
+    /// cell's chain in turn, scalar, as [`step_kinds`] says, and one store
+    /// per cell. The step's temporaries are in the XMM registers above the
+    /// widest group's accumulators (past `X15`, in `fregs`, one cell after
+    /// another).
+    fn emit_chain_group(&mut self, j: &ChainJam, g: i64) {
+        const PTRS: [R; 3] = [R8, R9, R10];
+        let acc = |c: i64| X(2 + c as u8);
+        let at = |s: &Stream, c: i64| (c - g + 1) as i32 * s.cell;
+        let nest = Rc::clone(&self.nest);
+        let code = |s: &mut Self| {
+            let res = Resident::of_nest(&nest);
+            j.code.iter().for_each(|i| s.emit_instr(i, &res));
+        };
+        self.repeat(g - 1, |s| {
+            code(s);
+            s.advance(j, 1);
+        });
+        code(self);
+        for (s, &p) in j.streams.iter().zip(&PTRS) {
+            self.element_pointer(p, s.slot, s.addr);
+        }
+        for c in 0..g {
+            self.asm
+                .vload(SD, acc(c), Mem::at(R8, at(&j.streams[0], c)));
+        }
+        let kinds = step_kinds(j);
+        let steps = || j.steps.iter().zip(&kinds);
+        let temps = steps().filter(|s| !matches!(s.1, Step::InPlace(_)));
+        let temps = temps
+            .filter_map(|s| float_dst(s.0))
+            .filter(|&d| d != j.next);
+        let temps: Vec<(Reg, F)> = temps
+            .zip(acc(CHAIN_GROUPS[0]).0..16)
+            .map(|(d, x)| (d, F::Reg(X(x))))
+            .collect();
+        let cells: Vec<Resident> = (0..g)
+            .map(|c| {
+                let in_place = steps().filter_map(|(i, s)| match *s {
+                    Step::InPlace(k) => Some((float_dst(i)?, F::At(PTRS[k], at(&j.streams[k], c)))),
+                    _ => None,
+                });
+                let acc = [(j.acc, F::Reg(acc(c))), (j.next, F::Reg(acc(c)))];
+                Resident {
+                    xmms: acc
+                        .into_iter()
+                        .chain(temps.iter().copied())
+                        .chain(in_place)
+                        .collect(),
+                    ptrs: (j.streams.iter().zip(PTRS).skip(1))
+                        .map(|(s, p)| ((s.slot, s.addr), p, at(s, c)))
+                        .collect(),
+                    gprs: &[],
+                }
+            })
+            .collect();
+        self.repeat(j.trips, |s| {
+            for (c, res) in cells.iter().enumerate() {
+                for (i, kind) in steps() {
+                    if *kind == Step::Each || (*kind == Step::Shared && c == 0) {
+                        s.emit_instr(i, res);
+                    }
+                }
+            }
+            for (st, &p) in j.streams.iter().zip(&PTRS).skip(1) {
+                if st.step != 0 {
+                    s.asm.add_ri(p, st.step);
+                }
+            }
+        });
+        for c in 0..g {
+            self.asm
+                .vstore(SD, Mem::at(R8, at(&j.streams[0], c)), acc(c));
+        }
+    }
+
     /// Generic element-order path: arbitrary strides, or an aliased
     /// destination. Replicates the VM's generic loop (load dst, load a,
     /// load b, multiply, add, store) exactly, including its strict
@@ -1153,12 +1305,11 @@ impl NestCompiler<'_> {
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::{
-        access, assert_same_lines, fmuladd, hex, nest_function, pick_of, JamNest, NestGen, LEN,
-        POISON,
+        access, assert_same_lines, fmuladd, hex, nest_function, pick_of, ChainNest, JamNest,
+        NestGen, LEN, POISON,
     };
     use super::*;
     use crate::ndarray::NDArray;
-    use crate::optimize::float_dst;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
@@ -1705,6 +1856,48 @@ mod tests {
             assert_eq!(simd.scalar_reasons.get("reduction-chain"), Some(&1));
             assert_eq!(simd.sites(), 1);
             assert_eq!(run(&native), bits(&want), "{context}: JIT");
+            // Under `for j in 0..7 { row into D[i0 + j] }` the row stored
+            // once jams (a group of four, one of two, one left over); the
+            // aliased ones stay single chains. The VM is the oracle.
+            let wrapped = Item::Loop {
+                var: 3,
+                min: 0,
+                extent: 7,
+                clamp: Clamp::default(),
+                pre: vec![],
+                bumps: vec![],
+                body: Block {
+                    items: vec![
+                        Item::Code(vec![Instr::IBin(BinOp::Add, 4, 0, 3)]),
+                        Item::MulAddLoop {
+                            extent,
+                            pre: vec![],
+                            dst: access(sd, 4, 0),
+                            a: x,
+                            b: y,
+                        },
+                    ],
+                },
+                kind: LoopKind::Serial,
+            };
+            let iregs = [iregs[0], iregs[1], iregs[2], POISON, POISON];
+            let cf = nest_function(&wrapped, &iregs, 3, &[DType::F64; 3]);
+            let want = run(&cf);
+            let jammed = (sd != sa && sd != sb) as u64;
+            for opts in [
+                X86Backend::avx(),
+                X86Backend::sse2_only(),
+                X86Backend::scalar_only(),
+            ] {
+                let native = opts.jit_compile(&cf).expect(&context);
+                let simd = native.jit_simd_report().expect("jitted");
+                let reasons = &simd.scalar_reasons;
+                assert_eq!(reasons.get("jammed-chain").copied().unwrap_or(0), jammed);
+                assert_eq!(reasons.get("reduction-chain"), Some(&1), "{context}");
+                if opts.shape != Shape::Avx || std::arch::is_x86_feature_detected!("avx") {
+                    assert_eq!(run(&native), want, "{context}: wrapped, {opts:?}");
+                }
+            }
         }
     }
 
@@ -1717,6 +1910,7 @@ mod tests {
         let opts = X86Backend::sse2_only();
         let mut rng = SmallRng::seed_from_u64(0x2e57ed);
         let (mut spilled, mut all_booked, mut shapes, mut jammed) = (0, 0, [0u32; 4], 0);
+        let mut chains = 0;
         for case in 0..400 {
             let extras = rng.gen_range(0..=12);
             let mut g = NestGen::new(&mut rng, vec![DType::F64; 4], extras);
@@ -1740,6 +1934,7 @@ mod tests {
             let (resident, simd) = compiled(&opts, |nc| nc.emit_nest(&root, &mut Walk::default()));
             let (in_memory, _) = compiled(&opts, |nc| nc.emit_item(&root));
             jammed += simd.tiled_loops.min(1);
+            chains += simd.scalar_reasons.contains_key("jammed-chain") as u32;
             // Where the old template can say anything — no conditional,
             // no trimmed plain loop — the resolver with nothing resident
             // writes its bytes.
@@ -1768,8 +1963,8 @@ mod tests {
         // Non-vacuity of each branch the comparison is meant to cover.
         assert!(spilled > 100 && all_booked > 50, "{spilled} {all_booked}");
         assert!(
-            shapes.iter().all(|&n| n > 40) && jammed > 10,
-            "{shapes:?} {jammed}"
+            shapes.iter().all(|&n| n > 40) && jammed > 10 && chains > 50,
+            "{shapes:?} {jammed} {chains}"
         );
     }
 
@@ -2121,6 +2316,14 @@ mod tests {
             let name = format!("jam j={j} inv_first={inv_first}");
             cases.push((name, JamNest::new(j, inv_first).item()));
         }
+        // The chain jam (`jit/v8`): a microkernel chain under a static
+        // loop, and a forwarded strided one under a trimmed loop and a
+        // guard.
+        cases.push(("chain jam muladd".into(), ChainNest::new(false).item()));
+        let mut guarded = ChainNest::new(true);
+        guarded.clamp.hi = Some((1, 0));
+        guarded.guard = Some(vec![Instr::ICmp(CmpOp::Lt, 10, 0, 1)]);
+        cases.push(("chain jam strided guarded".into(), guarded.item()));
         // The register-resident scalar loop: a static extent with every
         // scalar template in the body (re-recorded on `jit/v6`), and a
         // trimmed reduction with its accumulator forwarded.

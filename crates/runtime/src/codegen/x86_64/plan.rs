@@ -3,7 +3,7 @@
 //! backend's widest [`Width`], so every decision is testable without
 //! emitting or executing anything.
 
-use super::asm::{Width, ESIZE, R, R10, R12, R13, R14, R15, R8, R9, RBP, RBX, X};
+use super::asm::{Mem, Width, ESIZE, R, R10, R12, R13, R14, R15, R8, R9, RBP, RBX, X};
 use crate::compile::{Block, Carry, Clamp, Instr, Item, Reg, SlotAccess};
 use crate::optimize::{float_dst, float_uses, int_dst, int_uses, reads_ireg};
 use std::collections::HashSet;
@@ -159,11 +159,14 @@ pub(super) fn check_item(item: &Item, dts: &[DType]) -> Result<(), String> {
 }
 
 /// A float operand of a scalar template: resident in an XMM register,
-/// or in the `fregs` file at this displacement off `RSI`.
+/// in the `fregs` file at this displacement off `RSI`, or — a loaded
+/// value read where it was loaded from — at an element pointer plus this
+/// displacement.
 #[derive(Clone, Copy, PartialEq)]
 pub(super) enum F {
     Reg(X),
     Mem(i32),
+    At(R, i32),
 }
 
 /// An integer operand of a scalar template: resident in a GPR, or in the
@@ -178,10 +181,11 @@ pub(super) enum I {
 /// (see [`super::emit::NestCompiler::emit_instr`]). Empty outside a nest.
 #[derive(Default)]
 pub(super) struct Resident<'n> {
-    /// freg → the XMM register holding it.
-    pub(super) xmms: Vec<(Reg, X)>,
-    /// `(slot, address register)` → the GPR holding the element pointer.
-    pub(super) ptrs: Vec<((u16, Reg), R)>,
+    /// freg → the XMM register (or the element) holding it.
+    pub(super) xmms: Vec<(Reg, F)>,
+    /// `(slot, address register)` → the GPR holding an element pointer,
+    /// and the byte offset of the element from it.
+    pub(super) ptrs: Vec<((u16, Reg), R, i32)>,
     /// ireg → the GPR holding it, for the whole nest: [`plan_nest`]'s
     /// result, in register order.
     pub(super) gprs: &'n [(Reg, R)],
@@ -198,16 +202,19 @@ impl<'n> Resident<'n> {
     }
 
     pub(super) fn xmm(&self, r: Reg) -> Option<X> {
-        self.xmms.iter().find(|e| e.0 == r).map(|e| e.1)
+        let at = self.xmms.iter().find(|e| e.0 == r);
+        at.and_then(|e| if let F::Reg(x) = e.1 { Some(x) } else { None })
     }
 
-    pub(super) fn ptr(&self, slot: u16, addr: Reg) -> Option<R> {
-        self.ptrs.iter().find(|e| e.0 == (slot, addr)).map(|e| e.1)
+    pub(super) fn ptr(&self, slot: u16, addr: Reg) -> Option<Mem> {
+        let at = self.ptrs.iter().find(|e| e.0 == (slot, addr));
+        at.map(|&(_, p, disp)| Mem::at(p, disp))
     }
 
     /// Where the templates find freg `r`.
     pub(super) fn f(&self, r: Reg) -> F {
-        self.xmm(r).map_or(F::Mem(off(r)), F::Reg)
+        let at = self.xmms.iter().find(|e| e.0 == r);
+        at.map_or(F::Mem(off(r)), |e| e.1)
     }
 
     /// Where the templates find ireg `r`.
@@ -623,7 +630,7 @@ pub(super) fn plan_resident(
             continue;
         };
         if res.ptr(slot, addr).is_none() && !body.iter().any(|j| int_dst(j) == Some(addr)) {
-            res.ptrs.push(((slot, addr), p));
+            res.ptrs.push(((slot, addr), p, 0));
             if step != 0 {
                 steps.push((p, step));
             }
@@ -632,8 +639,8 @@ pub(super) fn plan_resident(
     let mut free = (0..xmms).map(|k| X(2 + k));
     if let Some(c) = carry {
         if let Some(x) = free.next() {
-            res.xmms.push((c.acc, x));
-            res.xmms.push((c.next, x));
+            res.xmms.push((c.acc, F::Reg(x)));
+            res.xmms.push((c.next, F::Reg(x)));
         }
     }
     // fregs read before the body defines them: external, or carried
@@ -644,7 +651,7 @@ pub(super) fn plan_resident(
         if let Some(d) = float_dst(i) {
             if res.xmm(d).is_none() && !in_memory.contains(&d) {
                 match free.next() {
-                    Some(x) => res.xmms.push((d, x)),
+                    Some(x) => res.xmms.push((d, F::Reg(x))),
                     None => in_memory.push(d),
                 }
             }
@@ -884,10 +891,303 @@ pub(super) fn plan_jam(item: &Item, widest: Width) -> Option<JamPlan<'_>> {
     })
 }
 
+/// Iterations whose reduction chains a chain jam runs side by side, the
+/// widest group first; an iteration no group takes runs on its own.
+pub(super) const CHAIN_GROUPS: [i64; 2] = [8, 2];
+
+/// An element a jammed chain accumulates into or reads: `step` bytes on
+/// per `k`, `cell` bytes on per iteration of the loop around the chain.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct Stream {
+    pub(super) slot: u16,
+    pub(super) addr: Reg,
+    pub(super) step: i32,
+    pub(super) cell: i32,
+}
+
+/// A loop whose iterations each run one reduction chain into a cell of
+/// their own ([`plan_chain_jam`]): `code` runs ahead of the chain (the
+/// guard's, the prologue, the chain's prelude), `steps` is a `k` step
+/// from `acc` to `next` without its store, which the jam makes once, and
+/// `streams` are the cell and the (at most two) elements the steps load.
+#[derive(Debug)]
+pub(super) struct ChainJam<'p> {
+    pub(super) var: Reg,
+    pub(super) bumps: &'p [(Reg, i64)],
+    pub(super) guard: Option<(&'p [Instr], Reg)>,
+    pub(super) code: Vec<&'p Instr>,
+    pub(super) trips: i64,
+    pub(super) steps: Vec<Instr>,
+    pub(super) acc: Reg,
+    pub(super) next: Reg,
+    pub(super) streams: Vec<Stream>,
+}
+
+/// Decide whether the serial loop `for var { body }` (its range static or
+/// trimmed) is a chain jam: `body` is `[guard code, if c { [prologue],
+/// chain }]` or `[[prologue], chain]`, the chain a stride-0 microkernel
+/// stored once ([`MulAdd::Reduction`]) or a static strided loop with a
+/// forwarded [`Carry`]. The proof obligations are the module's
+/// ([`super`]); besides, every element the chain loads moves by a
+/// constant per iteration, the chain reads no float register the code
+/// ahead of it writes, and the guard is integer code reading nothing the
+/// body writes, so a group can test it on every iteration before running
+/// any. The reason names the first refusal.
+pub(super) fn plan_chain_jam<'p>(
+    var: Reg,
+    extent: i64,
+    bumps: &'p [(Reg, i64)],
+    body: &'p Block,
+) -> Result<ChainJam<'p>, &'static str> {
+    if extent < CHAIN_GROUPS[CHAIN_GROUPS.len() - 1] {
+        return Err("too few iterations");
+    }
+    let (guard, arm) = match &body.items[..] {
+        [Item::Code(g), Item::If {
+            cond,
+            then,
+            else_: None,
+        }] => (Some((&g[..], *cond)), &then.items[..]),
+        items => (None, items),
+    };
+    let (prologue, chain) = match arm {
+        [Item::Code(p), chain] => (&p[..], chain),
+        [chain] => (&[][..], chain),
+        _ => return Err("no chain"),
+    };
+    let (pre, trips, steps, strides, (acc, next), cell) = match chain {
+        Item::MulAddLoop {
+            extent,
+            pre,
+            dst,
+            a,
+            b,
+        } if classify_muladd(dst, a, b) == (MulAdd::Reduction { stored_once: true })
+            && (a.addr != b.addr || a.stride == b.stride) =>
+        {
+            // `acc += a·b` as a strided step, over registers no function
+            // has: the jam holds each in an XMM register or reads it in
+            // place, never in `fregs`.
+            let [x, y, m, acc, next] = [1, 2, 3, 4, 5].map(|k| Reg::MAX - k);
+            let steps = vec![
+                Instr::Load(x, a.slot, a.addr),
+                Instr::Load(y, b.slot, b.addr),
+                Instr::FBin(BinOp::Mul, m, x, y),
+                Instr::FBin(BinOp::Add, next, acc, m),
+            ];
+            let strides = vec![(a.addr, a.stride), (b.addr, b.stride)];
+            (
+                pre,
+                *extent,
+                steps,
+                strides,
+                (acc, next),
+                (dst.slot, dst.addr),
+            )
+        }
+        Item::StridedLoop {
+            extent,
+            clamp,
+            pre,
+            bumps,
+            body,
+            carry: Some(c),
+            ..
+        } if clamp.is_none() => {
+            let (stores, steps): (Vec<Instr>, _) = body
+                .iter()
+                .cloned()
+                .partition(|i| matches!(i, Instr::Store(..)));
+            if stores.len() > 1 {
+                return Err("a second store");
+            }
+            (
+                pre,
+                *extent,
+                steps,
+                bumps.clone(),
+                (c.acc, c.next),
+                (c.slot, c.addr),
+            )
+        }
+        _ => return Err("not a reduction chain"),
+    };
+    let g = guard.map_or(&[][..], |g| g.0);
+    let code: Vec<&Instr> = g.iter().chain(prologue).chain(pre).collect();
+    let written: Vec<Reg> = code.iter().filter_map(|i| int_dst(i)).collect();
+    // The chain: what it loads, at most two streams, none of them the
+    // cell's slot; what it reads, the accumulator, what the step defined
+    // before and registers nothing in the body writes.
+    let floats = code.iter().copied().chain(&steps);
+    let outside: Vec<Reg> = floats.filter_map(float_dst).collect();
+    let (mut fresh, mut loads) = (vec![acc], vec![(cell.0, cell.1, 0)]);
+    for i in &steps {
+        match *i {
+            Instr::Load(_, slot, _) if slot == cell.0 => {
+                return Err("reads the destination elsewhere")
+            }
+            Instr::Load(_, slot, addr) if loads.iter().all(|l| (l.0, l.1) != (slot, addr)) => {
+                let stride = strides.iter().find(|b| b.0 == addr).map_or(0, |b| b.1);
+                loads.push((slot, addr, stride));
+            }
+            _ if int_dst(i).is_some() || matches!(i, Instr::IToF(..)) => {
+                return Err("integer code in the chain")
+            }
+            _ if float_uses(i).any(|u| !fresh.contains(&u) && outside.contains(&u)) => {
+                return Err("chain reads the prologue")
+            }
+            _ => {}
+        }
+        fresh.extend(float_dst(i));
+    }
+    if loads.len() > 3 {
+        return Err("more than two streams");
+    }
+    // Obligation 2 outside the chain: once the prologue touches the cell,
+    // its address register is set for the rest of the iteration.
+    let touches =
+        |i: &Instr| matches!(*i, Instr::Load(_, s, _) | Instr::Store(s, ..) if s == cell.0);
+    let first = prologue.iter().position(touches).unwrap_or(prologue.len());
+    let mut rest = prologue[first..].iter().chain(pre);
+    let moved = rest.any(|i| int_dst(i) == Some(cell.1));
+    let mut defined = Vec::new();
+    for (n, i) in code.iter().enumerate() {
+        // The guard reads what it defined before or what the body never
+        // writes: the same values on a speculative and on the real run.
+        let mut carried = false;
+        int_uses(i, |r| {
+            carried |= !defined.contains(&r) && written.contains(&r)
+        });
+        match **i {
+            Instr::Bound { .. } | Instr::StoreChecked { .. } => return Err("checked access"),
+            Instr::Store(slot, addr, _) if (slot, addr) != cell || moved => {
+                return Err("a second store")
+            }
+            Instr::Load(_, slot, addr) if slot == cell.0 && (addr != cell.1 || moved) => {
+                return Err("reads the destination elsewhere")
+            }
+            _ if int_dst(i).is_some_and(|d| d == var || bumps.iter().any(|b| b.0 == d)) => {
+                return Err("writes the loop variable")
+            }
+            _ if n < g.len() && int_dst(i).is_none() => return Err("guard touches memory"),
+            _ if n < g.len() && carried => return Err("guard reads the body"),
+            _ => defined.extend(int_dst(i)),
+        }
+    }
+    if guard.is_some_and(|(_, c)| written.contains(&c) && !g.iter().any(|i| int_dst(i) == Some(c)))
+    {
+        return Err("guard reads the body");
+    }
+    // Obligation 1, and how far every element moves: `δ·var` plus what
+    // every iteration shares, by additions from the loop variable and the
+    // bumped registers; a register read before the body writes it is
+    // carried from the last iteration.
+    let mut moves: Vec<(Reg, Option<i64>)> = vec![(var, Some(1))];
+    moves.extend(bumps.iter().map(|&(r, s)| (r, Some(s))));
+    let delta = |moves: &[(Reg, Option<i64>)], r| match moves.iter().rev().find(|e| e.0 == r) {
+        Some(e) => e.1,
+        None => (!written.contains(&r)).then_some(0),
+    };
+    let sum = |m: &[_], x, y, sign: i64| delta(m, x)?.checked_add(delta(m, y)?.checked_mul(sign)?);
+    for i in &code {
+        let by = match **i {
+            Instr::IBin(BinOp::Add, _, x, y) => sum(&moves, x, y, 1),
+            Instr::IBin(BinOp::Sub, _, x, y) => sum(&moves, x, y, -1),
+            _ => {
+                let mut fixed = true;
+                int_uses(i, |r| fixed &= delta(&moves, r) == Some(0));
+                fixed.then_some(0)
+            }
+        };
+        moves.extend(int_dst(i).map(|d| (d, by)));
+    }
+    let bytes = |v: i64, times: i64| i32::try_from(v.checked_mul(i64::from(ESIZE) * times)?).ok();
+    let mut streams = Vec::with_capacity(loads.len());
+    for (n, (slot, addr, stride)) in loads.into_iter().enumerate() {
+        let why = ["destination not affine", "factor not affine"];
+        let by = delta(&moves, addr).ok_or(why[(n > 0) as usize])?;
+        let (Some(step), Some(cell), Some(_)) = (
+            bytes(stride, 1),
+            bytes(by, 1),
+            bytes(by, CHAIN_GROUPS[0] - 1),
+        ) else {
+            return Err("offset out of range");
+        };
+        if n == 0 && cell == 0 {
+            return Err("destination fixed");
+        }
+        streams.push(Stream {
+            slot,
+            addr,
+            step,
+            cell,
+        });
+    }
+    Ok(ChainJam {
+        var,
+        bumps,
+        guard,
+        code,
+        trips,
+        steps,
+        acc,
+        next,
+        streams,
+    })
+}
+
+/// How an instruction of a jammed step runs across a group's cells.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum Step {
+    /// By the first cell alone, the others reading its result: a load of
+    /// a stream that stays put from cell to cell, or what is computed from
+    /// those and from registers the body never writes, into a register
+    /// defined once.
+    Shared,
+    /// Not at all: a load of `streams[k]` into a register defined once,
+    /// which each cell's uses read where it is.
+    InPlace(usize),
+    /// By every cell.
+    Each,
+}
+
+/// The [`Step`] of each instruction of `j.steps`.
+pub(super) fn step_kinds(j: &ChainJam) -> Vec<Step> {
+    let defs = |r: Reg| j.steps.iter().filter(|i| float_dst(i) == Some(r)).count();
+    let mut shared: Vec<Reg> = Vec::new();
+    let stream = |i: &Instr| match *i {
+        Instr::Load(_, slot, addr) => j
+            .streams
+            .iter()
+            .position(|s| (s.slot, s.addr) == (slot, addr)),
+        _ => None,
+    };
+    j.steps
+        .iter()
+        .map(|i| {
+            let fixed = match stream(i) {
+                Some(k) => j.streams[k].cell == 0,
+                None => float_uses(i).all(|u| u != j.acc && (shared.contains(&u) || defs(u) == 0)),
+            };
+            match (
+                float_dst(i).filter(|&d| d != j.next && defs(d) == 1),
+                stream(i),
+            ) {
+                (Some(d), _) if fixed => {
+                    shared.push(d);
+                    Step::Shared
+                }
+                (Some(_), Some(k)) => Step::InPlace(k),
+                _ => Step::Each,
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::asm::{Shape, R11, RAX, RCX, RDI, RDX, RSI, RSP};
-    use super::super::fixtures::{access, nest_function, JamNest, NestGen};
+    use super::super::fixtures::{access, nest_function, ChainNest, JamNest, NestGen};
     use super::*;
     use crate::compile::LoopKind;
     use rand::rngs::SmallRng;
@@ -1085,7 +1385,7 @@ mod tests {
                         }
                     }
                     let plan = plan_resident(bumps, body, *carry, &PTR_REGS, XMM_POOL);
-                    for &((_, addr), _) in &plan.res.ptrs {
+                    for &((_, addr), ..) in &plan.res.ptrs {
                         self.read(addr);
                     }
                     carry.iter().for_each(|c| self.read(c.addr));
@@ -1245,5 +1545,163 @@ mod tests {
         refuses("destination row is loop-carried", &|n| {
             n.pre[2] = dst_addr(9)
         });
+    }
+
+    #[test]
+    fn step_kinds_share_what_every_cell_computes_alike() {
+        // `X[i5 + k]` stays put from cell to cell and is loaded once,
+        // unless its register is written again from `Y`; `Y[j + i2 + 8k]`
+        // moves and is read where it is.
+        use Step::{Each, InPlace, Shared};
+        let kinds = |edit: &dyn Fn(&mut Vec<Instr>)| {
+            let mut n = ChainNest::new(true);
+            if let Item::StridedLoop { body, .. } = &mut n.chain {
+                edit(body);
+            }
+            let Item::Loop {
+                var,
+                extent,
+                bumps,
+                body,
+                ..
+            } = n.item()
+            else {
+                unreachable!()
+            };
+            step_kinds(&plan_chain_jam(var, extent, &bumps, &body).expect("jams"))
+        };
+        assert_eq!(kinds(&|_| {}), [Shared, InPlace(2), Each, Each]);
+        let twice = |b: &mut Vec<Instr>| b.insert(2, Instr::FBin(BinOp::Mul, 5, 5, 6));
+        assert_eq!(kinds(&twice), [Each, InPlace(2), Each, Each, Each]);
+    }
+
+    #[test]
+    fn plan_chain_jam_names_every_refusal() {
+        let guard = || Some(vec![Instr::ICmp(CmpOp::Lt, 10, 0, 1)]);
+        let planned = |n: ChainNest| {
+            let Item::Loop {
+                var,
+                extent,
+                bumps,
+                body,
+                ..
+            } = n.item()
+            else {
+                unreachable!()
+            };
+            let plan = plan_chain_jam(var, extent, &bumps, &body);
+            plan.map(|j| {
+                j.streams
+                    .iter()
+                    .map(|s| (s.step, s.cell))
+                    .collect::<Vec<_>>()
+            })
+        };
+        // Accepted: the cell one element on per iteration, `X` shared by
+        // every cell, `Y` one element on; statically, trimmed and guarded.
+        let want = Ok(vec![(0, 8), (8, 0), (64, 8)]);
+        for strided in [false, true] {
+            assert_eq!(planned(ChainNest::new(strided)), want, "strided {strided}");
+            let mut n = ChainNest::new(strided);
+            n.clamp.hi = Some((1, 0));
+            n.guard = guard();
+            assert_eq!(planned(n), want, "strided {strided}, trimmed and guarded");
+        }
+        type Row<'n> = (&'n mut SlotAccess, &'n mut SlotAccess, &'n mut Vec<Instr>);
+        fn muladd(n: &mut ChainNest) -> Row<'_> {
+            let Item::MulAddLoop { dst, b, pre, .. } = &mut n.chain else {
+                unreachable!()
+            };
+            (dst, b, pre)
+        }
+        type Loop<'n> = (
+            &'n mut Vec<Instr>,
+            &'n mut Option<Carry>,
+            &'n mut Clamp,
+            &'n mut Vec<(Reg, i64)>,
+        );
+        fn strided(n: &mut ChainNest) -> Loop<'_> {
+            let Item::StridedLoop {
+                body,
+                carry,
+                clamp,
+                bumps,
+                ..
+            } = &mut n.chain
+            else {
+                unreachable!()
+            };
+            (body, carry, clamp, bumps)
+        }
+        type Edit = fn(&mut ChainNest);
+        let table: [(&str, bool, Edit); 23] = [
+            ("too few iterations", false, |n| n.extent = 1),
+            ("no chain", false, |n| n.tail.push(Item::Code(vec![]))),
+            ("not a reduction chain", false, |n| muladd(n).0.stride = 1),
+            ("not a reduction chain", false, |n| muladd(n).1.slot = 0),
+            ("not a reduction chain", true, |n| *strided(n).1 = None),
+            ("not a reduction chain", true, |n| {
+                strided(n).2.hi = Some((1, 0))
+            }),
+            ("a second store", false, |n| {
+                n.prologue.push(Instr::Store(1, 3, 1))
+            }),
+            ("a second store", true, |n| {
+                strided(n).0.insert(3, Instr::Store(0, 3, 7))
+            }),
+            ("reads the destination elsewhere", false, |n| {
+                n.prologue[1] = Instr::Load(0, 0, 1)
+            }),
+            ("reads the destination elsewhere", false, |n| {
+                n.prologue.push(Instr::IConst(3, 0))
+            }),
+            ("reads the destination elsewhere", true, |n| {
+                strided(n).0[0] = Instr::Load(5, 0, 7)
+            }),
+            ("checked access", false, |n| {
+                n.prologue.push(Instr::Bound {
+                    buf: 1,
+                    extent: 4,
+                    idx: vec![3].into(),
+                })
+            }),
+            ("writes the loop variable", false, |n| {
+                n.prologue.push(Instr::IConst(0, 0))
+            }),
+            ("guard touches memory", false, |n| {
+                n.guard = Some(vec![Instr::Load(9, 1, 0), Instr::ICmp(CmpOp::Lt, 10, 0, 1)])
+            }),
+            ("guard reads the body", false, |n| {
+                n.guard = Some(vec![Instr::ICmp(CmpOp::Lt, 10, 0, 3)])
+            }),
+            ("chain reads the prologue", true, |n| {
+                strided(n).0[2] = Instr::FBin(BinOp::Mul, 7, 5, 1)
+            }),
+            ("chain reads the prologue", true, |n| {
+                strided(n).0[2] = Instr::FBin(BinOp::Mul, 7, 5, 8)
+            }),
+            ("integer code in the chain", true, |n| {
+                strided(n).0.insert(0, Instr::IToF(9, 6))
+            }),
+            ("more than two streams", true, |n| {
+                strided(n).0.insert(0, Instr::Load(9, 1, 6))
+            }),
+            ("offset out of range", true, |n| strided(n).3[2].1 = 1 << 30),
+            ("destination not affine", false, |n| {
+                n.prologue[0] = Instr::IBin(BinOp::Mul, 3, 0, 0)
+            }),
+            ("destination fixed", false, |n| {
+                n.prologue[0] = Instr::IBin(BinOp::Add, 3, 1, 1)
+            }),
+            ("factor not affine", false, |n| {
+                *muladd(n).2 = vec![Instr::IBin(BinOp::Mul, 4, 0, 0)]
+            }),
+        ];
+        for (why, is_strided, edit) in table {
+            let mut n = ChainNest::new(is_strided);
+            edit(&mut n);
+            let got = planned(n).err();
+            assert_eq!(got, Some(why), "strided {is_strided}: {why}");
+        }
     }
 }

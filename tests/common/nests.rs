@@ -427,6 +427,151 @@ pub fn control_flow_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String)
     (func, args, context)
 }
 
+/// A generated cell reduction — the shape the x86-64 backend runs four
+/// cells at a time, and its near misses: `for i { for j [if g(j)] { [D[c] =
+/// D[c]·β;] for k { D[c] = D[c] ± [α·] x·y } } }` with the cell `c =
+/// cell(i, j)` of a flat `D` moving by ±1 or ±row along `j`, 1–11 `j`
+/// iterations (every remainder of a group of four), `j`'s guard trimmed to
+/// a live range (`j ⋄ i + c`) or kept a conditional (`2·j ⋄ i + c`), and
+/// factors that move with `j` and ones that do not, in either operand
+/// order. The near misses the jam must refuse: a factor that reads the
+/// previous `j`'s cell, a second store into `D` ahead of the chain, a
+/// factor whose index only a bounds check admits (one element short, so
+/// the last iteration fails on every rung), and one cell for all of them.
+/// Returns whether it is a near miss.
+pub fn cell_reduction_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) {
+    const ROW: i64 = 12;
+    const MARGIN: i64 = 13;
+    const OPS: [CmpOp; 4] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    let dtype = DType::F64;
+    let (ei, ej, ek) = (
+        rng.gen_range(1..=3i64),
+        rng.gen_range(1..=11i64),
+        rng.gen_range(1..=6i64),
+    );
+    let stride = [1, -1, ROW, -ROW][rng.gen_range(0..4usize)];
+    let miss = [
+        None,
+        None,
+        None,
+        None,
+        None,
+        Some("previous cell"),
+        Some("second store"),
+        Some("bounds check"),
+        Some("fixed cell"),
+    ][rng.gen_range(0..9usize)];
+    let guard = match rng.gen_range(0..3usize) {
+        0 => None,
+        form => Some((
+            form,
+            OPS[rng.gen_range(0..4usize)],
+            rng.gen_range(-2..=3i64),
+        )),
+    };
+    let (prologue, alpha, subtract) = (rng.gen_bool(0.5), rng.gen_bool(0.4), rng.gen_bool(0.5));
+    let (y_form, swap) = (rng.gen_range(0..3usize), rng.gen_bool(0.5));
+    let outer = if rng.gen_bool(0.3) {
+        ForKind::Parallel
+    } else {
+        ForKind::Serial
+    };
+    let context = format!(
+        "{ei}x{ej}x{ek} stride {stride} miss {miss:?} guard {guard:?} prologue {prologue} \
+         alpha {alpha} subtract {subtract} y {y_form} swap {swap} outer {outer:?}"
+    );
+
+    let d = placeholder([((ROW + 2) * ROW + 2 * MARGIN) as usize], dtype, "D");
+    let x = placeholder([32], dtype, "X");
+    let y = placeholder([80], dtype, "Y");
+    let e_len = (ej + ek - 2).max(1) as usize;
+    let e = placeholder([e_len], dtype, "E");
+    let mut fb = FuncBuilder::new("cells");
+    let db = fb.param(&d);
+    let _ = (fb.param(&x), fb.param(&y), fb.param(&e));
+    let cell = move |i: &PrimExpr, j: PrimExpr| {
+        let along = if stride < 0 {
+            PrimExpr::from(ej - 1) - j
+        } else {
+            j
+        };
+        let (inner, outer) = if stride.abs() == 1 {
+            (along, i.clone())
+        } else {
+            (i.clone(), along)
+        };
+        outer * ROW + inner + MARGIN
+    };
+    let body = for_kind("i", ei, outer, |i| {
+        ser("j", ej, |j| {
+            let c = match miss {
+                Some("fixed cell") => [PrimExpr::from(MARGIN)],
+                _ => [cell(&i, j.clone())],
+            };
+            let chain = ser("k", ek, |k| {
+                let fx = x.at(&[i.clone() * ek + k.clone()]);
+                let fy = match (miss, y_form) {
+                    (Some("previous cell"), _) => d.at(&[cell(&i, j.clone() - 1i64)]),
+                    (Some("bounds check"), _) => e.at(&[j.clone() + k.clone()]),
+                    (_, 0) => y.at(&[k.clone() * ROW + j.clone()]),
+                    (_, 1) => y.at(&[j.clone() * ek + k.clone()]),
+                    _ => y.at(&[k]),
+                };
+                let (fx, fy) = if swap { (fy, fx) } else { (fx, fy) };
+                let product = if alpha {
+                    PrimExpr::FloatImm(0.3, dtype) * fx * fy
+                } else {
+                    fx * fy
+                };
+                let sum = if subtract {
+                    d.at(&c) - product
+                } else {
+                    d.at(&c) + product
+                };
+                store(&db, &c, sum)
+            });
+            let mut stmts = Vec::new();
+            if miss == Some("second store") {
+                stmts.push(store(
+                    &db,
+                    &[cell(&i, j.clone() - 1i64)],
+                    x.at(std::slice::from_ref(&i)),
+                ));
+            }
+            if prologue {
+                stmts.push(store(&db, &c, d.at(&c) * PrimExpr::FloatImm(1.2, dtype)));
+            }
+            stmts.push(chain);
+            let stmt = seq(stmts);
+            match guard {
+                None => stmt,
+                Some((form, op, off)) => {
+                    let lhs = if form == 1 {
+                        j.clone()
+                    } else {
+                        j.clone() * 2i64
+                    };
+                    when(PrimExpr::cmp(op, lhs, i.clone() + off), stmt)
+                }
+            }
+        })
+    });
+    let func = fb.build(body);
+    let args = vec![
+        NDArray::random(
+            &[((ROW + 2) * ROW + 2 * MARGIN) as usize],
+            dtype,
+            31,
+            -1.0,
+            1.0,
+        ),
+        NDArray::random(&[32], dtype, 32, -1.0, 1.0),
+        NDArray::random(&[80], dtype, 33, -1.0, 1.0),
+        NDArray::random(&[e_len], dtype, 34, -1.0, 1.0),
+    ];
+    (func, args, context, miss.is_some())
+}
+
 /// Order of [`scheduled_matmul`]'s matrices.
 const N: usize = 8;
 

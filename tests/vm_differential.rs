@@ -12,7 +12,9 @@
 
 mod common;
 
-use common::nests::{control_flow_nest, reduction_nest, triangular_nest, with_ints};
+use common::nests::{
+    cell_reduction_nest, control_flow_nest, reduction_nest, triangular_nest, with_ints,
+};
 use common::oracle::{budget_lock, check, jit_tiers, BUDGETS};
 use polybench::molds::mold_for;
 use polybench::{CodeMold, KernelName, ProblemSize};
@@ -71,6 +73,40 @@ proptest! {
             prop_assert!(run.is_ok(), "{}: {:?}", context, run);
         }
     }
+}
+
+#[test]
+fn generated_cell_reductions_match_and_jam_only_what_is_proven() {
+    // Every nest on every engine, tier and thread budget; and, on x86-64,
+    // the jam reported on some nest it may take and on no near miss.
+    let mut rng = SmallRng::seed_from_u64(0xce11);
+    let (mut jammed, mut guarded, mut refused) = (0, 0, 0);
+    for case in 0..300 {
+        let (func, args, context, near_miss) = cell_reduction_nest(&mut rng);
+        let context = format!("case {case}: {context}");
+        let _ = check(&func, &args, &context);
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        for (tier, backend) in jit_tiers() {
+            let cf = compile_optimized(&func).expect("optimized compile");
+            let Ok(jitted) = backend.jit_compile(&cf) else {
+                continue;
+            };
+            let simd = jitted.jit_simd_report().expect("jitted");
+            let jams = simd
+                .scalar_reasons
+                .get("jammed-chain")
+                .copied()
+                .unwrap_or(0);
+            assert!(!near_miss || jams == 0, "{context} on the {tier}: jammed");
+            jammed += jams;
+            guarded += (jams > 0 && format!("{cf:?}").contains("If {")) as u32;
+            refused += near_miss as u32;
+        }
+    }
+    assert!(
+        jammed > 200 && guarded > 40 && refused > 150,
+        "{jammed} {guarded} {refused}"
+    );
 }
 
 #[test]
@@ -183,7 +219,8 @@ fn forwarding_is_not_vacuous_on_the_reduction_kernels() {
     // mold's default configuration: syrk, lu, cholesky and trmm keep their
     // reduction's accumulator in a register on the optimized and JIT rungs
     // (never on the scalar rung); gemm's untiled reduction is a
-    // microkernel the JIT runs as one register chain; every kernel's inner
+    // microkernel the JIT runs as register chains, eight cells side by
+    // side and the rest one at a time; every kernel's inner
     // loops are strided loops or microkernels; the triangular kernels'
     // guarded reductions are trimmed to their live range; and on x86-64
     // every kernel reaches native code on every tier.
@@ -241,8 +278,9 @@ fn forwarding_is_not_vacuous_on_the_reduction_kernels() {
             }
             if kernel == KernelName::Gemm {
                 let simd = jitted.jit_simd_report().expect("jitted");
+                let sites = |reason| simd.scalar_reasons.get(reason).copied();
                 assert!(
-                    simd.scalar_reasons.get("reduction-chain").copied() >= Some(1),
+                    sites("jammed-chain") >= Some(1) && sites("reduction-chain") >= Some(1),
                     "gemm on the {tier}: {simd:?}"
                 );
             }
