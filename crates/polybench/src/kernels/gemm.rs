@@ -273,5 +273,19 @@ mod tests {
             codes_of(&cfg(4, 5, [1, 2, 0, 0, 0])).is_empty(),
             "fuse(yo, k) is adjacent under ORDER == 1"
         );
+        // `TIR-VEC-OVER` exactly where lowering keeps the masked lanes:
+        // the vector loop survives only with no loop inside it.
+        for order in 0..3 {
+            for unroll in 0..2 {
+                for ty in [1, 4] {
+                    let c = cfg(ty, 5, [order, 0, 64, 0, unroll]);
+                    let denied = codes_of(&c) == vec![codes::VEC_OVER];
+                    let masked =
+                        tvm_tir::analyze::oracle::confirm_masked_vector(&mold.instantiate(&c));
+                    assert_eq!(denied, masked, "{c}");
+                    assert!(denied || codes_of(&c).is_empty(), "{c}");
+                }
+            }
+        }
     }
 }

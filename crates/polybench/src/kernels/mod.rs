@@ -65,13 +65,21 @@ impl MatmulKnobs {
 }
 
 /// Declare the schedule facts of [`tile_matmul_stage_aggressive`] to a
-/// prelint: the two tile splits, the optional vectorize of the column
-/// tile, and the fuse adjacency (fusing `yo` with the reduction axis is
-/// only adjacent under `ORDER == 1`). Callers accumulate facts for every
-/// scheduled stage into one `Prelint`.
+/// prelint: the two tile splits, the vectorize of the column tile when
+/// its vector loop survives lowering, and the fuse adjacency (fusing
+/// `yo` with the reduction axis is only adjacent under `ORDER == 1`).
+/// Callers accumulate facts for every scheduled stage into one `Prelint`.
+///
+/// `legalize_vector_loops` demotes a vector loop with a loop inside it
+/// to serial, and a serial loop has no lanes to mask. The vector loop is
+/// innermost under `ORDER == 0`; under `ORDER == 1` the row loop sits
+/// inside it unless the row tile is 1 or the unroll pass expands it;
+/// under `ORDER == 2` the reduction always does.
 pub(crate) fn matmul_stage_prelint(p: &mut Prelint, ty: i64, tx: i64, kn: &MatmulKnobs) {
     p.split("y", ty).split("x", tx);
-    if kn.vec > 0 && tx >= 1 {
+    let row_loop_gone = ty == 1 || (kn.unroll == 1 && ty <= tvm_tir::lower::MAX_UNROLL);
+    let vector_loop_survives = kn.order == 0 || (kn.order == 1 && row_loop_gone);
+    if kn.vec > 0 && tx >= 1 && vector_loop_survives {
         p.vectorize("x.inner", tx, kn.vec);
     }
     if kn.fuse == 2 {
@@ -92,9 +100,11 @@ pub(crate) fn tile_prelint(ty: i64, tx: i64) -> Vec<Diagnostic> {
 ///
 /// # Panics
 /// On schedule facts [`matmul_stage_prelint`] denies: zero/negative tile
-/// factors and non-adjacent fuses. (An over-wide vectorize instantiates —
-/// it is the *analyzer/lowering* that handles masked lanes — so prelint
-/// denial of `VEC > tx` is a policy choice enforced before this runs.)
+/// factors and non-adjacent fuses. (An over-wide vectorize instantiates,
+/// and lowering masks the lanes past the column tile. The prelint denies
+/// `VEC > tx` only where that vector loop survives lowering, so it never
+/// denies lanes the lowered function does not have: a policy choice, not
+/// a panic this function would raise.)
 pub(crate) fn tile_matmul_stage_aggressive(
     s: &mut Schedule,
     t: &Tensor,

@@ -71,7 +71,9 @@ fn tiles(n: usize, mode: SpaceMode) -> Vec<i64> {
 ///   adjacent), 2 fuse `y.outer` with the reduction axis — only adjacent
 ///   under `ORDER == 1`, otherwise denied by `TIR-FUSE-ILLEGAL`.
 /// * `VEC`: vector lanes on the innermost column axis; 0 disables.
-///   Lanes exceeding the column tile are denied by `TIR-VEC-OVER`.
+///   Lanes exceeding the column tile are denied by `TIR-VEC-OVER` where
+///   the vector loop survives lowering (`ORDER` 0, or 1 with the row
+///   loop unrolled or of one trip); elsewhere it runs serial, unmasked.
 /// * `PAR`: 0 parallel outermost (paper), 1 serial, 2 parallel the
 ///   reduction axis — a write-write race the analyzer denies.
 /// * `UNROLL`: 0 none, 1 unroll the inner row loop.

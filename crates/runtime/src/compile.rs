@@ -880,7 +880,9 @@ impl Compiler {
                     Some(term) => term.1 = term.1.checked_add(scale)?,
                     None => form.0.push((r, scale)),
                 }
-                self.ival[r as usize]
+                // A guard on the bare variable (`if (i < 16)` over a
+                // longer `i` loop) bounds it here, not in its register.
+                self.guarded(e, self.ival[r as usize])
             }
             PrimExpr::Binary(op, a, b) if !e.dtype().is_float() => {
                 let (sa, sb) = match (op, a.as_int(), b.as_int()) {
@@ -1350,7 +1352,7 @@ fn interval_of(
 /// interpreter instead.
 ///
 /// Every schedule-parallel loop is marked *unproven* (it executes
-/// sequentially): this entry backs the scalar rung, whose `vm/v6`
+/// sequentially): this entry backs the scalar rung, whose `vm/v7`
 /// fingerprint promises sequential semantics. The optimized pipeline
 /// threads race-freedom proofs through [`compile_with_proofs`].
 pub fn compile(func: &PrimFunc) -> Result<CompiledFunc, CompileError> {
@@ -1646,13 +1648,16 @@ mod tests {
             assert_eq!(crate::vm::execute(&cf, &mut via_vm), want, "{what}");
             assert_eq!(via_vm, via_interp, "{what}");
         }
-        // A guard on a loop variable itself narrows nothing: its register
-        // is shared with code outside the guard.
+        // A guard on a loop variable itself proves the accesses under it,
+        // and nothing else: the variable's register is shared with code
+        // outside the guard, so the unguarded access keeps both checks and
+        // the one under a guard that never holds claims nothing.
         let mut fb = FuncBuilder::new("shared");
         let vb = fb.param(&v);
         let f = fb.build(ser("i", 12, |i| {
             tvm_tir::builder::seq([
                 when(lt(i.clone(), 10), bump(&vb, i.clone())),
+                bump(&vb, i.clone()),
                 when(lt(i.clone(), 0), bump(&vb, i)),
             ])
         }));

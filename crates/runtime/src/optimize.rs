@@ -92,7 +92,7 @@ use tvm_tir::PrimFunc;
 
 /// Version tag of the bytecode engine (compiler + block optimizer +
 /// VM). Bump on any change to instruction semantics or the optimizer.
-pub(crate) const ENGINE_VERSION: &str = "vm/v6";
+pub(crate) const ENGINE_VERSION: &str = "vm/v7";
 
 /// Fingerprint of the full optimization pipeline an execution engine
 /// applies between TIR and measurement: the bytecode engine version,

@@ -2,26 +2,42 @@
 //! loops.
 //!
 //! For each `ForKind::Parallel` / `ForKind::Vectorized` loop the pass
-//! linearizes every buffer access in the loop body to a row-major
-//! offset, splits it into a stride `s` along the parallel axis plus a
-//! footprint interval over the enclosed serial loops, and runs a
-//! distance test: a conflict exists iff two distinct iterations `t` and
-//! `t + d` (`0 < |d| < extent`) can touch the same element, i.e.
-//! `s*d` lands inside the difference of the two footprints.
+//! collects every buffer access in the loop body together with the `if`
+//! guards around it (negated on `else` branches). Each index of an
+//! access, and its row-major offset, splits into a stride `s` along the
+//! parallel axis plus a range over the enclosed serial loops, narrowed
+//! by the guards that mention only those loops (the facts `bounds`
+//! uses). A pair of accesses conflicts iff two distinct iterations `t`
+//! and `t + d` (`0 < |d| < extent`) can touch the same element, i.e.
+//! `s*d` lands inside the difference of the two ranges. Two tests decide
+//! a pair:
 //!
-//! Certificates are only `Deny` when they are robust: the offset must
-//! be affine in the parallel variable (verified at both ends of the
-//! range), the two accesses must shift identically with every outer
-//! loop variable, and neither access may sit under a guard that
-//! mentions the parallel variable. Anything weaker demotes to `Warn`
-//! (`TIR-RACE-MAYBE`): the analyzer never claims a race it cannot
+//! * **per dimension**, first: some index moves by the same stride along
+//!   the parallel axis and by the same shift along every outer loop in
+//!   both accesses, and its ranges admit no distance `d`. Distinct
+//!   iterations then differ in that index, so they never meet, provided
+//!   every index of both accesses stays inside its extent (an index past
+//!   its extent aliases the next row);
+//! * **linear** otherwise: the same distance test on the row-major
+//!   offsets, which sees any aliasing but mixes dimensions (a stride-1
+//!   column against a row range produces every distance).
+//!
+//! A pair is clean only when both accesses also shift identically with
+//! every outer loop variable: otherwise one outer iteration can line up
+//! what another keeps apart. Certificates are only `Deny` when they are
+//! robust: the offset must be affine in the parallel variable (verified
+//! at both ends of the range), the two accesses must shift identically
+//! with every outer loop variable, and neither access may sit under a
+//! guard that mentions the parallel variable. Anything weaker demotes to
+//! `Warn` (`TIR-RACE-MAYBE`): the analyzer never claims a race it cannot
 //! prove, and never silently trusts one it cannot disprove either.
 
-use super::interval::{eval_interval, Interval, IntervalEnv};
+use super::interval::{constraints_from_guard, eval_interval, Interval, IntervalEnv};
 use super::{codes, Diagnostic, Severity};
-use crate::analysis::eval_int;
+use crate::analysis::eval_int_with;
 use crate::stmt::{ForKind, PrimFunc, Stmt};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use tvm_te::{PrimExpr, Var};
 
 /// One loop enclosing an access (outside or inside the parallel loop).
@@ -32,28 +48,58 @@ struct LoopCtx {
     extent: i64,
 }
 
-/// A linearizable buffer access inside the body of a parallel loop.
+impl LoopCtx {
+    fn range(&self) -> Interval {
+        if self.extent <= 0 {
+            Interval::empty()
+        } else {
+            Interval::new(self.min, self.min + self.extent - 1)
+        }
+    }
+}
+
+/// A buffer access inside the body of a parallel loop.
 struct Access {
     buffer: String,
-    elem_strides: Vec<i64>,
+    shape: Vec<usize>,
     indices: Vec<PrimExpr>,
     is_write: bool,
     /// Loops strictly inside the parallel loop that enclose this access.
     inner: Vec<LoopCtx>,
-    /// Whether any enclosing guard mentions the parallel variable.
-    guarded_by_par: bool,
+    /// Guards inside the parallel loop that enclose this access, negated
+    /// on `else` branches.
+    guards: Vec<PrimExpr>,
 }
 
-/// Offset decomposition of an access relative to the parallel variable.
+/// How one index of an access, or its row-major offset, moves relative
+/// to the parallel variable.
 struct Footprint {
-    /// Offset delta per step of the parallel variable.
+    /// Delta per step of the parallel variable.
     s: i64,
-    /// Affinity verified at the far end of the parallel range.
-    affine: bool,
-    /// Offset range over the inner loops, parallel/outer vars at min.
+    /// Delta at the far end of the parallel range.
+    far: i64,
+    /// Range over the inner loops under the inner-only guards,
+    /// parallel/outer vars at min.
     range: Interval,
-    /// Offset delta per step of each outer variable, outermost first.
+    /// Delta per step of each outer variable, outermost first.
     outer_strides: Vec<Option<i64>>,
+}
+
+impl Footprint {
+    /// Whether the delta at the far end is the stride times the distance.
+    fn affine(&self, extent: i64) -> bool {
+        self.s.checked_mul(extent - 1) == Some(self.far)
+    }
+}
+
+/// The footprints of one access.
+struct AccessFootprint {
+    /// Per dimension, in index order.
+    dims: Vec<Footprint>,
+    /// Over the row-major offset.
+    linear: Footprint,
+    /// Every index proven inside its extent over the whole loop nest.
+    in_bounds: bool,
 }
 
 /// Check every parallel/vectorized loop of `func`, appending findings.
@@ -114,11 +160,17 @@ fn analyze_loop(
     seen: &mut HashSet<(&'static str, String, String)>,
 ) {
     let mut accesses = Vec::new();
-    collect_accesses(body, par.id, &mut Vec::new(), false, &mut accesses);
+    collect_accesses(body, &mut Vec::new(), &mut Vec::new(), &mut accesses);
 
-    let footprints: Vec<Option<Footprint>> = accesses
-        .iter()
-        .map(|a| footprint(a, par.id, par_min, par_extent, outer))
+    // Only a buffer written in the loop can race.
+    let written: HashSet<&str> = (accesses.iter().filter(|a| a.is_write))
+        .map(|a| a.buffer.as_str())
+        .collect();
+    let footprints: Vec<Option<AccessFootprint>> = (accesses.iter())
+        .map(|a| {
+            let f = || footprint(a, par.id, par_min, par_extent, outer);
+            written.contains(a.buffer.as_str()).then(f).flatten()
+        })
         .collect();
 
     let mut emit = |code: &'static str, severity: Severity, buffer: &str, message: String| {
@@ -135,6 +187,8 @@ fn analyze_loop(
     };
 
     let kw = kind.keyword();
+    let aligned =
+        |x: &Footprint, y: &Footprint| x.s == y.s && x.affine(par_extent) && y.affine(par_extent);
     for i in 0..accesses.len() {
         for j in i..accesses.len() {
             let (a1, a2) = (&accesses[i], &accesses[j]);
@@ -167,7 +221,14 @@ fn analyze_loop(
                 );
                 continue;
             };
-            if f1.s != f2.s || !f1.affine || !f2.affine {
+            let apart_in_some_dim = |(x, y): (&Footprint, &Footprint)| {
+                aligned(x, y) && same_outer_shifts(x, y) && !conflicts(x, y, par_extent)
+            };
+            if f1.in_bounds && f2.in_bounds && f1.dims.iter().zip(&f2.dims).any(apart_in_some_dim) {
+                continue;
+            }
+            let (l1, l2) = (&f1.linear, &f2.linear);
+            if !aligned(l1, l2) {
                 emit(
                     codes::RACE_MAYBE,
                     Severity::Warn,
@@ -180,19 +241,29 @@ fn analyze_loop(
                 );
                 continue;
             }
-            if !conflicts(f1, f2, par_extent) {
+            let same_outer = same_outer_shifts(l1, l2);
+            if !conflicts(l1, l2, par_extent) {
+                if !same_outer {
+                    emit(
+                        codes::RACE_MAYBE,
+                        Severity::Warn,
+                        &a1.buffer,
+                        format!(
+                            "{kw} loop `{}`: accesses to `{}` shift apart along \
+                             an outer loop; cannot rule out a {pair_kind} race",
+                            par.name, a1.buffer
+                        ),
+                    );
+                }
                 continue;
             }
             // A conflict certificate: robust only when both accesses
             // shift identically with every outer variable and no guard
             // keys on the parallel variable.
-            let robust = !a1.guarded_by_par
-                && !a2.guarded_by_par
-                && f1
-                    .outer_strides
+            let robust = same_outer
+                && ![a1, a2]
                     .iter()
-                    .zip(&f2.outer_strides)
-                    .all(|(x, y)| matches!((x, y), (Some(a), Some(b)) if a == b));
+                    .any(|a| a.guards.iter().any(|g| mentions(g, |v| v == par.id)));
             let (sev, final_code) = if robust {
                 (Severity::Deny, code)
             } else {
@@ -205,11 +276,17 @@ fn analyze_loop(
                 format!(
                     "{kw} loop `{}`: distinct iterations touch the same \
                      element of `{}` ({pair_kind}, stride {} on the parallel axis)",
-                    par.name, a1.buffer, f1.s
+                    par.name, a1.buffer, l1.s
                 ),
             );
         }
     }
+}
+
+/// Do the two shift identically with every outer variable?
+fn same_outer_shifts(x: &Footprint, y: &Footprint) -> bool {
+    (x.outer_strides.iter().zip(&y.outer_strides))
+        .all(|(x, y)| matches!((x, y), (Some(a), Some(b)) if a == b))
 }
 
 /// Variable ids of `ForKind::Parallel` loops whose dependence analysis
@@ -332,9 +409,8 @@ fn conflicts(f1: &Footprint, f2: &Footprint, extent: i64) -> bool {
 
 fn collect_accesses(
     stmt: &Stmt,
-    par_id: u64,
     inner: &mut Vec<LoopCtx>,
-    guarded: bool,
+    guards: &mut Vec<PrimExpr>,
     out: &mut Vec<Access>,
 ) {
     match stmt {
@@ -350,19 +426,22 @@ fn collect_accesses(
                 min: *min,
                 extent: *extent,
             });
-            collect_accesses(body, par_id, inner, guarded, out);
+            collect_accesses(body, inner, guards, out);
             inner.pop();
         }
         Stmt::IfThenElse { cond, then, else_ } => {
-            let g = guarded || mentions_var(cond, par_id);
-            collect_accesses(then, par_id, inner, g, out);
+            guards.push(cond.clone());
+            collect_accesses(then, inner, guards, out);
+            guards.pop();
             if let Some(e) = else_ {
-                collect_accesses(e, par_id, inner, g, out);
+                guards.push(PrimExpr::Not(Arc::new(cond.clone())));
+                collect_accesses(e, inner, guards, out);
+                guards.pop();
             }
         }
         Stmt::Seq(items) => {
             for s in items {
-                collect_accesses(s, par_id, inner, guarded, out);
+                collect_accesses(s, inner, guards, out);
             }
         }
         Stmt::BufferStore {
@@ -370,42 +449,35 @@ fn collect_accesses(
             indices,
             value,
         } => {
-            out.push(Access {
-                buffer: buffer.name.clone(),
-                elem_strides: row_major_strides(&buffer.shape),
-                indices: indices.clone(),
-                is_write: true,
-                inner: inner.clone(),
-                guarded_by_par: guarded,
-            });
+            let mut push = |name: &str, shape: &[usize], indices: &[PrimExpr], is_write| {
+                out.push(Access {
+                    buffer: name.to_string(),
+                    shape: shape.to_vec(),
+                    indices: indices.to_vec(),
+                    is_write,
+                    inner: inner.clone(),
+                    guards: guards.clone(),
+                })
+            };
+            push(&buffer.name, &buffer.shape, indices, true);
             for e in indices.iter().chain(std::iter::once(value)) {
-                collect_reads(e, inner, guarded, out);
+                tvm_te::visitor::walk(e, &mut |node| {
+                    if let PrimExpr::TensorRead(t, idx) = node {
+                        push(t.name(), t.shape(), idx, false);
+                    }
+                });
             }
         }
         Stmt::Nop => {}
     }
 }
 
-fn collect_reads(e: &PrimExpr, inner: &[LoopCtx], guarded: bool, out: &mut Vec<Access>) {
-    tvm_te::visitor::walk(e, &mut |node| {
-        if let PrimExpr::TensorRead(t, idx) = node {
-            out.push(Access {
-                buffer: t.name().to_string(),
-                elem_strides: row_major_strides(t.shape()),
-                indices: idx.clone(),
-                is_write: false,
-                inner: inner.to_vec(),
-                guarded_by_par: guarded,
-            });
-        }
-    });
-}
-
-fn mentions_var(e: &PrimExpr, id: u64) -> bool {
+/// Does `e` mention a variable whose id satisfies `pred`?
+fn mentions(e: &PrimExpr, pred: impl Fn(u64) -> bool) -> bool {
     let mut found = false;
     tvm_te::visitor::walk(e, &mut |node| {
         if let PrimExpr::Var(v) = node {
-            found |= v.id == id;
+            found |= pred(v.id);
         }
     });
     found
@@ -419,23 +491,15 @@ fn row_major_strides(shape: &[usize]) -> Vec<i64> {
     strides
 }
 
-/// Linear offset of an access under a concrete variable assignment.
-fn offset_at(a: &Access, env: &HashMap<u64, i64>) -> Option<i64> {
-    let mut off = 0i64;
-    for (d, idx) in a.indices.iter().enumerate().take(a.elem_strides.len()) {
-        off = off.checked_add(eval_int(idx, env)?.checked_mul(a.elem_strides[d])?)?;
-    }
-    Some(off)
-}
-
-/// Decompose one access relative to the parallel variable.
+/// Decompose one access relative to the parallel variable, per index and
+/// over its row-major offset.
 fn footprint(
     a: &Access,
     par_id: u64,
     par_min: i64,
     par_extent: i64,
     outer: &[LoopCtx],
-) -> Option<Footprint> {
+) -> Option<AccessFootprint> {
     // Base point: every variable at its minimum.
     let mut base: HashMap<u64, i64> = HashMap::new();
     for l in outer.iter().chain(a.inner.iter()) {
@@ -443,46 +507,74 @@ fn footprint(
     }
     base.insert(par_id, par_min);
 
-    let off0 = offset_at(a, &base)?;
-    let mut env = base.clone();
-    env.insert(par_id, par_min + 1);
-    let s = offset_at(a, &env)?.checked_sub(off0)?;
-    env.insert(par_id, par_min + par_extent - 1);
-    let affine = offset_at(a, &env)?.checked_sub(off0)? == s.checked_mul(par_extent - 1)?;
-
-    let mut outer_strides = Vec::with_capacity(outer.len());
-    for l in outer {
-        let mut env = base.clone();
-        env.insert(l.id, l.min + 1);
-        outer_strides.push(offset_at(a, &env).and_then(|o| o.checked_sub(off0)));
+    // Ranges over the inner loops, narrowed by the guards that mention
+    // only inner loops: a guard on the parallel or an outer variable
+    // would hold only at the point the range is taken.
+    let mut vars: HashMap<u64, Interval> = a.inner.iter().map(|l| (l.id, l.range())).collect();
+    let mut env = IntervalEnv::with_vars(vars.clone());
+    for g in &a.guards {
+        if !mentions(g, |v| !vars.contains_key(&v)) {
+            let mut facts = Vec::new();
+            constraints_from_guard(g, &env, &mut facts);
+            env.constraints.extend(facts);
+        }
     }
-
-    // Footprint over the inner loops: par and outer vars pinned at min.
-    let mut vars: HashMap<u64, Interval> = HashMap::new();
+    // `vars` keeps the inner ranges; `env` pins the rest at their minima.
     for l in outer {
-        vars.insert(l.id, Interval::point(l.min));
+        env.vars.insert(l.id, Interval::point(l.min));
+        vars.insert(l.id, l.range());
     }
-    vars.insert(par_id, Interval::point(par_min));
-    for l in &a.inner {
-        let iv = if l.extent <= 0 {
-            Interval::empty()
-        } else {
-            Interval::new(l.min, l.min + l.extent - 1)
+    env.vars.insert(par_id, Interval::point(par_min));
+    vars.insert(par_id, Interval::new(par_min, par_min + par_extent - 1));
+
+    let far_end = par_min + par_extent - 1;
+    let mut dims = Vec::with_capacity(a.indices.len());
+    for idx in &a.indices {
+        let at = |id: u64, v: i64| {
+            eval_int_with(idx, &|x| {
+                if x == id {
+                    Some(v)
+                } else {
+                    base.get(&x).copied()
+                }
+            })
         };
-        vars.insert(l.id, iv);
-    }
-    let ienv = IntervalEnv::with_vars(vars);
-    let mut range = Interval::point(0);
-    for (d, idx) in a.indices.iter().enumerate().take(a.elem_strides.len()) {
-        let iv = eval_interval(idx, &ienv)?;
-        range = range.add(&iv.mul(&Interval::point(a.elem_strides[d])));
+        let v0 = at(par_id, par_min)?;
+        dims.push(Footprint {
+            s: at(par_id, par_min + 1)?.checked_sub(v0)?,
+            far: at(par_id, far_end)?.checked_sub(v0)?,
+            range: eval_interval(idx, &env)?,
+            outer_strides: (outer.iter())
+                .map(|l| at(l.id, l.min + 1).and_then(|v| v.checked_sub(v0)))
+                .collect(),
+        });
     }
 
-    Some(Footprint {
-        s,
-        affine,
-        range,
-        outer_strides,
+    let mut linear = Footprint {
+        s: 0,
+        far: 0,
+        range: Interval::point(0),
+        outer_strides: vec![Some(0); outer.len()],
+    };
+    for (f, w) in dims.iter().zip(row_major_strides(&a.shape)) {
+        linear.s = linear.s.checked_add(f.s.checked_mul(w)?)?;
+        linear.far = linear.far.checked_add(f.far.checked_mul(w)?)?;
+        linear.range = linear.range.add(&f.range.mul(&Interval::point(w)));
+        for (o, d) in linear.outer_strides.iter_mut().zip(&f.outer_strides) {
+            *o = o
+                .zip(*d)
+                .and_then(|(o, d)| o.checked_add(d.checked_mul(w)?));
+        }
+    }
+
+    // The whole nest: every variable over its full range.
+    env.vars = vars;
+    let in_bounds = (a.indices.iter().zip(&a.shape))
+        .all(|(idx, &n)| eval_interval(idx, &env).is_some_and(|iv| iv.within(0, n as i64 - 1)));
+    Some(AccessFootprint {
+        dims,
+        linear,
+        in_bounds,
     })
 }
 
@@ -670,6 +762,110 @@ mod tests {
         assert!(diags
             .iter()
             .all(|d| d.severity == Severity::Warn && d.code == codes::RACE_MAYBE));
+    }
+
+    #[test]
+    fn guard_on_inner_loops_narrows_the_row_range() {
+        // parallel i: for jo in 0..2: for ji in 0..16:
+        //   if jo*16 + ji < 20 { E[i][jo*16 + ji] = 0 }
+        // Unguarded, columns 0..31 against a row stride of 20 overlap the
+        // next row; the guard keeps each iteration inside its own row.
+        let (i, jo, ji) = (Var::index("i"), Var::index("jo"), Var::index("ji"));
+        let e = Buffer::new("E", [4usize, 20], DType::F64);
+        let col = jo.expr() * 16 + ji.expr();
+        let store = Stmt::IfThenElse {
+            cond: tvm_te::ops::cmp::lt(col.clone(), tvm_te::ops::int(20)),
+            then: Box::new(Stmt::BufferStore {
+                buffer: e.clone(),
+                indices: vec![i.expr(), col],
+                value: float(0.0),
+            }),
+            else_: None,
+        };
+        let inner = for_(
+            &jo,
+            2,
+            ForKind::Serial,
+            for_(&ji, 16, ForKind::Serial, store),
+        );
+        let f = func(for_(&i, 4, ForKind::Parallel, inner), vec![e]);
+        assert!(run(&f).is_empty(), "{:?}", run(&f));
+        assert!(race_free_parallel_vars(&f).contains(&i.id));
+    }
+
+    #[test]
+    fn per_dimension_test_separates_columns() {
+        // parallel f in 0..24: for i in 0..16: G[i][f] = G[i][f] + 1 —
+        // one column per iteration. The row-major offsets f + 24*i reach
+        // every distance, so only the column index tells them apart.
+        let (f, i) = (Var::index("f"), Var::index("i"));
+        let g = Buffer::new("G", [16usize, 24], DType::F64);
+        let g_t = tvm_te::placeholder([16, 24], DType::F64, "G");
+        let idx = vec![i.expr(), f.expr()];
+        let store = Stmt::BufferStore {
+            buffer: g.clone(),
+            indices: idx.clone(),
+            value: g_t.at(&idx) + float(1.0),
+        };
+        let body = for_(
+            &f,
+            24,
+            ForKind::Parallel,
+            for_(&i, 16, ForKind::Serial, store),
+        );
+        let fun = func(body, vec![g]);
+        assert!(run(&fun).is_empty(), "{:?}", run(&fun));
+        assert!(race_free_parallel_vars(&fun).contains(&f.id));
+    }
+
+    #[test]
+    fn per_dimension_test_needs_indices_in_bounds() {
+        // parallel p in 0..4: for i in 0..2: B[p][i] = 0 over B: [4, 1] —
+        // the column runs past its extent, so B[p][1] is B[p + 1][0].
+        let (p, i) = (Var::index("p"), Var::index("i"));
+        let b = Buffer::new("B", [4usize, 1], DType::F64);
+        let store = Stmt::BufferStore {
+            buffer: b.clone(),
+            indices: vec![p.expr(), i.expr()],
+            value: float(0.0),
+        };
+        let body = for_(
+            &p,
+            4,
+            ForKind::Parallel,
+            for_(&i, 2, ForKind::Serial, store),
+        );
+        let diags = run(&func(body, vec![b]));
+        assert!(diags
+            .iter()
+            .any(|d| d.code == codes::RACE_WW && d.severity == Severity::Deny));
+    }
+
+    #[test]
+    fn outer_shift_is_not_proven_race_free() {
+        // for o in 0..2: parallel p in 0..8: A[p + o] = A[p] + 1 — at
+        // o = 1 iteration p writes the element iteration p + 1 reads. At
+        // o = 0 the offsets line up, so the pair must not count as clean.
+        let (o, p) = (Var::index("o"), Var::index("p"));
+        let a = Buffer::new("A", [9usize], DType::F64);
+        let a_t = tvm_te::placeholder([9], DType::F64, "A");
+        let store = Stmt::BufferStore {
+            buffer: a.clone(),
+            indices: vec![p.expr() + o.expr()],
+            value: a_t.at(&[p.expr()]) + float(1.0),
+        };
+        let body = for_(
+            &o,
+            2,
+            ForKind::Serial,
+            for_(&p, 8, ForKind::Parallel, store),
+        );
+        let f = func(body, vec![a]);
+        let diags = run(&f);
+        assert!(diags
+            .iter()
+            .any(|d| d.code == codes::RACE_MAYBE && d.severity == Severity::Warn));
+        assert!(!race_free_parallel_vars(&f).contains(&p.id));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use tvm_te::visitor::substitute;
 use tvm_te::{BinOp, OpKind, PrimExpr, Schedule, Tensor, Var};
 
 /// Trip-count cap of the unroll pass; longer `Unrolled` loops stay rolled.
-const MAX_UNROLL: i64 = 256;
+pub const MAX_UNROLL: i64 = 256;
 
 /// Lower a scheduled graph into a [`PrimFunc`]: simplify, unroll,
 /// simplify again, legalize vector loops and verify.

@@ -3,13 +3,16 @@
 //! `tests/bo_golden.rs` pins lu-large, a 400-point space the optimizer
 //! ranks exhaustively. 3mm-extralarge has 228 614 400 points, so every
 //! model-based ask there draws 1 024 distinct samples plus 64 neighbours
-//! of the incumbent, and about a third of its trials are static rejects
-//! that `tell` turns into penalties: the RNG draw order, the dedupe
-//! decisions, the penalty scale, the constant-liar batch and the
-//! first-minimum tie-break all show in which configuration comes next.
+//! of the incumbent: the RNG draw order, the dedupe decisions, the
+//! constant-liar batch and the first-minimum tie-break all show in which
+//! configuration comes next. (Until the race analysis learned guards and
+//! per-dimension strides, about a third of these trials were false
+//! `TIR-RACE-WW` rejects; the analyzer now admits the whole paper space,
+//! so none is.)
 //!
-//! Recorded at commit d93c262 (the parent of the encoded-space ask), the
-//! way `bo_golden`'s were: a throw-away test there ran
+//! Recorded at commit d93c262 (the parent of the encoded-space ask), and
+//! re-recorded when the rejects went, the way `bo_golden`'s were: a
+//! throw-away test there ran
 //! `tune` / `tune_parallel` over `YtoptTuner::new(space, 9)` on
 //! `MoldEvaluator::simulated(3mm-extralarge, swing_cpu_core())` for 40
 //! trials (`batch` 1 and 4) and printed (configuration key, runtime `f64`

@@ -438,7 +438,9 @@ pub fn control_flow_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String)
 /// previous `j`'s cell, a second store into `D` ahead of the chain, a
 /// factor whose index only a bounds check admits (one element short, so
 /// the last iteration fails on every rung), and one cell for all of them.
-/// Returns whether it is a near miss.
+/// Returns whether it is a near miss: the short factor is one only where
+/// the guard lets the last `j` run, since elsewhere the guard alone
+/// proves its index in bounds.
 pub fn cell_reduction_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) {
     const ROW: i64 = 12;
     const MARGIN: i64 = 13;
@@ -569,7 +571,17 @@ pub fn cell_reduction_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, Strin
         NDArray::random(&[80], dtype, 33, -1.0, 1.0),
         NDArray::random(&[e_len], dtype, 34, -1.0, 1.0),
     ];
-    (func, args, context, miss.is_some())
+    let last_j_runs = guard.is_none_or(|(form, op, off)| {
+        let lhs = if form == 1 { ej - 1 } else { 2 * (ej - 1) };
+        (0..ei).any(|i| match op {
+            CmpOp::Lt => lhs < i + off,
+            CmpOp::Le => lhs <= i + off,
+            CmpOp::Gt => lhs > i + off,
+            _ => lhs >= i + off,
+        })
+    });
+    let near_miss = miss.is_some() && (miss != Some("bounds check") || last_j_runs);
+    (func, args, context, near_miss)
 }
 
 /// Order of [`scheduled_matmul`]'s matrices.
