@@ -60,43 +60,43 @@
 //!   remainder-safe — what a sweep leaves over runs at the next narrower
 //!   width, VEX-256 then SSE2 then scalar, so a short row gets the width
 //!   its extent fills — and neither on the scalar tier
-//!   ([`X86Backend::scalar_only`]):
-//!   mul-add microkernels with *parallel* stride patterns, where every
-//!   lane performs one multiply and one add with per-element rounding —
-//!   bit-identical to the scalar order, with a register-tiled 4×
-//!   unroll-and-jam main loop; and a cross-iteration unroll-and-jam of
-//!   the *reduction* loop itself, when a serial loop wraps exactly one
-//!   axpy-like mul-add whose
-//!   destination row is invariant in the loop variable (the y-tile-1
-//!   matmul shape): four consecutive reduction steps are fused into
-//!   one sweep that loads and stores the destination once per four
-//!   multiply-adds. Each destination cell still sees the identical
-//!   per-op-rounded sequence `(((d+m₀)+m₁)+m₂)+m₃` in ascending
-//!   reduction order — only the interleaving across *distinct* cells
-//!   changes — and a dataflow scan ([`plan::plan_jam`]) proves
-//!   the destination address and broadcast factor invariant before the
-//!   jam fires. A reduction into one element (`dst` stride 0, any factor
+//!   ([`X86Backend::scalar_only`]): mul-add microkernels with *parallel*
+//!   stride patterns, where every lane performs one multiply and one add
+//!   with per-element rounding — bit-identical to the scalar order, with a
+//!   register-tiled 4× unroll-and-jam main loop — and the row groups
+//!   below. A reduction into one element (`dst` stride 0, any factor
 //!   strides) has a serial accumulation chain, and a chain on its own
 //!   stays scalar (`reduction-chain`), with the accumulator in a register;
 //!   a strided loop is one scalar site (`strided-loop`); and every vector
 //!   site is tallied packed-or-scalar-with-reason in [`super::SimdReport`].
-//! - The *chain jam* ([`plan::plan_chain_jam`], `jit/v8`) runs the chains
-//!   of consecutive iterations side by side instead. A serial loop, static
-//!   or trimmed, whose body is `[Code?, chain]` or `[Code, if c { [Code?,
-//!   chain] }]` — the chain a stride-0 microkernel stored once or a
-//!   forwarded strided loop — runs a group of 8 or 2 iterations a trip:
-//!   their code in program order (a guard tested on all of them first),
-//!   then one `k` sweep with a scalar accumulator per cell (every tier
-//!   takes it), what the cells share computed once, a moving factor read
-//!   in place, and one store per cell; an iteration no group takes, or
-//!   whose guard fails, runs the templates above. Each cell still sees its
-//!   own per-op-rounded sequence in ascending `k`; the planner proves that
-//!   by four obligations: (1) the cell's address moves by a nonzero
-//!   constant per iteration, and not with `k`; (2) the body's only store
-//!   is to its own cell, and nothing loads the cell's slot at another
-//!   address; (3) every access is unchecked, so no run can stop between
-//!   cells; (4) the body writes neither the loop variable nor its bumped
-//!   registers. The groups are one scalar site, `jammed-chain`.
+//! - A serial loop whose iterations each end in one sweep runs them in
+//!   *groups*, one sweep a group ([`plan::plan_group`]), on one of two
+//!   templates. A *row*: the loop wraps one axpy microkernel whose
+//!   destination row stays put (the y-tile-1 matmul shape), and 4
+//!   iterations' products go into one packed `j` sweep that loads and
+//!   stores the row once ([`emit::NestCompiler::emit_jammed`]); the loop
+//!   is static and unguarded, with no memory access ahead of the sweep. A
+//!   *chain* (`jit/v8`): every iteration runs one reduction chain — a
+//!   stride-0 microkernel stored once or a forwarded strided loop — into a
+//!   cell of its own, the loop static or trimmed, the body `[Code?,
+//!   chain]` or `[Code, if c { [Code?, chain] }]`, and 8 or 2 iterations
+//!   run their code in program order (a guard tested on all of them
+//!   first), then one `k` sweep with a scalar accumulator per cell (every
+//!   tier takes it), what the cells share computed once, a moving factor
+//!   read in place, one store per cell
+//!   ([`emit::NestCompiler::emit_chain_step`], one scalar site,
+//!   `jammed-chain`); an iteration no group takes, or whose guard fails,
+//!   runs the templates above. Each cell still sees its own per-op-rounded
+//!   sequence in ascending reduction order — only the interleaving across
+//!   distinct cells changes — by four obligations the planner checks once
+//!   for both, naming the first that fails: (1) the code ahead of the
+//!   sweep is register-only (a row) or touches its own cell only (a
+//!   chain), and every access is unchecked, so no run stops between
+//!   cells; (2) it writes neither the loop variable nor a chain's bumped
+//!   registers; (3) the destination moves by a known constant per
+//!   iteration, 0 for a row and nonzero for a chain, by one affine scan
+//!   from the loop variable and its bumps; (4) no load reads a cell of the
+//!   group.
 //! - A *trimmed* loop ([`crate::optimize`]'s loop trimming: a guard on
 //!   the loop's own variable turned into a live range) computes its range
 //!   at loop entry — [`emit::NestCompiler::emit_live_range`],
@@ -104,8 +104,8 @@
 //!   plain and the strided loop — and runs the iterations whose guard
 //!   held, in ascending order. A trimmed strided loop runs the scalar
 //!   strided template ([`emit::NestCompiler::emit_trimmed_strided`]) and
-//!   is tallied under `dynamic-extent`; a trimmed plain loop is never
-//!   jammed — the jam splits a static extent.
+//!   is tallied under `dynamic-extent`; a trimmed plain loop may run in
+//!   chain groups, never in rows.
 //! - A conditional tests its condition register against zero and jumps
 //!   over the arm not taken; both arms are checked, so a store that a
 //!   false guard protects is never reached and one a true guard admits
@@ -165,7 +165,7 @@ mod fixtures {
         Instr::FMulAdd { dst, add, a, b }
     }
 
-    /// A serial `k` loop (six iterations: one jammed group of four and two
+    /// A serial `k` loop (six iterations: one row group of four and two
     /// leftover) around a `j` microkernel whose destination row does not
     /// move with `k`, and whatever `tail` holds after it.
     pub(super) struct JamNest {

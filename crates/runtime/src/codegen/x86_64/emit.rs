@@ -300,28 +300,10 @@ impl NestCompiler<'_> {
                 if *extent < 1 {
                     return;
                 }
-                if let Some(plan) = plan_jam(item, self.opts.width()) {
-                    let done = (plan.kextent / JAM) * JAM;
-                    let rem = plan.kextent - done;
-                    self.emit_jammed(&plan);
-                    if rem > 0 {
-                        // Leftover k iterations run through the plain
-                        // templates, continuing where the jammed groups
-                        // left the loop variable: the hoisted registers
-                        // set again for it are the values they were
-                        // bumped to.
-                        self.emit_item(&Item::Loop {
-                            var: *var,
-                            min: *min + done,
-                            extent: rem,
-                            clamp: Clamp::default(),
-                            pre: pre.clone(),
-                            bumps: bumps.clone(),
-                            body: body.clone(),
-                            kind: LoopKind::Serial,
-                        });
-                    }
-                    return;
+                let group = plan_group(item, self.opts.width()).ok();
+                let plan = group.as_ref().map(|g| (g, &g.template));
+                if let Some((g, Template::Row(row))) = plan {
+                    return self.emit_rows(g, row, body, Self::emit_item);
                 }
                 // The counter is an integer register like any other: in
                 // the GPR the nest plan gave it, else in `iregs`.
@@ -345,9 +327,11 @@ impl NestCompiler<'_> {
                 // runs (none of them is read past an empty range).
                 self.emit_code(pre);
                 let top = self.asm.here();
-                match plan_chain_jam(*var, *extent, bumps, body) {
-                    Ok(j) => self.emit_chain_step(&j, body, empty.is_none().then_some(end)),
-                    Err(_) => body.items.iter().for_each(|it| self.emit_item(it)),
+                match plan {
+                    Some((g, Template::Chain(c))) => {
+                        self.emit_chain_step(g, c, body, empty.is_none().then_some(end))
+                    }
+                    _ => body.items.iter().for_each(|it| self.emit_item(it)),
                 }
                 self.emit_bumps(bumps);
                 let c = self.step(counter);
@@ -432,7 +416,6 @@ impl NestCompiler<'_> {
             min,
             extent,
             clamp,
-            bumps,
             body,
             ..
         } = item
@@ -443,31 +426,18 @@ impl NestCompiler<'_> {
         if *extent < 1 {
             return;
         }
-        if let Some(plan) = plan_jam(item, self.opts.width()) {
-            let done = (plan.kextent / JAM) * JAM;
-            let rem = plan.kextent - done;
-            self.emit_jammed(&plan);
-            if rem > 0 {
-                self.emit_item_in_memory(&Item::Loop {
-                    var: *var,
-                    min: *min + done,
-                    extent: rem,
-                    clamp: Clamp::default(),
-                    pre: Vec::new(),
-                    bumps: Vec::new(),
-                    body: body.clone(),
-                    kind: LoopKind::Serial,
-                });
-            }
-            return;
+        let group = plan_group(item, self.opts.width()).ok();
+        let plan = group.as_ref().map(|g| (g, &g.template));
+        if let Some((g, Template::Row(row))) = plan {
+            return self.emit_rows(g, row, body, Self::emit_item_in_memory);
         }
         let end = min + extent;
         self.asm.mov_ri(RAX, *min);
         self.asm.mov_mr(RDI, off(*var), RAX);
         let top = self.asm.here();
-        match plan_chain_jam(*var, *extent, bumps, body) {
-            Ok(j) => self.emit_chain_step(&j, body, Some(end)),
-            Err(_) => body
+        match plan {
+            Some((g, Template::Chain(c))) => self.emit_chain_step(g, c, body, Some(end)),
+            _ => body
                 .items
                 .iter()
                 .for_each(|it| self.emit_item_in_memory(it)),
@@ -486,10 +456,10 @@ impl NestCompiler<'_> {
 
     /// Straight-line code outside a strided loop: integer operands where
     /// the nest plan put them, float operands in their in-memory form.
-    fn emit_code(&mut self, code: &[Instr]) {
+    fn emit_code<'i>(&mut self, code: impl IntoIterator<Item = &'i Instr>) {
         let nest = Rc::clone(&self.nest);
         let res = Resident::of_nest(&nest);
-        code.iter().for_each(|i| self.emit_instr(i, &res));
+        code.into_iter().for_each(|i| self.emit_instr(i, &res));
     }
 
     /// Where the nest keeps ireg `r`.
@@ -1027,51 +997,72 @@ impl NestCompiler<'_> {
         }
     }
 
-    /// The jammed microkernel (see [`plan_jam`] for the shape and its
-    /// proof obligations). Per group of [`JAM`] `k` iterations: run each
-    /// iteration's address code in scalar order (loop variable advanced
-    /// exactly as the plain template would), broadcast its stride-0
-    /// factor into `X2..X5`, stack its stride-1 pointer, then sweep `j`
-    /// once — [`JAM_U`] destination vectors per trip ([`JAM_PAIRS`]), each
-    /// loaded, given the four products `inv_k · vec_k[j..]` in `k` order
-    /// (operand order preserved), stored once. Leftover vectors and what
-    /// they leave of the row — at each narrower width, down to scalar —
-    /// are the same sweep over one register pair, so they keep the same
-    /// per-element `k` sequence.
-    fn emit_jammed(&mut self, plan: &JamPlan) {
-        let w = plan.w;
-        let groups = plan.kextent / JAM;
-        let jvecs = plan.extent / w.lanes();
+    /// A row group's loop ([`Row`]) of `body`: the groups, then the
+    /// iterations they leave through `rest`, from where the groups left
+    /// the loop variable (the hoisted registers set again for it are the
+    /// values they were bumped to).
+    fn emit_rows(&mut self, g: &Group, row: &Row, body: &Block, rest: fn(&mut Self, &Item)) {
+        self.emit_jammed(g, row);
+        let done = row.iterations / JAM * JAM;
+        if done < row.iterations {
+            let leftover = Item::Loop {
+                var: g.var,
+                min: row.min + done,
+                extent: row.iterations - done,
+                clamp: Clamp::default(),
+                pre: row.hoisted.to_vec(),
+                bumps: g.bumps.to_vec(),
+                body: body.clone(),
+                kind: LoopKind::Serial,
+            };
+            rest(self, &leftover);
+        }
+    }
+
+    /// The row groups ([`plan_group`] has the shape and its proof). Per
+    /// group of [`JAM`] `k` iterations: run each iteration's code ahead in
+    /// scalar order (loop variable advanced exactly as the plain template
+    /// would), broadcast its stride-0 factor into `X2..X5`, stack its
+    /// stride-1 pointer, then sweep `j` once — [`JAM_U`] destination
+    /// vectors per trip ([`JAM_PAIRS`]), each loaded, given the four
+    /// products `inv_k · vec_k[j..]` in `k` order (operand order
+    /// preserved), stored once. Leftover vectors and what they leave of
+    /// the row — at each narrower width, down to scalar — are the same
+    /// sweep over one register pair, so they keep the same per-element
+    /// `k` sequence.
+    fn emit_jammed(&mut self, g: &Group, row: &Row) {
+        let w = row.w;
+        let groups = row.iterations / JAM;
+        let jvecs = g.trips / w.lanes();
         let jtrips = jvecs / JAM_U as i64;
         let jsingle = jvecs % JAM_U as i64;
         // One vector site, packed and register-tiled.
         self.simd.packed(true);
         // Stride-1 factor pointers for the group's four k's, k ascending.
         let bp = [R9, R10, RCX, RAX];
-        let kvar = self.i(plan.kvar);
-        self.emit_code(&[Instr::IConst(plan.kvar, plan.kmin)]);
-        self.emit_code(plan.hoisted);
+        let kvar = self.i(g.var);
+        self.emit_code(&[Instr::IConst(g.var, row.min)]);
+        self.emit_code(row.hoisted);
         // Every scratch GPR is claimed below, so the group counter lives
         // in the stack's top slot (restored before returning).
         self.asm.mov_ri(RAX, groups);
         self.asm.push_r(RAX);
         let gtop = self.asm.here();
         for jk in 0..JAM as u8 {
-            // This k's address code, exactly as the scalar loop runs it
-            // (pure register arithmetic: only RAX/RCX/X0/X1 scratch).
-            self.emit_code(plan.code);
-            self.emit_code(plan.pre);
+            // This k's code, exactly as the scalar loop runs it (register
+            // code: only RAX/RCX/X0/X1 scratch).
+            self.emit_code(g.code.iter().copied());
             if jk == 0 {
                 // Destination row pointer: k-invariant per the plan.
-                self.element_pointer(R8, plan.dst.slot, plan.dst.addr);
+                self.element_pointer(R8, g.streams[0].slot, g.streams[0].addr);
             }
-            let inv = self.element(plan.inv.slot, plan.inv.addr);
+            let inv = self.element(row.inv.slot, row.inv.addr);
             self.asm.bcast(w, X(2 + jk), inv);
-            self.element(plan.vec.slot, plan.vec.addr);
+            self.element(row.vec.slot, row.vec.addr);
             self.asm.push_r(RAX);
             // Advance the hoisted registers and the loop variable (the
             // scalar template's bumps and post-body increment).
-            self.emit_bumps(plan.bumps);
+            self.emit_bumps(g.bumps);
             self.step(kvar);
         }
         for r in bp.iter().rev() {
@@ -1086,7 +1077,7 @@ impl NestCompiler<'_> {
             }
             for (jk, &bptr) in bp.iter().enumerate() {
                 let (inv, vec) = (Factor::Bcast(X(2 + jk as u8)), Factor::At(bptr));
-                let (a, b) = if plan.inv_first {
+                let (a, b) = if row.inv_first {
                     (inv, vec)
                 } else {
                     (vec, inv)
@@ -1112,10 +1103,10 @@ impl NestCompiler<'_> {
         // What the vectors leave of the row, at each narrower width in
         // turn; the next group rebroadcasts X2..X5 anyway, so the upper
         // halves can go before the legacy encodings run.
-        if plan.extent % w.lanes() > 0 {
+        if g.trips % w.lanes() > 0 {
             self.asm.vend(w);
         }
-        for (n, iters) in w.sweeps(plan.extent).skip(1) {
+        for (n, iters) in w.sweeps(g.trips).skip(1) {
             // The low lanes of each broadcast are the narrower factor.
             if iters > 0 {
                 self.repeat(iters, |s| sweep(s, n, &[(X0, X1)]));
@@ -1127,7 +1118,7 @@ impl NestCompiler<'_> {
         self.asm.vend(w);
     }
 
-    /// One trip of a chain jam's loop ([`plan_chain_jam`]): the widest
+    /// One trip of a chain group's loop ([`Chain`]): the widest
     /// group of [`CHAIN_GROUPS`] the iterations left fill runs side by side
     /// and stops at its last iteration — under a guard, only when the
     /// guard holds on every one of them, tested first on a speculative pass
@@ -1135,32 +1126,32 @@ impl NestCompiler<'_> {
     /// registers back; otherwise one iteration runs the body's own
     /// templates. `end` is the loop's, or in the stack's top slot. The
     /// groups are one scalar site, `jammed-chain`.
-    fn emit_chain_step(&mut self, j: &ChainJam, body: &Block, end: Option<i64>) {
+    fn emit_chain_step(&mut self, g: &Group, c: &Chain, body: &Block, end: Option<i64>) {
         self.simd.scalar("jammed-chain");
         let (mut done, mut fails) = (Vec::new(), Vec::new());
-        for g in CHAIN_GROUPS {
+        for size in CHAIN_GROUPS {
             match end {
                 Some(end) => self.asm.mov_ri(RAX, end),
                 None => self.asm.mov_rm(RAX, RSP, 0),
             }
-            let var = self.ireg(self.i(j.var), RCX);
+            let var = self.ireg(self.i(g.var), RCX);
             self.asm.sub_rr(RAX, var);
-            self.asm.cmp_ri(RAX, g as i32);
+            self.asm.cmp_ri(RAX, size as i32);
             let short = self.asm.jcc_fwd(CC_L);
-            if let Some((code, cond)) = j.guard {
+            if let Some((code, cond)) = c.guard {
                 self.asm.mov_ri(R11, 0);
                 let top = self.asm.here();
                 self.emit_code(code);
                 let r = self.ireg(self.i(cond), RAX);
                 self.asm.cmp_ri(r, 0);
                 fails.push(self.asm.jcc_fwd(CC_E));
-                self.advance(j, 1);
+                self.advance(g, 1);
                 self.asm.add_ri(R11, 1);
-                self.asm.cmp_ri(R11, g as i32);
+                self.asm.cmp_ri(R11, size as i32);
                 self.asm.jcc_back(CC_L, top);
-                self.advance(j, -g);
+                self.advance(g, -size);
             }
-            self.emit_chain_group(j, g);
+            self.emit_chain_group(g, c, size);
             done.push(self.asm.jmp_fwd());
             self.asm.land(short);
         }
@@ -1168,7 +1159,7 @@ impl NestCompiler<'_> {
             // The guard failed after holding on `R11` iterations: back.
             let alone = self.asm.jmp_fwd();
             fails.into_iter().for_each(|f| self.asm.land(f));
-            let moved = j.bumps.iter().copied().chain([(j.var, 1)]);
+            let moved = g.bumps.iter().copied().chain([(g.var, 1)]);
             for (r, s) in moved {
                 self.asm.mov_ri(RAX, s.wrapping_neg());
                 self.asm.imul_rr(RAX, R11);
@@ -1181,13 +1172,13 @@ impl NestCompiler<'_> {
     }
 
     /// The loop variable and its bumped registers, `n` iterations on.
-    fn advance(&mut self, j: &ChainJam, n: i64) {
-        let moved = j.bumps.iter().map(|&(r, s)| (r, s.wrapping_mul(n)));
-        let moved: Vec<_> = moved.chain([(j.var, n)]).collect();
+    fn advance(&mut self, g: &Group, n: i64) {
+        let moved = g.bumps.iter().map(|&(r, s)| (r, s.wrapping_mul(n)));
+        let moved: Vec<_> = moved.chain([(g.var, n)]).collect();
         self.emit_bumps(&moved);
     }
 
-    /// `g` iterations of a chain jam, side by side: each one's code in
+    /// `size` iterations of a chain group, side by side: each one's code in
     /// program order (the guard's known to hold), counted in `R11`; then
     /// the pointers formed from the last one's registers (`R8` the cell,
     /// `R9`/`R10` the streams; the other iterations' elements are whole
@@ -1197,58 +1188,53 @@ impl NestCompiler<'_> {
     /// per cell. The step's temporaries are in the XMM registers above the
     /// widest group's accumulators (past `X15`, in `fregs`, one cell after
     /// another).
-    fn emit_chain_group(&mut self, j: &ChainJam, g: i64) {
+    fn emit_chain_group(&mut self, g: &Group, chain: &Chain, size: i64) {
         const PTRS: [R; 3] = [R8, R9, R10];
         let acc = |c: i64| X(2 + c as u8);
-        let at = |s: &Stream, c: i64| (c - g + 1) as i32 * s.cell;
-        let nest = Rc::clone(&self.nest);
-        let code = |s: &mut Self| {
-            let res = Resident::of_nest(&nest);
-            j.code.iter().for_each(|i| s.emit_instr(i, &res));
-        };
-        self.repeat(g - 1, |s| {
-            code(s);
-            s.advance(j, 1);
+        let at = |s: &Stream, c: i64| (c - size + 1) as i32 * s.cell;
+        self.repeat(size - 1, |s| {
+            s.emit_code(g.code.iter().copied());
+            s.advance(g, 1);
         });
-        code(self);
-        for (s, &p) in j.streams.iter().zip(&PTRS) {
+        self.emit_code(g.code.iter().copied());
+        for (s, &p) in g.streams.iter().zip(&PTRS) {
             self.element_pointer(p, s.slot, s.addr);
         }
-        for c in 0..g {
+        for c in 0..size {
             self.asm
-                .vload(SD, acc(c), Mem::at(R8, at(&j.streams[0], c)));
+                .vload(SD, acc(c), Mem::at(R8, at(&g.streams[0], c)));
         }
-        let kinds = step_kinds(j);
-        let steps = || j.steps.iter().zip(&kinds);
+        let kinds = step_kinds(g, chain);
+        let steps = || chain.steps.iter().zip(&kinds);
         let temps = steps().filter(|s| !matches!(s.1, Step::InPlace(_)));
         let temps = temps
             .filter_map(|s| float_dst(s.0))
-            .filter(|&d| d != j.next);
+            .filter(|&d| d != chain.next);
         let temps: Vec<(Reg, F)> = temps
             .zip(acc(CHAIN_GROUPS[0]).0..16)
             .map(|(d, x)| (d, F::Reg(X(x))))
             .collect();
-        let cells: Vec<Resident> = (0..g)
+        let cells: Vec<Resident> = (0..size)
             .map(|c| {
                 let in_place = steps().filter_map(|(i, s)| match *s {
-                    Step::InPlace(k) => Some((float_dst(i)?, F::At(PTRS[k], at(&j.streams[k], c)))),
+                    Step::InPlace(k) => Some((float_dst(i)?, F::At(PTRS[k], at(&g.streams[k], c)))),
                     _ => None,
                 });
-                let acc = [(j.acc, F::Reg(acc(c))), (j.next, F::Reg(acc(c)))];
+                let acc = [(chain.acc, F::Reg(acc(c))), (chain.next, F::Reg(acc(c)))];
                 Resident {
                     xmms: acc
                         .into_iter()
                         .chain(temps.iter().copied())
                         .chain(in_place)
                         .collect(),
-                    ptrs: (j.streams.iter().zip(PTRS).skip(1))
+                    ptrs: (g.streams.iter().zip(PTRS).skip(1))
                         .map(|(s, p)| ((s.slot, s.addr), p, at(s, c)))
                         .collect(),
                     gprs: &[],
                 }
             })
             .collect();
-        self.repeat(j.trips, |s| {
+        self.repeat(g.trips, |s| {
             for (c, res) in cells.iter().enumerate() {
                 for (i, kind) in steps() {
                     if *kind == Step::Each || (*kind == Step::Shared && c == 0) {
@@ -1256,15 +1242,15 @@ impl NestCompiler<'_> {
                     }
                 }
             }
-            for (st, &p) in j.streams.iter().zip(&PTRS).skip(1) {
+            for (st, &p) in g.streams.iter().zip(&PTRS).skip(1) {
                 if st.step != 0 {
                     s.asm.add_ri(p, st.step);
                 }
             }
         });
-        for c in 0..g {
+        for c in 0..size {
             self.asm
-                .vstore(SD, Mem::at(R8, at(&j.streams[0], c)), acc(c));
+                .vstore(SD, Mem::at(R8, at(&g.streams[0], c)), acc(c));
         }
     }
 

@@ -6,7 +6,6 @@
 use super::asm::{Mem, Width, ESIZE, R, R10, R12, R13, R14, R15, R8, R9, RBP, RBX, X};
 use crate::compile::{Block, Carry, Clamp, Instr, Item, Reg, SlotAccess};
 use crate::optimize::{float_dst, float_uses, int_dst, int_uses, reads_ireg};
-use std::collections::HashSet;
 use tvm_te::{BinOp, DType};
 
 /// Offset of register `r` inside its (8-byte-element) register file.
@@ -713,190 +712,16 @@ pub(super) fn classify_muladd(dst: &SlotAccess, a: &SlotAccess, b: &SlotAccess) 
     }
 }
 
-/// k-iterations fused per trip of a jammed microkernel (the
-/// "unroll-and-jam" depth: one destination load/store feeds this many
-/// multiply-accumulate steps).
+/// Iterations a row group fuses into one sweep (the unroll-and-jam depth:
+/// one destination load and store feed this many multiply-adds).
 pub(super) const JAM: i64 = 4;
 
-/// Validated unroll-and-jam plan for a serial loop whose body is only
-/// per-iteration address code plus one parallel-pattern microkernel
-/// with a loop-invariant destination row. See
-/// [`plan_jam`] for the eligibility proof obligations.
-pub(super) struct JamPlan<'p> {
-    /// The jammed ("k") loop's variable register.
-    pub(super) kvar: Reg,
-    /// Its inclusive start.
-    pub(super) kmin: i64,
-    /// Its trip count (≥ [`JAM`]).
-    pub(super) kextent: i64,
-    /// Its hoisted registers: set once, and moved after each `k`.
-    pub(super) hoisted: &'p [Instr],
-    pub(super) bumps: &'p [(Reg, i64)],
-    /// Straight-line body code preceding the microkernel (address math).
-    pub(super) code: &'p [Instr],
-    /// The microkernel's own prelude.
-    pub(super) pre: &'p [Instr],
-    /// Destination operand (stride 1, address k-invariant).
-    pub(super) dst: SlotAccess,
-    /// The stride-1 factor operand (varies along j).
-    pub(super) vec: SlotAccess,
-    /// The stride-0 factor operand (the per-k broadcast scalar).
-    pub(super) inv: SlotAccess,
-    /// Whether the invariant factor is the multiply's *first* operand
-    /// (`a`), preserving the VM's NaN-payload operand order.
-    pub(super) inv_first: bool,
-    /// The widest packed width the row fills.
-    pub(super) w: Width,
-    /// The microkernel's ("j") trip count (≥ `w.lanes()`).
-    pub(super) extent: i64,
-}
-
-/// Decide whether a serial loop is a jammable microkernel wrapper:
-/// `for k { addr-code; dst[j] += inv_k * vec_k[j] }` where the
-/// destination row is the same for every `k`. Jamming [`JAM`]
-/// consecutive `k` iterations into one fused `j` sweep then loads
-/// and stores each `dst[j]` once per group instead of once per `k`
-/// — and stays bit-exact *by construction*: every memory cell sees
-/// the identical operation sequence (`(((d+m₀)+m₁)+m₂)+m₃`, each
-/// multiply and add individually rounded, `k` ascending), only the
-/// interleaving across distinct cells changes.
-///
-/// Eligibility (each check discharges a soundness obligation):
-/// - body is exactly `[Code?, MulAddLoop]`, the microkernel
-///   [`MulAdd::Parallel`] (a destination slot distinct from both factors)
-///   with stride pattern `(1,0,1)` or `(1,1,0)`;
-/// - the address code is memory-free (pure register arithmetic),
-///   so running four iterations' worth up front has no observable
-///   effect beyond the register file, which sees the exact scalar
-///   write sequence;
-/// - it never writes the loop variable (the jam advances it);
-/// - a dataflow pass proves `dst.addr` independent of `k`,
-///   treating loop-carried register reads and the loop's bumped
-///   registers as varying (a hoisted register that is not bumped is set
-///   once, outside the code the pass scans).
-pub(super) fn plan_jam(item: &Item, widest: Width) -> Option<JamPlan<'_>> {
-    let Item::Loop {
-        var,
-        min,
-        extent: kextent,
-        clamp,
-        pre: hoisted,
-        bumps,
-        body,
-        ..
-    } = item
-    else {
-        return None;
-    };
-    // A trimmed loop's trip count is only known at loop entry.
-    if *kextent < JAM || !clamp.is_none() {
-        return None;
-    }
-    let (code, ma): (&[Instr], &Item) = match body.items.as_slice() {
-        [ma @ Item::MulAddLoop { .. }] => (&[], ma),
-        [Item::Code(c), ma @ Item::MulAddLoop { .. }] => (c.as_slice(), ma),
-        _ => return None,
-    };
-    let Item::MulAddLoop {
-        extent,
-        pre,
-        dst,
-        a,
-        b,
-        ..
-    } = ma
-    else {
-        unreachable!("matched above")
-    };
-    if classify_muladd(dst, a, b) != MulAdd::Parallel {
-        return None;
-    }
-    let (inv, vec, inv_first) = match (a.stride, b.stride) {
-        (0, 1) => (*a, *b, true),
-        (1, 0) => (*b, *a, false),
-        _ => return None,
-    };
-    // The widest width the row fills at least once: a scalar one jams
-    // nothing.
-    let mut w = widest;
-    while *extent < w.lanes() {
-        w = w.narrower()?;
-    }
-    if w.lanes() == 1 {
-        return None;
-    }
-    // Setup-code scan: pure register arithmetic only, loop variable
-    // never overwritten. (`FToI` — the only other ireg writer in
-    // the ISA — is outside the JIT subset and cannot appear here.)
-    let mut written: HashSet<Reg> = HashSet::new();
-    for i in code.iter().chain(pre.iter()) {
-        match i {
-            Instr::IConst(d, _) | Instr::IBin(_, d, _, _) => {
-                if d == var {
-                    return None;
-                }
-                written.insert(*d);
-            }
-            Instr::FConst(..)
-            | Instr::IToF(..)
-            | Instr::FBin(..)
-            | Instr::FMulAdd { .. }
-            | Instr::Sqrt(..) => {}
-            _ => return None,
-        }
-    }
-    // k-invariance of the destination address: a register is
-    // varying if it derives from the loop variable or from a
-    // loop-carried value (read of a setup-written register before
-    // its write this iteration).
-    let mut varying: HashSet<Reg> = bumps.iter().map(|b| b.0).collect();
-    varying.insert(*var);
-    let mut seen: HashSet<Reg> = HashSet::new();
-    for i in code.iter().chain(pre.iter()) {
-        match i {
-            Instr::IConst(d, _) => {
-                seen.insert(*d);
-                varying.remove(d);
-            }
-            Instr::IBin(_, d, x, y) => {
-                let tainted =
-                    |r: &Reg| varying.contains(r) || (written.contains(r) && !seen.contains(r));
-                if tainted(x) || tainted(y) {
-                    varying.insert(*d);
-                } else {
-                    varying.remove(d);
-                }
-                seen.insert(*d);
-            }
-            _ => {}
-        }
-    }
-    if varying.contains(&dst.addr) {
-        return None;
-    }
-    Some(JamPlan {
-        kvar: *var,
-        kmin: *min,
-        kextent: *kextent,
-        hoisted,
-        bumps,
-        code,
-        pre,
-        dst: *dst,
-        vec,
-        inv,
-        inv_first,
-        w,
-        extent: *extent,
-    })
-}
-
-/// Iterations whose reduction chains a chain jam runs side by side, the
+/// Iterations whose reduction chains a chain group runs side by side, the
 /// widest group first; an iteration no group takes runs on its own.
 pub(super) const CHAIN_GROUPS: [i64; 2] = [8, 2];
 
-/// An element a jammed chain accumulates into or reads: `step` bytes on
-/// per `k`, `cell` bytes on per iteration of the loop around the chain.
+/// An element a group's sweep accumulates into or reads: `step` bytes on
+/// per trip of the sweep, `cell` bytes on per iteration of the loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) struct Stream {
     pub(super) slot: u16,
@@ -905,43 +730,77 @@ pub(super) struct Stream {
     pub(super) cell: i32,
 }
 
-/// A loop whose iterations each run one reduction chain into a cell of
-/// their own ([`plan_chain_jam`]): `code` runs ahead of the chain (the
-/// guard's, the prologue, the chain's prelude), `steps` is a `k` step
-/// from `acc` to `next` without its store, which the jam makes once, and
-/// `streams` are the cell and the (at most two) elements the steps load.
-#[derive(Debug)]
-pub(super) struct ChainJam<'p> {
+/// A serial loop whose consecutive iterations run in groups, one sweep a
+/// group ([`plan_group`]): every iteration runs `code` ahead of the sweep
+/// and moves `var` by one and each register of `bumps` by its stride; the
+/// sweep makes `trips` trips over `streams`, the destination first.
+pub(super) struct Group<'p> {
     pub(super) var: Reg,
     pub(super) bumps: &'p [(Reg, i64)],
-    pub(super) guard: Option<(&'p [Instr], Reg)>,
     pub(super) code: Vec<&'p Instr>,
     pub(super) trips: i64,
+    pub(super) streams: Vec<Stream>,
+    pub(super) template: Template<'p>,
+}
+
+/// Which template runs a group.
+pub(super) enum Template<'p> {
+    Row(Row<'p>),
+    Chain(Chain<'p>),
+}
+
+/// [`JAM`] iterations of an axpy row `dst[j] += inv·vec[j]` whose
+/// destination row stays put, in one `j` sweep at width `w`
+/// ([`super::emit::NestCompiler::emit_jammed`]). The loop runs from `min`
+/// for `iterations`, its `hoisted` registers set once before the groups;
+/// the iterations they leave run on their own.
+pub(super) struct Row<'p> {
+    pub(super) min: i64,
+    pub(super) iterations: i64,
+    pub(super) hoisted: &'p [Instr],
+    pub(super) inv: SlotAccess,
+    pub(super) vec: SlotAccess,
+    /// Whether the invariant factor is the multiply's first operand, the
+    /// VM's NaN-payload operand order.
+    pub(super) inv_first: bool,
+    pub(super) w: Width,
+}
+
+/// 8 or 2 iterations' reduction chains into cells of their own, side by
+/// side in one `k` sweep ([`super::emit::NestCompiler::emit_chain_step`]):
+/// `steps` is a `k` step from `acc` to `next` without its store, which the
+/// group makes once a cell, and a `guard` is tested on every iteration of
+/// a group before any of them runs.
+pub(super) struct Chain<'p> {
+    pub(super) guard: Option<(&'p [Instr], Reg)>,
     pub(super) steps: Vec<Instr>,
     pub(super) acc: Reg,
     pub(super) next: Reg,
-    pub(super) streams: Vec<Stream>,
 }
 
-/// Decide whether the serial loop `for var { body }` (its range static or
-/// trimmed) is a chain jam: `body` is `[guard code, if c { [prologue],
-/// chain }]` or `[[prologue], chain]`, the chain a stride-0 microkernel
-/// stored once ([`MulAdd::Reduction`]) or a static strided loop with a
-/// forwarded [`Carry`]. The proof obligations are the module's
-/// ([`super`]); besides, every element the chain loads moves by a
-/// constant per iteration, the chain reads no float register the code
-/// ahead of it writes, and the guard is integer code reading nothing the
-/// body writes, so a group can test it on every iteration before running
-/// any. The reason names the first refusal.
-pub(super) fn plan_chain_jam<'p>(
-    var: Reg,
-    extent: i64,
-    bumps: &'p [(Reg, i64)],
-    body: &'p Block,
-) -> Result<ChainJam<'p>, &'static str> {
-    if extent < CHAIN_GROUPS[CHAIN_GROUPS.len() - 1] {
-        return Err("too few iterations");
-    }
+/// Decide whether the serial loop `item` runs in groups, and on which
+/// template. Its body is `[Code?, sweep]`, or for a chain `[guard code,
+/// if c { [Code?, sweep] }]`; the sweep is a row — a parallel-pattern
+/// microkernel with one stride-0 factor — or a chain — a stride-0
+/// microkernel stored once ([`MulAdd::Reduction`]) or a static strided
+/// loop with a forwarded [`Carry`]. The four obligations of the module
+/// ([`super`]) are checked once for both; what a template adds is the
+/// template's. The reason names the first refusal.
+pub(super) fn plan_group(item: &Item, widest: Width) -> Result<Group<'_>, &'static str> {
+    let Item::Loop {
+        var,
+        min,
+        extent,
+        clamp,
+        pre: hoisted,
+        bumps,
+        body,
+        ..
+    } = item
+    else {
+        return Err("not a loop");
+    };
+    let (var, bumps) = (*var, &bumps[..]);
     let (guard, arm) = match &body.items[..] {
         [Item::Code(g), Item::If {
             cond,
@@ -950,43 +809,70 @@ pub(super) fn plan_chain_jam<'p>(
         }] => (Some((&g[..], *cond)), &then.items[..]),
         items => (None, items),
     };
-    let (prologue, chain) = match arm {
-        [Item::Code(p), chain] => (&p[..], chain),
-        [chain] => (&[][..], chain),
-        _ => return Err("no chain"),
+    let (prologue, sweep) = match arm {
+        [Item::Code(p), sweep] => (&p[..], sweep),
+        [sweep] => (&[][..], sweep),
+        _ => return Err("no sweep"),
     };
-    let (pre, trips, steps, strides, (acc, next), cell) = match chain {
+    // The template, the sweep's prelude and trip count, its destination,
+    // and the strides of the registers a chain's steps load through.
+    let (template, pre, trips, dst, strides) = match sweep {
         Item::MulAddLoop {
-            extent,
+            extent: n,
             pre,
             dst,
             a,
             b,
-        } if classify_muladd(dst, a, b) == (MulAdd::Reduction { stored_once: true })
-            && (a.addr != b.addr || a.stride == b.stride) =>
-        {
-            // `acc += a·b` as a strided step, over registers no function
-            // has: the jam holds each in an XMM register or reads it in
-            // place, never in `fregs`.
-            let [x, y, m, acc, next] = [1, 2, 3, 4, 5].map(|k| Reg::MAX - k);
-            let steps = vec![
-                Instr::Load(x, a.slot, a.addr),
-                Instr::Load(y, b.slot, b.addr),
-                Instr::FBin(BinOp::Mul, m, x, y),
-                Instr::FBin(BinOp::Add, next, acc, m),
-            ];
-            let strides = vec![(a.addr, a.stride), (b.addr, b.stride)];
-            (
-                pre,
-                *extent,
-                steps,
-                strides,
-                (acc, next),
-                (dst.slot, dst.addr),
-            )
-        }
+        } => match classify_muladd(dst, a, b) {
+            // What a row adds: one factor of stride 0, a static loop of
+            // `JAM` iterations at least, no guard.
+            MulAdd::Parallel if a.stride == b.stride => return Err("both factors walk"),
+            MulAdd::Parallel if *extent < JAM => return Err("too few iterations"),
+            MulAdd::Parallel if !clamp.is_none() => return Err("a trimmed row"),
+            MulAdd::Parallel if guard.is_some() => return Err("a guarded row"),
+            MulAdd::Parallel => {
+                // The widest width the row fills at least once: a scalar
+                // one jams nothing.
+                let w = std::iter::successors(Some(widest), |w| w.narrower())
+                    .find(|w| w.lanes() <= *n)
+                    .filter(|w| w.lanes() > 1)
+                    .ok_or("row narrower than a vector")?;
+                let (inv, vec) = if a.stride == 0 { (*a, *b) } else { (*b, *a) };
+                let row = Row {
+                    min: *min,
+                    iterations: *extent,
+                    hoisted,
+                    inv,
+                    vec,
+                    inv_first: a.stride == 0,
+                    w,
+                };
+                (Template::Row(row), pre, *n, *dst, vec![])
+            }
+            MulAdd::Reduction { stored_once: true } if a.addr != b.addr || a.stride == b.stride => {
+                // `acc += a·b` as a strided step, over registers no
+                // function has: the jam holds each in an XMM register or
+                // reads it in place, never in `fregs`.
+                let [x, y, m, acc, next] = [1, 2, 3, 4, 5].map(|k| Reg::MAX - k);
+                let steps = vec![
+                    Instr::Load(x, a.slot, a.addr),
+                    Instr::Load(y, b.slot, b.addr),
+                    Instr::FBin(BinOp::Mul, m, x, y),
+                    Instr::FBin(BinOp::Add, next, acc, m),
+                ];
+                let chain = Chain {
+                    guard,
+                    steps,
+                    acc,
+                    next,
+                };
+                let strides = vec![(a.addr, a.stride), (b.addr, b.stride)];
+                (Template::Chain(chain), pre, *n, *dst, strides)
+            }
+            _ => return Err("not a row or a chain"),
+        },
         Item::StridedLoop {
-            extent,
+            extent: n,
             clamp,
             pre,
             bumps,
@@ -1001,55 +887,42 @@ pub(super) fn plan_chain_jam<'p>(
             if stores.len() > 1 {
                 return Err("a second store");
             }
-            (
-                pre,
-                *extent,
+            let chain = Chain {
+                guard,
                 steps,
-                bumps.clone(),
-                (c.acc, c.next),
-                (c.slot, c.addr),
-            )
+                acc: c.acc,
+                next: c.next,
+            };
+            let dst = SlotAccess {
+                slot: c.slot,
+                addr: c.addr,
+                stride: 0,
+            };
+            (Template::Chain(chain), pre, *n, dst, bumps.clone())
         }
-        _ => return Err("not a reduction chain"),
+        _ => return Err("not a row or a chain"),
     };
+    if *extent < CHAIN_GROUPS[CHAIN_GROUPS.len() - 1] {
+        return Err("too few iterations");
+    }
+    let row = matches!(template, Template::Row(_));
     let g = guard.map_or(&[][..], |g| g.0);
     let code: Vec<&Instr> = g.iter().chain(prologue).chain(pre).collect();
     let written: Vec<Reg> = code.iter().filter_map(|i| int_dst(i)).collect();
-    // The chain: what it loads, at most two streams, none of them the
-    // cell's slot; what it reads, the accumulator, what the step defined
-    // before and registers nothing in the body writes.
-    let floats = code.iter().copied().chain(&steps);
-    let outside: Vec<Reg> = floats.filter_map(float_dst).collect();
-    let (mut fresh, mut loads) = (vec![acc], vec![(cell.0, cell.1, 0)]);
-    for i in &steps {
-        match *i {
-            Instr::Load(_, slot, _) if slot == cell.0 => {
-                return Err("reads the destination elsewhere")
-            }
-            Instr::Load(_, slot, addr) if loads.iter().all(|l| (l.0, l.1) != (slot, addr)) => {
-                let stride = strides.iter().find(|b| b.0 == addr).map_or(0, |b| b.1);
-                loads.push((slot, addr, stride));
-            }
-            _ if int_dst(i).is_some() || matches!(i, Instr::IToF(..)) => {
-                return Err("integer code in the chain")
-            }
-            _ if float_uses(i).any(|u| !fresh.contains(&u) && outside.contains(&u)) => {
-                return Err("chain reads the prologue")
-            }
-            _ => {}
-        }
-        fresh.extend(float_dst(i));
-    }
-    if loads.len() > 3 {
-        return Err("more than two streams");
-    }
-    // Obligation 2 outside the chain: once the prologue touches the cell,
-    // its address register is set for the rest of the iteration.
+    let loads = match &template {
+        Template::Row(_) => vec![dst],
+        Template::Chain(c) => chain_loads(c, dst, &strides, &code)?,
+    };
+    // Obligations 1 and 2 ahead of the sweep. A row's code is register
+    // code; a chain's stores its own cell only and loads the cell's slot
+    // nowhere else, and once it touches the cell, the cell's address
+    // register is set for the rest of the iteration. Nothing writes the
+    // loop variable, nor a chain's bumped registers.
     let touches =
-        |i: &Instr| matches!(*i, Instr::Load(_, s, _) | Instr::Store(s, ..) if s == cell.0);
+        |i: &Instr| matches!(*i, Instr::Load(_, s, _) | Instr::Store(s, ..) if s == dst.slot);
     let first = prologue.iter().position(touches).unwrap_or(prologue.len());
     let mut rest = prologue[first..].iter().chain(pre);
-    let moved = rest.any(|i| int_dst(i) == Some(cell.1));
+    let moved = rest.any(|i| int_dst(i) == Some(dst.addr));
     let mut defined = Vec::new();
     for (n, i) in code.iter().enumerate() {
         // The guard reads what it defined before or what the body never
@@ -1060,13 +933,14 @@ pub(super) fn plan_chain_jam<'p>(
         });
         match **i {
             Instr::Bound { .. } | Instr::StoreChecked { .. } => return Err("checked access"),
-            Instr::Store(slot, addr, _) if (slot, addr) != cell || moved => {
+            Instr::Load(..) | Instr::Store(..) if row => return Err("memory ahead of a row"),
+            Instr::Store(slot, addr, _) if (slot, addr) != (dst.slot, dst.addr) || moved => {
                 return Err("a second store")
             }
-            Instr::Load(_, slot, addr) if slot == cell.0 && (addr != cell.1 || moved) => {
+            Instr::Load(_, slot, addr) if slot == dst.slot && (addr != dst.addr || moved) => {
                 return Err("reads the destination elsewhere")
             }
-            _ if int_dst(i).is_some_and(|d| d == var || bumps.iter().any(|b| b.0 == d)) => {
+            _ if int_dst(i).is_some_and(|d| d == var || !row && bumps.iter().any(|b| b.0 == d)) => {
                 return Err("writes the loop variable")
             }
             _ if n < g.len() && int_dst(i).is_none() => return Err("guard touches memory"),
@@ -1078,7 +952,7 @@ pub(super) fn plan_chain_jam<'p>(
     {
         return Err("guard reads the body");
     }
-    // Obligation 1, and how far every element moves: `δ·var` plus what
+    // Obligation 3, and how far every element moves: `δ·var` plus what
     // every iteration shares, by additions from the loop variable and the
     // bumped registers; a register read before the body writes it is
     // carried from the last iteration.
@@ -1103,37 +977,79 @@ pub(super) fn plan_chain_jam<'p>(
     }
     let bytes = |v: i64, times: i64| i32::try_from(v.checked_mul(i64::from(ESIZE) * times)?).ok();
     let mut streams = Vec::with_capacity(loads.len());
-    for (n, (slot, addr, stride)) in loads.into_iter().enumerate() {
+    for (n, l) in loads.into_iter().enumerate() {
         let why = ["destination not affine", "factor not affine"];
-        let by = delta(&moves, addr).ok_or(why[(n > 0) as usize])?;
+        let by = delta(&moves, l.addr).ok_or(why[(n > 0) as usize])?;
         let (Some(step), Some(cell), Some(_)) = (
-            bytes(stride, 1),
+            bytes(l.stride, 1),
             bytes(by, 1),
             bytes(by, CHAIN_GROUPS[0] - 1),
         ) else {
             return Err("offset out of range");
         };
-        if n == 0 && cell == 0 {
+        // A row's destination stays put; a chain's cells lie apart.
+        if n == 0 && row && cell != 0 {
+            return Err("destination moves");
+        }
+        if n == 0 && !row && cell == 0 {
             return Err("destination fixed");
         }
         streams.push(Stream {
-            slot,
-            addr,
+            slot: l.slot,
+            addr: l.addr,
             step,
             cell,
         });
     }
-    Ok(ChainJam {
+    Ok(Group {
         var,
         bumps,
-        guard,
         code,
         trips,
-        steps,
-        acc,
-        next,
         streams,
+        template,
     })
+}
+
+/// The elements a chain's steps load, the destination `dst` first, each
+/// with its address register's stride in `strides` (obligation 4 inside
+/// the sweep): at most two streams besides `dst`, none in its slot. A step
+/// reads the accumulator, what an earlier step defined, and float
+/// registers that neither the `ahead` code nor a step writes.
+fn chain_loads(
+    c: &Chain,
+    dst: SlotAccess,
+    strides: &[(Reg, i64)],
+    ahead: &[&Instr],
+) -> Result<Vec<SlotAccess>, &'static str> {
+    let floats = ahead.iter().copied().chain(&c.steps);
+    let outside: Vec<Reg> = floats.filter_map(float_dst).collect();
+    let (mut fresh, mut loads) = (vec![c.acc], vec![dst]);
+    for i in &c.steps {
+        match *i {
+            Instr::Load(_, slot, _) if slot == dst.slot => {
+                return Err("reads the destination elsewhere")
+            }
+            Instr::Load(_, slot, addr)
+                if loads.iter().all(|l| (l.slot, l.addr) != (slot, addr)) =>
+            {
+                let stride = strides.iter().find(|b| b.0 == addr).map_or(0, |b| b.1);
+                loads.push(SlotAccess { slot, addr, stride });
+            }
+            _ if int_dst(i).is_some() || matches!(i, Instr::IToF(..)) => {
+                return Err("integer code in the chain")
+            }
+            _ if float_uses(i).any(|u| !fresh.contains(&u) && outside.contains(&u)) => {
+                return Err("chain reads the prologue")
+            }
+            _ => {}
+        }
+        fresh.extend(float_dst(i));
+    }
+    if loads.len() > 3 {
+        return Err("more than two streams");
+    }
+    Ok(loads)
 }
 
 /// How an instruction of a jammed step runs across a group's cells.
@@ -1151,26 +1067,26 @@ pub(super) enum Step {
     Each,
 }
 
-/// The [`Step`] of each instruction of `j.steps`.
-pub(super) fn step_kinds(j: &ChainJam) -> Vec<Step> {
-    let defs = |r: Reg| j.steps.iter().filter(|i| float_dst(i) == Some(r)).count();
+/// The [`Step`] of each instruction of `c.steps`.
+pub(super) fn step_kinds(g: &Group, c: &Chain) -> Vec<Step> {
+    let defs = |r: Reg| c.steps.iter().filter(|i| float_dst(i) == Some(r)).count();
     let mut shared: Vec<Reg> = Vec::new();
     let stream = |i: &Instr| match *i {
-        Instr::Load(_, slot, addr) => j
+        Instr::Load(_, slot, addr) => g
             .streams
             .iter()
             .position(|s| (s.slot, s.addr) == (slot, addr)),
         _ => None,
     };
-    j.steps
+    c.steps
         .iter()
         .map(|i| {
             let fixed = match stream(i) {
-                Some(k) => j.streams[k].cell == 0,
-                None => float_uses(i).all(|u| u != j.acc && (shared.contains(&u) || defs(u) == 0)),
+                Some(k) => g.streams[k].cell == 0,
+                None => float_uses(i).all(|u| u != c.acc && (shared.contains(&u) || defs(u) == 0)),
             };
             match (
-                float_dst(i).filter(|&d| d != j.next && defs(d) == 1),
+                float_dst(i).filter(|&d| d != c.next && defs(d) == 1),
                 stream(i),
             ) {
                 (Some(d), _) if fixed => {
@@ -1505,46 +1421,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn plan_jam_refuses_each_unproven_shape() {
-        let planned = |nest: JamNest, shape| {
-            let item = nest.item();
-            let plan = plan_jam(&item, Width::new(shape));
-            plan.map(|p| (p.inv.slot, p.vec.slot, p.inv_first, p.w))
+    /// What a plan decides: each stream's `(step, cell)`, and a row's
+    /// factor slots, operand order and width.
+    type Planned = (Vec<(i32, i32)>, Option<(u16, u16, bool, Width)>);
+
+    fn planned(item: &Item, shape: Shape) -> Result<Planned, &'static str> {
+        let g = plan_group(item, Width::new(shape))?;
+        let streams = g.streams.iter().map(|s| (s.step, s.cell)).collect();
+        let row = match &g.template {
+            Template::Row(r) => Some((r.inv.slot, r.vec.slot, r.inv_first, r.w)),
+            Template::Chain(_) => None,
         };
-        let ok = || JamNest::new(27, true);
-        let want = (1, 2, true, Width::new(Shape::Sse));
-        assert_eq!(planned(ok(), Shape::Sse), Some(want));
-        let want = (1, 2, false, Width::new(Shape::Avx));
-        assert_eq!(planned(JamNest::new(45, false), Shape::Avx), Some(want));
-        assert_eq!(planned(ok(), Shape::Scalar), None, "scalar tier");
-        // Each refusal changes one thing about the accepted nest.
-        let refuses = |why: &str, edit: &dyn Fn(&mut JamNest)| {
-            let mut nest = ok();
-            edit(&mut nest);
-            assert_eq!(planned(nest, Shape::Sse), None, "{why}");
-        };
-        let dst_addr = |x| Instr::IBin(BinOp::Add, 9, x, 8);
-        let mut trimmed = ok().item();
-        if let Item::Loop { clamp, .. } = &mut trimmed {
-            clamp.hi = Some((6, 0));
+        Ok((streams, row))
+    }
+
+    /// The accepted row nest with `edit` applied.
+    fn row(edit: fn(&mut JamNest)) -> Item {
+        let mut n = JamNest::new(27, true);
+        edit(&mut n);
+        n.item()
+    }
+
+    /// The accepted chain nest, a microkernel or a strided loop, with
+    /// `edit` applied.
+    fn chain(strided: bool, edit: fn(&mut ChainNest)) -> Item {
+        let mut n = ChainNest::new(strided);
+        edit(&mut n);
+        n.item()
+    }
+
+    fn guard() -> Option<Vec<Instr>> {
+        Some(vec![Instr::ICmp(CmpOp::Lt, 10, 0, 1)])
+    }
+
+    /// `item`'s body under the guard of [`guard`].
+    fn guarded(mut item: Item) -> Item {
+        if let Item::Loop { body, .. } = &mut item {
+            let then = Block {
+                items: std::mem::take(&mut body.items),
+            };
+            body.items = vec![
+                Item::Code(guard().unwrap()),
+                Item::If {
+                    cond: 10,
+                    then,
+                    else_: None,
+                },
+            ];
         }
-        let sse = Width::new(Shape::Sse);
-        assert!(plan_jam(&trimmed, sse).is_none(), "a trimmed loop");
-        refuses("fewer than JAM k iterations", &|n| n.k = JAM - 1);
-        refuses("a third body item", &|n| n.tail.push(Item::Code(vec![])));
-        refuses("destination slot read by a factor", &|n| n.a.slot = 0);
-        refuses("both factors walk", &|n| n.a.stride = 1);
-        refuses("a reduction", &|n| n.dst.stride = 0);
-        refuses("j shorter than one vector", &|n| n.j = 1);
-        refuses("code writes the loop variable", &|n| {
-            n.pre[2] = Instr::IConst(0, 0)
-        });
-        refuses("code touches memory", &|n| n.code[0] = Instr::Load(0, 1, 3));
-        refuses("destination row moves with k", &|n| n.pre[2] = dst_addr(0));
-        refuses("destination row is loop-carried", &|n| {
-            n.pre[2] = dst_addr(9)
-        });
+        item
+    }
+
+    /// `item`'s loop bumping register `r` by one an iteration.
+    fn bumped(mut item: Item, r: Reg) -> Item {
+        if let Item::Loop { bumps, .. } = &mut item {
+            bumps.push((r, 1));
+        }
+        item
+    }
+
+    /// `item`'s loop trimmed at a register's value.
+    fn trimmed(mut item: Item) -> Item {
+        if let Item::Loop { clamp, .. } = &mut item {
+            clamp.hi = Some((1, 0));
+        }
+        item
     }
 
     #[test]
@@ -1553,62 +1494,56 @@ mod tests {
         // unless its register is written again from `Y`; `Y[j + i2 + 8k]`
         // moves and is read where it is.
         use Step::{Each, InPlace, Shared};
-        let kinds = |edit: &dyn Fn(&mut Vec<Instr>)| {
-            let mut n = ChainNest::new(true);
-            if let Item::StridedLoop { body, .. } = &mut n.chain {
-                edit(body);
-            }
-            let Item::Loop {
-                var,
-                extent,
-                bumps,
-                body,
-                ..
-            } = n.item()
-            else {
-                unreachable!()
+        let kinds = |edit: fn(&mut ChainNest)| {
+            let item = chain(true, edit);
+            let g = plan_group(&item, Width::new(Shape::Sse)).expect("jams");
+            let Template::Chain(c) = &g.template else {
+                unreachable!("a chain")
             };
-            step_kinds(&plan_chain_jam(var, extent, &bumps, &body).expect("jams"))
+            step_kinds(&g, c)
         };
-        assert_eq!(kinds(&|_| {}), [Shared, InPlace(2), Each, Each]);
-        let twice = |b: &mut Vec<Instr>| b.insert(2, Instr::FBin(BinOp::Mul, 5, 5, 6));
-        assert_eq!(kinds(&twice), [Each, InPlace(2), Each, Each, Each]);
+        assert_eq!(kinds(|_| {}), [Shared, InPlace(2), Each, Each]);
+        let twice = |n: &mut ChainNest| {
+            if let Item::StridedLoop { body, .. } = &mut n.chain {
+                body.insert(2, Instr::FBin(BinOp::Mul, 5, 5, 6));
+            }
+        };
+        assert_eq!(kinds(twice), [Each, InPlace(2), Each, Each, Each]);
     }
 
     #[test]
-    fn plan_chain_jam_names_every_refusal() {
-        let guard = || Some(vec![Instr::ICmp(CmpOp::Lt, 10, 0, 1)]);
-        let planned = |n: ChainNest| {
-            let Item::Loop {
-                var,
-                extent,
-                bumps,
-                body,
-                ..
-            } = n.item()
-            else {
-                unreachable!()
-            };
-            let plan = plan_chain_jam(var, extent, &bumps, &body);
-            plan.map(|j| {
-                j.streams
-                    .iter()
-                    .map(|s| (s.step, s.cell))
-                    .collect::<Vec<_>>()
-            })
-        };
-        // Accepted: the cell one element on per iteration, `X` shared by
-        // every cell, `Y` one element on; statically, trimmed and guarded.
-        let want = Ok(vec![(0, 8), (8, 0), (64, 8)]);
+    fn plan_group_names_every_refusal_of_both_templates() {
+        let sse = Shape::Sse;
+        // Accepted rows: the destination row stays put and is swept at
+        // the widest width the row fills, the factors in either order.
+        let want = Ok((vec![(8, 0)], Some((1, 2, true, Width::new(sse)))));
+        assert_eq!(planned(&row(|_| {}), sse), want);
+        let avx = Width::new(Shape::Avx);
+        let want = Ok((vec![(8, 0)], Some((1, 2, false, avx))));
+        assert_eq!(planned(&JamNest::new(45, false).item(), Shape::Avx), want);
+        // Accepted chains: the cell one element on per iteration, `X`
+        // shared by every cell, `Y` one element on; statically, trimmed
+        // and guarded.
+        let want = Ok((vec![(0, 8), (8, 0), (64, 8)], None));
         for strided in [false, true] {
-            assert_eq!(planned(ChainNest::new(strided)), want, "strided {strided}");
-            let mut n = ChainNest::new(strided);
-            n.clamp.hi = Some((1, 0));
-            n.guard = guard();
-            assert_eq!(planned(n), want, "strided {strided}, trimmed and guarded");
+            let item = chain(strided, |_| {});
+            assert_eq!(planned(&item, sse), want, "strided {strided}");
+            let item = chain(strided, |n| n.guard = guard());
+            assert_eq!(
+                planned(&trimmed(item), sse),
+                want,
+                "strided {strided}, trimmed and guarded"
+            );
         }
-        type Row<'n> = (&'n mut SlotAccess, &'n mut SlotAccess, &'n mut Vec<Instr>);
-        fn muladd(n: &mut ChainNest) -> Row<'_> {
+        // A row's code may write a bumped register: its groups run every
+        // iteration's code and bumps in order, and put nothing back.
+        let want = planned(&row(|_| {}), sse);
+        assert_eq!(planned(&bumped(row(|_| {}), 5), sse), want);
+        // A row on the scalar tier is one element wide.
+        let refused = Err("row narrower than a vector");
+        assert_eq!(planned(&row(|_| {}), Shape::Scalar), refused);
+        type Kernel<'n> = (&'n mut SlotAccess, &'n mut SlotAccess, &'n mut Vec<Instr>);
+        fn muladd(n: &mut ChainNest) -> Kernel<'_> {
             let Item::MulAddLoop { dst, b, pre, .. } = &mut n.chain else {
                 unreachable!()
             };
@@ -1633,75 +1568,138 @@ mod tests {
             };
             (body, carry, clamp, bumps)
         }
-        type Edit = fn(&mut ChainNest);
-        let table: [(&str, bool, Edit); 23] = [
-            ("too few iterations", false, |n| n.extent = 1),
-            ("no chain", false, |n| n.tail.push(Item::Code(vec![]))),
-            ("not a reduction chain", false, |n| muladd(n).0.stride = 1),
-            ("not a reduction chain", false, |n| muladd(n).1.slot = 0),
-            ("not a reduction chain", true, |n| *strided(n).1 = None),
-            ("not a reduction chain", true, |n| {
-                strided(n).2.hi = Some((1, 0))
+        // Each refusal changes one thing about an accepted nest.
+        let table = [
+            ("not a loop", Item::Code(vec![])),
+            ("no sweep", row(|n| n.tail.push(Item::Code(vec![])))),
+            (
+                "no sweep",
+                chain(false, |n| n.tail.push(Item::Code(vec![]))),
+            ),
+            ("not a row or a chain", row(|n| n.a.slot = 0)),
+            (
+                "not a row or a chain",
+                chain(false, |n| muladd(n).0.stride = 1),
+            ),
+            (
+                "not a row or a chain",
+                chain(false, |n| muladd(n).1.slot = 0),
+            ),
+            (
+                "not a row or a chain",
+                chain(true, |n| *strided(n).1 = None),
+            ),
+            ("not a row or a chain", {
+                chain(true, |n| strided(n).2.hi = Some((1, 0)))
             }),
-            ("a second store", false, |n| {
-                n.prologue.push(Instr::Store(1, 3, 1))
-            }),
-            ("a second store", true, |n| {
-                strided(n).0.insert(3, Instr::Store(0, 3, 7))
-            }),
-            ("reads the destination elsewhere", false, |n| {
-                n.prologue[1] = Instr::Load(0, 0, 1)
-            }),
-            ("reads the destination elsewhere", false, |n| {
-                n.prologue.push(Instr::IConst(3, 0))
-            }),
-            ("reads the destination elsewhere", true, |n| {
-                strided(n).0[0] = Instr::Load(5, 0, 7)
-            }),
-            ("checked access", false, |n| {
-                n.prologue.push(Instr::Bound {
-                    buf: 1,
-                    extent: 4,
-                    idx: vec![3].into(),
-                })
-            }),
-            ("writes the loop variable", false, |n| {
-                n.prologue.push(Instr::IConst(0, 0))
-            }),
-            ("guard touches memory", false, |n| {
-                n.guard = Some(vec![Instr::Load(9, 1, 0), Instr::ICmp(CmpOp::Lt, 10, 0, 1)])
-            }),
-            ("guard reads the body", false, |n| {
-                n.guard = Some(vec![Instr::ICmp(CmpOp::Lt, 10, 0, 3)])
-            }),
-            ("chain reads the prologue", true, |n| {
-                strided(n).0[2] = Instr::FBin(BinOp::Mul, 7, 5, 1)
-            }),
-            ("chain reads the prologue", true, |n| {
-                strided(n).0[2] = Instr::FBin(BinOp::Mul, 7, 5, 8)
-            }),
-            ("integer code in the chain", true, |n| {
-                strided(n).0.insert(0, Instr::IToF(9, 6))
-            }),
-            ("more than two streams", true, |n| {
-                strided(n).0.insert(0, Instr::Load(9, 1, 6))
-            }),
-            ("offset out of range", true, |n| strided(n).3[2].1 = 1 << 30),
-            ("destination not affine", false, |n| {
-                n.prologue[0] = Instr::IBin(BinOp::Mul, 3, 0, 0)
-            }),
-            ("destination fixed", false, |n| {
-                n.prologue[0] = Instr::IBin(BinOp::Add, 3, 1, 1)
-            }),
-            ("factor not affine", false, |n| {
-                *muladd(n).2 = vec![Instr::IBin(BinOp::Mul, 4, 0, 0)]
-            }),
+            ("both factors walk", row(|n| n.a.stride = 1)),
+            ("row narrower than a vector", row(|n| n.j = 1)),
+            ("too few iterations", row(|n| n.k = JAM - 1)),
+            ("too few iterations", chain(false, |n| n.extent = 1)),
+            ("a trimmed row", trimmed(row(|_| {}))),
+            ("a guarded row", guarded(row(|_| {}))),
+            (
+                "a second store",
+                chain(false, |n| n.prologue.push(Instr::Store(1, 3, 1))),
+            ),
+            (
+                "a second store",
+                chain(true, |n| strided(n).0.insert(3, Instr::Store(0, 3, 7))),
+            ),
+            (
+                "reads the destination elsewhere",
+                chain(false, |n| n.prologue[1] = Instr::Load(0, 0, 1)),
+            ),
+            (
+                "reads the destination elsewhere",
+                chain(false, |n| n.prologue.push(Instr::IConst(3, 0))),
+            ),
+            (
+                "reads the destination elsewhere",
+                chain(true, |n| strided(n).0[0] = Instr::Load(5, 0, 7)),
+            ),
+            (
+                "chain reads the prologue",
+                chain(true, |n| strided(n).0[2] = Instr::FBin(BinOp::Mul, 7, 5, 1)),
+            ),
+            (
+                "chain reads the prologue",
+                chain(true, |n| strided(n).0[2] = Instr::FBin(BinOp::Mul, 7, 5, 8)),
+            ),
+            (
+                "integer code in the chain",
+                chain(true, |n| strided(n).0.insert(0, Instr::IToF(9, 6))),
+            ),
+            (
+                "more than two streams",
+                chain(true, |n| strided(n).0.insert(0, Instr::Load(9, 1, 6))),
+            ),
+            (
+                "checked access",
+                chain(false, |n| {
+                    n.prologue.push(Instr::Bound {
+                        buf: 1,
+                        extent: 4,
+                        idx: vec![3].into(),
+                    })
+                }),
+            ),
+            (
+                "memory ahead of a row",
+                row(|n| n.code[0] = Instr::Load(0, 1, 3)),
+            ),
+            (
+                "writes the loop variable",
+                row(|n| n.pre[2] = Instr::IConst(0, 0)),
+            ),
+            (
+                "writes the loop variable",
+                chain(false, |n| n.prologue.push(Instr::IConst(0, 0))),
+            ),
+            ("writes the loop variable", bumped(chain(false, |_| {}), 3)),
+            (
+                "guard touches memory",
+                chain(false, |n| {
+                    n.guard = Some(vec![Instr::Load(9, 1, 0), Instr::ICmp(CmpOp::Lt, 10, 0, 1)])
+                }),
+            ),
+            (
+                "guard reads the body",
+                chain(false, |n| {
+                    n.guard = Some(vec![Instr::ICmp(CmpOp::Lt, 10, 0, 3)])
+                }),
+            ),
+            (
+                "offset out of range",
+                chain(true, |n| strided(n).3[2].1 = 1 << 30),
+            ),
+            (
+                "destination not affine",
+                row(|n| n.pre[2] = Instr::IBin(BinOp::Add, 9, 9, 8)),
+            ),
+            (
+                "destination not affine",
+                chain(false, |n| n.prologue[0] = Instr::IBin(BinOp::Mul, 3, 0, 0)),
+            ),
+            (
+                "factor not affine",
+                chain(false, |n| {
+                    *muladd(n).2 = vec![Instr::IBin(BinOp::Mul, 4, 0, 0)]
+                }),
+            ),
+            (
+                "destination moves",
+                row(|n| n.pre[2] = Instr::IBin(BinOp::Add, 9, 0, 8)),
+            ),
+            (
+                "destination fixed",
+                chain(false, |n| n.prologue[0] = Instr::IBin(BinOp::Add, 3, 1, 1)),
+            ),
+            // A row's reduction is a chain whose cell stays put.
+            ("destination fixed", row(|n| n.dst.stride = 0)),
         ];
-        for (why, is_strided, edit) in table {
-            let mut n = ChainNest::new(is_strided);
-            edit(&mut n);
-            let got = planned(n).err();
-            assert_eq!(got, Some(why), "strided {is_strided}: {why}");
+        for (k, (why, item)) in table.iter().enumerate() {
+            assert_eq!(planned(item, sse), Err(*why), "row {k} of the table");
         }
     }
 }

@@ -20,6 +20,12 @@
 //! `benchmark/standins/` like every offline build of this repository.
 //! The values are `tests/pins/bo_golden_sampled.{tune,tune_parallel}.txt`,
 //! moved there verbatim from this file's constants.
+//!
+//! With no false denial left, neither run reaches `tell`'s penalty for a
+//! static reject. `bo_golden_sampled.aggressive` does: 3mm-mini over the
+//! aggressive space, where the prelint and the analyzer deny what they
+//! should (zero tiles, overshooting splits), and the search goes on
+//! measuring after the first reject.
 
 mod common;
 
@@ -55,4 +61,25 @@ fn tune_parallel_follows_the_recorded_constant_liar_run() {
         "bo_golden_sampled.tune_parallel",
         &pins::trajectory(&run(4)),
     );
+}
+
+#[test]
+fn tune_follows_the_recorded_run_through_static_rejects() {
+    let ev = MoldEvaluator::simulated(
+        mold_for_mode(KernelName::Mm3, ProblemSize::Mini, SpaceMode::Aggressive),
+        SimDevice::new(GpuSpec::swing_cpu_core()),
+    );
+    let opts = TuneOptions {
+        max_evals: 40,
+        batch: 1,
+        max_process_s: None,
+    };
+    let mut tuner = YtoptTuner::new(ev.space().clone(), 9);
+    let result = tune(&mut tuner, &ev, opts);
+    let trials = &result.trials;
+    let first = trials.iter().position(|t| t.runtime_s.is_none());
+    let first = first.expect("a static reject");
+    let measured_after = trials[first..].iter().any(|t| t.runtime_s.is_some());
+    assert!(measured_after, "nothing measured after trial {first}");
+    pins::check("bo_golden_sampled.aggressive", &pins::trajectory(&result));
 }
