@@ -21,7 +21,7 @@
 //! producing rejections (the analyzer has gone blind) or if the mean
 //! analyze cost exceeds half the mean lowering cost of the same
 //! configurations, both timed in the same run (the analyzer has become
-//! too slow for the hot path; the committed file reads 0.27).
+//! too slow for the hot path; the committed file reads 0.25).
 
 use polybench::molds::mold_for_mode;
 use polybench::{KernelName, ProblemSize, SpaceMode};

@@ -860,9 +860,10 @@ impl Compiler {
     /// differences and constant multiples of bound loop variables and
     /// literals, and the interval arithmetic bounds every node of it: then
     /// no operation of `e` can wrap, and its value is its form's. (The
-    /// grammar of [`tvm_tir::passes::affine::affine_of`] less the
-    /// quotients; walked here over registers because its `Var`s clone a
-    /// name each, too dear for every access of every trial.)
+    /// grammar of [`tvm_tir::passes::affine::affine_of`] less its
+    /// quotients and remainders, walked here over registers: a term is
+    /// the register a loop variable lives in, and each node's interval,
+    /// narrowed by the guards on it, is the one its compiled code gets.)
     fn index_form(
         &self,
         e: &PrimExpr,

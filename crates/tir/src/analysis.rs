@@ -1,7 +1,15 @@
 //! Loop-nest analysis: the per-store features the analytical GPU cost
 //! model (`gpu-sim`) consumes.
+//!
+//! Strides and guards read the affine forms of [`affine_of`] over the
+//! enclosing loops' ranges. An access's stride along a loop is how far
+//! the form of its row-major offset moves as the loop's variable goes
+//! from 0 to 1, and is 0 along every loop when an index has no form
+//! (`min`/`max`, division by a variable, a variable no loop binds). A
+//! guard comparison whose sides have forms is evaluated on them over the
+//! sample rows; any other guard is walked as a tree.
 
-use crate::passes::affine::{affine_of, VarRanges};
+use crate::passes::affine::{affine_of, offset_of, Atom, VarRanges};
 use crate::stmt::{PrimFunc, Stmt};
 use std::collections::HashMap;
 use tvm_te::{BinOp, CmpOp, DType, PrimExpr};
@@ -15,6 +23,14 @@ pub struct LoopInfo {
     pub min: i64,
     /// Trip count.
     pub extent: i64,
+}
+
+impl LoopInfo {
+    /// The inclusive range of the loop variable; a loop of no trips reads
+    /// as its minimum.
+    pub(crate) fn range(&self) -> (i64, i64) {
+        (self.min, self.min + (self.extent - 1).max(0))
+    }
 }
 
 /// One memory access (read or the store target) of a statement.
@@ -152,34 +168,6 @@ pub fn count_flops(e: &PrimExpr) -> f64 {
     flops
 }
 
-/// Linear offset difference of an access when `loop_var` moves 0 -> 1,
-/// every other variable bound by `base`.
-fn stride_of<F: Fn(u64) -> Option<i64>>(
-    indices: &[PrimExpr],
-    strides_elems: &[usize],
-    loop_var: u64,
-    base: &F,
-) -> Option<i64> {
-    let offset_at = |value: i64| -> Option<i64> {
-        let env = |id| (id == loop_var).then_some(value).or_else(|| base(id));
-        let mut off = 0i64;
-        for (idx, stride) in indices.iter().zip(strides_elems) {
-            off += eval_int_with(idx, &env)? * *stride as i64;
-        }
-        Some(off)
-    };
-    let off0 = offset_at(0)?;
-    Some(offset_at(1)? - off0)
-}
-
-/// The value `values` binds to variable `id`, one slot per enclosing loop.
-/// The innermost loop wins when a variable id repeats, as a map filled
-/// outermost-first would have it.
-fn loop_value(loops: &[LoopInfo], values: &[i64], id: u64) -> Option<i64> {
-    let slot = loops.iter().rposition(|l| l.var_id == id)?;
-    Some(values[slot])
-}
-
 /// Deterministic xorshift for guard-selectivity sampling.
 struct XorShift(u64);
 impl XorShift {
@@ -215,8 +203,8 @@ fn draw_samples(loops: &[LoopInfo]) -> Vec<i64> {
     values
 }
 
-/// `Σ c·values[slot] + k`: an affine side resolved to loop slots.
-type SlotForm = (Vec<(usize, i64)>, i64);
+/// `Σ c·atom(values[slot]) + k`: an affine form resolved to loop slots.
+type SlotForm = (Vec<(usize, Atom, i64)>, i64);
 
 /// One conjunct of a store's guards, compiled once per store.
 enum Guard<'a> {
@@ -229,34 +217,32 @@ enum Guard<'a> {
 impl Guard<'_> {
     fn holds(&self, loops: &[LoopInfo], row: &[i64]) -> bool {
         let at = |(terms, k): &SlotForm| {
-            terms.iter().fold(*k, |acc, &(slot, c)| {
-                acc.wrapping_add(c.wrapping_mul(row[slot]))
+            terms.iter().fold(*k, |acc, &(slot, atom, c)| {
+                acc.wrapping_add(c.wrapping_mul(atom.at(row[slot])))
             })
         };
+        // The innermost loop binds a repeated variable.
+        let value = |id| Some(row[loops.iter().rposition(|l| l.var_id == id)?]);
         match self {
             Guard::Affine(op, lhs, rhs) => compare(*op, at(lhs), at(rhs)),
-            Guard::Tree(g) => {
-                eval_int_with(g, &|id| loop_value(loops, row, id)).is_none_or(|v| v != 0)
-            }
+            Guard::Tree(g) => eval_int_with(g, &value).is_none_or(|v| v != 0),
         }
     }
 }
 
-/// `e` as a slot form: `affine_of` gives a form and every variable of `e`
-/// is an enclosing loop. The check is on `e`, not the form, because the
-/// form cancels `free - free` and `free * 0`, which the tree walk cannot
-/// evaluate.
+/// `e`'s form with each variable resolved to the innermost loop binding
+/// it. `ranges` bounds exactly the loops' variables, so a form exists
+/// only when every variable of `e` is a loop's.
 fn slot_form(e: &PrimExpr, loops: &[LoopInfo], ranges: &VarRanges) -> Option<SlotForm> {
-    let slot = |id| loops.iter().rposition(|l| l.var_id == id);
-    let mut bound = true;
-    tvm_te::visitor::walk(e, &mut |n| {
-        if let PrimExpr::Var(v) = n {
-            bound &= slot(v.id).is_some();
-        }
-    });
-    let form = affine_of(e, ranges).filter(|_| bound)?;
-    let terms = form.terms.iter().map(|(v, c)| Some((slot(v.id)?, *c)));
-    Some((terms.collect::<Option<_>>()?, form.constant))
+    let form = affine_of(e, ranges)?;
+    let slot = |v| {
+        loops
+            .iter()
+            .rposition(|l| l.var_id == v)
+            .expect("a bounded variable")
+    };
+    let terms = form.terms.iter().map(|&(v, atom, c)| (slot(v), atom, c));
+    Some((terms.collect(), form.constant))
 }
 
 /// Append the conjuncts of guard `g` to `out`.
@@ -301,18 +287,19 @@ fn compile<'a>(g: &'a PrimExpr, loops: &[LoopInfo], ranges: &VarRanges, out: &mu
 
 /// The share of the sample points `draws` of `loops` that pass every
 /// guard, floored at one sample.
-fn guard_selectivity(guards: &[PrimExpr], loops: &[LoopInfo], draws: &[i64]) -> f64 {
-    let ranges: VarRanges = loops
-        .iter()
-        .map(|l| (l.var_id, (l.min, l.min + (l.extent - 1).max(0))))
-        .collect();
+fn guard_selectivity(
+    guards: &[PrimExpr],
+    loops: &[LoopInfo],
+    ranges: &VarRanges,
+    draws: &[i64],
+) -> f64 {
     // A conjunction of independent predicates, so the order is free:
     // innermost first, because the outermost guards are split-tail
     // bounds checks that almost always hold, while the inner ones
     // (triangular domains) reject most samples early.
     let mut conjuncts = Vec::new();
     for g in guards.iter().rev() {
-        compile(g, loops, &ranges, &mut conjuncts);
+        compile(g, loops, ranges, &mut conjuncts);
     }
     let n = loops.len();
     let pass = (0..SELECTIVITY_SAMPLES)
@@ -324,24 +311,23 @@ fn guard_selectivity(guards: &[PrimExpr], loops: &[LoopInfo], draws: &[i64]) -> 
     (pass as f64 / SELECTIVITY_SAMPLES as f64).max(1.0 / SELECTIVITY_SAMPLES as f64)
 }
 
+/// The access's features. Its stride along a loop is how far the
+/// row-major offset of the indices' forms moves as the loop's variable
+/// goes from 0 to 1; an access with an index outside the grammar of
+/// [`affine_of`] reads 0 along every loop.
 fn access_info(
     numel: usize,
     dtype: DType,
     indices: &[PrimExpr],
     shape: &[usize],
     loops: &[LoopInfo],
+    ranges: &VarRanges,
 ) -> AccessInfo {
-    // Row-major element strides of the storage.
-    let mut elem_strides = vec![1usize; shape.len()];
-    for d in (0..shape.len().saturating_sub(1)).rev() {
-        elem_strides[d] = elem_strides[d + 1] * shape[d + 1];
-    }
-    // Base env: all loop vars at their minimum.
-    let mins: Vec<i64> = loops.iter().map(|l| l.min).collect();
-    let base = |id| loop_value(loops, &mins, id);
+    let offset = offset_of(indices, shape, ranges);
+    let stride = |v| offset.as_ref()?.delta(v, 0, 1);
     let strides = loops
         .iter()
-        .map(|l| stride_of(indices, &elem_strides, l.var_id, &base).unwrap_or(0))
+        .map(|l| stride(l.var_id).unwrap_or(0))
         .collect();
     AccessInfo {
         buffer_numel: numel,
@@ -353,13 +339,16 @@ fn access_info(
 /// Sample points by the `(min, extent)` list they were drawn for.
 type Draws = HashMap<Vec<(i64, i64)>, Vec<i64>>;
 
-fn collect(
-    stmt: &Stmt,
-    loops: &mut Vec<LoopInfo>,
-    guards: &mut Vec<PrimExpr>,
-    draws: &mut Draws,
-    out: &mut Vec<StmtFeatures>,
-) {
+/// The walk's state at a statement: the enclosing loops, their
+/// variables' ranges and the enclosing guards.
+#[derive(Default)]
+struct Scope {
+    loops: Vec<LoopInfo>,
+    ranges: VarRanges,
+    guards: Vec<PrimExpr>,
+}
+
+fn collect(stmt: &Stmt, scope: &mut Scope, draws: &mut Draws, out: &mut Vec<StmtFeatures>) {
     match stmt {
         Stmt::For {
             var,
@@ -368,27 +357,35 @@ fn collect(
             body,
             ..
         } => {
-            loops.push(LoopInfo {
+            let l = LoopInfo {
                 var_id: var.id,
                 min: *min,
                 extent: *extent,
-            });
-            collect(body, loops, guards, draws, out);
-            loops.pop();
+            };
+            let shadowed = scope.ranges.insert(var.id, l.range());
+            scope.loops.push(l);
+            collect(body, scope, draws, out);
+            scope.loops.pop();
+            match shadowed {
+                Some(r) => scope.ranges.insert(var.id, r),
+                None => scope.ranges.remove(&var.id),
+            };
         }
         Stmt::IfThenElse { cond, then, else_ } => {
-            guards.push(cond.clone());
-            collect(then, loops, guards, draws, out);
-            guards.pop();
+            scope.guards.push(cond.clone());
+            collect(then, scope, draws, out);
+            scope.guards.pop();
             if let Some(e) = else_ {
-                guards.push(PrimExpr::Not(std::sync::Arc::new(cond.clone())));
-                collect(e, loops, guards, draws, out);
-                guards.pop();
+                scope
+                    .guards
+                    .push(PrimExpr::Not(std::sync::Arc::new(cond.clone())));
+                collect(e, scope, draws, out);
+                scope.guards.pop();
             }
         }
         Stmt::Seq(items) => {
             for s in items {
-                collect(s, loops, guards, draws, out);
+                collect(s, scope, draws, out);
             }
         }
         Stmt::BufferStore {
@@ -396,20 +393,28 @@ fn collect(
             indices,
             value,
         } => {
+            let Scope {
+                loops,
+                ranges,
+                guards,
+            } = scope;
+            let access = |numel, dtype, idx: &[PrimExpr], shape: &[usize]| {
+                access_info(numel, dtype, idx, shape, loops, ranges)
+            };
             let mut reads = Vec::new();
             tvm_te::visitor::walk(value, &mut |e| {
                 if let PrimExpr::TensorRead(t, idx) = e {
-                    reads.push(access_info(t.numel(), t.dtype(), idx, t.shape(), loops));
+                    reads.push(access(t.numel(), t.dtype(), idx, t.shape()));
                 }
             });
-            let write = access_info(buffer.numel(), buffer.dtype, indices, &buffer.shape, loops);
+            let write = access(buffer.numel(), buffer.dtype, indices, &buffer.shape);
             let raw_iterations: f64 = loops.iter().map(|l| l.extent as f64).product();
             let guard_selectivity = if guards.is_empty() {
                 1.0
             } else {
                 let key = loops.iter().map(|l| (l.min, l.extent)).collect();
                 let draws = draws.entry(key).or_insert_with(|| draw_samples(loops));
-                guard_selectivity(guards, loops, draws)
+                guard_selectivity(guards, loops, ranges, draws)
             };
             out.push(StmtFeatures {
                 loops: loops.clone(),
@@ -427,11 +432,9 @@ fn collect(
 /// Extract per-store loop-nest features from a lowered function.
 pub fn analyze(func: &PrimFunc) -> Vec<StmtFeatures> {
     let mut out = Vec::new();
-    let (mut loops, mut guards) = (Vec::new(), Vec::new());
     collect(
         &func.body,
-        &mut loops,
-        &mut guards,
+        &mut Scope::default(),
         &mut Draws::new(),
         &mut out,
     );
@@ -492,8 +495,8 @@ mod tests {
     }
 
     /// The map-per-sample sampler and the two-maps-per-stride analysis
-    /// this module used before it evaluated over loop slots, kept as the
-    /// reference the slot versions must match bit for bit.
+    /// this module used before it evaluated affine forms over loop slots,
+    /// kept as the reference the forms must match bit for bit.
     fn guard_selectivity_by_map(guards: &[PrimExpr], loops: &[LoopInfo]) -> f64 {
         if guards.is_empty() {
             return 1.0;
@@ -539,6 +542,23 @@ mod tests {
     impl Tape<'_> {
         fn pick(&mut self, n: u64) -> u64 {
             self.0.next().map_or(0, |v| v % n)
+        }
+
+        /// A sum of constant multiples of constants, variables and their
+        /// floor quotients and remainders by `1..=8`, nested at most
+        /// `depth` deep: the grammar of [`affine_of`]'s forms.
+        fn form(&mut self, vars: &[Var], depth: u32) -> PrimExpr {
+            use tvm_te::ops::{floordiv, floormod, int};
+            let var = |t: &mut Self| vars[t.pick(vars.len() as u64) as usize].expr();
+            match self.pick(if depth == 0 { 4 } else { 7 }) {
+                0 => int(self.pick(9) as i64 - 4),
+                1 => var(self),
+                2 => floordiv(var(self), int(1 + self.pick(8) as i64)),
+                3 => floormod(var(self), int(1 + self.pick(8) as i64)),
+                4 => self.form(vars, depth - 1) + self.form(vars, depth - 1),
+                5 => self.form(vars, depth - 1) - self.form(vars, depth - 1),
+                _ => self.form(vars, depth - 1) * int(self.pick(9) as i64 - 4),
+            }
         }
 
         /// Constants in `-4..=4` and operators nested at most `depth`
@@ -595,11 +615,40 @@ mod tests {
             let mut tape = Tape(tape.iter());
             let guards: Vec<PrimExpr> = (0..1 + tape.pick(3)).map(|_| tape.guard(&vars, 2)).collect();
             proptest::prop_assert_eq!(
-                guard_selectivity(&guards, &loops, &draw_samples(&loops)).to_bits(),
+                guard_selectivity(&guards, &loops, &ranges_of(&loops), &draw_samples(&loops))
+                    .to_bits(),
                 guard_selectivity_by_map(&guards, &loops).to_bits(),
                 "guards {guards:?} under {loops:?}"
             );
         }
+
+        // The same nests; indices in the form grammar, over the loop
+        // variables and the unbound `vars[3]`.
+        fn generated_strides_match_the_map_reference(
+            nest in proptest::collection::vec((0usize..3, -3i64..=3, 0i64..=6), 0..6),
+            tape in proptest::collection::vec(0u64..1 << 16, 64..65),
+        ) {
+            let vars = [Var::index("i"), Var::index("j"), Var::index("k"), Var::index("free")];
+            let loops: Vec<LoopInfo> = nest
+                .iter()
+                .map(|&(v, min, extent)| LoopInfo { var_id: vars[v].id, min, extent })
+                .collect();
+            let mut tape = Tape(tape.iter());
+            let shape = [5usize, 3, 7];
+            let indices: Vec<PrimExpr> = (0..1 + tape.pick(3)).map(|_| tape.form(&vars, 3)).collect();
+            let shape = &shape[..indices.len()];
+            let info = access_info(1, DType::F64, &indices, shape, &loops, &ranges_of(&loops));
+            let weights: Vec<usize> = (0..shape.len()).map(|d| shape[d + 1..].iter().product()).collect();
+            let want: Vec<i64> = loops
+                .iter()
+                .map(|l| stride_by_map(&indices, &weights, l.var_id, &loops).unwrap_or(0))
+                .collect();
+            proptest::prop_assert_eq!(info.strides, want, "indices {:?} under {:?}", indices, loops);
+        }
+    }
+
+    fn ranges_of(loops: &[LoopInfo]) -> VarRanges {
+        loops.iter().map(|l| (l.var_id, l.range())).collect()
     }
 
     #[test]
@@ -652,13 +701,15 @@ mod tests {
             for depth in 0..=loops.len() {
                 let nest = &loops[..depth];
                 assert_eq!(
-                    guard_selectivity(guards, nest, &draw_samples(nest)).to_bits(),
+                    guard_selectivity(guards, nest, &ranges_of(nest), &draw_samples(nest))
+                        .to_bits(),
                     guard_selectivity_by_map(guards, nest).to_bits(),
                     "guards {guards:?} under {depth} loops"
                 );
             }
         }
         generated_guards_match_the_map_reference();
+        generated_strides_match_the_map_reference();
 
         let accesses: Vec<Vec<PrimExpr>> = vec![
             vec![i.expr(), k.expr()],
@@ -668,7 +719,14 @@ mod tests {
         ];
         let elem_strides = [64usize, 1];
         for indices in &accesses {
-            let info = access_info(4096, DType::F64, indices, &[64, 64], &loops);
+            let info = access_info(
+                4096,
+                DType::F64,
+                indices,
+                &[64, 64],
+                &loops,
+                &ranges_of(&loops),
+            );
             let want: Vec<i64> = loops
                 .iter()
                 .map(|l| stride_by_map(indices, &elem_strides, l.var_id, &loops).unwrap_or(0))

@@ -2,10 +2,12 @@
 //! loops.
 //!
 //! For each `ForKind::Parallel` / `ForKind::Vectorized` loop the pass
-//! collects every buffer access in the loop body together with the `if`
-//! guards around it (negated on `else` branches). Each index of an
-//! access, and its row-major offset, splits into a stride `s` along the
-//! parallel axis plus a range over the enclosed serial loops, narrowed
+//! collects every buffer access in the loop body — stores, the reads in
+//! their values and indices, and the reads in `if` conditions — together
+//! with the `if` guards around it (negated on `else` branches). Each
+//! index of an access, and its row-major offset, splits into a stride `s`
+//! along the parallel axis, read off the index's affine form
+//! ([`affine_of`]), plus a range over the enclosed serial loops, narrowed
 //! by the guards that mention only those loops (the facts `bounds`
 //! uses). A pair of accesses conflicts iff two distinct iterations `t`
 //! and `t + d` (`0 < |d| < extent`) can touch the same element, i.e.
@@ -25,36 +27,32 @@
 //! A pair is clean only when both accesses also shift identically with
 //! every outer loop variable: otherwise one outer iteration can line up
 //! what another keeps apart. Certificates are only `Deny` when they are
-//! robust: the offset must be affine in the parallel variable (verified
-//! at both ends of the range), the two accesses must shift identically
-//! with every outer loop variable, and neither access may sit under a
-//! guard that mentions the parallel variable. Anything weaker demotes to
-//! `Warn` (`TIR-RACE-MAYBE`): the analyzer never claims a race it cannot
-//! prove, and never silently trusts one it cannot disprove either.
+//! robust: the offset must be affine in the parallel variable (its move
+//! to the far end of the range is the stride times the distance, which a
+//! fused loop's quotient and remainder terms break), the two accesses
+//! must shift identically with every outer loop variable, and neither
+//! access may sit under a guard that mentions the parallel variable.
+//! Anything weaker, and any access with an index outside the form's
+//! grammar, demotes to `Warn` (`TIR-RACE-MAYBE`): the analyzer never
+//! claims a race it cannot prove, and never silently trusts one it cannot
+//! disprove either. A parallel loop the sweep finds nothing on is proven
+//! race-free ([`race_free_parallel_vars`]).
 
-use super::interval::{constraints_from_guard, eval_interval, Interval, IntervalEnv};
+use super::interval::{constraints_from_guard, eval_interval, Interval, IntervalEnv, VarIntervals};
 use super::{codes, Diagnostic, Severity};
-use crate::analysis::eval_int_with;
+use crate::analysis::LoopInfo;
+use crate::passes::affine::{affine_of, VarRanges};
 use crate::stmt::{ForKind, PrimFunc, Stmt};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use tvm_te::{PrimExpr, Var};
 
-/// One loop enclosing an access (outside or inside the parallel loop).
-#[derive(Debug, Clone)]
-struct LoopCtx {
-    id: u64,
-    min: i64,
-    extent: i64,
-}
-
-impl LoopCtx {
-    fn range(&self) -> Interval {
-        if self.extent <= 0 {
-            Interval::empty()
-        } else {
-            Interval::new(self.min, self.min + self.extent - 1)
-        }
+/// The loop's variable range as an interval, empty for a loop of no trips.
+fn interval(l: &LoopInfo) -> Interval {
+    if l.extent <= 0 {
+        Interval::empty()
+    } else {
+        Interval::new(l.min, l.min + l.extent - 1)
     }
 }
 
@@ -65,7 +63,7 @@ struct Access {
     indices: Vec<PrimExpr>,
     is_write: bool,
     /// Loops strictly inside the parallel loop that enclose this access.
-    inner: Vec<LoopCtx>,
+    inner: Vec<LoopInfo>,
     /// Guards inside the parallel loop that enclose this access, negated
     /// on `else` branches.
     guards: Vec<PrimExpr>,
@@ -82,14 +80,7 @@ struct Footprint {
     /// parallel/outer vars at min.
     range: Interval,
     /// Delta per step of each outer variable, outermost first.
-    outer_strides: Vec<Option<i64>>,
-}
-
-impl Footprint {
-    /// Whether the delta at the far end is the stride times the distance.
-    fn affine(&self, extent: i64) -> bool {
-        self.s.checked_mul(extent - 1) == Some(self.far)
-    }
+    outer_strides: Vec<i64>,
 }
 
 /// The footprints of one access.
@@ -102,18 +93,48 @@ struct AccessFootprint {
     in_bounds: bool,
 }
 
-/// Check every parallel/vectorized loop of `func`, appending findings.
-pub fn check_parallel_deps(func: &PrimFunc, out: &mut Vec<Diagnostic>) {
-    let mut seen = HashSet::new();
-    visit(&func.body, &mut Vec::new(), out, &mut seen);
+/// One sweep over a function: its findings, each reported once per
+/// (code, buffer, loop name), and the parallel loops it proves race-free.
+#[derive(Default)]
+struct Sweep {
+    out: Vec<Diagnostic>,
+    seen: HashSet<(&'static str, String, String)>,
+    proven: HashSet<u64>,
 }
 
-fn visit(
-    stmt: &Stmt,
-    outer: &mut Vec<LoopCtx>,
-    out: &mut Vec<Diagnostic>,
-    seen: &mut HashSet<(&'static str, String, String)>,
-) {
+/// Sweep the loops of `func` of the given kinds.
+fn sweep(func: &PrimFunc, kinds: &[ForKind]) -> Sweep {
+    let mut sweep = Sweep::default();
+    visit(&func.body, kinds, &mut Vec::new(), &mut sweep);
+    sweep
+}
+
+/// Check every parallel/vectorized loop of `func`, appending findings.
+pub fn check_parallel_deps(func: &PrimFunc, out: &mut Vec<Diagnostic>) {
+    out.extend(sweep(func, &[ForKind::Parallel, ForKind::Vectorized]).out);
+}
+
+/// Variable ids of `ForKind::Parallel` loops whose dependence analysis
+/// comes back completely clean.
+///
+/// "Clean" means [`analyze_loop`] finds nothing for the loop — neither a
+/// certified race nor an unresolved `TIR-RACE-MAYBE` — before the sweep
+/// drops the findings another loop of the same name already reported.
+/// Because the pairwise sweep covers every write-write and read-write
+/// pair (including an access against its own images in other iterations,
+/// and the buffer reads of `if` conditions), no element is touched by two
+/// distinct iterations with a write involved: each output element has a
+/// single writing iteration and no iteration reads another's writes.
+/// Executing such a loop's iterations concurrently is therefore
+/// bit-identical to sequential order.
+///
+/// Loops with extent < 2 have no pair of distinct iterations and are
+/// trivially race-free.
+pub fn race_free_parallel_vars(func: &PrimFunc) -> HashSet<u64> {
+    sweep(func, &[ForKind::Parallel]).proven
+}
+
+fn visit(stmt: &Stmt, kinds: &[ForKind], outer: &mut Vec<LoopInfo>, sweep: &mut Sweep) {
     match stmt {
         Stmt::For {
             var,
@@ -122,43 +143,46 @@ fn visit(
             kind,
             body,
         } => {
-            if matches!(kind, ForKind::Parallel | ForKind::Vectorized) && *extent >= 2 {
-                analyze_loop(var, *min, *extent, *kind, body, outer, out, seen);
-            }
-            outer.push(LoopCtx {
-                id: var.id,
+            let l = LoopInfo {
+                var_id: var.id,
                 min: *min,
                 extent: *extent,
-            });
-            visit(body, outer, out, seen);
+            };
+            if kinds.contains(kind) {
+                let clean = *extent < 2 || !analyze_loop(var, &l, *kind, body, outer, sweep);
+                if clean && *kind == ForKind::Parallel {
+                    sweep.proven.insert(var.id);
+                }
+            }
+            outer.push(l);
+            visit(body, kinds, outer, sweep);
             outer.pop();
         }
         Stmt::IfThenElse { then, else_, .. } => {
-            visit(then, outer, out, seen);
+            visit(then, kinds, outer, sweep);
             if let Some(e) = else_ {
-                visit(e, outer, out, seen);
+                visit(e, kinds, outer, sweep);
             }
         }
         Stmt::Seq(items) => {
             for s in items {
-                visit(s, outer, out, seen);
+                visit(s, kinds, outer, sweep);
             }
         }
         _ => {}
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Test every pair of accesses of the loop over `par`, reporting what
+/// the sweep has not reported yet; whether it found anything at all.
 fn analyze_loop(
-    par: &Var,
-    par_min: i64,
-    par_extent: i64,
+    var: &Var,
+    par: &LoopInfo,
     kind: ForKind,
     body: &Stmt,
-    outer: &[LoopCtx],
-    out: &mut Vec<Diagnostic>,
-    seen: &mut HashSet<(&'static str, String, String)>,
-) {
+    outer: &[LoopInfo],
+    sweep: &mut Sweep,
+) -> bool {
     let mut accesses = Vec::new();
     collect_accesses(body, &mut Vec::new(), &mut Vec::new(), &mut accesses);
 
@@ -168,27 +192,34 @@ fn analyze_loop(
         .collect();
     let footprints: Vec<Option<AccessFootprint>> = (accesses.iter())
         .map(|a| {
-            let f = || footprint(a, par.id, par_min, par_extent, outer);
+            let f = || footprint(a, par, outer);
             written.contains(a.buffer.as_str()).then(f).flatten()
         })
         .collect();
 
+    let mut found = false;
     let mut emit = |code: &'static str, severity: Severity, buffer: &str, message: String| {
-        if seen.insert((code, buffer.to_string(), par.name.clone())) {
-            out.push(Diagnostic {
+        found = true;
+        if sweep
+            .seen
+            .insert((code, buffer.to_string(), var.name.clone()))
+        {
+            sweep.out.push(Diagnostic {
                 code,
                 severity,
                 message,
                 buffer: Some(buffer.to_string()),
                 access: None,
-                loop_var: Some(par.name.clone()),
+                loop_var: Some(var.name.clone()),
             });
         }
     };
 
     let kw = kind.keyword();
-    let aligned =
-        |x: &Footprint, y: &Footprint| x.s == y.s && x.affine(par_extent) && y.affine(par_extent);
+    let extent = par.extent;
+    // Equal strides, each the move to the far end over the distance.
+    let affine = |f: &Footprint| f.s.checked_mul(extent - 1) == Some(f.far);
+    let aligned = |x: &Footprint, y: &Footprint| x.s == y.s && affine(x) && affine(y);
     for i in 0..accesses.len() {
         for j in i..accesses.len() {
             let (a1, a2) = (&accesses[i], &accesses[j]);
@@ -198,62 +229,38 @@ fn analyze_loop(
             // Read-read never races; a self-paired read is skipped above,
             // and a self-paired write tests the access against its own
             // images in other iterations.
-            let code = if a1.is_write && a2.is_write {
-                codes::RACE_WW
+            let (code, pair_kind) = if a1.is_write && a2.is_write {
+                (codes::RACE_WW, "write-write")
             } else {
-                codes::RACE_RW
+                (codes::RACE_RW, "read-write")
             };
-            let pair_kind = if code == codes::RACE_WW {
-                "write-write"
-            } else {
-                "read-write"
+            let (name, buffer) = (&var.name, &a1.buffer);
+            let mut maybe = |why: &str| {
+                let message = format!(
+                    "{kw} loop `{name}`: accesses to `{buffer}` {why}; \
+                     cannot rule out a {pair_kind} race"
+                );
+                emit(codes::RACE_MAYBE, Severity::Warn, buffer, message)
             };
             let (Some(f1), Some(f2)) = (&footprints[i], &footprints[j]) else {
-                emit(
-                    codes::RACE_MAYBE,
-                    Severity::Warn,
-                    &a1.buffer,
-                    format!(
-                        "{kw} loop `{}`: accesses to `{}` are outside the \
-                         analyzable fragment; cannot rule out a {pair_kind} race",
-                        par.name, a1.buffer
-                    ),
-                );
+                maybe("are outside the analyzable fragment");
                 continue;
             };
             let apart_in_some_dim = |(x, y): (&Footprint, &Footprint)| {
-                aligned(x, y) && same_outer_shifts(x, y) && !conflicts(x, y, par_extent)
+                aligned(x, y) && x.outer_strides == y.outer_strides && !conflicts(x, y, extent)
             };
             if f1.in_bounds && f2.in_bounds && f1.dims.iter().zip(&f2.dims).any(apart_in_some_dim) {
                 continue;
             }
             let (l1, l2) = (&f1.linear, &f2.linear);
             if !aligned(l1, l2) {
-                emit(
-                    codes::RACE_MAYBE,
-                    Severity::Warn,
-                    &a1.buffer,
-                    format!(
-                        "{kw} loop `{}`: accesses to `{}` move non-uniformly \
-                         along the parallel axis; cannot rule out a {pair_kind} race",
-                        par.name, a1.buffer
-                    ),
-                );
+                maybe("move non-uniformly along the parallel axis");
                 continue;
             }
-            let same_outer = same_outer_shifts(l1, l2);
-            if !conflicts(l1, l2, par_extent) {
+            let same_outer = l1.outer_strides == l2.outer_strides;
+            if !conflicts(l1, l2, extent) {
                 if !same_outer {
-                    emit(
-                        codes::RACE_MAYBE,
-                        Severity::Warn,
-                        &a1.buffer,
-                        format!(
-                            "{kw} loop `{}`: accesses to `{}` shift apart along \
-                             an outer loop; cannot rule out a {pair_kind} race",
-                            par.name, a1.buffer
-                        ),
-                    );
+                    maybe("shift apart along an outer loop");
                 }
                 continue;
             }
@@ -263,7 +270,7 @@ fn analyze_loop(
             let robust = same_outer
                 && ![a1, a2]
                     .iter()
-                    .any(|a| a.guards.iter().any(|g| mentions(g, |v| v == par.id)));
+                    .any(|a| a.guards.iter().any(|g| mentions(g, |v| v == par.var_id)));
             let (sev, final_code) = if robust {
                 (Severity::Deny, code)
             } else {
@@ -274,110 +281,13 @@ fn analyze_loop(
                 sev,
                 &a1.buffer,
                 format!(
-                    "{kw} loop `{}`: distinct iterations touch the same \
-                     element of `{}` ({pair_kind}, stride {} on the parallel axis)",
-                    par.name, a1.buffer, l1.s
+                    "{kw} loop `{name}`: distinct iterations touch the same \
+                     element of `{buffer}` ({pair_kind}, stride {} on the parallel axis)",
+                    l1.s
                 ),
             );
         }
     }
-}
-
-/// Do the two shift identically with every outer variable?
-fn same_outer_shifts(x: &Footprint, y: &Footprint) -> bool {
-    (x.outer_strides.iter().zip(&y.outer_strides))
-        .all(|(x, y)| matches!((x, y), (Some(a), Some(b)) if a == b))
-}
-
-/// Variable ids of `ForKind::Parallel` loops whose dependence analysis
-/// comes back completely clean.
-///
-/// "Clean" means [`analyze_loop`] run over the loop in isolation emits
-/// no diagnostic at all — neither a certified race nor an unresolved
-/// `TIR-RACE-MAYBE`. Because the pairwise sweep covers every
-/// write-write and read-write pair (including an access against its own
-/// images in other iterations), an empty report proves that no element
-/// is touched by two distinct iterations with a write involved: each
-/// output element has a single writing iteration and no iteration reads
-/// another's writes. Executing such a loop's iterations concurrently is
-/// therefore bit-identical to sequential order.
-///
-/// Two conservative exclusions keep the proof sound:
-/// - guard conditions are not modelled by the access collector, so a
-///   body that reads a buffer inside an `if` condition is never proven;
-/// - the per-loop analysis runs with a fresh dedup set, so a diagnostic
-///   already reported for one loop cannot mask the same finding on
-///   another loop that reuses the variable name.
-///
-/// Loops with extent < 2 have no pair of distinct iterations and are
-/// trivially race-free.
-pub fn race_free_parallel_vars(func: &PrimFunc) -> HashSet<u64> {
-    let mut proven = HashSet::new();
-    prove(&func.body, &mut Vec::new(), &mut proven);
-    proven
-}
-
-fn prove(stmt: &Stmt, outer: &mut Vec<LoopCtx>, proven: &mut HashSet<u64>) {
-    match stmt {
-        Stmt::For {
-            var,
-            min,
-            extent,
-            kind,
-            body,
-        } => {
-            if *kind == ForKind::Parallel {
-                if *extent < 2 {
-                    proven.insert(var.id);
-                } else if !reads_buffer_in_guard(body) {
-                    let mut diags = Vec::new();
-                    let mut seen = HashSet::new();
-                    analyze_loop(
-                        var, *min, *extent, *kind, body, outer, &mut diags, &mut seen,
-                    );
-                    if diags.is_empty() {
-                        proven.insert(var.id);
-                    }
-                }
-            }
-            outer.push(LoopCtx {
-                id: var.id,
-                min: *min,
-                extent: *extent,
-            });
-            prove(body, outer, proven);
-            outer.pop();
-        }
-        Stmt::IfThenElse { then, else_, .. } => {
-            prove(then, outer, proven);
-            if let Some(e) = else_ {
-                prove(e, outer, proven);
-            }
-        }
-        Stmt::Seq(items) => {
-            for s in items {
-                prove(s, outer, proven);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Does any `if` condition under `stmt` read a buffer element? Such
-/// reads are invisible to [`collect_accesses`], so they defeat the
-/// race-freedom proof (but not the warn/deny sweep, which is allowed to
-/// under-report).
-fn reads_buffer_in_guard(stmt: &Stmt) -> bool {
-    let mut found = false;
-    stmt.walk(&mut |s| {
-        if let Stmt::IfThenElse { cond, .. } = s {
-            tvm_te::visitor::walk(cond, &mut |node| {
-                if matches!(node, PrimExpr::TensorRead(..)) {
-                    found = true;
-                }
-            });
-        }
-    });
     found
 }
 
@@ -409,10 +319,25 @@ fn conflicts(f1: &Footprint, f2: &Footprint, extent: i64) -> bool {
 
 fn collect_accesses(
     stmt: &Stmt,
-    inner: &mut Vec<LoopCtx>,
+    inner: &mut Vec<LoopInfo>,
     guards: &mut Vec<PrimExpr>,
     out: &mut Vec<Access>,
 ) {
+    // The buffer reads of `e`, under the current loops and guards.
+    let reads = |e: &PrimExpr, inner: &[LoopInfo], guards: &[PrimExpr], out: &mut Vec<Access>| {
+        tvm_te::visitor::walk(e, &mut |node| {
+            if let PrimExpr::TensorRead(t, idx) = node {
+                out.push(Access {
+                    buffer: t.name().to_string(),
+                    shape: t.shape().to_vec(),
+                    indices: idx.to_vec(),
+                    is_write: false,
+                    inner: inner.to_vec(),
+                    guards: guards.to_vec(),
+                });
+            }
+        })
+    };
     match stmt {
         Stmt::For {
             var,
@@ -421,8 +346,8 @@ fn collect_accesses(
             body,
             ..
         } => {
-            inner.push(LoopCtx {
-                id: var.id,
+            inner.push(LoopInfo {
+                var_id: var.id,
                 min: *min,
                 extent: *extent,
             });
@@ -430,6 +355,7 @@ fn collect_accesses(
             inner.pop();
         }
         Stmt::IfThenElse { cond, then, else_ } => {
+            reads(cond, inner, guards, out);
             guards.push(cond.clone());
             collect_accesses(then, inner, guards, out);
             guards.pop();
@@ -449,23 +375,16 @@ fn collect_accesses(
             indices,
             value,
         } => {
-            let mut push = |name: &str, shape: &[usize], indices: &[PrimExpr], is_write| {
-                out.push(Access {
-                    buffer: name.to_string(),
-                    shape: shape.to_vec(),
-                    indices: indices.to_vec(),
-                    is_write,
-                    inner: inner.clone(),
-                    guards: guards.clone(),
-                })
-            };
-            push(&buffer.name, &buffer.shape, indices, true);
+            out.push(Access {
+                buffer: buffer.name.clone(),
+                shape: buffer.shape.clone(),
+                indices: indices.clone(),
+                is_write: true,
+                inner: inner.clone(),
+                guards: guards.clone(),
+            });
             for e in indices.iter().chain(std::iter::once(value)) {
-                tvm_te::visitor::walk(e, &mut |node| {
-                    if let PrimExpr::TensorRead(t, idx) = node {
-                        push(t.name(), t.shape(), idx, false);
-                    }
-                });
+                reads(e, inner, guards, out);
             }
         }
         Stmt::Nop => {}
@@ -491,26 +410,14 @@ fn row_major_strides(shape: &[usize]) -> Vec<i64> {
     strides
 }
 
-/// Decompose one access relative to the parallel variable, per index and
-/// over its row-major offset.
-fn footprint(
-    a: &Access,
-    par_id: u64,
-    par_min: i64,
-    par_extent: i64,
-    outer: &[LoopCtx],
-) -> Option<AccessFootprint> {
-    // Base point: every variable at its minimum.
-    let mut base: HashMap<u64, i64> = HashMap::new();
-    for l in outer.iter().chain(a.inner.iter()) {
-        base.insert(l.id, l.min);
-    }
-    base.insert(par_id, par_min);
-
+/// Decompose one access relative to the parallel loop `par`, per index
+/// and over its row-major offset. Each index's moves are its affine
+/// form's; an index outside the form's grammar has no footprint.
+fn footprint(a: &Access, par: &LoopInfo, outer: &[LoopInfo]) -> Option<AccessFootprint> {
     // Ranges over the inner loops, narrowed by the guards that mention
     // only inner loops: a guard on the parallel or an outer variable
     // would hold only at the point the range is taken.
-    let mut vars: HashMap<u64, Interval> = a.inner.iter().map(|l| (l.id, l.range())).collect();
+    let mut vars: VarIntervals = a.inner.iter().map(|l| (l.var_id, interval(l))).collect();
     let mut env = IntervalEnv::with_vars(vars.clone());
     for g in &a.guards {
         if !mentions(g, |v| !vars.contains_key(&v)) {
@@ -520,33 +427,24 @@ fn footprint(
         }
     }
     // `vars` keeps the inner ranges; `env` pins the rest at their minima.
-    for l in outer {
-        env.vars.insert(l.id, Interval::point(l.min));
-        vars.insert(l.id, l.range());
+    for l in outer.iter().chain([par]) {
+        env.vars.insert(l.var_id, Interval::point(l.min));
+        vars.insert(l.var_id, interval(l));
     }
-    env.vars.insert(par_id, Interval::point(par_min));
-    vars.insert(par_id, Interval::new(par_min, par_min + par_extent - 1));
 
-    let far_end = par_min + par_extent - 1;
+    let ranges: VarRanges = (outer.iter().chain(&a.inner).chain([par]))
+        .map(|l| (l.var_id, l.range()))
+        .collect();
+    let far_end = par.min + par.extent - 1;
     let mut dims = Vec::with_capacity(a.indices.len());
     for idx in &a.indices {
-        let at = |id: u64, v: i64| {
-            eval_int_with(idx, &|x| {
-                if x == id {
-                    Some(v)
-                } else {
-                    base.get(&x).copied()
-                }
-            })
-        };
-        let v0 = at(par_id, par_min)?;
+        let form = affine_of(idx, &ranges)?;
+        let step = |l: &LoopInfo, to| form.delta(l.var_id, l.min, to);
         dims.push(Footprint {
-            s: at(par_id, par_min + 1)?.checked_sub(v0)?,
-            far: at(par_id, far_end)?.checked_sub(v0)?,
+            s: step(par, par.min + 1)?,
+            far: step(par, far_end)?,
             range: eval_interval(idx, &env)?,
-            outer_strides: (outer.iter())
-                .map(|l| at(l.id, l.min + 1).and_then(|v| v.checked_sub(v0)))
-                .collect(),
+            outer_strides: (outer.iter().map(|l| step(l, l.min + 1))).collect::<Option<_>>()?,
         });
     }
 
@@ -554,16 +452,14 @@ fn footprint(
         s: 0,
         far: 0,
         range: Interval::point(0),
-        outer_strides: vec![Some(0); outer.len()],
+        outer_strides: vec![0; outer.len()],
     };
     for (f, w) in dims.iter().zip(row_major_strides(&a.shape)) {
         linear.s = linear.s.checked_add(f.s.checked_mul(w)?)?;
         linear.far = linear.far.checked_add(f.far.checked_mul(w)?)?;
         linear.range = linear.range.add(&f.range.mul(&Interval::point(w)));
         for (o, d) in linear.outer_strides.iter_mut().zip(&f.outer_strides) {
-            *o = o
-                .zip(*d)
-                .and_then(|(o, d)| o.checked_add(d.checked_mul(w)?));
+            *o = o.checked_add(d.checked_mul(w)?)?;
         }
     }
 
@@ -933,29 +829,45 @@ mod tests {
     }
 
     #[test]
-    fn race_freedom_proof_refuses_buffer_reads_in_guards() {
-        // parallel i: if A[i] < 0 { C[i] = 0 } — the guard read is not
-        // collected as an access, so the proof must decline.
+    fn race_freedom_proof_counts_buffer_reads_in_guards() {
+        use tvm_te::ops::{cmp, int};
         let i = Var::index("i");
-        let c = Buffer::new("C", [8usize], DType::F64);
-        let a = tvm_te::placeholder([8], DType::F64, "A");
-        let store = Stmt::BufferStore {
-            buffer: c.clone(),
+        let c = Buffer::new("C", [9usize], DType::F64);
+        let (a_t, c_t) = (
+            tvm_te::placeholder([9], DType::F64, "A"),
+            tvm_te::placeholder([9], DType::F64, "C"),
+        );
+        let store = |b: &std::sync::Arc<Buffer>| Stmt::BufferStore {
+            buffer: b.clone(),
             indices: vec![i.expr()],
             value: float(0.0),
         };
-        let body = for_(
-            &i,
-            8,
-            ForKind::Parallel,
-            Stmt::IfThenElse {
-                cond: tvm_te::ops::cmp::lt(a.at(&[i.expr()]), float(0.0)),
-                then: Box::new(store),
-                else_: None,
-            },
+        let guarded = |cond, then| Stmt::IfThenElse {
+            cond,
+            then: Box::new(then),
+            else_: None,
+        };
+        // parallel i: C[i] = 0; if C[i + 1] < 0 { A[i] = 0 } — the guard
+        // reads the element the next iteration writes.
+        let a = Buffer::new("A", [9usize], DType::F64);
+        let body = Stmt::Seq(vec![
+            store(&c),
+            guarded(cmp::lt(c_t.at(&[i.expr() + int(1)]), float(0.0)), store(&a)),
+        ]);
+        let f = func(for_(&i, 8, ForKind::Parallel, body), vec![a, c.clone()]);
+        let diags = run(&f);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(
+            (diags[0].code, diags[0].severity),
+            (codes::RACE_RW, Severity::Deny)
         );
-        let proven = race_free_parallel_vars(&func(body, vec![c]));
-        assert!(!proven.contains(&i.id));
+        assert!(!race_free_parallel_vars(&f).contains(&i.id));
+        // parallel i: if A[i] < 0 { C[i] = 0 } — the loop never writes
+        // `A`, so the guard's read cannot race.
+        let body = guarded(cmp::lt(a_t.at(&[i.expr()]), float(0.0)), store(&c));
+        let f = func(for_(&i, 8, ForKind::Parallel, body), vec![c]);
+        assert!(run(&f).is_empty());
+        assert!(race_free_parallel_vars(&f).contains(&i.id));
     }
 
     #[test]

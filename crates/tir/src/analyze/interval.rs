@@ -6,7 +6,9 @@
 //! An empty interval (`lo > hi`) denotes unreachable code: any access
 //! under an empty environment is trivially safe.
 
+use crate::passes::affine::IdHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use tvm_te::{BinOp, CmpOp, PrimExpr};
 
 /// Closed integer range `[lo, hi]`; empty when `lo > hi`.
@@ -196,18 +198,21 @@ pub struct Constraint {
     pub range: Interval,
 }
 
+/// Loop variable id → its value range.
+pub type VarIntervals = HashMap<u64, Interval, BuildHasherDefault<IdHasher>>;
+
 /// Evaluation context: loop-variable ranges plus guard-derived facts.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalEnv {
     /// Loop variable id → its value range.
-    pub vars: HashMap<u64, Interval>,
+    pub vars: VarIntervals,
     /// Structural facts from enclosing guards.
     pub constraints: Vec<Constraint>,
 }
 
 impl IntervalEnv {
     /// Environment with the given variable ranges and no constraints.
-    pub fn with_vars(vars: HashMap<u64, Interval>) -> IntervalEnv {
+    pub fn with_vars(vars: VarIntervals) -> IntervalEnv {
         IntervalEnv {
             vars,
             constraints: Vec::new(),
@@ -397,7 +402,7 @@ mod tests {
     use tvm_te::Var;
 
     fn env1(v: &Var, lo: i64, hi: i64) -> IntervalEnv {
-        let mut vars = HashMap::new();
+        let mut vars = VarIntervals::default();
         vars.insert(v.id, Interval::new(lo, hi));
         IntervalEnv::with_vars(vars)
     }

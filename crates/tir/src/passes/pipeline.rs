@@ -11,8 +11,8 @@
 //! to the unoptimized function rather than run wrong code.
 //!
 //! Set the `TVM_DUMP_TIR` environment variable (to anything but `0` or
-//! the empty string) — or call [`PassManager::with_dump`] — to print
-//! the IR before and after each pass to stderr via `tir::printer`.
+//! the empty string) to print the IR before and after each pass to
+//! stderr via `tir::printer`.
 
 use super::{licm, simplify, strength, verify};
 use crate::stmt::{PrimFunc, Stmt};
@@ -98,13 +98,6 @@ impl PassManager {
     /// Append a named pass.
     pub fn add_pass(mut self, name: &'static str, pass: PassFn) -> Self {
         self.passes.push((name, pass));
-        self
-    }
-
-    /// Enable or disable before/after IR dumping to stderr
-    /// (overrides the `TVM_DUMP_TIR` environment variable).
-    pub fn with_dump(mut self, dump: bool) -> Self {
-        self.dump = dump;
         self
     }
 
@@ -204,10 +197,7 @@ mod tests {
         assert_eq!(traces.len(), 4);
         assert!(verify::verify(&out).is_ok());
         // The untraced run renders no IR and arrives at the same function.
-        let quiet = PassManager::default()
-            .with_dump(false)
-            .run(&f)
-            .expect("pipeline");
+        let quiet = PassManager::default().run(&f).expect("pipeline");
         assert_eq!(quiet.body.to_string(), out.body.to_string());
         assert_eq!(quiet.params.len(), f.params.len());
     }

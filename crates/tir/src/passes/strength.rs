@@ -74,7 +74,7 @@ pub fn reduce_expr(e: &PrimExpr, ranges: &VarRanges) -> PrimExpr {
             }
             let (q, r) = num.div_rem(c, ranges)?;
             let reduced = if *op == BinOp::FloorMod { r } else { q };
-            Some(reduced.to_expr())
+            Some(reduced.to_expr(a))
         }
         PrimExpr::Cmp(op, a, b) => {
             let ia = affine_of(a, ranges)?.interval(ranges)?;
@@ -135,7 +135,7 @@ fn reduce_stmt(stmt: &Stmt, ranges: &mut VarRanges) -> Stmt {
 
 /// Strength-reduce every expression of a statement tree.
 pub fn strength_reduce_stmt(stmt: &Stmt) -> Stmt {
-    reduce_stmt(stmt, &mut VarRanges::new())
+    reduce_stmt(stmt, &mut VarRanges::default())
 }
 
 #[cfg(test)]
@@ -300,7 +300,7 @@ mod tests {
         // floordiv on floats must not be treated as integer arithmetic.
         let x = Var::new("x", DType::F64);
         let e = floordiv(x.expr(), PrimExpr::from(4.0f64));
-        let out = reduce_expr(&e, &VarRanges::new());
+        let out = reduce_expr(&e, &VarRanges::default());
         assert_eq!(out, e);
     }
 }

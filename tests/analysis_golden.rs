@@ -14,7 +14,12 @@
 //!   and an FNV-1a of their names in walk order (variable ids are process
 //!   counters, names are not);
 //! - `features`: an FNV-1a of every `analysis::analyze` feature — loop
-//!   bounds, strides, buffer sizes, selectivity, flops and iterations.
+//!   bounds, strides, buffer sizes, selectivity, flops and iterations;
+//! - `what_if`: with each loop in turn made parallel, the race check's
+//!   findings and the loops the proof accepts, a count of each and an
+//!   FNV-1a of the findings' text. No kernel parallelizes a loop whose
+//!   outer loops shift a written buffer's accesses apart (lu's `j` under
+//!   `k`), so only this field holds that part of the check.
 //!
 //! A refactor of the access analysis (strides, footprints, the race
 //! sweep) is held to it: no verdict, proof or cost-model feature moves.
@@ -27,9 +32,8 @@ use polybench::{KernelName, ProblemSize, SpaceMode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::fmt::Write;
 use tvm_tir::analysis::analyze;
-use tvm_tir::analyze::deps::race_free_parallel_vars;
+use tvm_tir::analyze::deps::{check_parallel_deps, race_free_parallel_vars};
 use tvm_tir::analyze::{check, Severity};
 use tvm_tir::stmt::{ForKind, Stmt};
 use tvm_tir::PrimFunc;
@@ -103,6 +107,91 @@ fn fold_features(func: &PrimFunc, h: &mut Fnv) {
     }
 }
 
+/// `stmt` with the loop `n` counts down to, in walk order, made parallel.
+fn parallel_at(stmt: &Stmt, n: &mut usize) -> Stmt {
+    match stmt {
+        Stmt::For {
+            var,
+            min,
+            extent,
+            kind,
+            body,
+        } => {
+            let kind = if *n == 0 { ForKind::Parallel } else { *kind };
+            *n = n.wrapping_sub(1);
+            Stmt::For {
+                var: var.clone(),
+                min: *min,
+                extent: *extent,
+                kind,
+                body: Box::new(parallel_at(body, n)),
+            }
+        }
+        Stmt::IfThenElse { cond, then, else_ } => Stmt::IfThenElse {
+            cond: cond.clone(),
+            then: Box::new(parallel_at(then, n)),
+            else_: else_.as_ref().map(|e| Box::new(parallel_at(e, n))),
+        },
+        Stmt::Seq(items) => Stmt::Seq(items.iter().map(|s| parallel_at(s, n)).collect()),
+        other => other.clone(),
+    }
+}
+
+/// One pin line: what the analyses say about `funcs`.
+fn line(name: &str, funcs: &[PrimFunc]) -> String {
+    let mut by_code: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+    let (mut text, mut features) = (Fnv::new(), Fnv::new());
+    let (mut proven, mut proven_names) = (0, Fnv::new());
+    let (mut proven_opt, mut proven_opt_names) = (0, Fnv::new());
+    let (mut what_if, mut what_if_proven, mut what_if_text) = (0, 0, Fnv::new());
+    for func in funcs {
+        let mut loops = 0;
+        func.body
+            .walk(&mut |s| loops += matches!(s, Stmt::For { .. }) as usize);
+        for mut n in 0..loops {
+            let body = parallel_at(&func.body, &mut n);
+            let func = PrimFunc {
+                body,
+                ..func.clone()
+            };
+            let mut found = Vec::new();
+            check_parallel_deps(&func, &mut found);
+            for d in &found {
+                what_if_text.bytes(d.to_string().as_bytes());
+                what_if_text.bytes(&[0]);
+            }
+            what_if += found.len();
+            what_if_proven += race_free_parallel_vars(&func).len();
+        }
+        for d in check(func).diagnostics {
+            *by_code.entry((d.code, d.severity.label())).or_default() += 1;
+            text.bytes(d.to_string().as_bytes());
+            text.bytes(&[0]);
+        }
+        proven_loops(func, &mut proven, &mut proven_names);
+        match tvm_tir::optimize(func) {
+            Ok(opt) => proven_loops(&opt, &mut proven_opt, &mut proven_opt_names),
+            Err(_) => proven_opt_names.bytes(&[0xff]),
+        }
+        fold_features(func, &mut features);
+    }
+    let counts: Vec<String> = (by_code.iter())
+        .map(|((code, sev), n)| format!("{code}/{sev}={n}"))
+        .collect();
+    format!(
+        "{name} functions {} diag [{}] {:#018x} proven {proven} {:#018x} \
+         proven_opt {proven_opt} {:#018x} features {:#018x} \
+         what_if {what_if} {what_if_proven} {:#018x}\n",
+        funcs.len(),
+        counts.join(","),
+        text.0,
+        proven_names.0,
+        proven_opt_names.0,
+        features.0,
+        what_if_text.0,
+    )
+}
+
 #[test]
 fn analyses_of_the_kernels_are_the_recorded_ones() {
     let mut got = String::new();
@@ -115,36 +204,7 @@ fn analyses_of_the_kernels_are_the_recorded_ones() {
                 .filter(|c| mold.prelint(c).iter().all(|d| d.severity != Severity::Deny))
                 .map(|c| mold.instantiate(&c))
                 .collect();
-            let mut by_code: BTreeMap<(&str, &str), usize> = BTreeMap::new();
-            let (mut text, mut features) = (Fnv::new(), Fnv::new());
-            let (mut proven, mut proven_names) = (0, Fnv::new());
-            let (mut proven_opt, mut proven_opt_names) = (0, Fnv::new());
-            for func in &funcs {
-                for d in check(func).diagnostics {
-                    *by_code.entry((d.code, d.severity.label())).or_default() += 1;
-                    text.bytes(d.to_string().as_bytes());
-                    text.bytes(&[0]);
-                }
-                proven_loops(func, &mut proven, &mut proven_names);
-                let opt = tvm_tir::optimize(func).expect("optimize");
-                proven_loops(&opt, &mut proven_opt, &mut proven_opt_names);
-                fold_features(func, &mut features);
-            }
-            let counts: Vec<String> = (by_code.iter())
-                .map(|((code, sev), n)| format!("{code}/{sev}={n}"))
-                .collect();
-            writeln!(
-                got,
-                "{kernel}.{mode:?}.{size} functions {} diag [{}] {:#018x} \
-                 proven {proven} {:#018x} proven_opt {proven_opt} {:#018x} features {:#018x}",
-                funcs.len(),
-                counts.join(","),
-                text.0,
-                proven_names.0,
-                proven_opt_names.0,
-                features.0,
-            )
-            .unwrap();
+            got += &line(&format!("{kernel}.{mode:?}.{size}"), &funcs);
         }
     }
     pins::check("analysis", &got);
