@@ -463,10 +463,16 @@ fn footprint(a: &Access, par: &LoopInfo, outer: &[LoopInfo]) -> Option<AccessFoo
         }
     }
 
-    // The whole nest: every variable over its full range.
-    env.vars = vars;
+    // The whole nest: every variable over its full range, under every
+    // enclosing guard (a guard holds wherever its access runs).
+    let mut whole = IntervalEnv::with_vars(vars);
+    for g in &a.guards {
+        let mut facts = Vec::new();
+        constraints_from_guard(g, &whole, &mut facts);
+        whole.constraints.extend(facts);
+    }
     let in_bounds = (a.indices.iter().zip(&a.shape))
-        .all(|(idx, &n)| eval_interval(idx, &env).is_some_and(|iv| iv.within(0, n as i64 - 1)));
+        .all(|(idx, &n)| eval_interval(idx, &whole).is_some_and(|iv| iv.within(0, n as i64 - 1)));
     Some(AccessFootprint {
         dims,
         linear,
