@@ -16,12 +16,18 @@
 //! Usage: `bench_analyze [--smoke] [--mode paper|aggressive]
 //! [--size mini|small|medium|large]`
 //!
+//! Each kernel's analysis and lowering are timed in `REPEATS` alternated
+//! repeats (lowering first in even repeats, analysis first in odd ones),
+//! so a host that changes speed mid-run moves both phases alike. Each
+//! repeat gives one analyze/lowering ratio (mean analyze cost over the
+//! kernels against mean lowering cost of the same configurations); the
+//! run reports their median and interquartile range.
+//!
 //! Full mode writes `results/BENCH_analyze.json`. Smoke mode is the CI
 //! gate: it only prints, and exits nonzero if the aggressive spaces stop
-//! producing rejections (the analyzer has gone blind) or if the mean
-//! analyze cost exceeds half the mean lowering cost of the same
-//! configurations, both timed in the same run (the analyzer has become
-//! too slow for the hot path; the committed file reads 0.25).
+//! producing rejections (the analyzer has gone blind) or if the median
+//! ratio exceeds one half (the analyzer has become too slow for the hot
+//! path).
 
 use polybench::molds::mold_for_mode;
 use polybench::{KernelName, ProblemSize, SpaceMode};
@@ -30,11 +36,15 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+/// Alternated repeats per kernel; odd, so the median is one repeat.
+const REPEATS: usize = 9;
+
 struct Row {
     kernel: String,
     configs: usize,
-    analyze_ns_per_config: f64,
-    instantiate_ns_per_config: f64,
+    /// Per repeat.
+    analyze_ns_per_config: Vec<f64>,
+    instantiate_ns_per_config: Vec<f64>,
     prelint_rejected: usize,
     analyzer_rejected: usize,
     by_code: BTreeMap<String, usize>,
@@ -46,73 +56,84 @@ impl Row {
     }
 }
 
+/// The median and the first and third quartiles of `xs`.
+fn quartiles(xs: &[f64]) -> [f64; 3] {
+    let mut xs = xs.to_vec();
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+    [at(0.5), at(0.25), at(0.75)]
+}
+
 fn bench_kernel(kernel: KernelName, size: ProblemSize, mode: SpaceMode, configs: usize) -> Row {
     let mold = mold_for_mode(kernel, size, mode);
     let mut rng = SmallRng::seed_from_u64(42);
     let samples: Vec<_> = (0..configs)
         .map(|_| mold.space().sample(&mut rng))
         .collect();
-
-    // Phase 1 (timed as analysis): the prelint on declared schedule
-    // facts. Denied configurations are never instantiated — they would
-    // panic the scheduler.
-    let mut by_code: BTreeMap<String, usize> = BTreeMap::new();
-    let mut prelint_rejected = 0usize;
-    let mut clean = Vec::with_capacity(configs);
-    let t_lint = Instant::now();
-    for config in &samples {
-        let lint = mold.prelint(config);
-        if lint.is_empty() {
-            clean.push(config);
-        } else {
-            prelint_rejected += 1;
-            let mut codes: Vec<&str> = lint.iter().map(|d| d.code).collect();
-            codes.sort_unstable();
-            codes.dedup();
-            for code in codes {
-                *by_code.entry(code.to_string()).or_insert(0) += 1;
-            }
-        }
-    }
-    let prelint_s = t_lint.elapsed().as_secs_f64();
-
-    // Phase 2 (timed separately): lowering of the survivors — the cost
-    // the analyzer competes against.
-    let t_inst = Instant::now();
-    let funcs: Vec<_> = clean.iter().map(|c| mold.instantiate(c)).collect();
-    let instantiate_s = t_inst.elapsed().as_secs_f64();
-
-    // Phase 3 (timed as analysis): the full interval/race analyzer on
-    // the instantiated functions.
-    let mut analyzer_rejected = 0usize;
-    let t0 = Instant::now();
-    for func in &funcs {
-        let report = tvm_tir::analyze::check(func);
-        if report.is_rejected() {
-            analyzer_rejected += 1;
-            let mut codes: Vec<&str> = report.denials().map(|d| d.code).collect();
-            codes.sort_unstable();
-            codes.dedup();
-            for code in codes {
-                *by_code.entry(code.to_string()).or_insert(0) += 1;
-            }
-        }
-    }
-    let analyze_s = t0.elapsed().as_secs_f64();
-
-    Row {
+    let mut row = Row {
         kernel: mold.name().to_string(),
         configs,
-        analyze_ns_per_config: (prelint_s + analyze_s) * 1e9 / configs as f64,
-        instantiate_ns_per_config: if funcs.is_empty() {
-            0.0
+        analyze_ns_per_config: Vec::new(),
+        instantiate_ns_per_config: Vec::new(),
+        prelint_rejected: 0,
+        analyzer_rejected: 0,
+        by_code: BTreeMap::new(),
+    };
+    let count = |by_code: &mut BTreeMap<String, usize>, mut codes: Vec<&str>| {
+        codes.sort_unstable();
+        codes.dedup();
+        for code in codes {
+            *by_code.entry(code.to_string()).or_insert(0) += 1;
+        }
+    };
+    let mut funcs = Vec::new();
+    for repeat in 0..REPEATS {
+        let first = repeat == 0;
+        // Lowering of the prelint-clean configurations: the cost the
+        // analyzer competes against.
+        let lower = |funcs: &mut Vec<_>| {
+            let clean: Vec<_> = samples
+                .iter()
+                .filter(|c| mold.prelint(c).is_empty())
+                .collect();
+            let t = Instant::now();
+            *funcs = clean.iter().map(|c| mold.instantiate(c)).collect();
+            t.elapsed().as_secs_f64() * 1e9 / funcs.len().max(1) as f64
+        };
+        // The analysis: the prelint on declared schedule facts first
+        // (denied configurations are never instantiated — they would
+        // panic the scheduler), then the full analyzer on the lowered
+        // functions.
+        let analyze = |funcs: &Vec<_>, row: &mut Row| {
+            let t = Instant::now();
+            for config in &samples {
+                let lint = mold.prelint(config);
+                if first && !lint.is_empty() {
+                    row.prelint_rejected += 1;
+                    count(&mut row.by_code, lint.iter().map(|d| d.code).collect());
+                }
+            }
+            for func in funcs {
+                let report = tvm_tir::analyze::check(func);
+                if first && report.is_rejected() {
+                    row.analyzer_rejected += 1;
+                    count(&mut row.by_code, report.denials().map(|d| d.code).collect());
+                }
+            }
+            t.elapsed().as_secs_f64() * 1e9 / configs as f64
+        };
+        let (lower_ns, analyze_ns) = if repeat % 2 == 0 {
+            let l = lower(&mut funcs);
+            (l, analyze(&funcs, &mut row))
         } else {
-            instantiate_s * 1e9 / funcs.len() as f64
-        },
-        prelint_rejected,
-        analyzer_rejected,
-        by_code,
+            // Analyze the previous repeat's functions, then lower again.
+            let a = analyze(&funcs, &mut row);
+            (lower(&mut funcs), a)
+        };
+        row.instantiate_ns_per_config.push(lower_ns);
+        row.analyze_ns_per_config.push(analyze_ns);
     }
+    row
 }
 
 fn main() {
@@ -141,7 +162,7 @@ fn main() {
     let configs = if smoke { 50 } else { 400 };
 
     println!(
-        "# static schedule-safety analyzer, {configs} sampled configs per kernel, {size}, {mode:?} space"
+        "# static schedule-safety analyzer, {configs} sampled configs per kernel, {size}, {mode:?} space, {REPEATS} alternated repeats (medians)"
     );
     println!(
         "{:<10} {:>14} {:>16} {:>9} {:>9}",
@@ -153,8 +174,8 @@ fn main() {
         println!(
             "{:<10} {:>14.0} {:>16.0} {:>8.1}% {:>8.1}%",
             row.kernel,
-            row.analyze_ns_per_config,
-            row.instantiate_ns_per_config,
+            quartiles(&row.analyze_ns_per_config)[0],
+            quartiles(&row.instantiate_ns_per_config)[0],
             100.0 * row.prelint_rejected as f64 / row.configs as f64,
             100.0 * row.analyzer_rejected as f64 / row.configs as f64,
         );
@@ -168,15 +189,21 @@ fn main() {
     }
     let total_cfgs: usize = rows.iter().map(|r| r.configs).sum();
     let total_rejected: usize = rows.iter().map(Row::rejected).sum();
-    let mean_ns = rows.iter().map(|r| r.analyze_ns_per_config).sum::<f64>() / rows.len() as f64;
-    let mean_lower_ns = rows
-        .iter()
-        .map(|r| r.instantiate_ns_per_config)
-        .sum::<f64>()
-        / rows.len() as f64;
+    // Per repeat: the mean over the kernels of each phase, and their ratio.
+    let mean = |f: &dyn Fn(&Row) -> f64| rows.iter().map(f).sum::<f64>() / rows.len() as f64;
+    let per_repeat = |r: usize| {
+        let analyze = mean(&|row| row.analyze_ns_per_config[r]);
+        (
+            analyze,
+            analyze / mean(&|row| row.instantiate_ns_per_config[r]),
+        )
+    };
+    let (analyze_ns, ratios): (Vec<f64>, Vec<f64>) = (0..REPEATS).map(per_repeat).unzip();
+    let mean_ns = quartiles(&analyze_ns)[0];
+    let [ratio, ratio_q1, ratio_q3] = quartiles(&ratios);
     println!(
-        "mean {mean_ns:.0} ns/config ({:.2} of lowering); {total_rejected}/{total_cfgs} rejected; by code:",
-        mean_ns / mean_lower_ns
+        "mean {mean_ns:.0} ns/config; {ratio:.3} of lowering [{ratio_q1:.3}, {ratio_q3:.3}]; \
+         {total_rejected}/{total_cfgs} rejected; by code:"
     );
     for (code, n) in &by_code {
         println!("  {code:<18} {n}");
@@ -190,10 +217,10 @@ fn main() {
                     .to_string(),
             );
         }
-        if mean_ns > 0.5 * mean_lower_ns {
+        if ratio > 0.5 {
             failures.push(format!(
-                "mean analyze cost {mean_ns:.0} ns/config exceeds half the mean lowering \
-                 cost of the same configurations ({mean_lower_ns:.0} ns/config)"
+                "median analyze cost {ratio:.3} of the lowering cost of the same \
+                 configurations exceeds one half"
             ));
         }
         if failures.is_empty() {
@@ -214,8 +241,8 @@ fn main() {
         "kernels": rows.iter().map(|r| serde_json::json!({
             "kernel": r.kernel,
             "configs": r.configs,
-            "analyze_ns_per_config": r.analyze_ns_per_config,
-            "instantiate_ns_per_config": r.instantiate_ns_per_config,
+            "analyze_ns_per_config": quartiles(&r.analyze_ns_per_config)[0],
+            "instantiate_ns_per_config": quartiles(&r.instantiate_ns_per_config)[0],
             "prelint_rejected": r.prelint_rejected,
             "analyzer_rejected": r.analyzer_rejected,
             "rejected": r.rejected(),
@@ -223,7 +250,9 @@ fn main() {
             "rejected_by_code": r.by_code,
         })).collect::<Vec<_>>(),
         "rejected_by_code": by_code,
+        "repeats": REPEATS,
         "mean_analyze_ns_per_config": mean_ns,
+        "analyze_over_lowering": { "median": ratio, "q1": ratio_q1, "q3": ratio_q3 },
         "fraction_rejected_overall": total_rejected as f64 / total_cfgs as f64,
     });
     std::fs::create_dir_all("results").expect("mkdir results");

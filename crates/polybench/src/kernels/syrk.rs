@@ -233,14 +233,15 @@ mod tests {
         let mold = SyrkMold::with_mode(ProblemSize::Mini, SpaceMode::Aggressive);
         let (m, n) = mold.dims;
         let f = build_syrk_par(m, n, 5, 5, 2);
-        let report = tvm_tir::analyze::check(&f);
-        let denial = report
-            .denials()
-            .find(|d| d.code.starts_with("TIR-RACE"))
-            .expect("parallel k-reduction must trip the race analysis");
+        let races = tvm_tir::analyze::deps::races(&f);
+        let witness = races
+            .iter()
+            .find(|(d, _)| d.severity == tvm_tir::analyze::Severity::Deny)
+            .and_then(|(_, w)| w.as_ref())
+            .expect("parallel k-reduction must trip the race analysis, with a witness");
         assert!(
-            tvm_tir::analyze::oracle::confirm_race(&f, denial),
-            "race must be confirmed by the concrete oracle"
+            tvm_tir::analyze::oracle::confirm_race(&f, witness),
+            "the witness must hold on the function"
         );
         // The mold-level prelint alone does not catch races — that is the
         // analyzer's job — but the widened space must contain the knob.

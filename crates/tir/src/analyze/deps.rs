@@ -4,57 +4,46 @@
 //! For each `ForKind::Parallel` / `ForKind::Vectorized` loop the pass
 //! collects every buffer access in the loop body — stores, the reads in
 //! their values and indices, and the reads in `if` conditions — together
-//! with the `if` guards around it (negated on `else` branches). Each
-//! index of an access, and its row-major offset, splits into a stride `s`
-//! along the parallel axis, read off the index's affine form
-//! ([`affine_of`]), plus a range over the enclosed serial loops, narrowed
-//! by the guards that mention only those loops (the facts `bounds`
-//! uses). A pair of accesses conflicts iff two distinct iterations `t`
-//! and `t + d` (`0 < |d| < extent`) can touch the same element, i.e.
-//! `s*d` lands inside the difference of the two ranges. Two tests decide
-//! a pair:
+//! with the `if` guards around it (negated on `else` branches). Each pair
+//! of accesses to a buffer the loop writes is one integer-feasibility
+//! question over the accesses' affine forms ([`affine_of`]): is there a
+//! point where
 //!
-//! * **per dimension**, first: some index moves by the same stride along
-//!   the parallel axis and by the same shift along every outer loop in
-//!   both accesses, and its ranges admit no distance `d`. Distinct
-//!   iterations then differ in that index, so they never meet, provided
-//!   every index of both accesses stays inside its extent (an index past
-//!   its extent aliases the next row);
-//! * **linear** otherwise: the same distance test on the row-major
-//!   offsets, which sees any aliasing but mixes dimensions (a stride-1
-//!   column against a row range produces every distance).
+//! * the loops around the parallel loop, which both accesses share, are
+//!   in range and under their guards;
+//! * the two accesses run in distinct iterations `t1 < t2` of the
+//!   parallel loop (both orders for two distinct accesses), each with its
+//!   own copy of its inner loop variables, in range;
+//! * every guard that encloses an access holds, where the guard is a
+//!   comparison of affine forms or a conjunction of them;
+//! * the two accesses touch the same element: equal indices where every
+//!   index is proven inside its extent, equal row-major offsets otherwise.
 //!
-//! A pair is clean only when both accesses also shift identically with
-//! every outer loop variable: otherwise one outer iteration can line up
-//! what another keeps apart. Certificates are only `Deny` when they are
-//! robust: the offset must be affine in the parallel variable (its move
-//! to the far end of the range is the stride times the distance, which a
-//! fused loop's quotient and remainder terms break), the two accesses
-//! must shift identically with every outer loop variable, and neither
-//! access may sit under a guard that mentions the parallel variable.
-//! Anything weaker, and any access with an index outside the form's
-//! grammar, demotes to `Warn` (`TIR-RACE-MAYBE`): the analyzer never
-//! claims a race it cannot prove, and never silently trusts one it cannot
-//! disprove either. A parallel loop the sweep finds nothing on is proven
+//! A fused loop's `floordiv(f, c)` / `floormod(f, c)` is a quotient `q`
+//! and a remainder `r` with `f = c·q + r` and `0 ≤ r < c`, which is exact.
+//! [`Problem::solve`] answers exactly, by equality elimination, Fourier–Motzkin
+//! steps that a unit coefficient makes exact, and branching on a bounded
+//! variable otherwise. A point is a race, denied (`TIR-RACE-WW` /
+//! `TIR-RACE-RW`) once [`confirm_race`] has re-evaluated its two
+//! iterations on the function itself. No point means the pair cannot race.
+//! `TIR-RACE-MAYBE` is left for an index outside the form's grammar, a
+//! spent step budget, and a point that fails a guard the system had to
+//! leave out. A parallel loop every pair of which is free is proven
 //! race-free ([`race_free_parallel_vars`]).
 
-use super::interval::{constraints_from_guard, eval_interval, Interval, IntervalEnv, VarIntervals};
+use super::interval::{constraints_from_guard, eval_interval, Interval, IntervalEnv};
+use super::oracle::{confirm_race, Witness};
 use super::{codes, Diagnostic, Severity};
 use crate::analysis::LoopInfo;
-use crate::passes::affine::{affine_of, VarRanges};
+use crate::passes::affine::{affine_of, offset_of, Affine, Atom, VarRanges};
 use crate::stmt::{ForKind, PrimFunc, Stmt};
 use std::collections::HashSet;
 use std::sync::Arc;
-use tvm_te::{PrimExpr, Var};
+use tvm_te::{CmpOp, PrimExpr, Var};
 
-/// The loop's variable range as an interval, empty for a loop of no trips.
-fn interval(l: &LoopInfo) -> Interval {
-    if l.extent <= 0 {
-        Interval::empty()
-    } else {
-        Interval::new(l.min, l.min + l.extent - 1)
-    }
-}
+/// The step budget of one feasibility question: rows built and values
+/// branched on.
+const BUDGET: u32 = 20_000;
 
 /// A buffer access inside the body of a parallel loop.
 struct Access {
@@ -69,35 +58,31 @@ struct Access {
     guards: Vec<PrimExpr>,
 }
 
-/// How one index of an access, or its row-major offset, moves relative
-/// to the parallel variable.
-struct Footprint {
-    /// Delta per step of the parallel variable.
-    s: i64,
-    /// Delta at the far end of the parallel range.
-    far: i64,
-    /// Range over the inner loops under the inner-only guards,
-    /// parallel/outer vars at min.
-    range: Interval,
-    /// Delta per step of each outer variable, outermost first.
-    outer_strides: Vec<i64>,
+/// An access's affine forms over the loops around it.
+struct Forms {
+    /// Per index, in index order.
+    dims: Vec<Affine>,
+    /// The row-major offset.
+    offset: Affine,
+    /// Every index proven inside its extent over the whole nest.
+    in_bounds: bool,
+    /// Its guards inside the parallel loop as linear rows.
+    guards: Vec<Lin>,
 }
 
-/// The footprints of one access.
-struct AccessFootprint {
-    /// Per dimension, in index order.
-    dims: Vec<Footprint>,
-    /// Over the row-major offset.
-    linear: Footprint,
-    /// Every index proven inside its extent over the whole loop nest.
-    in_bounds: bool,
+/// A linear constraint over forms: `Σ k·form ≥ 0`, or `= 0`.
+struct Lin {
+    parts: Vec<(Affine, i64)>,
+    constant: i64,
+    eq: bool,
 }
 
 /// One sweep over a function: its findings, each reported once per
-/// (code, buffer, loop name), and the parallel loops it proves race-free.
+/// (code, buffer, loop name) with the witness of a race, and the parallel
+/// loops it proves race-free.
 #[derive(Default)]
 struct Sweep {
-    out: Vec<Diagnostic>,
+    out: Vec<(Diagnostic, Option<Witness>)>,
     seen: HashSet<(&'static str, String, String)>,
     proven: HashSet<u64>,
 }
@@ -105,25 +90,34 @@ struct Sweep {
 /// Sweep the loops of `func` of the given kinds.
 fn sweep(func: &PrimFunc, kinds: &[ForKind]) -> Sweep {
     let mut sweep = Sweep::default();
-    visit(&func.body, kinds, &mut Vec::new(), &mut sweep);
+    let mut scope = Scope {
+        func,
+        loops: Vec::new(),
+        guards: Vec::new(),
+    };
+    visit(&func.body, kinds, &mut scope, &mut sweep);
     sweep
 }
 
 /// Check every parallel/vectorized loop of `func`, appending findings.
 pub fn check_parallel_deps(func: &PrimFunc, out: &mut Vec<Diagnostic>) {
-    out.extend(sweep(func, &[ForKind::Parallel, ForKind::Vectorized]).out);
+    out.extend(races(func).into_iter().map(|(d, _)| d));
+}
+
+/// [`check_parallel_deps`]'s findings, each race denial with the two
+/// iterations that prove it.
+pub fn races(func: &PrimFunc) -> Vec<(Diagnostic, Option<Witness>)> {
+    sweep(func, &[ForKind::Parallel, ForKind::Vectorized]).out
 }
 
 /// Variable ids of `ForKind::Parallel` loops whose dependence analysis
 /// comes back completely clean.
 ///
-/// "Clean" means [`analyze_loop`] finds nothing for the loop — neither a
-/// certified race nor an unresolved `TIR-RACE-MAYBE` — before the sweep
-/// drops the findings another loop of the same name already reported.
-/// Because the pairwise sweep covers every write-write and read-write
+/// "Clean" means every pair of accesses of the loop is free: no point
+/// has two distinct iterations touching one element with a write
+/// involved. Because the pairs cover every write-write and read-write
 /// pair (including an access against its own images in other iterations,
-/// and the buffer reads of `if` conditions), no element is touched by two
-/// distinct iterations with a write involved: each output element has a
+/// and the buffer reads of `if` conditions), each output element has a
 /// single writing iteration and no iteration reads another's writes.
 /// Executing such a loop's iterations concurrently is therefore
 /// bit-identical to sequential order.
@@ -134,7 +128,15 @@ pub fn race_free_parallel_vars(func: &PrimFunc) -> HashSet<u64> {
     sweep(func, &[ForKind::Parallel]).proven
 }
 
-fn visit(stmt: &Stmt, kinds: &[ForKind], outer: &mut Vec<LoopInfo>, sweep: &mut Sweep) {
+/// Where the sweep stands: the function, and the loops and guards
+/// around the current statement, outermost first.
+struct Scope<'a> {
+    func: &'a PrimFunc,
+    loops: Vec<LoopInfo>,
+    guards: Vec<PrimExpr>,
+}
+
+fn visit(stmt: &Stmt, kinds: &[ForKind], scope: &mut Scope, sweep: &mut Sweep) {
     match stmt {
         Stmt::For {
             var,
@@ -149,38 +151,49 @@ fn visit(stmt: &Stmt, kinds: &[ForKind], outer: &mut Vec<LoopInfo>, sweep: &mut 
                 extent: *extent,
             };
             if kinds.contains(kind) {
-                let clean = *extent < 2 || !analyze_loop(var, &l, *kind, body, outer, sweep);
+                let clean = *extent < 2 || !analyze_loop(var, &l, *kind, body, scope, sweep);
                 if clean && *kind == ForKind::Parallel {
                     sweep.proven.insert(var.id);
                 }
             }
-            outer.push(l);
-            visit(body, kinds, outer, sweep);
-            outer.pop();
+            scope.loops.push(l);
+            visit(body, kinds, scope, sweep);
+            scope.loops.pop();
         }
-        Stmt::IfThenElse { then, else_, .. } => {
-            visit(then, kinds, outer, sweep);
+        Stmt::IfThenElse { cond, then, else_ } => {
+            scope.guards.push(cond.clone());
+            visit(then, kinds, scope, sweep);
+            scope.guards.pop();
             if let Some(e) = else_ {
-                visit(e, kinds, outer, sweep);
+                scope.guards.push(PrimExpr::Not(Arc::new(cond.clone())));
+                visit(e, kinds, scope, sweep);
+                scope.guards.pop();
             }
         }
         Stmt::Seq(items) => {
             for s in items {
-                visit(s, kinds, outer, sweep);
+                visit(s, kinds, scope, sweep);
             }
         }
         _ => {}
     }
 }
 
-/// Test every pair of accesses of the loop over `par`, reporting what
-/// the sweep has not reported yet; whether it found anything at all.
+/// What one pair of accesses comes to.
+enum Pair {
+    Race(Witness),
+    Free,
+    Unknown(&'static str),
+}
+
+/// Decide every pair of accesses of the loop over `par`, reporting what
+/// the sweep has not reported yet; whether any pair is not free.
 fn analyze_loop(
     var: &Var,
     par: &LoopInfo,
     kind: ForKind,
     body: &Stmt,
-    outer: &[LoopInfo],
+    scope: &Scope,
     sweep: &mut Sweep,
 ) -> bool {
     let mut accesses = Vec::new();
@@ -190,36 +203,42 @@ fn analyze_loop(
     let written: HashSet<&str> = (accesses.iter().filter(|a| a.is_write))
         .map(|a| a.buffer.as_str())
         .collect();
-    let footprints: Vec<Option<AccessFootprint>> = (accesses.iter())
-        .map(|a| {
-            let f = || footprint(a, par, outer);
-            written.contains(a.buffer.as_str()).then(f).flatten()
+    let outer_ranges: VarRanges = scope.loops.iter().map(|l| (l.var_id, l.range())).collect();
+    let outer_guards: Vec<Lin> = (scope.guards.iter())
+        .flat_map(|g| linear(g, &outer_ranges))
+        .collect();
+    // Accesses alike in buffer, indices, inner loops and guards pose one
+    // question: the first of each class stands for it, and a pair of
+    // classes found free stays free.
+    let inner = |a: &Access| {
+        a.inner
+            .iter()
+            .map(|l| (l.var_id, l.min, l.extent))
+            .collect::<Vec<_>>()
+    };
+    let alike = |x: &Access, y: &Access| {
+        (x.buffer == y.buffer && x.indices == y.indices && x.guards == y.guards)
+            && inner(x) == inner(y)
+    };
+    let n = accesses.len();
+    let class: Vec<usize> = (0..n)
+        .map(|i| {
+            (0..i)
+                .find(|&k| alike(&accesses[k], &accesses[i]))
+                .unwrap_or(i)
         })
         .collect();
-
-    let mut found = false;
-    let mut emit = |code: &'static str, severity: Severity, buffer: &str, message: String| {
-        found = true;
-        if sweep
-            .seen
-            .insert((code, buffer.to_string(), var.name.clone()))
-        {
-            sweep.out.push(Diagnostic {
-                code,
-                severity,
-                message,
-                buffer: Some(buffer.to_string()),
-                access: None,
-                loop_var: Some(var.name.clone()),
-            });
-        }
-    };
-
+    let forms: Vec<Option<Forms>> = (0..n)
+        .map(|i| {
+            let f = || forms(&accesses[i], par, scope);
+            (class[i] == i && written.contains(accesses[i].buffer.as_str()))
+                .then(f)
+                .flatten()
+        })
+        .collect();
+    let mut free = vec![false; n * n];
+    let (mut found, mut denied) = (false, Vec::new());
     let kw = kind.keyword();
-    let extent = par.extent;
-    // Equal strides, each the move to the far end over the distance.
-    let affine = |f: &Footprint| f.s.checked_mul(extent - 1) == Some(f.far);
-    let aligned = |x: &Footprint, y: &Footprint| x.s == y.s && affine(x) && affine(y);
     for i in 0..accesses.len() {
         for j in i..accesses.len() {
             let (a1, a2) = (&accesses[i], &accesses[j]);
@@ -234,87 +253,124 @@ fn analyze_loop(
             } else {
                 (codes::RACE_RW, "read-write")
             };
-            let (name, buffer) = (&var.name, &a1.buffer);
-            let mut maybe = |why: &str| {
-                let message = format!(
-                    "{kw} loop `{name}`: accesses to `{buffer}` {why}; \
-                     cannot rule out a {pair_kind} race"
-                );
-                emit(codes::RACE_MAYBE, Severity::Warn, buffer, message)
-            };
-            let (Some(f1), Some(f2)) = (&footprints[i], &footprints[j]) else {
-                maybe("are outside the analyzable fragment");
-                continue;
-            };
-            let apart_in_some_dim = |(x, y): (&Footprint, &Footprint)| {
-                aligned(x, y) && x.outer_strides == y.outer_strides && !conflicts(x, y, extent)
-            };
-            if f1.in_bounds && f2.in_bounds && f1.dims.iter().zip(&f2.dims).any(apart_in_some_dim) {
+            // A pair adds nothing to a race already denied on its loop.
+            let (ci, cj) = (class[i], class[j]);
+            let key = ci.min(cj) * n + ci.max(cj);
+            if free[key] || denied.contains(&(code, a1.buffer.as_str())) {
                 continue;
             }
-            let (l1, l2) = (&f1.linear, &f2.linear);
-            if !aligned(l1, l2) {
-                maybe("move non-uniformly along the parallel axis");
-                continue;
-            }
-            let same_outer = l1.outer_strides == l2.outer_strides;
-            if !conflicts(l1, l2, extent) {
-                if !same_outer {
-                    maybe("shift apart along an outer loop");
+            let pair = match (&forms[ci], &forms[cj]) {
+                (Some(f1), Some(f2)) => {
+                    let ask =
+                        |order| decide(scope, par, &outer_guards, [(a1, f1), (a2, f2)], order);
+                    match ask(false) {
+                        Pair::Free if i != j => ask(true),
+                        pair => pair,
+                    }
                 }
-                continue;
-            }
-            // A conflict certificate: robust only when both accesses
-            // shift identically with every outer variable and no guard
-            // keys on the parallel variable.
-            let robust = same_outer
-                && ![a1, a2]
-                    .iter()
-                    .any(|a| a.guards.iter().any(|g| mentions(g, |v| v == par.var_id)));
-            let (sev, final_code) = if robust {
-                (Severity::Deny, code)
-            } else {
-                (Severity::Warn, codes::RACE_MAYBE)
+                _ => Pair::Unknown("are outside the analyzable fragment"),
             };
-            emit(
-                final_code,
-                sev,
-                &a1.buffer,
-                format!(
-                    "{kw} loop `{name}`: distinct iterations touch the same \
-                     element of `{buffer}` ({pair_kind}, stride {} on the parallel axis)",
-                    l1.s
-                ),
-            );
+            let (name, buffer) = (&var.name, &a1.buffer);
+            let (code, severity, message, witness) = match pair {
+                Pair::Free => {
+                    free[key] = true;
+                    continue;
+                }
+                Pair::Race(w) => {
+                    let stride = (forms[ci].as_ref())
+                        .and_then(|f| f.offset.delta(par.var_id, par.min, par.min + 1))
+                        .unwrap_or(0);
+                    let message = format!(
+                        "{kw} loop `{name}`: distinct iterations touch the same \
+                         element of `{buffer}` ({pair_kind}, stride {stride} on the parallel axis)"
+                    );
+                    denied.push((code, a1.buffer.as_str()));
+                    (code, Severity::Deny, message, Some(w))
+                }
+                Pair::Unknown(why) => {
+                    let message = format!(
+                        "{kw} loop `{name}`: accesses to `{buffer}` {why}; \
+                         cannot rule out a {pair_kind} race"
+                    );
+                    (codes::RACE_MAYBE, Severity::Warn, message, None)
+                }
+            };
+            found = true;
+            if (sweep.seen).insert((code, buffer.clone(), name.clone())) {
+                let d = Diagnostic {
+                    code,
+                    severity,
+                    message,
+                    buffer: Some(buffer.clone()),
+                    access: None,
+                    loop_var: Some(name.clone()),
+                };
+                sweep.out.push((d, witness));
+            }
         }
     }
     found
 }
 
-/// Does any nonzero iteration distance land the two footprints on a
-/// common element?
-fn conflicts(f1: &Footprint, f2: &Footprint, extent: i64) -> bool {
-    let s = f1.s;
-    if s == 0 {
-        return f1.range.overlaps(&f2.range);
-    }
-    // s*d must fall in [r2.lo - r1.hi, r2.hi - r1.lo] for some
-    // d in [-(E-1), E-1] \ {0}. Normalize to s > 0.
-    let (mut dlo, mut dhi) = (
-        f2.range.lo.saturating_sub(f1.range.hi),
-        f2.range.hi.saturating_sub(f1.range.lo),
-    );
-    let s = if s < 0 {
-        (dlo, dhi) = (-dhi, -dlo);
-        -s
-    } else {
-        s
+/// Pose and solve one ordered pair: access 1 in iteration `t1`, access 2
+/// in `t2`, `t1 < t2` (`t1 > t2` when `swap`).
+fn decide(
+    scope: &Scope,
+    par: &LoopInfo,
+    outer_guards: &[Lin],
+    pair: [(&Access, &Forms); 2],
+    swap: bool,
+) -> Pair {
+    let mut sys = System::new(&scope.loops, par, [&pair[0].0.inner, &pair[1].0.inner]);
+    let [f1, f2] = [pair[0].1, pair[1].1];
+    let same: Vec<(&Affine, &Affine)> = match f1.in_bounds && f2.in_bounds {
+        true => f1.dims.iter().zip(&f2.dims).collect(),
+        false => vec![(&f1.offset, &f2.offset)],
     };
-    let d_min = -((-dlo).div_euclid(s)); // ceil(dlo / s)
-    let d_max = dhi.div_euclid(s); // floor(dhi / s)
-    let e = extent - 1;
-    // Intersect [d_min, d_max] with [1, e] and [-e, -1].
-    d_min.max(1) <= d_max.min(e) || d_min.max(-e) <= d_max.min(-1)
+    if same.iter().any(|(x, y)| sys.apart(x, y)) {
+        return Pair::Free;
+    }
+    let (t1, t2) = (
+        sys.var(1, par.var_id, Atom::Var),
+        sys.var(2, par.var_id, Atom::Var),
+    );
+    let (early, late) = if swap { (t2, t1) } else { (t1, t2) };
+    sys.rows.push((vec![(late, 1), (early, -1)], -1, false));
+    for g in outer_guards {
+        sys.guard(0, g);
+    }
+    for (side, (_, f)) in [1, 2].into_iter().zip(pair) {
+        for g in &f.guards {
+            sys.guard(side, g);
+        }
+    }
+    for (x, y) in same {
+        sys.add(&[(x, 1, 1), (y, -1, 2)], 0, true);
+    }
+    let mut budget = BUDGET;
+    let point = match sys.solve(&mut budget) {
+        Outcome::Point(p) => p,
+        Outcome::Empty => return Pair::Free,
+        Outcome::Spent => return Pair::Unknown("exceed the dependence solver's step budget"),
+    };
+    let at = |side: usize, a: &Access| -> Vec<(u64, i64)> {
+        let own = [par].into_iter().chain(&a.inner);
+        (scope.loops.iter().map(|l| (0, l)))
+            .chain(own.map(|l| (side, l)))
+            .map(|(s, l)| (l.var_id, sys.value(&point, s, l)))
+            .collect()
+    };
+    let witness = Witness {
+        loop_id: par.var_id,
+        buffer: pair[0].0.buffer.clone(),
+        writes: [pair[0].0.is_write, pair[1].0.is_write],
+        at: [at(1, pair[0].0), at(2, pair[1].0)],
+    };
+    if confirm_race(scope.func, &witness) {
+        Pair::Race(witness)
+    } else {
+        Pair::Unknown("meet only past a guard outside the analyzable fragment")
+    }
 }
 
 fn collect_accesses(
@@ -391,93 +447,557 @@ fn collect_accesses(
     }
 }
 
-/// Does `e` mention a variable whose id satisfies `pred`?
-fn mentions(e: &PrimExpr, pred: impl Fn(u64) -> bool) -> bool {
-    let mut found = false;
-    tvm_te::visitor::walk(e, &mut |node| {
-        if let PrimExpr::Var(v) = node {
-            found |= pred(v.id);
-        }
-    });
-    found
-}
-
-fn row_major_strides(shape: &[usize]) -> Vec<i64> {
-    let mut strides = vec![1i64; shape.len()];
-    for d in (0..shape.len().saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * shape[d + 1] as i64;
-    }
-    strides
-}
-
-/// Decompose one access relative to the parallel loop `par`, per index
-/// and over its row-major offset. Each index's moves are its affine
-/// form's; an index outside the form's grammar has no footprint.
-fn footprint(a: &Access, par: &LoopInfo, outer: &[LoopInfo]) -> Option<AccessFootprint> {
-    // Ranges over the inner loops, narrowed by the guards that mention
-    // only inner loops: a guard on the parallel or an outer variable
-    // would hold only at the point the range is taken.
-    let mut vars: VarIntervals = a.inner.iter().map(|l| (l.var_id, interval(l))).collect();
-    let mut env = IntervalEnv::with_vars(vars.clone());
-    for g in &a.guards {
-        if !mentions(g, |v| !vars.contains_key(&v)) {
-            let mut facts = Vec::new();
-            constraints_from_guard(g, &env, &mut facts);
-            env.constraints.extend(facts);
-        }
-    }
-    // `vars` keeps the inner ranges; `env` pins the rest at their minima.
-    for l in outer.iter().chain([par]) {
-        env.vars.insert(l.var_id, Interval::point(l.min));
-        vars.insert(l.var_id, interval(l));
-    }
-
-    let ranges: VarRanges = (outer.iter().chain(&a.inner).chain([par]))
-        .map(|l| (l.var_id, l.range()))
-        .collect();
-    let far_end = par.min + par.extent - 1;
-    let mut dims = Vec::with_capacity(a.indices.len());
-    for idx in &a.indices {
-        let form = affine_of(idx, &ranges)?;
-        let step = |l: &LoopInfo, to| form.delta(l.var_id, l.min, to);
-        dims.push(Footprint {
-            s: step(par, par.min + 1)?,
-            far: step(par, far_end)?,
-            range: eval_interval(idx, &env)?,
-            outer_strides: (outer.iter().map(|l| step(l, l.min + 1))).collect::<Option<_>>()?,
-        });
-    }
-
-    let mut linear = Footprint {
-        s: 0,
-        far: 0,
-        range: Interval::point(0),
-        outer_strides: vec![0; outer.len()],
-    };
-    for (f, w) in dims.iter().zip(row_major_strides(&a.shape)) {
-        linear.s = linear.s.checked_add(f.s.checked_mul(w)?)?;
-        linear.far = linear.far.checked_add(f.far.checked_mul(w)?)?;
-        linear.range = linear.range.add(&f.range.mul(&Interval::point(w)));
-        for (o, d) in linear.outer_strides.iter_mut().zip(&f.outer_strides) {
-            *o = o.checked_add(d.checked_mul(w)?)?;
-        }
-    }
-
+/// The forms of one access relative to the parallel loop `par`; `None`
+/// when an index is outside the form's grammar.
+fn forms(a: &Access, par: &LoopInfo, scope: &Scope) -> Option<Forms> {
+    let nest = || scope.loops.iter().chain([par]).chain(&a.inner);
+    let ranges: VarRanges = nest().map(|l| (l.var_id, l.range())).collect();
+    let dims = (a.indices.iter().map(|idx| affine_of(idx, &ranges))).collect::<Option<_>>()?;
     // The whole nest: every variable over its full range, under every
     // enclosing guard (a guard holds wherever its access runs).
+    let vars = nest().map(|l| (l.var_id, interval(l))).collect();
     let mut whole = IntervalEnv::with_vars(vars);
-    for g in &a.guards {
+    for g in scope.guards.iter().chain(&a.guards) {
         let mut facts = Vec::new();
         constraints_from_guard(g, &whole, &mut facts);
         whole.constraints.extend(facts);
     }
     let in_bounds = (a.indices.iter().zip(&a.shape))
         .all(|(idx, &n)| eval_interval(idx, &whole).is_some_and(|iv| iv.within(0, n as i64 - 1)));
-    Some(AccessFootprint {
+    Some(Forms {
         dims,
-        linear,
+        offset: offset_of(&a.indices, &a.shape, &ranges)?,
         in_bounds,
+        guards: a.guards.iter().flat_map(|g| linear(g, &ranges)).collect(),
     })
+}
+
+/// The loop's variable range as an interval, empty for a loop of no trips.
+fn interval(l: &LoopInfo) -> Interval {
+    if l.extent <= 0 {
+        Interval::empty()
+    } else {
+        Interval::new(l.min, l.min + l.extent - 1)
+    }
+}
+
+/// The linear rows a guard implies: its comparisons of affine forms,
+/// through conjunctions and negations. Anything else (a disjunction, `!=`,
+/// a buffer read, an index outside the grammar) implies nothing here.
+fn linear(g: &PrimExpr, ranges: &VarRanges) -> Vec<Lin> {
+    fn go(g: &PrimExpr, holds: bool, ranges: &VarRanges, out: &mut Vec<Lin>) {
+        match g {
+            PrimExpr::Not(x) => go(x, !holds, ranges, out),
+            PrimExpr::And(x, y) if holds => {
+                (go(x, holds, ranges, out), go(y, holds, ranges, out)).1
+            }
+            PrimExpr::Or(x, y) if !holds => {
+                (go(x, holds, ranges, out), go(y, holds, ranges, out)).1
+            }
+            PrimExpr::Cmp(op, a, b) => {
+                let (Some(a), Some(b)) = (affine_of(a, ranges), affine_of(b, ranges)) else {
+                    return;
+                };
+                // `a - b + constant ≥ 0`, or `= 0`, or its mirror.
+                let (sign, constant, eq) = match (op, holds) {
+                    (CmpOp::Ge, true) | (CmpOp::Lt, false) => (1, 0, false),
+                    (CmpOp::Gt, true) | (CmpOp::Le, false) => (1, -1, false),
+                    (CmpOp::Le, true) | (CmpOp::Gt, false) => (-1, 0, false),
+                    (CmpOp::Lt, true) | (CmpOp::Ge, false) => (-1, -1, false),
+                    (CmpOp::Eq, true) | (CmpOp::Ne, false) => (1, 0, true),
+                    _ => return,
+                };
+                let parts = vec![(a, sign), (b, -sign)];
+                out.push(Lin {
+                    parts,
+                    constant,
+                    eq,
+                });
+            }
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    go(g, true, ranges, &mut out);
+    out
+}
+
+/// The integer system of one ordered pair. Its variables are the loop
+/// variables of side 0 (the loops around the parallel loop, shared), of
+/// side 1 and of side 2 (the parallel loop and each access's inner
+/// loops), and the quotients and remainders of fused terms.
+struct System<'a> {
+    outer: &'a [LoopInfo],
+    par: LoopInfo,
+    inner: [&'a [LoopInfo]; 2],
+    keys: Vec<(usize, u64, Atom)>,
+    /// Each variable's inclusive range.
+    bounds: Vec<(i64, i64)>,
+    rows: Vec<Sparse>,
+}
+
+/// A row's terms, its constant, and whether it is an equality.
+type Sparse = (Vec<(usize, i64)>, i64, bool);
+
+impl<'a> System<'a> {
+    fn new(outer: &'a [LoopInfo], par: &LoopInfo, inner: [&'a [LoopInfo]; 2]) -> System<'a> {
+        System {
+            outer,
+            par: par.clone(),
+            inner,
+            keys: Vec::new(),
+            bounds: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// The loop of variable `id` on `side`, and the side it lives on.
+    fn loop_of(&self, side: usize, id: u64) -> (usize, LoopInfo) {
+        match self.outer.iter().find(|l| l.var_id == id) {
+            Some(l) => (0, l.clone()),
+            None if id == self.par.var_id => (side, self.par.clone()),
+            None => {
+                let l = self.inner[side - 1].iter().find(|l| l.var_id == id);
+                (
+                    side,
+                    l.expect("a form's variable is a loop around its access")
+                        .clone(),
+                )
+            }
+        }
+    }
+
+    /// Whether `x` on side 1 and `y` on side 2 are never equal by the gcd
+    /// of their difference's coefficients or by its range alone: the
+    /// first, cheap step of the exact question, which only ever answers
+    /// that there is no point.
+    fn apart(&self, x: &Affine, y: &Affine) -> bool {
+        let constant = x.constant as i128 - y.constant as i128;
+        let (mut g, mut lo, mut hi) = (0i128, constant, constant);
+        let mut add = |side: usize, id: u64, atom: Atom, c: i128| {
+            let (side, l) = self.loop_of(side, id);
+            let (vlo, vhi) = (l.min, l.min + l.extent - 1);
+            let (alo, ahi) = match atom {
+                Atom::Var => (vlo, vhi),
+                Atom::Div(d) => (vlo.div_euclid(d), vhi.div_euclid(d)),
+                Atom::Mod(d) => (0, d - 1),
+            };
+            let (a, b) = (c * alo as i128, c * ahi as i128);
+            (g, lo, hi) = (num_gcd(g, c.abs()), lo + a.min(b), hi + a.max(b));
+            side
+        };
+        // Both forms' terms are sorted: a loop around the parallel loop is
+        // one variable on both sides, and its coefficients merge.
+        let (mut xs, mut ys) = (x.terms.iter().peekable(), y.terms.iter().peekable());
+        loop {
+            let key = |t: Option<&&(u64, Atom, i64)>| t.map(|t| (t.0, t.1));
+            match (key(xs.peek()), key(ys.peek())) {
+                (None, None) => break,
+                (Some(a), b) if b.is_none_or(|b| a < b) => {
+                    let &(id, atom, c) = xs.next().expect("peeked");
+                    add(1, id, atom, c as i128);
+                }
+                (a, Some(b)) if a.is_none_or(|a| b < a) => {
+                    let &(id, atom, c) = ys.next().expect("peeked");
+                    add(2, id, atom, -(c as i128));
+                }
+                _ => {
+                    let (&(id, atom, c), &(_, _, d)) =
+                        (xs.next().expect("peeked"), ys.next().expect("peeked"));
+                    if self.loop_of(1, id).0 == 0 {
+                        add(0, id, atom, c as i128 - d as i128);
+                    } else {
+                        add(1, id, atom, c as i128);
+                        add(2, id, atom, -(d as i128));
+                    }
+                }
+            }
+        }
+        if g == 0 || constant % g != 0 {
+            return constant != 0;
+        }
+        lo > 0 || hi < 0
+    }
+
+    /// The index of variable `(side, id, atom)`, created with its range
+    /// rows (and, for a quotient or remainder, `x = c·q + r`) on first use.
+    fn var(&mut self, side: usize, id: u64, atom: Atom) -> usize {
+        let (side, l) = self.loop_of(side, id);
+        if let Some(j) = self.keys.iter().position(|k| *k == (side, id, atom)) {
+            return j;
+        }
+        let (lo, hi) = (l.min, l.min + l.extent - 1);
+        let fresh = |sys: &mut Self, atom, lo: i64, hi: i64| {
+            sys.keys.push((side, id, atom));
+            sys.bounds.push((lo, hi));
+            sys.keys.len() - 1
+        };
+        match atom {
+            Atom::Var => fresh(self, atom, lo, hi),
+            Atom::Div(c) | Atom::Mod(c) => {
+                let x = self.var(side, id, Atom::Var);
+                let q = fresh(self, Atom::Div(c), lo.div_euclid(c), hi.div_euclid(c));
+                let r = fresh(self, Atom::Mod(c), 0, c - 1);
+                self.rows.push((vec![(x, 1), (q, -c), (r, -1)], 0, true));
+                if atom == Atom::Div(c) {
+                    q
+                } else {
+                    r
+                }
+            }
+        }
+    }
+
+    /// Add `Σ scale·form + constant ≥ 0` (or `= 0`), each form read on
+    /// its side; a row whose arithmetic overflows is left out, as is any
+    /// guard the system cannot hold.
+    fn add(&mut self, parts: &[(&Affine, i64, usize)], constant: i64, eq: bool) {
+        let mut terms = Vec::new();
+        let mut constant = Some(constant);
+        for &(form, scale, side) in parts {
+            for &(id, atom, c) in &form.terms {
+                let Some(c) = c.checked_mul(scale) else {
+                    return;
+                };
+                terms.push((self.var(side, id, atom), c));
+            }
+            constant = constant.and_then(|s| s.checked_add(form.constant.checked_mul(scale)?));
+        }
+        if let Some(constant) = constant {
+            self.rows.push((terms, constant, eq));
+        }
+    }
+
+    /// Add a guard's row, its forms read on `side`.
+    fn guard(&mut self, side: usize, g: &Lin) {
+        let parts: Vec<_> = g.parts.iter().map(|(f, k)| (f, *k, side)).collect();
+        self.add(&parts, g.constant, g.eq)
+    }
+
+    /// The value of loop variable `l` on `side` at `point`: its minimum
+    /// where no row mentions it.
+    fn value(&self, point: &[i64], side: usize, l: &LoopInfo) -> i64 {
+        let (side, _) = self.loop_of(side, l.var_id);
+        let key = (side, l.var_id, Atom::Var);
+        (self.keys.iter().position(|k| *k == key)).map_or(l.min, |j| point[j])
+    }
+
+    fn solve(&self, budget: &mut u32) -> Outcome {
+        let n = self.keys.len();
+        let mut p = Problem {
+            n,
+            bounds: self.bounds.clone(),
+            eqs: Vec::new(),
+            geqs: Vec::new(),
+        };
+        for (terms, constant, eq) in &self.rows {
+            let mut row = vec![0i64; n + 1];
+            for &(j, c) in terms {
+                match row[j].checked_add(c) {
+                    Some(v) => row[j] = v,
+                    None => return Outcome::Spent,
+                }
+            }
+            row[n] = *constant;
+            if *eq { &mut p.eqs } else { &mut p.geqs }.push(row);
+        }
+        p.solve(budget)
+    }
+}
+
+/// What one feasibility question comes to.
+enum Outcome {
+    /// An integer point, one value per variable.
+    Point(Vec<i64>),
+    Empty,
+    Spent,
+}
+
+/// How a variable left a [`Problem`]: defined by an equality in which
+/// its coefficient is ±1, or projected out of the rows that bound it.
+enum Step {
+    Subst(usize, Vec<i64>),
+    Project(usize, Vec<Vec<i64>>),
+}
+
+/// Integer rows `Σ row[j]·x[j] + row[n]`, `= 0` in `eqs` and `≥ 0` in
+/// `geqs`, over variables with inclusive `bounds`.
+#[derive(Clone)]
+struct Problem {
+    n: usize,
+    bounds: Vec<(i64, i64)>,
+    eqs: Vec<Vec<i64>>,
+    geqs: Vec<Vec<i64>>,
+}
+
+/// `a·b + c`, `None` on overflow.
+fn mul_add(a: i64, b: i64, c: i64) -> Option<i64> {
+    a.checked_mul(b)?.checked_add(c)
+}
+
+impl Problem {
+    /// Whether the rows have an integer point, and one.
+    ///
+    /// Exact: an equality with a unit coefficient substitutes its variable
+    /// away; a variable whose lower or whose upper bounds all have a unit
+    /// coefficient is projected out by Fourier–Motzkin, where the real and
+    /// the integer shadow coincide; when neither applies, the variable
+    /// with the fewest values is fixed to each in turn. The steps,
+    /// retraced backwards, make the point.
+    fn solve(mut self, budget: &mut u32) -> Outcome {
+        let n = self.n;
+        let mut steps = Vec::new();
+        loop {
+            if !self.tidy() {
+                return Outcome::Empty;
+            }
+            let unit = (self.eqs.iter().enumerate())
+                .find_map(|(e, row)| (0..n).find(|&j| row[j].abs() == 1).map(|j| (e, j)));
+            if let Some((e, x)) = unit {
+                if self.substitute(e, x, &mut steps).is_none() {
+                    return Outcome::Spent;
+                }
+                continue;
+            }
+            if self.eqs.is_empty() && self.geqs.is_empty() {
+                break;
+            }
+            // The (exact) projection that makes the fewest rows.
+            let cost = |x: usize, exact_only: bool| {
+                let coefs = || self.geqs.iter().map(|r| r[x]);
+                let (lower, upper) = (coefs().filter(|&c| c > 0), coefs().filter(|&c| c < 0));
+                let (l, u) = (
+                    1 + lower.clone().count() as i64,
+                    1 + upper.clone().count() as i64,
+                );
+                let exact = lower.clone().all(|c| c == 1) || upper.clone().all(|c| c == -1);
+                ((exact || !exact_only) && l + u > 2).then_some(l * u - l - u)
+            };
+            let cheapest =
+                |exact_only| (0..n).filter_map(|x| Some((cost(x, exact_only)?, x))).min();
+            if !self.eqs.is_empty() {
+                return self.branch(budget, steps);
+            }
+            if let Some((_, x)) = cheapest(true) {
+                if self.project(x, budget, &mut steps).is_none() {
+                    return Outcome::Spent;
+                }
+                continue;
+            }
+            // The real shadow of a projection holds wherever the rows do:
+            // where it has no point, neither do they.
+            if let Some((_, x)) = cheapest(false) {
+                let mut shadow = self.clone();
+                let projected = shadow.project(x, budget, &mut Vec::new()).is_some();
+                if projected && matches!(shadow.solve(budget), Outcome::Empty) {
+                    return Outcome::Empty;
+                }
+            }
+            return self.branch(budget, steps);
+        }
+        // No rows left: every variable at its lower bound.
+        let point = self.bounds.iter().map(|b| b.0).collect();
+        Outcome::Point(retrace(point, &steps))
+    }
+
+    /// Define `x` by equality `e` (`±x + rest = 0`) everywhere; its bounds
+    /// become rows. `None` on overflow.
+    fn substitute(&mut self, e: usize, x: usize, steps: &mut Vec<Step>) -> Option<()> {
+        let n = self.n;
+        let def = self.eqs.swap_remove(e);
+        // x = expr·(x, 1) with expr[x] = 0.
+        let mut expr: Vec<i64> = def.iter().map(|d| -def[x] * d).collect();
+        expr[x] = 0;
+        for row in self.eqs.iter_mut().chain(self.geqs.iter_mut()) {
+            let k = std::mem::take(&mut row[x]);
+            for j in (0..=n).filter(|_| k != 0) {
+                row[j] = mul_add(k, expr[j], row[j])?;
+            }
+        }
+        let (lo, hi) = self.bounds[x];
+        let mut above = expr.clone();
+        above[n] = above[n].checked_sub(lo)?;
+        let mut below: Vec<i64> = expr.iter().map(|c| -c).collect();
+        below[n] = below[n].checked_add(hi)?;
+        self.geqs.extend([above, below]);
+        steps.push(Step::Subst(x, def));
+        Some(())
+    }
+
+    /// Project `x` out of the rows, its bounds with them. `None` on
+    /// overflow or a spent budget.
+    fn project(&mut self, x: usize, budget: &mut u32, steps: &mut Vec<Step>) -> Option<()> {
+        let n = self.n;
+        let (lo, hi) = self.bounds[x];
+        let mut rows = vec![vec![0; n + 1], vec![0; n + 1]];
+        (rows[0][x], rows[0][n], rows[1][x], rows[1][n]) = (1, -lo, -1, hi);
+        let (mine, rest) = std::mem::take(&mut self.geqs)
+            .into_iter()
+            .partition(|r| r[x] != 0);
+        self.geqs = rest;
+        rows.extend::<Vec<_>>(mine);
+        for (i, l) in rows.iter().enumerate().filter(|(_, r)| r[x] > 0) {
+            for (j, u) in rows.iter().enumerate().filter(|(_, r)| r[x] < 0) {
+                // The two bounds' own pair holds: `tidy` saw lo ≤ hi.
+                if (i, j) == (0, 1) {
+                    continue;
+                }
+                *budget = budget.checked_sub(1)?;
+                let (a, b) = (l[x], -u[x]);
+                let row = (l.iter().zip(u)).map(|(p, q)| mul_add(b, *p, a.checked_mul(*q)?));
+                self.geqs.push(row.collect::<Option<_>>()?);
+            }
+        }
+        steps.push(Step::Project(x, rows));
+        Some(())
+    }
+
+    /// Fix the variable with the fewest values to each in turn.
+    fn branch(self, budget: &mut u32, steps: Vec<Step>) -> Outcome {
+        let n = self.n;
+        let mentioned = |x: &usize| self.eqs.iter().chain(&self.geqs).any(|r| r[*x] != 0);
+        let narrowest = (0..n)
+            .filter(mentioned)
+            .min_by_key(|&x| self.bounds[x].1 - self.bounds[x].0);
+        let Some(x) = narrowest else {
+            return Outcome::Spent;
+        };
+        let mut spent = false;
+        for v in self.bounds[x].0..=self.bounds[x].1 {
+            let Some(left) = budget.checked_sub(1) else {
+                return Outcome::Spent;
+            };
+            *budget = left;
+            let mut fixed = self.clone();
+            let mut row = vec![0; n + 1];
+            (row[x], row[n]) = (1, -v);
+            fixed.eqs.push(row);
+            match fixed.solve(budget) {
+                Outcome::Point(p) => return Outcome::Point(retrace(p, &steps)),
+                Outcome::Empty => {}
+                Outcome::Spent => spent = true,
+            }
+        }
+        if spent {
+            Outcome::Spent
+        } else {
+            Outcome::Empty
+        }
+    }
+
+    /// Divide each row by the gcd of its coefficients (rounding a `≥`
+    /// row's constant down, which is exact over the integers), fold rows
+    /// of one variable into its bounds, and drop rows every point in the
+    /// bounds satisfies; `false` when some row or bound cannot hold.
+    fn tidy(&mut self) -> bool {
+        let n = self.n;
+        let gcd = |row: &[i64]| row[..n].iter().fold(0, |g, &c| num_gcd(g, c.abs() as i128)) as i64;
+        for row in self.eqs.iter_mut() {
+            match gcd(row) {
+                0 if row[n] != 0 => return false,
+                g if g > 0 && row[n] % g != 0 => return false,
+                g if g > 1 => row.iter_mut().for_each(|c| *c /= g),
+                _ => {}
+            }
+        }
+        let mut k = 0;
+        while k < self.geqs.len() {
+            let row = &mut self.geqs[k];
+            let g = gcd(row);
+            if g > 1 {
+                row[..n].iter_mut().for_each(|c| *c /= g);
+                row[n] = row[n].div_euclid(g);
+            }
+            let mut vars = (0..n).filter(|&j| row[j] != 0);
+            match (vars.next(), vars.next()) {
+                (Some(x), None) => {
+                    // `±x + k ≥ 0`.
+                    let (lo, hi) = &mut self.bounds[x];
+                    if row[x] > 0 {
+                        *lo = (*lo).max(-row[n]);
+                    } else {
+                        *hi = (*hi).min(row[n]);
+                    }
+                }
+                (None, _) if row[n] < 0 => return false,
+                (None, _) => {}
+                _ => {
+                    k += 1;
+                    continue;
+                }
+            }
+            self.geqs.swap_remove(k);
+        }
+        if self.bounds.iter().any(|(lo, hi)| lo > hi) {
+            return false;
+        }
+        // Each row's range over the bounds.
+        let range = |row: &[i64]| {
+            (0..n).fold((row[n] as i128, row[n] as i128), |(lo, hi), j| {
+                let (a, b) = (
+                    self.bounds[j].0 as i128 * row[j] as i128,
+                    self.bounds[j].1 as i128 * row[j] as i128,
+                );
+                (lo + a.min(b), hi + a.max(b))
+            })
+        };
+        if (self.eqs.iter().map(|r| range(r))).any(|(lo, hi)| lo > 0 || hi < 0)
+            || (self.geqs.iter().map(|r| range(r))).any(|(_, hi)| hi < 0)
+        {
+            return false;
+        }
+        let satisfied: Vec<bool> = self.geqs.iter().map(|r| range(r).0 >= 0).collect();
+        let mut kept = satisfied.into_iter().map(|s| !s);
+        self.geqs.retain(|_| kept.next().unwrap_or(true));
+        self.eqs.retain(|row| row[..n].iter().any(|&c| c != 0));
+        true
+    }
+}
+
+/// Give each variable the steps removed a value, last step first. The
+/// arithmetic wraps: a point is only ever used after [`confirm_race`]
+/// has evaluated it on the function itself.
+fn retrace(mut point: Vec<i64>, steps: &[Step]) -> Vec<i64> {
+    let n = point.len();
+    // `Σ row[j]·x[j] + row[n]` over every variable but `x`.
+    let rest = |row: &[i64], x: usize, point: &[i64]| {
+        (0..n)
+            .filter(|&j| j != x)
+            .fold(row[n], |s, j| s.wrapping_add(row[j].wrapping_mul(point[j])))
+    };
+    for step in steps.iter().rev() {
+        let (x, v) = match step {
+            // `def[x]·x + rest = 0` with `def[x] = ±1`.
+            Step::Subst(x, def) => (*x, rest(def, *x, &point).wrapping_mul(-def[*x])),
+            // The largest lower bound `c·x + rest ≥ 0`, else the smallest
+            // upper bound.
+            Step::Project(x, rows) => {
+                let x = *x;
+                let bound = |r: &Vec<i64>| {
+                    let (c, s) = (r[x], rest(r, x, &point));
+                    if c > 0 {
+                        let s = s.wrapping_neg();
+                        s.div_euclid(c) + (s.rem_euclid(c) != 0) as i64
+                    } else {
+                        s.div_euclid(-c)
+                    }
+                };
+                let lower = rows.iter().filter(|r| r[x] > 0).map(bound).max();
+                let upper = rows.iter().filter(|r| r[x] < 0).map(bound).min();
+                (x, lower.or(upper).unwrap_or(0))
+            }
+        };
+        point[x] = v;
+    }
+    point
+}
+
+fn num_gcd(a: i128, b: i128) -> i128 {
+    if b == 0 {
+        a
+    } else {
+        num_gcd(b, a % b)
+    }
 }
 
 #[cfg(test)]
@@ -639,31 +1159,35 @@ mod tests {
     }
 
     #[test]
-    fn guard_on_parallel_var_demotes_to_warn() {
-        // parallel i: if i < 1 { B[0] = 0 } — only one iteration writes,
-        // which the distance test cannot see; must warn, not deny.
-        let i = Var::index("i");
-        let b = Buffer::new("B", [4usize], DType::F64);
-        let store = Stmt::BufferStore {
-            buffer: b.clone(),
-            indices: vec![tvm_te::ops::int(0)],
-            value: float(0.0),
-        };
-        let body = for_(
-            &i,
-            8,
-            ForKind::Parallel,
-            Stmt::IfThenElse {
-                cond: tvm_te::ops::cmp::lt(i.expr(), tvm_te::ops::int(1)),
-                then: Box::new(store),
-                else_: None,
-            },
-        );
-        let diags = run(&func(body, vec![b]));
-        assert!(!diags.is_empty());
-        assert!(diags
-            .iter()
-            .all(|d| d.severity == Severity::Warn && d.code == codes::RACE_MAYBE));
+    fn guard_on_parallel_var_is_decided() {
+        // parallel i: if i < w { B[0] = 0 } — one writing iteration is
+        // free, two race.
+        for (w, races) in [(1, false), (2, true)] {
+            let i = Var::index("i");
+            let b = Buffer::new("B", [4usize], DType::F64);
+            let store = Stmt::BufferStore {
+                buffer: b.clone(),
+                indices: vec![tvm_te::ops::int(0)],
+                value: float(0.0),
+            };
+            let body = for_(
+                &i,
+                8,
+                ForKind::Parallel,
+                Stmt::IfThenElse {
+                    cond: tvm_te::ops::cmp::lt(i.expr(), tvm_te::ops::int(w)),
+                    then: Box::new(store),
+                    else_: None,
+                },
+            );
+            let f = func(body, vec![b]);
+            let diags = run(&f);
+            assert_eq!(races, !diags.is_empty(), "{diags:?}");
+            assert!(diags
+                .iter()
+                .all(|d| d.severity == Severity::Deny && d.code == codes::RACE_WW));
+            assert_eq!(race_free_parallel_vars(&f).contains(&i.id), !races);
+        }
     }
 
     #[test]
@@ -744,10 +1268,10 @@ mod tests {
     }
 
     #[test]
-    fn outer_shift_is_not_proven_race_free() {
+    fn outer_shift_is_a_race_with_a_witness() {
         // for o in 0..2: parallel p in 0..8: A[p + o] = A[p] + 1 — at
         // o = 1 iteration p writes the element iteration p + 1 reads. At
-        // o = 0 the offsets line up, so the pair must not count as clean.
+        // o = 0 the offsets line up, so only o = 1 witnesses the race.
         let (o, p) = (Var::index("o"), Var::index("p"));
         let a = Buffer::new("A", [9usize], DType::F64);
         let a_t = tvm_te::placeholder([9], DType::F64, "A");
@@ -763,10 +1287,13 @@ mod tests {
             for_(&p, 8, ForKind::Parallel, store),
         );
         let f = func(body, vec![a]);
-        let diags = run(&f);
-        assert!(diags
-            .iter()
-            .any(|d| d.code == codes::RACE_MAYBE && d.severity == Severity::Warn));
+        let found = races(&f);
+        assert_eq!(found.len(), 1, "{found:?}");
+        let (d, w) = &found[0];
+        assert_eq!((d.code, d.severity), (codes::RACE_RW, Severity::Deny));
+        let w = w.as_ref().expect("a race denial carries its witness");
+        assert!(w.at.iter().all(|at| at.contains(&(o.id, 1))), "{w:?}");
+        assert!(confirm_race(&f, w));
         assert!(!race_free_parallel_vars(&f).contains(&p.id));
     }
 

@@ -1,12 +1,13 @@
 //! Concrete violation oracles for analyzer denials.
 //!
-//! The analyzer's `Deny` verdicts are abstract certificates; the
-//! differential soundness suite cross-checks each one against a concrete
-//! witness so a miscalibrated analyzer cannot silently starve the tuner:
+//! The analyzer's `Deny` verdicts are certificates; each one is checked
+//! on the function itself, independently of how it was found, so a
+//! miscalibrated analyzer cannot silently starve the tuner:
 //!
-//! * [`confirm_race`] exhaustively enumerates the iterations of the
-//!   denied parallel/vectorized loop and exhibits two distinct
-//!   iterations touching the same element (with a write involved);
+//! * [`confirm_race`] evaluates a race's [`Witness`] — two iterations of
+//!   a parallel or vectorized loop — with [`eval_int_with`], and holds
+//!   that both run (every loop in range, every guard true) and touch one
+//!   element of the buffer, with the accesses the witness names;
 //! * [`confirm_masked_vector`] confirms a `TIR-VEC-OVER` denial by
 //!   finding a vectorized loop whose body is masked by a guard on its
 //!   own variable — lanes that cannot all be live.
@@ -15,111 +16,91 @@
 //! `TIR-FUSE-ILLEGAL`) are confirmed by the instantiation panic itself
 //! and need no oracle here.
 
-use super::Diagnostic;
-use crate::analysis::eval_int;
+use crate::analysis::eval_int_with;
 use crate::stmt::{ForKind, PrimFunc, Stmt};
-use std::collections::HashMap;
 use tvm_te::PrimExpr;
 
-/// Evaluation budget for the exhaustive enumeration: enough for every
-/// mini/small PolyBench nest, small enough to stay interactive.
-const BUDGET: u64 = 4_000_000;
+/// Two distinct iterations of one parallel or vectorized loop that
+/// touch the same element of a buffer, at least one of them writing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Witness {
+    /// The variable id of the parallel or vectorized loop.
+    pub loop_id: u64,
+    /// The buffer both accesses touch.
+    pub buffer: String,
+    /// Whether each side's access is a write.
+    pub writes: [bool; 2],
+    /// Each side's point: a value for every loop variable around its
+    /// access, the loops around the parallel loop included.
+    pub at: [Vec<(u64, i64)>; 2],
+}
 
-/// Confirm a race denial (`TIR-RACE-WW` / `TIR-RACE-RW`) by concrete
-/// enumeration: find the denied loop (named by `diag.loop_var`), run its
-/// body for every iteration with outer loops pinned at their minima, and
-/// return `true` iff two *distinct* iterations access the same element
-/// of `diag.buffer` with at least one write.
-pub fn confirm_race(func: &PrimFunc, diag: &Diagnostic) -> bool {
-    let (Some(loop_name), Some(buffer)) = (diag.loop_var.as_deref(), diag.buffer.as_deref()) else {
+/// Whether `w` holds on `func`: both points give the loops around the
+/// parallel loop the same values and the parallel loop distinct ones,
+/// and under each point an access of the kind `w.writes` names runs and
+/// touches the same row-major offset of `w.buffer`.
+pub fn confirm_race(func: &PrimFunc, w: &Witness) -> bool {
+    let value = |side: usize, id: u64| w.at[side].iter().find(|p| p.0 == id).map(|p| p.1);
+    let Some(outer) = enclosing(&func.body, w.loop_id) else {
         return false;
     };
-    let mut env: HashMap<u64, i64> = HashMap::new();
-    locate_and_check(&func.body, &mut env, loop_name, buffer)
-}
-
-fn locate_and_check(
-    stmt: &Stmt,
-    env: &mut HashMap<u64, i64>,
-    loop_name: &str,
-    buffer: &str,
-) -> bool {
-    match stmt {
-        Stmt::For {
-            var,
-            min,
-            extent,
-            kind,
-            body,
-        } => {
-            if var.name == loop_name
-                && matches!(kind, ForKind::Parallel | ForKind::Vectorized)
-                && *extent >= 2
-                && witness_in_loop(var.id, *min, *extent, body, env, buffer)
-            {
-                return true;
-            }
-            env.insert(var.id, *min);
-            let found = locate_and_check(body, env, loop_name, buffer);
-            env.remove(&var.id);
-            found
-        }
-        Stmt::IfThenElse { then, else_, .. } => {
-            locate_and_check(then, env, loop_name, buffer)
-                || else_
-                    .as_ref()
-                    .is_some_and(|e| locate_and_check(e, env, loop_name, buffer))
-        }
-        Stmt::Seq(items) => items
-            .iter()
-            .any(|s| locate_and_check(s, env, loop_name, buffer)),
-        _ => false,
-    }
-}
-
-/// One access observed during enumeration: which iteration of the denied
-/// loop made it, at which linear offset, and whether it wrote.
-type Trace = HashMap<i64, Vec<(i64, bool)>>;
-
-fn witness_in_loop(
-    par_id: u64,
-    par_min: i64,
-    par_extent: i64,
-    body: &Stmt,
-    env: &mut HashMap<u64, i64>,
-    buffer: &str,
-) -> bool {
-    let mut trace: Trace = HashMap::new();
-    let mut budget = BUDGET;
-    for t in par_min..par_min + par_extent {
-        env.insert(par_id, t);
-        let ok = exec(body, env, t, buffer, &mut trace, &mut budget);
-        if !ok {
-            env.remove(&par_id);
-            return false; // budget exhausted or unanalyzable: no witness
-        }
-    }
-    env.remove(&par_id);
-    trace.values().any(|accesses| {
-        accesses.iter().any(|&(t1, w1)| {
-            w1 && accesses.iter().any(|&(t2, _)| t2 != t1)
-                || accesses.iter().any(|&(t2, w2)| w2 && t2 != t1)
-        })
-    })
-}
-
-fn exec(
-    stmt: &Stmt,
-    env: &mut HashMap<u64, i64>,
-    t: i64,
-    buffer: &str,
-    trace: &mut Trace,
-    budget: &mut u64,
-) -> bool {
-    if *budget == 0 {
+    let shared = outer
+        .iter()
+        .all(|&id| value(0, id).is_some() && value(0, id) == value(1, id));
+    let (t1, t2) = (value(0, w.loop_id), value(1, w.loop_id));
+    if !shared || t1.is_none() || t1 == t2 {
         return false;
     }
-    *budget -= 1;
+    let [first, second] = [0, 1].map(|side| {
+        let mut out = Vec::new();
+        touched(&func.body, &|id| value(side, id), w, false, &mut out);
+        out
+    });
+    (first.iter().filter(|a| a.1 == w.writes[0]))
+        .any(|a| second.iter().any(|b| b.1 == w.writes[1] && a.0 == b.0))
+}
+
+/// The variable ids of the loops around the loop over `id`, outermost
+/// first; `None` when no loop has that variable.
+fn enclosing(stmt: &Stmt, id: u64) -> Option<Vec<u64>> {
+    match stmt {
+        Stmt::For { var, .. } if var.id == id => Some(Vec::new()),
+        Stmt::For { var, body, .. } => enclosing(body, id).map(|mut ids| {
+            ids.insert(0, var.id);
+            ids
+        }),
+        Stmt::IfThenElse { then, else_, .. } => {
+            enclosing(then, id).or_else(|| else_.as_ref().and_then(|e| enclosing(e, id)))
+        }
+        Stmt::Seq(items) => items.iter().find_map(|s| enclosing(s, id)),
+        _ => None,
+    }
+}
+
+/// The accesses to `w.buffer` inside the loop over `w.loop_id` that run
+/// at the point `env` — each loop's variable bound and in range, each
+/// guard evaluated to its branch — as (row-major offset, is a write).
+fn touched(
+    stmt: &Stmt,
+    env: &dyn Fn(u64) -> Option<i64>,
+    w: &Witness,
+    inside: bool,
+    out: &mut Vec<(i64, bool)>,
+) {
+    let record = |out: &mut Vec<_>, name: &str, indices: &[PrimExpr], shape: &[usize], write| {
+        if inside && name == w.buffer {
+            if let Some(off) = offset(indices, shape, env) {
+                out.push((off, write));
+            }
+        }
+    };
+    let reads = |out: &mut Vec<_>, e: &PrimExpr| {
+        tvm_te::visitor::walk(e, &mut |node| {
+            if let PrimExpr::TensorRead(t, idx) = node {
+                record(out, t.name(), idx, t.shape(), false);
+            }
+        })
+    };
     match stmt {
         Stmt::For {
             var,
@@ -128,81 +109,37 @@ fn exec(
             body,
             ..
         } => {
-            for v in *min..min + extent {
-                env.insert(var.id, v);
-                if !exec(body, env, t, buffer, trace, budget) {
-                    env.remove(&var.id);
-                    return false;
-                }
+            if env(var.id).is_some_and(|v| *min <= v && v < min + extent) {
+                touched(body, env, w, inside || var.id == w.loop_id, out);
             }
-            env.remove(&var.id);
-            true
         }
-        Stmt::IfThenElse { cond, then, else_ } => match eval_int(cond, env) {
-            Some(0) => else_
-                .as_ref()
-                .is_none_or(|e| exec(e, env, t, buffer, trace, budget)),
-            Some(_) => exec(then, env, t, buffer, trace, budget),
-            // Unanalyzable guard: over-approximate by taking both arms.
-            None => {
-                exec(then, env, t, buffer, trace, budget)
-                    && else_
-                        .as_ref()
-                        .is_none_or(|e| exec(e, env, t, buffer, trace, budget))
+        Stmt::IfThenElse { cond, then, else_ } => {
+            reads(out, cond);
+            match eval_int_with(cond, &env) {
+                Some(0) => else_.iter().for_each(|e| touched(e, env, w, inside, out)),
+                Some(_) => touched(then, env, w, inside, out),
+                None => {}
             }
-        },
-        Stmt::Seq(items) => items.iter().all(|s| exec(s, env, t, buffer, trace, budget)),
+        }
+        Stmt::Seq(items) => items.iter().for_each(|s| touched(s, env, w, inside, out)),
         Stmt::BufferStore {
-            buffer: b,
+            buffer,
             indices,
             value,
         } => {
-            if b.name == buffer {
-                match linear_offset(indices, &b.shape, env) {
-                    Some(off) => trace.entry(off).or_default().push((t, true)),
-                    None => return false,
-                }
-            }
-            for e in indices.iter().chain(std::iter::once(value)) {
-                if !record_reads(e, env, t, buffer, trace) {
-                    return false;
-                }
-            }
-            true
+            indices.iter().chain([value]).for_each(|e| reads(out, e));
+            record(out, &buffer.name, indices, &buffer.shape, true);
         }
-        Stmt::Nop => true,
+        Stmt::Nop => {}
     }
 }
 
-fn record_reads(
-    e: &PrimExpr,
-    env: &HashMap<u64, i64>,
-    t: i64,
-    buffer: &str,
-    trace: &mut Trace,
-) -> bool {
-    let mut ok = true;
-    tvm_te::visitor::walk(e, &mut |node| {
-        if let PrimExpr::TensorRead(tensor, idx) = node {
-            if tensor.name() == buffer {
-                match linear_offset(idx, tensor.shape(), env) {
-                    Some(off) => trace.entry(off).or_default().push((t, false)),
-                    None => ok = false,
-                }
-            }
-        }
-    });
-    ok
-}
-
-fn linear_offset(indices: &[PrimExpr], shape: &[usize], env: &HashMap<u64, i64>) -> Option<i64> {
-    let mut off = 0i64;
-    let mut stride = 1i64;
-    for d in (0..shape.len().min(indices.len())).rev() {
-        off = off.checked_add(eval_int(&indices[d], env)?.checked_mul(stride)?)?;
-        stride = stride.checked_mul(shape[d] as i64)?;
-    }
-    Some(off)
+/// The row-major offset of `indices` into a buffer of `shape` at `env`.
+fn offset(indices: &[PrimExpr], shape: &[usize], env: &dyn Fn(u64) -> Option<i64>) -> Option<i64> {
+    (indices.iter().zip(shape)).try_fold(0i64, |off, (idx, &n)| {
+        off.checked_mul(n as i64)?
+            .checked_add(eval_int_with(idx, &env)?)
+    })
 }
 
 /// Confirm a `TIR-VEC-OVER` verdict on the *instantiated* function: the
@@ -246,9 +183,10 @@ pub fn confirm_masked_vector(func: &PrimFunc) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::{check, codes};
+    use crate::analyze::codes;
+    use crate::analyze::deps::races;
     use crate::buffer::Buffer;
-    use tvm_te::ops::{cmp, float, int};
+    use tvm_te::ops::{cmp, float, floormod, int};
     use tvm_te::{DType, Var};
 
     fn for_(var: &Var, extent: i64, kind: ForKind, body: Stmt) -> Stmt {
@@ -270,90 +208,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reduction_race_denial_is_confirmed() {
-        // parallel k: C[0] = C[0] + A[k] — the denial's witness is any
-        // pair of iterations, both writing offset 0.
-        let k = Var::index("k");
-        let c = Buffer::new("C", [1usize], DType::F64);
-        let a = tvm_te::placeholder([8], DType::F64, "A");
-        let c_t = tvm_te::placeholder([1], DType::F64, "C");
-        let body = for_(
-            &k,
-            8,
-            ForKind::Parallel,
-            Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![int(0)],
-                value: c_t.at(&[int(0)]) + a.at(&[k.expr()]),
-            },
-        );
-        let f = func(body, vec![c]);
-        let report = check(&f);
-        let denial = report
-            .denials()
-            .find(|d| d.code == codes::RACE_WW)
-            .expect("reduction must be denied");
-        assert!(confirm_race(&f, denial));
-    }
-
-    #[test]
-    fn clean_parallel_loop_yields_no_witness() {
-        // parallel i: B[i] = 0 — a fabricated denial must NOT confirm.
-        let i = Var::index("i");
-        let b = Buffer::new("B", [8usize], DType::F64);
-        let body = for_(
-            &i,
-            8,
-            ForKind::Parallel,
-            Stmt::BufferStore {
-                buffer: b.clone(),
-                indices: vec![i.expr()],
-                value: float(0.0),
-            },
-        );
-        let f = func(body, vec![b]);
-        let fake = Diagnostic {
-            buffer: Some("B".into()),
-            loop_var: Some("i".into()),
-            ..Diagnostic::deny(codes::RACE_WW, "fabricated")
-        };
-        assert!(!confirm_race(&f, &fake));
-    }
-
-    #[test]
-    fn overlapping_tiles_witness_found_under_guard() {
-        // parallel io: for ii in 0..6: if io*4+ii < 14 { B[io*4+ii] = 0 }
-        // — tiles overlap by 2 even inside the guarded region.
+    /// `B[idx] = 0` under `parallel io in 0..4: for ii in 0..6`, guarded
+    /// by `idx < 12` when `guarded`.
+    fn tiles(idx: impl Fn(&Var, &Var) -> PrimExpr, guarded: bool) -> (PrimFunc, Var, Var) {
         let (io, ii) = (Var::index("io"), Var::index("ii"));
         let b = Buffer::new("B", [14usize], DType::F64);
-        let idx = io.expr() * 4 + ii.expr();
-        let body = for_(
+        let store = Stmt::BufferStore {
+            buffer: b.clone(),
+            indices: vec![idx(&io, &ii)],
+            value: float(0.0),
+        };
+        let body = match guarded {
+            true => Stmt::IfThenElse {
+                cond: cmp::lt(idx(&io, &ii), int(12)),
+                then: Box::new(store),
+                else_: None,
+            },
+            false => store,
+        };
+        let nest = for_(
             &io,
             4,
             ForKind::Parallel,
-            for_(
-                &ii,
-                6,
-                ForKind::Serial,
-                Stmt::IfThenElse {
-                    cond: cmp::lt(idx.clone(), int(14)),
-                    then: Box::new(Stmt::BufferStore {
-                        buffer: b.clone(),
-                        indices: vec![idx],
-                        value: float(0.0),
-                    }),
-                    else_: None,
-                },
-            ),
+            for_(&ii, 6, ForKind::Serial, body),
         );
-        let f = func(body, vec![b]);
-        let fake = Diagnostic {
-            buffer: Some("B".into()),
-            loop_var: Some("io".into()),
-            ..Diagnostic::deny(codes::RACE_WW, "overlap")
+        (func(nest, vec![b]), io, ii)
+    }
+
+    fn witness(io: &Var, ii: &Var, (t1, i1): (i64, i64), (t2, i2): (i64, i64)) -> Witness {
+        Witness {
+            loop_id: io.id,
+            buffer: "B".into(),
+            writes: [true, true],
+            at: [
+                vec![(io.id, t1), (ii.id, i1)],
+                vec![(io.id, t2), (ii.id, i2)],
+            ],
+        }
+    }
+
+    #[test]
+    fn overlapping_tiles_witness_is_confirmed_under_guard() {
+        // B[io*4 + ii]: tiles overlap by 2, iteration 0 and 1 both write
+        // B[4], inside the guard.
+        let (f, io, ii) = tiles(|io, ii| io.expr() * 4 + ii.expr(), true);
+        assert!(confirm_race(&f, &witness(&io, &ii, (0, 4), (1, 0))));
+        // Different elements, one iteration, a read named as a write,
+        // a range left, or a guard failed: no race.
+        assert!(!confirm_race(&f, &witness(&io, &ii, (0, 3), (1, 0))));
+        assert!(!confirm_race(&f, &witness(&io, &ii, (1, 0), (1, 0))));
+        let read = Witness {
+            writes: [true, false],
+            ..witness(&io, &ii, (0, 4), (1, 0))
         };
-        assert!(confirm_race(&f, &fake));
+        assert!(!confirm_race(&f, &read));
+        assert!(!confirm_race(&f, &witness(&io, &ii, (0, 8), (2, 0))));
+        assert!(!confirm_race(&f, &witness(&io, &ii, (2, 4), (3, 0))));
+        // And the analyzer's own witness holds.
+        let found = races(&f);
+        let w = found
+            .iter()
+            .find_map(|(d, w)| (d.code == codes::RACE_WW).then_some(w));
+        assert!(confirm_race(&f, w.unwrap().as_ref().expect("a witness")));
+    }
+
+    #[test]
+    fn clean_parallel_loop_has_no_witness() {
+        // B[io*4 + ii % 4] is an exact partition: a fabricated witness
+        // must not confirm, and the analyzer finds none.
+        let (f, io, ii) = tiles(|io, ii| io.expr() * 4 + floormod(ii.expr(), int(4)), false);
+        assert!(!confirm_race(&f, &witness(&io, &ii, (0, 4), (1, 0))));
+        assert!(races(&f).is_empty());
     }
 
     #[test]

@@ -21,12 +21,13 @@
 //!   outer loops shift a written buffer's accesses apart (lu's `j` under
 //!   `k`), so only this field holds that part of the check.
 //!
-//! A refactor of the access analysis (strides, footprints, the race
-//! sweep) is held to it: no verdict, proof or cost-model feature moves.
+//! A refactor of the access analysis (strides, the race check) is held
+//! to it: no verdict, proof or cost-model feature moves. Every race
+//! denial it counts carries a witness that holds on the function.
 
 mod common;
 
-use common::pins;
+use common::{oracle, pins};
 use polybench::molds::mold_for_mode;
 use polybench::{KernelName, ProblemSize, SpaceMode};
 use rand::rngs::SmallRng;
@@ -163,7 +164,10 @@ fn line(name: &str, funcs: &[PrimFunc]) -> String {
             what_if += found.len();
             what_if_proven += race_free_parallel_vars(&func).len();
         }
-        for d in check(func).diagnostics {
+        let report = check(func);
+        let unwitnessed = oracle::unwitnessed_races(func, &report);
+        assert!(unwitnessed.is_empty(), "{name}: {unwitnessed:?}");
+        for d in report.diagnostics {
             *by_code.entry((d.code, d.severity.label())).or_default() += 1;
             text.bytes(d.to_string().as_bytes());
             text.bytes(&[0]);

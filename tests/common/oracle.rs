@@ -165,7 +165,7 @@ pub struct Verdict {
 /// - a prelint denial by the instantiation panic it predicts, or, for
 ///   `TIR-VEC-OVER`, by masked vector lanes in the lowered function;
 /// - an analyzer denial by naming a real buffer, and a race denial by
-///   `confirm_race`'s enumeration;
+///   re-evaluating its witness ([`unwitnessed_races`]);
 /// - an admission by [`check`] on the mold's arguments, with no error.
 pub fn check_verdict(mold: &dyn CodeMold, config: &Configuration) -> Verdict {
     let lint = mold.prelint(config);
@@ -201,12 +201,7 @@ pub fn check_verdict(mold: &dyn CodeMold, config: &Configuration) -> Verdict {
     let mut failures: Vec<String> = (phantom_denials(&func, &report).iter())
         .map(|d| format!("{} names no buffer of the function", d.code))
         .collect();
-    let races: Vec<_> = (report.denials())
-        .filter(|d| d.code.starts_with("TIR-RACE"))
-        .collect();
-    if !races.is_empty() && !races.iter().any(|d| oracle::confirm_race(&func, d)) {
-        failures.push("enumeration finds no race".to_string());
-    }
+    failures.extend(unwitnessed_races(&func, &report));
     if !report.is_rejected() {
         match sweep(&func, &func, &mold.init_args()) {
             Ok(Ok(())) => {}
@@ -215,4 +210,20 @@ pub fn check_verdict(mold: &dyn CodeMold, config: &Configuration) -> Verdict {
         }
     }
     Verdict { denials, failures }
+}
+
+/// Every race denial of `report` on `func` whose witness does not hold
+/// when `oracle::confirm_race` evaluates it on the function, described.
+pub fn unwitnessed_races(func: &PrimFunc, report: &AnalysisReport) -> Vec<String> {
+    let witnessed = analyze::deps::races(func);
+    (report.denials())
+        .filter(|d| d.code.starts_with("TIR-RACE"))
+        .filter(|d| {
+            !witnessed.iter().any(|(r, w)| {
+                (r.code, &r.buffer, &r.loop_var) == (d.code, &d.buffer, &d.loop_var)
+                    && w.as_ref().is_some_and(|w| oracle::confirm_race(func, w))
+            })
+        })
+        .map(|d| format!("{} on {:?} has no witness that holds", d.code, d.loop_var))
+        .collect()
 }
