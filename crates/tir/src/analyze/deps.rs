@@ -327,7 +327,7 @@ fn decide(
         true => f1.dims.iter().zip(&f2.dims).collect(),
         false => vec![(&f1.offset, &f2.offset)],
     };
-    if same.iter().any(|(x, y)| sys.apart(x, y)) {
+    if same.iter().any(|(x, y)| sys.apart(x, y, swap)) {
         return Pair::Free;
     }
     let (t1, t2) = (
@@ -570,22 +570,27 @@ impl<'a> System<'a> {
     /// Whether `x` on side 1 and `y` on side 2 are never equal by the gcd
     /// of their difference's coefficients or by its range alone: the
     /// first, cheap step of the exact question, which only ever answers
-    /// that there is no point.
-    fn apart(&self, x: &Affine, y: &Affine) -> bool {
+    /// that there is no point. Where both move alike along the parallel
+    /// loop, the two iterations enter as their distance, `t2 - t1` in
+    /// `1..extent` (negative when `swap`).
+    fn apart(&self, x: &Affine, y: &Affine, swap: bool) -> bool {
         let constant = x.constant as i128 - y.constant as i128;
         let (mut g, mut lo, mut hi) = (0i128, constant, constant);
-        let mut add = |side: usize, id: u64, atom: Atom, c: i128| {
-            let (side, l) = self.loop_of(side, id);
+        let mut add = |c: i128, (vlo, vhi): (i64, i64)| {
+            let (a, b) = (c * vlo as i128, c * vhi as i128);
+            (g, lo, hi) = (num_gcd(g, c.abs()), lo + a.min(b), hi + a.max(b));
+        };
+        let range = |side: usize, id: u64, atom: Atom| {
+            let (_, l) = self.loop_of(side, id);
             let (vlo, vhi) = (l.min, l.min + l.extent - 1);
-            let (alo, ahi) = match atom {
+            match atom {
                 Atom::Var => (vlo, vhi),
                 Atom::Div(d) => (vlo.div_euclid(d), vhi.div_euclid(d)),
                 Atom::Mod(d) => (0, d - 1),
-            };
-            let (a, b) = (c * alo as i128, c * ahi as i128);
-            (g, lo, hi) = (num_gcd(g, c.abs()), lo + a.min(b), hi + a.max(b));
-            side
+            }
         };
+        let far = self.par.extent - 1;
+        let distance = if swap { (-far, -1) } else { (1, far) };
         // Both forms' terms are sorted: a loop around the parallel loop is
         // one variable on both sides, and its coefficients merge.
         let (mut xs, mut ys) = (x.terms.iter().peekable(), y.terms.iter().peekable());
@@ -595,20 +600,23 @@ impl<'a> System<'a> {
                 (None, None) => break,
                 (Some(a), b) if b.is_none_or(|b| a < b) => {
                     let &(id, atom, c) = xs.next().expect("peeked");
-                    add(1, id, atom, c as i128);
+                    add(c as i128, range(1, id, atom));
                 }
                 (a, Some(b)) if a.is_none_or(|a| b < a) => {
                     let &(id, atom, c) = ys.next().expect("peeked");
-                    add(2, id, atom, -(c as i128));
+                    add(-(c as i128), range(2, id, atom));
                 }
                 _ => {
                     let (&(id, atom, c), &(_, _, d)) =
                         (xs.next().expect("peeked"), ys.next().expect("peeked"));
                     if self.loop_of(1, id).0 == 0 {
-                        add(0, id, atom, c as i128 - d as i128);
+                        add(c as i128 - d as i128, range(0, id, atom));
+                    } else if id == self.par.var_id && atom == Atom::Var && c == d {
+                        // `c·t1 - c·t2 = -c·(t2 - t1)`.
+                        add(-(c as i128), distance);
                     } else {
-                        add(1, id, atom, c as i128);
-                        add(2, id, atom, -(d as i128));
+                        add(c as i128, range(1, id, atom));
+                        add(-(d as i128), range(2, id, atom));
                     }
                 }
             }
@@ -764,14 +772,17 @@ impl Problem {
             }
             // The (exact) projection that makes the fewest rows.
             let cost = |x: usize, exact_only: bool| {
-                let coefs = || self.geqs.iter().map(|r| r[x]);
-                let (lower, upper) = (coefs().filter(|&c| c > 0), coefs().filter(|&c| c < 0));
-                let (l, u) = (
-                    1 + lower.clone().count() as i64,
-                    1 + upper.clone().count() as i64,
-                );
-                let exact = lower.clone().all(|c| c == 1) || upper.clone().all(|c| c == -1);
-                ((exact || !exact_only) && l + u > 2).then_some(l * u - l - u)
+                // Bound counts (each side's own bound included) and
+                // whether each side's coefficients are all unit.
+                let (mut l, mut u, mut unit_l, mut unit_u) = (1i64, 1i64, true, true);
+                for c in self.geqs.iter().map(|r| r[x]) {
+                    if c > 0 {
+                        (l, unit_l) = (l + 1, unit_l && c == 1);
+                    } else if c < 0 {
+                        (u, unit_u) = (u + 1, unit_u && c == -1);
+                    }
+                }
+                ((unit_l || unit_u || !exact_only) && l + u > 2).then_some(l * u - l - u)
             };
             let cheapest =
                 |exact_only| (0..n).filter_map(|x| Some((cost(x, exact_only)?, x))).min();
@@ -932,23 +943,24 @@ impl Problem {
             return false;
         }
         // Each row's range over the bounds.
+        let bounds = &self.bounds;
         let range = |row: &[i64]| {
-            (0..n).fold((row[n] as i128, row[n] as i128), |(lo, hi), j| {
-                let (a, b) = (
-                    self.bounds[j].0 as i128 * row[j] as i128,
-                    self.bounds[j].1 as i128 * row[j] as i128,
-                );
-                (lo + a.min(b), hi + a.max(b))
-            })
+            (0..n)
+                .filter(|&j| row[j] != 0)
+                .fold((row[n] as i128, row[n] as i128), |(lo, hi), j| {
+                    let (a, b) = (
+                        bounds[j].0 as i128 * row[j] as i128,
+                        bounds[j].1 as i128 * row[j] as i128,
+                    );
+                    (lo + a.min(b), hi + a.max(b))
+                })
         };
         if (self.eqs.iter().map(|r| range(r))).any(|(lo, hi)| lo > 0 || hi < 0)
             || (self.geqs.iter().map(|r| range(r))).any(|(_, hi)| hi < 0)
         {
             return false;
         }
-        let satisfied: Vec<bool> = self.geqs.iter().map(|r| range(r).0 >= 0).collect();
-        let mut kept = satisfied.into_iter().map(|s| !s);
-        self.geqs.retain(|_| kept.next().unwrap_or(true));
+        self.geqs.retain(|r| range(r).0 < 0);
         self.eqs.retain(|row| row[..n].iter().any(|&c| c != 0));
         true
     }

@@ -114,7 +114,9 @@ fn touched(
             }
         }
         Stmt::IfThenElse { cond, then, else_ } => {
-            reads(out, cond);
+            if inside {
+                reads(out, cond);
+            }
             match eval_int_with(cond, &env) {
                 Some(0) => else_.iter().for_each(|e| touched(e, env, w, inside, out)),
                 Some(_) => touched(then, env, w, inside, out),
@@ -127,7 +129,9 @@ fn touched(
             indices,
             value,
         } => {
-            indices.iter().chain([value]).for_each(|e| reads(out, e));
+            if inside {
+                indices.iter().chain([value]).for_each(|e| reads(out, e));
+            }
             record(out, &buffer.name, indices, &buffer.shape, true);
         }
         Stmt::Nop => {}
