@@ -544,6 +544,29 @@ fn fused_divmod_nest(rows: i64, cols: i64, d: i64) -> PrimFunc {
     )
 }
 
+/// `parallel f in 0..12: if floormod(f, 4) >= r { B[floordiv(f, 4)] = 1 }`:
+/// a guard on a fused loop's remainder leaves one iteration per row
+/// when `r == 3`, two when `r == 2`.
+fn fused_guard_nest(r: i64) -> PrimFunc {
+    let f = Var::index("f");
+    let b = Buffer::new("B", [3usize], DType::F64);
+    let store = Stmt::BufferStore {
+        buffer: b.clone(),
+        indices: vec![floordiv(f.expr(), int(4))],
+        value: ops::float(1.0),
+    };
+    let body = Stmt::IfThenElse {
+        cond: tvm_te::ops::cmp::ge(floormod(f.expr(), int(4)), int(r)),
+        then: Box::new(store),
+        else_: None,
+    };
+    func(
+        "fused_guard",
+        for_(&f, 0, 12, ForKind::Parallel, body),
+        vec![b],
+    )
+}
+
 /// `parallel i in 0..8: if i < w { B[0] = i }`: a guard on the parallel
 /// variable lets `w` iterations write.
 fn parallel_guard_nest(w: i64) -> PrimFunc {
@@ -668,6 +691,14 @@ fn race_verdicts_agree_with_enumeration() {
         (fused_divmod_nest(3, 4, 4), "fused, exact"),
         (fused_divmod_nest(3, 4, 3), "fused, wrong denominator"),
         (fused_divmod_nest(3, 4, 6), "fused, wide denominator"),
+        (
+            fused_guard_nest(3),
+            "guard on a fused remainder, one per row",
+        ),
+        (
+            fused_guard_nest(2),
+            "guard on a fused remainder, two per row",
+        ),
         (parallel_guard_nest(1), "guard leaves one iteration"),
         (parallel_guard_nest(2), "guard leaves two iterations"),
         (outer_shift_nest(1), "no outer shift"),
