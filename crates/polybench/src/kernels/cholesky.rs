@@ -19,19 +19,27 @@
 //! the reference in this module's tests). The strict upper triangle is
 //! untouched, as in PolyBench.
 
-use crate::datasets::{factorization_n, ProblemSize};
-use crate::molds::CodeMold;
-use crate::spaces::{space_for_mode, SpaceMode};
-use configspace::{ConfigSpace, Configuration};
-use tvm_runtime::NDArray;
+use super::{Kernel, DTYPE};
+use crate::datasets::factorization_n;
+use crate::reference::spd_matrix;
 use tvm_te::ops::{cmp, sqrt};
-use tvm_te::{placeholder, DType, PrimExpr};
-use tvm_tir::analyze::Diagnostic;
+use tvm_te::{placeholder, PrimExpr};
 use tvm_tir::builder::{if_else, seq, ser, store, when, FuncBuilder};
 use tvm_tir::PrimFunc;
 
-/// Element type (`DATA_TYPE double`).
-pub const DTYPE: DType = DType::F64;
+/// The Cholesky table of the code mold, built like [`crate::kernels::lu`]'s.
+pub(crate) const KERNEL: Kernel = Kernel {
+    name: "cholesky",
+    prelint: super::tile_prelint,
+    instantiate: |size, config| {
+        build_cholesky(factorization_n(size), config.int("P0"), config.int("P1"))
+    },
+    init_args: |size| vec![spd_matrix(factorization_n(size), DTYPE)],
+    reference_args: |size| {
+        let a = spd_matrix(factorization_n(size), DTYPE);
+        vec![Some(crate::reference::cholesky(&a))]
+    },
+};
 
 /// Build the tiled PolyBench Cholesky function for order `n` with tile
 /// sizes `(ty, tx)` on the `i`/`j` loops.
@@ -114,86 +122,16 @@ pub fn build_cholesky(n: usize, ty: i64, tx: i64) -> PrimFunc {
     fb.build(body)
 }
 
-/// The Cholesky code mold.
-pub struct CholeskyMold {
-    size: ProblemSize,
-    mode: SpaceMode,
-    n: usize,
-    space: ConfigSpace,
-}
-
-impl CholeskyMold {
-    /// Paper-space mold for a problem-size class.
-    pub fn new(size: ProblemSize) -> CholeskyMold {
-        CholeskyMold::with_mode(size, SpaceMode::Paper)
-    }
-
-    /// Mold for a problem-size class under a space mode. Aggressive mode
-    /// widens the tile lists (non-divisor tails are already guarded by
-    /// the builder); tile factor 0 is denied by the prelint.
-    pub fn with_mode(size: ProblemSize, mode: SpaceMode) -> CholeskyMold {
-        CholeskyMold {
-            size,
-            mode,
-            n: factorization_n(size),
-            space: space_for_mode(crate::datasets::KernelName::Cholesky, size, mode),
-        }
-    }
-
-    /// Matrix order.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-}
-
-impl CodeMold for CholeskyMold {
-    fn name(&self) -> &str {
-        "cholesky"
-    }
-
-    fn size(&self) -> ProblemSize {
-        self.size
-    }
-
-    fn mode(&self) -> SpaceMode {
-        self.mode
-    }
-
-    fn space(&self) -> &ConfigSpace {
-        &self.space
-    }
-
-    fn prelint(&self, config: &Configuration) -> Vec<Diagnostic> {
-        super::tile_prelint(config.int("P0"), config.int("P1"))
-    }
-
-    fn instantiate(&self, config: &Configuration) -> PrimFunc {
-        assert!(
-            self.space.validate(config),
-            "configuration {config} is not in the cholesky space"
-        );
-        build_cholesky(self.n, config.int("P0"), config.int("P1"))
-    }
-
-    fn init_args(&self) -> Vec<NDArray> {
-        vec![crate::reference::spd_matrix(self.n, DTYPE)]
-    }
-
-    fn reference_args(&self) -> Vec<Option<NDArray>> {
-        vec![Some(crate::reference::cholesky(
-            &crate::reference::spd_matrix(self.n, DTYPE),
-        ))]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::molds::mold_for;
+    use crate::{KernelName, ProblemSize};
     use tvm_runtime::interp::execute;
 
     fn check_tiles(ty: i64, tx: i64) {
-        let mold = CholeskyMold::new(ProblemSize::Mini); // n = 40
-        let f = build_cholesky(mold.n(), ty, tx);
+        let mold = mold_for(KernelName::Cholesky, ProblemSize::Mini); // n = 40
+        let f = build_cholesky(factorization_n(ProblemSize::Mini), ty, tx);
         let mut args = mold.init_args();
         execute(&f, &mut args).expect("run");
         let expect = mold.reference_args()[0].clone().expect("A");
@@ -221,12 +159,12 @@ mod tests {
 
     #[test]
     fn lower_triangle_factor_upper_untouched() {
-        let mold = CholeskyMold::new(ProblemSize::Mini);
-        let f = build_cholesky(mold.n(), 5, 5);
+        let mold = mold_for(KernelName::Cholesky, ProblemSize::Mini);
+        let f = build_cholesky(factorization_n(ProblemSize::Mini), 5, 5);
         let input = mold.init_args()[0].clone();
         let mut args = mold.init_args();
         execute(&f, &mut args).expect("run");
-        let n = mold.n();
+        let n = factorization_n(ProblemSize::Mini);
         for i in 0..n {
             for j in i + 1..n {
                 assert_eq!(
@@ -241,11 +179,15 @@ mod tests {
     #[test]
     fn mold_space_matches_table1() {
         assert_eq!(
-            CholeskyMold::new(ProblemSize::Large).space().size(),
+            mold_for(KernelName::Cholesky, ProblemSize::Large)
+                .space()
+                .size(),
             Some(400)
         );
         assert_eq!(
-            CholeskyMold::new(ProblemSize::ExtraLarge).space().size(),
+            mold_for(KernelName::Cholesky, ProblemSize::ExtraLarge)
+                .space()
+                .size(),
             Some(576)
         );
     }

@@ -1,35 +1,42 @@
 //! PolyBench `gemm` (`C' = α·A·B + β·C`) — extension kernel showing the
 //! mold machinery generalizes beyond the paper's three benchmarks.
 
+use super::{Kernel, MatmulKnobs, DTYPE};
 use crate::datasets::{gemm_dims, ProblemSize};
-use crate::molds::CodeMold;
-use crate::spaces::{space_for_mode, SpaceMode};
-use configspace::{ConfigSpace, Configuration};
+use configspace::Configuration;
 use tvm_runtime::NDArray;
-use tvm_te::{compute, placeholder, reduce_axis, sum, DType, PrimExpr, Schedule};
-use tvm_tir::analyze::{prelint::Prelint, Diagnostic};
+use tvm_te::{compute, placeholder, reduce_axis, sum, PrimExpr, Schedule};
+use tvm_tir::analyze::prelint::Prelint;
 use tvm_tir::lower::lower;
 use tvm_tir::PrimFunc;
 
-use super::MatmulKnobs;
-
-/// Element type (`DATA_TYPE double`).
-pub const DTYPE: DType = DType::F64;
 /// PolyBench's `alpha`.
 pub const ALPHA: f64 = 1.5;
 /// PolyBench's `beta`.
 pub const BETA: f64 = 1.2;
 
-/// Build gemm with tiles `(ty, tx)` and scheduling knobs `kn` on the
+/// The gemm table of the code mold.
+pub(crate) const KERNEL: Kernel = Kernel {
+    name: "gemm",
+    prelint: |config| {
+        let mut p = Prelint::new();
+        let kn = MatmulKnobs::from_config(config);
+        super::matmul_stage_prelint(&mut p, config.int("P0"), config.int("P1"), &kn);
+        p.finish()
+    },
+    instantiate,
+    init_args,
+    reference_args: |size| {
+        let args = init_args(size);
+        let out = crate::reference::gemm(ALPHA, &args[0], &args[1], BETA, &args[2]);
+        vec![None, None, None, Some(out)]
+    },
+};
+
+/// Build gemm with tiles `(P0, P1)` and the scheduling knobs on the
 /// multiplication stage.
-pub(crate) fn build_gemm_knobbed(
-    ni: usize,
-    nj: usize,
-    nk: usize,
-    ty: i64,
-    tx: i64,
-    kn: &MatmulKnobs,
-) -> PrimFunc {
+fn instantiate(size: ProblemSize, config: &Configuration) -> PrimFunc {
+    let (ni, nj, nk) = gemm_dims(size);
     let a = placeholder([ni, nk], DTYPE, "A");
     let b = placeholder([nk, nj], DTYPE, "B");
     let c = placeholder([ni, nj], DTYPE, "C");
@@ -46,99 +53,37 @@ pub(crate) fn build_gemm_knobbed(
     });
     let mut s = Schedule::create(std::slice::from_ref(&out));
     let tt = s.stages[0].tensor.clone();
-    super::tile_matmul_stage_aggressive(&mut s, &tt, &k, ty, tx, kn);
+    let (ty, tx) = (config.int("P0"), config.int("P1"));
+    let kn = MatmulKnobs::from_config(config);
+    super::tile_matmul_stage_aggressive(&mut s, &tt, &k, ty, tx, &kn);
     lower(&s, &[a, b, c, out], "gemm")
 }
 
-/// The gemm code mold.
-pub struct GemmMold {
-    size: ProblemSize,
-    mode: SpaceMode,
-    dims: (usize, usize, usize),
-    space: ConfigSpace,
-}
-
-impl GemmMold {
-    /// Paper-space mold for a problem-size class.
-    pub fn new(size: ProblemSize) -> GemmMold {
-        GemmMold::with_mode(size, SpaceMode::Paper)
-    }
-
-    /// Mold for a problem-size class under a space mode.
-    pub fn with_mode(size: ProblemSize, mode: SpaceMode) -> GemmMold {
-        GemmMold {
-            size,
-            mode,
-            dims: gemm_dims(size),
-            space: space_for_mode(crate::datasets::KernelName::Gemm, size, mode),
-        }
-    }
-}
-
-impl CodeMold for GemmMold {
-    fn name(&self) -> &str {
-        "gemm"
-    }
-
-    fn size(&self) -> ProblemSize {
-        self.size
-    }
-
-    fn mode(&self) -> SpaceMode {
-        self.mode
-    }
-
-    fn space(&self) -> &ConfigSpace {
-        &self.space
-    }
-
-    fn prelint(&self, config: &Configuration) -> Vec<Diagnostic> {
-        let mut p = Prelint::new();
-        let kn = MatmulKnobs::from_config(config);
-        super::matmul_stage_prelint(&mut p, config.int("P0"), config.int("P1"), &kn);
-        p.finish()
-    }
-
-    fn instantiate(&self, config: &Configuration) -> PrimFunc {
-        assert!(
-            self.space.validate(config),
-            "configuration {config} is not in the gemm space"
-        );
-        let (ni, nj, nk) = self.dims;
-        let kn = MatmulKnobs::from_config(config);
-        build_gemm_knobbed(ni, nj, nk, config.int("P0"), config.int("P1"), &kn)
-    }
-
-    fn init_args(&self) -> Vec<NDArray> {
-        let (ni, nj, nk) = self.dims;
-        let a = NDArray::from_fn(&[ni, nk], DTYPE, |i| {
-            (i[0] * i[1] + 1) as f64 % ni as f64 / ni as f64
-        });
-        let b = NDArray::from_fn(&[nk, nj], DTYPE, |i| {
-            (i[0] * (i[1] + 1)) as f64 % nj as f64 / nj as f64
-        });
-        let c = NDArray::from_fn(&[ni, nj], DTYPE, |i| {
-            (i[0] * (i[1] + 2)) as f64 % nj as f64 / nj as f64
-        });
-        let out = NDArray::zeros(&[ni, nj], DTYPE);
-        vec![a, b, c, out]
-    }
-
-    fn reference_args(&self) -> Vec<Option<NDArray>> {
-        let args = self.init_args();
-        let out = crate::reference::gemm(ALPHA, &args[0], &args[1], BETA, &args[2]);
-        vec![None, None, None, Some(out)]
-    }
+fn init_args(size: ProblemSize) -> Vec<NDArray> {
+    let (ni, nj, nk) = gemm_dims(size);
+    let a = NDArray::from_fn(&[ni, nk], DTYPE, |i| {
+        (i[0] * i[1] + 1) as f64 % ni as f64 / ni as f64
+    });
+    let b = NDArray::from_fn(&[nk, nj], DTYPE, |i| {
+        (i[0] * (i[1] + 1)) as f64 % nj as f64 / nj as f64
+    });
+    let c = NDArray::from_fn(&[ni, nj], DTYPE, |i| {
+        (i[0] * (i[1] + 2)) as f64 % nj as f64 / nj as f64
+    });
+    let out = NDArray::zeros(&[ni, nj], DTYPE);
+    vec![a, b, c, out]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::molds::{mold_for, mold_for_mode};
+    use crate::{KernelName, ProblemSize, SpaceMode};
     use tvm_runtime::interp::execute;
 
     #[test]
     fn gemm_matches_reference() {
-        let mold = GemmMold::new(ProblemSize::Mini);
+        let mold = mold_for(KernelName::Gemm, ProblemSize::Mini);
         let cfg = mold.baseline_configuration();
         let f = mold.instantiate(&cfg);
         let mut args = mold.init_args();
@@ -153,7 +98,7 @@ mod tests {
 
     #[test]
     fn space_uses_divisors_of_output_dims() {
-        let mold = GemmMold::new(ProblemSize::Mini); // (20, 25, 30)
+        let mold = mold_for(KernelName::Gemm, ProblemSize::Mini); // (20, 25, 30)
         assert_eq!(mold.space().get("P0").unwrap().cardinality(), Some(6)); // div(20)
         assert_eq!(mold.space().get("P1").unwrap().cardinality(), Some(3)); // div(25)
     }
@@ -164,7 +109,7 @@ mod tests {
     }
 
     fn check_aggressive_at(size: ProblemSize, ty: i64, tx: i64, knobs: [i64; 5]) {
-        let mold = GemmMold::with_mode(size, SpaceMode::Aggressive);
+        let mold = mold_for_mode(KernelName::Gemm, size, SpaceMode::Aggressive);
         let cfg = Configuration::new(
             vec![
                 "P0".into(),
@@ -238,7 +183,7 @@ mod tests {
     #[test]
     fn prelint_denies_illegal_gemm_schedules() {
         use tvm_tir::analyze::codes;
-        let mold = GemmMold::with_mode(ProblemSize::Mini, SpaceMode::Aggressive);
+        let mold = mold_for_mode(KernelName::Gemm, ProblemSize::Mini, SpaceMode::Aggressive);
         let cfg = |p0: i64, p1: i64, knobs: [i64; 5]| {
             Configuration::new(
                 vec![

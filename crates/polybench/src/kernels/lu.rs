@@ -22,19 +22,26 @@
 //! is verified against the reference factorization in this module's
 //! tests).
 
-use crate::datasets::{factorization_n, ProblemSize};
-use crate::molds::CodeMold;
-use crate::spaces::{space_for_mode, SpaceMode};
-use configspace::{ConfigSpace, Configuration};
-use tvm_runtime::NDArray;
+use super::{Kernel, DTYPE};
+use crate::datasets::factorization_n;
+use crate::reference::spd_matrix;
 use tvm_te::ops::cmp;
-use tvm_te::{placeholder, DType, PrimExpr};
-use tvm_tir::analyze::Diagnostic;
+use tvm_te::{placeholder, PrimExpr};
 use tvm_tir::builder::{if_else, seq, ser, store, when, FuncBuilder};
 use tvm_tir::PrimFunc;
 
-/// Element type (`DATA_TYPE double`).
-pub const DTYPE: DType = DType::F64;
+/// The LU table of the code mold. Non-divisor tails of the aggressive
+/// tile lists are guarded by the builder; tile 0 is the prelint's.
+pub(crate) const KERNEL: Kernel = Kernel {
+    name: "lu",
+    prelint: super::tile_prelint,
+    instantiate: |size, config| build_lu(factorization_n(size), config.int("P0"), config.int("P1")),
+    init_args: |size| vec![spd_matrix(factorization_n(size), DTYPE)],
+    reference_args: |size| {
+        let a = spd_matrix(factorization_n(size), DTYPE);
+        vec![Some(crate::reference::lu(&a))]
+    },
+};
 
 /// Build the tiled PolyBench LU function for order `n` with tile sizes
 /// `(ty, tx)` on the `i`/`j` loops.
@@ -111,86 +118,17 @@ pub fn build_lu(n: usize, ty: i64, tx: i64) -> PrimFunc {
     fb.build(body)
 }
 
-/// The LU code mold.
-pub struct LuMold {
-    size: ProblemSize,
-    mode: SpaceMode,
-    n: usize,
-    space: ConfigSpace,
-}
-
-impl LuMold {
-    /// Paper-space mold for a problem-size class.
-    pub fn new(size: ProblemSize) -> LuMold {
-        LuMold::with_mode(size, SpaceMode::Paper)
-    }
-
-    /// Mold for a problem-size class under a space mode. Aggressive mode
-    /// widens the tile lists (non-divisor tails are already guarded by
-    /// the builder); tile factor 0 is denied by the prelint.
-    pub fn with_mode(size: ProblemSize, mode: SpaceMode) -> LuMold {
-        LuMold {
-            size,
-            mode,
-            n: factorization_n(size),
-            space: space_for_mode(crate::datasets::KernelName::Lu, size, mode),
-        }
-    }
-
-    /// Matrix order.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-}
-
-impl CodeMold for LuMold {
-    fn name(&self) -> &str {
-        "lu"
-    }
-
-    fn size(&self) -> ProblemSize {
-        self.size
-    }
-
-    fn mode(&self) -> SpaceMode {
-        self.mode
-    }
-
-    fn space(&self) -> &ConfigSpace {
-        &self.space
-    }
-
-    fn prelint(&self, config: &Configuration) -> Vec<Diagnostic> {
-        super::tile_prelint(config.int("P0"), config.int("P1"))
-    }
-
-    fn instantiate(&self, config: &Configuration) -> PrimFunc {
-        assert!(
-            self.space.validate(config),
-            "configuration {config} is not in the lu space"
-        );
-        build_lu(self.n, config.int("P0"), config.int("P1"))
-    }
-
-    fn init_args(&self) -> Vec<NDArray> {
-        vec![crate::reference::spd_matrix(self.n, DTYPE)]
-    }
-
-    fn reference_args(&self) -> Vec<Option<NDArray>> {
-        vec![Some(crate::reference::lu(&crate::reference::spd_matrix(
-            self.n, DTYPE,
-        )))]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::molds::mold_for;
+    use crate::{KernelName, ProblemSize};
+    use configspace::Configuration;
     use tvm_runtime::interp::execute;
 
     fn check_tiles(ty: i64, tx: i64) {
-        let mold = LuMold::new(ProblemSize::Mini); // n = 40
-        let f = build_lu(mold.n(), ty, tx);
+        let mold = mold_for(KernelName::Lu, ProblemSize::Mini); // n = 40
+        let f = build_lu(factorization_n(ProblemSize::Mini), ty, tx);
         let mut args = mold.init_args();
         execute(&f, &mut args).expect("run");
         let expect = mold.reference_args()[0].clone().expect("A");
@@ -223,16 +161,21 @@ mod tests {
 
     #[test]
     fn mold_space_matches_table1() {
-        assert_eq!(LuMold::new(ProblemSize::Large).space().size(), Some(400));
         assert_eq!(
-            LuMold::new(ProblemSize::ExtraLarge).space().size(),
+            mold_for(KernelName::Lu, ProblemSize::Large).space().size(),
+            Some(400)
+        );
+        assert_eq!(
+            mold_for(KernelName::Lu, ProblemSize::ExtraLarge)
+                .space()
+                .size(),
             Some(576)
         );
     }
 
     #[test]
     fn instantiate_via_configuration() {
-        let mold = LuMold::new(ProblemSize::Mini);
+        let mold = mold_for(KernelName::Lu, ProblemSize::Mini);
         let cfg = Configuration::new(
             vec!["P0".into(), "P1".into()],
             vec![

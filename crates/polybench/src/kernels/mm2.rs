@@ -1,35 +1,44 @@
 //! PolyBench `2mm` (`D' = α·(A·B)·C + β·D`) — extension kernel with four
 //! tile parameters (two matmul stages).
 
+use super::{Kernel, MatmulKnobs, DTYPE};
 use crate::datasets::{mm2_dims, ProblemSize};
-use crate::molds::CodeMold;
-use crate::spaces::{space_for_mode, SpaceMode};
-use configspace::{ConfigSpace, Configuration};
+use configspace::Configuration;
 use tvm_runtime::NDArray;
-use tvm_te::{compute, placeholder, reduce_axis, sum, DType, PrimExpr, Schedule};
-use tvm_tir::analyze::{prelint::Prelint, Diagnostic};
+use tvm_te::{compute, placeholder, reduce_axis, sum, PrimExpr, Schedule};
+use tvm_tir::analyze::prelint::Prelint;
 use tvm_tir::lower::lower;
 use tvm_tir::PrimFunc;
 
-use super::MatmulKnobs;
-
-/// Element type (`DATA_TYPE double`).
-pub const DTYPE: DType = DType::F64;
 /// PolyBench's `alpha`.
 pub const ALPHA: f64 = 1.5;
 /// PolyBench's `beta`.
 pub const BETA: f64 = 1.2;
 
-/// Build 2mm with tiles `(t0, t1)` on stage `E = A·B`, `(t2, t3)` on
-/// stage `F = E·C`, and scheduling knobs `kn` on stage `F`.
-pub(crate) fn build_2mm_knobbed(
-    ni: usize,
-    nj: usize,
-    nk: usize,
-    nl: usize,
-    tiles: [i64; 4],
-    kn: &MatmulKnobs,
-) -> PrimFunc {
+/// The 2mm table of the code mold.
+pub(crate) const KERNEL: Kernel = Kernel {
+    name: "2mm",
+    prelint: |config| {
+        let mut p = Prelint::new();
+        let kn = MatmulKnobs::from_config(config);
+        // Stage E is always scheduled with the plain (knob-free) pattern.
+        p.split("y", config.int("P0")).split("x", config.int("P1"));
+        super::matmul_stage_prelint(&mut p, config.int("P2"), config.int("P3"), &kn);
+        p.finish()
+    },
+    instantiate,
+    init_args,
+    reference_args: |size| {
+        let args = init_args(size);
+        let out = crate::reference::mm2(ALPHA, &args[0], &args[1], &args[2], BETA, &args[3]);
+        vec![None, None, None, None, Some(out)]
+    },
+};
+
+/// Build 2mm with tiles `(P0, P1)` on stage `E = A·B`, `(P2, P3)` on
+/// stage `F = E·C`, and the scheduling knobs on stage `F`.
+fn instantiate(size: ProblemSize, config: &Configuration) -> PrimFunc {
+    let (ni, nj, nk, nl) = mm2_dims(size);
     let a = placeholder([ni, nk], DTYPE, "A");
     let b = placeholder([nk, nj], DTYPE, "B");
     let c = placeholder([nj, nl], DTYPE, "C");
@@ -55,111 +64,41 @@ pub(crate) fn build_2mm_knobbed(
     let mut s = Schedule::create(std::slice::from_ref(&out));
     let et = s.stages[0].tensor.clone();
     let ft = s.stages[1].tensor.clone();
-    super::tile_matmul_stage(&mut s, &et, &k, tiles[0], tiles[1]);
-    super::tile_matmul_stage_aggressive(&mut s, &ft, &j, tiles[2], tiles[3], kn);
+    let tile = |i: usize| config.int(&format!("P{i}"));
+    let kn = MatmulKnobs::from_config(config);
+    super::tile_matmul_stage(&mut s, &et, &k, tile(0), tile(1));
+    super::tile_matmul_stage_aggressive(&mut s, &ft, &j, tile(2), tile(3), &kn);
     lower(&s, &[a, b, c, d, out], "mm2")
 }
 
-/// The 2mm code mold.
-pub struct Mm2Mold {
-    size: ProblemSize,
-    mode: SpaceMode,
-    dims: (usize, usize, usize, usize),
-    space: ConfigSpace,
-}
-
-impl Mm2Mold {
-    /// Paper-space mold for a problem-size class.
-    pub fn new(size: ProblemSize) -> Mm2Mold {
-        Mm2Mold::with_mode(size, SpaceMode::Paper)
-    }
-
-    /// Mold for a problem-size class under a space mode.
-    pub fn with_mode(size: ProblemSize, mode: SpaceMode) -> Mm2Mold {
-        Mm2Mold {
-            size,
-            mode,
-            dims: mm2_dims(size),
-            space: space_for_mode(crate::datasets::KernelName::Mm2, size, mode),
-        }
-    }
-}
-
-impl CodeMold for Mm2Mold {
-    fn name(&self) -> &str {
-        "2mm"
-    }
-
-    fn size(&self) -> ProblemSize {
-        self.size
-    }
-
-    fn mode(&self) -> SpaceMode {
-        self.mode
-    }
-
-    fn space(&self) -> &ConfigSpace {
-        &self.space
-    }
-
-    fn prelint(&self, config: &Configuration) -> Vec<Diagnostic> {
-        let mut p = Prelint::new();
-        let kn = MatmulKnobs::from_config(config);
-        // Stage E is always scheduled with the plain (knob-free) pattern.
-        p.split("y", config.int("P0")).split("x", config.int("P1"));
-        super::matmul_stage_prelint(&mut p, config.int("P2"), config.int("P3"), &kn);
-        p.finish()
-    }
-
-    fn instantiate(&self, config: &Configuration) -> PrimFunc {
-        assert!(
-            self.space.validate(config),
-            "configuration {config} is not in the 2mm space"
-        );
-        let (ni, nj, nk, nl) = self.dims;
-        let tiles = [
-            config.int("P0"),
-            config.int("P1"),
-            config.int("P2"),
-            config.int("P3"),
-        ];
-        let kn = MatmulKnobs::from_config(config);
-        build_2mm_knobbed(ni, nj, nk, nl, tiles, &kn)
-    }
-
-    fn init_args(&self) -> Vec<NDArray> {
-        let (ni, nj, nk, nl) = self.dims;
-        let a = NDArray::from_fn(&[ni, nk], DTYPE, |i| {
-            ((i[0] * i[1] + 1) % ni) as f64 / ni as f64
-        });
-        let b = NDArray::from_fn(&[nk, nj], DTYPE, |i| {
-            ((i[0] * (i[1] + 1)) % nj) as f64 / nj as f64
-        });
-        let c = NDArray::from_fn(&[nj, nl], DTYPE, |i| {
-            ((i[0] * (i[1] + 3) + 1) % nl) as f64 / nl as f64
-        });
-        let d = NDArray::from_fn(&[ni, nl], DTYPE, |i| {
-            (i[0] * (i[1] + 2) % nk) as f64 / nk as f64
-        });
-        let out = NDArray::zeros(&[ni, nl], DTYPE);
-        vec![a, b, c, d, out]
-    }
-
-    fn reference_args(&self) -> Vec<Option<NDArray>> {
-        let args = self.init_args();
-        let out = crate::reference::mm2(ALPHA, &args[0], &args[1], &args[2], BETA, &args[3]);
-        vec![None, None, None, None, Some(out)]
-    }
+fn init_args(size: ProblemSize) -> Vec<NDArray> {
+    let (ni, nj, nk, nl) = mm2_dims(size);
+    let a = NDArray::from_fn(&[ni, nk], DTYPE, |i| {
+        ((i[0] * i[1] + 1) % ni) as f64 / ni as f64
+    });
+    let b = NDArray::from_fn(&[nk, nj], DTYPE, |i| {
+        ((i[0] * (i[1] + 1)) % nj) as f64 / nj as f64
+    });
+    let c = NDArray::from_fn(&[nj, nl], DTYPE, |i| {
+        ((i[0] * (i[1] + 3) + 1) % nl) as f64 / nl as f64
+    });
+    let d = NDArray::from_fn(&[ni, nl], DTYPE, |i| {
+        (i[0] * (i[1] + 2) % nk) as f64 / nk as f64
+    });
+    let out = NDArray::zeros(&[ni, nl], DTYPE);
+    vec![a, b, c, d, out]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::molds::{mold_for, mold_for_mode};
+    use crate::{KernelName, ProblemSize, SpaceMode};
     use tvm_runtime::interp::execute;
 
     #[test]
     fn mm2_matches_reference() {
-        let mold = Mm2Mold::new(ProblemSize::Mini);
+        let mold = mold_for(KernelName::Mm2, ProblemSize::Mini);
         let f = mold.instantiate(&mold.baseline_configuration());
         let mut args = mold.init_args();
         execute(&f, &mut args).expect("run");
@@ -173,7 +112,7 @@ mod tests {
 
     #[test]
     fn four_tile_parameters() {
-        let mold = Mm2Mold::new(ProblemSize::Mini);
+        let mold = mold_for(KernelName::Mm2, ProblemSize::Mini);
         assert_eq!(mold.space().len(), 4);
     }
 
@@ -183,7 +122,7 @@ mod tests {
     }
 
     fn check_aggressive_tiles_at(size: ProblemSize, tiles: [i64; 4]) {
-        let mold = Mm2Mold::with_mode(size, SpaceMode::Aggressive);
+        let mold = mold_for_mode(KernelName::Mm2, size, SpaceMode::Aggressive);
         let mut names: Vec<String> = (0..4).map(|i| format!("P{i}")).collect();
         names.extend(crate::spaces::KNOB_NAMES.iter().map(|s| s.to_string()));
         let mut vals: Vec<configspace::ParamValue> = tiles

@@ -1,20 +1,31 @@
 //! The `3mm` kernel: `E = A·B; F = C·D; G = E·F` through the full
 //! TE → schedule → lower pipeline, with the paper's six split parameters.
 
+use super::{Kernel, MatmulKnobs, DTYPE};
 use crate::datasets::{mm3_dims, Mm3Dims, ProblemSize};
-use crate::molds::CodeMold;
-use crate::spaces::{space_for_mode, SpaceMode};
-use configspace::{ConfigSpace, Configuration};
+use configspace::Configuration;
 use tvm_runtime::NDArray;
-use tvm_te::{compute, placeholder, reduce_axis, sum, DType, Schedule, Tensor};
+use tvm_te::{compute, placeholder, reduce_axis, sum, Schedule, Tensor};
 use tvm_tir::analyze::{prelint::Prelint, Diagnostic};
 use tvm_tir::lower::lower;
 use tvm_tir::PrimFunc;
 
-use super::MatmulKnobs;
-
-/// Element type of the PolyBench kernels (`DATA_TYPE double`).
-pub const DTYPE: DType = DType::F64;
+/// The 3mm table of the code mold.
+pub(crate) const KERNEL: Kernel = Kernel {
+    name: "3mm",
+    prelint,
+    instantiate,
+    init_args: |size| {
+        let d = mm3_dims(size);
+        let [a, b, c, dd] = crate::reference::mm3_inputs(&d, DTYPE);
+        vec![a, b, c, dd, NDArray::zeros(&[d.n, d.p], DTYPE)]
+    },
+    reference_args: |size| {
+        let [a, b, c, d] = crate::reference::mm3_inputs(&mm3_dims(size), DTYPE);
+        let g = crate::reference::mm3(&a, &b, &c, &d);
+        vec![None, None, None, None, Some(g)]
+    },
+};
 
 /// Build the 3mm TE graph; returns `(args, G, reduce axes of E/F/G)`.
 fn build_graph(d: &Mm3Dims) -> ([Tensor; 4], Tensor, [tvm_te::IterVar; 3]) {
@@ -46,111 +57,38 @@ fn build_graph(d: &Mm3Dims) -> ([Tensor; 4], Tensor, [tvm_te::IterVar; 3]) {
     ([a, b, c, dd], g, [k, l, m])
 }
 
-/// Lower 3mm with the six tile factors `(P0..P5)` and scheduling knobs
-/// `kn` on the output stage `G`.
-pub(crate) fn build_3mm_knobbed(d: &Mm3Dims, tiles: [i64; 6], kn: &MatmulKnobs) -> PrimFunc {
-    let (args, g, [k, l, m]) = build_graph(d);
+fn prelint(config: &Configuration) -> Vec<Diagnostic> {
+    let mut p = Prelint::new();
+    let kn = MatmulKnobs::from_config(config);
+    // Stages E and F use the plain (knob-free) pattern.
+    p.split("y", config.int("P0")).split("x", config.int("P1"));
+    p.split("y", config.int("P2")).split("x", config.int("P3"));
+    super::matmul_stage_prelint(&mut p, config.int("P4"), config.int("P5"), &kn);
+    p.finish()
+}
+
+/// Lower 3mm with the six tile factors `P0..P5`, and the scheduling knobs
+/// on the output stage `G`.
+fn instantiate(size: ProblemSize, config: &Configuration) -> PrimFunc {
+    let (args, g, [k, l, m]) = build_graph(&mm3_dims(size));
     let mut s = Schedule::create(std::slice::from_ref(&g));
     // Stage tensors: E and F are the first two stages.
     let e = s.stages[0].tensor.clone();
     let f = s.stages[1].tensor.clone();
-    super::tile_matmul_stage(&mut s, &e, &k, tiles[0], tiles[1]);
-    super::tile_matmul_stage(&mut s, &f, &l, tiles[2], tiles[3]);
-    super::tile_matmul_stage_aggressive(&mut s, &g, &m, tiles[4], tiles[5], kn);
+    let tile = |i: usize| config.int(&format!("P{i}"));
+    let kn = MatmulKnobs::from_config(config);
+    super::tile_matmul_stage(&mut s, &e, &k, tile(0), tile(1));
+    super::tile_matmul_stage(&mut s, &f, &l, tile(2), tile(3));
+    super::tile_matmul_stage_aggressive(&mut s, &g, &m, tile(4), tile(5), &kn);
     let [a, b, c, dd] = args;
     lower(&s, &[a, b, c, dd, g], "mm3")
-}
-
-/// The 3mm code mold.
-pub struct Mm3Mold {
-    size: ProblemSize,
-    mode: SpaceMode,
-    dims: Mm3Dims,
-    space: ConfigSpace,
-}
-
-impl Mm3Mold {
-    /// Paper-space mold for a problem-size class.
-    pub fn new(size: ProblemSize) -> Mm3Mold {
-        Mm3Mold::with_mode(size, SpaceMode::Paper)
-    }
-
-    /// Mold for a problem-size class under a space mode.
-    pub fn with_mode(size: ProblemSize, mode: SpaceMode) -> Mm3Mold {
-        Mm3Mold {
-            size,
-            mode,
-            dims: mm3_dims(size),
-            space: space_for_mode(crate::datasets::KernelName::Mm3, size, mode),
-        }
-    }
-
-    /// Kernel dimensions.
-    pub fn dims(&self) -> &Mm3Dims {
-        &self.dims
-    }
-}
-
-impl CodeMold for Mm3Mold {
-    fn name(&self) -> &str {
-        "3mm"
-    }
-
-    fn size(&self) -> ProblemSize {
-        self.size
-    }
-
-    fn mode(&self) -> SpaceMode {
-        self.mode
-    }
-
-    fn space(&self) -> &ConfigSpace {
-        &self.space
-    }
-
-    fn prelint(&self, config: &Configuration) -> Vec<Diagnostic> {
-        let mut p = Prelint::new();
-        let kn = MatmulKnobs::from_config(config);
-        // Stages E and F use the plain (knob-free) pattern.
-        p.split("y", config.int("P0")).split("x", config.int("P1"));
-        p.split("y", config.int("P2")).split("x", config.int("P3"));
-        super::matmul_stage_prelint(&mut p, config.int("P4"), config.int("P5"), &kn);
-        p.finish()
-    }
-
-    fn instantiate(&self, config: &Configuration) -> PrimFunc {
-        assert!(
-            self.space.validate(config),
-            "configuration {config} is not in the 3mm space"
-        );
-        let tiles = [
-            config.int("P0"),
-            config.int("P1"),
-            config.int("P2"),
-            config.int("P3"),
-            config.int("P4"),
-            config.int("P5"),
-        ];
-        let kn = MatmulKnobs::from_config(config);
-        build_3mm_knobbed(&self.dims, tiles, &kn)
-    }
-
-    fn init_args(&self) -> Vec<NDArray> {
-        let [a, b, c, d] = crate::reference::mm3_inputs(&self.dims, DTYPE);
-        let g = NDArray::zeros(&[self.dims.n, self.dims.p], DTYPE);
-        vec![a, b, c, d, g]
-    }
-
-    fn reference_args(&self) -> Vec<Option<NDArray>> {
-        let [a, b, c, d] = crate::reference::mm3_inputs(&self.dims, DTYPE);
-        let g = crate::reference::mm3(&a, &b, &c, &d);
-        vec![None, None, None, None, Some(g)]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::molds::{mold_for, mold_for_mode};
+    use crate::{KernelName, ProblemSize, SpaceMode};
     use tvm_runtime::interp::execute;
 
     #[test]
@@ -162,7 +100,7 @@ mod tests {
 
     #[test]
     fn untiled_equals_reference() {
-        let mold = Mm3Mold::new(ProblemSize::Mini);
+        let mold = mold_for(KernelName::Mm3, ProblemSize::Mini);
         let cfg = Configuration::new(
             (0..6).map(|i| format!("P{i}")).collect(),
             vec![configspace::ParamValue::Int(1); 6],
@@ -181,7 +119,7 @@ mod tests {
 
     #[test]
     fn tiled_equals_reference() {
-        let mold = Mm3Mold::new(ProblemSize::Mini);
+        let mold = mold_for(KernelName::Mm3, ProblemSize::Mini);
         // Valid divisor picks for mini dims (m=20, n=16, p=24).
         let cfg = Configuration::new(
             (0..6).map(|i| format!("P{i}")).collect(),
@@ -205,7 +143,7 @@ mod tests {
 
     #[test]
     fn lowered_structure_has_three_update_nests() {
-        let mold = Mm3Mold::new(ProblemSize::Mini);
+        let mold = mold_for(KernelName::Mm3, ProblemSize::Mini);
         let f = mold.instantiate(&mold.baseline_configuration());
         // 3 init stores + 3 update stores.
         assert_eq!(f.body.store_count(), 6);
@@ -221,7 +159,7 @@ mod tests {
     }
 
     fn check_aggressive_at(size: ProblemSize, tiles: [i64; 6], knobs: [i64; 5]) {
-        let mold = Mm3Mold::with_mode(size, SpaceMode::Aggressive);
+        let mold = mold_for_mode(KernelName::Mm3, size, SpaceMode::Aggressive);
         let mut names: Vec<String> = (0..6).map(|i| format!("P{i}")).collect();
         names.extend(crate::spaces::KNOB_NAMES.iter().map(|s| s.to_string()));
         let vals: Vec<configspace::ParamValue> = tiles
@@ -272,7 +210,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in the 3mm space")]
     fn foreign_config_rejected() {
-        let mold = Mm3Mold::new(ProblemSize::Mini);
+        let mold = mold_for(KernelName::Mm3, ProblemSize::Mini);
         let cfg = Configuration::new(
             (0..6).map(|i| format!("P{i}")).collect(),
             vec![configspace::ParamValue::Int(7); 6], // 7 divides nothing here

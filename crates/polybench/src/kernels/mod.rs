@@ -1,4 +1,10 @@
 //! Kernel implementations, one module per PolyBench kernel.
+//!
+//! A module holds only what is its kernel's own: its TE/TIR build
+//! function, its prelint, its input arrays and its reference outputs. It
+//! exports them as one [`Kernel`] table, `KERNEL`, which
+//! [`crate::molds::mold_for_mode`] wraps with a problem size, a space mode
+//! and the tuning space into the one code mold.
 
 pub mod cholesky;
 pub mod gemm;
@@ -8,10 +14,31 @@ pub mod mm3;
 pub mod syrk;
 pub mod trmm;
 
+use crate::datasets::ProblemSize;
 use configspace::Configuration;
+use tvm_runtime::NDArray;
 use tvm_te::schedule::Schedule;
-use tvm_te::{IterVar, Tensor};
+use tvm_te::{DType, IterVar, Tensor};
 use tvm_tir::analyze::{prelint::Prelint, Diagnostic};
+use tvm_tir::PrimFunc;
+
+/// Element type of the PolyBench kernels (`DATA_TYPE double`).
+pub const DTYPE: DType = DType::F64;
+
+/// One kernel's part of a code mold, as functions of the problem size:
+/// what [`crate::molds::CodeMold`] asks of a kernel beyond its space.
+pub(crate) struct Kernel {
+    /// Kernel name (e.g. `"3mm"`).
+    pub name: &'static str,
+    /// The declared-schedule check ([`crate::molds::CodeMold::prelint`]).
+    pub prelint: fn(&Configuration) -> Vec<Diagnostic>,
+    /// Fill the holes with a configuration and lower to TIR.
+    pub instantiate: fn(ProblemSize, &Configuration) -> PrimFunc,
+    /// The argument arrays, inputs followed by outputs.
+    pub init_args: fn(ProblemSize) -> Vec<NDArray>,
+    /// The reference outputs for `init_args`, `None` for pure inputs.
+    pub reference_args: fn(ProblemSize) -> Vec<Option<NDArray>>,
+}
 
 /// Apply the paper's standard two-factor tile pattern to a matmul-like
 /// stage: `yo, yi = split(y, ty); xo, xi = split(x, tx);
@@ -87,10 +114,11 @@ pub(crate) fn matmul_stage_prelint(p: &mut Prelint, ty: i64, tx: i64, kn: &Matmu
     }
 }
 
-/// Prelint helper for the plain (knob-free) tile pattern.
-pub(crate) fn tile_prelint(ty: i64, tx: i64) -> Vec<Diagnostic> {
+/// The prelint of the four tile-only kernels: the plain (knob-free) tile
+/// pattern on `P0` × `P1`.
+pub(crate) fn tile_prelint(config: &Configuration) -> Vec<Diagnostic> {
     let mut p = Prelint::new();
-    p.split("y", ty).split("x", tx);
+    p.split("y", config.int("P0")).split("x", config.int("P1"));
     p.finish()
 }
 

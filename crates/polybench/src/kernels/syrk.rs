@@ -11,23 +11,37 @@
 //! Every `(i, j)` element is independent, so any tiling is valid; only
 //! the lower triangle (including the diagonal) is written.
 
+use super::{Kernel, DTYPE};
 use crate::datasets::{syrk_dims, ProblemSize};
-use crate::molds::CodeMold;
-use crate::spaces::{space_for_mode, SpaceMode};
-use configspace::{ConfigSpace, Configuration};
 use tvm_runtime::NDArray;
 use tvm_te::ops::cmp;
-use tvm_te::{placeholder, DType, PrimExpr};
-use tvm_tir::analyze::Diagnostic;
+use tvm_te::{placeholder, PrimExpr};
 use tvm_tir::builder::{par, seq, ser, store, when, FuncBuilder};
 use tvm_tir::PrimFunc;
 
-/// Element type (`DATA_TYPE double`).
-pub const DTYPE: DType = DType::F64;
 /// PolyBench's `alpha`.
 pub const ALPHA: f64 = 1.5;
 /// PolyBench's `beta`.
 pub const BETA: f64 = 1.2;
+
+/// The syrk table of the code mold. The aggressive space adds the `PAR`
+/// knob, whose value 2 parallelizes the `k` reduction: a race the
+/// analyzer denies.
+pub(crate) const KERNEL: Kernel = Kernel {
+    name: "syrk",
+    prelint: super::tile_prelint,
+    instantiate: |size, config| {
+        let (m, n) = syrk_dims(size);
+        let par_mode = config.get("PAR").and_then(|v| v.as_int()).unwrap_or(0);
+        build_syrk_par(m, n, config.int("P0"), config.int("P1"), par_mode)
+    },
+    init_args,
+    reference_args: |size| {
+        let args = init_args(size);
+        let c = crate::reference::syrk(ALPHA, BETA, &args[0], &args[1]);
+        vec![None, Some(c)]
+    },
+};
 
 fn imm(v: f64) -> PrimExpr {
     PrimExpr::FloatImm(v, DTYPE)
@@ -111,85 +125,22 @@ pub(crate) fn build_syrk_par(m: usize, n: usize, ty: i64, tx: i64, par_mode: i64
     fb.build(body)
 }
 
-/// The syrk code mold.
-pub struct SyrkMold {
-    size: ProblemSize,
-    mode: SpaceMode,
-    dims: (usize, usize),
-    space: ConfigSpace,
-}
-
-impl SyrkMold {
-    /// Paper-space mold for a problem-size class.
-    pub fn new(size: ProblemSize) -> SyrkMold {
-        SyrkMold::with_mode(size, SpaceMode::Paper)
-    }
-
-    /// Mold for a problem-size class under a space mode. Aggressive mode
-    /// widens the tile lists and adds the `PAR` knob, whose value 2
-    /// parallelizes the `k` reduction — a race the analyzer denies.
-    pub fn with_mode(size: ProblemSize, mode: SpaceMode) -> SyrkMold {
-        SyrkMold {
-            size,
-            mode,
-            dims: syrk_dims(size),
-            space: space_for_mode(crate::datasets::KernelName::Syrk, size, mode),
-        }
-    }
-}
-
-impl CodeMold for SyrkMold {
-    fn name(&self) -> &str {
-        "syrk"
-    }
-
-    fn size(&self) -> ProblemSize {
-        self.size
-    }
-
-    fn mode(&self) -> SpaceMode {
-        self.mode
-    }
-
-    fn space(&self) -> &ConfigSpace {
-        &self.space
-    }
-
-    fn prelint(&self, config: &Configuration) -> Vec<Diagnostic> {
-        super::tile_prelint(config.int("P0"), config.int("P1"))
-    }
-
-    fn instantiate(&self, config: &Configuration) -> PrimFunc {
-        assert!(
-            self.space.validate(config),
-            "configuration {config} is not in the syrk space"
-        );
-        let (m, n) = self.dims;
-        let par_mode = config.get("PAR").and_then(|v| v.as_int()).unwrap_or(0);
-        build_syrk_par(m, n, config.int("P0"), config.int("P1"), par_mode)
-    }
-
-    fn init_args(&self) -> Vec<NDArray> {
-        let (m, n) = self.dims;
-        let a = NDArray::from_fn(&[n, m], DTYPE, |i| {
-            ((i[0] * i[1] + 1) % n) as f64 / n as f64
-        });
-        let c = NDArray::from_fn(&[n, n], DTYPE, |i| {
-            ((i[0] * i[1] + 2) % m) as f64 / m as f64
-        });
-        vec![a, c]
-    }
-
-    fn reference_args(&self) -> Vec<Option<NDArray>> {
-        let args = self.init_args();
-        let c = crate::reference::syrk(ALPHA, BETA, &args[0], &args[1]);
-        vec![None, Some(c)]
-    }
+fn init_args(size: ProblemSize) -> Vec<NDArray> {
+    let (m, n) = syrk_dims(size);
+    let a = NDArray::from_fn(&[n, m], DTYPE, |i| {
+        ((i[0] * i[1] + 1) % n) as f64 / n as f64
+    });
+    let c = NDArray::from_fn(&[n, n], DTYPE, |i| {
+        ((i[0] * i[1] + 2) % m) as f64 / m as f64
+    });
+    vec![a, c]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::molds::{mold_for, mold_for_mode};
+    use crate::{KernelName, ProblemSize, SpaceMode};
     use tvm_runtime::interp::execute;
 
     #[test]
@@ -208,8 +159,8 @@ mod tests {
     }
 
     fn check_par(ty: i64, tx: i64, par_mode: i64) {
-        let mold = SyrkMold::new(ProblemSize::Mini);
-        let (m, n) = mold.dims;
+        let mold = mold_for(KernelName::Syrk, ProblemSize::Mini);
+        let (m, n) = syrk_dims(ProblemSize::Mini);
         let f = build_syrk_par(m, n, ty, tx, par_mode);
         let mut args = mold.init_args();
         execute(&f, &mut args).expect("run");
@@ -230,8 +181,8 @@ mod tests {
 
     #[test]
     fn parallel_reduction_is_denied_by_analyzer() {
-        let mold = SyrkMold::with_mode(ProblemSize::Mini, SpaceMode::Aggressive);
-        let (m, n) = mold.dims;
+        let mold = mold_for_mode(KernelName::Syrk, ProblemSize::Mini, SpaceMode::Aggressive);
+        let (m, n) = syrk_dims(ProblemSize::Mini);
         let f = build_syrk_par(m, n, 5, 5, 2);
         let races = tvm_tir::analyze::deps::races(&f);
         let witness = races
@@ -250,8 +201,8 @@ mod tests {
 
     #[test]
     fn upper_triangle_untouched() {
-        let mold = SyrkMold::new(ProblemSize::Mini);
-        let (m, n) = mold.dims;
+        let mold = mold_for(KernelName::Syrk, ProblemSize::Mini);
+        let (m, n) = syrk_dims(ProblemSize::Mini);
         let f = build_syrk_par(m, n, 5, 6, 0);
         let input = mold.init_args()[1].clone();
         let mut args = mold.init_args();

@@ -12,21 +12,32 @@
 //! `k > i`, so the reads see the original values — valid for any tiling
 //! (verified in tests).
 
+use super::{Kernel, DTYPE};
 use crate::datasets::{trmm_dims, ProblemSize};
-use crate::molds::CodeMold;
-use crate::spaces::{space_for_mode, SpaceMode};
-use configspace::{ConfigSpace, Configuration};
 use tvm_runtime::NDArray;
 use tvm_te::ops::cmp;
-use tvm_te::{placeholder, DType, PrimExpr};
-use tvm_tir::analyze::Diagnostic;
+use tvm_te::{placeholder, PrimExpr};
 use tvm_tir::builder::{seq, ser, store, when, FuncBuilder};
 use tvm_tir::PrimFunc;
 
-/// Element type (`DATA_TYPE double`).
-pub const DTYPE: DType = DType::F64;
 /// PolyBench's `alpha`.
 pub const ALPHA: f64 = 1.5;
+
+/// The trmm table of the code mold.
+pub(crate) const KERNEL: Kernel = Kernel {
+    name: "trmm",
+    prelint: super::tile_prelint,
+    instantiate: |size, config| {
+        let (m, n) = trmm_dims(size);
+        build_trmm(m, n, config.int("P0"), config.int("P1"))
+    },
+    init_args,
+    reference_args: |size| {
+        let args = init_args(size);
+        let b = crate::reference::trmm(ALPHA, &args[0], &args[1]);
+        vec![None, Some(b)]
+    },
+};
 
 fn imm(v: f64) -> PrimExpr {
     PrimExpr::FloatImm(v, DTYPE)
@@ -86,95 +97,33 @@ pub fn build_trmm(m: usize, n: usize, ty: i64, tx: i64) -> PrimFunc {
     fb.build(body)
 }
 
-/// The trmm code mold.
-pub struct TrmmMold {
-    size: ProblemSize,
-    mode: SpaceMode,
-    dims: (usize, usize),
-    space: ConfigSpace,
-}
-
-impl TrmmMold {
-    /// Paper-space mold for a problem-size class.
-    pub fn new(size: ProblemSize) -> TrmmMold {
-        TrmmMold::with_mode(size, SpaceMode::Paper)
-    }
-
-    /// Mold for a problem-size class under a space mode. Aggressive mode
-    /// widens the tile lists (non-divisor tails are already guarded by
-    /// the builder); tile factor 0 is denied by the prelint.
-    pub fn with_mode(size: ProblemSize, mode: SpaceMode) -> TrmmMold {
-        TrmmMold {
-            size,
-            mode,
-            dims: trmm_dims(size),
-            space: space_for_mode(crate::datasets::KernelName::Trmm, size, mode),
+fn init_args(size: ProblemSize) -> Vec<NDArray> {
+    let (m, n) = trmm_dims(size);
+    let a = NDArray::from_fn(&[m, m], DTYPE, |i| {
+        if i[1] < i[0] {
+            ((i[0] + i[1]) % m) as f64 / m as f64
+        } else if i[0] == i[1] {
+            1.0
+        } else {
+            0.0
         }
-    }
-}
-
-impl CodeMold for TrmmMold {
-    fn name(&self) -> &str {
-        "trmm"
-    }
-
-    fn size(&self) -> ProblemSize {
-        self.size
-    }
-
-    fn mode(&self) -> SpaceMode {
-        self.mode
-    }
-
-    fn space(&self) -> &ConfigSpace {
-        &self.space
-    }
-
-    fn prelint(&self, config: &Configuration) -> Vec<Diagnostic> {
-        super::tile_prelint(config.int("P0"), config.int("P1"))
-    }
-
-    fn instantiate(&self, config: &Configuration) -> PrimFunc {
-        assert!(
-            self.space.validate(config),
-            "configuration {config} is not in the trmm space"
-        );
-        let (m, n) = self.dims;
-        build_trmm(m, n, config.int("P0"), config.int("P1"))
-    }
-
-    fn init_args(&self) -> Vec<NDArray> {
-        let (m, n) = self.dims;
-        let a = NDArray::from_fn(&[m, m], DTYPE, |i| {
-            if i[1] < i[0] {
-                ((i[0] + i[1]) % m) as f64 / m as f64
-            } else if i[0] == i[1] {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        let b = NDArray::from_fn(&[m, n], DTYPE, |i| {
-            ((n + i[0] - i[1]) % n) as f64 / n as f64
-        });
-        vec![a, b]
-    }
-
-    fn reference_args(&self) -> Vec<Option<NDArray>> {
-        let args = self.init_args();
-        let b = crate::reference::trmm(ALPHA, &args[0], &args[1]);
-        vec![None, Some(b)]
-    }
+    });
+    let b = NDArray::from_fn(&[m, n], DTYPE, |i| {
+        ((n + i[0] - i[1]) % n) as f64 / n as f64
+    });
+    vec![a, b]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::molds::mold_for;
+    use crate::{KernelName, ProblemSize};
     use tvm_runtime::interp::execute;
 
     fn check(ty: i64, tx: i64) {
-        let mold = TrmmMold::new(ProblemSize::Mini);
-        let (m, n) = mold.dims;
+        let mold = mold_for(KernelName::Trmm, ProblemSize::Mini);
+        let (m, n) = trmm_dims(ProblemSize::Mini);
         let f = build_trmm(m, n, ty, tx);
         let mut args = mold.init_args();
         execute(&f, &mut args).expect("run");

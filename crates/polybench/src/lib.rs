@@ -8,19 +8,19 @@
 //!
 //! * [`datasets`] — the PolyBench problem-size presets
 //!   (mini…extralarge; the paper uses *large* and *extralarge*),
-//! * [`kernels`] — the kernel molds: `3mm` goes through the full TE →
-//!   schedule → lower pipeline with the paper's six split parameters;
-//!   `lu` and `cholesky` (loop-carried dependences) are built as
-//!   right-looking factorizations with tiled trailing updates via the
+//! * [`kernels`] — one table of functions per kernel: `3mm` goes through
+//!   the full TE → schedule → lower pipeline with the paper's six split
+//!   parameters; `lu` and `cholesky` (loop-carried dependences) are built
+//!   as right-looking factorizations with tiled trailing updates via the
 //!   imperative TIR builder, exposing the paper's two tile parameters.
-//!   `gemm` and `2mm` are included as extensions,
+//!   `gemm`, `2mm`, `syrk` and `trmm` are included as extensions,
 //! * [`spaces`] — the exact tuning spaces of the paper (ordinal
 //!   hyperparameters over divisor lists), reproducing Table 1's
 //!   cardinalities bit-for-bit,
 //! * [`mod@reference`] — plain-Rust reference implementations used to verify
 //!   every mold configuration numerically,
-//! * [`molds`] — the [`molds::CodeMold`] trait tying it together for the
-//!   tuners.
+//! * [`molds`] — the [`molds::CodeMold`] trait and the one mold type
+//!   implementing it, a kernel's table at a size and a space mode.
 //!
 //! ```
 //! use polybench::{molds::mold_for, KernelName, ProblemSize};

@@ -3,9 +3,15 @@
 //! A *code mold* is the paper's term for a kernel template whose tunable
 //! statements (`split(y, #P0)` …) are holes filled in with a configuration
 //! — step 2 of the proposed framework's iterative phase.
+//!
+//! There is one mold type, `Mold`: a kernel's table of functions
+//! ([`crate::kernels`]: prelint, build, input arrays, reference outputs)
+//! with a problem size, a space mode and the tuning space of the three.
+//! [`mold_for_mode`] picks the table.
 
 use crate::datasets::{KernelName, ProblemSize};
-use crate::spaces::SpaceMode;
+use crate::kernels::{self, Kernel};
+use crate::spaces::{space_for_mode, SpaceMode};
 use configspace::{ConfigSpace, Configuration};
 use tvm_runtime::NDArray;
 use tvm_tir::analyze::Diagnostic;
@@ -100,19 +106,71 @@ pub trait CodeMold: Send + Sync {
     }
 }
 
+/// A kernel's table at a problem size and space mode.
+struct Mold {
+    kernel: &'static Kernel,
+    size: ProblemSize,
+    mode: SpaceMode,
+    space: ConfigSpace,
+}
+
+impl CodeMold for Mold {
+    fn name(&self) -> &str {
+        self.kernel.name
+    }
+
+    fn size(&self) -> ProblemSize {
+        self.size
+    }
+
+    fn mode(&self) -> SpaceMode {
+        self.mode
+    }
+
+    fn space(&self) -> &ConfigSpace {
+        &self.space
+    }
+
+    fn prelint(&self, config: &Configuration) -> Vec<Diagnostic> {
+        (self.kernel.prelint)(config)
+    }
+
+    fn instantiate(&self, config: &Configuration) -> PrimFunc {
+        assert!(
+            self.space.validate(config),
+            "configuration {config} is not in the {} space",
+            self.kernel.name
+        );
+        (self.kernel.instantiate)(self.size, config)
+    }
+
+    fn init_args(&self) -> Vec<NDArray> {
+        (self.kernel.init_args)(self.size)
+    }
+
+    fn reference_args(&self) -> Vec<Option<NDArray>> {
+        (self.kernel.reference_args)(self.size)
+    }
+}
+
 /// Construct the mold for a kernel at a problem size under a space mode.
 pub fn mold_for_mode(kernel: KernelName, size: ProblemSize, mode: SpaceMode) -> Box<dyn CodeMold> {
-    match kernel {
-        KernelName::Mm3 => Box::new(crate::kernels::mm3::Mm3Mold::with_mode(size, mode)),
-        KernelName::Lu => Box::new(crate::kernels::lu::LuMold::with_mode(size, mode)),
-        KernelName::Cholesky => Box::new(crate::kernels::cholesky::CholeskyMold::with_mode(
-            size, mode,
-        )),
-        KernelName::Gemm => Box::new(crate::kernels::gemm::GemmMold::with_mode(size, mode)),
-        KernelName::Mm2 => Box::new(crate::kernels::mm2::Mm2Mold::with_mode(size, mode)),
-        KernelName::Syrk => Box::new(crate::kernels::syrk::SyrkMold::with_mode(size, mode)),
-        KernelName::Trmm => Box::new(crate::kernels::trmm::TrmmMold::with_mode(size, mode)),
-    }
+    let table = match kernel {
+        KernelName::Mm3 => &kernels::mm3::KERNEL,
+        KernelName::Lu => &kernels::lu::KERNEL,
+        KernelName::Cholesky => &kernels::cholesky::KERNEL,
+        KernelName::Gemm => &kernels::gemm::KERNEL,
+        KernelName::Mm2 => &kernels::mm2::KERNEL,
+        KernelName::Syrk => &kernels::syrk::KERNEL,
+        KernelName::Trmm => &kernels::trmm::KERNEL,
+    };
+    let space = space_for_mode(kernel, size, mode);
+    Box::new(Mold {
+        kernel: table,
+        size,
+        mode,
+        space,
+    })
 }
 
 /// Construct the paper-space mold for a kernel at a problem size.
