@@ -351,7 +351,6 @@ mod fixtures {
                 items: vec![Item::Code(prologue), root.clone()],
             },
             jit: None,
-            par: None,
         }
     }
 

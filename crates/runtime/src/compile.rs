@@ -396,11 +396,6 @@ pub struct CompiledFunc {
     /// codegen backend compiled any loop nests (`None` on the plain
     /// interpreter/VM paths).
     pub(crate) jit: Option<std::sync::Arc<crate::codegen::JitProgram>>,
-    /// Parallel-execution counters shared with the owning device
-    /// ([`crate::pool::ParCounters`]); the VM records dispatches and
-    /// sequential fallbacks here at execution time. `None` on paths
-    /// that never parallelize (plain `compile`, the scalar rung).
-    pub(crate) par: Option<std::sync::Arc<crate::pool::ParCounters>>,
 }
 
 impl CompiledFunc {
@@ -423,7 +418,6 @@ impl CompiledFunc {
             n_fregs: self.n_fregs,
             body,
             jit: self.jit.clone(),
-            par: self.par.clone(),
         }
     }
 
@@ -1430,7 +1424,6 @@ pub(crate) fn compile_with_proofs(
         n_fregs: c.fdef.len(),
         body: Block { items: root.items },
         jit: None,
-        par: None,
     })
 }
 

@@ -239,16 +239,21 @@ impl CpuDevice {
         }
     }
 
-    /// Wire the device's shared parallel counters into a compiled
-    /// function and record its static census (how many parallel loops
-    /// the analyzer proved race-free vs. left sequential).
-    fn attach_par(&self, mut cf: CompiledFunc) -> CompiledFunc {
+    /// Record a prepared function's static census (how many parallel
+    /// loops the analyzer proved race-free vs. left sequential). The
+    /// function carries no counters: whichever device runs it counts its
+    /// dispatches ([`vm::execute_counted`]).
+    fn record_census(&self, cf: CompiledFunc) -> CompiledFunc {
         if let Some(counters) = &self.par {
             let (proven, unproven) = cf.parallel_loop_counts();
             counters.record_prepared(proven as u64, unproven as u64);
-            cf.par = Some(Arc::clone(counters));
         }
         cf
+    }
+
+    /// Run a compiled function, counting its parallel loops here.
+    fn execute(&self, cf: &CompiledFunc, args: &mut [NDArray]) -> Result<(), DeviceError> {
+        Ok(vm::execute_counted(cf, args, self.par.as_deref())?)
     }
 
     /// Optimize + JIT-compile with fallback accounting. `None` only when
@@ -267,11 +272,11 @@ impl CpuDevice {
                 if let Some(program) = &jitted.jit {
                     state.simd.record_report(program.simd_report());
                 }
-                Some(Arc::new(self.attach_par(jitted)))
+                Some(Arc::new(self.record_census(jitted)))
             }
             Err(e) => {
                 state.counters.record_fallback(&e.0);
-                Some(Arc::new(self.attach_par(cf)))
+                Some(Arc::new(self.record_census(cf)))
             }
         }
     }
@@ -291,11 +296,11 @@ impl Device for CpuDevice {
                 Err(_) => crate::interp::execute(func, args)?,
             },
             CpuMode::Optimized => match crate::optimize::compile_optimized(func) {
-                Ok(cf) => vm::execute(&self.attach_par(cf), args)?,
+                Ok(cf) => self.execute(&self.record_census(cf), args)?,
                 Err(_) => crate::interp::execute(func, args)?,
             },
             CpuMode::Jit => match self.jit_prepare(func) {
-                Some(cf) => vm::execute(&cf, args)?,
+                Some(cf) => self.execute(&cf, args)?,
                 None => crate::interp::execute(func, args)?,
             },
         }
@@ -308,7 +313,7 @@ impl Device for CpuDevice {
             CpuMode::Scalar => compile(func).ok().map(Arc::new),
             CpuMode::Optimized => crate::optimize::compile_optimized(func)
                 .ok()
-                .map(|cf| Arc::new(self.attach_par(cf))),
+                .map(|cf| Arc::new(self.record_census(cf))),
             CpuMode::Jit => self.jit_prepare(func),
         }
     }
@@ -319,7 +324,7 @@ impl Device for CpuDevice {
         args: &mut [NDArray],
     ) -> Result<f64, DeviceError> {
         let t0 = Instant::now();
-        vm::execute(prepared, args)?;
+        self.execute(prepared, args)?;
         Ok(t0.elapsed().as_secs_f64())
     }
 

@@ -95,11 +95,14 @@ impl SerialReason {
     }
 }
 
-/// Lock-free parallel-execution counters, shared `Arc`-style between a
-/// device and every [`crate::CompiledFunc`] it prepares (mirroring
-/// [`crate::codegen::JitCounters`]). Execution-time increments are
-/// relaxed atomics: a parallel loop dispatches once per entry, so the
-/// cost is noise next to the dispatch itself.
+/// Lock-free parallel-execution counters of one device (mirroring
+/// [`crate::codegen::JitCounters`]): the census of the functions it
+/// prepares, and the dispatches and fallbacks of the runs it executes. A
+/// [`crate::CompiledFunc`] holds none, so a function prepared by one
+/// device and run by another counts on the one that runs it.
+/// Execution-time increments are relaxed atomics: a parallel loop
+/// dispatches once per entry, so the cost is noise next to the dispatch
+/// itself.
 #[derive(Debug, Default)]
 pub struct ParCounters {
     loops_proven: AtomicU64,

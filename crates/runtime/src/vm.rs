@@ -10,7 +10,7 @@
 use crate::compile::{live_range, Block, CompiledFunc, Instr, Item, LoopKind, Reg, SlotAccess};
 use crate::interp::ExecError;
 use crate::ndarray::NDArray;
-use crate::pool;
+use crate::pool::{self, ParCounters};
 use std::sync::Mutex;
 use tvm_te::{BinOp, CmpOp, DType};
 use tvm_tir::PrimFunc;
@@ -19,6 +19,9 @@ struct Vm<'a> {
     iregs: Vec<i64>,
     fregs: Vec<f64>,
     cf: &'a CompiledFunc,
+    /// Where this run's dispatches and sequential fallbacks are counted:
+    /// the executing device's counters, never the artifact's.
+    par: Option<&'a ParCounters>,
     /// Storage base pointers handed to every [`Item::JitCall`], built
     /// once per VM by [`slot_table`] (empty when nothing is jitted).
     slots: Vec<*mut u8>,
@@ -54,9 +57,7 @@ impl<'a> Vm<'a> {
                     // loops alike (no clamp = the static range).
                     let (start, end) = live_range(*min, *extent, *clamp, &self.iregs);
                     if let LoopKind::Parallel { proven } = kind {
-                        if let Some(plan) =
-                            pool::begin_parallel(*proven, end - start, self.cf.par.as_deref())
-                        {
+                        if let Some(plan) = pool::begin_parallel(*proven, end - start, self.par) {
                             // Hoisted registers are sequential state: the
                             // optimizer leaves a loop with work to split
                             // as it is.
@@ -248,7 +249,7 @@ impl<'a> Vm<'a> {
         let first_err: Mutex<Option<(usize, ExecError)>> = Mutex::new(None);
         let iregs = &self.iregs;
         let fregs = &self.fregs;
-        let cf = self.cf;
+        let (cf, par) = (self.cf, self.par);
         pool::run_chunks(n_chunks, &|c| {
             let (lo, hi) = pool::chunk_range(min, extent, c, n_chunks);
             let st = unsafe { std::slice::from_raw_parts_mut(shared.0, shared.1) };
@@ -256,6 +257,7 @@ impl<'a> Vm<'a> {
                 iregs: iregs.clone(),
                 fregs: fregs.clone(),
                 cf,
+                par,
                 slots: slot_table(cf, st),
             };
             for it in lo..hi {
@@ -598,8 +600,21 @@ fn fcmp(op: CmpOp, x: f64, y: f64) -> bool {
 /// Execute a compiled function over `args` (one array per parameter, in
 /// order; outputs are written in place on success, untouched on failure) —
 /// the same contract and the same error classification as
-/// [`crate::interp::execute`].
+/// [`crate::interp::execute`]. Parallel loops count nowhere; a device
+/// counts its own runs through [`execute_counted`].
 pub fn execute(cf: &CompiledFunc, args: &mut [NDArray]) -> Result<(), ExecError> {
+    execute_counted(cf, args, None)
+}
+
+/// [`execute`], recording each parallel loop's dispatch or sequential
+/// fallback in `par`: the counters of the device that runs `cf`, which
+/// may be another device than the one that prepared it (a shared memo
+/// cache hands one artifact to many).
+pub(crate) fn execute_counted(
+    cf: &CompiledFunc,
+    args: &mut [NDArray],
+    par: Option<&ParCounters>,
+) -> Result<(), ExecError> {
     if args.len() != cf.params.len() {
         return Err(ExecError::ArityMismatch {
             expected: cf.params.len(),
@@ -631,6 +646,7 @@ pub fn execute(cf: &CompiledFunc, args: &mut [NDArray]) -> Result<(), ExecError>
         iregs: vec![0; cf.n_iregs],
         fregs: vec![0.0; cf.n_fregs],
         cf,
+        par,
         slots: slot_table(cf, &mut storage),
     };
     vm.exec_block(&cf.body, &mut storage)?;
@@ -867,14 +883,13 @@ mod tests {
     fn proven_parallel_matmul_is_dispatched_and_bit_identical() {
         let _guard = crate::pool::test_threads_lock();
         let f = parallel_matmul_func(16, 4);
-        let counters = std::sync::Arc::new(crate::pool::ParCounters::new());
-        let mut cf = crate::optimize::compile_optimized(&f).expect("compile_optimized");
+        let counters = ParCounters::new();
+        let cf = crate::optimize::compile_optimized(&f).expect("compile_optimized");
         assert_eq!(
             cf.parallel_loop_counts(),
             (1, 0),
             "divisible row tiling must prove race-free"
         );
-        cf.par = Some(std::sync::Arc::clone(&counters));
         for threads in [1usize, 2, 4, 7] {
             crate::pool::set_num_threads(threads);
             let args = vec![
@@ -885,7 +900,7 @@ mod tests {
             let mut seq = args.clone();
             let mut par = args;
             let r1 = interp::execute(&f, &mut seq);
-            let r2 = execute(&cf, &mut par);
+            let r2 = execute_counted(&cf, &mut par, Some(&counters));
             assert_eq!(r1, r2);
             for (x, y) in seq.iter().zip(par.iter()) {
                 assert_eq!(x, y, "{threads} threads must be bit-identical");

@@ -895,6 +895,30 @@ mod tests {
     }
 
     #[test]
+    fn evaluators_sharing_a_cache_count_their_own_dispatches() {
+        // A cached artifact carries no device state: a hit runs on the
+        // evaluator's own device and counts there, not on the device that
+        // prepared it. Two threads, so the proven row-tile loop dispatches.
+        tvm_runtime::pool::set_num_threads(2);
+        let shared = Arc::new(MemoCache::new());
+        let on_cpu = || {
+            let mold = mold_for(KernelName::Gemm, ProblemSize::Mini);
+            MoldEvaluator::real(mold, CpuDevice::new()).with_cache(Arc::clone(&shared))
+        };
+        fn dispatches(ev: &impl Evaluator) -> u64 {
+            ev.par_stats().expect("the CPU device counts").dispatches
+        }
+        let (a, b) = (on_cpu(), on_cpu());
+        let cfg = Evaluator::space(&a).default_configuration();
+        assert!(Evaluator::evaluate(&a, &cfg).is_ok());
+        let own = dispatches(&a);
+        assert!(own > 0, "{cfg} must dispatch its row-tile loop");
+        assert!(Evaluator::evaluate(&b, &cfg).is_ok());
+        assert_eq!((shared.stats().hits, shared.stats().misses), (1, 1));
+        assert_eq!((dispatches(&a), dispatches(&b)), (own, own));
+    }
+
+    #[test]
     fn prune_hands_its_lowering_to_the_evaluation() {
         let ev =
             MoldEvaluator::simulated(Box::new(RacyMold::new()), SimDevice::new(GpuSpec::a100()));
