@@ -3,8 +3,9 @@
 //! Walks the statement tree propagating loop-variable ranges through
 //! index expressions (including the `min`/`max`/`floordiv`/`floormod`
 //! shapes produced by split schedules) and checks every `BufferStore`
-//! target and `TensorRead` against the storage extents. Enclosing `if`
-//! guards refine the ranges, so tail-guarded partial tiles prove clean.
+//! target and `TensorRead` (those of `if` conditions included) against
+//! the storage extents. Enclosing `if` guards refine the ranges, so
+//! tail-guarded partial tiles prove clean.
 //!
 //! Every access is either *proven in-bounds*, *proven unreachable*
 //! (empty interval), or reported: a provable violation is `TIR-OOB`,
@@ -48,6 +49,10 @@ fn walk(stmt: &Stmt, env: &mut IntervalEnv, out: &mut Vec<Diagnostic>) {
             }
         }
         Stmt::IfThenElse { cond, then, else_ } => {
+            // The guard's own reads run under the env outside it.
+            if !env.unreachable() {
+                check_reads_in(cond, env, out);
+            }
             let depth = env.constraints.len();
             let mut facts = Vec::new();
             constraints_from_guard(cond, env, &mut facts);
@@ -244,6 +249,28 @@ mod tests {
         assert_eq!(diags[0].code, codes::OOB);
         assert_eq!(diags[0].buffer.as_deref(), Some("A"));
         assert!(diags[0].message.contains("read of"));
+    }
+
+    #[test]
+    fn guard_read_out_of_bounds_is_denied() {
+        // `if A[i] > 0 { b[i] = 1 }`: the guard reads A past its 8 elements.
+        let i = Var::index("i");
+        let a = tvm_te::placeholder([8], DType::F64, "A");
+        let b = Buffer::new("b", [16usize], DType::F64);
+        let guarded = Stmt::IfThenElse {
+            cond: cmp::gt(a.at(&[i.expr()]), tvm_te::ops::float(0.0)),
+            then: Box::new(Stmt::BufferStore {
+                buffer: b.clone(),
+                indices: vec![i.expr()],
+                value: tvm_te::ops::float(1.0),
+            }),
+            else_: None,
+        };
+        let diags = run(&func(nest(&i, 16, guarded), vec![b]));
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, codes::OOB);
+        assert_eq!(diags[0].buffer.as_deref(), Some("A"));
+        assert!(diags[0].message.contains("[0, 15]"), "{}", diags[0].message);
     }
 
     #[test]
