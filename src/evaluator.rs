@@ -899,6 +899,7 @@ mod tests {
         // A cached artifact carries no device state: a hit runs on the
         // evaluator's own device and counts there, not on the device that
         // prepared it. Two threads, so the proven row-tile loop dispatches.
+        let budget = tvm_runtime::pool::num_threads();
         tvm_runtime::pool::set_num_threads(2);
         let shared = Arc::new(MemoCache::new());
         let on_cpu = || {
@@ -916,6 +917,7 @@ mod tests {
         assert!(Evaluator::evaluate(&b, &cfg).is_ok());
         assert_eq!((shared.stats().hits, shared.stats().misses), (1, 1));
         assert_eq!((dispatches(&a), dispatches(&b)), (own, own));
+        tvm_runtime::pool::set_num_threads(budget);
     }
 
     #[test]
