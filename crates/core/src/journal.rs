@@ -83,15 +83,25 @@ fn write_line(file: &mut File, buf: &mut Vec<u8>, record: &TrialRecord) -> std::
     file.write_all(buf)
 }
 
-/// Write `records` to a fresh file at `path` and sync it: the temp-file
-/// half of an atomic replace (the caller renames it into place).
-fn write_file_durable(path: &Path, records: &[TrialRecord]) -> std::io::Result<()> {
-    let mut file = File::create(path)?;
-    let mut buf = Vec::new();
-    for rec in records {
-        write_line(&mut file, &mut buf, rec)?;
-    }
-    file.sync_all()
+/// Replace the file at `path` crash-safely: `write` fills a fresh temp
+/// file beside it (`path` + `.tmp`), which is synced, renamed over
+/// `path`, and made durable by a sync of the parent directory. A crash
+/// at any point leaves the old file or the complete new one under
+/// `path`, never a torn one.
+pub fn replace_durable(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = File::create(&tmp)?;
+    write(&mut file)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    sync_parent_dir(path);
+    Ok(())
 }
 
 /// Best-effort fsync of `path`'s parent directory, making renames and
@@ -132,21 +142,20 @@ impl TrialJournal {
     ///
     /// An intact journal is opened in append mode untouched. Only when a
     /// torn tail (crash mid-write) is detected is the intact prefix
-    /// rewritten — to a temp file that is synced once and atomically
-    /// renamed over the original, so already-durable trials can never be
-    /// lost to a crash during the repair itself.
+    /// rewritten, through [`replace_durable`], so already-durable trials
+    /// can never be lost to a crash during the repair itself.
     pub fn open_resume(
         path: impl AsRef<Path>,
     ) -> std::io::Result<(TrialJournal, Vec<TrialRecord>)> {
         let path = path.as_ref();
         let (existing, torn_tail) = TrialJournal::load_file_with_tail(path)?;
         if torn_tail {
-            let mut tmp_name = path.to_path_buf().into_os_string();
-            tmp_name.push(".repair");
-            let tmp = PathBuf::from(tmp_name);
-            write_file_durable(&tmp, &existing)?;
-            std::fs::rename(&tmp, path)?;
-            sync_parent_dir(path);
+            replace_durable(path, |file| {
+                let mut buf = Vec::new();
+                existing
+                    .iter()
+                    .try_for_each(|rec| write_line(file, &mut buf, rec))
+            })?;
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok((TrialJournal::over(file), existing))

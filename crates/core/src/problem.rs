@@ -1,9 +1,16 @@
-//! The shared evaluator-side counters: memo cache, static checks, JIT,
-//! worker pool, packed SIMD and batch pruning. Evaluators snapshot them,
-//! the trial loop copies them into its result, and the tuning service
-//! merges and serializes them for its status endpoint.
+//! The evaluator-side counters: memo cache, static checks, JIT, worker
+//! pool, packed SIMD and batch pruning. Evaluators snapshot them, the
+//! trial loop copies them into its result, and the tuning service merges
+//! and serializes them for its status endpoint.
+//!
+//! [`JitStats`], [`ParStats`] and [`SimdStats`] are the runtime's own
+//! types, re-exported: a device counts into them and they travel
+//! unconverted. [`PruneStats`] merges its reason list with the runtime's
+//! [`merge_reasons`], like they do.
 
 use serde::{Deserialize, Serialize};
+use tvm_runtime::stats::merge_reasons;
+pub use tvm_runtime::{JitStats, ParStats, SimdStats};
 
 /// Hit/miss counters of an evaluator-side memo cache (lowering /
 /// compilation artifacts reused across repeated proposals).
@@ -41,142 +48,6 @@ impl StaticCheckStats {
     }
 }
 
-/// Native-codegen compile counters of an evaluator-side JIT rung.
-/// Mirrors the runtime's JIT accounting in a serializable form so the
-/// tuning service can report it through its status endpoint: how many
-/// functions reached machine code, how many declined into the bytecode
-/// VM, and why.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JitStats {
-    /// Functions fully compiled to native code.
-    pub functions_jitted: u64,
-    /// Loop nests emitted as machine code across those functions.
-    pub nests_compiled: u64,
-    /// Total bytes of executable code emitted.
-    pub bytes_emitted: u64,
-    /// Functions that fell back to the bytecode VM.
-    pub fallbacks: u64,
-    /// Fallback reasons with occurrence counts, sorted by reason.
-    pub fallback_reasons: Vec<(String, u64)>,
-}
-
-impl JitStats {
-    /// Total compile attempts (jitted + fallbacks).
-    pub fn attempts(&self) -> u64 {
-        self.functions_jitted + self.fallbacks
-    }
-
-    /// Fold `other` into `self` (used by the service to aggregate the
-    /// per-session counters into one status line). Fallback reasons are
-    /// merged by reason and kept sorted.
-    pub fn merge(&mut self, other: &JitStats) {
-        self.functions_jitted += other.functions_jitted;
-        self.nests_compiled += other.nests_compiled;
-        self.bytes_emitted += other.bytes_emitted;
-        self.fallbacks += other.fallbacks;
-        for (reason, n) in &other.fallback_reasons {
-            match self.fallback_reasons.iter_mut().find(|(r, _)| r == reason) {
-                Some((_, count)) => *count += n,
-                None => self.fallback_reasons.push((reason.clone(), *n)),
-            }
-        }
-        self.fallback_reasons.sort();
-    }
-}
-
-/// Multicore-dispatch counters of an evaluator-side parallel execution
-/// layer. Mirrors the runtime's worker-pool accounting in a
-/// serializable form: how many parallel loops carried a race-freedom
-/// proof, how often proven loops actually dispatched on the pool, and
-/// why the remainder ran sequentially.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ParStats {
-    /// Parallel loops carrying a race-freedom proof across all prepared
-    /// functions.
-    pub loops_proven: u64,
-    /// Parallel loops without a proof (always run sequentially).
-    pub loops_unproven: u64,
-    /// Worker-pool dispatches of proven loops at execution time.
-    pub dispatches: u64,
-    /// Sequential executions a parallel loop fell back to.
-    pub fallbacks: u64,
-    /// Fallback reasons with occurrence counts, sorted by reason.
-    pub fallback_reasons: Vec<(String, u64)>,
-    /// Thread budget the pool is configured for.
-    pub pool_threads: u64,
-    /// Threads the process-wide pool has ever spawned (monotonic; pool
-    /// reuse means steady-state trials do not move it).
-    pub threads_spawned: u64,
-}
-
-impl ParStats {
-    /// Fold `other` into `self` (counter-wise sums; reasons merged by
-    /// name and kept sorted; pool facts are process-global, so take the
-    /// max).
-    pub fn merge(&mut self, other: &ParStats) {
-        self.loops_proven += other.loops_proven;
-        self.loops_unproven += other.loops_unproven;
-        self.dispatches += other.dispatches;
-        self.fallbacks += other.fallbacks;
-        for (reason, n) in &other.fallback_reasons {
-            match self.fallback_reasons.iter_mut().find(|(r, _)| r == reason) {
-                Some((_, count)) => *count += n,
-                None => self.fallback_reasons.push((reason.clone(), *n)),
-            }
-        }
-        self.fallback_reasons.sort();
-        self.pool_threads = self.pool_threads.max(other.pool_threads);
-        self.threads_spawned = self.threads_spawned.max(other.threads_spawned);
-    }
-}
-
-/// Packed-SIMD emission counters of an evaluator-side native codegen
-/// rung. Mirrors the runtime's vectorizer accounting in a serializable
-/// form: how many vector sites (innermost strided / mul-add loops in
-/// jitted nests) were emitted packed, how many of those got the
-/// register-tiled microkernel, how many stayed scalar and why, and the
-/// lane widths the backend emits at. Packed + scalar partitions every
-/// vector site: `packed_loops + scalar_loops == sites()`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SimdStats {
-    /// Vector sites emitted with packed lanes.
-    pub packed_loops: u64,
-    /// Subset of `packed_loops` that used the register-tiled
-    /// (accumulator-blocked) mul-add microkernel.
-    pub tiled_loops: u64,
-    /// Vector sites emitted scalar.
-    pub scalar_loops: u64,
-    /// Elements per packed `f64` operation (2 for SSE2, 4 for AVX; 1
-    /// when packed emission is off).
-    pub f64_lanes: u64,
-    /// Scalar-fallback reasons with occurrence counts, sorted by reason.
-    pub scalar_reasons: Vec<(String, u64)>,
-}
-
-impl SimdStats {
-    /// Total vector sites seen (packed + scalar).
-    pub fn sites(&self) -> u64 {
-        self.packed_loops + self.scalar_loops
-    }
-
-    /// Fold `other` into `self` (counter-wise sums; reasons merged by
-    /// name and kept sorted; lane widths are backend facts, so take the
-    /// max across rungs — scalar rungs report 1).
-    pub fn merge(&mut self, other: &SimdStats) {
-        self.packed_loops += other.packed_loops;
-        self.tiled_loops += other.tiled_loops;
-        self.scalar_loops += other.scalar_loops;
-        for (reason, n) in &other.scalar_reasons {
-            match self.scalar_reasons.iter_mut().find(|(r, _)| r == reason) {
-                Some((_, count)) => *count += n,
-                None => self.scalar_reasons.push((reason.clone(), *n)),
-            }
-        }
-        self.scalar_reasons.sort();
-        self.f64_lanes = self.f64_lanes.max(other.f64_lanes);
-    }
-}
-
 /// Batch static-pruning counters of an evaluator-side analyzer pipeline:
 /// how many candidate configurations were admitted to compilation and
 /// measurement, how many were cut by the pre-lowering legality prelint
@@ -206,64 +77,134 @@ impl PruneStats {
         self.admitted += other.admitted;
         self.prelint_denied += other.prelint_denied;
         self.analyzer_denied += other.analyzer_denied;
-        for (code, n) in &other.denied_by_code {
-            match self.denied_by_code.iter_mut().find(|(c, _)| c == code) {
-                Some((_, count)) => *count += n,
-                None => self.denied_by_code.push((code.clone(), *n)),
-            }
-        }
-        self.denied_by_code.sort();
+        merge_reasons(&mut self.denied_by_code, &other.denied_by_code);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
+    use tvm_runtime::stats::count_reason;
 
-    #[test]
-    fn jit_stats_attempts() {
-        assert_eq!(JitStats::default().attempts(), 0);
-        let s = JitStats {
-            functions_jitted: 3,
-            nests_compiled: 5,
-            bytes_emitted: 4096,
-            fallbacks: 1,
-            fallback_reasons: vec![("float op Max".into(), 1)],
-        };
-        assert_eq!(s.attempts(), 4);
+    fn reasons(list: &[(&str, u64)]) -> Vec<(String, u64)> {
+        list.iter().map(|&(r, n)| (r.to_string(), n)).collect()
+    }
+
+    /// `a` merged with `b` is `want`, and `a` merged into a default is `a`.
+    fn check_merge<T: Clone + Debug + Default + PartialEq>(
+        a: &T,
+        b: &T,
+        want: &T,
+        merge: fn(&mut T, &T),
+    ) {
+        let mut got = a.clone();
+        merge(&mut got, b);
+        assert_eq!(&got, want);
+        let mut from_empty = T::default();
+        merge(&mut from_empty, a);
+        assert_eq!(&from_empty, a);
     }
 
     #[test]
-    fn jit_stats_merge_sums_counters_and_reasons() {
-        let mut a = JitStats {
-            functions_jitted: 2,
-            nests_compiled: 4,
-            bytes_emitted: 1000,
-            fallbacks: 1,
-            fallback_reasons: vec![("float op Max".into(), 1)],
+    fn reason_lists_and_every_merge_sum_counts_and_stay_sorted() {
+        // `count_reason`: start, reason, count, result.
+        type Row<'a> = (&'a [(&'a str, u64)], &'a str, u64, &'a [(&'a str, u64)]);
+        let table: [Row; 4] = [
+            (&[], "b", 1, &[("b", 1)]),
+            (&[("b", 1)], "a", 2, &[("a", 2), ("b", 1)]),
+            (
+                &[("a", 2), ("c", 1)],
+                "b",
+                1,
+                &[("a", 2), ("b", 1), ("c", 1)],
+            ),
+            (&[("a", 2), ("b", 1)], "b", 3, &[("a", 2), ("b", 4)]),
+        ];
+        for (start, reason, n, want) in table {
+            let mut list = reasons(start);
+            count_reason(&mut list, reason, n);
+            assert_eq!(list, reasons(want), "{start:?} + {reason} x{n}");
+        }
+
+        let jit = |f: [u64; 4], r: &[(&str, u64)]| JitStats {
+            functions_jitted: f[0],
+            nests_compiled: f[1],
+            bytes_emitted: f[2],
+            fallbacks: f[3],
+            fallback_reasons: reasons(r),
         };
-        let b = JitStats {
-            functions_jitted: 1,
-            nests_compiled: 1,
-            bytes_emitted: 200,
-            fallbacks: 3,
-            fallback_reasons: vec![("float op Max".into(), 2), ("int buffer".into(), 1)],
-        };
-        a.merge(&b);
-        assert_eq!(a.functions_jitted, 3);
-        assert_eq!(a.nests_compiled, 5);
-        assert_eq!(a.bytes_emitted, 1200);
-        assert_eq!(a.fallbacks, 4);
-        assert_eq!(
-            a.fallback_reasons,
-            vec![
-                ("float op Max".to_string(), 3),
-                ("int buffer".to_string(), 1)
-            ]
+        let want = jit([3, 5, 1200, 4], &[("float op Max", 3), ("int buffer", 1)]);
+        check_merge(
+            &jit([2, 4, 1000, 1], &[("float op Max", 1)]),
+            &jit([1, 1, 200, 3], &[("float op Max", 2), ("int buffer", 1)]),
+            &want,
+            JitStats::merge,
         );
-        let mut empty = JitStats::default();
-        empty.merge(&a);
-        assert_eq!(empty, a);
+        assert_eq!((JitStats::default().attempts(), want.attempts()), (0, 7));
+
+        // The pool facts (the last two) take the larger value, each
+        // from a different side.
+        let par = |f: [u64; 6], r: &[(&str, u64)]| ParStats {
+            loops_proven: f[0],
+            loops_unproven: f[1],
+            dispatches: f[2],
+            fallbacks: f[3],
+            fallback_reasons: reasons(r),
+            pool_threads: f[4],
+            threads_spawned: f[5],
+        };
+        check_merge(
+            &par([1, 0, 3, 2, 4, 3], &[("unproven-race", 2)]),
+            &par(
+                [2, 1, 1, 3, 2, 7],
+                &[("single-thread", 2), ("unproven-race", 1)],
+            ),
+            &par(
+                [3, 1, 4, 5, 4, 7],
+                &[("single-thread", 2), ("unproven-race", 3)],
+            ),
+            ParStats::merge,
+        );
+
+        // `f64_lanes` (the fourth) takes the larger value, from either side.
+        let simd = |f: [u64; 4], r: &[(&str, u64)]| SimdStats {
+            packed_loops: f[0],
+            tiled_loops: f[1],
+            scalar_loops: f[2],
+            f64_lanes: f[3],
+            scalar_reasons: reasons(r),
+        };
+        let (narrow, wide) = (
+            simd([3, 1, 2, 2], &[("dynamic-extent", 2)]),
+            simd([1, 0, 4, 4], &[("dynamic-extent", 1), ("strided-loop", 3)]),
+        );
+        let want = simd([4, 1, 6, 4], &[("dynamic-extent", 3), ("strided-loop", 3)]);
+        check_merge(&narrow, &wide, &want, SimdStats::merge);
+        check_merge(&wide, &narrow, &want, SimdStats::merge);
+        assert_eq!((SimdStats::default().sites(), want.sites()), (0, 10));
+
+        let prune = |f: [u64; 3], r: &[(&str, u64)]| PruneStats {
+            admitted: f[0],
+            prelint_denied: f[1],
+            analyzer_denied: f[2],
+            denied_by_code: reasons(r),
+        };
+        let want = prune(
+            [8, 3, 1],
+            &[
+                ("TIR-RACE-WW", 1),
+                ("TIR-TRIP-ZERO", 2),
+                ("TIR-VEC-OVER", 1),
+            ],
+        );
+        check_merge(
+            &prune([6, 1, 1], &[("TIR-RACE-WW", 1), ("TIR-TRIP-ZERO", 1)]),
+            &prune([2, 2, 0], &[("TIR-TRIP-ZERO", 1), ("TIR-VEC-OVER", 1)]),
+            &want,
+            PruneStats::merge,
+        );
+        assert_eq!((PruneStats::default().total(), want.total()), (0, 12));
     }
 
     #[test]
@@ -274,34 +215,5 @@ mod tests {
             rejected: 1,
         };
         assert_eq!(s.total(), 4);
-    }
-
-    #[test]
-    fn prune_stats_total_and_merge() {
-        assert_eq!(PruneStats::default().total(), 0);
-        let mut a = PruneStats {
-            admitted: 6,
-            prelint_denied: 1,
-            analyzer_denied: 1,
-            denied_by_code: vec![("TIR-RACE-WW".into(), 1), ("TIR-TRIP-ZERO".into(), 1)],
-        };
-        assert_eq!(a.total(), 8);
-        let b = PruneStats {
-            admitted: 2,
-            prelint_denied: 2,
-            analyzer_denied: 0,
-            denied_by_code: vec![("TIR-TRIP-ZERO".into(), 1), ("TIR-VEC-OVER".into(), 1)],
-        };
-        a.merge(&b);
-        assert_eq!(a.admitted, 8);
-        assert_eq!(a.prelint_denied, 3);
-        assert_eq!(
-            a.denied_by_code,
-            vec![
-                ("TIR-RACE-WW".to_string(), 1),
-                ("TIR-TRIP-ZERO".to_string(), 2),
-                ("TIR-VEC-OVER".to_string(), 1)
-            ]
-        );
     }
 }

@@ -30,7 +30,7 @@
 //! is resident the same way: a maximal loop or conditional whose every
 //! item is in the subset is one native entry, its loop counters and the
 //! integer registers it defines in callee-saved GPRs. Every vector site is
-//! accounted in [`SimdStats`]: packed, or scalar with a counted reason
+//! accounted in [`crate::SimdStats`]: packed, or scalar with a counted reason
 //! (`strided-loop`, `dynamic-extent` for trimmed ones), so
 //! `packed + scalar-by-reason = total` always holds. [`scalar_backend`]
 //! is the fully scalar tier (outputs are bit-identical either way, so
@@ -44,8 +44,7 @@
 
 use crate::compile::{CompileError, CompiledFunc};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub(crate) mod exec_mem;
@@ -191,7 +190,7 @@ pub trait CodegenBackend: Send + Sync + std::fmt::Debug {
     fn jit_compile(&self, cf: &CompiledFunc) -> Result<CompiledFunc, CompileError>;
 
     /// The packed `f64` lane width this backend emits, in elements (1 =
-    /// scalar). Purely informational — surfaced through [`SimdStats`] and
+    /// scalar). Purely informational — surfaced through [`crate::SimdStats`] and
     /// the bench JSON `cpu` blocks.
     fn f64_lanes(&self) -> u32 {
         1
@@ -241,144 +240,6 @@ pub fn scalar_backend() -> Arc<dyn CodegenBackend> {
     }
 }
 
-/// Snapshot of JIT compile activity (see [`JitCounters`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct JitStats {
-    /// Functions where at least one nest compiled to native code.
-    pub functions_jitted: u64,
-    /// Total loop nests compiled across those functions.
-    pub nests_compiled: u64,
-    /// Total machine-code bytes emitted.
-    pub bytes_emitted: u64,
-    /// Functions that fell back entirely to the optimized VM.
-    pub fallbacks: u64,
-    /// Fallback reason → count, sorted by reason for stable output.
-    pub fallback_reasons: Vec<(String, u64)>,
-}
-
-/// Thread-safe JIT compile counters, shared by all clones of a device.
-#[derive(Debug, Default)]
-pub struct JitCounters {
-    functions_jitted: AtomicU64,
-    nests_compiled: AtomicU64,
-    bytes_emitted: AtomicU64,
-    fallbacks: AtomicU64,
-    reasons: Mutex<HashMap<String, u64>>,
-}
-
-impl JitCounters {
-    /// A function compiled with `nests` native nests totalling `bytes`.
-    pub fn record_success(&self, nests: u64, bytes: u64) {
-        self.functions_jitted.fetch_add(1, Ordering::Relaxed);
-        self.nests_compiled.fetch_add(nests, Ordering::Relaxed);
-        self.bytes_emitted.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// A function fell back to the optimized VM for `reason`.
-    pub fn record_fallback(&self, reason: &str) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        let mut m = self.reasons.lock().expect("jit reason lock");
-        *m.entry(reason.to_string()).or_insert(0) += 1;
-    }
-
-    /// Consistent-enough snapshot for status reporting.
-    pub fn snapshot(&self) -> JitStats {
-        let mut fallback_reasons: Vec<(String, u64)> = self
-            .reasons
-            .lock()
-            .expect("jit reason lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        fallback_reasons.sort();
-        JitStats {
-            functions_jitted: self.functions_jitted.load(Ordering::Relaxed),
-            nests_compiled: self.nests_compiled.load(Ordering::Relaxed),
-            bytes_emitted: self.bytes_emitted.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            fallback_reasons,
-        }
-    }
-}
-
-/// Snapshot of packed-SIMD emission activity (see [`SimdCounters`]).
-///
-/// Invariant: `packed_loops + scalar_loops` equals the total vector
-/// sites compiled, and `scalar_reasons` sums to `scalar_loops` — the
-/// accounting partitions every site.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SimdStats {
-    /// Vector sites emitted with a packed main loop.
-    pub packed_loops: u64,
-    /// Subset of `packed_loops` with a register-tiled main loop.
-    pub tiled_loops: u64,
-    /// Vector sites emitted fully scalar.
-    pub scalar_loops: u64,
-    /// Packed lane width for f64 sites (1 = scalar tier).
-    pub f64_lanes: u32,
-    /// Scalar reason → count, sorted by reason for stable output.
-    pub scalar_reasons: Vec<(String, u64)>,
-}
-
-impl SimdStats {
-    /// Total vector sites compiled (packed + scalar).
-    pub fn sites(&self) -> u64 {
-        self.packed_loops + self.scalar_loops
-    }
-}
-
-/// Thread-safe packed-SIMD emission counters, shared by all clones of
-/// a JIT-mode device (like [`JitCounters`]).
-#[derive(Debug, Default)]
-pub struct SimdCounters {
-    packed_loops: AtomicU64,
-    tiled_loops: AtomicU64,
-    scalar_loops: AtomicU64,
-    f64_lanes: AtomicU64,
-    reasons: Mutex<HashMap<String, u64>>,
-}
-
-impl SimdCounters {
-    /// Fold one function's emission report into the shared counters.
-    pub fn record_report(&self, r: &SimdReport) {
-        self.packed_loops
-            .fetch_add(r.packed_loops, Ordering::Relaxed);
-        self.tiled_loops.fetch_add(r.tiled_loops, Ordering::Relaxed);
-        self.scalar_loops
-            .fetch_add(r.scalar_loops, Ordering::Relaxed);
-        if !r.scalar_reasons.is_empty() {
-            let mut m = self.reasons.lock().expect("simd reason lock");
-            for (k, v) in &r.scalar_reasons {
-                *m.entry(k.clone()).or_insert(0) += v;
-            }
-        }
-    }
-
-    /// Record the backend's packed lane width (idempotent).
-    pub fn set_lanes(&self, f64_lanes: u32) {
-        self.f64_lanes.store(f64_lanes as u64, Ordering::Relaxed);
-    }
-
-    /// Consistent-enough snapshot for status reporting.
-    pub fn snapshot(&self) -> SimdStats {
-        let mut scalar_reasons: Vec<(String, u64)> = self
-            .reasons
-            .lock()
-            .expect("simd reason lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        scalar_reasons.sort();
-        SimdStats {
-            packed_loops: self.packed_loops.load(Ordering::Relaxed),
-            tiled_loops: self.tiled_loops.load(Ordering::Relaxed),
-            scalar_loops: self.scalar_loops.load(Ordering::Relaxed),
-            f64_lanes: self.f64_lanes.load(Ordering::Relaxed) as u32,
-            scalar_reasons,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,25 +252,6 @@ mod tests {
         let pf = tvm_tir::lower::lower(&s, &[f, b], "idf");
         let cf = crate::compile::compile(&pf).expect("compile");
         assert!(NoopBackend.jit_compile(&cf).is_err());
-    }
-
-    #[test]
-    fn counters_snapshot_is_sorted_and_complete() {
-        let c = JitCounters::default();
-        c.record_success(3, 512);
-        c.record_success(1, 128);
-        c.record_fallback("zebra reason");
-        c.record_fallback("alpha reason");
-        c.record_fallback("alpha reason");
-        let s = c.snapshot();
-        assert_eq!(s.functions_jitted, 2);
-        assert_eq!(s.nests_compiled, 4);
-        assert_eq!(s.bytes_emitted, 640);
-        assert_eq!(s.fallbacks, 3);
-        assert_eq!(
-            s.fallback_reasons,
-            vec![("alpha reason".into(), 2), ("zebra reason".into(), 1)]
-        );
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Device abstraction: anything that can run and time a lowered function.
 
-use crate::codegen::{
-    default_backend, CodegenBackend, JitCounters, JitStats, SimdCounters, SimdStats,
-};
+use crate::codegen::{default_backend, CodegenBackend};
 use crate::compile::{compile, CompiledFunc};
 use crate::interp::ExecError;
 use crate::ndarray::NDArray;
-use crate::pool::{ParCounters, ParStats};
+use crate::pool::ParCounters;
+use crate::stats::{count_reason, JitStats, ParStats, SimdStats};
 use crate::vm;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tvm_tir::PrimFunc;
 
@@ -153,14 +152,14 @@ enum CpuMode {
 
 /// Codegen backend plus compile counters, shared by every clone of a
 /// JIT-mode device so stats cover a whole (possibly multi-threaded)
-/// tuning run.
+/// tuning run. One lock holds both tallies: they move only on a JIT
+/// compile, at most once per prepared function.
 #[derive(Debug)]
 struct JitState {
     backend: Arc<dyn CodegenBackend>,
-    counters: JitCounters,
-    /// Packed-SIMD emission tally, merged from every compiled
-    /// function's [`crate::codegen::SimdReport`].
-    simd: SimdCounters,
+    /// Compile outcomes, and the packed-SIMD tally summed from every
+    /// jitted function's [`crate::codegen::SimdReport`].
+    stats: Mutex<(JitStats, SimdStats)>,
 }
 
 /// Host CPU device executing kernels through the optimized compiled VM
@@ -226,14 +225,15 @@ impl CpuDevice {
     /// JIT-mode device with an explicit backend (tests use this to pin
     /// the SSE2-only emitter or a never-compiling backend).
     pub fn jit_with_backend(backend: Arc<dyn CodegenBackend>) -> CpuDevice {
-        let simd = SimdCounters::default();
-        simd.set_lanes(backend.f64_lanes());
+        let simd = SimdStats {
+            f64_lanes: u64::from(backend.f64_lanes()),
+            ..SimdStats::default()
+        };
         CpuDevice {
             mode: CpuMode::Jit,
             jit: Some(Arc::new(JitState {
                 backend,
-                counters: JitCounters::default(),
-                simd,
+                stats: Mutex::new((JitStats::default(), simd)),
             })),
             par: Some(Arc::new(ParCounters::new())),
         }
@@ -263,22 +263,26 @@ impl CpuDevice {
     fn jit_prepare(&self, func: &PrimFunc) -> Option<Arc<CompiledFunc>> {
         let state = self.jit.as_ref().expect("jit mode without state");
         let cf = crate::optimize::compile_optimized(func).ok()?;
-        match state.backend.jit_compile(&cf) {
-            Ok(jitted) => {
-                state.counters.record_success(
-                    jitted.jit_nest_count() as u64,
-                    jitted.jit_code_bytes() as u64,
-                );
-                if let Some(program) = &jitted.jit {
-                    state.simd.record_report(program.simd_report());
+        let compiled = state.backend.jit_compile(&cf);
+        {
+            let mut stats = state.stats.lock().expect("jit stats lock");
+            let (jit, simd) = &mut *stats;
+            match &compiled {
+                Ok(jitted) => {
+                    jit.functions_jitted += 1;
+                    jit.nests_compiled += jitted.jit_nest_count() as u64;
+                    jit.bytes_emitted += jitted.jit_code_bytes() as u64;
+                    if let Some(program) = &jitted.jit {
+                        simd.add_report(program.simd_report());
+                    }
                 }
-                Some(Arc::new(self.record_census(jitted)))
-            }
-            Err(e) => {
-                state.counters.record_fallback(&e.0);
-                Some(Arc::new(self.record_census(cf)))
+                Err(e) => {
+                    jit.fallbacks += 1;
+                    count_reason(&mut jit.fallback_reasons, &e.0, 1);
+                }
             }
         }
+        Some(Arc::new(self.record_census(compiled.unwrap_or(cf))))
     }
 }
 
@@ -341,7 +345,8 @@ impl Device for CpuDevice {
     }
 
     fn jit_stats(&self) -> Option<JitStats> {
-        self.jit.as_ref().map(|s| s.counters.snapshot())
+        let state = self.jit.as_ref()?;
+        Some(state.stats.lock().expect("jit stats lock").0.clone())
     }
 
     fn par_stats(&self) -> Option<ParStats> {
@@ -349,7 +354,8 @@ impl Device for CpuDevice {
     }
 
     fn simd_stats(&self) -> Option<SimdStats> {
-        self.jit.as_ref().map(|s| s.simd.snapshot())
+        let state = self.jit.as_ref()?;
+        Some(state.stats.lock().expect("jit stats lock").1.clone())
     }
 }
 

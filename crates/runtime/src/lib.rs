@@ -40,15 +40,17 @@ pub mod module;
 pub mod ndarray;
 pub mod optimize;
 pub mod pool;
+pub mod stats;
 pub mod vm;
 
 pub use codegen::{
-    default_backend, jit_fingerprint, scalar_backend, CodegenBackend, JitCounters, JitProgram,
-    JitStats, NoopBackend, SimdCounters, SimdReport, SimdStats, JIT_VERSION,
+    default_backend, jit_fingerprint, scalar_backend, CodegenBackend, JitProgram, NoopBackend,
+    SimdReport, JIT_VERSION,
 };
 pub use compile::{compile, CompileError, CompiledFunc};
 pub use device::{CpuDevice, Device, DeviceError};
 pub use module::Module;
 pub use ndarray::{NDArray, TensorData};
 pub use optimize::{compile_optimized, engine_fingerprint};
-pub use pool::{ParCounters, ParStats, PAR_VERSION};
+pub use pool::{ParCounters, PAR_VERSION};
+pub use stats::{JitStats, ParStats, SimdStats};

@@ -29,6 +29,7 @@
 //! each measurement would multiply thread counts and wreck timing
 //! fidelity.
 
+use crate::stats::{count_reason, ParStats};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -38,29 +39,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 /// keys and journal stamps): parallel dispatch changes *how* results
 /// are produced, so cached measurements must not cross this boundary.
 pub const PAR_VERSION: &str = "par/v1";
-
-/// Runtime-side snapshot of parallel-execution counters (the
-/// serializable mirror lives in `ytopt_bo::ParStats`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParStats {
-    /// Parallel loops carrying a race-freedom proof, over every
-    /// function prepared against these counters.
-    pub loops_proven: u64,
-    /// Parallel loops without a proof (always sequential).
-    pub loops_unproven: u64,
-    /// Worker-pool dispatches of proven loops at execution time.
-    pub dispatches: u64,
-    /// Sequential executions that a proven (or unproven) parallel loop
-    /// fell back to, with per-reason counts.
-    pub fallbacks: u64,
-    /// `(reason, count)` pairs, sorted by reason.
-    pub fallback_reasons: Vec<(String, u64)>,
-    /// Thread budget the pool is configured for.
-    pub pool_threads: u64,
-    /// Threads the process-wide pool has ever spawned (monotonic;
-    /// steady-state trials must not move it).
-    pub threads_spawned: u64,
-}
 
 /// Why a parallel loop executed sequentially.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,14 +73,13 @@ impl SerialReason {
     }
 }
 
-/// Lock-free parallel-execution counters of one device (mirroring
-/// [`crate::codegen::JitCounters`]): the census of the functions it
-/// prepares, and the dispatches and fallbacks of the runs it executes. A
+/// Lock-free parallel-execution counters of one device, snapshotted as
+/// [`ParStats`]: the census of the functions it prepares, and the
+/// dispatches and fallbacks of the runs it executes. A
 /// [`crate::CompiledFunc`] holds none, so a function prepared by one
 /// device and run by another counts on the one that runs it.
-/// Execution-time increments are relaxed atomics: a parallel loop
-/// dispatches once per entry, so the cost is noise next to the dispatch
-/// itself.
+/// Execution-time increments are relaxed atomics: they happen on every
+/// parallel-loop entry, where a lock would sit on the execute path.
 #[derive(Debug, Default)]
 pub struct ParCounters {
     loops_proven: AtomicU64,
@@ -136,13 +113,13 @@ impl ParCounters {
     /// Consistent snapshot (reasons sorted, zero-count reasons elided),
     /// including the global pool facts.
     pub fn snapshot(&self) -> ParStats {
-        let mut fallback_reasons: Vec<(String, u64)> = SerialReason::ALL
-            .iter()
-            .zip(&self.sequential)
-            .map(|(r, c)| (r.label().to_string(), c.load(Ordering::Relaxed)))
-            .filter(|(_, n)| *n > 0)
-            .collect();
-        fallback_reasons.sort();
+        let mut fallback_reasons = Vec::new();
+        for (reason, c) in SerialReason::ALL.iter().zip(&self.sequential) {
+            match c.load(Ordering::Relaxed) {
+                0 => {}
+                n => count_reason(&mut fallback_reasons, reason.label(), n),
+            }
+        }
         ParStats {
             loops_proven: self.loops_proven.load(Ordering::Relaxed),
             loops_unproven: self.loops_unproven.load(Ordering::Relaxed),
@@ -152,26 +129,6 @@ impl ParCounters {
             pool_threads: num_threads() as u64,
             threads_spawned: threads_spawned(),
         }
-    }
-}
-
-impl ParStats {
-    /// Fold another snapshot into this one (counter-wise sums; reasons
-    /// merged by name; pool facts are process-global, so take the max).
-    pub fn merge(&mut self, other: &ParStats) {
-        self.loops_proven += other.loops_proven;
-        self.loops_unproven += other.loops_unproven;
-        self.dispatches += other.dispatches;
-        self.fallbacks += other.fallbacks;
-        for (reason, n) in &other.fallback_reasons {
-            match self.fallback_reasons.iter_mut().find(|(r, _)| r == reason) {
-                Some((_, total)) => *total += n,
-                None => self.fallback_reasons.push((reason.clone(), *n)),
-            }
-        }
-        self.fallback_reasons.sort();
-        self.pool_threads = self.pool_threads.max(other.pool_threads);
-        self.threads_spawned = self.threads_spawned.max(other.threads_spawned);
     }
 }
 
@@ -589,37 +546,5 @@ mod tests {
             .fallback_reasons
             .iter()
             .any(|(r, n)| r == "trivial-extent" && *n == 1));
-    }
-
-    #[test]
-    fn par_stats_merge_sums_and_maxes() {
-        let mut a = ParStats {
-            loops_proven: 1,
-            dispatches: 3,
-            fallbacks: 2,
-            fallback_reasons: vec![("unproven-race".into(), 2)],
-            pool_threads: 4,
-            threads_spawned: 3,
-            ..ParStats::default()
-        };
-        let b = ParStats {
-            loops_proven: 2,
-            dispatches: 1,
-            fallbacks: 3,
-            fallback_reasons: vec![("unproven-race".into(), 1), ("single-thread".into(), 2)],
-            pool_threads: 2,
-            threads_spawned: 7,
-            ..ParStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.loops_proven, 3);
-        assert_eq!(a.dispatches, 4);
-        assert_eq!(a.fallbacks, 5);
-        assert_eq!(
-            a.fallback_reasons,
-            vec![("single-thread".into(), 2), ("unproven-race".into(), 3)]
-        );
-        assert_eq!(a.pool_threads, 4);
-        assert_eq!(a.threads_spawned, 7);
     }
 }

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 use tvm_autotune::MemoCache;
-use ytopt_bo::journal::TrialJournal;
+use ytopt_bo::journal::{replace_durable, TrialJournal};
 use ytopt_bo::problem::{CacheStats, JitStats, ParStats, PruneStats, SimdStats};
 
 /// Sentinel id that makes a worker panic *outside* the job runner's
@@ -514,24 +514,11 @@ fn job_id_from_path(path: &Path) -> Option<u64> {
         .ok()
 }
 
-/// Write `value` as JSON with crash-safe visibility: temp file, fsync,
-/// atomic rename. A crash at any point leaves either no file or the
-/// complete file — never a torn one under the final name.
+/// Write `value` as pretty JSON through [`replace_durable`]: a crash
+/// leaves either no file or the complete file under `path`.
 fn write_json_durable<T: Serialize + 'static>(path: &Path, value: &T) -> std::io::Result<()> {
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(serde_json::to_string_pretty(value)?.as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(d) = std::fs::File::open(parent) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    let text = serde_json::to_string_pretty(value)?;
+    replace_durable(path, |f| writeln!(f, "{text}"))
 }
 
 fn spawn_worker(inner: Arc<Inner>) -> std::thread::JoinHandle<()> {

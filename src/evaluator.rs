@@ -10,6 +10,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use tvm_runtime::stats::count_reason;
 use tvm_runtime::{CompiledFunc, Device, NDArray};
 use tvm_tir::analyze::{Diagnostic, PruneReport, PruneStage, Severity, Verdict};
 use tvm_tir::PrimFunc;
@@ -154,10 +155,10 @@ pub struct MoldEvaluator {
     /// times; ytopt evaluates once). Set by [`MoldEvaluator::with_repeats`].
     repeats: usize,
     cache: Arc<MemoCache>,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    prelint_denied: AtomicU64,
-    denied_by_code: Mutex<HashMap<String, u64>>,
+    /// Lifetime pruning counters, one count per analyzed configuration
+    /// (per memo miss); [`MoldEvaluator::static_check_stats`] reads them
+    /// too.
+    prune: Mutex<PruneStats>,
     /// Lowered-but-unbuilt functions by memo key: what the latest
     /// [`MoldEvaluator::prune`] admitted and no evaluation has taken yet.
     /// The evaluation that follows builds from here instead of lowering
@@ -168,35 +169,29 @@ pub struct MoldEvaluator {
 impl MoldEvaluator {
     /// Evaluator over the analytical device (no data allocation).
     pub fn simulated(mold: Box<dyn CodeMold>, device: impl Device + 'static) -> MoldEvaluator {
-        MoldEvaluator {
-            mold,
-            device: Box::new(device),
-            mode: EvalMode::Simulated,
-            repeats: 1,
-            cache: Arc::new(MemoCache::new()),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            prelint_denied: AtomicU64::new(0),
-            denied_by_code: Mutex::new(HashMap::new()),
-            lowered: Mutex::new(HashMap::new()),
-        }
+        MoldEvaluator::new(mold, Box::new(device), EvalMode::Simulated)
     }
 
     /// Evaluator that really executes kernels (compiled VM on the CPU
     /// device, interpreter fallback).
     pub fn real(mold: Box<dyn CodeMold>, device: impl Device + 'static) -> MoldEvaluator {
+        MoldEvaluator::new(mold, Box::new(device), EvalMode::Real)
+    }
+
+    fn new(mold: Box<dyn CodeMold>, device: Box<dyn Device>, mode: EvalMode) -> MoldEvaluator {
         MoldEvaluator {
             mold,
-            device: Box::new(device),
-            mode: EvalMode::Real,
+            device,
+            mode,
             repeats: 1,
             cache: Arc::new(MemoCache::new()),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            prelint_denied: AtomicU64::new(0),
-            denied_by_code: Mutex::new(HashMap::new()),
+            prune: Mutex::new(PruneStats::default()),
             lowered: Mutex::new(HashMap::new()),
         }
+    }
+
+    fn prune_counters(&self) -> std::sync::MutexGuard<'_, PruneStats> {
+        self.prune.lock().expect("prune counters lock")
     }
 
     /// Builder: timed runs per evaluation.
@@ -237,11 +232,13 @@ impl MoldEvaluator {
     }
 
     /// Snapshot of the static analyzer's accept/reject counters (one
-    /// count per analyzed config, i.e. per cache miss).
+    /// count per analyzed config, i.e. per cache miss): the pruning
+    /// counters' admissions, and their denials at either stage.
     pub fn static_check_stats(&self) -> StaticCheckStats {
+        let prune = self.prune_counters();
         StaticCheckStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
+            accepted: prune.admitted,
+            rejected: prune.prelint_denied + prune.analyzer_denied,
         }
     }
 
@@ -261,10 +258,6 @@ impl MoldEvaluator {
     /// exactly once per denied config, at reject-entry insertion — cache
     /// replays never recount).
     fn count_denial(&self, stage: PruneStage, diagnostics: &[Diagnostic]) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        if stage == PruneStage::Prelint {
-            self.prelint_denied.fetch_add(1, Ordering::Relaxed);
-        }
         let mut codes: Vec<&str> = diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Deny)
@@ -272,9 +265,13 @@ impl MoldEvaluator {
             .collect();
         codes.sort_unstable();
         codes.dedup();
-        let mut by_code = self.denied_by_code.lock().expect("prune counters lock");
+        let mut prune = self.prune_counters();
+        match stage {
+            PruneStage::Prelint => prune.prelint_denied += 1,
+            PruneStage::Analysis => prune.analyzer_denied += 1,
+        }
         for code in codes {
-            *by_code.entry(code.to_string()).or_insert(0) += 1;
+            count_reason(&mut prune.denied_by_code, code, 1);
         }
     }
 
@@ -334,7 +331,7 @@ impl MoldEvaluator {
         let entry = match handed.map_or_else(|| self.static_gate(config), Ok) {
             Err(reject) => reject,
             Ok(func) => {
-                self.accepted.fetch_add(1, Ordering::Relaxed);
+                self.prune_counters().admitted += 1;
                 let build_s = self.device.build_cost(&func);
                 let prepared = self.device.prepare(&func);
                 Arc::new(CacheEntry {
@@ -486,40 +483,18 @@ impl Evaluator for MoldEvaluator {
         self.device.fingerprint()
     }
 
-    // The three device snapshots below are converted from the runtime's
-    // counter types into the serializable mirrors the tuning/service
-    // layers report; each is `None` on an engine without that rung.
+    // Each is `None` on an engine without that rung.
 
     fn jit_stats(&self) -> Option<JitStats> {
-        self.device.jit_stats().map(|s| JitStats {
-            functions_jitted: s.functions_jitted,
-            nests_compiled: s.nests_compiled,
-            bytes_emitted: s.bytes_emitted,
-            fallbacks: s.fallbacks,
-            fallback_reasons: s.fallback_reasons,
-        })
+        self.device.jit_stats()
     }
 
     fn par_stats(&self) -> Option<ParStats> {
-        self.device.par_stats().map(|s| ParStats {
-            loops_proven: s.loops_proven,
-            loops_unproven: s.loops_unproven,
-            dispatches: s.dispatches,
-            fallbacks: s.fallbacks,
-            fallback_reasons: s.fallback_reasons,
-            pool_threads: s.pool_threads,
-            threads_spawned: s.threads_spawned,
-        })
+        self.device.par_stats()
     }
 
     fn simd_stats(&self) -> Option<SimdStats> {
-        self.device.simd_stats().map(|s| SimdStats {
-            packed_loops: s.packed_loops,
-            tiled_loops: s.tiled_loops,
-            scalar_loops: s.scalar_loops,
-            f64_lanes: u64::from(s.f64_lanes),
-            scalar_reasons: s.scalar_reasons,
-        })
+        self.device.simd_stats()
     }
 
     /// The batch verdicts of [`MoldEvaluator::prune`] as the admission
@@ -545,22 +520,7 @@ impl Evaluator for MoldEvaluator {
     /// full gate at evaluation time, denials split by pipeline stage
     /// with per-code counts.
     fn prune_stats(&self) -> Option<PruneStats> {
-        let rejected = self.rejected.load(Ordering::Relaxed);
-        let prelint_denied = self.prelint_denied.load(Ordering::Relaxed);
-        let mut denied_by_code: Vec<(String, u64)> = self
-            .denied_by_code
-            .lock()
-            .expect("prune counters lock")
-            .iter()
-            .map(|(c, n)| (c.clone(), *n))
-            .collect();
-        denied_by_code.sort();
-        Some(PruneStats {
-            admitted: self.accepted.load(Ordering::Relaxed),
-            prelint_denied,
-            analyzer_denied: rejected - prelint_denied,
-            denied_by_code,
-        })
+        Some(self.prune_counters().clone())
     }
 }
 
@@ -1076,6 +1036,51 @@ mod tests {
         let stats = MoldEvaluator::static_check_stats(&ev);
         assert_eq!((stats.accepted, stats.rejected), (1, 1));
         assert_eq!(ev.cache_stats().hits, 1);
+    }
+
+    #[test]
+    fn prune_snapshots_taken_mid_run_never_go_back() {
+        // Two threads count prelint denials on one evaluator while a
+        // third snapshots: every snapshot is a state the counters passed
+        // through, so its total only grows and stays within what was
+        // submitted. Twenty rounds, a fresh evaluator each.
+        use polybench::molds::mold_for_mode;
+        use polybench::SpaceMode;
+        use rand::SeedableRng;
+        let mold = || mold_for_mode(KernelName::Mm3, ProblemSize::Mini, SpaceMode::Aggressive);
+        let (space, lint) = (mold().space().clone(), mold());
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(49);
+        let mut keys = std::collections::HashSet::new();
+        let denied: Vec<Configuration> = (0..600)
+            .map(|_| space.sample(&mut rng))
+            .filter(|c| lint.prelint(c).iter().any(|d| d.severity == Severity::Deny))
+            .filter(|c| keys.insert(c.key()))
+            .collect();
+        assert!(denied.len() >= 100, "only {} denied draws", denied.len());
+        let submitted = denied.len() as u64;
+        for _ in 0..20 {
+            let ev = MoldEvaluator::simulated(mold(), SimDevice::new(GpuSpec::a100()));
+            let running = std::sync::atomic::AtomicUsize::new(2);
+            std::thread::scope(|s| {
+                for half in denied.chunks(denied.len().div_ceil(2)) {
+                    let (ev, running) = (&ev, &running);
+                    s.spawn(move || {
+                        for cfg in half {
+                            assert!(!Evaluator::evaluate(ev, cfg).is_ok());
+                        }
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    });
+                }
+                let mut last = 0;
+                while running.load(Ordering::SeqCst) > 0 {
+                    let total = Evaluator::prune_stats(&ev).expect("prune stats").total();
+                    assert!(last <= total && total <= submitted, "{last} → {total}");
+                    last = total;
+                }
+            });
+            let end = Evaluator::prune_stats(&ev).expect("prune stats");
+            assert_eq!((end.prelint_denied, end.total()), (submitted, submitted));
+        }
     }
 
     #[test]
