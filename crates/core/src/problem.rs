@@ -5,8 +5,8 @@
 //!
 //! [`JitStats`], [`ParStats`] and [`SimdStats`] are the runtime's own
 //! types, re-exported: a device counts into them and they travel
-//! unconverted. [`PruneStats`] merges its reason list with the runtime's
-//! [`merge_reasons`], like they do.
+//! unconverted. [`PruneStats`] merges its reason list with the same
+//! [`merge_reasons`] theirs use.
 
 use serde::{Deserialize, Serialize};
 use tvm_runtime::stats::merge_reasons;
