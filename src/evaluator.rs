@@ -928,15 +928,25 @@ mod tests {
     }
 
     /// Test mold that lowers to a safe elementwise kernel for `P0 = 0`
-    /// and to a parallel reduction race for `P0 = 1`.
+    /// and to a parallel reduction race for `P0 = 1`. `P0 = 2`, in the
+    /// space of [`RacyMold::linted`] only, is a zero tile the prelint
+    /// denies.
     struct RacyMold {
         space: configspace::ConfigSpace,
     }
 
     impl RacyMold {
         fn new() -> RacyMold {
+            RacyMold::over(&[0, 1])
+        }
+
+        fn linted() -> RacyMold {
+            RacyMold::over(&[0, 1, 2])
+        }
+
+        fn over(values: &[i64]) -> RacyMold {
             let mut space = configspace::ConfigSpace::new();
-            space.add(configspace::Hyperparameter::ordinal_ints("P0", &[0, 1]));
+            space.add(configspace::Hyperparameter::ordinal_ints("P0", values));
             RacyMold { space }
         }
     }
@@ -952,6 +962,17 @@ mod tests {
 
         fn space(&self) -> &configspace::ConfigSpace {
             &self.space
+        }
+
+        fn prelint(&self, config: &Configuration) -> Vec<tvm_tir::analyze::Diagnostic> {
+            use tvm_tir::analyze::{codes, Diagnostic};
+            match config.int("P0") {
+                2 => vec![Diagnostic::deny(
+                    codes::TRIP_ZERO,
+                    "split of `i` by factor 0 yields an empty trip count",
+                )],
+                _ => Vec::new(),
+            }
         }
 
         fn instantiate(&self, config: &Configuration) -> tvm_tir::PrimFunc {
@@ -1036,6 +1057,98 @@ mod tests {
         let stats = MoldEvaluator::static_check_stats(&ev);
         assert_eq!((stats.accepted, stats.rejected), (1, 1));
         assert_eq!(ev.cache_stats().hits, 1);
+    }
+
+    #[test]
+    fn batch_mask_and_evaluation_give_one_message_per_configuration() {
+        // A prelint denial, an analyzer denial and an admission on 3mm-mini's
+        // aggressive space and on the racy mold, each on a fresh evaluator
+        // reached first by the batch gate or first by an evaluation, then
+        // both again from the cache: the mask entry is the `StaticReject`
+        // message `evaluate` returns (or `None`), it names the first
+        // `Deny` code of the stage that denied, and the configuration is
+        // counted once.
+        use polybench::molds::mold_for_mode;
+        use polybench::SpaceMode;
+        use rand::SeedableRng;
+        use tvm_tir::analyze::{check, Diagnostic, Severity};
+        let mm3 = || mold_for_mode(KernelName::Mm3, ProblemSize::Mini, SpaceMode::Aggressive);
+        let first_deny = |ds: Vec<Diagnostic>| {
+            let mut denials = ds.into_iter().filter(|d| d.severity == Severity::Deny);
+            denials.next().map(|d| d.code)
+        };
+        // (mold, configuration, the code expected to lead the message,
+        // and the (admitted, prelint, analyzer) counts afterwards).
+        let mut cases = Vec::new();
+        let lint = mm3();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(50);
+        let (mut prelint, mut analyzer, mut admitted) = (None, None, None);
+        while prelint.is_none() || analyzer.is_none() || admitted.is_none() {
+            let c = lint.space().sample(&mut rng);
+            if let Some(code) = first_deny(lint.prelint(&c)) {
+                prelint.get_or_insert((c, code));
+            } else if let Some(code) = first_deny(check(&lint.instantiate(&c)).diagnostics) {
+                analyzer.get_or_insert((c, code));
+            } else {
+                admitted.get_or_insert(c);
+            }
+        }
+        let (c, code) = prelint.expect("a prelint-denied draw");
+        cases.push(("3mm", c, Some(code), (0, 1, 0)));
+        let (c, code) = analyzer.expect("an analyzer-denied draw");
+        cases.push(("3mm", c, Some(code), (0, 0, 1)));
+        cases.push(("3mm", admitted.expect("an admitted draw"), None, (1, 0, 0)));
+        let racy = RacyMold::linted();
+        cases.push(("racy", racy.space.at(2), Some("TIR-TRIP-ZERO"), (0, 1, 0)));
+        cases.push(("racy", racy.space.at(1), Some("TIR-RACE-WW"), (0, 0, 1)));
+        cases.push(("racy", racy.space.at(0), None, (1, 0, 0)));
+
+        for (kernel, cfg, code, counts) in &cases {
+            for batch_first in [true, false] {
+                let label = format!("{kernel} {cfg} batch_first={batch_first}");
+                let ev = match *kernel {
+                    "3mm" => MoldEvaluator::simulated(mm3(), SimDevice::new(GpuSpec::a100())),
+                    _ => MoldEvaluator::simulated(
+                        Box::new(RacyMold::linted()),
+                        SimDevice::new(GpuSpec::a100()),
+                    ),
+                };
+                let gate = || {
+                    let mask = Evaluator::prune_batch(&ev, std::slice::from_ref(cfg));
+                    let mut mask = mask.expect("the mold evaluator gates batches");
+                    assert_eq!(mask.len(), 1, "{label}");
+                    mask.remove(0)
+                };
+                let judge = || match Evaluator::evaluate(&ev, cfg).error {
+                    Some(MeasureError::StaticReject(message)) => Some(message),
+                    _ => None,
+                };
+                let (mask, message) = if batch_first {
+                    let mask = gate();
+                    (mask, judge())
+                } else {
+                    let message = judge();
+                    (gate(), message)
+                };
+                assert_eq!(mask, message, "{label}");
+                match code {
+                    Some(code) => {
+                        let lead = format!("statically rejected: {code}: ");
+                        let message = message.as_deref().unwrap_or("");
+                        assert!(message.starts_with(&lead), "{label}: {message}");
+                    }
+                    None => assert_eq!(message, None, "{label}"),
+                }
+                assert_eq!(gate(), mask, "{label}: the cached mask entry");
+                assert_eq!(judge(), message, "{label}: the cached message");
+                let stats = Evaluator::prune_stats(&ev).expect("prune stats");
+                let got = (stats.admitted, stats.prelint_denied, stats.analyzer_denied);
+                assert_eq!(got, *counts, "{label}");
+                let led = (stats.denied_by_code.iter()).find(|(c, _)| Some(c.as_str()) == *code);
+                assert_eq!(led.map(|(_, n)| *n), code.map(|_| 1), "{label}");
+                assert_eq!(stats.denied_by_code.is_empty(), code.is_none(), "{label}");
+            }
+        }
     }
 
     #[test]

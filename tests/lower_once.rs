@@ -257,17 +257,29 @@ fn prelint_denials_are_never_instantiated() {
 
 #[test]
 fn parallel_tune_lowers_each_configuration_once() {
-    let (ev, calls) = counted(SpaceMode::Paper);
-    let mut tuner = RandomTuner::new(ev.space().clone(), 5);
-    let result = tune_parallel(&mut tuner, &ev, OPTS);
-    assert_eq!(result.trials.len(), OPTS.max_evals);
-    assert_lowered_once(
-        "tune_parallel/random",
-        &kinds(&result),
-        &calls,
-        result.cache.expect("cache stats"),
-        result.static_checks.expect("static check stats"),
-        &result.prune.clone().expect("prune stats"),
-    );
-    assert_eq!(calls.instantiations(), OPTS.max_evals as u64);
+    // The paper space is all admissions; the aggressive one puts prelint
+    // and analyzer denials in the batches the pool workers evaluate.
+    for mode in [SpaceMode::Paper, SpaceMode::Aggressive] {
+        let (ev, calls) = counted(mode);
+        let mut tuner = RandomTuner::new(ev.space().clone(), 5);
+        let result = tune_parallel(&mut tuner, &ev, OPTS);
+        let label = format!("tune_parallel/random/{mode:?}");
+        assert_eq!(result.trials.len(), OPTS.max_evals, "{label}");
+        let prune = result.prune.clone().expect("prune stats");
+        assert_lowered_once(
+            &label,
+            &kinds(&result),
+            &calls,
+            result.cache.expect("cache stats"),
+            result.static_checks.expect("static check stats"),
+            &prune,
+        );
+        assert_eq!(
+            calls.instantiations(),
+            OPTS.max_evals as u64 - prune.prelint_denied,
+            "{label}"
+        );
+        let denied = prune.prelint_denied > 0 && prune.analyzer_denied > 0;
+        assert_eq!(denied, mode == SpaceMode::Aggressive, "{label}: {prune:?}");
+    }
 }
