@@ -17,8 +17,8 @@
 //!   [`MeasureError::Timeout`] (the worker is detached, like TVM's RPC
 //!   runner killing a timed-out session).
 //! * **Bounded retry with backoff** — [`MeasureError::Transient`]
-//!   failures are retried up to [`RetryPolicy::max_attempts`] with
-//!   exponential backoff. All attempts' process time **plus** the backoff
+//!   failures are tried up to [`MAX_ATTEMPTS`] times with exponential
+//!   backoff ([`BACKOFF_S`], times [`BACKOFF_MULT`] after each retry). All attempts' process time **plus** the backoff
 //!   waits are charged to the trial (the waits are charged, never slept),
 //!   so the paper's "autotuning process time" metric honestly reflects the
 //!   cost of flaky infrastructure.
@@ -40,37 +40,12 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use ytopt_bo::fault::{panic_message, MeasureError};
 
-/// Retry policy for [`MeasureError::Transient`] failures.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per configuration (1 = no retry).
-    pub max_attempts: usize,
-    /// Backoff before the first retry, seconds.
-    pub backoff_s: f64,
-    /// Multiplier applied to the backoff after each retry.
-    pub backoff_mult: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_s: 0.05,
-            backoff_mult: 2.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries at all.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff_s: 0.0,
-            backoff_mult: 1.0,
-        }
-    }
-}
+/// Attempts per configuration while it fails [`MeasureError::Transient`].
+pub const MAX_ATTEMPTS: usize = 3;
+/// Backoff charged before the first retry, seconds.
+pub const BACKOFF_S: f64 = 0.05;
+/// Multiplier applied to the backoff after each retry.
+pub const BACKOFF_MULT: f64 = 2.0;
 
 /// Harness knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -78,8 +53,6 @@ pub struct HarnessOptions {
     /// Wall-clock limit per evaluation attempt, seconds. `None` disables
     /// the watchdog (evaluations then run on the caller's thread).
     pub timeout_s: Option<f64>,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
 }
 
 /// Fault-tolerance wrapper around any evaluator — one harness for all
@@ -178,10 +151,9 @@ impl<E: Evaluator + Send + Sync + 'static> Evaluator for HarnessedEvaluator<E> {
     /// is the sum over every attempt plus backoffs — the wall time a real
     /// measurement pipeline would have burned.
     fn evaluate(&self, config: &Configuration) -> MeasureResult {
-        let attempts = self.opts.retry.max_attempts.max(1);
         let mut charged = 0.0f64;
-        let mut backoff = self.opts.retry.backoff_s;
-        for attempt in 0..attempts {
+        let mut backoff = BACKOFF_S;
+        for attempt in 1..=MAX_ATTEMPTS {
             let mut res = self.one_attempt(config);
             charged += res.process_s;
             let retryable = res
@@ -189,12 +161,12 @@ impl<E: Evaluator + Send + Sync + 'static> Evaluator for HarnessedEvaluator<E> {
                 .as_ref()
                 .map(|e| e.is_transient())
                 .unwrap_or(false);
-            if !retryable || attempt + 1 == attempts {
+            if !retryable || attempt == MAX_ATTEMPTS {
                 res.process_s = charged;
                 return res;
             }
             charged += backoff;
-            backoff *= self.opts.retry.backoff_mult;
+            backoff *= BACKOFF_MULT;
         }
         unreachable!("retry loop always returns")
     }
@@ -567,8 +539,8 @@ mod tests {
         }))
         .with_options(HarnessOptions {
             timeout_s: Some(0.05),
-            retry: RetryPolicy::none(),
         });
+        // A timeout is not transient: one attempt, charged its limit.
         let slow = Evaluator::space(&h).at(0);
         let t0 = Instant::now();
         let r = Evaluator::evaluate(&h, &slow);
@@ -595,41 +567,34 @@ mod tests {
             } else {
                 MeasureResult::ok(2.0, 1.0)
             }
-        }))
-        .with_options(HarnessOptions {
-            timeout_s: None,
-            retry: RetryPolicy {
-                max_attempts: 3,
-                backoff_s: 0.25,
-                backoff_mult: 2.0,
-            },
-        });
+        }));
         let cfg = Evaluator::space(&h).at(0);
         let r = Evaluator::evaluate(&h, &cfg);
         assert_eq!(r.runtime_s, Some(2.0));
-        // Charged: failed attempt (0.3) + backoff (0.25) + success (1.0).
-        assert!((r.process_s - 1.55).abs() < 1e-9, "got {}", r.process_s);
+        // Charged: failed attempt (0.3) + first backoff + success (1.0).
+        assert_eq!(BACKOFF_S, 0.05);
+        assert!((r.process_s - 1.35).abs() < 1e-9, "got {}", r.process_s);
     }
 
     #[test]
     fn persistent_transient_exhausts_retries() {
-        let h = HarnessedEvaluator::new(FnEvaluator::new(space(), |_| {
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let h = HarnessedEvaluator::new(FnEvaluator::new(space(), move |_| {
+            seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             MeasureResult::fail(MeasureError::Transient("always down".into()), 0.1)
-        }))
-        .with_options(HarnessOptions {
-            timeout_s: None,
-            retry: RetryPolicy {
-                max_attempts: 3,
-                backoff_s: 0.5,
-                backoff_mult: 1.0,
-            },
-        });
+        }));
         let cfg = Evaluator::space(&h).at(0);
         let r = Evaluator::evaluate(&h, &cfg);
         assert!(!r.is_ok());
         assert_eq!(r.error.as_ref().map(|e| e.kind()), Some("transient"));
-        // 3 × 0.1 attempts + 2 × 0.5 backoffs.
-        assert!((r.process_s - 1.3).abs() < 1e-9, "got {}", r.process_s);
+        // 3 × 0.1 attempts + the 0.05 and 0.1 backoffs between them.
+        assert_eq!((MAX_ATTEMPTS, BACKOFF_S, BACKOFF_MULT), (3, 0.05, 2.0));
+        assert!((r.process_s - 0.45).abs() < 1e-9, "got {}", r.process_s);
+        assert_eq!(
+            calls.load(std::sync::atomic::Ordering::SeqCst),
+            MAX_ATTEMPTS
+        );
     }
 
     #[test]
@@ -668,16 +633,7 @@ mod tests {
         // re-roll per attempt, so most configurations eventually succeed.
         let mut plan = FaultPlan::none(3);
         plan.transient = 0.6;
-        let h = HarnessedEvaluator::new(FaultInjector::new(ok_evaluator(), plan)).with_options(
-            HarnessOptions {
-                timeout_s: None,
-                retry: RetryPolicy {
-                    max_attempts: 5,
-                    backoff_s: 0.01,
-                    backoff_mult: 1.0,
-                },
-            },
-        );
+        let h = HarnessedEvaluator::new(FaultInjector::new(ok_evaluator(), plan));
         let ok = (0..40)
             .filter(|&i| Evaluator::evaluate(&h, &Evaluator::space(&h).at(i)).is_ok())
             .count();

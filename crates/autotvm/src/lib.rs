@@ -40,7 +40,7 @@ pub mod tuner;
 pub use driver::{
     resume_from_journal, tune, tune_journaled, tune_parallel, Trial, TuneOptions, TuningResult,
 };
-pub use harness::{FaultInjector, FaultPlan, HarnessOptions, HarnessedEvaluator, RetryPolicy};
+pub use harness::{FaultInjector, FaultPlan, HarnessOptions, HarnessedEvaluator};
 pub use measure::{
     CacheStats, Evaluator, JitStats, MeasureError, MeasureResult, ParStats, SimdStats,
 };

@@ -35,6 +35,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::time::Instant;
+use tvm_runtime::stats::count_reason;
+use tvm_tir::analyze::{deny_codes, Diagnostic};
+use ytopt_bo::problem::PruneStats;
 
 /// Alternated repeats per kernel; odd, so the median is one repeat.
 const REPEATS: usize = 9;
@@ -45,15 +48,27 @@ struct Row {
     /// Per repeat.
     analyze_ns_per_config: Vec<f64>,
     instantiate_ns_per_config: Vec<f64>,
-    prelint_rejected: usize,
-    analyzer_rejected: usize,
-    by_code: BTreeMap<String, usize>,
+    /// The first repeat's denials, by stage and by code, counted as the
+    /// evaluator counts them.
+    denied: PruneStats,
 }
 
 impl Row {
-    fn rejected(&self) -> usize {
-        self.prelint_rejected + self.analyzer_rejected
+    fn rejected(&self) -> u64 {
+        self.denied.prelint_denied + self.denied.analyzer_denied
     }
+}
+
+/// One denial's distinct codes, counted once each.
+fn count_codes(denied: &mut PruneStats, diagnostics: &[Diagnostic]) {
+    for code in deny_codes(diagnostics) {
+        count_reason(&mut denied.denied_by_code, code, 1);
+    }
+}
+
+/// A per-code list as the JSON object `{code: count}`.
+fn by_code(denied: &PruneStats) -> BTreeMap<String, u64> {
+    denied.denied_by_code.iter().cloned().collect()
 }
 
 /// The median and the first and third quartiles of `xs`.
@@ -75,16 +90,7 @@ fn bench_kernel(kernel: KernelName, size: ProblemSize, mode: SpaceMode, configs:
         configs,
         analyze_ns_per_config: Vec::new(),
         instantiate_ns_per_config: Vec::new(),
-        prelint_rejected: 0,
-        analyzer_rejected: 0,
-        by_code: BTreeMap::new(),
-    };
-    let count = |by_code: &mut BTreeMap<String, usize>, mut codes: Vec<&str>| {
-        codes.sort_unstable();
-        codes.dedup();
-        for code in codes {
-            *by_code.entry(code.to_string()).or_insert(0) += 1;
-        }
+        denied: PruneStats::default(),
     };
     let mut funcs = Vec::new();
     for repeat in 0..REPEATS {
@@ -109,15 +115,15 @@ fn bench_kernel(kernel: KernelName, size: ProblemSize, mode: SpaceMode, configs:
             for config in &samples {
                 let lint = mold.prelint(config);
                 if first && !lint.is_empty() {
-                    row.prelint_rejected += 1;
-                    count(&mut row.by_code, lint.iter().map(|d| d.code).collect());
+                    row.denied.prelint_denied += 1;
+                    count_codes(&mut row.denied, &lint);
                 }
             }
             for func in funcs {
                 let report = tvm_tir::analyze::check(func);
                 if first && report.is_rejected() {
-                    row.analyzer_rejected += 1;
-                    count(&mut row.by_code, report.denials().map(|d| d.code).collect());
+                    row.denied.analyzer_denied += 1;
+                    count_codes(&mut row.denied, &report.diagnostics);
                 }
             }
             t.elapsed().as_secs_f64() * 1e9 / configs as f64
@@ -176,19 +182,17 @@ fn main() {
             row.kernel,
             quartiles(&row.analyze_ns_per_config)[0],
             quartiles(&row.instantiate_ns_per_config)[0],
-            100.0 * row.prelint_rejected as f64 / row.configs as f64,
-            100.0 * row.analyzer_rejected as f64 / row.configs as f64,
+            100.0 * row.denied.prelint_denied as f64 / row.configs as f64,
+            100.0 * row.denied.analyzer_denied as f64 / row.configs as f64,
         );
         rows.push(row);
     }
-    let mut by_code: BTreeMap<String, usize> = BTreeMap::new();
+    let mut denied = PruneStats::default();
     for row in &rows {
-        for (code, n) in &row.by_code {
-            *by_code.entry(code.clone()).or_insert(0) += n;
-        }
+        denied.merge(&row.denied);
     }
     let total_cfgs: usize = rows.iter().map(|r| r.configs).sum();
-    let total_rejected: usize = rows.iter().map(Row::rejected).sum();
+    let total_rejected = denied.prelint_denied + denied.analyzer_denied;
     // Per repeat: the mean over the kernels of each phase, and their ratio.
     let mean = |f: &dyn Fn(&Row) -> f64| rows.iter().map(f).sum::<f64>() / rows.len() as f64;
     let per_repeat = |r: usize| {
@@ -205,7 +209,7 @@ fn main() {
         "mean {mean_ns:.0} ns/config; {ratio:.3} of lowering [{ratio_q1:.3}, {ratio_q3:.3}]; \
          {total_rejected}/{total_cfgs} rejected; by code:"
     );
-    for (code, n) in &by_code {
+    for (code, n) in &denied.denied_by_code {
         println!("  {code:<18} {n}");
     }
 
@@ -243,13 +247,13 @@ fn main() {
             "configs": r.configs,
             "analyze_ns_per_config": quartiles(&r.analyze_ns_per_config)[0],
             "instantiate_ns_per_config": quartiles(&r.instantiate_ns_per_config)[0],
-            "prelint_rejected": r.prelint_rejected,
-            "analyzer_rejected": r.analyzer_rejected,
+            "prelint_rejected": r.denied.prelint_denied,
+            "analyzer_rejected": r.denied.analyzer_denied,
             "rejected": r.rejected(),
             "fraction_rejected": r.rejected() as f64 / r.configs as f64,
-            "rejected_by_code": r.by_code,
+            "rejected_by_code": by_code(&r.denied),
         })).collect::<Vec<_>>(),
-        "rejected_by_code": by_code,
+        "rejected_by_code": by_code(&denied),
         "repeats": REPEATS,
         "mean_analyze_ns_per_config": mean_ns,
         "analyze_over_lowering": { "median": ratio, "q1": ratio_q1, "q3": ratio_q3 },

@@ -119,11 +119,20 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// The full result of analyzing one lowered function.
+/// The distinct `Deny` codes of `diagnostics`, sorted: the codes one
+/// denial is counted under.
+pub fn deny_codes(diagnostics: &[Diagnostic]) -> Vec<&'static str> {
+    let denials = diagnostics.iter().filter(|d| d.severity == Severity::Deny);
+    let mut codes: Vec<&'static str> = denials.map(|d| d.code).collect();
+    codes.sort_unstable();
+    codes.dedup();
+    codes
+}
+
+/// The full result of analyzing one lowered function (or of prelinting
+/// one configuration).
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisReport {
-    /// Name of the analyzed function.
-    pub function: String,
     /// All findings, bounds first then dependence.
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -131,9 +140,7 @@ pub struct AnalysisReport {
 impl AnalysisReport {
     /// True when any finding is `Deny`.
     pub fn is_rejected(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Deny)
+        self.denials().next().is_some()
     }
 
     /// The Deny findings only.
@@ -143,7 +150,8 @@ impl AnalysisReport {
             .filter(|d| d.severity == Severity::Deny)
     }
 
-    /// One-line summary used as the `StaticReject` error message.
+    /// One-line summary of the denials: the evaluator's static gate
+    /// renders a denied configuration's `StaticReject` message from it.
     pub fn reject_summary(&self) -> String {
         let n = self.denials().count();
         match self.denials().next() {
@@ -151,26 +159,6 @@ impl AnalysisReport {
             Some(first) => format!("{}: {} (+{} more)", first.code, first.message, n - 1),
             None => "accepted".to_string(),
         }
-    }
-
-    /// Rendered multi-line text report.
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "schedule-safety report for `{}`: {}\n",
-            self.function,
-            if self.is_rejected() {
-                "REJECT"
-            } else {
-                "accept"
-            }
-        );
-        if self.diagnostics.is_empty() {
-            out.push_str("  no findings\n");
-        }
-        for d in &self.diagnostics {
-            out.push_str(&format!("  {d}\n"));
-        }
-        out
     }
 }
 
@@ -180,84 +168,7 @@ pub fn check(func: &PrimFunc) -> AnalysisReport {
     let mut diagnostics = Vec::new();
     bounds::check_bounds(func, &mut diagnostics);
     deps::check_parallel_deps(func, &mut diagnostics);
-    AnalysisReport {
-        function: func.name.clone(),
-        diagnostics,
-    }
-}
-
-/// Which stage of the pruning pipeline produced a denial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PruneStage {
-    /// The pre-lowering schedule legality prelint (no IR built).
-    Prelint,
-    /// The full analyzer over the instantiated function.
-    Analysis,
-}
-
-/// Verdict for one candidate in a batch prune.
-#[derive(Debug, Clone)]
-pub enum Verdict {
-    /// Statically safe as far as the analyzer can tell.
-    Admit,
-    /// Must not be compiled or measured.
-    Deny {
-        /// Pipeline stage that produced the denial.
-        stage: PruneStage,
-        /// The `Deny` diagnostics justifying the verdict.
-        diagnostics: Vec<Diagnostic>,
-    },
-}
-
-/// Result of statically filtering a batch of candidates.
-#[derive(Debug, Clone, Default)]
-pub struct PruneReport {
-    /// One verdict per input, in order.
-    pub verdicts: Vec<Verdict>,
-    /// Candidates admitted to compilation/measurement.
-    pub admitted: u64,
-    /// Candidates denied by the prelint (never instantiated).
-    pub prelint_denied: u64,
-    /// Candidates denied by the analyzer on the instantiated function.
-    pub analyzer_denied: u64,
-    /// Denial counts per stable diagnostic code, sorted by code.
-    pub by_code: Vec<(String, u64)>,
-}
-
-impl PruneReport {
-    /// Record an admission.
-    pub fn admit(&mut self) {
-        self.admitted += 1;
-        self.verdicts.push(Verdict::Admit);
-    }
-
-    /// Record a denial, counting each distinct code once per candidate.
-    pub fn deny(&mut self, stage: PruneStage, diagnostics: Vec<Diagnostic>) {
-        match stage {
-            PruneStage::Prelint => self.prelint_denied += 1,
-            PruneStage::Analysis => self.analyzer_denied += 1,
-        }
-        let mut codes: Vec<&str> = diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Deny)
-            .map(|d| d.code)
-            .collect();
-        codes.sort_unstable();
-        codes.dedup();
-        for code in codes {
-            match self.by_code.iter_mut().find(|(c, _)| c == code) {
-                Some((_, n)) => *n += 1,
-                None => self.by_code.push((code.to_string(), 1)),
-            }
-        }
-        self.by_code.sort();
-        self.verdicts.push(Verdict::Deny { stage, diagnostics });
-    }
-
-    /// Total candidates examined.
-    pub fn total(&self) -> u64 {
-        self.admitted + self.prelint_denied + self.analyzer_denied
-    }
+    AnalysisReport { diagnostics }
 }
 
 #[cfg(test)]
@@ -265,13 +176,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn report_renders_text() {
-        let mut r = AnalysisReport {
-            function: "mm".into(),
-            diagnostics: vec![],
-        };
+    fn a_report_lists_its_denials_and_counts_each_code_once() {
+        let mut r = AnalysisReport::default();
         assert!(!r.is_rejected());
-        assert!(r.render_text().contains("accept"));
+        assert!(deny_codes(&r.diagnostics).is_empty());
         r.diagnostics.push(Diagnostic {
             buffer: Some("C".into()),
             access: Some("C[i] dim 0".into()),
@@ -279,42 +187,18 @@ mod tests {
         });
         r.diagnostics
             .push(Diagnostic::warn(codes::RACE_MAYBE, "unresolved dependence"));
+        r.diagnostics.push(Diagnostic::deny(codes::RACE_WW, "race"));
+        r.diagnostics.push(Diagnostic::deny(codes::OOB, "again"));
         assert!(r.is_rejected());
-        assert_eq!(r.denials().count(), 1);
-        let text = r.render_text();
-        assert!(text.contains("REJECT"));
-        assert!(text.contains("deny[TIR-OOB]"));
-        assert!(text.contains("warn[TIR-RACE-MAYBE]"));
-    }
-
-    #[test]
-    fn prune_report_counts_each_code_once_per_candidate() {
-        let mut report = PruneReport::default();
-        report.admit();
-        let zero = || vec![Diagnostic::deny(codes::TRIP_ZERO, "zero tile")];
-        report.deny(PruneStage::Prelint, zero());
-        report.deny(PruneStage::Prelint, [zero(), zero()].concat());
-        let race = Diagnostic::deny(codes::RACE_WW, "race");
-        let maybe = Diagnostic::warn(codes::RACE_MAYBE, "unresolved");
-        report.deny(PruneStage::Analysis, vec![race, maybe]);
-        assert_eq!(report.total(), 4);
-        assert_eq!(report.admitted, 1);
-        assert_eq!(report.prelint_denied, 2);
-        assert_eq!(report.analyzer_denied, 1);
-        assert!(matches!(report.verdicts[0], Verdict::Admit));
-        assert!(matches!(
-            &report.verdicts[3],
-            Verdict::Deny {
-                stage: PruneStage::Analysis,
-                ..
-            }
-        ));
+        assert_eq!(r.denials().count(), 3);
+        assert_eq!(deny_codes(&r.diagnostics), [codes::OOB, codes::RACE_WW]);
         assert_eq!(
-            report.by_code,
-            vec![
-                (codes::RACE_WW.to_string(), 1),
-                (codes::TRIP_ZERO.to_string(), 2)
-            ]
+            r.diagnostics[0].to_string(),
+            "deny[TIR-OOB]: index exceeds extent\n  --> C[i] dim 0"
+        );
+        assert_eq!(
+            r.diagnostics[1].to_string(),
+            "warn[TIR-RACE-MAYBE]: unresolved dependence"
         );
     }
 

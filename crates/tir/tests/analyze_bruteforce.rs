@@ -109,8 +109,8 @@ fn assert_agreement(func: &PrimFunc, context: &str) {
     if safe {
         assert!(
             !bounds_rejected,
-            "{context}: enumeration proves safety but analyzer rejected:\n{}",
-            report.render_text()
+            "{context}: enumeration proves safety but analyzer rejected:\n{:#?}",
+            report.diagnostics
         );
     } else {
         assert!(

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tvm_runtime::stats::count_reason;
 use tvm_runtime::{CompiledFunc, Device, NDArray};
-use tvm_tir::analyze::{Diagnostic, PruneReport, PruneStage, Severity, Verdict};
+use tvm_tir::analyze::{deny_codes, AnalysisReport};
 use tvm_tir::PrimFunc;
 use ytopt_bo::problem::{CacheStats, JitStats, ParStats, PruneStats, SimdStats, StaticCheckStats};
 
@@ -30,25 +30,19 @@ enum EvalMode {
     Real,
 }
 
-/// A cached static rejection: which pipeline stage denied the config and
-/// the diagnostics justifying it, so batch pruning can replay the full
-/// verdict and the error message stays stable across replays.
-struct Rejection {
-    stage: PruneStage,
-    summary: String,
-    diagnostics: Vec<Diagnostic>,
-}
-
-/// One memoized lowering: the instantiated function, its (modeled or
-/// real) build cost, and the device's compiled artifact when it has one.
-/// Statically rejected configs cache the verdict instead of a build —
-/// prelint denials never even instantiate, so `func` is `None` there —
-/// and every re-proposal replays the rejection without re-analysis.
-struct CacheEntry {
-    func: Option<PrimFunc>,
-    build_s: f64,
-    prepared: Option<Arc<CompiledFunc>>,
-    reject: Option<Rejection>,
+/// One memoized configuration: what the static gate decided about it.
+enum CacheEntry {
+    /// Denied: the `statically rejected: …` message the gate rendered,
+    /// the one every later proposal gets, from the batch mask and from
+    /// `evaluate` alike, without re-analysis.
+    Rejected(String),
+    /// Admitted: the lowered function, its (modeled or real) build cost,
+    /// and the device's compiled artifact when it has one.
+    Admitted {
+        func: PrimFunc,
+        build_s: f64,
+        prepared: Option<Arc<CompiledFunc>>,
+    },
 }
 
 /// Process-wide lowering + compilation memo cache, shareable across
@@ -160,7 +154,7 @@ pub struct MoldEvaluator {
     /// too.
     prune: Mutex<PruneStats>,
     /// Lowered-but-unbuilt functions by memo key: what the latest
-    /// [`MoldEvaluator::prune`] admitted and no evaluation has taken yet.
+    /// [`Evaluator::prune_batch`] admitted and no evaluation has taken yet.
     /// The evaluation that follows builds from here instead of lowering
     /// (and charging the lowering) a second time.
     lowered: Mutex<HashMap<u64, PrimFunc>>,
@@ -254,138 +248,64 @@ impl MoldEvaluator {
         h.finish()
     }
 
-    /// Count one denial into the lifetime pruning counters (called
-    /// exactly once per denied config, at reject-entry insertion — cache
-    /// replays never recount).
-    fn count_denial(&self, stage: PruneStage, diagnostics: &[Diagnostic]) {
-        let mut codes: Vec<&str> = diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Deny)
-            .map(|d| d.code)
-            .collect();
-        codes.sort_unstable();
-        codes.dedup();
-        let mut prune = self.prune_counters();
-        match stage {
-            PruneStage::Prelint => prune.prelint_denied += 1,
-            PruneStage::Analysis => prune.analyzer_denied += 1,
-        }
-        for code in codes {
-            count_reason(&mut prune.denied_by_code, code, 1);
-        }
-    }
-
     /// Run the static gate on an uncached config: the cheap pre-lowering
     /// legality prelint first (denied configs are never instantiated),
-    /// then the full analyzer over the lowered function. Returns the
-    /// rejection to cache, or the admitted function.
-    fn static_gate(&self, config: &Configuration) -> Result<PrimFunc, Arc<CacheEntry>> {
-        let lint = self.mold.prelint(config);
-        if lint.iter().any(|d| d.severity == Severity::Deny) {
-            let summary = tvm_tir::analyze::AnalysisReport {
-                function: self.mold.name().to_string(),
-                diagnostics: lint.clone(),
+    /// then the full analyzer over the lowered function. A denial is
+    /// counted here, once per memo miss, and rendered into the message
+    /// every replay returns; an admission hands back the function.
+    fn static_gate(&self, config: &Configuration) -> Result<PrimFunc, String> {
+        let lint = AnalysisReport {
+            diagnostics: self.mold.prelint(config),
+        };
+        let prelint = lint.is_rejected();
+        let report = if prelint {
+            lint
+        } else {
+            let func = self.mold.instantiate(config);
+            let report = tvm_tir::analyze::check(&func);
+            if !report.is_rejected() {
+                return Ok(func);
             }
-            .reject_summary();
-            self.count_denial(PruneStage::Prelint, &lint);
-            return Err(Arc::new(CacheEntry {
-                func: None,
-                build_s: 0.0,
-                prepared: None,
-                reject: Some(Rejection {
-                    stage: PruneStage::Prelint,
-                    summary,
-                    diagnostics: lint,
-                }),
-            }));
+            report
+        };
+        let mut prune = self.prune_counters();
+        if prelint {
+            prune.prelint_denied += 1;
+        } else {
+            prune.analyzer_denied += 1;
         }
-        let func = self.mold.instantiate(config);
-        let report = tvm_tir::analyze::check(&func);
-        if report.is_rejected() {
-            let summary = report.reject_summary();
-            self.count_denial(PruneStage::Analysis, &report.diagnostics);
-            return Err(Arc::new(CacheEntry {
-                func: Some(func),
-                build_s: 0.0,
-                prepared: None,
-                reject: Some(Rejection {
-                    stage: PruneStage::Analysis,
-                    summary,
-                    diagnostics: report.diagnostics,
-                }),
-            }));
+        for code in deny_codes(&report.diagnostics) {
+            count_reason(&mut prune.denied_by_code, code, 1);
         }
-        Ok(func)
+        Err(format!("statically rejected: {}", report.reject_summary()))
     }
 
     /// Cached lowering for `config`: prelint + instantiate + analyze +
     /// build-cost + compile on the first request, a map lookup afterwards.
-    /// A function the preceding `prune` already lowered and admitted is
-    /// taken over as is; building and all counting still happen here.
+    /// A function the preceding `prune_batch` already lowered and admitted
+    /// is taken over as is; building and counting the admission still
+    /// happen here.
     fn lower_cached(&self, config: &Configuration) -> (Arc<CacheEntry>, bool) {
         let key = self.cache_key(config);
         if let Some(entry) = self.cache.get(key) {
             return (entry, true);
         }
         let handed = self.lowered.lock().expect("lowered lock").remove(&key);
-        let entry = match handed.map_or_else(|| self.static_gate(config), Ok) {
-            Err(reject) => reject,
+        let entry = Arc::new(match handed.map_or_else(|| self.static_gate(config), Ok) {
+            Err(message) => CacheEntry::Rejected(message),
             Ok(func) => {
                 self.prune_counters().admitted += 1;
                 let build_s = self.device.build_cost(&func);
                 let prepared = self.device.prepare(&func);
-                Arc::new(CacheEntry {
-                    func: Some(func),
+                CacheEntry::Admitted {
+                    func,
                     build_s,
                     prepared,
-                    reject: None,
-                })
+                }
             }
-        };
+        });
         self.cache.insert(key, Arc::clone(&entry));
         (entry, false)
-    }
-
-    /// Statically filter a batch of candidates before any compilation or
-    /// measurement: per config, the prelint runs first (denied schedules
-    /// are never instantiated), then the full analyzer. Denials are
-    /// cached so the later `evaluate` replays the verdict; admitted
-    /// candidates are *not* cached here — their lowered functions wait
-    /// for the evaluations of this batch, whose cache miss still pays
-    /// (and accounts) the build. Lowering is thus done, and charged to
-    /// process time by the driver, once: here.
-    pub fn prune(&self, batch: &[Configuration]) -> PruneReport {
-        let mut report = PruneReport::default();
-        let mut lowered = HashMap::new();
-        for config in batch {
-            let key = self.cache_key(config);
-            if let Some(entry) = self.cache.get(key) {
-                match &entry.reject {
-                    Some(r) => report.deny(r.stage, r.diagnostics.clone()),
-                    None => report.admit(),
-                }
-                continue;
-            }
-            if lowered.contains_key(&key) {
-                report.admit();
-                continue;
-            }
-            match self.static_gate(config) {
-                Err(reject) => {
-                    let r = reject.reject.as_ref().expect("static_gate rejection");
-                    report.deny(r.stage, r.diagnostics.clone());
-                    self.cache.insert(key, reject);
-                }
-                Ok(func) => {
-                    lowered.insert(key, func);
-                    report.admit();
-                }
-            }
-        }
-        // Replacing drops what an earlier batch left unevaluated, so at
-        // most one batch of lowered functions is ever held.
-        *self.lowered.lock().expect("lowered lock") = lowered;
-        report
     }
 }
 
@@ -406,19 +326,20 @@ impl Evaluator for MoldEvaluator {
         // Real wall clock of this evaluation's lowering work: the full
         // instantiate + static analysis on a miss, a map lookup on a hit.
         let instantiate_s = t0.elapsed().as_secs_f64();
-        if let Some(rejection) = &entry.reject {
+        let (func, build_s, prepared) = match &*entry {
             // Rejected before compilation: only analysis time is charged.
-            return MeasureResult::fail(
-                MeasureError::StaticReject(format!("statically rejected: {}", rejection.summary)),
-                instantiate_s,
-            );
-        }
+            CacheEntry::Rejected(message) => {
+                let error = MeasureError::StaticReject(message.clone());
+                return MeasureResult::fail(error, instantiate_s);
+            }
+            CacheEntry::Admitted {
+                func,
+                build_s,
+                prepared,
+            } => (func, *build_s, prepared),
+        };
         // The build cost is paid once; cache hits reuse the artifact.
-        let build_s = if cache_hit { 0.0 } else { entry.build_s };
-        let func = entry
-            .func
-            .as_ref()
-            .expect("admitted cache entry carries its lowered function");
+        let build_s = if cache_hit { 0.0 } else { build_s };
         let transfer_bytes: usize = func.params.iter().map(|b| b.size_bytes()).sum();
         let transfer_s = transfer_bytes as f64 / TRANSFER_BW;
 
@@ -446,7 +367,7 @@ impl Evaluator for MoldEvaluator {
                         let kept = stored_params(func).into_iter();
                         pristine = kept.map(|p| (p, args[p].clone())).collect();
                     }
-                    match entry.prepared.as_deref() {
+                    match prepared.as_deref() {
                         // Compiled once per configuration; every repeat
                         // (and every cache hit) reuses the artifact.
                         Some(prepared) => self.device.run_prepared(prepared, args),
@@ -497,23 +418,47 @@ impl Evaluator for MoldEvaluator {
         self.device.simd_stats()
     }
 
-    /// The batch verdicts of [`MoldEvaluator::prune`] as the admission
-    /// mask: `Some(message)` is the exact `StaticReject` message
-    /// `evaluate` replays, so pre-filtered trial streams are
-    /// byte-identical to evaluated ones.
+    /// The one batch gate, before any compilation or measurement: per
+    /// config, the memo entry's verdict, else the static gate. A denial is
+    /// cached here, and its entry in the mask is the message `evaluate`
+    /// returns for it. An admitted function is *not* cached: it waits for
+    /// this batch's evaluations, whose cache miss still pays (and
+    /// accounts) the build, so lowering is done, and charged to process
+    /// time by the driver, once: here. A configuration outside the space
+    /// is admitted unjudged, for `evaluate` to fail as it would unpruned.
     fn prune_batch(&self, batch: &[Configuration]) -> Option<Vec<Option<String>>> {
-        let mask = self.prune(batch).verdicts.into_iter().map(|v| match v {
-            Verdict::Admit => None,
-            Verdict::Deny { diagnostics, .. } => {
-                let summary = tvm_tir::analyze::AnalysisReport {
-                    function: self.mold.name().to_string(),
-                    diagnostics,
-                }
-                .reject_summary();
-                Some(format!("statically rejected: {summary}"))
+        let mut lowered = HashMap::new();
+        let verdict = |config: &Configuration| {
+            if !self.mold.space().validate(config) {
+                return None;
             }
-        });
-        Some(mask.collect())
+            let key = self.cache_key(config);
+            if let Some(entry) = self.cache.get(key) {
+                return match &*entry {
+                    CacheEntry::Rejected(message) => Some(message.clone()),
+                    CacheEntry::Admitted { .. } => None,
+                };
+            }
+            if lowered.contains_key(&key) {
+                return None;
+            }
+            match self.static_gate(config) {
+                Err(message) => {
+                    let entry = CacheEntry::Rejected(message.clone());
+                    self.cache.insert(key, Arc::new(entry));
+                    Some(message)
+                }
+                Ok(func) => {
+                    lowered.insert(key, func);
+                    None
+                }
+            }
+        };
+        let mask = batch.iter().map(verdict).collect();
+        // Replacing drops what an earlier batch left unevaluated, so at
+        // most one batch of lowered functions is ever held.
+        *self.lowered.lock().expect("lowered lock") = lowered;
+        Some(mask)
     }
 
     /// Lifetime pruning counters: admitted = configs that passed the
@@ -531,6 +476,7 @@ mod tests {
     use polybench::molds::mold_for;
     use polybench::{KernelName, ProblemSize};
     use tvm_runtime::CpuDevice;
+    use tvm_tir::analyze::Severity;
 
     #[test]
     fn simulated_evaluation_charges_build_and_run() {
@@ -886,8 +832,12 @@ mod tests {
             MoldEvaluator::simulated(Box::new(RacyMold::new()), SimDevice::new(GpuSpec::a100()));
         let safe = Evaluator::space(&ev).at(0);
         let racy = Evaluator::space(&ev).at(1);
-        let report = ev.prune(&[safe.clone(), racy.clone(), safe.clone()]);
-        assert_eq!((report.admitted, report.analyzer_denied), (2, 1));
+        let batch = [safe.clone(), racy.clone(), safe.clone()];
+        let mask = Evaluator::prune_batch(&ev, &batch).expect("the mold evaluator gates");
+        assert!(mask[0].is_none() && mask[2].is_none(), "{mask:?}");
+        assert!(mask[1].as_deref().is_some_and(|m| m.contains("TIR-RACE")));
+        let prune = ev.prune_counters().clone();
+        assert_eq!((prune.admitted, prune.analyzer_denied), (0, 1));
         // Nothing is built or counted as accepted until evaluation.
         assert_eq!(ev.cache_stats().misses, 1, "only the denial is cached");
         assert_eq!(ev.static_check_stats().accepted, 0);
@@ -909,8 +859,8 @@ mod tests {
             SimDevice::new(GpuSpec::a100()),
         );
         let space = Evaluator::space(&other).clone();
-        other.prune(&[space.at(0), space.at(1)]);
-        other.prune(&[space.at(2)]);
+        Evaluator::prune_batch(&other, &[space.at(0), space.at(1)]);
+        Evaluator::prune_batch(&other, &[space.at(2)]);
         assert_eq!(other.lowered.lock().expect("lowered lock").len(), 1);
     }
 
@@ -925,6 +875,55 @@ mod tests {
         );
         let r = Evaluator::evaluate(&ev, &bad);
         assert!(!r.is_ok());
+    }
+
+    #[test]
+    fn a_grid_wider_than_the_space_tunes_as_it_would_unpruned() {
+        // Tiles 1..=10 against lu-mini, whose space holds only the
+        // divisors of 40: the batch gate admits the 64 foreign
+        // configurations unjudged, and `evaluate` fails each as an invalid
+        // schedule, so the run records what a run without the gate does.
+        use autotvm::{tune, GridSearchTuner, TuneOptions};
+        struct Unpruned(MoldEvaluator);
+        impl Evaluator for Unpruned {
+            fn space(&self) -> &ConfigSpace {
+                self.0.space()
+            }
+            fn evaluate(&self, config: &Configuration) -> MeasureResult {
+                Evaluator::evaluate(&self.0, config)
+            }
+        }
+        let mut wide = ConfigSpace::new();
+        let tiles: Vec<i64> = (1..=10).collect();
+        wide.add(configspace::Hyperparameter::ordinal_ints("P0", &tiles));
+        wide.add(configspace::Hyperparameter::ordinal_ints("P1", &tiles));
+        let opts = TuneOptions {
+            max_evals: 100,
+            batch: 8,
+            max_process_s: None,
+        };
+        let lu = || {
+            let mold = mold_for(KernelName::Lu, ProblemSize::Mini);
+            MoldEvaluator::simulated(mold, SimDevice::new(GpuSpec::a100()))
+        };
+        let run = |ev: &dyn Evaluator| {
+            let result = tune(&mut GridSearchTuner::new(wide.clone()), ev, opts);
+            let trial = |t: &autotvm::Trial| {
+                let error = t.error.as_ref();
+                (
+                    t.config.key(),
+                    error.map(|e| (e.kind(), e.message().to_string())),
+                )
+            };
+            result.trials.iter().map(trial).collect::<Vec<_>>()
+        };
+        let gated = run(&lu());
+        assert_eq!(gated, run(&Unpruned(lu())));
+        assert_eq!(gated.len(), 100);
+        let foreign = (gated.iter())
+            .filter(|(_, e)| e.as_ref().is_some_and(|(_, m)| m.ends_with("not in space")))
+            .count();
+        assert_eq!(foreign, 64);
     }
 
     /// Test mold that lowers to a safe elementwise kernel for `P0 = 0`

@@ -68,8 +68,8 @@ pub mod prelude {
     pub use autotvm::{
         resume_from_journal, tune, tune_journaled, tune_parallel, CacheStats, Evaluator,
         FaultInjector, FaultPlan, GaTuner, GridSearchTuner, HarnessOptions, HarnessedEvaluator,
-        MeasureError, MeasureResult, RandomTuner, RetryPolicy, TuneOptions, Tuner, TuningResult,
-        XgbTuner, YtoptTuner,
+        MeasureError, MeasureResult, RandomTuner, TuneOptions, Tuner, TuningResult, XgbTuner,
+        YtoptTuner,
     };
     pub use configspace::{ConfigSpace, Configuration, Hyperparameter, ParamValue};
     pub use gpu_sim::{GpuSpec, SimDevice};

@@ -94,8 +94,8 @@ fn corrupted_kernels_are_rejected_with_real_access_paths() {
         let report = analyze::check(&corrupted);
         assert!(
             report.is_rejected(),
-            "{context}: runtime-OOB schedule must be rejected, got:\n{}",
-            report.render_text()
+            "{context}: runtime-OOB schedule must be rejected, got:\n{:#?}",
+            report.diagnostics
         );
         let phantoms = phantom_denials(&corrupted, &report);
         assert!(phantoms.is_empty(), "{context}: {phantoms:?}");
@@ -195,7 +195,7 @@ fn synthetic_parallel_race_is_denied() {
         report
             .denials()
             .any(|d| d.code == analyze::codes::RACE_WW || d.code == analyze::codes::RACE_RW),
-        "expected a race code, got:\n{}",
-        report.render_text()
+        "expected a race code, got:\n{:#?}",
+        report.diagnostics
     );
 }

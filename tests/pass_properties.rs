@@ -56,10 +56,10 @@ proptest! {
         prop_assert_eq!(
             before.is_rejected(),
             after.is_rejected(),
-            "optimization flipped the safety verdict for {:?}:\nbefore:\n{}\nafter:\n{}",
+            "optimization flipped the safety verdict for {:?}:\nbefore:\n{:#?}\nafter:\n{:#?}",
             &plan,
-            before.render_text(),
-            after.render_text()
+            before.diagnostics,
+            after.diagnostics
         );
     }
 }
