@@ -716,6 +716,29 @@ mod tests {
     }
 
     #[test]
+    fn a_reproposed_admitted_configuration_counts_one_hit() {
+        // The batch gate looks an admitted entry up without counting it:
+        // the evaluation that follows is the one hit of the trial.
+        use autotvm::{tune, GridSearchTuner, TuneOptions};
+        let mold = mold_for(KernelName::Mm3, ProblemSize::Mini);
+        let ev = MoldEvaluator::simulated(mold, SimDevice::new(GpuSpec::a100()));
+        let opts = TuneOptions {
+            max_evals: 4,
+            batch: 4,
+            max_process_s: None,
+        };
+        for _ in 0..2 {
+            let result = tune(
+                &mut GridSearchTuner::new(Evaluator::space(&ev).clone()),
+                &ev,
+                opts,
+            );
+            assert_eq!(result.trials.len(), 4);
+        }
+        assert_eq!(ev.cache_stats(), CacheStats { hits: 4, misses: 4 });
+    }
+
+    #[test]
     fn real_mode_reuses_compiled_artifact_across_evaluations() {
         let mold = mold_for(KernelName::Lu, ProblemSize::Mini);
         let ev = MoldEvaluator::real(mold, CpuDevice::new());
