@@ -92,11 +92,21 @@ impl MemoCache {
 
     /// Lookup, counting a hit on success.
     fn get(&self, key: u64) -> Option<Arc<CacheEntry>> {
-        let found = self.entries.lock().expect("cache lock").get(&key).cloned();
+        let found = self.peek(key);
         if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.count_hit();
         }
         found
+    }
+
+    /// Lookup without counting: the batch gate's, which counts a hit
+    /// itself only where no evaluation follows.
+    fn peek(&self, key: u64) -> Option<Arc<CacheEntry>> {
+        self.entries.lock().expect("cache lock").get(&key).cloned()
+    }
+
+    fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Insert a freshly computed entry, counting the miss that led here.
@@ -433,9 +443,14 @@ impl Evaluator for MoldEvaluator {
                 return None;
             }
             let key = self.cache_key(config);
-            if let Some(entry) = self.cache.get(key) {
+            // A cached rejection is the trial's one hit; an admitted entry
+            // is counted by the evaluation that follows.
+            if let Some(entry) = self.cache.peek(key) {
                 return match &*entry {
-                    CacheEntry::Rejected(message) => Some(message.clone()),
+                    CacheEntry::Rejected(message) => {
+                        self.cache.count_hit();
+                        Some(message.clone())
+                    }
                     CacheEntry::Admitted { .. } => None,
                 };
             }
