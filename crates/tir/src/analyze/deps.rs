@@ -24,22 +24,23 @@
 //! [`Problem::solve`] answers exactly, by equality elimination, Fourier–Motzkin
 //! steps that a unit coefficient makes exact, and branching on a bounded
 //! variable otherwise. A point is a race, denied (`TIR-RACE-WW` /
-//! `TIR-RACE-RW`) once [`confirm_race`] has re-evaluated its two
-//! iterations on the function itself. No point means the pair cannot race.
+//! `TIR-RACE-RW`) once [`confirm_race_at`] has re-evaluated its two
+//! iterations on the loop and the guards on its path. No point means the
+//! pair cannot race.
 //! `TIR-RACE-MAYBE` is left for an index outside the form's grammar, a
 //! spent step budget, and a point that fails a guard the system had to
 //! leave out. A parallel loop every pair of which is free is proven
 //! race-free ([`race_free_parallel_vars`]).
 
 use super::interval::{constraints_from_guard, eval_interval, Interval, IntervalEnv};
-use super::oracle::{confirm_race, Witness};
+use super::oracle::{confirm_race_at, Witness};
 use super::{codes, Diagnostic, Severity};
 use crate::analysis::LoopInfo;
 use crate::passes::affine::{affine_of, offset_of, Affine, Atom, VarRanges};
 use crate::stmt::{ForKind, PrimFunc, Stmt};
 use std::collections::HashSet;
 use std::sync::Arc;
-use tvm_te::{CmpOp, PrimExpr, Var};
+use tvm_te::{CmpOp, PrimExpr};
 
 /// The step budget of one feasibility question: rows built and values
 /// branched on.
@@ -91,7 +92,6 @@ struct Sweep {
 fn sweep(func: &PrimFunc, kinds: &[ForKind]) -> Sweep {
     let mut sweep = Sweep::default();
     let mut scope = Scope {
-        func,
         loops: Vec::new(),
         guards: Vec::new(),
     };
@@ -128,10 +128,30 @@ pub fn race_free_parallel_vars(func: &PrimFunc) -> HashSet<u64> {
     sweep(func, &[ForKind::Parallel]).proven
 }
 
-/// Where the sweep stands: the function, and the loops and guards
-/// around the current statement, outermost first.
-struct Scope<'a> {
-    func: &'a PrimFunc,
+/// Whether the loop `l`, of any kind, under `loops` (outermost first) and
+/// `guards` (negated on `else` branches), is race-free as
+/// [`race_free_parallel_vars`] proves a parallel loop: its iterations
+/// could run in any order, or side by side, bit for bit alike.
+pub(crate) fn race_free_loop(l: &Stmt, loops: &[LoopInfo], guards: &[PrimExpr]) -> bool {
+    let scope = Scope {
+        loops: loops.to_vec(),
+        guards: guards.to_vec(),
+    };
+    proves(l, &scope, &mut Sweep::default())
+}
+
+/// Whether every pair of accesses of the loop `l` is free, reporting
+/// what the sweep has not reported yet.
+fn proves(l: &Stmt, scope: &Scope, sweep: &mut Sweep) -> bool {
+    match l {
+        Stmt::For { extent, .. } => *extent < 2 || !analyze_loop(l, scope, sweep),
+        _ => false,
+    }
+}
+
+/// Where the sweep stands: the loops and guards around the current
+/// statement, outermost first.
+struct Scope {
     loops: Vec<LoopInfo>,
     guards: Vec<PrimExpr>,
 }
@@ -145,18 +165,14 @@ fn visit(stmt: &Stmt, kinds: &[ForKind], scope: &mut Scope, sweep: &mut Sweep) {
             kind,
             body,
         } => {
-            let l = LoopInfo {
+            if kinds.contains(kind) && proves(stmt, scope, sweep) && *kind == ForKind::Parallel {
+                sweep.proven.insert(var.id);
+            }
+            scope.loops.push(LoopInfo {
                 var_id: var.id,
                 min: *min,
                 extent: *extent,
-            };
-            if kinds.contains(kind) {
-                let clean = *extent < 2 || !analyze_loop(var, &l, *kind, body, scope, sweep);
-                if clean && *kind == ForKind::Parallel {
-                    sweep.proven.insert(var.id);
-                }
-            }
-            scope.loops.push(l);
+            });
             visit(body, kinds, scope, sweep);
             scope.loops.pop();
         }
@@ -186,16 +202,24 @@ enum Pair {
     Unknown(&'static str),
 }
 
-/// Decide every pair of accesses of the loop over `par`, reporting what
-/// the sweep has not reported yet; whether any pair is not free.
-fn analyze_loop(
-    var: &Var,
-    par: &LoopInfo,
-    kind: ForKind,
-    body: &Stmt,
-    scope: &Scope,
-    sweep: &mut Sweep,
-) -> bool {
+/// Decide every pair of accesses of the loop `l`, reporting what the
+/// sweep has not reported yet; whether any pair is not free.
+fn analyze_loop(l: &Stmt, scope: &Scope, sweep: &mut Sweep) -> bool {
+    let Stmt::For {
+        var,
+        min,
+        extent,
+        kind,
+        body,
+    } = l
+    else {
+        return false;
+    };
+    let par = &LoopInfo {
+        var_id: var.id,
+        min: *min,
+        extent: *extent,
+    };
     let mut accesses = Vec::new();
     collect_accesses(body, &mut Vec::new(), &mut Vec::new(), &mut accesses);
 
@@ -261,8 +285,8 @@ fn analyze_loop(
             }
             let pair = match (&forms[ci], &forms[cj]) {
                 (Some(f1), Some(f2)) => {
-                    let ask =
-                        |order| decide(scope, par, &outer_guards, [(a1, f1), (a2, f2)], order);
+                    let pair = [(a1, f1), (a2, f2)];
+                    let ask = |order| decide(scope, (l, par), &outer_guards, pair, order);
                     match ask(false) {
                         Pair::Free if i != j => ask(true),
                         pair => pair,
@@ -312,11 +336,11 @@ fn analyze_loop(
     found
 }
 
-/// Pose and solve one ordered pair: access 1 in iteration `t1`, access 2
-/// in `t2`, `t1 < t2` (`t1 > t2` when `swap`).
+/// Pose and solve one ordered pair of the loop `l`: access 1 in
+/// iteration `t1`, access 2 in `t2`, `t1 < t2` (`t1 > t2` when `swap`).
 fn decide(
     scope: &Scope,
-    par: &LoopInfo,
+    (l, par): (&Stmt, &LoopInfo),
     outer_guards: &[Lin],
     pair: [(&Access, &Forms); 2],
     swap: bool,
@@ -366,7 +390,7 @@ fn decide(
         writes: [pair[0].0.is_write, pair[1].0.is_write],
         at: [at(1, pair[0].0), at(2, pair[1].0)],
     };
-    if confirm_race(scope.func, &witness) {
+    if confirm_race_at(l, &scope.loops, &scope.guards, &witness) {
         Pair::Race(witness)
     } else {
         Pair::Unknown("meet only past a guard outside the analyzable fragment")
@@ -967,8 +991,8 @@ impl Problem {
 }
 
 /// Give each variable the steps removed a value, last step first. The
-/// arithmetic wraps: a point is only ever used after [`confirm_race`]
-/// has evaluated it on the function itself.
+/// arithmetic wraps: a point is only ever used after [`confirm_race_at`]
+/// has evaluated it on the loop itself.
 fn retrace(mut point: Vec<i64>, steps: &[Step]) -> Vec<i64> {
     let n = point.len();
     // `Σ row[j]·x[j] + row[n]` over every variable but `x`.
@@ -1015,9 +1039,10 @@ fn num_gcd(a: i128, b: i128) -> i128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::oracle::confirm_race;
     use crate::buffer::Buffer;
     use tvm_te::ops::float;
-    use tvm_te::DType;
+    use tvm_te::{DType, Var};
 
     fn run(f: &PrimFunc) -> Vec<Diagnostic> {
         let mut out = Vec::new();

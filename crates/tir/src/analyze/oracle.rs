@@ -16,8 +16,9 @@
 //! `TIR-FUSE-ILLEGAL`) are confirmed by the instantiation panic itself
 //! and need no oracle here.
 
-use crate::analysis::eval_int_with;
+use crate::analysis::{eval_int_with, LoopInfo};
 use crate::stmt::{ForKind, PrimFunc, Stmt};
+use std::sync::Arc;
 use tvm_te::PrimExpr;
 
 /// Two distinct iterations of one parallel or vectorized loop that
@@ -40,39 +41,89 @@ pub struct Witness {
 /// and under each point an access of the kind `w.writes` names runs and
 /// touches the same row-major offset of `w.buffer`.
 pub fn confirm_race(func: &PrimFunc, w: &Witness) -> bool {
+    let (mut loops, mut guards) = (Vec::new(), Vec::new());
+    match find(&func.body, w.loop_id, &mut loops, &mut guards) {
+        Some(at) => confirm_race_at(at, &loops, &guards, w),
+        None => false,
+    }
+}
+
+/// [`confirm_race`] on the loop `at` itself, with the loops around it
+/// (outermost first) and the guards on its path (negated on `else`
+/// branches): the only part of the function the two points run through
+/// outside the loop, so the function is not walked from its root.
+pub(crate) fn confirm_race_at(
+    at: &Stmt,
+    loops: &[LoopInfo],
+    guards: &[PrimExpr],
+    w: &Witness,
+) -> bool {
     let value = |side: usize, id: u64| w.at[side].iter().find(|p| p.0 == id).map(|p| p.1);
-    let Some(outer) = enclosing(&func.body, w.loop_id) else {
-        return false;
-    };
-    let shared = outer
-        .iter()
-        .all(|&id| value(0, id).is_some() && value(0, id) == value(1, id));
+    let shared = (loops.iter().map(|l| l.var_id))
+        .all(|id| value(0, id).is_some() && value(0, id) == value(1, id));
     let (t1, t2) = (value(0, w.loop_id), value(1, w.loop_id));
     if !shared || t1.is_none() || t1 == t2 {
         return false;
     }
     let [first, second] = [0, 1].map(|side| {
+        let env = |id| value(side, id);
         let mut out = Vec::new();
-        touched(&func.body, &|id| value(side, id), w, false, &mut out);
+        let in_range =
+            |l: &LoopInfo| env(l.var_id).is_some_and(|v| l.min <= v && v < l.min + l.extent);
+        let reached = loops.iter().all(in_range)
+            && (guards.iter()).all(|g| eval_int_with(g, &env).is_some_and(|c| c != 0));
+        if reached {
+            touched(at, &env, w, false, &mut out);
+        }
         out
     });
     (first.iter().filter(|a| a.1 == w.writes[0]))
         .any(|a| second.iter().any(|b| b.1 == w.writes[1] && a.0 == b.0))
 }
 
-/// The variable ids of the loops around the loop over `id`, outermost
-/// first; `None` when no loop has that variable.
-fn enclosing(stmt: &Stmt, id: u64) -> Option<Vec<u64>> {
+/// The loop over `id` in `stmt`, the loops and guards on its path pushed
+/// onto `loops` and `guards`; `None` when no loop has that variable.
+fn find<'s>(
+    stmt: &'s Stmt,
+    id: u64,
+    loops: &mut Vec<LoopInfo>,
+    guards: &mut Vec<PrimExpr>,
+) -> Option<&'s Stmt> {
     match stmt {
-        Stmt::For { var, .. } if var.id == id => Some(Vec::new()),
-        Stmt::For { var, body, .. } => enclosing(body, id).map(|mut ids| {
-            ids.insert(0, var.id);
-            ids
-        }),
-        Stmt::IfThenElse { then, else_, .. } => {
-            enclosing(then, id).or_else(|| else_.as_ref().and_then(|e| enclosing(e, id)))
+        Stmt::For { var, .. } if var.id == id => Some(stmt),
+        Stmt::For {
+            var,
+            min,
+            extent,
+            body,
+            ..
+        } => {
+            loops.push(LoopInfo {
+                var_id: var.id,
+                min: *min,
+                extent: *extent,
+            });
+            let found = find(body, id, loops, guards);
+            if found.is_none() {
+                loops.pop();
+            }
+            found
         }
-        Stmt::Seq(items) => items.iter().find_map(|s| enclosing(s, id)),
+        Stmt::IfThenElse { cond, then, else_ } => {
+            guards.push(cond.clone());
+            if let Some(found) = find(then, id, loops, guards) {
+                return Some(found);
+            }
+            guards.pop();
+            let else_ = else_.as_ref()?;
+            guards.push(PrimExpr::Not(Arc::new(cond.clone())));
+            let found = find(else_, id, loops, guards);
+            if found.is_none() {
+                guards.pop();
+            }
+            found
+        }
+        Stmt::Seq(items) => items.iter().find_map(|s| find(s, id, loops, guards)),
         _ => None,
     }
 }

@@ -5,10 +5,12 @@
 //!
 //! The post-lowering optimization pipeline ([`pipeline::optimize`],
 //! run by the bytecode engine before compilation) additionally applies
-//! [`strength`] reduction and guard-unswitching [`licm`], re-verifying
-//! after every pass.
+//! loop [`interchange`] into narrow and strided rows, [`strength`]
+//! reduction and guard-unswitching [`licm`], re-verifying after every
+//! pass.
 
 pub mod affine;
+pub mod interchange;
 pub mod licm;
 pub mod pipeline;
 pub mod simplify;

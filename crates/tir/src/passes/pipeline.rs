@@ -1,7 +1,8 @@
 //! The optimization pass pipeline run between lowering and bytecode
 //! compilation.
 //!
-//! [`optimize`] applies, in order: strength reduction
+//! [`optimize`] applies, in order: loop interchange into narrow and
+//! strided rows ([`super::interchange`]), strength reduction
 //! ([`super::strength`]), a simplification sweep (folds guards the
 //! reduction proved constant), guard unswitching LICM
 //! ([`super::licm`]), and a final simplification. After **every** pass
@@ -14,7 +15,7 @@
 //! the empty string) to print the IR before and after each pass to
 //! stderr via `tir::printer`.
 
-use super::{licm, simplify, strength, verify};
+use super::{interchange, licm, simplify, strength, verify};
 use crate::stmt::{PrimFunc, Stmt};
 use std::fmt;
 
@@ -23,7 +24,7 @@ use std::fmt;
 /// bump this string: it is folded into engine fingerprints so memoized
 /// compile results and measurement journals are never silently reused
 /// across pipeline changes.
-pub const PIPELINE_VERSION: &str = "tir-opt/v1";
+pub const PIPELINE_VERSION: &str = "tir-opt/v2";
 
 /// A pipeline failure: the named pass produced IR the verifier rejects.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +73,7 @@ impl Default for PassManager {
     fn default() -> Self {
         PassManager {
             passes: vec![
+                ("interchange", interchange::interchange_rows),
                 ("strength-reduce", strength::strength_reduce_stmt),
                 ("simplify", simplify::simplify_stmt),
                 ("licm", licm::hoist_invariant_guards),
@@ -194,7 +196,7 @@ mod tests {
     fn pipeline_runs_and_verifies() {
         let f = matmul_func(4);
         let (out, traces) = PassManager::default().run_traced(&f).expect("pipeline");
-        assert_eq!(traces.len(), 4);
+        assert_eq!(traces.len(), 5);
         assert!(verify::verify(&out).is_ok());
         // The untraced run renders no IR and arrives at the same function.
         let quiet = PassManager::default().run(&f).expect("pipeline");

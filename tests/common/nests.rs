@@ -11,7 +11,7 @@ use rand::Rng;
 use std::sync::Arc;
 use tvm_runtime::NDArray;
 use tvm_te::{compute, placeholder, reduce_axis, sum, CmpOp, DType, PrimExpr, Schedule, Var};
-use tvm_tir::builder::{for_kind, if_else, seq, ser, store, when, FuncBuilder};
+use tvm_tir::builder::{for_kind, if_else, par, seq, ser, store, when, FuncBuilder};
 use tvm_tir::lower::lower;
 use tvm_tir::{ForKind, PrimFunc, Stmt};
 
@@ -582,6 +582,119 @@ pub fn cell_reduction_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, Strin
     });
     let near_miss = miss.is_some() && (miss != Some("bounds check") || last_j_runs);
     (func, args, context, near_miss)
+}
+
+/// A generated matmul tile nest — the shape the interchange pass moves a
+/// tile loop into, and its near misses: `parallel yo { for xo { for k {
+/// for yi in [0, ty) { for xi in [0, tx) { C[(yo·ty + yi)·N + xo·tx + xi]
+/// += A[yo·ty + yi, k]·B[k, xo·tx + xi] } } } } }` over a flat `C` (`B`
+/// three tiles wide), the x-tile 2 under y-tiles of 1–4 (a narrow row,
+/// which collapses into `xo`) or 1 under y-tiles of 2–4 (a column, under
+/// which `xo` goes innermost), optionally a guard on `k` around the store.
+/// The near misses the pass must leave alone: overlapping tiles (`xo +
+/// xi`, and a row stride of `N − 1` under the column), gapped tiles
+/// (`xo·(tx + 1) + xi`), a guard on `xo`, a vectorized row or an unrolled
+/// `k` in the way, and a second store beside the row. Returns whether it
+/// is a near miss; every other nest is moved.
+pub fn tile_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) {
+    let dtype = DType::F64;
+    let tx = rng.gen_range(1..=2i64);
+    let ty = rng.gen_range(if tx == 1 { 2 } else { 1 }..=4i64);
+    let (my, nx, ek) = (
+        rng.gen_range(1..=3i64),
+        rng.gen_range(3..=5i64),
+        rng.gen_range(2..=4i64),
+    );
+    let miss = [
+        None,
+        None,
+        None,
+        None,
+        Some("overlapping tiles"),
+        Some("gapped tiles"),
+        Some("guard on xo"),
+        Some("vectorized row"),
+        Some("unrolled k"),
+        Some("second store"),
+    ][rng.gen_range(0..10usize)];
+    let guard_k = rng.gen_bool(0.3);
+    let context =
+        format!("tile {ty}x{tx} over {my}x{nx} tiles, k {ek}, miss {miss:?} guard on k {guard_k}");
+    let (m, n) = (my * ty, nx * tx);
+    let c_len = (m * n + 3 * nx + 4) as usize;
+    let c = placeholder([c_len], dtype, "C");
+    let a = placeholder([m as usize, ek as usize], dtype, "A");
+    // Wide enough for the gapped tiles' columns.
+    let b = placeholder([ek as usize, 3 * nx as usize], dtype, "B");
+    let w = placeholder([nx as usize], dtype, "W");
+    let mut fb = FuncBuilder::new("tiles");
+    let (_, _, cb, wb) = (fb.param(&a), fb.param(&b), fb.param(&c), fb.param(&w));
+    let (row_kind, k_kind) = match miss {
+        Some("vectorized row") => (ForKind::Vectorized, ForKind::Serial),
+        Some("unrolled k") => (ForKind::Serial, ForKind::Unrolled),
+        _ => (ForKind::Serial, ForKind::Serial),
+    };
+    let body = par("yo", my, |yo| {
+        ser("xo", nx, |xo| {
+            let row = |k: PrimExpr| {
+                // The loop the row is: `xi` at the x-tile 2, else `yi`.
+                let cell = |yi: PrimExpr, xi: PrimExpr| {
+                    let y = yo.clone() * ty + yi;
+                    let (stride, x) = match miss {
+                        Some("overlapping tiles") if tx == 1 => (n - 1, xo.clone()),
+                        Some("overlapping tiles") => (n, xo.clone() + xi),
+                        Some("gapped tiles") => (n, xo.clone() * (tx + 1) + xi),
+                        _ => (n, xo.clone() * tx + xi),
+                    };
+                    let flat = y.clone() * stride + x.clone();
+                    let product = a.at(&[y, k.clone()]) * b.at(&[k.clone(), x.clone()]);
+                    let st = store(
+                        &cb,
+                        std::slice::from_ref(&flat),
+                        c.at(std::slice::from_ref(&flat)) + product,
+                    );
+                    let st = match guard_k {
+                        true => when(
+                            PrimExpr::cmp(CmpOp::Lt, k.clone(), PrimExpr::from(ek - 1)),
+                            st,
+                        ),
+                        false => st,
+                    };
+                    match miss {
+                        Some("guard on xo") => {
+                            when(PrimExpr::cmp(CmpOp::Lt, x, PrimExpr::from(n - 1)), st)
+                        }
+                        _ => st,
+                    }
+                };
+                match tx {
+                    1 => for_kind("yi", ty, row_kind, |yi| cell(yi, PrimExpr::from(0i64))),
+                    _ => ser("yi", ty, |yi| {
+                        for_kind("xi", tx, row_kind, |xi| cell(yi, xi))
+                    }),
+                }
+            };
+            for_kind("k", ek, k_kind, |k| match miss {
+                Some("second store") => seq([
+                    row(k.clone()),
+                    store(
+                        &wb,
+                        std::slice::from_ref(&xo),
+                        w.at(std::slice::from_ref(&xo)) + b.at(&[k, xo.clone()]),
+                    ),
+                ]),
+                _ => row(k),
+            })
+        })
+    });
+    let func = fb.build(body);
+    let args = vec![
+        NDArray::random(&[m as usize, ek as usize], dtype, 41, -1.0, 1.0),
+        NDArray::random(&[ek as usize, 3 * nx as usize], dtype, 42, -1.0, 1.0),
+        NDArray::random(&[c_len], dtype, 43, -1.0, 1.0),
+        NDArray::random(&[nx as usize], dtype, 44, -1.0, 1.0),
+    ];
+    (func, args, context, miss.is_some())
 }
 
 /// Order of [`scheduled_matmul`]'s matrices.

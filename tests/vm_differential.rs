@@ -498,15 +498,24 @@ fn instruction_len(code: &[u8]) -> usize {
 #[test]
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn gemm_one_by_two_spends_under_22_instructions_a_k_step() {
-    // gemm-medium {P0: 1, P1: 2}: 5.28 M `k` steps of one two-element
-    // row. On `jit/v5` a step was 48 instructions — nine integer
-    // operations recomputed every step, a scalar loop for the row. Now
-    // the addresses are bumped, the row is one `f64x2` operation and four
-    // steps share one load and store of it: the group's loop — the one
-    // loop inside the `j.outer` loop — is counted here, instruction by
-    // instruction, back-edge target to back-edge. No timing.
-    let gemm = mold_for(KernelName::Gemm, ProblemSize::Medium);
-    let (func, context) = lowered(&*gemm, &[("P0", 1), ("P1", 2)]);
+    // gemm-medium at tiles {P0: 1, P1: 2}: 5.28 M `k` steps of one
+    // two-element row. On `jit/v5` a step was 48 instructions — nine
+    // integer operations recomputed every step, a scalar loop for the
+    // row. Now the addresses are bumped, the row is one `f64x2` operation
+    // and four steps share one load and store of it: the group's loop —
+    // the one loop inside the `i.outer` loop — is counted here,
+    // instruction by instruction, back-edge target to back-edge. No
+    // timing. The column tiles run outermost (`ORDER` 1, `parallel
+    // j.outer { for i.outer { for k { for j.inner in [0, 2) } } }`): the
+    // paper order's `j.outer` is interchanged into the row, which then
+    // runs 220 wide, but `i.outer` does not index the row as `j.outer`
+    // does, so this row stays two elements wide.
+    let gemm = polybench::molds::mold_for_mode(
+        KernelName::Gemm,
+        ProblemSize::Medium,
+        polybench::SpaceMode::Aggressive,
+    );
+    let (func, context) = lowered(&*gemm, &[("P0", 1), ("P1", 2), ("ORDER", 1)]);
     let cf = compile_optimized(&func).expect("optimized compile");
     let jitted = default_backend().jit_compile(&cf).expect("gemm must jit");
     let code = jitted.jit_code();
@@ -534,9 +543,9 @@ fn gemm_one_by_two_spends_under_22_instructions_a_k_step() {
         }
     }
     // The one loop that sits inside another and holds none: `k`'s, under
-    // `j.outer` (the zeroing and the epilogue nests have a leaf's
+    // `i.outer` (the zeroing and the epilogue nests have a leaf's
     // countdown under their one plain loop too, but those loops run per
-    // element; `i.outer` is the pool's, in bytecode).
+    // element; `j.outer` is the pool's, in bytecode).
     let inside = |a: &(usize, usize), b: &(usize, usize)| b.0 <= a.0 && a.1 < b.1;
     let innermost: Vec<&(usize, usize)> = loops
         .iter()
