@@ -5,7 +5,8 @@
 //! 1. **No divergence** — every PolyBench kernel, under its default and
 //!    several randomly sampled configurations, must produce bit-identical
 //!    outputs on a `CpuDevice::jit()` and the reference interpreter. Any
-//!    mismatch exits nonzero.
+//!    mismatch exits nonzero. At `mini` the tiles the TIR interchange
+//!    pass rewrites run too, whatever the draws ([`interchanged`]).
 //! 2. **No lost fallback accounting** — every JIT compile attempt the
 //!    device made must land in exactly one counter bucket
 //!    (`functions_jitted` or `fallbacks`, with per-reason counts summing
@@ -22,8 +23,9 @@
 //! Usage: `bench_jit [--smoke] [--size mini|small|medium|large]`
 //! Full mode writes `results/BENCH_jit.json`; smoke mode only prints.
 
+use configspace::{Configuration, ParamValue};
 use polybench::molds::mold_for;
-use polybench::{KernelName, ProblemSize};
+use polybench::{CodeMold, KernelName, ProblemSize};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -71,6 +73,39 @@ fn cpu_json() -> serde_json::Value {
     })
 }
 
+/// The `mini` tiles of `kernel` the TIR interchange pass rewrites, by
+/// their medium originals: gemm `{1,2}`'s narrow row is `{1,5}` (25 has
+/// no factor 2), 2mm `{1,1,1,2}` is itself, and `{1,5,36,1}`'s stage-2
+/// column walk is `{1,6,8,1}`.
+fn interchanged(kernel: KernelName) -> &'static [&'static [i64]] {
+    match kernel {
+        KernelName::Gemm => &[&[1, 5]],
+        KernelName::Mm2 => &[&[1, 1, 1, 2], &[1, 6, 8, 1]],
+        _ => &[],
+    }
+}
+
+/// The configuration of `mold` with the tiles `ints`, in its space and
+/// rewritten by the interchange pass, or the reason it is not.
+fn fixed_case(mold: &dyn CodeMold, ints: &[i64]) -> Result<Configuration, String> {
+    let names = mold.space().params().iter().map(|p| p.name().to_string());
+    let config = Configuration::new(
+        names.collect(),
+        ints.iter().map(|&v| ParamValue::Int(v)).collect(),
+    );
+    if !mold.space().validate(&config) {
+        return Err(format!("{} / {config}: not in the space", mold.name()));
+    }
+    let body = mold.instantiate(&config).body;
+    if tvm_tir::passes::interchange::interchange_rows(&body).to_string() == body.to_string() {
+        return Err(format!(
+            "{} / {config}: no loop is interchanged",
+            mold.name()
+        ));
+    }
+    Ok(config)
+}
+
 /// Differential phase: run every kernel × config on the JIT device and
 /// the interpreter from identical inputs; returns the number of device
 /// runs (= expected JIT compile attempts).
@@ -82,6 +117,12 @@ fn differential(size: ProblemSize, configs_per_kernel: usize, dev: &CpuDevice) -
         let mut configs = vec![mold.space().default_configuration()];
         for _ in 1..configs_per_kernel.max(1) {
             configs.push(mold.space().sample(&mut rng));
+        }
+        for ints in interchanged(kernel)
+            .iter()
+            .filter(|_| size == ProblemSize::Mini)
+        {
+            configs.push(fixed_case(&*mold, ints).unwrap_or_else(|e| die(&e)));
         }
         for config in configs {
             let func = mold.instantiate(&config);
