@@ -12,7 +12,7 @@
 use crate::passes::affine::{affine_of, offset_of, Atom, VarRanges};
 use crate::stmt::{PrimFunc, Stmt};
 use std::collections::HashMap;
-use tvm_te::{BinOp, CmpOp, DType, PrimExpr};
+use tvm_te::{BinOp, CmpOp, DType, PrimExpr, Var};
 
 /// One loop surrounding a statement.
 #[derive(Debug, Clone)]
@@ -26,6 +26,15 @@ pub struct LoopInfo {
 }
 
 impl LoopInfo {
+    /// The loop over `var` from `min`, `extent` trips.
+    pub(crate) fn new(var: &Var, min: i64, extent: i64) -> LoopInfo {
+        LoopInfo {
+            var_id: var.id,
+            min,
+            extent,
+        }
+    }
+
     /// The inclusive range of the loop variable; a loop of no trips reads
     /// as its minimum.
     pub(crate) fn range(&self) -> (i64, i64) {
@@ -357,11 +366,7 @@ fn collect(stmt: &Stmt, scope: &mut Scope, draws: &mut Draws, out: &mut Vec<Stmt
             body,
             ..
         } => {
-            let l = LoopInfo {
-                var_id: var.id,
-                min: *min,
-                extent: *extent,
-            };
+            let l = LoopInfo::new(var, *min, *extent);
             let shadowed = scope.ranges.insert(var.id, l.range());
             scope.loops.push(l);
             collect(body, scope, draws, out);

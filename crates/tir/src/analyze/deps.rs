@@ -25,8 +25,7 @@
 //! steps that a unit coefficient makes exact, and branching on a bounded
 //! variable otherwise. A point is a race, denied (`TIR-RACE-WW` /
 //! `TIR-RACE-RW`) once [`confirm_race_at`] has re-evaluated its two
-//! iterations on the loop and the guards on its path. No point means the
-//! pair cannot race.
+//! iterations on the loop. No point means the pair cannot race.
 //! `TIR-RACE-MAYBE` is left for an index outside the form's grammar, a
 //! spent step budget, and a point that fails a guard the system had to
 //! leave out. A parallel loop every pair of which is free is proven
@@ -128,25 +127,11 @@ pub fn race_free_parallel_vars(func: &PrimFunc) -> HashSet<u64> {
     sweep(func, &[ForKind::Parallel]).proven
 }
 
-/// Whether the loop `l`, of any kind, under `loops` (outermost first) and
-/// `guards` (negated on `else` branches), is race-free as
-/// [`race_free_parallel_vars`] proves a parallel loop: its iterations
-/// could run in any order, or side by side, bit for bit alike.
+/// Whether the loop `l`, of any kind, under `loops` and `guards` (negated
+/// on `else`), is race-free as [`race_free_parallel_vars`] proves one.
 pub(crate) fn race_free_loop(l: &Stmt, loops: &[LoopInfo], guards: &[PrimExpr]) -> bool {
-    let scope = Scope {
-        loops: loops.to_vec(),
-        guards: guards.to_vec(),
-    };
-    proves(l, &scope, &mut Sweep::default())
-}
-
-/// Whether every pair of accesses of the loop `l` is free, reporting
-/// what the sweep has not reported yet.
-fn proves(l: &Stmt, scope: &Scope, sweep: &mut Sweep) -> bool {
-    match l {
-        Stmt::For { extent, .. } => *extent < 2 || !analyze_loop(l, scope, sweep),
-        _ => false,
-    }
+    let (loops, guards) = (loops.to_vec(), guards.to_vec());
+    !analyze_loop(l, &Scope { loops, guards }, &mut Sweep::default())
 }
 
 /// Where the sweep stands: the loops and guards around the current
@@ -165,14 +150,13 @@ fn visit(stmt: &Stmt, kinds: &[ForKind], scope: &mut Scope, sweep: &mut Sweep) {
             kind,
             body,
         } => {
-            if kinds.contains(kind) && proves(stmt, scope, sweep) && *kind == ForKind::Parallel {
+            if kinds.contains(kind)
+                && !analyze_loop(stmt, scope, sweep)
+                && *kind == ForKind::Parallel
+            {
                 sweep.proven.insert(var.id);
             }
-            scope.loops.push(LoopInfo {
-                var_id: var.id,
-                min: *min,
-                extent: *extent,
-            });
+            scope.loops.push(LoopInfo::new(var, *min, *extent));
             visit(body, kinds, scope, sweep);
             scope.loops.pop();
         }
@@ -203,7 +187,8 @@ enum Pair {
 }
 
 /// Decide every pair of accesses of the loop `l`, reporting what the
-/// sweep has not reported yet; whether any pair is not free.
+/// sweep has not reported yet; whether any pair is not free (a loop of
+/// fewer than two iterations has no pair).
 fn analyze_loop(l: &Stmt, scope: &Scope, sweep: &mut Sweep) -> bool {
     let Stmt::For {
         var,
@@ -215,11 +200,10 @@ fn analyze_loop(l: &Stmt, scope: &Scope, sweep: &mut Sweep) -> bool {
     else {
         return false;
     };
-    let par = &LoopInfo {
-        var_id: var.id,
-        min: *min,
-        extent: *extent,
-    };
+    if *extent < 2 {
+        return false;
+    }
+    let par = &LoopInfo::new(var, *min, *extent);
     let mut accesses = Vec::new();
     collect_accesses(body, &mut Vec::new(), &mut Vec::new(), &mut accesses);
 
@@ -426,11 +410,7 @@ fn collect_accesses(
             body,
             ..
         } => {
-            inner.push(LoopInfo {
-                var_id: var.id,
-                min: *min,
-                extent: *extent,
-            });
+            inner.push(LoopInfo::new(var, *min, *extent));
             collect_accesses(body, inner, guards, out);
             inner.pop();
         }

@@ -18,7 +18,6 @@
 
 use crate::analysis::{eval_int_with, LoopInfo};
 use crate::stmt::{ForKind, PrimFunc, Stmt};
-use std::sync::Arc;
 use tvm_te::PrimExpr;
 
 /// Two distinct iterations of one parallel or vectorized loop that
@@ -41,17 +40,12 @@ pub struct Witness {
 /// and under each point an access of the kind `w.writes` names runs and
 /// touches the same row-major offset of `w.buffer`.
 pub fn confirm_race(func: &PrimFunc, w: &Witness) -> bool {
-    let (mut loops, mut guards) = (Vec::new(), Vec::new());
-    match find(&func.body, w.loop_id, &mut loops, &mut guards) {
-        Some(at) => confirm_race_at(at, &loops, &guards, w),
-        None => false,
-    }
+    enclosing(&func.body, w.loop_id)
+        .is_some_and(|outer| confirm_race_at(&func.body, &outer, &[], w))
 }
 
-/// [`confirm_race`] on the loop `at` itself, with the loops around it
-/// (outermost first) and the guards on its path (negated on `else`
-/// branches): the only part of the function the two points run through
-/// outside the loop, so the function is not walked from its root.
+/// [`confirm_race`] from `at`, a statement holding the loop, under the loops
+/// around the loop and the guards on its path from `at`; the sweep passes the loop.
 pub(crate) fn confirm_race_at(
     at: &Stmt,
     loops: &[LoopInfo],
@@ -67,12 +61,11 @@ pub(crate) fn confirm_race_at(
     }
     let [first, second] = [0, 1].map(|side| {
         let env = |id| value(side, id);
-        let mut out = Vec::new();
         let in_range =
             |l: &LoopInfo| env(l.var_id).is_some_and(|v| l.min <= v && v < l.min + l.extent);
-        let reached = loops.iter().all(in_range)
-            && (guards.iter()).all(|g| eval_int_with(g, &env).is_some_and(|c| c != 0));
-        if reached {
+        let holds = |g: &PrimExpr| eval_int_with(g, &env).is_some_and(|c| c != 0);
+        let mut out = Vec::new();
+        if loops.iter().all(in_range) && guards.iter().all(holds) {
             touched(at, &env, w, false, &mut out);
         }
         out
@@ -81,49 +74,25 @@ pub(crate) fn confirm_race_at(
         .any(|a| second.iter().any(|b| b.1 == w.writes[1] && a.0 == b.0))
 }
 
-/// The loop over `id` in `stmt`, the loops and guards on its path pushed
-/// onto `loops` and `guards`; `None` when no loop has that variable.
-fn find<'s>(
-    stmt: &'s Stmt,
-    id: u64,
-    loops: &mut Vec<LoopInfo>,
-    guards: &mut Vec<PrimExpr>,
-) -> Option<&'s Stmt> {
+/// The loops around the loop over `id`, outermost first; `None` when no
+/// loop has that variable.
+fn enclosing(stmt: &Stmt, id: u64) -> Option<Vec<LoopInfo>> {
     match stmt {
-        Stmt::For { var, .. } if var.id == id => Some(stmt),
+        Stmt::For { var, .. } if var.id == id => Some(Vec::new()),
         Stmt::For {
             var,
             min,
             extent,
             body,
             ..
-        } => {
-            loops.push(LoopInfo {
-                var_id: var.id,
-                min: *min,
-                extent: *extent,
-            });
-            let found = find(body, id, loops, guards);
-            if found.is_none() {
-                loops.pop();
-            }
-            found
+        } => enclosing(body, id).map(|mut outer| {
+            outer.insert(0, LoopInfo::new(var, *min, *extent));
+            outer
+        }),
+        Stmt::IfThenElse { then, else_, .. } => {
+            enclosing(then, id).or_else(|| else_.as_ref().and_then(|e| enclosing(e, id)))
         }
-        Stmt::IfThenElse { cond, then, else_ } => {
-            guards.push(cond.clone());
-            if let Some(found) = find(then, id, loops, guards) {
-                return Some(found);
-            }
-            guards.pop();
-            let else_ = else_.as_ref()?;
-            guards.push(PrimExpr::Not(Arc::new(cond.clone())));
-            let found = find(else_, id, loops, guards);
-            if found.is_none() {
-                guards.pop();
-            }
-            found
-        }
-        Stmt::Seq(items) => items.iter().find_map(|s| find(s, id, loops, guards)),
+        Stmt::Seq(items) => items.iter().find_map(|s| enclosing(s, id)),
         _ => None,
     }
 }

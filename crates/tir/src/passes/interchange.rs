@@ -1,41 +1,16 @@
 //! Loop interchange into a narrow or strided row.
 //!
-//! A tile the schedule leaves a few elements wide, or one column wide,
-//! ends its nest in a row no microkernel can widen: gemm `{1,2}`'s
-//!
-//! ```text
-//! for j.outer in [0, 110) { for k { for j.inner in [0, 2) { T[i, j.outer·2 + j.inner] += … } } }
-//! ```
-//!
-//! and 2mm stage 2 at `{·,·,36,1}`, whose row `i.inner` walks a column
-//! of `F[i.outer·36 + i.inner, j.outer]`. This pass takes a serial loop
-//! `L` whose body is a perfect nest of serial loops ending in such a row
-//! `R` — fewer elements than one packed sweep block ([`SWEEP_BLOCK`]), or
-//! a store that moves by more than one element along `R` — and moves `L`
-//! inward:
-//!
-//! * where every index reads `L` and `R` only as `L·extent(R) + R`, the
-//!   two collapse into one loop over `[0, extent(L)·extent(R))` in `R`'s
-//!   place: `for k { for j in [0, 220) }` ([`Move::Collapse`]);
-//! * otherwise, where `R` walks a column and every store moves by one
-//!   element along `L`, `L` becomes the innermost loop: `for j { for
-//!   i.inner { for j.outer in [0, 220) } }` ([`Move::Innermost`]).
-//!
-//! Either way the wide row is the shape the block optimizer's
-//! microkernels and the JIT's packed sweep already run.
-//!
-//! **Exactness.** `L` must be race-free, decided by the analyzer's own
-//! question for a parallel loop ([`race_free_loop`]): no element one of
-//! its iterations writes is touched by another. Two operations that touch
-//! one element then run in the same iteration of `L`, where their order
-//! is that of the other loops, which the move keeps; everything else
-//! commutes. Each cell keeps its accumulation order (a matmul's `k`
-//! ascending), so the function is bit-identical to the original on every
-//! engine. [`plan`] refuses everything else by name: a loop that is not
-//! serial, a nest that is not perfect or moves through a parallel,
-//! vectorized or unrolled loop, a fused (`floordiv`/`floormod`) index, a
-//! guard on `L`, a row that is already wide and contiguous, and a loop
-//! the analyzer does not prove race-free.
+//! gemm `{1,2}` ends its nest in a two-element row, `for j.outer { for k {
+//! for j.inner in [0, 2) } }`, and 2mm stage 2 at `{·,·,36,1}` in a column
+//! walk of `F[i.outer·36 + i.inner, j.outer]`. [`plan`] takes a serial
+//! loop `L` over a perfect nest of serial loops whose innermost row `R` is
+//! shorter than one packed sweep block or whose stores stride along it:
+//! where every index reads the two as `L·extent(R) + R` they collapse into
+//! one loop (`for k { for j in [0, 220) }`), else `L` goes innermost under
+//! the column. `L` must be race-free ([`race_free_loop`], the analyzer's
+//! question for a parallel loop): two operations on one element then run
+//! in one iteration of `L`, ordered by the other loops, whose order the
+//! move keeps, so each cell keeps its accumulation order bit for bit.
 
 use crate::analysis::LoopInfo;
 use crate::analyze::deps::race_free_loop;
@@ -49,8 +24,7 @@ use tvm_te::visitor::walk;
 use tvm_te::{PrimExpr, Var};
 
 /// Elements of one packed sweep block: the JIT's axpy microkernel runs
-/// four VEX-256 accumulators of four `f64` lanes a trip. A narrower row
-/// never reaches that main loop.
+/// four VEX-256 accumulators of four `f64` lanes a trip.
 pub const SWEEP_BLOCK: i64 = 16;
 
 /// What [`plan`] does with a loop.
@@ -62,261 +36,181 @@ pub enum Move {
     Innermost,
 }
 
-/// Move every race-free serial loop over a narrow or strided row into it
-/// (the module doc), outermost first; a loop that moves is not revisited.
+/// Move every serial loop [`plan`] admits into its row, outermost first;
+/// a loop that moves is not revisited.
 pub fn interchange_rows(stmt: &Stmt) -> Stmt {
-    rewrite(stmt, &mut Vec::new(), &mut Vec::new())
+    let mut out = stmt.clone();
+    rewrite(&mut out, &mut Vec::new(), &mut Vec::new());
+    out
 }
 
-fn rewrite(stmt: &Stmt, loops: &mut Vec<LoopInfo>, guards: &mut Vec<PrimExpr>) -> Stmt {
+fn rewrite(stmt: &mut Stmt, loops: &mut Vec<LoopInfo>, guards: &mut Vec<PrimExpr>) {
+    if let Ok(how) = plan(stmt, loops, guards) {
+        *stmt = apply(stmt, how);
+        return;
+    }
     match stmt {
         Stmt::For {
             var,
             min,
             extent,
-            kind,
             body,
+            ..
         } => {
-            if let Ok(how) = plan(stmt, loops, guards) {
-                return apply(stmt, how);
-            }
-            loops.push(LoopInfo {
-                var_id: var.id,
-                min: *min,
-                extent: *extent,
-            });
-            let body = rewrite(body, loops, guards);
+            loops.push(LoopInfo::new(var, *min, *extent));
+            rewrite(body, loops, guards);
             loops.pop();
-            Stmt::For {
-                var: var.clone(),
-                min: *min,
-                extent: *extent,
-                kind: *kind,
-                body: Box::new(body),
-            }
         }
         Stmt::IfThenElse { cond, then, else_ } => {
-            let mut branch = |s: &Stmt, guard: PrimExpr| {
+            let negated = PrimExpr::Not(Arc::new(cond.clone()));
+            for (branch, guard) in [(Some(then), cond.clone()), (else_.as_mut(), negated)] {
                 guards.push(guard);
-                let s = rewrite(s, loops, guards);
+                branch.into_iter().for_each(|b| rewrite(b, loops, guards));
                 guards.pop();
-                Box::new(s)
-            };
-            Stmt::IfThenElse {
-                cond: cond.clone(),
-                then: branch(then, cond.clone()),
-                else_: (else_.as_ref()).map(|e| branch(e, PrimExpr::Not(Arc::new(cond.clone())))),
             }
         }
-        Stmt::Seq(items) => Stmt::Seq(items.iter().map(|s| rewrite(s, loops, guards)).collect()),
-        other => other.clone(),
+        Stmt::Seq(items) => items.iter_mut().for_each(|s| rewrite(s, loops, guards)),
+        _ => {}
     }
 }
 
-/// The nest a loop's body opens: each loop's (variable, min, extent),
-/// outermost first, and the body of the innermost.
-fn nest(body: &Stmt) -> (Vec<(&Var, i64, i64, ForKind)>, &Stmt) {
-    let (mut loops, mut cur) = (Vec::new(), body);
+/// The loops `stmt` opens one inside the other, outermost first, and the
+/// body of the innermost.
+fn nest(mut stmt: &Stmt) -> (Vec<(Var, i64, i64, ForKind)>, &Stmt) {
+    let mut loops = Vec::new();
     while let Stmt::For {
         var,
         min,
         extent,
         kind,
         body,
-    } = cur
+    } = stmt
     {
-        loops.push((var, *min, *extent, *kind));
-        cur = body;
+        loops.push((var.clone(), *min, *extent, *kind));
+        stmt = body;
     }
-    (loops, cur)
-}
-
-/// What the row's body holds: every expression, the guards' conditions,
-/// every index (stores' and reads') and each store's indices and shape.
-#[derive(Default)]
-struct Body {
-    exprs: Vec<PrimExpr>,
-    conds: Vec<PrimExpr>,
-    indices: Vec<PrimExpr>,
-    stores: Vec<(Vec<PrimExpr>, Vec<usize>)>,
-}
-
-impl Body {
-    fn of(stmt: &Stmt) -> Body {
-        let mut b = Body::default();
-        stmt.walk(&mut |s| match s {
-            Stmt::BufferStore {
-                buffer,
-                indices,
-                value,
-            } => {
-                b.indices.extend(indices.iter().cloned());
-                b.exprs.extend(indices.iter().chain([value]).cloned());
-                b.stores.push((indices.clone(), buffer.shape.clone()));
-            }
-            Stmt::IfThenElse { cond, .. } => {
-                b.exprs.push(cond.clone());
-                b.conds.push(cond.clone());
-            }
-            _ => {}
-        });
-        for e in &b.exprs {
-            walk(e, &mut |node| {
-                if let PrimExpr::TensorRead(_, idx) = node {
-                    b.indices.extend(idx.iter().cloned());
-                }
-            });
-        }
-        b
-    }
+    (loops, stmt)
 }
 
 /// How many times `e` names a variable of `ids`.
 fn uses(e: &PrimExpr, ids: &[u64]) -> usize {
     let mut n = 0;
-    walk(e, &mut |node| {
-        n += matches!(node, PrimExpr::Var(v) if ids.contains(&v.id)) as usize;
+    walk(e, &mut |x| {
+        n += matches!(x, PrimExpr::Var(v) if ids.contains(&v.id)) as usize
     });
     n
 }
 
-/// The coefficient of the plain variable `id` in `f`.
-fn coefficient(f: &Affine, id: u64) -> i64 {
-    (f.terms.iter())
-        .find(|t| t.0 == id && t.1 == Atom::Var)
-        .map_or(0, |t| t.2)
-}
-
-/// Decide what to do with the loop `l` under `loops` (outermost first)
-/// and `guards` (negated on `else` branches), or name why nothing.
+/// What to do with the loop `l` under `loops` (outermost first) and
+/// `guards` (negated on `else` branches), or why nothing.
 pub fn plan(l: &Stmt, loops: &[LoopInfo], guards: &[PrimExpr]) -> Result<Move, &'static str> {
-    let Stmt::For {
-        var,
-        min,
-        extent,
-        kind: ForKind::Serial,
-        body,
-    } = l
-    else {
+    let (nest, row_body) = nest(l);
+    let Some(((var, min, _, ForKind::Serial), inner)) = nest.split_first() else {
         return Err("not a serial loop");
     };
-    let (inner, row_body) = nest(body);
-    let Some(&(row, row_min, row_extent, _)) = inner.last() else {
+    let Some((row, row_min, row_extent, _)) = inner.last() else {
         return Err("no loop inside");
     };
     if inner.iter().any(|l| l.3 != ForKind::Serial) {
         return Err("a parallel, vectorized or unrolled loop in the way");
     }
-    let mut perfect = true;
-    row_body.walk(&mut |s| perfect &= !matches!(s, Stmt::For { .. }));
-    if !perfect {
-        return Err("not a perfect nest");
-    }
-    let b = Body::of(row_body);
+    // The row body's expressions and stores; whether a loop or a guard on `L` is in it.
+    let (mut exprs, mut stores, mut looped, mut guarded) = (Vec::new(), Vec::new(), false, false);
+    row_body.walk(&mut |s| match s {
+        Stmt::BufferStore {
+            buffer,
+            indices,
+            value,
+        } => {
+            exprs.extend(indices.iter().chain([value]).cloned());
+            stores.push((indices.clone(), buffer.shape.clone()));
+        }
+        Stmt::IfThenElse { cond, .. } => {
+            guarded |= uses(cond, &[var.id]) > 0;
+            exprs.push(cond.clone());
+        }
+        Stmt::For { .. } => looped = true,
+        _ => {}
+    });
+    let mut indices: Vec<PrimExpr> = stores.iter().flat_map(|s| s.0.clone()).collect();
     let mut fused = false;
-    for e in &b.exprs {
-        walk(e, &mut |node| {
-            fused |= matches!(
-                node,
-                PrimExpr::Binary(BinOp::FloorDiv | BinOp::FloorMod, ..)
-            );
+    for e in &exprs {
+        walk(e, &mut |x| match x {
+            PrimExpr::Binary(BinOp::FloorDiv | BinOp::FloorMod, ..) => fused = true,
+            PrimExpr::TensorRead(_, idx) => indices.extend(idx.iter().cloned()),
+            _ => {}
         });
     }
-    if fused {
-        return Err("fused index");
-    }
-    if b.conds.iter().any(|c| uses(c, &[var.id]) > 0) {
-        return Err("guard on the moved loop");
+    match (looped, fused, guarded) {
+        (true, ..) => return Err("not a perfect nest"),
+        (_, true, _) => return Err("fused index"),
+        (.., true) => return Err("guard on the moved loop"),
+        _ => {}
     }
     let ranges: VarRanges = (loops.iter().map(|l| (l.var_id, l.range())))
-        .chain([(var.id, (*min, min + extent - 1))])
-        .chain(inner.iter().map(|l| (l.0.id, (l.1, l.1 + l.2 - 1))))
+        .chain(nest.iter().map(|l| (l.0.id, (l.1, l.1 + l.2 - 1))))
         .collect();
-    let ids = [var.id, row.id];
     // Every index naming `L` or `R` reads them as `L·extent(R) + R`, and
     // nothing else names them.
-    let naming: Vec<&PrimExpr> = b.indices.iter().filter(|i| uses(i, &ids) > 0).collect();
-    let as_one = |i: &&PrimExpr| {
-        affine_of(i, &ranges)
-            .is_some_and(|f| coefficient(&f, var.id) == row_extent * coefficient(&f, row.id))
+    let ids = [var.id, row.id];
+    let coefficient = |f: &Affine, id| {
+        (f.terms.iter().find(|t| (t.0, t.1) == (id, Atom::Var))).map_or(0, |t| t.2)
     };
-    let collapses = row_extent < SWEEP_BLOCK
-        && (*min, row_min) == (0, 0)
+    let as_one = |i: &&PrimExpr| {
+        let f = affine_of(i, &ranges);
+        f.is_some_and(|f| coefficient(&f, var.id) == coefficient(&f, row.id) * row_extent)
+    };
+    let naming: Vec<&PrimExpr> = indices.iter().filter(|i| uses(i, &ids) > 0).collect();
+    let collapses = *row_extent < SWEEP_BLOCK
+        && (*min, *row_min) == (0, 0)
         && naming.iter().all(as_one)
         && naming.iter().map(|i| uses(i, &ids)).sum::<usize>()
-            == b.exprs.iter().map(|e| uses(e, &ids)).sum::<usize>();
-    let how = if collapses {
-        Move::Collapse
-    } else {
-        // Each store's moves along `R` and along `L`.
-        let moves: Option<Vec<(i64, i64)>> = (b.stores.iter())
-            .map(|(indices, shape)| {
-                let f = offset_of(indices, shape, &ranges)?;
-                Some((
-                    f.delta(row.id, row_min, row_min + 1)?,
-                    f.delta(var.id, *min, min + 1)?,
-                ))
-            })
-            .collect();
-        let moves = moves.ok_or("index without an affine form")?;
-        if !moves.iter().all(|m| m.0.abs() > 1) {
-            return Err(match row_extent < SWEEP_BLOCK {
-                true => "narrow row not indexed as L·extent + row",
-                false => "row wide and contiguous",
-            });
-        }
-        if !moves.iter().all(|m| m.1 == 1) {
-            return Err("store not contiguous along the loop");
-        }
-        Move::Innermost
+            == exprs.iter().map(|e| uses(e, &ids)).sum::<usize>();
+    // Each store moves by more than one element along `R` (a column) and
+    // by one along `L`; an offset without a form moves by none.
+    let forms: Vec<_> = (stores.iter().map(|(i, s)| offset_of(i, s, &ranges))).collect();
+    let step = |f: &Option<Affine>, id, at: i64| {
+        (f.as_ref()).map_or(0, |f| f.delta(id, at, at + 1).unwrap_or(0))
     };
-    match race_free_loop(l, loops, guards) {
-        true => Ok(how),
-        false => Err("not race-free"),
+    if !collapses && !forms.iter().all(|f| step(f, row.id, *row_min).abs() > 1) {
+        return Err("no wider row");
+    }
+    if !collapses && !forms.iter().all(|f| step(f, var.id, *min) == 1) {
+        return Err("store not contiguous along the loop");
+    }
+    match (race_free_loop(l, loops, guards), collapses) {
+        (false, _) => Err("not race-free"),
+        (true, true) => Ok(Move::Collapse),
+        (true, false) => Ok(Move::Innermost),
     }
 }
 
-/// Rebuild the loop `l` as [`plan`] decided.
+/// The loop `l` rebuilt as [`plan`] decided.
 fn apply(l: &Stmt, how: Move) -> Stmt {
-    let Stmt::For {
-        var,
-        min,
-        extent,
-        body,
-        ..
-    } = l
-    else {
-        unreachable!("plan admits loops only")
-    };
-    let (mut inner, row_body) = nest(body);
-    let wrap = |var: &Var, min, extent, body| Stmt::For {
-        var: var.clone(),
-        min,
-        extent,
-        kind: ForKind::Serial,
-        body: Box::new(body),
-    };
-    let innermost = match how {
-        Move::Innermost => wrap(var, *min, *extent, row_body.clone()),
+    let (mut loops, body) = nest(l);
+    let (mut body, moved) = (body.clone(), loops.remove(0));
+    match how {
+        Move::Innermost => loops.push(moved),
         Move::Collapse => {
-            let (row, _, row_extent, _) = inner.pop().expect("plan saw a row");
-            let name = match (
-                var.name.strip_suffix(".outer"),
-                row.name.strip_suffix(".inner"),
-            ) {
-                (Some(a), Some(b)) if a == b => a.to_string(),
-                _ => format!("{}.{}.fused", var.name, row.name),
-            };
-            let fused = Var::index(name);
-            // `L·e + R = v` where `L = 0` and `R = v`.
-            let map = HashMap::from([(var.id, PrimExpr::from(0i64)), (row.id, fused.expr())]);
-            let body = simplify::simplify_stmt(&subst_stmt(row_body, &map));
-            wrap(&fused, 0, extent * row_extent, body)
+            let (var, row) = (moved.0, loops.pop().expect("plan saw a row"));
+            let name = row.0.name.strip_suffix(".inner").unwrap_or(&row.0.name);
+            // `L·e + R` is `v` where `L = 0` and `R = v`.
+            let v = Var::index(name.to_string());
+            let map = HashMap::from([(var.id, PrimExpr::from(0i64)), (row.0.id, v.expr())]);
+            body = simplify::simplify_stmt(&subst_stmt(&body, &map));
+            loops.push((v, 0, moved.2 * row.2, ForKind::Serial));
         }
-    };
-    (inner.into_iter().rev()).fold(innermost, |body, (var, min, extent, _)| {
-        wrap(var, min, extent, body)
-    })
+    }
+    for (var, min, extent, kind) in loops.into_iter().rev() {
+        body = Stmt::For {
+            var,
+            min,
+            extent,
+            kind,
+            body: Box::new(body),
+        };
+    }
+    body
 }
 
 #[cfg(test)]
@@ -451,7 +345,8 @@ mod tests {
                 },
             ),
             (
-                "index without an affine form",
+                // An index without an affine form.
+                "no wider row",
                 Tile {
                     at: |jo, ii| ii * 4 + jo.clone() * jo,
                     ..column()
@@ -459,14 +354,14 @@ mod tests {
             ),
             (
                 // Overlapping tiles.
-                "narrow row not indexed as L·extent + row",
+                "no wider row",
                 Tile {
                     at: |jo, ji| jo + ji,
                     ..narrow()
                 },
             ),
             (
-                "row wide and contiguous",
+                "no wider row",
                 Tile {
                     row: SWEEP_BLOCK,
                     at: |jo, ji| jo * SWEEP_BLOCK + ji,
