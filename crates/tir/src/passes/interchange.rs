@@ -3,8 +3,8 @@
 //! gemm `{1,2}` ends its nest in a two-element row, `for j.outer { for k {
 //! for j.inner in [0, 2) } }`, and 2mm stage 2 at `{·,·,36,1}` in a column
 //! walk of `F[i.outer·36 + i.inner, j.outer]`. [`plan`] takes a serial
-//! loop `L` over a perfect nest of serial loops whose innermost row `R` is
-//! shorter than one packed sweep block or whose stores stride along it:
+//! loop `L` over a perfect nest of serial loops whose innermost row `R`, a
+//! run of stores, is shorter than one packed sweep block or strided:
 //! where every index reads the two as `L·extent(R) + R` they collapse into
 //! one loop (`for k { for j in [0, 220) }`), else `L` goes innermost under
 //! the column. `L` must be race-free ([`race_free_loop`], the analyzer's
@@ -76,7 +76,7 @@ fn rewrite(stmt: &mut Stmt, loops: &mut Vec<LoopInfo>, guards: &mut Vec<PrimExpr
 
 /// The loops `stmt` opens one inside the other, outermost first, and the
 /// body of the innermost.
-fn nest(mut stmt: &Stmt) -> (Vec<(Var, i64, i64, ForKind)>, &Stmt) {
+fn nest(mut stmt: &Stmt) -> (Vec<(&Var, i64, i64, ForKind)>, &Stmt) {
     let mut loops = Vec::new();
     while let Stmt::For {
         var,
@@ -86,7 +86,7 @@ fn nest(mut stmt: &Stmt) -> (Vec<(Var, i64, i64, ForKind)>, &Stmt) {
         body,
     } = stmt
     {
-        loops.push((var.clone(), *min, *extent, *kind));
+        loops.push((var, *min, *extent, *kind));
         stmt = body;
     }
     (loops, stmt)
@@ -114,42 +114,50 @@ pub fn plan(l: &Stmt, loops: &[LoopInfo], guards: &[PrimExpr]) -> Result<Move, &
     if inner.iter().any(|l| l.3 != ForKind::Serial) {
         return Err("a parallel, vectorized or unrolled loop in the way");
     }
-    // The row body's expressions and stores; whether a loop or a guard on `L` is in it.
-    let (mut exprs, mut stores, mut looped, mut guarded) = (Vec::new(), Vec::new(), false, false);
-    row_body.walk(&mut |s| match s {
-        Stmt::BufferStore {
+    // The row's body is stores, one after the other: no loop, no guard.
+    let body = match row_body {
+        Stmt::Seq(items) => &items[..],
+        one => std::slice::from_ref(one),
+    };
+    let mut stores = Vec::new();
+    for s in body {
+        let Stmt::BufferStore {
             buffer,
             indices,
             value,
-        } => {
-            exprs.extend(indices.iter().chain([value]).cloned());
-            stores.push((indices.clone(), buffer.shape.clone()));
-        }
-        Stmt::IfThenElse { cond, .. } => {
-            guarded |= uses(cond, &[var.id]) > 0;
-            exprs.push(cond.clone());
-        }
-        Stmt::For { .. } => looped = true,
-        _ => {}
-    });
+        } = s
+        else {
+            return Err("not a perfect nest");
+        };
+        stores.push((indices, value, &buffer.shape));
+    }
+    let ranges: VarRanges = (loops.iter().map(|l| (l.var_id, l.range())))
+        .chain(nest.iter().map(|l| (l.0.id, (l.1, l.1 + l.2 - 1))))
+        .collect();
+    // Each store moves by more than one element along `R` (a column) and
+    // by one along `L`; an offset without a form moves by none.
+    let forms: Vec<_> = (stores.iter().map(|s| offset_of(s.0, s.2, &ranges))).collect();
+    let step = |f: &Option<Affine>, id, at: i64| {
+        (f.as_ref()).map_or(0, |f| f.delta(id, at, at + 1).unwrap_or(0))
+    };
+    let column = forms.iter().all(|f| step(f, row.id, *row_min).abs() > 1);
+    if !column && *row_extent >= SWEEP_BLOCK {
+        return Err("no wider row");
+    }
+    // Every index, the stores' and the reads'.
     let mut indices: Vec<PrimExpr> = stores.iter().flat_map(|s| s.0.clone()).collect();
     let mut fused = false;
-    for e in &exprs {
+    let exprs = || stores.iter().flat_map(|s| s.0.iter().chain([s.1]));
+    for e in exprs() {
         walk(e, &mut |x| match x {
             PrimExpr::Binary(BinOp::FloorDiv | BinOp::FloorMod, ..) => fused = true,
             PrimExpr::TensorRead(_, idx) => indices.extend(idx.iter().cloned()),
             _ => {}
         });
     }
-    match (looped, fused, guarded) {
-        (true, ..) => return Err("not a perfect nest"),
-        (_, true, _) => return Err("fused index"),
-        (.., true) => return Err("guard on the moved loop"),
-        _ => {}
+    if fused {
+        return Err("fused index");
     }
-    let ranges: VarRanges = (loops.iter().map(|l| (l.var_id, l.range())))
-        .chain(nest.iter().map(|l| (l.0.id, (l.1, l.1 + l.2 - 1))))
-        .collect();
     // Every index naming `L` or `R` reads them as `L·extent(R) + R`, and
     // nothing else names them.
     let ids = [var.id, row.id];
@@ -165,45 +173,39 @@ pub fn plan(l: &Stmt, loops: &[LoopInfo], guards: &[PrimExpr]) -> Result<Move, &
         && (*min, *row_min) == (0, 0)
         && naming.iter().all(as_one)
         && naming.iter().map(|i| uses(i, &ids)).sum::<usize>()
-            == exprs.iter().map(|e| uses(e, &ids)).sum::<usize>();
-    // Each store moves by more than one element along `R` (a column) and
-    // by one along `L`; an offset without a form moves by none.
-    let forms: Vec<_> = (stores.iter().map(|(i, s)| offset_of(i, s, &ranges))).collect();
-    let step = |f: &Option<Affine>, id, at: i64| {
-        (f.as_ref()).map_or(0, |f| f.delta(id, at, at + 1).unwrap_or(0))
-    };
-    if !collapses && !forms.iter().all(|f| step(f, row.id, *row_min).abs() > 1) {
+            == exprs().map(|e| uses(e, &ids)).sum::<usize>();
+    if !collapses && !column {
         return Err("no wider row");
     }
     if !collapses && !forms.iter().all(|f| step(f, var.id, *min) == 1) {
         return Err("store not contiguous along the loop");
     }
-    match (race_free_loop(l, loops, guards), collapses) {
-        (false, _) => Err("not race-free"),
-        (true, true) => Ok(Move::Collapse),
-        (true, false) => Ok(Move::Innermost),
+    if !race_free_loop(l, loops, guards) {
+        return Err("not race-free");
     }
+    Ok([Move::Innermost, Move::Collapse][collapses as usize])
 }
 
 /// The loop `l` rebuilt as [`plan`] decided.
 fn apply(l: &Stmt, how: Move) -> Stmt {
     let (mut loops, body) = nest(l);
     let (mut body, moved) = (body.clone(), loops.remove(0));
+    let fused;
     match how {
         Move::Innermost => loops.push(moved),
         Move::Collapse => {
-            let (var, row) = (moved.0, loops.pop().expect("plan saw a row"));
+            let row = loops.pop().expect("plan saw a row");
             let name = row.0.name.strip_suffix(".inner").unwrap_or(&row.0.name);
-            // `L·e + R` is `v` where `L = 0` and `R = v`.
-            let v = Var::index(name.to_string());
-            let map = HashMap::from([(var.id, PrimExpr::from(0i64)), (row.0.id, v.expr())]);
+            // `L·e + R` is `fused` where `L = 0` and `R = fused`.
+            fused = Var::index(name.to_string());
+            let map = HashMap::from([(moved.0.id, PrimExpr::from(0i64)), (row.0.id, fused.expr())]);
             body = simplify::simplify_stmt(&subst_stmt(&body, &map));
-            loops.push((v, 0, moved.2 * row.2, ForKind::Serial));
+            loops.push((&fused, 0, moved.2 * row.2, ForKind::Serial));
         }
     }
     for (var, min, extent, kind) in loops.into_iter().rev() {
         body = Stmt::For {
-            var,
+            var: var.clone(),
             min,
             extent,
             kind,
@@ -285,18 +287,7 @@ mod tests {
     #[test]
     fn plan_names_every_refusal() {
         use ForKind::{Parallel, Serial, Unrolled, Vectorized};
-        let on_k: Index = |_, k| cmp::lt(k, int(2));
-        let accepted = [
-            (narrow(), Move::Collapse),
-            (
-                Tile {
-                    guard: Some(on_k),
-                    ..narrow()
-                },
-                Move::Collapse,
-            ),
-            (column(), Move::Innermost),
-        ];
+        let accepted = [(narrow(), Move::Collapse), (column(), Move::Innermost)];
         for (t, how) in accepted {
             assert_eq!(plan(&tile(t), &[], &[]), Ok(how));
         }
@@ -338,9 +329,17 @@ mod tests {
                 },
             ),
             (
-                "guard on the moved loop",
+                // A guard in the row, on the moved loop or not.
+                "not a perfect nest",
                 Tile {
                     guard: Some(|jo, _| cmp::lt(jo, int(3))),
+                    ..narrow()
+                },
+            ),
+            (
+                "not a perfect nest",
+                Tile {
+                    guard: Some(|_, k| cmp::lt(k, int(2))),
                     ..narrow()
                 },
             ),

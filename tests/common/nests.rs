@@ -590,12 +590,11 @@ pub fn cell_reduction_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, Strin
 /// += A[yo·ty + yi, k]·B[k, xo·tx + xi] } } } } }` over a flat `C` (`B`
 /// three tiles wide), the x-tile 2 under y-tiles of 1–4 (a narrow row,
 /// which collapses into `xo`) or 1 under y-tiles of 2–4 (a column, under
-/// which `xo` goes innermost), optionally a guard on `k` around the store.
-/// The near misses the pass must leave alone: overlapping tiles (`xo +
-/// xi`, and a row stride of `N − 1` under the column), gapped tiles
-/// (`xo·(tx + 1) + xi`), a guard on `xo`, a vectorized row or an unrolled
-/// `k` in the way, and a second store beside the row. Returns whether it
-/// is a near miss; every other nest is moved.
+/// which `xo` goes innermost). The near misses the pass must leave alone:
+/// overlapping tiles (`xo + xi`, and a row stride of `N − 1` under the
+/// column), gapped tiles (`xo·(tx + 1) + xi`), a guard on `xo`, a
+/// vectorized row or an unrolled `k` in the way, and a second store beside
+/// the row. Returns whether it is a near miss; every other nest is moved.
 pub fn tile_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) {
     let dtype = DType::F64;
     let tx = rng.gen_range(1..=2i64);
@@ -617,9 +616,7 @@ pub fn tile_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) {
         Some("unrolled k"),
         Some("second store"),
     ][rng.gen_range(0..10usize)];
-    let guard_k = rng.gen_bool(0.3);
-    let context =
-        format!("tile {ty}x{tx} over {my}x{nx} tiles, k {ek}, miss {miss:?} guard on k {guard_k}");
+    let context = format!("tile {ty}x{tx} over {my}x{nx} tiles, k {ek}, miss {miss:?}");
     let (m, n) = (my * ty, nx * tx);
     let c_len = (m * n + 3 * nx + 4) as usize;
     let c = placeholder([c_len], dtype, "C");
@@ -653,13 +650,6 @@ pub fn tile_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String, bool) {
                         std::slice::from_ref(&flat),
                         c.at(std::slice::from_ref(&flat)) + product,
                     );
-                    let st = match guard_k {
-                        true => when(
-                            PrimExpr::cmp(CmpOp::Lt, k.clone(), PrimExpr::from(ek - 1)),
-                            st,
-                        ),
-                        false => st,
-                    };
                     match miss {
                         Some("guard on xo") => {
                             when(PrimExpr::cmp(CmpOp::Lt, x, PrimExpr::from(n - 1)), st)
