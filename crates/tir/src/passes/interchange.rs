@@ -25,7 +25,7 @@ use tvm_te::{PrimExpr, Var};
 
 /// Elements of one packed sweep block: the JIT's axpy microkernel runs
 /// four VEX-256 accumulators of four `f64` lanes a trip.
-pub const SWEEP_BLOCK: i64 = 16;
+pub(crate) const SWEEP_BLOCK: i64 = 16;
 
 /// What [`plan`] does with a loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
