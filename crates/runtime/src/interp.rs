@@ -519,9 +519,233 @@ mod tests {
         });
         let f = fb.build(body);
         let mut args = [NDArray::zeros(&[4], DType::F64)];
-        assert!(matches!(
-            execute(&f, &mut args),
-            Err(ExecError::OutOfBounds { .. })
-        ));
+        assert_eq!(execute(&f, &mut args), Err(oob("A", &[4])));
+    }
+
+    // The error tests below build their bodies by hand, without the
+    // builder's simplification and verification, so that ill-formed code
+    // reaches the interpreter as written.
+
+    fn int(v: i64) -> PrimExpr {
+        PrimExpr::IntImm(v, DType::I64)
+    }
+
+    fn flt(v: f64) -> PrimExpr {
+        PrimExpr::FloatImm(v, DType::F64)
+    }
+
+    fn bin(op: BinOp, a: PrimExpr, b: PrimExpr) -> PrimExpr {
+        PrimExpr::binary(op, a, b)
+    }
+
+    fn serial(var: &tvm_te::Var, extent: i64, body: Stmt) -> Stmt {
+        Stmt::For {
+            var: var.clone(),
+            min: 0,
+            extent,
+            kind: tvm_tir::ForKind::Serial,
+            body: Box::new(body),
+        }
+    }
+
+    fn put(buf: &Arc<Buffer>, indices: Vec<PrimExpr>, value: PrimExpr) -> Stmt {
+        Stmt::BufferStore {
+            buffer: buf.clone(),
+            indices,
+            value,
+        }
+    }
+
+    fn raw_func(params: &[&Arc<Buffer>], body: Stmt) -> PrimFunc {
+        PrimFunc {
+            name: "raw".into(),
+            params: params.iter().map(|&b| b.clone()).collect(),
+            allocs: Vec::new(),
+            body,
+        }
+    }
+
+    fn oob(buffer: &str, indices: &[i64]) -> ExecError {
+        ExecError::OutOfBounds {
+            buffer: buffer.into(),
+            indices: indices.to_vec(),
+        }
+    }
+
+    fn bad(msg: &str) -> ExecError {
+        ExecError::BadExpr(msg.into())
+    }
+
+    /// Runs `body` over a 3×4×5 input `A` (holding its linear offsets)
+    /// and a 2×3 output `O` (zeros). Returns the result and the arrays
+    /// as they are afterwards.
+    fn run_on_a_and_o(
+        body: impl FnOnce(&tvm_te::Tensor, &Arc<Buffer>) -> Stmt,
+    ) -> (Result<(), ExecError>, [NDArray; 2]) {
+        let a = placeholder([3, 4, 5], DType::F64, "A");
+        let ab = Buffer::from_tensor(&a);
+        let ob = Buffer::new("O", vec![2, 3], DType::F64);
+        let f = raw_func(&[&ab, &ob], body(&a, &ob));
+        let vals: Vec<f64> = (0..60).map(|x| x as f64).collect();
+        let mut args = [
+            NDArray::from_f64(&[3, 4, 5], &vals),
+            NDArray::zeros(&[2, 3], DType::F64),
+        ];
+        let r = execute(&f, &mut args);
+        (r, args)
+    }
+
+    #[test]
+    fn an_out_of_bounds_read_reports_the_indices_up_to_the_failing_dimension() {
+        // A[1, 7, 1 / 0]: dimension 1 fails, and the third index, which
+        // would divide by zero, is never evaluated.
+        let (r, _) = run_on_a_and_o(|a, o| {
+            let idx = vec![int(1), int(7), bin(BinOp::Div, int(1), int(0))];
+            put(
+                o,
+                vec![int(0), int(0)],
+                PrimExpr::TensorRead(a.clone(), idx),
+            )
+        });
+        assert_eq!(r, Err(oob("A", &[1, 7])));
+        let (r, _) = run_on_a_and_o(|a, o| {
+            let idx = vec![int(-1), int(0), int(0)];
+            put(
+                o,
+                vec![int(0), int(0)],
+                PrimExpr::TensorRead(a.clone(), idx),
+            )
+        });
+        assert_eq!(r, Err(oob("A", &[-1])));
+        let (r, args) = run_on_a_and_o(|a, o| {
+            let idx = vec![int(2), int(3), int(4)];
+            put(
+                o,
+                vec![int(1), int(2)],
+                PrimExpr::TensorRead(a.clone(), idx),
+            )
+        });
+        assert_eq!(r, Ok(()));
+        assert_eq!(args[1].get(&[1, 2]), 59.0);
+    }
+
+    #[test]
+    fn an_out_of_bounds_store_evaluates_its_value_first_and_reports_every_index() {
+        // Every index is evaluated before any is checked: O[5, 9].
+        let (r, _) = run_on_a_and_o(|_, o| put(o, vec![int(5), int(9)], flt(1.0)));
+        assert_eq!(r, Err(oob("O", &[5, 9])));
+        let (r, _) = run_on_a_and_o(|_, o| put(o, vec![int(0), int(3)], flt(1.0)));
+        assert_eq!(r, Err(oob("O", &[0, 3])));
+        // An index that fails to evaluate after the failing dimension
+        // wins over the bounds check.
+        let (r, _) = run_on_a_and_o(|_, o| {
+            let idx = vec![int(5), bin(BinOp::FloorMod, int(1), int(0))];
+            put(o, idx, flt(1.0))
+        });
+        assert_eq!(r, Err(bad("floormod by zero")));
+        // The value's out-of-bounds read comes before the store's own.
+        let (r, _) = run_on_a_and_o(|a, o| {
+            let read = PrimExpr::TensorRead(a.clone(), vec![int(3), int(0), int(0)]);
+            put(o, vec![int(5), int(9)], read)
+        });
+        assert_eq!(r, Err(oob("A", &[3])));
+    }
+
+    #[test]
+    fn an_error_in_the_value_comes_before_an_error_in_an_index() {
+        let (r, _) = run_on_a_and_o(|_, o| {
+            let idx = vec![bin(BinOp::Div, int(1), int(0)), int(0)];
+            put(o, idx, bin(BinOp::FloorDiv, int(1), int(0)))
+        });
+        assert_eq!(r, Err(bad("floordiv by zero")));
+    }
+
+    #[test]
+    fn an_unbound_variable_is_reported_by_name() {
+        let ghost = tvm_te::Var::index("ghost");
+        let (r, args) = run_on_a_and_o(|_, o| put(o, vec![int(0), int(0)], ghost.expr()));
+        assert_eq!(r, Err(bad("unbound variable `ghost`")));
+        assert_eq!(args[1].to_f64_vec(), vec![0.0; 6]);
+    }
+
+    #[test]
+    fn a_shadowed_loop_id_is_unbound_after_the_inner_loop_until_the_outer_sets_it() {
+        let i = tvm_te::Var::index("i");
+        // for i { for i { O[0, i] = 1 }; O[1, i] = 2 }: the outer binding
+        // is gone once the inner loop ends, and the arrays are untouched.
+        let (r, args) = run_on_a_and_o(|_, o| {
+            let inner = serial(&i, 3, put(o, vec![int(0), i.expr()], flt(1.0)));
+            let after = put(o, vec![int(1), i.expr()], flt(2.0));
+            serial(&i, 2, Stmt::Seq(vec![inner, after]))
+        });
+        assert_eq!(r, Err(bad("unbound variable `i`")));
+        assert_eq!(args[1].to_f64_vec(), vec![0.0; 6]);
+        // A loop that runs no iteration still unbinds the id.
+        let (r, _) = run_on_a_and_o(|_, o| {
+            let inner = serial(&i, 0, Stmt::Nop);
+            let after = put(o, vec![int(1), i.expr()], flt(2.0));
+            serial(&i, 2, Stmt::Seq(vec![inner, after]))
+        });
+        assert_eq!(r, Err(bad("unbound variable `i`")));
+        // for i { O[1, i] = 2 + i; for i { O[0, i] = 1 + i } }: each outer
+        // iteration binds i again.
+        let (r, args) = run_on_a_and_o(|_, o| {
+            let before = put(
+                o,
+                vec![int(1), i.expr()],
+                bin(BinOp::Add, flt(2.0), i.expr()),
+            );
+            let inner = serial(
+                &i,
+                3,
+                put(
+                    o,
+                    vec![int(0), i.expr()],
+                    bin(BinOp::Add, flt(1.0), i.expr()),
+                ),
+            );
+            serial(&i, 2, Stmt::Seq(vec![before, inner]))
+        });
+        assert_eq!(r, Ok(()));
+        assert_eq!(args[1].to_f64_vec(), vec![1.0, 2.0, 3.0, 2.0, 3.0, 0.0]);
+    }
+
+    #[test]
+    fn division_by_zero_fails_on_integers_only() {
+        for (op, msg) in [
+            (BinOp::Div, "integer division by zero"),
+            (BinOp::FloorDiv, "floordiv by zero"),
+            (BinOp::FloorMod, "floormod by zero"),
+        ] {
+            let (r, _) =
+                run_on_a_and_o(|_, o| put(o, vec![int(0), int(0)], bin(op, int(3), int(0))));
+            assert_eq!(r, Err(bad(msg)), "{op:?}");
+        }
+        // An integer over a float zero is a float division.
+        let (r, args) =
+            run_on_a_and_o(|_, o| put(o, vec![int(0), int(0)], bin(BinOp::Div, int(3), flt(0.0))));
+        assert_eq!(r, Ok(()));
+        assert_eq!(args[1].get(&[0, 0]), f64::INFINITY);
+    }
+
+    #[test]
+    fn arithmetic_follows_the_static_dtype_not_the_value() {
+        // A read of an i64 tensor is integer-typed: I[0] / 2 divides
+        // 7 by 2 as integers, and 0.5 > 0 compares as floats.
+        let t = placeholder([1], DType::I64, "I");
+        let tb = Buffer::from_tensor(&t);
+        let ob = Buffer::new("O", vec![2], DType::F64);
+        let quotient = bin(BinOp::Div, t.at(&[int(0)]), int(2));
+        let gt = PrimExpr::cmp(CmpOp::Gt, flt(0.5), int(0));
+        let body = Stmt::Seq(vec![
+            put(&ob, vec![int(0)], quotient),
+            put(&ob, vec![int(1)], gt),
+        ]);
+        let f = raw_func(&[&tb, &ob], body);
+        let mut seven = NDArray::zeros(&[1], DType::I64);
+        seven.set(&[0], 7.0);
+        let mut args = [seven, NDArray::zeros(&[2], DType::F64)];
+        assert_eq!(execute(&f, &mut args), Ok(()));
+        assert_eq!(args[1].to_f64_vec(), vec![3.0, 1.0]);
     }
 }
