@@ -3,9 +3,11 @@
 //!
 //! At paper scale the kernels run on the analytical device; this ablation
 //! checks that the model's *ranking* of configurations agrees with real
-//! measured execution at a size the CPU interpreter can run: it samples
-//! configurations of 3mm/mini, measures each on the interpreter, predicts
-//! each with the cost model, and reports the Spearman rank correlation.
+//! measured execution at mini size: it samples configurations of 3mm and
+//! lu, measures each on the optimized VM (`CpuDevice::new()`: each run
+//! compiles and executes the function, the fastest of 3 runs counts),
+//! predicts each with the cost model, and reports the Spearman rank
+//! correlation.
 //!
 //! Usage: `ablation_model_fidelity [n_configs] [seed]`
 
@@ -22,7 +24,7 @@ fn main() {
     let n_configs: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(12);
     let seed = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(7);
 
-    println!("# Ablation A3: cost-model vs interpreter rank agreement (3mm & lu, mini)");
+    println!("# Ablation A3: cost-model vs optimized-VM rank agreement (3mm & lu, mini)");
     for kernel in [KernelName::Mm3, KernelName::Lu] {
         let mold = mold_for(kernel, ProblemSize::Mini);
         let sim = SimDevice::new(GpuSpec::swing_cpu_core()).with_noise(0.0);
@@ -40,7 +42,7 @@ fn main() {
             let cfg = mold.space().sample(&mut rng);
             let func = mold.instantiate(&cfg);
             let mut args_v = mold.init_args();
-            // Median-ish of 3 runs to damp host noise.
+            // Fastest of 3 runs (compile + execute each) to damp host noise.
             let t = cpu.time(&func, &mut args_v, 3).expect("cpu run");
             let p = sim.predict(&func);
             println!("{:<28} {:>14.6} {:>14.6}", cfg.to_string(), t, p);

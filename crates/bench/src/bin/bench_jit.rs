@@ -14,11 +14,12 @@
 //!    its fallback would silently skew the service's status endpoint;
 //!    here it exits nonzero.
 //!
-//! A second phase times all seven kernels on the optimized VM vs the JIT
-//! and reports ns/element plus the JIT-over-VM speedup. On targets without a
-//! native backend every function falls back (invariant 2 still holds,
-//! with `fallbacks == attempts`) and the timing phase degenerates to
-//! comparing the optimized VM against itself.
+//! A second phase times all seven kernels on the interpreter, the scalar
+//! VM, the optimized VM and the JIT and reports ns/element plus the
+//! JIT-over-VM speedup and how many times slower the interpreter runs
+//! than the scalar VM. On targets without a native backend every function
+//! falls back (invariant 2 still holds, with `fallbacks == attempts`) and
+//! the JIT column re-measures the optimized VM.
 //!
 //! Usage: `bench_jit [--smoke] [--size mini|small|medium|large]`
 //! Full mode writes `results/BENCH_jit.json`; smoke mode only prints.
@@ -30,7 +31,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use tvm_runtime::{
-    compile_optimized, default_backend, interp, jit_fingerprint, vm, CpuDevice, Device, NDArray,
+    compile, compile_optimized, default_backend, interp, jit_fingerprint, vm, CpuDevice, Device,
+    NDArray,
 };
 
 fn kernel_label(kernel: KernelName) -> &'static str {
@@ -283,6 +285,8 @@ fn check_speedup_baseline(rows: &[TimedRow], size: ProblemSize) {
 struct TimedRow {
     kernel: &'static str,
     elements: usize,
+    interp_s: f64,
+    scalar_s: f64,
     opt_s: f64,
     jit_s: f64,
     jit_nests: usize,
@@ -290,6 +294,15 @@ struct TimedRow {
 }
 
 impl TimedRow {
+    fn interp_ns_per_element(&self) -> f64 {
+        self.interp_s * 1e9 / self.elements as f64
+    }
+    fn scalar_ns_per_element(&self) -> f64 {
+        self.scalar_s * 1e9 / self.elements as f64
+    }
+    fn interp_over_scalar(&self) -> f64 {
+        self.interp_s / self.scalar_s
+    }
     fn opt_ns_per_element(&self) -> f64 {
         self.opt_s * 1e9 / self.elements as f64
     }
@@ -301,6 +314,21 @@ impl TimedRow {
     }
 }
 
+/// Fastest of `reps` runs of `run`, each on a fresh copy of `args`.
+fn fastest(reps: usize, args: &[NDArray], run: impl Fn(&mut [NDArray])) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let mut a = args.to_vec();
+        let t0 = Instant::now();
+        run(&mut a);
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// Times one kernel's baseline configuration on every engine: the
+/// interpreter fastest of 3 (a run takes milliseconds at `mini`, so a
+/// late wake-up is noise), the compiled engines fastest of `reps`.
 fn time_kernel(kernel: KernelName, size: ProblemSize, reps: usize) -> TimedRow {
     let mold = mold_for(kernel, size);
     let config = mold.baseline_configuration();
@@ -311,6 +339,7 @@ fn time_kernel(kernel: KernelName, size: ProblemSize, reps: usize) -> TimedRow {
         .iter()
         .map(|b| b.shape.iter().product::<usize>())
         .sum();
+    let scalar = compile(&func).expect("scalar compiler must compile");
     let optimized = compile_optimized(&func).expect("optimized pipeline must compile");
     let (jit_func, jitted) = match default_backend().jit_compile(&optimized) {
         Ok(jf) => (jf, true),
@@ -319,23 +348,23 @@ fn time_kernel(kernel: KernelName, size: ProblemSize, reps: usize) -> TimedRow {
             false,
         ),
     };
-    let mut opt_s = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let mut a = args.clone();
-        let t0 = Instant::now();
-        vm::execute(&optimized, &mut a).expect("optimized vm run");
-        opt_s = opt_s.min(t0.elapsed().as_secs_f64());
-    }
-    let mut jit_s = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let mut a = args.clone();
-        let t0 = Instant::now();
-        vm::execute(&jit_func, &mut a).expect("jit run");
-        jit_s = jit_s.min(t0.elapsed().as_secs_f64());
-    }
+    // The compiled engines first: timed after the interpreter, the JIT's
+    // 10 µs gemm and 2mm runs read up to 2× slower on a 2-vCPU host.
+    let opt_s = fastest(reps, &args, |a| {
+        vm::execute(&optimized, a).expect("optimized vm run");
+    });
+    let jit_s = fastest(reps, &args, |a| {
+        vm::execute(&jit_func, a).expect("jit run");
+    });
     TimedRow {
         kernel: kernel_label(kernel),
         elements,
+        interp_s: fastest(3, &args, |a| {
+            interp::execute(&func, a).expect("interpreter run")
+        }),
+        scalar_s: fastest(reps, &args, |a| {
+            vm::execute(&scalar, a).expect("scalar vm run");
+        }),
         opt_s,
         jit_s,
         jit_nests: jit_func.jit_nest_count(),
@@ -376,13 +405,18 @@ fn main() {
         );
     }
     let mut rows = Vec::new();
-    println!("kernel   elements     opt ns/el     jit ns/el  nests  jit-x");
+    println!(
+        "kernel   elements  interp ns/el  scalar ns/el  interp/scalar     opt ns/el     jit ns/el  nests  jit-x"
+    );
     for k in KernelName::all() {
         let row = time_kernel(k, size, reps);
         println!(
-            "{:<8} {:>7}  {:>12.1}  {:>12.1}  {:>5}  {:>4.2}x",
+            "{:<8} {:>7}  {:>12.1}  {:>12.1}  {:>12.1}x  {:>12.1}  {:>12.1}  {:>5}  {:>4.2}x",
             row.kernel,
             row.elements,
+            row.interp_ns_per_element(),
+            row.scalar_ns_per_element(),
+            row.interp_over_scalar(),
             row.opt_ns_per_element(),
             row.jit_ns_per_element(),
             row.jit_nests,
@@ -418,8 +452,13 @@ fn main() {
         "kernels": rows.iter().map(|r| serde_json::json!({
             "kernel": r.kernel,
             "elements": r.elements,
+            "interp_s": r.interp_s,
+            "scalar_s": r.scalar_s,
             "optimized_s": r.opt_s,
             "jit_s": r.jit_s,
+            "interp_ns_per_element": r.interp_ns_per_element(),
+            "scalar_ns_per_element": r.scalar_ns_per_element(),
+            "interp_over_scalar": r.interp_over_scalar(),
             "optimized_ns_per_element": r.opt_ns_per_element(),
             "jit_ns_per_element": r.jit_ns_per_element(),
             "jit_nests": r.jit_nests,

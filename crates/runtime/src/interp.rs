@@ -7,10 +7,9 @@
 //! `gpu-sim` cost model) rather than by this functional path.
 
 use crate::ndarray::NDArray;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use tvm_te::{BinOp, CmpOp, PrimExpr};
+use tvm_te::{BinOp, CmpOp, DType, PrimExpr};
 use tvm_tir::{Buffer, PrimFunc, Stmt};
 
 /// Interpretation failure.
@@ -95,68 +94,95 @@ impl Value {
 struct Machine<'a> {
     /// All buffers' storage; params first, then allocs.
     storage: &'a mut [NDArray],
-    /// buffer id -> storage slot.
-    buf_slot: HashMap<u64, usize>,
-    /// TE op id -> storage slot (for `TensorRead`).
-    op_slot: HashMap<u64, usize>,
-    /// loop var id -> current value.
-    env: HashMap<u64, i64>,
+    /// Row-major strides of each storage slot.
+    strides: Vec<Vec<usize>>,
+    /// Buffer id of each storage slot.
+    buf_slot: Vec<u64>,
+    /// (TE op id, storage slot) pairs, for `TensorRead`.
+    op_slot: Vec<(u64, usize)>,
+    /// Loop bindings, innermost last: (var id, value, or `None` once an
+    /// inner loop over the same id has ended).
+    env: Vec<(u64, Option<i64>)>,
 }
 
 impl<'a> Machine<'a> {
     fn eval_index(&self, e: &PrimExpr) -> Result<i64, ExecError> {
-        Ok(self.eval(e)?.as_i64())
+        Ok(self.eval(e)?.0.as_i64())
+    }
+
+    /// The indices `idx` evaluate to: only built for an error report.
+    fn eval_indices(&self, idx: &[PrimExpr]) -> Result<Vec<i64>, ExecError> {
+        idx.iter().map(|ie| self.eval_index(ie)).collect()
     }
 
     fn read_tensor(&self, op_id: u64, name: &str, idx: &[PrimExpr]) -> Result<f64, ExecError> {
-        let slot = *self
+        let slot = self
             .op_slot
-            .get(&op_id)
-            .ok_or_else(|| ExecError::BadExpr(format!("tensor `{name}` has no storage")))?;
+            .iter()
+            .rfind(|&&(op, _)| op == op_id)
+            .ok_or_else(|| ExecError::BadExpr(format!("tensor `{name}` has no storage")))?
+            .1;
         let arr = &self.storage[slot];
+        let (shape, strides) = (arr.shape(), &self.strides[slot]);
         let mut lin = 0usize;
-        let strides = arr.strides();
-        let shape = arr.shape();
-        let mut raw = Vec::with_capacity(idx.len());
         for (d, ie) in idx.iter().enumerate() {
             let i = self.eval_index(ie)?;
-            raw.push(i);
             if i < 0 || i as usize >= shape[d] {
-                return Err(ExecError::OutOfBounds {
-                    buffer: name.to_string(),
-                    indices: raw,
-                });
+                let mut indices = self.eval_indices(&idx[..d])?;
+                indices.push(i);
+                let buffer = name.to_string();
+                return Err(ExecError::OutOfBounds { buffer, indices });
             }
             lin += i as usize * strides[d];
         }
         Ok(arr.get_f64_linear(lin))
     }
 
-    fn eval(&self, e: &PrimExpr) -> Result<Value, ExecError> {
+    /// [`Self::eval_node`], with literals and bound variables, about half
+    /// of all nodes, answered where they are read.
+    #[inline(always)]
+    fn eval(&self, e: &PrimExpr) -> Result<(Value, DType), ExecError> {
         match e {
-            PrimExpr::IntImm(v, _) => Ok(Value::I(*v)),
-            PrimExpr::FloatImm(v, _) => Ok(Value::F(*v)),
-            PrimExpr::BoolImm(b) => Ok(Value::I(*b as i64)),
-            PrimExpr::Var(v) => self
-                .env
-                .get(&v.id)
-                .map(|&x| Value::I(x))
-                .ok_or_else(|| ExecError::BadExpr(format!("unbound variable `{}`", v.name))),
+            PrimExpr::IntImm(v, t) => Ok((Value::I(*v), *t)),
+            PrimExpr::FloatImm(v, t) => Ok((Value::F(*v), *t)),
+            PrimExpr::Var(v) => match self.env.iter().rfind(|b| b.0 == v.id) {
+                Some(&(_, Some(x))) => Ok((Value::I(x), v.dtype)),
+                _ => self.eval_node(e),
+            },
+            _ => self.eval_node(e),
+        }
+    }
+
+    /// The value of `e` and its static dtype, which is what
+    /// [`PrimExpr::dtype`] returns, computed in the same walk.
+    #[inline(never)]
+    fn eval_node(&self, e: &PrimExpr) -> Result<(Value, DType), ExecError> {
+        match e {
+            PrimExpr::IntImm(v, t) => Ok((Value::I(*v), *t)),
+            PrimExpr::FloatImm(v, t) => Ok((Value::F(*v), *t)),
+            PrimExpr::BoolImm(b) => Ok((Value::I(*b as i64), DType::Bool)),
+            PrimExpr::Var(v) => match self.env.iter().rfind(|b| b.0 == v.id) {
+                Some(&(_, Some(x))) => Ok((Value::I(x), v.dtype)),
+                _ => Err(ExecError::BadExpr(format!("unbound variable `{}`", v.name))),
+            },
             PrimExpr::Binary(op, a, b) => {
-                let (va, vb) = (self.eval(a)?, self.eval(b)?);
-                let dt = e.dtype();
+                let ((va, da), (vb, db)) = (self.eval(a)?, self.eval(b)?);
+                let dt = da.unify(db);
                 if dt.is_float() {
                     let (x, y) = (va.as_f64(), vb.as_f64());
-                    Ok(Value::F(match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => x / y,
-                        BinOp::FloorDiv => (x / y).floor(),
-                        BinOp::FloorMod => x - (x / y).floor() * y,
-                        BinOp::Min => x.min(y),
-                        BinOp::Max => x.max(y),
-                    }))
+                    Ok((
+                        Value::F(match op {
+                            BinOp::Add => x + y,
+                            BinOp::Sub => x - y,
+                            BinOp::Mul => x * y,
+                            BinOp::Div => x / y,
+                            BinOp::FloorDiv => (x / y).floor(),
+                            BinOp::FloorMod => x - (x / y).floor() * y,
+                            BinOp::Min => x.min(y),
+                            BinOp::Max => x.max(y),
+                        }),
+                        dt,
+                    ))
                 } else {
                     let (x, y) = (va.as_i64(), vb.as_i64());
                     let r = match op {
@@ -184,12 +210,12 @@ impl<'a> Machine<'a> {
                         BinOp::Min => x.min(y),
                         BinOp::Max => x.max(y),
                     };
-                    Ok(Value::I(r))
+                    Ok((Value::I(r), dt))
                 }
             }
             PrimExpr::Cmp(op, a, b) => {
-                let (va, vb) = (self.eval(a)?, self.eval(b)?);
-                let r = if a.dtype().unify(b.dtype()).is_float() {
+                let ((va, da), (vb, db)) = (self.eval(a)?, self.eval(b)?);
+                let r = if da.unify(db).is_float() {
                     let (x, y) = (va.as_f64(), vb.as_f64());
                     match op {
                         CmpOp::Eq => x == y,
@@ -210,19 +236,25 @@ impl<'a> Machine<'a> {
                         CmpOp::Ge => x >= y,
                     }
                 };
-                Ok(Value::I(r as i64))
+                Ok((Value::I(r as i64), DType::Bool))
             }
-            PrimExpr::And(a, b) => Ok(Value::I(
-                (self.eval(a)?.truthy() && self.eval(b)?.truthy()) as i64,
+            PrimExpr::And(a, b) => Ok((
+                Value::I((self.eval(a)?.0.truthy() && self.eval(b)?.0.truthy()) as i64),
+                DType::Bool,
             )),
-            PrimExpr::Or(a, b) => Ok(Value::I(
-                (self.eval(a)?.truthy() || self.eval(b)?.truthy()) as i64,
+            PrimExpr::Or(a, b) => Ok((
+                Value::I((self.eval(a)?.0.truthy() || self.eval(b)?.0.truthy()) as i64),
+                DType::Bool,
             )),
-            PrimExpr::Not(a) => Ok(Value::I(!self.eval(a)?.truthy() as i64)),
-            PrimExpr::Sqrt(a) => Ok(Value::F(self.eval(a)?.as_f64().sqrt())),
-            PrimExpr::TensorRead(t, idx) => {
-                Ok(Value::F(self.read_tensor(t.op.id, t.name(), idx)?))
+            PrimExpr::Not(a) => Ok((Value::I(!self.eval(a)?.0.truthy() as i64), DType::Bool)),
+            PrimExpr::Sqrt(a) => {
+                let (v, t) = self.eval(a)?;
+                Ok((Value::F(v.as_f64().sqrt()), t))
             }
+            PrimExpr::TensorRead(t, idx) => Ok((
+                Value::F(self.read_tensor(t.op.id, t.name(), idx)?),
+                t.dtype(),
+            )),
             PrimExpr::Reduce { .. } => Err(ExecError::BadExpr(
                 "Reduce must be lowered before execution".into(),
             )),
@@ -238,11 +270,16 @@ impl<'a> Machine<'a> {
                 body,
                 ..
             } => {
+                let top = self.env.len();
+                self.env.push((var.id, None));
                 for it in *min..(min + extent) {
-                    self.env.insert(var.id, it);
+                    self.env[top].1 = Some(it);
                     self.exec(body)?;
                 }
-                self.env.remove(&var.id);
+                self.env.pop();
+                for b in self.env.iter_mut().filter(|b| b.0 == var.id) {
+                    b.1 = None;
+                }
                 Ok(())
             }
             Stmt::BufferStore {
@@ -250,32 +287,30 @@ impl<'a> Machine<'a> {
                 indices,
                 value,
             } => {
-                let val = self.eval(value)?;
-                let slot = *self.buf_slot.get(&buffer.id).ok_or_else(|| {
-                    ExecError::BadExpr(format!("no storage for `{}`", buffer.name))
-                })?;
-                let mut raw = Vec::with_capacity(indices.len());
-                for ie in indices {
-                    raw.push(self.eval_index(ie)?);
-                }
-                let arr = &mut self.storage[slot];
-                let shape = arr.shape().to_vec();
-                let strides = arr.strides();
+                let val = self.eval(value)?.0;
+                let slot = self
+                    .buf_slot
+                    .iter()
+                    .rposition(|&id| id == buffer.id)
+                    .ok_or_else(|| {
+                        ExecError::BadExpr(format!("no storage for `{}`", buffer.name))
+                    })?;
                 let mut lin = 0usize;
-                for (d, &i) in raw.iter().enumerate() {
-                    if i < 0 || i as usize >= shape[d] {
+                for (d, ie) in indices.iter().enumerate() {
+                    let i = self.eval_index(ie)?;
+                    if i < 0 || i as usize >= self.storage[slot].shape()[d] {
                         return Err(ExecError::OutOfBounds {
                             buffer: buffer.name.clone(),
-                            indices: raw,
+                            indices: self.eval_indices(indices)?,
                         });
                     }
-                    lin += i as usize * strides[d];
+                    lin += i as usize * self.strides[slot][d];
                 }
-                arr.set_f64_linear(lin, val.as_f64());
+                self.storage[slot].set_f64_linear(lin, val.as_f64());
                 Ok(())
             }
             Stmt::IfThenElse { cond, then, else_ } => {
-                if self.eval(cond)?.truthy() {
+                if self.eval(cond)?.0.truthy() {
                     self.exec(then)
                 } else if let Some(e) = else_ {
                     self.exec(e)
@@ -337,25 +372,23 @@ pub fn execute(func: &PrimFunc, args: &mut [NDArray]) -> Result<(), ExecError> {
     }
     all.append(&mut alloc_storage);
 
-    let mut buf_slot = HashMap::new();
-    let mut op_slot = HashMap::new();
-    for (i, b) in func.params.iter().chain(func.allocs.iter()).enumerate() {
-        buf_slot.insert(b.id, i);
-        if b.source_op != 0 {
-            op_slot.insert(b.source_op, i);
-        }
-    }
-
+    let buffers = || func.params.iter().chain(func.allocs.iter());
+    let op_slot = buffers()
+        .enumerate()
+        .filter(|(_, b)| b.source_op != 0)
+        .map(|(i, b)| (b.source_op, i))
+        .collect();
     let mut m = Machine {
-        storage: &mut all,
-        buf_slot,
+        strides: all.iter().map(NDArray::strides).collect(),
+        buf_slot: buffers().map(|b| b.id).collect(),
         op_slot,
-        env: HashMap::new(),
+        env: Vec::new(),
+        storage: &mut all,
     };
     m.exec(&func.body)?;
 
-    for (i, a) in args.iter_mut().enumerate() {
-        *a = all[i].clone();
+    for (a, s) in args.iter_mut().zip(all) {
+        *a = s;
     }
     Ok(())
 }

@@ -167,10 +167,17 @@ impl NDArray {
         s
     }
 
-    /// Linear offset of a multi-index.
+    /// Linear offset of a multi-index: `idx[d]` times [`Self::strides`]`[d]`,
+    /// summed over the dimensions both cover.
     pub fn offset(&self, idx: &[usize]) -> usize {
-        let strides = self.strides();
-        idx.iter().zip(&strides).map(|(i, s)| i * s).sum()
+        let n = idx.len().min(self.shape.len());
+        let mut stride: usize = self.shape[n..].iter().product();
+        let mut off = 0;
+        for d in (0..n).rev() {
+            off += idx[d] * stride;
+            stride *= self.shape[d];
+        }
+        off
     }
 
     /// Read by multi-index.
@@ -261,6 +268,18 @@ mod tests {
         a.set(&[2, 1], 42.0);
         assert_eq!(a.get(&[2, 1]), 42.0);
         assert_eq!(a.get_f64_linear(2 * 4 + 1), 42.0);
+    }
+
+    #[test]
+    fn offset_sums_index_times_stride_over_the_common_prefix() {
+        for shape in [&[][..], &[5], &[3, 4], &[2, 3, 4], &[3, 0, 2]] {
+            let a = NDArray::zeros(shape, DType::F64);
+            let strides = a.strides();
+            for idx in [&[][..], &[1], &[2, 1], &[1, 2, 3], &[1, 1, 1, 1]] {
+                let want: usize = idx.iter().zip(&strides).map(|(i, s)| i * s).sum();
+                assert_eq!(a.offset(idx), want, "{shape:?} {idx:?}");
+            }
+        }
     }
 
     #[test]
