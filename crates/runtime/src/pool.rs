@@ -504,6 +504,36 @@ mod tests {
     }
 
     #[test]
+    fn a_dispatch_at_budget_two_visits_every_iteration_once_on_one_worker() {
+        // `A[i] = A[i] + 1` from zeros: a skipped iteration leaves 0, one
+        // run twice leaves 2. Two threads take part: the caller and at
+        // most one worker, however many iterations there are to claim.
+        use crate::{optimize::compile_optimized, vm::execute_counted, NDArray};
+        use tvm_te::{placeholder, DType, PrimExpr};
+        use tvm_tir::builder::{par, store, FuncBuilder};
+        let _guard = test_threads_lock();
+        set_num_threads(2);
+        let a = placeholder([64], DType::F64, "A");
+        let mut fb = FuncBuilder::new("inc");
+        let ab = fb.param(&a);
+        let f = fb.build(par("i", 64, |i| {
+            let at = [i];
+            store(&ab, &at, a.at(&at) + PrimExpr::from(1.0f64))
+        }));
+        let cf = compile_optimized(&f).expect("compile_optimized");
+        let (counters, before) = (ParCounters::new(), threads_spawned());
+        let mut args = [NDArray::zeros(&[64], DType::F64)];
+        execute_counted(&cf, &mut args, Some(&counters)).expect("runs");
+        assert_eq!(args[0].as_f64(), vec![1.0; 64]);
+        assert_eq!(counters.snapshot().dispatches, 1);
+        assert_eq!(
+            threads_spawned(),
+            before.max(1),
+            "budget 2 needs one worker"
+        );
+    }
+
+    #[test]
     fn chunk_panics_propagate_to_the_caller() {
         let _guard = test_threads_lock();
         let result = std::panic::catch_unwind(|| {

@@ -144,6 +144,59 @@ pub fn triangular_nest(rng: &mut SmallRng) -> (PrimFunc, Vec<NDArray>, String) {
     (func, args, context)
 }
 
+/// A generated syrk-shaped nest — the triangle a proven-parallel row loop
+/// hands the worker pool: `parallel i in 0..N { for j in 0..N { if j <= i {
+/// C[i,j] = β·C[i,j]; for k in 0..M { C[i,j] = C[i,j] + α·A[i,k]·A[j,k] } }
+/// } }` with N from 9 to 40, so row `i` costs `i + 1` cells. With
+/// `faulting`, each row then stores `D[i + N]` under `i == f1 || i == f2`
+/// (`f1 < f2`, both random rows): out of bounds at exactly those two
+/// iterations, so every engine at every budget must report row `f1`'s
+/// fault, as the interpreter does.
+pub fn syrk_nest(rng: &mut SmallRng, faulting: bool) -> (PrimFunc, Vec<NDArray>, String) {
+    let dtype = DType::F64;
+    let n = rng.gen_range(9..=40usize);
+    let m = rng.gen_range(1..=6usize);
+    let f1 = rng.gen_range(0..n as i64 - 1);
+    let f2 = rng.gen_range(f1 + 1..n as i64);
+    let context = if faulting {
+        format!("syrk {n}x{m}, faults at rows {f1} and {f2}")
+    } else {
+        format!("syrk {n}x{m}")
+    };
+    let a = placeholder([n, m], dtype, "A");
+    let c = placeholder([n, n], dtype, "C");
+    let d = placeholder([n], dtype, "D");
+    let mut fb = FuncBuilder::new("syrk");
+    let _ab = fb.param(&a);
+    let cb = fb.param(&c);
+    let db = fb.param(&d);
+    let body = par("i", n as i64, |i| {
+        let rows = ser("j", n as i64, |j| {
+            let cell = [i.clone(), j.clone()];
+            let scale = store(&cb, &cell, c.at(&cell) * PrimExpr::from(1.2f64));
+            let update = ser("k", m as i64, |k| {
+                let (ik, jk) = ([i.clone(), k.clone()], [j.clone(), k]);
+                let term = PrimExpr::from(1.5f64) * a.at(&ik) * a.at(&jk);
+                store(&cb, &cell, c.at(&cell) + term)
+            });
+            when(PrimExpr::cmp(CmpOp::Le, j, i.clone()), seq([scale, update]))
+        });
+        if !faulting {
+            return rows;
+        }
+        let at = |row: i64| Arc::new(PrimExpr::cmp(CmpOp::Eq, i.clone(), row.into()));
+        let fault = store(&db, &[i.clone() + n as i64], c.at(&[i.clone(), i.clone()]));
+        seq([rows, when(PrimExpr::Or(at(f1), at(f2)), fault)])
+    });
+    let func = fb.build(body);
+    let args = vec![
+        NDArray::random(&[n, m], dtype, 1, -1.0, 1.0),
+        NDArray::random(&[n, n], dtype, 2, -1.0, 1.0),
+        NDArray::random(&[n], dtype, 3, -1.0, 1.0),
+    ];
+    (func, args, context)
+}
+
 /// A generated reduction nest — the shape accumulator forwarding
 /// rewrites, and its near misses: `for i, j { for k { [if k ⋄ a·i + b·j +
 /// c] D[i,j] = D[i,j] ± [α·] x · y } }` with the reduction innermost and

@@ -13,7 +13,7 @@
 mod common;
 
 use common::nests::{
-    cell_reduction_nest, control_flow_nest, reduction_nest, triangular_nest, with_ints,
+    cell_reduction_nest, control_flow_nest, reduction_nest, syrk_nest, triangular_nest, with_ints,
 };
 use common::oracle::{budget_lock, check, jit_tiers, BUDGETS};
 use polybench::molds::mold_for;
@@ -71,6 +71,31 @@ proptest! {
             let func = mold.instantiate(&config);
             let run = check(&func, &mold.init_args(), &context);
             prop_assert!(run.is_ok(), "{}: {:?}", context, run);
+        }
+    }
+}
+
+#[test]
+fn syrk_triangles_match_at_every_budget_and_report_the_lower_faulting_row() {
+    // Row `i` of the triangle costs `i + 1` cells, so a dispatch of the
+    // row loop hands the threads unequal work; whichever thread runs a
+    // row, every budget leaves the interpreter's bits, and of two rows
+    // that go out of bounds reports the lower one's fault.
+    let mut rng = SmallRng::seed_from_u64(0x5e4c);
+    for case in 0..24 {
+        let faulting = case % 2 == 1;
+        let (func, args, context) = syrk_nest(&mut rng, faulting);
+        let context = format!("case {case}: {context}");
+        let proven = compile_optimized(&func)
+            .expect("optimized compile")
+            .parallel_loop_counts();
+        assert_eq!(proven, (1, 0), "{context}: the row loop dispatches");
+        match check(&func, &args, &context) {
+            Ok(()) => assert!(!faulting, "{context}: ran clean"),
+            Err(ExecError::OutOfBounds { buffer, .. }) => {
+                assert!(faulting && buffer == "D", "{context}: {buffer}")
+            }
+            Err(e) => panic!("{context}: {e}"),
         }
     }
 }
