@@ -209,10 +209,11 @@ pub fn resume_from_journal(
 }
 
 /// Like [`tune`], but measure each round's batch **concurrently** on
-/// `tvm_runtime::pool` (the evaluator must be `Sync`): the wave is cut into
-/// at most `pool::num_threads()` contiguous chunks. A chunk body runs in the
-/// pool's serial scope, so a kernel's own `Parallel` loops run sequentially
-/// under a concurrent measurement instead of oversubscribing the machine.
+/// `tvm_runtime::pool` (the evaluator must be `Sync`): up to
+/// `pool::num_threads()` threads claim its configurations one at a time.
+/// A measurement runs in the pool's serial scope, so a kernel's own
+/// `Parallel` loops run sequentially under a concurrent measurement
+/// instead of oversubscribing the machine.
 ///
 /// Process-time accounting charges the *maximum* evaluation time of each
 /// batch — the wall-clock a `batch`-wide worker pool would observe — plus
@@ -246,17 +247,15 @@ pub fn tune_parallel<E: Evaluator + Sync>(
         // One slot per configuration: results come back in the wave's
         // order whichever thread measured them.
         let slots: Vec<OnceLock<MeasureResult>> = wave.iter().map(|_| OnceLock::new()).collect();
-        let n_chunks = wave.len().min(pool::num_threads());
-        if n_chunks > 0 {
-            pool::run_chunks(n_chunks, &|c| {
-                let (lo, hi) = pool::chunk_range(0, wave.len() as i64, c, n_chunks);
-                for i in lo as usize..hi as usize {
-                    let _ = slots[i].set(measure_one(wave[i]));
-                }
-            });
-        }
+        pool::run_claims(wave.len(), &|claims| {
+            for i in claims {
+                let _ = slots[i].set(measure_one(wave[i]));
+            }
+        });
         let filled = slots.into_iter().map(OnceLock::into_inner);
-        filled.map(|r| r.expect("every chunk ran")).collect()
+        filled
+            .map(|r| r.expect("every configuration was claimed"))
+            .collect()
     };
     let (think, width) = (Think::Charged, usize::MAX);
     run_rounds(tuner, evaluator, opts, None, think, width, &mut measure)
@@ -746,14 +745,14 @@ mod tests {
 
     #[test]
     fn parallel_tuning_runs_measurements_as_pool_chunks() {
-        // A measurement is a chunk body of `tvm_runtime::pool`: a
-        // kernel's own `Parallel` loop under it must not dispatch, and on
-        // a one-thread budget the lone chunk stays on the caller (no
-        // worker spawned or woken).
+        // A measurement is a claim of `tvm_runtime::pool`: a kernel's own
+        // `Parallel` loop under it must not dispatch, and on a one-thread
+        // budget every claim stays on the caller (no worker spawned or
+        // woken).
         let caller = std::thread::current().id();
         let (counters, plain) = (pool::ParCounters::new(), evaluator());
         let ev = FnEvaluator::new(space(), |c| {
-            assert!(pool::begin_parallel(true, 8, Some(&counters)).is_none());
+            assert!(!pool::begin_parallel(true, 8, Some(&counters)));
             assert_eq!(std::thread::current().id(), caller);
             plain.evaluate(c)
         });

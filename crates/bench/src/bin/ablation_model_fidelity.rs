@@ -4,10 +4,10 @@
 //! At paper scale the kernels run on the analytical device; this ablation
 //! checks that the model's *ranking* of configurations agrees with real
 //! measured execution at mini size: it samples configurations of 3mm and
-//! lu, measures each on the optimized VM (`CpuDevice::new()`: each run
-//! compiles and executes the function, the fastest of 3 runs counts),
-//! predicts each with the cost model, and reports the Spearman rank
-//! correlation.
+//! lu, measures each on the optimized VM (`CpuDevice::new()`: the function
+//! is prepared once, then executed 3 times, each on fresh `init_args` so
+//! lu never factors its own output; the fastest run counts), predicts each
+//! with the cost model, and reports the Spearman rank correlation.
 //!
 //! Usage: `ablation_model_fidelity [n_configs] [seed]`
 
@@ -41,9 +41,12 @@ fn main() {
         for _ in 0..n_configs {
             let cfg = mold.space().sample(&mut rng);
             let func = mold.instantiate(&cfg);
-            let mut args_v = mold.init_args();
-            // Fastest of 3 runs (compile + execute each) to damp host noise.
-            let t = cpu.time(&func, &mut args_v, 3).expect("cpu run");
+            let prepared = cpu.prepare(&func).expect("the optimized VM compiles it");
+            // Fastest of 3 executions, each on fresh arrays, to damp host noise.
+            let t = (0..3)
+                .map(|_| cpu.run_prepared(&prepared, &mut mold.init_args()))
+                .map(|r| r.expect("cpu run"))
+                .fold(f64::INFINITY, f64::min);
             let p = sim.predict(&func);
             println!("{:<28} {:>14.6} {:>14.6}", cfg.to_string(), t, p);
             measured.push(t);

@@ -37,7 +37,7 @@
 //! the fingerprint does not depend on it).
 //!
 //! Fingerprints: a JIT-mode device reports
-//! [`jit_fingerprint`] = `vm/v7+tir-opt/v2+par/v1+jit/v8`, distinct from the
+//! [`jit_fingerprint`] = `vm/v7+tir-opt/v2+par/v2+jit/v8`, distinct from the
 //! optimized VM's [`crate::optimize::engine_fingerprint`] so the
 //! service's engine ladder can attribute trial records to the exact
 //! engine that produced them.

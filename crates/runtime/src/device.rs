@@ -520,7 +520,7 @@ mod tests {
         assert!(CpuDevice::scalar_vm().par_stats().is_none());
         // The parallel layer is part of the replay boundary.
         let fp = dev.fingerprint().expect("fingerprint");
-        assert!(fp.ends_with("+par/v1"), "{fp}");
+        assert!(fp.ends_with("+par/v2"), "{fp}");
     }
 
     #[test]

@@ -8,23 +8,25 @@
 //!
 //! # Dispatch model
 //!
-//! [`run_chunks`] splits a job into `n_chunks` indexed chunks and lets
-//! the caller *and* the workers race to claim chunk indices from a
-//! shared atomic cursor. Chunk *boundaries* are a pure function of
-//! `(extent, n_chunks)` — see [`chunk_range`] — so which thread runs a
-//! chunk never changes what the chunk computes. Combined with the
-//! analyzer's race-freedom proof (no element is touched by two distinct
-//! iterations with a write involved), parallel execution is
-//! bit-identical to sequential execution at every thread count.
+//! [`run_claims`] hands out the indices of a job one at a time from a
+//! shared atomic cursor. The caller and at most `budget − 1` woken
+//! workers take part; each calls the job's closure once, at its first
+//! claim, and keeps claiming until the cursor runs out, so an idle thread
+//! always takes the next index and a costly or late one holds up nothing
+//! but itself. A parallel loop claims single iterations: which thread
+//! runs an iteration, and in what order, never changes what it computes.
+//! Combined with the analyzer's race-freedom proof (no element is touched
+//! by two distinct iterations with a write involved), parallel execution
+//! is bit-identical to sequential execution at every thread count.
 //!
 //! # Arbitration
 //!
 //! One rule keeps the pool from oversubscribing the machine: **no nested
-//! dispatch.** Chunk bodies run inside a thread-local serial scope; a
-//! proven-parallel loop reached from inside a dispatched chunk executes
+//! dispatch.** A participant runs inside a thread-local serial scope; a
+//! proven-parallel loop reached from inside a dispatch executes
 //! sequentially (counted as `serial-context`), instead of deadlocking or
 //! exploding the pool. `autotvm::tune_parallel` measures a wave of trials
-//! as chunks of this pool, so a kernel's own `Parallel` loops under a
+//! as the claims of one job, so a kernel's own `Parallel` loops under a
 //! concurrent measurement fall under the same rule — fanning out *inside*
 //! each measurement would multiply thread counts and wreck timing
 //! fidelity.
@@ -38,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 /// [`crate::optimize::engine_fingerprint`] (and therefore into memo
 /// keys and journal stamps): parallel dispatch changes *how* results
 /// are produced, so cached measurements must not cross this boundary.
-pub const PAR_VERSION: &str = "par/v1";
+pub const PAR_VERSION: &str = "par/v2";
 
 /// Why a parallel loop executed sequentially.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +51,8 @@ pub enum SerialReason {
     SingleThread,
     /// Fewer than two iterations — nothing to split.
     TrivialExtent,
-    /// Already inside a dispatched chunk: a nested parallel loop, or a
-    /// kernel measured as one chunk of a `tune_parallel` wave.
+    /// Already inside a dispatch: a nested parallel loop, or a kernel
+    /// measured as one claim of a `tune_parallel` wave.
     SerialContext,
 }
 
@@ -178,7 +180,7 @@ thread_local! {
 }
 
 /// Run `f` with parallel dispatch disabled on this thread (used for
-/// chunk bodies; exposed for tests and for callers that need strictly
+/// dispatch participants; exposed for tests and for callers that need strictly
 /// sequential execution).
 pub fn run_sequential<T>(f: impl FnOnce() -> T) -> T {
     SERIAL_DEPTH.with(|d| d.set(d.get() + 1));
@@ -203,20 +205,10 @@ fn in_serial_scope() -> bool {
 // Eligibility
 // ---------------------------------------------------------------------
 
-/// A green-lit parallel dispatch: `n_chunks` ≥ 2 chunks over the range.
-pub struct ParallelPlan {
-    /// Number of chunks (= max threads that can participate).
-    pub n_chunks: usize,
-}
-
 /// Decide whether a proven-parallel loop of `extent` iterations should
 /// dispatch on the pool, recording the dispatch or the fallback reason
-/// in `counters`. Returns `None` for sequential execution.
-pub fn begin_parallel(
-    proven: bool,
-    extent: i64,
-    counters: Option<&ParCounters>,
-) -> Option<ParallelPlan> {
+/// in `counters`. `false` means sequential execution.
+pub fn begin_parallel(proven: bool, extent: i64, counters: Option<&ParCounters>) -> bool {
     let reason = if !proven {
         Some(SerialReason::Unproven)
     } else if extent < 2 {
@@ -228,73 +220,100 @@ pub fn begin_parallel(
     } else {
         None
     };
-    match reason {
-        Some(r) => {
-            if let Some(c) = counters {
-                c.record_fallback(r);
-            }
-            None
-        }
-        None => {
-            if let Some(c) = counters {
-                c.record_dispatch();
-            }
-            Some(ParallelPlan {
-                n_chunks: num_threads().min(extent as usize),
-            })
-        }
+    match (reason, counters) {
+        (Some(r), Some(c)) => c.record_fallback(r),
+        (None, Some(c)) => c.record_dispatch(),
+        (_, None) => {}
     }
-}
-
-/// Deterministic chunk `c` of `n` over `[min, min+extent)`: iteration
-/// range `[min + extent*c/n, min + extent*(c+1)/n)`. Chunks partition
-/// the range exactly, differ in size by at most one iteration, and
-/// depend only on `(min, extent, n)` — never on which thread claims
-/// them.
-pub fn chunk_range(min: i64, extent: i64, c: usize, n: usize) -> (i64, i64) {
-    let (c, n) = (c as i64, n as i64);
-    let lo = min + extent * c / n;
-    let hi = min + extent * (c + 1) / n;
-    (lo, hi)
+    reason.is_none()
 }
 
 // ---------------------------------------------------------------------
 // The pool
 // ---------------------------------------------------------------------
 
-/// Enter `m` even if a holder panicked. Chunk panics are caught before
-/// any pool lock is taken, and every critical section here is a single
-/// queue or flag update, so the data is valid whatever a panic left behind.
+/// Enter `m` even if a holder panicked. Participant panics are caught
+/// before any pool lock is taken, and every critical section here is a
+/// single queue or flag update, so the data is valid whatever a panic
+/// left behind.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The indices one participant of [`run_claims`] takes from the job's
+/// shared cursor: the one it was started with, then one more per
+/// `next` until all are claimed. Ascending within a participant; no
+/// index is claimed twice.
+pub struct Claims<'a> {
+    first: Option<usize>,
+    job: &'a Job,
+}
+
+impl Iterator for Claims<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        self.first.take().or_else(|| self.job.claim())
+    }
+}
+
+/// A participant's body, borrowed for `'f`.
+type Task<'f> = dyn for<'c> Fn(Claims<'c>) + Sync + 'f;
+
 struct Job {
-    /// Type-erased chunk runner. Points at the caller's closure; the
-    /// caller does not return from `run_chunks` until every chunk has
-    /// finished, which keeps the borrow alive for as long as any worker
-    /// can call it.
+    /// Type-erased participant body. Points at the caller's closure; the
+    /// caller does not return from `run_claims` until every participant
+    /// has finished, which keeps the borrow alive for as long as any
+    /// worker can call it.
     task: TaskPtr,
-    n_chunks: usize,
-    /// Next chunk index to claim.
-    next: AtomicUsize,
-    /// Chunks not yet finished.
-    pending: AtomicUsize,
+    n: usize,
+    /// Next index to claim.
+    cursor: AtomicUsize,
+    /// Workers that took a seat and have not finished. Incremented under
+    /// the queue lock, so once the job has left the queue it only falls.
+    active: AtomicUsize,
     done_lock: Mutex<()>,
     done_cv: Condvar,
     /// First captured panic payload, rethrown on the calling thread.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
-struct TaskPtr(*const (dyn Fn(usize) + Sync));
+impl Job {
+    fn claim(&self) -> Option<usize> {
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (i < self.n).then_some(i)
+    }
+
+    /// Claim a first index and, if there was one, run the task over this
+    /// participant's claims in a serial scope (so nested proven-parallel
+    /// loops stay sequential), keeping the first panic.
+    fn participate(&self) {
+        let Some(first) = self.claim() else { return };
+        // SAFETY: `task` outlives every participant (see `TaskPtr`).
+        let f = unsafe { &*self.task.0 };
+        let claims = Claims {
+            first: Some(first),
+            job: self,
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_sequential(|| f(claims))
+        }));
+        if let Err(payload) = result {
+            lock(&self.panic).get_or_insert(payload);
+        }
+    }
+}
+
+struct TaskPtr(*const Task<'static>);
 // SAFETY: the pointee is `Sync` (shared calls from many threads are
-// fine), and `run_chunks` blocks until `pending == 0`, so the pointer
-// never outlives the closure it borrows.
+// fine), and `run_claims` blocks until no worker is active, so the
+// pointer is never dereferenced after the closure it borrows is gone.
 unsafe impl Send for TaskPtr {}
 unsafe impl Sync for TaskPtr {}
 
 struct Pool {
-    queue: Mutex<VecDeque<Arc<Job>>>,
+    /// Queued jobs, each with the worker seats it has left.
+    queue: Mutex<VecDeque<(Arc<Job>, usize)>>,
     work_cv: Condvar,
     /// Workers ever spawned (monotonic).
     spawned: AtomicU64,
@@ -338,99 +357,67 @@ fn worker_loop() {
         let job = {
             let mut q = lock(&p.queue);
             loop {
-                if let Some(j) = q.front() {
-                    break Arc::clone(j);
+                if let Some((job, seats)) = q.front_mut() {
+                    let job = Arc::clone(job);
+                    job.active.fetch_add(1, Ordering::Relaxed);
+                    *seats -= 1;
+                    if *seats == 0 {
+                        q.pop_front();
+                    }
+                    break job;
                 }
                 q = p.work_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        run_job_chunks(&job);
-        // The job is exhausted (claiming failed); drop it from the
-        // queue if the caller hasn't already.
-        let mut q = lock(&p.queue);
-        if let Some(front) = q.front() {
-            if Arc::ptr_eq(front, &job) {
-                q.pop_front();
-            }
-        }
-    }
-}
-
-/// Claim and run chunks until the cursor runs out. Chunk bodies run in
-/// a serial scope so nested proven-parallel loops stay sequential.
-fn run_job_chunks(job: &Job) {
-    loop {
-        let c = job.next.fetch_add(1, Ordering::Relaxed);
-        if c >= job.n_chunks {
-            return;
-        }
-        let task = job.task.0;
-        // SAFETY: `task` outlives the job (see `TaskPtr`); `c` is a
-        // fresh chunk index no other thread claimed.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sequential(|| unsafe { (*task)(c) })
-        }));
-        if let Err(payload) = result {
-            lock(&job.panic).get_or_insert(payload);
-        }
-        if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+        job.participate();
+        if job.active.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _g = lock(&job.done_lock);
             job.done_cv.notify_all();
         }
     }
 }
 
-/// Run `f(0..n_chunks)` across the pool: the calling thread
-/// participates, idle workers join, and the call returns only when
-/// every chunk has finished. Panics from any chunk are rethrown here
-/// (first panic wins). `n_chunks` must be ≥ 1.
-pub fn run_chunks(n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
-    assert!(n_chunks >= 1, "run_chunks needs at least one chunk");
-    if n_chunks == 1 {
-        // Nothing to share: the caller runs the only chunk, no worker is
-        // spawned or woken (`tune_parallel` under a one-thread budget).
-        return run_sequential(|| f(0));
-    }
-    ensure_workers(n_chunks - 1);
+/// Run `f` over the indices `0..n` on the calling thread and at most
+/// `min(budget, n) − 1` pool workers. Each participant that claims an
+/// index calls `f` once with its [`Claims`], so per-thread state is built
+/// once per participant, and an idle participant always takes the next
+/// index. Returns when every participant has finished; a panic in any of
+/// them is rethrown here (first panic wins).
+pub fn run_claims(n: usize, f: &Task<'_>) {
     // The transmute erases the borrow's lifetime so the job can sit in
-    // the pool's 'static queue; `run_chunks` blocks until pending == 0
-    // below, so no worker touches `f` after we return (see `TaskPtr`'s
-    // safety comment). An `as` cast can't do this: raw trait-object
-    // pointees default to 'static, which the borrowed `f` can't meet.
+    // the pool's 'static queue; `run_claims` blocks until no worker is
+    // active below, so no worker touches `f` after we return (see
+    // `TaskPtr`'s safety comment). An `as` cast can't do this: raw
+    // trait-object pointees default to 'static, which the borrowed `f`
+    // can't meet.
     #[allow(clippy::useless_transmute, clippy::transmutes_expressible_as_ptr_casts)]
-    let task = TaskPtr(unsafe {
-        std::mem::transmute::<&(dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(f)
-    });
+    let task = TaskPtr(unsafe { std::mem::transmute::<&Task<'_>, *const Task<'static>>(f) });
     let job = Arc::new(Job {
         task,
-        n_chunks,
-        next: AtomicUsize::new(0),
-        pending: AtomicUsize::new(n_chunks),
+        n,
+        cursor: AtomicUsize::new(0),
+        active: AtomicUsize::new(0),
         done_lock: Mutex::new(()),
         done_cv: Condvar::new(),
         panic: Mutex::new(None),
     });
-    {
-        let p = pool();
-        let mut q = lock(&p.queue);
-        q.push_back(Arc::clone(&job));
-        p.work_cv.notify_all();
+    // With nothing to share the caller claims every index, and no worker
+    // is spawned or woken (`tune_parallel` under a one-thread budget).
+    let (p, seats) = (pool(), num_threads().min(n).saturating_sub(1));
+    if seats > 0 {
+        ensure_workers(seats);
+        lock(&p.queue).push_back((Arc::clone(&job), seats));
+        (0..seats).for_each(|_| p.work_cv.notify_one());
     }
-    // Participate: the caller is one of the n workers.
-    run_job_chunks(&job);
-    // Wait for chunks claimed by pool workers.
-    {
-        let mut g = lock(&job.done_lock);
-        while job.pending.load(Ordering::Acquire) != 0 {
-            g = job.done_cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
+    job.participate();
+    // The cursor has run out: no worker may take a seat from now on, and
+    // the caller waits for those that did.
+    lock(&p.queue).retain(|(j, _)| !Arc::ptr_eq(j, &job));
+    let mut g = lock(&job.done_lock);
+    while job.active.load(Ordering::Acquire) != 0 {
+        g = job.done_cv.wait(g).unwrap_or_else(PoisonError::into_inner);
     }
-    // Drop the (exhausted) job from the queue if a worker didn't.
-    {
-        let p = pool();
-        let mut q = lock(&p.queue);
-        q.retain(|j| !Arc::ptr_eq(j, &job));
-    }
+    drop(g);
     let payload = lock(&job.panic).take();
     if let Some(payload) = payload {
         std::panic::resume_unwind(payload);
@@ -439,7 +426,7 @@ pub fn run_chunks(n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
 
 /// Serializes the unit tests that touch the process-wide pool: whatever
 /// sets the thread budget (`set_num_threads`) or dispatches on it
-/// (`run_chunks`, a kernel with a proven-parallel loop). Spawn and
+/// (`run_claims`, a kernel with a proven-parallel loop). Spawn and
 /// dispatch counts would race otherwise; outputs would not — they are
 /// identical at every thread count.
 #[cfg(test)]
@@ -454,31 +441,16 @@ mod tests {
     use std::sync::atomic::AtomicI64;
 
     #[test]
-    fn chunks_partition_the_range_exactly() {
-        for extent in [1i64, 2, 3, 7, 16, 100, 101] {
-            for n in 1..=8usize {
-                let n = n.min(extent as usize);
-                let mut covered = Vec::new();
-                for c in 0..n {
-                    let (lo, hi) = chunk_range(5, extent, c, n);
-                    assert!(lo <= hi);
-                    covered.extend(lo..hi);
-                }
-                let expect: Vec<i64> = (5..5 + extent).collect();
-                assert_eq!(covered, expect, "extent {extent}, {n} chunks");
-            }
-        }
-    }
-
-    #[test]
-    fn run_chunks_visits_every_chunk_once() {
+    fn run_claims_visits_every_index_once() {
         let _guard = test_threads_lock();
         let hits: Vec<AtomicI64> = (0..13).map(|_| AtomicI64::new(0)).collect();
-        run_chunks(13, &|c| {
-            hits[c].fetch_add(1, Ordering::Relaxed);
+        run_claims(13, &|claims| {
+            for c in claims {
+                hits[c].fetch_add(1, Ordering::Relaxed);
+            }
         });
         for (c, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "chunk {c}");
+            assert_eq!(h.load(Ordering::Relaxed), 1, "index {c}");
         }
     }
 
@@ -487,9 +459,11 @@ mod tests {
         let _guard = test_threads_lock();
         set_num_threads(4);
         let dispatch = || {
-            let plan = begin_parallel(true, 64, None).expect("four threads, 64 iterations");
-            assert_eq!(plan.n_chunks, 4);
-            run_chunks(plan.n_chunks, &|_| {});
+            assert!(
+                begin_parallel(true, 64, None),
+                "four threads, 64 iterations"
+            );
+            run_claims(64, &|claims| claims.for_each(drop));
         };
         dispatch();
         let after_first = threads_spawned();
@@ -534,28 +508,32 @@ mod tests {
     }
 
     #[test]
-    fn chunk_panics_propagate_to_the_caller() {
+    fn claim_panics_propagate_to_the_caller() {
         let _guard = test_threads_lock();
         let result = std::panic::catch_unwind(|| {
-            run_chunks(4, &|c| {
-                if c == 2 {
-                    panic!("boom");
+            run_claims(4, &|claims| {
+                for c in claims {
+                    if c == 2 {
+                        panic!("boom");
+                    }
                 }
             });
         });
         assert!(result.is_err());
         // The pool must survive a panicking job.
-        run_chunks(4, &|_| {});
+        run_claims(4, &|claims| claims.for_each(drop));
     }
 
     #[test]
     fn nested_dispatch_is_serialized() {
-        // Inside a chunk, begin_parallel must refuse (serial-context).
+        // Inside a dispatch, begin_parallel must refuse (serial-context).
         let _guard = test_threads_lock();
         let refused = AtomicUsize::new(0);
-        run_chunks(2, &|_| {
-            if begin_parallel(true, 8, None).is_none() {
-                refused.fetch_add(1, Ordering::Relaxed);
+        run_claims(2, &|claims| {
+            for _ in claims {
+                if !begin_parallel(true, 8, None) {
+                    refused.fetch_add(1, Ordering::Relaxed);
+                }
             }
         });
         assert_eq!(refused.load(Ordering::Relaxed), 2);
@@ -564,8 +542,8 @@ mod tests {
     #[test]
     fn fallback_reasons_are_counted() {
         let c = ParCounters::new();
-        assert!(begin_parallel(false, 8, Some(&c)).is_none());
-        assert!(begin_parallel(true, 1, Some(&c)).is_none());
+        assert!(!begin_parallel(false, 8, Some(&c)));
+        assert!(!begin_parallel(true, 1, Some(&c)));
         let stats = c.snapshot();
         assert_eq!(stats.fallbacks, 2);
         assert!(stats

@@ -11,6 +11,7 @@ use crate::compile::{live_range, Block, CompiledFunc, Instr, Item, LoopKind, Reg
 use crate::interp::ExecError;
 use crate::ndarray::NDArray;
 use crate::pool::{self, ParCounters};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 use tvm_te::{BinOp, CmpOp, DType};
 use tvm_tir::PrimFunc;
@@ -57,19 +58,12 @@ impl<'a> Vm<'a> {
                     // loops alike (no clamp = the static range).
                     let (start, end) = live_range(*min, *extent, *clamp, &self.iregs);
                     if let LoopKind::Parallel { proven } = kind {
-                        if let Some(plan) = pool::begin_parallel(*proven, end - start, self.par) {
+                        if pool::begin_parallel(*proven, end - start, self.par) {
                             // Hoisted registers are sequential state: the
                             // optimizer leaves a loop with work to split
                             // as it is.
                             debug_assert!(pre.is_empty());
-                            self.exec_parallel(
-                                *var,
-                                start,
-                                end - start,
-                                body,
-                                plan.n_chunks,
-                                storage,
-                            )?;
+                            self.exec_parallel(*var, start, end - start, body, storage)?;
                             continue;
                         }
                     }
@@ -200,43 +194,44 @@ impl<'a> Vm<'a> {
         }
     }
 
-    /// Run a proven-race-free `Parallel` loop by splitting its iteration
-    /// range into contiguous chunks executed on the persistent worker pool.
+    /// Run a proven-race-free `Parallel` loop on the persistent worker
+    /// pool, each participant claiming one iteration at a time.
     ///
     /// Bit-exactness argument:
     /// - The analyzer proved no iteration reads or writes an element another
     ///   iteration writes, and every access proven is affine in the loop
-    ///   variables, so each chunk's loads, stores and error checks are
-    ///   independent of whether other chunks have run.
-    /// - Each chunk executes on a *clone* of the caller's register files.
-    ///   That is sound because the compiler is single-assignment apart from
-    ///   loop variables and stride bumps, both of which are defined and
-    ///   consumed strictly inside their loop: no register written inside the
-    ///   loop body is ever read after the loop, so discarding the clones
-    ///   cannot lose state the sequential program would have kept.
+    ///   variables, so each iteration's loads, stores and error checks are
+    ///   independent of which other iterations have run, and where.
+    /// - Each participant executes on a *clone* of the caller's register
+    ///   files, made at its first claim. That is sound because the compiler
+    ///   is single-assignment apart from loop variables and stride bumps,
+    ///   both of which are defined and consumed strictly inside their loop:
+    ///   an iteration writes every register of the body before reading it,
+    ///   so it computes the same on the caller's registers as on whatever
+    ///   an earlier claim left behind, and no register written inside the
+    ///   loop is ever read after it, so discarding the clones loses nothing.
     /// - Error classification is preserved by returning the error of the
-    ///   *lowest-indexed* failing chunk: chunks are contiguous ascending
-    ///   ranges run sequentially within themselves, so that error is exactly
-    ///   the first one sequential execution would hit. Later chunks may have
-    ///   stored into the shared buffers before the error surfaces, but
-    ///   `execute` only copies storage back to the caller on success, so
-    ///   those writes are unobservable — same as sequential never reaching
-    ///   them.
+    ///   *lowest* failing iteration: every iteration below it runs (only
+    ///   those above a recorded failure are skipped), so that error is
+    ///   exactly the first one sequential execution would hit. Other
+    ///   iterations may have stored into the shared buffers before the
+    ///   error surfaces, but `execute` only copies storage back to the
+    ///   caller on success, so those writes are unobservable — same as
+    ///   sequential never reaching them.
     fn exec_parallel(
         &mut self,
         var: Reg,
         min: i64,
         extent: i64,
         body: &Block,
-        n_chunks: usize,
         storage: &mut [NDArray],
     ) -> Result<(), ExecError> {
         /// Raw view of the storage slice shared across worker threads.
         ///
-        /// Safety: the race-freedom proof guarantees chunks touch disjoint
-        /// elements (or read only elements no chunk writes), and the caller
-        /// blocks in `run_chunks` until every chunk finished, so the
-        /// pointer outlives all accesses.
+        /// Safety: the race-freedom proof guarantees iterations touch
+        /// disjoint elements (or read only elements none writes), and the
+        /// caller blocks in `run_claims` until every participant finished,
+        /// so the pointer outlives all accesses.
         struct SharedStorage(*mut NDArray, usize);
         unsafe impl Sync for SharedStorage {}
 
@@ -245,13 +240,14 @@ impl<'a> Vm<'a> {
         // closures capture disjoint fields, and a bare `*mut NDArray`
         // capture would not be `Sync`.
         let shared = &shared;
-        // First error per ascending chunk index wins (see doc comment).
-        let first_err: Mutex<Option<(usize, ExecError)>> = Mutex::new(None);
+        // The lowest failing iteration wins (see doc comment); `fail_at`
+        // is its index so far, read without the lock.
+        let first_err: Mutex<Option<(i64, ExecError)>> = Mutex::new(None);
+        let fail_at = AtomicI64::new(i64::MAX);
         let iregs = &self.iregs;
         let fregs = &self.fregs;
         let (cf, par) = (self.cf, self.par);
-        pool::run_chunks(n_chunks, &|c| {
-            let (lo, hi) = pool::chunk_range(min, extent, c, n_chunks);
+        pool::run_claims(extent as usize, &|claims| {
             let st = unsafe { std::slice::from_raw_parts_mut(shared.0, shared.1) };
             let mut vm = Vm {
                 iregs: iregs.clone(),
@@ -260,14 +256,19 @@ impl<'a> Vm<'a> {
                 par,
                 slots: slot_table(cf, st),
             };
-            for it in lo..hi {
+            for c in claims {
+                // Claims ascend, so every later one is above it too.
+                let it = min + c as i64;
+                if it > fail_at.load(Ordering::Relaxed) {
+                    break;
+                }
                 vm.iregs[var as usize] = it;
                 if let Err(e) = vm.exec_block(body, st) {
+                    fail_at.fetch_min(it, Ordering::Relaxed);
                     let mut g = pool::lock(&first_err);
-                    if g.as_ref().is_none_or(|(pc, _)| c < *pc) {
-                        *g = Some((c, e));
+                    if g.as_ref().is_none_or(|(at, _)| it < *at) {
+                        *g = Some((it, e));
                     }
-                    break;
                 }
             }
         });

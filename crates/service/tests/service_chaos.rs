@@ -464,7 +464,7 @@ fn parallel_sessions_recover_replay_identical_with_par_fingerprint() {
             par_loops += par.loops_proven + par.loops_unproven;
             par_entries += par.dispatches + par.fallbacks;
 
-            // Every journal record is stamped with a `par/v1` engine
+            // Every journal record is stamped with a `par/v2` engine
             // fingerprint: replay after the kill re-attributed each trial
             // to a pool-capable rung, never to a pre-pool pipeline.
             let path = svc_dir.join("journals").join(format!("{id}.jsonl"));
@@ -477,8 +477,8 @@ fn parallel_sessions_recover_replay_identical_with_par_fingerprint() {
             assert!(
                 records
                     .iter()
-                    .all(|r| r.pipeline.as_deref().is_some_and(|p| p.contains("+par/v1"))),
-                "session {i} journal carries a non-par/v1 stamp: {:?}",
+                    .all(|r| r.pipeline.as_deref().is_some_and(|p| p.contains("+par/v2"))),
+                "session {i} journal carries a non-par/v2 stamp: {:?}",
                 records
                     .iter()
                     .map(|r| r.pipeline.clone())

@@ -25,8 +25,9 @@ use tvm_tir::analyze::{self, codes, oracle, AnalysisReport, Diagnostic};
 use tvm_tir::PrimFunc;
 
 /// The worker-pool budgets every check runs each engine at: sequential,
-/// two even splits, and 7, which leaves ragged chunk boundaries on
-/// typical tile counts.
+/// two and four threads, and 7, more threads than the host has cores and
+/// than many loops have iterations, so workers wake late and the extent
+/// caps how many take part.
 pub const BUDGETS: [usize; 4] = [1, 2, 4, 7];
 
 /// The lock a check holds while it moves the process-wide thread budget.
