@@ -13,11 +13,14 @@
 //! workers take part; each calls the job's closure once, at its first
 //! claim, and keeps claiming until the cursor runs out, so an idle thread
 //! always takes the next index and a costly or late one holds up nothing
-//! but itself. A parallel loop claims single iterations: which thread
-//! runs an iteration, and in what order, never changes what it computes.
-//! Combined with the analyzer's race-freedom proof (no element is touched
-//! by two distinct iterations with a write involved), parallel execution
-//! is bit-identical to sequential execution at every thread count.
+//! but itself. Consecutive claims go round-robin over one contiguous lane
+//! of indices per participant, so the indices that run at the same time
+//! are a lane apart, not neighbours. A parallel loop claims single
+//! iterations: which thread runs an iteration, and in what order, never
+//! changes what it computes. Combined with the analyzer's race-freedom
+//! proof (no element is touched by two distinct iterations with a write
+//! involved), parallel execution is bit-identical to sequential execution
+//! at every thread count.
 //!
 //! # Arbitration
 //!
@@ -242,8 +245,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The indices one participant of [`run_claims`] takes from the job's
 /// shared cursor: the one it was started with, then one more per
-/// `next` until all are claimed. Ascending within a participant; no
-/// index is claimed twice.
+/// `next` until all are claimed. No index is claimed twice.
 pub struct Claims<'a> {
     first: Option<usize>,
     job: &'a Job,
@@ -267,21 +269,36 @@ struct Job {
     /// worker can call it.
     task: TaskPtr,
     n: usize,
-    /// Next index to claim.
+    /// The participants the job may have (at least one).
+    lanes: usize,
+    /// Claims made so far (relaxed: a claim publishes no data).
     cursor: AtomicUsize,
     /// Workers that took a seat and have not finished. Incremented under
     /// the queue lock, so once the job has left the queue it only falls.
-    active: AtomicUsize,
-    done_lock: Mutex<()>,
+    active: Mutex<usize>,
     done_cv: Condvar,
     /// First captured panic payload, rethrown on the calling thread.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
 impl Job {
+    /// The index of the next claim. Claims go round-robin over `lanes`
+    /// contiguous runs of indices, so the ones that run at the same time
+    /// are a lane apart: two threads working on neighbouring row tiles at
+    /// once would write the cache line at their boundary in turn (gemm
+    /// and 2mm configurations ran up to ×1.4 slower in ascending order).
     fn claim(&self) -> Option<usize> {
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        (i < self.n).then_some(i)
+        let len = self.n.div_ceil(self.lanes);
+        loop {
+            let k = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= self.lanes * len {
+                return None;
+            }
+            let i = k % self.lanes * len + k / self.lanes;
+            if i < self.n {
+                return Some(i);
+            }
+        }
     }
 
     /// Claim a first index and, if there was one, run the task over this
@@ -355,23 +372,21 @@ fn worker_loop() {
     let p = pool();
     loop {
         let job = {
-            let mut q = lock(&p.queue);
-            loop {
-                if let Some((job, seats)) = q.front_mut() {
-                    let job = Arc::clone(job);
-                    job.active.fetch_add(1, Ordering::Relaxed);
-                    *seats -= 1;
-                    if *seats == 0 {
-                        q.pop_front();
-                    }
-                    break job;
-                }
-                q = p.work_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
+            let q = p.work_cv.wait_while(lock(&p.queue), |q| q.is_empty());
+            let mut q = q.unwrap_or_else(PoisonError::into_inner);
+            let (job, seats) = q.front_mut().expect("woken to a queued job");
+            let job = Arc::clone(job);
+            *lock(&job.active) += 1;
+            *seats -= 1;
+            if *seats == 0 {
+                q.pop_front();
             }
+            job
         };
         job.participate();
-        if job.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = lock(&job.done_lock);
+        let mut active = lock(&job.active);
+        *active -= 1;
+        if *active == 0 {
             job.done_cv.notify_all();
         }
     }
@@ -381,7 +396,7 @@ fn worker_loop() {
 /// `min(budget, n) − 1` pool workers. Each participant that claims an
 /// index calls `f` once with its [`Claims`], so per-thread state is built
 /// once per participant, and an idle participant always takes the next
-/// index. Returns when every participant has finished; a panic in any of
+/// claim. Returns when every participant has finished; a panic in any of
 /// them is rethrown here (first panic wins).
 pub fn run_claims(n: usize, f: &Task<'_>) {
     // The transmute erases the borrow's lifetime so the job can sit in
@@ -392,18 +407,19 @@ pub fn run_claims(n: usize, f: &Task<'_>) {
     // can't meet.
     #[allow(clippy::useless_transmute, clippy::transmutes_expressible_as_ptr_casts)]
     let task = TaskPtr(unsafe { std::mem::transmute::<&Task<'_>, *const Task<'static>>(f) });
+    let lanes = num_threads().min(n).max(1);
     let job = Arc::new(Job {
         task,
         n,
+        lanes,
         cursor: AtomicUsize::new(0),
-        active: AtomicUsize::new(0),
-        done_lock: Mutex::new(()),
+        active: Mutex::new(0),
         done_cv: Condvar::new(),
         panic: Mutex::new(None),
     });
     // With nothing to share the caller claims every index, and no worker
     // is spawned or woken (`tune_parallel` under a one-thread budget).
-    let (p, seats) = (pool(), num_threads().min(n).saturating_sub(1));
+    let (p, seats) = (pool(), lanes - 1);
     if seats > 0 {
         ensure_workers(seats);
         lock(&p.queue).push_back((Arc::clone(&job), seats));
@@ -413,11 +429,10 @@ pub fn run_claims(n: usize, f: &Task<'_>) {
     // The cursor has run out: no worker may take a seat from now on, and
     // the caller waits for those that did.
     lock(&p.queue).retain(|(j, _)| !Arc::ptr_eq(j, &job));
-    let mut g = lock(&job.done_lock);
-    while job.active.load(Ordering::Acquire) != 0 {
-        g = job.done_cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-    }
-    drop(g);
+    let idle = job
+        .done_cv
+        .wait_while(lock(&job.active), |active| *active != 0);
+    drop(idle.unwrap_or_else(PoisonError::into_inner));
     let payload = lock(&job.panic).take();
     if let Some(payload) = payload {
         std::panic::resume_unwind(payload);
@@ -442,15 +457,22 @@ mod tests {
 
     #[test]
     fn run_claims_visits_every_index_once() {
+        // Every budget against extents below, at and above it: the lanes
+        // come out ragged or empty, and no index is lost or run twice.
         let _guard = test_threads_lock();
-        let hits: Vec<AtomicI64> = (0..13).map(|_| AtomicI64::new(0)).collect();
-        run_claims(13, &|claims| {
-            for c in claims {
-                hits[c].fetch_add(1, Ordering::Relaxed);
+        for threads in 1..=8 {
+            set_num_threads(threads);
+            for n in [0, 1, 2, 3, 5, 7, 13, 64] {
+                let hits: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(0)).collect();
+                run_claims(n, &|claims| {
+                    for c in claims {
+                        hits[c].fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+                for (c, h) in hits.iter().enumerate() {
+                    assert_eq!(h.load(Ordering::Relaxed), 1, "{threads} threads, {n}: {c}");
+                }
             }
-        });
-        for (c, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "index {c}");
         }
     }
 

@@ -11,7 +11,6 @@ use crate::compile::{live_range, Block, CompiledFunc, Instr, Item, LoopKind, Reg
 use crate::interp::ExecError;
 use crate::ndarray::NDArray;
 use crate::pool::{self, ParCounters};
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 use tvm_te::{BinOp, CmpOp, DType};
 use tvm_tir::PrimFunc;
@@ -211,8 +210,7 @@ impl<'a> Vm<'a> {
     ///   an earlier claim left behind, and no register written inside the
     ///   loop is ever read after it, so discarding the clones loses nothing.
     /// - Error classification is preserved by returning the error of the
-    ///   *lowest* failing iteration: every iteration below it runs (only
-    ///   those above a recorded failure are skipped), so that error is
+    ///   *lowest* failing iteration: every iteration runs, so that error is
     ///   exactly the first one sequential execution would hit. Other
     ///   iterations may have stored into the shared buffers before the
     ///   error surfaces, but `execute` only copies storage back to the
@@ -240,14 +238,13 @@ impl<'a> Vm<'a> {
         // closures capture disjoint fields, and a bare `*mut NDArray`
         // capture would not be `Sync`.
         let shared = &shared;
-        // The lowest failing iteration wins (see doc comment); `fail_at`
-        // is its index so far, read without the lock.
+        // The lowest failing iteration wins (see doc comment).
         let first_err: Mutex<Option<(i64, ExecError)>> = Mutex::new(None);
-        let fail_at = AtomicI64::new(i64::MAX);
         let iregs = &self.iregs;
         let fregs = &self.fregs;
         let (cf, par) = (self.cf, self.par);
         pool::run_claims(extent as usize, &|claims| {
+            // SAFETY: see `SharedStorage`.
             let st = unsafe { std::slice::from_raw_parts_mut(shared.0, shared.1) };
             let mut vm = Vm {
                 iregs: iregs.clone(),
@@ -257,14 +254,9 @@ impl<'a> Vm<'a> {
                 slots: slot_table(cf, st),
             };
             for c in claims {
-                // Claims ascend, so every later one is above it too.
                 let it = min + c as i64;
-                if it > fail_at.load(Ordering::Relaxed) {
-                    break;
-                }
                 vm.iregs[var as usize] = it;
                 if let Err(e) = vm.exec_block(body, st) {
-                    fail_at.fetch_min(it, Ordering::Relaxed);
                     let mut g = pool::lock(&first_err);
                     if g.as_ref().is_none_or(|(at, _)| it < *at) {
                         *g = Some((it, e));
