@@ -2,96 +2,65 @@
 
 use crate::measure::MeasureResult;
 use crate::tuner::Tuner;
-use configspace::{ConfigSpace, Configuration};
+use configspace::{ConfigSpace, Configuration, IndexSet};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
-/// One genome: the ordinal index of each parameter.
-type Genome = Vec<usize>;
+/// One genome: the encoded row of a point, the index of each parameter's
+/// value.
+type Genome = Vec<f64>;
+
+/// Elites carried into the next generation (AutoTVM default 3).
+const ELITE_NUM: usize = 3;
+/// Per-gene mutation probability.
+const MUTATION_PROB: f64 = 0.1;
 
 /// AutoTVM's `GATuner` (population GA with elitism, uniform crossover and
 /// point mutation; fitness = negative runtime).
 pub struct GaTuner {
     space: ConfigSpace,
     rng: SmallRng,
-    /// Population size (AutoTVM default 100).
-    pub pop_size: usize,
-    /// Elites carried into the next generation (AutoTVM default 3).
-    pub elite_num: usize,
-    /// Per-gene mutation probability.
-    pub mutation_prob: f64,
+    /// Population size: AutoTVM's 100, or the whole space if smaller.
+    pop_size: usize,
     /// Current generation waiting to be measured.
     pending: Vec<Genome>,
     /// Measured genomes and fitness of the current generation.
     scored: Vec<(Genome, f64)>,
     /// All-time elites.
     elites: Vec<(Genome, f64)>,
-    visited: HashSet<Genome>,
-    space_size: u128,
+    /// Flat indices of the points proposed so far.
+    visited: IndexSet,
 }
 
 impl GaTuner {
     /// New tuner with AutoTVM's defaults.
     pub fn new(space: ConfigSpace, seed: u64) -> GaTuner {
-        let space_size = space.size().expect("GaTuner needs a discrete space");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pop_size = 100usize.min(space_size.min(u128::from(u32::MAX)) as usize);
+        let pop_size = space.size().map_or(100, |size| size.min(100) as usize);
         let mut t = GaTuner {
             space,
-            rng: SmallRng::seed_from_u64(0),
+            rng: SmallRng::seed_from_u64(seed),
             pop_size,
-            elite_num: 3,
-            mutation_prob: 0.1,
             pending: Vec::new(),
             scored: Vec::new(),
             elites: Vec::new(),
-            visited: HashSet::new(),
-            space_size,
+            visited: IndexSet::default(),
         };
-        std::mem::swap(&mut t.rng, &mut rng);
         t.seed_population();
         t
     }
 
-    fn cards(&self) -> Vec<usize> {
-        self.space
-            .params()
-            .iter()
-            .map(|p| p.cardinality().expect("discrete") as usize)
-            .collect()
-    }
-
     fn random_genome(&mut self) -> Genome {
-        self.cards()
-            .iter()
-            .map(|&c| self.rng.gen_range(0..c))
-            .collect()
+        let mut g = Vec::with_capacity(self.space.len());
+        self.space.sample_encoded(&mut self.rng, &mut g);
+        g
     }
 
-    fn genome_to_config(&self, g: &Genome) -> Configuration {
-        Configuration::new(
-            self.space
-                .params()
-                .iter()
-                .map(|p| p.name().to_string())
-                .collect(),
-            g.iter()
-                .zip(self.space.params())
-                .map(|(&i, p)| p.value_at(i))
-                .collect(),
-        )
-    }
-
-    fn config_to_genome(&self, c: &Configuration) -> Genome {
+    /// Mark `g` visited; true if it is a point of the space not visited
+    /// before.
+    fn visit(&mut self, g: &Genome) -> bool {
         self.space
-            .params()
-            .iter()
-            .map(|p| {
-                p.index_of(c.get(p.name()).expect("param present"))
-                    .expect("value in space")
-            })
-            .collect()
+            .index_of_encoded(g)
+            .is_some_and(|i| self.visited.insert(i))
     }
 
     fn seed_population(&mut self) {
@@ -99,8 +68,7 @@ impl GaTuner {
         while self.pending.len() < self.pop_size && attempts < self.pop_size * 50 {
             attempts += 1;
             let g = self.random_genome();
-            if !self.visited.contains(&g) {
-                self.visited.insert(g.clone());
+            if self.visit(&g) {
                 self.pending.push(g);
             }
         }
@@ -114,7 +82,6 @@ impl GaTuner {
             self.seed_population();
             return;
         }
-        let cards = self.cards();
         let mut next: Vec<Genome> = Vec::with_capacity(self.pop_size);
         let mut attempts = 0usize;
         let max_attempts = self.pop_size * 100;
@@ -129,29 +96,36 @@ impl GaTuner {
                 .map(|(&x, &y)| if self.rng.gen_bool(0.5) { x } else { y })
                 .collect();
             // Point mutation.
-            for (d, gene) in child.iter_mut().enumerate() {
-                if self.rng.gen::<f64>() < self.mutation_prob {
-                    *gene = self.rng.gen_range(0..cards[d]);
+            for (gene, p) in child.iter_mut().zip(self.space.params()) {
+                if self.rng.gen::<f64>() < MUTATION_PROB {
+                    *gene = p.sample_encoded(&mut self.rng);
                 }
             }
-            if self.visited.insert(child.clone()) {
+            if self.visit(&child) {
                 next.push(child);
             }
         }
         // Couldn't breed anything unvisited (space nearly exhausted):
         // fall back to random unvisited genomes.
-        if next.is_empty() && (self.visited.len() as u128) < self.space_size {
+        if next.is_empty() && self.unvisited_left() {
             let mut attempts = 0;
             while next.is_empty() && attempts < 10_000 {
                 attempts += 1;
                 let g = self.random_genome();
-                if self.visited.insert(g.clone()) {
+                if self.visit(&g) {
                     next.push(g);
                 }
             }
         }
         self.pending = next;
         self.scored.clear();
+    }
+
+    /// Whether some point of the space is not visited yet.
+    fn unvisited_left(&self) -> bool {
+        self.space
+            .size()
+            .is_none_or(|size| size > self.visited.len() as u128)
     }
 
     fn tournament(&mut self, pool: &[(Genome, f64)]) -> Genome {
@@ -178,27 +152,32 @@ impl Tuner for GaTuner {
         }
         let take = n.min(self.pending.len());
         let drained: Vec<Genome> = self.pending.drain(..take).collect();
-        drained.iter().map(|g| self.genome_to_config(g)).collect()
+        drained.iter().map(|g| self.space.decode(g)).collect()
     }
 
     fn update(&mut self, results: &[(Configuration, MeasureResult)]) {
         for (cfg, res) in results {
+            // A configuration from outside the space (a value it lacks, a
+            // parameter too many or too few) has no genome to breed.
+            let g = self.space.encode(cfg);
+            if cfg.len() != g.len() || self.space.index_of_encoded(&g).is_none() {
+                continue;
+            }
             let fitness = match res.runtime_s {
                 Some(t) if t > 0.0 => -t,
                 _ => f64::NEG_INFINITY,
             };
-            let g = self.config_to_genome(cfg);
             self.scored.push((g.clone(), fitness));
             // Maintain the elite set.
             self.elites.push((g, fitness));
             self.elites
                 .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            self.elites.truncate(self.elite_num);
+            self.elites.truncate(ELITE_NUM);
         }
     }
 
     fn has_next(&self) -> bool {
-        !self.pending.is_empty() || (self.visited.len() as u128) < self.space_size
+        !self.pending.is_empty() || self.unvisited_left()
     }
 }
 
@@ -206,6 +185,7 @@ impl Tuner for GaTuner {
 mod tests {
     use super::*;
     use configspace::Hyperparameter;
+    use std::collections::HashSet;
 
     fn space() -> ConfigSpace {
         let mut cs = ConfigSpace::new();

@@ -19,9 +19,8 @@ pub struct GridSearchTuner {
 impl GridSearchTuner {
     /// New tuner over `space`.
     pub fn new(space: ConfigSpace) -> GridSearchTuner {
-        let size = space
-            .size()
-            .expect("GridSearchTuner needs a discrete space");
+        // Past `u128` points, as far as flat indices go.
+        let size = space.size().unwrap_or(u128::MAX);
         GridSearchTuner {
             space,
             cursor: 0,

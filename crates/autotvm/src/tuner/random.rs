@@ -2,11 +2,10 @@
 
 use crate::measure::MeasureResult;
 use crate::tuner::Tuner;
-use configspace::{ConfigSpace, Configuration};
+use configspace::{ConfigSpace, Configuration, IndexSet};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// Spaces up to this size get a materialized random permutation (exact
 /// no-repeat enumeration); larger spaces use rejection sampling. Every
@@ -21,7 +20,7 @@ pub struct RandomTuner {
     perm: Option<Vec<u32>>,
     cursor: usize,
     /// Flat indices drawn so far (large spaces).
-    visited: HashSet<u128>,
+    visited: IndexSet,
     exhausted: bool,
 }
 
@@ -29,20 +28,20 @@ impl RandomTuner {
     /// New tuner over `space`.
     pub fn new(space: ConfigSpace, seed: u64) -> RandomTuner {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let size = space.size().expect("RandomTuner needs a discrete space");
-        let perm = if size <= PERMUTE_LIMIT {
-            let mut p: Vec<u32> = (0..size as u32).collect();
-            p.shuffle(&mut rng);
-            Some(p)
-        } else {
-            None
-        };
+        let perm = space
+            .size()
+            .filter(|&size| size <= PERMUTE_LIMIT)
+            .map(|size| {
+                let mut p: Vec<u32> = (0..size as u32).collect();
+                p.shuffle(&mut rng);
+                p
+            });
         RandomTuner {
             space,
             rng,
             perm,
             cursor: 0,
-            visited: HashSet::new(),
+            visited: IndexSet::default(),
             exhausted: false,
         }
     }
@@ -67,12 +66,14 @@ impl Tuner for RandomTuner {
             }
             None => {
                 // Huge space: collisions are vanishingly rare; bound the
-                // rejection loop anyway.
-                let size = self.space.size().expect("discrete");
+                // rejection loop anyway. Past `u128` points, every `u128` is
+                // an index.
+                let size = self.space.size();
                 let mut attempts = 0usize;
                 while out.len() < n && attempts < n * 100 {
                     attempts += 1;
-                    let idx = (self.rng.gen::<u128>()) % size;
+                    let idx: u128 = self.rng.gen();
+                    let idx = size.map_or(idx, |size| idx % size);
                     if self.visited.insert(idx) {
                         out.push(self.space.at(idx));
                     }

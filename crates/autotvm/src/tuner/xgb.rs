@@ -19,10 +19,9 @@
 use crate::measure::MeasureResult;
 use crate::tuner::sa::anneal;
 use crate::tuner::Tuner;
-use configspace::{ConfigSpace, Configuration};
+use configspace::{ConfigSpace, Configuration, IndexSet};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 use surrogate::gbt::GradientBoosting;
 use surrogate::Regressor;
 
@@ -49,7 +48,7 @@ pub struct XgbTuner {
     /// Flat indices of the points proposed or measured so far. A
     /// configuration from outside the space has none, so it is never one
     /// of them.
-    visited: HashSet<u128>,
+    visited: IndexSet,
     /// The encoded grid of a space of at most [`GRID_LIMIT`] points,
     /// enumerated at the first model-based refill.
     grid: Option<Vec<f64>>,
@@ -57,9 +56,8 @@ pub struct XgbTuner {
 }
 
 impl XgbTuner {
-    /// New tuner with AutoTVM-like defaults over a discrete space.
+    /// New tuner with AutoTVM-like defaults.
     pub fn new(space: ConfigSpace, seed: u64) -> XgbTuner {
-        space.size().expect("XgbTuner needs a discrete space");
         XgbTuner {
             space,
             rng: SmallRng::seed_from_u64(seed),
@@ -68,7 +66,7 @@ impl XgbTuner {
             best_runtime: f64::INFINITY,
             worst_runtime: f64::NEG_INFINITY,
             pending: Vec::new(),
-            visited: HashSet::new(),
+            visited: IndexSet::default(),
             grid: None,
             exhausted: false,
         }
@@ -82,9 +80,11 @@ impl XgbTuner {
             attempts += 1;
             row.clear();
             self.space.sample_encoded(&mut self.rng, &mut row);
-            let index = self.space.index_of_encoded(&row).expect("sampled");
-            if self.visited.insert(index) {
-                self.pending.push(self.space.at(index));
+            match self.space.index_of_encoded(&row) {
+                Some(index) if self.visited.insert(index) => {
+                    self.pending.push(self.space.at(index));
+                }
+                _ => {}
             }
         }
     }
@@ -111,24 +111,26 @@ impl XgbTuner {
         let threshold = self.best_runtime * (1.0 + self.improvement_margin);
         let visited = &self.visited;
         let keep = |&(index, pred): &(u128, f64)| pred <= threshold && !visited.contains(&index);
-        let size = self.space.size().expect("discrete space");
-        let mut candidates: Vec<(u128, f64)> = if size <= GRID_LIMIT {
-            let grid = self.grid.get_or_insert_with(|| self.space.grid_encoded());
-            model
-                .predict_rows(grid, size as usize)
-                .into_iter()
-                .enumerate()
-                .map(|(i, pred)| (i as u128, pred))
-                .filter(keep)
-                .collect()
-        } else {
-            let space = &self.space;
-            let score = |row: &[f64]| -model.predict_one(row);
-            anneal(space, &score, PLAN_SIZE * 4, 60, &mut self.rng)
-                .into_iter()
-                .map(|(row, s)| (space.index_of_encoded(&row).expect("annealed"), -s))
-                .filter(keep)
-                .collect()
+        let mut candidates: Vec<(u128, f64)> = match self.space.size() {
+            Some(size) if size <= GRID_LIMIT => {
+                let grid = self.grid.get_or_insert_with(|| self.space.grid_encoded());
+                model
+                    .predict_rows(grid, size as usize)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, pred)| (i as u128, pred))
+                    .filter(keep)
+                    .collect()
+            }
+            _ => {
+                let space = &self.space;
+                let score = |row: &[f64]| -model.predict_one(row);
+                anneal(space, &score, PLAN_SIZE * 4, 60, &mut self.rng)
+                    .into_iter()
+                    .filter_map(|(row, s)| Some((space.index_of_encoded(&row)?, -s)))
+                    .filter(keep)
+                    .collect()
+            }
         };
         candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         candidates.truncate(PLAN_SIZE);
@@ -200,6 +202,7 @@ impl Tuner for XgbTuner {
 mod tests {
     use super::*;
     use configspace::Hyperparameter;
+    use std::collections::HashSet;
 
     fn space(n: i64) -> ConfigSpace {
         let mut cs = ConfigSpace::new();

@@ -29,11 +29,13 @@ fn main() {
 
     println!("# Per-parameter detail (extralarge 3mm, the paper's §4 listing)");
     for p in space_for(KernelName::Mm3, ProblemSize::ExtraLarge).params() {
-        let card = p.cardinality().expect("discrete");
-        let values: Vec<String> = (0..card as usize)
-            .map(|i| p.value_at(i).to_string())
-            .collect();
-        println!("{} ({} values): [{}]", p.name(), card, values.join(", "));
+        let values: Vec<String> = p.values().iter().map(|v| v.to_string()).collect();
+        println!(
+            "{} ({} values): [{}]",
+            p.name(),
+            values.len(),
+            values.join(", ")
+        );
     }
     println!();
 

@@ -302,28 +302,31 @@ fn main() -> Result<(), String> {
     }
     if traced {
         // A traced run reports the per-layer metrics instead.
-        let median = |runs: &[Run], of: &dyn Fn(&Run) -> Option<f64>| {
-            quartiles(&runs.iter().filter_map(of).collect::<Vec<_>>())[1]
-        };
         let row = |name: &str, of: &dyn Fn(&Run) -> Option<f64>| {
-            let (a, b) = (median(this_runs, of), median(other_runs, of));
-            println!("    {name:48} {a:12.3} {b:12.3}  x{:.3}", a / b);
+            let q = |runs: &[Run]| quartiles(&runs.iter().filter_map(of).collect::<Vec<_>>());
+            let ([_, a, _], [q1, b, q3]) = (q(this_runs), q(other_runs));
+            println!(
+                "    {name:48} {a:12.3} {b:12.3} [{q1:.3}, {q3:.3}]  x{:.3}",
+                a / b
+            );
         };
-        println!("  per-layer metrics, median: this, other");
+        println!("  per-layer metrics, median: this, other [quartiles]");
         for m in manifest["per_layer"].as_array().into_iter().flatten() {
             let name = m["name"].as_str().unwrap_or_default();
             if this_runs[0].metrics.contains_key(name) {
                 row(name, &|r| r.metrics.get(name).copied());
             }
         }
-        println!("  self ms of the traced round, median: this, other");
+        println!("  self ms of the traced round, median: this, other [quartiles]");
         for span in this_runs[0].self_ms.keys() {
             row(span, &|r| r.self_ms.get(span).copied());
         }
         // A table a reader can take in: the workloads of few, long runs.
         let configs = &this_runs[0].config_ms;
         if configs.len() <= MAX_CONFIG_ROWS {
-            println!("  {RUN_SPAN} ms per configuration (session.nth), median: this, other");
+            println!(
+                "  {RUN_SPAN} ms per configuration (session.nth), median: this, other [quartiles]"
+            );
             for at in configs.keys() {
                 row(&format!("{}.{}", at.0, at.1), &|r| {
                     r.config_ms.get(at).copied()

@@ -6,12 +6,15 @@
 //! tiling factor as an `OrdinalHyperparameter` over the divisors of the
 //! matrix extents; this crate reproduces that surface:
 //!
-//! * [`Hyperparameter`] — ordinal / categorical / integer / float
-//!   parameters,
+//! * [`Hyperparameter`] — an ordinal or categorical parameter: a list of
+//!   values, each encoded as its index,
 //! * [`ConfigSpace`] — an ordered set of parameters with sampling,
 //!   cardinality ([`ConfigSpace::size`], reproducing the paper's Table 1
 //!   numbers), grid enumeration, neighbour generation and numeric
-//!   encoding for surrogate models,
+//!   encoding for surrogate models. A point's identity is its flat index
+//!   ([`ConfigSpace::index_of`]); an encoded row is that index's digits,
+//! * [`IndexSet`] — a set of flat indices, the tuners' one record of the
+//!   points they have proposed or been told,
 //! * [`Configuration`] — one point of the space, serializable for
 //!   performance-database records.
 //!
@@ -30,5 +33,5 @@ pub mod value;
 
 pub use config::Configuration;
 pub use param::Hyperparameter;
-pub use space::ConfigSpace;
+pub use space::{ConfigSpace, IndexSet};
 pub use value::ParamValue;

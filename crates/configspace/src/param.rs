@@ -4,12 +4,12 @@ use crate::value::ParamValue;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// One tunable parameter.
+/// One tunable parameter: a name and the list of values it may take.
 ///
 /// The paper's spaces are built entirely from
-/// [`Hyperparameter::ordinal_ints`] (ordered divisor lists); the remaining
-/// kinds exist because ytopt/ConfigSpace support them and the generic BO
-/// framework (`ytopt-bo`) is not restricted to the paper's kernels.
+/// [`Hyperparameter::ordinal_ints`] (ordered divisor lists). Either kind
+/// encodes a value as its position in the list, so an encoded
+/// configuration is the digit vector of its flat index in the space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Hyperparameter {
     /// Ordered discrete values (`CSH.OrdinalHyperparameter`).
@@ -25,24 +25,6 @@ pub enum Hyperparameter {
         name: String,
         /// Choice set.
         choices: Vec<ParamValue>,
-    },
-    /// Uniform integer range, inclusive on both ends.
-    UniformInt {
-        /// Parameter name.
-        name: String,
-        /// Lower bound (inclusive).
-        lo: i64,
-        /// Upper bound (inclusive).
-        hi: i64,
-    },
-    /// Uniform float range.
-    UniformFloat {
-        /// Parameter name.
-        name: String,
-        /// Lower bound.
-        lo: f64,
-        /// Upper bound.
-        hi: f64,
     },
 }
 
@@ -68,152 +50,81 @@ impl Hyperparameter {
     /// Parameter name.
     pub fn name(&self) -> &str {
         match self {
-            Hyperparameter::Ordinal { name, .. }
-            | Hyperparameter::Categorical { name, .. }
-            | Hyperparameter::UniformInt { name, .. }
-            | Hyperparameter::UniformFloat { name, .. } => name,
+            Hyperparameter::Ordinal { name, .. } | Hyperparameter::Categorical { name, .. } => name,
         }
     }
 
-    /// Number of discrete choices (`None` for continuous parameters).
-    pub fn cardinality(&self) -> Option<u128> {
+    /// The values, in index order.
+    pub fn values(&self) -> &[ParamValue] {
         match self {
-            Hyperparameter::Ordinal { sequence, .. } => Some(sequence.len() as u128),
-            Hyperparameter::Categorical { choices, .. } => Some(choices.len() as u128),
-            Hyperparameter::UniformInt { lo, hi, .. } => Some((hi - lo + 1) as u128),
-            Hyperparameter::UniformFloat { .. } => None,
+            Hyperparameter::Ordinal { sequence: v, .. }
+            | Hyperparameter::Categorical { choices: v, .. } => v,
         }
     }
 
-    /// Value at a discrete index.
+    /// Number of values.
+    pub fn cardinality(&self) -> usize {
+        self.values().len()
+    }
+
+    /// Value at an index.
     ///
     /// # Panics
-    /// On continuous parameters or out-of-range indices.
+    /// On an out-of-range index.
     pub fn value_at(&self, index: usize) -> ParamValue {
-        match self {
-            Hyperparameter::Ordinal { sequence, .. } => sequence[index].clone(),
-            Hyperparameter::Categorical { choices, .. } => choices[index].clone(),
-            Hyperparameter::UniformInt { lo, hi, .. } => {
-                let v = lo + index as i64;
-                assert!(v <= *hi, "index {index} out of range");
-                ParamValue::Int(v)
-            }
-            Hyperparameter::UniformFloat { name, .. } => {
-                panic!("`{name}` is continuous; no discrete index")
-            }
-        }
+        self.values()[index].clone()
     }
 
-    /// Discrete index of a value, if present.
+    /// Index of a value, if present.
     pub fn index_of(&self, value: &ParamValue) -> Option<usize> {
-        match self {
-            Hyperparameter::Ordinal { sequence, .. } => sequence.iter().position(|v| v == value),
-            Hyperparameter::Categorical { choices, .. } => choices.iter().position(|v| v == value),
-            Hyperparameter::UniformInt { lo, hi, .. } => {
-                let v = value.as_int()?;
-                (v >= *lo && v <= *hi).then(|| (v - lo) as usize)
-            }
-            Hyperparameter::UniformFloat { .. } => None,
-        }
+        self.values().iter().position(|v| v == value)
     }
 
     /// Uniformly sample a value.
     pub fn sample(&self, rng: &mut impl Rng) -> ParamValue {
-        match self {
-            Hyperparameter::Ordinal { sequence, .. } => {
-                sequence[rng.gen_range(0..sequence.len())].clone()
-            }
-            Hyperparameter::Categorical { choices, .. } => {
-                choices[rng.gen_range(0..choices.len())].clone()
-            }
-            Hyperparameter::UniformInt { lo, hi, .. } => ParamValue::Int(rng.gen_range(*lo..=*hi)),
-            Hyperparameter::UniformFloat { lo, hi, .. } => {
-                ParamValue::Float(rng.gen_range(*lo..*hi))
-            }
-        }
+        self.value_at(rng.gen_range(0..self.cardinality()))
     }
 
-    /// [`Hyperparameter::sample`] in encoded form: the same draws, and the
+    /// [`Hyperparameter::sample`] in encoded form: the same draw, and the
     /// result equals `encode(&sample(rng))` for a parameter whose values
     /// are distinct (which [`crate::ConfigSpace::add`] enforces).
     pub fn sample_encoded(&self, rng: &mut impl Rng) -> f64 {
-        match self {
-            Hyperparameter::Ordinal { sequence, .. } => rng.gen_range(0..sequence.len()) as f64,
-            Hyperparameter::Categorical { choices, .. } => rng.gen_range(0..choices.len()) as f64,
-            Hyperparameter::UniformInt { lo, hi, .. } => rng.gen_range(*lo..=*hi) as f64,
-            Hyperparameter::UniformFloat { lo, hi, .. } => rng.gen_range(*lo..*hi),
-        }
+        rng.gen_range(0..self.cardinality()) as f64
     }
 
-    /// Default value (first choice / lower bound), used for inactive or
-    /// missing parameters.
+    /// Default value (the first), used for inactive or missing parameters.
     pub fn default_value(&self) -> ParamValue {
-        match self {
-            Hyperparameter::Ordinal { sequence, .. } => sequence[0].clone(),
-            Hyperparameter::Categorical { choices, .. } => choices[0].clone(),
-            Hyperparameter::UniformInt { lo, .. } => ParamValue::Int(*lo),
-            Hyperparameter::UniformFloat { lo, .. } => ParamValue::Float(*lo),
-        }
+        self.value_at(0)
     }
 
-    /// Encode a value to a float for surrogate models.
+    /// Encode a value to a float for surrogate models: its index (NaN for
+    /// a value the parameter lacks).
     ///
-    /// Ordinals encode as their *rank* (the BO-relevant metric: the
+    /// Ordinals encode as their *rank*, the BO-relevant metric: the
     /// paper's divisor lists are order-meaningful but wildly non-uniform
-    /// in magnitude); categoricals as their index; numeric kinds as the
-    /// raw value.
+    /// in magnitude.
     pub fn encode(&self, value: &ParamValue) -> f64 {
-        match self {
-            Hyperparameter::Ordinal { .. } | Hyperparameter::Categorical { .. } => {
-                self.index_of(value).map(|i| i as f64).unwrap_or(f64::NAN)
-            }
-            Hyperparameter::UniformInt { .. } => value.as_int().unwrap_or(0) as f64,
-            Hyperparameter::UniformFloat { .. } => value.as_float().unwrap_or(f64::NAN),
-        }
+        self.index_of(value).map_or(f64::NAN, |i| i as f64)
     }
 
-    /// Encoded form of the value at a discrete index:
-    /// `encode(&value_at(index))` without building the value.
-    ///
-    /// # Panics
-    /// On continuous parameters.
-    pub fn encoded_at(&self, index: usize) -> f64 {
-        match self {
-            Hyperparameter::Ordinal { .. } | Hyperparameter::Categorical { .. } => index as f64,
-            Hyperparameter::UniformInt { lo, .. } => (lo + index as i64) as f64,
-            Hyperparameter::UniformFloat { name, .. } => {
-                panic!("`{name}` is continuous; no discrete index")
-            }
-        }
-    }
-
-    /// The discrete index an encoded value stands for (`None` for NaN,
-    /// fractions, out-of-range values and continuous parameters).
+    /// The index an encoded value stands for (`None` for NaN, fractions
+    /// and out-of-range values).
     pub(crate) fn encoded_index(&self, x: f64) -> Option<usize> {
-        let (x, len) = match self {
-            Hyperparameter::Ordinal { sequence, .. } => (x, sequence.len()),
-            Hyperparameter::Categorical { choices, .. } => (x, choices.len()),
-            Hyperparameter::UniformInt { lo, hi, .. } => (x - *lo as f64, (hi - lo + 1) as usize),
-            Hyperparameter::UniformFloat { .. } => return None,
-        };
-        (x >= 0.0 && x < len as f64 && x.fract() == 0.0).then_some(x as usize)
+        // `as` saturates and sends NaN to 0; the round trip fails for
+        // those, for negatives and for fractions.
+        let i = x as usize;
+        (i < self.cardinality() && i as f64 == x).then_some(i)
     }
 
     /// Inverse of [`Hyperparameter::encode`] for values of this parameter.
     ///
     /// # Panics
-    /// If `x` does not encode a value of an ordinal/categorical parameter.
+    /// If `x` does not encode a value of this parameter.
     pub fn decode(&self, x: f64) -> ParamValue {
-        match self {
-            Hyperparameter::Ordinal { name, .. } | Hyperparameter::Categorical { name, .. } => {
-                let index = self
-                    .encoded_index(x)
-                    .unwrap_or_else(|| panic!("{x} does not encode a value of `{name}`"));
-                self.value_at(index)
-            }
-            Hyperparameter::UniformInt { .. } => ParamValue::Int(x as i64),
-            Hyperparameter::UniformFloat { .. } => ParamValue::Float(x),
-        }
+        let index = self
+            .encoded_index(x)
+            .unwrap_or_else(|| panic!("{x} does not encode a value of `{}`", self.name()));
+        self.value_at(index)
     }
 }
 
@@ -226,43 +137,12 @@ mod tests {
     #[test]
     fn ordinal_roundtrip() {
         let p = Hyperparameter::ordinal_ints("P0", &[1, 2, 4, 8]);
-        assert_eq!(p.cardinality(), Some(4));
+        assert_eq!(p.cardinality(), 4);
         assert_eq!(p.value_at(2), ParamValue::Int(4));
         assert_eq!(p.index_of(&ParamValue::Int(8)), Some(3));
         assert_eq!(p.index_of(&ParamValue::Int(3)), None);
         assert_eq!(p.encode(&ParamValue::Int(8)), 3.0);
         assert_eq!(p.default_value(), ParamValue::Int(1));
-    }
-
-    #[test]
-    fn uniform_int_bounds() {
-        let p = Hyperparameter::UniformInt {
-            name: "n".into(),
-            lo: 5,
-            hi: 9,
-        };
-        assert_eq!(p.cardinality(), Some(5));
-        assert_eq!(p.value_at(0), ParamValue::Int(5));
-        assert_eq!(p.value_at(4), ParamValue::Int(9));
-        assert_eq!(p.index_of(&ParamValue::Int(7)), Some(2));
-        let mut rng = SmallRng::seed_from_u64(1);
-        for _ in 0..50 {
-            let v = p.sample(&mut rng).as_int().expect("int");
-            assert!((5..=9).contains(&v));
-        }
-    }
-
-    #[test]
-    fn continuous_has_no_cardinality() {
-        let p = Hyperparameter::UniformFloat {
-            name: "x".into(),
-            lo: 0.0,
-            hi: 1.0,
-        };
-        assert_eq!(p.cardinality(), None);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let v = p.sample(&mut rng).as_float().expect("float");
-        assert!((0.0..1.0).contains(&v));
     }
 
     #[test]

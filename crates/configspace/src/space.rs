@@ -6,9 +6,16 @@ use crate::param::Hyperparameter;
 use crate::value::ParamValue;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// An ordered set of hyperparameters — the `cs` object of the paper's
 /// ConfigSpace snippets.
+///
+/// A point of the space is its flat index ([`ConfigSpace::at`] /
+/// [`ConfigSpace::index_of`]), a mixed-radix number whose digits are the
+/// indices of its values; its encoded row ([`ConfigSpace::encode`]) is that
+/// digit vector.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ConfigSpace {
     params: Vec<Hyperparameter>,
@@ -23,30 +30,21 @@ impl ConfigSpace {
     /// Add one parameter (`cs.add_hyperparameter`).
     ///
     /// # Panics
-    /// On duplicate names, and on an ordinal or categorical parameter
-    /// that lists a value twice (or a NaN): `value_at` and `index_of`
-    /// must be inverses, or `size` over-counts and two encodings name
-    /// one configuration.
+    /// On duplicate names, and on a parameter that lists a value twice
+    /// (or a NaN): `value_at` and `index_of` must be inverses, or `size`
+    /// over-counts and two encodings name one configuration.
     pub fn add(&mut self, p: Hyperparameter) -> &mut Self {
         assert!(
             self.params.iter().all(|q| q.name() != p.name()),
             "duplicate parameter `{}`",
             p.name()
         );
-        if let Hyperparameter::Ordinal {
-            sequence: values, ..
-        }
-        | Hyperparameter::Categorical {
-            choices: values, ..
-        } = &p
-        {
-            for (i, v) in values.iter().enumerate() {
-                assert!(
-                    p.index_of(v) == Some(i),
-                    "duplicate value `{v}` in parameter `{}`",
-                    p.name()
-                );
-            }
+        for (i, v) in p.values().iter().enumerate() {
+            assert!(
+                p.index_of(v) == Some(i),
+                "duplicate value `{v}` in parameter `{}`",
+                p.name()
+            );
         }
         self.params.push(p);
         self
@@ -80,13 +78,12 @@ impl ConfigSpace {
         self.params.iter().find(|p| p.name() == name)
     }
 
-    /// Total number of configurations (`None` if any parameter is
-    /// continuous). Reproduces the paper's Table 1 cardinalities.
+    /// Total number of configurations (`None` if there are more than a
+    /// `u128` holds). Reproduces the paper's Table 1 cardinalities.
     pub fn size(&self) -> Option<u128> {
         self.params
             .iter()
-            .map(|p| p.cardinality())
-            .try_fold(1u128, |acc, c| c.map(|c| acc * c))
+            .try_fold(1u128, |acc, p| acc.checked_mul(p.cardinality() as u128))
     }
 
     /// Uniform random configuration.
@@ -104,24 +101,25 @@ impl ConfigSpace {
         out.extend(self.params.iter().map(|p| p.sample_encoded(rng)));
     }
 
-    /// Configuration at a mixed-radix flat index over the discrete grid
-    /// (row-major: the *last* parameter varies fastest, matching
-    /// AutoTVM's `ConfigSpace.get(i)` convention).
+    /// Configuration at a mixed-radix flat index over the grid (row-major:
+    /// the *last* parameter varies fastest, matching AutoTVM's
+    /// `ConfigSpace.get(i)` convention).
     ///
     /// # Panics
-    /// If the space is continuous or `index` is out of range.
+    /// If `index` is out of range.
     pub fn at(&self, index: u128) -> Configuration {
-        let size = self
-            .size()
-            .expect("grid enumeration needs a discrete space");
-        assert!(index < size, "index {index} out of range (size {size})");
         let mut rem = index;
         let mut values = vec![ParamValue::Int(0); self.params.len()];
-        for (d, p) in self.params.iter().enumerate().rev() {
-            let card = p.cardinality().expect("discrete");
-            values[d] = p.value_at((rem % card) as usize);
+        for (value, p) in values.iter_mut().zip(&self.params).rev() {
+            let card = p.cardinality() as u128;
+            *value = p.value_at((rem % card) as usize);
             rem /= card;
         }
+        assert!(
+            rem == 0,
+            "index {index} out of range (size {:?})",
+            self.size()
+        );
         Configuration::new(
             self.params.iter().map(|p| p.name().to_string()).collect(),
             values,
@@ -137,44 +135,51 @@ impl ConfigSpace {
         if !names.eq(config.names.iter().map(String::as_str)) {
             return None;
         }
-        let mut idx = 0u128;
-        for (p, v) in self.params.iter().zip(&config.values) {
-            idx = idx * p.cardinality()? + p.index_of(v)? as u128;
-        }
-        Some(idx)
+        self.flat_index(
+            self.params
+                .iter()
+                .zip(&config.values)
+                .map(|(p, v)| p.index_of(v)),
+        )
     }
 
     /// [`ConfigSpace::index_of`] of the configuration `row` encodes
     /// (`None` if it encodes none of this space's).
     pub fn index_of_encoded(&self, row: &[f64]) -> Option<u128> {
         assert_eq!(row.len(), self.params.len(), "row width");
-        let mut idx = 0u128;
-        for (p, &x) in self.params.iter().zip(row) {
-            idx = idx * p.cardinality()? + p.encoded_index(x)? as u128;
-        }
-        Some(idx)
+        self.flat_index(
+            self.params
+                .iter()
+                .zip(row)
+                .map(|(p, &x)| p.encoded_index(x)),
+        )
+    }
+
+    /// The mixed-radix number of one digit per parameter (`None` if a digit
+    /// is missing or the number does not fit a `u128`).
+    fn flat_index(&self, digits: impl Iterator<Item = Option<usize>>) -> Option<u128> {
+        self.params
+            .iter()
+            .zip(digits)
+            .try_fold(0u128, |idx, (p, d)| {
+                idx.checked_mul(p.cardinality() as u128)?
+                    .checked_add(d? as u128)
+            })
     }
 
     /// Lazy row-major enumeration of the whole grid: [`ConfigSpace::at`]
     /// of every index.
     pub fn grid(&self) -> impl Iterator<Item = Configuration> + '_ {
-        let size = self
-            .size()
-            .expect("grid enumeration needs a discrete space");
-        (0..size).map(|i| self.at(i))
+        (0..self.size().unwrap_or(u128::MAX)).map(|i| self.at(i))
     }
 
     /// Encode a configuration into a numeric feature vector for surrogate
-    /// models (ordinal rank / categorical index / raw numeric).
+    /// models: each parameter's value index, NaN where the configuration
+    /// lacks the parameter or the value.
     pub fn encode(&self, config: &Configuration) -> Vec<f64> {
         self.params
             .iter()
-            .map(|p| {
-                config
-                    .get(p.name())
-                    .map(|v| p.encode(v))
-                    .unwrap_or(f64::NAN)
-            })
+            .map(|p| config.get(p.name()).map_or(f64::NAN, |v| p.encode(v)))
             .collect()
     }
 
@@ -195,33 +200,21 @@ impl ConfigSpace {
     }
 
     /// The whole grid in encoded form, row-major in one vector: row `i`
-    /// (`len()` values) is `encode(&at(i))`.
+    /// (`len()` values) is `encode(&at(i))`, the digits of `i`.
     ///
     /// # Panics
-    /// If the space is continuous.
+    /// If the grid has more rows than a `usize` counts.
     pub fn grid_encoded(&self) -> Vec<f64> {
-        let size = self
-            .size()
-            .expect("grid enumeration needs a discrete space");
-        let size = usize::try_from(size).expect("grid too large to materialise");
-        let cards: Vec<usize> = self
-            .params
-            .iter()
-            .map(|p| p.cardinality().expect("discrete") as usize)
-            .collect();
-        let mut digits = vec![0usize; cards.len()];
-        let mut out = Vec::with_capacity(size * cards.len());
+        let size = self.size().and_then(|s| usize::try_from(s).ok());
+        let size = size.expect("grid too large to materialise");
+        let mut digits = vec![0usize; self.params.len()];
+        let mut out = Vec::with_capacity(size * digits.len());
         for _ in 0..size {
-            out.extend(
-                self.params
-                    .iter()
-                    .zip(&digits)
-                    .map(|(p, &i)| p.encoded_at(i)),
-            );
+            out.extend(digits.iter().map(|&d| d as f64));
             // Mixed-radix increment, last parameter fastest.
-            for (digit, &card) in digits.iter_mut().zip(&cards).rev() {
+            for (digit, p) in digits.iter_mut().zip(&self.params).rev() {
                 *digit += 1;
-                if *digit < card {
+                if *digit < p.cardinality() {
                     break;
                 }
                 *digit = 0;
@@ -231,21 +224,19 @@ impl ConfigSpace {
     }
 
     /// Random neighbour: pick one parameter, move its ordinal rank by ±1
-    /// (or resample a categorical/continuous parameter). The local-move
-    /// operator used by GA mutation and simulated-annealing proposals.
+    /// (or resample a categorical parameter). The local-move operator used
+    /// by GA mutation and simulated-annealing proposals.
     pub fn neighbor(&self, config: &Configuration, rng: &mut impl Rng) -> Configuration {
         assert!(!self.params.is_empty(), "empty space has no neighbours");
         let mut out = config.clone();
         let d = rng.gen_range(0..self.params.len());
         let p = &self.params[d];
-        let new_val = match p {
-            Hyperparameter::Ordinal { sequence, .. } => {
-                let cur = p.index_of(&out.values[d]);
-                sequence[step_rank(cur, sequence.len(), rng)].clone()
+        out.values[d] = match p {
+            Hyperparameter::Ordinal { .. } => {
+                p.value_at(step_rank(p.index_of(&out.values[d]), p.cardinality(), rng))
             }
-            other => other.sample(rng),
+            Hyperparameter::Categorical { .. } => p.sample(rng),
         };
-        out.values[d] = new_val;
         out
     }
 
@@ -259,10 +250,10 @@ impl ConfigSpace {
         let d = rng.gen_range(0..self.params.len());
         let p = &self.params[d];
         let moved = match p {
-            Hyperparameter::Ordinal { sequence, .. } => {
-                step_rank(p.encoded_index(row[d]), sequence.len(), rng) as f64
+            Hyperparameter::Ordinal { .. } => {
+                step_rank(p.encoded_index(row[d]), p.cardinality(), rng) as f64
             }
-            other => other.sample_encoded(rng),
+            Hyperparameter::Categorical { .. } => p.sample_encoded(rng),
         };
         let start = out.len();
         out.extend_from_slice(row);
@@ -284,13 +275,7 @@ impl ConfigSpace {
             && self.params.iter().all(|p| {
                 config
                     .get(p.name())
-                    .map(|v| match p {
-                        Hyperparameter::UniformFloat { lo, hi, .. } => {
-                            v.as_float().map(|x| x >= *lo && x <= *hi).unwrap_or(false)
-                        }
-                        _ => p.index_of(v).is_some(),
-                    })
-                    .unwrap_or(false)
+                    .is_some_and(|v| p.index_of(v).is_some())
             })
     }
 }
@@ -305,6 +290,35 @@ fn step_rank(cur: Option<usize>, len: usize, rng: &mut impl Rng) -> usize {
         cur - 1
     } else {
         cur + 1
+    }
+}
+
+/// A set of flat indices ([`ConfigSpace::index_of`]): what a tuner has
+/// proposed or been told.
+pub type IndexSet = HashSet<u128, BuildHasherDefault<IndexHasher>>;
+
+/// [`IndexSet`]'s hasher: one multiply, where std's SipHash would cost more
+/// than the probe it serves (an ask tests every point of a 57 600-point
+/// grid).
+#[derive(Debug, Default)]
+pub struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    /// Not reached from an [`IndexSet`], whose keys hash by `write_u128`.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u128(u128::from(self.0) << 8 | u128::from(b));
+        }
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        self.0 = (i as u64 ^ (i >> 64) as u64).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    /// The product's high bits depend on every bit of the index; rotate
+    /// them down to where the table picks its bucket.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 
@@ -324,13 +338,20 @@ mod tests {
     #[test]
     fn size_multiplies() {
         assert_eq!(space().size(), Some(6));
-        let mut cs = space();
-        cs.add(Hyperparameter::UniformFloat {
-            name: "x".into(),
-            lo: 0.0,
-            hi: 1.0,
-        });
+        // 256¹⁷ = 2¹³⁶ points: more than a `u128` counts, but the first
+        // 2¹²⁸ still have their flat index.
+        let mut cs = ConfigSpace::new();
+        for i in 0..17 {
+            let values: Vec<i64> = (0..256).collect();
+            cs.add(Hyperparameter::ordinal_ints(format!("P{i}"), &values));
+        }
         assert_eq!(cs.size(), None);
+        let last = cs.at(u128::MAX);
+        assert_eq!(cs.index_of(&last), Some(u128::MAX));
+        assert_eq!(cs.index_of_encoded(&cs.encode(&last)), Some(u128::MAX));
+        let mut past = last;
+        past.values[0] = ParamValue::Int(1);
+        assert_eq!(cs.index_of(&past), None);
     }
 
     #[test]
@@ -433,27 +454,19 @@ mod tests {
         cs.add(Hyperparameter::categorical_strs("C", &["a", "b", "b"]));
     }
 
-    /// One parameter of each kind; without the float, a discrete space.
-    fn mixed_space(continuous: bool) -> ConfigSpace {
+    /// Both kinds, negative values and a one-value parameter.
+    fn mixed_space() -> ConfigSpace {
         let mut cs = ConfigSpace::new();
         cs.add(Hyperparameter::ordinal_ints("tile", &[1, 2, 4, 8, 16]));
         cs.add(Hyperparameter::categorical_strs(
             "order",
             &["ijk", "ikj", "kij"],
         ));
-        cs.add(Hyperparameter::UniformInt {
-            name: "unroll".into(),
-            lo: -2,
-            hi: 5,
-        });
+        cs.add(Hyperparameter::ordinal_ints(
+            "unroll",
+            &(-2..=5).collect::<Vec<i64>>(),
+        ));
         cs.add(Hyperparameter::ordinal_ints("one", &[7]));
-        if continuous {
-            cs.add(Hyperparameter::UniformFloat {
-                name: "alpha".into(),
-                lo: 0.5,
-                hi: 2.0,
-            });
-        }
         cs
     }
 
@@ -464,7 +477,7 @@ mod tests {
     #[test]
     fn decode_inverts_encode() {
         let mut rng = SmallRng::seed_from_u64(11);
-        for cs in [mixed_space(true), mixed_space(false), space()] {
+        for cs in [mixed_space(), space()] {
             for _ in 0..200 {
                 let c = cs.sample(&mut rng);
                 assert_eq!(cs.decode(&cs.encode(&c)), c);
@@ -475,12 +488,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not encode a value of `tile`")]
     fn decode_rejects_rows_from_outside_the_space() {
-        mixed_space(false).decode(&[5.0, 0.0, 0.0, 0.0]);
+        mixed_space().decode(&[5.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn encoded_sample_is_the_encoded_sample_from_the_same_draws() {
-        for cs in [mixed_space(true), mixed_space(false), space()] {
+        for cs in [mixed_space(), space()] {
             let mut rng = SmallRng::seed_from_u64(23);
             for _ in 0..300 {
                 let mut twin = rng.clone();
@@ -496,7 +509,7 @@ mod tests {
 
     #[test]
     fn encoded_neighbor_is_the_encoded_neighbor_from_the_same_draws() {
-        for cs in [mixed_space(true), mixed_space(false), space()] {
+        for cs in [mixed_space(), space()] {
             let mut rng = SmallRng::seed_from_u64(37);
             for round in 0..400 {
                 let mut c = cs.sample(&mut rng);
@@ -517,7 +530,7 @@ mod tests {
 
     #[test]
     fn indices_of_rows_and_configurations_are_the_grid_positions() {
-        let cs = mixed_space(false);
+        let cs = mixed_space();
         for (i, row) in cs.grid_encoded().chunks_exact(cs.len()).enumerate() {
             assert_eq!(cs.index_of_encoded(row), Some(i as u128));
             assert_eq!(cs.index_of(&cs.at(i as u128)), Some(i as u128));
@@ -525,8 +538,9 @@ mod tests {
         // No index for what no point of the space is: a value or a rank it
         // lacks, a parameter too many, or its parameters in another order.
         assert_eq!(cs.index_of_encoded(&[5.0, 0.0, 0.0, 0.0]), None);
-        assert_eq!(cs.index_of_encoded(&[0.0, 0.0, 6.0, 0.0]), None);
+        assert_eq!(cs.index_of_encoded(&[0.0, 0.0, 8.0, 0.0]), None);
         assert_eq!(cs.index_of_encoded(&[0.0, 0.0, 0.5, 0.0]), None);
+        assert_eq!(cs.index_of_encoded(&[0.0, f64::NAN, 0.0, 0.0]), None);
         let mut c = cs.at(7);
         c.values[2] = ParamValue::Int(-3);
         assert_eq!(cs.index_of(&c), None);
@@ -534,13 +548,15 @@ mod tests {
         c.names.swap(0, 1);
         c.values.swap(0, 1);
         assert_eq!(cs.index_of(&c), None);
-        let c = mixed_space(true).sample(&mut SmallRng::seed_from_u64(1));
+        let mut c = cs.at(7);
+        c.names.push("alpha".into());
+        c.values.push(ParamValue::Float(0.5));
         assert_eq!(cs.index_of(&c), None);
     }
 
     #[test]
     fn encoded_grid_rows_are_the_encoded_grid_points() {
-        for cs in [mixed_space(false), space(), ConfigSpace::new()] {
+        for cs in [mixed_space(), space(), ConfigSpace::new()] {
             let grid = cs.grid_encoded();
             let size = cs.size().expect("discrete") as usize;
             assert_eq!(grid.len(), size * cs.len());

@@ -1,7 +1,7 @@
 //! The ask/tell Bayesian-optimization search.
 
 use crate::acquisition::Acquisition;
-use configspace::{ConfigSpace, Configuration};
+use configspace::{ConfigSpace, Configuration, IndexSet};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use surrogate::forest::RandomForest;
@@ -38,94 +38,6 @@ impl Default for SearchConfig {
     }
 }
 
-/// A set of encoded rows of one width, compared by bit pattern: the rows
-/// end to end in insertion order, and an open-addressing table of row
-/// numbers over them, so the distinct candidates of an ask on a large
-/// space are its candidate matrix. (A `HashSet` would need an owned key
-/// per row; such an ask tests and inserts more than a thousand.)
-#[derive(Debug)]
-struct RowSet {
-    width: usize,
-    /// Rows held (`rows` cannot tell when `width` is 0).
-    len: usize,
-    rows: Vec<f64>,
-    /// Row numbers, `EMPTY` where free; a power of two, at most half full.
-    slots: Vec<u32>,
-}
-
-const EMPTY: u32 = u32::MAX;
-
-impl RowSet {
-    /// Empty set with room for `capacity` rows before it grows.
-    fn new(width: usize, capacity: usize) -> RowSet {
-        RowSet {
-            width,
-            len: 0,
-            rows: Vec::with_capacity(width * capacity),
-            slots: vec![EMPTY; (capacity * 2).next_power_of_two().max(16)],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn row(&self, i: usize) -> &[f64] {
-        &self.rows[i * self.width..(i + 1) * self.width]
-    }
-
-    /// The slot that holds `row`, or else the free slot it belongs in.
-    fn find(&self, row: &[f64]) -> Result<usize, usize> {
-        assert_eq!(row.len(), self.width, "row width");
-        let hash = row.iter().fold(0u64, |h, v| {
-            (h.rotate_left(5) ^ v.to_bits()).wrapping_mul(0x517c_c1b7_2722_0a95)
-        });
-        let mask = self.slots.len() - 1;
-        // The product's high bits depend on every bit of the row.
-        let mut slot = (hash >> 32) as usize & mask;
-        loop {
-            match self.slots[slot] {
-                EMPTY => return Err(slot),
-                i if same_bits(self.row(i as usize), row) => return Ok(slot),
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    fn contains(&self, row: &[f64]) -> bool {
-        self.find(row).is_ok()
-    }
-
-    /// Add `row`; true if it was not in the set.
-    fn insert(&mut self, row: &[f64]) -> bool {
-        let Err(mut slot) = self.find(row) else {
-            return false;
-        };
-        if (self.len + 1) * 2 > self.slots.len() {
-            let doubled = vec![EMPTY; self.slots.len() * 2];
-            let old = std::mem::replace(&mut self.slots, doubled);
-            for i in old.into_iter().filter(|&i| i != EMPTY) {
-                let at = self
-                    .find(self.row(i as usize))
-                    .expect_err("rows in the table are distinct");
-                self.slots[at] = i;
-            }
-            slot = self.find(row).expect_err("checked above");
-        }
-        self.slots[slot] = u32::try_from(self.len)
-            .ok()
-            .filter(|&i| i != EMPTY)
-            .expect("fewer than 2^32 - 1 rows");
-        self.rows.extend_from_slice(row);
-        self.len += 1;
-        true
-    }
-}
-
-fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 /// Ask/tell Bayesian optimizer: Random-Forest surrogate + acquisition
 /// ranking (the search method inside ytopt).
 ///
@@ -140,10 +52,10 @@ pub struct BayesianOptimizer {
     observed_y: Vec<f64>,
     best_y: f64,
     best_config: Option<Configuration>,
-    /// Configurations of the space proposed or told so far, encoded.
-    /// Nothing from outside the space is in here, so on a finite space
-    /// its length says how many points are left.
-    visited: RowSet,
+    /// Flat indices of the points proposed or told so far. A configuration
+    /// from outside the space has none, so the length says how many points
+    /// are left.
+    visited: IndexSet,
     /// The encoded grid of a space of at most [`GRID_LIMIT`] points,
     /// enumerated at the first model-based ask.
     grid: Option<Vec<f64>>,
@@ -155,7 +67,7 @@ impl BayesianOptimizer {
     pub fn new(space: ConfigSpace, cfg: SearchConfig) -> BayesianOptimizer {
         let rng = SmallRng::seed_from_u64(cfg.seed);
         BayesianOptimizer {
-            visited: RowSet::new(space.len(), 0),
+            visited: IndexSet::default(),
             space,
             cfg,
             rng,
@@ -188,8 +100,9 @@ impl BayesianOptimizer {
         self.exhausted
     }
 
+    /// A random unvisited point, encoded: rejection sampling, then a scan
+    /// of the grid once the visited set is dense.
     fn random_unvisited(&mut self) -> Option<Vec<f64>> {
-        // Exact for small spaces, rejection sampling for large ones.
         if let Some(size) = self.space.size() {
             if (self.visited.len() as u128) >= size {
                 return None;
@@ -199,15 +112,13 @@ impl BayesianOptimizer {
         for _ in 0..10_000 {
             row.clear();
             self.space.sample_encoded(&mut self.rng, &mut row);
-            if !self.visited.contains(&row) {
+            let index = self.space.index_of_encoded(&row);
+            if index.is_some_and(|i| !self.visited.contains(&i)) {
                 return Some(row);
             }
         }
-        // Dense visited set: fall back to scanning the grid.
-        self.space
-            .grid()
-            .map(|c| self.space.encode(&c))
-            .find(|row| !self.visited.contains(row))
+        let i = (0..).find(|i| !self.visited.contains(i))?;
+        Some(self.space.encode(&self.space.at(i)))
     }
 
     /// The unvisited candidates of one ask as (encoded rows end to end,
@@ -216,45 +127,53 @@ impl BayesianOptimizer {
     /// incumbent.
     fn candidates(&mut self) -> (Vec<f64>, usize) {
         let dims = self.space.len();
-        let size = self.space.size().unwrap_or(u128::MAX);
-        if size <= GRID_LIMIT {
-            let grid = self.grid.get_or_insert_with(|| self.space.grid_encoded());
-            let mut out = Vec::with_capacity(grid.len());
-            let mut n = 0;
-            for i in 0..size as usize {
-                let row = &grid[i * dims..(i + 1) * dims];
-                if !self.visited.contains(row) {
-                    out.extend_from_slice(row);
+        match self.space.size() {
+            Some(size) if size <= GRID_LIMIT => {
+                // Row `i` of the grid is the point `i`.
+                let grid = self.grid.get_or_insert_with(|| self.space.grid_encoded());
+                let mut out = Vec::with_capacity(grid.len());
+                let mut n = 0;
+                for i in (0..size).filter(|i| !self.visited.contains(i)) {
+                    let at = i as usize * dims;
+                    out.extend_from_slice(&grid[at..at + dims]);
                     n += 1;
                 }
+                (out, n)
             }
-            (out, n)
-        } else {
-            let mut out = RowSet::new(dims, self.cfg.n_candidates + 64);
-            let mut row = Vec::with_capacity(dims);
-            while out.len() < self.cfg.n_candidates {
-                row.clear();
-                self.space.sample_encoded(&mut self.rng, &mut row);
-                if !self.visited.contains(&row) {
-                    out.insert(&row);
-                }
-            }
-            // Exploitation seeds: neighbours of the incumbent.
-            if let Some(best) = &self.best_config {
-                let best = self.space.encode(best);
-                for _ in 0..64 {
+            _ => {
+                let mut out = Vec::with_capacity(dims * (self.cfg.n_candidates + 64));
+                let mut seen = IndexSet::default();
+                let mut row = Vec::with_capacity(dims);
+                while seen.len() < self.cfg.n_candidates {
                     row.clear();
-                    self.space.neighbor_encoded(&best, &mut self.rng, &mut row);
-                    if !self.visited.contains(&row) {
-                        out.insert(&row);
+                    self.space.sample_encoded(&mut self.rng, &mut row);
+                    self.offer(&row, &mut seen, &mut out);
+                }
+                // Exploitation seeds: neighbours of the incumbent.
+                if let Some(best) = &self.best_config {
+                    let best = self.space.encode(best);
+                    for _ in 0..64 {
+                        row.clear();
+                        self.space.neighbor_encoded(&best, &mut self.rng, &mut row);
+                        self.offer(&row, &mut seen, &mut out);
                     }
                 }
+                (out, seen.len())
             }
-            (out.rows, out.len)
         }
     }
 
-    /// One ask in encoded form; marks the row visited.
+    /// Append `row` to the candidates `out` if it is an unvisited point
+    /// not among them yet (`seen`). A row that is no point of the space, a
+    /// neighbour of an incumbent from outside it, is no candidate.
+    fn offer(&self, row: &[f64], seen: &mut IndexSet, out: &mut Vec<f64>) {
+        match self.space.index_of_encoded(row) {
+            Some(i) if !self.visited.contains(&i) && seen.insert(i) => out.extend_from_slice(row),
+            _ => {}
+        }
+    }
+
+    /// One ask in encoded form; marks the point visited.
     fn ask_row(&mut self) -> Option<Vec<f64>> {
         let pick = if self.observed_y.len() < self.cfg.n_initial {
             self.random_unvisited()
@@ -279,9 +198,7 @@ impl BayesianOptimizer {
             }
         };
         match &pick {
-            Some(row) => {
-                self.visited.insert(row);
-            }
+            Some(row) => self.visited.extend(self.space.index_of_encoded(row)),
             None => self.exhausted = true,
         }
         pick
@@ -329,8 +246,8 @@ impl BayesianOptimizer {
         // A configuration from outside the space (a journal written over a
         // wider one) still informs the surrogate, but it is not one of the
         // points the search has left to propose.
-        if self.space.validate(config) {
-            self.visited.insert(&row);
+        if let Some(i) = self.space.index_of(config) {
+            self.visited.insert(i);
         }
         let y = match runtime_s {
             Some(t) => t,
@@ -362,7 +279,6 @@ impl BayesianOptimizer {
 mod tests {
     use super::*;
     use configspace::{Hyperparameter, ParamValue};
-    use rand::Rng;
     use std::collections::HashSet;
 
     fn space(n: i64) -> ConfigSpace {
@@ -464,30 +380,6 @@ mod tests {
         };
         assert_eq!(run(4), run(4));
         assert_ne!(run(4), run(5));
-    }
-
-    #[test]
-    fn row_set_compares_bit_patterns_and_keeps_insertion_order() {
-        let mut set = RowSet::new(2, 0);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut reference: HashSet<[u64; 2]> = HashSet::new();
-        for _ in 0..5_000 {
-            let row = [rng.gen_range(0..40) as f64, rng.gen_range(0..40) as f64];
-            let new = reference.insert(row.map(f64::to_bits));
-            assert_eq!(set.contains(&row), !new);
-            assert_eq!(set.insert(&row), new);
-            assert!(set.contains(&row));
-        }
-        assert_eq!(set.len(), reference.len());
-        assert_eq!(set.rows.len(), 2 * set.len());
-        assert!((0..set.len()).all(|i| set.find(set.row(i)).is_ok()));
-        // Bit patterns, not float equality.
-        assert!(set.contains(&[0.0, 0.0]) && !set.contains(&[-0.0, 0.0]));
-        assert!(set.insert(&[f64::NAN, 1.0]) && !set.insert(&[f64::NAN, 1.0]));
-        // A set of empty rows holds at most the one empty row.
-        let mut empty = RowSet::new(0, 0);
-        assert!(empty.insert(&[]) && !empty.insert(&[]));
-        assert_eq!(empty.len(), 1);
     }
 
     #[test]

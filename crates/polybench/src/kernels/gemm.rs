@@ -99,8 +99,8 @@ mod tests {
     #[test]
     fn space_uses_divisors_of_output_dims() {
         let mold = mold_for(KernelName::Gemm, ProblemSize::Mini); // (20, 25, 30)
-        assert_eq!(mold.space().get("P0").unwrap().cardinality(), Some(6)); // div(20)
-        assert_eq!(mold.space().get("P1").unwrap().cardinality(), Some(3)); // div(25)
+        assert_eq!(mold.space().get("P0").unwrap().cardinality(), 6); // div(20)
+        assert_eq!(mold.space().get("P1").unwrap().cardinality(), 3); // div(25)
     }
 
     /// Run one aggressive config against the reference output.

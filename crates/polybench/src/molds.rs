@@ -85,11 +85,9 @@ pub trait CodeMold: Send + Sync {
                 }
                 // Closest value to 8 in the ordinal sequence (skipping
                 // the aggressive space's illegal factor 0).
-                let card = p.cardinality().expect("mold spaces are discrete");
                 let mut best = p.value_at(0);
                 let mut bd = f64::INFINITY;
-                for i in 0..card as usize {
-                    let v = p.value_at(i);
+                for v in p.values().iter().cloned() {
                     if v.as_int() == Some(0) {
                         continue;
                     }

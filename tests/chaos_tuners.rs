@@ -5,10 +5,14 @@
 //! isolation + transient retry). At any failure rate the tuners must
 //! neither panic nor stop short of their budget, failed trials must be
 //! recorded (penalized, not fatal), and the best configuration must
-//! always come from a successful trial.
+//! always come from a successful trial. Told configurations from outside
+//! their space, the tuners must neither panic, nor count them as visited,
+//! nor propose them.
 
+use std::collections::HashSet;
 use tvm_autotune::autotvm::measure::FnEvaluator;
 use tvm_autotune::autotvm::XgbTuner;
+use tvm_autotune::configspace::ParamValue;
 use tvm_autotune::prelude::*;
 
 /// 40×40 synthetic space (1600 configurations — room for 100-eval runs).
@@ -42,23 +46,23 @@ fn chaotic_evaluator(
     HarnessedEvaluator::new(FaultInjector::new(inner, FaultPlan::uniform(rate, seed)))
 }
 
-/// The five strategies, fresh and identically seeded. XGB's
+/// The five strategies over `space`, fresh and identically seeded. XGB's
 /// model-confidence early stop is disabled (`improvement_margin = ∞`) so
 /// a full budget is a meaningful requirement for all five.
-fn tuners(seed: u64) -> Vec<Box<dyn Tuner>> {
-    let mut xgb = XgbTuner::new(space(), seed);
+fn tuners(space: &ConfigSpace, seed: u64) -> Vec<Box<dyn Tuner>> {
+    let mut xgb = XgbTuner::new(space.clone(), seed);
     xgb.improvement_margin = f64::INFINITY;
     vec![
-        Box::new(RandomTuner::new(space(), seed)) as Box<dyn Tuner>,
-        Box::new(GridSearchTuner::new(space())),
-        Box::new(GaTuner::new(space(), seed)),
+        Box::new(RandomTuner::new(space.clone(), seed)) as Box<dyn Tuner>,
+        Box::new(GridSearchTuner::new(space.clone())),
+        Box::new(GaTuner::new(space.clone(), seed)),
         Box::new(xgb),
-        Box::new(YtoptTuner::new(space(), seed)),
+        Box::new(YtoptTuner::new(space.clone(), seed)),
     ]
 }
 
 fn run_all(rate: f64, seed: u64, max_evals: usize) -> Vec<TuningResult> {
-    tuners(seed)
+    tuners(&space(), seed)
         .into_iter()
         .map(|mut t| {
             let ev = chaotic_evaluator(rate, seed);
@@ -138,7 +142,7 @@ fn pick_best_never_returns_a_failed_trial() {
     };
     let ev = chaotic_evaluator(0.5, 4);
     for i in 0..5 {
-        let fresh = || tuners(4).swap_remove(i);
+        let fresh = || tuners(&space(), 4).swap_remove(i);
         let live = tune_journaled(fresh().as_mut(), &ev, opts, &path).expect("journaled run");
         let rows = TrialJournal::load(&path).expect("load");
         assert_eq!(rows.len(), live.len());
@@ -272,4 +276,71 @@ fn injected_panics_are_contained() {
         }
     }
     assert!(res.best().expect("best").error.is_none());
+}
+
+/// `params` parameters of `values` values each.
+fn square_space(params: usize, values: i64) -> ConfigSpace {
+    let mut cs = ConfigSpace::new();
+    for i in 0..params {
+        let values: Vec<i64> = (1..=values).collect();
+        cs.add(Hyperparameter::ordinal_ints(format!("P{i}"), &values));
+    }
+    cs
+}
+
+/// Told three configurations that are no point of their space (a value it
+/// lacks, a name too many, a name missing), each faster than any point,
+/// every tuner goes on proposing distinct points of the space only. On a
+/// 12-point space each still proposes all twelve, so none counted a
+/// foreign configuration as visited. On the 248 832-point one ytopt ranks
+/// sampled candidates and neighbours of its incumbent, the foreign `P0 =
+/// 99`; such a neighbour used to keep that value, win the acquisition and
+/// panic in `decode`, and GA's `update` panicked on all three.
+#[test]
+fn foreign_configurations_are_neither_visited_nor_proposed() {
+    for (space, budget) in [(square_space(2, 12), 12), (square_space(5, 12), 40)] {
+        let base = space.default_configuration();
+        let mut wrong = base.clone();
+        wrong.values[0] = ParamValue::Int(99);
+        let mut extra = base.clone();
+        extra.names.push("Q".into());
+        extra.values.push(ParamValue::Int(1));
+        let mut missing = base;
+        missing.names.pop();
+        missing.values.pop();
+        let told: Vec<_> = [wrong, extra, missing]
+            .into_iter()
+            .map(|c| (c, MeasureResult::ok(0.5, 0.5)))
+            .collect();
+        let runtime = |c: &Configuration| 1.0 + 0.01 * c.ints().iter().sum::<i64>() as f64;
+        for seed in 0..4 {
+            for mut tuner in tuners(&space, seed) {
+                tuner.update(&told);
+                let mut seen = HashSet::new();
+                while seen.len() < budget && tuner.has_next() {
+                    let batch = tuner.next_batch(4);
+                    if batch.is_empty() {
+                        break;
+                    }
+                    for c in &batch {
+                        assert!(
+                            space.index_of(c).is_some(),
+                            "{}: proposed {c}",
+                            tuner.name()
+                        );
+                        assert!(seen.insert(c.key()), "{}: repeated {c}", tuner.name());
+                    }
+                    let results: Vec<_> = batch
+                        .into_iter()
+                        .map(|c| {
+                            let r = runtime(&c);
+                            (c, MeasureResult::ok(r, r))
+                        })
+                        .collect();
+                    tuner.update(&results);
+                }
+                assert_eq!(seen.len(), budget, "{} at seed {seed}", tuner.name());
+            }
+        }
+    }
 }

@@ -95,8 +95,7 @@ fn packed_matches_scalar_on_jam_tile_shapes() {
     let mold = mold_for(KernelName::Gemm, ProblemSize::Mini);
     let base = mold.baseline_configuration();
     let p1 = mold.space().get("P1").expect("gemm tiles x by P1");
-    let p1_values = p1.cardinality().expect("discrete") as usize;
-    for tx in (0..p1_values).filter_map(|i| p1.value_at(i).as_int()) {
+    for tx in p1.values().iter().filter_map(|v| v.as_int()) {
         let config = with_ints(mold.space(), &base, &[("P0", 1), ("P1", tx)]);
         if !mold.space().validate(&config) {
             continue;

@@ -12,7 +12,8 @@
 //! - GridSearch on lu-large, 40 trials in flat-index order.
 //!
 //! Each line is (trial index, configuration key, runtime `f64` bits or
-//! `reject`); the values are `tests/pins/tuner_golden.*.txt`.
+//! `reject`); the values are `tests/pins/tuner_golden.*.txt`, recorded at
+//! 5d322a5, before the tuners' visited records became flat-index sets.
 
 mod common;
 
